@@ -41,9 +41,6 @@ func (m *Manager) validate(ctx context.Context, id string, g *graph.Graph, dirty
 		return fmt.Errorf("candidate geometry n=%d b=%d, parent n=%d b=%d",
 			cand.N(), cand.BlockSize(), cur.n, cur.b)
 	}
-	if !cand.Checksummed() {
-		return fmt.Errorf("candidate store carries no checksums")
-	}
 
 	// CRC spot-check: a deterministic stride across the tile grid plus
 	// the main diagonal's corners. Reading a tile cold verifies its

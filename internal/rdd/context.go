@@ -319,12 +319,24 @@ func (c *Context) newID() int {
 // TaskContext carries per-task virtual cost accounting into user
 // functions; kernels and building blocks charge their model costs here.
 type TaskContext struct {
-	ctx        *Context
-	node       int
-	core       int
+	ctx  *Context
+	node int
+	core int
+	// cost sums the charges made before the task's first shared read;
+	// from that read on every charge is parked in deferred, in program
+	// order, and runStage replays the list once the stage is over (see
+	// SharedGet).
 	cost       float64
+	deferred   []charge
 	netBytes   int64
 	hostBudget int
+}
+
+// charge is one deferred cost entry of a task: virtual seconds, or — when
+// key is set — a shared read whose cost is only known after the stage.
+type charge struct {
+	sec float64
+	key string
 }
 
 // Model exposes the kernel cost model.
@@ -348,7 +360,11 @@ func (tc *TaskContext) Workers() int {
 
 // Charge adds raw virtual seconds to the task.
 func (tc *TaskContext) Charge(sec float64) {
-	if sec > 0 {
+	switch {
+	case sec <= 0:
+	case tc.deferred != nil:
+		tc.deferred = append(tc.deferred, charge{sec: sec})
+	default:
 		tc.cost += sec
 	}
 }
@@ -365,14 +381,18 @@ func (tc *TaskContext) ChargeNet(bytes int64, msgs int) {
 	tc.netBytes += bytes
 }
 
-// SharedGet reads a key from the shared store, charging the read to the
-// task (free when the node's page cache holds it this epoch).
+// SharedGet reads a key from the shared store. The read is free when the
+// node's page cache already holds the key this epoch, so which of a
+// node's concurrent tasks pays for it would depend on goroutine
+// scheduling; instead the task only records the read, and runStage charges
+// it after the stage in task-index order — the order a one-worker run
+// executes in — at this position in the task's charge sequence.
 func (tc *TaskContext) SharedGet(key string) (any, error) {
-	v, cost, err := tc.ctx.Store.Get(key, tc.node)
+	v, err := tc.ctx.Store.Peek(key)
 	if err != nil {
 		return nil, err
 	}
-	tc.Charge(cost)
+	tc.deferred = append(tc.deferred, charge{key: key})
 	return v, nil
 }
 
@@ -408,7 +428,14 @@ func (c *Context) runStage(name string, n int, task func(tc *TaskContext, i int)
 	defer span.End()
 
 	p := c.Cluster.Cores()
-	coreTime := make([]float64, p)
+	// taskCost[i] and taskDeferred[i] are written only by the goroutine
+	// running task i (retries appended in attempt order) and folded into
+	// core times in index order after the stage: float addition is not
+	// associative and the shared store's page cache is first-reader-pays,
+	// so accounting in completion order would move the makespan with
+	// goroutine scheduling.
+	taskCost := make([]float64, n)
+	taskDeferred := make([][]charge, n)
 	results := make([][]Pair, n)
 	var mu sync.Mutex
 	var firstErr error
@@ -444,8 +471,14 @@ func (c *Context) runStage(name string, n int, task func(tc *TaskContext, i int)
 			if err == nil && c.Injector.shouldFail(name, i) {
 				err = errInjected
 			}
+			// Failed attempts still burn time.
+			if taskDeferred[i] == nil {
+				taskCost[i] += tc.cost
+				taskDeferred[i] = tc.deferred
+			} else {
+				taskDeferred[i] = append(append(taskDeferred[i], charge{sec: tc.cost}), tc.deferred...)
+			}
 			mu.Lock()
-			coreTime[core] += tc.cost // failed attempts still burn time
 			stageNetBytes += tc.netBytes
 			mu.Unlock()
 			if err == nil {
@@ -491,6 +524,17 @@ func (c *Context) runStage(name string, n int, task func(tc *TaskContext, i int)
 	}
 	wg.Wait()
 
+	coreTime := make([]float64, p)
+	for i, cost := range taskCost {
+		for _, ch := range taskDeferred[i] {
+			if ch.key != "" {
+				// Peek found the key during the task, so Get cannot fail.
+				_, ch.sec, _ = c.Store.Get(ch.key, c.Cluster.NodeOfCore(i%p))
+			}
+			cost += ch.sec
+		}
+		coreTime[i%p] += cost
+	}
 	var makespan, sum float64
 	for _, t := range coreTime {
 		sum += t

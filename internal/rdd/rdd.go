@@ -346,10 +346,6 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 		pairs [][]Pair // per reduce partition
 		bytes []int64
 		maps  int
-		// committed guards against double-counting when a map task is
-		// retried after an injected failure: only the first completed
-		// attempt's output is registered (Spark's map-output commit).
-		committed []bool
 	}
 	var bs *bucketSet
 	mapParts := r.parts
@@ -367,13 +363,15 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 		if parent == nil {
 			return fmt.Errorf("rdd: cannot recompute shuffle %q: lineage truncated by Checkpoint", name)
 		}
-		nb := &bucketSet{
-			pairs:     make([][]Pair, out.parts),
-			bytes:     make([]int64, out.parts),
-			maps:      mapParts,
-			committed: make([]bool, mapParts),
-		}
-		var bmu sync.Mutex
+		// Each map task parks its partitioned output under its own index
+		// and the reduce buckets are assembled in map-partition order after
+		// the stage: appending in task-completion order would make the
+		// reduce-side fold order — and with it the order of its float cost
+		// charges — depend on goroutine scheduling. A task retried after an
+		// injected failure keeps its first completed attempt's output
+		// (Spark's map-output commit); only task p's goroutine touches
+		// mapOut[p], so no lock is needed.
+		mapOut := make([]*bucketSet, mapParts)
 		_, err := out.ctx.runStage(name+".map", mapParts, func(tc *TaskContext, p int) ([]Pair, error) {
 			in, err := parent.compute(tc, p)
 			if err != nil {
@@ -410,21 +408,26 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 				return nil, err
 			}
 			out.ctx.Cluster.AddShuffleBytes(compressed)
-			bmu.Lock()
-			if !nb.committed[p] {
-				nb.committed[p] = true
-				for b := range local {
-					if len(local[b]) > 0 {
-						nb.pairs[b] = append(nb.pairs[b], local[b]...)
-						nb.bytes[b] += out.ctx.Cluster.Config().CompressedShuffle(localBytes[b])
-					}
-				}
+			if mapOut[p] == nil {
+				mapOut[p] = &bucketSet{pairs: local, bytes: localBytes}
 			}
-			bmu.Unlock()
 			return nil, nil
 		})
 		if err != nil {
 			return err
+		}
+		nb := &bucketSet{
+			pairs: make([][]Pair, out.parts),
+			bytes: make([]int64, out.parts),
+			maps:  mapParts,
+		}
+		for _, mo := range mapOut {
+			for b := range mo.pairs {
+				if len(mo.pairs[b]) > 0 {
+					nb.pairs[b] = append(nb.pairs[b], mo.pairs[b]...)
+					nb.bytes[b] += out.ctx.Cluster.Config().CompressedShuffle(mo.bytes[b])
+				}
+			}
 		}
 		out.mu.Lock()
 		bs = nb

@@ -34,9 +34,19 @@ func newFaultyEngine(t *testing.T, n int, seed int64, withGraph bool, opts store
 	if err != nil {
 		t.Fatal(err)
 	}
+	return faultyEngineOver(t, g, "raw", withGraph, opts)
+}
+
+// faultyEngineOver is newFaultyEngine for a given graph and tile codec.
+func faultyEngineOver(t *testing.T, g *graph.Graph, codec string, withGraph bool, opts store.Options) (*Engine, *matrix.Block, *store.Store, *faultfs.Reader) {
+	t.Helper()
 	dist := fwRef(t, g)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
-	if err := store.Write(path, dist, faultTestBS); err != nil {
+	c, err := store.CodecByName(codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteWithCodec(path, dist, faultTestBS, c); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -291,6 +301,47 @@ func TestServeBitFlipRecomputesAndDegrades(t *testing.T) {
 	}
 	if e.Recomputed() != h.Recomputed {
 		t.Fatalf("engine recomputed %d != healthz %d", e.Recomputed(), h.Recomputed)
+	}
+}
+
+// TestServeRestartGroupRotRecomputes: the same criterion on the
+// row-addressable compressed path, with the rot arriving late. The
+// ivarint tiles are verified and memoised by clean traffic first; then
+// tile (0,0) starts returning a flipped bit on every read. The small
+// span reads that follow fail their restart-group checksum — no value is
+// decoded from them — the tile is quarantined, and the engine re-solves
+// the rows from the graph.
+func TestServeRestartGroupRotRecomputes(t *testing.T) {
+	g, err := graph.ErdosRenyiConnected(40, graph.AvgDegreeProb(40, 6), graph.IntegerWeights(50), 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, dist, st, fr := faultyEngineOver(t, g, "ivarint", true, store.Options{})
+	if st.CodecTiles()["ivarint"] == 0 {
+		t.Fatalf("integer-weight store has no ivarint tiles: %v", st.CodecTiles())
+	}
+	srv := httptest.NewServer(Handler(e))
+	defer srv.Close()
+
+	checkEndpoints(t, srv.URL, dist, 0)
+	checkEndpoints(t, srv.URL, dist, 5)
+	if e.Recomputed() != 0 || st.Quarantined() != 0 {
+		t.Fatalf("clean traffic recomputed %d rows, quarantined %d tiles", e.Recomputed(), st.Quarantined())
+	}
+
+	lo, length, err := st.TileSpan(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Inject(faultfs.Fault{Kind: faultfs.KindBitFlip, FlipBit: 13, OffLo: lo, OffHi: lo + length})
+	checkEndpoints(t, srv.URL, dist, 0)
+	checkEndpoints(t, srv.URL, dist, 5)
+	checkEndpoints(t, srv.URL, dist, 39)
+
+	var h Health
+	getJSON(t, srv.URL+"/healthz", http.StatusOK, &h)
+	if h.Status != "degraded" || h.Quarantined != 1 || h.Recomputed < 1 {
+		t.Fatalf("healthz = %+v, want degraded with 1 quarantined tile and recomputed rows", h)
 	}
 }
 

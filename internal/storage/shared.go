@@ -92,6 +92,19 @@ func (s *Shared) Get(key string, node int) (any, float64, error) {
 	return e.value, s.clu.SharedReadCost(e.bytes), nil
 }
 
+// Peek returns the value under key without touching any page cache or
+// charging anything: executors use it to obtain the data while the
+// scheduler settles who pays for the read (see rdd.TaskContext.SharedGet).
+func (s *Shared) Peek(key string) (any, error) {
+	s.mu.Lock()
+	e, ok := s.data[key]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: key %q not found", key)
+	}
+	return e.value, nil
+}
+
 // Bytes returns the stored size of a key (0 when absent).
 func (s *Shared) Bytes(key string) int64 {
 	s.mu.Lock()

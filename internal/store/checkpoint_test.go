@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -212,7 +213,7 @@ func TestResumeRejectsCorruptManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := int64(fileHdrLen + 9*idxEntryLenV2) // q=3: truncate to zero panels
+	end := int64(fileHdrLen + 9*idxEntryLen) // q=3: truncate to zero panels
 	if err := os.Truncate(path+".partial", end); err != nil {
 		t.Fatal(err)
 	}
@@ -244,5 +245,77 @@ func TestRemoveCheckpoint(t *testing.T) {
 	RemoveCheckpoint(path)
 	if HasCheckpoint(path) {
 		t.Fatal("checkpoint survived RemoveCheckpoint")
+	}
+}
+
+// TestResumeAcceptsOldIVarintCheckpoint: a checkpoint left by the build
+// before restart groups records codec byte 1 for its durable ivarint
+// tiles under the codec name "ivarint". This build resumes it — same
+// name, either byte — writes the remaining panels in the restart layout,
+// and the finished store serves every row; a solve asking for a different
+// codec is still refused.
+func TestResumeAcceptsOldIVarintCheckpoint(t *testing.T) {
+	n, b := 48, 16
+	m := intMatrix(n, 51)
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.apsp")
+	writeOldIVarintStore(t, old, m, b, nil)
+	s, err := Open(old, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := s.TilesPerSide()
+	mf := manifest{Magic: manifestMagic, Version: manifestVersion, N: n, B: b, Q: q, Panels: 1,
+		CRCs: make([]uint32, q*q), Lens: make([]int64, q*q), Codecs: make([]byte, q*q), Codec: "ivarint"}
+	for bj := 0; bj < q; bj++ {
+		ref := s.index[bj]
+		mf.CRCs[bj], mf.Lens[bj], mf.Codecs[bj] = ref.crc, ref.length, ref.codec
+	}
+	end := s.index[q-1].off + s.index[q-1].length
+	s.Close()
+	raw, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "dist.apsp")
+	mfJSON, err := json.Marshal(&mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".partial", raw[:end], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".manifest", mfJSON, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := NewPanelWriterWithOptions(path, n, b, PanelWriterOptions{Resume: true}); err == nil {
+		t.Fatal("a raw solve resumed an ivarint checkpoint")
+	}
+	rw, err := NewPanelWriterWithOptions(path, n, b, PanelWriterOptions{Resume: true, Codec: codecs[CodecIVarint]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rw.Resumed() != 1 {
+		t.Fatalf("resumed %d panels, want 1", rw.Resumed())
+	}
+	for bi := rw.NextPanel(); bi < rw.Panels(); bi++ {
+		if err := rw.WritePanel(panelOf(t, m, b, bi)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.TileCodec(0, 0) != codecIVarintV1 || s.TileCodec(1, 0) != CodecIVarint {
+		t.Fatalf("tile codecs (0,0)=%d (1,0)=%d, want the resumed old layout then the restart layout", s.TileCodec(0, 0), s.TileCodec(1, 0))
+	}
+	if failed := checkRowsRightOrTyped(t, s, m); failed != 0 {
+		t.Fatalf("%d rows of the resumed store failed", failed)
 	}
 }

@@ -9,15 +9,16 @@
 //   - raw (id 0): the tile's matrix.Marshal bytes, bit-identical to what
 //     a v2 store holds. Always available, always correct, the fallback
 //     every other codec declines into.
-//   - ivarint (id 1): zigzag-delta + uvarint over the integer view of the
-//     float64 values, with +Inf as an escape token. Exact — a tile is
-//     only encoded this way when every value is a non-negative-zero
-//     integer with |v| < 2^53 (so float64 holds it exactly; the dij
-//     differential suite proves integer path sums stay in that range),
-//     and decode reproduces the identical float64 bits. Tiles with any
-//     non-integral, NaN, -Inf or too-large value are stored raw instead.
-//     On integer-weight graphs, distance rows are small monotone-ish
-//     integers whose deltas fit 1-2 varint bytes: 4-8x denser than raw.
+//   - ivarint (id 3; id 1 is its read-only predecessor): zigzag-delta +
+//     uvarint over the integer view of the float64 values, with +Inf as
+//     an escape token. Exact — a tile is only encoded this way when every
+//     value is a non-negative-zero integer with |v| < 2^53 (so float64
+//     holds it exactly; the dij differential suite proves integer path
+//     sums stay in that range), and decode reproduces the identical
+//     float64 bits. Tiles with any non-integral, NaN, -Inf or too-large
+//     value are stored raw instead. On integer-weight graphs, distance
+//     rows are small monotone-ish integers whose deltas fit 1-2 varint
+//     bytes: 4-8x denser than raw.
 //   - f32 (id 2): lossy float32 downcast, opt-in only. The encoder
 //     measures the worst relative error of the round trip and declines
 //     the tile (falling back to raw) when it exceeds the codec's bound;
@@ -27,12 +28,34 @@
 // A codec's encoded form is only used when it is strictly smaller than
 // raw, so "compressed tile no larger than its raw size" is a format
 // invariant Open enforces on every v3 index entry.
+//
+// Every codec is row-addressable: RowTable/RowSpan/DecodeRow locate and
+// decode one row from a few KB of the payload, so a cold row never
+// decodes whole tiles. Raw and f32 rows sit at fixed offsets. An ivarint
+// tile (id 3) cuts its rows into restart groups of k rows — the delta
+// predecessor restarts at 0 at each group — behind a table of them:
+//
+//	[0]      magic 0xC4
+//	[1:9]    uint32 h, uint32 w
+//	[9]      k (ivarintRestartRows when written here; any 1..255 reads)
+//	[10:...] ceil(h/k) entries {uint32 end, uint32 crc32c}: group g's
+//	         tokens run from where group g-1 ended (the first from the
+//	         end of this table) to payload offset end, and hash to crc32c
+//	[...]    the tokens, row-major
+//
+// Row r costs one pread of its group, a CRC, a skip of (r mod k)*w tokens
+// and a decode of w. The group CRC is what lets a variable-length stream
+// be read in pieces: a flipped bit in a delta chain would corrupt every
+// later value of the group, not one. The id-1 layout (magic 0xC2, one
+// delta chain over the whole tile, no table) reads through the same
+// methods as a single group of h rows; this build never writes it.
 package store
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"apspark/internal/matrix"
@@ -42,13 +65,24 @@ import (
 const (
 	// CodecRaw stores the tile's matrix.Marshal bytes unchanged.
 	CodecRaw byte = 0
-	// CodecIVarint stores zigzag-delta + uvarint over integer values.
-	CodecIVarint byte = 1
+	// codecIVarintV1 is the pre-restart ivarint layout: readable, never
+	// written.
+	codecIVarintV1 byte = 1
 	// CodecF32 stores an error-bounded float32 downcast.
 	CodecF32 byte = 2
+	// CodecIVarint stores zigzag-delta + uvarint over integer values in
+	// row-addressable restart groups. It has its own byte so a build that
+	// predates the layout refuses the store at Open (ErrVersion) instead
+	// of quarantining its tiles one by one.
+	CodecIVarint byte = 3
 
-	numCodecs = 3
+	numCodecs = 4
 )
+
+// canonCodec maps each codec byte to the byte this build writes for the
+// same codec name: censuses, metrics and PreferredCodec count both
+// ivarint layouts as one codec.
+var canonCodec = [numCodecs]byte{CodecRaw, CodecIVarint, CodecF32, CodecIVarint}
 
 // F32DefaultMaxRelErr is the default per-value relative-error bound of
 // the f32 codec: any tile whose float32 round trip would exceed it is
@@ -84,13 +118,48 @@ type Codec interface {
 	// error wrapping ErrCodecData, never panics, and never allocates
 	// more than the h*w output the caller's geometry implies.
 	DecodeTile(data []byte, h, w int) (*matrix.Block, error)
+	// RowTable validates the header of a whole h x w payload and returns
+	// the table RowSpan and DecodeRow need to serve single rows without
+	// the rest of it. The table does not alias data.
+	RowTable(data []byte, h, w int) (*RowTable, error)
+	// RowSpan returns the payload byte range [off, off+n) holding row r
+	// of a tile w values wide.
+	RowSpan(t *RowTable, w, r int) (off, n int)
+	// DecodeRow decodes row r from span — exactly the bytes RowSpan
+	// named — into dst (len w) without allocating. Bytes that cannot be
+	// that row return an error wrapping ErrCodecData, never panic.
+	DecodeRow(t *RowTable, span []byte, r int, dst []float64) error
+}
+
+// RowTable is what must be remembered of a tile's header to address its
+// rows: rows come in groups of k, group g ends at payload offset
+// ends[g] (and starts where group g-1 ended, the first at base) and its
+// bytes hash to sums[g]. Fixed-width codecs need none of it and share
+// fixedRows.
+type RowTable struct {
+	k, base    int
+	ends, sums []uint32
+}
+
+var fixedRows = &RowTable{}
+
+// group returns the byte range and checksum of the restart group holding
+// row r.
+func (t *RowTable) group(r int) (from, to int, sum uint32) {
+	g := r / t.k
+	from = t.base
+	if g > 0 {
+		from = int(t.ends[g-1])
+	}
+	return from, int(t.ends[g]), t.sums[g]
 }
 
 // codecs is the fixed codec table indexed by codec byte.
 var codecs = [numCodecs]Codec{
-	rawCodec{},
-	ivarintCodec{},
-	f32Codec{MaxRelErr: F32DefaultMaxRelErr},
+	CodecRaw:       rawCodec{},
+	codecIVarintV1: ivarintCodec{},
+	CodecF32:       f32Codec{MaxRelErr: F32DefaultMaxRelErr},
+	CodecIVarint:   ivarintCodec{k: ivarintRestartRows},
 }
 
 // CodecByName resolves a CLI-facing codec name. The empty string means
@@ -105,15 +174,6 @@ func CodecByName(name string) (Codec, error) {
 		return codecs[CodecF32], nil
 	}
 	return nil, fmt.Errorf("store: unknown codec %q (want raw, ivarint or f32)", name)
-}
-
-// CodecNames lists the registered codec names in id order.
-func CodecNames() []string {
-	out := make([]string, numCodecs)
-	for i, c := range codecs {
-		out[i] = c.Name()
-	}
-	return out
 }
 
 // codecName maps a codec byte to its name (for metrics labels and error
@@ -149,6 +209,15 @@ func decodeTile(id byte, data []byte, h, w int) (*matrix.Block, error) {
 	return codecs[id].DecodeTile(data, h, w)
 }
 
+// checkRowSpan guards the fixed-width row decoders against a span that is
+// not exactly one row.
+func checkRowSpan(span []byte, dst []float64, width int) error {
+	if len(span) != width*len(dst) {
+		return fmt.Errorf("%w: row span of %d bytes for %d values of %d bytes", ErrCodecData, len(span), len(dst), width)
+	}
+	return nil
+}
+
 // rawCodec is the identity codec: payload == matrix.Marshal bytes, the
 // exact bytes a v2 store holds.
 type rawCodec struct{}
@@ -172,16 +241,48 @@ func (rawCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
 	return blk, nil
 }
 
+func (rawCodec) RowTable(data []byte, h, w int) (*RowTable, error) {
+	if err := matrix.ValidateDenseHeader(data, h, w); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCodecData, err)
+	}
+	if int64(len(data)) != matrix.DenseMarshaledSize(h, w) {
+		return nil, fmt.Errorf("%w: raw tile %dx%d is %d bytes", ErrCodecData, h, w, len(data))
+	}
+	return fixedRows, nil
+}
+
+func (rawCodec) RowSpan(_ *RowTable, w, r int) (off, n int) {
+	return matrix.HeaderLen + r*w*8, w * 8
+}
+
+func (rawCodec) DecodeRow(_ *RowTable, span []byte, _ int, dst []float64) error {
+	if err := checkRowSpan(span, dst, 8); err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(span[8*i:]))
+	}
+	return nil
+}
+
 // Encoded-tile header layout, shared by ivarint and f32: one magic byte
 // plus the h x w shape, mirroring matrix.Marshal's 9-byte header so a
 // misrouted payload is caught before any value is trusted. f32 appends
-// the observed max relative error as a float32.
+// the observed max relative error as a float32; ivarint (id 3) appends
+// its restart-group table (see the file comment).
 const (
-	magicIVarint = 0xC2
-	magicF32     = 0xC3
+	magicIVarintV1 = 0xC2
+	magicF32       = 0xC3
+	magicIVarint   = 0xC4
 
 	codecHdrLen = 9
 	f32HdrLen   = codecHdrLen + 4
+
+	// ivarintRestartRows is k, the rows per restart group this build
+	// writes. Smaller groups read faster (a cold row skips (k-1)/2 rows of
+	// tokens per tile on average) and cost 8 table bytes plus one
+	// undeltaed value each; at 16 that is +0.2 % on a 256x256 tile.
+	ivarintRestartRows = 16
 )
 
 func putCodecHeader(dst []byte, magic byte, h, w int) []byte {
@@ -214,72 +315,189 @@ const maxExactInt = int64(1) << 53
 // ivarintCodec: zigzag-delta + uvarint over the integer view of the
 // values, row-major. Token 0 escapes +Inf (the "no path" value, which
 // has no integer view and does not advance the delta predecessor);
-// token k > 0 encodes the signed delta unzigzag(k-1) from the previous
-// finite value. Distances within a row are similar magnitudes, so the
-// deltas are small and most tokens fit one or two bytes.
-type ivarintCodec struct{}
+// token t > 0 encodes the signed delta unzigzag(t-1) from the previous
+// finite value of the same restart group. Distances within a row are
+// similar magnitudes, so the deltas are small and most tokens fit one or
+// two bytes. k is the rows per restart group written; the zero value is
+// the read-only id-1 layout.
+type ivarintCodec struct{ k int }
 
-func (ivarintCodec) ID() byte     { return CodecIVarint }
+func (c ivarintCodec) ID() byte {
+	if c.k == 0 {
+		return codecIVarintV1
+	}
+	return CodecIVarint
+}
+
 func (ivarintCodec) Name() string { return "ivarint" }
 
-func (ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
+func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
+	h, w := tile.R, tile.C
+	rawSize := matrix.DenseMarshaledSize(h, w)
+	if c.k == 0 || rawSize > math.MaxUint32 {
+		return dst, false // group offsets are uint32
+	}
 	start := len(dst)
-	rawSize := int(matrix.DenseMarshaledSize(tile.R, tile.C))
-	dst = putCodecHeader(dst, magicIVarint, tile.R, tile.C)
-	prev := int64(0)
-	for _, v := range tile.Data {
-		if math.IsInf(v, 1) {
-			dst = binary.AppendUvarint(dst, 0)
-		} else {
-			// Domain check: exactly representable non-negative-zero
-			// integers only. NaN fails v == Trunc(v); -Inf fails the
-			// magnitude bound; -0.0 would decode as +0.0 (different
-			// bits), so it is declined too — bit-exactness is the
-			// codec's contract.
-			if v != math.Trunc(v) || v <= float64(-maxExactInt) || v >= float64(maxExactInt) ||
-				(v == 0 && math.Signbit(v)) {
-				return dst, false
+	groups := (h + c.k - 1) / c.k
+	dst = append(putCodecHeader(dst, magicIVarint, h, w), byte(c.k))
+	table := len(dst)
+	dst = append(dst, make([]byte, 8*groups)...)
+	for g := 0; g < groups; g++ {
+		from := len(dst)
+		prev := int64(0)
+		for _, v := range tile.Data[g*c.k*w : min(h, (g+1)*c.k)*w] {
+			if math.IsInf(v, 1) {
+				dst = append(dst, 0)
+			} else {
+				// Domain check: exactly representable non-negative-zero
+				// integers only. NaN fails v == Trunc(v); -Inf fails the
+				// magnitude bound; -0.0 would decode as +0.0 (different
+				// bits), so it is declined too — bit-exactness is the
+				// codec's contract.
+				if v != math.Trunc(v) || v <= float64(-maxExactInt) || v >= float64(maxExactInt) ||
+					(v == 0 && math.Signbit(v)) {
+					return dst, false
+				}
+				iv := int64(v)
+				d := iv - prev
+				dst = binary.AppendUvarint(dst, uint64((d<<1)^(d>>63))+1)
+				prev = iv
 			}
-			iv := int64(v)
-			d := iv - prev
-			dst = binary.AppendUvarint(dst, uint64((d<<1)^(d>>63))+1)
-			prev = iv
+			if int64(len(dst)-start) >= rawSize {
+				return dst, false // not getting smaller; store raw
+			}
 		}
-		if len(dst)-start >= rawSize {
-			return dst, false // not getting smaller; store raw
-		}
+		binary.LittleEndian.PutUint32(dst[table+8*g:], uint32(len(dst)-start))
+		binary.LittleEndian.PutUint32(dst[table+8*g+4:], crc32.Checksum(dst[from:], castagnoli))
 	}
 	return dst, true
 }
 
-func (ivarintCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
+func (c ivarintCodec) RowTable(data []byte, h, w int) (*RowTable, error) {
+	if c.k == 0 {
+		// One group spanning the tile; its checksum is taken here, from
+		// bytes the caller has verified, so later reads are held to it.
+		if err := checkCodecHeader(data, magicIVarintV1, h, w); err != nil {
+			return nil, err
+		}
+		if int64(len(data)) > math.MaxUint32 {
+			return nil, fmt.Errorf("%w: %d-byte ivarint tile", ErrCodecData, len(data))
+		}
+		return &RowTable{k: h, base: codecHdrLen, ends: []uint32{uint32(len(data))},
+			sums: []uint32{crc32.Checksum(data[codecHdrLen:], castagnoli)}}, nil
+	}
 	if err := checkCodecHeader(data, magicIVarint, h, w); err != nil {
 		return nil, err
 	}
-	blk := matrix.New(h, w)
-	pos := codecHdrLen
-	prev := int64(0)
-	for i := range blk.Data {
-		tok, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: ivarint stream ends at value %d of %d", ErrCodecData, i, h*w)
-		}
-		pos += n
-		if tok == 0 {
-			blk.Data[i] = math.Inf(1)
-			continue
-		}
-		u := tok - 1
-		prev += int64(u>>1) ^ -int64(u&1)
-		if prev <= -maxExactInt || prev >= maxExactInt {
-			return nil, fmt.Errorf("%w: ivarint value %d out of exact-integer range", ErrCodecData, prev)
-		}
-		blk.Data[i] = float64(prev)
+	if len(data) <= codecHdrLen || data[codecHdrLen] == 0 {
+		return nil, fmt.Errorf("%w: ivarint tile without a restart interval", ErrCodecData)
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d ivarint values", ErrCodecData, len(data)-pos, h*w)
+	k := int(data[codecHdrLen])
+	groups := (h + k - 1) / k
+	t := &RowTable{k: k, base: codecHdrLen + 1 + 8*groups, ends: make([]uint32, groups), sums: make([]uint32, groups)}
+	if len(data) < t.base {
+		return nil, fmt.Errorf("%w: %d bytes cannot hold a %d-group restart table", ErrCodecData, len(data), groups)
+	}
+	from := int64(t.base)
+	for g := range t.ends {
+		ent := data[codecHdrLen+1+8*g:]
+		t.ends[g], t.sums[g] = binary.LittleEndian.Uint32(ent), binary.LittleEndian.Uint32(ent[4:])
+		// Every token is at least one byte, so a group shorter than its
+		// value count (or running backwards, or past the payload) is a
+		// forgery no decode needs to discover.
+		if to := int64(t.ends[g]); to-from < int64(min(k, h-g*k))*int64(w) || to > int64(len(data)) {
+			return nil, fmt.Errorf("%w: restart group %d spans [%d,%d) of %d bytes", ErrCodecData, g, from, to, len(data))
+		}
+		from = int64(t.ends[g])
+	}
+	if from != int64(len(data)) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after the last restart group", ErrCodecData, int64(len(data))-from)
+	}
+	return t, nil
+}
+
+func (ivarintCodec) RowSpan(t *RowTable, _, r int) (off, n int) {
+	from, to, _ := t.group(r)
+	return from, to - from
+}
+
+func (ivarintCodec) DecodeRow(t *RowTable, span []byte, r int, dst []float64) error {
+	_, _, sum := t.group(r)
+	_, err := decodeIVarintGroup(span, sum, (r%t.k)*len(dst), dst)
+	return err
+}
+
+func (c ivarintCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
+	t, err := c.RowTable(data, h, w)
+	if err != nil {
+		return nil, err
+	}
+	blk := matrix.New(h, w)
+	for r := 0; r < h; r += t.k {
+		from, to, sum := t.group(r)
+		used, err := decodeIVarintGroup(data[from:to], sum, 0, blk.Data[r*w:min(h, r+t.k)*w])
+		if err == nil && used != to-from {
+			err = fmt.Errorf("%w: %d trailing bytes after the ivarint values of rows %d..", ErrCodecData, to-from-used, r)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return blk, nil
+}
+
+// ivarintDelta[b] is the delta carried by the one-byte token b (0 for the
+// +Inf escape, which does not move the predecessor). Most tokens are one
+// byte — a delta under 64 — so the skip that dominates a row read is a
+// table lookup and an add per value.
+var ivarintDelta = func() (t [128]int8) {
+	for b := 1; b < len(t); b++ {
+		u := b - 1
+		t[b] = int8(u>>1 ^ -(u & 1))
+	}
+	return t
+}()
+
+// decodeIVarintGroup checks one restart group against its checksum, walks
+// past its first skip values and decodes the next len(dst) into dst. It
+// returns how many bytes of the group it consumed.
+func decodeIVarintGroup(group []byte, sum uint32, skip int, dst []float64) (int, error) {
+	if got := crc32.Checksum(group, castagnoli); got != sum {
+		return 0, fmt.Errorf("%w: restart group checksum %08x, table says %08x", ErrCodecData, got, sum)
+	}
+	pos, prev := 0, int64(0)
+	for i := -skip; i < len(dst); i++ {
+		var tok uint64
+		if pos < len(group) && group[pos] < 0x80 {
+			tok = uint64(group[pos])
+			pos++
+			if i < 0 {
+				prev += int64(ivarintDelta[tok])
+				continue
+			}
+		} else {
+			var n int
+			if tok, n = binary.Uvarint(group[pos:]); n <= 0 {
+				return 0, fmt.Errorf("%w: ivarint stream ends %d values early", ErrCodecData, len(dst)-i)
+			}
+			pos += n
+		}
+		if tok > 0 {
+			u := tok - 1
+			prev += int64(u>>1) ^ -int64(u&1)
+		}
+		if i < 0 {
+			continue
+		}
+		if tok == 0 {
+			dst[i] = math.Inf(1)
+		} else if prev <= -maxExactInt || prev >= maxExactInt {
+			return 0, fmt.Errorf("%w: ivarint value %d out of exact-integer range", ErrCodecData, prev)
+		} else {
+			dst[i] = float64(prev)
+		}
+	}
+	return pos, nil
 }
 
 // f32Codec: the values downcast to float32, 2x denser than raw and
@@ -324,7 +542,7 @@ func (c f32Codec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
 	return dst, true
 }
 
-func (f32Codec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
+func (f32Codec) RowTable(data []byte, h, w int) (*RowTable, error) {
 	if err := checkCodecHeader(data, magicF32, h, w); err != nil {
 		return nil, err
 	}
@@ -336,11 +554,30 @@ func (f32Codec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
 		return nil, fmt.Errorf("%w: f32 tile %dx%d needs %d payload bytes, got %d",
 			ErrCodecData, h, w, 4*uint64(h)*uint64(w), len(data)-f32HdrLen)
 	}
-	blk := matrix.New(h, w)
-	for i := range blk.Data {
-		blk.Data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[f32HdrLen+4*i:])))
+	return fixedRows, nil
+}
+
+func (f32Codec) RowSpan(_ *RowTable, w, r int) (off, n int) {
+	return f32HdrLen + r*w*4, w * 4
+}
+
+func (f32Codec) DecodeRow(_ *RowTable, span []byte, _ int, dst []float64) error {
+	if err := checkRowSpan(span, dst, 4); err != nil {
+		return err
 	}
-	return blk, nil
+	for i := range dst {
+		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(span[4*i:])))
+	}
+	return nil
+}
+
+func (c f32Codec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
+	if _, err := c.RowTable(data, h, w); err != nil {
+		return nil, err
+	}
+	blk := matrix.New(h, w)
+	// A tile is its rows back to back: decode them as one row of h*w.
+	return blk, c.DecodeRow(nil, data[f32HdrLen:], 0, blk.Data)
 }
 
 // TileMaxRelErr reads the recorded maximum relative error out of an

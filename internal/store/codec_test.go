@@ -2,7 +2,10 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -45,8 +48,10 @@ func TestCodecByName(t *testing.T) {
 	if _, err := CodecByName("zstd"); err == nil {
 		t.Fatal("CodecByName accepted an unknown codec")
 	}
-	if got := CodecNames(); len(got) != numCodecs || got[0] != "raw" || got[1] != "ivarint" || got[2] != "f32" {
-		t.Fatalf("CodecNames() = %v", got)
+	// Both ivarint layouts answer to the one public name; only the
+	// restart layout is ever handed to a writer.
+	if codecs[codecIVarintV1].Name() != "ivarint" || codecs[CodecIVarint].Name() != "ivarint" {
+		t.Fatal("an ivarint layout is not named ivarint")
 	}
 }
 
@@ -56,7 +61,7 @@ func TestCodecByName(t *testing.T) {
 func TestIVarintRoundTripBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := codecs[CodecIVarint]
-	for _, shape := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {7, 13}} {
+	for _, shape := range [][2]int{{1, 4}, {3, 5}, {8, 8}, {7, 13}, {33, 9}} {
 		for trial := 0; trial < 20; trial++ {
 			tile := matrix.New(shape[0], shape[1])
 			for i := range tile.Data {
@@ -177,6 +182,9 @@ func TestDecodeTileTypedErrors(t *testing.T) {
 	}
 	for id := byte(0); id < numCodecs; id++ {
 		enc, ok := codecs[id].EncodeTile(nil, tile)
+		if id == codecIVarintV1 {
+			enc, ok = encodeIVarintV1(tile)
+		}
 		if !ok {
 			t.Fatalf("codec %d declined a small integer tile", id)
 		}
@@ -202,23 +210,30 @@ func TestDecodeTileTypedErrors(t *testing.T) {
 }
 
 // TestIVarintDecodeRejectsOutOfRange: a forged stream whose running sum
-// walks past 2^53 must fail, not fabricate inexact values.
+// walks past 2^53 must fail, not fabricate inexact values — in either
+// layout, even when the forger keeps the restart table consistent.
 func TestIVarintDecodeRejectsOutOfRange(t *testing.T) {
-	tile := matrix.New(1, 2)
-	tile.Data = []float64{float64(maxExactInt - 1), float64(maxExactInt - 1)}
-	// Legitimate encode first (deltas: +2^53-1, 0)…
+	big := float64(maxExactInt - 1)
+	tile := matrix.New(1, 4)
+	tile.Data = []float64{big, big, big, big} // deltas: +2^53-1, 0, 0, 0
 	enc, ok := codecs[CodecIVarint].EncodeTile(nil, tile)
 	if !ok {
 		t.Fatal("declined in-range values")
 	}
-	// …then replay the first big token twice by decoding a stream of
-	// token1, token1: running sum 2·(2^53-1) overflows the exact range.
-	forged := append([]byte(nil), enc[:codecHdrLen]...)
-	tok := enc[codecHdrLen : len(enc)-1] // first token (second token is 0-delta, 1 byte)
-	forged = append(forged, tok...)
-	forged = append(forged, tok...)
-	if _, err := codecs[CodecIVarint].DecodeTile(forged, 1, 2); !errors.Is(err, ErrCodecData) {
+	// Replay the first (8-byte) token in place of the second: the running
+	// sum 2·(2^53-1) overflows the exact range.
+	const hdr = codecHdrLen + 1 + 8 // one restart group
+	tok := enc[hdr : len(enc)-3]
+	forged := append([]byte(nil), enc[:hdr]...)
+	forged = append(append(append(forged, tok...), tok...), 1, 1)
+	binary.LittleEndian.PutUint32(forged[codecHdrLen+1:], uint32(len(forged)))
+	binary.LittleEndian.PutUint32(forged[codecHdrLen+5:], crc32.Checksum(forged[hdr:], castagnoli))
+	if _, err := codecs[CodecIVarint].DecodeTile(forged, 1, 4); !errors.Is(err, ErrCodecData) {
 		t.Fatalf("out-of-range forged stream: err = %v, want ErrCodecData", err)
+	}
+	old := append(append(append([]byte{magicIVarintV1, 1, 0, 0, 0, 4, 0, 0, 0}, tok...), tok...), 1, 1)
+	if _, err := codecs[codecIVarintV1].DecodeTile(old, 1, 4); !errors.Is(err, ErrCodecData) {
+		t.Fatalf("out-of-range forged old-layout stream: err = %v, want ErrCodecData", err)
 	}
 }
 
@@ -596,13 +611,17 @@ func FuzzDecodeTile(f *testing.F) {
 	}
 	tile.Data[5] = matrix.Inf
 	for id := byte(0); id < numCodecs; id++ {
-		if enc, ok := codecs[id].EncodeTile(nil, tile); ok {
+		enc, ok := codecs[id].EncodeTile(nil, tile)
+		if id == codecIVarintV1 {
+			enc, ok = encodeIVarintV1(tile)
+		}
+		if ok {
 			f.Add(id, enc, 4, 4)
 			f.Add(id, enc[:len(enc)/2], 4, 4)
 			f.Add(id, enc, 2, 8)
 		}
 	}
-	f.Add(byte(1), []byte{magicIVarint, 4, 0, 0, 0, 4, 0, 0, 0, 0xFF, 0xFF, 0xFF}, 4, 4)
+	f.Add(byte(1), []byte{magicIVarintV1, 4, 0, 0, 0, 4, 0, 0, 0, 0xFF, 0xFF, 0xFF}, 4, 4)
 	f.Fuzz(func(t *testing.T, id byte, data []byte, h, w int) {
 		if h < 1 || w < 1 || h > 64 || w > 64 {
 			t.Skip()
@@ -645,6 +664,229 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				// accepts NaN, so accepted tiles must match exactly.
 				if gb != wb {
 					t.Fatalf("codec %d value %d: bits %x, want %x", id, i, gb, wb)
+				}
+			}
+		}
+	})
+}
+
+// forgeIVarint assembles a restart-layout payload from raw token bytes,
+// one slice per restart group, with a consistent table — the shapes the
+// encoder declines (a 1x1 tile is not smaller than raw) and the starting
+// point of the forged-table cases.
+func forgeIVarint(k, h, w int, groups ...[]byte) []byte {
+	out := append(putCodecHeader(nil, magicIVarint, h, w), byte(k))
+	end := len(out) + 8*len(groups)
+	var tokens []byte
+	for _, g := range groups {
+		end += len(g)
+		out = binary.LittleEndian.AppendUint32(out, uint32(end))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(g, castagnoli))
+		tokens = append(tokens, g...)
+	}
+	return append(out, tokens...)
+}
+
+// TestDecodeRowMatchesDecodeTile is the row-method differential: for
+// every codec (both ivarint layouts, several restart intervals) and
+// tiles with +Inf, negative values and deltas, ragged shapes, h not a
+// multiple of k, h < k and 1x1, every row decoded from its own span
+// equals the same row of DecodeTile, bit for bit.
+func TestDecodeRowMatchesDecodeTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type payload struct {
+		name string
+		c    Codec
+		data []byte
+	}
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {5, 40}, {16, 16}, {17, 9}, {33, 7}, {40, 40}} {
+		h, w := shape[0], shape[1]
+		tile := matrix.New(h, w)
+		for i := range tile.Data {
+			switch rng.Intn(6) {
+			case 0:
+				tile.Data[i] = matrix.Inf
+			case 1:
+				tile.Data[i] = -float64(rng.Intn(1 << 30))
+			default:
+				tile.Data[i] = float64(rng.Intn(300))
+			}
+		}
+		var cases []payload
+		for _, c := range []Codec{rawCodec{}, f32Codec{MaxRelErr: 1}, ivarintCodec{k: 1}, ivarintCodec{k: 3}, ivarintCodec{k: 16}, ivarintCodec{k: 255}} {
+			if enc, ok := c.EncodeTile(nil, tile); ok {
+				cases = append(cases, payload{fmt.Sprintf("%s%+v", c.Name(), c), c, enc})
+			} else if h*w > 1 {
+				t.Fatalf("%dx%d: %s %v declined", h, w, c.Name(), c)
+			}
+		}
+		if h*w == 1 { // the encoder declines: not smaller than raw
+			tok := binary.AppendUvarint(nil, 0)
+			if v := tile.Data[0]; !math.IsInf(v, 1) {
+				tok = binary.AppendUvarint(nil, uint64((int64(v)<<1)^(int64(v)>>63))+1)
+			}
+			cases = append(cases, payload{"ivarint/forged-1x1", ivarintCodec{k: 16}, forgeIVarint(16, 1, 1, tok)})
+		}
+		old, ok := encodeIVarintV1(tile)
+		if !ok && h*w > 1 {
+			t.Fatalf("%dx%d: frozen old encoder declined", h, w)
+		}
+		if ok {
+			cases = append(cases, payload{"ivarint/old-layout", ivarintCodec{}, old})
+		}
+		for _, pc := range cases {
+			want, err := pc.c.DecodeTile(pc.data, h, w)
+			if err != nil {
+				t.Fatalf("%dx%d %s: DecodeTile: %v", h, w, pc.name, err)
+			}
+			if pc.c.ID() != CodecF32 {
+				for i := range tile.Data {
+					if math.Float64bits(want.Data[i]) != math.Float64bits(tile.Data[i]) {
+						t.Fatalf("%dx%d %s: DecodeTile value %d = %v, want %v", h, w, pc.name, i, want.Data[i], tile.Data[i])
+					}
+				}
+			}
+			table, err := pc.c.RowTable(pc.data, h, w)
+			if err != nil {
+				t.Fatalf("%dx%d %s: RowTable: %v", h, w, pc.name, err)
+			}
+			dst := make([]float64, w)
+			for r := 0; r < h; r++ {
+				off, n := pc.c.RowSpan(table, w, r)
+				if off < 0 || n < 0 || off+n > len(pc.data) {
+					t.Fatalf("%dx%d %s row %d: span [%d,+%d) outside %d bytes", h, w, pc.name, r, off, n, len(pc.data))
+				}
+				span := append([]byte(nil), pc.data[off:off+n]...) // nothing but the span is reachable
+				if err := pc.c.DecodeRow(table, span, r, dst); err != nil {
+					t.Fatalf("%dx%d %s row %d: %v", h, w, pc.name, r, err)
+				}
+				for j, v := range dst {
+					if math.Float64bits(v) != math.Float64bits(want.At(r, j)) {
+						t.Fatalf("%dx%d %s (%d,%d) = %v, DecodeTile says %v", h, w, pc.name, r, j, v, want.At(r, j))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowTableRejectsForgedTables: restart tables that run backwards,
+// leave the payload, cut a group shorter than its value count or claim a
+// zero interval are refused before any row is decoded, and a table that
+// points mid-token (consistent lengths, wrong bytes) fails the group
+// checksum instead of yielding values.
+func TestRowTableRejectsForgedTables(t *testing.T) {
+	g := []byte{3, 1, 1, 1} // 4 one-byte tokens: 1, 1, 1, 1
+	good := forgeIVarint(2, 4, 2, g, g)
+	c := ivarintCodec{k: 2}
+	if _, err := c.DecodeTile(good, 4, 2); err != nil {
+		t.Fatalf("well-formed forged tile rejected: %v", err)
+	}
+	const table = codecHdrLen + 1
+	for name, mutate := range map[string]func([]byte) []byte{
+		"zero-interval":  func(b []byte) []byte { b[codecHdrLen] = 0; return b },
+		"wrong-interval": func(b []byte) []byte { b[codecHdrLen] = 4; return b },
+		"out-of-order": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[table:], uint32(len(b)))
+			binary.LittleEndian.PutUint32(b[table+8:], uint32(len(b)-4))
+			return b
+		},
+		"out-of-bounds": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[table+8:], uint32(len(b)+1))
+			return b
+		},
+		"short-group": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[table:], uint32(table+16+3))
+			return b
+		},
+		"trailing":        func(b []byte) []byte { return append(b, 1) },
+		"truncated-table": func(b []byte) []byte { return b[:table+12] },
+	} {
+		if _, err := c.RowTable(mutate(append([]byte(nil), good...)), 4, 2); !errors.Is(err, ErrCodecData) {
+			t.Errorf("%s: RowTable err = %v, want ErrCodecData", name, err)
+		}
+	}
+	// Mid-token: a two-byte token straddles the claimed group boundary.
+	// Lengths stay plausible, so only the checksum can tell.
+	straddle := forgeIVarint(2, 4, 2, []byte{3, 1, 1, 0x81}, []byte{0x01, 1, 1, 1, 1})
+	table2, err := c.RowTable(straddle, 4, 2)
+	if err != nil {
+		t.Fatalf("plausible lengths refused: %v", err)
+	}
+	dst := make([]float64, 2)
+	off, n := c.RowSpan(table2, 2, 1)
+	if err := c.DecodeRow(table2, straddle[off:off+n], 1, dst); !errors.Is(err, ErrCodecData) {
+		t.Fatalf("row ending mid-token: err = %v, want ErrCodecData", err)
+	}
+	off, n = c.RowSpan(table2, 2, 3)
+	if err := c.DecodeRow(table2, straddle[off+1:off+n], 3, dst); !errors.Is(err, ErrCodecData) {
+		t.Fatalf("group entered mid-token: err = %v, want ErrCodecData (checksum)", err)
+	}
+}
+
+// FuzzDecodeRow: arbitrary payload bytes through every codec's row
+// methods. RowTable must return a typed error or a table whose every
+// span lies inside the payload; DecodeRow on exactly that span must
+// return a typed error or the row DecodeTile gives — never panic, never
+// reach outside the span, never allocate.
+func FuzzDecodeRow(f *testing.F) {
+	tile := matrix.New(5, 4)
+	for i := range tile.Data {
+		tile.Data[i] = float64(i * 7 % 11)
+	}
+	tile.Data[6] = matrix.Inf
+	for id := byte(0); id < numCodecs; id++ {
+		enc, ok := codecs[id].EncodeTile(nil, tile)
+		if id == codecIVarintV1 {
+			enc, ok = encodeIVarintV1(tile)
+		}
+		if ok {
+			f.Add(id, enc, 5, 4)
+			f.Add(id, enc[:len(enc)-2], 5, 4)
+		}
+	}
+	g := []byte{3, 1, 1, 1}
+	f.Add(CodecIVarint, forgeIVarint(2, 4, 2, g, g), 4, 2)
+	f.Add(CodecIVarint, forgeIVarint(2, 4, 2, []byte{3, 1, 1, 0x81}, []byte{0x01, 1, 1, 1, 1}), 4, 2)
+	swapped := forgeIVarint(2, 4, 2, g, g)
+	copy(swapped[codecHdrLen+1:], swapped[codecHdrLen+9:codecHdrLen+17]) // out of order
+	f.Add(CodecIVarint, swapped, 4, 2)
+	f.Fuzz(func(t *testing.T, id byte, data []byte, h, w int) {
+		if h < 1 || w < 1 || h > 64 || w > 64 || id >= numCodecs {
+			t.Skip()
+		}
+		c := codecs[id]
+		table, err := c.RowTable(data, h, w)
+		if err != nil {
+			if !errors.Is(err, ErrCodecData) {
+				t.Fatalf("RowTable error not typed: %v", err)
+			}
+			return
+		}
+		whole, wholeErr := c.DecodeTile(data, h, w)
+		dst := make([]float64, w)
+		for r := 0; r < h; r++ {
+			off, n := c.RowSpan(table, w, r)
+			if off < 0 || n < 0 || off+n > len(data) {
+				t.Fatalf("row %d span [%d,+%d) outside %d bytes", r, off, n, len(data))
+			}
+			span := append([]byte(nil), data[off:off+n]...)
+			var err error
+			if allocs := testing.AllocsPerRun(1, func() { err = c.DecodeRow(table, span, r, dst) }); err == nil && allocs != 0 {
+				t.Fatalf("row %d decode allocates %v times", r, allocs)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCodecData) {
+					t.Fatalf("DecodeRow error not typed: %v", err)
+				}
+				continue
+			}
+			if wholeErr != nil {
+				continue // the tile is bad elsewhere; this row's group was intact
+			}
+			for j, v := range dst {
+				if math.Float64bits(v) != math.Float64bits(whole.At(r, j)) {
+					t.Fatalf("(%d,%d) = %v, DecodeTile says %v", r, j, v, whole.At(r, j))
 				}
 			}
 		}

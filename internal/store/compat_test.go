@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,9 +14,7 @@ import (
 )
 
 // writeV1Store synthesizes a version-1 store file — 16-byte index entries,
-// no checksums — exactly as the previous format revision wrote it, so
-// backward compatibility is pinned against real v1 bytes rather than
-// against this build's writer.
+// no checksums — exactly as the first format revision wrote it.
 func writeV1Store(t *testing.T, path string, m *matrix.Block, blockSize int) {
 	t.Helper()
 	n := m.R
@@ -23,13 +22,13 @@ func writeV1Store(t *testing.T, path string, m *matrix.Block, blockSize int) {
 		blockSize = n
 	}
 	q := (n + blockSize - 1) / blockSize
-	hdr := make([]byte, 0, fileHdrLen+q*q*idxEntryLenV1)
+	hdr := make([]byte, 0, fileHdrLen+q*q*16)
 	hdr = append(hdr, magic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, versionV1)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(blockSize))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(q))
-	off := int64(fileHdrLen + q*q*idxEntryLenV1)
+	off := int64(fileHdrLen + q*q*16)
 	var tiles []byte
 	for bi := 0; bi < q; bi++ {
 		h := tileEdge(n, blockSize, bi)
@@ -51,41 +50,19 @@ func writeV1Store(t *testing.T, path string, m *matrix.Block, blockSize int) {
 	}
 }
 
-// TestV1StoreOpensAndServes: the previous on-disk format still opens and
-// serves unchanged through both the tile and the row-span read paths.
-func TestV1StoreOpensAndServes(t *testing.T) {
-	n := 25
-	m := testMatrix(n, 31)
+// TestV1StoreRefused: version 1 carries no checksums, so nothing it holds
+// could pass the verify-once gate; nothing has written it since v2, and
+// Open now refuses it as an unsupported version rather than malformed.
+func TestV1StoreRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.apsp")
-	writeV1Store(t, path, m, 8)
-
-	for name, opts := range map[string]Options{
-		"tile-path": {TileCacheBytes: 1 << 20},
-		"span-path": {RowCacheBytes: 1 << 20},
-		"uncached":  {},
-	} {
-		t.Run(name, func(t *testing.T) {
-			s, err := OpenWithOptions(path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if s.Version() != versionV1 || s.Checksummed() {
-				t.Fatalf("version = %d checksummed = %v, want v1 unchecksummed", s.Version(), s.Checksummed())
-			}
-			ctx := context.Background()
-			for i := 0; i < n; i++ {
-				row, err := s.Row(ctx, i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j := range row {
-					if row[j] != m.At(i, j) {
-						t.Fatalf("v1 row %d col %d = %v, want %v", i, j, row[j], m.At(i, j))
-					}
-				}
-			}
-		})
+	writeV1Store(t, path, testMatrix(25, 31), 8)
+	s, err := Open(path, 1<<20)
+	if err == nil {
+		s.Close()
+		t.Fatal("version-1 store opened")
+	}
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 }
 
@@ -100,13 +77,13 @@ func writeV2Store(t *testing.T, path string, m *matrix.Block, blockSize int) {
 		blockSize = n
 	}
 	q := (n + blockSize - 1) / blockSize
-	hdr := make([]byte, 0, fileHdrLen+q*q*idxEntryLenV2)
+	hdr := make([]byte, 0, fileHdrLen+q*q*idxEntryLen)
 	hdr = append(hdr, magic...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, versionV2)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(blockSize))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(q))
-	off := int64(fileHdrLen + q*q*idxEntryLenV2)
+	off := int64(fileHdrLen + q*q*idxEntryLen)
 	var tiles []byte
 	for bi := 0; bi < q; bi++ {
 		h := tileEdge(n, blockSize, bi)
@@ -150,8 +127,8 @@ func TestV2StoreOpensAndServes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if s.Version() != versionV2 || !s.Checksummed() {
-				t.Fatalf("version = %d checksummed = %v, want v2 checksummed", s.Version(), s.Checksummed())
+			if s.Version() != versionV2 {
+				t.Fatalf("version = %d, want 2", s.Version())
 			}
 			if s.CodecName() != "raw" || s.CodecRatio() != 1 {
 				t.Fatalf("v2 store reports codec %q ratio %v, want raw at ratio 1", s.CodecName(), s.CodecRatio())
@@ -184,7 +161,7 @@ func TestV2BitFlipStillQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := (n + 3) / 4
-	buf[fileHdrLen+q*q*idxEntryLenV2+20] ^= 0x01 // inside tile (0,0) payload
+	buf[fileHdrLen+q*q*idxEntryLen+20] ^= 0x01 // inside tile (0,0) payload
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -201,28 +178,130 @@ func TestV2BitFlipStillQuarantines(t *testing.T) {
 	}
 }
 
-// TestV1CorruptHeaderStillRejected: v1 has no checksums, but a smashed
-// tile header is still caught by the shape validation on both paths.
-func TestV1CorruptHeaderStillRejected(t *testing.T) {
-	n := 12
-	m := testMatrix(n, 17)
-	path := filepath.Join(t.TempDir(), "v1.apsp")
-	writeV1Store(t, path, m, 4)
-	buf, err := os.ReadFile(path)
-	if err != nil {
+// encodeIVarintV1 is a frozen copy of the ivarint encoder as the build
+// before restart groups shipped it (codec byte 1, magic 0xC2): one delta
+// chain over the whole tile, no table. Old-layout compatibility is pinned
+// against these bytes, not against anything this build can write.
+func encodeIVarintV1(tile *matrix.Block) ([]byte, bool) {
+	dst := []byte{0xC2}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(tile.R))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(tile.C))
+	prev := int64(0)
+	for _, v := range tile.Data {
+		if math.IsInf(v, 1) {
+			dst = binary.AppendUvarint(dst, 0)
+			continue
+		}
+		if v != math.Trunc(v) || v <= -(1<<53) || v >= 1<<53 || (v == 0 && math.Signbit(v)) {
+			return nil, false
+		}
+		iv := int64(v)
+		d := iv - prev
+		dst = binary.AppendUvarint(dst, uint64((d<<1)^(d>>63))+1)
+		prev = iv
+	}
+	return dst, int64(len(dst)) < matrix.DenseMarshaledSize(tile.R, tile.C)
+}
+
+// writeOldIVarintStore synthesizes a v3 store as the pre-restart build's
+// WriteWithCodec(ivarint) laid it out: old-layout tiles under codec byte
+// 1, raw fallback for what the old encoder declined. Tile rows for which
+// newLayout reports true are written by this build's encoder instead,
+// which is the mix a generation's raw-panel copy produces when it carries
+// old panels next to freshly solved ones.
+func writeOldIVarintStore(t *testing.T, path string, m *matrix.Block, blockSize int, newLayout func(bi int) bool) {
+	t.Helper()
+	n := m.R
+	q := (n + blockSize - 1) / blockSize
+	hdr := make([]byte, 0, fileHdrLen+q*q*idxEntryLen)
+	hdr = append(hdr, magic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 3)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(blockSize))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(q))
+	off := int64(fileHdrLen + q*q*idxEntryLen)
+	var tiles []byte
+	for bi := 0; bi < q; bi++ {
+		for bj := 0; bj < q; bj++ {
+			tile := matrix.New(tileEdge(n, blockSize, bi), tileEdge(n, blockSize, bj))
+			if err := m.ExtractInto(tile, bi*blockSize, bj*blockSize); err != nil {
+				t.Fatal(err)
+			}
+			var buf []byte
+			var codec byte
+			if newLayout != nil && newLayout(bi) {
+				buf, codec = encodeTile(codecs[CodecIVarint], tile, nil)
+			} else if enc, ok := encodeIVarintV1(tile); ok {
+				buf, codec = enc, 1
+			} else {
+				buf, codec = tile.AppendMarshal(nil), CodecRaw
+			}
+			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(off))
+			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(buf)))
+			hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(buf, castagnoli))
+			hdr = append(hdr, codec, 0, 0, 0)
+			tiles = append(tiles, buf...)
+			off += int64(len(buf))
+		}
+	}
+	if err := os.WriteFile(path, append(hdr, tiles...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	buf[24+9*idxEntryLenV1] = 0x42 // tile (0,0) magic byte
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(path, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Tile(context.Background(), 0, 0); !errors.Is(err, ErrCorruptTile) {
-		t.Fatalf("v1 smashed tile header: err = %v, want ErrCorruptTile", err)
+}
+
+// TestOldIVarintLayoutStillServes: a store written by the build before
+// restart groups — and one mixing both layouts — opens, counts every
+// ivarint tile under the one codec name, and serves every row bit for bit
+// through the tile, span and uncached paths.
+func TestOldIVarintLayoutStillServes(t *testing.T) {
+	n, bs := 61, 16 // ragged, and the last panel is shorter than a restart group
+	m := intMatrix(n, 23)
+	m.Set(3, 40, 1.5) // tile (0,2) falls back to raw: three codec bytes in one store
+	m.Set(40, 3, 1.5)
+	dir := t.TempDir()
+	for name, newLayout := range map[string]func(int) bool{
+		"old":   nil,
+		"mixed": func(bi int) bool { return bi%2 == 1 },
+	} {
+		path := filepath.Join(dir, name+".apsp")
+		writeOldIVarintStore(t, path, m, bs, newLayout)
+		for cfg, opts := range map[string]Options{
+			"tile-path": {TileCacheBytes: 1 << 20},
+			"span-path": {RowCacheBytes: 1 << 20},
+			"uncached":  {},
+		} {
+			s, err := OpenWithOptions(path, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if s.TileCodec(0, 0) != codecIVarintV1 || s.TileCodec(0, 2) != CodecRaw {
+				t.Fatalf("%s: tile codecs (0,0)=%d (0,2)=%d, want old ivarint and raw", name, s.TileCodec(0, 0), s.TileCodec(0, 2))
+			}
+			if newLayout != nil && s.TileCodec(1, 0) != CodecIVarint {
+				t.Fatalf("mixed: tile (1,0) codec %d, want the restart layout", s.TileCodec(1, 0))
+			}
+			if got := s.CodecTiles(); got["ivarint"] != 14 || got["raw"] != 2 || len(got) != 2 {
+				t.Fatalf("%s: codec census %v, want 14 ivarint + 2 raw", name, got)
+			}
+			if s.PreferredCodec().ID() != CodecIVarint {
+				t.Fatalf("%s: preferred codec id %d, want the layout this build writes", name, s.PreferredCodec().ID())
+			}
+			ctx := context.Background()
+			for pass := 0; pass < 2; pass++ { // first touch, then memoised
+				for i := 0; i < n; i++ {
+					row, err := s.Row(ctx, i)
+					if err != nil {
+						t.Fatalf("%s/%s row %d: %v", name, cfg, i, err)
+					}
+					for j := range row {
+						if math.Float64bits(row[j]) != math.Float64bits(m.At(i, j)) {
+							t.Fatalf("%s/%s (%d,%d) = %v, want %v", name, cfg, i, j, row[j], m.At(i, j))
+						}
+					}
+				}
+			}
+			s.Close()
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -332,5 +333,59 @@ func TestSingleFlightFollowerCancellation(t *testing.T) {
 	}
 	if st := s.Stats(); st.Hits != 1 {
 		t.Fatalf("published tile not served from cache: %+v", st)
+	}
+}
+
+// TestConcurrentFirstTouchCompressedTile: 32 goroutines released at once
+// onto rows of one unverified ivarint panel, no cache to coalesce them.
+// Each first-touches the same tiles — whole read, CRC, restart table —
+// and races to memoise it; all must read right rows, the memo must hold,
+// and (under -race) the publication must be clean.
+func TestConcurrentFirstTouchCompressedTile(t *testing.T) {
+	n, bs := 64, 32
+	m := intMatrix(n, 43)
+	path := filepath.Join(t.TempDir(), "c.apsp")
+	if err := WriteWithCodec(path, m, bs, codecs[CodecIVarint]); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWithOptions(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.TileCodec(0, 0) != CodecIVarint {
+		t.Fatalf("tile (0,0) codec %d, want ivarint", s.TileCodec(0, 0))
+	}
+	const goroutines = 32
+	start := make(chan struct{})
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			row, err := s.Row(context.Background(), g%bs)
+			if err == nil {
+				for j, v := range row {
+					if math.Float64bits(v) != math.Float64bits(m.At(g%bs, j)) {
+						err = fmt.Errorf("goroutine %d: (%d,%d) = %v, want %v", g, g%bs, j, v, m.At(g%bs, j))
+						break
+					}
+				}
+			}
+			errs <- err
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.rows[0].Load() == nil || s.rows[1].Load() == nil || s.Quarantined() != 0 {
+		t.Fatalf("after the stampede: memo (0,0)=%v (0,1)=%v, %d quarantined", s.rows[0].Load(), s.rows[1].Load(), s.Quarantined())
 	}
 }

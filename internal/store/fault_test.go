@@ -2,8 +2,11 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -190,4 +193,99 @@ func TestLatencyFaultsJustSlow(t *testing.T) {
 	if err != nil || got != m.At(3, 7) {
 		t.Fatalf("dist under latency = %v (err %v), want %v", got, err, m.At(3, 7))
 	}
+}
+
+// checkRowsRightOrTyped reads every row and holds the store to its
+// invariant: a row either equals the matrix bit for bit or fails with
+// ErrCorruptTile — never a wrong value. It returns how many rows failed.
+func checkRowsRightOrTyped(t *testing.T, s *Store, m *matrix.Block) (failed int) {
+	t.Helper()
+	for i := 0; i < m.R; i++ {
+		row, err := s.Row(context.Background(), i)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptTile) {
+				t.Fatalf("row %d: err = %v, want ErrCorruptTile", i, err)
+			}
+			failed++
+			continue
+		}
+		for j, v := range row {
+			if math.Float64bits(v) != math.Float64bits(m.At(i, j)) {
+				t.Fatalf("(%d,%d) = %v, want %v: a fault leaked into served data", i, j, v, m.At(i, j))
+			}
+		}
+	}
+	return failed
+}
+
+// TestRestartLayoutBitFlips drives the row-addressable ivarint read path
+// through every place a bit can rot — the restart table, a restart
+// group, before and after the tile was memoised as verified — and holds
+// each to "the right row or ErrCorruptTile plus quarantine".
+func TestRestartLayoutBitFlips(t *testing.T) {
+	n, bs := 80, 40 // 2x2 tiles of 3 restart groups each (16+16+8 rows)
+	m := intMatrix(n, 29)
+	path := filepath.Join(t.TempDir(), "c.apsp")
+	if err := WriteWithCodec(path, m, bs, codecs[CodecIVarint]); err != nil {
+		t.Fatal(err)
+	}
+	const tableOff = codecHdrLen + 1 // tile (0,0)'s restart table
+	groupsEnd := func(s *Store) (table, g0, g1 int64) {
+		ref := s.index[0]
+		buf := make([]byte, tableOff+16)
+		if err := s.readAt(buf, ref.off); err != nil {
+			t.Fatal(err)
+		}
+		return ref.off + tableOff, ref.off + int64(binary.LittleEndian.Uint32(buf[tableOff:])), ref.off + int64(binary.LittleEndian.Uint32(buf[tableOff+8:]))
+	}
+
+	t.Run("cold", func(t *testing.T) {
+		for name, where := range map[string]func(table, g0, g1 int64) int64{
+			"table-offset": func(table, _, _ int64) int64 { return table + 1 },
+			"table-crc":    func(table, _, _ int64) int64 { return table + 12 },
+			"group":        func(_, g0, _ int64) int64 { return g0 + 5 },
+		} {
+			s, fr := openFaulty(t, path, Options{})
+			at := where(groupsEnd(s))
+			// The disk returns the flipped byte on every read covering it.
+			fr.Inject(faultfs.Fault{Kind: faultfs.KindBitFlip, FlipBit: 8 * (at - s.index[0].off), OffLo: at, OffHi: at + 1})
+			if failed := checkRowsRightOrTyped(t, s, m); failed != bs {
+				t.Fatalf("%s: %d rows failed, want the %d rows through tile (0,0)", name, failed, bs)
+			}
+			if s.Quarantined() != 1 {
+				t.Fatalf("%s: quarantined = %d, want 1", name, s.Quarantined())
+			}
+		}
+	})
+
+	t.Run("after-memoised", func(t *testing.T) {
+		s, fr := openFaulty(t, path, Options{})
+		if failed := checkRowsRightOrTyped(t, s, m); failed != 0 {
+			t.Fatalf("clean store failed %d rows", failed)
+		}
+		table, g0, g1 := groupsEnd(s)
+		// The table now rots on disk: span reads never revisit it, so every
+		// row still serves, from the copy verified at first touch.
+		fr.Inject(faultfs.Fault{Kind: faultfs.KindBitFlip, FlipBit: 3, OffLo: table, OffHi: table + 8})
+		if failed := checkRowsRightOrTyped(t, s, m); failed != 0 || s.Quarantined() != 0 {
+			t.Fatalf("rotted table of a memoised tile: %d rows failed, %d quarantined", failed, s.Quarantined())
+		}
+		// Restart group 1 (rows 16..31) rots: its next read fails the
+		// group checksum — the values are never decoded — and quarantines
+		// the tile; rows of group 0 read before that were still right.
+		reads := fr.Reads()
+		fr.Inject(faultfs.Fault{Kind: faultfs.KindBitFlip, FlipBit: 8 * 7, OffLo: g0, OffHi: g1})
+		if failed := checkRowsRightOrTyped(t, s, m); failed != bs-16 {
+			t.Fatalf("rotted group of a memoised tile: %d rows failed, want %d (row 16 on)", failed, bs-16)
+		}
+		if s.Quarantined() != 1 {
+			t.Fatalf("quarantined = %d, want 1", s.Quarantined())
+		}
+		if _, err := s.Row(context.Background(), 0); !errors.Is(err, ErrCorruptTile) {
+			t.Fatalf("quarantined tile served again: %v", err)
+		}
+		if got := fr.Reads() - reads; got >= int64(2*n) {
+			t.Fatalf("%d reads after the rot: the quarantined tile is being re-read", got)
+		}
+	})
 }

@@ -43,28 +43,6 @@ func (s *Store) Snapshot() Snapshot {
 	}
 }
 
-// sumShards folds one per-shard atomic counter across a cache's shards
-// without taking any locks.
-func sumShards(shards []*shard, get func(*shard) int64) int64 {
-	var t int64
-	for _, sh := range shards {
-		t += get(sh)
-	}
-	return t
-}
-
-// lockedShardGauge reads a mutex-guarded per-shard field (bytes in use,
-// item count) across shards; scrape-time only, never on the hot path.
-func lockedShardGauge(shards []*shard, get func(*shard) float64) float64 {
-	var t float64
-	for _, sh := range shards {
-		sh.mu.Lock()
-		t += get(sh)
-		sh.mu.Unlock()
-	}
-	return t
-}
-
 // RegisterMetrics exposes the store's cache and integrity counters on r:
 //
 //	apsp_store_cache_hits_total{cache="tile"|"row"}
@@ -78,7 +56,8 @@ func lockedShardGauge(shards []*shard, get func(*shard) float64) float64 {
 //	apsp_store_retried_reads_total
 //	apsp_store_codec_ratio
 //	apsp_store_codec_tiles{codec}
-//	apsp_store_decode_seconds{codec} (histogram of cold tile decodes)
+//	apsp_store_decode_seconds{codec} (histogram of cold tile and
+//	  row-segment decodes)
 //
 // The metrics are function-backed reads of the store's own atomics, so
 // registration costs nothing on the serving path. Registering a second
@@ -96,24 +75,29 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	}
 	for _, c := range caches {
 		shards, budget := c.shards, c.budget
+		// Scrape-time only: sumStats takes each shard lock for an instant.
+		stat := func(get func(ShardStat) int64) func() int64 {
+			return func() int64 { t, _ := sumStats(shards); return get(t) }
+		}
+		gauge := func(get func(ShardStat) int64) func() float64 {
+			return func() float64 { t, _ := sumStats(shards); return float64(get(t)) }
+		}
 		r.CounterFunc("apsp_store_cache_hits_total", "Cache hits by cache (tile, row).",
-			func() int64 { return sumShards(shards, func(sh *shard) int64 { return sh.hits.Load() }) }, c.label)
+			stat(func(t ShardStat) int64 { return t.Hits }), c.label)
 		r.CounterFunc("apsp_store_cache_misses_total", "Cache misses by cache.",
-			func() int64 { return sumShards(shards, func(sh *shard) int64 { return sh.misses.Load() }) }, c.label)
+			stat(func(t ShardStat) int64 { return t.Misses }), c.label)
 		r.CounterFunc("apsp_store_cache_coalesced_total", "Concurrent misses coalesced onto one disk read.",
-			func() int64 { return sumShards(shards, func(sh *shard) int64 { return sh.coalesced.Load() }) }, c.label)
+			stat(func(t ShardStat) int64 { return t.Coalesced }), c.label)
 		r.CounterFunc("apsp_store_cache_evictions_total", "LRU evictions by cache.",
-			func() int64 { return sumShards(shards, func(sh *shard) int64 { return sh.evictions.Load() }) }, c.label)
+			stat(func(t ShardStat) int64 { return t.Evictions }), c.label)
 		r.GaugeFunc("apsp_store_cache_bytes", "Decoded bytes currently cached.",
-			func() float64 { return lockedShardGauge(shards, func(sh *shard) float64 { return float64(sh.inUse) }) }, c.label)
+			gauge(func(t ShardStat) int64 { return t.BytesInUse }), c.label)
 		r.GaugeFunc("apsp_store_cache_items", "Entries currently cached.",
-			func() float64 {
-				return lockedShardGauge(shards, func(sh *shard) float64 { return float64(sh.lru.Len()) })
-			}, c.label)
+			gauge(func(t ShardStat) int64 { return int64(t.Items) }), c.label)
 		r.GaugeFunc("apsp_store_cache_budget_bytes", "Configured cache byte budget.",
 			func() float64 { return float64(budget) }, c.label)
 	}
-	r.CounterFunc("apsp_store_span_reads_total", "Direct row-span disk reads (bypass the tile cache).",
+	r.CounterFunc("apsp_store_span_reads_total", "Direct row-span disk reads of any codec (bypass the tile cache).",
 		func() int64 { return s.spanReads.Load() })
 	r.GaugeFunc("apsp_store_quarantined_tiles", "Tiles quarantined for failing integrity checks.",
 		func() float64 { return float64(s.quarCount.Load()) })
@@ -122,11 +106,13 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("apsp_store_codec_ratio", "On-disk density win: raw tile bytes / encoded tile bytes (1.0 = uncompressed).",
 		func() float64 { return s.CodecRatio() })
 	for id := 0; id < numCodecs; id++ {
-		id := id
+		if canonCodec[id] != byte(id) {
+			continue // counted under the codec byte this build writes
+		}
 		label := obs.Label{Key: "codec", Value: codecName(byte(id))}
 		r.GaugeFunc("apsp_store_codec_tiles", "Tiles per codec in the open store.",
 			func() float64 { return float64(s.codecTiles[id]) }, label)
-		r.RegisterHistogram("apsp_store_decode_seconds", "Cold tile decode latency by codec.",
+		r.RegisterHistogram("apsp_store_decode_seconds", "Cold tile and row-segment decode latency by codec.",
 			s.decodeHist[id], label)
 	}
 }

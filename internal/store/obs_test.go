@@ -123,3 +123,41 @@ func TestStoreSnapshotCoherent(t *testing.T) {
 		t.Errorf("tile budget = %d, want %d", got, want)
 	}
 }
+
+// TestMetricsCountBothIVarintLayoutsAsOne: the codec label set the
+// benchmark scrapes is unchanged by the second ivarint codec byte — one
+// "ivarint" series per metric, counting tiles and timing decodes of both
+// layouts.
+func TestMetricsCountBothIVarintLayoutsAsOne(t *testing.T) {
+	path := t.TempDir() + "/mixed.apsp"
+	writeOldIVarintStore(t, path, intMatrix(64, 7), 16, func(bi int) bool { return bi >= 2 })
+	st, err := OpenWithOptions(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, i := range []int{0, 40} { // one old-layout panel, one restart-layout panel
+		if _, err := st.Row(context.Background(), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := obs.NewRegistry()
+	st.RegisterMetrics(r)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		`apsp_store_codec_tiles{codec="ivarint"} 16`,
+		`apsp_store_decode_seconds_count{codec="ivarint"} 8`,
+		"apsp_store_span_reads_total 8",
+	} {
+		if strings.Count(out, want) != 1 {
+			t.Errorf("exposition should hold %q exactly once\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, `apsp_store_codec_tiles{codec=`); n != 3 {
+		t.Errorf("%d codec_tiles series, want raw, ivarint, f32", n)
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 
 	"apspark/internal/fsx"
 	"apspark/internal/matrix"
@@ -127,45 +128,33 @@ func NewPanelWriterWithOptions(path string, n, blockSize int, opts PanelWriterOp
 
 	w := &PanelWriter{path: path, n: n, b: blockSize, q: q, codec: opts.Codec}
 	w.index = make([]tileRef, q*q)
-	w.nextOff = int64(fileHdrLen + q*q*idxEntryLenV2)
+	w.nextOff = int64(fileHdrLen + q*q*idxEntryLen)
 
-	if !opts.Checkpoint && !opts.Resume {
-		tmp, err := os.CreateTemp(dirOf(path), ".apsp-store-*")
-		if err != nil {
-			return nil, err
+	var err error
+	if w.checkpoint = opts.Checkpoint || opts.Resume; !w.checkpoint {
+		w.tmp, err = os.CreateTemp(filepath.Dir(path), ".apsp-store-*")
+	} else {
+		w.partialPath = path + ".partial"
+		w.manifestPath = path + ".manifest"
+		if opts.Resume {
+			if err := w.resume(); err != nil {
+				return nil, err
+			}
+			if w.tmp != nil {
+				return w, nil
+			}
+			// No usable checkpoint: fall through to a fresh start.
 		}
-		w.tmp = tmp
-		if _, err := tmp.Write(headerBytes(n, blockSize, q, w.index)); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		return w, nil
+		w.tmp, err = os.OpenFile(w.partialPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+		// A stale manifest from an older run must not outlive its data.
+		os.Remove(w.manifestPath)
 	}
-
-	w.checkpoint = true
-	w.partialPath = path + ".partial"
-	w.manifestPath = path + ".manifest"
-
-	if opts.Resume {
-		if err := w.resume(); err != nil {
-			return nil, err
-		}
-		if w.tmp != nil {
-			return w, nil
-		}
-		// No usable checkpoint: fall through to a fresh start.
-	}
-
-	f, err := os.OpenFile(w.partialPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w.tmp = f
-	// A stale manifest from an older run must not outlive its data.
-	os.Remove(w.manifestPath)
-	if _, err := f.Write(headerBytes(n, blockSize, q, w.index)); err != nil {
-		f.Close()
-		os.Remove(w.partialPath)
+	if _, err := w.tmp.Write(headerBytes(n, blockSize, q, w.index)); err != nil {
+		w.tmp.Close()
+		os.Remove(w.tmp.Name())
 		return nil, err
 	}
 	return w, nil
@@ -212,8 +201,7 @@ func (w *PanelWriter) resume() error {
 		bi, bj := i/w.q, i%w.q
 		raw := matrix.DenseMarshaledSize(tileEdge(w.n, w.b, bi), tileEdge(w.n, w.b, bj))
 		length, codec := m.Lens[i], m.Codecs[i]
-		if int(codec) >= numCodecs || length < matrix.HeaderLen ||
-			(codec == CodecRaw && length != raw) || (codec != CodecRaw && length >= raw) {
+		if !plausibleTile(codec, length, raw) {
 			return fmt.Errorf("store: checkpoint manifest %s tile %d is implausible (len=%d codec=%d)",
 				w.manifestPath, i, length, codec)
 		}
@@ -267,17 +255,16 @@ func (w *PanelWriter) codecName() string {
 // the boundary writing resumes from after p durable panels.
 func (w *PanelWriter) panelEnd(p int) int64 {
 	if p == 0 {
-		return int64(fileHdrLen + w.q*w.q*idxEntryLenV2)
+		return int64(fileHdrLen + w.q*w.q*idxEntryLen)
 	}
 	last := w.index[p*w.q-1]
 	return last.off + last.length
 }
 
 // checkpointPanel makes the panels written so far durable: the data file
-// is fsync'd, then the manifest is atomically replaced (temp + fsync +
-// rename). Only after both steps is the new panel considered resumable —
-// a crash between them resumes from the previous manifest, re-solving
-// one panel.
+// is fsync'd, then the manifest is atomically and durably replaced. Only
+// after both steps is the new panel considered resumable — a crash
+// between them resumes from the previous manifest, re-solving one panel.
 func (w *PanelWriter) checkpointPanel() error {
 	if err := w.tmp.Sync(); err != nil {
 		return err
@@ -301,34 +288,14 @@ func (w *PanelWriter) checkpointPanel() error {
 	if err != nil {
 		return err
 	}
-	tmpName := w.manifestPath + ".tmp"
-	mf, err := os.OpenFile(tmpName, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = mf.Write(raw)
-	if err == nil {
-		err = mf.Sync()
-	}
-	if cerr := mf.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = fsx.RenameDurable(tmpName, w.manifestPath)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	return fsx.WriteFileDurable(w.manifestPath, raw, 0o644)
 }
 
-// headerBytes encodes the file header plus tile index (shared with
-// Write). Index entries carry whatever checksums are present in index;
+// headerBytes encodes the file header plus tile index. Index entries carry whatever checksums are present in index;
 // writers that stream tiles first and learn checksums later patch the
 // index region afterwards with indexBytes.
 func headerBytes(n, blockSize, q int, index []tileRef) []byte {
-	hdr := make([]byte, 0, fileHdrLen+len(index)*idxEntryLenV2)
+	hdr := make([]byte, 0, fileHdrLen+len(index)*idxEntryLen)
 	hdr = append(hdr, magic...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, version)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
@@ -340,7 +307,7 @@ func headerBytes(n, blockSize, q int, index []tileRef) []byte {
 // indexBytes encodes the tile index region (v3: 24-byte entries with
 // per-tile CRC32C and codec byte), as written at fileHdrLen.
 func indexBytes(index []tileRef) []byte {
-	out := make([]byte, 0, len(index)*idxEntryLenV2)
+	out := make([]byte, 0, len(index)*idxEntryLen)
 	for _, ref := range index {
 		out = binary.LittleEndian.AppendUint64(out, uint64(ref.off))
 		out = binary.LittleEndian.AppendUint64(out, uint64(ref.length))
@@ -374,14 +341,8 @@ func (w *PanelWriter) Resumed() int { return w.resumed }
 // checkpoint mode the panel is made durable (data fsync + manifest
 // update) before WritePanel returns.
 func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
-	if w.closed {
-		return fmt.Errorf("store: WritePanel on closed writer")
-	}
-	if w.failed {
-		return fmt.Errorf("store: writer failed on an earlier panel; the partial file cannot be completed")
-	}
-	if w.nextPanel >= w.q {
-		return fmt.Errorf("store: all %d panels already written", w.q)
+	if err := w.expectPanel(); err != nil {
+		return err
 	}
 	if rows == nil || rows.Phantom() {
 		return fmt.Errorf("store: need a dense row panel")
@@ -418,6 +379,25 @@ func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 			return err
 		}
 	}
+	return w.panelWritten()
+}
+
+// expectPanel refuses a panel the writer cannot take any more.
+func (w *PanelWriter) expectPanel() error {
+	switch {
+	case w.closed:
+		return fmt.Errorf("store: panel written to a closed writer")
+	case w.failed:
+		return fmt.Errorf("store: writer failed on an earlier panel; the partial file cannot be completed")
+	case w.nextPanel >= w.q:
+		return fmt.Errorf("store: all %d panels already written", w.q)
+	}
+	return nil
+}
+
+// panelWritten counts the panel just appended and, in checkpoint mode,
+// makes it durable before the write call returns.
+func (w *PanelWriter) panelWritten() error {
 	w.nextPanel++
 	if w.checkpoint {
 		if err := w.checkpointPanel(); err != nil {
@@ -426,6 +406,20 @@ func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 		}
 	}
 	return nil
+}
+
+// plausibleTile reports whether an encoded tile length can belong to the
+// codec byte claimed for it: a known codec, raw tiles at exactly their
+// geometric size, compressed tiles strictly smaller (the writers'
+// fallback rule).
+func plausibleTile(codec byte, length, rawSize int64) bool {
+	if int(codec) >= numCodecs || length < matrix.HeaderLen {
+		return false
+	}
+	if codec == CodecRaw {
+		return length == rawSize
+	}
+	return length < rawSize
 }
 
 // Close finalizes the store: it fails unless every panel has been
@@ -498,7 +492,6 @@ func (w *PanelWriter) Abort() {
 func RemoveCheckpoint(path string) {
 	os.Remove(path + ".partial")
 	os.Remove(path + ".manifest")
-	os.Remove(path + ".manifest.tmp")
 }
 
 // HasCheckpoint reports whether a resumable checkpoint (manifest +

@@ -46,11 +46,9 @@ func (s *Store) PanelBytes(bi int) (int64, error) {
 // contiguous encoded byte span, reusing buf's backing array when it is
 // large enough, and returns the per-tile metadata (length, CRC32C,
 // codec) alongside. Every tile is verified against its index checksum
-// before the bytes are handed out (v2+ stores); a mismatch quarantines
-// the tile and returns ErrCorruptTile, so corruption in the parent store
-// surfaces here instead of being propagated into a copy. Version-1
-// stores carry no checksums: their CRCs are computed fresh from the
-// bytes read.
+// before the bytes are handed out; a mismatch quarantines the tile and
+// returns ErrCorruptTile, so corruption in the parent store surfaces
+// here instead of being propagated into a copy.
 func (s *Store) ReadPanelRaw(bi int, buf []byte) ([]byte, []TileMeta, error) {
 	if bi < 0 || bi >= s.q {
 		return nil, nil, fmt.Errorf("store: panel %d outside [0,%d)", bi, s.q)
@@ -78,7 +76,7 @@ func (s *Store) ReadPanelRaw(bi int, buf []byte) ([]byte, []TileMeta, error) {
 			return nil, nil, fmt.Errorf("%w: panel %d tile %d outside its panel span", ErrMalformed, bi, bj)
 		}
 		got := crc32.Checksum(buf[lo:lo+ref.length], castagnoli)
-		if s.ver >= versionV2 && got != ref.crc {
+		if got != ref.crc {
 			return nil, nil, s.quarantine(id, bi, bj, fmt.Errorf("crc %08x, index says %08x", got, ref.crc))
 		}
 		metas[bj] = TileMeta{Length: ref.length, CRC: got, Codec: ref.codec}
@@ -96,14 +94,8 @@ func (s *Store) ReadPanelRaw(bi int, buf []byte) ([]byte, []TileMeta, error) {
 // store. In checkpoint mode the panel is made durable before returning,
 // exactly like WritePanel.
 func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
-	if w.closed {
-		return fmt.Errorf("store: WriteRawPanel on closed writer")
-	}
-	if w.failed {
-		return fmt.Errorf("store: writer failed on an earlier panel; the partial file cannot be completed")
-	}
-	if w.nextPanel >= w.q {
-		return fmt.Errorf("store: all %d panels already written", w.q)
+	if err := w.expectPanel(); err != nil {
+		return err
 	}
 	if len(metas) != w.q {
 		return fmt.Errorf("store: panel %d raw write carries %d tile metas, want %d", w.nextPanel, len(metas), w.q)
@@ -113,8 +105,7 @@ func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
 	var want int64
 	for bj, m := range metas {
 		rawSize := matrix.DenseMarshaledSize(h, tileEdge(w.n, w.b, bj))
-		if int(m.Codec) >= numCodecs || m.Length < matrix.HeaderLen ||
-			(m.Codec == CodecRaw && m.Length != rawSize) || (m.Codec != CodecRaw && m.Length >= rawSize) {
+		if !plausibleTile(m.Codec, m.Length, rawSize) {
 			return fmt.Errorf("store: panel %d tile %d meta is implausible (len=%d codec=%d, raw size %d)",
 				bi, bj, m.Length, m.Codec, rawSize)
 		}
@@ -136,14 +127,7 @@ func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
 		return err
 	}
 	w.nextOff += want
-	w.nextPanel++
-	if w.checkpoint {
-		if err := w.checkpointPanel(); err != nil {
-			w.failed = true
-			return err
-		}
-	}
-	return nil
+	return w.panelWritten()
 }
 
 // PanelRows returns the first matrix row and the height of row panel bi

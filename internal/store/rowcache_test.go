@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -286,5 +287,76 @@ func TestForcedShardsClampToBudget(t *testing.T) {
 	}
 	if st := s.RowStats(); st.Hits != 1 || st.RowsCached != 1 {
 		t.Fatalf("forced-shard row cache not caching: %+v", st)
+	}
+}
+
+// TestRowSpanReadsEveryCodec: cold row assembly is the same routine for
+// every codec. With both caches off each row costs q span reads and no
+// tile decode; a tile is read whole exactly once — its first touch, by
+// either read path — and every later segment is one pread of a fraction
+// of it, timed into the codec's decode histogram.
+func TestRowSpanReadsEveryCodec(t *testing.T) {
+	n, bs := 96, 48 // q=2; ivarint tiles hold 3 restart groups
+	m := intMatrix(n, 37)
+	for _, name := range []string{"raw", "ivarint", "f32"} {
+		c, err := CodecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name+".apsp")
+		if err := WriteWithCodec(path, m, bs, c); err != nil {
+			t.Fatal(err)
+		}
+		s, fr := openFaulty(t, path, Options{})
+		ctx := context.Background()
+		opened := fr.Reads()
+		// A first touch through Tile verifies and memoises like one by the
+		// span path does: row 0 then reads (0,0) small and (0,1) whole.
+		if _, err := s.Tile(ctx, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Row(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		reads, spans := fr.Reads(), s.RowStats().SpanReads
+		if reads-opened != 3 || spans != 2 {
+			t.Fatalf("%s: %d disk reads and %d span reads after first touches, want 3 and 2", name, reads-opened, spans)
+		}
+		var biggest int64
+		for bj := 0; bj < 2; bj++ {
+			for r := 0; r < bs; r++ {
+				off, sz := codecs[s.TileCodec(0, bj)].RowSpan(s.rows[bj].Load(), bs, r)
+				if _, length, _ := s.TileSpan(0, bj); off < 0 || int64(off+sz) > length {
+					t.Fatalf("%s: tile (0,%d) row %d span [%d,+%d) outside the tile", name, bj, r, off, sz)
+				}
+				biggest = max(biggest, int64(sz))
+			}
+		}
+		if _, length, _ := s.TileSpan(0, 0); biggest*2 > length {
+			t.Fatalf("%s: largest row span is %d of a %d-byte tile", name, biggest, length)
+		}
+		for i := 0; i < bs; i++ {
+			row, err := s.Row(ctx, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range row {
+				if want := m.At(i, j); v != want && !(math.IsInf(v, 1) && math.IsInf(want, 1)) && name != "f32" {
+					t.Fatalf("%s (%d,%d) = %v, want %v", name, i, j, v, want)
+				}
+			}
+		}
+		if got := fr.Reads() - reads; got != int64(2*bs) {
+			t.Fatalf("%s: %d disk reads for %d memoised rows, want q=2 per row", name, got, bs)
+		}
+		if got := s.RowStats().SpanReads - spans; got != int64(2*bs) {
+			t.Fatalf("%s: %d span reads for %d rows, want %d", name, got, bs, 2*bs)
+		}
+		if st := s.Stats(); st.Misses != 1 {
+			t.Fatalf("%s: row assembly decoded tiles: %+v", name, st)
+		}
+		if got := s.DecodeHistogram(name).Snapshot().Count(); got != uint64(1+2+2*bs) {
+			t.Fatalf("%s: decode histogram holds %d samples, want 1 tile + %d row segments", name, got, 2+2*bs)
+		}
 	}
 }

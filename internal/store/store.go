@@ -9,7 +9,7 @@
 // serving half of the pipeline. Layout (little-endian):
 //
 //	[0:8]    magic "APSPTDS1"
-//	[8:12]   uint32 format version (3; v1 and v2 files still open)
+//	[8:12]   uint32 format version (3; v2 files still open)
 //	[12:16]  uint32 n (vertices per side)
 //	[16:20]  uint32 b (tile edge; trailing tiles are ragged)
 //	[20:24]  uint32 q = ceil(n/b) (tiles per side, redundant, validated)
@@ -17,7 +17,6 @@
 //	           v3: {uint64 offset, uint64 length, uint32 crc32c,
 //	                byte codec, 3 zero bytes}
 //	           v2: {uint64 offset, uint64 length, uint32 crc32c, uint32 0}
-//	           v1: {uint64 offset, uint64 length}
 //	[...]    tile payloads, contiguous in index order: raw tiles are
 //	         matrix.Block.Marshal bytes; compressed tiles hold the codec's
 //	         encoding (see codec.go) and are strictly smaller than raw
@@ -28,17 +27,21 @@
 // length i), which is what lets the raw-panel copy path move whole row
 // panels as one span without decoding. Raw tiles keep the exact v2
 // payload bytes, so a v3 store written with the raw codec differs from
-// v2 only in the header version and codec bytes.
+// v2 only in the header version and codec bytes. A codec byte this build
+// does not know fails Open with ErrVersion, as does a version-1 file
+// (unchecksummed; nothing has written one since v2).
 //
-// Versions 2 and 3 carry a CRC32C (Castagnoli) checksum of every tile's
-// encoded bytes in its index entry. The checksum is verified on every
-// cold read — both the whole-tile path and the first row-span touch of a
-// tile — so a flipped bit on disk surfaces as ErrCorruptTile instead of a
-// silently wrong distance. A tile that fails its checksum is quarantined:
-// later reads fail fast without re-reading the disk, and the quarantine
-// count is surfaced for health reporting (a serving layer can degrade or
-// recompute instead of serving garbage). Version-1 stores open and serve
-// exactly as before, with no checksum protection.
+// Every index entry carries the CRC32C (Castagnoli) of its tile's encoded
+// bytes, and every tile is verified once: its first touch since open, by
+// either read path and whatever its codec, reads the whole tile, checks
+// the checksum and the codec header, and memoises the tile's row table
+// (nothing for fixed-width codecs, 8 bytes per restart group for ivarint:
+// under 0.2 % of the bytes of the tiles touched). Later row reads of the
+// tile are small and trusted (raw, f32) or held to the memoised restart-
+// group checksums (ivarint). A tile that fails any check is quarantined:
+// later reads fail fast with ErrCorruptTile without re-reading the disk,
+// and the quarantine count is surfaced for health reporting (a serving
+// layer can degrade or recompute instead of serving garbage).
 //
 // Disk reads can also be retried: Options.ReadRetries grants a bounded
 // retry budget with exponential backoff for transient I/O errors (a
@@ -54,11 +57,12 @@
 //   - An assembled-row cache sits above the tiles: Row/RowView/RowInto
 //     (and Dist, when row caching is on) serve whole n-length rows from
 //     one lookup, with zero tile traffic on a hit.
-//   - A row-cache miss does not decode whole tiles: the needed row span
-//     of each tile is read straight from its computed file offset (the
-//     tile header is validated once per tile), so assembling a row costs
-//     q small preads instead of q full tile reads. IO staging buffers
-//     come from a sync.Pool, keeping misses allocation-free.
+//   - A row-cache miss does not decode whole tiles: once a tile is
+//     verified, the byte span holding the wanted row (the row itself for
+//     raw and f32, its restart group for ivarint) is read straight from
+//     its file offset and decoded into the caller's buffer, so assembling
+//     a row costs q small preads. IO staging buffers come from a
+//     sync.Pool, keeping misses allocation-free.
 //
 // Tiles and rows handed out are shared read-only between concurrent
 // callers and owned by their cache: they are allocated on the heap, never
@@ -75,26 +79,21 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"apspark/internal/fsx"
 	"apspark/internal/matrix"
 	"apspark/internal/obs"
 )
 
 const (
-	magic      = "APSPTDS1"
-	version    = 3 // written by this build: per-tile codecs
-	versionV2  = 2 // still readable: per-tile checksums, raw tiles only
-	versionV1  = 1 // still readable: no per-tile checksums
-	fileHdrLen = 24
-
-	idxEntryLenV1 = 16
-	idxEntryLenV2 = 24
+	magic       = "APSPTDS1"
+	version     = 3 // written by this build: per-tile codecs
+	versionV2   = 2 // still readable: raw tiles only
+	fileHdrLen  = 24
+	idxEntryLen = 24
 
 	// maxShards bounds the lock striping of either cache. Shard count is
 	// chosen per cache so every shard can hold at least two of its
@@ -146,82 +145,19 @@ func WriteWithCodec(path string, dist *matrix.Block, blockSize int, codec Codec)
 		return fmt.Errorf("store: matrix is %dx%d, want square", dist.R, dist.C)
 	}
 	n := dist.R
-	if blockSize < 1 {
-		return fmt.Errorf("store: block size %d < 1", blockSize)
-	}
-	if blockSize > n && n > 0 {
-		blockSize = n
-	}
-	q := (n + blockSize - 1) / blockSize
-	if n == 0 {
-		return fmt.Errorf("store: empty matrix")
-	}
-
-	tmp, err := os.CreateTemp(dirOf(path), ".apsp-store-*")
+	w, err := NewPanelWriterWithOptions(path, n, blockSize, PanelWriterOptions{Codec: codec})
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	defer tmp.Close()
-
-	// Encoded tile sizes depend on the data, so the index is built as the
-	// tiles stream past: header + a zeroed index placeholder first, tiles
-	// appended in row-major order at running offsets, index patched at the
-	// end with the offsets, lengths, checksums and codec bytes learned.
-	index := make([]tileRef, q*q)
-	if _, err := tmp.Write(headerBytes(n, blockSize, q, index)); err != nil {
-		return err
-	}
-
-	// One pooled tile block and one encode buffer, reused across tiles:
-	// the writer allocates O(b^2), not O(n^2). The tile never escapes, so
-	// returning it to the arena is safe.
-	var buf []byte
-	off := int64(fileHdrLen + q*q*idxEntryLenV2)
-	for bi := 0; bi < q; bi++ {
-		h := tileEdge(n, blockSize, bi)
-		for bj := 0; bj < q; bj++ {
-			w := tileEdge(n, blockSize, bj)
-			tile := matrix.Get(h, w)
-			err := dist.ExtractInto(tile, bi*blockSize, bj*blockSize)
-			if err == nil {
-				var cid byte
-				buf, cid = encodeTile(codec, tile, buf)
-				index[bi*q+bj] = tileRef{
-					off: off, length: int64(len(buf)),
-					crc:   crc32.Checksum(buf, castagnoli),
-					codec: cid,
-				}
-				off += int64(len(buf))
-				_, err = tmp.Write(buf)
-			}
-			matrix.Put(tile)
-			if err != nil {
-				return err
-			}
+	defer w.Abort()
+	for bi := 0; bi < w.Panels(); bi++ {
+		base, h := PanelRows(n, w.BlockSize(), bi)
+		// A row panel of a row-major matrix is a contiguous run of it.
+		if err := w.WritePanel(&matrix.Block{R: h, C: n, Data: dist.Data[base*n : (base+h)*n]}); err != nil {
+			return err
 		}
 	}
-	if _, err := tmp.WriteAt(indexBytes(index), fileHdrLen); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	// Durable publish: the rename plus the parent-directory fsync, so a
-	// crash that outruns the metadata journal cannot forget the store.
-	return fsx.RenameDurable(tmp.Name(), path)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i+1]
-		}
-	}
-	return "."
+	return w.Close()
 }
 
 // tileEdge returns the edge length of the k-th tile along one dimension:
@@ -236,11 +172,9 @@ func tileEdge(n, blockSize, k int) int {
 
 type tileRef struct {
 	off, length int64
-	// crc is the CRC32C of the tile's encoded bytes (v2+ stores; zero
-	// and unchecked for v1).
+	// crc is the CRC32C of the tile's encoded bytes.
 	crc uint32
-	// codec identifies the payload encoding (v3 stores; always CodecRaw
-	// for v1/v2).
+	// codec identifies the payload encoding (always CodecRaw on v2).
 	codec byte
 }
 
@@ -418,11 +352,10 @@ type Store struct {
 	rowShards []*shard
 	rowMask   int
 
-	// hdrOK memoizes per-tile integrity validation for the row-span read
-	// path: the first span read of a tile checks the whole tile (CRC32C
-	// on v2, the 9-byte Marshal header on v1) and later reads trust the
-	// cached verdict.
-	hdrOK     []atomic.Bool
+	// rows memoises per-tile verification: non-nil once a whole-tile read
+	// of the tile has passed its CRC32C and header checks, and then the
+	// table its codec needs to address single rows (see readVerified).
+	rows      []atomic.Pointer[RowTable]
 	spanReads atomic.Int64
 
 	// quar flags tiles whose bytes failed their checksum (or decoded to
@@ -442,8 +375,8 @@ type Store struct {
 	encodedBytes int64
 	rawBytes     int64
 
-	// decodeHist times tile decodes per codec (cold reads only; cache
-	// hits never decode).
+	// decodeHist times tile and row-segment decodes per codec name (cold
+	// reads only; cache hits never decode).
 	decodeHist [numCodecs]*obs.Histogram
 
 	// readHook, when set before concurrent use, observes every tile disk
@@ -511,13 +444,8 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrNotAStore, hdr[:8])
 	}
 	ver := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	idxEntryLen := int64(idxEntryLenV2)
-	switch ver {
-	case version, versionV2:
-	case versionV1:
-		idxEntryLen = idxEntryLenV1
-	default:
-		return nil, fmt.Errorf("%w: version %d, this build reads %d through %d", ErrVersion, ver, versionV1, version)
+	if ver != version && ver != versionV2 {
+		return nil, fmt.Errorf("%w: version %d, this build reads %d and %d", ErrVersion, ver, versionV2, version)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[12:16]))
 	b := int(binary.LittleEndian.Uint32(hdr[16:20]))
@@ -553,7 +481,7 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 				ErrMalformed, i, off, length, size)
 		}
 		var codec byte
-		if ver >= version {
+		if ver == version {
 			codec = ent[20]
 			if int(codec) >= numCodecs {
 				return nil, fmt.Errorf("%w: tile %d uses codec %d, this build knows %d codecs",
@@ -561,40 +489,27 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 			}
 		}
 		// Tile shapes are fully determined by (n, b), so every raw index
-		// length is checkable up front — this is what lets the span
-		// reader trust computed intra-tile offsets — and a compressed
-		// tile must be strictly smaller (the writers' fallback rule).
+		// length is checkable up front, and a compressed tile must be
+		// strictly smaller (the writers' fallback rule).
 		bi, bj := i/q, i%q
 		raw := matrix.DenseMarshaledSize(tileEdge(n, b, bi), tileEdge(n, b, bj))
-		if codec == CodecRaw {
-			if length != raw {
-				return nil, fmt.Errorf("%w: tile %d index length %d, geometry implies %d", ErrMalformed, i, length, raw)
-			}
-		} else if length >= raw {
-			return nil, fmt.Errorf("%w: tile %d claims codec %s but its %d bytes are not smaller than raw (%d)",
+		if !plausibleTile(codec, length, raw) {
+			return nil, fmt.Errorf("%w: tile %d claims codec %s in %d bytes, its raw size is %d",
 				ErrMalformed, i, codecName(codec), length, raw)
 		}
 		// v3 payloads are contiguous in index order — variable lengths
 		// make this the only layout the raw-panel span copy can trust,
 		// so it is a format invariant, not a writer convention.
-		if ver >= version && off != nextOff {
+		if ver == version && off != nextOff {
 			return nil, fmt.Errorf("%w: tile %d at offset %d, contiguous layout implies %d", ErrMalformed, i, off, nextOff)
 		}
 		nextOff = off + length
-		index[i] = tileRef{off: off, length: length, codec: codec}
-		if ver >= versionV2 {
-			index[i].crc = binary.LittleEndian.Uint32(ent[16:])
-		}
-		codecTiles[codec]++
+		index[i] = tileRef{off: off, length: length, crc: binary.LittleEndian.Uint32(ent[16:]), codec: codec}
+		codecTiles[canonCodec[codec]]++
 		encodedBytes += length
 		rawBytes += raw
 	}
-	if opts.TileCacheBytes < 0 {
-		opts.TileCacheBytes = 0
-	}
-	if opts.RowCacheBytes < 0 {
-		opts.RowCacheBytes = 0
-	}
+	opts.TileCacheBytes, opts.RowCacheBytes = max(opts.TileCacheBytes, 0), max(opts.RowCacheBytes, 0)
 	maxTile := int64(8) * int64(b) * int64(b)
 	rowBytes := int64(8) * int64(n)
 	tileShards := autoShards(opts.TileCacheBytes, maxTile)
@@ -606,9 +521,6 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 		// the cache off.
 		tileShards = fitShards(clampShards(opts.Shards), opts.TileCacheBytes, maxTile)
 		rowShards = fitShards(clampShards(opts.Shards), opts.RowCacheBytes, rowBytes)
-	}
-	if opts.ReadRetries < 0 {
-		opts.ReadRetries = 0
 	}
 	backoff := opts.RetryBackoff
 	if backoff <= 0 {
@@ -622,16 +534,19 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 		rowBudget:    opts.RowCacheBytes,
 		rowShards:    newShards(opts.RowCacheBytes, rowShards),
 		rowMask:      rowShards - 1,
-		hdrOK:        make([]atomic.Bool, q*q),
+		rows:         make([]atomic.Pointer[RowTable], q*q),
 		quar:         make([]atomic.Bool, q*q),
-		readRetries:  opts.ReadRetries,
+		readRetries:  max(opts.ReadRetries, 0),
 		retryBackoff: backoff,
 		codecTiles:   codecTiles,
 		encodedBytes: encodedBytes,
 		rawBytes:     rawBytes,
 	}
-	for i := range s.decodeHist {
-		s.decodeHist[i] = obs.NewHistogram()
+	for id, c := range canonCodec {
+		if s.decodeHist[c] == nil {
+			s.decodeHist[c] = obs.NewHistogram()
+		}
+		s.decodeHist[id] = s.decodeHist[c]
 	}
 	return s, nil
 }
@@ -664,16 +579,12 @@ func (s *Store) TilesPerSide() int { return s.q }
 // FileBytes returns the on-disk size of the store.
 func (s *Store) FileBytes() int64 { return s.fileBytes }
 
-// Version returns the on-disk format version (3 adds per-tile codecs, 2
-// per-tile checksums; 1 predates both).
+// Version returns the on-disk format version (3 adds per-tile codecs to
+// version 2).
 func (s *Store) Version() int { return s.ver }
 
-// Checksummed reports whether the store's tiles carry CRC32C checksums
-// (format v2 and later).
-func (s *Store) Checksummed() bool { return s.ver >= versionV2 }
-
 // TileCodec returns the codec byte of tile (bi, bj) — CodecRaw on every
-// pre-v3 store.
+// v2 store.
 func (s *Store) TileCodec(bi, bj int) byte {
 	if bi < 0 || bi >= s.q || bj < 0 || bj >= s.q {
 		return CodecRaw
@@ -719,7 +630,7 @@ func (s *Store) CodecRatio() float64 {
 // store should inherit so derived generations keep the density.
 func (s *Store) PreferredCodec() Codec {
 	best, bestCount := CodecRaw, int64(0)
-	for id := 1; id < numCodecs; id++ {
+	for id := 1; id < numCodecs; id++ { // codecTiles is keyed by canonCodec
 		if s.codecTiles[id] > bestCount {
 			best, bestCount = byte(id), s.codecTiles[id]
 		}
@@ -731,9 +642,9 @@ func (s *Store) PreferredCodec() Codec {
 // PreferredCodec) for health reporting.
 func (s *Store) CodecName() string { return s.PreferredCodec().Name() }
 
-// DecodeHistogram returns the latency histogram of cold tile decodes for
-// the named codec (nil for unknown names). Exposed so RegisterMetrics
-// callers and benches can read decode timings per codec.
+// DecodeHistogram returns the latency histogram of cold tile and row
+// decodes for the named codec (nil for unknown names). Exposed so
+// RegisterMetrics callers and benches can read decode timings per codec.
 func (s *Store) DecodeHistogram(name string) *obs.Histogram {
 	for id := 0; id < numCodecs; id++ {
 		if codecName(byte(id)) == name {
@@ -787,52 +698,123 @@ func (s *Store) quarantine(id, bi, bj int, detail error) error {
 // exposes on a metric registry; serving layers wanting a coherent
 // multi-counter view should use Snapshot instead.
 func (s *Store) Stats() CacheStats {
-	out := CacheStats{BytesBudget: s.tileBudget}
-	if len(s.tileShards) > 1 {
-		out.Shards = make([]ShardStat, 0, len(s.tileShards))
-	}
-	for _, sh := range s.tileShards {
-		st := sh.stat()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Coalesced += st.Coalesced
-		out.Evictions += st.Evictions
-		out.BytesInUse += st.BytesInUse
-		out.TilesCached += st.Items
-		if out.Shards != nil {
-			out.Shards = append(out.Shards, st)
-		}
-	}
-	return out
+	t, shards := sumStats(s.tileShards)
+	return CacheStats{Hits: t.Hits, Misses: t.Misses, Coalesced: t.Coalesced, Evictions: t.Evictions,
+		BytesInUse: t.BytesInUse, BytesBudget: s.tileBudget, TilesCached: t.Items, Shards: shards}
 }
 
 // RowStats snapshots the assembled-row cache counters, aggregated across
 // shards.
 func (s *Store) RowStats() RowCacheStats {
-	out := RowCacheStats{BytesBudget: s.rowBudget, SpanReads: s.spanReads.Load()}
-	if len(s.rowShards) > 1 {
-		out.Shards = make([]ShardStat, 0, len(s.rowShards))
-	}
-	for _, sh := range s.rowShards {
+	t, shards := sumStats(s.rowShards)
+	return RowCacheStats{Hits: t.Hits, Misses: t.Misses, Coalesced: t.Coalesced, Evictions: t.Evictions,
+		SpanReads: s.spanReads.Load(), BytesInUse: t.BytesInUse, BytesBudget: s.rowBudget, RowsCached: t.Items, Shards: shards}
+}
+
+// sumStats totals a cache's shards; the per-shard breakdown is kept only
+// when the cache is actually striped.
+func sumStats(shards []*shard) (total ShardStat, per []ShardStat) {
+	for _, sh := range shards {
 		st := sh.stat()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Coalesced += st.Coalesced
-		out.Evictions += st.Evictions
-		out.BytesInUse += st.BytesInUse
-		out.RowsCached += st.Items
-		if out.Shards != nil {
-			out.Shards = append(out.Shards, st)
+		total.Hits += st.Hits
+		total.Misses += st.Misses
+		total.Coalesced += st.Coalesced
+		total.Evictions += st.Evictions
+		total.BytesInUse += st.BytesInUse
+		total.Items += st.Items
+		if len(shards) > 1 {
+			per = append(per, st)
 		}
 	}
-	return out
+	return total, per
+}
+
+// acquire resolves id against the shard: a cached entry (a hit), a flight
+// another goroutine is already leading (a coalesced miss, to be waited
+// on), or — leader true — a fresh flight the caller must complete with
+// finish. The cancellation check sits between two lookups, ahead of the
+// miss count and the flight registration: an aborted query performs no
+// disk read, so it must neither skew the hit-rate counters /healthz
+// reports nor leave followers a flight that fails with its context error;
+// the second lookup catches what was published or started meanwhile. Hits
+// are served regardless of ctx (they cost nothing and keep hot queries
+// snappy during shutdown drains).
+func (sh *shard) acquire(ctx context.Context, id int) (ent *entry, fl *flight, leader bool, err error) {
+	for pass := 0; ; pass++ {
+		sh.mu.Lock()
+		if el, ok := sh.items[id]; ok {
+			sh.lru.MoveToFront(el)
+			sh.hits.Add(1)
+			ent := el.Value.(*entry)
+			sh.mu.Unlock()
+			return ent, nil, false, nil
+		}
+		if fl, ok := sh.inflight[id]; ok {
+			sh.coalesced.Add(1)
+			sh.mu.Unlock()
+			return nil, fl, false, nil
+		}
+		if pass == 1 {
+			fl = &flight{done: make(chan struct{})}
+			if sh.inflight == nil {
+				sh.inflight = make(map[int]*flight)
+			}
+			sh.inflight[id] = fl
+			sh.misses.Add(1)
+			sh.mu.Unlock()
+			return nil, fl, true, nil
+		}
+		sh.mu.Unlock()
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, false, err
+			}
+		}
+	}
+}
+
+// finish ends the flight its leader got from acquire: on success ent is
+// published (unless it alone exceeds the shard budget — then it is served
+// uncached rather than blowing the invariant) and the LRU tail evicted
+// until the budget holds; either way the followers are released.
+func (sh *shard) finish(fl *flight, ent *entry) {
+	sh.mu.Lock()
+	delete(sh.inflight, ent.id)
+	if fl.err == nil && ent.bytes <= sh.budget {
+		sh.items[ent.id] = sh.lru.PushFront(ent)
+		sh.inUse += ent.bytes
+		for sh.inUse > sh.budget {
+			back := sh.lru.Back()
+			old := back.Value.(*entry)
+			sh.lru.Remove(back)
+			delete(sh.items, old.id)
+			sh.inUse -= old.bytes
+			sh.evictions.Add(1)
+		}
+	}
+	sh.mu.Unlock()
+	close(fl.done)
+}
+
+// wait parks a coalesced miss on the leader's work. The follower's own
+// context still bounds its wait; the leader finishes regardless.
+func (fl *flight) wait(ctx context.Context) error {
+	if ctx != nil {
+		select {
+		case <-fl.done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	} else {
+		<-fl.done
+	}
+	return fl.err
 }
 
 // Tile returns tile (bi, bj) — an h x w dense block, ragged at the matrix
 // edge. The block is shared: callers must neither mutate it nor return it
 // to the block arena. A cancelled or expired ctx aborts before the disk
-// read of a cache miss; cache hits are served regardless (they cost
-// nothing and keep hot queries snappy during shutdown drains). Concurrent
+// read of a cache miss; cache hits are served regardless. Concurrent
 // misses on the same tile coalesce onto one disk read.
 func (s *Store) Tile(ctx context.Context, bi, bj int) (*matrix.Block, error) {
 	if bi < 0 || bi >= s.q || bj < 0 || bj >= s.q {
@@ -840,103 +822,59 @@ func (s *Store) Tile(ctx context.Context, bi, bj int) (*matrix.Block, error) {
 	}
 	id := bi*s.q + bj
 	sh := s.tileShards[id&s.tileMask]
-
-	sh.mu.Lock()
-	if el, ok := sh.items[id]; ok {
-		sh.lru.MoveToFront(el)
-		sh.hits.Add(1)
-		blk := el.Value.(*entry).tile
-		sh.mu.Unlock()
-		return blk, nil
-	}
-	if fl, ok := sh.inflight[id]; ok {
-		sh.coalesced.Add(1)
-		sh.mu.Unlock()
-		return waitFlight(ctx, fl)
-	}
-	sh.mu.Unlock()
-
-	// The cancellation check precedes the miss count: an aborted query
-	// performs no disk read, so it must not skew the hit-rate counters
-	// /healthz reports.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+	ent, fl, leader, err := sh.acquire(ctx, id)
+	switch {
+	case err != nil:
+		return nil, err
+	case ent != nil:
+		return ent.tile, nil
+	case !leader:
+		if err := fl.wait(ctx); err != nil {
 			return nil, err
 		}
+		return fl.tile, nil
 	}
-
-	sh.mu.Lock()
-	// Re-check under the lock: another goroutine may have published or
-	// started this tile while we checked the context.
-	if el, ok := sh.items[id]; ok {
-		sh.lru.MoveToFront(el)
-		sh.hits.Add(1)
-		blk := el.Value.(*entry).tile
-		sh.mu.Unlock()
-		return blk, nil
-	}
-	if fl, ok := sh.inflight[id]; ok {
-		sh.coalesced.Add(1)
-		sh.mu.Unlock()
-		return waitFlight(ctx, fl)
-	}
-	fl := &flight{done: make(chan struct{})}
-	if sh.inflight == nil {
-		sh.inflight = make(map[int]*flight)
-	}
-	sh.inflight[id] = fl
-	sh.misses.Add(1)
-	sh.mu.Unlock()
-
 	// Disk read and decode happen outside the lock so misses on different
 	// tiles overlap their IO; followers of this tile are parked on fl.
-	blk, err := s.readTile(bi, bj, id)
-	fl.tile, fl.err = blk, err
-
-	sh.mu.Lock()
-	delete(sh.inflight, id)
-	if err == nil {
-		if bytes := blk.SizeBytes(); bytes <= sh.budget {
-			el := sh.lru.PushFront(&entry{id: id, tile: blk, bytes: bytes})
-			sh.items[id] = el
-			sh.inUse += bytes
-			for sh.inUse > sh.budget {
-				back := sh.lru.Back()
-				ent := back.Value.(*entry)
-				sh.lru.Remove(back)
-				delete(sh.items, ent.id)
-				sh.inUse -= ent.bytes
-				sh.evictions.Add(1)
-			}
-		}
-		// A tile that alone exceeds the shard budget is served uncached
-		// rather than blowing the invariant.
+	ent = &entry{id: id}
+	if fl.tile, fl.err = s.readTile(bi, bj, id); fl.err == nil {
+		ent.tile, ent.bytes = fl.tile, fl.tile.SizeBytes()
 	}
-	sh.mu.Unlock()
-	close(fl.done)
-	return blk, err
-}
-
-// waitFlight parks a coalesced miss on the leader's read. The follower's
-// own context still bounds its wait; the leader finishes regardless.
-func waitFlight(ctx context.Context, fl *flight) (*matrix.Block, error) {
-	if ctx != nil {
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	} else {
-		<-fl.done
-	}
+	sh.finish(fl, ent)
 	return fl.tile, fl.err
 }
 
-// readTile fetches and decodes one tile from disk, verifying its CRC32C
-// (v2+ stores) over the encoded bytes and dispatching the payload to its
-// codec's decoder, which validates shape and stream integrity. The
-// staging buffer is pooled; every decoder copies the values out, so the
-// decoded block owns fresh heap memory (it must: cached tiles are shared
+// readVerified is the one gate every byte the store serves passes at
+// least once since open: it reads the whole of tile id into a pooled
+// buffer (the caller returns it), verifies the CRC32C of the encoded
+// bytes and the codec header, and memoises the tile's row table, after
+// which readRow serves the tile from small reads. A failure quarantines
+// the tile.
+func (s *Store) readVerified(id, bi, bj int) (*[]byte, *RowTable, error) {
+	ref := s.index[id]
+	bp := getIOBuf(int(ref.length))
+	err := s.readAt(*bp, ref.off)
+	if err != nil {
+		ioBufPool.Put(bp)
+		return nil, nil, fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
+	}
+	var t *RowTable
+	if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
+		err = fmt.Errorf("checksum %08x, index says %08x", got, ref.crc)
+	} else {
+		t, err = codecs[ref.codec].RowTable(*bp, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj))
+	}
+	if err != nil {
+		ioBufPool.Put(bp)
+		return nil, nil, s.quarantine(id, bi, bj, err)
+	}
+	s.rows[id].Store(t)
+	return bp, t, nil
+}
+
+// readTile fetches and decodes one whole tile from disk. Every decoder
+// copies the values out of the pooled staging buffer, so the decoded
+// block owns fresh heap memory (it must: cached tiles are shared
 // indefinitely).
 func (s *Store) readTile(bi, bj, id int) (*matrix.Block, error) {
 	if s.quar[id].Load() {
@@ -945,143 +883,77 @@ func (s *Store) readTile(bi, bj, id int) (*matrix.Block, error) {
 	if s.readHook != nil {
 		s.readHook(bi, bj)
 	}
-	ref := s.index[id]
-	bp := getIOBuf(int(ref.length))
+	bp, _, err := s.readVerified(id, bi, bj)
+	if err != nil {
+		return nil, err
+	}
 	defer ioBufPool.Put(bp)
-	if err := s.readAt(*bp, ref.off); err != nil {
-		return nil, fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
-	}
-	if s.ver >= versionV2 {
-		if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
-			return nil, s.quarantine(id, bi, bj,
-				fmt.Errorf("checksum %08x, index says %08x", got, ref.crc))
-		}
-	}
-	h, w := tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj)
+	codec := s.index[id].codec
 	start := time.Now()
-	blk, err := decodeTile(ref.codec, *bp, h, w)
+	blk, err := decodeTile(codec, *bp, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj))
 	if err != nil {
 		return nil, s.quarantine(id, bi, bj, err)
 	}
-	s.decodeHist[ref.codec].RecordSince(start)
-	if ref.codec == CodecRaw {
-		// Only raw tiles may take the span fast path: its computed
-		// intra-tile offsets assume the fixed Marshal layout.
-		s.hdrOK[id].Store(true)
-	}
+	s.decodeHist[codec].RecordSince(start)
 	return blk, nil
 }
 
-// ensureTileHeader validates the 9-byte Marshal header of a v1 tile
-// once, memoizing the verdict, so span reads trust computed payload
-// offsets without re-reading headers on every query. (v2 tiles take the
-// verified full-read path in readRowSpan instead and never get here
-// cold.)
-func (s *Store) ensureTileHeader(id, bi, bj int) error {
-	if s.hdrOK[id].Load() {
-		return nil
-	}
-	var hdr [matrix.HeaderLen]byte
-	if err := s.readAt(hdr[:], s.index[id].off); err != nil {
-		return fmt.Errorf("store: tile (%d,%d) header: %w", bi, bj, err)
-	}
-	h, w := tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj)
-	if err := matrix.ValidateDenseHeader(hdr[:], h, w); err != nil {
-		return fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
-	}
-	s.hdrOK[id].Store(true)
-	return nil
-}
-
-// readRowSpan reads row r of tile (bi, bj) straight from its computed
-// file offset into seg (len = tile width), bypassing tile decode: q such
-// spans assemble a full matrix row with q small preads instead of q full
-// tile reads. On a v2 store the first span touch of a tile reads the
-// whole tile instead and verifies its CRC32C — one read that both proves
-// integrity and serves the span — so every byte the span path ever
-// serves was checksum-covered at least once since open; later touches do
-// the small pread and trust the memoized verdict.
-func (s *Store) readRowSpan(bi, bj, r int, seg []float64) error {
+// readRow decodes row r of tile (bi, bj) into seg (len = tile width)
+// without decoding the tile: the codec names the byte span of the payload
+// that holds the row and decodes it straight into seg, so q such reads
+// assemble a matrix row from q small preads. The first touch of a tile
+// reads and verifies all of it instead (readVerified) and serves the span
+// from that buffer.
+func (s *Store) readRow(bi, bj, r int, seg []float64) error {
 	id := bi*s.q + bj
 	if s.quar[id].Load() {
 		return fmt.Errorf("%w: tile (%d,%d) is quarantined", ErrCorruptTile, bi, bj)
 	}
-	if s.ver >= versionV2 && !s.hdrOK[id].Load() {
-		return s.readRowSpanVerified(bi, bj, id, r, seg)
-	}
-	if s.readHook != nil {
-		s.readHook(bi, bj)
-	}
-	if err := s.ensureTileHeader(id, bi, bj); err != nil {
-		return err
-	}
-	w := len(seg)
-	off := s.index[id].off + matrix.HeaderLen + int64(r)*int64(w)*8
-	bp := getIOBuf(w * 8)
-	defer ioBufPool.Put(bp)
-	if err := s.readAt(*bp, off); err != nil {
-		return fmt.Errorf("store: tile (%d,%d) row %d: %w", bi, bj, r, err)
-	}
-	buf := *bp
-	for t := 0; t < w; t++ {
-		seg[t] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*t:]))
-	}
-	s.spanReads.Add(1)
-	return nil
-}
-
-// readRowSpanVerified is the cold-tile span path of a v2 store: one
-// full-tile read whose bytes are CRC32C-checked and header-validated
-// before the requested row segment is copied out, memoized in hdrOK.
-func (s *Store) readRowSpanVerified(bi, bj, id, r int, seg []float64) error {
 	if s.readHook != nil {
 		s.readHook(bi, bj)
 	}
 	ref := s.index[id]
-	bp := getIOBuf(int(ref.length))
+	codec := codecs[ref.codec]
+	t := s.rows[id].Load()
+	var bp *[]byte
+	var span []byte
+	if t != nil {
+		off, n := codec.RowSpan(t, len(seg), r)
+		bp = getIOBuf(n)
+		if err := s.readAt(*bp, ref.off+int64(off)); err != nil {
+			ioBufPool.Put(bp)
+			return fmt.Errorf("store: tile (%d,%d) row %d: %w", bi, bj, r, err)
+		}
+		span = *bp
+	} else {
+		var err error
+		if bp, t, err = s.readVerified(id, bi, bj); err != nil {
+			return err
+		}
+		off, n := codec.RowSpan(t, len(seg), r)
+		span = (*bp)[off : off+n]
+	}
 	defer ioBufPool.Put(bp)
-	if err := s.readAt(*bp, ref.off); err != nil {
-		return fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
-	}
-	if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
-		return s.quarantine(id, bi, bj,
-			fmt.Errorf("checksum %08x, index says %08x", got, ref.crc))
-	}
-	h, w := tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj)
-	if err := matrix.ValidateDenseHeader((*bp)[:matrix.HeaderLen], h, w); err != nil {
+	start := time.Now()
+	if err := codec.DecodeRow(t, span, r, seg); err != nil {
 		return s.quarantine(id, bi, bj, err)
 	}
-	s.hdrOK[id].Store(true)
-	buf := (*bp)[matrix.HeaderLen+r*w*8:]
-	for t := 0; t < w; t++ {
-		seg[t] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*t:]))
-	}
+	s.decodeHist[ref.codec].RecordSince(start)
 	s.spanReads.Add(1)
 	return nil
 }
 
 // assembleRow fills dst (len n) with row i, taking each segment from the
 // tile cache when the tile happens to be resident and from a direct
-// row-span read otherwise. For raw tiles it never populates the tile
-// cache: decoding a full b x b tile to extract one row would cost b
-// times the IO and evict genuinely hot tiles. A compressed tile has no
-// addressable row span — the whole tile must decode anyway — so those
-// segments route through Tile, which caches the decoded block: the
-// decode cost is already paid, and the next rows of the same panel hit.
+// row-span read otherwise. It never populates the tile cache: decoding a
+// full b x b tile to extract one row would cost b times the work and
+// evict genuinely hot tiles.
 func (s *Store) assembleRow(ctx context.Context, i int, dst []float64) error {
 	bi, r := i/s.b, i%s.b
 	for bj := 0; bj < s.q; bj++ {
 		w := tileEdge(s.n, s.b, bj)
 		seg := dst[bj*s.b : bj*s.b+w]
 		id := bi*s.q + bj
-		if s.index[id].codec != CodecRaw {
-			tile, err := s.Tile(ctx, bi, bj)
-			if err != nil {
-				return err
-			}
-			copy(seg, tile.Row(r))
-			continue
-		}
 		sh := s.tileShards[id&s.tileMask]
 		sh.mu.Lock()
 		if el, ok := sh.items[id]; ok {
@@ -1098,7 +970,7 @@ func (s *Store) assembleRow(ctx context.Context, i int, dst []float64) error {
 				return err
 			}
 		}
-		if err := s.readRowSpan(bi, bj, r, seg); err != nil {
+		if err := s.readRow(bi, bj, r, seg); err != nil {
 			return err
 		}
 	}
@@ -1123,100 +995,28 @@ func (s *Store) RowView(ctx context.Context, i int) ([]float64, error) {
 		return out, nil
 	}
 	sh := s.rowShards[i&s.rowMask]
-	sh.mu.Lock()
-	if el, ok := sh.items[i]; ok {
-		sh.lru.MoveToFront(el)
-		sh.hits.Add(1)
-		row := el.Value.(*entry).row
-		sh.mu.Unlock()
-		return row, nil
-	}
-	if fl, ok := sh.inflight[i]; ok {
-		sh.coalesced.Add(1)
-		sh.mu.Unlock()
-		return waitRowFlight(ctx, fl)
-	}
-	sh.mu.Unlock()
-
-	// As with tiles: the cancellation check precedes the miss count and
-	// flight registration; past this point the leader's assembly runs
-	// detached from its context (below), so an aborted query neither
-	// reads disk nor poisons followers with its own context error.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+	ent, fl, leader, err := sh.acquire(ctx, i)
+	switch {
+	case err != nil:
+		return nil, err
+	case ent != nil:
+		return ent.row, nil
+	case !leader:
+		if err := fl.wait(ctx); err != nil {
 			return nil, err
 		}
+		return fl.row, nil
 	}
-
-	sh.mu.Lock()
-	if el, ok := sh.items[i]; ok {
-		sh.lru.MoveToFront(el)
-		sh.hits.Add(1)
-		row := el.Value.(*entry).row
-		sh.mu.Unlock()
-		return row, nil
-	}
-	if fl, ok := sh.inflight[i]; ok {
-		sh.coalesced.Add(1)
-		sh.mu.Unlock()
-		return waitRowFlight(ctx, fl)
-	}
-	fl := &flight{done: make(chan struct{})}
-	if sh.inflight == nil {
-		sh.inflight = make(map[int]*flight)
-	}
-	sh.inflight[i] = fl
-	sh.misses.Add(1)
-	sh.mu.Unlock()
-
 	// The leader assembles with a nil (uncancellable) context, exactly
 	// like a tile leader's readTile: coalesced followers with healthy
 	// contexts must not fail because the leader's client hung up, and
 	// the work left is bounded (q small preads).
+	ent = &entry{id: i, bytes: int64(8) * int64(s.n)}
 	out := make([]float64, s.n)
-	err := s.assembleRow(nil, i, out)
-	if err == nil {
-		fl.row = out
+	if fl.err = s.assembleRow(nil, i, out); fl.err == nil {
+		fl.row, ent.row = out, out
 	}
-	fl.err = err
-
-	sh.mu.Lock()
-	delete(sh.inflight, i)
-	if err == nil {
-		if bytes := int64(8) * int64(s.n); bytes <= sh.budget {
-			el := sh.lru.PushFront(&entry{id: i, row: out, bytes: bytes})
-			sh.items[i] = el
-			sh.inUse += bytes
-			for sh.inUse > sh.budget {
-				back := sh.lru.Back()
-				ent := back.Value.(*entry)
-				sh.lru.Remove(back)
-				delete(sh.items, ent.id)
-				sh.inUse -= ent.bytes
-				sh.evictions.Add(1)
-			}
-		}
-	}
-	sh.mu.Unlock()
-	close(fl.done)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// waitRowFlight parks a coalesced row miss on the leader's assembly. The
-// follower's own context still bounds its wait.
-func waitRowFlight(ctx context.Context, fl *flight) ([]float64, error) {
-	if ctx != nil {
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	} else {
-		<-fl.done
-	}
+	sh.finish(fl, ent)
 	return fl.row, fl.err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -40,6 +41,35 @@ func TestSessionSolveBitIdenticalToLegacy(t *testing.T) {
 		}
 		if res.BlockSize != 16 {
 			t.Fatalf("%s: effective block size %d, want 16", k, res.BlockSize)
+		}
+	}
+}
+
+// TestVirtualClockDeterministic pins the virtual clock against goroutine
+// scheduling: stages with more tasks than virtual cores, shuffles and
+// shared-store reads all run concurrently at GOMAXPROCS=4, and every run
+// of every solver must still report the same VirtualSeconds, bit for bit.
+func TestVirtualClockDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g, err := NewErdosRenyiGraph(96, PaperEdgeProb(96), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []SolverKind{SolverRS, SolverFW2D, SolverIM, SolverCB} {
+		distinct := map[float64]int{}
+		for rep := 0; rep < 20; rep++ {
+			s, err := New(WithCluster(*tinyCluster()), WithSolver(k), WithBlockSize(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Solve(context.Background(), g)
+			if err != nil {
+				t.Fatalf("%s: %v", k, err)
+			}
+			distinct[res.VirtualSeconds]++
+		}
+		if len(distinct) != 1 {
+			t.Errorf("%s: %d distinct VirtualSeconds over 20 runs: %v", k, len(distinct), distinct)
 		}
 	}
 }
