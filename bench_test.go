@@ -3,7 +3,7 @@ package apspark
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation (§5). Each benchmark replays the experiment on the
 // virtual cluster at a scale that completes in go-test time; the
-// `apsp-bench` command runs the same harness at the paper's full scale.
+// `apsp-bench` command prints the same tables at the paper's full scale.
 //
 //	go test -bench=. -benchmem
 //
@@ -262,18 +262,43 @@ func BenchmarkMPIDC(b *testing.B) {
 // original product + MatMin pipeline (run with -benchmem; the fused path
 // must report 0 allocs/op) ---
 
+// kernelBlockSizes are the block edges the kernel comparison is tracked
+// at: the acceptance point b=256 and the out-of-cache point b=512.
+var kernelBlockSizes = []int{256, 512}
+
+// kernelOperand builds one dense benchmark operand at block edge n: varied
+// finite values with a sprinkling of +Inf, as in a partially-relaxed
+// distance block.
+func kernelOperand(n, salt int) *matrix.Block {
+	b := matrix.New(n, n)
+	for i := range b.Data {
+		if (i+salt)%11 == 0 {
+			continue // leave +Inf
+		}
+		b.Data[i] = float64(((i+salt)*1103515245+12345)%1000) + 1
+	}
+	return b
+}
+
+// kernelOperands builds the three operands of one MinPlus call.
+func kernelOperands(n int) (x, y, d *matrix.Block) {
+	return kernelOperand(n, 0), kernelOperand(n, 1), kernelOperand(n, 2)
+}
+
 // BenchmarkKernelMinPlusUnfused is the pre-fusion pipeline: materialize
 // the min-plus product, then fold it element-wise into the destination —
-// two allocations and an extra O(b^2) pass per call. The measured steps
-// and operands live in internal/bench so apsp-bench's BENCH.json measures
-// the identical computation.
+// two allocations and an extra O(b^2) pass per call.
 func BenchmarkKernelMinPlusUnfused(b *testing.B) {
-	for _, n := range bench.KernelBlockSizes {
-		x, y, d := bench.KernelOperands(n)
+	for _, n := range kernelBlockSizes {
+		x, y, d := kernelOperands(n)
 		b.Run(fmt.Sprintf("b=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := bench.KernelUnfusedStep(x, y, d); err != nil {
+				prod, err := matrix.MinPlusMul(x, y)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := matrix.MatMin(prod, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -281,21 +306,31 @@ func BenchmarkKernelMinPlusUnfused(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMinPlusFused is the same computation through the fused
-// path the solvers now use: seed an arena block from the destination and
-// fold the product into it in one pass. 0 allocs/op amortized.
-func BenchmarkKernelMinPlusFused(b *testing.B) {
-	for _, n := range bench.KernelBlockSizes {
-		x, y, d := bench.KernelOperands(n)
-		dst := matrix.Get(n, n)
-		b.Run(fmt.Sprintf("b=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := bench.KernelFusedStep(x, y, d, dst); err != nil {
-					b.Fatal(err)
-				}
+// benchKernelFused measures the fused path the solvers use: seed the
+// arena destination from d and fold the product into it in one pass.
+// 0 allocs/op amortized.
+func benchKernelFused(b *testing.B, name string, n int, into func(x, y, dst *matrix.Block) error) {
+	x, y, d := kernelOperands(n)
+	dst := matrix.Get(n, n)
+	defer matrix.Put(dst)
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := dst.CopyFrom(d); err != nil {
+				b.Fatal(err)
 			}
-		})
+			if err := into(x, y, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkKernelMinPlusFused is the same computation as the unfused
+// pipeline through matrix.MinPlusInto.
+func BenchmarkKernelMinPlusFused(b *testing.B) {
+	for _, n := range kernelBlockSizes {
+		benchKernelFused(b, fmt.Sprintf("b=%d", n), n, matrix.MinPlusInto)
 	}
 }
 
@@ -304,16 +339,9 @@ func BenchmarkKernelMinPlusFused(b *testing.B) {
 // cores; on a single-core host it degenerates to the serial path).
 func BenchmarkKernelMinPlusFusedParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
-	for _, n := range bench.KernelBlockSizes {
-		x, y, d := bench.KernelOperands(n)
-		dst := matrix.Get(n, n)
-		b.Run(fmt.Sprintf("b=%d/workers=%d", n, workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := bench.KernelFusedParStep(x, y, d, dst, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
+	for _, n := range kernelBlockSizes {
+		benchKernelFused(b, fmt.Sprintf("b=%d/workers=%d", n, workers), n, func(x, y, dst *matrix.Block) error {
+			return matrix.MinPlusIntoPar(x, y, dst, workers)
 		})
 	}
 }
@@ -323,7 +351,7 @@ func BenchmarkKernelMinPlusFusedParallel(b *testing.B) {
 // variant built on the fused tiled product (whose parallel path the
 // engine selects when it has idle host workers).
 func BenchmarkKernelFloydWarshall(b *testing.B) {
-	x, _, _ := bench.KernelOperands(256)
+	x := kernelOperand(256, 0)
 	work := matrix.Get(256, 256)
 	b.Run("classic/b=256", func(b *testing.B) {
 		b.ReportAllocs()

@@ -12,6 +12,7 @@ import (
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
 	"apspark/internal/sparse"
+	"apspark/internal/store"
 )
 
 func build(t *testing.T, g *graph.Graph, opts BuildOptions) *Oracle {
@@ -315,6 +316,33 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".hier-") {
 			t.Fatalf("temp file %s left behind", e.Name())
 		}
+	}
+	// One mode for every published artefact: a server that can read the
+	// store can read the hierarchy saved beside it.
+	plain, ckpt := filepath.Join(dir, "plain.apsp"), filepath.Join(dir, "ckpt.apsp")
+	cell := matrix.New(1, 1)
+	if err := store.Write(plain, cell, 1); err != nil {
+		t.Fatal(err)
+	}
+	pw, err := store.NewPanelWriterWithOptions(ckpt, 1, 1, store.PanelWriterOptions{Checkpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.WritePanel(cell); err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mode := func(p string) os.FileMode {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode()
+	}
+	if h, p, c := mode(path), mode(plain), mode(ckpt); h != c || p != c {
+		t.Fatalf("file modes differ: hierarchy %v, store.Write %v, checkpointed store %v", h, p, c)
 	}
 	l, err := Load(path, g, 0)
 	if err != nil {

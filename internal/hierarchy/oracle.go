@@ -20,8 +20,8 @@ import (
 // overlay preserves all boundary-to-boundary distances) and safe for
 // concurrent use; partition-local rows are cached in a byte-budgeted
 // sharded LRU so query locality pays off. It implements the serving
-// layer's Source and RowCopier contracts, which is what lets apsp-serve
-// run compute-on-demand with no precomputed store at all.
+// layer's Source contract, which is what lets apsp-serve run
+// compute-on-demand with no precomputed store at all.
 type Oracle struct {
 	g   *graph.Graph
 	eng *sparse.Engine // main-graph engine (shared with the build)

@@ -9,9 +9,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 
+	"apspark/internal/fsx"
 	"apspark/internal/graph"
 	"apspark/internal/sparse"
 )
@@ -51,15 +53,17 @@ var (
 // Save writes the oracle's partition table and overlay atomically to
 // path.
 func (o *Oracle) Save(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".hier-*")
+	// Not os.CreateTemp: that creates 0600, and a hierarchy is published
+	// with the same 0644-before-umask as a store file.
+	name := filepath.Join(filepath.Dir(path), fmt.Sprintf(".hier-%016x", rand.Uint64()))
+	tmp, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil {
 			tmp.Close()
-			os.Remove(tmp.Name())
+			os.Remove(name)
 		}
 	}()
 	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
@@ -93,14 +97,7 @@ func (o *Oracle) Save(path string) (err error) {
 	if err = tmp.Close(); err != nil {
 		return err
 	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return fsx.RenameDurable(name, path)
 }
 
 // Load reads a hierarchy saved by Save back over the same graph,

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Quantiles extracted for histogram exposition and BENCH.json entries.
+// Quantiles extracted for histogram exposition.
 var exportQuantiles = []struct {
 	label string
 	q     float64

@@ -36,31 +36,30 @@ import (
 )
 
 // Source supplies distances. Implementations must be safe for concurrent
-// use and must hand out caller-owned row slices. The context bounds any
-// IO behind a read (a tile-store miss pages data in from disk);
-// in-memory implementations may ignore it.
+// use. The context bounds any IO behind a read (a tile-store miss pages
+// data in from disk); in-memory implementations may ignore it.
 type Source interface {
 	// N returns the number of vertices.
 	N() int
 	// Dist returns d(i, j), matrix.Inf when unreachable.
 	Dist(ctx context.Context, i, j int) (float64, error)
-	// Row returns a fresh copy of vertex i's full distance row.
-	Row(ctx context.Context, i int) ([]float64, error)
+	// RowInto fills dst with vertex i's full distance row, reusing its
+	// backing array when large enough (a nil dst yields a fresh copy). The
+	// returned slice is caller-owned.
+	RowInto(ctx context.Context, i int, dst []float64) ([]float64, error)
+	// SourceKind labels the source for serving-mode reporting: "store",
+	// "oracle", "matrix".
+	SourceKind() string
 }
 
-// RowViewer is an optional Source upgrade: RowView returns vertex i's
-// distance row as a shared, read-only slice (no copy on a cache hit).
-// The engine uses it for every row-consuming query — KNN, Path, and row
-// serving — so sources that implement it are served zero-copy.
+// RowViewer is the one optional Source upgrade, for sources that hold
+// rows in memory (the hierarchy oracle computes them and cannot):
+// RowView returns vertex i's distance row as a shared, read-only slice
+// (no copy on a cache hit). The engine uses it for every row-consuming
+// query — KNN, Path, and row serving — so sources that implement it are
+// served zero-copy.
 type RowViewer interface {
 	RowView(ctx context.Context, i int) ([]float64, error)
-}
-
-// RowCopier is an optional Source upgrade: RowInto fills a caller buffer
-// with vertex i's distance row, reusing its backing array when large
-// enough, enabling allocation-free steady-state row reads.
-type RowCopier interface {
-	RowInto(ctx context.Context, i int, dst []float64) ([]float64, error)
 }
 
 // matrixSource adapts an in-memory dense matrix to Source; it is how
@@ -83,6 +82,8 @@ func NewMatrixSource(m *matrix.Block) (Source, error) {
 
 func (s *matrixSource) N() int { return s.m.R }
 
+func (s *matrixSource) SourceKind() string { return "matrix" }
+
 func (s *matrixSource) checkVertex(i int) error {
 	if i < 0 || i >= s.m.R {
 		return fmt.Errorf("serve: vertex %d outside [0,%d)", i, s.m.R)
@@ -95,15 +96,6 @@ func (s *matrixSource) Dist(_ context.Context, i, j int) (float64, error) {
 		return 0, fmt.Errorf("serve: vertex pair (%d,%d) outside [0,%d)", i, j, s.m.R)
 	}
 	return s.m.At(i, j), nil
-}
-
-func (s *matrixSource) Row(_ context.Context, i int) ([]float64, error) {
-	if err := s.checkVertex(i); err != nil {
-		return nil, err
-	}
-	out := make([]float64, s.m.C)
-	copy(out, s.m.Row(i))
-	return out, nil
 }
 
 // RowView aliases the matrix's own row storage: zero-copy, read-only.
@@ -155,7 +147,6 @@ var ErrNoGraph = fmt.Errorf("serve: path reconstruction needs the input graph (-
 type Engine struct {
 	src Source
 	rv  RowViewer // src's RowView upgrade, nil if unsupported
-	rc  RowCopier // src's RowInto upgrade, nil if unsupported
 	g   *graph.Graph
 
 	// g's CSR adjacency arrays, bound once at construction: Path walks
@@ -170,13 +161,11 @@ type Engine struct {
 
 	// fb is an optional second source (typically a hierarchy oracle)
 	// that answers row queries the primary source fails with a
-	// corrupt-store read; fbRC is its RowCopier upgrade. sp re-derives
-	// any single distance row from the graph (Dijkstra over the CSR
-	// arrays) for the same situation — the fallback of last resort when
-	// no fb is wired. nil both ways, corruption surfaces as the store's
-	// typed error.
+	// corrupt-store read. sp re-derives any single distance row from the
+	// graph (Dijkstra over the CSR arrays) for the same situation — the
+	// fallback of last resort when no fb is wired. nil both ways,
+	// corruption surfaces as the store's typed error.
 	fb         Source
-	fbRC       RowCopier
 	sp         *sparse.Engine
 	recomputed atomic.Int64
 
@@ -220,10 +209,6 @@ func NewWithOptions(src Source, g *graph.Graph, opts EngineOptions) (*Engine, er
 	}
 	e := &Engine{src: src, g: g, fb: opts.Fallback, gen: opts.Generation}
 	e.rv, _ = src.(RowViewer)
-	e.rc, _ = src.(RowCopier)
-	if e.fb != nil {
-		e.fbRC, _ = e.fb.(RowCopier)
-	}
 	if g != nil {
 		e.adjPtr, e.adjTo, e.adjW = g.CSR()
 		e.sp = sparse.New(g)
@@ -231,32 +216,12 @@ func NewWithOptions(src Source, g *graph.Graph, opts EngineOptions) (*Engine, er
 	return e, nil
 }
 
-// KindedSource is an optional Source upgrade: SourceKind labels the
-// source for serving-mode reporting ("oracle" for the hierarchy
-// oracle; stores and matrices are recognized directly).
-type KindedSource interface {
-	SourceKind() string
-}
-
-func sourceKind(src Source) string {
-	switch s := src.(type) {
-	case KindedSource:
-		return s.SourceKind()
-	case *store.Store:
-		return "store"
-	case *matrixSource:
-		return "matrix"
-	default:
-		return "custom"
-	}
-}
-
 // SourceKind labels the live serving mode: the primary source's kind
 // ("store", "oracle", "matrix"), with "+fallback" appended when a
 // second source is wired behind it — the operator-facing distinction
 // between store-only, compute-on-demand and store-plus-oracle serving.
 func (e *Engine) SourceKind() string {
-	k := sourceKind(e.src)
+	k := e.src.SourceKind()
 	if e.fb != nil {
 		k += "+fallback"
 	}
@@ -307,13 +272,7 @@ func (e *Engine) canRecompute(err error) bool {
 // Dijkstra over the graph. Either way the row counts as recomputed.
 func (e *Engine) recomputeRowInto(ctx context.Context, from int, dst []float64) ([]float64, error) {
 	if e.fb != nil {
-		var row []float64
-		var err error
-		if e.fbRC != nil {
-			row, err = e.fbRC.RowInto(ctx, from, dst)
-		} else {
-			row, err = e.fb.Row(ctx, from)
-		}
+		row, err := e.fb.RowInto(ctx, from, dst)
 		if err == nil {
 			e.recomputed.Add(1)
 			return row, nil
@@ -360,36 +319,17 @@ func (e *Engine) Dist(ctx context.Context, from, to int) (float64, error) {
 
 // Row returns the full distance row of from (caller-owned).
 func (e *Engine) Row(ctx context.Context, from int) ([]float64, error) {
-	row, err := e.src.Row(ctx, from)
-	if err != nil && e.canRecompute(err) {
-		return e.recomputeRowInto(ctx, from, nil)
-	}
-	return row, err
+	return e.RowInto(ctx, from, nil)
 }
 
 // RowInto fills dst with the full distance row of from, reusing dst's
 // backing array when it is large enough.
 func (e *Engine) RowInto(ctx context.Context, from int, dst []float64) ([]float64, error) {
-	if e.rc != nil {
-		out, err := e.rc.RowInto(ctx, from, dst)
-		if err != nil && e.canRecompute(err) {
-			return e.recomputeRowInto(ctx, from, dst)
-		}
-		return out, err
+	out, err := e.src.RowInto(ctx, from, dst)
+	if err != nil && e.canRecompute(err) {
+		return e.recomputeRowInto(ctx, from, dst)
 	}
-	row, err := e.src.Row(ctx, from)
-	if err != nil {
-		if e.canRecompute(err) {
-			return e.recomputeRowInto(ctx, from, dst)
-		}
-		return nil, err
-	}
-	if cap(dst) >= len(row) {
-		dst = dst[:len(row)]
-		copy(dst, row)
-		return dst, nil
-	}
-	return row, nil
+	return out, err
 }
 
 // acquireRow obtains from's distance row as cheaply as the source allows
@@ -421,20 +361,16 @@ func (e *Engine) acquireSourceRow(ctx context.Context, from int) (row []float64,
 		row, err = e.rv.RowView(ctx, from)
 		return row, nil, err
 	}
-	if e.rc != nil {
-		bp, _ := e.rowScratch.Get().(*[]float64)
-		if bp == nil {
-			bp = new([]float64)
-		}
-		*bp, err = e.rc.RowInto(ctx, from, *bp)
-		if err != nil {
-			e.rowScratch.Put(bp)
-			return nil, nil, err
-		}
-		return *bp, func() { e.rowScratch.Put(bp) }, nil
+	bp, _ := e.rowScratch.Get().(*[]float64)
+	if bp == nil {
+		bp = new([]float64)
 	}
-	row, err = e.src.Row(ctx, from)
-	return row, nil, err
+	*bp, err = e.src.RowInto(ctx, from, *bp)
+	if err != nil {
+		e.rowScratch.Put(bp)
+		return nil, nil, err
+	}
+	return *bp, func() { e.rowScratch.Put(bp) }, nil
 }
 
 // heapAfter reports whether a sorts strictly after b in the KNN order

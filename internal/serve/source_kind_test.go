@@ -19,9 +19,10 @@ func (s *corruptSource) N() int { return s.n }
 func (s *corruptSource) Dist(context.Context, int, int) (float64, error) {
 	return 0, fmt.Errorf("tile 0: %w", store.ErrCorruptTile)
 }
-func (s *corruptSource) Row(context.Context, int) ([]float64, error) {
+func (s *corruptSource) RowInto(context.Context, int, []float64) ([]float64, error) {
 	return nil, fmt.Errorf("tile 0: %w", store.ErrCorruptTile)
 }
+func (s *corruptSource) SourceKind() string { return "store" }
 
 // kindedSource is a Source that labels itself, like the hierarchy
 // oracle does.

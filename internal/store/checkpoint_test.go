@@ -83,6 +83,19 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		if HasCheckpoint(path) {
 			t.Fatalf("n=%d: checkpoint artifacts left behind after Close", tc.n)
 		}
+		// Same bytes, same permissions: whoever can read a store written
+		// in one go can read a checkpointed one.
+		refInfo, err := os.Stat(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotInfo, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refInfo.Mode() != gotInfo.Mode() {
+			t.Fatalf("n=%d: Write published mode %v, checkpointed writer %v", tc.n, refInfo.Mode(), gotInfo.Mode())
+		}
 	}
 }
 

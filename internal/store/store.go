@@ -570,6 +570,9 @@ func (s *Store) Close() error {
 // N returns the number of vertices.
 func (s *Store) N() int { return s.n }
 
+// SourceKind labels the store for the serving layer's mode reporting.
+func (s *Store) SourceKind() string { return "store" }
+
 // BlockSize returns the tile edge length b.
 func (s *Store) BlockSize() int { return s.b }
 
