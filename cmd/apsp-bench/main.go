@@ -22,6 +22,7 @@ import (
 
 	"apspark/internal/bench"
 	"apspark/internal/costmodel"
+	"apspark/internal/matrix"
 )
 
 const targetNames = "fig2|fig3|table2|table3|all"
@@ -59,6 +60,8 @@ func main() {
 		os.Exit(2)
 	}
 
+	// On stderr: the tables on stdout stay diffable across hosts.
+	fmt.Fprintf(os.Stderr, "apsp-bench: matrix kernel %s\n", matrix.KernelImpl())
 	model := costmodel.PaperKernels()
 	if *calibrate {
 		model = costmodel.Calibrate(256)

@@ -126,6 +126,7 @@ import (
 	"apspark/internal/generation"
 	"apspark/internal/graph"
 	"apspark/internal/hierarchy"
+	"apspark/internal/matrix"
 	"apspark/internal/obs"
 	"apspark/internal/serve"
 	"apspark/internal/store"
@@ -221,6 +222,8 @@ func main() {
 	if *metricsOn {
 		hopts.Metrics = obs.Default
 		obs.RegisterProcessMetrics(obs.Default)
+		obs.Default.Gauge("apsp_matrix_kernel_info", "Min-plus row primitive in use (avx2 or generic); always 1.",
+			obs.Label{Key: "impl", Value: matrix.KernelImpl()}).Set(1)
 	}
 	if *accessLog {
 		hopts.AccessLog = slog.Default()

@@ -35,6 +35,7 @@ import (
 	"apspark/internal/core"
 	"apspark/internal/costmodel"
 	"apspark/internal/graph"
+	"apspark/internal/matrix"
 	"apspark/internal/obs"
 )
 
@@ -171,6 +172,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("graph: n=%d edges=%d\n", g.N, g.NumEdges())
+		if !host {
+			fmt.Printf("matrix kernel: %s\n", matrix.KernelImpl())
+		}
 		// The reported wall time covers the solve only, not graph
 		// generation or edge-list parsing.
 		start = time.Now()

@@ -368,22 +368,23 @@ func graphBlock(t *testing.T) *matrix.Block {
 }
 
 // TestSolversWithIntraKernelParallelism pins the parallel tile paths.
-// Block size 128 matters: the product kernels' row-panel sharding only
-// engages at matrix.ParallelMinEdge (128) rows, so smaller blocks would
+// The block size matters: the product kernels' row-panel sharding only
+// engages at matrix.ParallelMinEdge rows, so smaller blocks would
 // silently compare the serial path against itself. With a host-worker
 // surplus forcing TaskContext.Workers() > 1, the kernel-bound solvers
 // (RS via the parallel product, IM/CB via parallel panel updates) must
 // produce exactly the distances of the serial-kernel run. FW2D is
 // excluded: its rank-1 update has no parallel tile path. (The diagonal
-// FloydWarshallPar needs 256-row blocks to shard and so stays serial
+// FloydWarshallPar needs 1024-row blocks to shard and so stays serial
 // here; its parallel path is pinned by the matrix package tests.)
 func TestSolversWithIntraKernelParallelism(t *testing.T) {
-	g, err := graph.ErdosRenyi(256, 0.05, 10, 21)
+	const b = matrix.ParallelMinEdge
+	g, err := graph.ErdosRenyi(2*b, 0.03, 10, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []Solver{RepeatedSquaring{}, BlockedInMemory{}, BlockedCollectBroadcast{}} {
-		in, err := NewInput(g.Dense(), 128)
+		in, err := NewInput(g.Dense(), b)
 		if err != nil {
 			t.Fatal(err)
 		}

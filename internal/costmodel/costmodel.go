@@ -103,9 +103,14 @@ func (m KernelModel) ExtractCol(r int) float64 {
 	return float64(r) / m.EWRate
 }
 
-// Calibrate measures the repository's own Go kernels at a few block sizes
-// and returns a model fitted to them. minB controls measurement cost;
-// 128-256 completes in well under a second.
+// Calibrate measures the kernels the solvers run — matrix.FloydWarshall and
+// the fused matrix.MinPlusMulInto — at block edge minB and returns a model
+// fitted to them; 128-256 completes in well under a second. Both kernels
+// sit on the matrix package's row primitive, so on an AVX2 host the
+// calibrated rates are the vector kernel's (matrix.KernelImpl says which),
+// several times the defaults. The defaults themselves, PaperKernels, are
+// the paper's constants and do not depend on the host: every committed
+// Table 2/3 value and every phantom projection is computed from them.
 func Calibrate(minB int) KernelModel {
 	if minB < 32 {
 		minB = 32
@@ -121,9 +126,8 @@ func Calibrate(minB int) KernelModel {
 		m.FWRateOut = fw * (PaperKernels().FWRateOut / PaperKernels().FWRateIn)
 	}
 	mp := measure(func(b int) func() {
-		x := randomishBlock(b)
-		y := randomishBlock(b)
-		return func() { _, _ = matrix.MinPlusMul(x, y) }
+		x, y, dst := randomishBlock(b), randomishBlock(b), matrix.New(b, b)
+		return func() { _ = matrix.MinPlusMulInto(x, y, dst) }
 	}, minB)
 	if mp > 0 {
 		m.MPRateIn = mp

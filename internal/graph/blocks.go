@@ -96,7 +96,7 @@ func Blocks(a *matrix.Block, d Decomposition) (map[BlockKey]*matrix.Block, error
 	for i := 0; i < d.Q; i++ {
 		for j := i; j < d.Q; j++ {
 			ri, cj := d.Rows(i), d.Rows(j)
-			blk := matrix.New(ri, cj)
+			blk := matrix.NewZero(ri, cj) // every row is copied over below
 			for r := 0; r < ri; r++ {
 				srcRow := (d.RowOffset(i) + r) * a.C
 				copy(blk.Data[r*cj:(r+1)*cj], a.Data[srcRow+d.RowOffset(j):srcRow+d.RowOffset(j)+cj])
@@ -121,9 +121,17 @@ func PhantomBlocks(d Decomposition) map[BlockKey]*matrix.Block {
 }
 
 // Assemble reverses Blocks: it stitches upper-triangle blocks back into a
-// full symmetric dense matrix (lower triangle from transposes).
+// full symmetric dense matrix. Each block's rows are copied into place, and
+// an off-diagonal block is mirrored below the diagonal by copying the rows
+// of its (tiled) transpose. Diagonal blocks are taken as they are: every
+// solver keeps them symmetric.
 func Assemble(blocks map[BlockKey]*matrix.Block, d Decomposition) (*matrix.Block, error) {
-	a := matrix.New(d.N, d.N)
+	a := matrix.NewZero(d.N, d.N) // every cell is written below
+	place := func(blk *matrix.Block, r0, c0 int) {
+		for r := 0; r < blk.R; r++ {
+			copy(a.Data[(r0+r)*d.N+c0:], blk.Row(r))
+		}
+	}
 	for i := 0; i < d.Q; i++ {
 		for j := i; j < d.Q; j++ {
 			blk, ok := blocks[BlockKey{i, j}]
@@ -136,15 +144,16 @@ func Assemble(blocks map[BlockKey]*matrix.Block, d Decomposition) (*matrix.Block
 			if blk.R != d.Rows(i) || blk.C != d.Rows(j) {
 				return nil, fmt.Errorf("graph: block (%d,%d) is %dx%d, want %dx%d", i, j, blk.R, blk.C, d.Rows(i), d.Rows(j))
 			}
-			for r := 0; r < blk.R; r++ {
-				gr := d.RowOffset(i) + r
-				for c := 0; c < blk.C; c++ {
-					gc := d.RowOffset(j) + c
-					v := blk.At(r, c)
-					a.Set(gr, gc, v)
-					a.Set(gc, gr, v)
-				}
+			place(blk, d.RowOffset(i), d.RowOffset(j))
+			if i == j {
+				continue
 			}
+			t := matrix.Get(blk.C, blk.R)
+			if err := blk.TransposeInto(t); err != nil {
+				return nil, err
+			}
+			place(t, d.RowOffset(j), d.RowOffset(i))
+			matrix.Put(t)
 		}
 	}
 	return a, nil

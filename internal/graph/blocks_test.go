@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 
 	"apspark/internal/matrix"
@@ -80,6 +81,45 @@ func TestBlocksAssembleRoundTrip(t *testing.T) {
 		}
 		if !back.Equal(dense) {
 			t.Fatalf("n=%d b=%d: assemble(blocks(A)) != A", n, b)
+		}
+	}
+}
+
+// TestAssembleMatchesNaive checks Assemble against its cell-by-cell
+// definition (upper blocks in place, lower triangle mirrored) on blocks
+// with arbitrary contents and ragged shapes, including the k x 1 and 1 x k
+// edge blocks of n = k+1.
+func TestAssembleMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, cfg := range [][2]int{{1, 1}, {10, 9}, {34, 33}, {67, 33}, {70, 70}, {100, 37}, {130, 32}} {
+		n, b := cfg[0], cfg[1]
+		d, err := NewDecomposition(n, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := make(map[BlockKey]*matrix.Block)
+		want := matrix.New(n, n)
+		for _, k := range d.UpperKeys() {
+			blk := matrix.New(d.Rows(k.I), d.Rows(k.J))
+			for r := 0; r < blk.R; r++ {
+				for c := 0; c < blk.C; c++ {
+					v := rng.Float64()
+					if k.I == k.J && c < r {
+						v = blk.At(c, r) // diagonal blocks are symmetric
+					}
+					blk.Set(r, c, v)
+					want.Set(d.RowOffset(k.I)+r, d.RowOffset(k.J)+c, v)
+					want.Set(d.RowOffset(k.J)+c, d.RowOffset(k.I)+r, v)
+				}
+			}
+			blocks[k] = blk
+		}
+		got, err := Assemble(blocks, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("n=%d b=%d: Assemble differs from its definition", n, b)
 		}
 	}
 }

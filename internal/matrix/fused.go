@@ -8,20 +8,86 @@ import (
 // This file is the fused min-plus kernel layer. The paper's blocked solvers
 // are kernel-bound: essentially all compute time goes into MatProd /
 // MinPlus / FloydWarshall on b x b blocks, invoked O(q^3)-ish times per
-// solve. The original kernels allocate a fresh output per call and realize
-// MinPlus as a materialized product followed by a separate MatMin pass.
-// The kernels here instead fold the tiled i-k-j product directly into a
-// caller-provided destination block — no intermediate, no second pass —
-// with the k loop unrolled four-wide so destination traffic is amortized
-// across four pivots, and an optional row-panel parallel path that shards
-// the tile grid across host goroutines when the engine reports idle
-// workers. Every variant computes the exact same element values as the
-// reference kernels: min-plus candidates are identical sums and float64
+// solve. Every one of those kernels is the same inner loop, and it is
+// written once, as the row primitive
+//
+//	minPlusRow(d, a, b, ldb):  d[j] = min(d[j], min_k a[k] + b[k*ldb+j])
+//
+// The min-plus product folds straight into a caller-provided destination by
+// calling it once per (destination row, kk/jj tile); the Floyd-Warshall
+// kernels call it with len(a) == 1, one pivot at a time. On amd64 with AVX2
+// (checked once at init with CPUID/XGETBV) the primitive is the assembly
+// loop in minplus_amd64.s: 32 columns of d stay in eight ymm accumulators
+// across the whole k run. Everywhere else — other architectures, CPUs
+// without AVX2, builds with -tags purego — it is minPlusRowGeneric below,
+// which is also the differential oracle the vector path is tested against.
+// KernelImpl reports which one this process runs; nothing selects it.
+//
+// Kernel contract: operands are NaN-free and never -Inf (+Inf is the
+// semiring zero; Inf + finite = Inf needs no special case). VMINPD and Go's
+// min builtin differ only on NaN and on the sign of a zero result, so under
+// the contract the two paths are == on every element, and bit-identical
+// whenever no -0 is present. d must not overlap a, and may overlap b only
+// by being exactly the b row (the in-place Floyd-Warshall pivot row,
+// len(a) == 1): every chunk of d is loaded before it is stored.
+//
+// Every variant computes the same element values as the unfused reference
+// kernels in kernels.go: min-plus candidates are identical sums and float64
 // min is exact, so reassociating the fold cannot change results.
 
+// KernelImpl names the min-plus row primitive this process runs: "avx2" or
+// "generic".
+func KernelImpl() string { return kernelImpl() }
+
+// minPlusRowGeneric is the portable row primitive: the k loop unrolled
+// four-wide so d is read and written once per pivot group, with a pivot
+// group that is entirely +Inf on the a side skipped.
+func minPlusRowGeneric(d, a, b []float64, ldb int) {
+	k := 0
+	for ; k+3 < len(a); k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		if a0 == Inf && a1 == Inf && a2 == Inf && a3 == Inf {
+			continue
+		}
+		b0 := b[k*ldb:][:len(d)]
+		b1 := b[(k+1)*ldb:][:len(d)]
+		b2 := b[(k+2)*ldb:][:len(d)]
+		b3 := b[(k+3)*ldb:][:len(d)]
+		// The min builtin lowers to branchless float min instructions;
+		// with the unconditional store the loop body has no
+		// data-dependent branches at all.
+		for j, dj := range d {
+			s := min(a0+b0[j], a1+b1[j])
+			s = min(s, a2+b2[j])
+			s = min(s, a3+b3[j])
+			d[j] = min(dj, s)
+		}
+	}
+	for ; k < len(a); k++ {
+		ak := a[k]
+		if ak == Inf {
+			continue
+		}
+		bk := b[k*ldb:][:len(d)]
+		for j, dj := range d {
+			d[j] = min(dj, ak+bk[j])
+		}
+	}
+}
+
 // parMinRows is the smallest per-goroutine row panel worth forking for.
-// Below it, goroutine startup dominates the O(rows * k * cols) work.
-const parMinRows = 64
+// Below it, the fork/join dominates the O(rows * k * cols) work. Sized for
+// the vector kernel on a 2-vCPU host (serial vs 2 workers, square blocks:
+// b=128 147 vs 175 us, b=192 650 vs 690 us, b=256 1.77 vs 1.25 ms, b=512
+// 15.0 vs 10.0 ms): two shards pay from 256 rows up.
+const parMinRows = 128
+
+// fwParMinRows is parMinRows for the sharded Floyd-Warshall, which forks
+// and joins once per pivot (n rounds) instead of once per call: a pivot is
+// only n*n/shards relaxations per shard, so the panel must be much taller
+// before a ~70 us fork/join is amortized (serial vs 2 workers: n=256 3.8
+// vs 4.9 ms, n=512 45 vs 58 ms, n=1024 495 vs 316 ms).
+const fwParMinRows = 512
 
 // ParallelMinEdge is the block edge below which the parallel tile path is
 // never attempted (callers may use it to gate worker-budget plumbing).
@@ -38,62 +104,44 @@ func sameBacking(a, b *Block) bool {
 // b is kd x n with stride ldb, dst is m x n with stride ldd. Panels may be
 // sub-views of larger matrices; dst must not overlap a or b.
 //
-// The loop nest is the same kk/jj 2D tiling as MinPlusMul, with the pivot
-// loop unrolled 4-wide: the four candidate sums are reduced in registers
-// and dst is read and written once per pivot group instead of once per
-// pivot. A pivot group that is entirely +Inf on the a side is skipped.
+// The kk/jj 2D tiling gives every destination row the same tile of b to
+// sweep; the add/min itself is minPlusRow. The tile is first packed into a
+// contiguous stack buffer: at a power-of-two ldb its rows would all map to
+// the same few L1 sets and evict each other (measured at b=256: 1.9 ms
+// unpacked, 1.2 ms packed).
 func minPlusPanel(a []float64, lda int, b []float64, ldb int, dst []float64, ldd int, m, kd, n int) {
+	var pack [tile * tile]float64
 	for kk := 0; kk < kd; kk += tile {
-		kmax := kk + tile
-		if kmax > kd {
-			kmax = kd
-		}
+		kmax := min(kk+tile, kd)
 		for jj := 0; jj < n; jj += tile {
-			jmax := jj + tile
-			if jmax > n {
-				jmax = n
+			jmax := min(jj+tile, n)
+			w := jmax - jj
+			for k := kk; k < kmax; k++ {
+				copy(pack[(k-kk)*w:(k-kk+1)*w], b[k*ldb+jj:k*ldb+jmax])
 			}
 			for i := 0; i < m; i++ {
-				arow := a[i*lda : i*lda+kd]
-				drow := dst[i*ldd+jj : i*ldd+jmax]
-				k := kk
-				for ; k+3 < kmax; k += 4 {
-					a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					if a0 == Inf && a1 == Inf && a2 == Inf && a3 == Inf {
-						continue
-					}
-					b0 := b[k*ldb+jj : k*ldb+jmax]
-					b1 := b[(k+1)*ldb+jj : (k+1)*ldb+jmax]
-					b2 := b[(k+2)*ldb+jj : (k+2)*ldb+jmax]
-					b3 := b[(k+3)*ldb+jj : (k+3)*ldb+jmax]
-					b0 = b0[:len(drow)]
-					b1 = b1[:len(drow)]
-					b2 = b2[:len(drow)]
-					b3 = b3[:len(drow)]
-					// The min builtin lowers to branchless float min
-					// instructions; with the unconditional store the loop
-					// body has no data-dependent branches at all.
-					for j, d := range drow {
-						s := min(a0+b0[j], a1+b1[j])
-						s = min(s, a2+b2[j])
-						s = min(s, a3+b3[j])
-						drow[j] = min(d, s)
-					}
+				ai := a[i*lda+kk : i*lda+kmax]
+				if allInf(ai) {
+					continue
 				}
-				for ; k < kmax; k++ {
-					aik := arow[k]
-					if aik == Inf {
-						continue
-					}
-					brow := b[k*ldb+jj : k*ldb+jmax]
-					brow = brow[:len(drow)]
-					for j, d := range drow {
-						drow[j] = min(d, aik+brow[j])
-					}
-				}
+				minPlusRow(dst[i*ldd+jj:i*ldd+jmax], ai, pack[:], w)
 			}
 		}
 	}
+}
+
+// allInf reports whether every multiplier in a is +Inf, in which case the
+// run contributes nothing. The vector primitive has no branch to skip a
+// +Inf multiplier, so whole runs are skipped here: 11 % of the 64-pivot
+// runs of a paper-density cb solve (388 ms per solve without the check,
+// 331 ms with it); a run with a finite head costs one compare.
+func allInf(a []float64) bool {
+	for _, v := range a {
+		if v != Inf {
+			return false
+		}
+	}
+	return true
 }
 
 // minPlusPanelPar shards minPlusPanel across workers goroutines by
@@ -145,7 +193,7 @@ func checkMinPlusShapes(op string, a, b, dst *Block) error {
 func MinPlusInto(a, b, dst *Block) error { return MinPlusIntoPar(a, b, dst, 1) }
 
 // MinPlusIntoPar is MinPlusInto with an intra-kernel host-parallelism
-// budget: when the destination has at least 2*parMinRows rows and
+// budget: when the destination has at least ParallelMinEdge rows and
 // workers > 1, the tile grid is sharded across goroutines by destination
 // row panel. Results are identical to the serial path for any worker
 // count.
@@ -208,18 +256,17 @@ func FloydWarshallPar(a *Block, workers int) error {
 	if a.Phantom() {
 		return nil
 	}
-	n := a.R
-	shards := workers
-	// FW forks and joins once per pivot (n rounds), unlike the product
-	// kernels' single fork per call, so sharding needs twice the row
-	// panel (2*parMinRows per shard) before the per-pivot fork/join
-	// overhead is safely amortized.
-	if maxShards := n / (2 * parMinRows); shards > maxShards {
-		shards = maxShards
-	}
+	return floydWarshallSharded(a, min(workers, a.R/fwParMinRows))
+}
+
+// floydWarshallSharded is FloydWarshallPar on a dense square block with
+// the shard count already decided (tests call it below the size at which
+// FloydWarshallPar would shard).
+func floydWarshallSharded(a *Block, shards int) error {
 	if shards < 2 {
 		return FloydWarshall(a)
 	}
+	n := a.R
 	for _, v := range a.Data {
 		if v < 0 {
 			// Sharding is only safe while every pivot row is a fixed point
@@ -249,10 +296,14 @@ func FloydWarshallPar(a *Block, workers int) error {
 				hi = n
 			}
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func(lo, hi, k int) {
 				defer wg.Done()
-				fwRelax(data, n, lo, hi, 0, n, k)
-			}(lo, hi)
+				// Row k is a fixed point of pivot k here, and the row
+				// primitive stores unconditionally: skip it, so no shard
+				// writes the row the others are reading.
+				fwRelax(data, n, lo, min(hi, k), 0, n, k)
+				fwRelax(data, n, max(lo, k+1), hi, 0, n, k)
+			}(lo, hi, k)
 		}
 		wg.Wait()
 	}
@@ -267,21 +318,17 @@ const fwBlockEdge = 64
 
 // fwRelax applies the Floyd-Warshall inner update with pivot k to the
 // sub-rectangle [iLo,iHi) x [jLo,jHi) of the square matrix held in data
-// with stride n.
+// with stride n: one single-pivot minPlusRow per row. The multiplier is
+// copied out first because for jLo <= k < jHi it lives inside the row being
+// rewritten.
 func fwRelax(data []float64, n, iLo, iHi, jLo, jHi, k int) {
 	krow := data[k*n+jLo : k*n+jHi]
 	for i := iLo; i < iHi; i++ {
-		aik := data[i*n+k]
-		if aik == Inf {
+		aik := [1]float64{data[i*n+k]}
+		if aik[0] == Inf {
 			continue
 		}
-		row := data[i*n+jLo : i*n+jHi]
-		row = row[:len(krow)]
-		for j, kv := range krow {
-			if s := aik + kv; s < row[j] {
-				row[j] = s
-			}
-		}
+		minPlusRow(data[i*n+jLo:i*n+jHi], aik[:], krow, 0)
 	}
 }
 

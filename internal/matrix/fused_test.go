@@ -283,12 +283,14 @@ func TestFloydWarshallParMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 9} {
+			// The sharded body directly: FloydWarshallPar itself only
+			// shards from 2*fwParMinRows rows up.
 			got := a.Clone()
-			if err := FloydWarshallPar(got, workers); err != nil {
+			if err := floydWarshallSharded(got, workers); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("FloydWarshallPar(workers=%d) diverges at n=%d", workers, n)
+				t.Fatalf("floydWarshallSharded(shards=%d) diverges at n=%d", workers, n)
 			}
 		}
 	}
@@ -401,7 +403,7 @@ func TestFloydWarshallParNegativeDiagonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := a.Clone()
-	if err := FloydWarshallPar(got, 4); err != nil {
+	if err := floydWarshallSharded(got, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
@@ -424,7 +426,7 @@ func TestFloydWarshallParNegativeCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := a.Clone()
-	if err := FloydWarshallPar(got, 4); err != nil {
+	if err := floydWarshallSharded(got, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
