@@ -37,6 +37,7 @@ import (
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
 	"apspark/internal/obs"
+	"apspark/internal/sparse"
 )
 
 func main() {
@@ -172,7 +173,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("graph: n=%d edges=%d\n", g.N, g.NumEdges())
-		if !host {
+		if host {
+			fmt.Printf("sparse queue: %s\n", sparse.New(g).Queue())
+		} else {
 			fmt.Printf("matrix kernel: %s\n", matrix.KernelImpl())
 		}
 		// The reported wall time covers the solve only, not graph

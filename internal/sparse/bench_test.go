@@ -26,14 +26,28 @@ func BenchmarkSolveER16(b *testing.B) {
 }
 
 // BenchmarkSolveRow measures one source on the same graph — the unit the
-// zero-alloc pin covers.
+// zero-alloc pin covers — over the Dial queue integer weights select.
 func BenchmarkSolveRow(b *testing.B) {
+	benchSolveRow(b, graph.IntegerWeights(100), "dial")
+}
+
+// BenchmarkSolveRowFloat is the same row over uniform real weights, which
+// keep the radix heap: the float path stays measured beside the integer
+// one.
+func BenchmarkSolveRowFloat(b *testing.B) {
+	benchSolveRow(b, graph.UniformWeights(100), "radix")
+}
+
+func benchSolveRow(b *testing.B, weights graph.WeightFn, queue string) {
 	n := 8192
-	g, err := graph.ErdosRenyiConnected(n, graph.AvgDegreeProb(n, 16), graph.IntegerWeights(100), 42)
+	g, err := graph.ErdosRenyiConnected(n, graph.AvgDegreeProb(n, 16), weights, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
 	e := New(g)
+	if e.Queue() != queue {
+		b.Fatalf("queue = %s, want %s", e.Queue(), queue)
+	}
 	row := make([]float64, n)
 	b.ReportAllocs()
 	b.ResetTimer()

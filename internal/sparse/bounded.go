@@ -92,8 +92,9 @@ func (e *Engine) SolveRowBoundedInto(src int, row []float64, bd Bound) (int, err
 	return e.SolveBoundedInto(seed[:], row, bd)
 }
 
-// dijkstraBounded is the bounded variant of dijkstra. It shares the
-// radix-heap scratch but keeps the unbounded hot loop untouched: the
+// dijkstraBounded is the bounded variant of state.solveRow. It shares the
+// radix-heap scratch — on every graph, because seed offsets are floats
+// whatever the weights are — but keeps the unbounded hot loop untouched: the
 // extra branches (expand mask, target countdown, distance cap, settle
 // callback) live only here.
 func (e *Engine) dijkstraBounded(sc *state, seeds []Seed, row []float64, bd Bound) int {

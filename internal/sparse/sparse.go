@@ -7,19 +7,58 @@
 //
 // The engine follows the same discipline as the fused kernel layer:
 //
-//   - The priority queue is a flat-array radix heap over the IEEE-754
-//     bit patterns of the (monotone, non-negative) keys: push and
-//     decrease-key are O(1) bucket moves, every pop settles a vertex,
-//     and no comparison sifting happens at all (see the state type).
-//   - Per-source state (tentative distance, heap position) is
-//     epoch-stamped: starting the next source bumps a generation counter
-//     instead of clearing O(n) state, so a source costs only its own
-//     traversal.
-//   - All scratch is pooled per worker; after the first source has warmed
-//     the slices up, the per-source loop performs zero heap allocations.
+//   - The priority queue is chosen once, in New, from the graph's weights
+//     and nothing else (no option, flag or environment variable). Every
+//     weight an integer in [0, 255]: a Dial queue (dial.go) — a ring of
+//     maxW+1 buckets with lazy deletion, 32-bit tentative distances
+//     (16 KiB at n = 4096, reset in the pass that writes the row) and the
+//     adjacency repacked as one stream of 4-byte {vertex, weight} arcs.
+//     Any other graph — one real-valued weight is enough — runs exactly
+//     the code it ran before the Dial queue existed: a flat-array radix
+//     heap over the IEEE-754 bit patterns of the (monotone, non-negative)
+//     keys, where push and decrease-key are O(1) bucket moves, every pop
+//     settles a vertex and no comparison sifting happens at all (see the
+//     state type). Bounded and multi-seed solves (bounded.go) always use
+//     the radix heap: their seed offsets are floats. Integer sums below
+//     2^53 are exact in float64, so the two queues produce the same bits.
+//   - The radix path's per-source state (tentative distance, heap
+//     position) is epoch-stamped: starting the next source bumps a
+//     generation counter instead of clearing O(n) state, so a source costs
+//     only its own traversal.
+//   - All scratch is pooled per worker and, on the Dial path, sized from
+//     the graph; after the first source has warmed the radix slices up,
+//     the per-source loop performs zero heap allocations on either path.
+//
+// Where 255 comes from: rows/s, one core of the 2-vCPU development host,
+// n = 4096, medians of 100 interleaved 20-row blocks. With the queue as
+// shipped —
+//
+//	maxW   ER degree 16: dial  radix    path graph: dial  radix
+//	1                    5190   3570               13610   6490
+//	16                   3630   2470               10770   5550
+//	100                  3390   2240               10480   5410
+//	255                  3270   2190                9820   5290
+//
+// and past 255 with a prototype that kept 8-byte arcs and walked the
+// buckets one by one —
+//
+//	maxW   ER degree 16: dial  radix    path graph: dial  radix
+//	100                  3660   2810                5700   5430
+//	1000                 3240   2570                 950   5320
+//	10000                2820   1940                  91   4740
+//	65535                2230   1680                  14   4940
+//
+// The Dial cost that grows with maxW is stepping over empty buckets: up
+// to maxW of them between two pops, and a path graph pays that at every
+// pop, which is where the prototype collapses. The shipped queue finds
+// the next occupied bucket in an occupancy bitmap (four words at 256
+// buckets), and packs an arc into 32 bits (24 for the vertex — the
+// engine's limit anyway — 8 for the weight), worth 8 % of the ER row
+// against 8-byte arcs. Both stop at 255.
 //
 // Completed source rows are emitted in block-height panels (SolvePanels),
-// so a caller streaming panels to disk holds O(b·n) rather than O(n²) —
+// two of them in flight — one being written while the next is solved —
+// so a caller streaming panels to disk holds O(2·b·n) rather than O(n²):
 // the piece that lets n = 65536 solve on a laptop-class host.
 package sparse
 
@@ -47,7 +86,14 @@ type Engine struct {
 	colIdx  []int32
 	weights []float64
 
-	scratch sync.Pool // *state
+	// dial is the integer view the Dial queue runs on, nil when the
+	// graph's weights do not qualify and rows run on the radix heap. rows
+	// is the scratch pool of whichever was chosen; bounded solves always
+	// draw radix scratch.
+	dial        *dialGraph
+	scratch     sync.Pool // *state
+	dialScratch sync.Pool // *dialState
+	rows        *sync.Pool
 
 	// Cumulative solve telemetry, exposed by RegisterMetrics. Workers
 	// accumulate locally and flush once per panel slice, so the hot
@@ -58,17 +104,40 @@ type Engine struct {
 	busyNs        atomic.Int64 // summed worker wall time inside panels
 	wallNs        atomic.Int64 // summed panel wall time
 	lastWorkers   atomic.Int64 // worker count of the most recent panel
+	stallNs       atomic.Int64 // summed time the panel loop was blocked on an emit
 	panelEmit     *obs.Histogram
+}
+
+// rowSolver is per-worker scratch that can run one unbounded source:
+// *state over the radix heap, *dialState over the Dial queue.
+type rowSolver interface {
+	solveRow(e *Engine, src int, row []float64) int
 }
 
 // New builds an engine over g's CSR arrays (shared, read-only; the graph
 // must not be mutated while the engine is in use — graphs in this
-// repository are immutable after construction).
+// repository are immutable after construction). The queue is chosen here,
+// once, from the weights alone (see Queue).
 func New(g *graph.Graph) *Engine {
 	e := &Engine{n: g.N, panelEmit: obs.NewHistogram()}
 	e.rowPtr, e.colIdx, e.weights = g.CSR()
 	e.scratch.New = func() any { return newState(e.n) }
+	e.dialScratch.New = func() any { return e.newDialState() }
+	e.rows = &e.scratch
+	if e.dial = newDialGraph(e.n, e.colIdx, e.weights); e.dial != nil {
+		e.rows = &e.dialScratch
+	}
 	return e
+}
+
+// Queue names the priority queue unbounded source rows run on: "dial"
+// when every weight is an integer in [0, 255], "radix" for every other
+// graph.
+func (e *Engine) Queue() string {
+	if e.dial != nil {
+		return "dial"
+	}
+	return "radix"
 }
 
 // RegisterMetrics exposes the engine's solve telemetry on r:
@@ -80,6 +149,10 @@ func New(g *graph.Graph) *Engine {
 //	apsp_sparse_solve_wall_seconds     summed panel wall time
 //	apsp_sparse_worker_utilization     busy / (wall * workers) of the run
 //	apsp_sparse_panel_emit_seconds     panel emit (store write) latency
+//	apsp_sparse_emit_stall_seconds     time the panel loop was blocked on an
+//	                                   emit with no solve running beside it
+//	                                   (the last panel's emit always is)
+//	apsp_sparse_queue_info{impl}       1 on the queue in use (dial|radix)
 func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("apsp_sparse_sources_total", "Source rows solved by the sparse engine.",
 		func() int64 { return e.srcSolved.Load() })
@@ -102,6 +175,18 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		})
 	r.RegisterHistogram("apsp_sparse_panel_emit_seconds", "Latency of the per-panel emit callback (store panel write).",
 		e.panelEmit)
+	r.GaugeFunc("apsp_sparse_emit_stall_seconds", "Summed time the panel loop was blocked on an emit with no solve running beside it.",
+		func() float64 { return float64(e.stallNs.Load()) / 1e9 })
+	// Both series are set, so an engine registered over an earlier one
+	// with the other queue leaves exactly one of them at 1.
+	for _, impl := range []string{"dial", "radix"} {
+		v := int64(0)
+		if impl == e.Queue() {
+			v = 1
+		}
+		r.Gauge("apsp_sparse_queue_info", "Priority queue under unbounded source rows (dial or radix); 1 on the one in use.",
+			obs.Label{Key: "impl", Value: impl}).Set(v)
+	}
 }
 
 // N returns the number of vertices.
@@ -261,11 +346,11 @@ func (s *state) pop() ent {
 	return top
 }
 
-// dijkstra runs one source to completion and writes the full distance row
-// (matrix.Inf for unreachable vertices) into row, which must have length
-// n. It returns the number of vertices settled (reached). Allocation-free
-// after sc's slices have grown to steady state.
-func (e *Engine) dijkstra(sc *state, src int, row []float64) int {
+// solveRow runs one source to completion over the radix heap and writes
+// the full distance row (matrix.Inf for unreachable vertices) into row,
+// which must have length n. It returns the number of vertices settled
+// (reached). Allocation-free after sc's slices have grown to steady state.
+func (sc *state) solveRow(e *Engine, src int, row []float64) int {
 	sc.next()
 	settled := 0
 	vs, epoch := sc.vs, sc.epoch
@@ -316,9 +401,9 @@ func (e *Engine) SolveRowInto(src int, row []float64) error {
 	if len(row) != e.n {
 		return fmt.Errorf("sparse: row has length %d, want %d", len(row), e.n)
 	}
-	sc := e.scratch.Get().(*state)
-	settled := e.dijkstra(sc, src, row)
-	e.scratch.Put(sc)
+	sc := e.rows.Get().(rowSolver)
+	settled := sc.solveRow(e, src, row)
+	e.rows.Put(sc)
 	e.srcSolved.Add(1)
 	e.settled.Add(int64(settled))
 	return nil
@@ -364,10 +449,9 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 		return matrix.NewZero(0, 0), 0, nil
 	}
 	out := matrix.NewZero(e.n, e.n)
-	done, err := e.solvePanels(ctx, panelRows, opts, func(bi, h int, solve func(rows *matrix.Block) error) error {
-		sub := &matrix.Block{R: h, C: e.n, Data: out.Data[bi*panelRows*e.n : (bi*panelRows+h)*e.n]}
-		return solve(sub)
-	})
+	done, err := e.solvePanels(ctx, panelRows, opts, func(bi, h int) *matrix.Block {
+		return &matrix.Block{R: h, C: e.n, Data: out.Data[bi*panelRows*e.n : (bi*panelRows+h)*e.n]}
+	}, nil)
 	if err != nil {
 		return nil, done, err
 	}
@@ -376,26 +460,41 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 
 // SolvePanels streams the solve: source rows are computed in panels of
 // panelRows consecutive rows (the last panel may be ragged) and handed to
-// emit in order as each completes. The panel block is reused across
-// calls — emit must finish consuming it before returning and must not
-// retain it (or any row slice of it). Peak residency is O(panelRows·n).
-// It returns the number of fully solved (and emitted) source rows; a
-// cancelled ctx stops before the next panel with ctx.Err().
+// emit in order as each completes. The solve is double-buffered: emit
+// runs on its own goroutine while the workers solve the next panel into a
+// second block, so peak residency is O(2·panelRows·n). Emits never overlap
+// each other — panel k's emit has returned before panel k+1's starts, so
+// an emit that makes its panel durable keeps a checkpoint sequence in
+// order — and none outlives the call. The two blocks are reused: emit
+// must finish consuming its panel before returning and must not retain it
+// (or any row slice of it).
+//
+// The returned count covers exactly the rows whose emit returned nil. An
+// emit error abandons the panel being solved, starts no further emit and
+// is returned as is. A cancelled ctx abandons the panel being solved,
+// waits for the emit in flight (its rows count if it succeeds), starts no
+// further emit and returns ctx.Err().
 func (e *Engine) SolvePanels(ctx context.Context, panelRows int, opts Options, emit func(bi int, panel *matrix.Block) error) (int, error) {
 	if e.n == 0 {
 		return 0, nil
 	}
-	if panelRows < 1 {
-		return 0, fmt.Errorf("sparse: panel height %d < 1", panelRows)
-	}
-	panel := matrix.Get(min(panelRows, e.n), e.n)
-	defer matrix.Put(panel)
-	return e.solvePanels(ctx, panelRows, opts, func(bi, h int, solve func(rows *matrix.Block) error) error {
+	var bufs [2]*matrix.Block
+	defer func() {
+		for _, p := range bufs {
+			if p != nil {
+				matrix.Put(p)
+			}
+		}
+	}()
+	return e.solvePanels(ctx, panelRows, opts, func(bi, h int) *matrix.Block {
+		if bufs[bi&1] == nil { // a one-panel solve never takes the second
+			bufs[bi&1] = matrix.Get(min(panelRows, e.n), e.n)
+		}
+		panel := bufs[bi&1]
 		panel.R = h
 		panel.Data = panel.Data[:h*e.n]
-		if err := solve(panel); err != nil {
-			return err
-		}
+		return panel
+	}, func(bi int, panel *matrix.Block) error {
 		emitStart := time.Now()
 		err := emit(bi, panel)
 		e.panelEmit.RecordSince(emitStart)
@@ -403,11 +502,14 @@ func (e *Engine) SolvePanels(ctx context.Context, panelRows int, opts Options, e
 	})
 }
 
-// solvePanels is the shared panel loop: for each panel it asks run to
-// provide the destination block (either a window of the full matrix or
-// the reused streaming panel), solves the panel's sources into it in
-// parallel, and reports progress.
-func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, run func(bi, h int, solve func(rows *matrix.Block) error) error) (int, error) {
+// solvePanels is the shared panel loop: for each panel it asks dst for
+// the destination block (a window of the full matrix, or one of the two
+// streaming panels), solves the panel's sources into it in parallel and,
+// when emit is non-nil, hands the solved panel to emit on a goroutine that
+// runs alongside the next panel's solve. Rows count, and Progress fires
+// on the calling goroutine, once a panel's emit has returned nil (at once
+// when there is no emit).
+func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, dst func(bi, h int) *matrix.Block, emit func(bi int, panel *matrix.Block) error) (int, error) {
 	if panelRows < 1 {
 		return 0, fmt.Errorf("sparse: panel height %d < 1", panelRows)
 	}
@@ -427,28 +529,69 @@ func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, r
 	if skipped > e.n {
 		skipped = e.n
 	}
+	// An emit failure cancels the solve running beside it.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	done := 0
-	for bi := first; bi < numPanels; bi++ {
-		if err := ctx.Err(); err != nil {
-			return done, err
-		}
-		base := bi * panelRows
-		h := e.n - base
-		if h > panelRows {
-			h = panelRows
-		}
-		err := run(bi, h, func(rows *matrix.Block) error {
-			return e.solvePanel(ctx, base, rows, workers)
-		})
-		if err != nil {
-			return done, err
-		}
+	advance := func(h int) {
 		done += h
 		if opts.Progress != nil {
 			opts.Progress(skipped+done, e.n)
 		}
 	}
-	return done, nil
+	// At most one emit is in flight: emitting is its row count (0: none),
+	// emitted carries its result. settle is the only receiver and runs
+	// before every return, so no emit outlives the call.
+	emitted := make(chan error, 1)
+	emitting := 0
+	settle := func() error {
+		if emitting == 0 {
+			return nil
+		}
+		waitStart := time.Now()
+		err := <-emitted
+		e.stallNs.Add(time.Since(waitStart).Nanoseconds())
+		h := emitting
+		emitting = 0
+		if err == nil {
+			advance(h)
+		}
+		return err
+	}
+	for bi := first; bi < numPanels; bi++ {
+		base := bi * panelRows
+		h := e.n - base
+		if h > panelRows {
+			h = panelRows
+		}
+		panel := dst(bi, h)
+		// solvePanel starts with a ctx check, so a cancelled solve falls
+		// straight through to settle.
+		solveErr := e.solvePanel(ctx, base, panel, workers)
+		if err := settle(); err != nil {
+			return done, err
+		}
+		if solveErr != nil {
+			return done, solveErr
+		}
+		if emit == nil {
+			advance(h)
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return done, err
+		}
+		emitting = h
+		go func() {
+			err := emit(bi, panel)
+			if err != nil {
+				cancel()
+			}
+			emitted <- err
+		}()
+	}
+	err := settle()
+	return done, err
 }
 
 // solvePanel fills rows (h x n) with the distance rows of sources
@@ -465,8 +608,8 @@ func (e *Engine) solvePanel(ctx context.Context, base int, rows *matrix.Block, w
 		e.lastWorkers.Store(int64(workers))
 	}()
 	if workers <= 1 {
-		sc := e.scratch.Get().(*state)
-		defer e.scratch.Put(sc)
+		sc := e.rows.Get().(rowSolver)
+		defer e.rows.Put(sc)
 		defer e.flushWorker(panelStart)
 		var sources, settled int64
 		defer func() { e.srcSolved.Add(sources); e.settled.Add(settled) }()
@@ -476,7 +619,7 @@ func (e *Engine) solvePanel(ctx context.Context, base int, rows *matrix.Block, w
 					return err
 				}
 			}
-			settled += int64(e.dijkstra(sc, base+r, rows.Row(r)))
+			settled += int64(sc.solveRow(e, base+r, rows.Row(r)))
 			sources++
 		}
 		return nil
@@ -488,8 +631,8 @@ func (e *Engine) solvePanel(ctx context.Context, base int, rows *matrix.Block, w
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := e.scratch.Get().(*state)
-			defer e.scratch.Put(sc)
+			sc := e.rows.Get().(rowSolver)
+			defer e.rows.Put(sc)
 			start := time.Now()
 			// Telemetry accumulates worker-locally and flushes once per
 			// panel slice, keeping the per-source loop free of shared
@@ -505,7 +648,7 @@ func (e *Engine) solvePanel(ctx context.Context, base int, rows *matrix.Block, w
 					errOnce.Do(func() { firstErr = err })
 					return
 				}
-				settled += int64(e.dijkstra(sc, base+r, rows.Row(r)))
+				settled += int64(sc.solveRow(e, base+r, rows.Row(r)))
 				sources++
 			}
 		}(w)

@@ -266,7 +266,7 @@ func TestSolvePanelsPoolSafety(t *testing.T) {
 
 func TestEpochWrapClearsStaleState(t *testing.T) {
 	g := intER(t, 40, 4, 11)
-	e := New(g)
+	e := radixOnly(g) // epochs are radix scratch; intER alone would pick dial
 	sc := e.scratch.Get().(*state)
 	sc.epoch = ^uint32(0) - 1 // two sources from wrapping
 	e.scratch.Put(sc)

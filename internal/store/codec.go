@@ -186,19 +186,19 @@ func codecName(id byte) string {
 }
 
 // encodeTile encodes one tile through c with automatic raw fallback,
-// appending to dst[:0]'s backing array. The encoded form is used only
-// when the codec accepts the tile AND comes out strictly smaller than
-// raw; everything else is stored raw, so a v3 store is never larger
-// than its v2 equivalent. Returns the payload and the codec byte that
-// actually applies to it.
+// appending the payload to dst. The encoded form is used only when the
+// codec accepts the tile AND comes out strictly smaller than raw;
+// everything else is stored raw, so a v3 store is never larger than its
+// v2 equivalent. Returns the extended buffer and the codec byte that
+// actually applies to the appended payload.
 func encodeTile(c Codec, tile *matrix.Block, dst []byte) ([]byte, byte) {
 	if c != nil && c.ID() != CodecRaw {
 		rawSize := matrix.DenseMarshaledSize(tile.R, tile.C)
-		if out, ok := c.EncodeTile(dst[:0], tile); ok && int64(len(out)) < rawSize {
+		if out, ok := c.EncodeTile(dst, tile); ok && int64(len(out)-len(dst)) < rawSize {
 			return out, c.ID()
 		}
 	}
-	return tile.AppendMarshal(dst[:0]), CodecRaw
+	return tile.AppendMarshal(dst), CodecRaw
 }
 
 // decodeTile dispatches a payload to its codec's decoder.

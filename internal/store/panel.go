@@ -24,6 +24,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"apspark/internal/fsx"
 	"apspark/internal/matrix"
@@ -96,7 +97,8 @@ type PanelWriter struct {
 	index     []tileRef
 	nextOff   int64
 	codec     Codec
-	buf       []byte
+	tile      *matrix.Block // the one b x b cut every tile is encoded from
+	buf       []byte        // one panel's encoded tiles
 	closed    bool
 	failed    bool
 
@@ -340,10 +342,11 @@ func (w *PanelWriter) Resumed() int { return w.resumed }
 // WritePanel appends the next row panel: a dense h x n block holding
 // matrix rows [p*b, p*b+h) where p panels have been written so far and
 // h = b except for a ragged final panel. The panel is cut into its q
-// tiles and marshalled through one pooled tile block, so the writer's own
-// footprint stays O(b²). The panel is only read, never retained. In
-// checkpoint mode the panel is made durable (data fsync + manifest
-// update) before WritePanel returns.
+// tiles through the writer's one tile block, their encoded bytes are
+// gathered in one buffer and written with a single Write, so the writer's
+// own footprint is a tile plus one encoded panel. The panel is only read, never
+// retained. In checkpoint mode the panel is made durable (data fsync +
+// manifest update) before WritePanel returns.
 func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 	if err := w.expectPanel(); err != nil {
 		return err
@@ -356,34 +359,50 @@ func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 		return fmt.Errorf("store: panel %d is %dx%d, want %dx%d", w.nextPanel, rows.R, rows.C, h, w.n)
 	}
 	bi := w.nextPanel
+	// The writer's own block, not the shared arena's: a Get per tile there
+	// may be handed a caller's idle multi-megabyte panel to use as a tile,
+	// leaving the caller to allocate a fresh one for its next solve.
+	if w.tile == nil {
+		w.tile = matrix.NewZero(w.b, w.b)
+	}
+	tile := &matrix.Block{R: h}
+	w.buf = w.buf[:0]
 	for bj := 0; bj < w.q; bj++ {
-		tw := tileEdge(w.n, w.b, bj)
-		tile := matrix.Get(h, tw)
-		err := rows.ExtractInto(tile, 0, bj*w.b)
-		if err == nil {
-			var cid byte
-			w.buf, cid = encodeTile(w.codec, tile, w.buf)
-			w.index[bi*w.q+bj] = tileRef{
-				off: w.nextOff, length: int64(len(w.buf)),
-				crc:   crc32.Checksum(w.buf, castagnoli),
-				codec: cid,
-			}
-			w.nextOff += int64(len(w.buf))
-			_, err = w.tmp.Write(w.buf)
+		tile.C = tileEdge(w.n, w.b, bj)
+		tile.Data = w.tile.Data[:h*tile.C]
+		if err := rows.ExtractInto(tile, 0, bj*w.b); err != nil {
+			return w.fail(err)
 		}
-		matrix.Put(tile)
-		if err != nil {
-			// The file may now hold a partial panel at tile-precise
-			// offsets; retrying would append duplicates past them. The
-			// writer is poisoned for in-process use: only Abort (or a
-			// failing Close) remains. In checkpoint mode the manifest
-			// still records the last fully durable panel, so a fresh
-			// process can resume past this failure.
-			w.failed = true
-			return err
+		from := len(w.buf)
+		var cid byte
+		w.buf, cid = encodeTile(w.codec, tile, w.buf)
+		w.index[bi*w.q+bj] = tileRef{
+			off: w.nextOff, length: int64(len(w.buf) - from),
+			crc:   crc32.Checksum(w.buf[from:], castagnoli),
+			codec: cid,
+		}
+		w.nextOff += int64(len(w.buf) - from)
+		if bj == 0 {
+			// A panel's tiles encode to similar lengths: size the buffer
+			// from the first instead of doubling up to a whole panel.
+			w.buf = slices.Grow(w.buf, (w.q-1)*len(w.buf)*9/8)
 		}
 	}
+	if _, err := w.tmp.Write(w.buf); err != nil {
+		return w.fail(err)
+	}
 	return w.panelWritten()
+}
+
+// fail poisons the writer after a panel that did not land whole: the
+// index already points past it and the file may hold part of it, so
+// retrying would append duplicates. Only Abort (or a failing Close)
+// remains in this process. In checkpoint mode the manifest still records
+// the last fully durable panel, so a fresh process can resume past the
+// failure.
+func (w *PanelWriter) fail(err error) error {
+	w.failed = true
+	return err
 }
 
 // expectPanel refuses a panel the writer cannot take any more.
