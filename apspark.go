@@ -35,18 +35,14 @@
 // Long jobs stream progress and honor deadlines: WithProgress delivers a
 // StageEvent per stage and per iteration unit, and cancelling ctx stops
 // the solve at the next stage boundary with the partial Result intact.
-// The legacy one-shot Solve/Project functions remain as deprecated
-// wrappers over a default session.
 package apspark
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"apspark/internal/cluster"
 	"apspark/internal/core"
-	"apspark/internal/costmodel"
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
 	"apspark/internal/seq"
@@ -101,37 +97,6 @@ func NewErdosRenyiGraph(n int, p float64, seed int64) (*Graph, error) {
 // PaperEdgeProb is the paper's edge probability (1+0.1)·ln(n)/n.
 func PaperEdgeProb(n int) float64 { return graph.ErdosRenyiPaperProb(n) }
 
-// Config configures a solve through the legacy one-shot Solve/Project
-// entry points. New code should prefer New with functional options; each
-// Config field has a direct option equivalent (see the README migration
-// table).
-type Config struct {
-	// Solver picks the strategy (default SolverCB, the paper's best).
-	Solver SolverKind
-	// BlockSize is the 2D-decomposition parameter b (default n/8, capped
-	// to at least 1).
-	BlockSize int
-	// Partitioner is MD or PH (default MD).
-	Partitioner core.PartitionerKind
-	// PartsPerCore is the over-decomposition factor B (default 2).
-	PartsPerCore int
-	// Cluster is the virtual cluster (default: the paper's 32 x 32-core
-	// machine). Tests may shrink it; results are unaffected, only the
-	// simulated time changes.
-	Cluster *cluster.Config
-	// Model is the kernel cost model (default: paper-calibrated). Use
-	// costmodel.Calibrate for live-hardware projections.
-	Model *costmodel.KernelModel
-	// MaxUnits truncates the run for measurement/projection purposes.
-	MaxUnits int
-	// Verify cross-checks the distributed result against sequential
-	// Floyd-Warshall and fails if they diverge.
-	Verify bool
-	// Trace records the per-stage timeline (Result.Timeline). Off by
-	// default: paper-scale runs execute hundreds of thousands of stages.
-	Trace bool
-}
-
 // Result is a solve outcome. Cancelled or failed runs surface as a
 // partial Result (Dist nil, UnitsRun < UnitsTotal) returned alongside
 // the error by Session.Solve / Session.Project.
@@ -158,36 +123,9 @@ type Result struct {
 	// BlockSize is the effective decomposition parameter b of the run
 	// (after defaulting), the value to reuse for WriteStore tiles.
 	BlockSize int
-	// Timeline is the per-stage trace (only with WithTrace/Config.Trace;
+	// Timeline is the per-stage trace (only with WithTrace;
 	// the WithProgress stream is the O(1)-memory alternative).
 	Timeline []cluster.StageRecord
-}
-
-// sessionFromConfig converts a legacy Config into the session + job pair
-// the new pipeline runs on.
-func sessionFromConfig(c Config) (*Session, jobSettings) {
-	s := newSession()
-	if c.Cluster != nil {
-		s.cluster = *c.Cluster
-	}
-	if c.Model != nil {
-		s.model = *c.Model
-	}
-	job := s.defaults
-	if c.Solver != "" {
-		job.solver = c.Solver
-	}
-	if c.Partitioner != "" {
-		job.partitioner = c.Partitioner
-	}
-	if c.PartsPerCore != 0 {
-		job.partsPerCore = c.PartsPerCore
-	}
-	job.blockSize = c.BlockSize
-	job.maxUnits = c.MaxUnits
-	job.verify = c.Verify
-	job.trace = c.Trace
-	return s, job
 }
 
 func wrap(res *core.Result) *Result {
@@ -224,9 +162,6 @@ type StoreOptions struct {
 	// rows, so serving deployments should give this cache the larger
 	// share.
 	RowCacheBytes int64
-	// Shards forces the lock-stripe count of both caches; 0 picks
-	// automatically from the budgets.
-	Shards int
 	// ReadRetries grants transient disk-read failures a bounded retry
 	// budget (0 fails on the first error). Checksum mismatches are never
 	// retried — they mean bad data, not a flaky read.
@@ -270,52 +205,11 @@ func OpenStore(path string, cacheBytes int64) (*Store, error) {
 // OpenStoreWithOptions opens a tiled distance store for querying with
 // explicit cache budgets (see StoreOptions).
 func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
-	s, err := store.OpenWithOptions(path, store.Options{
-		TileCacheBytes: opts.TileCacheBytes,
-		RowCacheBytes:  opts.RowCacheBytes,
-		Shards:         opts.Shards,
-		ReadRetries:    opts.ReadRetries,
-		RetryBackoff:   opts.RetryBackoff,
-	})
+	s, err := store.OpenWithOptions(path, store.Options(opts))
 	if err != nil {
 		return nil, err
 	}
 	return &Store{Store: s}, nil
-}
-
-// Solve runs a distributed APSP solve with real data and returns the
-// distance matrix alongside the simulated cluster time.
-//
-// Deprecated: Solve is the legacy one-shot entry point, kept so existing
-// callers compile. Use New and Session.Solve, which add context
-// cancellation and progress streaming; this wrapper delegates to a
-// default session with context.Background() and, unlike Session.Solve,
-// discards the partial Result on error.
-func Solve(g *Graph, cfg Config) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("apspark: Solve with nil graph")
-	}
-	s, job := sessionFromConfig(cfg)
-	res, err := s.run(context.Background(), g, g.N, job)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Project runs a paper-scale virtual solve on phantom (shape-only) data:
-// no distances are computed, but the simulated cluster replays the full
-// task, shuffle and storage schedule and reports its virtual time.
-//
-// Deprecated: Project is the legacy one-shot entry point, kept so
-// existing callers compile. Use New and Session.Project (see Solve).
-func Project(n int, cfg Config) (*Result, error) {
-	s, job := sessionFromConfig(cfg)
-	res, err := s.run(context.Background(), nil, n, job)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // SequentialAPSP computes the distance matrix with the sequential

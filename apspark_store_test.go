@@ -30,7 +30,7 @@ func TestStoreServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(g, Config{Solver: SolverCB, BlockSize: bs, Cluster: tinyCluster()})
+	res, err := tinySession(t).Solve(context.Background(), g, WithSolver(SolverCB), WithBlockSize(bs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestOpenStoreWithOptionsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(g, Config{Solver: SolverCB, BlockSize: bs, Cluster: tinyCluster()})
+	res, err := tinySession(t).Solve(context.Background(), g, WithSolver(SolverCB), WithBlockSize(bs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,6 @@ func TestOpenStoreWithOptionsServing(t *testing.T) {
 	st, err := OpenStoreWithOptions(path, StoreOptions{
 		TileCacheBytes: 1 << 20,
 		RowCacheBytes:  1 << 20,
-		Shards:         2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +283,9 @@ func TestOpenStoreWithOptionsServing(t *testing.T) {
 	if h.Cache == nil || h.RowCache == nil {
 		t.Fatalf("healthz missing cache sections: %+v", h)
 	}
-	if len(h.Cache.Shards) != 2 || len(h.RowCache.Shards) != 2 {
-		t.Fatalf("healthz shard detail: tile=%d row=%d, want 2/2", len(h.Cache.Shards), len(h.RowCache.Shards))
+	// 1 MiB of 2 KiB tiles or 1 KiB rows stripes as wide as it goes.
+	if len(h.Cache.Shards) != 16 || len(h.RowCache.Shards) != 16 {
+		t.Fatalf("healthz shard detail: tile=%d row=%d, want 16/16", len(h.Cache.Shards), len(h.RowCache.Shards))
 	}
 
 	body := fmt.Sprintf(`{"dist":[{"from":0,"to":%d}],"knn":[{"from":1,"k":3}],"path":[{"from":0,"to":%d}]}`, n-1, n/2)
@@ -329,7 +329,7 @@ func TestOpenStoreWithOptionsServing(t *testing.T) {
 // TestWriteStoreRejectsPhantom pins the API contract: projections carry
 // no distances and cannot be persisted.
 func TestWriteStoreRejectsPhantom(t *testing.T) {
-	res, err := Project(1024, Config{Solver: SolverCB, BlockSize: 256, Cluster: tinyCluster()})
+	res, err := tinySession(t).Project(context.Background(), 1024, WithSolver(SolverCB), WithBlockSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestWriteStoreDefaultBlockSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(g, Config{Solver: SolverCB, BlockSize: 12, Cluster: tinyCluster()})
+	res, err := tinySession(t).Solve(context.Background(), g, WithSolver(SolverCB), WithBlockSize(12))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package apspark
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,12 +26,22 @@ func tinyCluster() *cluster.Config {
 	return &cfg
 }
 
+// tinySession is a session over the tiny test cluster.
+func tinySession(t testing.TB) *Session {
+	t.Helper()
+	s, err := New(WithCluster(*tinyCluster()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSolveQuickstart(t *testing.T) {
 	g, err := NewErdosRenyiGraph(64, PaperEdgeProb(64), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(g, Config{Solver: SolverCB, BlockSize: 16, Cluster: tinyCluster(), Verify: true})
+	res, err := tinySession(t).Solve(context.Background(), g, WithSolver(SolverCB), WithBlockSize(16), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +63,7 @@ func TestSolveAllSolverKinds(t *testing.T) {
 	}
 	want := mustFW(t, g)
 	for _, k := range []SolverKind{SolverRS, SolverFW2D, SolverIM, SolverCB} {
-		res, err := Solve(g, Config{Solver: k, BlockSize: 6, Cluster: tinyCluster()})
+		res, err := tinySession(t).Solve(context.Background(), g, WithSolver(k), WithBlockSize(6))
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -67,7 +78,7 @@ func TestSolveDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(g, Config{Cluster: tinyCluster()})
+	res, err := tinySession(t).Solve(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +92,13 @@ func TestSolveDefaults(t *testing.T) {
 
 func TestSolveUnknownSolver(t *testing.T) {
 	g, _ := NewGraph(4, nil)
-	if _, err := Solve(g, Config{Solver: "bogus"}); err == nil {
+	if _, err := tinySession(t).Solve(context.Background(), g, WithSolver("bogus")); err == nil {
 		t.Fatal("unknown solver accepted")
 	}
 }
 
 func TestProjectPhantom(t *testing.T) {
-	res, err := Project(4096, Config{Solver: SolverCB, BlockSize: 512, Cluster: tinyCluster()})
+	res, err := tinySession(t).Project(context.Background(), 4096, WithSolver(SolverCB), WithBlockSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +111,7 @@ func TestProjectPhantom(t *testing.T) {
 }
 
 func TestProjectTruncated(t *testing.T) {
-	res, err := Project(8192, Config{Solver: SolverIM, BlockSize: 512, Cluster: tinyCluster(), MaxUnits: 2})
+	res, err := tinySession(t).Project(context.Background(), 8192, WithSolver(SolverIM), WithBlockSize(512), WithMaxUnits(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +136,7 @@ func TestJohnsonFacade(t *testing.T) {
 
 func TestMetricsExposed(t *testing.T) {
 	g, _ := NewErdosRenyiGraph(32, 0.3, 5)
-	res, err := Solve(g, Config{Solver: SolverIM, BlockSize: 8, Cluster: tinyCluster()})
+	res, err := tinySession(t).Solve(context.Background(), g, WithSolver(SolverIM), WithBlockSize(8))
 	if err != nil {
 		t.Fatal(err)
 	}

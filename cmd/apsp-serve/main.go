@@ -67,9 +67,9 @@
 // The serving read path is two-level: -row-cache-mb budgets the
 // assembled-row cache (whole distance rows; Row/KNN/Path/Dist all consume
 // rows, so this is the cache that matters for query throughput) and
-// -cache-mb budgets the decoded-tile cache beneath it. Cold rows are
-// assembled with direct row-span reads (q small preads), so even a miss
-// never decodes full tiles.
+// -cache-mb budgets the decoded-tile cache beneath it, which only fills
+// with -row-cache-mb 0. Cold rows are assembled with direct row-span
+// reads (q small preads), so even a miss never decodes full tiles.
 //
 // The server is hardened for unattended operation: the listener is up
 // (and /healthz answers "loading") before the store is opened, handler
@@ -142,7 +142,7 @@ func main() {
 		adminAddr = flag.String("admin", "", "admin listener for live updates (POST /update, POST /admin/rollback, GET /admin/generations); requires -gens")
 		keepLast  = flag.Int("keep-last", 3, "generations kept on disk after promotion; older ones are GC'd (the serving generation always survives)")
 		addr      = flag.String("addr", ":8080", "listen address")
-		cacheMB   = flag.Int64("cache-mb", 64, "decoded-tile cache budget in MiB (0 disables tile caching)")
+		cacheMB   = flag.Int64("cache-mb", 64, "decoded-tile cache budget in MiB; only used with -row-cache-mb 0 (0 disables tile caching)")
 		rowMB     = flag.Int64("row-cache-mb", 16, "assembled-row cache budget in MiB (0 disables row caching)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")

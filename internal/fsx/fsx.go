@@ -11,7 +11,9 @@
 package fsx
 
 import (
+	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 )
@@ -48,6 +50,16 @@ func RenameDurable(oldpath, newpath string) error {
 		return err
 	}
 	return FsyncDir(filepath.Dir(newpath))
+}
+
+// CreateExclusive creates and opens read-write a new file in dir named
+// prefix plus a random suffix — the temp half of a temp+rename publish.
+// Unlike os.CreateTemp, which creates 0600, the file gets the 0644-
+// before-umask every published artefact carries, so renaming it into
+// place needs no chmod.
+func CreateExclusive(dir, prefix string) (*os.File, error) {
+	name := filepath.Join(dir, fmt.Sprintf("%s%016x", prefix, rand.Uint64()))
+	return os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 }
 
 // WriteFileDurable atomically replaces path with data: temp file in the

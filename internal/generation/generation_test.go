@@ -337,6 +337,48 @@ func TestApplyDeltasRejectsNoopsAndGarbage(t *testing.T) {
 	}
 }
 
+// TestApplyDeltasCancelledMidBuild cancels the update's context at the
+// mid-build seam, just before the dirty panel's solve: the solve stops
+// between rows with the context's error, the half-built candidate is
+// removed, CURRENT keeps serving, and the next update is not wedged.
+func TestApplyDeltasCancelledMidBuild(t *testing.T) {
+	g := twoComponentGraph(t, 16) // b=8: panel 1 is the second component
+	dir := seedDir(t, g, 8)
+	m, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	crashHook = func(stage string) {
+		if stage == "mid-build" {
+			cancel()
+		}
+	}
+	defer func() { crashHook = nil }()
+	deltas := []Delta{{U: 9, V: 10, W: 7}}
+	if _, err := m.ApplyDeltas(ctx, deltas); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*"+buildingSuffix))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("cancelled build left %v behind (%v)", left, err)
+	}
+	if m.Current() != "gen-0001" {
+		t.Fatalf("current = %q, want untouched gen-0001", m.Current())
+	}
+	checkStoreMatches(t, m, fwRef(t, g))
+
+	crashHook = nil
+	res, err := m.ApplyDeltas(context.Background(), deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generation != "gen-0002" {
+		t.Fatalf("generation after a cancelled build = %q, want gen-0002", res.Generation)
+	}
+	checkStoreMatches(t, m, fwRef(t, applyToGraph(t, g, deltas)))
+}
+
 // TestValidationQuarantine corrupts the candidate store between build and
 // validation (via the crash hook seam): the gate must reject it, leave
 // CURRENT untouched, and keep the candidate on disk under .quarantined.

@@ -38,8 +38,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"apspark/internal/fsx"
@@ -379,7 +377,13 @@ func (m *Manager) buildStore(ctx context.Context, path string, parent *store.Sto
 			// distances by construction.
 			m.opts.logger().Warn("generation: parent panel unreadable, recomputing", "panel", bi, "err", err)
 		}
-		if err := solvePanelInto(eng, n, b, bi, m.workers(), w); err != nil {
+		base, h := store.PanelRows(n, b, bi)
+		panel := matrix.Get(h, n)
+		if err = eng.SolvePanel(ctx, base, panel, m.workers()); err == nil {
+			err = w.WritePanel(panel)
+		}
+		matrix.Put(panel)
+		if err != nil {
 			return err
 		}
 	}
@@ -391,47 +395,4 @@ func (m *Manager) workers() int {
 		return m.opts.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// solvePanelInto recomputes row panel bi from scratch over eng's graph
-// and appends it to w, solving the panel's rows across workers.
-func solvePanelInto(eng *sparse.Engine, n, b, bi, workers int, w *store.PanelWriter) error {
-	base, h := store.PanelRows(n, b, bi)
-	panel := matrix.Get(h, n)
-	defer matrix.Put(panel)
-	if workers > h {
-		workers = h
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r := int(next.Add(1)) - 1
-				if r >= h || failed.Load() {
-					return
-				}
-				row := panel.Data[r*n : (r+1)*n]
-				if err := eng.SolveRowInto(base+r, row); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return w.WritePanel(panel)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -445,7 +446,7 @@ func TestBatchAndCache(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("repeated endpoints produced no cache hits: %+v", st)
 	}
-	if st.BytesUsed > st.BytesMax {
+	if st.BytesInUse > st.BytesBudget {
 		t.Fatalf("cache over budget: %+v", st)
 	}
 	// A tiny budget must still serve correctly, just without retention.
@@ -499,6 +500,39 @@ func TestOracleConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentColdDistSolvesOnce: eight queries released at once from
+// one cold vertex share one partition-local solve — the rest wait for it
+// or hit what it published. One big partition makes that solve the whole
+// query and long enough (a 20k-vertex Dijkstra) that uncoalesced misses
+// would overlap.
+func TestConcurrentColdDistSolvesOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g, err := graph.ErdosRenyiConnected(20000, graph.AvgDegreeProb(20000, 6), graph.IntegerWeights(100), 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := build(t, g, BuildOptions{PartSize: 10 * g.N})
+	const queries = 8
+	start := make(chan struct{})
+	errs := make(chan error, queries)
+	for q := 0; q < queries; q++ {
+		go func() {
+			<-start
+			_, err := o.Dist(context.Background(), 7, g.N-1)
+			errs <- err
+		}()
+	}
+	close(start)
+	for q := 0; q < queries; q++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := o.CacheStats(); st.Misses != 1 || st.Hits+st.Coalesced != queries-1 {
+		t.Fatalf("%d concurrent cold queries: %+v, want 1 miss (one local solve)", queries, st)
 	}
 }
 

@@ -3,23 +3,28 @@ package hierarchy
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"apspark/internal/cache"
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
 	"apspark/internal/obs"
 	"apspark/internal/sparse"
 )
 
+// DefaultCacheBytes is the local-row cache budget when the caller does
+// not pick one.
+const DefaultCacheBytes = 64 << 20
+
 // Oracle answers exact distance queries from the hierarchy: a
 // partition-local row at each endpoint plus a multi-seed search over
 // the boundary overlay in between. It is exact by construction (the
 // overlay preserves all boundary-to-boundary distances) and safe for
 // concurrent use; partition-local rows are cached in a byte-budgeted
-// sharded LRU so query locality pays off. It implements the serving
+// sharded LRU so query locality pays off, and concurrent queries from
+// one cold vertex share one local solve. It implements the serving
 // layer's Source contract, which is what lets apsp-serve run
 // compute-on-demand with no precomputed store at all.
 type Oracle struct {
@@ -33,7 +38,7 @@ type Oracle struct {
 	ovlG *graph.Graph
 	ovl  *sparse.Engine // nil when the overlay is empty (single partition)
 
-	cache *rowCache
+	cache *cache.Sharded[int32, []float64] // partition-local rows by vertex
 
 	targetsMu sync.Mutex
 	targets   [][]int32 // memoized per-partition overlay target lists
@@ -74,8 +79,10 @@ func newOracle(g *graph.Graph, eng *sparse.Engine, pt *Partition, ovlG *graph.Gr
 	if ovlG.N > 0 {
 		o.ovl = sparse.New(ovlG)
 	}
-	maxRow := int64(pt.MaxPartSize()) * 8
-	o.cache = newRowCache(cacheBytes, maxRow, 4*runtime.GOMAXPROCS(0))
+	if cacheBytes <= 0 {
+		cacheBytes = DefaultCacheBytes
+	}
+	o.cache = cache.New[int32](cacheBytes, 8*int64(pt.MaxPartSize()), func(row []float64) int64 { return 8 * int64(len(row)) })
 	o.scratch.New = func() any { return &queryScratch{} }
 	o.stats = BuildStats{
 		Parts:         pt.Parts,
@@ -96,7 +103,7 @@ func (o *Oracle) N() int { return o.g.N }
 func (o *Oracle) Stats() BuildStats { return o.stats }
 
 // CacheStats snapshots the local-row cache.
-func (o *Oracle) CacheStats() CacheStats { return o.cache.stats() }
+func (o *Oracle) CacheStats() cache.Stats { return o.cache.Stats() }
 
 // Partition exposes the partition table (read-only).
 func (o *Oracle) Partition() *Partition { return o.pt }
@@ -115,28 +122,26 @@ func (o *Oracle) checkVertex(i int) error {
 // u's partition (paths confined to the partition), laid out in the
 // partition's Verts order so the first NB entries are the boundary
 // distances. The returned slice is shared and read-only.
-func (o *Oracle) localRow(u int32) ([]float64, error) {
-	if row := o.cache.get(u); row != nil {
+func (o *Oracle) localRow(ctx context.Context, u int32) ([]float64, error) {
+	return o.cache.Get(ctx, u, func() ([]float64, error) {
+		p := o.pt.Part[u]
+		row := make([]float64, o.pt.Size(int(p)))
+		for i := range row {
+			row[i] = matrix.Inf
+		}
+		bd := sparse.Bound{
+			Expand: func(v int32) bool { return o.pt.Part[v] == p },
+			OnSettle: func(v int32, d float64) {
+				if o.pt.Part[v] == p {
+					row[o.pt.LocalIdx[v]] = d
+				}
+			},
+		}
+		if _, err := o.eng.SolveRowBoundedInto(int(u), nil, bd); err != nil {
+			return nil, err
+		}
 		return row, nil
-	}
-	p := o.pt.Part[u]
-	row := make([]float64, o.pt.Size(int(p)))
-	for i := range row {
-		row[i] = matrix.Inf
-	}
-	bd := sparse.Bound{
-		Expand: func(v int32) bool { return o.pt.Part[v] == p },
-		OnSettle: func(v int32, d float64) {
-			if o.pt.Part[v] == p {
-				row[o.pt.LocalIdx[v]] = d
-			}
-		},
-	}
-	if _, err := o.eng.SolveRowBoundedInto(int(u), nil, bd); err != nil {
-		return nil, err
-	}
-	o.cache.put(u, row)
-	return row, nil
+	})
 }
 
 func (o *Oracle) getScratch() *queryScratch { return o.scratch.Get().(*queryScratch) }
@@ -178,7 +183,7 @@ func (o *Oracle) Dist(ctx context.Context, u, v int) (float64, error) {
 		return 0, nil
 	}
 	pu, pv := o.pt.Part[u], o.pt.Part[v]
-	lu, err := o.localRow(int32(u))
+	lu, err := o.localRow(ctx, int32(u))
 	if err != nil {
 		return 0, err
 	}
@@ -189,7 +194,7 @@ func (o *Oracle) Dist(ctx context.Context, u, v int) (float64, error) {
 	if o.ovl == nil || o.pt.NB[pu] == 0 || o.pt.NB[pv] == 0 {
 		return best, nil
 	}
-	lv, err := o.localRow(int32(v))
+	lv, err := o.localRow(ctx, int32(v))
 	if err != nil {
 		return 0, err
 	}
@@ -267,7 +272,7 @@ func (o *Oracle) RowInto(ctx context.Context, u int, dst []float64) ([]float64, 
 		dst[i] = matrix.Inf
 	}
 	p := o.pt.Part[u]
-	lu, err := o.localRow(int32(u))
+	lu, err := o.localRow(ctx, int32(u))
 	if err != nil {
 		return nil, err
 	}
@@ -366,13 +371,13 @@ func (o *Oracle) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("apsp_hier_build_seconds", "Wall time of the hierarchy build (0 when loaded from disk).",
 		func() float64 { return o.stats.BuildSeconds })
 	r.CounterFunc("apsp_hier_localrow_cache_hits_total", "Local-row cache hits.",
-		func() int64 { return o.cache.stats().Hits })
+		func() int64 { return o.cache.Stats().Hits })
 	r.CounterFunc("apsp_hier_localrow_cache_misses_total", "Local-row cache misses.",
-		func() int64 { return o.cache.stats().Misses })
+		func() int64 { return o.cache.Stats().Misses })
 	r.CounterFunc("apsp_hier_localrow_cache_evictions_total", "Local-row cache evictions.",
-		func() int64 { return o.cache.stats().Evictions })
+		func() int64 { return o.cache.Stats().Evictions })
 	r.GaugeFunc("apsp_hier_localrow_cache_bytes", "Bytes of cached local rows.",
-		func() float64 { return float64(o.cache.stats().BytesUsed) })
+		func() float64 { return float64(o.cache.Stats().BytesInUse) })
 	r.CounterFunc("apsp_hier_dist_queries_total", "Oracle Dist queries.",
 		func() int64 { return o.distQ.Load() })
 	r.CounterFunc("apsp_hier_row_queries_total", "Oracle Row queries.",

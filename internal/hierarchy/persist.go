@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 
@@ -53,17 +52,14 @@ var (
 // Save writes the oracle's partition table and overlay atomically to
 // path.
 func (o *Oracle) Save(path string) (err error) {
-	// Not os.CreateTemp: that creates 0600, and a hierarchy is published
-	// with the same 0644-before-umask as a store file.
-	name := filepath.Join(filepath.Dir(path), fmt.Sprintf(".hier-%016x", rand.Uint64()))
-	tmp, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	tmp, err := fsx.CreateExclusive(filepath.Dir(path), ".hier-")
 	if err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil {
 			tmp.Close()
-			os.Remove(name)
+			os.Remove(tmp.Name())
 		}
 	}()
 	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
@@ -97,7 +93,7 @@ func (o *Oracle) Save(path string) (err error) {
 	if err = tmp.Close(); err != nil {
 		return err
 	}
-	return fsx.RenameDurable(name, path)
+	return fsx.RenameDurable(tmp.Name(), path)
 }
 
 // Load reads a hierarchy saved by Save back over the same graph,

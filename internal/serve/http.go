@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 
+	"apspark/internal/cache"
 	"apspark/internal/store"
 )
 
@@ -182,6 +183,9 @@ type Health struct {
 	// Quarantined counts store tiles sidelined after failing checksum
 	// verification; any nonzero value flips Status to "degraded".
 	Quarantined int64 `json:"quarantined,omitempty"`
+	// SpanReads counts the store's direct row-span disk reads: the cold
+	// row traffic, which bypasses the tile cache by design.
+	SpanReads int64 `json:"span_reads,omitempty"`
 	// RetriedReads counts store reads that failed transiently and
 	// succeeded on retry — an early-warning signal for a flaky disk.
 	RetriedReads int64 `json:"retried_reads,omitempty"`
@@ -196,10 +200,10 @@ type Health struct {
 	// Cache carries the tile-cache counters (with per-shard breakdown)
 	// when the engine serves from a persistent store (absent for
 	// in-memory sources).
-	Cache *store.CacheStats `json:"cache,omitempty"`
+	Cache *cache.Stats `json:"cache,omitempty"`
 	// RowCache carries the assembled-row cache counters for persistent
 	// stores.
-	RowCache *store.RowCacheStats `json:"row_cache,omitempty"`
+	RowCache *cache.Stats `json:"row_cache,omitempty"`
 }
 
 // Handler builds the HTTP mux for an engine.
@@ -218,6 +222,7 @@ func Handler(e *Engine) http.Handler {
 			h.Cache = &snap.Tiles
 			h.RowCache = &snap.Rows
 			h.Quarantined = snap.Quarantined
+			h.SpanReads = snap.SpanReads
 			h.RetriedReads = snap.RetriedReads
 			if snap.Codec != "raw" {
 				h.Codec = snap.Codec

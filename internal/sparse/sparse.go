@@ -565,9 +565,9 @@ func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, d
 			h = panelRows
 		}
 		panel := dst(bi, h)
-		// solvePanel starts with a ctx check, so a cancelled solve falls
+		// SolvePanel starts with a ctx check, so a cancelled solve falls
 		// straight through to settle.
-		solveErr := e.solvePanel(ctx, base, panel, workers)
+		solveErr := e.SolvePanel(ctx, base, panel, workers)
 		if err := settle(); err != nil {
 			return done, err
 		}
@@ -594,10 +594,11 @@ func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, d
 	return done, err
 }
 
-// solvePanel fills rows (h x n) with the distance rows of sources
+// SolvePanel fills rows (h x n) with the distance rows of sources
 // base..base+h-1, sharding sources across workers. Each worker owns one
-// pooled scratch state for the whole panel.
-func (e *Engine) solvePanel(ctx context.Context, base int, rows *matrix.Block, workers int) error {
+// pooled scratch state for the whole panel. A cancelled ctx stops the
+// workers between rows and is returned; rows is then partly filled.
+func (e *Engine) SolvePanel(ctx context.Context, base int, rows *matrix.Block, workers int) error {
 	h := rows.R
 	if workers > h {
 		workers = h

@@ -1,14 +1,14 @@
 package store
 
 import (
+	"apspark/internal/cache"
 	"apspark/internal/obs"
 )
 
 // This file bridges the store's counters into the obs metric registry.
-// The counters themselves live on the cache shards and the Store (they
-// predate the registry); RegisterMetrics exposes them as function-backed
-// registry metrics, and Stats/RowStats remain as thin compat shims over
-// the same atomics for callers that want a JSON-shaped snapshot.
+// The counters themselves live on the two caches and the Store;
+// RegisterMetrics exposes them as function-backed registry metrics, and
+// Snapshot hands the same values out JSON-shaped.
 
 // Snapshot is a one-call view of every store health counter, each
 // underlying atomic loaded exactly once — the serving layer builds
@@ -17,8 +17,11 @@ import (
 // cache stats through separate accessors). The values are the same ones
 // RegisterMetrics exposes on /metrics.
 type Snapshot struct {
-	Tiles        CacheStats
-	Rows         RowCacheStats
+	Tiles cache.Stats
+	Rows  cache.Stats
+	// SpanReads counts direct row-span disk reads done on behalf of row
+	// assembly (they bypass the tile cache by design).
+	SpanReads    int64
 	Quarantined  int64
 	RetriedReads int64
 	// Codec is the store's preferred tile codec name and CodecRatio its
@@ -35,6 +38,7 @@ func (s *Store) Snapshot() Snapshot {
 	return Snapshot{
 		Tiles:        s.Stats(),
 		Rows:         s.RowStats(),
+		SpanReads:    s.spanReads.Load(),
 		Quarantined:  s.quarCount.Load(),
 		RetriedReads: s.retriedReads.Load(),
 		Codec:        s.CodecName(),
@@ -65,37 +69,32 @@ func (s *Store) Snapshot() Snapshot {
 // metrics replace); give each store its own registry — or accept
 // last-store-wins — when a process opens several.
 func (s *Store) RegisterMetrics(r *obs.Registry) {
-	caches := []struct {
-		label  obs.Label
-		shards []*shard
-		budget int64
-	}{
-		{obs.Label{Key: "cache", Value: "tile"}, s.tileShards, s.tileBudget},
-		{obs.Label{Key: "cache", Value: "row"}, s.rowShards, s.rowBudget},
-	}
-	for _, c := range caches {
-		shards, budget := c.shards, c.budget
-		// Scrape-time only: sumStats takes each shard lock for an instant.
-		stat := func(get func(ShardStat) int64) func() int64 {
-			return func() int64 { t, _ := sumStats(shards); return get(t) }
+	for _, c := range []struct {
+		name  string
+		stats func() cache.Stats
+	}{{"tile", s.Stats}, {"row", s.RowStats}} {
+		label := obs.Label{Key: "cache", Value: c.name}
+		// Scrape-time only: a stats call takes each stripe lock for an instant.
+		counter := func(get func(cache.Stats) int64) func() int64 {
+			return func() int64 { return get(c.stats()) }
 		}
-		gauge := func(get func(ShardStat) int64) func() float64 {
-			return func() float64 { t, _ := sumStats(shards); return float64(get(t)) }
+		gauge := func(get func(cache.Stats) int64) func() float64 {
+			return func() float64 { return float64(get(c.stats())) }
 		}
 		r.CounterFunc("apsp_store_cache_hits_total", "Cache hits by cache (tile, row).",
-			stat(func(t ShardStat) int64 { return t.Hits }), c.label)
+			counter(func(t cache.Stats) int64 { return t.Hits }), label)
 		r.CounterFunc("apsp_store_cache_misses_total", "Cache misses by cache.",
-			stat(func(t ShardStat) int64 { return t.Misses }), c.label)
+			counter(func(t cache.Stats) int64 { return t.Misses }), label)
 		r.CounterFunc("apsp_store_cache_coalesced_total", "Concurrent misses coalesced onto one disk read.",
-			stat(func(t ShardStat) int64 { return t.Coalesced }), c.label)
+			counter(func(t cache.Stats) int64 { return t.Coalesced }), label)
 		r.CounterFunc("apsp_store_cache_evictions_total", "LRU evictions by cache.",
-			stat(func(t ShardStat) int64 { return t.Evictions }), c.label)
+			counter(func(t cache.Stats) int64 { return t.Evictions }), label)
 		r.GaugeFunc("apsp_store_cache_bytes", "Decoded bytes currently cached.",
-			gauge(func(t ShardStat) int64 { return t.BytesInUse }), c.label)
+			gauge(func(t cache.Stats) int64 { return t.BytesInUse }), label)
 		r.GaugeFunc("apsp_store_cache_items", "Entries currently cached.",
-			gauge(func(t ShardStat) int64 { return int64(t.Items) }), c.label)
+			gauge(func(t cache.Stats) int64 { return int64(t.Items) }), label)
 		r.GaugeFunc("apsp_store_cache_budget_bytes", "Configured cache byte budget.",
-			func() float64 { return float64(budget) }, c.label)
+			gauge(func(t cache.Stats) int64 { return t.BytesBudget }), label)
 	}
 	r.CounterFunc("apsp_store_span_reads_total", "Direct row-span disk reads of any codec (bypass the tile cache).",
 		func() int64 { return s.spanReads.Load() })

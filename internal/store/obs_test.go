@@ -68,7 +68,7 @@ func TestStoreRegisterMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
 	}
-	// Registry values must agree with the compat-shim Stats() view.
+	// Registry values must agree with the Stats() view.
 	wantLine := func(name string, v int64) {
 		t.Helper()
 		line := name + " " + itoa(v)
@@ -79,7 +79,7 @@ func TestStoreRegisterMetrics(t *testing.T) {
 	wantLine(`apsp_store_cache_hits_total{cache="tile"}`, stats.Hits)
 	wantLine(`apsp_store_cache_misses_total{cache="tile"}`, stats.Misses)
 	wantLine(`apsp_store_cache_hits_total{cache="row"}`, rowStats.Hits)
-	wantLine("apsp_store_span_reads_total", rowStats.SpanReads)
+	wantLine("apsp_store_span_reads_total", st.Snapshot().SpanReads)
 }
 
 func itoa(v int64) string {

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -135,10 +134,7 @@ func NewPanelWriterWithOptions(path string, n, blockSize int, opts PanelWriterOp
 
 	var err error
 	if w.checkpoint = opts.Checkpoint || opts.Resume; !w.checkpoint {
-		// Not os.CreateTemp: that creates 0600, and every published
-		// artefact carries the same 0644-before-umask as the partial file.
-		tmp := filepath.Join(filepath.Dir(path), fmt.Sprintf(".apsp-store-%016x", rand.Uint64()))
-		w.tmp, err = os.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+		w.tmp, err = fsx.CreateExclusive(filepath.Dir(path), ".apsp-store-")
 	} else {
 		w.partialPath = path + ".partial"
 		w.manifestPath = path + ".manifest"

@@ -52,7 +52,7 @@ func TestRowCacheServesAndEvicts(t *testing.T) {
 	if &v1[0] != &v2[0] {
 		t.Fatal("row-cache hit returned a different slice")
 	}
-	if st := s.RowStats(); st.Hits != 1 || st.Misses != 1 || st.RowsCached != 1 {
+	if st := s.RowStats(); st.Hits != 1 || st.Misses != 1 || st.Items != 1 {
 		t.Fatalf("stats after hit: %+v", st)
 	}
 
@@ -80,7 +80,7 @@ func TestRowCacheServesAndEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.RowStats()
-	if st.Evictions != 1 || st.RowsCached != 2 || st.BytesInUse != 2*rowBytes {
+	if st.Evictions != 1 || st.Items != 2 || st.BytesInUse != 2*rowBytes {
 		t.Fatalf("stats after evictions: %+v", st)
 	}
 	if st.BytesInUse > st.BytesBudget {
@@ -130,7 +130,7 @@ func TestOversizeRowServedUncached(t *testing.T) {
 	if _, err := s.RowView(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.RowStats(); st.RowsCached != 0 || st.BytesInUse != 0 {
+	if st := s.RowStats(); st.Items != 0 || st.BytesInUse != 0 {
 		t.Fatalf("oversize row was cached: %+v", st)
 	}
 }
@@ -155,7 +155,7 @@ func TestRowSpanReadsBypassTiles(t *testing.T) {
 			}
 		}
 	}
-	if got, want := s.RowStats().SpanReads, int64(n*4); got != want {
+	if got, want := s.spanReads.Load(), int64(n*4); got != want {
 		t.Fatalf("span reads = %d, want %d (q per row)", got, want)
 	}
 	if st := s.Stats(); st.Misses != 0 {
@@ -186,7 +186,7 @@ func TestRowSpanUsesResidentTiles(t *testing.T) {
 			t.Fatalf("row[%d] = %v, want %v", j, row[j], want)
 		}
 	}
-	if got := s.RowStats().SpanReads; got != 0 {
+	if got := s.spanReads.Load(); got != 0 {
 		t.Fatalf("span reads = %d, want 0 (all tiles resident)", got)
 	}
 	if hits := s.Stats().Hits; hits != int64(s.q) {
@@ -257,39 +257,6 @@ func TestRowIntoSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestForcedShardsClampToBudget: over-striping a small budget via
-// Options.Shards is floored so each shard still fits one item — forcing
-// 16 shards onto a one-row budget must not silently disable caching.
-func TestForcedShardsClampToBudget(t *testing.T) {
-	n := 32
-	m := testMatrix(n, 19)
-	rowBytes := int64(8 * n)
-	s, err := OpenWithOptions(writeTestStore(t, m, 8), Options{
-		TileCacheBytes: 8 * 8 * 8 * 2, // 2 tiles
-		RowCacheBytes:  rowBytes,      // 1 row
-		Shards:         16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := len(s.rowShards); got != 1 {
-		t.Fatalf("row shards = %d, want 1 (budget fits one row)", got)
-	}
-	if got := len(s.tileShards); got != 2 {
-		t.Fatalf("tile shards = %d, want 2 (two tiles of budget)", got)
-	}
-	if _, err := s.RowView(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RowView(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.RowStats(); st.Hits != 1 || st.RowsCached != 1 {
-		t.Fatalf("forced-shard row cache not caching: %+v", st)
-	}
-}
-
 // TestRowSpanReadsEveryCodec: cold row assembly is the same routine for
 // every codec. With both caches off each row costs q span reads and no
 // tile decode; a tile is read whole exactly once — its first touch, by
@@ -318,7 +285,7 @@ func TestRowSpanReadsEveryCodec(t *testing.T) {
 		if _, err := s.Row(ctx, 0); err != nil {
 			t.Fatal(err)
 		}
-		reads, spans := fr.Reads(), s.RowStats().SpanReads
+		reads, spans := fr.Reads(), s.spanReads.Load()
 		if reads-opened != 3 || spans != 2 {
 			t.Fatalf("%s: %d disk reads and %d span reads after first touches, want 3 and 2", name, reads-opened, spans)
 		}
@@ -349,7 +316,7 @@ func TestRowSpanReadsEveryCodec(t *testing.T) {
 		if got := fr.Reads() - reads; got != int64(2*bs) {
 			t.Fatalf("%s: %d disk reads for %d memoised rows, want q=2 per row", name, got, bs)
 		}
-		if got := s.RowStats().SpanReads - spans; got != int64(2*bs) {
+		if got := s.spanReads.Load() - spans; got != int64(2*bs) {
 			t.Fatalf("%s: %d span reads for %d rows, want %d", name, got, bs, 2*bs)
 		}
 		if st := s.Stats(); st.Misses != 1 {

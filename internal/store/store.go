@@ -49,11 +49,11 @@
 //
 // The read path is built for concurrent serving:
 //
-//   - The tile cache is lock-striped into shards, each with its own
-//     mutex, LRU list and byte budget, so queries on different tiles
-//     never serialize on one lock. Concurrent misses on the same tile are
-//     coalesced singleflight-style: one goroutine reads the disk, the
-//     rest wait for its result.
+//   - The tile cache, and the row cache above it, are each a
+//     cache.Sharded: lock-striped, so queries on different tiles or rows
+//     never serialize on one lock, with concurrent misses on the same
+//     tile or row coalesced singleflight-style: one goroutine reads the
+//     disk, the rest wait for its result.
 //   - An assembled-row cache sits above the tiles: Row/RowView/RowInto
 //     (and Dist, when row caching is on) serve whole n-length rows from
 //     one lookup, with zero tile traffic on a hit.
@@ -72,7 +72,6 @@
 package store
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -84,6 +83,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"apspark/internal/cache"
 	"apspark/internal/matrix"
 	"apspark/internal/obs"
 )
@@ -94,12 +94,6 @@ const (
 	versionV2   = 2 // still readable: raw tiles only
 	fileHdrLen  = 24
 	idxEntryLen = 24
-
-	// maxShards bounds the lock striping of either cache. Shard count is
-	// chosen per cache so every shard can hold at least two of its
-	// largest items; tiny budgets degenerate to one shard, which behaves
-	// exactly like a single global LRU.
-	maxShards = 16
 )
 
 // castagnoli is the CRC32C table shared by writers and readers; hardware
@@ -178,46 +172,6 @@ type tileRef struct {
 	codec byte
 }
 
-// ShardStat is the per-shard slice of a cache-stats snapshot, surfaced in
-// /healthz so uneven striping or a hot shard is diagnosable in production.
-type ShardStat struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Coalesced  int64 `json:"coalesced,omitempty"`
-	Evictions  int64 `json:"evictions"`
-	BytesInUse int64 `json:"bytes_in_use"`
-	Items      int   `json:"items"`
-}
-
-// CacheStats is a point-in-time snapshot of the tile cache.
-type CacheStats struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Coalesced   int64 `json:"coalesced"`
-	Evictions   int64 `json:"evictions"`
-	BytesInUse  int64 `json:"bytes_in_use"`
-	BytesBudget int64 `json:"bytes_budget"`
-	TilesCached int   `json:"tiles_cached"`
-	// Shards breaks the totals down per lock stripe (omitted when the
-	// cache runs unsharded).
-	Shards []ShardStat `json:"shards,omitempty"`
-}
-
-// RowCacheStats is a point-in-time snapshot of the assembled-row cache.
-// SpanReads counts direct row-span disk reads done on behalf of row
-// assembly (they bypass the tile cache by design).
-type RowCacheStats struct {
-	Hits        int64       `json:"hits"`
-	Misses      int64       `json:"misses"`
-	Coalesced   int64       `json:"coalesced"`
-	Evictions   int64       `json:"evictions"`
-	SpanReads   int64       `json:"span_reads"`
-	BytesInUse  int64       `json:"bytes_in_use"`
-	BytesBudget int64       `json:"bytes_budget"`
-	RowsCached  int         `json:"rows_cached"`
-	Shards      []ShardStat `json:"shards,omitempty"`
-}
-
 // Options configures a store read handle. The zero value disables both
 // caches (every query pays disk IO).
 type Options struct {
@@ -228,9 +182,6 @@ type Options struct {
 	// 0 disables row caching (rows are then assembled per query, and
 	// Dist goes through the tile cache instead).
 	RowCacheBytes int64
-	// Shards forces the lock-stripe count of both caches (rounded down
-	// to a power of two, capped). 0 picks automatically from the budgets.
-	Shards int
 	// ReadRetries is the bounded retry budget for transient disk-read
 	// errors: a failing ReadAt is retried up to this many extra times
 	// with exponential backoff before the error surfaces. 0 disables
@@ -240,97 +191,6 @@ type Options struct {
 	// RetryBackoff is the initial backoff between read retries, doubling
 	// each attempt (default 2ms when ReadRetries > 0).
 	RetryBackoff time.Duration
-}
-
-// flight is one in-progress tile read or row assembly that concurrent
-// misses coalesce on.
-type flight struct {
-	done chan struct{}
-	tile *matrix.Block
-	row  []float64
-	err  error
-}
-
-// entry is one cached item: a decoded tile or an assembled row.
-type entry struct {
-	id    int
-	bytes int64
-	tile  *matrix.Block
-	row   []float64
-}
-
-// shard is one lock stripe of a cache: its own mutex, LRU list and byte
-// budget. Counters are atomic so Stats and /healthz never contend with
-// the serving path beyond a snapshot read.
-type shard struct {
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	evictions atomic.Int64
-
-	mu       sync.Mutex
-	budget   int64
-	inUse    int64
-	items    map[int]*list.Element
-	lru      *list.List
-	inflight map[int]*flight
-}
-
-func newShards(total int64, count int) []*shard {
-	shards := make([]*shard, count)
-	per := total / int64(count)
-	for i := range shards {
-		shards[i] = &shard{
-			budget: per,
-			items:  make(map[int]*list.Element),
-			lru:    list.New(),
-		}
-	}
-	return shards
-}
-
-// autoShards picks the largest power-of-two stripe count (up to
-// maxShards) that still leaves every shard room for at least two of the
-// largest items; sharding a cache that can barely hold anything would
-// only fragment the budget.
-func autoShards(budget, maxItem int64) int {
-	s := 1
-	for s*2 <= maxShards && maxItem > 0 && budget/int64(s*2) >= 2*maxItem {
-		s *= 2
-	}
-	return s
-}
-
-func clampShards(s int) int {
-	p := 1
-	for p*2 <= s && p*2 <= maxShards {
-		p *= 2
-	}
-	return p
-}
-
-// fitShards halves a requested shard count until each shard's budget
-// fits at least one largest item (or one shard remains).
-func fitShards(s int, budget, maxItem int64) int {
-	for s > 1 && budget/int64(s) < maxItem {
-		s /= 2
-	}
-	return s
-}
-
-// stat folds one shard into the aggregate snapshot.
-func (sh *shard) stat() ShardStat {
-	st := ShardStat{
-		Hits:      sh.hits.Load(),
-		Misses:    sh.misses.Load(),
-		Coalesced: sh.coalesced.Load(),
-		Evictions: sh.evictions.Load(),
-	}
-	sh.mu.Lock()
-	st.BytesInUse = sh.inUse
-	st.Items = sh.lru.Len()
-	sh.mu.Unlock()
-	return st
 }
 
 // Store is a read handle on a tiled distance store. All methods are safe
@@ -344,13 +204,11 @@ type Store struct {
 	index     []tileRef
 	fileBytes int64
 
-	tileBudget int64
-	tileShards []*shard
-	tileMask   int
-
-	rowBudget int64
-	rowShards []*shard
-	rowMask   int
+	// tileCache holds decoded tiles by index position, rowCache assembled
+	// rows by vertex (a zero budget bypasses it: rows are then assembled
+	// straight into the caller's buffer).
+	tileCache *cache.Sharded[int, *matrix.Block]
+	rowCache  *cache.Sharded[int, []float64]
 
 	// rows memoises per-tile verification: non-nil once a whole-tile read
 	// of the tile has passed its CRC32C and header checks, and then the
@@ -509,31 +367,14 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 		encodedBytes += length
 		rawBytes += raw
 	}
-	opts.TileCacheBytes, opts.RowCacheBytes = max(opts.TileCacheBytes, 0), max(opts.RowCacheBytes, 0)
-	maxTile := int64(8) * int64(b) * int64(b)
-	rowBytes := int64(8) * int64(n)
-	tileShards := autoShards(opts.TileCacheBytes, maxTile)
-	rowShards := autoShards(opts.RowCacheBytes, rowBytes)
-	if opts.Shards > 0 {
-		// A forced count is still floored per cache so every shard can
-		// hold at least one of its items: over-striping a small budget
-		// would otherwise make every item "oversize" and silently turn
-		// the cache off.
-		tileShards = fitShards(clampShards(opts.Shards), opts.TileCacheBytes, maxTile)
-		rowShards = fitShards(clampShards(opts.Shards), opts.RowCacheBytes, rowBytes)
-	}
 	backoff := opts.RetryBackoff
 	if backoff <= 0 {
 		backoff = 2 * time.Millisecond
 	}
 	s := &Store{
 		r: f, n: n, b: b, q: q, ver: ver, index: index, fileBytes: size,
-		tileBudget:   opts.TileCacheBytes,
-		tileShards:   newShards(opts.TileCacheBytes, tileShards),
-		tileMask:     tileShards - 1,
-		rowBudget:    opts.RowCacheBytes,
-		rowShards:    newShards(opts.RowCacheBytes, rowShards),
-		rowMask:      rowShards - 1,
+		tileCache:    cache.New[int](opts.TileCacheBytes, 8*int64(b)*int64(b), (*matrix.Block).SizeBytes),
+		rowCache:     cache.New[int](opts.RowCacheBytes, 8*int64(n), func(row []float64) int64 { return 8 * int64(len(row)) }),
 		rows:         make([]atomic.Pointer[RowTable], q*q),
 		quar:         make([]atomic.Bool, q*q),
 		readRetries:  max(opts.ReadRetries, 0),
@@ -554,13 +395,8 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 // Close releases the file handle (when the store owns one) and drops both
 // caches.
 func (s *Store) Close() error {
-	for _, sh := range append(append([]*shard(nil), s.tileShards...), s.rowShards...) {
-		sh.mu.Lock()
-		sh.items = make(map[int]*list.Element)
-		sh.lru.Init()
-		sh.inUse = 0
-		sh.mu.Unlock()
-	}
+	s.tileCache.Purge()
+	s.rowCache.Purge()
 	if s.closer != nil {
 		return s.closer.Close()
 	}
@@ -696,123 +532,11 @@ func (s *Store) quarantine(id, bi, bj int, detail error) error {
 	return fmt.Errorf("%w: tile (%d,%d): %v", ErrCorruptTile, bi, bj, detail)
 }
 
-// Stats snapshots the tile-cache counters, aggregated across shards.
-// It is the JSON-shaped compat shim over the counters RegisterMetrics
-// exposes on a metric registry; serving layers wanting a coherent
-// multi-counter view should use Snapshot instead.
-func (s *Store) Stats() CacheStats {
-	t, shards := sumStats(s.tileShards)
-	return CacheStats{Hits: t.Hits, Misses: t.Misses, Coalesced: t.Coalesced, Evictions: t.Evictions,
-		BytesInUse: t.BytesInUse, BytesBudget: s.tileBudget, TilesCached: t.Items, Shards: shards}
-}
+// Stats snapshots the decoded-tile cache.
+func (s *Store) Stats() cache.Stats { return s.tileCache.Stats() }
 
-// RowStats snapshots the assembled-row cache counters, aggregated across
-// shards.
-func (s *Store) RowStats() RowCacheStats {
-	t, shards := sumStats(s.rowShards)
-	return RowCacheStats{Hits: t.Hits, Misses: t.Misses, Coalesced: t.Coalesced, Evictions: t.Evictions,
-		SpanReads: s.spanReads.Load(), BytesInUse: t.BytesInUse, BytesBudget: s.rowBudget, RowsCached: t.Items, Shards: shards}
-}
-
-// sumStats totals a cache's shards; the per-shard breakdown is kept only
-// when the cache is actually striped.
-func sumStats(shards []*shard) (total ShardStat, per []ShardStat) {
-	for _, sh := range shards {
-		st := sh.stat()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Coalesced += st.Coalesced
-		total.Evictions += st.Evictions
-		total.BytesInUse += st.BytesInUse
-		total.Items += st.Items
-		if len(shards) > 1 {
-			per = append(per, st)
-		}
-	}
-	return total, per
-}
-
-// acquire resolves id against the shard: a cached entry (a hit), a flight
-// another goroutine is already leading (a coalesced miss, to be waited
-// on), or — leader true — a fresh flight the caller must complete with
-// finish. The cancellation check sits between two lookups, ahead of the
-// miss count and the flight registration: an aborted query performs no
-// disk read, so it must neither skew the hit-rate counters /healthz
-// reports nor leave followers a flight that fails with its context error;
-// the second lookup catches what was published or started meanwhile. Hits
-// are served regardless of ctx (they cost nothing and keep hot queries
-// snappy during shutdown drains).
-func (sh *shard) acquire(ctx context.Context, id int) (ent *entry, fl *flight, leader bool, err error) {
-	for pass := 0; ; pass++ {
-		sh.mu.Lock()
-		if el, ok := sh.items[id]; ok {
-			sh.lru.MoveToFront(el)
-			sh.hits.Add(1)
-			ent := el.Value.(*entry)
-			sh.mu.Unlock()
-			return ent, nil, false, nil
-		}
-		if fl, ok := sh.inflight[id]; ok {
-			sh.coalesced.Add(1)
-			sh.mu.Unlock()
-			return nil, fl, false, nil
-		}
-		if pass == 1 {
-			fl = &flight{done: make(chan struct{})}
-			if sh.inflight == nil {
-				sh.inflight = make(map[int]*flight)
-			}
-			sh.inflight[id] = fl
-			sh.misses.Add(1)
-			sh.mu.Unlock()
-			return nil, fl, true, nil
-		}
-		sh.mu.Unlock()
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, false, err
-			}
-		}
-	}
-}
-
-// finish ends the flight its leader got from acquire: on success ent is
-// published (unless it alone exceeds the shard budget — then it is served
-// uncached rather than blowing the invariant) and the LRU tail evicted
-// until the budget holds; either way the followers are released.
-func (sh *shard) finish(fl *flight, ent *entry) {
-	sh.mu.Lock()
-	delete(sh.inflight, ent.id)
-	if fl.err == nil && ent.bytes <= sh.budget {
-		sh.items[ent.id] = sh.lru.PushFront(ent)
-		sh.inUse += ent.bytes
-		for sh.inUse > sh.budget {
-			back := sh.lru.Back()
-			old := back.Value.(*entry)
-			sh.lru.Remove(back)
-			delete(sh.items, old.id)
-			sh.inUse -= old.bytes
-			sh.evictions.Add(1)
-		}
-	}
-	sh.mu.Unlock()
-	close(fl.done)
-}
-
-// wait parks a coalesced miss on the leader's work. The follower's own
-// context still bounds its wait; the leader finishes regardless.
-func (fl *flight) wait(ctx context.Context) error {
-	if ctx != nil {
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	} else {
-		<-fl.done
-	}
-	return fl.err
-}
+// RowStats snapshots the assembled-row cache.
+func (s *Store) RowStats() cache.Stats { return s.rowCache.Stats() }
 
 // Tile returns tile (bi, bj) — an h x w dense block, ragged at the matrix
 // edge. The block is shared: callers must neither mutate it nor return it
@@ -824,27 +548,7 @@ func (s *Store) Tile(ctx context.Context, bi, bj int) (*matrix.Block, error) {
 		return nil, fmt.Errorf("store: tile (%d,%d) outside %dx%d grid", bi, bj, s.q, s.q)
 	}
 	id := bi*s.q + bj
-	sh := s.tileShards[id&s.tileMask]
-	ent, fl, leader, err := sh.acquire(ctx, id)
-	switch {
-	case err != nil:
-		return nil, err
-	case ent != nil:
-		return ent.tile, nil
-	case !leader:
-		if err := fl.wait(ctx); err != nil {
-			return nil, err
-		}
-		return fl.tile, nil
-	}
-	// Disk read and decode happen outside the lock so misses on different
-	// tiles overlap their IO; followers of this tile are parked on fl.
-	ent = &entry{id: id}
-	if fl.tile, fl.err = s.readTile(bi, bj, id); fl.err == nil {
-		ent.tile, ent.bytes = fl.tile, fl.tile.SizeBytes()
-	}
-	sh.finish(fl, ent)
-	return fl.tile, fl.err
+	return s.tileCache.Get(ctx, id, func() (*matrix.Block, error) { return s.readTile(bi, bj, id) })
 }
 
 // readVerified is the one gate every byte the store serves passes at
@@ -956,18 +660,10 @@ func (s *Store) assembleRow(ctx context.Context, i int, dst []float64) error {
 	for bj := 0; bj < s.q; bj++ {
 		w := tileEdge(s.n, s.b, bj)
 		seg := dst[bj*s.b : bj*s.b+w]
-		id := bi*s.q + bj
-		sh := s.tileShards[id&s.tileMask]
-		sh.mu.Lock()
-		if el, ok := sh.items[id]; ok {
-			sh.lru.MoveToFront(el)
-			sh.hits.Add(1)
-			tile := el.Value.(*entry).tile
-			sh.mu.Unlock()
+		if tile, ok := s.tileCache.Peek(bi*s.q + bj); ok {
 			copy(seg, tile.Row(r))
 			continue
 		}
-		sh.mu.Unlock()
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -990,37 +686,23 @@ func (s *Store) RowView(ctx context.Context, i int) ([]float64, error) {
 	if err := s.checkVertex(i); err != nil {
 		return nil, err
 	}
-	if s.rowBudget <= 0 {
+	if s.rowCache.Budget() <= 0 {
 		out := make([]float64, s.n)
 		if err := s.assembleRow(ctx, i, out); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	sh := s.rowShards[i&s.rowMask]
-	ent, fl, leader, err := sh.acquire(ctx, i)
-	switch {
-	case err != nil:
-		return nil, err
-	case ent != nil:
-		return ent.row, nil
-	case !leader:
-		if err := fl.wait(ctx); err != nil {
+	// The leader assembles with a nil (uncancellable) context: coalesced
+	// followers with healthy contexts must not fail because the leader's
+	// client hung up, and the work left is bounded (q small preads).
+	return s.rowCache.Get(ctx, i, func() ([]float64, error) {
+		out := make([]float64, s.n)
+		if err := s.assembleRow(nil, i, out); err != nil {
 			return nil, err
 		}
-		return fl.row, nil
-	}
-	// The leader assembles with a nil (uncancellable) context, exactly
-	// like a tile leader's readTile: coalesced followers with healthy
-	// contexts must not fail because the leader's client hung up, and
-	// the work left is bounded (q small preads).
-	ent = &entry{id: i, bytes: int64(8) * int64(s.n)}
-	out := make([]float64, s.n)
-	if fl.err = s.assembleRow(nil, i, out); fl.err == nil {
-		fl.row, ent.row = out, out
-	}
-	sh.finish(fl, ent)
-	return fl.row, fl.err
+		return out, nil
+	})
 }
 
 // RowInto fills dst with vertex i's full distance row and returns it,
@@ -1036,7 +718,7 @@ func (s *Store) RowInto(ctx context.Context, i int, dst []float64) ([]float64, e
 	} else {
 		dst = make([]float64, s.n)
 	}
-	if s.rowBudget <= 0 {
+	if s.rowCache.Budget() <= 0 {
 		if err := s.assembleRow(ctx, i, dst); err != nil {
 			return nil, err
 		}
@@ -1068,7 +750,7 @@ func (s *Store) Dist(ctx context.Context, i, j int) (float64, error) {
 	if err := s.checkVertex(j); err != nil {
 		return 0, err
 	}
-	if s.rowBudget > 0 {
+	if s.rowCache.Budget() > 0 {
 		row, err := s.RowView(ctx, i)
 		if err != nil {
 			return 0, err

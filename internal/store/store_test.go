@@ -146,7 +146,7 @@ func TestCacheHitsAndEvictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = s.Stats()
-	if st.Evictions != 1 || st.TilesCached != 2 || st.BytesInUse != 2*tileBytes {
+	if st.Evictions != 1 || st.Items != 2 || st.BytesInUse != 2*tileBytes {
 		t.Fatalf("stats after evictions: %+v", st)
 	}
 	// (0,0) still cached, (0,1) evicted: hit count isolates which.
@@ -176,7 +176,7 @@ func TestOversizeTileServedUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.TilesCached != 0 || st.BytesInUse != 0 {
+	if st.Items != 0 || st.BytesInUse != 0 {
 		t.Fatalf("oversize tile was cached: %+v", st)
 	}
 }

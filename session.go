@@ -36,21 +36,15 @@ type Session struct {
 	defaults jobSettings
 }
 
-// newSession is the single source of session defaults, shared by New and
-// the legacy Config wrappers.
-func newSession() *Session {
-	return &Session{
-		cluster:  cluster.Paper(),
-		model:    costmodel.PaperKernels(),
-		defaults: defaultJobSettings(),
-	}
-}
-
 // New builds a Session. Without options it simulates the paper's
 // 32-node, 1,024-core cluster with the paper-calibrated kernel model and
 // solves with Blocked Collect/Broadcast, the paper's best strategy.
 func New(opts ...Option) (*Session, error) {
-	s := newSession()
+	s := &Session{
+		cluster:  cluster.Paper(),
+		model:    costmodel.PaperKernels(),
+		defaults: defaultJobSettings(),
+	}
 	for _, o := range opts {
 		if o == nil {
 			continue
@@ -131,13 +125,9 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 	}
 	// Only the automatic default (block size 0) is clamped; an explicit
 	// block size outside [1, n] is a caller mistake and must fail loudly
-	// rather than silently solve with a different tiling. Negative values
-	// can only arrive through the legacy Config (WithBlockSize rejects
-	// them), which has always treated them as errors.
+	// rather than silently solve with a different tiling (WithBlockSize
+	// already rejects negative values).
 	b := job.blockSize
-	if b < 0 {
-		return nil, fmt.Errorf("apspark: block size %d must be >= 0 (0 = auto)", b)
-	}
 	if b == 0 {
 		b = graph.DefaultBlockSize(0, n, n/8)
 	}

@@ -108,9 +108,6 @@ func (s *Session) runHost(ctx context.Context, g *Graph, job jobSettings, storeP
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if job.blockSize < 0 {
-		return nil, fmt.Errorf("apspark: block size %d must be >= 0 (0 = auto)", job.blockSize)
-	}
 	if job.maxUnits != 0 {
 		return nil, fmt.Errorf("apspark: WithMaxUnits is a virtual-cluster projection knob; host-native solver %q runs to completion", job.solver)
 	}

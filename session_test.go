@@ -12,39 +12,6 @@ import (
 	"apspark/internal/matrix"
 )
 
-// TestSessionSolveBitIdenticalToLegacy pins the migration contract: a
-// full-run Session.Solve must produce exactly (0-tolerance) the matrix
-// and virtual time of the deprecated one-shot Solve.
-func TestSessionSolveBitIdenticalToLegacy(t *testing.T) {
-	g, err := NewErdosRenyiGraph(96, PaperEdgeProb(96), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []SolverKind{SolverRS, SolverFW2D, SolverIM, SolverCB} {
-		legacy, err := Solve(g, Config{Solver: k, BlockSize: 16, Cluster: tinyCluster()})
-		if err != nil {
-			t.Fatalf("%s legacy: %v", k, err)
-		}
-		s, err := New(WithCluster(*tinyCluster()), WithSolver(k), WithBlockSize(16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Solve(context.Background(), g)
-		if err != nil {
-			t.Fatalf("%s session: %v", k, err)
-		}
-		if !res.Dist.AllClose(legacy.Dist, 0) {
-			t.Fatalf("%s: session result not bit-identical to legacy Solve", k)
-		}
-		if res.VirtualSeconds != legacy.VirtualSeconds {
-			t.Fatalf("%s: virtual time diverged: session %v legacy %v", k, res.VirtualSeconds, legacy.VirtualSeconds)
-		}
-		if res.BlockSize != 16 {
-			t.Fatalf("%s: effective block size %d, want 16", k, res.BlockSize)
-		}
-	}
-}
-
 // TestVirtualClockDeterministic pins the virtual clock against goroutine
 // scheduling: stages with more tasks than virtual cores, shuffles and
 // shared-store reads all run concurrently at GOMAXPROCS=4, and every run
@@ -184,25 +151,18 @@ func TestSessionCancelOnFinalUnit(t *testing.T) {
 }
 
 // TestSessionExplicitBlockSizeValidated: only the automatic default is
-// clamped — an explicit block size outside [1, n] is an error, exactly
-// as the legacy Config path has always treated it.
+// clamped — an explicit block size outside [1, n] is an error.
 func TestSessionExplicitBlockSizeValidated(t *testing.T) {
 	g, err := NewErdosRenyiGraph(32, 0.3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(WithCluster(*tinyCluster()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := tinySession(t)
 	if _, err := s.Solve(context.Background(), g, WithBlockSize(100)); err == nil {
 		t.Fatal("explicit block size > n accepted by Session.Solve")
 	}
-	if _, err := Solve(g, Config{BlockSize: 100, Cluster: tinyCluster()}); err == nil {
-		t.Fatal("explicit block size > n accepted by legacy Solve")
-	}
-	if _, err := Solve(g, Config{BlockSize: -16, Cluster: tinyCluster()}); err == nil {
-		t.Fatal("negative block size accepted by legacy Solve")
+	if _, err := s.Solve(context.Background(), g, WithBlockSize(-16)); err == nil {
+		t.Fatal("negative block size accepted by Session.Solve")
 	}
 }
 
@@ -353,8 +313,7 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := s.Solve(context.Background(), g, WithPartsPerCore(-1)); err == nil {
 		t.Fatal("WithPartsPerCore(-1) accepted by Solve")
 	}
-	// 0 means "restore the default", mirroring the legacy Config and the
-	// other options' conventions.
+	// 0 means "restore the default", like the other options.
 	if _, err := s.Solve(context.Background(), g, WithPartsPerCore(0)); err != nil {
 		t.Fatalf("WithPartsPerCore(0) should mean the default: %v", err)
 	}
