@@ -174,7 +174,9 @@ func main() {
 		}
 		fmt.Printf("graph: n=%d edges=%d\n", g.N, g.NumEdges())
 		if host {
-			fmt.Printf("sparse queue: %s\n", sparse.New(g).Queue())
+			eng := sparse.New(g)
+			fmt.Printf("sparse queue: %s\n", eng.Queue())
+			fmt.Printf("sparse panel kernel: %s\n", eng.PanelKernel())
 		} else {
 			fmt.Printf("matrix kernel: %s\n", matrix.KernelImpl())
 		}

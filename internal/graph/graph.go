@@ -6,10 +6,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"apspark/internal/matrix"
 )
@@ -40,8 +41,14 @@ type Neighbor struct {
 // Duplicate edges keep the minimum weight; self-loops are dropped (a vertex
 // reaches itself at distance 0 by definition).
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	type key struct{ u, v int }
-	best := make(map[key]float64, len(edges))
+	// Each edge once, as its smaller endpoint <<32 | its larger: sorted by
+	// that key and then by weight, the first of every run of equal keys is
+	// the edge to keep.
+	type half struct {
+		key uint64
+		w   float64
+	}
+	es := make([]half, 0, len(edges))
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
@@ -52,43 +59,33 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		if e.U == e.V {
 			continue
 		}
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
-		k := key{u, v}
-		if w, ok := best[k]; !ok || e.W < w {
-			best[k] = e.W
-		}
+		es = append(es, half{uint64(min(e.U, e.V))<<32 | uint64(max(e.U, e.V)), e.W})
 	}
-	deg := make([]int32, n)
-	for k := range best {
-		deg[k.u]++
-		deg[k.v]++
-	}
+	slices.SortFunc(es, func(a, b half) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.w, b.w))
+	})
+	es = slices.CompactFunc(es, func(a, b half) bool { return a.key == b.key })
+
 	g := &Graph{N: n, rowPtr: make([]int32, n+1)}
+	for _, e := range es {
+		g.rowPtr[e.key>>32+1]++
+		g.rowPtr[uint32(e.key)+1]++
+	}
 	for i := 0; i < n; i++ {
-		g.rowPtr[i+1] = g.rowPtr[i] + deg[i]
+		g.rowPtr[i+1] += g.rowPtr[i]
 	}
-	m := int(g.rowPtr[n])
-	g.colIdx = make([]int32, m)
-	g.weights = make([]float64, m)
-	fill := make([]int32, n)
-	for k, w := range best {
-		for _, pair := range [2][2]int{{k.u, k.v}, {k.v, k.u}} {
-			u, v := pair[0], pair[1]
-			pos := g.rowPtr[u] + fill[u]
-			g.colIdx[pos] = int32(v)
-			g.weights[pos] = w
-			fill[u]++
-		}
-	}
-	// Sort each adjacency list for deterministic iteration.
-	for u := 0; u < n; u++ {
-		lo, hi := g.rowPtr[u], g.rowPtr[u+1]
-		idx := g.colIdx[lo:hi]
-		ws := g.weights[lo:hi]
-		sort.Sort(&adjSorter{idx, ws})
+	g.colIdx = make([]int32, 2*len(es))
+	g.weights = make([]float64, 2*len(es))
+	// In key order a vertex meets its smaller neighbours (edges it is the
+	// larger end of) before its larger ones, each group ascending: filling
+	// front to back leaves every adjacency list sorted.
+	fill := slices.Clone(g.rowPtr[:n])
+	for _, e := range es {
+		u, v := int32(e.key>>32), int32(uint32(e.key))
+		g.colIdx[fill[u]], g.weights[fill[u]] = v, e.w
+		g.colIdx[fill[v]], g.weights[fill[v]] = u, e.w
+		fill[u]++
+		fill[v]++
 	}
 	return g, nil
 }
@@ -101,7 +98,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 // self-loops and duplicates), and non-negative weights. Validation is
 // O(n + m). This is the entry point for callers that assemble large
 // edge sets positionally — the hierarchy overlay builder — without
-// paying FromEdges' dedup map.
+// paying FromEdges' sort.
 func FromCSR(n int, rowPtr, colIdx []int32, weights []float64) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: FromCSR with n=%d < 0", n)
@@ -142,18 +139,6 @@ func FromCSR(n int, rowPtr, colIdx []int32, weights []float64) (*Graph, error) {
 		}
 	}
 	return &Graph{N: n, rowPtr: rowPtr, colIdx: colIdx, weights: weights}, nil
-}
-
-type adjSorter struct {
-	idx []int32
-	ws  []float64
-}
-
-func (s *adjSorter) Len() int           { return len(s.idx) }
-func (s *adjSorter) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
-func (s *adjSorter) Swap(i, j int) {
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
 }
 
 // NumEdges returns the number of undirected edges.

@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -298,5 +302,121 @@ func TestCSRMatchesVisitAdj(t *testing.T) {
 					u, k, colIdx[lo+int32(k)], weights[lo+int32(k)], nb.To, nb.W)
 			}
 		}
+	}
+}
+
+// fromEdgesMapReference is the body FromEdges had before it sorted: dedupe
+// through a map, scatter in map order, sort every adjacency list.
+func fromEdgesMapReference(n int, edges []Edge) (*Graph, error) {
+	type key struct{ u, v int }
+	best := make(map[key]float64, len(edges))
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+		}
+		if e.W < 0 {
+			return nil, fmt.Errorf("graph: negative weight %v on edge (%d,%d)", e.W, e.U, e.V)
+		}
+		if e.U == e.V {
+			continue
+		}
+		u, v := e.U, e.V
+		if u > v {
+			u, v = v, u
+		}
+		k := key{u, v}
+		if w, ok := best[k]; !ok || e.W < w {
+			best[k] = e.W
+		}
+	}
+	deg := make([]int32, n)
+	for k := range best {
+		deg[k.u]++
+		deg[k.v]++
+	}
+	g := &Graph{N: n, rowPtr: make([]int32, n+1)}
+	for i := 0; i < n; i++ {
+		g.rowPtr[i+1] = g.rowPtr[i] + deg[i]
+	}
+	m := int(g.rowPtr[n])
+	g.colIdx = make([]int32, m)
+	g.weights = make([]float64, m)
+	fill := make([]int32, n)
+	for k, w := range best {
+		for _, pair := range [2][2]int{{k.u, k.v}, {k.v, k.u}} {
+			u, v := pair[0], pair[1]
+			pos := g.rowPtr[u] + fill[u]
+			g.colIdx[pos] = int32(v)
+			g.weights[pos] = w
+			fill[u]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		lo, hi := g.rowPtr[u], g.rowPtr[u+1]
+		sort.Sort(&adjSorter{g.colIdx[lo:hi], g.weights[lo:hi]})
+	}
+	return g, nil
+}
+
+type adjSorter struct {
+	idx []int32
+	ws  []float64
+}
+
+func (s *adjSorter) Len() int           { return len(s.idx) }
+func (s *adjSorter) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
+func (s *adjSorter) Swap(i, j int) {
+	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
+	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
+}
+
+// TestFromEdgesMatchesMapReference: the CSR arrays are element for element
+// what the map-based builder produced, on the inputs where the two could
+// differ — duplicates (equal and unequal weights, either orientation),
+// self-loops, an empty edge set, isolated vertices, unsorted input.
+func TestFromEdgesMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	random := func(n, m, maxW int) []Edge {
+		edges := make([]Edge, m)
+		for i := range edges {
+			edges[i] = Edge{U: rng.Intn(n), V: rng.Intn(n), W: float64(rng.Intn(maxW + 1))}
+		}
+		return edges
+	}
+	cases := []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{
+		{"empty graph", 0, nil},
+		{"no edges", 5, nil},
+		{"no edges, empty slice", 5, []Edge{}},
+		{"only self-loops", 3, []Edge{{0, 0, 1}, {2, 2, 0}}},
+		{"reversed pairs", 4, []Edge{{3, 0, 2}, {0, 3, 1}, {2, 1, 5}, {1, 2, 5}, {1, 2, 7}}},
+		{"duplicates, min first, last and in the middle", 3, []Edge{{0, 1, 1}, {0, 1, 3}, {1, 2, 9}, {2, 1, 4}, {1, 2, 6}, {0, 2, 8}, {2, 0, 8}}},
+		{"zero and infinite weights", 3, []Edge{{0, 1, 0}, {1, 0, math.Inf(1)}, {1, 2, math.Inf(1)}}},
+		{"isolated vertices at both ends", 6, []Edge{{2, 3, 1.5}, {3, 4, 2.5}}},
+		{"dense random multigraph", 12, random(12, 400, 3)},
+		{"sparse random", 500, random(500, 900, 100)},
+		{"one edge a thousand times", 2, random(2, 1000, 50)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := FromEdges(tc.n, tc.edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fromEdgesMapReference(tc.n, tc.edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.N != want.N || !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colIdx, want.colIdx) || !slices.Equal(got.weights, want.weights) {
+				t.Fatalf("CSR differs from the map-based builder's:\n got %v %v %v\nwant %v %v %v",
+					got.rowPtr, got.colIdx, got.weights, want.rowPtr, want.colIdx, want.weights)
+			}
+			if (got.colIdx == nil) != (want.colIdx == nil) || (got.weights == nil) != (want.weights == nil) {
+				t.Fatalf("nil-ness of the empty arrays differs")
+			}
+		})
 	}
 }

@@ -37,7 +37,18 @@ import (
 
 // KernelImpl names the min-plus row primitive this process runs: "avx2" or
 // "generic".
-func KernelImpl() string { return kernelImpl() }
+func KernelImpl() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "generic"
+}
+
+// HasAVX2 reports whether this process may run AVX2 assembly: the build
+// carries it (amd64 without the purego tag) and the CPU and OS support it.
+// It is the one detection site; the sparse engine's batched kernel asks
+// here too.
+func HasAVX2() bool { return useAVX2 }
 
 // minPlusRowGeneric is the portable row primitive: the k loop unrolled
 // four-wide so d is read and written once per pivot group, with a pivot

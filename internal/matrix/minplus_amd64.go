@@ -29,13 +29,6 @@ var useAVX2 = func() bool {
 	return ebx&avx2 != 0
 }()
 
-func kernelImpl() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "generic"
-}
-
 func minPlusRow(d, a, b []float64, ldb int) {
 	if !useAVX2 {
 		minPlusRowGeneric(d, a, b, ldb)

@@ -1,39 +1,51 @@
 package matrix
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// The block arena: a sync.Pool recycling dense block backing arrays across
+// The block arena: sync.Pools recycling dense block backing arrays across
 // kernel invocations. The blocked APSP solvers churn through b x b
 // temporaries on every task of every iteration; recycling them keeps the
 // hot kernel path at zero amortized heap allocations instead of feeding the
 // GC O(q^3) short-lived multi-megabyte slices per solve.
+//
+// The arena is size-classed: pools[c] holds blocks whose backing array has
+// a capacity in [2^c, 2^(c+1)), and a Get looks only in the class of the
+// size it needs. A request for a tile is therefore never handed an idle
+// panel sixteen times its size (leaving the panel's owner to allocate a
+// fresh one), whoever else shares the process.
 //
 // Discipline: a block obtained from Get is exclusively owned by the caller.
 // Put hands ownership back; the caller must not retain any reference
 // (including row slices) afterwards. Blocks that escape into long-lived
 // structures (RDD values, shared storage) are simply never Put — they
 // behave like ordinary allocations.
-var pool sync.Pool
+var pools [bits.UintSize]sync.Pool
+
+// sizeClass is floor(log2(n)) for n >= 1.
+func sizeClass(n int) int { return bits.Len(uint(n)) - 1 }
 
 // Get returns a dense r x c block from the arena. The element contents are
 // unspecified; callers must fully initialize them (or use GetInf /
-// CopyFrom). Blocks whose pooled capacity is too small are dropped and a
-// fresh one is allocated, so Get never fails.
+// CopyFrom). A pooled block of the right class whose capacity is still too
+// small is dropped and a fresh one allocated, so Get never fails.
 func Get(r, c int) *Block {
 	need := r * c
-	if v := pool.Get(); v != nil {
-		b := v.(*Block)
-		trackGet(b)
-		if cap(b.Data) >= need {
-			b.R, b.C = r, c
-			b.Data = b.Data[:need]
-			return b
+	if need > 0 {
+		if v := pools[sizeClass(need)].Get(); v != nil {
+			b := v.(*Block)
+			trackGet(b)
+			if cap(b.Data) >= need {
+				b.R, b.C = r, c
+				b.Data = b.Data[:need]
+				return b
+			}
+			// Too small for this request: let the GC take it rather than
+			// holding it for a caller that may never come.
 		}
-		// Too small for this request: let the GC take it rather than
-		// holding ever-growing dead capacity in the pool.
 	}
 	return &Block{R: r, C: c, Data: make([]float64, need)}
 }
@@ -48,16 +60,16 @@ func GetInf(r, c int) *Block {
 	return b
 }
 
-// Put returns a block to the arena. Phantom and nil blocks are ignored.
-// The block must not be used (or Put again) after this call.
+// Put returns a block to the arena. Phantom, nil and zero-capacity blocks
+// are ignored. The block must not be used (or Put again) after this call.
 func Put(b *Block) {
-	if b == nil || b.Data == nil {
+	if b == nil || cap(b.Data) == 0 {
 		return
 	}
 	if !trackPut(b) {
 		return
 	}
-	pool.Put(b)
+	pools[sizeClass(cap(b.Data))].Put(b)
 }
 
 // --- arena integrity checking (tests) ---

@@ -48,3 +48,31 @@ func TestPoolCheckOffIsTransparent(t *testing.T) {
 		t.Fatalf("counters moved while checking disabled: %+v", st)
 	}
 }
+
+// TestPoolIsSizeClassed: a Get is served only from blocks of its own size
+// class, so a small request cannot walk off with an idle large block, and
+// a same-sized request still finds it.
+func TestPoolIsSizeClassed(t *testing.T) {
+	SetPoolCheck(true)
+	defer SetPoolCheck(false)
+
+	panel := Get(256, 4096)
+	Put(panel)
+	before := PoolCheckStats().Gets
+	tile := Get(256, 256)
+	if cap(tile.Data) >= 256*4096 {
+		t.Fatalf("a 256x256 Get was handed a block of capacity %d", cap(tile.Data))
+	}
+	if got := PoolCheckStats().Gets - before; got != 0 {
+		t.Fatalf("a 256x256 Get took %d block(s) out of the arena with only a 256x4096 one in it", got)
+	}
+	Put(tile)
+	// sync.Pool may drop an item at any GC, so only the absence of theft is
+	// pinned, not the reuse; but reuse is what normally happens.
+	if again := Get(256, 4096); again != panel {
+		t.Logf("the idle panel was not reused (a GC may have cleared the pool)")
+	}
+	// Degenerate shapes neither panic nor enter a class.
+	Put(Get(0, 7))
+	Put(&Block{})
+}

@@ -2,7 +2,12 @@
 
 package sparse
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"apspark/internal/matrix"
+)
 
 // TestPerSourceZeroAllocs pins the engine's allocation discipline: after
 // the first source has grown the pooled scratch, solving further sources
@@ -25,5 +30,33 @@ func TestPerSourceZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("per-source Dijkstra allocates %v objects/op after warmup, want 0", allocs)
+	}
+}
+
+// TestPerBatchZeroAllocs is the same pin for the batched kernel: a warm
+// worker's batch allocates nothing, so a panel allocates what SolvePanel
+// itself does (its job record and worker bookkeeping) however many
+// batches it holds.
+func TestPerBatchZeroAllocs(t *testing.T) {
+	requireBatchKernel(t)
+	g := intER(t, 512, 8, 9)
+	e := New(g)
+	perPanel := func(h int) float64 {
+		panel := matrix.NewZero(h, g.N)
+		base := 0
+		return testing.AllocsPerRun(20, func() {
+			base = (base + h) % (g.N - h)
+			if err := e.SolvePanel(context.Background(), base, panel, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := perPanel(batchWidth), perPanel(8*batchWidth)
+	t.Logf("allocs per panel: %v with one batch, %v with eight", one, many)
+	if many != one || one > 2 {
+		t.Fatalf("a panel of eight batches allocates %v objects, one of a single batch %v: batches allocate", many, one)
+	}
+	if e.PanelKernel() != "batch16" {
+		t.Fatalf("panel kernel = %s, want batch16", e.PanelKernel())
 	}
 }

@@ -2,9 +2,11 @@ package sparse
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"apspark/internal/graph"
+	"apspark/internal/matrix"
 )
 
 // BenchmarkSolveER16 is the bench target's dij measurement in go-test
@@ -55,5 +57,49 @@ func benchSolveRow(b *testing.B, weights graph.WeightFn, queue string) {
 		if err := e.SolveRowInto(i%n, row); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSolvePanel* time one 256-row panel at n = 4096 on the batched
+// kernel and on the Dial rows, one worker, on the shapes that place the
+// kernel's work budget: an ER graph it is built for, a grid and a path in
+// label order where it is ahead by less, and the same path with shuffled
+// labels, where it overruns the budget once and the rest of the panel runs
+// on the rows.
+func BenchmarkSolvePanelER16(b *testing.B) {
+	benchSolvePanel(b, intER(b, 4096, 16, 42))
+}
+
+func BenchmarkSolvePanelGrid(b *testing.B) {
+	benchSolvePanel(b, mustGraph(b, 4096, grid(64, rand.New(rand.NewSource(42)))))
+}
+
+func BenchmarkSolvePanelPath(b *testing.B) {
+	benchSolvePanel(b, mustGraph(b, 4096, chain(4096, 1, 7, 100)))
+}
+
+func BenchmarkSolvePanelPathShuffled(b *testing.B) {
+	benchSolvePanel(b, mustGraph(b, 4096, relabel(chain(4096, 1, 7, 100), rand.New(rand.NewSource(42)).Perm(4096))))
+}
+
+func benchSolvePanel(b *testing.B, g *graph.Graph) {
+	panel := matrix.NewZero(256, g.N)
+	for _, kernel := range []string{"batch16", "row"} {
+		b.Run(kernel, func(b *testing.B) {
+			if kernel == "batch16" {
+				requireBatchKernel(b)
+			}
+			for i := 0; i < b.N; i++ {
+				// A fresh engine per panel: one that fell back stays on rows.
+				e := New(g)
+				if kernel == "row" {
+					e = rowsOnly(g)
+				}
+				if err := e.SolvePanel(context.Background(), (i*256)%g.N, panel, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*panel.R)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }

@@ -17,11 +17,13 @@ import (
 const dialMaxWeight = 1<<arcWeightBits - 1
 
 // unreached is the tentative distance of a vertex no relaxation has
-// touched. No sum a relaxation forms can reach it, let alone wrap: the
-// largest is a shortest distance, at most (n-1)·maxW, plus one more edge,
-// and the constant below fails to compile unless maxN·dialMaxWeight is
-// smaller.
-const unreached = math.MaxUint32
+// touched, shared by the Dial rows and the batched kernel (batch.go). It
+// sits dialMaxWeight below the top of the range because the batched
+// kernel adds an arc's weight to every lane, reached or not, and the sum
+// must not wrap. No sum over reached vertices can get there: the largest
+// is a shortest distance, at most (n-1)·maxW, plus one more edge, and the
+// constant below fails to compile unless maxN·dialMaxWeight is smaller.
+const unreached = math.MaxUint32 - dialMaxWeight
 
 const _ = uint64(unreached - 1 - maxN*dialMaxWeight)
 

@@ -1,37 +1,72 @@
 // Package sparse is the host-native fast path for sparse graphs: APSP by
-// Dijkstra from every source over the graph's CSR arrays, instead of the
-// dense O(n^3) min-plus machinery the distributed solvers use. On the
+// shortest paths from every source over the graph's CSR arrays, instead of
+// the dense O(n^3) min-plus machinery the distributed solvers use. On the
 // kNN-style graphs the source paper targets (m ≪ n²) the whole solve is
 // O(n·(m + n log n)) — an order of magnitude and more ahead of any dense
 // path at the same n.
 //
-// The engine follows the same discipline as the fused kernel layer:
+// Three pieces of code can compute a source's row, and which one runs is
+// decided from the graph and the CPU alone — there is no option, flag or
+// environment variable:
 //
-//   - The priority queue is chosen once, in New, from the graph's weights
-//     and nothing else (no option, flag or environment variable). Every
-//     weight an integer in [0, 255]: a Dial queue (dial.go) — a ring of
+//   - batch16 (batch.go, batch_amd64.s): SolvePanel, and so Solve,
+//     SolvePanels and every caller that re-solves panels, hands its
+//     workers runs of 16 consecutive sources. A run keeps one 64-byte line
+//     of uint32 tentative distances per vertex, lane j for source j, and
+//     relaxes all 16 sources with the same two AVX2 registers: a visit to
+//     v folds d[u]+w over v's arcs into d[v] (broadcast, add, unsigned
+//     min) and marks v's neighbours dirty if any lane fell; sweeps over
+//     the dirty vertices in index order repeat until one finds nothing to
+//     do. No queue, no per-source branches. It needs the Dial view below
+//     (it reads the same 4-byte arcs) and AVX2 (the check internal/matrix
+//     makes; other architectures, -tags purego and older CPUs never
+//     batch), it is used for runs of at least 8 sources, and it carries a
+//     work budget (batch.go): the first batch to overrun it is solved by
+//     the Dial rows instead and the engine stops batching for good.
+//     PanelKernel reports "batch16" or "row".
+//   - dial (dial.go): one source at a time on a Dial queue — a ring of
 //     maxW+1 buckets with lazy deletion, 32-bit tentative distances
 //     (16 KiB at n = 4096, reset in the pass that writes the row) and the
 //     adjacency repacked as one stream of 4-byte {vertex, weight} arcs.
-//     Any other graph — one real-valued weight is enough — runs exactly
-//     the code it ran before the Dial queue existed: a flat-array radix
-//     heap over the IEEE-754 bit patterns of the (monotone, non-negative)
-//     keys, where push and decrease-key are O(1) bucket moves, every pop
-//     settles a vertex and no comparison sifting happens at all (see the
-//     state type). Bounded and multi-seed solves (bounded.go) always use
-//     the radix heap: their seed offsets are floats. Integer sums below
-//     2^53 are exact in float64, so the two queues produce the same bits.
-//   - The radix path's per-source state (tentative distance, heap
-//     position) is epoch-stamped: starting the next source bumps a
-//     generation counter instead of clearing O(n) state, so a source costs
-//     only its own traversal.
-//   - All scratch is pooled per worker and, on the Dial path, sized from
-//     the graph; after the first source has warmed the radix slices up,
-//     the per-source loop performs zero heap allocations on either path.
+//     Chosen in New when every weight is an integer in [0, 255]; runs
+//     SolveRowInto always, and panels when batch16 does not.
+//   - radix (this file): one source at a time on a flat-array radix heap
+//     over the IEEE-754 bit patterns of the (monotone, non-negative) keys,
+//     where push and decrease-key are O(1) bucket moves, every pop settles
+//     a vertex and no comparison sifting happens at all (see the state
+//     type). Any graph the Dial rule rejects — one real-valued weight is
+//     enough — runs exactly the code it ran before either of the others
+//     existed, and bounded and multi-seed solves (bounded.go) always do:
+//     their seed offsets are floats. Per-source state is epoch-stamped, so
+//     starting the next source bumps a counter instead of clearing O(n).
 //
-// Where 255 comes from: rows/s, one core of the 2-vCPU development host,
-// n = 4096, medians of 100 interleaved 20-row blocks. With the queue as
-// shipped —
+// Integer sums below 2^53 are exact in float64 and the batched fixpoint is
+// the shortest distance whatever order it was reached in, so all three
+// produce the same bits. All scratch is pooled per worker and sized from
+// the graph (batch16, dial) or grown by the first source (radix); after
+// that a source, and a batch, performs zero heap allocations.
+//
+// Rows/s on one core of the 2-vCPU development host (AVX2, 2.1 GHz),
+// n = 4096, weights 1..100, one 256-row panel, medians of 5 runs of 20
+// (go test -bench SolvePanel ./internal/sparse regenerates them):
+//
+//	                          batch16    dial   visits/(16·n) per batch
+//	ER degree 16                 9170    3120   0.55
+//	64x64 grid                  22590    4950   0.84
+//	path, labels in order       31580    7370   0.37
+//	path, labels shuffled        6140*   6760   2.0, in 2,000 sweeps
+//
+// (*) one abandoned batch, then the Dial rows: the cost of finding out.
+// The last column is what the budget is counted in — the vertices the
+// sweeps visited over the 16·n that sixteen Dijkstra rows settle. The
+// kernel is ahead where it stays well under 2 and behind on graphs whose
+// labels make a sweep in index order advance every wavefront by a vertex
+// or two: run to the end, the shuffled path takes 2.0 times the rows'
+// time and a shuffled 256x256 grid 3.9 times (9.5 in the last column).
+// batch.go has the break-even figures the budget's 2 comes from.
+//
+// Where the Dial queue's 255 comes from: rows/s, same host, n = 4096,
+// medians of 100 interleaved 20-row blocks. With the queue as shipped —
 //
 //	maxW   ER degree 16: dial  radix    path graph: dial  radix
 //	1                    5190   3570               13610   6490
@@ -95,6 +130,13 @@ type Engine struct {
 	dialScratch sync.Pool // *dialState
 	rows        *sync.Pool
 
+	// batching is true while SolvePanel hands runs of sources to the
+	// batched kernel (batch.go): from the start when the graph has a Dial
+	// view and the CPU AVX2, until the first batch that overruns its budget.
+	batching       atomic.Bool
+	batchFallbacks atomic.Int64
+	batchScratch   sync.Pool // *batchState
+
 	// Cumulative solve telemetry, exposed by RegisterMetrics. Workers
 	// accumulate locally and flush once per panel slice, so the hot
 	// per-source loop stays free of shared-counter traffic.
@@ -123,10 +165,12 @@ func New(g *graph.Graph) *Engine {
 	e.rowPtr, e.colIdx, e.weights = g.CSR()
 	e.scratch.New = func() any { return newState(e.n) }
 	e.dialScratch.New = func() any { return e.newDialState() }
+	e.batchScratch.New = func() any { return e.newBatchState() }
 	e.rows = &e.scratch
 	if e.dial = newDialGraph(e.n, e.colIdx, e.weights); e.dial != nil {
 		e.rows = &e.dialScratch
 	}
+	e.batching.Store(e.dial != nil && haveBatchKernel)
 	return e
 }
 
@@ -138,6 +182,18 @@ func (e *Engine) Queue() string {
 		return "dial"
 	}
 	return "radix"
+}
+
+// PanelKernel names what SolvePanel (and so Solve and SolvePanels) runs a
+// panel's sources on: "batch16" — sixteen sources at a time through the
+// batched kernel, which needs the Dial view and AVX2 — or "row", one
+// source at a time on the queue Queue names. An engine that starts on
+// batch16 moves to row, for good, if a batch overruns its work budget.
+func (e *Engine) PanelKernel() string {
+	if e.batching.Load() {
+		return "batch16"
+	}
+	return "row"
 }
 
 // RegisterMetrics exposes the engine's solve telemetry on r:
@@ -153,6 +209,10 @@ func (e *Engine) Queue() string {
 //	                                   emit with no solve running beside it
 //	                                   (the last panel's emit always is)
 //	apsp_sparse_queue_info{impl}       1 on the queue in use (dial|radix)
+//	apsp_sparse_panel_kernel_info{impl} 1 on the panel kernel in use now
+//	                                   (batch16|row)
+//	apsp_sparse_batch_fallbacks_total  times a batch overran its budget and
+//	                                   the engine moved to rows (0 or 1)
 func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("apsp_sparse_sources_total", "Source rows solved by the sparse engine.",
 		func() int64 { return e.srcSolved.Load() })
@@ -187,6 +247,18 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		r.Gauge("apsp_sparse_queue_info", "Priority queue under unbounded source rows (dial or radix); 1 on the one in use.",
 			obs.Label{Key: "impl", Value: impl}).Set(v)
 	}
+	// Read at scrape time: a fallback moves the 1 from batch16 to row.
+	for _, impl := range []string{"batch16", "row"} {
+		r.GaugeFunc("apsp_sparse_panel_kernel_info", "What a panel's sources run on (batch16: sixteen at a time; row: one at a time); 1 on the one in use.",
+			func() float64 {
+				if impl == e.PanelKernel() {
+					return 1
+				}
+				return 0
+			}, obs.Label{Key: "impl", Value: impl})
+	}
+	r.CounterFunc("apsp_sparse_batch_fallbacks_total", "Times a batch overran its work budget and the engine stopped batching.",
+		func() int64 { return e.batchFallbacks.Load() })
 }
 
 // N returns the number of vertices.
@@ -595,70 +667,107 @@ func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, d
 }
 
 // SolvePanel fills rows (h x n) with the distance rows of sources
-// base..base+h-1, sharding sources across workers. Each worker owns one
-// pooled scratch state for the whole panel. A cancelled ctx stops the
-// workers between rows and is returned; rows is then partly filled.
+// base..base+h-1. The panel is cut into units — runs of batchWidth
+// consecutive sources while the engine batches (PanelKernel), single
+// sources otherwise — which the workers draw from a shared counter, each
+// holding its pooled scratch for the whole panel. A cancelled ctx stops
+// every worker before its next unit (so between batches, not between
+// rows) and is returned; rows is then partly filled.
 func (e *Engine) SolvePanel(ctx context.Context, base int, rows *matrix.Block, workers int) error {
-	h := rows.R
-	if workers > h {
-		workers = h
+	job := panelJob{base: base, rows: rows, unit: 1}
+	if rows.R >= batchMin && e.batching.Load() {
+		job.unit = batchWidth
 	}
+	workers = max(min(workers, (rows.R+job.unit-1)/job.unit), 1)
 	panelStart := time.Now()
 	defer func() {
 		e.wallNs.Add(time.Since(panelStart).Nanoseconds())
 		e.lastWorkers.Store(int64(workers))
 	}()
-	if workers <= 1 {
-		sc := e.rows.Get().(rowSolver)
-		defer e.rows.Put(sc)
-		defer e.flushWorker(panelStart)
-		var sources, settled int64
-		defer func() { e.srcSolved.Add(sources); e.settled.Add(settled) }()
-		for r := 0; r < h; r++ {
-			if r%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			settled += int64(sc.solveRow(e, base+r, rows.Row(r)))
-			sources++
-		}
-		return nil
+	if workers == 1 {
+		return e.solveUnits(ctx, &job)
 	}
 	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-	for w := 0; w < workers; w++ {
+	errs := make([]error, workers)
+	for w := range errs {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			sc := e.rows.Get().(rowSolver)
-			defer e.rows.Put(sc)
-			start := time.Now()
-			// Telemetry accumulates worker-locally and flushes once per
-			// panel slice, keeping the per-source loop free of shared
-			// counters.
-			var sources, settled int64
-			defer func() {
-				e.flushWorker(start)
-				e.srcSolved.Add(sources)
-				e.settled.Add(settled)
-			}()
-			for r := w; r < h; r += workers {
-				if err := ctx.Err(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				settled += int64(sc.solveRow(e, base+r, rows.Row(r)))
-				sources++
-			}
-		}(w)
+			errs[w] = e.solveUnits(ctx, &job)
+		}()
 	}
 	wg.Wait()
-	return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err // every worker's error is the same ctx.Err()
+		}
+	}
+	return nil
 }
 
-// flushWorker folds one worker's panel wall time into the busy counter.
-func (e *Engine) flushWorker(start time.Time) {
-	e.busyNs.Add(time.Since(start).Nanoseconds())
+// panelJob is one SolvePanel call as its workers see it: rows unit..unit+k
+// of the panel are unit number next.
+type panelJob struct {
+	base int
+	rows *matrix.Block
+	unit int
+	next atomic.Int64
+}
+
+// solveUnits is one worker of a panel: it solves units until none is left
+// or ctx is cancelled.
+func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
+	start := time.Now()
+	// Scratch is drawn on first use: a worker that only batches never holds
+	// row scratch (1.2 MB of Dial buckets on a 75k-arc graph).
+	var sc rowSolver
+	var bs *batchState
+	// Telemetry accumulates worker-locally and flushes once per panel,
+	// keeping the per-source loop free of shared counters.
+	var sources, settled int64
+	defer func() {
+		if sc != nil {
+			e.rows.Put(sc)
+		}
+		if bs != nil {
+			e.batchScratch.Put(bs)
+		}
+		e.busyNs.Add(time.Since(start).Nanoseconds())
+		e.srcSolved.Add(sources)
+		e.settled.Add(settled)
+	}()
+	h, n := job.rows.R, e.n
+	for {
+		r0 := (int(job.next.Add(1)) - 1) * job.unit
+		if r0 >= h {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		k := min(job.unit, h-r0)
+		if k >= batchMin && e.batching.Load() {
+			if bs == nil {
+				bs = e.batchScratch.Get().(*batchState)
+			}
+			if reached, ok := bs.solve(e, job.base+r0, k, job.rows.Data[r0*n:(r0+k)*n]); ok {
+				sources += int64(k)
+				settled += int64(reached)
+				continue
+			}
+			// Over budget: this graph is one the kernel is wrong for, so the
+			// engine stops batching. A worker mid-batch may overrun too; the
+			// switch is counted once.
+			if e.batching.CompareAndSwap(true, false) {
+				e.batchFallbacks.Add(1)
+			}
+		}
+		if sc == nil {
+			sc = e.rows.Get().(rowSolver)
+		}
+		for r := r0; r < r0+k; r++ {
+			settled += int64(sc.solveRow(e, job.base+r, job.rows.Row(r)))
+			sources++
+		}
+	}
 }

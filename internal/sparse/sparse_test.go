@@ -19,13 +19,17 @@ func fwRef(t testing.TB, g *graph.Graph) *matrix.Block {
 	return m
 }
 
-// intER builds a connected sparse ER graph with integer weights. Integer
-// weights make every path sum exact in float64, so Dijkstra and
+// intER builds a connected sparse ER graph with integer weights 1..100.
+// Integer weights make every path sum exact in float64, so Dijkstra and
 // Floyd-Warshall must agree bit for bit, not just within tolerance.
+func intER(t testing.TB, n int, deg float64, seed int64) *graph.Graph {
+	return intERMaxW(t, n, deg, 100, seed)
+}
 
-func intER(t *testing.T, n int, deg float64, seed int64) *graph.Graph {
+// intERMaxW is intER with weights 1..maxW.
+func intERMaxW(t testing.TB, n int, deg float64, maxW int, seed int64) *graph.Graph {
 	t.Helper()
-	g, err := graph.ErdosRenyiConnected(n, graph.AvgDegreeProb(n, deg), graph.IntegerWeights(100), seed)
+	g, err := graph.ErdosRenyiConnected(n, graph.AvgDegreeProb(n, deg), graph.IntegerWeights(maxW), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,8 +96,7 @@ type PanelWriter struct {
 	index     []tileRef
 	nextOff   int64
 	codec     Codec
-	tile      *matrix.Block // the one b x b cut every tile is encoded from
-	buf       []byte        // one panel's encoded tiles
+	buf       []byte // one panel's encoded tiles
 	closed    bool
 	failed    bool
 
@@ -338,10 +337,10 @@ func (w *PanelWriter) Resumed() int { return w.resumed }
 // WritePanel appends the next row panel: a dense h x n block holding
 // matrix rows [p*b, p*b+h) where p panels have been written so far and
 // h = b except for a ragged final panel. The panel is cut into its q
-// tiles through the writer's one tile block, their encoded bytes are
-// gathered in one buffer and written with a single Write, so the writer's
-// own footprint is a tile plus one encoded panel. The panel is only read, never
-// retained. In checkpoint mode the panel is made durable (data fsync +
+// tiles through one tile-sized block from the matrix arena, their encoded
+// bytes are gathered in one buffer and written with a single Write, so the
+// writer's own footprint is a tile plus one encoded panel. The panel is
+// only read, never retained. In checkpoint mode the panel is made durable (data fsync +
 // manifest update) before WritePanel returns.
 func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 	if err := w.expectPanel(); err != nil {
@@ -355,17 +354,12 @@ func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 		return fmt.Errorf("store: panel %d is %dx%d, want %dx%d", w.nextPanel, rows.R, rows.C, h, w.n)
 	}
 	bi := w.nextPanel
-	// The writer's own block, not the shared arena's: a Get per tile there
-	// may be handed a caller's idle multi-megabyte panel to use as a tile,
-	// leaving the caller to allocate a fresh one for its next solve.
-	if w.tile == nil {
-		w.tile = matrix.NewZero(w.b, w.b)
-	}
-	tile := &matrix.Block{R: h}
+	tile := matrix.Get(h, w.b)
+	defer matrix.Put(tile)
 	w.buf = w.buf[:0]
 	for bj := 0; bj < w.q; bj++ {
 		tile.C = tileEdge(w.n, w.b, bj)
-		tile.Data = w.tile.Data[:h*tile.C]
+		tile.Data = tile.Data[:h*tile.C]
 		if err := rows.ExtractInto(tile, 0, bj*w.b); err != nil {
 			return w.fail(err)
 		}
