@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -37,7 +38,6 @@ import (
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
 	"apspark/internal/obs"
-	"apspark/internal/sparse"
 )
 
 func main() {
@@ -173,11 +173,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("graph: n=%d edges=%d\n", g.N, g.NumEdges())
-		if host {
-			eng := sparse.New(g)
-			fmt.Printf("sparse queue: %s\n", eng.Queue())
-			fmt.Printf("sparse panel kernel: %s\n", eng.PanelKernel())
-		} else {
+		if !host {
 			fmt.Printf("matrix kernel: %s\n", matrix.KernelImpl())
 		}
 		// The reported wall time covers the solve only, not graph
@@ -210,6 +206,7 @@ func main() {
 			fmt.Printf("resumed:           %d rows restored from checkpoint, %d re-solved\n", res.UnitsSkipped, res.UnitsRun)
 		}
 		fmt.Printf("host wall time:    %s\n", wall.Round(time.Millisecond))
+		printSparseEngine()
 	} else {
 		fmt.Printf("solver:            %s (partitioner %s, b=%d, B=%d, p=%d)\n", res.Solver, *partition, res.BlockSize, *bpc, *cores)
 		fmt.Printf("iteration units:   %d of %d\n", res.UnitsRun, res.UnitsTotal)
@@ -289,6 +286,42 @@ func main() {
 	}
 	if cancelled {
 		os.Exit(130) // conventional SIGINT exit status
+	}
+}
+
+// printSparseEngine reports what the host solve's sparse engine ran on —
+// the queue it chose and the panel kernel it ended on, with the reason if
+// it narrowed on the way — as the engine itself tells it: the solve
+// registers its engine with the process registry, and these are the
+// apsp_sparse_*_info and apsp_sparse_batch_fallbacks_total series a
+// served process exposes on /metrics.
+func printSparseEngine() {
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		fatal(err)
+	}
+	text := buf.String()
+	is1 := func(series string) bool { return strings.Contains(text, series+" 1\n") }
+	for _, q := range []string{"dial", "radix"} {
+		if is1(`apsp_sparse_queue_info{impl="` + q + `"}`) {
+			fmt.Printf("sparse queue: %s\n", q)
+		}
+	}
+	for _, k := range []string{"batch32", "batch16", "row"} {
+		if !is1(`apsp_sparse_panel_kernel_info{impl="` + k + `"}`) {
+			continue
+		}
+		var why []string
+		if is1(`apsp_sparse_batch_fallbacks_total{reason="range"}`) {
+			why = append(why, "left batch32: a distance of 65280 or more needs 32-bit lanes")
+		}
+		if is1(`apsp_sparse_batch_fallbacks_total{reason="budget"}`) {
+			why = append(why, "stopped batching: a batch overran its work budget")
+		}
+		if len(why) > 0 {
+			k += " (" + strings.Join(why, "; ") + ")"
+		}
+		fmt.Printf("sparse panel kernel: %s\n", k)
 	}
 }
 

@@ -1,5 +1,3 @@
-//go:build !race
-
 package sparse
 
 import (
@@ -10,10 +8,10 @@ import (
 )
 
 // TestPerSourceZeroAllocs pins the engine's allocation discipline: after
-// the first source has grown the pooled scratch, solving further sources
-// performs no heap allocations at all. Excluded under -race, where
-// sync.Pool intentionally drops items to widen interleaving coverage and
-// the scratch reallocates by design.
+// the first source has grown the scratch, solving further sources
+// performs no heap allocations at all. (It runs under -race too: the
+// scratch sits on the engine's own free list, not in a sync.Pool, which
+// drops items there by design.)
 func TestPerSourceZeroAllocs(t *testing.T) {
 	g := intER(t, 512, 8, 9)
 	e := New(g)
@@ -51,12 +49,12 @@ func TestPerBatchZeroAllocs(t *testing.T) {
 			}
 		})
 	}
-	one, many := perPanel(batchWidth), perPanel(8*batchWidth)
+	one, many := perPanel(batch32), perPanel(8*batch32)
 	t.Logf("allocs per panel: %v with one batch, %v with eight", one, many)
 	if many != one || one > 2 {
 		t.Fatalf("a panel of eight batches allocates %v objects, one of a single batch %v: batches allocate", many, one)
 	}
-	if e.PanelKernel() != "batch16" {
-		t.Fatalf("panel kernel = %s, want batch16", e.PanelKernel())
+	if e.PanelKernel() != "batch32" {
+		t.Fatalf("panel kernel = %s, want batch32", e.PanelKernel())
 	}
 }

@@ -6,70 +6,129 @@ import (
 	"apspark/internal/matrix"
 )
 
-// batchWidth is how many sources the batched panel kernel relaxes at
-// once: one 64-byte cache line of uint32 tentative distances per vertex.
-const batchWidth = 16
+// lane is the type of one tentative distance of the batched panel kernel.
+// A vertex owns one 64-byte cache line of them, lane j for the batch's
+// source j, so the lane type is the batch width: 32 sources on uint16
+// lanes, 16 on uint32. Both cost the same two loads per arc.
+type lane interface{ uint16 | uint32 }
+
+// The panel kernels an engine moves through, as the number of sources a
+// unit of work carries (Engine.width): it starts on batch32 or on rows and
+// only ever narrows.
+const (
+	batch32 = 32 // uint16 lanes
+	batch16 = 16 // uint32 lanes
+	rowWise = 1
+)
+
+func lanesOf[T lane]() int {
+	var z T
+	return 64 / int(unsafe.Sizeof(z))
+}
+
+// unreachedLane is a lane no relaxation has touched: dial.go's unreached
+// on uint32 lanes, where the add must not wrap, and 0xFFFF on uint16
+// lanes, where the add saturates and so keeps it absorbing.
+func unreachedLane[T lane]() T {
+	if lanesOf[T]() == batch32 {
+		return ^T(0)
+	}
+	return ^T(0) - dialMaxWeight
+}
+
+// exactBelow bounds the lanes a batch may end on: if every reached lane
+// of the fixpoint is below it, every lane is the true distance. Why: a
+// reached lane was built by adds that did not saturate, so it is the
+// length of a real walk and d >= D always. At the fixpoint every arc
+// (u, v, w) has d[v] <= d[u] ⊕ w, and a reached d[u] below 0xFFFF-255
+// cannot saturate with w <= 255, so along a true shortest path s = v0,
+// v1, ... induction gives d[v(i+1)] <= d[v(i)] + w = D[v(i+1)]: every
+// vertex with a path is reached, at its distance. A batch with a lane at
+// or past the bound may have saturated a reachable vertex into 0xFFFF and
+// is thrown away. On uint32 lanes the bound is unreached itself, which no
+// reached lane attains (dial.go), so the check never fires there.
+func exactBelow[T lane]() T { return ^T(0) - dialMaxWeight }
 
 // batchMin is the shortest run of sources worth a batch: a batch costs
 // about what five ER rows or four grid rows do, however many of its lanes
 // carry a source.
-const batchMin = batchWidth / 2
+const batchMin = 8
 
 // A batch's work budget. Label correcting has no useful worst-case bound,
-// so the kernel carries one derived from the input alone: batchWidth
-// Dijkstra rows settle batchWidth·n vertices, a visit walks one adjacency
-// list like a settle does, and a batch is abandoned once it has spent
-// batchBudget times that many visits — counting each sweep as
+// so the kernel carries one derived from the input alone: the W Dijkstra
+// rows a batch of W lanes replaces settle W·n vertices, a visit walks one
+// adjacency list like a settle does, and a batch is abandoned once it has
+// spent batchBudget times that many visits — counting each sweep as
 // n/sweepCharge visits on top of the ones it made, for the flags it
 // scanned and the mispredicted branches round a vertex that is dirty
 // alone (a sweep that visits 64 of 4096 vertices measured 60–85 dense
 // visits dearer than its visits; 350 at n = 65536).
 //
-// Where 2 comes from (package comment for the table): counted in visits,
-// the batch draws level with the rows at 1.0 times batchWidth·n on a path,
-// 1.3–1.9 on ER graphs and 2.4–4.2 on grids, and a single batch strays up
-// to half above its graph's mean with where its sources lie. Graphs the
-// kernel suits stay inside 2 batch by batch — ER at any degree and size
-// tried needs 0.5–0.7, a planted partition 0.6, grids up to 256x256
-// 0.75–1.1 — and the ones that do not are the ones it loses on: a path or
-// a large grid whose labels are shuffled, so that a sweep in index order
-// moves every wavefront by a vertex or two (2.0 in 2,000 sweeps and 4.8–9.5
-// respectively). The price of a bound this tight is a 512x512 grid in
-// label order (1.85 on average, 1.8 times faster batched) and a shuffled
-// 64x64 one (2.5, 1.7 times faster): some batch of theirs overruns and
-// they run at the rows' speed.
+// Where 2 comes from (package comment for the table): counted in visits
+// on 16 lanes, the batch draws level with the rows at 1.0 times W·n on a
+// path, 1.3–1.9 on ER graphs and 2.4–4.2 on grids, and a single batch
+// strays up to half above its graph's mean with where its sources lie.
+// Graphs the kernel suits stay inside 2 batch by batch — ER at any degree
+// and size tried needs 0.5–0.7, a planted partition 0.6, grids up to
+// 256x256 0.75–1.1 — and the ones that do not are the ones it loses on: a
+// path or a large grid whose labels are shuffled, so that a sweep in index
+// order moves every wavefront by a vertex or two (2.0 in 2,000 sweeps and
+// 4.8–9.5 respectively). The price of a bound this tight, on 16 lanes, is a
+// 512x512 grid in label order (1.85 on average, 1.8 times faster batched) and a
+// shuffled 64x64 one (2.5, 1.7 times faster): some batch of theirs
+// overruns and they run at the rows' speed. On 32 lanes the same visit
+// serves twice the sources wherever wavefronts share vertices, so every
+// shape needs less of W·n than on 16: ER 0.3, grids up to 256x256
+// 0.4–0.55, the shuffled 64x64 grid 1.4 (it now stays batched), a shuffled
+// path whose distances fit the lanes 1.95 in 2,000 sweeps as before.
 const (
 	batchBudget = 2
 	sweepCharge = 128
 )
 
-// batchState is one worker's scratch for the batched kernel. Between
-// batches every lane of d is unreached and every dirty flag is 0.
-type batchState struct {
-	d     []uint32 // n rows of batchWidth lanes, 64-byte aligned
-	dirty []byte   // dirty[v] = 1: a neighbour of v changed since v's last visit
+// emitBlock is how many vertices of d are turned into row entries at a
+// time. The W rows a batch writes lie n·8 bytes apart — 32 KiB at
+// n = 4096, the same L1 sets for all of them — so a pass that hands every
+// row a few floats per vertex line evicts what it just wrote. A block of
+// 256 lines is 16 KiB: it stays in L1 while each row in turn takes a 2 KiB
+// run from it.
+const emitBlock = 256
+
+// batchState is one worker's scratch for the batched kernel at one lane
+// type. Between batches every lane of d is unreached and every dirty flag
+// is 0.
+type batchState[T lane] struct {
+	d     []T    // n lines of lanesOf[T] lanes, 64-byte aligned
+	dirty []byte // dirty[v] = 1: a neighbour of v changed since v's last visit
+	blank []T    // a block of unreached lines, which d is reset from
 }
 
-func (e *Engine) newBatchState() *batchState {
-	d := make([]uint32, e.n*batchWidth+batchWidth)
-	// Align the first row to a cache line, so no vertex's lanes straddle two.
+func newBatchState[T lane](n int) *batchState[T] {
+	w := lanesOf[T]()
+	d := make([]T, n*w+w)
+	// Align the first line to a cache line, so no vertex's lanes straddle two.
 	if off := uintptr(unsafe.Pointer(&d[0])) & 63; off != 0 {
-		d = d[(64-off)/4:]
+		d = d[(64-off)/unsafe.Sizeof(d[0]):]
 	}
-	d = d[:e.n*batchWidth]
-	for i := range d {
-		d[i] = unreached
+	s := &batchState[T]{
+		d:     d[:n*w],
+		dirty: make([]byte, (n+31)&^31), // the sweep scans the flags 32 at a time
+		blank: make([]T, min(n, emitBlock)*w),
 	}
-	// The sweep scans the flags 32 at a time.
-	return &batchState{d: d, dirty: make([]byte, (e.n+31)&^31)}
+	for i := range s.blank {
+		s.blank[i] = unreachedLane[T]()
+	}
+	s.reset()
+	return s
 }
 
 // seed starts a batch: lane j of source base+j is 0 and that source's
 // neighbours are the first dirty vertices.
-func (s *batchState) seed(e *Engine, base, k int) {
+func (s *batchState[T]) seed(e *Engine, base, k int) {
+	w := lanesOf[T]()
 	for j := 0; j < k; j++ {
 		src := base + j
-		s.d[src*batchWidth+j] = 0
+		s.d[src*w+j] = 0
 		for _, a := range e.dial.arcs[e.rowPtr[src]:e.rowPtr[src+1]] {
 			s.dirty[a>>arcWeightBits] = 1
 		}
@@ -77,57 +136,95 @@ func (s *batchState) seed(e *Engine, base, k int) {
 }
 
 // reset returns the scratch of an abandoned batch to its resting state.
-func (s *batchState) reset() {
-	for i := range s.d {
-		s.d[i] = unreached
+func (s *batchState[T]) reset() {
+	for d := s.d; len(d) > 0; d = d[copy(d, s.blank):] {
 	}
 	clear(s.dirty)
 }
 
-// solve computes the rows of sources base..base+k-1 (k <= batchWidth)
+// sweep visits the dirty vertices once, in index order (batch_amd64.s),
+// and returns how many there were.
+func (s *batchState[T]) sweep(e *Engine) int {
+	if lanesOf[T]() == batch32 {
+		return batchSweep16(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.dial.arcs)
+	}
+	return batchSweep32(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.dial.arcs)
+}
+
+// batchEnd is how a batch ended.
+type batchEnd int
+
+const (
+	batchSolved batchEnd = iota
+	overBudget           // ran past its work budget: the graph is one the kernel is wrong for
+	overRange            // a lane came within a weight of the lane type's top: distances need wider lanes
+)
+
+// solve computes the rows of sources base..base+k-1 (k <= lanesOf[T])
 // into the first k rows of rows (each of length n) and returns the number
 // of (source, vertex) pairs reached. Lane j of d[v] converges on
 // dist(base+j, v) by pull-style label correcting: a visit to v takes the
 // lane-wise minimum of d[v] and d[u]+w over v's arcs and, if any lane
-// fell, marks v's neighbours dirty; a sweep (batchSweepAVX2) visits the
-// dirty vertices in index order, Gauss–Seidel style, and sweeps repeat
-// until one visits nothing. The fixpoint is the shortest distance whatever
-// the order, and every value is an exact integer below 2^32, so the rows
-// equal the Dial rows bit for bit.
+// fell, marks v's neighbours dirty; a sweep visits the dirty vertices in
+// index order, Gauss–Seidel style, and sweeps repeat until one visits
+// nothing. The fixpoint is the shortest distance whatever the order, and
+// every value is an exact integer below 2^32, so the rows equal the Dial
+// rows bit for bit.
 //
-// ok is false when the batch ran past its budget: the scratch is reset,
-// rows is untouched and the caller solves the sources one by one.
-func (s *batchState) solve(e *Engine, base, k int, rows []float64) (reached int, ok bool) {
+// Any other end leaves the scratch at rest and reached at 0, and the
+// caller solves the sources again some other way: overBudget before rows
+// was touched, overRange (uint16 lanes only, see exactBelow) after it was
+// filled with distances that may be wrong, all of which the second solve
+// overwrites.
+func (s *batchState[T]) solve(e *Engine, base, k int, rows []float64) (reached int, end batchEnd) {
 	n := e.n
 	s.seed(e, base, k)
-	for left := batchBudget * batchWidth * n; ; {
-		visits := batchSweepAVX2(&s.d[0], s.dirty, e.rowPtr, e.dial.arcs)
+	for left := batchBudget * lanesOf[T]() * n; ; {
+		visits := s.sweep(e)
 		if visits == 0 {
 			break
 		}
 		if left -= visits + n/sweepCharge; left < 0 {
 			s.reset()
-			return 0, false
+			return 0, overBudget
 		}
 	}
-	// Emit in blocks of batchWidth vertices: each row receives a run of
-	// 128 contiguous bytes per block instead of one float at a stride of n.
-	for v0 := 0; v0 < n; v0 += batchWidth {
-		blk := s.d[v0*batchWidth : min(v0+batchWidth, n)*batchWidth]
+	reached, top := s.emit(k, n, rows)
+	if top >= exactBelow[T]() {
+		return 0, overRange
+	}
+	return reached, batchSolved
+}
+
+// emit writes lanes 0..k-1 of d out as k rows of n float64, returns d to
+// its resting state and reports the number of reached lanes and the
+// largest of them — the one pass over d after the sweeps, a block of
+// vertices at a time (emitBlock).
+func (s *batchState[T]) emit(k, n int, rows []float64) (reached int, top T) {
+	w := lanesOf[T]()
+	for v0 := 0; v0 < n; v0 += emitBlock {
+		blk := s.d[v0*w : min(v0+emitBlock, n)*w]
 		for j := 0; j < k; j++ {
-			row := rows[j*n+v0:]
-			for i := 0; i*batchWidth < len(blk); i++ {
-				if d := blk[i*batchWidth+j]; d != unreached {
-					row[i] = float64(d)
-					reached++
-				} else {
-					row[i] = matrix.Inf
-				}
-			}
+			r, t := emitLane(rows[j*n+v0:][:len(blk)/w], blk[j:])
+			reached, top = reached+r, max(top, t)
 		}
-		for i := range blk {
-			blk[i] = unreached
+		copy(blk, s.blank)
+	}
+	return reached, top
+}
+
+// emitLane writes every lanesOf[T]-th element of col, one lane of a block
+// of d, to row. It is its own function to keep the loop in registers.
+func emitLane[T lane](row []float64, col []T) (reached int, top T) {
+	w, inf := lanesOf[T](), unreachedLane[T]()
+	for i := range row {
+		if d := col[i*w]; d != inf {
+			row[i] = float64(d)
+			top = max(top, d)
+			reached++
+		} else {
+			row[i] = matrix.Inf
 		}
 	}
-	return reached, true
+	return reached, top
 }

@@ -2,8 +2,14 @@
 
 package sparse
 
+import "unsafe"
+
 const haveBatchKernel = false
 
-func batchSweepAVX2(d *uint32, dirty []byte, rowPtr []int32, arcs []arc) int {
+func batchSweep32(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc) int {
+	panic("sparse: the batched kernel is not part of this build")
+}
+
+func batchSweep16(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc) int {
 	panic("sparse: the batched kernel is not part of this build")
 }

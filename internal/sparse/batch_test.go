@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
@@ -15,9 +14,10 @@ import (
 )
 
 // batchSweepGo is the assembly's oracle: the same sweep, one lane at a
-// time.
-func batchSweepGo(dp *uint32, dirty []byte, rowPtr []int32, arcs []arc) int {
-	d := unsafe.Slice(dp, (len(rowPtr)-1)*batchWidth)
+// time, at either lane type (the 16-bit add saturates).
+func batchSweepGo[T lane](d []T, dirty []byte, rowPtr []int32, arcs []arc) int {
+	lanes := lanesOf[T]()
+	acc := make([]T, lanes)
 	visits := 0
 	// Eight flags at a time: a vertex marked by a neighbour above it in
 	// its own word of flags waits for the next sweep, like any vertex
@@ -29,18 +29,22 @@ func batchSweepGo(dp *uint32, dirty []byte, rowPtr []int32, arcs []arc) int {
 			}
 			dirty[v] = 0
 			visits++
-			dv := d[v*batchWidth:][:batchWidth]
-			acc := [batchWidth]uint32(dv)
+			dv := d[v*lanes:][:lanes]
+			copy(acc, dv)
 			for _, a := range arcs[rowPtr[v]:rowPtr[v+1]] {
-				du := d[int(a>>arcWeightBits)*batchWidth:][:batchWidth]
+				du := d[int(a>>arcWeightBits)*lanes:][:lanes]
 				for j := range acc {
-					acc[j] = min(acc[j], du[j]+uint32(a&(1<<arcWeightBits-1)))
+					sum := du[j] + T(a&(1<<arcWeightBits-1))
+					if lanes == batch32 && sum < du[j] {
+						sum = ^T(0)
+					}
+					acc[j] = min(acc[j], sum)
 				}
 			}
-			if acc == [batchWidth]uint32(dv) {
+			if slices.Equal(acc, dv) {
 				continue
 			}
-			copy(dv, acc[:])
+			copy(dv, acc)
 			for _, a := range arcs[rowPtr[v]:rowPtr[v+1]] {
 				dirty[a>>arcWeightBits] = 1
 			}
@@ -53,7 +57,15 @@ func batchSweepGo(dp *uint32, dirty []byte, rowPtr []int32, arcs []arc) int {
 // (or the radix heap) the batched kernel is compared with.
 func rowsOnly(g *graph.Graph) *Engine {
 	e := New(g)
-	e.batching.Store(false)
+	e.width.Store(rowWise)
+	return e
+}
+
+// startAt16 returns an engine over g that starts on the narrower batched
+// kernel, as if an earlier batch had outgrown 16-bit lanes.
+func startAt16(g *graph.Graph) *Engine {
+	e := New(g)
+	e.width.CompareAndSwap(batch32, batch16)
 	return e
 }
 
@@ -89,8 +101,8 @@ func relabel(edges []graph.Edge, perm []int) []graph.Edge {
 }
 
 // TestBatchSweepMatchesGoOracle drives the assembly and the Go sweep side
-// by side from the same start and requires the same visits, distances and
-// dirty bits after every sweep.
+// by side from the same start, at both lane types, and requires the same
+// visits, distances and dirty bits after every sweep.
 func TestBatchSweepMatchesGoOracle(t *testing.T) {
 	requireBatchKernel(t)
 	rng := rand.New(rand.NewSource(5))
@@ -100,34 +112,42 @@ func TestBatchSweepMatchesGoOracle(t *testing.T) {
 		mustGraph(t, 130, star(130, dialMaxWeight, 0, 64)),
 		mustGraph(t, 32*32, grid(32, rng)),
 		mustGraph(t, 517, relabel(chain(517, 1, 0, 255), rng.Perm(517))),
+		// 102,000 end to end: the 16-bit lanes saturate on the way.
+		mustGraph(t, 401, chain(401, dialMaxWeight)),
 	} {
-		e := New(g)
-		a, b := e.newBatchState(), e.newBatchState()
-		for base := 0; base < g.N; base += 97 {
-			k := min(batchWidth, g.N-base)
-			a.seed(e, base, k)
-			b.seed(e, base, k)
-			for sweep := 0; ; sweep++ {
-				va := batchSweepAVX2(&a.d[0], a.dirty, e.rowPtr, e.dial.arcs)
-				vb := batchSweepGo(&b.d[0], b.dirty, e.rowPtr, e.dial.arcs)
-				if va != vb || !slices.Equal(a.d, b.d) || !slices.Equal(a.dirty, b.dirty) {
-					t.Fatalf("n=%d base=%d sweep %d: assembly visited %d, oracle %d; state equal: d %v dirty %v",
-						g.N, base, sweep, va, vb, slices.Equal(a.d, b.d), slices.Equal(a.dirty, b.dirty))
-				}
-				if va == 0 {
-					break
-				}
+		sweepMatchesGoOracle[uint16](t, New(g))
+		sweepMatchesGoOracle[uint32](t, New(g))
+	}
+}
+
+func sweepMatchesGoOracle[T lane](t *testing.T, e *Engine) {
+	a, b := newBatchState[T](e.n), newBatchState[T](e.n)
+	for base := 0; base < e.n; base += 97 {
+		k := min(lanesOf[T](), e.n-base)
+		a.seed(e, base, k)
+		b.seed(e, base, k)
+		for sweep := 0; ; sweep++ {
+			va := a.sweep(e)
+			vb := batchSweepGo(b.d, b.dirty, e.rowPtr, e.dial.arcs)
+			if va != vb || !slices.Equal(a.d, b.d) || !slices.Equal(a.dirty, b.dirty) {
+				t.Fatalf("n=%d, %d lanes, base=%d sweep %d: assembly visited %d, oracle %d; state equal: d %v dirty %v",
+					e.n, lanesOf[T](), base, sweep, va, vb, slices.Equal(a.d, b.d), slices.Equal(a.dirty, b.dirty))
 			}
-			a.reset()
-			b.reset()
+			if va == 0 {
+				break
+			}
 		}
+		a.reset()
+		b.reset()
 	}
 }
 
 // TestBatchedPanelsMatchRowsAndRadix is the differential pin for the
-// panel kernel: the engine as built (batching where it can), the same
-// engine held to single rows and the radix heap forced onto the graph
-// agree on every distance, bit for bit, and on the settled-vertex count.
+// panel kernel: the engine as built (batching where it can, on the widest
+// lanes the distances allow), the same engine started on the 32-bit lanes,
+// the same engine held to single rows and the radix heap forced onto the
+// graph agree on every distance, bit for bit, and on the settled-vertex
+// count — a batch thrown away on the way counts nothing.
 func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shuffled := relabel(chain(4096, 1, 7, 100), rng.Perm(4096))
@@ -135,35 +155,44 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 		name      string
 		g         *graph.Graph
 		panelRows int
-		fallbacks int64 // batches abandoned over budget
+		ends      string // the kernel the engine as built is on after the solve
+		ranges    int64  // batches thrown away for a distance past 16 bits
+		budgets   int64  // batches abandoned over budget
 	}{
-		{"ER sparse", intER(t, 700, 3, 1), 64, 0},
-		{"ER dense", intER(t, 300, 64, 2), 48, 0},
-		{"planted", mustPlanted(t, 1024, 8), 256, 0},
-		{"grid 64x64", mustGraph(t, 4096, grid(64, rng)), 256, 0},
-		{"star", mustGraph(t, 700, star(700, 7, 1, 255)), 100, 0},
-		{"path in order", mustGraph(t, 2000, chain(2000, 1, 7, 100)), 128, 0},
-		{"path, shuffled labels", mustGraph(t, 4096, shuffled), 256, 1},
-		{"disconnected + isolated", mustGraph(t, 40, append(chain(17, 2, 3), graph.Edge{U: 20, V: 39, W: 255})), 16, 0},
-		{"zero-weight edges", mustGraph(t, 200, append(chain(200, 0, 0, 3), star(200, 0, 9)...)), 32, 0},
-		{"all weights 1", intERMaxW(t, 500, 6, 1, 3), 64, 0},
-		{"a weight of 255", mustGraph(t, 300, chain(300, dialMaxWeight, 1)), 64, 0},
-		{"duplicate edges", mustGraph(t, 20, append(chain(20, 9), chain(20, 2, 30)...)), 16, 0},
-		{"n=1", mustGraph(t, 1, nil), 16, 0},
-		{"n=15", intER(t, 15, 4, 4), 16, 0},
-		{"n=16", intER(t, 16, 4, 5), 16, 0},
-		{"n=17", intER(t, 17, 4, 6), 16, 0},
-		{"n=4097, ragged last panel", intER(t, 4097, 4, 7), 1024, 0},
-		{"panel shorter than a batch", intER(t, 100, 5, 8), 7, 0},
+		{"ER sparse", intER(t, 700, 3, 1), 64, "batch32", 0, 0},
+		{"ER dense", intER(t, 300, 64, 2), 48, "batch32", 0, 0},
+		{"planted", mustPlanted(t, 1024, 8), 256, "batch32", 0, 0},
+		{"grid 64x64", mustGraph(t, 4096, grid(64, rng)), 256, "batch32", 0, 0},
+		{"star", mustGraph(t, 700, star(700, 7, 1, 255)), 100, "batch32", 0, 0},
+		// 71,929 from end to end.
+		{"path in order", mustGraph(t, 2000, chain(2000, 1, 7, 100)), 128, "batch16", 1, 0},
+		// 147,000 from end to end, so the 16-bit lanes saturate before the
+		// sweeps run out of budget: one batch thrown away, and the next,
+		// on 32-bit lanes, abandoned.
+		{"path, shuffled labels", mustGraph(t, 4096, shuffled), 256, "row", 1, 1},
+		{"short path, shuffled labels", mustGraph(t, 4096, relabel(chain(4096, 1, 7, 10), rng.Perm(4096))), 256, "row", 0, 1},
+		{"disconnected + isolated", mustGraph(t, 40, append(chain(17, 2, 3), graph.Edge{U: 20, V: 39, W: 255})), 16, "batch32", 0, 0},
+		{"zero-weight edges", mustGraph(t, 200, append(chain(200, 0, 0, 3), star(200, 0, 9)...)), 32, "batch32", 0, 0},
+		{"all weights 1", intERMaxW(t, 500, 6, 1, 3), 64, "batch32", 0, 0},
+		{"a weight of 255", mustGraph(t, 300, chain(300, dialMaxWeight, 1)), 64, "batch32", 0, 0},
+		{"duplicate edges", mustGraph(t, 20, append(chain(20, 9), chain(20, 2, 30)...)), 16, "batch32", 0, 0},
+		{"n=1", mustGraph(t, 1, nil), 16, "batch32", 0, 0},
+		{"n=15", intER(t, 15, 4, 4), 16, "batch32", 0, 0},
+		{"n=16", intER(t, 16, 4, 5), 16, "batch32", 0, 0},
+		{"n=17", intER(t, 17, 4, 6), 16, "batch32", 0, 0},
+		{"n=31", intER(t, 31, 4, 4), 32, "batch32", 0, 0},
+		{"n=33", intER(t, 33, 4, 6), 64, "batch32", 0, 0},
+		{"n=4097, ragged last panel", intER(t, 4097, 4, 7), 1024, "batch32", 0, 0},
+		{"panel shorter than a batch", intER(t, 100, 5, 8), 7, "batch32", 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, rows, radix := New(tc.g), rowsOnly(tc.g), radixOnly(tc.g)
+			e, e16, rows, radix := New(tc.g), startAt16(tc.g), rowsOnly(tc.g), radixOnly(tc.g)
 			if e.Queue() != "dial" {
 				t.Fatalf("queue = %s, want dial", e.Queue())
 			}
-			if batches := e.PanelKernel() == "batch16"; batches != haveBatchKernel {
-				t.Fatalf("panel kernel = %s with haveBatchKernel = %v", e.PanelKernel(), haveBatchKernel)
+			if batches := e.PanelKernel() == "batch32" && e16.PanelKernel() == "batch16"; batches != haveBatchKernel {
+				t.Fatalf("panel kernels = %s, %s with haveBatchKernel = %v", e.PanelKernel(), e16.PanelKernel(), haveBatchKernel)
 			}
 			// Every panel of a small graph; the first, one inside and the
 			// (ragged) last of a large one.
@@ -176,30 +205,38 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 					panels = append(panels, bi)
 				}
 			}
+			engines := []*Engine{e, e16, rows, radix}
 			for _, bi := range panels {
 				h := min(b, n-bi*b)
-				var got [3]*matrix.Block
-				for i, eng := range []*Engine{e, rows, radix} {
+				got := make([]*matrix.Block, len(engines))
+				for i, eng := range engines {
 					got[i] = matrix.NewZero(h, n)
 					if err := eng.SolvePanel(context.Background(), bi*b, got[i], 2); err != nil {
 						t.Fatal(err)
 					}
+					requireBitIdentical(t, got[i], got[0])
 				}
-				requireBitIdentical(t, got[0], got[1])
-				requireBitIdentical(t, got[0], got[2])
 			}
-			if e.settled.Load() != rows.settled.Load() || e.srcSolved.Load() != rows.srcSolved.Load() {
-				t.Fatalf("settled %d over %d sources, rows-only engine %d over %d",
-					e.settled.Load(), e.srcSolved.Load(), rows.settled.Load(), rows.srcSolved.Load())
+			for _, eng := range engines[:2] {
+				if eng.settled.Load() != rows.settled.Load() || eng.srcSolved.Load() != rows.srcSolved.Load() {
+					t.Fatalf("settled %d over %d sources, rows-only engine %d over %d",
+						eng.settled.Load(), eng.srcSolved.Load(), rows.settled.Load(), rows.srcSolved.Load())
+				}
 			}
 			if !haveBatchKernel {
 				return
 			}
-			if e.batchFallbacks.Load() != tc.fallbacks {
-				t.Fatalf("batch fallbacks = %d, want %d", e.batchFallbacks.Load(), tc.fallbacks)
+			if e.PanelKernel() != tc.ends || e.rangeFallbacks.Load() != tc.ranges || e.budgetFallbacks.Load() != tc.budgets {
+				t.Fatalf("ended on %s after %d range and %d budget fallbacks, want %s after %d and %d",
+					e.PanelKernel(), e.rangeFallbacks.Load(), e.budgetFallbacks.Load(), tc.ends, tc.ranges, tc.budgets)
 			}
-			if fellBack := e.PanelKernel() == "row"; fellBack != (tc.fallbacks > 0) {
-				t.Fatalf("panel kernel = %s after the solve and %d fallbacks", e.PanelKernel(), tc.fallbacks)
+			want16 := "batch16"
+			if tc.budgets > 0 {
+				want16 = "row"
+			}
+			if e16.PanelKernel() != want16 || e16.rangeFallbacks.Load() != 0 || e16.budgetFallbacks.Load() != tc.budgets {
+				t.Fatalf("started on batch16: ended on %s after %d range and %d budget fallbacks, want %s after 0 and %d",
+					e16.PanelKernel(), e16.rangeFallbacks.Load(), e16.budgetFallbacks.Load(), want16, tc.budgets)
 			}
 		})
 	}
@@ -225,74 +262,176 @@ func TestBatchNeedsTheDialView(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackIsExactAndSticky: on a graph that overruns the budget
-// the panel comes back exact from the Dial rows, the engine reports it
-// once and never batches again, and the scratch the abandoned batch used
-// is clean for the next engine state.
-func TestBatchFallbackIsExactAndSticky(t *testing.T) {
-	requireBatchKernel(t)
-	const n = 4096
-	g := mustGraph(t, n, relabel(chain(n, 1, 7, 100), rand.New(rand.NewSource(2)).Perm(n)))
-	e := New(g)
+// expositionHas fails unless every line of want is in e's /metrics text.
+func expositionHas(t *testing.T, e *Engine, want ...string) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	e.RegisterMetrics(reg)
-	panel := matrix.NewZero(64, n)
-	if err := e.SolvePanel(context.Background(), 128, panel, 2); err != nil {
-		t.Fatal(err)
-	}
-	if e.batchFallbacks.Load() != 1 || e.PanelKernel() != "row" {
-		t.Fatalf("fallbacks = %d, panel kernel = %s; want 1, row", e.batchFallbacks.Load(), e.PanelKernel())
-	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"apsp_sparse_batch_fallbacks_total 1", `apsp_sparse_panel_kernel_info{impl="row"} 1`, `apsp_sparse_panel_kernel_info{impl="batch16"} 0`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %q", want)
+	for _, w := range want {
+		if !strings.Contains(buf.String(), w) {
+			t.Errorf("exposition missing %q", w)
 		}
 	}
-	want := make([]float64, n)
+}
+
+// requireAtRest fails unless the engine's next scratch of lane type T is
+// as a finished batch must leave it.
+func requireAtRest[T lane](t *testing.T, f *freeList) {
+	t.Helper()
+	s := f.get().(*batchState[T])
+	if i := slices.IndexFunc(s.d, func(d T) bool { return d != unreachedLane[T]() }); i >= 0 {
+		t.Fatalf("a batch of %d lanes left d[%d] = %d", lanesOf[T](), i, s.d[i])
+	}
+	if i := slices.IndexFunc(s.dirty, func(f byte) bool { return f != 0 }); i >= 0 {
+		t.Fatalf("a batch of %d lanes left vertex %d dirty", lanesOf[T](), i)
+	}
+}
+
+// requireRadixRows fails unless panel holds the radix heap's rows of
+// sources base.. on g.
+func requireRadixRows(t *testing.T, g *graph.Graph, base int, panel *matrix.Block) {
+	t.Helper()
+	want := make([]float64, g.N)
 	r := radixOnly(g)
 	for i := 0; i < panel.R; i++ {
-		if err := r.SolveRowInto(128+i, want); err != nil {
+		if err := r.SolveRowInto(base+i, want); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(panel.Row(i), want) {
-			t.Fatalf("row %d differs from the radix heap's after a fallback", 128+i)
+			t.Fatalf("row %d differs from the radix heap's", base+i)
 		}
 	}
-	if err := e.SolvePanel(context.Background(), 0, panel, 2); err != nil {
-		t.Fatal(err)
+}
+
+// TestBatchFallbackIsExactAndSticky: on a graph that overruns the budget
+// the panel comes back exact from the Dial rows, the engine reports it
+// once and never batches again — whichever lanes it was on — and the
+// scratch the abandoned batch used is clean.
+func TestBatchFallbackIsExactAndSticky(t *testing.T) {
+	requireBatchKernel(t)
+	const n = 4096
+	// 24,570 from end to end: inside 16 bits, so this is the budget alone.
+	g := mustGraph(t, n, relabel(chain(n, 1, 7, 10), rand.New(rand.NewSource(2)).Perm(n)))
+	for _, e := range []*Engine{New(g), startAt16(g)} {
+		started := e.PanelKernel()
+		panel := matrix.NewZero(64, n)
+		if err := e.SolvePanel(context.Background(), 128, panel, 2); err != nil {
+			t.Fatal(err)
+		}
+		if e.budgetFallbacks.Load() != 1 || e.rangeFallbacks.Load() != 0 || e.PanelKernel() != "row" {
+			t.Fatalf("from %s: %d budget and %d range fallbacks, panel kernel = %s; want 1, 0, row",
+				started, e.budgetFallbacks.Load(), e.rangeFallbacks.Load(), e.PanelKernel())
+		}
+		expositionHas(t, e, `apsp_sparse_batch_fallbacks_total{reason="budget"} 1`, `apsp_sparse_batch_fallbacks_total{reason="range"} 0`,
+			`apsp_sparse_panel_kernel_info{impl="row"} 1`, `apsp_sparse_panel_kernel_info{impl="batch16"} 0`, `apsp_sparse_panel_kernel_info{impl="batch32"} 0`)
+		requireRadixRows(t, g, 128, panel)
+		if err := e.SolvePanel(context.Background(), 0, panel, 2); err != nil {
+			t.Fatal(err)
+		}
+		if e.budgetFallbacks.Load() != 1 {
+			t.Fatalf("from %s: %d budget fallbacks after a second panel, want still 1", started, e.budgetFallbacks.Load())
+		}
+		if started == "batch32" {
+			requireAtRest[uint16](t, &e.batch32Scratch)
+		} else {
+			requireAtRest[uint32](t, &e.batch16Scratch)
+		}
 	}
-	if e.batchFallbacks.Load() != 1 {
-		t.Fatalf("fallbacks = %d after a second panel, want still 1", e.batchFallbacks.Load())
-	}
-	s := e.batchScratch.Get().(*batchState)
-	if i := slices.IndexFunc(s.d, func(d uint32) bool { return d != unreached }); i >= 0 {
-		t.Fatalf("abandoned batch left d[%d] = %d", i, s.d[i])
-	}
-	if i := slices.IndexFunc(s.dirty, func(f byte) bool { return f != 0 }); i >= 0 {
-		t.Fatalf("abandoned batch left vertex %d dirty", i)
+}
+
+// TestBatchRangeBoundary walks the largest distance of a graph across the
+// 16-bit lanes' bound. The graph is a chain of weight-255 edges from
+// vertex 3 on, the last one lighter where it has to be, so that its two
+// ends are total apart and every other pair is at least 254 closer: of the
+// sources 0..31, the first batch, only lane 3 carries the distance that
+// decides.
+// Vertices 0 and 1 are a component of their own and vertex 2 is isolated,
+// so the same batch has lanes that reach next to nothing. At 0xFFFF-256
+// the batch stands; from 0xFFFF-255 on it must be thrown away, counted
+// once, and solved again on 32-bit lanes, where the engine then stays.
+func TestBatchRangeBoundary(t *testing.T) {
+	requireBatchKernel(t)
+	for _, tc := range []struct {
+		total int
+		ends  string
+	}{
+		{0xFFFF - 256, "batch32"},
+		{0xFFFF - 255, "batch16"},
+		{0xFFFF, "batch16"},
+		{0xFFFF + 255*40, "batch16"},
+	} {
+		edges := []graph.Edge{{U: 0, V: 1, W: 4}}
+		v := 3
+		for left := tc.total; left > 0; v++ {
+			w := min(left, dialMaxWeight)
+			edges = append(edges, graph.Edge{U: v, V: v + 1, W: float64(w)})
+			left -= w
+		}
+		n := v + 1
+		g := mustGraph(t, n, edges)
+		e, rows := New(g), rowsOnly(g)
+		panel := matrix.NewZero(n, n)
+		for pass := 0; pass < 2; pass++ {
+			if err := e.SolvePanel(context.Background(), 0, panel, 2); err != nil {
+				t.Fatal(err)
+			}
+			if got := panel.At(3, n-1); got != float64(tc.total) {
+				t.Fatalf("total %d: dist(3, %d) = %v", tc.total, n-1, got)
+			}
+			fell := int64(0)
+			if tc.ends == "batch16" {
+				fell = 1
+			}
+			if e.PanelKernel() != tc.ends || e.rangeFallbacks.Load() != fell || e.budgetFallbacks.Load() != 0 {
+				t.Fatalf("total %d, pass %d: on %s after %d range and %d budget fallbacks; want %s after %d and 0",
+					tc.total, pass, e.PanelKernel(), e.rangeFallbacks.Load(), e.budgetFallbacks.Load(), tc.ends, fell)
+			}
+			requireRadixRows(t, g, 0, panel)
+		}
+		if err := rows.SolvePanel(context.Background(), 0, panel, 2); err != nil {
+			t.Fatal(err)
+		}
+		if e.srcSolved.Load() != 2*rows.srcSolved.Load() || e.settled.Load() != 2*rows.settled.Load() {
+			t.Fatalf("total %d: %d sources, %d settled over two passes; one pass of rows counts %d, %d",
+				tc.total, e.srcSolved.Load(), e.settled.Load(), rows.srcSolved.Load(), rows.settled.Load())
+		}
+		expositionHas(t, e, `apsp_sparse_panel_kernel_info{impl="`+tc.ends+`"} 1`)
+		requireAtRest[uint16](t, &e.batch32Scratch)
+		requireAtRest[uint32](t, &e.batch16Scratch)
 	}
 }
 
 // FuzzBatchMatchesDial builds a small integer-weight graph from the fuzz
-// input and requires batched panels to equal the Dial rows.
+// input — random edges over a spine, a path through every vertex whose
+// weight decides whether distances stay inside 16 bits — and requires
+// batched panels to equal the Dial rows.
 func FuzzBatchMatchesDial(f *testing.F) {
-	f.Add(int64(1), uint8(12), uint8(30), uint8(9), uint8(16))
-	f.Add(int64(2), uint8(1), uint8(0), uint8(0), uint8(1))
-	f.Add(int64(3), uint8(80), uint8(200), uint8(255), uint8(33))
-	f.Add(int64(4), uint8(25), uint8(60), uint8(0), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, nv, ne, maxW, panelRows uint8) {
-		n := int(nv)%96 + 1
+	f.Add(int64(1), uint8(12), uint8(30), uint8(9), uint8(16), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(0), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(80), uint8(200), uint8(255), uint8(33), uint8(0))
+	f.Add(int64(4), uint8(25), uint8(60), uint8(0), uint8(5), uint8(3))
+	f.Add(int64(5), uint8(255), uint8(4), uint8(255), uint8(39), uint8(255)) // 65,025 end to end, or a few edges less
+	f.Add(int64(6), uint8(255), uint8(0), uint8(0), uint8(32), uint8(255))
+	f.Add(int64(7), uint8(254), uint8(0), uint8(0), uint8(64), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, nv, ne, maxW, panelRows, spine uint8) {
+		n := int(nv) + 1
+		if spine > 0 {
+			n += 2 // up to 257 vertices: 256 edges of 255 are 0xFFFF-255
+		}
 		rng := rand.New(rand.NewSource(seed))
 		edges := make([]graph.Edge, ne)
 		for i := range edges {
 			edges[i] = graph.Edge{U: rng.Intn(n), V: rng.Intn(n), W: float64(rng.Intn(int(maxW) + 1))}
 		}
+		if spine > 0 {
+			edges = append(edges, chain(n, float64(spine))...)
+		}
 		g := mustGraph(t, n, edges)
-		b := int(panelRows)%40 + 1
+		b := int(panelRows)%80 + 1
 		got, _, err := New(g).Solve(context.Background(), b, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)

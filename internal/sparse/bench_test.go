@@ -60,14 +60,20 @@ func benchSolveRow(b *testing.B, weights graph.WeightFn, queue string) {
 	}
 }
 
-// BenchmarkSolvePanel* time one 256-row panel at n = 4096 on the batched
-// kernel and on the Dial rows, one worker, on the shapes that place the
-// kernel's work budget: an ER graph it is built for, a grid and a path in
-// label order where it is ahead by less, and the same path with shuffled
-// labels, where it overruns the budget once and the rest of the panel runs
-// on the rows.
+// BenchmarkSolvePanel* time one 256-row panel at n = 4096 on each panel
+// kernel — 32 sources at a time on 16-bit lanes, 16 on 32-bit lanes, the
+// Dial rows — one worker, on the shapes that place the kernel's work
+// budget: an ER graph and a planted partition it is built for, a grid and
+// a path in label order where it is ahead by less (and where the path's
+// distances outgrow 16 bits, so batch32 pays for one thrown-away batch and
+// goes on as batch16), and the same path with shuffled labels, where it
+// overruns the budget once and the rest of the panel runs on the rows.
 func BenchmarkSolvePanelER16(b *testing.B) {
 	benchSolvePanel(b, intER(b, 4096, 16, 42))
+}
+
+func BenchmarkSolvePanelPlanted(b *testing.B) {
+	benchSolvePanel(b, mustPlanted(b, 4096, 8))
 }
 
 func BenchmarkSolvePanelGrid(b *testing.B) {
@@ -84,18 +90,17 @@ func BenchmarkSolvePanelPathShuffled(b *testing.B) {
 
 func benchSolvePanel(b *testing.B, g *graph.Graph) {
 	panel := matrix.NewZero(256, g.N)
-	for _, kernel := range []string{"batch16", "row"} {
-		b.Run(kernel, func(b *testing.B) {
-			if kernel == "batch16" {
+	for _, kernel := range []struct {
+		name string
+		new  func(*graph.Graph) *Engine
+	}{{"batch32", New}, {"batch16", startAt16}, {"row", rowsOnly}} {
+		b.Run(kernel.name, func(b *testing.B) {
+			if kernel.name != "row" {
 				requireBatchKernel(b)
 			}
 			for i := 0; i < b.N; i++ {
-				// A fresh engine per panel: one that fell back stays on rows.
-				e := New(g)
-				if kernel == "row" {
-					e = rowsOnly(g)
-				}
-				if err := e.SolvePanel(context.Background(), (i*256)%g.N, panel, 1); err != nil {
+				// A fresh engine per panel: one that narrowed stays narrow.
+				if err := kernel.new(g).SolvePanel(context.Background(), (i*256)%g.N, panel, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -73,9 +73,9 @@ func (e *Engine) SolveBoundedInto(seeds []Seed, row []float64, bd Bound) (int, e
 			return 0, fmt.Errorf("sparse: target vertex %d outside [0,%d)", t, e.n)
 		}
 	}
-	sc := e.scratch.Get().(*state)
+	sc := e.scratch.get().(*state)
 	settled := e.dijkstraBounded(sc, seeds, row, bd)
-	e.scratch.Put(sc)
+	e.scratch.put(sc)
 	e.boundedSolves.Add(1)
 	e.settled.Add(int64(settled))
 	return settled, nil

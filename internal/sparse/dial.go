@@ -17,10 +17,10 @@ import (
 const dialMaxWeight = 1<<arcWeightBits - 1
 
 // unreached is the tentative distance of a vertex no relaxation has
-// touched, shared by the Dial rows and the batched kernel (batch.go). It
-// sits dialMaxWeight below the top of the range because the batched
-// kernel adds an arc's weight to every lane, reached or not, and the sum
-// must not wrap. No sum over reached vertices can get there: the largest
+// touched, shared by the Dial rows and the batched kernel's 32-bit lanes
+// (batch.go). It sits dialMaxWeight below the top of the range because
+// the batched kernel adds an arc's weight to every lane, reached or not,
+// and the sum must not wrap. No sum over reached vertices can get there: the largest
 // is a shortest distance, at most (n-1)·maxW, plus one more edge, and the
 // constant below fails to compile unless maxN·dialMaxWeight is smaller.
 const unreached = math.MaxUint32 - dialMaxWeight

@@ -14,7 +14,7 @@ import (
 func radixOnly(g *graph.Graph) *Engine {
 	e := New(g)
 	e.dial, e.rows = nil, &e.scratch
-	e.batching.Store(false)
+	e.width.Store(rowWise)
 	return e
 }
 

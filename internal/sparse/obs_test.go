@@ -63,7 +63,9 @@ func TestEngineRegisterMetrics(t *testing.T) {
 		`apsp_sparse_queue_info{impl="dial"} 0`,
 		`apsp_sparse_panel_kernel_info{impl="row"} 1`,
 		`apsp_sparse_panel_kernel_info{impl="batch16"} 0`,
-		"apsp_sparse_batch_fallbacks_total 0",
+		`apsp_sparse_panel_kernel_info{impl="batch32"} 0`,
+		`apsp_sparse_batch_fallbacks_total{reason="range"} 0`,
+		`apsp_sparse_batch_fallbacks_total{reason="budget"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)

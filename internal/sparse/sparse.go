@@ -6,30 +6,36 @@
 // path at the same n.
 //
 // Three pieces of code can compute a source's row, and which one runs is
-// decided from the graph and the CPU alone — there is no option, flag or
-// environment variable:
+// decided from the graph, the CPU and the distances alone — there is no
+// option, flag or environment variable:
 //
-//   - batch16 (batch.go, batch_amd64.s): SolvePanel, and so Solve,
-//     SolvePanels and every caller that re-solves panels, hands its
-//     workers runs of 16 consecutive sources. A run keeps one 64-byte line
-//     of uint32 tentative distances per vertex, lane j for source j, and
-//     relaxes all 16 sources with the same two AVX2 registers: a visit to
-//     v folds d[u]+w over v's arcs into d[v] (broadcast, add, unsigned
-//     min) and marks v's neighbours dirty if any lane fell; sweeps over
-//     the dirty vertices in index order repeat until one finds nothing to
-//     do. No queue, no per-source branches. It needs the Dial view below
-//     (it reads the same 4-byte arcs) and AVX2 (the check internal/matrix
-//     makes; other architectures, -tags purego and older CPUs never
-//     batch), it is used for runs of at least 8 sources, and it carries a
-//     work budget (batch.go): the first batch to overrun it is solved by
-//     the Dial rows instead and the engine stops batching for good.
-//     PanelKernel reports "batch16" or "row".
+//   - batch32, batch16 (batch.go, batch_amd64.s): SolvePanel, and so
+//     Solve, SolvePanels and every caller that re-solves panels, hands its
+//     workers runs of consecutive sources. A run keeps one 64-byte line of
+//     tentative distances per vertex, lane j for source j, and relaxes
+//     every source with the same two AVX2 registers: a visit to v folds
+//     d[u]+w over v's arcs into d[v] (broadcast, add, unsigned min) and
+//     marks v's neighbours dirty if any lane fell; sweeps over the dirty
+//     vertices in index order repeat until one finds nothing to do. No
+//     queue, no per-source branches. The sweep is bound by the two loads
+//     of d[u] per arc, not by the arithmetic, so the lanes are as narrow
+//     as the distances allow: 32 sources on uint16 lanes with a
+//     saturating add (batch32) until a batch ends with a distance of
+//     65,280 or more — that batch is thrown away and solved again — and 16
+//     sources on uint32 lanes (batch16) from then on. It needs the Dial
+//     view below (it reads the same 4-byte arcs) and AVX2 (the check
+//     internal/matrix makes; other architectures, -tags purego and older
+//     CPUs never batch), it is used for runs of at least 8 sources, and it
+//     carries a work budget (batch.go): the first batch to overrun it, on
+//     either lanes, is solved by the Dial rows instead and the engine
+//     stops batching. Both narrowings are for good and counted once.
+//     PanelKernel reports "batch32", "batch16" or "row".
 //   - dial (dial.go): one source at a time on a Dial queue — a ring of
 //     maxW+1 buckets with lazy deletion, 32-bit tentative distances
 //     (16 KiB at n = 4096, reset in the pass that writes the row) and the
 //     adjacency repacked as one stream of 4-byte {vertex, weight} arcs.
 //     Chosen in New when every weight is an integer in [0, 255]; runs
-//     SolveRowInto always, and panels when batch16 does not.
+//     SolveRowInto always, and panels when the batched kernel does not.
 //   - radix (this file): one source at a time on a flat-array radix heap
 //     over the IEEE-754 bit patterns of the (monotone, non-negative) keys,
 //     where push and decrease-key are O(1) bucket moves, every pop settles
@@ -42,28 +48,45 @@
 //
 // Integer sums below 2^53 are exact in float64 and the batched fixpoint is
 // the shortest distance whatever order it was reached in, so all three
-// produce the same bits. All scratch is pooled per worker and sized from
-// the graph (batch16, dial) or grown by the first source (radix); after
-// that a source, and a batch, performs zero heap allocations.
+// produce the same bits. All scratch is kept per worker on free lists the
+// engine owns and sized from the graph (batched, dial) or grown by the
+// first source (radix); after that a source, and a batch, performs zero
+// heap allocations.
 //
 // Rows/s on one core of the 2-vCPU development host (AVX2, 2.1 GHz),
-// n = 4096, weights 1..100, one 256-row panel, medians of 5 runs of 20
-// (go test -bench SolvePanel ./internal/sparse regenerates them):
+// n = 4096, weights 1..100, one 256-row panel by a fresh engine, medians
+// of 5 runs of 10 (go test -bench SolvePanel -cpu 1 ./internal/sparse
+// regenerates them), and what the budget is counted in: the vertices a
+// batch's sweeps visit over the W·n that W Dijkstra rows settle.
 //
-//	                          batch16    dial   visits/(16·n) per batch
-//	ER degree 16                 9170    3120   0.55
-//	64x64 grid                  22590    4950   0.84
-//	path, labels in order       31580    7370   0.37
-//	path, labels shuffled        6140*   6760   2.0, in 2,000 sweeps
+//	                        batch32  batch16   dial   visits/(W·n), W = 32, 16
+//	ER degree 16              17550     8950   3120   0.30  0.58
+//	planted, 8 communities    10620     5710   2130   0.31  0.61
+//	64x64 grid                29230    24250   4730   0.44  0.51
+//	path, labels in order     30380*   34600   9610   0.37  0.59
+//	path, labels shuffled      5310†    6000†  6530   1.36  1.98, in 2,000 sweeps
 //
-// (*) one abandoned batch, then the Dial rows: the cost of finding out.
-// The last column is what the budget is counted in — the vertices the
-// sweeps visited over the 16·n that sixteen Dijkstra rows settle. The
-// kernel is ahead where it stays well under 2 and behind on graphs whose
-// labels make a sweep in index order advance every wavefront by a vertex
-// or two: run to the end, the shuffled path takes 2.0 times the rows'
-// time and a shuffled 256x256 grid 3.9 times (9.5 in the last column).
-// batch.go has the break-even figures the budget's 2 comes from.
+// (*) 147,000 from end to end: the panel's first batch ends past 16-bit
+// lanes, is thrown away (0.8 ms, 0.7 % of the whole solve) and the panel
+// goes on as batch16. (†) one batch abandoned over budget, then the Dial
+// rows: the cost of finding out. The batch32 engine first throws away a
+// batch whose lanes saturated before its budget ran out (5.5 ms, 0.8 % of
+// the whole solve); both paths' W = 32 visits are of those saturated runs.
+//
+// Where 32 lanes help less: on ER and planted graphs every vertex is
+// dirty in every early sweep whatever the sources, so twice the lanes
+// cost the same visits and the rows/s double. On a grid a batch's dirty
+// set grows with its wavefronts: twice the sources visit 1.7 times the
+// vertices and batch32 is 1.2 times batch16, not 2 (1.2–1.5 on 128x128
+// and 256x256). Where they do not apply: a graph with a distance of
+// 65,280 or more — long paths, large grids with heavy edges — pays for
+// one thrown-away batch per engine and then runs exactly as on batch16.
+// The kernel as a whole is ahead where it stays well under 2 in the last
+// columns and behind on graphs whose labels make a sweep in index order
+// advance every wavefront by a vertex or two: run to the end on 16 lanes,
+// the shuffled path takes 2.0 times the rows' time and a shuffled 256x256
+// grid 3.9 times (9.5 in the last column). batch.go has the break-even
+// figures the budget's 2 comes from.
 //
 // Where the Dial queue's 255 comes from: rows/s, same host, n = 4096,
 // medians of 100 interleaved 20-row blocks. With the queue as shipped —
@@ -123,19 +146,24 @@ type Engine struct {
 
 	// dial is the integer view the Dial queue runs on, nil when the
 	// graph's weights do not qualify and rows run on the radix heap. rows
-	// is the scratch pool of whichever was chosen; bounded solves always
+	// is the scratch list of whichever was chosen; bounded solves always
 	// draw radix scratch.
 	dial        *dialGraph
-	scratch     sync.Pool // *state
-	dialScratch sync.Pool // *dialState
-	rows        *sync.Pool
+	scratch     freeList // *state
+	dialScratch freeList // *dialState
+	rows        *freeList
 
-	// batching is true while SolvePanel hands runs of sources to the
-	// batched kernel (batch.go): from the start when the graph has a Dial
-	// view and the CPU AVX2, until the first batch that overruns its budget.
-	batching       atomic.Bool
-	batchFallbacks atomic.Int64
-	batchScratch   sync.Pool // *batchState
+	// width is how many sources SolvePanel solves at once (batch.go):
+	// batch32 from the start when the graph has a Dial view and the CPU
+	// AVX2, batch16 after the first batch whose distances outgrow 16-bit
+	// lanes, rowWise after the first batch, at either width, that overruns
+	// its work budget — and rowWise from the start everywhere else. It only
+	// narrows, and each narrowing is counted once.
+	width           atomic.Int32
+	rangeFallbacks  atomic.Int64
+	budgetFallbacks atomic.Int64
+	batch32Scratch  freeList // *batchState[uint16]
+	batch16Scratch  freeList // *batchState[uint32]
 
 	// Cumulative solve telemetry, exposed by RegisterMetrics. Workers
 	// accumulate locally and flush once per panel slice, so the hot
@@ -148,6 +176,42 @@ type Engine struct {
 	lastWorkers   atomic.Int64 // worker count of the most recent panel
 	stallNs       atomic.Int64 // summed time the panel loop was blocked on an emit
 	panelEmit     *obs.Histogram
+}
+
+// freeList is a pool of one kind of per-worker scratch that belongs to its
+// engine. A sync.Pool would do the same job, but what it holds stays
+// reachable from the runtime's pool lists for two GC cycles after its
+// owner is dead, and a caller that builds an engine per solve then pays
+// for the scratch of several dead engines at once (megabytes each). A
+// free list dies with the engine. It keeps at most keep items — one per
+// processor: what a burst of concurrent solves drew beyond that is left to
+// the collector.
+type freeList struct {
+	mu    sync.Mutex
+	items []any
+	keep  int
+	new   func() any
+}
+
+func (f *freeList) get() any {
+	f.mu.Lock()
+	if last := len(f.items) - 1; last >= 0 {
+		x := f.items[last]
+		f.items[last] = nil
+		f.items = f.items[:last]
+		f.mu.Unlock()
+		return x
+	}
+	f.mu.Unlock()
+	return f.new()
+}
+
+func (f *freeList) put(x any) {
+	f.mu.Lock()
+	if len(f.items) < f.keep {
+		f.items = append(f.items, x)
+	}
+	f.mu.Unlock()
 }
 
 // rowSolver is per-worker scratch that can run one unbounded source:
@@ -163,14 +227,19 @@ type rowSolver interface {
 func New(g *graph.Graph) *Engine {
 	e := &Engine{n: g.N, panelEmit: obs.NewHistogram()}
 	e.rowPtr, e.colIdx, e.weights = g.CSR()
-	e.scratch.New = func() any { return newState(e.n) }
-	e.dialScratch.New = func() any { return e.newDialState() }
-	e.batchScratch.New = func() any { return e.newBatchState() }
+	keep := runtime.GOMAXPROCS(0)
+	e.scratch = freeList{keep: keep, new: func() any { return newState(e.n) }}
+	e.dialScratch = freeList{keep: keep, new: func() any { return e.newDialState() }}
+	e.batch32Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint16](e.n) }}
+	e.batch16Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint32](e.n) }}
 	e.rows = &e.scratch
+	e.width.Store(rowWise)
 	if e.dial = newDialGraph(e.n, e.colIdx, e.weights); e.dial != nil {
 		e.rows = &e.dialScratch
+		if haveBatchKernel {
+			e.width.Store(batch32)
+		}
 	}
-	e.batching.Store(e.dial != nil && haveBatchKernel)
 	return e
 }
 
@@ -185,12 +254,17 @@ func (e *Engine) Queue() string {
 }
 
 // PanelKernel names what SolvePanel (and so Solve and SolvePanels) runs a
-// panel's sources on: "batch16" — sixteen sources at a time through the
-// batched kernel, which needs the Dial view and AVX2 — or "row", one
-// source at a time on the queue Queue names. An engine that starts on
-// batch16 moves to row, for good, if a batch overruns its work budget.
+// panel's sources on now: "batch32" or "batch16" — that many sources at a
+// time through the batched kernel, on 16- and 32-bit lanes, which needs
+// the Dial view and AVX2 — or "row", one source at a time on the queue
+// Queue names. An engine that can batch starts on batch32 and narrows for
+// good: to batch16 when a batch ends with a distance of 65,280 or more, to
+// row when a batch overruns its work budget.
 func (e *Engine) PanelKernel() string {
-	if e.batching.Load() {
+	switch e.width.Load() {
+	case batch32:
+		return "batch32"
+	case batch16:
 		return "batch16"
 	}
 	return "row"
@@ -210,9 +284,13 @@ func (e *Engine) PanelKernel() string {
 //	                                   (the last panel's emit always is)
 //	apsp_sparse_queue_info{impl}       1 on the queue in use (dial|radix)
 //	apsp_sparse_panel_kernel_info{impl} 1 on the panel kernel in use now
-//	                                   (batch16|row)
-//	apsp_sparse_batch_fallbacks_total  times a batch overran its budget and
-//	                                   the engine moved to rows (0 or 1)
+//	                                   (batch32|batch16|row)
+//	apsp_sparse_batch_fallbacks_total{reason}
+//	                                   times the engine narrowed (0 or 1
+//	                                   each): reason="range", a batch's
+//	                                   distances outgrew 16-bit lanes
+//	                                   (batch32 to batch16); "budget", a
+//	                                   batch overran its work budget (to row)
 func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("apsp_sparse_sources_total", "Source rows solved by the sparse engine.",
 		func() int64 { return e.srcSolved.Load() })
@@ -247,9 +325,9 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		r.Gauge("apsp_sparse_queue_info", "Priority queue under unbounded source rows (dial or radix); 1 on the one in use.",
 			obs.Label{Key: "impl", Value: impl}).Set(v)
 	}
-	// Read at scrape time: a fallback moves the 1 from batch16 to row.
-	for _, impl := range []string{"batch16", "row"} {
-		r.GaugeFunc("apsp_sparse_panel_kernel_info", "What a panel's sources run on (batch16: sixteen at a time; row: one at a time); 1 on the one in use.",
+	// Read at scrape time: a fallback moves the 1 down the list.
+	for _, impl := range []string{"batch32", "batch16", "row"} {
+		r.GaugeFunc("apsp_sparse_panel_kernel_info", "What a panel's sources run on (batch32, batch16: that many at a time on 16- and 32-bit lanes; row: one at a time); 1 on the one in use.",
 			func() float64 {
 				if impl == e.PanelKernel() {
 					return 1
@@ -257,8 +335,11 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 				return 0
 			}, obs.Label{Key: "impl", Value: impl})
 	}
-	r.CounterFunc("apsp_sparse_batch_fallbacks_total", "Times a batch overran its work budget and the engine stopped batching.",
-		func() int64 { return e.batchFallbacks.Load() })
+	const fallbackHelp = "Times the engine narrowed its panel kernel for good (range: a batch's distances outgrew 16-bit lanes; budget: a batch overran its work budget)."
+	r.CounterFunc("apsp_sparse_batch_fallbacks_total", fallbackHelp,
+		func() int64 { return e.rangeFallbacks.Load() }, obs.Label{Key: "reason", Value: "range"})
+	r.CounterFunc("apsp_sparse_batch_fallbacks_total", fallbackHelp,
+		func() int64 { return e.budgetFallbacks.Load() }, obs.Label{Key: "reason", Value: "budget"})
 }
 
 // N returns the number of vertices.
@@ -473,9 +554,9 @@ func (e *Engine) SolveRowInto(src int, row []float64) error {
 	if len(row) != e.n {
 		return fmt.Errorf("sparse: row has length %d, want %d", len(row), e.n)
 	}
-	sc := e.rows.Get().(rowSolver)
+	sc := e.rows.get().(rowSolver)
 	settled := sc.solveRow(e, src, row)
-	e.rows.Put(sc)
+	e.rows.put(sc)
 	e.srcSolved.Add(1)
 	e.settled.Add(int64(settled))
 	return nil
@@ -667,16 +748,16 @@ func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, d
 }
 
 // SolvePanel fills rows (h x n) with the distance rows of sources
-// base..base+h-1. The panel is cut into units — runs of batchWidth
-// consecutive sources while the engine batches (PanelKernel), single
-// sources otherwise — which the workers draw from a shared counter, each
-// holding its pooled scratch for the whole panel. A cancelled ctx stops
-// every worker before its next unit (so between batches, not between
+// base..base+h-1. The panel is cut into units — runs of as many
+// consecutive sources as the engine solves at once when the call starts
+// (PanelKernel: 32, 16 or 1) — which the workers draw from a shared
+// counter, each holding its scratch for the whole panel. A cancelled ctx
+// stops every worker before its next unit (so between batches, not between
 // rows) and is returned; rows is then partly filled.
 func (e *Engine) SolvePanel(ctx context.Context, base int, rows *matrix.Block, workers int) error {
-	job := panelJob{base: base, rows: rows, unit: 1}
-	if rows.R >= batchMin && e.batching.Load() {
-		job.unit = batchWidth
+	job := panelJob{base: base, rows: rows, unit: rowWise}
+	if rows.R >= batchMin {
+		job.unit = int(e.width.Load())
 	}
 	workers = max(min(workers, (rows.R+job.unit-1)/job.unit), 1)
 	panelStart := time.Now()
@@ -719,18 +800,23 @@ type panelJob struct {
 func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
 	start := time.Now()
 	// Scratch is drawn on first use: a worker that only batches never holds
-	// row scratch (1.2 MB of Dial buckets on a 75k-arc graph).
+	// row scratch (1.2 MB of Dial buckets on a 75k-arc graph), and one whose
+	// distances fit 16 bits never holds the 32-bit lanes.
 	var sc rowSolver
-	var bs *batchState
+	var b32 *batchState[uint16]
+	var b16 *batchState[uint32]
 	// Telemetry accumulates worker-locally and flushes once per panel,
 	// keeping the per-source loop free of shared counters.
 	var sources, settled int64
 	defer func() {
 		if sc != nil {
-			e.rows.Put(sc)
+			e.rows.put(sc)
 		}
-		if bs != nil {
-			e.batchScratch.Put(bs)
+		if b32 != nil {
+			e.batch32Scratch.put(b32)
+		}
+		if b16 != nil {
+			e.batch16Scratch.put(b16)
 		}
 		e.busyNs.Add(time.Since(start).Nanoseconds())
 		e.srcSolved.Add(sources)
@@ -745,29 +831,51 @@ func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		k := min(job.unit, h-r0)
-		if k >= batchMin && e.batching.Load() {
-			if bs == nil {
-				bs = e.batchScratch.Get().(*batchState)
-			}
-			if reached, ok := bs.solve(e, job.base+r0, k, job.rows.Data[r0*n:(r0+k)*n]); ok {
-				sources += int64(k)
-				settled += int64(reached)
+		// The engine may have narrowed since the panel was cut (this very
+		// worker may narrow it below), so a unit is solved in runs of the
+		// width in force when each run starts; what a narrowing leaves
+		// unsolved goes round again.
+		for r, end := r0, min(r0+job.unit, h); r < end; {
+			width := int(e.width.Load())
+			k := min(width, end-r)
+			if k < batchMin {
+				if sc == nil {
+					sc = e.rows.get().(rowSolver)
+				}
+				settled += int64(sc.solveRow(e, job.base+r, job.rows.Row(r)))
+				sources++
+				r++
 				continue
 			}
-			// Over budget: this graph is one the kernel is wrong for, so the
-			// engine stops batching. A worker mid-batch may overrun too; the
-			// switch is counted once.
-			if e.batching.CompareAndSwap(true, false) {
-				e.batchFallbacks.Add(1)
+			var reached int
+			var how batchEnd
+			if into := job.rows.Data[r*n : (r+k)*n]; width == batch32 {
+				if b32 == nil {
+					b32 = e.batch32Scratch.get().(*batchState[uint16])
+				}
+				reached, how = b32.solve(e, job.base+r, k, into)
+			} else {
+				if b16 == nil {
+					b16 = e.batch16Scratch.get().(*batchState[uint32])
+				}
+				reached, how = b16.solve(e, job.base+r, k, into)
 			}
-		}
-		if sc == nil {
-			sc = e.rows.Get().(rowSolver)
-		}
-		for r := r0; r < r0+k; r++ {
-			settled += int64(sc.solveRow(e, job.base+r, job.rows.Row(r)))
-			sources++
+			// A worker mid-batch may end the same way; each narrowing is
+			// counted by whoever makes it.
+			switch how {
+			case batchSolved:
+				sources += int64(k)
+				settled += int64(reached)
+				r += k
+			case overRange:
+				if e.width.CompareAndSwap(batch32, batch16) {
+					e.rangeFallbacks.Add(1)
+				}
+			case overBudget:
+				if e.width.Swap(rowWise) != rowWise {
+					e.budgetFallbacks.Add(1)
+				}
+			}
 		}
 	}
 }

@@ -271,9 +271,9 @@ func TestSolvePanelsPoolSafety(t *testing.T) {
 func TestEpochWrapClearsStaleState(t *testing.T) {
 	g := intER(t, 40, 4, 11)
 	e := radixOnly(g) // epochs are radix scratch; intER alone would pick dial
-	sc := e.scratch.Get().(*state)
+	sc := e.scratch.get().(*state)
 	sc.epoch = ^uint32(0) - 1 // two sources from wrapping
-	e.scratch.Put(sc)
+	e.scratch.put(sc)
 	want := fwRef(t, g)
 	row := make([]float64, g.N)
 	for src := 0; src < 4; src++ { // crosses the wrap boundary

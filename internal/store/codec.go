@@ -345,10 +345,25 @@ func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) 
 	for g := 0; g < groups; g++ {
 		from := len(dst)
 		prev := int64(0)
-		for _, v := range tile.Data[g*c.k*w : min(h, (g+1)*c.k)*w] {
-			if math.IsInf(v, 1) {
-				dst = append(dst, 0)
-			} else {
+		for r := g * c.k; r < min(h, (g+1)*c.k); r++ {
+			for _, v := range tile.Data[r*w : (r+1)*w] {
+				// What a distance store is made of: a positive integer
+				// float64 holds exactly, most often within 63 of its
+				// predecessor, which is a one-byte token.
+				if iv := int64(v); float64(iv) == v && uint64(iv-1) < uint64(maxExactInt-1) {
+					d := iv - prev
+					if tok := uint64((d<<1)^(d>>63)) + 1; tok < 0x80 {
+						dst = append(dst, byte(tok))
+					} else {
+						dst = binary.AppendUvarint(dst, tok)
+					}
+					prev = iv
+					continue
+				}
+				if math.IsInf(v, 1) {
+					dst = append(dst, 0)
+					continue
+				}
 				// Domain check: exactly representable non-negative-zero
 				// integers only. NaN fails v == Trunc(v); -Inf fails the
 				// magnitude bound; -0.0 would decode as +0.0 (different

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -667,6 +668,122 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// encodeIVarintOracle is the ivarint encoder as it stood before its fast
+// path, kept verbatim: one set of checks for every value, the size test
+// after each. The shipped encoder must produce its bytes.
+func encodeIVarintOracle(c ivarintCodec, dst []byte, tile *matrix.Block) ([]byte, bool) {
+	h, w := tile.R, tile.C
+	rawSize := matrix.DenseMarshaledSize(h, w)
+	if c.k == 0 || rawSize > math.MaxUint32 {
+		return dst, false // group offsets are uint32
+	}
+	start := len(dst)
+	groups := (h + c.k - 1) / c.k
+	dst = append(putCodecHeader(dst, magicIVarint, h, w), byte(c.k))
+	table := len(dst)
+	dst = append(dst, make([]byte, 8*groups)...)
+	for g := 0; g < groups; g++ {
+		from := len(dst)
+		prev := int64(0)
+		for _, v := range tile.Data[g*c.k*w : min(h, (g+1)*c.k)*w] {
+			if math.IsInf(v, 1) {
+				dst = append(dst, 0)
+			} else {
+				if v != math.Trunc(v) || v <= float64(-maxExactInt) || v >= float64(maxExactInt) ||
+					(v == 0 && math.Signbit(v)) {
+					return dst, false
+				}
+				iv := int64(v)
+				d := iv - prev
+				dst = binary.AppendUvarint(dst, uint64((d<<1)^(d>>63))+1)
+				prev = iv
+			}
+			if int64(len(dst)-start) >= rawSize {
+				return dst, false // not getting smaller; store raw
+			}
+		}
+		binary.LittleEndian.PutUint32(dst[table+8*g:], uint32(len(dst)-start))
+		binary.LittleEndian.PutUint32(dst[table+8*g+4:], crc32.Checksum(dst[from:], castagnoli))
+	}
+	return dst, true
+}
+
+// requireEncodesAsOracle fails unless the ivarint encoder and its oracle
+// agree on whether tile is accepted and, if it is, on every byte — behind
+// a prefix, as PanelWriter appends tiles to one buffer.
+func requireEncodesAsOracle(t *testing.T, tile *matrix.Block) {
+	t.Helper()
+	c := codecs[CodecIVarint].(ivarintCodec)
+	prefix := []byte("prefix")
+	got, gotOK := c.EncodeTile(bytes.Clone(prefix), tile)
+	want, wantOK := encodeIVarintOracle(c, bytes.Clone(prefix), tile)
+	if gotOK != wantOK || (gotOK && !bytes.Equal(got, want)) {
+		t.Fatalf("%dx%d tile: encoder accepted=%v with %d bytes, oracle accepted=%v with %d bytes; bytes equal: %v",
+			tile.R, tile.C, gotOK, len(got), wantOK, len(want), bytes.Equal(got, want))
+	}
+}
+
+// TestIVarintEncodeMatchesOracle holds the encoder's fast path to the
+// bytes of the loop it replaced, over the tiles the other codec tests are
+// built from: distance-like matrices, wide random integers with +Inf, one
+// value of every kind the domain check exists for, and the tile that does
+// not get smaller.
+func TestIVarintEncodeMatchesOracle(t *testing.T) {
+	for _, n := range []int{1, 7, 16, 17, 64, 100} {
+		requireEncodesAsOracle(t, intMatrix(n, int64(n)))
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, shape := range [][2]int{{1, 4}, {3, 5}, {8, 8}, {7, 13}, {33, 9}, {40, 300}} {
+		for trial := 0; trial < 20; trial++ {
+			tile := matrix.New(shape[0], shape[1])
+			for i := range tile.Data {
+				if rng.Intn(8) != 0 {
+					tile.Data[i] = float64(rng.Int63n(1 << (1 + rng.Intn(53))))
+				}
+			}
+			requireEncodesAsOracle(t, tile)
+		}
+	}
+	for _, v := range []float64{0, 1, 63, 64, 65, -1, -64, 1.5, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		float64(maxExactInt - 1), float64(maxExactInt), -float64(maxExactInt - 1), -float64(maxExactInt), 1e300, -1e300,
+		math.MaxInt64, math.MinInt64, math.SmallestNonzeroFloat64} {
+		for _, fill := range []float64{0, 40, matrix.Inf} {
+			tile := matrix.New(4, 4)
+			for i := range tile.Data {
+				tile.Data[i] = fill
+			}
+			tile.Data[9] = v
+			requireEncodesAsOracle(t, tile)
+		}
+	}
+	incompressible := matrix.NewZero(8, 8)
+	for i := 0; i < len(incompressible.Data); i += 2 {
+		incompressible.Data[i] = float64(maxExactInt - 1)
+	}
+	requireEncodesAsOracle(t, incompressible)
+	// Small enough only until its last rows: the size test is per row now.
+	late := matrix.NewZero(32, 8)
+	for i := len(late.Data) - 24; i < len(late.Data); i += 2 {
+		late.Data[i] = float64(maxExactInt - 1)
+	}
+	requireEncodesAsOracle(t, late)
+}
+
+// FuzzIVarintEncodeMatchesOracle: any 2x3 tile of arbitrary float64 bit
+// patterns is accepted or declined as the oracle does, to the same bytes.
+func FuzzIVarintEncodeMatchesOracle(f *testing.F) {
+	f.Add(uint64(0), uint64(1<<52), uint64(0x7FF0000000000000), uint64(42), uint64(100), uint64(1000))
+	f.Add(^uint64(0), uint64(1), uint64(2), uint64(3), uint64(4), uint64(5))
+	f.Add(math.Float64bits(7), math.Float64bits(70), math.Float64bits(71), math.Float64bits(1<<53), math.Float64bits(-3), math.Float64bits(2.5))
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g uint64) {
+		tile := matrix.New(2, 3)
+		for i, bits := range []uint64{a, b, c, d, e, g} {
+			tile.Data[i] = math.Float64frombits(bits)
+		}
+		requireEncodesAsOracle(t, tile)
 	})
 }
 
