@@ -224,6 +224,40 @@ func BenchmarkSolverBlockedIM(b *testing.B) { benchSolver(b, core.BlockedInMemor
 // BenchmarkSolverBlockedCB is Table 2, rows "Blocked-CB".
 func BenchmarkSolverBlockedCB(b *testing.B) { benchSolver(b, core.BlockedCollectBroadcast{}) }
 
+// BenchmarkSolveDenseCB is the dense solve the benchmark of record times
+// (solve_dense_cb: warm session, ER graph at the paper's density, cb on 64
+// virtual cores), at n=1024 b=128 so a CI smoke run finishes: ms/solve is
+// graph in, distance matrix out, and -benchmem shows what a warm solve
+// still allocates (the blocked solvers recycle their block generations).
+func BenchmarkSolveDenseCB(b *testing.B) { benchSolveDenseCB(b, 1024, 128) }
+
+func benchSolveDenseCB(b *testing.B, n, blockSize int) {
+	g, err := graph.ErdosRenyiPaper(n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := New(WithClusterCores(64), WithSolver(SolverCB), WithBlockSize(blockSize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	solve := func() {
+		res, err := sess.Solve(context.Background(), g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Dist == nil {
+			b.Fatal("no distance matrix")
+		}
+	}
+	solve() // warm: fills the block arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
+	}
+	b.ReportMetric(1e3*b.Elapsed().Seconds()/float64(b.N), "ms/solve")
+}
+
 // --- MPI baselines (Table 3 / Figure 5 right-hand methods) ---
 
 // BenchmarkMPIFW2D runs the real distributed FW-2D-GbE baseline.

@@ -24,7 +24,7 @@ const (
 	// TagDiagCopy marks a copy of the current diagonal block (CopyDiag).
 	TagDiagCopy
 	// TagPanelCopy marks a copy of an updated row/column panel block
-	// (CopyCol), canonically oriented as A[Row, i].
+	// (CopyCol): B is canonically oriented as A[Row, i], T as A[i, Row].
 	TagPanelCopy
 )
 
@@ -34,6 +34,24 @@ type TaggedBlock struct {
 	// Row is the panel's block-row R for TagPanelCopy values.
 	Row int
 	B   *matrix.Block
+	// T, when set, is the transpose of B, made once by the task that made
+	// the value so that no Phase-3 task has to: the paper's executors hold
+	// "A_IJ and its transpose" as one stored block (§4), so T travels with
+	// B for free — SizeOf counts B alone.
+	T *matrix.Block
+}
+
+// withTranspose returns b's transpose in an arena block (a phantom's is a
+// phantom).
+func withTranspose(b *matrix.Block) (*matrix.Block, error) {
+	if b.Phantom() {
+		return matrix.NewPhantom(b.C, b.R), nil
+	}
+	t := matrix.Get(b.C, b.R)
+	if err := b.TransposeInto(t); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // InColumn is the Table-1 predicate: does stored block (I, J) belong to
@@ -106,31 +124,25 @@ func CopyDiag(q int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 	}
 }
 
-// panelOf returns the canonical panel orientation A[R, i] for the stored
-// block with key k in column-block i, plus the panel's row-block R. Stored
-// (K, i) with K < i is already canonical; stored (i, J) with J > i is the
-// transpose of panel J. Transposition cost is charged to the task.
-func panelOf(tc *rdd.TaskContext, k graph.BlockKey, b *matrix.Block, i int) (int, *matrix.Block) {
-	if k.J == i && k.I != i {
-		return k.I, b
-	}
-	tc.Charge(tc.Model().MatMin(b.R, b.C)) // transpose is an O(rc) pass
-	return k.J, b.Transpose()
-}
+// storedCanonically reports whether the stored panel block k of
+// column-block i is the canonical orientation A[K, i] (stored (K, i), K < i)
+// rather than its transpose (stored (i, J), J > i).
+func storedCanonically(k graph.BlockKey, i int) bool { return k.J == i && k.I != i }
 
 // UpdatePanel applies the Phase-2 update to a stored panel block of
-// column-block i given the processed diagonal block: in canonical
-// orientation, panel = min(panel (x) diag, panel) (Table 1: MinPlus /
-// ListUnpack's single-operand branch). The result is stored back in the
-// block's original orientation.
+// column-block i given the processed diagonal block (Table 1: MinPlus /
+// ListUnpack's single-operand branch), in the orientation the block is
+// stored in. Stored (K, i) is the canonical A[K, i]: panel = min(panel,
+// panel (x) diag). Stored (i, J) is the transpose of canonical panel J, and
+// the diagonal block is symmetric, so (P (x) D)^T = D (x) P^T: panel =
+// min(panel, diag (x) panel) forms the same sums as transposing, updating
+// canonically and transposing back, and min is exact. The product folds
+// into an arena copy of base through the fused kernel.
 //
-// The whole pipeline — canonicalizing transpose, fused min-plus fold,
-// de-canonicalizing transpose — runs through arena blocks: the product
-// folds straight into the result via MinPlusInto (no intermediate product,
-// no second element-wise pass) and the transpose scratch returns to the
-// pool. Virtual-clock charges mirror the original kernel pipeline exactly.
+// The virtual clock is charged for the paper's pipeline — which does
+// canonicalize through two transposes — whichever way the host computes.
 func UpdatePanel(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, diag *matrix.Block, i int) (*matrix.Block, error) {
-	canonical := k.J == i && k.I != i
+	canonical := storedCanonically(k, i)
 	cr, cc := base.R, base.C
 	if !canonical {
 		tc.Charge(tc.Model().MatMin(base.R, base.C)) // canonicalizing transpose pass
@@ -141,95 +153,82 @@ func UpdatePanel(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, diag
 	if !canonical {
 		tc.Charge(tc.Model().MatMin(cr, cc)) // de-canonicalizing transpose pass
 	}
-	if base.Phantom() || diag.Phantom() {
-		// Run the fused kernel on phantom stand-ins shaped exactly like
-		// the dense path's operands: its shape validation fires before its
-		// phantom no-op, so phantom and dense runs reject identical shapes
-		// from one source of truth.
-		if err := matrix.MinPlusInto(matrix.NewPhantom(cr, cc), diag, matrix.NewPhantom(cr, cc)); err != nil {
-			return nil, err
-		}
-		return matrix.NewPhantom(base.R, base.C), nil
-	}
-	canon := base
-	var scratch *matrix.Block
+	left, right := base, diag
 	if !canonical {
-		scratch = matrix.Get(base.C, base.R)
-		if err := base.TransposeInto(scratch); err != nil {
-			return nil, err
-		}
-		canon = scratch
+		left, right = diag, base
 	}
-	dst := matrix.Get(canon.R, canon.C)
-	if err := dst.CopyFrom(canon); err != nil {
-		return nil, err
-	}
-	err := matrix.MinPlusIntoPar(canon, diag, dst, tc.Workers())
-	if scratch != nil {
-		matrix.Put(scratch)
-	}
-	if err != nil {
-		matrix.Put(dst)
-		return nil, err
-	}
-	if canonical {
-		return dst, nil
-	}
-	out := matrix.Get(dst.C, dst.R)
-	if err := dst.TransposeInto(out); err != nil {
-		return nil, err
-	}
-	matrix.Put(dst)
-	return out, nil
+	return foldProduct(base, left, right, tc.Workers(), matrix.MinPlusIntoPar)
 }
 
-// UpdateOff applies the Phase-3 update to an off-column block (K, L):
-// A_KL = min(A_KL, A_Ki (x) A_iL), where A_Ki is panel K in canonical
-// orientation and A_iL is the transpose of panel L (Table 1: ListUnpack's
-// two-operand branch followed by MatMin). The transpose scratch is pooled
-// and the product folds into the result block in one fused pass.
-func UpdateOff(tc *rdd.TaskContext, base *matrix.Block, panelK, panelL *matrix.Block) (*matrix.Block, error) {
-	tc.Charge(tc.Model().MatMin(panelL.R, panelL.C)) // transpose pass
-	tc.Charge(tc.Model().MinPlusMul(panelK.R, panelK.C, panelL.R))
-	tc.Charge(tc.Model().MatMin(base.R, base.C))
-	if base.Phantom() || panelK.Phantom() || panelL.Phantom() {
-		// Validate through the fused kernel on phantom stand-ins shaped
-		// like the dense operands (panelK times transposed panelL into a
-		// base-shaped destination), so phantom and dense runs reject
-		// identical shapes from one source of truth.
-		if err := matrix.MinPlusInto(panelK, matrix.NewPhantom(panelL.C, panelL.R), matrix.NewPhantom(base.R, base.C)); err != nil {
+// foldProduct returns min(base, left (x) right) in an arena block, folded
+// by the given fused kernel. With a phantom operand the result is a
+// phantom, and the kernel still runs: its shape validation fires before its
+// phantom no-op, so phantom and dense runs reject identical shapes from one
+// source of truth.
+func foldProduct(base, left, right *matrix.Block, workers int, fold func(a, b, dst *matrix.Block, workers int) error) (*matrix.Block, error) {
+	if base.Phantom() || left.Phantom() || right.Phantom() {
+		dst := matrix.NewPhantom(base.R, base.C)
+		if err := fold(left, right, dst, workers); err != nil {
 			return nil, err
 		}
-		return matrix.NewPhantom(base.R, base.C), nil
-	}
-	right := matrix.Get(panelL.C, panelL.R)
-	if err := panelL.TransposeInto(right); err != nil {
-		return nil, err
+		return dst, nil
 	}
 	dst := matrix.Get(base.R, base.C)
 	if err := dst.CopyFrom(base); err != nil {
+		matrix.Put(dst)
 		return nil, err
 	}
-	err := matrix.MinPlusIntoPar(panelK, right, dst, tc.Workers())
-	matrix.Put(right)
-	if err != nil {
+	if err := fold(left, right, dst, workers); err != nil {
 		matrix.Put(dst)
 		return nil, err
 	}
 	return dst, nil
 }
 
+// UpdateOff applies the Phase-3 update to an off-column block (K, L):
+// A_KL = min(A_KL, A_Ki (x) A_iL), where left is panel K in canonical
+// orientation, A[K, i], and right is panel L in the other one, A[i, L]
+// (Table 1: ListUnpack's two-operand branch followed by MatMin). Both
+// arrive ready-made — the task that updated a panel made its second
+// orientation — and the product folds into an arena copy of base. A
+// diagonal target (K, K) multiplies one panel by its own transpose into a
+// symmetric block, so only the tiles on or above its diagonal are computed
+// and the rest mirrored (matrix.MinPlusSymIntoPar: the same values). The
+// virtual clock is charged the paper's executor's full product and the
+// transpose pass it makes, either way.
+func UpdateOff(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, left, right *matrix.Block) (*matrix.Block, error) {
+	tc.Charge(tc.Model().MatMin(right.C, right.R)) // transpose pass
+	tc.Charge(tc.Model().MinPlusMul(left.R, left.C, right.C))
+	tc.Charge(tc.Model().MatMin(base.R, base.C))
+	fold := matrix.MinPlusIntoPar
+	if k.I == k.J {
+		fold = matrix.MinPlusSymIntoPar
+	}
+	return foldProduct(base, left, right, tc.Workers(), fold)
+}
+
 // CopyCol distributes the updated panel blocks of column-block i to every
 // off-column block that needs them in Phase 3 (Table 1: CopyCol). From the
-// panel covering block-row R it yields one canonical copy per stored
-// off-column key containing R; the off-diagonal targets therefore receive
-// two copies (rows K and L) and diagonal targets one, matching the
-// (q-1)^2 total copy volume of the paper's upper-triangular layout.
+// panel covering block-row R it yields one copy per stored off-column key
+// containing R, each carrying both orientations, A[R, i] and A[i, R] — the
+// stored block and its transpose, made here once; the off-diagonal targets
+// therefore receive two copies (rows K and L) and diagonal targets one,
+// matching the (q-1)^2 total copy volume of the paper's upper-triangular
+// layout. Canonicalizing a stored (i, J) block is charged as the transpose
+// pass it is in the paper's code.
 func CopyCol(q, i int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 	return func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 		k := p.Key.(graph.BlockKey)
 		tb := p.Value.(*TaggedBlock)
-		row, canon := panelOf(tc, k, tb.B, i)
+		twin, err := withTranspose(tb.B)
+		if err != nil {
+			return nil, err
+		}
+		row, canon, other := k.I, tb.B, twin
+		if !storedCanonically(k, i) { // stored (i, J): the transpose of panel J
+			tc.Charge(tc.Model().MatMin(tb.B.R, tb.B.C)) // transpose is an O(rc) pass
+			row, canon, other = k.J, twin, tb.B
+		}
 		out := make([]rdd.Pair, 0, q-1)
 		for l := 0; l < q; l++ {
 			if l == i {
@@ -239,7 +238,7 @@ func CopyCol(q, i int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error)
 			if l < row {
 				key = graph.BlockKey{I: l, J: row}
 			}
-			out = append(out, rdd.Pair{Key: key, Value: &TaggedBlock{Tag: TagPanelCopy, Row: row, B: canon}})
+			out = append(out, rdd.Pair{Key: key, Value: &TaggedBlock{Tag: TagPanelCopy, Row: row, B: canon, T: other}})
 		}
 		return out, nil
 	}
@@ -307,16 +306,16 @@ func UnpackPhase3() func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 		if err != nil {
 			return rdd.Pair{}, fmt.Errorf("at %v: %w", k, err)
 		}
-		var panelK, panelL *matrix.Block
+		var panelK, panelL *TaggedBlock
 		for _, c := range copies {
 			if c.Tag != TagPanelCopy {
 				return rdd.Pair{}, fmt.Errorf("core: phase-3 key %v got tag %d", k, c.Tag)
 			}
 			switch c.Row {
 			case k.I:
-				panelK = c.B
+				panelK = c
 			case k.J:
-				panelL = c.B
+				panelL = c
 			default:
 				return rdd.Pair{}, fmt.Errorf("core: stray panel row %d at key %v", c.Row, k)
 			}
@@ -327,7 +326,10 @@ func UnpackPhase3() func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 		if panelK == nil || panelL == nil {
 			return rdd.Pair{}, fmt.Errorf("core: phase-3 key %v missing panels (%d copies)", k, len(copies))
 		}
-		upd, err := UpdateOff(tc, base.B, panelK, panelL)
+		if panelL.T == nil {
+			return rdd.Pair{}, fmt.Errorf("core: phase-3 key %v got panel %d without its A[i,%d] orientation", k, panelL.Row, panelL.Row)
+		}
+		upd, err := UpdateOff(tc, k, base.B, panelK.B, panelL.T)
 		if err != nil {
 			return rdd.Pair{}, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"apspark/internal/graph"
@@ -106,8 +107,8 @@ func TestCopyColTargetsAndOrientation(t *testing.T) {
 		if c.Tag != TagPanelCopy || c.Row != 0 {
 			t.Fatalf("bad copy %+v", c)
 		}
-		if !c.B.Equal(src) {
-			t.Fatal("panel (K,i) should stay canonical")
+		if !c.B.Equal(src) || !c.T.Equal(src.Transpose()) {
+			t.Fatal("panel (K,i) should stay canonical, with its transpose alongside")
 		}
 		targets[p.Key.(graph.BlockKey)] = true
 	}
@@ -127,8 +128,8 @@ func TestCopyColTargetsAndOrientation(t *testing.T) {
 		if c.Row != 2 {
 			t.Fatalf("row = %d, want 2", c.Row)
 		}
-		if !c.B.Equal(src.Transpose()) {
-			t.Fatal("panel (i,J) should be transposed to canonical form")
+		if !c.B.Equal(src.Transpose()) || c.T != src {
+			t.Fatal("panel (i,J) should be transposed to canonical form, the stored block alongside")
 		}
 	}
 }
@@ -160,14 +161,29 @@ func TestUpdatePanelBothOrientations(t *testing.T) {
 func TestUpdateOff(t *testing.T) {
 	tc := taskCtx(t)
 	base, _ := matrix.FromRows([][]float64{{10}})
-	panelK, _ := matrix.FromRows([][]float64{{2}}) // A[K,i]
-	panelL, _ := matrix.FromRows([][]float64{{3}}) // A[L,i] -> A[i,L] = 3
-	got, err := UpdateOff(tc, base, panelK, panelL)
+	left, _ := matrix.FromRows([][]float64{{2}})  // A[K,i]
+	right, _ := matrix.FromRows([][]float64{{3}}) // A[i,L]
+	got, err := UpdateOff(tc, key(0, 2), base, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.At(0, 0) != 5 {
 		t.Fatalf("off update = %v, want 5", got.At(0, 0))
+	}
+	// A 2x1 panel K against a 1x3 panel L: A[K,i] (x) A[i,L] is 2x3.
+	base, _ = matrix.FromRows([][]float64{{9, 9, 9}, {9, 9, 9}})
+	left, _ = matrix.FromRows([][]float64{{1}, {2}})
+	right, _ = matrix.FromRows([][]float64{{1, 5, 8}})
+	got, err = UpdateOff(tc, key(0, 2), base, left, right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := matrix.FromRows([][]float64{{2, 6, 9}, {3, 7, 9}})
+	if !got.Equal(want) {
+		t.Fatalf("ragged off update =\n%v want\n%v", got, want)
+	}
+	if _, err := UpdateOff(tc, key(0, 2), base, right, left); err == nil {
+		t.Fatal("operands in the wrong orientation accepted")
 	}
 }
 
@@ -225,7 +241,7 @@ func TestUnpackPhase3DiagonalUsesPanelTwice(t *testing.T) {
 	base, _ := matrix.FromRows([][]float64{{10}})
 	panel, _ := matrix.FromRows([][]float64{{2}}) // A[K,i] = 2
 	out, err := fn(tc, rdd.Pair{Key: key(3, 3), Value: []*TaggedBlock{
-		tb(base), {Tag: TagPanelCopy, Row: 3, B: panel},
+		tb(base), {Tag: TagPanelCopy, Row: 3, B: panel, T: panel.Transpose()},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +268,11 @@ func TestUnpackPhase3Errors(t *testing.T) {
 		base, {Tag: TagDiagCopy, B: matrix.New(1, 1)},
 	}}); err == nil {
 		t.Fatal("diag copy accepted in phase 3")
+	}
+	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: []*TaggedBlock{
+		base, {Tag: TagPanelCopy, Row: 0, B: matrix.New(1, 1)}, {Tag: TagPanelCopy, Row: 2, B: matrix.New(1, 1)},
+	}}); err == nil {
+		t.Fatal("panel copy without its second orientation accepted")
 	}
 }
 
@@ -312,5 +333,225 @@ func TestMatMinValues(t *testing.T) {
 	}
 	if out.(*TaggedBlock).B.At(0, 0) != 3 {
 		t.Fatal("MatMinValues wrong")
+	}
+}
+
+// --- the parent commit's transposing paths, kept verbatim as oracles ---
+
+// oracleUpdatePanel is UpdatePanel as it was before panels were updated in
+// their stored orientation: canonicalizing transpose, fused min-plus fold,
+// de-canonicalizing transpose.
+func oracleUpdatePanel(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, diag *matrix.Block, i int) (*matrix.Block, error) {
+	canonical := k.J == i && k.I != i
+	cr, cc := base.R, base.C
+	if !canonical {
+		tc.Charge(tc.Model().MatMin(base.R, base.C)) // canonicalizing transpose pass
+		cr, cc = base.C, base.R
+	}
+	tc.Charge(tc.Model().MinPlusMul(cr, cc, diag.C))
+	tc.Charge(tc.Model().MatMin(cr, cc))
+	if !canonical {
+		tc.Charge(tc.Model().MatMin(cr, cc)) // de-canonicalizing transpose pass
+	}
+	if base.Phantom() || diag.Phantom() {
+		if err := matrix.MinPlusInto(matrix.NewPhantom(cr, cc), diag, matrix.NewPhantom(cr, cc)); err != nil {
+			return nil, err
+		}
+		return matrix.NewPhantom(base.R, base.C), nil
+	}
+	canon := base
+	var scratch *matrix.Block
+	if !canonical {
+		scratch = matrix.Get(base.C, base.R)
+		if err := base.TransposeInto(scratch); err != nil {
+			return nil, err
+		}
+		canon = scratch
+	}
+	dst := matrix.Get(canon.R, canon.C)
+	if err := dst.CopyFrom(canon); err != nil {
+		return nil, err
+	}
+	err := matrix.MinPlusIntoPar(canon, diag, dst, tc.Workers())
+	if scratch != nil {
+		matrix.Put(scratch)
+	}
+	if err != nil {
+		matrix.Put(dst)
+		return nil, err
+	}
+	if canonical {
+		return dst, nil
+	}
+	out := matrix.Get(dst.C, dst.R)
+	if err := dst.TransposeInto(out); err != nil {
+		return nil, err
+	}
+	matrix.Put(dst)
+	return out, nil
+}
+
+// oracleUpdateOff is UpdateOff as it was when both panels arrived in
+// canonical orientation, A[K,i] and A[L,i], and every target transposed the
+// second.
+func oracleUpdateOff(tc *rdd.TaskContext, base *matrix.Block, panelK, panelL *matrix.Block) (*matrix.Block, error) {
+	tc.Charge(tc.Model().MatMin(panelL.R, panelL.C)) // transpose pass
+	tc.Charge(tc.Model().MinPlusMul(panelK.R, panelK.C, panelL.R))
+	tc.Charge(tc.Model().MatMin(base.R, base.C))
+	if base.Phantom() || panelK.Phantom() || panelL.Phantom() {
+		if err := matrix.MinPlusInto(panelK, matrix.NewPhantom(panelL.C, panelL.R), matrix.NewPhantom(base.R, base.C)); err != nil {
+			return nil, err
+		}
+		return matrix.NewPhantom(base.R, base.C), nil
+	}
+	right := matrix.Get(panelL.C, panelL.R)
+	if err := panelL.TransposeInto(right); err != nil {
+		return nil, err
+	}
+	dst := matrix.Get(base.R, base.C)
+	if err := dst.CopyFrom(base); err != nil {
+		return nil, err
+	}
+	err := matrix.MinPlusIntoPar(panelK, right, dst, tc.Workers())
+	matrix.Put(right)
+	if err != nil {
+		matrix.Put(dst)
+		return nil, err
+	}
+	return dst, nil
+}
+
+// oracleBlockedSolve is the 3-phase blocked Floyd-Warshall of Blocked-CB
+// and Blocked-IM on the driver, through the oracle building blocks: every
+// phase reads the previous generation, exactly as the RDD programs do, so
+// its blocks are what the parent commit's solvers return, bit for bit.
+func oracleBlockedSolve(t *testing.T, tc *rdd.TaskContext, in Input) map[graph.BlockKey]*matrix.Block {
+	t.Helper()
+	q := in.Dec.Q
+	cur := in.Blocks
+	for i := 0; i < q; i++ {
+		next := make(map[graph.BlockKey]*matrix.Block, len(cur))
+		diag := cur[key(i, i)].Clone()
+		if err := matrix.FloydWarshall(diag); err != nil {
+			t.Fatal(err)
+		}
+		next[key(i, i)] = diag
+		canon := make([]*matrix.Block, q) // canon[R] = A[R, i]
+		for k, b := range cur {
+			if (k.I == i) == (k.J == i) {
+				continue
+			}
+			upd, err := oracleUpdatePanel(tc, k, b, diag, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next[k] = upd
+			if k.J == i {
+				canon[k.I] = upd
+			} else {
+				canon[k.J] = upd.Transpose()
+			}
+		}
+		for k, b := range cur {
+			if k.I == i || k.J == i {
+				continue
+			}
+			upd, err := oracleUpdateOff(tc, b, canon[k.I], canon[k.J])
+			if err != nil {
+				t.Fatal(err)
+			}
+			next[k] = upd
+		}
+		cur = next
+	}
+	return cur
+}
+
+// randomSymmetric fills a b x b block with a symmetric, zero-diagonal
+// matrix of which roughly infFrac of the entries are +Inf.
+func randomSymmetric(rng *rand.Rand, b int, infFrac float64) *matrix.Block {
+	d := matrix.New(b, b)
+	for r := 0; r < b; r++ {
+		d.Set(r, r, 0)
+		for c := r + 1; c < b; c++ {
+			if rng.Float64() >= infFrac {
+				v := rng.Float64() * 10
+				d.Set(r, c, v)
+				d.Set(c, r, v)
+			}
+		}
+	}
+	return d
+}
+
+func randomBlock(rng *rand.Rand, r, c int, infFrac float64) *matrix.Block {
+	b := matrix.New(r, c)
+	for i := range b.Data {
+		if rng.Float64() >= infFrac {
+			b.Data[i] = rng.Float64() * 10
+		}
+	}
+	return b
+}
+
+// TestUpdatePathsMatchTransposingOracle holds the stored-orientation panel
+// update and the two-orientation off update to the parent commit's
+// transpose-multiply-transpose results, exactly (Equal, not AllClose): the
+// sums are the same sums and min is exact.
+func TestUpdatePathsMatchTransposingOracle(t *testing.T) {
+	tc := taskCtx(t)
+	rng := rand.New(rand.NewSource(23))
+	for _, shape := range []struct {
+		b, other int // diagonal block edge; the panel's other edge
+		inf      float64
+	}{
+		{64, 64, 0}, {64, 64, 0.9}, {96, 96, 0.5}, {70, 33, 0.3}, {33, 70, 0.97}, {1, 5, 0}, {130, 64, 0.6},
+	} {
+		diag := randomSymmetric(rng, shape.b, shape.inf)
+		if err := matrix.FloydWarshall(diag); err != nil {
+			t.Fatal(err)
+		}
+		const i = 3
+		// Stored (K, i), K < i: k.J == i. Stored (i, J), J > i: k.I == i.
+		for _, k := range []graph.BlockKey{key(1, i), key(i, 5)} {
+			base := randomBlock(rng, shape.other, shape.b, shape.inf)
+			if k.I == i {
+				base = base.Transpose()
+			}
+			got, err := UpdatePanel(tc, k, base, diag, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracleUpdatePanel(tc, k, base, diag, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("UpdatePanel %v b=%d other=%d inf=%.2f differs from the transposing oracle", k, shape.b, shape.other, shape.inf)
+			}
+		}
+		// Off update of a (K, L) target, K x L ragged both ways, and of a
+		// diagonal target that uses one panel twice.
+		panelK := randomBlock(rng, shape.other, shape.b, shape.inf) // A[K,i]
+		panelL := randomBlock(rng, shape.b+1, shape.b, shape.inf)   // A[L,i]
+		for _, c := range []struct {
+			k            graph.BlockKey
+			base, pk, pl *matrix.Block
+		}{
+			{key(1, 5), randomBlock(rng, panelK.R, panelL.R, shape.inf), panelK, panelL},
+			{key(5, 5), randomSymmetric(rng, panelK.R, shape.inf), panelK, panelK}, // mirrored
+		} {
+			got, err := UpdateOff(tc, c.k, c.base, c.pk, c.pl.Transpose())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracleUpdateOff(tc, c.base, c.pk, c.pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("UpdateOff b=%d other=%d inf=%.2f differs from the transposing oracle", shape.b, shape.other, shape.inf)
+			}
+		}
 	}
 }

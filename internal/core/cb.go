@@ -32,6 +32,15 @@ func (BlockedCollectBroadcast) Units(dec graph.Decomposition) int { return dec.Q
 func cbDiagKey(i int) string     { return fmt.Sprintf("cb/diag/%d", i) }
 func cbPanelKey(i, r int) string { return fmt.Sprintf("cb/panel/%d/%d", i, r) }
 
+// stagedPanel is what cb stages for the updated panel of block-row R in
+// iteration i: both orientations under the panel's one key, at the one
+// block's byte size the paper's staging writes (its executors transpose
+// what they read; here the task that updated the panel already has).
+type stagedPanel struct {
+	Col *matrix.Block // A[R, i]
+	Row *matrix.Block // A[i, R]
+}
+
 // Solve implements Solver.
 func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in Input, opts Options) (*Result, error) {
 	if ctx == nil {
@@ -46,6 +55,7 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 	}
 	rc.MarkImpure()
 	a := parallelizeInput(rc, in, part)
+	recycle := recycler(in)
 
 	units := s.Units(in.Dec)
 	run := units
@@ -76,6 +86,8 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 
 		// Phase 2: update the panel blocks against the staged diagonal
 		// (line 5), then collect and stage the updated panels (lines 6-7).
+		// Each task also makes its panel's second orientation, so neither
+		// the driver nor any Phase-3 task transposes.
 		rowcol := a.Filter("panels", func(p rdd.Pair) bool {
 			return InColumn(i)(p) && !OnDiagonal(i)(p)
 		}).Map("minPlusPanel", func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
@@ -89,7 +101,11 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 			if err != nil {
 				return rdd.Pair{}, err
 			}
-			return rdd.Pair{Key: k, Value: &TaggedBlock{Tag: TagBase, B: upd}}, nil
+			twin, err := withTranspose(upd)
+			if err != nil {
+				return rdd.Pair{}, err
+			}
+			return rdd.Pair{Key: k, Value: &TaggedBlock{Tag: TagBase, B: upd, T: twin}}, nil
 		}).Persist()
 		rowcolPairs, err := rowcol.Collect()
 		if err != nil {
@@ -97,16 +113,16 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 		}
 		for _, p := range rowcolPairs {
 			k := p.Key.(graph.BlockKey)
-			b := p.Value.(*TaggedBlock).B
-			row, canon := k.I, b
-			if k.I == i { // stored (i, J): canonical panel is the transpose
-				row, canon = k.J, b.Transpose()
+			tb := p.Value.(*TaggedBlock)
+			row, staged := k.I, &stagedPanel{Col: tb.B, Row: tb.T}
+			if k.I == i { // stored (i, J) is the Row orientation of panel J
+				row, staged = k.J, &stagedPanel{Col: tb.T, Row: tb.B}
 			}
-			rc.Store.Put(cbPanelKey(i, row), canon, canon.SizeBytes())
+			rc.Store.Put(cbPanelKey(i, row), staged, tb.B.SizeBytes())
 		}
 
 		// Phase 3: update the remaining blocks against the staged panels
-		// (line 9).
+		// (line 9): A_KL = min(A_KL, A[K, i] (x) A[i, L]).
 		offcol := a.Filter("off", NotInColumn(i)).
 			Map("minPlusOff", func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 				k := p.Key.(graph.BlockKey)
@@ -122,7 +138,7 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 						return rdd.Pair{}, err
 					}
 				}
-				upd, err := UpdateOff(tc, base.B, pkv.(*matrix.Block), plv.(*matrix.Block))
+				upd, err := UpdateOff(tc, k, base.B, pkv.(*stagedPanel).Col, plv.(*stagedPanel).Row)
 				if err != nil {
 					return rdd.Pair{}, err
 				}
@@ -133,7 +149,7 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 		a = rc.Union(diag, rowcol, offcol).
 			PartitionBy(part).
 			Persist()
-		if err := a.Checkpoint(); err != nil {
+		if err := a.CheckpointAndRelease(recycle); err != nil {
 			return truncated(rc, s, in, i, units), err
 		}
 		rc.ReportUnit(i+1, units)

@@ -39,6 +39,7 @@ func (s BlockedInMemory) Solve(ctx context.Context, rc *rdd.Context, in Input, o
 		return nil, err
 	}
 	a := parallelizeInput(rc, in, part)
+	recycle := recycler(in)
 
 	units := s.Units(in.Dec)
 	run := units
@@ -86,7 +87,7 @@ func (s BlockedInMemory) Solve(ctx context.Context, rc *rdd.Context, in Input, o
 			Persist()
 		// Checkpoint per iteration, as a long-running Spark job would:
 		// it bounds lineage depth (and releases retained shuffles).
-		if err := a.Checkpoint(); err != nil {
+		if err := a.CheckpointAndRelease(recycle); err != nil {
 			return truncated(rc, s, in, i, units), err
 		}
 		rc.ReportUnit(i+1, units)

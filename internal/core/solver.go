@@ -4,6 +4,34 @@
 // In-Memory (§4.4) and Blocked Collect/Broadcast (§4.5) — expressed
 // against the RDD engine in internal/rdd exactly the way the paper's
 // pySpark code is expressed against Spark.
+//
+// # Who owns a block
+//
+// Every dense block a building block produces comes from the matrix arena
+// (matrix.Get) and becomes the value of an RDD record; from then on it
+// belongs to the solve, not to the task that made it. The blocked solvers
+// (Blocked-CB, Blocked-IM) give such blocks back. Each iteration replaces
+// the whole distance matrix: its RDD is a new generation of blocks, and the
+// per-iteration Checkpoint that severs the lineage is the one point where
+// the previous generation, the iteration's intermediate copies and the
+// second orientations staged for it stop being reachable through the engine
+// or read by any task. There — in the release hook of
+// rdd.CheckpointAndRelease, see recycler — every block the severed lineage
+// retained goes back to the arena (matrix.Put), once, with two exceptions:
+//
+//   - blocks the new generation still holds (a value that passed through an
+//     iteration unchanged, and the second orientation riding on a panel
+//     value, which is released one iteration later with its panel);
+//   - the Input's blocks, which are the caller's: a solver reads them,
+//     never writes or releases them, so one Input can be solved again.
+//
+// Nothing is released after the last Checkpoint, so the final generation —
+// what Result.Blocks holds — is never recycled, nor is anything a cancelled
+// or failed run leaves behind; those are collected like any other memory.
+// The result of the rule is that a warm solve allocates about two
+// generations of blocks, however many iterations it runs. Repeated
+// Squaring and 2D Floyd-Warshall release nothing. Tests run the rule under
+// matrix.SetPoolCheck, where a released block is poisoned with NaN.
 package core
 
 import (
@@ -69,6 +97,21 @@ func NewInput(a *matrix.Block, b int) (Input, error) {
 		return Input{}, err
 	}
 	blocks, err := graph.Blocks(a, dec)
+	if err != nil {
+		return Input{}, err
+	}
+	return Input{Dec: dec, Blocks: blocks}, nil
+}
+
+// NewGraphInput decomposes a graph's adjacency matrix (real mode) straight
+// from its CSR arrays: NewInput(g.Dense(), b) without the n x n
+// intermediate.
+func NewGraphInput(g *graph.Graph, b int) (Input, error) {
+	dec, err := graph.NewDecomposition(g.N, b)
+	if err != nil {
+		return Input{}, err
+	}
+	blocks, err := g.Blocks(dec)
 	if err != nil {
 		return Input{}, err
 	}

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"apspark/internal/matrix"
 )
@@ -120,18 +123,81 @@ func PhantomBlocks(d Decomposition) map[BlockKey]*matrix.Block {
 	return out
 }
 
+// Blocks builds the decomposition's upper-triangle blocks of the graph's
+// adjacency matrix (0 on the diagonal, +Inf for absent edges) straight from
+// the CSR arrays: the blocks Blocks(g.Dense(), d) returns, without the
+// n x n intermediate. Block rows are filled on all host workers.
+func (g *Graph) Blocks(d Decomposition) (map[BlockKey]*matrix.Block, error) {
+	if g.N != d.N {
+		return nil, fmt.Errorf("graph: %d vertices do not match decomposition order %d", g.N, d.N)
+	}
+	rows := make([][]*matrix.Block, d.Q) // rows[i][j-i] is block (i, j)
+	forEachBlockRow(runtime.GOMAXPROCS(0), d.Q, func(i int) {
+		ri, off := d.Rows(i), d.RowOffset(i)
+		row := make([]*matrix.Block, d.Q-i)
+		for j := range row {
+			row[j] = matrix.New(ri, d.Rows(i+j))
+		}
+		for r := 0; r < ri; r++ {
+			u := off + r
+			row[0].Data[r*ri+r] = 0
+			for p := g.rowPtr[u]; p < g.rowPtr[u+1]; p++ {
+				v := int(g.colIdx[p])
+				if v < off {
+					continue // below the diagonal block: stored as its mirror image
+				}
+				blk := row[v/d.B-i]
+				if cell := &blk.Data[r*blk.C+v%d.B]; g.weights[p] < *cell {
+					*cell = g.weights[p]
+				}
+			}
+		}
+		rows[i] = row
+	})
+	out := make(map[BlockKey]*matrix.Block, d.NumUpperBlocks())
+	for i, row := range rows {
+		for j, blk := range row {
+			out[BlockKey{i, i + j}] = blk
+		}
+	}
+	return out, nil
+}
+
+// forEachBlockRow calls fn(i) once for every i in [0, q), from up to
+// workers goroutines drawing from a shared counter (block rows of an upper
+// triangle are unequal work), and returns when all calls have.
+func forEachBlockRow(workers, q int, fn func(i int)) {
+	if workers = min(workers, q); workers < 2 {
+		for i := 0; i < q; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < q; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Assemble reverses Blocks: it stitches upper-triangle blocks back into a
 // full symmetric dense matrix. Each block's rows are copied into place, and
 // an off-diagonal block is mirrored below the diagonal by copying the rows
 // of its (tiled) transpose. Diagonal blocks are taken as they are: every
-// solver keeps them symmetric.
+// solver keeps them symmetric. The block rows of the result are disjoint,
+// so they are filled on all host workers.
 func Assemble(blocks map[BlockKey]*matrix.Block, d Decomposition) (*matrix.Block, error) {
-	a := matrix.NewZero(d.N, d.N) // every cell is written below
-	place := func(blk *matrix.Block, r0, c0 int) {
-		for r := 0; r < blk.R; r++ {
-			copy(a.Data[(r0+r)*d.N+c0:], blk.Row(r))
-		}
-	}
+	return assembleOn(runtime.GOMAXPROCS(0), blocks, d)
+}
+
+func assembleOn(workers int, blocks map[BlockKey]*matrix.Block, d Decomposition) (*matrix.Block, error) {
 	for i := 0; i < d.Q; i++ {
 		for j := i; j < d.Q; j++ {
 			blk, ok := blocks[BlockKey{i, j}]
@@ -144,17 +210,27 @@ func Assemble(blocks map[BlockKey]*matrix.Block, d Decomposition) (*matrix.Block
 			if blk.R != d.Rows(i) || blk.C != d.Rows(j) {
 				return nil, fmt.Errorf("graph: block (%d,%d) is %dx%d, want %dx%d", i, j, blk.R, blk.C, d.Rows(i), d.Rows(j))
 			}
-			place(blk, d.RowOffset(i), d.RowOffset(j))
-			if i == j {
-				continue
-			}
-			t := matrix.Get(blk.C, blk.R)
-			if err := blk.TransposeInto(t); err != nil {
-				return nil, err
-			}
-			place(t, d.RowOffset(j), d.RowOffset(i))
-			matrix.Put(t)
 		}
 	}
+	a := matrix.NewZero(d.N, d.N) // every cell is written below
+	place := func(blk *matrix.Block, r0, c0 int) {
+		for r := 0; r < blk.R; r++ {
+			copy(a.Data[(r0+r)*d.N+c0:], blk.Row(r))
+		}
+	}
+	// Block row i of the result is the mirrored blocks (j, i), j < i, then
+	// the stored blocks (i, j), j >= i.
+	forEachBlockRow(workers, d.Q, func(i int) {
+		for j := 0; j < i; j++ {
+			blk := blocks[BlockKey{j, i}]
+			t := matrix.Get(blk.C, blk.R)
+			_ = blk.TransposeInto(t) // dense, and shaped to fit
+			place(t, d.RowOffset(i), d.RowOffset(j))
+			matrix.Put(t)
+		}
+		for j := i; j < d.Q; j++ {
+			place(blocks[BlockKey{i, j}], d.RowOffset(i), d.RowOffset(j))
+		}
+	})
 	return a, nil
 }

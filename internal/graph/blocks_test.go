@@ -170,3 +170,91 @@ func TestPhantomBlocks(t *testing.T) {
 		t.Fatalf("phantom byte total = %d out of range", total)
 	}
 }
+
+// TestGraphBlocksMatchDense holds the CSR-built blocks to the definition
+// Blocks(g.Dense(), d): duplicate edges (FromEdges keeps the lightest),
+// self-loops, isolated vertices, zero weights, ragged decompositions, one
+// block (b = n) and n smaller than a typical b.
+func TestGraphBlocksMatchDense(t *testing.T) {
+	handmade, err := FromEdges(9, []Edge{
+		{U: 0, V: 1, W: 4}, {U: 1, V: 0, W: 2}, {U: 0, V: 1, W: 7}, // duplicates, both directions
+		{U: 3, V: 3, W: 1}, // self-loop
+		{U: 2, V: 8, W: 0}, // zero weight across the corner block
+		{U: 7, V: 4, W: 3},
+		// vertices 5 and 6 are isolated
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*Graph{handmade}
+	for _, n := range []int{1, 2, 17, 64, 100} {
+		g, err := ErdosRenyi(n, 0.3, 10, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		for _, b := range []int{1, 2, 3, 16, 33, g.N} {
+			if b > g.N {
+				continue
+			}
+			d, err := NewDecomposition(g.N, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Blocks(g.Dense(), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := g.Blocks(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("n=%d b=%d: %d blocks, want %d", g.N, b, len(got), len(want))
+			}
+			for k, w := range want {
+				if !got[k].Equal(w) {
+					t.Fatalf("n=%d b=%d: block %v differs from Blocks(g.Dense())", g.N, b, k)
+				}
+			}
+		}
+	}
+	if _, err := handmade.Blocks(Decomposition{N: 8, B: 4, Q: 2}); err == nil {
+		t.Fatal("decomposition of another order accepted")
+	}
+}
+
+// TestAssembleParallelMatchesSerial fills the block rows from one worker
+// and from several, whatever GOMAXPROCS is here.
+func TestAssembleParallelMatchesSerial(t *testing.T) {
+	for _, cfg := range [][2]int{{1, 1}, {70, 70}, {100, 37}, {130, 32}, {257, 16}} {
+		n, b := cfg[0], cfg[1]
+		g, err := ErdosRenyi(n, 0.3, 10, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := NewDecomposition(n, b)
+		blocks, err := g.Blocks(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := assembleOn(1, blocks, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !serial.Equal(g.Dense()) {
+			t.Fatalf("n=%d b=%d: serial assemble differs from the dense matrix", n, b)
+		}
+		for _, workers := range []int{2, 5, 64} {
+			par, err := assembleOn(workers, blocks, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !par.Equal(serial) {
+				t.Fatalf("n=%d b=%d workers=%d: parallel assemble differs from serial", n, b, workers)
+			}
+		}
+	}
+}

@@ -163,7 +163,11 @@ const transposeTile = 32
 // where a tile's destination lines share two L1 sets (measured at 256x256:
 // untiled 464 us, 32x32 strided stores 367 us, strided loads 69 us, 4x4
 // micro-tiles 29 us).
-func transpose(dst, src []float64, r, c int) {
+func transpose(dst, src []float64, r, c int) { transposeLd(dst, r, src, c, r, c) }
+
+// transposeLd is transpose over sub-views: the r x c source has row stride
+// lds, the c x r destination row stride ldd. The two must not overlap.
+func transposeLd(dst []float64, ldd int, src []float64, lds int, r, c int) {
 	for jj := 0; jj < c; jj += transposeTile {
 		jmax := min(jj+transposeTile, c)
 		for ii := 0; ii < r; ii += transposeTile {
@@ -172,32 +176,32 @@ func transpose(dst, src []float64, r, c int) {
 			for ; j+4 <= jmax; j += 4 {
 				i := ii
 				for ; i+4 <= imax; i += 4 {
-					s0 := src[i*c+j:][:4:4]
-					s1 := src[(i+1)*c+j:][:4:4]
-					s2 := src[(i+2)*c+j:][:4:4]
-					s3 := src[(i+3)*c+j:][:4:4]
-					d0 := dst[j*r+i:][:4:4]
-					d1 := dst[(j+1)*r+i:][:4:4]
-					d2 := dst[(j+2)*r+i:][:4:4]
-					d3 := dst[(j+3)*r+i:][:4:4]
+					s0 := src[i*lds+j:][:4:4]
+					s1 := src[(i+1)*lds+j:][:4:4]
+					s2 := src[(i+2)*lds+j:][:4:4]
+					s3 := src[(i+3)*lds+j:][:4:4]
+					d0 := dst[j*ldd+i:][:4:4]
+					d1 := dst[(j+1)*ldd+i:][:4:4]
+					d2 := dst[(j+2)*ldd+i:][:4:4]
+					d3 := dst[(j+3)*ldd+i:][:4:4]
 					d0[0], d0[1], d0[2], d0[3] = s0[0], s1[0], s2[0], s3[0]
 					d1[0], d1[1], d1[2], d1[3] = s0[1], s1[1], s2[1], s3[1]
 					d2[0], d2[1], d2[2], d2[3] = s0[2], s1[2], s2[2], s3[2]
 					d3[0], d3[1], d3[2], d3[3] = s0[3], s1[3], s2[3], s3[3]
 				}
-				transposeCells(dst, src, r, c, i, imax, j, j+4)
+				transposeCells(dst, ldd, src, lds, i, imax, j, j+4)
 			}
-			transposeCells(dst, src, r, c, ii, imax, j, jmax)
+			transposeCells(dst, ldd, src, lds, ii, imax, j, jmax)
 		}
 	}
 }
 
 // transposeCells is the ragged-edge remainder of transpose: source cells
 // [i0,i1) x [j0,j1), one at a time.
-func transposeCells(dst, src []float64, r, c, i0, i1, j0, j1 int) {
+func transposeCells(dst []float64, ldd int, src []float64, lds int, i0, i1, j0, j1 int) {
 	for j := j0; j < j1; j++ {
 		for i := i0; i < i1; i++ {
-			dst[j*r+i] = src[i*c+j]
+			dst[j*ldd+i] = src[i*lds+j]
 		}
 	}
 }

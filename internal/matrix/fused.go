@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // This file is the fused min-plus kernel layer. The paper's blocked solvers
@@ -120,22 +121,39 @@ func sameBacking(a, b *Block) bool {
 // contiguous stack buffer: at a power-of-two ldb its rows would all map to
 // the same few L1 sets and evict each other (measured at b=256: 1.9 ms
 // unpacked, 1.2 ms packed).
-func minPlusPanel(a []float64, lda int, b []float64, ldb int, dst []float64, ldd int, m, kd, n int) {
-	var pack [tile * tile]float64
+//
+// With upper set, dst is rows row0.. of a symmetric product and only its
+// tiles on or above the diagonal are folded: destination row row0+i skips
+// every column tile that ends at or before it (see MinPlusSymIntoPar).
+func minPlusPanel(a []float64, lda int, b []float64, ldb int, dst []float64, ldd int, m, kd, n int, upper bool, row0 int) {
+	// The packed tile starts on a cache line: the vector primitive reads it
+	// 32 bytes at a time, and off a 32-byte boundary every other read
+	// straddles two lines. A stack array is only 8-byte aligned, and where
+	// it lands depends on the frames above it (the same kernel measured 9 %
+	// slower under one caller than under another), so the buffer carries a
+	// line of slack and the tile starts at its first aligned element.
+	var buf [tile*tile + 7]float64
+	pack := buf[(-uintptr(unsafe.Pointer(&buf[0]))%64)/8:][:tile*tile]
 	for kk := 0; kk < kd; kk += tile {
 		kmax := min(kk+tile, kd)
 		for jj := 0; jj < n; jj += tile {
 			jmax := min(jj+tile, n)
 			w := jmax - jj
+			rows := m
+			if upper {
+				if rows = min(m, jmax-row0); rows <= 0 {
+					continue
+				}
+			}
 			for k := kk; k < kmax; k++ {
 				copy(pack[(k-kk)*w:(k-kk+1)*w], b[k*ldb+jj:k*ldb+jmax])
 			}
-			for i := 0; i < m; i++ {
+			for i := 0; i < rows; i++ {
 				ai := a[i*lda+kk : i*lda+kmax]
 				if allInf(ai) {
 					continue
 				}
-				minPlusRow(dst[i*ldd+jj:i*ldd+jmax], ai, pack[:], w)
+				minPlusRow(dst[i*ldd+jj:i*ldd+jmax], ai, pack, w)
 			}
 		}
 	}
@@ -159,13 +177,13 @@ func allInf(a []float64) bool {
 // contiguous destination row panels, so writes never overlap and the
 // result is identical to the serial path regardless of worker count.
 // Falls back to the serial path when the panel is too small to split.
-func minPlusPanelPar(a []float64, lda int, b []float64, ldb int, dst []float64, ldd int, m, kd, n, workers int) {
+func minPlusPanelPar(a []float64, lda int, b []float64, ldb int, dst []float64, ldd int, m, kd, n, workers int, upper bool) {
 	shards := workers
 	if maxShards := m / parMinRows; shards > maxShards {
 		shards = maxShards
 	}
 	if shards < 2 {
-		minPlusPanel(a, lda, b, ldb, dst, ldd, m, kd, n)
+		minPlusPanel(a, lda, b, ldb, dst, ldd, m, kd, n, upper, 0)
 		return
 	}
 	chunk := (m + shards - 1) / shards
@@ -178,7 +196,7 @@ func minPlusPanelPar(a []float64, lda int, b []float64, ldb int, dst []float64, 
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			minPlusPanel(a[lo*lda:], lda, b, ldb, dst[lo*ldd:], ldd, hi-lo, kd, n)
+			minPlusPanel(a[lo*lda:], lda, b, ldb, dst[lo*ldd:], ldd, hi-lo, kd, n, upper, lo)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -217,12 +235,44 @@ func MinPlusIntoPar(a, b, dst *Block, workers int) error {
 	}
 	if sameBacking(dst, a) || sameBacking(dst, b) {
 		tmp := GetInf(dst.R, dst.C)
-		minPlusPanelPar(a.Data, a.C, b.Data, b.C, tmp.Data, tmp.C, a.R, a.C, b.C, workers)
+		minPlusPanelPar(a.Data, a.C, b.Data, b.C, tmp.Data, tmp.C, a.R, a.C, b.C, workers, false)
 		err := MatMinInPlace(dst, tmp)
 		Put(tmp)
 		return err
 	}
-	minPlusPanelPar(a.Data, a.C, b.Data, b.C, dst.Data, dst.C, a.R, a.C, b.C, workers)
+	minPlusPanelPar(a.Data, a.C, b.Data, b.C, dst.Data, dst.C, a.R, a.C, b.C, workers, false)
+	return nil
+}
+
+// MinPlusSymIntoPar is MinPlusIntoPar for the symmetric case dst = min(dst,
+// a (x) aT), where the caller passes aT, the transpose of a, and dst is
+// square and symmetric — the diagonal targets of the blocked solvers' third
+// phase, A_KK = min(A_KK, A_Ki (x) A_iK). The product is symmetric too
+// (entry (r, c) and entry (c, r) are minima over the same sums, addition
+// commuting), so only the tiles on or above the diagonal are folded — 10 of
+// the 16 at b = 256 — and the rest are mirrored from them: every element
+// equals MinPlusIntoPar's. Phantom operands make the call a no-op.
+func MinPlusSymIntoPar(a, aT, dst *Block, workers int) error {
+	if err := checkMinPlusShapes("MinPlusSymInto", a, aT, dst); err != nil {
+		return err
+	}
+	if aT.R != a.C || aT.C != a.R {
+		return fmt.Errorf("matrix: MinPlusSymInto right operand is %dx%d, not the transpose of %dx%d", aT.R, aT.C, a.R, a.C)
+	}
+	if a.Phantom() || aT.Phantom() || dst.Phantom() {
+		return nil
+	}
+	if sameBacking(dst, a) || sameBacking(dst, aT) {
+		return fmt.Errorf("matrix: MinPlusSymInto destination aliases an operand")
+	}
+	n := dst.R
+	minPlusPanelPar(a.Data, a.C, aT.Data, aT.C, dst.Data, n, n, a.C, n, workers, true)
+	for jj := tile; jj < n; jj += tile {
+		w := min(tile, n-jj)
+		// Column tile jj was folded for rows [0, jj+w); the rows above its
+		// diagonal tile are the transpose of row band jj's columns [0, jj).
+		transposeLd(dst.Data[jj*n:], n, dst.Data[jj:], n, jj, w)
+	}
 	return nil
 }
 
@@ -242,7 +292,7 @@ func MinPlusMulIntoPar(a, b, dst *Block, workers int) error {
 	}
 	if sameBacking(dst, a) || sameBacking(dst, b) {
 		tmp := GetInf(dst.R, dst.C)
-		minPlusPanelPar(a.Data, a.C, b.Data, b.C, tmp.Data, tmp.C, a.R, a.C, b.C, workers)
+		minPlusPanelPar(a.Data, a.C, b.Data, b.C, tmp.Data, tmp.C, a.R, a.C, b.C, workers, false)
 		copy(dst.Data, tmp.Data)
 		Put(tmp)
 		return nil
@@ -250,7 +300,7 @@ func MinPlusMulIntoPar(a, b, dst *Block, workers int) error {
 	for i := range dst.Data {
 		dst.Data[i] = Inf
 	}
-	minPlusPanelPar(a.Data, a.C, b.Data, b.C, dst.Data, dst.C, a.R, a.C, b.C, workers)
+	minPlusPanelPar(a.Data, a.C, b.Data, b.C, dst.Data, dst.C, a.R, a.C, b.C, workers, false)
 	return nil
 }
 
@@ -419,7 +469,7 @@ func FloydWarshallBlockedSize(a *Block, bs, workers int) error {
 					data[rLo*n+lo:], n,
 					data[lo*n+cLo:], n,
 					data[rLo*n+cLo:], n,
-					rHi-rLo, kd, cHi-cLo, workers)
+					rHi-rLo, kd, cHi-cLo, workers, false)
 			}
 		}
 	}

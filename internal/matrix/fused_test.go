@@ -433,3 +433,51 @@ func TestFloydWarshallParNegativeCycle(t *testing.T) {
 		t.Fatal("negative-cycle fallback diverges from serial")
 	}
 }
+
+// TestMinPlusSymIntoMatchesFullProduct holds the half-computed, mirrored
+// symmetric product to the full one, element for element: tile-aligned and
+// ragged edges, a single tile, Inf-heavy operands, and enough rows that
+// workers > 1 shards the row bands.
+func TestMinPlusSymIntoMatchesFullProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, infFrac := range []float64{0.0, 0.5, 0.95} {
+		for _, shape := range [][2]int{{1, 1}, {5, 3}, {63, 70}, {64, 64}, {65, 64}, {130, 33}, {256, 256}, {300, 129}} {
+			n, kd := shape[0], shape[1]
+			a := randomBlock(rng, n, kd, infFrac)
+			aT := a.Transpose()
+			base := randomBlock(rng, n, n, infFrac)
+			for r := 0; r < n; r++ {
+				for c := 0; c < r; c++ {
+					base.Set(r, c, base.At(c, r))
+				}
+			}
+			want := base.Clone()
+			if err := MinPlusInto(a, aT, want); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3} {
+				got := base.Clone()
+				if err := MinPlusSymIntoPar(a, aT, got, workers); err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("n=%d kd=%d inf=%.2f workers=%d: mirrored product differs from the full one", n, kd, infFrac, workers)
+				}
+			}
+		}
+	}
+	a := randomBlock(rng, 4, 3, 0)
+	if err := MinPlusSymIntoPar(a, a, New(4, 4), 1); err == nil {
+		t.Fatal("a right operand that cannot be the transpose was accepted")
+	}
+	if err := MinPlusSymIntoPar(a, a.Transpose(), New(4, 5), 1); err == nil {
+		t.Fatal("non-square destination accepted")
+	}
+	sq := randomBlock(rng, 4, 4, 0)
+	if err := MinPlusSymIntoPar(sq, sq.Transpose(), sq, 1); err == nil {
+		t.Fatal("destination aliasing an operand accepted")
+	}
+	if err := MinPlusSymIntoPar(NewPhantom(4, 3), NewPhantom(3, 4), NewPhantom(4, 4), 1); err != nil {
+		t.Fatalf("phantom operands: %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -20,9 +21,11 @@ import (
 //
 // Discipline: a block obtained from Get is exclusively owned by the caller.
 // Put hands ownership back; the caller must not retain any reference
-// (including row slices) afterwards. Blocks that escape into long-lived
-// structures (RDD values, shared storage) are simply never Put — they
-// behave like ordinary allocations.
+// (including row slices) afterwards. A block that escapes into a long-lived
+// structure (an RDD value, shared storage) passes to that structure's
+// owner: the blocked solvers Put a whole generation of such blocks once the
+// next generation has replaced it (the rule is in internal/core's package
+// comment); a block nobody Puts behaves like an ordinary allocation.
 var pools [bits.UintSize]sync.Pool
 
 // sizeClass is floor(log2(n)) for n >= 1.
@@ -75,11 +78,14 @@ func Put(b *Block) {
 // --- arena integrity checking (tests) ---
 //
 // The pool-safety discipline ("a block that escaped into an RDD,
-// broadcast or store is never Put; a Put block is never touched again")
-// cannot be proven by types, so tests enforce it dynamically: with
-// checking enabled the arena tracks which blocks it currently owns and
-// counts Puts of a block the arena already holds — the double-free that
-// would alias two independent kernels onto one backing array. The
+// broadcast or store is Put only by its last owner; a Put block is never
+// touched again") cannot be proven by types, so tests enforce it
+// dynamically: with checking enabled the arena tracks which blocks it
+// currently owns and counts Puts of a block the arena already holds — the
+// double-free that would alias two independent kernels onto one backing
+// array — and fills every block it accepts with NaN, so a reader that kept
+// a reference past the Put, or a Get that is not fully initialized, turns
+// its results into NaN and fails any comparison against a reference. The
 // cancellation tests flip it on around mid-run-aborted solves, where
 // unwound error paths are most likely to misplace ownership.
 
@@ -155,5 +161,9 @@ func trackPut(b *Block) bool {
 	}
 	poolOwned[b] = struct{}{}
 	poolStats.Puts++
+	poison := b.Data[:cap(b.Data)]
+	for i := range poison {
+		poison[i] = math.NaN()
+	}
 	return true
 }

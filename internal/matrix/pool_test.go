@@ -1,6 +1,9 @@
 package matrix
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPoolCheckCountsTraffic(t *testing.T) {
 	SetPoolCheck(true)
@@ -75,4 +78,38 @@ func TestPoolIsSizeClassed(t *testing.T) {
 	// Degenerate shapes neither panic nor enter a class.
 	Put(Get(0, 7))
 	Put(&Block{})
+}
+
+// TestPoolCheckPoisonsReleasedBlocks: with checking on, a block handed to
+// Put reads as NaN through any reference kept past the Put, over its whole
+// capacity and not only its last shape.
+func TestPoolCheckPoisonsReleasedBlocks(t *testing.T) {
+	SetPoolCheck(true)
+	defer SetPoolCheck(false)
+
+	a := Get(8, 8)
+	a.Fill(1)
+	stale := a.Data
+	a.R, a.C, a.Data = 2, 2, a.Data[:4]
+	Put(a)
+	for i, v := range stale {
+		if !math.IsNaN(v) {
+			t.Fatalf("element %d of a released block still reads %v", i, v)
+		}
+	}
+	b := Get(8, 8)
+	b.Fill(2)
+	if b.At(7, 7) != 2 {
+		t.Fatal("a block taken after a poisoned Put is not writable")
+	}
+	Put(b)
+
+	SetPoolCheck(false)
+	c := Get(4, 4)
+	c.Fill(3)
+	kept := c.Data
+	Put(c)
+	if kept[0] != 3 {
+		t.Fatal("Put touched the block with checking off")
+	}
 }

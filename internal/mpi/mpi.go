@@ -37,9 +37,8 @@ type World struct {
 	P   int
 	cfg Config
 
-	chans [][]chan message
-
 	mu     sync.Mutex
+	chans  [][]chan message // chans[src][dst], made on first use (see link)
 	clocks []float64
 
 	barrier *barrier
@@ -54,11 +53,20 @@ func NewWorld(p int, cfg Config) (*World, error) {
 	w.chans = make([][]chan message, p)
 	for i := range w.chans {
 		w.chans[i] = make([]chan message, p)
-		for j := range w.chans[i] {
-			w.chans[i][j] = make(chan message, 64)
-		}
 	}
 	return w, nil
+}
+
+// link returns the channel carrying src's messages to dst, making it when
+// either end first asks: a p = 1,024 world has a million ordered pairs and
+// the collectives of a run use a few thousand of them.
+func (w *World) link(src, dst int) chan message {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.chans[src][dst] == nil {
+		w.chans[src][dst] = make(chan message, 64)
+	}
+	return w.chans[src][dst]
 }
 
 // Run executes body on every rank concurrently and returns the first
@@ -123,7 +131,7 @@ func (r *Rank) Send(dst int, value any, bytes int64) error {
 	cfg := r.world.cfg
 	arrival := r.Clock + cfg.Latency + float64(bytes)/cfg.Bandwidth
 	r.Clock += cfg.Latency // injection overhead
-	r.world.chans[r.ID][dst] <- message{value: value, bytes: bytes, arrival: arrival}
+	r.world.link(r.ID, dst) <- message{value: value, bytes: bytes, arrival: arrival}
 	return nil
 }
 
@@ -133,7 +141,7 @@ func (r *Rank) Recv(src int) (any, int64, error) {
 	if src < 0 || src >= r.world.P {
 		return nil, 0, fmt.Errorf("mpi: recv from rank %d of %d", src, r.world.P)
 	}
-	m := <-r.world.chans[src][r.ID]
+	m := <-r.world.link(src, r.ID)
 	if m.arrival > r.Clock {
 		r.Clock = m.arrival
 	}

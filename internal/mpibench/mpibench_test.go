@@ -1,6 +1,7 @@
 package mpibench
 
 import (
+	"sync"
 	"testing"
 
 	"apspark/internal/graph"
@@ -127,11 +128,17 @@ func TestDCValidation(t *testing.T) {
 	}
 }
 
+// paperFW2D is FW-2D-GbE at the paper's largest configuration (Table 3:
+// p = 1024, n = 262144), run once for the two tests that pin it.
+var paperFW2D = sync.OnceValues(func() (*Result, error) {
+	return FW2D(262144, 1024, nil, mpi.GbE(), PaperRates())
+})
+
 func TestDCOutperformsFW2DAtScale(t *testing.T) {
 	// The paper's headline baseline result (Table 3): at p = 1024 and
 	// n = 262144, DC-GbE is far faster than FW-2D-GbE.
 	const n, p = 262144, 1024
-	fw, err := FW2D(n, p, nil, mpi.GbE(), PaperRates())
+	fw, err := paperFW2D()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +161,7 @@ func TestFW2DWeakScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1024, err := FW2D(262144, 1024, nil, mpi.GbE(), PaperRates())
+	t1024, err := paperFW2D()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,3 +75,81 @@ func TestCheckpointedChainIterates(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointAndReleaseReportsSeveredLineage checks what the release
+// hook is told: kept is the checkpointed RDD's own partitions; severed
+// covers everything the cut lineage retained — the source, an intermediate
+// persisted RDD and the shuffle's buckets — and nothing is reported, or
+// reachable for recomputation, twice.
+func TestCheckpointAndReleaseReportsSeveredLineage(t *testing.T) {
+	ctx := newTestContext(t, cluster.Paper())
+	type payload struct{ gen, key int }
+	var src []Pair
+	for i := 0; i < 8; i++ {
+		src = append(src, Pair{Key: i, Value: &payload{0, i}})
+	}
+	gen0 := ctx.Parallelize("src", src, Modulo{Parts: 2})
+	mid := gen0.Map("gen1", func(tc *TaskContext, p Pair) (Pair, error) {
+		return Pair{Key: p.Key, Value: &payload{1, p.Key.(int)}}, nil
+	}).Persist()
+	// Half the records pass through unchanged, half are replaced.
+	gen2 := mid.Map("gen2", func(tc *TaskContext, p Pair) (Pair, error) {
+		if k := p.Key.(int); k%2 == 0 {
+			return Pair{Key: k, Value: &payload{2, k}}, nil
+		}
+		return p, nil
+	}).PartitionBy(Modulo{Parts: 4}).Persist()
+
+	calls := 0
+	count := func(parts [][]Pair) map[*payload]int {
+		seen := map[*payload]int{}
+		for _, part := range parts {
+			for _, rec := range part {
+				seen[rec.Value.(*payload)]++
+			}
+		}
+		return seen
+	}
+	err := gen2.CheckpointAndRelease(func(severed, kept [][]Pair) {
+		calls++
+		k, s := count(kept), count(severed)
+		if len(k) != 8 {
+			t.Fatalf("kept %d payloads, want 8", len(k))
+		}
+		gens := map[int]int{}
+		for p := range s {
+			gens[p.gen]++
+		}
+		// The source's 8, the persisted middle's 8, and through the shuffle
+		// buckets the 4 new ones.
+		if gens[0] != 8 || gens[1] != 8 || gens[2] != 4 {
+			t.Fatalf("severed payloads by generation = %v", gens)
+		}
+		for p := range k {
+			if p.gen == 0 || (p.gen == 1) != (p.key%2 == 1) {
+				t.Fatalf("kept an unexpected payload %+v", *p)
+			}
+			if s[p] == 0 {
+				t.Fatalf("kept payload %+v was not also retained upstream (shuffle buckets)", *p)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("release called %d times", calls)
+	}
+	if len(gen2.parents) != 0 {
+		t.Fatal("lineage not severed")
+	}
+	// A second checkpoint has nothing upstream left to report.
+	err = gen2.CheckpointAndRelease(func(severed, kept [][]Pair) {
+		if len(severed) != 0 {
+			t.Fatalf("second checkpoint reported %d severed partitions", len(severed))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -347,6 +347,12 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 		bytes []int64
 		maps  int
 	}
+	// mapBucket is what one map task wrote for one reduce partition.
+	type mapBucket struct {
+		part  int
+		pairs []Pair
+		bytes int64
+	}
 	var bs *bucketSet
 	mapParts := r.parts
 	out.materialize = func() error {
@@ -371,33 +377,41 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 		// injected failure keeps its first completed attempt's output
 		// (Spark's map-output commit); only task p's goroutine touches
 		// mapOut[p], so no lock is needed.
-		mapOut := make([]*bucketSet, mapParts)
+		mapOut := make([][]mapBucket, mapParts)
 		_, err := out.ctx.runStage(name+".map", mapParts, func(tc *TaskContext, p int) ([]Pair, error) {
 			in, err := parent.compute(tc, p)
 			if err != nil {
 				return nil, err
 			}
-			var written int64
-			local := make([][]Pair, out.parts)
-			localBytes := make([]int64, out.parts)
+			// Only the buckets this task has records for, in ascending
+			// reduce-partition order (the order the map-side combine's float
+			// charges are made in): a task holds a handful of records, the
+			// shuffle thousands of reduce partitions.
+			local := make([]mapBucket, 0, len(in)) // non-nil: nil marks "no attempt committed"
+			index := make(map[int]int, len(in))
 			for _, rec := range in {
 				b := part.Partition(rec.Key)
-				local[b] = append(local[b], rec)
+				j, seen := index[b]
+				if !seen {
+					j = len(local)
+					index[b] = j
+					local = append(local, mapBucket{part: b})
+				}
+				local[j].pairs = append(local[j].pairs, rec)
 			}
-			for b := range local {
-				if mapSide != nil && len(local[b]) > 1 {
-					combined, err := mapSide(tc, local[b])
-					if err != nil {
+			sort.Slice(local, func(i, j int) bool { return local[i].part < local[j].part })
+			var written int64
+			for j := range local {
+				lb := &local[j]
+				if mapSide != nil && len(lb.pairs) > 1 {
+					if lb.pairs, err = mapSide(tc, lb.pairs); err != nil {
 						return nil, err
 					}
-					local[b] = combined
 				}
-				var sz int64
-				for _, rec := range local[b] {
-					sz += out.ctx.SizeOf(rec.Value)
+				for _, rec := range lb.pairs {
+					lb.bytes += out.ctx.SizeOf(rec.Value)
 				}
-				localBytes[b] = sz
-				written += sz
+				written += lb.bytes
 			}
 			// Staged and transferred shuffle bytes are lz4-compressed by
 			// Spark; serialization still touches the raw volume.
@@ -409,7 +423,7 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 			}
 			out.ctx.Cluster.AddShuffleBytes(compressed)
 			if mapOut[p] == nil {
-				mapOut[p] = &bucketSet{pairs: local, bytes: localBytes}
+				mapOut[p] = local
 			}
 			return nil, nil
 		})
@@ -422,15 +436,16 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 			maps:  mapParts,
 		}
 		for _, mo := range mapOut {
-			for b := range mo.pairs {
-				if len(mo.pairs[b]) > 0 {
-					nb.pairs[b] = append(nb.pairs[b], mo.pairs[b]...)
-					nb.bytes[b] += out.ctx.Cluster.Config().CompressedShuffle(mo.bytes[b])
+			for _, lb := range mo {
+				if len(lb.pairs) > 0 {
+					nb.pairs[lb.part] = append(nb.pairs[lb.part], lb.pairs...)
+					nb.bytes[lb.part] += out.ctx.Cluster.Config().CompressedShuffle(lb.bytes)
 				}
 			}
 		}
 		out.mu.Lock()
 		bs = nb
+		out.cached = nb.pairs // what CheckpointAndRelease reports as retained
 		out.mu.Unlock()
 		return nil
 	}
@@ -588,7 +603,18 @@ func (r *RDD) Materialize() error {
 // "complex RDD lineages" pressure the paper manages with a 180 GB driver
 // (§5). Recovery of tasks after a checkpoint restarts from the
 // checkpointed data rather than the full history, as in Spark.
-func (r *RDD) Checkpoint() error {
+func (r *RDD) Checkpoint() error { return r.CheckpointAndRelease(nil) }
+
+// CheckpointAndRelease is Checkpoint for an iterative job that recycles
+// record payloads. Cutting the lineage is the moment everything upstream
+// stops being reachable through the engine — the previous iteration's
+// persisted RDD, this iteration's intermediate caches and shuffle buckets —
+// so right after the cut release is called once, on the driver, with the
+// partitions those upstream RDDs retained (a record may appear in several)
+// and the partitions r itself keeps. No task is running, and nothing can
+// recompute from the severed RDDs any more; what the caller does with
+// payloads that are in severed but not in kept is its own ownership rule.
+func (r *RDD) CheckpointAndRelease(release func(severed, kept [][]Pair)) error {
 	if err := r.ensureBarriers(); err != nil {
 		return err
 	}
@@ -596,9 +622,35 @@ func (r *RDD) Checkpoint() error {
 		return fmt.Errorf("rdd: only barrier RDDs (persisted/shuffled/sources) can checkpoint; wrap %q in Persist first", r.name)
 	}
 	r.mu.Lock()
+	parents, kept := r.parents, r.cached
 	r.parents = nil
 	r.mu.Unlock()
+	if release != nil {
+		var severed [][]Pair
+		seen := map[*RDD]bool{r: true}
+		for _, dep := range parents {
+			severed = dep.retained(seen, severed)
+		}
+		release(severed, kept)
+	}
 	return nil
+}
+
+// retained appends the partitions cached by r and by everything upstream
+// of it (sources, persisted RDDs, shuffle outputs), visiting each RDD once.
+func (r *RDD) retained(seen map[*RDD]bool, out [][]Pair) [][]Pair {
+	if seen[r] {
+		return out
+	}
+	seen[r] = true
+	r.mu.Lock()
+	out = append(out, r.cached...)
+	parents := r.parents
+	r.mu.Unlock()
+	for _, dep := range parents {
+		out = dep.retained(seen, out)
+	}
+	return out
 }
 
 // Collect materializes the RDD and returns all records to the driver,
@@ -660,14 +712,4 @@ func (r *RDD) PartitionSizes() ([]int, error) {
 		sizes[i] = len(part)
 	}
 	return sizes, nil
-}
-
-// SortPairsByBlockKey orders pairs by their BlockKey for deterministic
-// post-processing of Collect output.
-func SortPairsByBlockKey(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		a := fmt.Sprint(pairs[i].Key)
-		b := fmt.Sprint(pairs[j].Key)
-		return a < b
-	})
 }

@@ -2,13 +2,11 @@ package rdd
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"testing"
 
 	"apspark/internal/cluster"
 	"apspark/internal/costmodel"
-	"apspark/internal/graph"
 )
 
 func newTestContext(t *testing.T, cfg cluster.Config) *Context {
@@ -401,16 +399,5 @@ func TestDefaultSize(t *testing.T) {
 	}
 	if DefaultSize(42) != 64 {
 		t.Fatal("fallback size wrong")
-	}
-}
-
-func TestSortPairsByBlockKey(t *testing.T) {
-	pairs := []Pair{
-		{Key: graph.BlockKey{I: 1, J: 2}},
-		{Key: graph.BlockKey{I: 0, J: 1}},
-	}
-	SortPairsByBlockKey(pairs)
-	if fmt.Sprint(pairs[0].Key) != "(0,1)" {
-		t.Fatalf("sort order wrong: %v", pairs)
 	}
 }

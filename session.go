@@ -151,7 +151,7 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 
 	var in core.Input
 	if g != nil {
-		in, err = core.NewInput(g.Dense(), b)
+		in, err = core.NewGraphInput(g, b)
 	} else {
 		in, err = core.NewPhantomInput(n, b)
 	}
