@@ -198,12 +198,11 @@ func benchSolver(b *testing.B, s core.Solver) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		clu, err := cluster.New(benchCluster())
+		rc, err := core.NewContext(benchCluster(), costmodel.PaperKernels())
 		if err != nil {
 			b.Fatal(err)
 		}
-		ctx := core.NewContext(clu, costmodel.PaperKernels())
-		res, err := s.Solve(context.Background(), ctx, in, core.Options{})
+		res, err := core.Run(context.Background(), rc, s, in, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -420,22 +419,24 @@ func BenchmarkAblationCartesianVsColumn(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		// Column-rewrite shuffle volume: one RS unit.
-		clu, _ := cluster.New(benchCluster())
-		ctx := core.NewContext(clu, costmodel.PaperKernels())
-		if _, err := (core.RepeatedSquaring{}).Solve(context.Background(), ctx, in, core.Options{MaxUnits: 1}); err != nil {
+		rc, err := core.NewContext(benchCluster(), costmodel.PaperKernels())
+		if err != nil {
 			b.Fatal(err)
 		}
-		colBytes := clu.Metrics().ShuffleBytes + clu.Metrics().SharedReadBytes
+		res, err := core.Run(context.Background(), rc, core.RepeatedSquaring{}, in, core.Options{MaxUnits: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		colBytes := res.Metrics.ShuffleBytes + res.Metrics.SharedReadBytes
 
 		// Cartesian volume: every partition's task replicates the full
 		// RDD over the network (see rdd.Cartesian), so with B*p
 		// partitions the traffic is RDD-bytes x B x p.
-		clu2, _ := cluster.New(benchCluster())
 		var rddBytes int64
 		for _, blk := range in.Blocks {
 			rddBytes += blk.SizeBytes()
 		}
-		cartBytes := rddBytes * int64(clu2.Cores()*2)
+		cartBytes := rddBytes * int64(rc.Cluster.Cores()*2)
 		ratio = float64(cartBytes) / float64(colBytes)
 	}
 	b.ReportMetric(ratio, "cartesian-traffic-ratio")

@@ -150,9 +150,7 @@ func main() {
 	if *codec != "" && *storeOut == "" {
 		fatal(fmt.Errorf("-codec selects the tile encoding of a -store write; nothing is being stored"))
 	}
-	if *codec != "" && host && *storeOut != "" {
-		// Streamed solves encode while writing; the cluster path below
-		// solves in memory and encodes at WriteStoreWithCodec time instead.
+	if *codec != "" {
 		jobOpts = append(jobOpts, apspark.WithCodec(*codec))
 	}
 	if *resume {
@@ -179,22 +177,25 @@ func main() {
 		// The reported wall time covers the solve only, not graph
 		// generation or edge-list parsing.
 		start = time.Now()
-		if host && *storeOut != "" {
+		if *storeOut != "" {
 			// Host solvers stream completed row panels straight into the
 			// store file, so even n far beyond RAM persists without ever
-			// materializing the matrix.
+			// materializing the matrix; cluster solvers solve in memory
+			// and write the store afterwards.
 			res, err = sess.SolveToStore(ctx, g, *storeOut, jobOpts...)
 		} else {
 			res, err = sess.Solve(ctx, g, jobOpts...)
 		}
 	}
 	wall := time.Since(start)
-	cancelled := false
-	if err != nil {
-		if res == nil || !errors.Is(err, context.Canceled) {
-			fatal(err)
-		}
-		cancelled = true
+	// A partial result still prints its accounting: a cancelled run, and a
+	// -max-units run, which SolveToStore ran and then refused to store.
+	cancelled := res != nil && errors.Is(err, context.Canceled)
+	truncated := res != nil && *storeOut != "" && *maxUnits > 0 && res.UnitsRun == *maxUnits && res.UnitsRun < res.UnitsTotal
+	if err != nil && !cancelled && !truncated {
+		fatal(err)
+	}
+	if cancelled {
 		fmt.Fprintf(os.Stderr, "apsp: cancelled after %d of %d units; partial accounting follows\n",
 			res.UnitsRun, res.UnitsTotal)
 	}
@@ -224,41 +225,24 @@ func main() {
 	if res.Dist != nil && *verify {
 		fmt.Println("verification:      OK (matches sequential Floyd-Warshall)")
 	}
-	if *storeOut != "" && host {
-		// SolveToStore already streamed the panels to disk; a cancelled run
-		// leaves no store at the target path, only the durable checkpoint
-		// (.partial + .manifest) that -resume picks up.
-		if cancelled {
-			fmt.Fprintf(os.Stderr, "apsp: checkpoint kept; rerun with -resume to continue from the last durable panel\n")
+	switch {
+	case *storeOut == "":
+	case err == nil:
+		st, err := os.Stat(*storeOut)
+		if err != nil {
+			fatal(err)
 		}
-		if !cancelled {
-			st, err := os.Stat(*storeOut)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("store:             %s (%s, b=%d; serve with apsp-serve -store %s)\n",
-				*storeOut, fmtBytes(st.Size()), res.BlockSize, *storeOut)
-		}
-	} else if *storeOut != "" {
-		if res.Dist == nil {
-			// Truncated or cancelled runs carry no distances; the missing
-			// artifact must be loud, not discovered when serving fails.
-			fmt.Fprintf(os.Stderr, "apsp: store %s not written: run has no distance matrix (%d of %d units)\n",
-				*storeOut, res.UnitsRun, res.UnitsTotal)
-			if !cancelled {
-				os.Exit(1)
-			}
-		} else {
-			if err := res.WriteStoreWithCodec(*storeOut, res.BlockSize, *codec); err != nil {
-				fatal(err)
-			}
-			st, err := os.Stat(*storeOut)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("store:             %s (%s, b=%d; serve with apsp-serve -store %s)\n",
-				*storeOut, fmtBytes(st.Size()), res.BlockSize, *storeOut)
-		}
+		fmt.Printf("store:             %s (%s, b=%d; serve with apsp-serve -store %s)\n",
+			*storeOut, fmtBytes(st.Size()), res.BlockSize, *storeOut)
+	case host:
+		// A cancelled streamed solve leaves no store at the target path,
+		// only the durable checkpoint (.partial + .manifest).
+		fmt.Fprintf(os.Stderr, "apsp: checkpoint kept; rerun with -resume to continue from the last durable panel\n")
+	default:
+		// Truncated or cancelled runs carry no distances; the missing
+		// artifact must be loud, not discovered when serving fails.
+		fmt.Fprintf(os.Stderr, "apsp: store %s not written: run has no distance matrix (%d of %d units)\n",
+			*storeOut, res.UnitsRun, res.UnitsTotal)
 	}
 	if *trace && len(res.Timeline) > 0 {
 		tl := res.Timeline
@@ -286,6 +270,9 @@ func main() {
 	}
 	if cancelled {
 		os.Exit(130) // conventional SIGINT exit status
+	}
+	if err != nil {
+		os.Exit(1)
 	}
 }
 

@@ -17,11 +17,38 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
+
+	"apspark/internal/cluster"
+	"apspark/internal/core"
+	"apspark/internal/costmodel"
 )
+
+// phantomRun runs s over an n-vertex phantom input on a fresh virtual
+// cluster. Running out of local storage is a result the paper's figures
+// print, not a failure of the sweep: it is reported as exhausted, beside
+// the partial result of the units that did run.
+func phantomRun(cc cluster.Config, model costmodel.KernelModel, s core.Solver, n, b int, opts core.Options) (res *core.Result, exhausted bool, err error) {
+	in, err := core.NewPhantomInput(n, b)
+	if err != nil {
+		return nil, false, err
+	}
+	rc, err := core.NewContext(cc, model)
+	if err != nil {
+		return nil, false, err
+	}
+	res, err = core.Run(context.Background(), rc, s, in, opts)
+	var se *cluster.ErrLocalStorage
+	if errors.As(err, &se) {
+		return res, true, nil
+	}
+	return res, false, err
+}
 
 // FormatDuration renders virtual seconds the way the paper's tables do:
 // "45s", "2m23s", "1h40m", "9d16h".

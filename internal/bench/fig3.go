@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"apspark/internal/cluster"
@@ -70,30 +68,18 @@ func Figure3(cfg Fig3Config) ([]Fig3Point, error) {
 						PartsPerCore: bpc,
 						BlockSize:    b,
 					}
-					in, err := core.NewPhantomInput(cfg.N, b)
-					if err != nil {
-						return nil, err
-					}
-					clu, err := cluster.New(cfg.Cluster)
-					if err != nil {
-						return nil, err
-					}
-					ctx := core.NewContext(clu, cfg.Model)
-					res, err := solver.Solve(context.Background(), ctx, in, core.Options{
+					res, exhausted, err := phantomRun(cfg.Cluster, cfg.Model, solver, cfg.N, b, core.Options{
 						Partitioner:  pk,
 						PartsPerCore: bpc,
 						MaxUnits:     cfg.MaxUnits,
 					})
 					if err != nil {
-						var se *cluster.ErrLocalStorage
-						if !errors.As(err, &se) {
-							return nil, fmt.Errorf("%s/%s/B=%d/b=%d: %w", solver.Name(), pk, bpc, b, err)
-						}
+						return nil, fmt.Errorf("%s/%s/B=%d/b=%d: %w", solver.Name(), pk, bpc, b, err)
+					}
+					if exhausted {
 						pt.Failed = true
 						pt.FailReason = "local storage exhausted"
-						if res != nil {
-							pt.FailedAtIter = res.UnitsRun
-						}
+						pt.FailedAtIter = res.UnitsRun
 						out = append(out, pt)
 						continue
 					}

@@ -22,12 +22,11 @@ func paperRun(t *testing.T, s core.Solver, n, b, maxUnits int) (*core.Result, er
 	if err != nil {
 		t.Fatal(err)
 	}
-	clu, err := cluster.New(cluster.Paper())
+	rc, err := core.NewContext(cluster.Paper(), costmodel.PaperKernels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewContext(clu, costmodel.PaperKernels())
-	return s.Solve(context.Background(), ctx, in, core.Options{MaxUnits: maxUnits})
+	return core.Run(context.Background(), rc, s, in, core.Options{MaxUnits: maxUnits})
 }
 
 const day = 86400.0

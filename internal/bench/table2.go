@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"apspark/internal/cluster"
@@ -75,30 +73,19 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 		for _, pk := range cfg.Partitioners {
 			for _, b := range cfg.BlockSizes {
 				row := Table2Row{Solver: solver.Name(), Partitioner: pk, BlockSize: b}
-				in, err := core.NewPhantomInput(cfg.N, b)
-				if err != nil {
-					return nil, err
-				}
-				row.Iterations = solver.Units(in.Dec)
-				clu, err := cluster.New(cfg.Cluster)
-				if err != nil {
-					return nil, err
-				}
-				ctx := core.NewContext(clu, cfg.Model)
-				res, err := solver.Solve(context.Background(), ctx, in, core.Options{
-					BlockSize:    b,
+				res, exhausted, err := phantomRun(cfg.Cluster, cfg.Model, solver, cfg.N, b, core.Options{
 					Partitioner:  pk,
 					PartsPerCore: cfg.PartsPerCore,
 					MaxUnits:     cfg.UnitsToRun,
 				})
 				if err != nil {
-					var se *cluster.ErrLocalStorage
-					if errors.As(err, &se) {
-						row.Err = "local storage exhausted"
-						rows = append(rows, row)
-						continue
-					}
 					return nil, fmt.Errorf("%s/%s/b=%d: %w", solver.Name(), pk, b, err)
+				}
+				row.Iterations = res.UnitsTotal
+				if exhausted {
+					row.Err = "local storage exhausted"
+					rows = append(rows, row)
+					continue
 				}
 				if res.UnitsRun > 0 {
 					row.SingleSec = res.VirtualSeconds / float64(res.UnitsRun)

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"apspark/internal/cluster"
@@ -121,24 +119,11 @@ func Table3(cfg Table3Config) ([]Table3Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			clu, err := cluster.New(cc)
+			res, exhausted, err := phantomRun(cc, cfg.Model, solver, n, b, core.Options{MaxUnits: cfg.MaxUnits})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s/p=%d: %w", solver.Name(), p, err)
 			}
-			in, err := core.NewPhantomInput(n, b)
-			if err != nil {
-				return nil, err
-			}
-			ctx := core.NewContext(clu, cfg.Model)
-			res, err := solver.Solve(context.Background(), ctx, in, core.Options{
-				Partitioner: core.PartitionerMD,
-				MaxUnits:    cfg.MaxUnits,
-			})
-			if err != nil {
-				var se *cluster.ErrLocalStorage
-				if !errors.As(err, &se) {
-					return nil, fmt.Errorf("%s/p=%d: %w", solver.Name(), p, err)
-				}
+			if exhausted {
 				row.Failed = true
 				row.FailReason = "local storage exhausted"
 				rows = append(rows, row)

@@ -31,7 +31,7 @@ func TestWarmSolveAllocatesTwoGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	solve := func() {
-		if _, err := (BlockedCollectBroadcast{}).Solve(context.Background(), testContext(t), in, Options{}); err != nil {
+		if _, err := Run(context.Background(), testContext(t), BlockedCollectBroadcast{}, in, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"apspark/internal/graph"
@@ -41,32 +40,10 @@ type stagedPanel struct {
 	Row *matrix.Block // A[i, R]
 }
 
-// Solve implements Solver.
-func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in Input, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts = opts.withDefaults()
-	rc.BindContext(ctx)
-	q := in.Dec.Q
-	part, err := NewPartitioner(opts.Partitioner, rc.Cluster, opts.PartsPerCore, q)
-	if err != nil {
-		return nil, err
-	}
-	rc.MarkImpure()
-	a := parallelizeInput(rc, in, part)
+// step implements Solver: one block iteration i.
+func (BlockedCollectBroadcast) step(rc *rdd.Context, in Input, part rdd.Partitioner) step {
 	recycle := recycler(in)
-
-	units := s.Units(in.Dec)
-	run := units
-	if opts.MaxUnits > 0 && opts.MaxUnits < run {
-		run = opts.MaxUnits
-	}
-
-	for i := 0; i < run; i++ {
-		if err := ctx.Err(); err != nil {
-			return truncated(rc, s, in, i, units), err
-		}
+	return func(i int, a *rdd.RDD) (*rdd.RDD, error) {
 		rc.Store.NewEpoch()
 
 		// Phase 1: solve the diagonal block, collect it on the driver and
@@ -76,7 +53,7 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 			Persist()
 		diagPairs, err := diag.Collect()
 		if err != nil {
-			return truncated(rc, s, in, i, units), err
+			return nil, err
 		}
 		if len(diagPairs) != 1 {
 			return nil, fmt.Errorf("core: iteration %d collected %d diagonal blocks", i, len(diagPairs))
@@ -109,7 +86,7 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 		}).Persist()
 		rowcolPairs, err := rowcol.Collect()
 		if err != nil {
-			return truncated(rc, s, in, i, units), err
+			return nil, err
 		}
 		for _, p := range rowcolPairs {
 			k := p.Key.(graph.BlockKey)
@@ -149,44 +126,6 @@ func (s BlockedCollectBroadcast) Solve(ctx context.Context, rc *rdd.Context, in 
 		a = rc.Union(diag, rowcol, offcol).
 			PartitionBy(part).
 			Persist()
-		if err := a.CheckpointAndRelease(recycle); err != nil {
-			return truncated(rc, s, in, i, units), err
-		}
-		rc.ReportUnit(i+1, units)
+		return a, a.CheckpointAndRelease(recycle)
 	}
-
-	res := &Result{
-		Solver:     s.Name(),
-		N:          in.Dec.N,
-		BlockSize:  in.Dec.B,
-		UnitsRun:   run,
-		UnitsTotal: units,
-	}
-	if err := finishResult(rc, res, in, a); err != nil {
-		// Collection itself failed (cancellation at the last boundary, or
-		// a task failure): keep the contract and hand back the accounting
-		// of everything that did run.
-		return truncated(rc, s, in, res.UnitsRun, res.UnitsTotal), err
-	}
-	return res, nil
-}
-
-// truncated builds the partial result attached to a mid-run error
-// (cancellation, storage exhaustion, task failure). Unlike a lost run, it
-// carries the full accounting of the units that did complete: metrics,
-// virtual time, and a flat per-unit projection to a full run.
-func truncated(rc *rdd.Context, s Solver, in Input, unitsRun, unitsTotal int) *Result {
-	res := &Result{
-		Solver:         s.Name(),
-		N:              in.Dec.N,
-		BlockSize:      in.Dec.B,
-		UnitsRun:       unitsRun,
-		UnitsTotal:     unitsTotal,
-		Metrics:        rc.Cluster.Metrics(),
-		VirtualSeconds: rc.Cluster.Now(),
-	}
-	if unitsRun > 0 {
-		res.ProjectedSeconds = res.VirtualSeconds / float64(unitsRun) * float64(unitsTotal)
-	}
-	return res
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"apspark/internal/graph"
@@ -27,30 +26,10 @@ func (FW2D) Pure() bool { return true }
 // Units implements Solver: one unit per pivot vertex k.
 func (FW2D) Units(dec graph.Decomposition) int { return dec.N }
 
-// Solve implements Solver.
-func (s FW2D) Solve(ctx context.Context, rc *rdd.Context, in Input, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts = opts.withDefaults()
-	rc.BindContext(ctx)
+// step implements Solver: one pivot vertex k.
+func (FW2D) step(rc *rdd.Context, in Input, _ rdd.Partitioner) step {
 	dec := in.Dec
-	part, err := NewPartitioner(opts.Partitioner, rc.Cluster, opts.PartsPerCore, dec.Q)
-	if err != nil {
-		return nil, err
-	}
-	a := parallelizeInput(rc, in, part)
-
-	units := s.Units(dec)
-	run := units
-	if opts.MaxUnits > 0 && opts.MaxUnits < run {
-		run = opts.MaxUnits
-	}
-
-	for k := 0; k < run; k++ {
-		if err := ctx.Err(); err != nil {
-			return truncated(rc, s, in, k, units), err
-		}
+	return func(k int, a *rdd.RDD) (*rdd.RDD, error) {
 		bigK := dec.BlockOf(k)
 		kloc := k - dec.RowOffset(bigK)
 
@@ -59,7 +38,7 @@ func (s FW2D) Solve(ctx context.Context, rc *rdd.Context, in Input, opts Options
 			Map("extractCol", ExtractColumn(bigK, kloc)).
 			Collect()
 		if err != nil {
-			return truncated(rc, s, in, k, units), err
+			return nil, err
 		}
 		col := make(map[int]*matrix.Block, dec.Q)
 		for _, p := range colPairs {
@@ -91,21 +70,6 @@ func (s FW2D) Solve(ctx context.Context, rc *rdd.Context, in Input, opts Options
 			}
 			return rdd.Pair{Key: key, Value: &TaggedBlock{Tag: TagBase, B: nb}}, nil
 		}).Persist()
-		if err := a.Checkpoint(); err != nil {
-			return truncated(rc, s, in, k, units), err
-		}
-		rc.ReportUnit(k+1, units)
+		return a, a.Checkpoint()
 	}
-
-	res := &Result{
-		Solver:     s.Name(),
-		N:          dec.N,
-		BlockSize:  dec.B,
-		UnitsRun:   run,
-		UnitsTotal: units,
-	}
-	if err := finishResult(rc, res, in, a); err != nil {
-		return truncated(rc, s, in, res.UnitsRun, res.UnitsTotal), err
-	}
-	return res, nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"apspark/internal/graph"
 	"apspark/internal/rdd"
 )
@@ -26,31 +24,11 @@ func (BlockedInMemory) Pure() bool { return true }
 // Units implements Solver: one unit per block iteration.
 func (BlockedInMemory) Units(dec graph.Decomposition) int { return dec.Q }
 
-// Solve implements Solver.
-func (s BlockedInMemory) Solve(ctx context.Context, rc *rdd.Context, in Input, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts = opts.withDefaults()
-	rc.BindContext(ctx)
+// step implements Solver: one block iteration i.
+func (BlockedInMemory) step(rc *rdd.Context, in Input, part rdd.Partitioner) step {
 	q := in.Dec.Q
-	part, err := NewPartitioner(opts.Partitioner, rc.Cluster, opts.PartsPerCore, q)
-	if err != nil {
-		return nil, err
-	}
-	a := parallelizeInput(rc, in, part)
 	recycle := recycler(in)
-
-	units := s.Units(in.Dec)
-	run := units
-	if opts.MaxUnits > 0 && opts.MaxUnits < run {
-		run = opts.MaxUnits
-	}
-
-	for i := 0; i < run; i++ {
-		if err := ctx.Err(); err != nil {
-			return truncated(rc, s, in, i, units), err
-		}
+	return func(i int, a *rdd.RDD) (*rdd.RDD, error) {
 		// Phase 1: process the diagonal block and fan out its copies
 		// (Algorithm 3 lines 2-4).
 		diag := a.Filter("diag", OnDiagonal(i)).
@@ -87,21 +65,6 @@ func (s BlockedInMemory) Solve(ctx context.Context, rc *rdd.Context, in Input, o
 			Persist()
 		// Checkpoint per iteration, as a long-running Spark job would:
 		// it bounds lineage depth (and releases retained shuffles).
-		if err := a.CheckpointAndRelease(recycle); err != nil {
-			return truncated(rc, s, in, i, units), err
-		}
-		rc.ReportUnit(i+1, units)
+		return a, a.CheckpointAndRelease(recycle)
 	}
-
-	res := &Result{
-		Solver:     s.Name(),
-		N:          in.Dec.N,
-		BlockSize:  in.Dec.B,
-		UnitsRun:   run,
-		UnitsTotal: units,
-	}
-	if err := finishResult(rc, res, in, a); err != nil {
-		return truncated(rc, s, in, res.UnitsRun, res.UnitsTotal), err
-	}
-	return res, nil
 }

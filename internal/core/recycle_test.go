@@ -81,7 +81,7 @@ func TestRecycledGenerationsAreSafe(t *testing.T) {
 			for _, s := range recyclingSolvers {
 				rc := testContext(t)
 				rc.SetHostWorkers(4)
-				res, err := s.Solve(context.Background(), rc, in, Options{})
+				res, err := Run(context.Background(), rc, s, in, Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
 				}
@@ -125,7 +125,7 @@ func TestRecyclingSurvivesCancellation(t *testing.T) {
 				cancel()
 			}
 		})
-		res, err := s.Solve(ctx, rc, in, Options{})
+		res, err := Run(ctx, rc, s, in, Options{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", s.Name(), err)
 		}
@@ -133,7 +133,7 @@ func TestRecyclingSurvivesCancellation(t *testing.T) {
 			t.Fatalf("%s: partial result %+v", s.Name(), res)
 		}
 		cancel()
-		res, err = s.Solve(context.Background(), testContext(t), in, Options{})
+		res, err = Run(context.Background(), testContext(t), s, in, Options{})
 		if err != nil {
 			t.Fatalf("%s rerun: %v", s.Name(), err)
 		}
@@ -158,7 +158,7 @@ func TestBlockedSolversMatchParentBitForBit(t *testing.T) {
 	}
 	want := oracleBlockedSolve(t, taskCtx(t), Input{Dec: in.Dec, Blocks: cloneBlocks(in.Blocks)})
 	for _, s := range recyclingSolvers {
-		res, err := s.Solve(context.Background(), testContext(t), in, Options{})
+		res, err := Run(context.Background(), testContext(t), s, in, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -185,11 +185,11 @@ func TestDenseAndPhantomRunsChargeAlike(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range recyclingSolvers {
-		d, err := s.Solve(context.Background(), testContext(t), dense, Options{})
+		d, err := Run(context.Background(), testContext(t), s, dense, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := s.Solve(context.Background(), testContext(t), phantom, Options{})
+		p, err := Run(context.Background(), testContext(t), s, phantom, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

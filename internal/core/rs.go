@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"apspark/internal/graph"
@@ -33,183 +32,125 @@ func (RepeatedSquaring) Units(dec graph.Decomposition) int {
 
 func rsColKey(iter, j, k int) string { return fmt.Sprintf("rs/%d/col/%d/%d", iter, j, k) }
 
-// Solve implements Solver.
-func (s RepeatedSquaring) Solve(ctx context.Context, rc *rdd.Context, in Input, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts = opts.withDefaults()
-	rc.BindContext(ctx)
-	dec := in.Dec
-	q := dec.Q
-	part, err := NewPartitioner(opts.Partitioner, rc.Cluster, opts.PartsPerCore, q)
-	if err != nil {
-		return nil, err
-	}
-	rc.MarkImpure()
-	a := parallelizeInput(rc, in, part)
-
-	units := s.Units(dec)
-	maxUnits := units
-	if opts.MaxUnits > 0 && opts.MaxUnits < maxUnits {
-		maxUnits = opts.MaxUnits
-	}
-	outer := log2Ceil(dec.N)
-	unitsRun := 0
-	unitDurations := make([]float64, 0, maxUnits)
-	lastClock := rc.Cluster.Now()
-	// partial upgrades truncated()'s flat projection with the least-squares
-	// column-cost fit: RS unit costs grow linearly with the column index,
-	// so a context-cancelled run should project exactly like a
-	// MaxUnits-truncated one.
-	partial := func(unitsRun int) *Result {
-		res := truncated(rc, s, in, unitsRun, units)
-		if unitsRun > 0 {
-			res.ProjectedSeconds = projectRS(unitDurations, res.VirtualSeconds, outer, q)
+// step implements Solver: column j of squaring it, for unit it*q + j. The
+// columns of a squaring accumulate in the closure; the unit that produces
+// the last one also unions them into the squared matrix.
+func (RepeatedSquaring) step(rc *rdd.Context, in Input, part rdd.Partitioner) step {
+	q := in.Dec.Q
+	var cols []*rdd.RDD
+	return func(u int, a *rdd.RDD) (*rdd.RDD, error) {
+		it, j := u/q, u%q
+		rc.Store.NewEpoch()
+		// Stage column-block j: collect its stored blocks on the
+		// driver and write them, canonically oriented as A[K, j], to
+		// shared storage (Algorithm 1 lines 3-4).
+		colPairs, err := a.Filter("col", InColumn(j)).Collect()
+		if err != nil {
+			return nil, err
 		}
-		return res
-	}
+		for _, p := range colPairs {
+			k := p.Key.(graph.BlockKey)
+			b := p.Value.(*TaggedBlock).B
+			row, canon := k.I, b
+			if k.I == j && k.J != j {
+				row, canon = k.J, b.Transpose()
+			}
+			rc.Store.Put(rsColKey(it, j, row), canon, canon.SizeBytes())
+		}
 
-squaring:
-	for it := 0; it < outer; it++ {
-		cols := make([]*rdd.RDD, 0, q)
-		for j := 0; j < q; j++ {
-			if unitsRun >= maxUnits {
-				break squaring
-			}
-			if err := ctx.Err(); err != nil {
-				return partial(unitsRun), err
-			}
-			rc.Store.NewEpoch()
-			// Stage column-block j: collect its stored blocks on the
-			// driver and write them, canonically oriented as A[K, j], to
-			// shared storage (Algorithm 1 lines 3-4).
-			colPairs, err := a.Filter("col", InColumn(j)).Collect()
-			if err != nil {
-				return partial(unitsRun), err
-			}
-			for _, p := range colPairs {
-				k := p.Key.(graph.BlockKey)
-				b := p.Value.(*TaggedBlock).B
-				row, canon := k.I, b
-				if k.I == j && k.J != j {
-					row, canon = k.J, b.Transpose()
-				}
-				rc.Store.Put(rsColKey(it, j, row), canon, canon.SizeBytes())
-			}
-
-			// T[j] = A.map(MatProd).reduceByKey(MatMin) (line 5): every
-			// stored block contributes min-plus products against the
-			// staged column blocks; symmetry makes block (I, K) feed both
-			// output rows I and K.
-			products := a.FlatMap("matProd", func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
-				k := p.Key.(graph.BlockKey)
-				tb := p.Value.(*TaggedBlock)
-				var out []rdd.Pair
-				// Only output rows I <= j are produced here: rows below
-				// the diagonal of column j live in later columns' T (the
-				// upper-triangular dedup rule of §4). Products land in
-				// arena blocks via the fused kernel; the transposed left
-				// operand is pooled scratch.
-				emit := func(outRow int, left *matrix.Block, colRow int) error {
-					if outRow > j {
-						return nil
-					}
-					cv, err := tc.SharedGet(rsColKey(it, j, colRow))
-					if err != nil {
-						return err
-					}
-					col := cv.(*matrix.Block)
-					tc.Charge(tc.Model().MinPlusMul(left.R, left.C, col.C))
-					// One kernel call serves both modes: with any phantom
-					// operand MinPlusMulIntoPar validates shapes and then
-					// no-ops, so phantom runs reject exactly the shapes
-					// dense runs do.
-					var prod *matrix.Block
-					if left.Phantom() || col.Phantom() {
-						prod = matrix.NewPhantom(left.R, col.C)
-					} else {
-						prod = matrix.Get(left.R, col.C)
-					}
-					if err := matrix.MinPlusMulIntoPar(left, col, prod, tc.Workers()); err != nil {
-						return err
-					}
-					out = append(out, rdd.Pair{
-						Key:   graph.BlockKey{I: outRow, J: j},
-						Value: &TaggedBlock{Tag: TagBase, B: prod},
-					})
+		// T[j] = A.map(MatProd).reduceByKey(MatMin) (line 5): every
+		// stored block contributes min-plus products against the
+		// staged column blocks; symmetry makes block (I, K) feed both
+		// output rows I and K.
+		products := a.FlatMap("matProd", func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
+			k := p.Key.(graph.BlockKey)
+			tb := p.Value.(*TaggedBlock)
+			var out []rdd.Pair
+			// Only output rows I <= j are produced here: rows below
+			// the diagonal of column j live in later columns' T (the
+			// upper-triangular dedup rule of §4). Products land in
+			// arena blocks via the fused kernel; the transposed left
+			// operand is pooled scratch.
+			emit := func(outRow int, left *matrix.Block, colRow int) error {
+				if outRow > j {
 					return nil
 				}
-				// C[I, j] gets A[I, K] (x) col[K].
-				if err := emit(k.I, tb.B, k.J); err != nil {
-					return nil, err
+				cv, err := tc.SharedGet(rsColKey(it, j, colRow))
+				if err != nil {
+					return err
 				}
-				if k.I != k.J && k.J <= j {
-					// C[K, j] gets A[K, I] (x) col[I] = A[I, K]^T (x) col[I].
-					tc.Charge(tc.Model().MatMin(tb.B.R, tb.B.C)) // transpose pass
-					if tb.B.Phantom() {
-						if err := emit(k.J, tb.B.Transpose(), k.I); err != nil {
-							return nil, err
-						}
-					} else {
-						left := matrix.Get(tb.B.C, tb.B.R)
-						if err := tb.B.TransposeInto(left); err != nil {
-							return nil, err
-						}
-						err := emit(k.J, left, k.I)
-						matrix.Put(left)
-						if err != nil {
-							return nil, err
-						}
+				col := cv.(*matrix.Block)
+				tc.Charge(tc.Model().MinPlusMul(left.R, left.C, col.C))
+				// One kernel call serves both modes: with any phantom
+				// operand MinPlusMulIntoPar validates shapes and then
+				// no-ops, so phantom runs reject exactly the shapes
+				// dense runs do.
+				var prod *matrix.Block
+				if left.Phantom() || col.Phantom() {
+					prod = matrix.NewPhantom(left.R, col.C)
+				} else {
+					prod = matrix.Get(left.R, col.C)
+				}
+				if err := matrix.MinPlusMulIntoPar(left, col, prod, tc.Workers()); err != nil {
+					return err
+				}
+				out = append(out, rdd.Pair{
+					Key:   graph.BlockKey{I: outRow, J: j},
+					Value: &TaggedBlock{Tag: TagBase, B: prod},
+				})
+				return nil
+			}
+			// C[I, j] gets A[I, K] (x) col[K].
+			if err := emit(k.I, tb.B, k.J); err != nil {
+				return nil, err
+			}
+			if k.I != k.J && k.J <= j {
+				// C[K, j] gets A[K, I] (x) col[I] = A[I, K]^T (x) col[I].
+				tc.Charge(tc.Model().MatMin(tb.B.R, tb.B.C)) // transpose pass
+				if tb.B.Phantom() {
+					if err := emit(k.J, tb.B.Transpose(), k.I); err != nil {
+						return nil, err
+					}
+				} else {
+					left := matrix.Get(tb.B.C, tb.B.R)
+					if err := tb.B.TransposeInto(left); err != nil {
+						return nil, err
+					}
+					err := emit(k.J, left, k.I)
+					matrix.Put(left)
+					if err != nil {
+						return nil, err
 					}
 				}
-				return out, nil
-			})
-			tj := products.
-				ReduceByKey(part, MatMinValues).
-				Persist()
-			if err := tj.Materialize(); err != nil {
-				return partial(unitsRun), err
 			}
-			cols = append(cols, tj)
-			unitsRun++
-			now := rc.Cluster.Now()
-			unitDurations = append(unitDurations, now-lastClock)
-			lastClock = now
-			rc.ReportUnit(unitsRun, units)
+			return out, nil
+		})
+		tj := products.
+			ReduceByKey(part, MatMinValues).
+			Persist()
+		if err := tj.Materialize(); err != nil {
+			return nil, err
+		}
+		cols = append(cols, tj)
+		if j < q-1 {
+			return a, nil
 		}
 		// A = sc.union(T) (line 6), repartitioned to tame the q-fold
 		// partition blowup unions would otherwise accumulate (§5.2).
 		a = rc.Union(cols...).PartitionBy(part).Persist()
-		if err := a.Checkpoint(); err != nil {
-			return partial(unitsRun), err
-		}
+		cols = nil
+		return a, a.Checkpoint()
 	}
-
-	res := &Result{
-		Solver:     s.Name(),
-		N:          dec.N,
-		BlockSize:  dec.B,
-		UnitsRun:   unitsRun,
-		UnitsTotal: units,
-	}
-	if err := finishResult(rc, res, in, a); err != nil {
-		return partial(res.UnitsRun), err
-	}
-	if unitsRun < units && unitsRun > 0 {
-		res.ProjectedSeconds = projectRS(unitDurations, res.VirtualSeconds, outer, q)
-	}
-	return res, nil
 }
 
-// projectRS extrapolates a truncated Repeated Squaring run. Column costs
-// have a fixed part (stage scheduling, column staging) and a part that
-// grows linearly with the column index (the upper-triangular dedup assigns
-// column j the output rows 0..j), so the projection fits
-// t_j = a + c*(j+1) to the measured columns by least squares and sums the
-// model over all outer x q columns. With a single measured column it falls
-// back to a flat per-unit scaling.
-func projectRS(durations []float64, virtual float64, outer, q int) float64 {
+// project implements projector. Column costs have a fixed part (stage
+// scheduling, column staging) and a part that grows linearly with the
+// column index (the upper-triangular dedup assigns column j the output rows
+// 0..j), so the projection fits t_j = a + c*(j+1) to the measured columns by
+// least squares and sums the model over all outer x q columns. With a single
+// measured column it falls back to a flat per-unit scaling.
+func (RepeatedSquaring) project(durations []float64, virtual float64, dec graph.Decomposition) float64 {
+	outer, q := log2Ceil(dec.N), dec.Q
 	m := len(durations)
 	totalCols := float64(outer) * float64(q)
 	if m < 2 {
@@ -236,11 +177,4 @@ func projectRS(durations []float64, virtual float64, outer, q int) float64 {
 	qf := float64(q)
 	perSquaring := qf*a + c*qf*(qf+1)/2
 	return float64(outer) * perSquaring
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,6 +5,22 @@
 // against the RDD engine in internal/rdd exactly the way the paper's
 // pySpark code is expressed against Spark.
 //
+// # A solver is a step; Run drives it
+//
+// What the paper prints of a solver (Algorithms 1-4) is the body of its
+// loop, and that is all a Solver here is: besides its name, its purity and
+// its unit count, one step — a function from the distance matrix after
+// units 0..u-1 to the distance matrix after unit u (a column product of a
+// squaring, a pivot, a block iteration), closed over whatever the run
+// keeps between units. Everything the paper does not print is Run, once for
+// all four: binding the caller's context, the partitioner, marking an
+// impure run, loading the Input, MaxUnits truncation, the cancellation
+// check at every unit boundary, timing and reporting each unit, the final
+// collect, and the one place a Result is built — complete, truncated,
+// cancelled or failed, always with the accounting of the units that ran.
+// A virtual-cluster job is NewContext (a fresh cluster and driver) and
+// then Run.
+//
 // # Who owns a block
 //
 // Every dense block a building block produces comes from the matrix arena
@@ -35,14 +51,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"apspark/internal/cluster"
-	"apspark/internal/costmodel"
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
 	"apspark/internal/rdd"
@@ -58,10 +71,8 @@ const (
 	PartitionerPH PartitionerKind = "PH"
 )
 
-// Options configures one solver run.
+// Options configures one solver run; the block size is the Input's.
 type Options struct {
-	// BlockSize is the decomposition parameter b.
-	BlockSize int
 	// Partitioner chooses MD or PH (default MD).
 	Partitioner PartitionerKind
 	// PartsPerCore is the paper's over-decomposition factor B; the RDD
@@ -154,8 +165,8 @@ type Result struct {
 	Dist   *matrix.Block
 }
 
-// Solver is one APSP strategy: the paper's four built-ins, or anything
-// registered through Register.
+// Solver is one of the paper's four APSP strategies: what the paper
+// prints of it. Run drives it.
 type Solver interface {
 	// Name returns the paper's name for the method.
 	Name() string
@@ -164,85 +175,50 @@ type Solver interface {
 	Pure() bool
 	// Units returns the number of iteration units a full run needs.
 	Units(dec graph.Decomposition) int
-	// Solve runs the method on the driver rc. Implementations must bind
-	// ctx to rc and check it at every iteration-unit boundary, returning a
-	// partial Result (UnitsRun and projection filled) alongside ctx.Err()
-	// when cancelled; they should also call rc.ReportUnit after each unit
-	// so progress streams to the caller.
-	Solve(ctx context.Context, rc *rdd.Context, in Input, opts Options) (*Result, error)
+	// step returns the solver's iteration unit for one run over in on rc,
+	// with the distance matrix partitioned by part.
+	step(rc *rdd.Context, in Input, part rdd.Partitioner) step
 }
 
-// Factory constructs a fresh Solver instance.
-type Factory func() Solver
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-	regNames []string // registration order
-)
-
-// Register adds a solver factory under a lookup name (the key callers and
-// the -solver flag use). It fails on an empty name, a nil factory, or a
-// duplicate registration. The four paper solvers self-register as
-// "rs", "fw2d", "im" and "cb"; external solvers plug in alongside them.
-func Register(name string, f Factory) error {
-	if name == "" {
-		return fmt.Errorf("core: Register with empty solver name")
-	}
-	if f == nil {
-		return fmt.Errorf("core: Register(%q) with nil factory", name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("core: solver %q already registered", name)
-	}
-	registry[name] = f
-	regNames = append(regNames, name)
-	return nil
+// solvers is the solver table, in the paper's order; key is the name
+// callers and the -solver flag use.
+var solvers = []struct {
+	key string
+	Solver
+}{
+	{"rs", RepeatedSquaring{}},
+	{"fw2d", FW2D{}},
+	{"im", BlockedInMemory{}},
+	{"cb", BlockedCollectBroadcast{}},
 }
 
-// MustRegister is Register, panicking on error — for init-time wiring.
-func MustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(err)
-	}
-}
-
-// RegisteredSolvers returns the registered lookup names in registration
-// order (the four paper solvers first).
+// RegisteredSolvers returns the lookup names, in the paper's order.
 func RegisteredSolvers() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), regNames...)
-}
-
-func init() {
-	MustRegister("rs", func() Solver { return RepeatedSquaring{} })
-	MustRegister("fw2d", func() Solver { return FW2D{} })
-	MustRegister("im", func() Solver { return BlockedInMemory{} })
-	MustRegister("cb", func() Solver { return BlockedCollectBroadcast{} })
+	names := make([]string, len(solvers))
+	for i, e := range solvers {
+		names[i] = e.key
+	}
+	return names
 }
 
 // Solvers returns the paper's four methods, in the paper's order.
 func Solvers() []Solver {
-	return []Solver{RepeatedSquaring{}, FW2D{}, BlockedInMemory{}, BlockedCollectBroadcast{}}
+	out := make([]Solver, len(solvers))
+	for i, e := range solvers {
+		out[i] = e.Solver
+	}
+	return out
 }
 
-// SolverByName finds a registered solver by its lookup name, falling back
-// to the full paper name (Solver.Name) for convenience.
+// SolverByName finds a solver by its lookup name, falling back to the
+// full paper name (Solver.Name) for convenience.
 func SolverByName(name string) (Solver, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if f, ok := registry[name]; ok {
-		return f(), nil
-	}
-	for _, key := range regNames {
-		if s := registry[key](); s.Name() == name {
-			return s, nil
+	for _, e := range solvers {
+		if e.key == name || e.Name() == name {
+			return e.Solver, nil
 		}
 	}
-	return nil, fmt.Errorf("core: unknown solver %q (registered: %s)", name, strings.Join(regNames, "|"))
+	return nil, fmt.Errorf("core: unknown solver %q (registered: %s)", name, strings.Join(RegisteredSolvers(), "|"))
 }
 
 // NewPartitioner builds the requested partitioner for a q x q grid with
@@ -257,13 +233,6 @@ func NewPartitioner(kind PartitionerKind, clu *cluster.Cluster, partsPerCore, q 
 	default:
 		return nil, fmt.Errorf("core: unknown partitioner %q", kind)
 	}
-}
-
-// NewContext builds an RDD driver context with the solver value sizer.
-func NewContext(clu *cluster.Cluster, model costmodel.KernelModel) *rdd.Context {
-	ctx := rdd.NewContext(clu, model)
-	ctx.SizeOf = SizeOf
-	return ctx
 }
 
 // SizeOf extends the engine's default sizer with the core value types.
@@ -289,74 +258,6 @@ func SizeOf(v any) int64 {
 	default:
 		return rdd.DefaultSize(v)
 	}
-}
-
-// parallelizeInput loads the input blocks into the engine.
-func parallelizeInput(ctx *rdd.Context, in Input, part rdd.Partitioner) *rdd.RDD {
-	pairs := make([]rdd.Pair, 0, len(in.Blocks))
-	for _, k := range in.Dec.UpperKeys() {
-		pairs = append(pairs, rdd.Pair{Key: k, Value: &TaggedBlock{Tag: TagBase, B: in.Blocks[k]}})
-	}
-	return ctx.Parallelize("A", pairs, part)
-}
-
-// collectBlocks gathers a solver's final RDD back into a block map,
-// validating that exactly the upper triangle is present.
-func collectBlocks(a *rdd.RDD, dec graph.Decomposition) (map[graph.BlockKey]*matrix.Block, error) {
-	pairs, err := a.Collect()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[graph.BlockKey]*matrix.Block, len(pairs))
-	for _, p := range pairs {
-		k, ok := p.Key.(graph.BlockKey)
-		if !ok {
-			return nil, fmt.Errorf("core: unexpected key type %T", p.Key)
-		}
-		tb, ok := p.Value.(*TaggedBlock)
-		if !ok {
-			return nil, fmt.Errorf("core: unexpected value type %T", p.Value)
-		}
-		if _, dup := out[k]; dup {
-			return nil, fmt.Errorf("core: duplicate block %v in result", k)
-		}
-		out[k] = tb.B
-	}
-	if len(out) != dec.NumUpperBlocks() {
-		return nil, fmt.Errorf("core: result has %d blocks, want %d", len(out), dec.NumUpperBlocks())
-	}
-	return out, nil
-}
-
-// finishResult fills the common Result fields, assembling the distance
-// matrix for complete real-mode runs.
-func finishResult(ctx *rdd.Context, res *Result, in Input, a *rdd.RDD) error {
-	res.Metrics = ctx.Cluster.Metrics()
-	res.VirtualSeconds = ctx.Cluster.Now()
-	if res.UnitsRun >= res.UnitsTotal {
-		res.ProjectedSeconds = res.VirtualSeconds
-		blocks, err := collectBlocks(a, in.Dec)
-		if err != nil {
-			return err
-		}
-		res.Blocks = blocks
-		if !in.Phantom() {
-			dist, err := graph.Assemble(blocks, in.Dec)
-			if err != nil {
-				return err
-			}
-			res.Dist = dist
-		}
-		// Refresh accounting: collectBlocks ran one more stage.
-		res.Metrics = ctx.Cluster.Metrics()
-		res.VirtualSeconds = ctx.Cluster.Now()
-		res.ProjectedSeconds = res.VirtualSeconds
-		return nil
-	}
-	if res.UnitsRun > 0 {
-		res.ProjectedSeconds = res.VirtualSeconds / float64(res.UnitsRun) * float64(res.UnitsTotal)
-	}
-	return nil
 }
 
 // log2Ceil returns ceil(log2(n)) with a floor of 1.

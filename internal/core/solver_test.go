@@ -23,24 +23,18 @@ func fwRef(t testing.TB, g *graph.Graph) *matrix.Block {
 	return m
 }
 
-// testCluster builds a small virtual cluster so tests run many stages
-// quickly (virtual time is unaffected by the host).
-
-func testCluster(t *testing.T) *cluster.Cluster {
+// testContext is a driver over a small virtual cluster, so tests run many
+// stages quickly (virtual time is unaffected by the host).
+func testContext(t *testing.T) *rdd.Context {
 	t.Helper()
 	cfg := cluster.Paper()
 	cfg.Nodes = 4
 	cfg.CoresPerNode = 4
-	clu, err := cluster.New(cfg)
+	rc, err := NewContext(cfg, costmodel.PaperKernels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clu
-}
-
-func testContext(t *testing.T) *rdd.Context {
-	t.Helper()
-	return NewContext(testCluster(t), costmodel.PaperKernels())
+	return rc
 }
 
 func solveReal(t *testing.T, s Solver, n, b int, seed int64, opts Options) *Result {
@@ -53,7 +47,7 @@ func solveReal(t *testing.T, s Solver, n, b int, seed int64, opts Options) *Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Solve(context.Background(), testContext(t), in, opts)
+	res, err := Run(context.Background(), testContext(t), s, in, opts)
 	if err != nil {
 		t.Fatalf("%s failed: %v", s.Name(), err)
 	}
@@ -109,7 +103,7 @@ func TestSolverDisconnectedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range Solvers() {
-		res, err := s.Solve(context.Background(), testContext(t), in, Options{})
+		res, err := Run(context.Background(), testContext(t), s, in, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -146,68 +140,6 @@ func TestSolverNames(t *testing.T) {
 	}
 }
 
-// fakeSolver exercises the open registry: an external strategy that
-// plugs in beside the paper's four.
-type fakeSolver struct{ Solver }
-
-func (fakeSolver) Name() string { return "Fake-Solver" }
-
-func TestRegistryOpenForExternalSolvers(t *testing.T) {
-	if err := Register("fake", func() Solver { return fakeSolver{Solver: BlockedCollectBroadcast{}} }); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { unregisterForTest("fake") })
-
-	s, err := SolverByName("fake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "Fake-Solver" {
-		t.Fatalf("factory returned %q", s.Name())
-	}
-	if _, err := SolverByName("Fake-Solver"); err != nil {
-		t.Fatalf("full-name lookup of registered solver failed: %v", err)
-	}
-	names := RegisteredSolvers()
-	found := false
-	for _, n := range names {
-		if n == "fake" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("RegisteredSolvers() = %v, missing %q", names, "fake")
-	}
-	// The four built-ins always come first, in registration order.
-	if len(names) < 4 || names[0] != "rs" || names[1] != "fw2d" || names[2] != "im" || names[3] != "cb" {
-		t.Fatalf("built-ins not first: %v", names)
-	}
-
-	if err := Register("fake", func() Solver { return fakeSolver{} }); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := Register("", func() Solver { return fakeSolver{} }); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := Register("nilfactory", nil); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-}
-
-// unregisterForTest removes a registry entry so tests do not leak
-// registrations into each other.
-func unregisterForTest(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	delete(registry, name)
-	for i, n := range regNames {
-		if n == name {
-			regNames = append(regNames[:i], regNames[i+1:]...)
-			break
-		}
-	}
-}
-
 func TestUnitsAccounting(t *testing.T) {
 	dec, _ := graph.NewDecomposition(64, 16) // q = 4
 	if got := (BlockedInMemory{}).Units(dec); got != 4 {
@@ -230,7 +162,7 @@ func TestTruncatedRunProjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range Solvers() {
-		res, err := s.Solve(context.Background(), testContext(t), in, Options{MaxUnits: 2})
+		res, err := Run(context.Background(), testContext(t), s, in, Options{MaxUnits: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -254,7 +186,7 @@ func TestPhantomFullRunBlockedCB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BlockedCollectBroadcast{}.Solve(context.Background(), testContext(t), in, Options{})
+	res, err := Run(context.Background(), testContext(t), BlockedCollectBroadcast{}, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +208,11 @@ func TestPhantomIMShufflesMoreThanCB(t *testing.T) {
 		t.Fatal(err)
 	}
 	imCtx := testContext(t)
-	if _, err := (BlockedInMemory{}).Solve(context.Background(), imCtx, in, Options{}); err != nil {
+	if _, err := Run(context.Background(), imCtx, BlockedInMemory{}, in, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	cbCtx := testContext(t)
-	if _, err := (BlockedCollectBroadcast{}).Solve(context.Background(), cbCtx, in, Options{}); err != nil {
+	if _, err := Run(context.Background(), cbCtx, BlockedCollectBroadcast{}, in, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	imShuffle := imCtx.Cluster.Metrics().ShuffleBytes
@@ -295,7 +227,7 @@ func TestPureSolverSurvivesInjectedFailure(t *testing.T) {
 	in, _ := NewInput(g.Dense(), 5)
 	ctx := testContext(t)
 	ctx.Injector = rdd.NewFailureInjector(0.02, 11)
-	res, err := (BlockedInMemory{}).Solve(context.Background(), ctx, in, Options{})
+	res, err := Run(context.Background(), ctx, BlockedInMemory{}, in, Options{})
 	if err != nil {
 		t.Fatalf("pure solver did not survive failures: %v", err)
 	}
@@ -312,7 +244,7 @@ func TestImpureSolverAbortsOnFailure(t *testing.T) {
 	in, _ := NewInput(g.Dense(), 5)
 	ctx := testContext(t)
 	ctx.Injector = rdd.NewFailureInjector(0.05, 11)
-	_, err := (BlockedCollectBroadcast{}).Solve(context.Background(), ctx, in, Options{})
+	_, err := Run(context.Background(), ctx, BlockedCollectBroadcast{}, in, Options{})
 	if err == nil {
 		t.Skip("no failures were injected at this seed")
 	}
@@ -390,13 +322,13 @@ func TestSolversWithIntraKernelParallelism(t *testing.T) {
 		}
 		serialCtx := testContext(t)
 		serialCtx.SetHostWorkers(1)
-		serial, err := s.Solve(context.Background(), serialCtx, in, Options{})
+		serial, err := Run(context.Background(), serialCtx, s, in, Options{})
 		if err != nil {
 			t.Fatalf("%s serial: %v", s.Name(), err)
 		}
 		parCtx := testContext(t)
 		parCtx.SetHostWorkers(16)
-		par, err := s.Solve(context.Background(), parCtx, in, Options{})
+		par, err := Run(context.Background(), parCtx, s, in, Options{})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", s.Name(), err)
 		}

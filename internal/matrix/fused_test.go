@@ -296,27 +296,6 @@ func TestFloydWarshallParMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMinPlusWrapperLeavesDstUntouched(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	a := randomBlock(rng, 12, 12, 0.3)
-	b := randomBlock(rng, 12, 12, 0.3)
-	dst := randomBlock(rng, 12, 12, 0.3)
-	snapshot := dst.Clone()
-	got, err := MinPlus(a, b, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dst.Equal(snapshot) {
-		t.Fatal("MinPlus mutated its destination operand")
-	}
-	if !got.Equal(refMinPlus(t, a, b, snapshot)) {
-		t.Fatal("MinPlus wrapper diverges from unfused reference")
-	}
-	if _, err := MinPlus(a, b, New(12, 13)); err == nil {
-		t.Fatal("bad destination shape accepted")
-	}
-}
-
 func TestArenaGetPut(t *testing.T) {
 	b := Get(5, 7)
 	if b.R != 5 || b.C != 7 || len(b.Data) != 35 || b.Phantom() {

@@ -86,28 +86,6 @@ func MinPlusMul(a, b *Block) (*Block, error) {
 	return out, nil
 }
 
-// MinPlus computes min(a (x) b, dst) in one call (paper Table 1: MinPlus —
-// MatProd followed by MatMin against dst), returning a fresh block and
-// leaving dst untouched. It is a thin compatibility wrapper over the fused
-// MinPlusInto: the result block is seeded from dst and the product folds
-// straight into it, so the intermediate product and its extra element-wise
-// pass are gone. The returned block is an ordinary heap allocation the
-// caller owns outright; hot paths that want arena recycling use
-// MinPlusInto with Get/Put directly.
-func MinPlus(a, b, dst *Block) (*Block, error) {
-	if err := checkMinPlusShapes("MinPlus", a, b, dst); err != nil {
-		return nil, err
-	}
-	if a.Phantom() || b.Phantom() || dst.Phantom() {
-		return NewPhantom(a.R, b.C), nil
-	}
-	out := dst.Clone()
-	if err := MinPlusInto(a, b, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // FloydWarshall runs the classic O(r^3) Floyd-Warshall kernel in place on a
 // square block (paper Table 1: FloydWarshall). The diagonal is clamped to 0
 // first, matching the convention that a vertex reaches itself at cost 0.
@@ -152,33 +130,4 @@ func FloydWarshallUpdate(a *Block, colI, colJ []float64) error {
 		minPlusRow(a.Data[i*a.C:(i+1)*a.C], colI[i:i+1], colJ, 0)
 	}
 	return nil
-}
-
-// MinPlusVec returns the min-plus matrix-vector product y[i] = min_k
-// a[i][k] + x[k].
-func MinPlusVec(a *Block, x []float64) ([]float64, error) {
-	if a.C != len(x) {
-		return nil, fmt.Errorf("matrix: MinPlusVec dim mismatch %dx%d vs %d", a.R, a.C, len(x))
-	}
-	y := make([]float64, a.R)
-	for i := range y {
-		y[i] = Inf
-	}
-	if a.Phantom() {
-		return y, nil
-	}
-	for i := 0; i < a.R; i++ {
-		row := a.Data[i*a.C : (i+1)*a.C]
-		best := Inf
-		for k, xv := range x {
-			if row[k] == Inf || xv == Inf {
-				continue
-			}
-			if s := row[k] + xv; s < best {
-				best = s
-			}
-		}
-		y[i] = best
-	}
-	return y, nil
 }

@@ -170,14 +170,13 @@ func TestMinPlusCombined(t *testing.T) {
 	a := randomBlock(rng, 6, 6, 0.3)
 	b := randomBlock(rng, 6, 6, 0.3)
 	dst := randomBlock(rng, 6, 6, 0.3)
-	got, err := MinPlus(a, b, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
 	prod, _ := MinPlusMul(a, b)
 	want, _ := MatMin(prod, dst)
-	if !got.Equal(want) {
-		t.Fatal("MinPlus != MatMin(MatProd, dst)")
+	if err := MinPlusInto(a, b, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Equal(want) {
+		t.Fatal("MinPlusInto != MatMin(MatProd, dst)")
 	}
 }
 
@@ -330,29 +329,5 @@ func TestFloydWarshallUpdateShapeErrors(t *testing.T) {
 	}
 	if err := FloydWarshallUpdate(New(2, 2), []float64{1, 2}, []float64{1}); err == nil {
 		t.Fatal("bad colJ length accepted")
-	}
-}
-
-func TestMinPlusVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, Inf}, {2, 0}})
-	y, err := MinPlusVec(a, []float64{10, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 11 || y[1] != 12 {
-		t.Fatalf("MinPlusVec = %v", y)
-	}
-	if _, err := MinPlusVec(a, []float64{1}); err == nil {
-		t.Fatal("dim mismatch accepted")
-	}
-}
-
-func TestMinPlusVecPhantom(t *testing.T) {
-	y, err := MinPlusVec(NewPhantom(2, 2), []float64{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(y[0], 1) || !math.IsInf(y[1], 1) {
-		t.Fatalf("phantom MinPlusVec = %v", y)
 	}
 }

@@ -9,8 +9,7 @@
 // library so every layer (store, serve, sparse, rdd, the binaries) can
 // import it without cycles or bloat. Metric registration is
 // programmer-driven wiring, so malformed names and kind conflicts
-// panic — like core.MustRegister — rather than returning errors nobody
-// checks at init time.
+// panic rather than returning errors nobody checks at init time.
 package obs
 
 import (

@@ -27,15 +27,6 @@ func FloydWarshall(g *graph.Graph) (*matrix.Block, error) {
 	return a, nil
 }
 
-// FloydWarshallDense runs Floyd-Warshall in place on an adjacency matrix
-// and returns it, propagating kernel errors.
-func FloydWarshallDense(a *matrix.Block) (*matrix.Block, error) {
-	if err := matrix.FloydWarshall(a); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // BlockedFloydWarshall computes APSP with the 3-phase blocked algorithm of
 // Venkataraman et al. that the paper's Blocked solvers distribute
 // (paper §4.4, Figure 1). It is exact, not an approximation: for every
@@ -185,16 +176,6 @@ func bellmanFordPotential(g *graph.Graph) ([]float64, error) {
 		}
 	}
 	return nil, fmt.Errorf("seq: negative cycle detected")
-}
-
-// APSPBySources computes the distance matrix by running Dijkstra from every
-// source; it is the simplest independent oracle used in tests.
-func APSPBySources(g *graph.Graph) *matrix.Block {
-	out := matrix.New(g.N, g.N)
-	for s := 0; s < g.N; s++ {
-		copy(out.Data[s*g.N:(s+1)*g.N], Dijkstra(g, s))
-	}
-	return out
 }
 
 type distItem struct {

@@ -128,8 +128,8 @@ func WithModel(m KernelModel) Option {
 	})
 }
 
-// WithSolver picks the strategy (default SolverCB, the paper's best).
-// Any name registered through core.Register is accepted.
+// WithSolver picks the strategy (default SolverCB, the paper's best):
+// one of the four virtual-cluster solvers or a host-native one.
 func WithSolver(k SolverKind) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		if k == "" {

@@ -101,9 +101,6 @@ func (s *Session) Project(ctx context.Context, n int, opts ...SolveOption) (*Res
 // run executes one job: a real solve when g is non-nil, a phantom
 // projection otherwise.
 func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if IsHostSolver(job.solver) {
 		if g == nil {
 			return nil, fmt.Errorf("apspark: host-native solver %q has no phantom mode; projections need a virtual-cluster solver", job.solver)
@@ -131,14 +128,13 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 	if b == 0 {
 		b = graph.DefaultBlockSize(0, n, n/8)
 	}
-	clu, err := cluster.New(s.cluster)
+	rc, err := core.NewContext(s.cluster, s.model)
 	if err != nil {
 		return nil, err
 	}
 	if job.trace {
-		clu.EnableTrace()
+		rc.Cluster.EnableTrace()
 	}
-	rc := core.NewContext(clu, s.model)
 	if job.progress != nil {
 		rc.SetProgress(job.progress)
 	}
@@ -159,23 +155,18 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 		return nil, err
 	}
 
-	res, solveErr := solver.Solve(ctx, rc, in, core.Options{
-		BlockSize:    b,
+	res, err := core.Run(ctx, rc, solver, in, core.Options{
 		Partitioner:  job.partitioner,
 		PartsPerCore: job.partsPerCore,
 		MaxUnits:     job.maxUnits,
 	})
-	// The final event folds in trailing driver advances (the result
-	// collect) so the progress deltas sum to the job's virtual time —
-	// emitted on the error path too, where it closes out a partial run.
-	rc.FinishProgress()
-	if solveErr != nil {
-		if res == nil {
-			return nil, solveErr
-		}
-		out := wrap(res)
-		out.Timeline = clu.Timeline()
-		return out, solveErr
+	if res == nil {
+		return nil, err
+	}
+	out := wrap(res)
+	out.Timeline = rc.Cluster.Timeline()
+	if err != nil {
+		return out, err
 	}
 	if job.verify && g != nil && res.Dist != nil {
 		want, err := seq.FloydWarshall(g)
@@ -186,7 +177,5 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 			return nil, fmt.Errorf("apspark: %s result diverges from sequential Floyd-Warshall", solver.Name())
 		}
 	}
-	out := wrap(res)
-	out.Timeline = clu.Timeline()
 	return out, nil
 }

@@ -21,8 +21,8 @@ type HostSolverInfo struct {
 	Description string
 }
 
-// hostSolvers is the registry of host-native strategies. Unlike the
-// virtual-cluster solvers (core.Register), these bypass the RDD engine
+// hostSolvers is the table of host-native strategies. Unlike the
+// virtual-cluster solvers (core.Solvers), these bypass the RDD engine
 // entirely, so they share only the Session surface, not the Solver
 // interface.
 var hostSolvers = []HostSolverInfo{
