@@ -39,7 +39,6 @@ package apspark
 
 import (
 	"fmt"
-	"time"
 
 	"apspark/internal/cluster"
 	"apspark/internal/core"
@@ -62,8 +61,8 @@ const (
 	// SolverCB is Blocked Collect/Broadcast (paper §4.5, impure, fastest).
 	SolverCB SolverKind = "cb"
 	// SolverDijkstra is the host-native sparse fast path: Dijkstra from
-	// every source over the CSR graph, no virtual cluster involved. See
-	// HostSolvers and Session.SolveToStore.
+	// every source over the CSR graph, no virtual cluster involved, and no
+	// phantom mode. See Session.SolveToStore.
 	SolverDijkstra SolverKind = "dij"
 )
 
@@ -144,32 +143,15 @@ func wrap(res *core.Result) *Result {
 // Store is a read handle on a persisted tiled distance store: the solved
 // matrix cut into b x b tiles on disk, queried back through a sharded,
 // byte-budgeted cache hierarchy (assembled rows above decoded tiles). See
-// Result.WriteStore, OpenStore and OpenStoreWithOptions. The embedded
-// handle also exposes the throughput primitives RowView (shared row, no
-// copy) and RowInto (allocation-free reads into a reused buffer).
-type Store struct {
-	*store.Store
-}
+// Result.WriteStore, OpenStore and OpenStoreWithOptions. Besides Dist and
+// Row it exposes the throughput primitives RowView (shared row, no copy)
+// and RowInto (allocation-free reads into a reused buffer).
+type Store = store.Store
 
 // StoreOptions configures a store read handle opened with
-// OpenStoreWithOptions. Each budget is a hard cap on the bytes that cache
-// holds at any instant.
-type StoreOptions struct {
-	// TileCacheBytes bounds the decoded-tile cache (0 disables it).
-	TileCacheBytes int64
-	// RowCacheBytes bounds the assembled-row cache sitting above the
-	// tiles (0 disables it). Row, KNN and Path queries consume whole
-	// rows, so serving deployments should give this cache the larger
-	// share.
-	RowCacheBytes int64
-	// ReadRetries grants transient disk-read failures a bounded retry
-	// budget (0 fails on the first error). Checksum mismatches are never
-	// retried — they mean bad data, not a flaky read.
-	ReadRetries int
-	// RetryBackoff is the initial wait between read retries, doubling
-	// each attempt (default 2ms when ReadRetries > 0).
-	RetryBackoff time.Duration
-}
+// OpenStoreWithOptions: the tile- and row-cache byte budgets and the
+// read-retry policy.
+type StoreOptions = store.Options
 
 // WriteStore persists the solve's distance matrix as a tiled store file
 // at path. blockSize is the tile edge (<= 0 picks 256, capped to n);
@@ -205,11 +187,7 @@ func OpenStore(path string, cacheBytes int64) (*Store, error) {
 // OpenStoreWithOptions opens a tiled distance store for querying with
 // explicit cache budgets (see StoreOptions).
 func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
-	s, err := store.OpenWithOptions(path, store.Options(opts))
-	if err != nil {
-		return nil, err
-	}
-	return &Store{Store: s}, nil
+	return store.OpenWithOptions(path, opts)
 }
 
 // SequentialAPSP computes the distance matrix with the sequential

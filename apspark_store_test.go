@@ -53,7 +53,7 @@ func TestStoreServeEndToEnd(t *testing.T) {
 		t.Fatalf("store shape: n=%d b=%d", st.N(), st.BlockSize())
 	}
 
-	eng, err := serve.New(st.Store, g)
+	eng, err := serve.New(st, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestOpenStoreWithOptionsServing(t *testing.T) {
 		t.Fatalf("row cache unused: %+v", rst)
 	}
 
-	eng, err := serve.New(st.Store, g)
+	eng, err := serve.New(st, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,20 +330,13 @@ func main() {
 			fatal(err)
 		}
 		mgr = m
-		cst, cg, id, err := mgr.OpenCurrent()
-		if err != nil {
-			fatal(err)
-		}
-		eng, err := serve.NewWithOptions(cst, cg, serve.EngineOptions{Generation: id})
-		if err != nil {
+		swapper = serve.NewSwapper(nil)
+		if err := swapCurrent("start"); err != nil {
 			fatal(err)
 		}
 		if *metricsOn {
-			cst.RegisterMetrics(obs.Default)
-			eng.RegisterMetrics(obs.Default)
 			mgr.RegisterMetrics(obs.Default)
 		}
-		swapper = serve.NewSwapper(serve.NewEpoch(id, eng, cst))
 	} else {
 		if *storePath != "" {
 			s, err := store.OpenWithOptions(*storePath, storeOpts)

@@ -79,30 +79,61 @@ func main() {
 		return
 	}
 	hier := *solver == "hier"
-	host := apspark.IsHostSolver(apspark.SolverKind(*solver))
-	if host || hier {
-		if err := rejectClusterFlags(*solver); err != nil {
-			fatal(err)
+	host := apspark.SolverKind(*solver) == apspark.SolverDijkstra
+
+	// Every job option the user set is passed to the job, which refuses
+	// the ones it does not take; only the flags that exist just in this
+	// command are checked here.
+	var jobOpts []apspark.SolveOption
+	if !hier {
+		jobOpts = append(jobOpts, apspark.WithSolver(apspark.SolverKind(*solver)))
+	}
+	cliOnly := func(name string, ok bool, why string) {
+		if !ok {
+			fatal(fmt.Errorf("-solver %s does not take -%s: %s", *solver, name, why))
 		}
 	}
-	if !hier {
-		if err := rejectHierFlags(*solver); err != nil {
-			fatal(err)
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "b":
+			jobOpts = append(jobOpts, apspark.WithBlockSize(*b))
+		case "partitioner":
+			jobOpts = append(jobOpts, apspark.WithPartitioner(apspark.PartitionerKind(*partition)))
+		case "B":
+			jobOpts = append(jobOpts, apspark.WithPartsPerCore(*bpc))
+		case "max-units":
+			jobOpts = append(jobOpts, apspark.WithMaxUnits(*maxUnits))
+		case "verify":
+			jobOpts = append(jobOpts, apspark.WithVerify(*verify))
+		case "trace":
+			jobOpts = append(jobOpts, apspark.WithTrace(*trace))
+		case "resume":
+			jobOpts = append(jobOpts, apspark.WithResume(*resume))
+		case "codec":
+			jobOpts = append(jobOpts, apspark.WithCodec(*codec))
+		case "part-size":
+			jobOpts = append(jobOpts, apspark.WithPartSize(*partSize))
+		case "part-seed":
+			jobOpts = append(jobOpts, apspark.WithPartSeed(*partSeed))
+		case "hier":
+			cliOnly(f.Name, hier, "only -solver hier builds a hierarchy")
+		case "store":
+			cliOnly(f.Name, !hier, "a hierarchy is not a tiled store; persist it with -hier")
+		case "phantom", "p", "calibrate":
+			cliOnly(f.Name, !hier && !host, "only "+strings.Join(core.RegisteredSolvers(), "|")+" run on the virtual cluster")
 		}
+	})
+	if *storeOut != "" && *phantom {
+		fatal(fmt.Errorf("-store needs a real solve; phantom runs carry no distances"))
+	}
+	if *progress {
+		jobOpts = append(jobOpts, apspark.WithProgress(progressPrinter(hier, host)))
 	}
 
 	// Ctrl-C / SIGTERM cancel the solve at the next stage boundary; the
 	// partial result is reported below instead of being thrown away.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if hier {
-		if *storeOut != "" || *resume || *codec != "" {
-			fatal(fmt.Errorf("-solver hier builds a compute-on-demand hierarchy, not a tiled store; use -hier to persist it (no -store/-resume/-codec)"))
-		}
-		runHier(ctx, *n, *seed, *input, *hierOut, *partSize, *partSeed, *verify, *progress, *dumpMetrics)
-		return
-	}
 
 	sessOpts := []apspark.Option{apspark.WithClusterCores(*cores)}
 	if *calibrate {
@@ -113,51 +144,6 @@ func main() {
 	sess, err := apspark.New(sessOpts...)
 	if err != nil {
 		fatal(err)
-	}
-
-	jobOpts := []apspark.SolveOption{
-		apspark.WithSolver(apspark.SolverKind(*solver)),
-		apspark.WithBlockSize(*b),
-		apspark.WithPartitioner(apspark.PartitionerKind(*partition)),
-		apspark.WithPartsPerCore(*bpc),
-		apspark.WithMaxUnits(*maxUnits),
-		apspark.WithVerify(*verify),
-		apspark.WithTrace(*trace),
-	}
-	if *progress {
-		progressFn := func(ev apspark.StageEvent) {
-			if ev.Name == "unit" || ev.Done {
-				fmt.Fprintf(os.Stderr, "apsp: unit %5d/%d  virtual %-12s shuffle %s\n",
-					ev.UnitsDone, ev.UnitsTotal, bench.FormatDuration(ev.VirtualSeconds), fmtBytes(ev.ShuffleBytes))
-			}
-		}
-		if host {
-			// Host-native runs have no virtual clock or shuffle traffic to
-			// report; each unit is one solved row panel (the final done
-			// event repeats the last panel's count, so it is skipped).
-			progressFn = func(ev apspark.StageEvent) {
-				if ev.Name == "unit" {
-					fmt.Fprintf(os.Stderr, "apsp: rows %6d/%d solved\n", ev.UnitsDone, ev.UnitsTotal)
-				}
-			}
-		}
-		jobOpts = append(jobOpts, apspark.WithProgress(progressFn))
-	}
-
-	if *storeOut != "" && *phantom {
-		fatal(fmt.Errorf("-store needs a real solve; phantom runs carry no distances"))
-	}
-	if *codec != "" && *storeOut == "" {
-		fatal(fmt.Errorf("-codec selects the tile encoding of a -store write; nothing is being stored"))
-	}
-	if *codec != "" {
-		jobOpts = append(jobOpts, apspark.WithCodec(*codec))
-	}
-	if *resume {
-		if !host || *storeOut == "" {
-			fatal(fmt.Errorf("-resume picks up the checkpoint of a host-native -store solve (e.g. -solver dij -store d.apsp); nothing else has one"))
-		}
-		jobOpts = append(jobOpts, apspark.WithResume(true))
 	}
 
 	var res *apspark.Result
@@ -171,6 +157,10 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("graph: n=%d edges=%d\n", g.N, g.NumEdges())
+		if hier {
+			runHier(ctx, sess, g, *hierOut, *verify, *dumpMetrics, jobOpts)
+			return
+		}
 		if !host {
 			fmt.Printf("matrix kernel: %s\n", matrix.KernelImpl())
 		}
@@ -258,15 +248,7 @@ func main() {
 		}
 	}
 	if *dumpMetrics {
-		// The span histograms (and, for host solves, the sparse engine's
-		// telemetry) land in the default registry during the run; dump it
-		// so one-shot solves get the same numbers a served process would
-		// expose on /metrics.
-		obs.RegisterProcessMetrics(obs.Default)
-		fmt.Fprintln(os.Stderr, "# apsp: end-of-run metrics")
-		if err := obs.Default.WritePrometheus(os.Stderr); err != nil {
-			fatal(err)
-		}
+		writeMetrics()
 	}
 	if cancelled {
 		os.Exit(130) // conventional SIGINT exit status
@@ -329,28 +311,7 @@ func loadGraph(input string, n int, seed int64) (*apspark.Graph, error) {
 // runHier is the -solver hier mode: partition the graph, solve
 // boundary-to-boundary shortcuts, and report (optionally persist) the
 // resulting compute-on-demand hierarchy instead of a distance matrix.
-func runHier(ctx context.Context, n int, seed int64, input, out string, partSize int, partSeed int64, verify, progress, dumpMetrics bool) {
-	g, err := loadGraph(input, n, seed)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("graph: n=%d edges=%d\n", g.N, g.NumEdges())
-	sess, err := apspark.New()
-	if err != nil {
-		fatal(err)
-	}
-	jobOpts := []apspark.SolveOption{
-		apspark.WithPartSize(partSize),
-		apspark.WithPartSeed(partSeed),
-		apspark.WithVerify(verify),
-	}
-	if progress {
-		jobOpts = append(jobOpts, apspark.WithProgress(func(ev apspark.StageEvent) {
-			if ev.Name == "unit" {
-				fmt.Fprintf(os.Stderr, "apsp: partitions %5d/%d solved\n", ev.UnitsDone, ev.UnitsTotal)
-			}
-		}))
-	}
+func runHier(ctx context.Context, sess *apspark.Session, g *apspark.Graph, out string, verify, dumpMetrics bool, jobOpts []apspark.SolveOption) {
 	start := time.Now()
 	o, err := sess.BuildHierarchy(ctx, g, jobOpts...)
 	if err != nil {
@@ -385,29 +346,47 @@ func runHier(ctx context.Context, n int, seed int64, input, out string, partSize
 			out, fmtBytes(fi.Size()), out)
 	}
 	if dumpMetrics {
-		obs.RegisterProcessMetrics(obs.Default)
-		fmt.Fprintln(os.Stderr, "# apsp: end-of-run metrics")
-		if err := obs.Default.WritePrometheus(os.Stderr); err != nil {
-			fatal(err)
-		}
+		writeMetrics()
 	}
 }
 
-// rejectHierFlags fails a non-hierarchy run that sets hierarchy-only
-// flags, mirroring rejectClusterFlags.
-func rejectHierFlags(solver string) error {
-	hierOnly := map[string]bool{"hier": true, "part-size": true, "part-seed": true}
-	var offending []string
-	flag.Visit(func(f *flag.Flag) {
-		if hierOnly[f.Name] {
-			offending = append(offending, "-"+f.Name)
-		}
-	})
-	if len(offending) > 0 {
-		return fmt.Errorf("-solver %s solves flat: %s only apply to -solver hier",
-			solver, strings.Join(offending, ", "))
+// writeMetrics dumps the process metric registry to stderr. The span
+// histograms (and, for host solves and hierarchy builds, the engine's
+// telemetry) land in it during the run, so a one-shot run gets the same
+// numbers a served process would expose on /metrics.
+func writeMetrics() {
+	obs.RegisterProcessMetrics(obs.Default)
+	fmt.Fprintln(os.Stderr, "# apsp: end-of-run metrics")
+	if err := obs.Default.WritePrometheus(os.Stderr); err != nil {
+		fatal(err)
 	}
-	return nil
+}
+
+// progressPrinter renders the -progress stream: virtual time and shuffle
+// traffic per iteration unit for cluster solvers, solved rows for dij
+// (each unit is one row panel; the final done event repeats the last
+// panel's count, so it is skipped) and solved partitions for hier.
+func progressPrinter(hier, host bool) func(apspark.StageEvent) {
+	switch {
+	case hier:
+		return func(ev apspark.StageEvent) {
+			if ev.Name == "unit" {
+				fmt.Fprintf(os.Stderr, "apsp: partitions %5d/%d solved\n", ev.UnitsDone, ev.UnitsTotal)
+			}
+		}
+	case host:
+		return func(ev apspark.StageEvent) {
+			if ev.Name == "unit" {
+				fmt.Fprintf(os.Stderr, "apsp: rows %6d/%d solved\n", ev.UnitsDone, ev.UnitsTotal)
+			}
+		}
+	}
+	return func(ev apspark.StageEvent) {
+		if ev.Name == "unit" || ev.Done {
+			fmt.Fprintf(os.Stderr, "apsp: unit %5d/%d  virtual %-12s shuffle %s\n",
+				ev.UnitsDone, ev.UnitsTotal, bench.FormatDuration(ev.VirtualSeconds), fmtBytes(ev.ShuffleBytes))
+		}
+	}
 }
 
 func fmtBytes(b int64) string {
@@ -425,13 +404,7 @@ func fmtBytes(b int64) string {
 
 // solverFlagNames lists every accepted -solver value, host-native first.
 func solverFlagNames() string {
-	var names []string
-	for _, h := range apspark.HostSolvers() {
-		names = append(names, string(h.Name))
-	}
-	names = append(names, "hier")
-	names = append(names, core.RegisteredSolvers()...)
-	return strings.Join(names, " | ")
+	return strings.Join(append([]string{string(apspark.SolverDijkstra), "hier"}, core.RegisteredSolvers()...), " | ")
 }
 
 // printSolverHelp renders the -solver help listing, separating solvers
@@ -439,9 +412,8 @@ func solverFlagNames() string {
 // Spark cluster.
 func printSolverHelp() {
 	fmt.Println("host-native solvers (run on this machine, real solves only; no -phantom/-p/-partitioner/-B):")
-	for _, h := range apspark.HostSolvers() {
-		fmt.Printf("  %-5s %s\n", h.Name, h.Description)
-	}
+	fmt.Printf("  %-5s %s\n", apspark.SolverDijkstra,
+		"Dijkstra from every source over the CSR graph; O(n·(m + n log n)), the sparse-graph fast path")
 	fmt.Printf("  %-5s %s\n", "hier",
 		"partition+shortcut hierarchy: no matrix is solved; queries are answered on demand (persist with -hier, serve with apsp-serve -hier)")
 	fmt.Println("virtual-cluster solvers (paper §4; real solves and -phantom projections):")
@@ -456,27 +428,6 @@ func printSolverHelp() {
 		}
 		fmt.Printf("  %-5s %s (%s)\n", name, s.Name(), kind)
 	}
-}
-
-// rejectClusterFlags fails a host-native run that sets flags which only
-// mean something on the virtual cluster, instead of silently ignoring
-// them.
-func rejectClusterFlags(solver string) error {
-	clusterOnly := map[string]bool{
-		"phantom": true, "p": true, "partitioner": true, "B": true,
-		"max-units": true, "calibrate": true, "trace": true,
-	}
-	var offending []string
-	flag.Visit(func(f *flag.Flag) {
-		if clusterOnly[f.Name] {
-			offending = append(offending, "-"+f.Name)
-		}
-	})
-	if len(offending) > 0 {
-		return fmt.Errorf("-solver %s runs on this host, not the virtual cluster: %s only apply to cluster solvers (%s)",
-			solver, strings.Join(offending, ", "), strings.Join(core.RegisteredSolvers(), "|"))
-	}
-	return nil
 }
 
 func fatal(err error) {

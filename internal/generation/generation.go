@@ -112,46 +112,21 @@ type Options struct {
 	// KeepLast bounds how many generations GC retains (the current one
 	// always survives regardless). <= 0 means the default of 3.
 	KeepLast int
-	// Workers bounds the Dijkstra goroutines recomputing dirty panels
-	// (<= 0: GOMAXPROCS).
-	Workers int
-	// SampleRows is how many rows the validation gate recomputes from
-	// scratch and diffs against the candidate (<= 0: 4).
-	SampleRows int
-	// SampleTiles is how many tiles the validation gate spot-checks
-	// against their CRCs (<= 0: 16).
-	SampleTiles int
-	// Logger receives one structured line per lifecycle event; nil means
-	// slog.Default().
-	Logger *slog.Logger
 }
+
+// The validation gate recomputes validateRows rows from scratch and diffs
+// them against the candidate, and spot-checks validateTiles tiles against
+// their CRCs.
+const (
+	validateRows  = 4
+	validateTiles = 16
+)
 
 func (o *Options) keepLast() int {
 	if o.KeepLast <= 0 {
 		return 3
 	}
 	return o.KeepLast
-}
-
-func (o *Options) sampleRows() int {
-	if o.SampleRows <= 0 {
-		return 4
-	}
-	return o.SampleRows
-}
-
-func (o *Options) sampleTiles() int {
-	if o.SampleTiles <= 0 {
-		return 16
-	}
-	return o.SampleTiles
-}
-
-func (o *Options) logger() *slog.Logger {
-	if o.Logger != nil {
-		return o.Logger
-	}
-	return slog.Default()
 }
 
 // Info describes one generation directory.
@@ -430,14 +405,14 @@ func (m *Manager) reloadLocked(clean bool) error {
 			}
 			for _, e := range ents {
 				if strings.HasSuffix(e.Name(), buildingSuffix) {
-					m.opts.logger().Info("generation: removing crash leftover", "dir", e.Name())
+					slog.Info("generation: removing crash leftover", "dir", e.Name())
 					os.RemoveAll(filepath.Join(m.dir, e.Name()))
 				}
 			}
 			fsx.FsyncDir(m.dir)
 			lock.Unlock()
 		case errors.Is(err, ErrBusy):
-			m.opts.logger().Info("generation: directory locked by another process, skipping leftover cleanup", "dir", m.dir)
+			slog.Info("generation: directory locked by another process, skipping leftover cleanup", "dir", m.dir)
 		default:
 			return err
 		}
@@ -456,7 +431,7 @@ func (m *Manager) reloadLocked(clean bool) error {
 		if fallback == "" {
 			return ErrEmpty
 		}
-		m.opts.logger().Warn("generation: CURRENT unusable, falling back",
+		slog.Warn("generation: CURRENT unusable, falling back",
 			"current", id, "fallback", fallback)
 		if err := writeCurrent(m.dir, fallback); err != nil {
 			return err
@@ -583,7 +558,7 @@ func (m *Manager) Rollback() (string, error) {
 	m.cur.Store(&genState{id: target, seq: seq, g: g, n: n, b: b})
 	m.rollbacks.Add(1)
 	m.lastPromoteNano.Store(time.Now().UnixNano())
-	m.opts.logger().Info("generation: rolled back", "from", cur.id, "to", target)
+	slog.Info("generation: rolled back", "from", cur.id, "to", target)
 	return target, nil
 }
 
@@ -605,11 +580,11 @@ func (m *Manager) gcLocked() {
 			continue
 		}
 		if err := os.RemoveAll(filepath.Join(m.dir, info.ID)); err != nil {
-			m.opts.logger().Warn("generation: gc failed", "id", info.ID, "err", err)
+			slog.Warn("generation: gc failed", "id", info.ID, "err", err)
 			continue
 		}
 		removed++
-		m.opts.logger().Info("generation: gc removed", "id", info.ID)
+		slog.Info("generation: gc removed", "id", info.ID)
 	}
 	if removed > 0 {
 		fsx.FsyncDir(m.dir)

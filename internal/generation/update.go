@@ -34,6 +34,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -244,9 +245,9 @@ func (m *Manager) applyLocked(ctx context.Context, deltas []Delta) (*UpdateResul
 		m.quarantines.Add(1)
 		quarantined := filepath.Join(m.dir, id+quarantineSufix)
 		if rerr := fsx.RenameDurable(filepath.Join(m.dir, id), quarantined); rerr != nil {
-			m.opts.logger().Error("generation: quarantine rename failed", "id", id, "err", rerr)
+			slog.Error("generation: quarantine rename failed", "id", id, "err", rerr)
 		}
-		m.opts.logger().Error("generation: candidate quarantined, CURRENT untouched",
+		slog.Error("generation: candidate quarantined, CURRENT untouched",
 			"id", id, "current", cur.id, "err", err)
 		return nil, fmt.Errorf("%w: %s: %w", ErrValidation, id, err)
 	}
@@ -260,7 +261,7 @@ func (m *Manager) applyLocked(ctx context.Context, deltas []Delta) (*UpdateResul
 	m.promotions.Add(1)
 	m.lastPromoteNano.Store(time.Now().UnixNano())
 	m.gcLocked()
-	m.opts.logger().Info("generation: promoted",
+	slog.Info("generation: promoted",
 		"id", id, "parent", cur.id, "deltas", len(changes),
 		"dirty_rows", dirtyRows, "dirty_panels", dirtyPanels, "total_panels", q,
 		"build_ms", buildMs, "validate_ms", valMs)
@@ -375,11 +376,11 @@ func (m *Manager) buildStore(ctx context.Context, path string, parent *store.Sto
 			// recomputed: fall through to the solve path, which rebuilds
 			// it from the (new) graph. Clean rows solve to the same
 			// distances by construction.
-			m.opts.logger().Warn("generation: parent panel unreadable, recomputing", "panel", bi, "err", err)
+			slog.Warn("generation: parent panel unreadable, recomputing", "panel", bi, "err", err)
 		}
 		base, h := store.PanelRows(n, b, bi)
 		panel := matrix.Get(h, n)
-		if err = eng.SolvePanel(ctx, base, panel, m.workers()); err == nil {
+		if err = eng.SolvePanel(ctx, base, panel, runtime.GOMAXPROCS(0)); err == nil {
 			err = w.WritePanel(panel)
 		}
 		matrix.Put(panel)
@@ -388,11 +389,4 @@ func (m *Manager) buildStore(ctx context.Context, path string, parent *store.Sto
 		}
 	}
 	return w.Close()
-}
-
-func (m *Manager) workers() int {
-	if m.opts.Workers > 0 {
-		return m.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }

@@ -47,7 +47,7 @@ func (m *Manager) validate(ctx context.Context, id string, g *graph.Graph, dirty
 	// checksum; ErrCorruptTile here is exactly the signal we want.
 	q := cand.TilesPerSide()
 	total := q * q
-	samples := m.opts.sampleTiles()
+	samples := validateTiles
 	if samples > total {
 		samples = total
 	}
@@ -70,7 +70,7 @@ func (m *Manager) validate(ctx context.Context, id string, g *graph.Graph, dirty
 	// dirty rows (exercise the fresh solve) with clean ones (exercise
 	// the copy *and* the classification — a changed-but-copied row shows
 	// up here as a mismatch against the new graph's truth).
-	rows := sampleRows(dirty, m.opts.sampleRows())
+	rows := sampleRows(dirty, validateRows)
 	eng := sparse.New(g)
 	ref := make([]float64, cand.N())
 	got := make([]float64, 0, cand.N())

@@ -79,7 +79,9 @@ type Swapper struct {
 	swaps atomic.Int64
 }
 
-// NewSwapper starts a swapper on its first epoch.
+// NewSwapper starts a swapper on its first epoch. first may be nil: the
+// swapper answers 503 until a Swap installs one, and that Swap is not
+// counted.
 func NewSwapper(first *Epoch) *Swapper {
 	s := &Swapper{}
 	s.cur.Store(first)
@@ -110,8 +112,8 @@ func (s *Swapper) acquire() *Epoch {
 // finishes — immediately, when the server is idle.
 func (s *Swapper) Swap(ep *Epoch) {
 	old := s.cur.Swap(ep)
-	s.swaps.Add(1)
 	if old != nil {
+		s.swaps.Add(1)
 		old.retired.Store(true)
 		old.release()
 	}

@@ -37,38 +37,15 @@ func PaperCluster() ClusterConfig { return cluster.Paper() }
 // count (a multiple of 32), as used by the weak-scaling study.
 func PaperClusterScaled(cores int) (ClusterConfig, error) { return cluster.PaperScaled(cores) }
 
-// jobSettings is the tunable state shared by a Session (as defaults) and
-// a single job (as the effective configuration after SolveOptions apply).
-type jobSettings struct {
-	solver       SolverKind
-	blockSize    int // 0 = auto (n/8)
-	partitioner  core.PartitionerKind
-	partsPerCore int
-	maxUnits     int
-	verify       bool
-	trace        bool
-	resume       bool
-	partSize     int    // hierarchy builds only; 0 = auto
-	partSeed     int64  // hierarchy builds only; 0 = default ordering
-	codec        string // store writes only; "" = raw
-	progress     func(StageEvent)
-}
-
-func defaultJobSettings() jobSettings {
-	return jobSettings{
-		solver:       SolverCB,
-		partitioner:  core.PartitionerMD,
-		partsPerCore: 2,
-	}
-}
-
 // Option configures a Session at creation time (New).
 type Option interface {
 	applySession(*Session) error
 }
 
-// SolveOption tunes a single job (Session.Solve / Session.Project),
-// overriding the session's defaults for that job only.
+// SolveOption tunes a single job (Solve, Project, SolveToStore or
+// BuildHierarchy), overriding the session's defaults for that job only.
+// A job given an option it does not take refuses to run; the README's
+// option table says which job takes which.
 type SolveOption interface {
 	applyJob(*jobSettings) error
 }
@@ -152,9 +129,8 @@ func WithBlockSize(b int) SharedOption {
 	})
 }
 
-// WithPartitioner chooses the RDD partitioner: PartitionerMD (default)
-// or PartitionerPH. Host-native solvers have no RDDs to partition and
-// disregard it.
+// WithPartitioner chooses the RDD partitioner of a virtual-cluster solve:
+// PartitionerMD (default) or PartitionerPH.
 func WithPartitioner(k PartitionerKind) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		switch k {
@@ -166,24 +142,21 @@ func WithPartitioner(k PartitionerKind) SharedOption {
 	})
 }
 
-// WithPartsPerCore sets the over-decomposition factor B; 0 restores the
-// default (2), matching the other options' 0-means-default convention.
-// Host-native solvers have no RDDs to decompose and disregard it.
+// WithPartsPerCore sets the over-decomposition factor B of a
+// virtual-cluster solve; 0 restores the default (2).
 func WithPartsPerCore(b int) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		if b < 0 {
 			return fmt.Errorf("apspark: WithPartsPerCore(%d) must be >= 0", b)
-		}
-		if b == 0 {
-			b = defaultJobSettings().partsPerCore
 		}
 		j.partsPerCore = b
 		return nil
 	})
 }
 
-// WithMaxUnits truncates runs after the given number of iteration units
-// for measurement/projection purposes; 0 means run to completion.
+// WithMaxUnits truncates a virtual-cluster run after the given number of
+// iteration units for measurement/projection purposes; 0 means run to
+// completion.
 func WithMaxUnits(units int) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		if units < 0 {
@@ -194,8 +167,9 @@ func WithMaxUnits(units int) SharedOption {
 	})
 }
 
-// WithVerify cross-checks distributed results against sequential
-// Floyd-Warshall (real solves only).
+// WithVerify cross-checks a job's distances against sequential
+// Floyd-Warshall (real solves only; a streamed host solve keeps no matrix
+// to check).
 func WithVerify(on bool) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		j.verify = on
@@ -203,9 +177,10 @@ func WithVerify(on bool) SharedOption {
 	})
 }
 
-// WithTrace records the per-stage timeline into Result.Timeline. Off by
-// default: paper-scale runs execute hundreds of thousands of stages; the
-// WithProgress stream is the streaming (O(1)-memory) alternative.
+// WithTrace records the per-stage timeline of a virtual-cluster run into
+// Result.Timeline. Off by default: paper-scale runs execute hundreds of
+// thousands of stages; the WithProgress stream is the streaming
+// (O(1)-memory) alternative.
 func WithTrace(on bool) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		j.trace = on
@@ -221,9 +196,7 @@ func WithTrace(on bool) SharedOption {
 // uninterrupted run. When no checkpoint exists the solve simply starts
 // from scratch. Checkpointing itself is always on for streamed host
 // solves; WithResume only controls whether an existing checkpoint is
-// honored (off, the default, starts over and overwrites it). Solve and
-// the virtual-cluster solvers reject it: they have no durable partial
-// state to resume from.
+// honored (off, the default, starts over and overwrites it).
 func WithResume(on bool) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		j.resume = on
@@ -238,9 +211,7 @@ func WithResume(on bool) SharedOption {
 // "f32" (lossy float32 downcast, per-value relative error bounded at
 // 1e-6; tiles exceeding the bound fall back to raw). Compression is
 // per-tile and self-describing: readers need no flag, and OpenStore
-// serves any mix transparently. Solve/Project reject a non-raw codec —
-// an in-memory solve writes no store (as does BuildHierarchy, whose
-// persistence has its own format).
+// serves any mix transparently. Only SolveToStore writes a store.
 func WithCodec(name string) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		if _, err := store.CodecByName(name); err != nil {
@@ -256,8 +227,7 @@ func WithCodec(name string) SharedOption {
 
 // WithPartSize sets the target partition size of a hierarchy build
 // (Session.BuildHierarchy); 0 restores the automatic default
-// (max(64, 2·sqrt(n))). Solve/Project/SolveToStore reject it: flat
-// solves have no partitions to size.
+// (max(64, 2·sqrt(n))).
 func WithPartSize(sz int) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		if sz < 0 {
@@ -272,7 +242,7 @@ func WithPartSize(sz int) SharedOption {
 // (Session.BuildHierarchy): the same seed over the same graph always
 // yields the same partition, overlay and oracle answers. Distances are
 // exact under every seed; only partition shape (and thus build/query
-// cost) varies. Flat solves reject a non-zero seed.
+// cost) varies.
 func WithPartSeed(seed int64) SharedOption {
 	return settingsOption(func(j *jobSettings) error {
 		j.partSeed = seed

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -95,22 +96,27 @@ func TestSolveToStoreResumeAfterCancel(t *testing.T) {
 }
 
 // TestWithResumeRejectedOutsideStreamedSolves: resume needs a streamed
-// host solve; everything else must refuse it loudly.
+// host solve; everything else refuses it and points at the job that takes
+// it (which jobs refuse it is pinned by TestJobOptionMatrix).
 func TestWithResumeRejectedOutsideStreamedSolves(t *testing.T) {
 	g := hostTestGraph(t, 40, 4, 43)
 	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Solve(context.Background(), g, WithSolver(SolverDijkstra), WithResume(true)); err == nil {
-		t.Fatal("in-memory host solve accepted WithResume")
-	}
-	if _, err := s.Solve(context.Background(), g, WithResume(true)); err == nil {
-		t.Fatal("virtual-cluster solve accepted WithResume")
-	}
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "d.apsp")
-	if _, err := s.SolveToStore(context.Background(), g, path, WithResume(true)); err == nil {
-		t.Fatal("cluster-fallback SolveToStore accepted WithResume")
+	for name, solve := range map[string]func() (*Result, error){
+		"Solve with dij": func() (*Result, error) {
+			return s.Solve(ctx, g, WithSolver(SolverDijkstra), WithResume(true))
+		},
+		"SolveToStore with cb": func() (*Result, error) {
+			return s.SolveToStore(ctx, g, path, WithResume(true))
+		},
+	} {
+		if _, err := solve(); err == nil || !strings.Contains(err.Error(), "SolveToStore with dij") {
+			t.Errorf("%s: want a refusal naming SolveToStore with dij, got %v", name, err)
+		}
 	}
 }
 

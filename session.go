@@ -2,14 +2,12 @@ package apspark
 
 import (
 	"context"
-	"fmt"
 
 	"apspark/internal/cluster"
 	"apspark/internal/core"
 	"apspark/internal/costmodel"
 	"apspark/internal/graph"
 	"apspark/internal/obs"
-	"apspark/internal/seq"
 )
 
 // Session is the context-first entry point: it owns the virtual cluster
@@ -41,9 +39,8 @@ type Session struct {
 // solves with Blocked Collect/Broadcast, the paper's best strategy.
 func New(opts ...Option) (*Session, error) {
 	s := &Session{
-		cluster:  cluster.Paper(),
-		model:    costmodel.PaperKernels(),
-		defaults: defaultJobSettings(),
+		cluster: cluster.Paper(),
+		model:   costmodel.PaperKernels(),
 	}
 	for _, o := range opts {
 		if o == nil {
@@ -56,34 +53,20 @@ func New(opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// job merges the session defaults with per-job options.
-func (s *Session) job(opts []SolveOption) (jobSettings, error) {
-	job := s.defaults
-	for _, o := range opts {
-		if o == nil {
-			continue
-		}
-		if err := o.applyJob(&job); err != nil {
-			return jobSettings{}, err
-		}
-	}
-	return job, nil
-}
-
 // Solve runs a distributed APSP solve with real data and returns the
 // distance matrix alongside the simulated cluster time. ctx cancels the
 // run at the next stage boundary: the returned error is ctx.Err() and
 // the returned Result is the partial accounting of the units that
 // completed (Dist stays nil). nil ctx means context.Background().
 func (s *Session) Solve(ctx context.Context, g *Graph, opts ...SolveOption) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("apspark: Solve with nil graph")
-	}
-	job, err := s.job(opts)
+	j, err := s.accept(solveEntry, g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, g, g.N, job)
+	if j.solver == SolverDijkstra {
+		return s.runHost(ctx, g, j, "")
+	}
+	return s.run(ctx, g, g.N, j)
 }
 
 // Project runs a paper-scale virtual solve on phantom (shape-only) data:
@@ -91,32 +74,17 @@ func (s *Session) Solve(ctx context.Context, g *Graph, opts ...SolveOption) (*Re
 // task, shuffle and storage schedule and reports its virtual time. The
 // same cancellation and progress semantics as Solve apply.
 func (s *Session) Project(ctx context.Context, n int, opts ...SolveOption) (*Result, error) {
-	job, err := s.job(opts)
+	j, err := s.accept(projectEntry, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, nil, n, job)
+	return s.run(ctx, nil, n, j)
 }
 
-// run executes one job: a real solve when g is non-nil, a phantom
-// projection otherwise.
-func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*Result, error) {
-	if IsHostSolver(job.solver) {
-		if g == nil {
-			return nil, fmt.Errorf("apspark: host-native solver %q has no phantom mode; projections need a virtual-cluster solver", job.solver)
-		}
-		return s.runHost(ctx, g, job, "")
-	}
-	if job.resume {
-		return nil, fmt.Errorf("apspark: WithResume needs the streamed store checkpoint of a host-native solver; %q has no durable partial state", job.solver)
-	}
-	if job.partSize != 0 || job.partSeed != 0 {
-		return nil, fmt.Errorf("apspark: WithPartSize/WithPartSeed configure BuildHierarchy; flat solver %q has no partitions", job.solver)
-	}
-	if job.codec != "" {
-		return nil, fmt.Errorf("apspark: WithCodec configures the store SolveToStore writes; an in-memory solve encodes no tiles")
-	}
-	solver, err := core.SolverByName(string(job.solver))
+// run executes one virtual-cluster job: a real solve when g is non-nil,
+// a phantom projection otherwise.
+func (s *Session) run(ctx context.Context, g *Graph, n int, j job) (*Result, error) {
+	solver, err := core.SolverByName(string(j.solver))
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +92,7 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 	// block size outside [1, n] is a caller mistake and must fail loudly
 	// rather than silently solve with a different tiling (WithBlockSize
 	// already rejects negative values).
-	b := job.blockSize
+	b := j.blockSize
 	if b == 0 {
 		b = graph.DefaultBlockSize(0, n, n/8)
 	}
@@ -132,18 +100,14 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 	if err != nil {
 		return nil, err
 	}
-	if job.trace {
+	if j.trace {
 		rc.Cluster.EnableTrace()
 	}
-	if job.progress != nil {
-		rc.SetProgress(job.progress)
+	if j.progress != nil {
+		rc.SetProgress(j.progress)
 	}
-	// Root span over the whole job; rdd stage boundaries nest under it,
-	// so a virtual solve shows the same timeline shape as a host solve.
-	tr := obs.DefaultTracer()
-	rc.SetTracer(tr)
-	span := tr.Start("solve", string(job.solver))
-	defer span.End()
+	rc.SetTracer(obs.DefaultTracer())
+	defer j.span().End()
 
 	var in core.Input
 	if g != nil {
@@ -156,9 +120,9 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 	}
 
 	res, err := core.Run(ctx, rc, solver, in, core.Options{
-		Partitioner:  job.partitioner,
-		PartsPerCore: job.partsPerCore,
-		MaxUnits:     job.maxUnits,
+		Partitioner:  j.partitioner,
+		PartsPerCore: j.partsPerCore,
+		MaxUnits:     j.maxUnits,
 	})
 	if res == nil {
 		return nil, err
@@ -168,13 +132,9 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, job jobSettings) (*R
 	if err != nil {
 		return out, err
 	}
-	if job.verify && g != nil && res.Dist != nil {
-		want, err := seq.FloydWarshall(g)
-		if err != nil {
-			return nil, fmt.Errorf("apspark: verify reference: %w", err)
-		}
-		if !res.Dist.AllClose(want, 1e-9) {
-			return nil, fmt.Errorf("apspark: %s result diverges from sequential Floyd-Warshall", solver.Name())
+	if j.verify && out.Dist != nil {
+		if err := verifyRows(g, solver.Name()+" result", rowsOf(out.Dist)); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

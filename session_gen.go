@@ -35,7 +35,7 @@ var ErrGenerationBusy = generation.ErrBusy
 // workflow to live-update serving. It refuses to run on a directory that
 // already has generations. Returns the new generation id.
 //
-//	res, _ := s.Solve(ctx, g, apspark.WithStore("dist.apsp"))
+//	_, _ = s.SolveToStore(ctx, g, "dist.apsp")
 //	id, _ := apspark.InitGenerations("./gens", "dist.apsp", g)
 //	// then: apsp-serve -gens ./gens -admin localhost:8081
 func InitGenerations(dir, storePath string, g *Graph) (string, error) {

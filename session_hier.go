@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"apspark/internal/hierarchy"
-	"apspark/internal/matrix"
 	"apspark/internal/obs"
-	"apspark/internal/seq"
 )
 
 // Oracle is a compute-on-demand distance oracle built by
@@ -38,82 +36,37 @@ type OraclePair = hierarchy.Pair
 // cancelling ctx stops the build between partition solves (no partial
 // state survives; re-build from scratch). WithVerify cross-checks every
 // oracle row against sequential Floyd-Warshall — O(n²) memory, so verify
-// only small graphs. Cluster-only knobs (WithMaxUnits, WithTrace,
-// WithResume) are rejected.
+// only small graphs. WithSolver is ignored; every other job option is
+// refused.
 func (s *Session) BuildHierarchy(ctx context.Context, g *Graph, opts ...SolveOption) (*Oracle, error) {
-	if g == nil {
-		return nil, fmt.Errorf("apspark: BuildHierarchy with nil graph")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	job, err := s.job(opts)
+	j, err := s.accept(hierarchyEntry, g, opts)
 	if err != nil {
 		return nil, err
 	}
-	if job.maxUnits != 0 {
-		return nil, fmt.Errorf("apspark: WithMaxUnits is a virtual-cluster projection knob; a hierarchy build runs to completion")
-	}
-	if job.trace {
-		return nil, fmt.Errorf("apspark: WithTrace records the virtual stage timeline; a hierarchy build has no stages (use WithProgress)")
-	}
-	if job.resume {
-		return nil, fmt.Errorf("apspark: a cancelled hierarchy build keeps no durable partial state; WithResume does not apply")
-	}
-	if job.blockSize != 0 {
-		return nil, fmt.Errorf("apspark: WithBlockSize tiles dense matrices; a hierarchy build has none")
-	}
-	if job.codec != "" {
-		return nil, fmt.Errorf("apspark: WithCodec configures tiled distance stores; hierarchy persistence has its own format")
-	}
-	bo := hierarchy.BuildOptions{PartSize: job.partSize, Seed: job.partSeed}
-	evSeq := 0
-	if job.progress != nil {
-		bo.Progress = func(done, total int) {
-			evSeq++
-			job.progress(StageEvent{Seq: evSeq, Name: "unit", UnitsDone: done, UnitsTotal: total})
-		}
-	}
-	tr := obs.DefaultTracer()
-	span := tr.Start("hierarchy", "build")
-	defer span.End()
-	o, err := hierarchy.Build(ctx, g, bo)
+	p := &progress{fn: j.progress}
+	defer j.span().End()
+	o, err := hierarchy.Build(ctx, g, hierarchy.BuildOptions{PartSize: j.partSize, Seed: j.partSeed, Progress: p.unit})
 	if err != nil {
 		return nil, err
 	}
 	o.RegisterMetrics(obs.Default)
-	if job.progress != nil {
-		evSeq++
-		parts := o.Stats().Parts
-		job.progress(StageEvent{Seq: evSeq, Name: "done", UnitsDone: parts, UnitsTotal: parts, Done: true})
-	}
-	if job.verify {
-		if err := verifyOracle(ctx, g, o); err != nil {
+	parts := o.Stats().Parts
+	p.done(parts, parts)
+	if j.verify {
+		var row []float64
+		err := verifyRows(g, "hierarchy oracle", func(u int) ([]float64, error) {
+			var err error
+			row, err = o.RowInto(ctx, u, row)
+			return row, err
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
 	return o, nil
-}
-
-// verifyOracle cross-checks every oracle row against sequential
-// Floyd-Warshall, mirroring the flat solvers' WithVerify contract.
-func verifyOracle(ctx context.Context, g *Graph, o *Oracle) error {
-	want, err := seq.FloydWarshall(g)
-	if err != nil {
-		return fmt.Errorf("apspark: verify reference: %w", err)
-	}
-	got := matrix.New(g.N, g.N)
-	var row []float64
-	for u := 0; u < g.N; u++ {
-		if row, err = o.RowInto(ctx, u, row); err != nil {
-			return fmt.Errorf("apspark: verify row %d: %w", u, err)
-		}
-		copy(got.Data[u*g.N:(u+1)*g.N], row)
-	}
-	if !got.AllClose(want, 1e-9) {
-		return fmt.Errorf("apspark: hierarchy oracle diverges from sequential Floyd-Warshall")
-	}
-	return nil
 }
 
 // OpenHierarchy reopens a hierarchy saved with Oracle.Save over the same
