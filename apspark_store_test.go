@@ -188,7 +188,7 @@ func TestStoreServeEndToEnd(t *testing.T) {
 
 	// The byte-budget invariant held and the workload actually cycled
 	// tiles through the cache.
-	stats := st.Stats()
+	stats := st.Snapshot().Tiles
 	if stats.BytesInUse > budget {
 		t.Fatalf("cache %d bytes over budget %d", stats.BytesInUse, budget)
 	}
@@ -255,7 +255,7 @@ func TestOpenStoreWithOptionsServing(t *testing.T) {
 	if view, err := st.RowView(context.Background(), 3); err != nil || len(view) != n {
 		t.Fatalf("RowView: %v (len %d)", err, len(view))
 	}
-	if rst := st.RowStats(); rst.Hits == 0 {
+	if rst := st.Snapshot().Rows; rst.Hits == 0 {
 		t.Fatalf("row cache unused: %+v", rst)
 	}
 

@@ -20,7 +20,7 @@
 // -graph enables /path: hops are reconstructed from the distance matrix
 // and the adjacency lists via d[i][k] + w(k,j) == d[i][j], so no
 // successor matrix is ever stored. It also arms the corrupt-tile
-// fallback: a v2 store tile that fails its checksum is quarantined and
+// fallback: a store tile that fails its checksum is quarantined and
 // the affected rows are re-solved from the graph on demand, so a
 // bit-flipped file degrades to compute-speed answers instead of errors.
 //

@@ -45,9 +45,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 
 	"apspark/internal/fsx"
 	"apspark/internal/graph"
@@ -126,7 +124,7 @@ func main() {
 		if err := g.WriteEdgeList(os.Stdout); err != nil {
 			fatal(err)
 		}
-	} else if err := writeAtomic(*out, g.WriteEdgeList); err != nil {
+	} else if err := writeOut(*out, g); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "graphgen: model=%s n=%d m=%d %s weights=%s connected=%v\n",
@@ -149,33 +147,19 @@ func plantedProbs(n, k int, deg float64) (pin, pout float64) {
 	return min(pin, 1), min(pout, 1)
 }
 
-// writeAtomic streams write's output into a temp file next to path, fsyncs
-// it, and renames it into place — so -o never leaves a truncated edge list
-// behind: readers see either the old file or the complete new one, even if
-// graphgen is killed mid-write.
-func writeAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// writeOut publishes g's edge list at path through fsx.Pending, so -o
+// never leaves a truncated edge list behind: readers see either the old
+// file or the complete new one, even if graphgen is killed mid-write.
+func writeOut(path string, g *graph.Graph) error {
+	f, err := fsx.Create(path)
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	defer os.Remove(tmp) // no-op after a successful rename
-	if err := write(f); err != nil {
-		f.Close()
+	defer f.Abort()
+	if err := g.WriteEdgeList(f); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	// Rename plus parent-directory fsync: without the latter a crash can
-	// roll the directory back to before the rename, losing the edge list
-	// the solve pipeline believes is committed.
-	return fsx.RenameDurable(tmp, path)
+	return f.Commit()
 }
 
 func fatal(err error) {

@@ -1,45 +1,33 @@
-// Package fsx holds the small filesystem durability primitives the rest
-// of the repo builds its crash-safety on: fsync-the-parent-directory
-// after a rename, and the full temp+fsync+rename+dir-fsync atomic-write
-// idiom. On POSIX metadata journals, a rename is only durable once the
-// *directory* holding the entry is synced — fsyncing the file alone
-// leaves a window where a crash forgets the rename and a "committed"
-// file silently vanishes. Every temp+rename site in the repo (store
-// files, checkpoint manifests, graphgen -o, generation CURRENT pointers)
-// funnels through these helpers so that window is closed everywhere at
-// once.
+// Package fsx holds the filesystem durability primitives the rest of the
+// repo builds its crash-safety on. Every file the repo publishes (store
+// files, checkpoint manifests, hierarchy files, generation CURRENT
+// pointers, meta and graph files, graphgen -o) is written through one
+// Pending: it appears at its path only on Commit, complete, fsync'd, with
+// mode 0644 before umask, and with the rename made durable by an fsync of
+// the directory. On POSIX metadata journals a rename is only durable once
+// the *directory* holding the entry is synced — fsyncing the file alone
+// leaves a window where a crash forgets the rename and a "committed" file
+// silently vanishes. Directories (generation promotion) are published
+// with RenameDurable, the same rename-then-sync step.
 package fsx
 
 import (
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 )
 
 // FsyncDir fsyncs the directory at dir, making previously performed
-// renames/creates/unlinks of entries inside it durable. On platforms
-// where directories cannot be opened or synced (the open or sync fails
-// with a permission/unsupported error), the error is swallowed: the
-// rename itself already succeeded and the caller can do no better.
-func FsyncDir(dir string) error {
-	if dir == "" {
-		dir = "."
+// renames/creates/unlinks of entries inside it durable. It is best
+// effort: some filesystems and OSes refuse to open or sync a directory,
+// and by then the entries themselves are in place and the caller can do
+// no better.
+func FsyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil // can't open the dir: nothing more we can do
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil {
-		// Some filesystems (and some OSes) refuse fsync on directories;
-		// the data files themselves are already synced, so treat this as
-		// best-effort rather than failing a completed write.
-		return nil
-	}
-	return nil
 }
 
 // RenameDurable renames oldpath to newpath and fsyncs newpath's parent
@@ -49,75 +37,72 @@ func RenameDurable(oldpath, newpath string) error {
 	if err := os.Rename(oldpath, newpath); err != nil {
 		return err
 	}
-	return FsyncDir(filepath.Dir(newpath))
+	FsyncDir(filepath.Dir(newpath))
+	return nil
 }
 
-// CreateExclusive creates and opens read-write a new file in dir named
-// prefix plus a random suffix — the temp half of a temp+rename publish.
-// Unlike os.CreateTemp, which creates 0600, the file gets the 0644-
-// before-umask every published artefact carries, so renaming it into
-// place needs no chmod.
-func CreateExclusive(dir, prefix string) (*os.File, error) {
-	name := filepath.Join(dir, fmt.Sprintf("%s%016x", prefix, rand.Uint64()))
-	return os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+// Pending is a file that appears at its path only on Commit. Write it
+// through the embedded *os.File, then Commit or Abort it; Close belongs to
+// those two. A reader, or a crash at any instant, sees the old file at the
+// path (or none) or the complete new one, never a torn mix.
+type Pending struct {
+	*os.File
+	path string
+	keep bool // Abort leaves the file on disk: an adopted checkpoint
+	done bool
 }
 
-// WriteFileDurable atomically replaces path with data: temp file in the
-// same directory, write, fsync, rename over path, fsync the directory.
-// A reader (or a crash) at any instant sees either the old file or the
-// complete new one — never a torn mix.
-func WriteFileDurable(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+// Create starts a Pending for path: a new file beside it, named
+// .<base>.<random>.tmp and created exclusively with mode 0644.
+func Create(path string) (*Pending, error) {
+	dir, base := filepath.Split(path)
+	name := filepath.Join(dir, fmt.Sprintf(".%s.%016x.tmp", base, rand.Uint64()))
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tmp := f.Name()
-	defer os.Remove(tmp) // no-op after a successful rename
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Chmod(perm); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return RenameDurable(tmp, path)
+	return &Pending{File: f, path: path}, nil
 }
 
-// CopyFileDurable copies src to dst (replacing it atomically via a temp
-// file in dst's directory) and makes the result durable: file fsync plus
-// parent-directory fsync.
-func CopyFileDurable(dst, src string) error {
-	in, err := os.Open(src)
+// Adopt makes the open file f, which its owner keeps at a stable name of
+// its own (a checkpoint), the pending content of path. Commit publishes
+// it like a created file; Abort closes it and leaves it where it is.
+func Adopt(f *os.File, path string) *Pending {
+	return &Pending{File: f, path: path, keep: true}
+}
+
+// Commit publishes the file at its path: fsync, close, rename, fsync the
+// directory. When a step fails the file is closed and removed, and the
+// path keeps whatever it held.
+func (p *Pending) Commit() error {
+	if p.done {
+		return fmt.Errorf("fsx: %s already committed or aborted", p.path)
+	}
+	p.done = true
+	name := p.Name()
+	err := p.Sync()
+	if cerr := p.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = RenameDurable(name, p.path)
+	}
 	if err != nil {
-		return err
+		os.Remove(name)
 	}
-	defer in.Close()
-	dir := filepath.Dir(dst)
-	out, err := os.CreateTemp(dir, "."+filepath.Base(dst)+".tmp*")
-	if err != nil {
-		return err
+	return err
+}
+
+// Abort abandons the file: it is closed and, unless adopted, removed. It
+// is safe to call any number of times and after Commit, where it does
+// nothing, so it can sit in a defer beside the success path.
+func (p *Pending) Abort() {
+	if p.done {
+		return
 	}
-	tmp := out.Name()
-	defer os.Remove(tmp)
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
+	p.done = true
+	p.Close()
+	if !p.keep {
+		os.Remove(p.Name())
 	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	return RenameDurable(tmp, dst)
 }

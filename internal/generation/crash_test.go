@@ -109,7 +109,7 @@ func TestKillNineCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range ents {
-				if strings.HasSuffix(e.Name(), buildingSuffix) {
+				if strings.HasSuffix(e.Name(), buildingSuffix) || strings.HasPrefix(e.Name(), "."+currentName+".") {
 					t.Fatalf("crash leftover %s survived Open", e.Name())
 				}
 			}

@@ -9,7 +9,7 @@
 // Directory layout:
 //
 //	dir/
-//	  CURRENT              # "gen-0007\n", written temp+fsync+rename+dirsync
+//	  CURRENT              # "gen-0007\n", published through fsx.Pending
 //	  .lock                # flock'd for the duration of every mutation
 //	  gen-0006/            # a full generation: store + the graph it solves
 //	    dist.apsp
@@ -44,6 +44,7 @@ package generation
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -205,7 +206,7 @@ func Import(dir, storePath string, g *graph.Graph) (string, error) {
 	}
 	// Sanity: the store must open and match the graph before anything is
 	// published.
-	st, err := store.Open(storePath, 0)
+	st, err := store.OpenWithOptions(storePath, store.Options{})
 	if err != nil {
 		return "", fmt.Errorf("generation: import store: %w", err)
 	}
@@ -228,15 +229,23 @@ func Import(dir, storePath string, g *graph.Graph) (string, error) {
 	if err := os.Mkdir(building, 0o755); err != nil {
 		return "", err
 	}
-	if err := fsx.CopyFileDurable(filepath.Join(building, storeName), storePath); err != nil {
+	if err := publish(filepath.Join(building, storeName), func(w io.Writer) error {
+		src, err := os.Open(storePath)
+		if err != nil {
+			return err
+		}
+		defer src.Close()
+		_, err = io.Copy(w, src)
+		return err
+	}); err != nil {
 		os.RemoveAll(building)
 		return "", err
 	}
-	if err := writeGraphDurable(filepath.Join(building, graphName), g); err != nil {
+	if err := publish(filepath.Join(building, graphName), g.WriteEdgeList); err != nil {
 		os.RemoveAll(building)
 		return "", err
 	}
-	if err := writeMetaDurable(building, meta{ID: id, Parent: "", N: g.N, Created: time.Now().UTC().Format(time.RFC3339)}); err != nil {
+	if err := writeMeta(building, meta{ID: id, Parent: "", N: g.N, Created: time.Now().UTC().Format(time.RFC3339)}); err != nil {
 		os.RemoveAll(building)
 		return "", err
 	}
@@ -278,32 +287,31 @@ func maxSeq(dir string) int {
 	return top
 }
 
+// publish writes the file at path through write and commits it: the file
+// appears at path complete and durable, or not at all.
+func publish(path string, write func(io.Writer) error) error {
+	f, err := fsx.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Abort()
+	if err := write(f); err != nil {
+		return err
+	}
+	return f.Commit()
+}
+
 // writeCurrent durably re-points CURRENT at id. The mid-current crash
-// hook sits between the temp write and the rename — the instant a kill
-// must not be able to tear.
+// hook sits between the write and the commit — the instant a kill must
+// not be able to tear.
 func writeCurrent(dir, id string) error {
-	tmp := filepath.Join(dir, "."+currentName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.WriteString(id + "\n")
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	hook("mid-current")
-	if err := fsx.RenameDurable(tmp, filepath.Join(dir, currentName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return publish(filepath.Join(dir, currentName), func(w io.Writer) error {
+		if _, err := io.WriteString(w, id+"\n"); err != nil {
+			return err
+		}
+		hook("mid-current")
+		return nil
+	})
 }
 
 // readCurrent parses CURRENT, returning ok=false when the file is
@@ -323,7 +331,7 @@ func readCurrent(dir string) (string, bool) {
 // openable reports whether the generation directory id under dir holds a
 // store that opens and a graph that parses and matches it.
 func openable(dir, id string) bool {
-	st, err := store.Open(filepath.Join(dir, id, storeName), 0)
+	st, err := store.OpenWithOptions(filepath.Join(dir, id, storeName), store.Options{})
 	if err != nil {
 		return false
 	}
@@ -342,31 +350,19 @@ func loadGraph(path string) (*graph.Graph, error) {
 	return graph.ReadEdgeList(f)
 }
 
-func writeGraphDurable(path string, g *graph.Graph) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	err = g.WriteEdgeList(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func writeMetaDurable(genDir string, m meta) error {
+func writeMeta(genDir string, m meta) error {
 	raw, err := jsonMarshal(m)
 	if err != nil {
 		return err
 	}
-	return fsx.WriteFileDurable(filepath.Join(genDir, metaName), raw, 0o644)
+	return publish(filepath.Join(genDir, metaName), func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 }
 
 // Open attaches a Manager to dir: clears crash leftovers (.building
-// directories), resolves CURRENT — falling back to the newest openable
+// directories, uncommitted CURRENT files), resolves CURRENT — falling back to the newest openable
 // generation when CURRENT is torn, missing, or points at a generation
 // that does not open — and loads the current generation's graph.
 func Open(dir string, opts Options) (*Manager, error) {
@@ -389,9 +385,9 @@ func (m *Manager) Reload() (string, error) {
 	return m.cur.Load().id, nil
 }
 
-// reloadLocked resolves the current generation. clean also removes
-// .building leftovers (done once, at Open) — but only under the
-// cross-process lock: a .building directory is a crash leftover only
+// reloadLocked resolves the current generation. clean also removes crash
+// leftovers (done once, at Open) — but only under the cross-process
+// lock: a .building directory or CURRENT temp file is a crash leftover only
 // when no live updater in another process owns it, so when the lock is
 // busy the leftovers are left to their owner.
 func (m *Manager) reloadLocked(clean bool) error {
@@ -404,9 +400,11 @@ func (m *Manager) reloadLocked(clean bool) error {
 				return rerr
 			}
 			for _, e := range ents {
-				if strings.HasSuffix(e.Name(), buildingSuffix) {
-					slog.Info("generation: removing crash leftover", "dir", e.Name())
-					os.RemoveAll(filepath.Join(m.dir, e.Name()))
+				// A kill between a CURRENT write and its commit leaves the
+				// uncommitted file, named by fsx.Create, beside CURRENT.
+				if name := e.Name(); strings.HasSuffix(name, buildingSuffix) || strings.HasPrefix(name, "."+currentName+".") {
+					slog.Info("generation: removing crash leftover", "entry", name)
+					os.RemoveAll(filepath.Join(m.dir, name))
 				}
 			}
 			fsx.FsyncDir(m.dir)
@@ -443,7 +441,7 @@ func (m *Manager) reloadLocked(clean bool) error {
 	if err != nil {
 		return fmt.Errorf("generation: %s graph: %w", id, err)
 	}
-	st, err := store.Open(filepath.Join(m.dir, id, storeName), 0)
+	st, err := store.OpenWithOptions(filepath.Join(m.dir, id, storeName), store.Options{})
 	if err != nil {
 		return fmt.Errorf("generation: %s store: %w", id, err)
 	}
@@ -549,7 +547,7 @@ func (m *Manager) Rollback() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("generation: rollback graph: %w", err)
 	}
-	st, err := store.Open(filepath.Join(m.dir, target, storeName), 0)
+	st, err := store.OpenWithOptions(filepath.Join(m.dir, target, storeName), store.Options{})
 	if err != nil {
 		return "", fmt.Errorf("generation: rollback store: %w", err)
 	}

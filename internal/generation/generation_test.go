@@ -53,7 +53,7 @@ func seedDir(t testing.TB, g *graph.Graph, b int) string {
 	t.Helper()
 	tmp := t.TempDir()
 	sp := filepath.Join(tmp, "seed.apsp")
-	if err := store.Write(sp, fwRef(t, g), b); err != nil {
+	if err := store.WriteWithCodec(sp, fwRef(t, g), b, nil); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(tmp, "gens")

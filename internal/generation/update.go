@@ -221,10 +221,10 @@ func (m *Manager) applyLocked(ctx context.Context, deltas []Delta) (*UpdateResul
 	if err := m.buildStore(ctx, filepath.Join(building, storeName), parent, newGraph, dirtyPanel); err != nil {
 		return fail(fmt.Errorf("generation: building %s: %w", id, err))
 	}
-	if err := writeGraphDurable(filepath.Join(building, graphName), newGraph); err != nil {
+	if err := publish(filepath.Join(building, graphName), newGraph.WriteEdgeList); err != nil {
 		return fail(err)
 	}
-	if err := writeMetaDurable(building, meta{
+	if err := writeMeta(building, meta{
 		ID: id, Parent: cur.id, N: n,
 		DirtyRows: dirtyRows, Deltas: len(changes),
 		Created:    time.Now().UTC().Format(time.RFC3339),

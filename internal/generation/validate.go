@@ -30,7 +30,7 @@ import (
 // validate runs the promotion gate against the candidate generation id.
 func (m *Manager) validate(ctx context.Context, id string, g *graph.Graph, dirty []bool) error {
 	cur := m.cur.Load()
-	cand, err := store.Open(filepath.Join(m.dir, id, storeName), 0)
+	cand, err := store.OpenWithOptions(filepath.Join(m.dir, id, storeName), store.Options{})
 	if err != nil {
 		return fmt.Errorf("candidate does not open: %w", err)
 	}

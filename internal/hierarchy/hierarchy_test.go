@@ -322,7 +322,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// store can read the hierarchy saved beside it.
 	plain, ckpt := filepath.Join(dir, "plain.apsp"), filepath.Join(dir, "ckpt.apsp")
 	cell := matrix.New(1, 1)
-	if err := store.Write(plain, cell, 1); err != nil {
+	if err := store.WriteWithCodec(plain, cell, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	pw, err := store.NewPanelWriterWithOptions(ckpt, 1, 1, store.PanelWriterOptions{Checkpoint: true})

@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"apspark/internal/fsx"
 	"apspark/internal/graph"
@@ -34,8 +33,8 @@ import (
 // Only the partition assignment and the overlay CSR are stored: the
 // boundary flags, vertex layout and overlay ids are all deterministic
 // functions of (graph, part table), recomputed on load by the same code
-// that built them. Save writes temp + fsync + rename, so a crashed or
-// cancelled save never leaves a partial file at the target path.
+// that built them. Save publishes through fsx.Pending, so a crashed or
+// failed save never leaves a partial file at the target path.
 const (
 	hierMagic   = "APSPHIER"
 	hierVersion = 1
@@ -51,21 +50,16 @@ var (
 
 // Save writes the oracle's partition table and overlay atomically to
 // path.
-func (o *Oracle) Save(path string) (err error) {
-	tmp, err := fsx.CreateExclusive(filepath.Dir(path), ".hier-")
+func (o *Oracle) Save(path string) error {
+	f, err := fsx.Create(path)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
+	defer f.Abort()
 	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
-	bw := bufio.NewWriterSize(io.MultiWriter(tmp, crc), 1<<20)
+	bw := bufio.NewWriterSize(io.MultiWriter(f, crc), 1<<20)
 	rowPtr, colIdx, weights := o.ovlG.CSR()
-	if _, err = bw.WriteString(hierMagic); err != nil {
+	if _, err := bw.WriteString(hierMagic); err != nil {
 		return err
 	}
 	pt := o.pt
@@ -77,23 +71,17 @@ func (o *Oracle) Save(path string) (err error) {
 		uint64(o.stats.ShortcutEdges),
 		pt.Part, rowPtr, colIdx, weights,
 	} {
-		if err = binary.Write(bw, binary.LittleEndian, v); err != nil {
+		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}
-	if err = bw.Flush(); err != nil {
+	if err := bw.Flush(); err != nil {
 		return err
 	}
-	if err = binary.Write(tmp, binary.LittleEndian, crc.Sum32()); err != nil {
+	if err := binary.Write(f, binary.LittleEndian, crc.Sum32()); err != nil {
 		return err
 	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	return fsx.RenameDurable(tmp.Name(), path)
+	return f.Commit()
 }
 
 // Load reads a hierarchy saved by Save back over the same graph,

@@ -71,7 +71,7 @@ func faultyEngineOver(t *testing.T, g *graph.Graph, codec string, withGraph bool
 
 // tileWindow returns the byte range [lo, hi) of tile (0,0) in a store
 // file with q tiles per side — the target window for bit-flip faults.
-// Layout: 24-byte file header, q*q 24-byte v2 index entries, then tile
+// Layout: 24-byte file header, q*q 24-byte index entries, then tile
 // (0,0)'s marshalled bytes (matrix header + b*b float64s).
 func tileWindow(q int) (lo, hi int64) {
 	lo = 24 + int64(q*q)*24

@@ -27,10 +27,10 @@ func newStoreServer(t *testing.T, n int, seed int64) (*httptest.Server, *graph.G
 	dist := fwRef(t, g)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
 	bs := 8
-	if err := store.Write(path, dist, bs); err != nil {
+	if err := store.WriteWithCodec(path, dist, bs, nil); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(path, 4*8*int64(bs)*int64(bs)) // 4 tiles
+	st, err := store.OpenWithOptions(path, store.Options{TileCacheBytes: 4 * 8 * int64(bs) * int64(bs)}) // 4 tiles
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestHTTPConcurrent(t *testing.T) {
 					}
 				}
 				resp.Body.Close()
-				if stats := st.Stats(); stats.BytesInUse > stats.BytesBudget {
+				if stats := st.Snapshot().Tiles; stats.BytesInUse > stats.BytesBudget {
 					errs <- fmt.Errorf("cache %d bytes over budget %d", stats.BytesInUse, stats.BytesBudget)
 					return
 				}
@@ -251,7 +251,7 @@ func TestHTTPConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if stats := st.Stats(); stats.Hits == 0 {
+	if stats := st.Snapshot().Tiles; stats.Hits == 0 {
 		t.Fatalf("concurrent workload never hit the cache: %+v", stats)
 	}
 }

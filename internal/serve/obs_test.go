@@ -87,10 +87,10 @@ func newObsServer(t *testing.T, opts HardenOptions) (*httptest.Server, *obs.Regi
 	}
 	dist := fwRef(t, g)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
-	if err := store.Write(path, dist, 8); err != nil {
+	if err := store.WriteWithCodec(path, dist, 8, nil); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(path, 4*8*64)
+	st, err := store.OpenWithOptions(path, store.Options{TileCacheBytes: 4 * 8 * 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,7 +35,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		m := randomDist(tc.n, int64(tc.n+tc.b))
 		dir := t.TempDir()
 		ref := filepath.Join(dir, "ref.apsp")
-		if err := Write(ref, m, tc.b); err != nil {
+		if err := WriteWithCodec(ref, m, tc.b, nil); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, "dist.apsp")
@@ -106,7 +105,7 @@ func TestResumeTruncatesTornTail(t *testing.T) {
 	m := randomDist(n, 7)
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.apsp")
-	if err := Write(ref, m, b); err != nil {
+	if err := WriteWithCodec(ref, m, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "dist.apsp")
@@ -258,77 +257,5 @@ func TestRemoveCheckpoint(t *testing.T) {
 	RemoveCheckpoint(path)
 	if HasCheckpoint(path) {
 		t.Fatal("checkpoint survived RemoveCheckpoint")
-	}
-}
-
-// TestResumeAcceptsOldIVarintCheckpoint: a checkpoint left by the build
-// before restart groups records codec byte 1 for its durable ivarint
-// tiles under the codec name "ivarint". This build resumes it — same
-// name, either byte — writes the remaining panels in the restart layout,
-// and the finished store serves every row; a solve asking for a different
-// codec is still refused.
-func TestResumeAcceptsOldIVarintCheckpoint(t *testing.T) {
-	n, b := 48, 16
-	m := intMatrix(n, 51)
-	dir := t.TempDir()
-	old := filepath.Join(dir, "old.apsp")
-	writeOldIVarintStore(t, old, m, b, nil)
-	s, err := Open(old, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := s.TilesPerSide()
-	mf := manifest{Magic: manifestMagic, Version: manifestVersion, N: n, B: b, Q: q, Panels: 1,
-		CRCs: make([]uint32, q*q), Lens: make([]int64, q*q), Codecs: make([]byte, q*q), Codec: "ivarint"}
-	for bj := 0; bj < q; bj++ {
-		ref := s.index[bj]
-		mf.CRCs[bj], mf.Lens[bj], mf.Codecs[bj] = ref.crc, ref.length, ref.codec
-	}
-	end := s.index[q-1].off + s.index[q-1].length
-	s.Close()
-	raw, err := os.ReadFile(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "dist.apsp")
-	mfJSON, err := json.Marshal(&mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+".partial", raw[:end], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+".manifest", mfJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := NewPanelWriterWithOptions(path, n, b, PanelWriterOptions{Resume: true}); err == nil {
-		t.Fatal("a raw solve resumed an ivarint checkpoint")
-	}
-	rw, err := NewPanelWriterWithOptions(path, n, b, PanelWriterOptions{Resume: true, Codec: codecs[CodecIVarint]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rw.Resumed() != 1 {
-		t.Fatalf("resumed %d panels, want 1", rw.Resumed())
-	}
-	for bi := rw.NextPanel(); bi < rw.Panels(); bi++ {
-		if err := rw.WritePanel(panelOf(t, m, b, bi)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err = Open(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.TileCodec(0, 0) != codecIVarintV1 || s.TileCodec(1, 0) != CodecIVarint {
-		t.Fatalf("tile codecs (0,0)=%d (1,0)=%d, want the resumed old layout then the restart layout", s.TileCodec(0, 0), s.TileCodec(1, 0))
-	}
-	if failed := checkRowsRightOrTyped(t, s, m); failed != 0 {
-		t.Fatalf("%d rows of the resumed store failed", failed)
 	}
 }

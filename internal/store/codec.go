@@ -2,20 +2,18 @@
 //
 // Every serving bottleneck the benches measure is byte-bound — cold row
 // latency is tile IO, effective page-cache capacity is file bytes — so
-// the v3 format lets each tile choose how its payload is encoded. The
-// index entry (24 bytes, unchanged in size from v2) carries a codec byte
-// per tile, and all tile IO funnels through the Codec interface:
+// each tile chooses how its payload is encoded. Its 24-byte index entry
+// carries a codec byte, and all tile IO funnels through the Codec
+// interface:
 //
-//   - raw (id 0): the tile's matrix.Marshal bytes, bit-identical to what
-//     a v2 store holds. Always available, always correct, the fallback
-//     every other codec declines into.
-//   - ivarint (id 3; id 1 is its read-only predecessor): zigzag-delta +
-//     uvarint over the integer view of the float64 values, with +Inf as
-//     an escape token. Exact — a tile is only encoded this way when every
-//     value is a non-negative-zero integer with |v| < 2^53 (so float64
-//     holds it exactly; the dij differential suite proves integer path
-//     sums stay in that range), and decode reproduces the identical
-//     float64 bits. Tiles with any non-integral, NaN, -Inf or too-large
+//   - raw (id 0): the tile's matrix.Marshal bytes. Always available,
+//     always correct, the fallback every other codec declines into.
+//   - ivarint (id 3): zigzag-delta + uvarint over the integer view of the
+//     float64 values, with +Inf as an escape token. Exact — a tile is
+//     only encoded this way when every value is a non-negative-zero
+//     integer with |v| < 2^53 (so float64 holds it exactly; the dij
+//     differential suite proves integer path sums stay in that range),
+//     and decode reproduces the identical float64 bits. Tiles with any non-integral, NaN, -Inf or too-large
 //     value are stored raw instead. On integer-weight graphs, distance
 //     rows are small monotone-ish integers whose deltas fit 1-2 varint
 //     bytes: 4-8x denser than raw.
@@ -46,9 +44,11 @@
 // Row r costs one pread of its group, a CRC, a skip of (r mod k)*w tokens
 // and a decode of w. The group CRC is what lets a variable-length stream
 // be read in pieces: a flipped bit in a delta chain would corrupt every
-// later value of the group, not one. The id-1 layout (magic 0xC2, one
-// delta chain over the whole tile, no table) reads through the same
-// methods as a single group of h rows; this build never writes it.
+// later value of the group, not one. Byte 1 named an earlier ivarint
+// layout (one delta chain over the whole tile, no table); nothing has
+// written it since restart groups, and this build refuses it with
+// ErrVersion wherever a codec byte comes in: Open, checkpoint resume and
+// WriteRawPanel.
 package store
 
 import (
@@ -65,9 +65,6 @@ import (
 const (
 	// CodecRaw stores the tile's matrix.Marshal bytes unchanged.
 	CodecRaw byte = 0
-	// codecIVarintV1 is the pre-restart ivarint layout: readable, never
-	// written.
-	codecIVarintV1 byte = 1
 	// CodecF32 stores an error-bounded float32 downcast.
 	CodecF32 byte = 2
 	// CodecIVarint stores zigzag-delta + uvarint over integer values in
@@ -76,13 +73,9 @@ const (
 	// of quarantining its tiles one by one.
 	CodecIVarint byte = 3
 
+	// numCodecs bounds the codec bytes; byte 1 is retired (see above).
 	numCodecs = 4
 )
-
-// canonCodec maps each codec byte to the byte this build writes for the
-// same codec name: censuses, metrics and PreferredCodec count both
-// ivarint layouts as one codec.
-var canonCodec = [numCodecs]byte{CodecRaw, CodecIVarint, CodecF32, CodecIVarint}
 
 // F32DefaultMaxRelErr is the default per-value relative-error bound of
 // the f32 codec: any tile whose float32 round trip would exceed it is
@@ -154,12 +147,21 @@ func (t *RowTable) group(r int) (from, to int, sum uint32) {
 	return from, int(t.ends[g]), t.sums[g]
 }
 
-// codecs is the fixed codec table indexed by codec byte.
+// codecs is the fixed codec table indexed by codec byte; a nil entry is a
+// byte this build does not read.
 var codecs = [numCodecs]Codec{
-	CodecRaw:       rawCodec{},
-	codecIVarintV1: ivarintCodec{},
-	CodecF32:       f32Codec{MaxRelErr: F32DefaultMaxRelErr},
-	CodecIVarint:   ivarintCodec{k: ivarintRestartRows},
+	CodecRaw:     rawCodec{},
+	CodecF32:     f32Codec{MaxRelErr: F32DefaultMaxRelErr},
+	CodecIVarint: ivarintCodec{k: ivarintRestartRows},
+}
+
+// checkCodec refuses, with ErrVersion, a codec byte this build does not
+// read: a future codec, or the retired byte 1.
+func checkCodec(id byte) error {
+	if int(id) >= numCodecs || codecs[id] == nil {
+		return fmt.Errorf("%w: codec byte %d, this build reads 0 (raw), 2 (f32) and 3 (ivarint)", ErrVersion, id)
+	}
+	return nil
 }
 
 // CodecByName resolves a CLI-facing codec name. The empty string means
@@ -179,17 +181,17 @@ func CodecByName(name string) (Codec, error) {
 // codecName maps a codec byte to its name (for metrics labels and error
 // messages; unknown bytes never get this far — Open rejects them).
 func codecName(id byte) string {
-	if int(id) < numCodecs {
-		return codecs[id].Name()
+	if checkCodec(id) != nil {
+		return fmt.Sprintf("codec-%d", id)
 	}
-	return fmt.Sprintf("codec-%d", id)
+	return codecs[id].Name()
 }
 
 // encodeTile encodes one tile through c with automatic raw fallback,
 // appending the payload to dst. The encoded form is used only when the
 // codec accepts the tile AND comes out strictly smaller than raw;
-// everything else is stored raw, so a v3 store is never larger than its
-// v2 equivalent. Returns the extended buffer and the codec byte that
+// everything else is stored raw, so a store is never larger than its
+// all-raw equivalent. Returns the extended buffer and the codec byte that
 // actually applies to the appended payload.
 func encodeTile(c Codec, tile *matrix.Block, dst []byte) ([]byte, byte) {
 	if c != nil && c.ID() != CodecRaw {
@@ -203,7 +205,7 @@ func encodeTile(c Codec, tile *matrix.Block, dst []byte) ([]byte, byte) {
 
 // decodeTile dispatches a payload to its codec's decoder.
 func decodeTile(id byte, data []byte, h, w int) (*matrix.Block, error) {
-	if int(id) >= numCodecs {
+	if checkCodec(id) != nil {
 		return nil, fmt.Errorf("%w: unknown codec %d", ErrCodecData, id)
 	}
 	return codecs[id].DecodeTile(data, h, w)
@@ -218,8 +220,7 @@ func checkRowSpan(span []byte, dst []float64, width int) error {
 	return nil
 }
 
-// rawCodec is the identity codec: payload == matrix.Marshal bytes, the
-// exact bytes a v2 store holds.
+// rawCodec is the identity codec: payload == matrix.Marshal bytes.
 type rawCodec struct{}
 
 func (rawCodec) ID() byte     { return CodecRaw }
@@ -271,9 +272,8 @@ func (rawCodec) DecodeRow(_ *RowTable, span []byte, _ int, dst []float64) error 
 // the observed max relative error as a float32; ivarint (id 3) appends
 // its restart-group table (see the file comment).
 const (
-	magicIVarintV1 = 0xC2
-	magicF32       = 0xC3
-	magicIVarint   = 0xC4
+	magicF32     = 0xC3
+	magicIVarint = 0xC4
 
 	codecHdrLen = 9
 	f32HdrLen   = codecHdrLen + 4
@@ -318,23 +318,17 @@ const maxExactInt = int64(1) << 53
 // token t > 0 encodes the signed delta unzigzag(t-1) from the previous
 // finite value of the same restart group. Distances within a row are
 // similar magnitudes, so the deltas are small and most tokens fit one or
-// two bytes. k is the rows per restart group written; the zero value is
-// the read-only id-1 layout.
+// two bytes. k is the rows per restart group written.
 type ivarintCodec struct{ k int }
 
-func (c ivarintCodec) ID() byte {
-	if c.k == 0 {
-		return codecIVarintV1
-	}
-	return CodecIVarint
-}
+func (ivarintCodec) ID() byte { return CodecIVarint }
 
 func (ivarintCodec) Name() string { return "ivarint" }
 
 func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
 	h, w := tile.R, tile.C
 	rawSize := matrix.DenseMarshaledSize(h, w)
-	if c.k == 0 || rawSize > math.MaxUint32 {
+	if rawSize > math.MaxUint32 {
 		return dst, false // group offsets are uint32
 	}
 	start := len(dst)
@@ -388,19 +382,7 @@ func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) 
 	return dst, true
 }
 
-func (c ivarintCodec) RowTable(data []byte, h, w int) (*RowTable, error) {
-	if c.k == 0 {
-		// One group spanning the tile; its checksum is taken here, from
-		// bytes the caller has verified, so later reads are held to it.
-		if err := checkCodecHeader(data, magicIVarintV1, h, w); err != nil {
-			return nil, err
-		}
-		if int64(len(data)) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: %d-byte ivarint tile", ErrCodecData, len(data))
-		}
-		return &RowTable{k: h, base: codecHdrLen, ends: []uint32{uint32(len(data))},
-			sums: []uint32{crc32.Checksum(data[codecHdrLen:], castagnoli)}}, nil
-	}
+func (ivarintCodec) RowTable(data []byte, h, w int) (*RowTable, error) {
 	if err := checkCodecHeader(data, magicIVarint, h, w); err != nil {
 		return nil, err
 	}

@@ -49,11 +49,6 @@ func TestCodecByName(t *testing.T) {
 	if _, err := CodecByName("zstd"); err == nil {
 		t.Fatal("CodecByName accepted an unknown codec")
 	}
-	// Both ivarint layouts answer to the one public name; only the
-	// restart layout is ever handed to a writer.
-	if codecs[codecIVarintV1].Name() != "ivarint" || codecs[CodecIVarint].Name() != "ivarint" {
-		t.Fatal("an ivarint layout is not named ivarint")
-	}
 }
 
 // TestIVarintRoundTripBitExact: every float64 bit pattern the codec
@@ -175,17 +170,15 @@ func TestF32ErrorBound(t *testing.T) {
 }
 
 // TestDecodeTileTypedErrors: corrupt payloads come back as ErrCodecData,
-// never a panic, for every codec.
+// never a panic, for every codec, and so do codec bytes this build does
+// not read.
 func TestDecodeTileTypedErrors(t *testing.T) {
 	tile := matrix.New(4, 4)
 	for i := range tile.Data {
 		tile.Data[i] = float64(i * 3)
 	}
-	for id := byte(0); id < numCodecs; id++ {
+	for _, id := range []byte{CodecRaw, CodecF32, CodecIVarint} {
 		enc, ok := codecs[id].EncodeTile(nil, tile)
-		if id == codecIVarintV1 {
-			enc, ok = encodeIVarintV1(tile)
-		}
 		if !ok {
 			t.Fatalf("codec %d declined a small integer tile", id)
 		}
@@ -205,14 +198,17 @@ func TestDecodeTileTypedErrors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := decodeTile(99, []byte{1, 2, 3}, 1, 1); !errors.Is(err, ErrCodecData) {
-		t.Errorf("unknown codec id: err = %v, want ErrCodecData", err)
+	enc, _ := codecs[CodecIVarint].EncodeTile(nil, tile)
+	for _, id := range []byte{1, 99} { // the retired ivarint byte, a future one
+		if _, err := decodeTile(id, enc, 4, 4); !errors.Is(err, ErrCodecData) {
+			t.Errorf("codec byte %d: err = %v, want ErrCodecData", id, err)
+		}
 	}
 }
 
 // TestIVarintDecodeRejectsOutOfRange: a forged stream whose running sum
-// walks past 2^53 must fail, not fabricate inexact values — in either
-// layout, even when the forger keeps the restart table consistent.
+// walks past 2^53 must fail, not fabricate inexact values — even when the
+// forger keeps the restart table consistent.
 func TestIVarintDecodeRejectsOutOfRange(t *testing.T) {
 	big := float64(maxExactInt - 1)
 	tile := matrix.New(1, 4)
@@ -231,10 +227,6 @@ func TestIVarintDecodeRejectsOutOfRange(t *testing.T) {
 	binary.LittleEndian.PutUint32(forged[codecHdrLen+5:], crc32.Checksum(forged[hdr:], castagnoli))
 	if _, err := codecs[CodecIVarint].DecodeTile(forged, 1, 4); !errors.Is(err, ErrCodecData) {
 		t.Fatalf("out-of-range forged stream: err = %v, want ErrCodecData", err)
-	}
-	old := append(append(append([]byte{magicIVarintV1, 1, 0, 0, 0, 4, 0, 0, 0}, tok...), tok...), 1, 1)
-	if _, err := codecs[codecIVarintV1].DecodeTile(old, 1, 4); !errors.Is(err, ErrCodecData) {
-		t.Fatalf("out-of-range forged old-layout stream: err = %v, want ErrCodecData", err)
 	}
 }
 
@@ -278,9 +270,6 @@ func TestWriteWithCodecDifferential(t *testing.T) {
 			s, err := OpenWithOptions(p, opts)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if s.Version() != version {
-				t.Fatalf("%s: version %d, want %d", name, s.Version(), version)
 			}
 			if name == "ivarint" {
 				if s.CodecRatio() < 2 {
@@ -385,7 +374,7 @@ func TestRawPanelCopyCarriesCodec(t *testing.T) {
 	if err := WriteWithCodec(src, m, bs, c); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(src, 1<<20)
+	s, err := OpenWithOptions(src, Options{TileCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +416,7 @@ func TestWriteRawPanelRejectsForgedMeta(t *testing.T) {
 	if err := WriteWithCodec(src, m, bs, c); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(src, 0)
+	s, err := OpenWithOptions(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +457,7 @@ func TestCompressedTileBitFlipQuarantines(t *testing.T) {
 	if err := WriteWithCodec(path, m, bs, c); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path, 1<<20)
+	s, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +489,7 @@ func TestCompressedTileBitFlipQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err = Open(path, 1<<20)
+	s, err = OpenWithOptions(path, Options{TileCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +579,7 @@ func TestOpenRejectsForgedCodecEntries(t *testing.T) {
 		if err := os.WriteFile(p, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(p, 1<<20)
+		s, err := OpenWithOptions(p, Options{TileCacheBytes: 1 << 20})
 		if err == nil {
 			s.Close()
 			t.Errorf("%s: forged store opened cleanly", name)
@@ -604,7 +593,8 @@ func TestOpenRejectsForgedCodecEntries(t *testing.T) {
 
 // FuzzDecodeTile: adversarial payloads through every codec must return
 // typed errors or a correctly-shaped block — never panic, never
-// allocate beyond the geometry's output size.
+// allocate beyond the geometry's output size. Codec bytes this build
+// does not read (the retired byte 1 among the seeds) must be refused.
 func FuzzDecodeTile(f *testing.F) {
 	tile := matrix.New(4, 4)
 	for i := range tile.Data {
@@ -612,17 +602,17 @@ func FuzzDecodeTile(f *testing.F) {
 	}
 	tile.Data[5] = matrix.Inf
 	for id := byte(0); id < numCodecs; id++ {
-		enc, ok := codecs[id].EncodeTile(nil, tile)
-		if id == codecIVarintV1 {
-			enc, ok = encodeIVarintV1(tile)
+		c := codecs[id]
+		if c == nil {
+			c = codecs[CodecIVarint] // valid bytes under a refused codec byte
 		}
-		if ok {
+		if enc, ok := c.EncodeTile(nil, tile); ok {
 			f.Add(id, enc, 4, 4)
 			f.Add(id, enc[:len(enc)/2], 4, 4)
 			f.Add(id, enc, 2, 8)
 		}
 	}
-	f.Add(byte(1), []byte{magicIVarintV1, 4, 0, 0, 0, 4, 0, 0, 0, 0xFF, 0xFF, 0xFF}, 4, 4)
+	f.Add(byte(1), []byte{0xC2, 4, 0, 0, 0, 4, 0, 0, 0, 0xFF, 0xFF, 0xFF}, 4, 4)
 	f.Fuzz(func(t *testing.T, id byte, data []byte, h, w int) {
 		if h < 1 || w < 1 || h > 64 || w > 64 {
 			t.Skip()
@@ -633,6 +623,9 @@ func FuzzDecodeTile(f *testing.F) {
 				t.Fatalf("decode error not typed: %v", err)
 			}
 			return
+		}
+		if checkCodec(id) != nil {
+			t.Fatalf("codec byte %d decoded", id)
 		}
 		if blk.Phantom() || blk.R != h || blk.C != w || len(blk.Data) != h*w {
 			t.Fatalf("accepted block has shape %dx%d (phantom=%v), want %dx%d", blk.R, blk.C, blk.Phantom(), h, w)
@@ -805,7 +798,7 @@ func forgeIVarint(k, h, w int, groups ...[]byte) []byte {
 }
 
 // TestDecodeRowMatchesDecodeTile is the row-method differential: for
-// every codec (both ivarint layouts, several restart intervals) and
+// every codec (ivarint at several restart intervals) and
 // tiles with +Inf, negative values and deltas, ragged shapes, h not a
 // multiple of k, h < k and 1x1, every row decoded from its own span
 // equals the same row of DecodeTile, bit for bit.
@@ -843,13 +836,6 @@ func TestDecodeRowMatchesDecodeTile(t *testing.T) {
 				tok = binary.AppendUvarint(nil, uint64((int64(v)<<1)^(int64(v)>>63))+1)
 			}
 			cases = append(cases, payload{"ivarint/forged-1x1", ivarintCodec{k: 16}, forgeIVarint(16, 1, 1, tok)})
-		}
-		old, ok := encodeIVarintV1(tile)
-		if !ok && h*w > 1 {
-			t.Fatalf("%dx%d: frozen old encoder declined", h, w)
-		}
-		if ok {
-			cases = append(cases, payload{"ivarint/old-layout", ivarintCodec{}, old})
 		}
 		for _, pc := range cases {
 			want, err := pc.c.DecodeTile(pc.data, h, w)
@@ -945,7 +931,8 @@ func TestRowTableRejectsForgedTables(t *testing.T) {
 // methods. RowTable must return a typed error or a table whose every
 // span lies inside the payload; DecodeRow on exactly that span must
 // return a typed error or the row DecodeTile gives — never panic, never
-// reach outside the span, never allocate.
+// reach outside the span, never allocate. Codec bytes this build does
+// not read (the retired byte 1 among the seeds) must be refused.
 func FuzzDecodeRow(f *testing.F) {
 	tile := matrix.New(5, 4)
 	for i := range tile.Data {
@@ -953,11 +940,11 @@ func FuzzDecodeRow(f *testing.F) {
 	}
 	tile.Data[6] = matrix.Inf
 	for id := byte(0); id < numCodecs; id++ {
-		enc, ok := codecs[id].EncodeTile(nil, tile)
-		if id == codecIVarintV1 {
-			enc, ok = encodeIVarintV1(tile)
+		c := codecs[id]
+		if c == nil {
+			c = codecs[CodecIVarint] // valid bytes under a refused codec byte
 		}
-		if ok {
+		if enc, ok := c.EncodeTile(nil, tile); ok {
 			f.Add(id, enc, 5, 4)
 			f.Add(id, enc[:len(enc)-2], 5, 4)
 		}
@@ -973,6 +960,12 @@ func FuzzDecodeRow(f *testing.F) {
 			t.Skip()
 		}
 		c := codecs[id]
+		if c == nil {
+			if _, err := decodeTile(id, data, h, w); !errors.Is(err, ErrCodecData) {
+				t.Fatalf("codec byte %d: err = %v, want ErrCodecData", id, err)
+			}
+			return
+		}
 		table, err := c.RowTable(data, h, w)
 		if err != nil {
 			if !errors.Is(err, ErrCodecData) {

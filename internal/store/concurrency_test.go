@@ -111,11 +111,11 @@ func TestShardedCacheConcurrency(t *testing.T) {
 					errs <- err
 					return
 				}
-				if st := s.Stats(); st.BytesInUse > st.BytesBudget {
+				if st := s.Snapshot().Tiles; st.BytesInUse > st.BytesBudget {
 					errs <- fmt.Errorf("tile cache %d bytes over budget %d", st.BytesInUse, st.BytesBudget)
 					return
 				}
-				if rst := s.RowStats(); rst.BytesInUse > rst.BytesBudget {
+				if rst := s.Snapshot().Rows; rst.BytesInUse > rst.BytesBudget {
 					errs <- fmt.Errorf("row cache %d bytes over budget %d", rst.BytesInUse, rst.BytesBudget)
 					return
 				}
@@ -128,7 +128,8 @@ func TestShardedCacheConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, rst := s.Stats(), s.RowStats()
+	snap := s.Snapshot()
+	st, rst := snap.Tiles, snap.Rows
 	if st.Hits == 0 || st.Evictions == 0 {
 		t.Fatalf("workload did not exercise the tile cache: %+v", st)
 	}
@@ -189,9 +190,9 @@ func TestSingleFlightCoalescesMisses(t *testing.T) {
 	// register on its flight, then let the read finish.
 	<-reads
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Coalesced < followers {
+	for s.Snapshot().Tiles.Coalesced < followers {
 		if time.Now().After(deadline) {
-			t.Fatalf("followers never coalesced: %+v", s.Stats())
+			t.Fatalf("followers never coalesced: %+v", s.Snapshot().Tiles)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -206,7 +207,7 @@ func TestSingleFlightCoalescesMisses(t *testing.T) {
 			t.Fatalf("goroutine %d got a different block: coalescing failed", g)
 		}
 	}
-	st := s.Stats()
+	st := s.Snapshot().Tiles
 	if st.Misses != 1 || st.Coalesced != followers {
 		t.Fatalf("stats = %+v, want 1 miss and %d coalesced", st, followers)
 	}
@@ -249,9 +250,9 @@ func TestRowSingleFlightCoalescesMisses(t *testing.T) {
 	}
 	<-reads // leader reached its first span read
 	deadline := time.Now().Add(10 * time.Second)
-	for s.RowStats().Coalesced < followers {
+	for s.Snapshot().Rows.Coalesced < followers {
 		if time.Now().After(deadline) {
-			t.Fatalf("followers never coalesced: %+v", s.RowStats())
+			t.Fatalf("followers never coalesced: %+v", s.Snapshot().Rows)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -275,7 +276,7 @@ func TestRowSingleFlightCoalescesMisses(t *testing.T) {
 			t.Fatalf("goroutine %d got a different row slice: coalescing failed", g)
 		}
 	}
-	if st := s.RowStats(); st.Misses != 1 || st.Coalesced != followers {
+	if st := s.Snapshot().Rows; st.Misses != 1 || st.Coalesced != followers {
 		t.Fatalf("row stats = %+v, want 1 miss and %d coalesced", st, followers)
 	}
 }

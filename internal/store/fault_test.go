@@ -134,7 +134,7 @@ func TestShortReadsRetried(t *testing.T) {
 }
 
 // TestBitFlipQuarantines is the integrity acceptance criterion at store
-// level: a flipped bit in a tile payload is detected by the v2 checksum
+// level: a flipped bit in a tile payload is detected by its CRC32C
 // on a cold read, the tile is quarantined (typed error, no second disk
 // read), and undamaged tiles keep serving.
 func TestBitFlipQuarantines(t *testing.T) {

@@ -36,8 +36,8 @@ type Snapshot struct {
 // Snapshot gathers all store counters in one pass.
 func (s *Store) Snapshot() Snapshot {
 	return Snapshot{
-		Tiles:        s.Stats(),
-		Rows:         s.RowStats(),
+		Tiles:        s.tileCache.Stats(),
+		Rows:         s.rowCache.Stats(),
 		SpanReads:    s.spanReads.Load(),
 		Quarantined:  s.quarCount.Load(),
 		RetriedReads: s.retriedReads.Load(),
@@ -72,7 +72,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	for _, c := range []struct {
 		name  string
 		stats func() cache.Stats
-	}{{"tile", s.Stats}, {"row", s.RowStats}} {
+	}{{"tile", s.tileCache.Stats}, {"row", s.rowCache.Stats}} {
 		label := obs.Label{Key: "cache", Value: c.name}
 		// Scrape-time only: a stats call takes each stripe lock for an instant.
 		counter := func(get func(cache.Stats) int64) func() int64 {
@@ -104,11 +104,11 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		func() int64 { return s.retriedReads.Load() })
 	r.GaugeFunc("apsp_store_codec_ratio", "On-disk density win: raw tile bytes / encoded tile bytes (1.0 = uncompressed).",
 		func() float64 { return s.CodecRatio() })
-	for id := 0; id < numCodecs; id++ {
-		if canonCodec[id] != byte(id) {
-			continue // counted under the codec byte this build writes
+	for id, c := range codecs {
+		if c == nil {
+			continue
 		}
-		label := obs.Label{Key: "codec", Value: codecName(byte(id))}
+		label := obs.Label{Key: "codec", Value: c.Name()}
 		r.GaugeFunc("apsp_store_codec_tiles", "Tiles per codec in the open store.",
 			func() float64 { return float64(s.codecTiles[id]) }, label)
 		r.RegisterHistogram("apsp_store_decode_seconds", "Cold tile and row-segment decode latency by codec.",

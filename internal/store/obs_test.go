@@ -20,7 +20,7 @@ func TestStoreRegisterMetrics(t *testing.T) {
 			m.Set(i, j, float64(i*n+j))
 		}
 	}
-	if err := Write(path, m, b); err != nil {
+	if err := WriteWithCodec(path, m, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20, RowCacheBytes: 1 << 20})
@@ -51,7 +51,8 @@ func TestStoreRegisterMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	stats, rowStats := st.Stats(), st.RowStats()
+	snap := st.Snapshot()
+	stats, rowStats := snap.Tiles, snap.Rows
 	if stats.Hits == 0 || rowStats.Hits == 0 {
 		t.Fatalf("expected cache hits, got tile=%+v row=%+v", stats, rowStats)
 	}
@@ -68,7 +69,7 @@ func TestStoreRegisterMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
 	}
-	// Registry values must agree with the Stats() view.
+	// Registry values must agree with the Snapshot view.
 	wantLine := func(name string, v int64) {
 		t.Helper()
 		line := name + " " + itoa(v)
@@ -101,10 +102,10 @@ func TestStoreSnapshotCoherent(t *testing.T) {
 	path := dir + "/m.apsp"
 	n, b := 16, 8
 	m := matrix.New(n, n)
-	if err := Write(path, m, b); err != nil {
+	if err := WriteWithCodec(path, m, b, nil); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(path, 1<<20)
+	st, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,19 +125,20 @@ func TestStoreSnapshotCoherent(t *testing.T) {
 	}
 }
 
-// TestMetricsCountBothIVarintLayoutsAsOne: the codec label set the
-// benchmark scrapes is unchanged by the second ivarint codec byte — one
-// "ivarint" series per metric, counting tiles and timing decodes of both
-// layouts.
-func TestMetricsCountBothIVarintLayoutsAsOne(t *testing.T) {
-	path := t.TempDir() + "/mixed.apsp"
-	writeOldIVarintStore(t, path, intMatrix(64, 7), 16, func(bi int) bool { return bi >= 2 })
+// TestMetricsOneSeriesPerCodec: the codec label set the benchmark
+// scrapes is exactly the codecs this build reads — raw, f32 and ivarint —
+// one series each, counting tiles and timing decodes.
+func TestMetricsOneSeriesPerCodec(t *testing.T) {
+	path := t.TempDir() + "/ivarint.apsp"
+	if err := WriteWithCodec(path, intMatrix(64, 7), 16, codecs[CodecIVarint]); err != nil {
+		t.Fatal(err)
+	}
 	st, err := OpenWithOptions(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	for _, i := range []int{0, 40} { // one old-layout panel, one restart-layout panel
+	for _, i := range []int{0, 40} {
 		if _, err := st.Row(context.Background(), i); err != nil {
 			t.Fatal(err)
 		}
@@ -150,6 +152,8 @@ func TestMetricsCountBothIVarintLayoutsAsOne(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		`apsp_store_codec_tiles{codec="ivarint"} 16`,
+		`apsp_store_codec_tiles{codec="raw"} 0`,
+		`apsp_store_codec_tiles{codec="f32"} 0`,
 		`apsp_store_decode_seconds_count{codec="ivarint"} 8`,
 		"apsp_store_span_reads_total 8",
 	} {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"apspark/internal/fsx"
@@ -59,7 +58,7 @@ type manifest struct {
 }
 
 // PanelWriterOptions configures the crash-safety discipline of a
-// PanelWriter. The zero value is the classic anonymous-temp-file writer.
+// PanelWriter. The zero value writes an anonymous temp file.
 type PanelWriterOptions struct {
 	// Checkpoint writes panels to a stable partial file (path+".partial")
 	// and maintains a durable sidecar manifest (path+".manifest") after
@@ -89,8 +88,7 @@ type PanelWriterOptions struct {
 // matrix. The file appears at path only on a successful Close (temp or
 // partial file + atomic rename), so readers never see a partial store.
 type PanelWriter struct {
-	tmp       *os.File
-	path      string
+	f         *fsx.Pending
 	n, b, q   int
 	nextPanel int
 	index     []tileRef
@@ -101,20 +99,13 @@ type PanelWriter struct {
 	failed    bool
 
 	checkpoint   bool
-	partialPath  string
 	manifestPath string
 	resumed      int // panels restored from a checkpoint (0 on a fresh run)
 }
 
-// NewPanelWriter creates the temp file and writes the header and tile
-// index for an n x n store with tile edge blockSize (clamped to n, like
-// Write). Equivalent to NewPanelWriterWithOptions with the zero options.
-func NewPanelWriter(path string, n, blockSize int) (*PanelWriter, error) {
-	return NewPanelWriterWithOptions(path, n, blockSize, PanelWriterOptions{})
-}
-
-// NewPanelWriterWithOptions creates a panel writer with an explicit
-// crash-safety discipline (see PanelWriterOptions).
+// NewPanelWriterWithOptions creates the file and writes the header and
+// tile index for an n x n store with tile edge blockSize (clamped to n),
+// under the crash-safety discipline opts selects.
 func NewPanelWriterWithOptions(path string, n, blockSize int, opts PanelWriterOptions) (*PanelWriter, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("store: empty matrix")
@@ -127,46 +118,48 @@ func NewPanelWriterWithOptions(path string, n, blockSize int, opts PanelWriterOp
 	}
 	q := (n + blockSize - 1) / blockSize
 
-	w := &PanelWriter{path: path, n: n, b: blockSize, q: q, codec: opts.Codec}
+	w := &PanelWriter{n: n, b: blockSize, q: q, codec: opts.Codec}
 	w.index = make([]tileRef, q*q)
 	w.nextOff = int64(fileHdrLen + q*q*idxEntryLen)
 
 	var err error
 	if w.checkpoint = opts.Checkpoint || opts.Resume; !w.checkpoint {
-		w.tmp, err = fsx.CreateExclusive(filepath.Dir(path), ".apsp-store-")
+		w.f, err = fsx.Create(path)
 	} else {
-		w.partialPath = path + ".partial"
 		w.manifestPath = path + ".manifest"
 		if opts.Resume {
-			if err := w.resume(); err != nil {
+			if err := w.resume(path); err != nil {
 				return nil, err
 			}
-			if w.tmp != nil {
+			if w.f != nil {
 				return w, nil
 			}
 			// No usable checkpoint: fall through to a fresh start.
 		}
-		w.tmp, err = os.OpenFile(w.partialPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+		var f *os.File
+		if f, err = os.OpenFile(path+".partial", os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644); err == nil {
+			w.f = fsx.Adopt(f, path)
+		}
 		// A stale manifest from an older run must not outlive its data.
 		os.Remove(w.manifestPath)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.tmp.Write(headerBytes(n, blockSize, q, w.index)); err != nil {
-		w.tmp.Close()
-		os.Remove(w.tmp.Name())
+	if _, err := w.f.Write(headerBytes(n, blockSize, q, w.index)); err != nil {
+		w.f.Abort()
 		return nil, err
 	}
 	return w, nil
 }
 
-// resume restores the writer's state from an existing checkpoint. On
-// success w.tmp is open and positioned at the last durable panel
-// boundary; when no checkpoint exists w.tmp stays nil (fresh start). A
-// checkpoint that exists but disagrees with the requested geometry is an
-// error: silently discarding hours of solve work would be worse.
-func (w *PanelWriter) resume() error {
+// resume restores the writer's state from an existing checkpoint of the
+// store at path. On success w.f is open and positioned at the last
+// durable panel boundary; when no checkpoint exists w.f stays nil (fresh
+// start). A checkpoint that exists but disagrees with the requested
+// geometry or codec, or records a codec byte this build does not read,
+// is an error: silently discarding hours of solve work would be worse.
+func (w *PanelWriter) resume(path string) error {
 	raw, err := os.ReadFile(w.manifestPath)
 	if os.IsNotExist(err) {
 		return nil
@@ -202,6 +195,9 @@ func (w *PanelWriter) resume() error {
 		bi, bj := i/w.q, i%w.q
 		raw := matrix.DenseMarshaledSize(tileEdge(w.n, w.b, bi), tileEdge(w.n, w.b, bj))
 		length, codec := m.Lens[i], m.Codecs[i]
+		if err := checkCodec(codec); err != nil {
+			return fmt.Errorf("store: checkpoint manifest %s tile %d: %w", w.manifestPath, i, err)
+		}
 		if !plausibleTile(codec, length, raw) {
 			return fmt.Errorf("store: checkpoint manifest %s tile %d is implausible (len=%d codec=%d)",
 				w.manifestPath, i, length, codec)
@@ -209,7 +205,7 @@ func (w *PanelWriter) resume() error {
 		w.index[i] = tileRef{off: off, length: length, crc: m.CRCs[i], codec: codec}
 		off += length
 	}
-	f, err := os.OpenFile(w.partialPath, os.O_RDWR, 0)
+	f, err := os.OpenFile(path+".partial", os.O_RDWR, 0)
 	if os.IsNotExist(err) {
 		// Manifest without data: treat as no checkpoint.
 		os.Remove(w.manifestPath)
@@ -236,7 +232,7 @@ func (w *PanelWriter) resume() error {
 		f.Close()
 		return err
 	}
-	w.tmp = f
+	w.f = fsx.Adopt(f, path)
 	w.nextPanel = m.Panels
 	w.nextOff = end
 	w.resumed = m.Panels
@@ -267,7 +263,7 @@ func (w *PanelWriter) panelEnd(p int) int64 {
 // after both steps is the new panel considered resumable — a crash
 // between them resumes from the previous manifest, re-solving one panel.
 func (w *PanelWriter) checkpointPanel() error {
-	if err := w.tmp.Sync(); err != nil {
+	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	m := manifest{
@@ -289,7 +285,15 @@ func (w *PanelWriter) checkpointPanel() error {
 	if err != nil {
 		return err
 	}
-	return fsx.WriteFileDurable(w.manifestPath, raw, 0o644)
+	mf, err := fsx.Create(w.manifestPath)
+	if err != nil {
+		return err
+	}
+	defer mf.Abort()
+	if _, err := mf.Write(raw); err != nil {
+		return err
+	}
+	return mf.Commit()
 }
 
 // headerBytes encodes the file header plus tile index. Index entries carry whatever checksums are present in index;
@@ -378,7 +382,7 @@ func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 			w.buf = slices.Grow(w.buf, (w.q-1)*len(w.buf)*9/8)
 		}
 	}
-	if _, err := w.tmp.Write(w.buf); err != nil {
+	if _, err := w.f.Write(w.buf); err != nil {
 		return w.fail(err)
 	}
 	return w.panelWritten()
@@ -422,11 +426,10 @@ func (w *PanelWriter) panelWritten() error {
 }
 
 // plausibleTile reports whether an encoded tile length can belong to the
-// codec byte claimed for it: a known codec, raw tiles at exactly their
-// geometric size, compressed tiles strictly smaller (the writers'
-// fallback rule).
+// (known) codec byte claimed for it: raw tiles at exactly their geometric
+// size, compressed tiles strictly smaller (the writers' fallback rule).
 func plausibleTile(codec byte, length, rawSize int64) bool {
-	if int(codec) >= numCodecs || length < matrix.HeaderLen {
+	if length < matrix.HeaderLen {
 		return false
 	}
 	if codec == CodecRaw {
@@ -436,10 +439,10 @@ func plausibleTile(codec byte, length, rawSize int64) bool {
 }
 
 // Close finalizes the store: it fails unless every panel has been
-// written, then patches the per-tile checksums into the index, syncs and
-// atomically renames the temp (or partial) file into place, and removes
-// the checkpoint manifest. After Close (success or not) the writer is
-// spent; Abort is a no-op.
+// written, then patches the per-tile checksums into the index and commits
+// the temp (or partial) file to path. Once the partial file is committed,
+// or removed by a failed commit, the checkpoint manifest goes too. After
+// Close (success or not) the writer is spent; Abort is a no-op.
 func (w *PanelWriter) Close() error {
 	if w.closed {
 		return fmt.Errorf("store: writer already closed")
@@ -453,30 +456,15 @@ func (w *PanelWriter) Close() error {
 		return fmt.Errorf("store: only %d of %d panels written", w.nextPanel, w.q)
 	}
 	w.closed = true
-	name := w.tmp.Name()
-	fail := func(err error) error {
-		w.tmp.Close()
-		os.Remove(name)
+	if _, err := w.f.WriteAt(indexBytes(w.index), fileHdrLen); err != nil {
+		w.f.Abort()
 		return err
 	}
-	if _, err := w.tmp.WriteAt(indexBytes(w.index), fileHdrLen); err != nil {
-		return fail(err)
-	}
-	if err := w.tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := w.tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := fsx.RenameDurable(name, w.path); err != nil {
-		os.Remove(name)
-		return err
-	}
+	err := w.f.Commit()
 	if w.checkpoint {
 		os.Remove(w.manifestPath)
 	}
-	return nil
+	return err
 }
 
 // Abort abandons the writer. Without checkpointing it removes the temp
@@ -486,17 +474,9 @@ func (w *PanelWriter) Close() error {
 // times and after Close (where it does nothing), so it can sit in a defer
 // alongside the success path.
 func (w *PanelWriter) Abort() {
-	if w.closed {
-		return
-	}
-	w.closed = true
-	if w.tmp == nil {
-		return
-	}
-	name := w.tmp.Name()
-	w.tmp.Close()
-	if !w.checkpoint {
-		os.Remove(name)
+	if !w.closed {
+		w.closed = true
+		w.f.Abort()
 	}
 }
 

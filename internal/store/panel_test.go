@@ -34,7 +34,7 @@ func randomDist(n int, seed int64) *matrix.Block {
 // writePanels streams m through a PanelWriter in row panels of height b.
 func writePanels(t *testing.T, path string, m *matrix.Block, b int) {
 	t.Helper()
-	pw, err := NewPanelWriter(path, m.R, b)
+	pw, err := NewPanelWriterWithOptions(path, m.R, b, PanelWriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPanelWriterByteIdenticalToWrite(t *testing.T) {
 		m := randomDist(tc.n, int64(tc.n*100+tc.b))
 		ref := filepath.Join(dir, "ref.apsp")
 		stream := filepath.Join(dir, "stream.apsp")
-		if err := Write(ref, m, tc.b); err != nil {
+		if err := WriteWithCodec(ref, m, tc.b, nil); err != nil {
 			t.Fatal(err)
 		}
 		writePanels(t, stream, m, tc.b)
@@ -96,7 +96,7 @@ func TestPanelWriterServesQueries(t *testing.T) {
 	m := randomDist(75, 9)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
 	writePanels(t, path, m, 20)
-	s, err := Open(path, 1<<20)
+	s, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPanelWriterServesQueries(t *testing.T) {
 func TestPanelWriterRejectsBadPanels(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dist.apsp")
-	pw, err := NewPanelWriter(path, 50, 20)
+	pw, err := NewPanelWriterWithOptions(path, 50, 20, PanelWriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestPanelWriterRejectsBadPanels(t *testing.T) {
 func TestPanelWriterIncompleteCloseFails(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dist.apsp")
-	pw, err := NewPanelWriter(path, 50, 20)
+	pw, err := NewPanelWriterWithOptions(path, 50, 20, PanelWriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestPanelWriterIncompleteCloseFails(t *testing.T) {
 func TestPanelWriterAbortCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dist.apsp")
-	pw, err := NewPanelWriter(path, 50, 20)
+	pw, err := NewPanelWriterWithOptions(path, 50, 20, PanelWriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPanelWriterAbortCleansUp(t *testing.T) {
 
 func TestPanelWriterTooManyPanels(t *testing.T) {
 	dir := t.TempDir()
-	pw, err := NewPanelWriter(filepath.Join(dir, "dist.apsp"), 20, 20)
+	pw, err := NewPanelWriterWithOptions(filepath.Join(dir, "dist.apsp"), 20, 20, PanelWriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +191,10 @@ func TestPanelWriterTooManyPanels(t *testing.T) {
 
 func TestPanelWriterRejectsBadShape(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := NewPanelWriter(filepath.Join(dir, "x"), 0, 16); err == nil {
+	if _, err := NewPanelWriterWithOptions(filepath.Join(dir, "x"), 0, 16, PanelWriterOptions{}); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := NewPanelWriter(filepath.Join(dir, "x"), 16, 0); err == nil {
+	if _, err := NewPanelWriterWithOptions(filepath.Join(dir, "x"), 16, 0, PanelWriterOptions{}); err == nil {
 		t.Fatal("blockSize=0 accepted")
 	}
 }

@@ -29,19 +29,6 @@ type TileMeta struct {
 	Codec  byte
 }
 
-// PanelBytes returns the encoded size of row panel bi — the bytes
-// ReadPanelRaw will produce for it.
-func (s *Store) PanelBytes(bi int) (int64, error) {
-	if bi < 0 || bi >= s.q {
-		return 0, fmt.Errorf("store: panel %d outside [0,%d)", bi, s.q)
-	}
-	var total int64
-	for bj := 0; bj < s.q; bj++ {
-		total += s.index[bi*s.q+bj].length
-	}
-	return total, nil
-}
-
 // ReadPanelRaw reads row panel bi (all q tiles of tile-row bi) as one
 // contiguous encoded byte span, reusing buf's backing array when it is
 // large enough, and returns the per-tile metadata (length, CRC32C,
@@ -87,11 +74,11 @@ func (s *Store) ReadPanelRaw(bi int, buf []byte) ([]byte, []TileMeta, error) {
 // WriteRawPanel appends the next row panel from its encoded bytes, as
 // produced by ReadPanelRaw on a store of identical geometry. The span
 // length must match the metadata's tile lengths exactly, every tile's
-// metadata must satisfy the format invariants (known codec, raw tiles at
-// their geometric size, compressed tiles strictly smaller), and every
-// tile's bytes must hash to the caller-supplied CRC32C — the
-// copy-integrity gate that keeps a bit flipped in transit out of the new
-// store. In checkpoint mode the panel is made durable before returning,
+// metadata must satisfy the format invariants (a codec this build reads,
+// else ErrVersion; raw tiles at their geometric size, compressed tiles
+// strictly smaller), and every tile's bytes must hash to the
+// caller-supplied CRC32C — the copy-integrity gate that keeps a bit
+// flipped in transit out of the new store. In checkpoint mode the panel is made durable before returning,
 // exactly like WritePanel.
 func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
 	if err := w.expectPanel(); err != nil {
@@ -104,6 +91,9 @@ func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
 	h := tileEdge(w.n, w.b, bi)
 	var want int64
 	for bj, m := range metas {
+		if err := checkCodec(m.Codec); err != nil {
+			return fmt.Errorf("store: panel %d tile %d: %w", bi, bj, err)
+		}
 		rawSize := matrix.DenseMarshaledSize(h, tileEdge(w.n, w.b, bj))
 		if !plausibleTile(m.Codec, m.Length, rawSize) {
 			return fmt.Errorf("store: panel %d tile %d meta is implausible (len=%d codec=%d, raw size %d)",
@@ -122,7 +112,7 @@ func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
 		w.index[bi*w.q+bj] = tileRef{off: w.nextOff + off, length: m.Length, crc: m.CRC, codec: m.Codec}
 		off += m.Length
 	}
-	if _, err := w.tmp.Write(raw); err != nil {
+	if _, err := w.f.Write(raw); err != nil {
 		w.failed = true
 		return err
 	}

@@ -52,7 +52,7 @@ func TestRowCacheServesAndEvicts(t *testing.T) {
 	if &v1[0] != &v2[0] {
 		t.Fatal("row-cache hit returned a different slice")
 	}
-	if st := s.RowStats(); st.Hits != 1 || st.Misses != 1 || st.Items != 1 {
+	if st := s.Snapshot().Rows; st.Hits != 1 || st.Misses != 1 || st.Items != 1 {
 		t.Fatalf("stats after hit: %+v", st)
 	}
 
@@ -64,10 +64,10 @@ func TestRowCacheServesAndEvicts(t *testing.T) {
 	if want := m.At(5, 7); d != want && !(math.IsInf(d, 1) && math.IsInf(want, 1)) {
 		t.Fatalf("Dist(5,7) = %v, want %v", d, want)
 	}
-	if st := s.RowStats(); st.Hits != 2 {
+	if st := s.Snapshot().Rows; st.Hits != 2 {
 		t.Fatalf("Dist did not hit the row cache: %+v", st)
 	}
-	if st := s.Stats(); st.Hits != 0 && st.Misses != 0 {
+	if st := s.Snapshot().Tiles; st.Hits != 0 && st.Misses != 0 {
 		t.Fatalf("tile cache touched with row cache enabled: %+v", st)
 	}
 
@@ -79,25 +79,25 @@ func TestRowCacheServesAndEvicts(t *testing.T) {
 	if _, err := s.RowView(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
-	st := s.RowStats()
+	st := s.Snapshot().Rows
 	if st.Evictions != 1 || st.Items != 2 || st.BytesInUse != 2*rowBytes {
 		t.Fatalf("stats after evictions: %+v", st)
 	}
 	if st.BytesInUse > st.BytesBudget {
 		t.Fatalf("row cache over budget: %+v", st)
 	}
-	before := s.RowStats().Hits
+	before := s.Snapshot().Rows.Hits
 	if _, err := s.RowView(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
-	if s.RowStats().Hits != before+1 {
+	if s.Snapshot().Rows.Hits != before+1 {
 		t.Fatal("recently used row was evicted")
 	}
-	before = s.RowStats().Misses
+	before = s.Snapshot().Rows.Misses
 	if _, err := s.RowView(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
-	if s.RowStats().Misses != before+1 {
+	if s.Snapshot().Rows.Misses != before+1 {
 		t.Fatal("LRU row survived eviction")
 	}
 }
@@ -130,7 +130,7 @@ func TestOversizeRowServedUncached(t *testing.T) {
 	if _, err := s.RowView(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.RowStats(); st.Items != 0 || st.BytesInUse != 0 {
+	if st := s.Snapshot().Rows; st.Items != 0 || st.BytesInUse != 0 {
 		t.Fatalf("oversize row was cached: %+v", st)
 	}
 }
@@ -158,7 +158,7 @@ func TestRowSpanReadsBypassTiles(t *testing.T) {
 	if got, want := s.spanReads.Load(), int64(n*4); got != want {
 		t.Fatalf("span reads = %d, want %d (q per row)", got, want)
 	}
-	if st := s.Stats(); st.Misses != 0 {
+	if st := s.Snapshot().Tiles; st.Misses != 0 {
 		t.Fatalf("span path decoded tiles: %+v", st)
 	}
 }
@@ -189,7 +189,7 @@ func TestRowSpanUsesResidentTiles(t *testing.T) {
 	if got := s.spanReads.Load(); got != 0 {
 		t.Fatalf("span reads = %d, want 0 (all tiles resident)", got)
 	}
-	if hits := s.Stats().Hits; hits != int64(s.q) {
+	if hits := s.Snapshot().Tiles.Hits; hits != int64(s.q) {
 		t.Fatalf("tile hits = %d, want %d", hits, s.q)
 	}
 }
@@ -204,7 +204,7 @@ func TestSpanReadRejectsCorruptHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tileOff := 24 + 9*24 // header + 3x3 v2 index
+	tileOff := 24 + 9*24 // header + 3x3 index
 	buf[tileOff] = 0x42  // tile (0,0) magic byte
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
@@ -319,10 +319,10 @@ func TestRowSpanReadsEveryCodec(t *testing.T) {
 		if got := s.spanReads.Load() - spans; got != int64(2*bs) {
 			t.Fatalf("%s: %d span reads for %d rows, want %d", name, got, bs, 2*bs)
 		}
-		if st := s.Stats(); st.Misses != 1 {
+		if st := s.Snapshot().Tiles; st.Misses != 1 {
 			t.Fatalf("%s: row assembly decoded tiles: %+v", name, st)
 		}
-		if got := s.DecodeHistogram(name).Snapshot().Count(); got != uint64(1+2+2*bs) {
+		if got := s.decodeHist[c.ID()].Snapshot().Count(); got != uint64(1+2+2*bs) {
 			t.Fatalf("%s: decode histogram holds %d samples, want 1 tile + %d row segments", name, got, 2+2*bs)
 		}
 	}

@@ -9,27 +9,23 @@
 // serving half of the pipeline. Layout (little-endian):
 //
 //	[0:8]    magic "APSPTDS1"
-//	[8:12]   uint32 format version (3; v2 files still open)
+//	[8:12]   uint32 format version (3)
 //	[12:16]  uint32 n (vertices per side)
 //	[16:20]  uint32 b (tile edge; trailing tiles are ragged)
 //	[20:24]  uint32 q = ceil(n/b) (tiles per side, redundant, validated)
-//	[24:...] q*q index entries, row-major:
-//	           v3: {uint64 offset, uint64 length, uint32 crc32c,
-//	                byte codec, 3 zero bytes}
-//	           v2: {uint64 offset, uint64 length, uint32 crc32c, uint32 0}
+//	[24:...] q*q index entries, row-major: {uint64 offset, uint64 length,
+//	         uint32 crc32c, byte codec, 3 zero bytes}
 //	[...]    tile payloads, contiguous in index order: raw tiles are
 //	         matrix.Block.Marshal bytes; compressed tiles hold the codec's
 //	         encoding (see codec.go) and are strictly smaller than raw
 //
-// Version 3 adds per-tile compression: each index entry names the codec
-// of its payload, tile lengths become variable, and Open enforces that
-// the payloads are laid out contiguously (offset i+1 = offset i +
-// length i), which is what lets the raw-panel copy path move whole row
-// panels as one span without decoding. Raw tiles keep the exact v2
-// payload bytes, so a v3 store written with the raw codec differs from
-// v2 only in the header version and codec bytes. A codec byte this build
-// does not know fails Open with ErrVersion, as does a version-1 file
-// (unchecksummed; nothing has written one since v2).
+// Each index entry names the codec of its payload, so tile lengths vary,
+// and Open enforces that the payloads are laid out contiguously (offset
+// i+1 = offset i + length i), which is what lets the raw-panel copy path
+// move whole row panels as one span without decoding. This build reads
+// exactly what it writes: any other version (1 had no checksums, 2 no
+// codec byte; nothing has written either since) and any codec byte it
+// does not know fail Open with ErrVersion.
 //
 // Every index entry carries the CRC32C (Castagnoli) of its tile's encoded
 // bytes, and every tile is verified once: its first touch since open, by
@@ -90,8 +86,7 @@ import (
 
 const (
 	magic       = "APSPTDS1"
-	version     = 3 // written by this build: per-tile codecs
-	versionV2   = 2 // still readable: raw tiles only
+	version     = 3
 	fileHdrLen  = 24
 	idxEntryLen = 24
 )
@@ -119,18 +114,12 @@ var (
 	ErrCorruptTile = errors.New("store: corrupt tile")
 )
 
-// Write cuts the dense n x n distance matrix into blockSize-edged tiles
-// and writes the store file at path (atomically: a temp file renamed into
-// place) with every tile stored raw. The matrix is only read, never
-// retained.
-func Write(path string, dist *matrix.Block, blockSize int) error {
-	return WriteWithCodec(path, dist, blockSize, nil)
-}
-
-// WriteWithCodec is Write with a preferred tile codec: each tile is
-// offered to codec (nil means raw) and falls back to raw bytes whenever
-// the codec declines it or fails to shrink it, so the store is valid —
-// and no larger than its raw equivalent — for any input.
+// WriteWithCodec cuts the dense n x n distance matrix into
+// blockSize-edged tiles and publishes the store file at path (it appears
+// only once complete). Each tile is offered to codec (nil means raw) and
+// falls back to raw bytes whenever the codec declines it or fails to
+// shrink it, so the store is valid — and no larger than its raw
+// equivalent — for any input. The matrix is only read, never retained.
 func WriteWithCodec(path string, dist *matrix.Block, blockSize int, codec Codec) error {
 	if dist == nil || dist.Phantom() {
 		return fmt.Errorf("store: need a dense matrix (phantom or truncated solves have no distances)")
@@ -168,7 +157,7 @@ type tileRef struct {
 	off, length int64
 	// crc is the CRC32C of the tile's encoded bytes.
 	crc uint32
-	// codec identifies the payload encoding (always CodecRaw on v2).
+	// codec identifies the payload encoding.
 	codec byte
 }
 
@@ -200,7 +189,6 @@ type Store struct {
 	r         io.ReaderAt
 	closer    io.Closer // closed by Close when the store owns the file
 	n, b, q   int
-	ver       int
 	index     []tileRef
 	fileBytes int64
 
@@ -255,14 +243,6 @@ func getIOBuf(n int) *[]byte {
 	return p
 }
 
-// Open opens a store file for querying with a tile cache of cacheBytes
-// and no row cache — the minimal, backward-compatible handle. Serving
-// deployments should prefer OpenWithOptions and give the row cache the
-// larger share (see Options).
-func Open(path string, cacheBytes int64) (*Store, error) {
-	return OpenWithOptions(path, Options{TileCacheBytes: cacheBytes})
-}
-
 // OpenWithOptions opens a store file for querying with explicit cache
 // budgets. Each budget is a hard invariant: the bytes cached never exceed
 // it at any instant.
@@ -301,9 +281,8 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 	if string(hdr[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrNotAStore, hdr[:8])
 	}
-	ver := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	if ver != version && ver != versionV2 {
-		return nil, fmt.Errorf("%w: version %d, this build reads %d and %d", ErrVersion, ver, versionV2, version)
+	if ver := binary.LittleEndian.Uint32(hdr[8:12]); ver != version {
+		return nil, fmt.Errorf("%w: version %d, this build reads only version %d", ErrVersion, ver, version)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[12:16]))
 	b := int(binary.LittleEndian.Uint32(hdr[16:20]))
@@ -338,13 +317,9 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("%w: tile %d index entry (off=%d len=%d) outside file of %d bytes",
 				ErrMalformed, i, off, length, size)
 		}
-		var codec byte
-		if ver == version {
-			codec = ent[20]
-			if int(codec) >= numCodecs {
-				return nil, fmt.Errorf("%w: tile %d uses codec %d, this build knows %d codecs",
-					ErrVersion, i, codec, numCodecs)
-			}
+		codec := ent[20]
+		if err := checkCodec(codec); err != nil {
+			return nil, fmt.Errorf("%w (tile %d)", err, i)
 		}
 		// Tile shapes are fully determined by (n, b), so every raw index
 		// length is checkable up front, and a compressed tile must be
@@ -355,15 +330,15 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("%w: tile %d claims codec %s in %d bytes, its raw size is %d",
 				ErrMalformed, i, codecName(codec), length, raw)
 		}
-		// v3 payloads are contiguous in index order — variable lengths
-		// make this the only layout the raw-panel span copy can trust,
-		// so it is a format invariant, not a writer convention.
-		if ver == version && off != nextOff {
+		// Payloads are contiguous in index order — variable lengths make
+		// this the only layout the raw-panel span copy can trust, so it is
+		// a format invariant, not a writer convention.
+		if off != nextOff {
 			return nil, fmt.Errorf("%w: tile %d at offset %d, contiguous layout implies %d", ErrMalformed, i, off, nextOff)
 		}
 		nextOff = off + length
 		index[i] = tileRef{off: off, length: length, crc: binary.LittleEndian.Uint32(ent[16:]), codec: codec}
-		codecTiles[canonCodec[codec]]++
+		codecTiles[codec]++
 		encodedBytes += length
 		rawBytes += raw
 	}
@@ -372,7 +347,7 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 		backoff = 2 * time.Millisecond
 	}
 	s := &Store{
-		r: f, n: n, b: b, q: q, ver: ver, index: index, fileBytes: size,
+		r: f, n: n, b: b, q: q, index: index, fileBytes: size,
 		tileCache:    cache.New[int](opts.TileCacheBytes, 8*int64(b)*int64(b), (*matrix.Block).SizeBytes),
 		rowCache:     cache.New[int](opts.RowCacheBytes, 8*int64(n), func(row []float64) int64 { return 8 * int64(len(row)) }),
 		rows:         make([]atomic.Pointer[RowTable], q*q),
@@ -383,11 +358,10 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 		encodedBytes: encodedBytes,
 		rawBytes:     rawBytes,
 	}
-	for id, c := range canonCodec {
-		if s.decodeHist[c] == nil {
-			s.decodeHist[c] = obs.NewHistogram()
+	for id, c := range codecs {
+		if c != nil {
+			s.decodeHist[id] = obs.NewHistogram()
 		}
-		s.decodeHist[id] = s.decodeHist[c]
 	}
 	return s, nil
 }
@@ -418,12 +392,7 @@ func (s *Store) TilesPerSide() int { return s.q }
 // FileBytes returns the on-disk size of the store.
 func (s *Store) FileBytes() int64 { return s.fileBytes }
 
-// Version returns the on-disk format version (3 adds per-tile codecs to
-// version 2).
-func (s *Store) Version() int { return s.ver }
-
-// TileCodec returns the codec byte of tile (bi, bj) — CodecRaw on every
-// v2 store.
+// TileCodec returns the codec byte of tile (bi, bj).
 func (s *Store) TileCodec(bi, bj int) byte {
 	if bi < 0 || bi >= s.q || bj < 0 || bj >= s.q {
 		return CodecRaw
@@ -469,7 +438,7 @@ func (s *Store) CodecRatio() float64 {
 // store should inherit so derived generations keep the density.
 func (s *Store) PreferredCodec() Codec {
 	best, bestCount := CodecRaw, int64(0)
-	for id := 1; id < numCodecs; id++ { // codecTiles is keyed by canonCodec
+	for id := 1; id < numCodecs; id++ {
 		if s.codecTiles[id] > bestCount {
 			best, bestCount = byte(id), s.codecTiles[id]
 		}
@@ -480,18 +449,6 @@ func (s *Store) PreferredCodec() Codec {
 // CodecName returns the name of the store's preferred codec (see
 // PreferredCodec) for health reporting.
 func (s *Store) CodecName() string { return s.PreferredCodec().Name() }
-
-// DecodeHistogram returns the latency histogram of cold tile and row
-// decodes for the named codec (nil for unknown names). Exposed so
-// RegisterMetrics callers and benches can read decode timings per codec.
-func (s *Store) DecodeHistogram(name string) *obs.Histogram {
-	for id := 0; id < numCodecs; id++ {
-		if codecName(byte(id)) == name {
-			return s.decodeHist[id]
-		}
-	}
-	return nil
-}
 
 // Quarantined returns the number of tiles quarantined for failing their
 // checksum (or decoding to the wrong shape). A nonzero count means some
@@ -531,12 +488,6 @@ func (s *Store) quarantine(id, bi, bj int, detail error) error {
 	}
 	return fmt.Errorf("%w: tile (%d,%d): %v", ErrCorruptTile, bi, bj, detail)
 }
-
-// Stats snapshots the decoded-tile cache.
-func (s *Store) Stats() cache.Stats { return s.tileCache.Stats() }
-
-// RowStats snapshots the assembled-row cache.
-func (s *Store) RowStats() cache.Stats { return s.rowCache.Stats() }
 
 // Tile returns tile (bi, bj) — an h x w dense block, ragged at the matrix
 // edge. The block is shared: callers must neither mutate it nor return it

@@ -37,7 +37,7 @@ func testMatrix(n int, seed int64) *matrix.Block {
 func writeTestStore(t *testing.T, m *matrix.Block, blockSize int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "dist.apsp")
-	if err := Write(path, m, blockSize); err != nil {
+	if err := WriteWithCodec(path, m, blockSize, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -55,7 +55,7 @@ func TestWriteRejectsBadInput(t *testing.T) {
 		"zero bs":    {matrix.NewZero(4, 4), 0},
 		"empty":      {matrix.NewZero(0, 0), 1},
 	} {
-		if err := Write(filepath.Join(dir, "x.apsp"), tc.m, tc.bs); err == nil {
+		if err := WriteWithCodec(filepath.Join(dir, "x.apsp"), tc.m, tc.bs, nil); err == nil {
 			t.Errorf("%s: Write accepted bad input", name)
 		}
 	}
@@ -77,7 +77,7 @@ func TestRoundTripExact(t *testing.T) {
 		{n: 5, bs: 64, budget: 1 << 20}, // blockSize clamped to n
 	} {
 		m := testMatrix(tc.n, int64(tc.n))
-		s, err := Open(writeTestStore(t, m, tc.bs), tc.budget)
+		s, err := OpenWithOptions(writeTestStore(t, m, tc.bs), Options{TileCacheBytes: tc.budget})
 		if err != nil {
 			t.Fatalf("n=%d bs=%d: %v", tc.n, tc.bs, err)
 		}
@@ -100,7 +100,7 @@ func TestRoundTripExact(t *testing.T) {
 					t.Fatalf("n=%d bs=%d (%d,%d): Dist=%v Row=%v want %v", tc.n, tc.bs, i, j, d, row[j], want)
 				}
 			}
-			if st := s.Stats(); st.BytesInUse > st.BytesBudget {
+			if st := s.Snapshot().Tiles; st.BytesInUse > st.BytesBudget {
 				t.Fatalf("n=%d bs=%d: cache %d bytes over budget %d", tc.n, tc.bs, st.BytesInUse, st.BytesBudget)
 			}
 		}
@@ -112,7 +112,7 @@ func TestCacheHitsAndEvictions(t *testing.T) {
 	n, bs := 32, 8 // 16 tiles of 512 bytes each
 	m := testMatrix(n, 1)
 	tileBytes := int64(8 * bs * bs)
-	s, err := Open(writeTestStore(t, m, bs), 2*tileBytes) // room for 2 tiles
+	s, err := OpenWithOptions(writeTestStore(t, m, bs), Options{TileCacheBytes: 2 * tileBytes}) // room for 2 tiles
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCacheHitsAndEvictions(t *testing.T) {
 	if a != b {
 		t.Fatal("cache hit returned a different block")
 	}
-	st := s.Stats()
+	st := s.Snapshot().Tiles
 	if st.Hits != 2 || st.Misses != 1 || st.Evictions != 0 {
 		t.Fatalf("stats after hits: %+v", st)
 	}
@@ -145,29 +145,29 @@ func TestCacheHitsAndEvictions(t *testing.T) {
 	if _, err := s.Tile(context.Background(), 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	st = s.Stats()
+	st = s.Snapshot().Tiles
 	if st.Evictions != 1 || st.Items != 2 || st.BytesInUse != 2*tileBytes {
 		t.Fatalf("stats after evictions: %+v", st)
 	}
 	// (0,0) still cached, (0,1) evicted: hit count isolates which.
-	before := s.Stats().Hits
+	before := s.Snapshot().Tiles.Hits
 	s.Tile(context.Background(), 0, 0)
-	if s.Stats().Hits != before+1 {
+	if s.Snapshot().Tiles.Hits != before+1 {
 		t.Fatal("recently used tile was evicted")
 	}
-	before = s.Stats().Misses
+	before = s.Snapshot().Tiles.Misses
 	s.Tile(context.Background(), 0, 1)
-	if s.Stats().Misses != before+1 {
+	if s.Snapshot().Tiles.Misses != before+1 {
 		t.Fatal("LRU tile survived eviction")
 	}
-	if st := s.Stats(); st.BytesInUse > st.BytesBudget {
+	if st := s.Snapshot().Tiles; st.BytesInUse > st.BytesBudget {
 		t.Fatalf("over budget: %+v", st)
 	}
 }
 
 func TestOversizeTileServedUncached(t *testing.T) {
 	m := testMatrix(16, 2)
-	s, err := Open(writeTestStore(t, m, 8), 100) // tile = 512 bytes > 100
+	s, err := OpenWithOptions(writeTestStore(t, m, 8), Options{TileCacheBytes: 100}) // tile = 512 bytes > 100
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +175,14 @@ func TestOversizeTileServedUncached(t *testing.T) {
 	if _, err := s.Tile(context.Background(), 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := s.Snapshot().Tiles
 	if st.Items != 0 || st.BytesInUse != 0 {
 		t.Fatalf("oversize tile was cached: %+v", st)
 	}
 }
 
 func TestBoundsErrors(t *testing.T) {
-	s, err := Open(writeTestStore(t, testMatrix(10, 3), 4), 1<<20)
+	s, err := OpenWithOptions(writeTestStore(t, testMatrix(10, 3), 4), Options{TileCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if s, err := Open(path, 1<<20); err == nil {
+		if s, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20}); err == nil {
 			s.Close()
 			t.Errorf("%s: corrupt store opened cleanly", name)
 		}
@@ -258,12 +258,12 @@ func TestCorruptTilePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First tile starts right after header+index; smash its magic byte.
-	tileOff := 24 + 9*24 // header + 3x3 v2 index
+	tileOff := 24 + 9*24 // header + 3x3 index
 	buf[tileOff] = 0x42
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path, 1<<20)
+	s, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestConcurrentQueries(t *testing.T) {
 	n, bs := 48, 8 // 36 tiles
 	m := testMatrix(n, 7)
 	tileBytes := int64(8 * bs * bs)
-	s, err := Open(writeTestStore(t, m, bs), 3*tileBytes)
+	s, err := OpenWithOptions(writeTestStore(t, m, bs), Options{TileCacheBytes: 3 * tileBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestConcurrentQueries(t *testing.T) {
 						return
 					}
 				}
-				if st := s.Stats(); st.BytesInUse > st.BytesBudget {
+				if st := s.Snapshot().Tiles; st.BytesInUse > st.BytesBudget {
 					errs <- fmt.Errorf("cache %d bytes over budget %d", st.BytesInUse, st.BytesBudget)
 					return
 				}
@@ -328,7 +328,7 @@ func TestConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := s.Snapshot().Tiles
 	if st.Hits == 0 || st.Evictions == 0 {
 		t.Fatalf("workload did not exercise the cache: %+v", st)
 	}
@@ -339,7 +339,7 @@ func TestConcurrentQueries(t *testing.T) {
 func TestTileContextCancellation(t *testing.T) {
 	m := testMatrix(12, 3)
 	path := writeTestStore(t, m, 4)
-	s, err := Open(path, 1<<20)
+	s, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
