@@ -258,12 +258,12 @@ func main() {
 	}
 }
 
-// printSparseEngine reports what the host solve's sparse engine ran on —
-// the queue it chose and the panel kernel it ended on, with the reason if
-// it narrowed on the way — as the engine itself tells it: the solve
-// registers its engine with the process registry, and these are the
-// apsp_sparse_*_info and apsp_sparse_batch_fallbacks_total series a
-// served process exposes on /metrics.
+// printSparseEngine reports the panel kernel the host solve's sparse
+// engine ended on, with the reason if it narrowed on the way, as the
+// engine itself tells it: the solve registers its engine with the process
+// registry, and these are the apsp_sparse_panel_kernel_info and
+// apsp_sparse_batch_fallbacks_total series a served process exposes on
+// /metrics.
 func printSparseEngine() {
 	var buf bytes.Buffer
 	if err := obs.Default.WritePrometheus(&buf); err != nil {
@@ -271,11 +271,6 @@ func printSparseEngine() {
 	}
 	text := buf.String()
 	is1 := func(series string) bool { return strings.Contains(text, series+" 1\n") }
-	for _, q := range []string{"dial", "radix"} {
-		if is1(`apsp_sparse_queue_info{impl="` + q + `"}`) {
-			fmt.Printf("sparse queue: %s\n", q)
-		}
-	}
 	for _, k := range []string{"batch32", "batch16", "row"} {
 		if !is1(`apsp_sparse_panel_kernel_info{impl="` + k + `"}`) {
 			continue

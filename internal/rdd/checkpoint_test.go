@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"apspark/internal/cluster"
@@ -100,7 +101,7 @@ func TestCheckpointAndReleaseReportsSeveredLineage(t *testing.T) {
 		return p, nil
 	}).PartitionBy(Modulo{Parts: 4}).Persist()
 
-	calls := 0
+	var calls atomic.Int64
 	count := func(parts [][]Pair) map[*payload]int {
 		seen := map[*payload]int{}
 		for _, part := range parts {
@@ -111,7 +112,7 @@ func TestCheckpointAndReleaseReportsSeveredLineage(t *testing.T) {
 		return seen
 	}
 	err := gen2.CheckpointAndRelease(func(severed, kept [][]Pair) {
-		calls++
+		calls.Add(1)
 		k, s := count(kept), count(severed)
 		if len(k) != 8 {
 			t.Fatalf("kept %d payloads, want 8", len(k))
@@ -137,8 +138,8 @@ func TestCheckpointAndReleaseReportsSeveredLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Fatalf("release called %d times", calls)
+	if calls.Load() != 1 {
+		t.Fatalf("release called %d times", calls.Load())
 	}
 	if len(gen2.parents) != 0 {
 		t.Fatal("lineage not severed")

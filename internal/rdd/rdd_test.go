@@ -3,6 +3,7 @@ package rdd
 import (
 	"errors"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"apspark/internal/cluster"
@@ -194,41 +195,41 @@ func TestCartesian(t *testing.T) {
 
 func TestPersistComputesOnce(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
-	calls := 0
+	var calls atomic.Int64
 	r := ctx.Parallelize("src", intPairs(4), Modulo{Parts: 2}).
 		Map("count-calls", func(tc *TaskContext, p Pair) (Pair, error) {
-			calls++
+			calls.Add(1)
 			return p, nil
 		}).Persist()
 	if _, err := r.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	first := calls
+	first := calls.Load()
 	if _, err := r.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	if calls != first {
-		t.Fatalf("persisted RDD recomputed: %d -> %d calls", first, calls)
+	if calls.Load() != first {
+		t.Fatalf("persisted RDD recomputed: %d -> %d calls", first, calls.Load())
 	}
 }
 
 func TestUnpersistForcesRecompute(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
-	calls := 0
+	var calls atomic.Int64
 	base := ctx.Parallelize("src", intPairs(4), Modulo{Parts: 2}).
 		Map("count-calls", func(tc *TaskContext, p Pair) (Pair, error) {
-			calls++
+			calls.Add(1)
 			return p, nil
 		}).Persist()
 	if _, err := base.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	first := calls
+	first := calls.Load()
 	base.Unpersist()
 	if _, err := base.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	if calls <= first {
+	if calls.Load() <= first {
 		t.Fatal("unpersist did not force lineage recomputation")
 	}
 }

@@ -1,10 +1,54 @@
 package sparse
 
 import (
+	"math"
 	"unsafe"
 
 	"apspark/internal/matrix"
 )
+
+// arc is one adjacency entry of the batched kernel's input, head vertex
+// and weight packed as to<<arcWeightBits | w: a visit reads 4 bytes per
+// arc from one stream instead of a column index and a float64 weight from
+// two. Vertices fit the upper 24 bits because the engine stops at maxN.
+type arc uint32
+
+const arcWeightBits = 8
+
+// maxArcWeight is the largest edge weight an arc holds, and so the
+// largest the batched kernel takes.
+const maxArcWeight = 1<<arcWeightBits - 1
+
+// unreached is the tentative distance of a vertex no relaxation has
+// touched on the kernel's 32-bit lanes. It sits maxArcWeight below the
+// top of the range because the kernel adds an arc's weight to every lane,
+// reached or not, and the sum must not wrap. No sum over reached vertices
+// can get there: the largest is a shortest distance, at most (n-1)·maxW,
+// plus one more edge, and the constant below fails to compile unless
+// maxN·maxArcWeight is smaller.
+const unreached = math.MaxUint32 - maxArcWeight
+
+const _ = uint64(unreached - 1 - maxN*maxArcWeight)
+
+// packArcs repacks the adjacency as arcs (indexed by the graph's rowPtr),
+// or returns nil when the batched kernel cannot run on the graph: every
+// weight must be an integer in [0, maxArcWeight], and n within the
+// engine's limit.
+func packArcs(n int, colIdx []int32, weights []float64) []arc {
+	if n > maxN {
+		return nil
+	}
+	for _, w := range weights {
+		if !(w >= 0 && w <= maxArcWeight) || w != math.Trunc(w) {
+			return nil
+		}
+	}
+	arcs := make([]arc, len(weights))
+	for p, w := range weights {
+		arcs[p] = arc(uint32(colIdx[p])<<arcWeightBits | uint32(w))
+	}
+	return arcs
+}
 
 // lane is the type of one tentative distance of the batched panel kernel.
 // A vertex owns one 64-byte cache line of them, lane j for the batch's
@@ -26,14 +70,14 @@ func lanesOf[T lane]() int {
 	return 64 / int(unsafe.Sizeof(z))
 }
 
-// unreachedLane is a lane no relaxation has touched: dial.go's unreached
-// on uint32 lanes, where the add must not wrap, and 0xFFFF on uint16
+// unreachedLane is a lane no relaxation has touched: unreached on uint32
+// lanes, where the add must not wrap, and 0xFFFF on uint16
 // lanes, where the add saturates and so keeps it absorbing.
 func unreachedLane[T lane]() T {
 	if lanesOf[T]() == batch32 {
 		return ^T(0)
 	}
-	return ^T(0) - dialMaxWeight
+	return ^T(0) - maxArcWeight
 }
 
 // exactBelow bounds the lanes a batch may end on: if every reached lane
@@ -46,8 +90,8 @@ func unreachedLane[T lane]() T {
 // vertex with a path is reached, at its distance. A batch with a lane at
 // or past the bound may have saturated a reachable vertex into 0xFFFF and
 // is thrown away. On uint32 lanes the bound is unreached itself, which no
-// reached lane attains (dial.go), so the check never fires there.
-func exactBelow[T lane]() T { return ^T(0) - dialMaxWeight }
+// reached lane attains, so the check never fires there.
+func exactBelow[T lane]() T { return ^T(0) - maxArcWeight }
 
 // batchMin is the shortest run of sources worth a batch: a batch costs
 // about what five ER rows or four grid rows do, however many of its lanes
@@ -66,7 +110,10 @@ const batchMin = 8
 //
 // Where 2 comes from (package comment for the table): counted in visits
 // on 16 lanes, the batch draws level with the rows at 1.0 times W·n on a
-// path, 1.3–1.9 on ER graphs and 2.4–4.2 on grids, and a single batch
+// path, 1.3–1.9 on ER graphs and 2.4–4.2 on grids — measured against a
+// bucket-queue row 1.3–1.55 times faster than the radix row, so against
+// radix rows the batch draws level later and the bound errs on the side
+// of giving up early — and a single batch
 // strays up to half above its graph's mean with where its sources lie.
 // Graphs the kernel suits stay inside 2 batch by batch — ER at any degree
 // and size tried needs 0.5–0.7, a planted partition 0.6, grids up to
@@ -129,7 +176,7 @@ func (s *batchState[T]) seed(e *Engine, base, k int) {
 	for j := 0; j < k; j++ {
 		src := base + j
 		s.d[src*w+j] = 0
-		for _, a := range e.dial.arcs[e.rowPtr[src]:e.rowPtr[src+1]] {
+		for _, a := range e.arcs[e.rowPtr[src]:e.rowPtr[src+1]] {
 			s.dirty[a>>arcWeightBits] = 1
 		}
 	}
@@ -146,9 +193,9 @@ func (s *batchState[T]) reset() {
 // and returns how many there were.
 func (s *batchState[T]) sweep(e *Engine) int {
 	if lanesOf[T]() == batch32 {
-		return batchSweep16(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.dial.arcs)
+		return batchSweep16(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.arcs)
 	}
-	return batchSweep32(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.dial.arcs)
+	return batchSweep32(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.arcs)
 }
 
 // batchEnd is how a batch ended.
@@ -168,8 +215,8 @@ const (
 // fell, marks v's neighbours dirty; a sweep visits the dirty vertices in
 // index order, Gauss–Seidel style, and sweeps repeat until one visits
 // nothing. The fixpoint is the shortest distance whatever the order, and
-// every value is an exact integer below 2^32, so the rows equal the Dial
-// rows bit for bit.
+// every value is an exact integer below 2^32, so the rows equal the radix
+// rows bit for bit (integer sums below 2^53 are exact in float64).
 //
 // Any other end leaves the scratch at rest and reached at 0, and the
 // caller solves the sources again some other way: overBudget before rows

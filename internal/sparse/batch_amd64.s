@@ -27,7 +27,7 @@
 // An arc is to<<8|w, so its low half-word carries w in its low byte as its
 // low word does, and one mask (0xFF per lane, built by the caller in Y15)
 // strips the rest. The 32-bit add cannot wrap (unreached sits 255 below
-// the top, dial.go); the 16-bit add saturates, which keeps 0xFFFF
+// the top, batch.go); the 16-bit add saturates, which keeps 0xFFFF
 // absorbing and is what batch.go's range check is about. Argument loads
 // and the result store stay in each TEXT block, where go vet's asmdecl
 // checks their frame offsets; it does not look inside a macro.

@@ -53,8 +53,8 @@ func batchSweepGo[T lane](d []T, dirty []byte, rowPtr []int32, arcs []arc) int {
 	return visits
 }
 
-// rowsOnly returns an engine over g that never batches — the Dial rows
-// (or the radix heap) the batched kernel is compared with.
+// rowsOnly returns an engine over g that never batches — the radix rows
+// the batched kernel is compared with.
 func rowsOnly(g *graph.Graph) *Engine {
 	e := New(g)
 	e.width.Store(rowWise)
@@ -109,11 +109,11 @@ func TestBatchSweepMatchesGoOracle(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		intERMaxW(t, 300, 3, 255, 1),
 		intER(t, 1000, 16, 2),
-		mustGraph(t, 130, star(130, dialMaxWeight, 0, 64)),
+		mustGraph(t, 130, star(130, maxArcWeight, 0, 64)),
 		mustGraph(t, 32*32, grid(32, rng)),
 		mustGraph(t, 517, relabel(chain(517, 1, 0, 255), rng.Perm(517))),
 		// 102,000 end to end: the 16-bit lanes saturate on the way.
-		mustGraph(t, 401, chain(401, dialMaxWeight)),
+		mustGraph(t, 401, chain(401, maxArcWeight)),
 	} {
 		sweepMatchesGoOracle[uint16](t, New(g))
 		sweepMatchesGoOracle[uint32](t, New(g))
@@ -128,7 +128,7 @@ func sweepMatchesGoOracle[T lane](t *testing.T, e *Engine) {
 		b.seed(e, base, k)
 		for sweep := 0; ; sweep++ {
 			va := a.sweep(e)
-			vb := batchSweepGo(b.d, b.dirty, e.rowPtr, e.dial.arcs)
+			vb := batchSweepGo(b.d, b.dirty, e.rowPtr, e.arcs)
 			if va != vb || !slices.Equal(a.d, b.d) || !slices.Equal(a.dirty, b.dirty) {
 				t.Fatalf("n=%d, %d lanes, base=%d sweep %d: assembly visited %d, oracle %d; state equal: d %v dirty %v",
 					e.n, lanesOf[T](), base, sweep, va, vb, slices.Equal(a.d, b.d), slices.Equal(a.dirty, b.dirty))
@@ -144,10 +144,10 @@ func sweepMatchesGoOracle[T lane](t *testing.T, e *Engine) {
 
 // TestBatchedPanelsMatchRowsAndRadix is the differential pin for the
 // panel kernel: the engine as built (batching where it can, on the widest
-// lanes the distances allow), the same engine started on the 32-bit lanes,
-// the same engine held to single rows and the radix heap forced onto the
-// graph agree on every distance, bit for bit, and on the settled-vertex
-// count — a batch thrown away on the way counts nothing.
+// lanes the distances allow), the same engine started on the 32-bit lanes
+// and the same engine held to single radix rows agree on every distance,
+// bit for bit, and on the settled-vertex count — a batch thrown away on
+// the way counts nothing.
 func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shuffled := relabel(chain(4096, 1, 7, 100), rng.Perm(4096))
@@ -174,7 +174,7 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 		{"disconnected + isolated", mustGraph(t, 40, append(chain(17, 2, 3), graph.Edge{U: 20, V: 39, W: 255})), 16, "batch32", 0, 0},
 		{"zero-weight edges", mustGraph(t, 200, append(chain(200, 0, 0, 3), star(200, 0, 9)...)), 32, "batch32", 0, 0},
 		{"all weights 1", intERMaxW(t, 500, 6, 1, 3), 64, "batch32", 0, 0},
-		{"a weight of 255", mustGraph(t, 300, chain(300, dialMaxWeight, 1)), 64, "batch32", 0, 0},
+		{"a weight of 255", mustGraph(t, 300, chain(300, maxArcWeight, 1)), 64, "batch32", 0, 0},
 		{"duplicate edges", mustGraph(t, 20, append(chain(20, 9), chain(20, 2, 30)...)), 16, "batch32", 0, 0},
 		{"n=1", mustGraph(t, 1, nil), 16, "batch32", 0, 0},
 		{"n=15", intER(t, 15, 4, 4), 16, "batch32", 0, 0},
@@ -187,10 +187,7 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, e16, rows, radix := New(tc.g), startAt16(tc.g), rowsOnly(tc.g), radixOnly(tc.g)
-			if e.Queue() != "dial" {
-				t.Fatalf("queue = %s, want dial", e.Queue())
-			}
+			e, e16, rows := New(tc.g), startAt16(tc.g), rowsOnly(tc.g)
 			if batches := e.PanelKernel() == "batch32" && e16.PanelKernel() == "batch16"; batches != haveBatchKernel {
 				t.Fatalf("panel kernels = %s, %s with haveBatchKernel = %v", e.PanelKernel(), e16.PanelKernel(), haveBatchKernel)
 			}
@@ -205,7 +202,7 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 					panels = append(panels, bi)
 				}
 			}
-			engines := []*Engine{e, e16, rows, radix}
+			engines := []*Engine{e, e16, rows}
 			for _, bi := range panels {
 				h := min(b, n-bi*b)
 				got := make([]*matrix.Block, len(engines))
@@ -251,13 +248,13 @@ func mustPlanted(t testing.TB, n, communities int) *graph.Graph {
 	return g
 }
 
-// TestBatchNeedsTheDialView: a weight of 256 (or a real one) keeps the
-// radix heap and single rows.
+// TestBatchNeedsTheDialView: a weight of 256 (or a real one) does not fit
+// an arc, so the engine has no arcs and panels run single rows.
 func TestBatchNeedsTheDialView(t *testing.T) {
-	for _, edges := range [][]graph.Edge{chain(40, 3, dialMaxWeight+1), chain(40, 1.5)} {
+	for _, edges := range [][]graph.Edge{chain(40, 3, maxArcWeight+1), chain(40, 1.5)} {
 		e := New(mustGraph(t, 40, edges))
-		if e.Queue() != "radix" || e.PanelKernel() != "row" {
-			t.Fatalf("queue %s, panel kernel %s; want radix, row", e.Queue(), e.PanelKernel())
+		if e.arcs != nil || e.PanelKernel() != "row" {
+			t.Fatalf("arcs %v, panel kernel %s; want none, row", e.arcs != nil, e.PanelKernel())
 		}
 	}
 }
@@ -296,7 +293,7 @@ func requireAtRest[T lane](t *testing.T, f *freeList) {
 func requireRadixRows(t *testing.T, g *graph.Graph, base int, panel *matrix.Block) {
 	t.Helper()
 	want := make([]float64, g.N)
-	r := radixOnly(g)
+	r := rowsOnly(g)
 	for i := 0; i < panel.R; i++ {
 		if err := r.SolveRowInto(base+i, want); err != nil {
 			t.Fatal(err)
@@ -308,7 +305,7 @@ func requireRadixRows(t *testing.T, g *graph.Graph, base int, panel *matrix.Bloc
 }
 
 // TestBatchFallbackIsExactAndSticky: on a graph that overruns the budget
-// the panel comes back exact from the Dial rows, the engine reports it
+// the panel comes back exact from the radix rows, the engine reports it
 // once and never batches again — whichever lanes it was on — and the
 // scratch the abandoned batch used is clean.
 func TestBatchFallbackIsExactAndSticky(t *testing.T) {
@@ -367,7 +364,7 @@ func TestBatchRangeBoundary(t *testing.T) {
 		edges := []graph.Edge{{U: 0, V: 1, W: 4}}
 		v := 3
 		for left := tc.total; left > 0; v++ {
-			w := min(left, dialMaxWeight)
+			w := min(left, maxArcWeight)
 			edges = append(edges, graph.Edge{U: v, V: v + 1, W: float64(w)})
 			left -= w
 		}
@@ -405,11 +402,11 @@ func TestBatchRangeBoundary(t *testing.T) {
 	}
 }
 
-// FuzzBatchMatchesDial builds a small integer-weight graph from the fuzz
+// FuzzBatchMatchesRadix builds a small integer-weight graph from the fuzz
 // input — random edges over a spine, a path through every vertex whose
 // weight decides whether distances stay inside 16 bits — and requires
-// batched panels to equal the Dial rows.
-func FuzzBatchMatchesDial(f *testing.F) {
+// batched panels to equal the radix rows.
+func FuzzBatchMatchesRadix(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(30), uint8(9), uint8(16), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(0), uint8(0), uint8(1), uint8(0))
 	f.Add(int64(3), uint8(80), uint8(200), uint8(255), uint8(33), uint8(0))

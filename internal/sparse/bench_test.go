@@ -27,29 +27,25 @@ func BenchmarkSolveER16(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveRow measures one source on the same graph — the unit the
-// zero-alloc pin covers — over the Dial queue integer weights select.
+// BenchmarkSolveRow measures one source on an ER graph with integer
+// weights — the unit the zero-alloc pin covers.
 func BenchmarkSolveRow(b *testing.B) {
-	benchSolveRow(b, graph.IntegerWeights(100), "dial")
+	benchSolveRow(b, graph.IntegerWeights(100))
 }
 
-// BenchmarkSolveRowFloat is the same row over uniform real weights, which
-// keep the radix heap: the float path stays measured beside the integer
-// one.
+// BenchmarkSolveRowFloat is the same row over uniform real weights, the
+// paper's kind of input.
 func BenchmarkSolveRowFloat(b *testing.B) {
-	benchSolveRow(b, graph.UniformWeights(100), "radix")
+	benchSolveRow(b, graph.UniformWeights(100))
 }
 
-func benchSolveRow(b *testing.B, weights graph.WeightFn, queue string) {
+func benchSolveRow(b *testing.B, weights graph.WeightFn) {
 	n := 8192
 	g, err := graph.ErdosRenyiConnected(n, graph.AvgDegreeProb(n, 16), weights, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
 	e := New(g)
-	if e.Queue() != queue {
-		b.Fatalf("queue = %s, want %s", e.Queue(), queue)
-	}
 	row := make([]float64, n)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -62,7 +58,7 @@ func benchSolveRow(b *testing.B, weights graph.WeightFn, queue string) {
 
 // BenchmarkSolvePanel* time one 256-row panel at n = 4096 on each panel
 // kernel — 32 sources at a time on 16-bit lanes, 16 on 32-bit lanes, the
-// Dial rows — one worker, on the shapes that place the kernel's work
+// radix rows — one worker, on the shapes that place the kernel's work
 // budget: an ER graph and a planted partition it is built for, a grid and
 // a path in label order where it is ahead by less (and where the path's
 // distances outgrow 16 bits, so batch32 pays for one thrown-away batch and

@@ -54,9 +54,6 @@ type Bound struct {
 // vertices settled. Scratch comes from the engine's pool, so repeated
 // calls are allocation-free after warmup.
 func (e *Engine) SolveBoundedInto(seeds []Seed, row []float64, bd Bound) (int, error) {
-	if e.n > maxN {
-		return 0, fmt.Errorf("sparse: n=%d exceeds the engine limit of %d vertices", e.n, maxN)
-	}
 	if row != nil && len(row) != e.n {
 		return 0, fmt.Errorf("sparse: row has length %d, want %d", len(row), e.n)
 	}
@@ -73,12 +70,11 @@ func (e *Engine) SolveBoundedInto(seeds []Seed, row []float64, bd Bound) (int, e
 			return 0, fmt.Errorf("sparse: target vertex %d outside [0,%d)", t, e.n)
 		}
 	}
-	sc := e.scratch.get().(*state)
-	settled := e.dijkstraBounded(sc, seeds, row, bd)
-	e.scratch.put(sc)
-	e.boundedSolves.Add(1)
-	e.settled.Add(int64(settled))
-	return settled, nil
+	settled, err := e.dijkstra(seeds, row, bd)
+	if err == nil {
+		e.boundedSolves.Add(1)
+	}
+	return settled, err
 }
 
 // SolveRowBoundedInto is SolveBoundedInto from the single source src at
@@ -92,19 +88,33 @@ func (e *Engine) SolveRowBoundedInto(src int, row []float64, bd Bound) (int, err
 	return e.SolveBoundedInto(seed[:], row, bd)
 }
 
-// dijkstraBounded is the bounded variant of state.solveRow. It shares the
-// radix-heap scratch — on every graph, because seed offsets are floats
-// whatever the weights are — but keeps the unbounded hot loop untouched: the
-// extra branches (expand mask, target countdown, distance cap, settle
-// callback) live only here.
-func (e *Engine) dijkstraBounded(sc *state, seeds []Seed, row []float64, bd Bound) int {
+// dijkstra runs one solve on scratch from the engine's pool and counts the
+// vertices it settled; seeds, row and bd are the caller's, checked.
+func (e *Engine) dijkstra(seeds []Seed, row []float64, bd Bound) (int, error) {
+	if e.n > maxN {
+		return 0, fmt.Errorf("sparse: n=%d exceeds the engine limit of %d vertices", e.n, maxN)
+	}
+	sc := e.scratch.get().(*state)
+	settled := sc.dijkstra(e, seeds, row, bd)
+	e.scratch.put(sc)
+	e.settled.Add(int64(settled))
+	return settled, nil
+}
+
+// dijkstra is the package's one single-source loop, under SolveRowInto
+// (a zero Bound), the panel rows the batched kernel does not solve, and
+// every bounded and multi-seed solve. The bounds cost one predictable
+// branch each per settled vertex; row, when non-nil, is filled once at the
+// end from the epoch stamps — settled vertices get their distance,
+// everything else matrix.Inf — rather than at every settle. It returns the
+// number of vertices settled. Allocation-free once sc has grown.
+func (sc *state) dijkstra(e *Engine, seeds []Seed, row []float64, bd Bound) int {
 	sc.next()
 	vs, epoch := sc.vs, sc.epoch
 	rowPtr, colIdx, weights := e.rowPtr, e.colIdx, e.weights
-	if row != nil {
-		for i := range row {
-			row[i] = matrix.Inf
-		}
+	maxDist := math.Inf(1)
+	if bd.MaxDist > 0 {
+		maxDist = bd.MaxDist
 	}
 	remaining := 0
 	if len(bd.Targets) > 0 {
@@ -132,16 +142,13 @@ func (e *Engine) dijkstraBounded(sc *state, seeds []Seed, row []float64, bd Boun
 	}
 	settled := 0
 	for sc.count > 0 {
-		top := sc.pop()
-		v := top.v
+		v := sc.pop().v
 		d := vs[v].dist
-		if bd.MaxDist > 0 && d > bd.MaxDist {
+		if d > maxDist {
+			vs[v].pos = 0 // popped, but past the cap: not settled
 			break
 		}
 		settled++
-		if row != nil {
-			row[v] = d
-		}
 		if bd.OnSettle != nil {
 			bd.OnSettle(v, d)
 		}
@@ -163,9 +170,18 @@ func (e *Engine) dijkstraBounded(sc *state, seeds []Seed, row []float64, bd Boun
 				vw.dist = nd
 				sc.push(math.Float64bits(nd), w)
 			} else if nd < vw.dist && vw.pos != settledPos {
+				// A settled vertex can never improve under non-negative
+				// weights; the pos guard only protects against them.
 				vw.dist = nd
 				sc.decrease(vw.pos, math.Float64bits(nd), w)
 			}
+		}
+	}
+	for v := range row {
+		if vw := vs[v]; vw.stamp == epoch && vw.pos == settledPos {
+			row[v] = vw.dist
+		} else {
+			row[v] = matrix.Inf
 		}
 	}
 	return settled

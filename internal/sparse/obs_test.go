@@ -59,9 +59,7 @@ func TestEngineRegisterMetrics(t *testing.T) {
 		"apsp_sparse_worker_utilization",
 		"apsp_sparse_panel_emit_seconds_count 4",
 		"apsp_sparse_emit_stall_seconds",
-		`apsp_sparse_queue_info{impl="radix"} 1`, // ErdosRenyiPaper weights are real-valued
-		`apsp_sparse_queue_info{impl="dial"} 0`,
-		`apsp_sparse_panel_kernel_info{impl="row"} 1`,
+		`apsp_sparse_panel_kernel_info{impl="row"} 1`, // ErdosRenyiPaper weights are real-valued
 		`apsp_sparse_panel_kernel_info{impl="batch16"} 0`,
 		`apsp_sparse_panel_kernel_info{impl="batch32"} 0`,
 		`apsp_sparse_batch_fallbacks_total{reason="range"} 0`,
@@ -72,20 +70,15 @@ func TestEngineRegisterMetrics(t *testing.T) {
 		}
 	}
 
-	// An engine registered over it with the other queue flips both series,
-	// and the panel kernel's with them where this build batches.
+	// An engine registered over it moves the panel kernel's 1 to its own
+	// kernel (batch32 where this build batches integer weights).
 	ie := New(intER(t, 32, 4, 3))
 	ie.RegisterMetrics(r)
 	buf.Reset()
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`apsp_sparse_queue_info{impl="dial"} 1`, `apsp_sparse_queue_info{impl="radix"} 0`,
-		`apsp_sparse_panel_kernel_info{impl="` + ie.PanelKernel() + `"} 1`,
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("after re-registration: exposition missing %q\n%s", want, buf.String())
-		}
+	if want := `apsp_sparse_panel_kernel_info{impl="` + ie.PanelKernel() + `"} 1`; !strings.Contains(buf.String(), want) {
+		t.Errorf("after re-registration: exposition missing %q\n%s", want, buf.String())
 	}
 }

@@ -5,9 +5,9 @@
 // O(n·(m + n log n)) — an order of magnitude and more ahead of any dense
 // path at the same n.
 //
-// Three pieces of code can compute a source's row, and which one runs is
-// decided from the graph, the CPU and the distances alone — there is no
-// option, flag or environment variable:
+// Two kernels compute rows, and which one runs is decided from the graph,
+// the CPU and the distances alone — there is no option, flag or
+// environment variable:
 //
 //   - batch32, batch16 (batch.go, batch_amd64.s): SolvePanel, and so
 //     Solve, SolvePanels and every caller that re-solves panels, hands its
@@ -22,36 +22,31 @@
 //     as the distances allow: 32 sources on uint16 lanes with a
 //     saturating add (batch32) until a batch ends with a distance of
 //     65,280 or more — that batch is thrown away and solved again — and 16
-//     sources on uint32 lanes (batch16) from then on. It needs the Dial
-//     view below (it reads the same 4-byte arcs) and AVX2 (the check
-//     internal/matrix makes; other architectures, -tags purego and older
-//     CPUs never batch), it is used for runs of at least 8 sources, and it
-//     carries a work budget (batch.go): the first batch to overrun it, on
-//     either lanes, is solved by the Dial rows instead and the engine
+//     sources on uint32 lanes (batch16) from then on. It reads the
+//     adjacency repacked as one stream of 4-byte {vertex, weight} arcs, so
+//     it needs every weight an integer in [0, 255], and it needs AVX2 (the
+//     check internal/matrix makes; other architectures, -tags purego and
+//     older CPUs never batch). It is used for runs of at least 8 sources,
+//     and it carries a work budget (batch.go): the first batch to overrun
+//     it, on either lanes, is solved by radix rows instead and the engine
 //     stops batching. Both narrowings are for good and counted once.
 //     PanelKernel reports "batch32", "batch16" or "row".
-//   - dial (dial.go): one source at a time on a Dial queue — a ring of
-//     maxW+1 buckets with lazy deletion, 32-bit tentative distances
-//     (16 KiB at n = 4096, reset in the pass that writes the row) and the
-//     adjacency repacked as one stream of 4-byte {vertex, weight} arcs.
-//     Chosen in New when every weight is an integer in [0, 255]; runs
-//     SolveRowInto always, and panels when the batched kernel does not.
-//   - radix (this file): one source at a time on a flat-array radix heap
-//     over the IEEE-754 bit patterns of the (monotone, non-negative) keys,
-//     where push and decrease-key are O(1) bucket moves, every pop settles
-//     a vertex and no comparison sifting happens at all (see the state
-//     type). Any graph the Dial rule rejects — one real-valued weight is
-//     enough — runs exactly the code it ran before either of the others
-//     existed, and bounded and multi-seed solves (bounded.go) always do:
-//     their seed offsets are floats. Per-source state is epoch-stamped, so
-//     starting the next source bumps a counter instead of clearing O(n).
+//   - radix (bounded.go, this file): one source at a time on a flat-array
+//     radix heap over the IEEE-754 bit patterns of the (monotone,
+//     non-negative) keys, where push and decrease-key are O(1) bucket
+//     moves, every pop settles a vertex and no comparison sifting happens
+//     at all (see the state type). It is the one single-source loop:
+//     SolveRowInto, every panel row the batched kernel does not take, and
+//     every bounded and multi-seed solve run through it. Per-source state
+//     is epoch-stamped, so starting the next source bumps a counter
+//     instead of clearing O(n).
 //
 // Integer sums below 2^53 are exact in float64 and the batched fixpoint is
-// the shortest distance whatever order it was reached in, so all three
-// produce the same bits. All scratch is kept per worker on free lists the
-// engine owns and sized from the graph (batched, dial) or grown by the
-// first source (radix); after that a source, and a batch, performs zero
-// heap allocations.
+// the shortest distance whatever order it was reached in, so both produce
+// the same bits. All scratch is kept per worker on free lists the engine
+// owns and sized from the graph (batched) or grown by the first source
+// (radix); after that a source, and a batch, performs zero heap
+// allocations.
 //
 // Rows/s on one core of the 2-vCPU development host (AVX2, 2.1 GHz),
 // n = 4096, weights 1..100, one 256-row panel by a fresh engine, medians
@@ -59,19 +54,18 @@
 // regenerates them), and what the budget is counted in: the vertices a
 // batch's sweeps visit over the W·n that W Dijkstra rows settle.
 //
-//	                        batch32  batch16   dial   visits/(W·n), W = 32, 16
-//	ER degree 16              17550     8950   3120   0.30  0.58
-//	planted, 8 communities    10620     5710   2130   0.31  0.61
-//	64x64 grid                29230    24250   4730   0.44  0.51
-//	path, labels in order     30380*   34600   9610   0.37  0.59
-//	path, labels shuffled      5310†    6000†  6530   1.36  1.98, in 2,000 sweeps
+//	                        batch32  batch16    row   visits/(W·n), W = 32, 16
+//	ER degree 16              17160    10350   2080   0.30  0.58
+//	planted, 8 communities    10600     6460   1475   0.31  0.61
+//	64x64 grid                31330    26330   3130   0.44  0.51
+//	path, labels in order     34290*   36380   4700   0.37  0.59
+//	path, labels shuffled      3080†    3450†  3570   1.36  1.98, in 2,000 sweeps
 //
-// (*) 147,000 from end to end: the panel's first batch ends past 16-bit
-// lanes, is thrown away (0.8 ms, 0.7 % of the whole solve) and the panel
-// goes on as batch16. (†) one batch abandoned over budget, then the Dial
-// rows: the cost of finding out. The batch32 engine first throws away a
-// batch whose lanes saturated before its budget ran out (5.5 ms, 0.8 % of
-// the whole solve); both paths' W = 32 visits are of those saturated runs.
+// (*) the panel's first batch ends past 16-bit lanes, is thrown away and
+// the panel goes on as batch16. (†) one batch abandoned over budget, then
+// radix rows: the cost of finding out. The batch32 engine first throws
+// away a batch whose lanes saturated before its budget ran out; both
+// paths' W = 32 visits are of those saturated runs.
 //
 // Where 32 lanes help less: on ER and planted graphs every vertex is
 // dirty in every early sweep whatever the sources, so twice the lanes
@@ -83,36 +77,9 @@
 // one thrown-away batch per engine and then runs exactly as on batch16.
 // The kernel as a whole is ahead where it stays well under 2 in the last
 // columns and behind on graphs whose labels make a sweep in index order
-// advance every wavefront by a vertex or two: run to the end on 16 lanes,
-// the shuffled path takes 2.0 times the rows' time and a shuffled 256x256
-// grid 3.9 times (9.5 in the last column). batch.go has the break-even
-// figures the budget's 2 comes from.
-//
-// Where the Dial queue's 255 comes from: rows/s, same host, n = 4096,
-// medians of 100 interleaved 20-row blocks. With the queue as shipped —
-//
-//	maxW   ER degree 16: dial  radix    path graph: dial  radix
-//	1                    5190   3570               13610   6490
-//	16                   3630   2470               10770   5550
-//	100                  3390   2240               10480   5410
-//	255                  3270   2190                9820   5290
-//
-// and past 255 with a prototype that kept 8-byte arcs and walked the
-// buckets one by one —
-//
-//	maxW   ER degree 16: dial  radix    path graph: dial  radix
-//	100                  3660   2810                5700   5430
-//	1000                 3240   2570                 950   5320
-//	10000                2820   1940                  91   4740
-//	65535                2230   1680                  14   4940
-//
-// The Dial cost that grows with maxW is stepping over empty buckets: up
-// to maxW of them between two pops, and a path graph pays that at every
-// pop, which is where the prototype collapses. The shipped queue finds
-// the next occupied bucket in an occupancy bitmap (four words at 256
-// buckets), and packs an arc into 32 bits (24 for the vertex — the
-// engine's limit anyway — 8 for the weight), worth 8 % of the ER row
-// against 8-byte arcs. Both stop at 255.
+// advance every wavefront by a vertex or two: a shuffled path needs 2.0
+// times W·n on 16 lanes and a shuffled 256x256 grid 9.5. batch.go has the
+// break-even figures the budget's 2 comes from.
 //
 // Completed source rows are emitted in block-height panels (SolvePanels),
 // two of them in flight — one being written while the next is solved —
@@ -123,7 +90,6 @@ package sparse
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -144,21 +110,18 @@ type Engine struct {
 	colIdx  []int32
 	weights []float64
 
-	// dial is the integer view the Dial queue runs on, nil when the
-	// graph's weights do not qualify and rows run on the radix heap. rows
-	// is the scratch list of whichever was chosen; bounded solves always
-	// draw radix scratch.
-	dial        *dialGraph
-	scratch     freeList // *state
-	dialScratch freeList // *dialState
-	rows        *freeList
+	scratch freeList // *state
+
+	// arcs is the batched kernel's input (batch.go), nil where the kernel
+	// cannot run: no AVX2, or a weight that is not an integer in [0, 255].
+	arcs []arc
 
 	// width is how many sources SolvePanel solves at once (batch.go):
-	// batch32 from the start when the graph has a Dial view and the CPU
-	// AVX2, batch16 after the first batch whose distances outgrow 16-bit
-	// lanes, rowWise after the first batch, at either width, that overruns
-	// its work budget — and rowWise from the start everywhere else. It only
-	// narrows, and each narrowing is counted once.
+	// batch32 from the start when the engine has arcs, batch16 after the
+	// first batch whose distances outgrow 16-bit lanes, rowWise after the
+	// first batch, at either width, that overruns its work budget — and
+	// rowWise from the start everywhere else. It only narrows, and each
+	// narrowing is counted once.
 	width           atomic.Int32
 	rangeFallbacks  atomic.Int64
 	budgetFallbacks atomic.Int64
@@ -214,52 +177,33 @@ func (f *freeList) put(x any) {
 	f.mu.Unlock()
 }
 
-// rowSolver is per-worker scratch that can run one unbounded source:
-// *state over the radix heap, *dialState over the Dial queue.
-type rowSolver interface {
-	solveRow(e *Engine, src int, row []float64) int
-}
-
 // New builds an engine over g's CSR arrays (shared, read-only; the graph
 // must not be mutated while the engine is in use — graphs in this
-// repository are immutable after construction). The queue is chosen here,
-// once, from the weights alone (see Queue).
+// repository are immutable after construction). Whether panels can batch
+// is decided here, once, from the weights and the CPU (see PanelKernel).
 func New(g *graph.Graph) *Engine {
 	e := &Engine{n: g.N, panelEmit: obs.NewHistogram()}
 	e.rowPtr, e.colIdx, e.weights = g.CSR()
 	keep := runtime.GOMAXPROCS(0)
 	e.scratch = freeList{keep: keep, new: func() any { return newState(e.n) }}
-	e.dialScratch = freeList{keep: keep, new: func() any { return e.newDialState() }}
 	e.batch32Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint16](e.n) }}
 	e.batch16Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint32](e.n) }}
-	e.rows = &e.scratch
 	e.width.Store(rowWise)
-	if e.dial = newDialGraph(e.n, e.colIdx, e.weights); e.dial != nil {
-		e.rows = &e.dialScratch
-		if haveBatchKernel {
+	if haveBatchKernel {
+		if e.arcs = packArcs(e.n, e.colIdx, e.weights); e.arcs != nil {
 			e.width.Store(batch32)
 		}
 	}
 	return e
 }
 
-// Queue names the priority queue unbounded source rows run on: "dial"
-// when every weight is an integer in [0, 255], "radix" for every other
-// graph.
-func (e *Engine) Queue() string {
-	if e.dial != nil {
-		return "dial"
-	}
-	return "radix"
-}
-
 // PanelKernel names what SolvePanel (and so Solve and SolvePanels) runs a
 // panel's sources on now: "batch32" or "batch16" — that many sources at a
 // time through the batched kernel, on 16- and 32-bit lanes, which needs
-// the Dial view and AVX2 — or "row", one source at a time on the queue
-// Queue names. An engine that can batch starts on batch32 and narrows for
-// good: to batch16 when a batch ends with a distance of 65,280 or more, to
-// row when a batch overruns its work budget.
+// AVX2 and integer weights in [0, 255] — or "row", one source at a time
+// on the radix heap. An engine that can batch starts on batch32 and
+// narrows for good: to batch16 when a batch ends with a distance of
+// 65,280 or more, to row when a batch overruns its work budget.
 func (e *Engine) PanelKernel() string {
 	switch e.width.Load() {
 	case batch32:
@@ -282,7 +226,6 @@ func (e *Engine) PanelKernel() string {
 //	apsp_sparse_emit_stall_seconds     time the panel loop was blocked on an
 //	                                   emit with no solve running beside it
 //	                                   (the last panel's emit always is)
-//	apsp_sparse_queue_info{impl}       1 on the queue in use (dial|radix)
 //	apsp_sparse_panel_kernel_info{impl} 1 on the panel kernel in use now
 //	                                   (batch32|batch16|row)
 //	apsp_sparse_batch_fallbacks_total{reason}
@@ -315,16 +258,6 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		e.panelEmit)
 	r.GaugeFunc("apsp_sparse_emit_stall_seconds", "Summed time the panel loop was blocked on an emit with no solve running beside it.",
 		func() float64 { return float64(e.stallNs.Load()) / 1e9 })
-	// Both series are set, so an engine registered over an earlier one
-	// with the other queue leaves exactly one of them at 1.
-	for _, impl := range []string{"dial", "radix"} {
-		v := int64(0)
-		if impl == e.Queue() {
-			v = 1
-		}
-		r.Gauge("apsp_sparse_queue_info", "Priority queue under unbounded source rows (dial or radix); 1 on the one in use.",
-			obs.Label{Key: "impl", Value: impl}).Set(v)
-	}
 	// Read at scrape time: a fallback moves the 1 down the list.
 	for _, impl := range []string{"batch32", "batch16", "row"} {
 		r.GaugeFunc("apsp_sparse_panel_kernel_info", "What a panel's sources run on (batch32, batch16: that many at a time on 16- and 32-bit lanes; row: one at a time); 1 on the one in use.",
@@ -499,66 +432,21 @@ func (s *state) pop() ent {
 	return top
 }
 
-// solveRow runs one source to completion over the radix heap and writes
-// the full distance row (matrix.Inf for unreachable vertices) into row,
-// which must have length n. It returns the number of vertices settled
-// (reached). Allocation-free after sc's slices have grown to steady state.
-func (sc *state) solveRow(e *Engine, src int, row []float64) int {
-	sc.next()
-	settled := 0
-	vs, epoch := sc.vs, sc.epoch
-	rowPtr, colIdx, weights := e.rowPtr, e.colIdx, e.weights
-	vs[src] = vstate{dist: 0, stamp: epoch}
-	sc.push(0, int32(src))
-	for sc.count > 0 {
-		top := sc.pop()
-		settled++
-		v := top.v
-		d := vs[v].dist
-		for p, hi := rowPtr[v], rowPtr[v+1]; p < hi; p++ {
-			w := colIdx[p]
-			nd := d + weights[p]
-			vw := &vs[w]
-			if vw.stamp != epoch {
-				vw.stamp = epoch
-				vw.dist = nd
-				sc.push(math.Float64bits(nd), w)
-			} else if nd < vw.dist && vw.pos != settledPos {
-				// A settled vertex can never improve under non-negative
-				// weights; the pos guard only protects against them.
-				vw.dist = nd
-				sc.decrease(vw.pos, math.Float64bits(nd), w)
-			}
-		}
-	}
-	for v := range row {
-		if vs[v].stamp == epoch {
-			row[v] = vs[v].dist
-		} else {
-			row[v] = matrix.Inf
-		}
-	}
-	return settled
-}
-
 // SolveRowInto computes single-source shortest-path distances from src
 // into row (length n, matrix.Inf for unreachable). It draws scratch from
 // the engine's pool, so repeated calls are allocation-free after warmup.
 func (e *Engine) SolveRowInto(src int, row []float64) error {
-	if e.n > maxN {
-		return fmt.Errorf("sparse: n=%d exceeds the engine limit of %d vertices", e.n, maxN)
-	}
 	if src < 0 || src >= e.n {
 		return fmt.Errorf("sparse: source %d outside [0,%d)", src, e.n)
 	}
 	if len(row) != e.n {
 		return fmt.Errorf("sparse: row has length %d, want %d", len(row), e.n)
 	}
-	sc := e.rows.get().(rowSolver)
-	settled := sc.solveRow(e, src, row)
-	e.rows.put(sc)
+	seed := [1]Seed{{V: int32(src)}}
+	if _, err := e.dijkstra(seed[:], row, Bound{}); err != nil {
+		return err
+	}
 	e.srcSolved.Add(1)
-	e.settled.Add(int64(settled))
 	return nil
 }
 
@@ -800,9 +688,9 @@ type panelJob struct {
 func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
 	start := time.Now()
 	// Scratch is drawn on first use: a worker that only batches never holds
-	// row scratch (1.2 MB of Dial buckets on a 75k-arc graph), and one whose
-	// distances fit 16 bits never holds the 32-bit lanes.
-	var sc rowSolver
+	// row scratch, and one whose distances fit 16 bits never holds the
+	// 32-bit lanes.
+	var sc *state
 	var b32 *batchState[uint16]
 	var b16 *batchState[uint32]
 	// Telemetry accumulates worker-locally and flushes once per panel,
@@ -810,7 +698,7 @@ func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
 	var sources, settled int64
 	defer func() {
 		if sc != nil {
-			e.rows.put(sc)
+			e.scratch.put(sc)
 		}
 		if b32 != nil {
 			e.batch32Scratch.put(b32)
@@ -840,9 +728,10 @@ func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
 			k := min(width, end-r)
 			if k < batchMin {
 				if sc == nil {
-					sc = e.rows.get().(rowSolver)
+					sc = e.scratch.get().(*state)
 				}
-				settled += int64(sc.solveRow(e, job.base+r, job.rows.Row(r)))
+				seed := [1]Seed{{V: int32(job.base + r)}}
+				settled += int64(sc.dijkstra(e, seed[:], job.rows.Row(r), Bound{}))
 				sources++
 				r++
 				continue

@@ -64,6 +64,75 @@ func solveFull(t *testing.T, g *graph.Graph, panelRows int) *matrix.Block {
 	return out
 }
 
+func mustGraph(t testing.TB, n int, edges []graph.Edge) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// chain is the path 0-1-...-(n-1) with weights cycling through ws.
+func chain(n int, ws ...float64) []graph.Edge {
+	edges := make([]graph.Edge, 0, n)
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, graph.Edge{U: i, V: i + 1, W: ws[i%len(ws)]})
+	}
+	return edges
+}
+
+// star joins vertex 0 to every other vertex with weights cycling through
+// ws.
+func star(n int, ws ...float64) []graph.Edge {
+	edges := make([]graph.Edge, 0, n)
+	for i := 1; i < n; i++ {
+		edges = append(edges, graph.Edge{U: 0, V: i, W: ws[i%len(ws)]})
+	}
+	return edges
+}
+
+// TestRowsAndPanelsMatchFloydWarshall is the corpus of edge-case shapes:
+// on each, every SolveRowInto row and every row of a panelled Solve
+// (batched where this build and the weights allow) equal sequential
+// Floyd-Warshall bit for bit.
+func TestRowsAndPanelsMatchFloydWarshall(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		edges []graph.Edge
+	}{
+		{"single vertex", 1, nil},
+		{"no edges", 5, nil},
+		// Zero-weight arcs settle vertices at the distance being popped.
+		{"zero-weight star", 300, star(300, 0)},
+		{"zero-weight chain", 200, chain(200, 0, 0, 3)},
+		{"all weights zero", 70, append(chain(70, 0), star(70, 0)...)},
+		// FromEdges keeps the lighter of two parallel edges.
+		{"duplicate edges", 4, []graph.Edge{{U: 0, V: 1, W: 9}, {U: 1, V: 0, W: 2}, {U: 1, V: 2, W: 4}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 0}}},
+		{"disconnected + isolated", 7, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}, {U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 255}}},
+		{"one-weight star", 700, star(700, 7)},
+		{"star at 255", 130, star(130, maxArcWeight, 1, 64)},
+		{"chain at 255", 300, chain(300, maxArcWeight)},
+		{"chain, mixed weights", 257, chain(257, 1, maxArcWeight, 0, 100)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := mustGraph(t, tc.n, tc.edges)
+			e := New(g)
+			rows := matrix.NewZero(g.N, g.N)
+			for src := 0; src < g.N; src++ {
+				if err := e.SolveRowInto(src, rows.Row(src)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fw := fwRef(t, g)
+			requireBitIdentical(t, rows, fw)
+			requireBitIdentical(t, solveFull(t, g, 64), fw)
+		})
+	}
+}
+
 func TestDijkstraMatchesFloydWarshallSparseER(t *testing.T) {
 	g := intER(t, 193, 8, 1)
 	requireBitIdentical(t, solveFull(t, g, 32), fwRef(t, g))
@@ -270,7 +339,7 @@ func TestSolvePanelsPoolSafety(t *testing.T) {
 
 func TestEpochWrapClearsStaleState(t *testing.T) {
 	g := intER(t, 40, 4, 11)
-	e := radixOnly(g) // epochs are radix scratch; intER alone would pick dial
+	e := New(g)
 	sc := e.scratch.get().(*state)
 	sc.epoch = ^uint32(0) - 1 // two sources from wrapping
 	e.scratch.put(sc)
