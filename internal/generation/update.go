@@ -354,6 +354,32 @@ func (m *Manager) buildStore(ctx context.Context, path string, parent *store.Sto
 	}
 	defer w.Abort()
 	eng := sparse.New(g)
+	// Dirty panels are solved into one buffer of the build's: uint32 cells
+	// where the new graph's distances are integers, as SolveToStore streams
+	// them, float64 otherwise.
+	var ints []uint32
+	var floats []float64
+	solve := func(base, h int) error {
+		workers := runtime.GOMAXPROCS(0)
+		if eng.IntDistances() {
+			if ints == nil {
+				ints = make([]uint32, b*n)
+			}
+			rows := ints[:h*n]
+			if err := eng.SolveIntPanel(ctx, base, rows, workers); err != nil {
+				return err
+			}
+			return w.WriteIntPanel(rows)
+		}
+		if floats == nil {
+			floats = make([]float64, b*n)
+		}
+		panel := &matrix.Block{R: h, C: n, Data: floats[:h*n]}
+		if err := eng.SolvePanel(ctx, base, panel, workers); err != nil {
+			return err
+		}
+		return w.WritePanel(panel)
+	}
 	var raw []byte
 	for bi := range dirtyPanel {
 		if err := ctx.Err(); err != nil {
@@ -378,13 +404,7 @@ func (m *Manager) buildStore(ctx context.Context, path string, parent *store.Sto
 			// distances by construction.
 			slog.Warn("generation: parent panel unreadable, recomputing", "panel", bi, "err", err)
 		}
-		base, h := store.PanelRows(n, b, bi)
-		panel := matrix.Get(h, n)
-		if err = eng.SolvePanel(ctx, base, panel, runtime.GOMAXPROCS(0)); err == nil {
-			err = w.WritePanel(panel)
-		}
-		matrix.Put(panel)
-		if err != nil {
+		if err := solve(store.PanelRows(n, b, bi)); err != nil {
 			return err
 		}
 	}

@@ -23,6 +23,12 @@ import (
 // Inf is the distance value representing "no path".
 var Inf = math.Inf(1)
 
+// NoPath32 is "no path" in a uint32 distance cell, the cell type of the
+// sparse solve's integer panels. Every other value of such a cell is an
+// exact integer distance and reads as float64 of itself; NoPath32 reads
+// as Inf.
+const NoPath32 = math.MaxUint32
+
 // Block is a dense, row-major matrix block over the min-plus semiring.
 // A Block with nil Data is a phantom: it has a shape and a byte size but no
 // elements. Phantom blocks flow through the same solver code paths as dense

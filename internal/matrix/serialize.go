@@ -74,24 +74,28 @@ func (b *Block) MarshaledSize() int64 {
 // the extended slice. Passing a reused buffer keeps tile-at-a-time writers
 // allocation-free in steady state.
 func (b *Block) AppendMarshal(dst []byte) []byte {
-	var hdr [headerLen]byte
 	if b.Phantom() {
-		hdr[0] = magicPhantom
-	} else {
-		hdr[0] = magicDense
+		return appendHeader(dst, magicPhantom, b.R, b.C)
 	}
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(b.R))
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(b.C))
-	dst = append(dst, hdr[:]...)
-	if b.Phantom() {
-		return dst
-	}
+	dst = AppendDenseHeader(dst, b.R, b.C)
 	var scratch [8]byte
 	for _, v := range b.Data {
 		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
 		dst = append(dst, scratch[:]...)
 	}
 	return dst
+}
+
+// AppendDenseHeader appends the Marshal header of a dense r x c block, for
+// a writer that appends the row-major float64 payload itself.
+func AppendDenseHeader(dst []byte, r, c int) []byte {
+	return appendHeader(dst, magicDense, r, c)
+}
+
+func appendHeader(dst []byte, magic byte, r, c int) []byte {
+	dst = append(dst, magic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r))
+	return binary.LittleEndian.AppendUint32(dst, uint32(c))
 }
 
 // Marshal encodes the block into a fresh byte slice.

@@ -31,28 +31,38 @@ func TestPerSourceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPerBatchZeroAllocs is the same pin for the batched kernel: a warm
-// worker's batch allocates nothing, so a panel allocates what SolvePanel
-// itself does (its job record and worker bookkeeping) however many
-// batches it holds.
+// TestPerBatchZeroAllocs is the same pin for the batched kernel, on both
+// cell types: a warm worker's batch allocates nothing, so a panel
+// allocates what SolvePanel itself does (its job record and worker
+// bookkeeping) however many batches it holds.
 func TestPerBatchZeroAllocs(t *testing.T) {
 	requireBatchKernel(t)
 	g := intER(t, 512, 8, 9)
 	e := New(g)
-	perPanel := func(h int) float64 {
-		panel := matrix.NewZero(h, g.N)
+	ctx := context.Background()
+	perPanel := func(h int, solve func(base int) error) float64 {
 		base := 0
 		return testing.AllocsPerRun(20, func() {
 			base = (base + h) % (g.N - h)
-			if err := e.SolvePanel(context.Background(), base, panel, 1); err != nil {
+			if err := solve(base); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	one, many := perPanel(batch32), perPanel(8*batch32)
-	t.Logf("allocs per panel: %v with one batch, %v with eight", one, many)
-	if many != one || one > 2 {
-		t.Fatalf("a panel of eight batches allocates %v objects, one of a single batch %v: batches allocate", many, one)
+	floats := func(h int) float64 {
+		panel := matrix.NewZero(h, g.N)
+		return perPanel(h, func(base int) error { return e.SolvePanel(ctx, base, panel, 1) })
+	}
+	ints := func(h int) float64 {
+		panel := make([]uint32, h*g.N)
+		return perPanel(h, func(base int) error { return e.SolveIntPanel(ctx, base, panel, 1) })
+	}
+	for name, allocs := range map[string]func(h int) float64{"float64": floats, "uint32": ints} {
+		one, many := allocs(batch32), allocs(8*batch32)
+		t.Logf("%s cells: allocs per panel: %v with one batch, %v with eight", name, one, many)
+		if many != one || one > 2 {
+			t.Fatalf("%s cells: a panel of eight batches allocates %v objects, one of a single batch %v: batches allocate", name, many, one)
+		}
 	}
 	if e.PanelKernel() != "batch32" {
 		t.Fatalf("panel kernel = %s, want batch32", e.PanelKernel())

@@ -3,8 +3,6 @@ package sparse
 import (
 	"math"
 	"unsafe"
-
-	"apspark/internal/matrix"
 )
 
 // arc is one adjacency entry of the batched kernel's input, head vertex
@@ -30,19 +28,25 @@ const unreached = math.MaxUint32 - maxArcWeight
 
 const _ = uint64(unreached - 1 - maxN*maxArcWeight)
 
-// packArcs repacks the adjacency as arcs (indexed by the graph's rowPtr),
-// or returns nil when the batched kernel cannot run on the graph: every
-// weight must be an integer in [0, maxArcWeight], and n within the
-// engine's limit.
-func packArcs(n int, colIdx []int32, weights []float64) []arc {
+// integerWeights reports whether every weight is an integer in
+// [0, maxArcWeight] on a graph within the engine's limit: what an arc
+// holds, and what keeps every distance an exact integer below unreached,
+// and so below matrix.NoPath32 (IntDistances).
+func integerWeights(n int, weights []float64) bool {
 	if n > maxN {
-		return nil
+		return false
 	}
 	for _, w := range weights {
 		if !(w >= 0 && w <= maxArcWeight) || w != math.Trunc(w) {
-			return nil
+			return false
 		}
 	}
+	return true
+}
+
+// packArcs repacks the adjacency as arcs, indexed by the graph's rowPtr.
+// Every weight must pass integerWeights.
+func packArcs(colIdx []int32, weights []float64) []arc {
 	arcs := make([]arc, len(weights))
 	for p, w := range weights {
 		arcs[p] = arc(uint32(colIdx[p])<<arcWeightBits | uint32(w))
@@ -133,12 +137,12 @@ const (
 	sweepCharge = 128
 )
 
-// emitBlock is how many vertices of d are turned into row entries at a
-// time. The W rows a batch writes lie n·8 bytes apart — 32 KiB at
-// n = 4096, the same L1 sets for all of them — so a pass that hands every
-// row a few floats per vertex line evicts what it just wrote. A block of
-// 256 lines is 16 KiB: it stays in L1 while each row in turn takes a 2 KiB
-// run from it.
+// emitBlock is how many vertices of d are turned into row cells at a
+// time. The W rows a batch writes lie n cells apart — 32 KiB of float64
+// at n = 4096, the same L1 sets for all of them — so a pass that hands
+// every row a few cells per vertex line evicts what it just wrote. A
+// block of 256 lines is 16 KiB: it stays in L1 while each row in turn
+// takes a run of 256 cells from it.
 const emitBlock = 256
 
 // batchState is one worker's scratch for the batched kernel at one lane
@@ -207,23 +211,24 @@ const (
 	overRange            // a lane came within a weight of the lane type's top: distances need wider lanes
 )
 
-// solve computes the rows of sources base..base+k-1 (k <= lanesOf[T])
-// into the first k rows of rows (each of length n) and returns the number
-// of (source, vertex) pairs reached. Lane j of d[v] converges on
-// dist(base+j, v) by pull-style label correcting: a visit to v takes the
-// lane-wise minimum of d[v] and d[u]+w over v's arcs and, if any lane
-// fell, marks v's neighbours dirty; a sweep visits the dirty vertices in
-// index order, Gauss–Seidel style, and sweeps repeat until one visits
-// nothing. The fixpoint is the shortest distance whatever the order, and
-// every value is an exact integer below 2^32, so the rows equal the radix
-// rows bit for bit (integer sums below 2^53 are exact in float64).
+// solveBatch computes the rows of sources base..base+k-1
+// (k <= lanesOf[T]) into the first k rows of rows (n cells each) and
+// returns the number of (source, vertex) pairs reached. Lane j of d[v]
+// converges on dist(base+j, v) by pull-style label correcting: a visit to
+// v takes the lane-wise minimum of d[v] and d[u]+w over v's arcs and, if
+// any lane fell, marks v's neighbours dirty; a sweep visits the dirty
+// vertices in index order, Gauss–Seidel style, and sweeps repeat until
+// one visits nothing. The fixpoint is the shortest distance whatever the
+// order, and every value is an exact integer below 2^32, so the rows
+// equal the radix rows bit for bit in either cell type (integer sums
+// below 2^53 are exact in float64).
 //
 // Any other end leaves the scratch at rest and reached at 0, and the
 // caller solves the sources again some other way: overBudget before rows
 // was touched, overRange (uint16 lanes only, see exactBelow) after it was
 // filled with distances that may be wrong, all of which the second solve
 // overwrites.
-func (s *batchState[T]) solve(e *Engine, base, k int, rows []float64) (reached int, end batchEnd) {
+func solveBatch[T lane, C cell](s *batchState[T], e *Engine, base, k int, rows []C) (reached int, end batchEnd) {
 	n := e.n
 	s.seed(e, base, k)
 	for left := batchBudget * lanesOf[T]() * n; ; {
@@ -236,18 +241,18 @@ func (s *batchState[T]) solve(e *Engine, base, k int, rows []float64) (reached i
 			return 0, overBudget
 		}
 	}
-	reached, top := s.emit(k, n, rows)
+	reached, top := emitBatch(s, k, n, rows)
 	if top >= exactBelow[T]() {
 		return 0, overRange
 	}
 	return reached, batchSolved
 }
 
-// emit writes lanes 0..k-1 of d out as k rows of n float64, returns d to
-// its resting state and reports the number of reached lanes and the
+// emitBatch writes lanes 0..k-1 of d out as k rows of n cells, returns d
+// to its resting state and reports the number of reached lanes and the
 // largest of them — the one pass over d after the sweeps, a block of
 // vertices at a time (emitBlock).
-func (s *batchState[T]) emit(k, n int, rows []float64) (reached int, top T) {
+func emitBatch[T lane, C cell](s *batchState[T], k, n int, rows []C) (reached int, top T) {
 	w := lanesOf[T]()
 	for v0 := 0; v0 < n; v0 += emitBlock {
 		blk := s.d[v0*w : min(v0+emitBlock, n)*w]
@@ -261,16 +266,18 @@ func (s *batchState[T]) emit(k, n int, rows []float64) (reached int, top T) {
 }
 
 // emitLane writes every lanesOf[T]-th element of col, one lane of a block
-// of d, to row. It is its own function to keep the loop in registers.
-func emitLane[T lane](row []float64, col []T) (reached int, top T) {
-	w, inf := lanesOf[T](), unreachedLane[T]()
+// of d, to row: a reached lane as its distance, exactly, an unreached one
+// as the cell's no-path value. It is its own function to keep the loop in
+// registers.
+func emitLane[T lane, C cell](row []C, col []T) (reached int, top T) {
+	w, inf, none := lanesOf[T](), unreachedLane[T](), noPath[C]()
 	for i := range row {
 		if d := col[i*w]; d != inf {
-			row[i] = float64(d)
+			row[i] = C(d)
 			top = max(top, d)
 			reached++
 		} else {
-			row[i] = matrix.Inf
+			row[i] = none
 		}
 	}
 	return reached, top

@@ -212,6 +212,13 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireBitIdentical(t, got[i], got[0])
+					// The same panel on uint32 cells: the lanes, or the
+					// radix rows, converted exactly.
+					cells := make([]uint32, h*n)
+					if err := eng.SolveIntPanel(context.Background(), bi*b, cells, 2); err != nil {
+						t.Fatal(err)
+					}
+					requireIntCells(t, cells, got[0])
 				}
 			}
 			for _, eng := range engines[:2] {
@@ -256,6 +263,16 @@ func TestBatchNeedsTheDialView(t *testing.T) {
 		if e.arcs != nil || e.PanelKernel() != "row" {
 			t.Fatalf("arcs %v, panel kernel %s; want none, row", e.arcs != nil, e.PanelKernel())
 		}
+		// Nor do its distances fit uint32 cells, on any build.
+		if e.IntDistances() || e.SolveIntPanel(context.Background(), 0, make([]uint32, 40), 1) == nil {
+			t.Fatal("uint32 panel solved on a graph whose distances need float64")
+		}
+		if _, err := e.SolveIntPanels(context.Background(), 8, Options{}, func(int, []uint32) error { return nil }); err == nil {
+			t.Fatal("uint32 panels streamed on a graph whose distances need float64")
+		}
+	}
+	if !New(mustGraph(t, 40, chain(40, 0, maxArcWeight))).IntDistances() {
+		t.Fatal("a graph of integer weights in [0, 255] has no uint32 panels")
 	}
 }
 

@@ -3,8 +3,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-
-	"apspark/internal/matrix"
 )
 
 // Seed is one starting point of a bounded solve: vertex V opens with
@@ -95,7 +93,8 @@ func (e *Engine) dijkstra(seeds []Seed, row []float64, bd Bound) (int, error) {
 		return 0, fmt.Errorf("sparse: n=%d exceeds the engine limit of %d vertices", e.n, maxN)
 	}
 	sc := e.scratch.get().(*state)
-	settled := sc.dijkstra(e, seeds, row, bd)
+	settled := sc.dijkstra(e, seeds, bd)
+	fillRow(sc, row)
 	e.scratch.put(sc)
 	e.settled.Add(int64(settled))
 	return settled, nil
@@ -104,11 +103,11 @@ func (e *Engine) dijkstra(seeds []Seed, row []float64, bd Bound) (int, error) {
 // dijkstra is the package's one single-source loop, under SolveRowInto
 // (a zero Bound), the panel rows the batched kernel does not solve, and
 // every bounded and multi-seed solve. The bounds cost one predictable
-// branch each per settled vertex; row, when non-nil, is filled once at the
-// end from the epoch stamps — settled vertices get their distance,
-// everything else matrix.Inf — rather than at every settle. It returns the
-// number of vertices settled. Allocation-free once sc has grown.
-func (sc *state) dijkstra(e *Engine, seeds []Seed, row []float64, bd Bound) int {
+// branch each per settled vertex. The distances stay in sc's epoch stamps
+// for fillRow to write out once, rather than into a row at every settle.
+// It returns the number of vertices settled. Allocation-free once sc has
+// grown.
+func (sc *state) dijkstra(e *Engine, seeds []Seed, bd Bound) int {
 	sc.next()
 	vs, epoch := sc.vs, sc.epoch
 	rowPtr, colIdx, weights := e.rowPtr, e.colIdx, e.weights
@@ -177,14 +176,23 @@ func (sc *state) dijkstra(e *Engine, seeds []Seed, row []float64, bd Bound) int 
 			}
 		}
 	}
+	return settled
+}
+
+// fillRow writes the solve sc last ran into row from the epoch stamps:
+// settled vertices get their distance, everything else the cell's no-path
+// value. On a graph with IntDistances every settled distance is an
+// integer below matrix.NoPath32, so a uint32 cell holds it exactly. A nil
+// row writes nothing.
+func fillRow[C cell](sc *state, row []C) {
+	vs, epoch, none := sc.vs, sc.epoch, noPath[C]()
 	for v := range row {
 		if vw := vs[v]; vw.stamp == epoch && vw.pos == settledPos {
-			row[v] = vw.dist
+			row[v] = C(vw.dist)
 		} else {
-			row[v] = matrix.Inf
+			row[v] = none
 		}
 	}
-	return settled
 }
 
 // nextTargets starts a new target epoch, lazily allocating the mark

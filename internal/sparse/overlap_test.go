@@ -97,14 +97,15 @@ func TestSolvePanelsCancelWaitsForTheEmitInFlight(t *testing.T) {
 // TestSolvePanelsOverlapKeepsPanelsIntact is the -race pin for the double
 // buffer: every emit reads its whole panel, slowly, while the workers
 // solve the next one, and checks it against an in-memory solve. Emits
-// must arrive in order, one at a time.
+// must arrive in order, one at a time. The same holds on uint32 cells.
 func TestSolvePanelsOverlapKeepsPanelsIntact(t *testing.T) {
 	g := intER(t, 203, 6, 23)
 	want := solveFull(t, g, 203)
 	const b = 16
 	var inEmit atomic.Int32
 	next := 0
-	done, err := New(g).SolvePanels(context.Background(), b, Options{Workers: 3}, func(bi int, panel *matrix.Block) error {
+	// emitted reads panel bi, h rows whose (r, v) distance is at(r, v).
+	emitted := func(bi, h int, at func(r, v int) float64) error {
 		if inEmit.Add(1) != 1 {
 			t.Error("two emits in flight")
 		}
@@ -113,21 +114,36 @@ func TestSolvePanelsOverlapKeepsPanelsIntact(t *testing.T) {
 			t.Errorf("emit of panel %d, want %d", bi, next)
 		}
 		next++
-		for r := 0; r < panel.R; r++ {
+		for r := 0; r < h; r++ {
 			if r%4 == 0 {
 				time.Sleep(time.Millisecond) // let the next panel's solve run beside this read
 			}
-			for v, d := range panel.Row(r) {
-				if d != want.At(bi*b+r, v) {
+			for v := 0; v < g.N; v++ {
+				if d := at(r, v); d != want.At(bi*b+r, v) {
 					t.Errorf("panel %d row %d col %d = %v, want %v", bi, r, v, d, want.At(bi*b+r, v))
 					return nil
 				}
 			}
 		}
 		return nil
+	}
+	done, err := New(g).SolvePanels(context.Background(), b, Options{Workers: 3}, func(bi int, panel *matrix.Block) error {
+		return emitted(bi, panel.R, panel.At)
 	})
 	if err != nil || done != g.N {
 		t.Fatalf("SolvePanels = %d, %v", done, err)
+	}
+	next = 0
+	done, err = New(g).SolveIntPanels(context.Background(), b, Options{Workers: 3}, func(bi int, rows []uint32) error {
+		return emitted(bi, len(rows)/g.N, func(r, v int) float64 {
+			if c := rows[r*g.N+v]; c != matrix.NoPath32 {
+				return float64(c)
+			}
+			return matrix.Inf
+		})
+	})
+	if err != nil || done != g.N {
+		t.Fatalf("SolveIntPanels = %d, %v", done, err)
 	}
 }
 

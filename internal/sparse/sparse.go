@@ -81,10 +81,18 @@
 // times W·n on 16 lanes and a shuffled 256x256 grid 9.5. batch.go has the
 // break-even figures the budget's 2 comes from.
 //
-// Completed source rows are emitted in block-height panels (SolvePanels),
-// two of them in flight — one being written while the next is solved —
-// so a caller streaming panels to disk holds O(2·b·n) rather than O(n²):
-// the piece that lets n = 65536 solve on a laptop-class host.
+// Completed source rows are emitted in block-height panels, two of them
+// in flight — one being written while the next is solved — so a caller
+// streaming panels to disk holds 2·b·n distance cells rather than n². The
+// cell type follows the graph alone, the same on every CPU and build:
+// where every weight is an integer in [0, 255] (IntDistances) every
+// distance is an exact integer below 2^32, and SolveIntPanels and
+// SolveIntPanel carry it as a uint32 (matrix.NoPath32 for no path) from
+// the lanes to the caller — half the bytes of a float64, and what an
+// integer store encoder reads with no float in between. SolvePanels,
+// SolvePanel and Solve carry float64 on any graph. One generic body serves
+// both cell types: the panel loop, its workers, the batch emit and the
+// radix row's fill, which converts each settled distance exactly.
 package sparse
 
 import (
@@ -95,6 +103,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
@@ -112,8 +121,12 @@ type Engine struct {
 
 	scratch freeList // *state
 
+	// intDistances: every weight is an integer in [0, 255], so every
+	// distance is an exact uint32 (IntDistances).
+	intDistances bool
+
 	// arcs is the batched kernel's input (batch.go), nil where the kernel
-	// cannot run: no AVX2, or a weight that is not an integer in [0, 255].
+	// cannot run: no AVX2, or a graph without intDistances.
 	arcs []arc
 
 	// width is how many sources SolvePanel solves at once (batch.go):
@@ -179,8 +192,9 @@ func (f *freeList) put(x any) {
 
 // New builds an engine over g's CSR arrays (shared, read-only; the graph
 // must not be mutated while the engine is in use — graphs in this
-// repository are immutable after construction). Whether panels can batch
-// is decided here, once, from the weights and the CPU (see PanelKernel).
+// repository are immutable after construction). Whether panels can be
+// uint32 is decided here, once, from the weights (IntDistances), and
+// whether they can batch from the weights and the CPU (PanelKernel).
 func New(g *graph.Graph) *Engine {
 	e := &Engine{n: g.N, panelEmit: obs.NewHistogram()}
 	e.rowPtr, e.colIdx, e.weights = g.CSR()
@@ -189,10 +203,9 @@ func New(g *graph.Graph) *Engine {
 	e.batch32Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint16](e.n) }}
 	e.batch16Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint32](e.n) }}
 	e.width.Store(rowWise)
-	if haveBatchKernel {
-		if e.arcs = packArcs(e.n, e.colIdx, e.weights); e.arcs != nil {
-			e.width.Store(batch32)
-		}
+	if e.intDistances = integerWeights(e.n, e.weights); e.intDistances && haveBatchKernel {
+		e.arcs = packArcs(e.colIdx, e.weights)
+		e.width.Store(batch32)
 	}
 	return e
 }
@@ -277,6 +290,29 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 
 // N returns the number of vertices.
 func (e *Engine) N() int { return e.n }
+
+// IntDistances reports whether the engine solves uint32 panels
+// (SolveIntPanels, SolveIntPanel): every weight of the graph is an integer
+// in [0, 255], so every distance is an exact integer below
+// matrix.NoPath32. It is decided from the graph alone, the same on every
+// CPU and build.
+func (e *Engine) IntDistances() bool { return e.intDistances }
+
+// errFloatOnly refuses uint32 panels on an engine without IntDistances.
+var errFloatOnly = fmt.Errorf("sparse: uint32 panels need every weight an integer in [0, %d]", maxArcWeight)
+
+// cell is the type of a solved panel's distance cells: float64 on any
+// graph, matrix.Inf for no path, or uint32 on a graph with IntDistances,
+// matrix.NoPath32 for no path.
+type cell interface{ float64 | uint32 }
+
+// noPath is the cell value of an unreachable vertex.
+func noPath[C cell]() C {
+	if unsafe.Sizeof(C(0)) == 4 {
+		return C(matrix.NoPath32)
+	}
+	return C(matrix.Inf)
+}
 
 // vstate is one vertex's epoch-stamped per-source state, packed into a
 // single 16-byte slot so a relaxation touches exactly one cache line:
@@ -490,8 +526,8 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 		return matrix.NewZero(0, 0), 0, nil
 	}
 	out := matrix.NewZero(e.n, e.n)
-	done, err := e.solvePanels(ctx, panelRows, opts, func(bi, h int) *matrix.Block {
-		return &matrix.Block{R: h, C: e.n, Data: out.Data[bi*panelRows*e.n : (bi*panelRows+h)*e.n]}
+	done, err := solvePanels(ctx, e, panelRows, opts, func(bi, h int) []float64 {
+		return out.Data[bi*panelRows*e.n : (bi*panelRows+h)*e.n]
 	}, nil)
 	if err != nil {
 		return nil, done, err
@@ -503,10 +539,11 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 // panelRows consecutive rows (the last panel may be ragged) and handed to
 // emit in order as each completes. The solve is double-buffered: emit
 // runs on its own goroutine while the workers solve the next panel into a
-// second block, so peak residency is O(2·panelRows·n). Emits never overlap
-// each other — panel k's emit has returned before panel k+1's starts, so
-// an emit that makes its panel durable keeps a checkpoint sequence in
-// order — and none outlives the call. The two blocks are reused: emit
+// second block, so peak residency is 2·panelRows·n float64 cells
+// (SolveIntPanels halves the bytes). Emits never overlap each other —
+// panel k's emit has returned before panel k+1's starts, so an emit that
+// makes its panel durable keeps a checkpoint sequence in order — and none
+// outlives the call. The two blocks are the call's own and reused: emit
 // must finish consuming its panel before returning and must not retain it
 // (or any row slice of it).
 //
@@ -516,41 +553,52 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 // waits for the emit in flight (its rows count if it succeeds), starts no
 // further emit and returns ctx.Err().
 func (e *Engine) SolvePanels(ctx context.Context, panelRows int, opts Options, emit func(bi int, panel *matrix.Block) error) (int, error) {
+	return streamPanels(ctx, e, panelRows, opts, func(bi int, rows []float64) error {
+		return emit(bi, &matrix.Block{R: len(rows) / e.n, C: e.n, Data: rows})
+	})
+}
+
+// SolveIntPanels is SolvePanels on uint32 cells, for an engine with
+// IntDistances: each panel reaches emit as its h·n cells, row-major,
+// matrix.NoPath32 for no path — the same distances in half the bytes, and
+// as the integers they are. The same rules hold.
+func (e *Engine) SolveIntPanels(ctx context.Context, panelRows int, opts Options, emit func(bi int, rows []uint32) error) (int, error) {
+	if !e.intDistances {
+		return 0, errFloatOnly
+	}
+	return streamPanels(ctx, e, panelRows, opts, emit)
+}
+
+// streamPanels is SolvePanels at either cell type. Its two panels are
+// plain allocations of the call: they die with it, where blocks from the
+// matrix arena would stay pooled after the solve.
+func streamPanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Options, emit func(bi int, rows []C) error) (int, error) {
 	if e.n == 0 {
 		return 0, nil
 	}
-	var bufs [2]*matrix.Block
-	defer func() {
-		for _, p := range bufs {
-			if p != nil {
-				matrix.Put(p)
-			}
-		}
-	}()
-	return e.solvePanels(ctx, panelRows, opts, func(bi, h int) *matrix.Block {
+	var bufs [2][]C
+	return solvePanels(ctx, e, panelRows, opts, func(bi, h int) []C {
 		if bufs[bi&1] == nil { // a one-panel solve never takes the second
-			bufs[bi&1] = matrix.Get(min(panelRows, e.n), e.n)
+			bufs[bi&1] = make([]C, min(panelRows, e.n)*e.n)
 		}
-		panel := bufs[bi&1]
-		panel.R = h
-		panel.Data = panel.Data[:h*e.n]
-		return panel
-	}, func(bi int, panel *matrix.Block) error {
+		return bufs[bi&1][:h*e.n]
+	}, func(bi int, rows []C) error {
 		emitStart := time.Now()
-		err := emit(bi, panel)
+		err := emit(bi, rows)
 		e.panelEmit.RecordSince(emitStart)
 		return err
 	})
 }
 
-// solvePanels is the shared panel loop: for each panel it asks dst for
-// the destination block (a window of the full matrix, or one of the two
-// streaming panels), solves the panel's sources into it in parallel and,
-// when emit is non-nil, hands the solved panel to emit on a goroutine that
-// runs alongside the next panel's solve. Rows count, and Progress fires
-// on the calling goroutine, once a panel's emit has returned nil (at once
-// when there is no emit).
-func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, dst func(bi, h int) *matrix.Block, emit func(bi int, panel *matrix.Block) error) (int, error) {
+// solvePanels is the panel loop under Solve, SolvePanels and
+// SolveIntPanels: for each panel it asks dst for the destination cells (a
+// window of the full matrix, or one of the two streaming panels), solves
+// the panel's sources into them in parallel and, when emit is non-nil,
+// hands the solved panel to emit on a goroutine that runs alongside the
+// next panel's solve. Rows count, and Progress fires on the calling
+// goroutine, once a panel's emit has returned nil (at once when there is
+// no emit).
+func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Options, dst func(bi, h int) []C, emit func(bi int, rows []C) error) (int, error) {
 	if panelRows < 1 {
 		return 0, fmt.Errorf("sparse: panel height %d < 1", panelRows)
 	}
@@ -606,9 +654,9 @@ func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, d
 			h = panelRows
 		}
 		panel := dst(bi, h)
-		// SolvePanel starts with a ctx check, so a cancelled solve falls
+		// solvePanel starts with a ctx check, so a cancelled solve falls
 		// straight through to settle.
-		solveErr := e.SolvePanel(ctx, base, panel, workers)
+		solveErr := solvePanel(ctx, e, base, panel, h, workers)
 		if err := settle(); err != nil {
 			return done, err
 		}
@@ -643,18 +691,41 @@ func (e *Engine) solvePanels(ctx context.Context, panelRows int, opts Options, d
 // stops every worker before its next unit (so between batches, not between
 // rows) and is returned; rows is then partly filled.
 func (e *Engine) SolvePanel(ctx context.Context, base int, rows *matrix.Block, workers int) error {
-	job := panelJob{base: base, rows: rows, unit: rowWise}
-	if rows.R >= batchMin {
+	return solvePanel(ctx, e, base, rows.Data[:rows.R*e.n], rows.R, workers)
+}
+
+// SolveIntPanel is SolvePanel into uint32 cells, for an engine with
+// IntDistances: rows holds the h·n cells of sources base..base+h-1,
+// row-major, matrix.NoPath32 for no path.
+func (e *Engine) SolveIntPanel(ctx context.Context, base int, rows []uint32, workers int) error {
+	if !e.intDistances {
+		return errFloatOnly
+	}
+	h := 0
+	if e.n > 0 {
+		h = len(rows) / e.n
+	}
+	if len(rows) != h*e.n {
+		return fmt.Errorf("sparse: a panel of %d cells is not whole rows of %d", len(rows), e.n)
+	}
+	return solvePanel(ctx, e, base, rows, h, workers)
+}
+
+// solvePanel is SolvePanel at either cell type: rows holds h rows of n
+// cells.
+func solvePanel[C cell](ctx context.Context, e *Engine, base int, rows []C, h, workers int) error {
+	job := panelJob[C]{base: base, h: h, rows: rows, unit: rowWise}
+	if h >= batchMin {
 		job.unit = int(e.width.Load())
 	}
-	workers = max(min(workers, (rows.R+job.unit-1)/job.unit), 1)
+	workers = max(min(workers, (h+job.unit-1)/job.unit), 1)
 	panelStart := time.Now()
 	defer func() {
 		e.wallNs.Add(time.Since(panelStart).Nanoseconds())
 		e.lastWorkers.Store(int64(workers))
 	}()
 	if workers == 1 {
-		return e.solveUnits(ctx, &job)
+		return solveUnits(ctx, e, &job)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -662,7 +733,7 @@ func (e *Engine) SolvePanel(ctx context.Context, base int, rows *matrix.Block, w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[w] = e.solveUnits(ctx, &job)
+			errs[w] = solveUnits(ctx, e, &job)
 		}()
 	}
 	wg.Wait()
@@ -674,18 +745,18 @@ func (e *Engine) SolvePanel(ctx context.Context, base int, rows *matrix.Block, w
 	return nil
 }
 
-// panelJob is one SolvePanel call as its workers see it: rows unit..unit+k
-// of the panel are unit number next.
-type panelJob struct {
-	base int
-	rows *matrix.Block
-	unit int
-	next atomic.Int64
+// panelJob is one SolvePanel call as its workers see it: h rows of n
+// cells, drawn unit rows at a time through next.
+type panelJob[C cell] struct {
+	base, h int
+	rows    []C
+	unit    int
+	next    atomic.Int64
 }
 
 // solveUnits is one worker of a panel: it solves units until none is left
 // or ctx is cancelled.
-func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
+func solveUnits[C cell](ctx context.Context, e *Engine, job *panelJob[C]) error {
 	start := time.Now()
 	// Scratch is drawn on first use: a worker that only batches never holds
 	// row scratch, and one whose distances fit 16 bits never holds the
@@ -710,7 +781,7 @@ func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
 		e.srcSolved.Add(sources)
 		e.settled.Add(settled)
 	}()
-	h, n := job.rows.R, e.n
+	h, n := job.h, e.n
 	for {
 		r0 := (int(job.next.Add(1)) - 1) * job.unit
 		if r0 >= h {
@@ -731,23 +802,24 @@ func (e *Engine) solveUnits(ctx context.Context, job *panelJob) error {
 					sc = e.scratch.get().(*state)
 				}
 				seed := [1]Seed{{V: int32(job.base + r)}}
-				settled += int64(sc.dijkstra(e, seed[:], job.rows.Row(r), Bound{}))
+				settled += int64(sc.dijkstra(e, seed[:], Bound{}))
+				fillRow(sc, job.rows[r*n:(r+1)*n])
 				sources++
 				r++
 				continue
 			}
 			var reached int
 			var how batchEnd
-			if into := job.rows.Data[r*n : (r+k)*n]; width == batch32 {
+			if into := job.rows[r*n : (r+k)*n]; width == batch32 {
 				if b32 == nil {
 					b32 = e.batch32Scratch.get().(*batchState[uint16])
 				}
-				reached, how = b32.solve(e, job.base+r, k, into)
+				reached, how = solveBatch(b32, e, job.base+r, k, into)
 			} else {
 				if b16 == nil {
 					b16 = e.batch16Scratch.get().(*batchState[uint32])
 				}
-				reached, how = b16.solve(e, job.base+r, k, into)
+				reached, how = solveBatch(b16, e, job.base+r, k, into)
 			}
 			// A worker mid-batch may end the same way; each narrowing is
 			// counted by whoever makes it.

@@ -52,6 +52,21 @@ func requireBitIdentical(t *testing.T, got, want *matrix.Block) {
 	}
 }
 
+// requireIntCells fails unless uint32 cells hold want's distances
+// exactly, matrix.NoPath32 where want has no path.
+func requireIntCells(t *testing.T, cells []uint32, want *matrix.Block) {
+	t.Helper()
+	for i, d := range want.Data {
+		got := float64(cells[i])
+		if cells[i] == matrix.NoPath32 {
+			got = matrix.Inf
+		}
+		if got != d {
+			t.Fatalf("cell %d = %d, want %v", i, cells[i], d)
+		}
+	}
+}
+
 func solveFull(t *testing.T, g *graph.Graph, panelRows int) *matrix.Block {
 	t.Helper()
 	out, done, err := New(g).Solve(context.Background(), panelRows, Options{})
@@ -321,19 +336,23 @@ func TestProgressReportsEveryPanel(t *testing.T) {
 	}
 }
 
-// TestSolvePanelsPoolSafety runs a streaming solve under the arena's
-// double-Put detector: the reused panel and the per-worker scratch must
-// never be returned to the pool twice.
+// TestSolvePanelsPoolSafety runs streaming solves under the arena's
+// checker: their two panels are the call's own allocations and the
+// per-worker scratch is the engine's, so neither cell type takes a block
+// from the arena or returns one to it (an arena block would stay pooled
+// after the solve, and could be returned twice).
 func TestSolvePanelsPoolSafety(t *testing.T) {
 	matrix.SetPoolCheck(true)
 	defer matrix.SetPoolCheck(false)
-	g := intER(t, 150, 6, 10)
-	_, err := New(g).SolvePanels(context.Background(), 32, Options{Workers: 2}, func(int, *matrix.Block) error { return nil })
-	if err != nil {
+	e := New(intER(t, 150, 6, 10))
+	if _, err := e.SolvePanels(context.Background(), 32, Options{Workers: 2}, func(int, *matrix.Block) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if st := matrix.PoolCheckStats(); st.DoublePuts != 0 {
-		t.Fatalf("DoublePuts = %d, want 0", st.DoublePuts)
+	if _, err := e.SolveIntPanels(context.Background(), 32, Options{Workers: 2}, func(int, []uint32) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := matrix.PoolCheckStats(); st.Gets != 0 || st.Puts != 0 || st.DoublePuts != 0 {
+		t.Fatalf("arena traffic %+v, want none", st)
 	}
 }
 

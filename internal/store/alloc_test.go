@@ -6,7 +6,43 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+
+	"apspark/internal/matrix"
 )
+
+// TestWarmIntPanelAllocatesNothing: once a first panel has grown the
+// writer's buffer, WriteIntPanel with ivarint or raw encodes every tile
+// straight from the integers — no float tile, no garbage.
+func TestWarmIntPanelAllocatesNothing(t *testing.T) {
+	const n, b = 256, 32
+	cells := make([]uint32, b*n)
+	for i := range cells {
+		cells[i] = uint32(i % 997)
+	}
+	cells[5] = matrix.NoPath32
+	for _, name := range []string{"ivarint", "raw"} {
+		c, err := CodecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewPanelWriterWithOptions(filepath.Join(t.TempDir(), "d.apsp"), n, b, PanelWriterOptions{Codec: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteIntPanel(cells); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() { // 6 more of the 8 panels
+			if err := w.WriteIntPanel(cells); err != nil {
+				t.Fatal(err)
+			}
+		})
+		w.Abort()
+		if allocs != 0 || w.tile != nil {
+			t.Fatalf("%s: a warm WriteIntPanel allocates %v objects (float tile made: %v), want 0", name, allocs, w.tile != nil)
+		}
+	}
+}
 
 // TestColdIVarintRowZeroAllocs: with row caching off, RowInto of a row
 // whose tiles are verified assembles straight into the caller's buffer —

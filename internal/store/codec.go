@@ -16,7 +16,10 @@
 //     and decode reproduces the identical float64 bits. Tiles with any non-integral, NaN, -Inf or too-large
 //     value are stored raw instead. On integer-weight graphs, distance
 //     rows are small monotone-ish integers whose deltas fit 1-2 varint
-//     bytes: 4-8x denser than raw.
+//     bytes: 4-8x denser than raw. A panel of uint32 distance cells
+//     (PanelWriter.WriteIntPanel) encodes to the same bytes straight from
+//     its integers, through the same restart-group layout and token
+//     writer.
 //   - f32 (id 2): lossy float32 downcast, opt-in only. The encoder
 //     measures the worst relative error of the round trip and declines
 //     the tile (falling back to raw) when it exceeds the codec's bound;
@@ -57,6 +60,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"apspark/internal/matrix"
 )
@@ -266,6 +270,27 @@ func (rawCodec) DecodeRow(_ *RowTable, span []byte, _ int, dst []float64) error 
 	return nil
 }
 
+// appendRawInts appends the raw payload — the matrix.Marshal bytes — of
+// the h x w tile of uint32 cells whose row r is cells[r*stride:][:w],
+// matrix.NoPath32 as +Inf.
+func appendRawInts(dst []byte, cells []uint32, stride, h, w int) []byte {
+	dst = slices.Grow(matrix.AppendDenseHeader(dst, h, w), 8*h*w)
+	for r := 0; r < h; r++ {
+		for _, v := range cells[r*stride:][:w] {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cellFloat(v)))
+		}
+	}
+	return dst
+}
+
+// cellFloat is the float64 distance of a uint32 cell.
+func cellFloat(v uint32) float64 {
+	if v == matrix.NoPath32 {
+		return matrix.Inf
+	}
+	return float64(v)
+}
+
 // Encoded-tile header layout, shared by ivarint and f32: one magic byte
 // plus the h x w shape, mirroring matrix.Marshal's 9-byte header so a
 // misrouted payload is caught before any value is trusted. f32 appends
@@ -326,7 +351,36 @@ func (ivarintCodec) ID() byte { return CodecIVarint }
 func (ivarintCodec) Name() string { return "ivarint" }
 
 func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
-	h, w := tile.R, tile.C
+	w := tile.C
+	return c.appendTile(dst, tile.R, w, func(dst []byte, r int, prev int64) ([]byte, int64, bool) {
+		return appendFloatTokens(dst, tile.Data[r*w:(r+1)*w], prev)
+	})
+}
+
+// appendInts is EncodeTile of the h x w tile of uint32 cells whose row r
+// is cells[r*stride:][:w], matrix.NoPath32 for +Inf: the bytes EncodeTile
+// writes for the same values as float64, read where they lie in a panel.
+// Every cell is in the codec's domain, so only size declines a tile.
+func (c ivarintCodec) appendInts(dst []byte, cells []uint32, stride, h, w int) ([]byte, bool) {
+	return c.appendTile(dst, h, w, func(dst []byte, r int, prev int64) ([]byte, int64, bool) {
+		for _, v := range cells[r*stride:][:w] {
+			if v == matrix.NoPath32 {
+				dst = append(dst, 0)
+				continue
+			}
+			dst = appendIVarintToken(dst, int64(v)-prev)
+			prev = int64(v)
+		}
+		return dst, prev, true
+	})
+}
+
+// appendTile lays out an h x w tile in restart groups (the file comment)
+// around the tokens row appends: those of row r after the group's
+// predecessor prev, returning the new predecessor, or false to decline
+// the tile. A tile that is not getting smaller than raw is declined too,
+// checked row by row.
+func (c ivarintCodec) appendTile(dst []byte, h, w int, row func(dst []byte, r int, prev int64) ([]byte, int64, bool)) ([]byte, bool) {
 	rawSize := matrix.DenseMarshaledSize(h, w)
 	if rawSize > math.MaxUint32 {
 		return dst, false // group offsets are uint32
@@ -340,37 +394,9 @@ func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) 
 		from := len(dst)
 		prev := int64(0)
 		for r := g * c.k; r < min(h, (g+1)*c.k); r++ {
-			for _, v := range tile.Data[r*w : (r+1)*w] {
-				// What a distance store is made of: a positive integer
-				// float64 holds exactly, most often within 63 of its
-				// predecessor, which is a one-byte token.
-				if iv := int64(v); float64(iv) == v && uint64(iv-1) < uint64(maxExactInt-1) {
-					d := iv - prev
-					if tok := uint64((d<<1)^(d>>63)) + 1; tok < 0x80 {
-						dst = append(dst, byte(tok))
-					} else {
-						dst = binary.AppendUvarint(dst, tok)
-					}
-					prev = iv
-					continue
-				}
-				if math.IsInf(v, 1) {
-					dst = append(dst, 0)
-					continue
-				}
-				// Domain check: exactly representable non-negative-zero
-				// integers only. NaN fails v == Trunc(v); -Inf fails the
-				// magnitude bound; -0.0 would decode as +0.0 (different
-				// bits), so it is declined too — bit-exactness is the
-				// codec's contract.
-				if v != math.Trunc(v) || v <= float64(-maxExactInt) || v >= float64(maxExactInt) ||
-					(v == 0 && math.Signbit(v)) {
-					return dst, false
-				}
-				iv := int64(v)
-				d := iv - prev
-				dst = binary.AppendUvarint(dst, uint64((d<<1)^(d>>63))+1)
-				prev = iv
+			var ok bool
+			if dst, prev, ok = row(dst, r, prev); !ok {
+				return dst, false
 			}
 			if int64(len(dst)-start) >= rawSize {
 				return dst, false // not getting smaller; store raw
@@ -380,6 +406,49 @@ func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) 
 		binary.LittleEndian.PutUint32(dst[table+8*g+4:], crc32.Checksum(dst[from:], castagnoli))
 	}
 	return dst, true
+}
+
+// appendFloatTokens appends the tokens of float64 values after the
+// predecessor prev and returns the new one, or false at the first value
+// outside the codec's domain.
+func appendFloatTokens(dst []byte, vals []float64, prev int64) ([]byte, int64, bool) {
+	for _, v := range vals {
+		// What a distance store is made of: a positive integer float64
+		// holds exactly.
+		if iv := int64(v); float64(iv) == v && uint64(iv-1) < uint64(maxExactInt-1) {
+			dst = appendIVarintToken(dst, iv-prev)
+			prev = iv
+			continue
+		}
+		if math.IsInf(v, 1) {
+			dst = append(dst, 0)
+			continue
+		}
+		// Domain check: exactly representable non-negative-zero integers
+		// only. NaN fails v == Trunc(v); -Inf fails the magnitude bound;
+		// -0.0 would decode as +0.0 (different bits), so it is declined
+		// too — bit-exactness is the codec's contract.
+		if v != math.Trunc(v) || v <= float64(-maxExactInt) || v >= float64(maxExactInt) ||
+			(v == 0 && math.Signbit(v)) {
+			return dst, prev, false
+		}
+		iv := int64(v)
+		dst = appendIVarintToken(dst, iv-prev)
+		prev = iv
+	}
+	return dst, prev, true
+}
+
+// appendIVarintToken appends the token of a delta d from the group's
+// predecessor: zigzag, plus one to keep 0 for the +Inf escape, as a
+// uvarint — one byte when d is within 63 of it, as most are. Every token
+// either encoder writes goes through here.
+func appendIVarintToken(dst []byte, d int64) []byte {
+	tok := uint64((d<<1)^(d>>63)) + 1
+	if tok < 0x80 {
+		return append(dst, byte(tok))
+	}
+	return binary.AppendUvarint(dst, tok)
 }
 
 func (ivarintCodec) RowTable(data []byte, h, w int) (*RowTable, error) {

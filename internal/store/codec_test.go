@@ -719,6 +719,35 @@ func requireEncodesAsOracle(t *testing.T, tile *matrix.Block) {
 	}
 }
 
+// requireIntsEncodeAsOracle fails unless the integer encoder, reading an
+// h x w tile of cells (cycled) out of a panel three columns wider,
+// accepts or declines it as the oracle does the same values as float64
+// (NoPath32 as +Inf), to the same bytes behind a prefix.
+func requireIntsEncodeAsOracle(t *testing.T, cells []uint32, h, w int) {
+	t.Helper()
+	stride, c0 := w+3, 2
+	panel := make([]uint32, h*stride)
+	for i := range panel {
+		panel[i] = 0xDEAD // junk the tile must not pick up
+	}
+	tile := matrix.New(h, w)
+	for r := 0; r < h; r++ {
+		for j := 0; j < w; j++ {
+			v := cells[(r*w+j)%len(cells)]
+			panel[r*stride+c0+j] = v
+			tile.Data[r*w+j] = cellFloat(v)
+		}
+	}
+	c := codecs[CodecIVarint].(ivarintCodec)
+	prefix := []byte("prefix")
+	got, gotOK := c.appendInts(bytes.Clone(prefix), panel[c0:], stride, h, w)
+	want, wantOK := encodeIVarintOracle(c, bytes.Clone(prefix), tile)
+	if gotOK != wantOK || (gotOK && !bytes.Equal(got, want)) {
+		t.Fatalf("%dx%d integer tile: encoder accepted=%v with %d bytes, oracle accepted=%v with %d bytes; bytes equal: %v",
+			h, w, gotOK, len(got), wantOK, len(want), bytes.Equal(got, want))
+	}
+}
+
 // TestIVarintEncodeMatchesOracle holds the encoder's fast path to the
 // bytes of the loop it replaced, over the tiles the other codec tests are
 // built from: distance-like matrices, wide random integers with +Inf, one
@@ -752,6 +781,22 @@ func TestIVarintEncodeMatchesOracle(t *testing.T) {
 			requireEncodesAsOracle(t, tile)
 		}
 	}
+	// The integer encoder, over the same shapes, from a 1x1 tile it
+	// declines to wide ones with no-path cells and multi-byte tokens.
+	for _, shape := range [][2]int{{1, 1}, {1, 4}, {3, 5}, {16, 16}, {17, 9}, {40, 300}} {
+		cells := make([]uint32, shape[0]*shape[1])
+		for i := range cells {
+			switch rng.Intn(8) {
+			case 0:
+				cells[i] = matrix.NoPath32
+			case 1:
+				cells[i] = rng.Uint32()
+			default:
+				cells[i] = uint32(rng.Intn(300))
+			}
+		}
+		requireIntsEncodeAsOracle(t, cells, shape[0], shape[1])
+	}
 	incompressible := matrix.NewZero(8, 8)
 	for i := 0; i < len(incompressible.Data); i += 2 {
 		incompressible.Data[i] = float64(maxExactInt - 1)
@@ -766,17 +811,29 @@ func TestIVarintEncodeMatchesOracle(t *testing.T) {
 }
 
 // FuzzIVarintEncodeMatchesOracle: any 2x3 tile of arbitrary float64 bit
-// patterns is accepted or declined as the oracle does, to the same bytes.
+// patterns is accepted or declined as the oracle does, to the same bytes;
+// so is every tile the integer encoder reads out of a panel from the low
+// 32 bits of the same input — no-path cells, tokens of one byte and more,
+// and the 1x1 tile it declines as not smaller than raw.
 func FuzzIVarintEncodeMatchesOracle(f *testing.F) {
 	f.Add(uint64(0), uint64(1<<52), uint64(0x7FF0000000000000), uint64(42), uint64(100), uint64(1000))
 	f.Add(^uint64(0), uint64(1), uint64(2), uint64(3), uint64(4), uint64(5))
 	f.Add(math.Float64bits(7), math.Float64bits(70), math.Float64bits(71), math.Float64bits(1<<53), math.Float64bits(-3), math.Float64bits(2.5))
+	f.Add(uint64(0xFFFFFFFF), uint64(7), uint64(0x80), uint64(1<<31), uint64(0xFFFFFFFE), uint64(0))
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g uint64) {
+		vals := []uint64{a, b, c, d, e, g}
 		tile := matrix.New(2, 3)
-		for i, bits := range []uint64{a, b, c, d, e, g} {
+		for i, bits := range vals {
 			tile.Data[i] = math.Float64frombits(bits)
 		}
 		requireEncodesAsOracle(t, tile)
+		cells := make([]uint32, len(vals))
+		for i, v := range vals {
+			cells[i] = uint32(v)
+		}
+		for _, shape := range [][2]int{{2, 3}, {3, 2}, {1, 6}, {6, 1}, {1, 1}} {
+			requireIntsEncodeAsOracle(t, cells, shape[0], shape[1])
+		}
 	})
 }
 

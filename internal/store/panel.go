@@ -1,6 +1,11 @@
 // Streaming writer: the store file built one row-panel at a time, so a
 // solver that produces rows incrementally (the sparse Dijkstra engine)
-// can persist an n x n matrix while holding only O(b·n) of it.
+// can persist an n x n matrix while holding only O(b·n) of it. A panel
+// arrives as float64 rows (WritePanel) or as uint32 cells (WriteIntPanel:
+// the sparse solve's integer panels, matrix.NoPath32 for no path). Both
+// run one panel loop and write the same bytes for the same distances;
+// from integers, ivarint and raw encode each tile straight from the
+// panel's rows, and only f32 goes through the writer's one float tile.
 //
 // In checkpoint mode the writer adds a crash-safe discipline: the panel
 // data lands in a stable partial file (path + ".partial") and, after each
@@ -94,7 +99,8 @@ type PanelWriter struct {
 	index     []tileRef
 	nextOff   int64
 	codec     Codec
-	buf       []byte // one panel's encoded tiles
+	buf       []byte        // one panel's encoded tiles
+	tile      *matrix.Block // the one float tile (floatTile)
 	closed    bool
 	failed    bool
 
@@ -340,12 +346,12 @@ func (w *PanelWriter) Resumed() int { return w.resumed }
 
 // WritePanel appends the next row panel: a dense h x n block holding
 // matrix rows [p*b, p*b+h) where p panels have been written so far and
-// h = b except for a ragged final panel. The panel is cut into its q
-// tiles through one tile-sized block from the matrix arena, their encoded
-// bytes are gathered in one buffer and written with a single Write, so the
-// writer's own footprint is a tile plus one encoded panel. The panel is
-// only read, never retained. In checkpoint mode the panel is made durable (data fsync +
-// manifest update) before WritePanel returns.
+// h = b except for a ragged final panel. Each of its q tiles is copied
+// into the writer's one float tile and encoded from there; the encoded
+// tiles are gathered in one buffer and written with a single Write, so
+// the writer's own footprint is a tile plus one encoded panel. The panel
+// is only read, never retained. In checkpoint mode the panel is made
+// durable (data fsync + manifest update) before WritePanel returns.
 func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 	if err := w.expectPanel(); err != nil {
 		return err
@@ -357,19 +363,73 @@ func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 	if rows.R != h || rows.C != w.n {
 		return fmt.Errorf("store: panel %d is %dx%d, want %dx%d", w.nextPanel, rows.R, rows.C, h, w.n)
 	}
+	return w.writePanel(func(dst []byte, c0, c int) ([]byte, byte) {
+		tile := w.floatTile(h, c)
+		for r := 0; r < h; r++ {
+			copy(tile.Data[r*c:(r+1)*c], rows.Data[r*w.n+c0:])
+		}
+		return encodeTile(w.codec, tile, dst)
+	})
+}
+
+// WriteIntPanel is WritePanel for the sparse solve's integer panels: rows
+// holds the h x n panel as uint32 cells, row-major, matrix.NoPath32 for
+// no path and every other cell an integer distance. It writes the bytes
+// WritePanel writes for the same distances as float64 (NoPath32 as +Inf),
+// with no float in between where the codec allows: ivarint encodes each
+// tile from the panel's rows where they lie, and raw — also what a tile
+// ivarint declines is stored as — writes their float64 bits directly. f32
+// encodes a float copy of the tile, in the writer's one float tile.
+func (w *PanelWriter) WriteIntPanel(rows []uint32) error {
+	if err := w.expectPanel(); err != nil {
+		return err
+	}
+	h := tileEdge(w.n, w.b, w.nextPanel)
+	if len(rows) != h*w.n {
+		return fmt.Errorf("store: panel %d has %d cells, want %dx%d", w.nextPanel, len(rows), h, w.n)
+	}
+	return w.writePanel(func(dst []byte, c0, c int) ([]byte, byte) {
+		cells := rows[c0:]
+		switch codec := w.codec.(type) {
+		case ivarintCodec:
+			if out, ok := codec.appendInts(dst, cells, w.n, h, c); ok {
+				return out, CodecIVarint
+			}
+		case nil, rawCodec:
+		default:
+			tile := w.floatTile(h, c)
+			for r := 0; r < h; r++ {
+				for j, v := range cells[r*w.n:][:c] {
+					tile.Data[r*c+j] = cellFloat(v)
+				}
+			}
+			return encodeTile(w.codec, tile, dst)
+		}
+		return appendRawInts(dst, cells, w.n, h, c), CodecRaw
+	})
+}
+
+// floatTile returns the writer's one float tile, shaped h x c, allocated
+// by the first panel that needs it.
+func (w *PanelWriter) floatTile(h, c int) *matrix.Block {
+	if w.tile == nil {
+		w.tile = &matrix.Block{Data: make([]float64, w.b*w.b)}
+	}
+	w.tile.R, w.tile.C, w.tile.Data = h, c, w.tile.Data[:h*c]
+	return w.tile
+}
+
+// writePanel is the one panel loop under WritePanel and WriteIntPanel:
+// encode appends tile bj of the panel — its c columns from column c0 — to
+// dst and names the codec that applies. The tiles are gathered in one
+// buffer, indexed and written with one Write.
+func (w *PanelWriter) writePanel(encode func(dst []byte, c0, c int) ([]byte, byte)) error {
 	bi := w.nextPanel
-	tile := matrix.Get(h, w.b)
-	defer matrix.Put(tile)
 	w.buf = w.buf[:0]
 	for bj := 0; bj < w.q; bj++ {
-		tile.C = tileEdge(w.n, w.b, bj)
-		tile.Data = tile.Data[:h*tile.C]
-		if err := rows.ExtractInto(tile, 0, bj*w.b); err != nil {
-			return w.fail(err)
-		}
 		from := len(w.buf)
 		var cid byte
-		w.buf, cid = encodeTile(w.codec, tile, w.buf)
+		w.buf, cid = encode(w.buf, bj*w.b, tileEdge(w.n, w.b, bj))
 		w.index[bi*w.q+bj] = tileRef{
 			off: w.nextOff, length: int64(len(w.buf) - from),
 			crc:   crc32.Checksum(w.buf[from:], castagnoli),

@@ -92,6 +92,64 @@ func TestPanelWriterByteIdenticalToWrite(t *testing.T) {
 	}
 }
 
+// TestWriteIntPanelMatchesWritePanel: an integer panel is written as the
+// bytes of the same distances as float64 — every codec, ragged and
+// clamped geometry, no-path cells, deltas past a one-byte token, and the
+// 1x1 tiles ivarint declines.
+func TestWriteIntPanelMatchesWritePanel(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(8))
+	for _, tc := range []struct{ n, b int }{{100, 32}, {64, 16}, {7, 100}, {9, 1}, {1, 1}, {40, 16}} {
+		cells := make([]uint32, tc.n*tc.n)
+		m := matrix.New(tc.n, tc.n)
+		for i := range cells {
+			switch rng.Intn(10) {
+			case 0:
+				cells[i] = matrix.NoPath32
+			case 1:
+				cells[i] = rng.Uint32() % matrix.NoPath32
+			default:
+				cells[i] = uint32(rng.Intn(200))
+			}
+			m.Data[i] = cellFloat(cells[i])
+		}
+		for _, name := range []string{"raw", "ivarint", "f32"} {
+			c, err := CodecByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := filepath.Join(dir, "float.apsp"), filepath.Join(dir, "int.apsp")
+			if err := WriteWithCodec(want, m, tc.b, c); err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewPanelWriterWithOptions(got, tc.n, tc.b, PanelWriterOptions{Codec: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bi := 0; bi < w.Panels(); bi++ {
+				base, h := PanelRows(tc.n, w.BlockSize(), bi)
+				if err := w.WriteIntPanel(cells[base*tc.n : (base+h)*tc.n]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			a, err := os.ReadFile(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("n=%d b=%d %s: integer panels wrote %d bytes, float panels %d, not the same", tc.n, tc.b, name, len(a), len(b))
+			}
+		}
+	}
+}
+
 func TestPanelWriterServesQueries(t *testing.T) {
 	m := randomDist(75, 9)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
@@ -131,6 +189,9 @@ func TestPanelWriterRejectsBadPanels(t *testing.T) {
 	}
 	if err := pw.WritePanel(matrix.NewPhantom(20, 50)); err == nil {
 		t.Fatal("phantom panel accepted")
+	}
+	if err := pw.WriteIntPanel(make([]uint32, 21*50)); err == nil {
+		t.Fatal("integer panel of the wrong size accepted")
 	}
 	if err := pw.WritePanel(matrix.New(20, 50)); err != nil {
 		t.Fatal(err)

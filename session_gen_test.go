@@ -3,6 +3,7 @@ package apspark
 import (
 	"context"
 	"errors"
+	"maps"
 	"path/filepath"
 	"testing"
 
@@ -92,5 +93,65 @@ func TestGenerationLifecycle(t *testing.T) {
 	}
 	if _, err := s.ApplyDeltas(ctx, wrong, []EdgeDelta{{U: 0, V: 1, W: 4}}); !errors.Is(err, ErrGenerationValidation) {
 		t.Fatalf("update over a store that does not solve its graph: %v, want ErrGenerationValidation", err)
+	}
+}
+
+// TestGenerationRebuildMatchesFreshSolve: a generation built from a delta
+// batch — dirty panels re-solved, clean ones copied from the parent — is
+// byte-identical to a from-scratch SolveToStore of the new graph, raw and
+// ivarint. The graph is two components, so the batch leaves half its
+// panels clean, and its weights are integers, so the dirty panels are
+// solved and written as uint32 cells.
+func TestGenerationRebuildMatchesFreshSolve(t *testing.T) {
+	ctx := context.Background()
+	s, err := New(WithSolver(SolverDijkstra))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const half, b = 48, 16
+	weights := map[[2]int]float64{}
+	for i, part := range []*Graph{hostTestGraph(t, half, 4, 61), hostTestGraph(t, half, 4, 62)} {
+		for _, e := range part.Edges() {
+			weights[[2]int{e.U + i*half, e.V + i*half}] = e.W
+		}
+	}
+	deltas := []EdgeDelta{{U: 0, V: 40, W: 1}, {U: 5, V: 9, W: 2}}
+	graphWith := func(deltas []EdgeDelta) *Graph {
+		w := maps.Clone(weights)
+		for _, d := range deltas {
+			w[[2]int{d.U, d.V}] = d.W
+		}
+		edges := make([]Edge, 0, len(w))
+		for k, wt := range w {
+			edges = append(edges, Edge{U: k[0], V: k[1], W: wt})
+		}
+		g, err := NewGraph(2*half, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g, next := graphWith(nil), graphWith(deltas)
+	for _, codec := range []string{"raw", "ivarint"} {
+		dir := t.TempDir()
+		seed, fresh := filepath.Join(dir, "seed.apsp"), filepath.Join(dir, "fresh.apsp")
+		if _, err := s.SolveToStore(ctx, g, seed, WithBlockSize(b), WithCodec(codec)); err != nil {
+			t.Fatal(err)
+		}
+		gens := filepath.Join(dir, "gens")
+		if _, err := InitGenerations(gens, seed, g); err != nil {
+			t.Fatal(err)
+		}
+		up, err := s.ApplyDeltas(ctx, gens, deltas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if up.DirtyPanels == 0 || up.DirtyPanels == up.TotalPanels {
+			t.Fatalf("%s: %d of %d panels dirty, want some but not all", codec, up.DirtyPanels, up.TotalPanels)
+		}
+		if _, err := s.SolveToStore(ctx, next, fresh, WithBlockSize(b), WithCodec(codec)); err != nil {
+			t.Fatal(err)
+		}
+		requireSameFile(t, codec, filepath.Join(gens, up.Generation, "dist.apsp"), fresh)
 	}
 }

@@ -112,12 +112,22 @@ func (s *Session) runHost(ctx context.Context, g *Graph, j job, storePath string
 		// so a multi-hour streamed solve has a timeline finer than the root
 		// span.
 		lastPanel := time.Now()
-		done, err = eng.SolvePanels(ctx, b, sopts, func(_ int, panel *Matrix) error {
-			werr := pw.WritePanel(panel)
+		written := func(err error) error {
 			obs.DefaultTracer().Observe("panel", "stream", time.Since(lastPanel))
 			lastPanel = time.Now()
-			return werr
-		})
+			return err
+		}
+		// Integer distances stream as uint32 cells: half the bytes in
+		// flight, and ivarint encodes them as the integers they are.
+		if eng.IntDistances() {
+			done, err = eng.SolveIntPanels(ctx, b, sopts, func(_ int, rows []uint32) error {
+				return written(pw.WriteIntPanel(rows))
+			})
+		} else {
+			done, err = eng.SolvePanels(ctx, b, sopts, func(_ int, panel *Matrix) error {
+				return written(pw.WritePanel(panel))
+			})
+		}
 		if err == nil {
 			err = pw.Close()
 		}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"apspark/internal/graph"
+	"apspark/internal/sparse"
 )
 
 // hostTestGraph is a connected sparse ER graph with integer weights:
@@ -238,4 +240,121 @@ func TestHostSolverProgressAndCancellation(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("cancelled streamed solve left a store at %s", path)
 	}
+}
+
+// requireSameFile fails unless the files at got and want hold the same
+// bytes.
+func requireSameFile(t *testing.T, what, got, want string) {
+	t.Helper()
+	a, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s: %s differs from %s (%d vs %d bytes)", what, got, want, len(a), len(b))
+	}
+}
+
+// TestIntegerPanelsMatchFloatPanels: on integer weights SolveToStore
+// streams uint32 panels into the store, and its file must be the one the
+// float path writes for the same distances — Solve, then
+// Result.WriteStoreWithCodec — byte for byte, for every codec: on ER and
+// planted graphs, no-path cells, the chain whose 75,000 outgrows 16-bit
+// lanes, a shuffled path whose first batch overruns its budget (the rest
+// are radix rows), n not a multiple of b and n < b. A streamed solve
+// cancelled after its first panel and resumed writes the same file.
+func TestIntegerPanelsMatchFloatPanels(t *testing.T) {
+	ctx := context.Background()
+	s, err := New(WithSolver(SolverDijkstra))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustGraph := func(n int, edges []Edge) *Graph {
+		t.Helper()
+		g, err := NewGraph(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	// path joins label(0), label(1), ..., label(n-1) by edges of weight w.
+	path := func(n int, w float64, label func(int) int) []Edge {
+		edges := make([]Edge, n-1)
+		for i := range edges {
+			edges[i] = Edge{U: label(i), V: label(i + 1), W: w}
+		}
+		return edges
+	}
+	inOrder := func(i int) int { return i }
+	shuffled := rand.New(rand.NewSource(2)).Perm(1024)
+	planted, err := graph.PlantedPartitionConnected(512, 8, 0.06, 0.001, graph.IntegerWeights(100), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		b    int
+	}{
+		{"ER", hostTestGraph(t, 300, 6, 31), 64},
+		{"planted", planted, 128},
+		{"disconnected + isolated", mustGraph(40, append(path(17, 3, inOrder), Edge{U: 20, V: 39, W: 255})), 16},
+		{"75,000 chain", mustGraph(301, path(301, 250, inOrder)), 64},
+		{"shuffled path", mustGraph(1024, path(1024, 7, func(i int) int { return shuffled[i] })), 256},
+		{"n not a multiple of b", hostTestGraph(t, 131, 5, 32), 32},
+		{"n < b", hostTestGraph(t, 40, 4, 33), 64},
+	} {
+		if !sparse.New(tc.g).IntDistances() {
+			t.Fatalf("%s: no uint32 panels", tc.name)
+		}
+		mem, err := s.Solve(ctx, tc.g, WithBlockSize(tc.b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, codec := range []string{"raw", "ivarint", "f32"} {
+			dir := t.TempDir()
+			floatPath, intPath := filepath.Join(dir, "float.apsp"), filepath.Join(dir, "int.apsp")
+			if err := mem.WriteStoreWithCodec(floatPath, tc.b, codec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.SolveToStore(ctx, tc.g, intPath, WithBlockSize(tc.b), WithCodec(codec)); err != nil {
+				t.Fatal(err)
+			}
+			requireSameFile(t, tc.name+", "+codec, intPath, floatPath)
+		}
+	}
+
+	g := hostTestGraph(t, 200, 5, 34)
+	const b = 32
+	mem, err := s.Solve(ctx, g, WithBlockSize(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	floatPath, intPath := filepath.Join(dir, "float.apsp"), filepath.Join(dir, "int.apsp")
+	if err := mem.WriteStoreWithCodec(floatPath, b, "ivarint"); err != nil {
+		t.Fatal(err)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	_, err = s.SolveToStore(cctx, g, intPath, WithBlockSize(b), WithCodec("ivarint"), WithProgress(func(ev StageEvent) {
+		if ev.Name == "unit" {
+			cancel()
+		}
+	}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	res, err := s.SolveToStore(ctx, g, intPath, WithBlockSize(b), WithCodec("ivarint"), WithResume(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UnitsSkipped != b {
+		t.Fatalf("resume skipped %d rows, want the first panel's %d", res.UnitsSkipped, b)
+	}
+	requireSameFile(t, "resumed", intPath, floatPath)
 }
