@@ -287,6 +287,11 @@ func printSparseEngine() {
 		}
 		fmt.Printf("sparse panel kernel: %s\n", k)
 	}
+	for _, line := range strings.Split(text, "\n") {
+		if visits, ok := strings.CutPrefix(line, "apsp_sparse_sweep_visits_total "); ok {
+			fmt.Printf("sparse sweep visits: %s\n", visits)
+		}
+	}
 }
 
 // loadGraph reads an edge-list file when input is set, otherwise samples

@@ -356,17 +356,21 @@ func (m *Manager) buildStore(ctx context.Context, path string, parent *store.Sto
 	eng := sparse.New(g)
 	// Dirty panels are solved into one buffer of the build's: uint32 cells
 	// where the new graph's distances are integers, as SolveToStore streams
-	// them, float64 otherwise.
+	// them, each seeded from the panels the candidate already holds —
+	// copied clean or re-solved, every one the new graph's distances — and
+	// float64 otherwise.
+	written := w.ReadBack()
 	var ints []uint32
 	var floats []float64
-	solve := func(base, h int) error {
+	solve := func(bi int) error {
+		base, h := store.PanelRows(n, b, bi)
 		workers := runtime.GOMAXPROCS(0)
 		if eng.IntDistances() {
 			if ints == nil {
 				ints = make([]uint32, b*n)
 			}
 			rows := ints[:h*n]
-			if err := eng.SolveIntPanel(ctx, base, rows, workers); err != nil {
+			if err := eng.SolveIntPanel(ctx, bi, b, rows, workers, written); err != nil {
 				return err
 			}
 			return w.WriteIntPanel(rows)
@@ -404,7 +408,7 @@ func (m *Manager) buildStore(ctx context.Context, path string, parent *store.Sto
 			// distances by construction.
 			slog.Warn("generation: parent panel unreadable, recomputing", "panel", bi, "err", err)
 		}
-		if err := solve(store.PanelRows(n, b, bi)); err != nil {
+		if err := solve(bi); err != nil {
 			return err
 		}
 	}

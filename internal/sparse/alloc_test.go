@@ -32,32 +32,39 @@ func TestPerSourceZeroAllocs(t *testing.T) {
 }
 
 // TestPerBatchZeroAllocs is the same pin for the batched kernel, on both
-// cell types: a warm worker's batch allocates nothing, so a panel
-// allocates what SolvePanel itself does (its job record and worker
-// bookkeeping) however many batches it holds.
+// cell types and on a seeded panel: a warm worker's batch, and its fill
+// from the tiles above, allocate nothing, so a panel allocates what
+// SolvePanel itself does (its job record and worker bookkeeping) however
+// many batches it holds.
 func TestPerBatchZeroAllocs(t *testing.T) {
 	requireBatchKernel(t)
 	g := intER(t, 512, 8, 9)
 	e := New(g)
 	ctx := context.Background()
-	perPanel := func(h int, solve func(base int) error) float64 {
-		base := 0
+	above := radixRows(t, g).Data
+	// Panels 1.. of h rows (panel 0 has nothing above it to seed from).
+	perPanel := func(h int, solve func(bi int) error) float64 {
+		bi := 0
 		return testing.AllocsPerRun(20, func() {
-			base = (base + h) % (g.N - h)
-			if err := solve(base); err != nil {
+			bi = bi%(g.N/h-1) + 1
+			if err := solve(bi); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	floats := func(h int) float64 {
 		panel := matrix.NewZero(h, g.N)
-		return perPanel(h, func(base int) error { return e.SolvePanel(ctx, base, panel, 1) })
+		return perPanel(h, func(bi int) error { return e.SolvePanel(ctx, bi*h, panel, 1) })
 	}
-	ints := func(h int) float64 {
-		panel := make([]uint32, h*g.N)
-		return perPanel(h, func(base int) error { return e.SolveIntPanel(ctx, base, panel, 1) })
+	ints := func(written func(h int) Written) func(h int) float64 {
+		return func(h int) float64 {
+			panel, read := make([]uint32, h*g.N), written(h)
+			return perPanel(h, func(bi int) error { return e.SolveIntPanel(ctx, bi, h, panel, 1, read) })
+		}
 	}
-	for name, allocs := range map[string]func(h int) float64{"float64": floats, "uint32": ints} {
+	unseeded := func(int) Written { return nil }
+	seeded := func(h int) Written { return tilesOf(above, g.N, h) }
+	for name, allocs := range map[string]func(h int) float64{"float64": floats, "uint32": ints(unseeded), "seeded uint32": ints(seeded)} {
 		one, many := allocs(batch32), allocs(8*batch32)
 		t.Logf("%s cells: allocs per panel: %v with one batch, %v with eight", name, one, many)
 		if many != one || one > 2 {

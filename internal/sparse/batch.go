@@ -186,6 +186,53 @@ func (s *batchState[T]) seed(e *Engine, base, k int) {
 	}
 }
 
+// seedAbove starts a batch of a seeded panel (the package comment): the
+// lanes of every vertex below above take row j's cells there, which are
+// true distances, lane j of source base+j (base >= above) is 0, and every
+// vertex from above on is dirty. It returns how many seeds are reached,
+// or false, with d partly written, when a seed does not fit below
+// exactBelow[T]: the batch needs wider lanes.
+func seedAbove[T lane, C cell](s *batchState[T], e *Engine, base, k, above int, rows []C) (reached int, ok bool) {
+	n, w := e.n, lanesOf[T]()
+	for v0 := 0; v0 < above; v0 += emitBlock {
+		blk := s.d[v0*w : min(v0+emitBlock, above)*w]
+		for j := 0; j < k; j++ {
+			r, ok := seedLane(blk[j:], rows[j*n+v0:][:len(blk)/w])
+			if !ok {
+				return 0, false
+			}
+			reached += r
+		}
+	}
+	for j := 0; j < k; j++ {
+		s.d[(base+j)*w+j] = 0
+	}
+	for v := above; v < n; v++ {
+		s.dirty[v] = 1
+	}
+	return reached, true
+}
+
+// seedLane is emitLane backwards: it sets every lanesOf[T]-th element of
+// col from row, the cell's no-path value as an unreached lane, and returns
+// how many are reached, or false at a distance the lanes cannot hold
+// exactly.
+func seedLane[T lane, C cell](col []T, row []C) (reached int, ok bool) {
+	w, inf, none, top := lanesOf[T](), unreachedLane[T](), noPath[C](), C(exactBelow[T]())
+	for i, c := range row {
+		switch {
+		case c == none:
+			col[i*w] = inf
+		case c >= top:
+			return 0, false
+		default:
+			col[i*w] = T(c)
+			reached++
+		}
+	}
+	return reached, true
+}
+
 // reset returns the scratch of an abandoned batch to its resting state.
 func (s *batchState[T]) reset() {
 	for d := s.d; len(d) > 0; d = d[copy(d, s.blank):] {
@@ -193,13 +240,13 @@ func (s *batchState[T]) reset() {
 	clear(s.dirty)
 }
 
-// sweep visits the dirty vertices once, in index order (batch_amd64.s),
-// and returns how many there were.
-func (s *batchState[T]) sweep(e *Engine) int {
+// sweep visits the dirty vertices from start on once, in index order
+// (batch_amd64.s), and returns how many there were.
+func (s *batchState[T]) sweep(e *Engine, start int) int {
 	if lanesOf[T]() == batch32 {
-		return batchSweep16(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.arcs)
+		return batchSweep16(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.arcs, start)
 	}
-	return batchSweep32(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.arcs)
+	return batchSweep32(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.arcs, start)
 }
 
 // batchEnd is how a batch ended.
@@ -213,52 +260,74 @@ const (
 
 // solveBatch computes the rows of sources base..base+k-1
 // (k <= lanesOf[T]) into the first k rows of rows (n cells each) and
-// returns the number of (source, vertex) pairs reached. Lane j of d[v]
-// converges on dist(base+j, v) by pull-style label correcting: a visit to
-// v takes the lane-wise minimum of d[v] and d[u]+w over v's arcs and, if
-// any lane fell, marks v's neighbours dirty; a sweep visits the dirty
-// vertices in index order, Gauss–Seidel style, and sweeps repeat until
-// one visits nothing. The fixpoint is the shortest distance whatever the
-// order, and every value is an exact integer below 2^32, so the rows
-// equal the radix rows bit for bit in either cell type (integer sums
-// below 2^53 are exact in float64).
+// returns the number of (source, vertex) pairs reached and of the visits
+// its sweeps made. Lane j of d[v] converges on dist(base+j, v) by
+// pull-style label correcting: a visit to v takes the lane-wise minimum of
+// d[v] and d[u]+w over v's arcs and, if any lane fell, marks v's
+// neighbours dirty; a sweep visits the dirty vertices in index order,
+// Gauss–Seidel style, and sweeps repeat until one visits nothing. The
+// fixpoint is the shortest distance whatever the order, and every value
+// is an exact integer below 2^32, so the rows equal the radix rows bit for
+// bit in either cell type (integer sums below 2^53 are exact in float64).
+//
+// When above > 0 the rows already hold the sources' distances to the
+// vertices below above (a seeded panel, the package comment): those lanes
+// start at them (seedAbove), where no visit can lower them, so the sweeps
+// start at above rounded down to 8 and the fixpoint argument holds as it
+// is — the flags the sweeps set below their start are cleared after, and
+// the emit writes the cells from above on.
 //
 // Any other end leaves the scratch at rest and reached at 0, and the
 // caller solves the sources again some other way: overBudget before rows
-// was touched, overRange (uint16 lanes only, see exactBelow) after it was
-// filled with distances that may be wrong, all of which the second solve
-// overwrites.
-func solveBatch[T lane, C cell](s *batchState[T], e *Engine, base, k int, rows []C) (reached int, end batchEnd) {
+// was touched, overRange (uint16 lanes only, see exactBelow) before it was
+// touched when a seed is out of range, and otherwise after it was filled
+// with distances that may be wrong — where the seeds come back as they
+// went in — all of which the second solve overwrites.
+func solveBatch[T lane, C cell](s *batchState[T], e *Engine, base, k, above int, rows []C) (reached, visits int, end batchEnd) {
 	n := e.n
-	s.seed(e, base, k)
+	start, seeded := above&^7, 0
+	if above == 0 {
+		s.seed(e, base, k)
+	} else if r, ok := seedAbove(s, e, base, k, above, rows); ok {
+		seeded = r
+	} else {
+		s.reset()
+		return 0, 0, overRange
+	}
 	for left := batchBudget * lanesOf[T]() * n; ; {
-		visits := s.sweep(e)
-		if visits == 0 {
+		v := s.sweep(e, start)
+		if v == 0 {
 			break
 		}
-		if left -= visits + n/sweepCharge; left < 0 {
+		visits += v
+		if left -= v + n/sweepCharge; left < 0 {
 			s.reset()
-			return 0, overBudget
+			return 0, visits, overBudget
 		}
 	}
-	reached, top := emitBatch(s, k, n, rows)
+	clear(s.dirty[:start])
+	reached, top := emitBatch(s, k, n, above, rows)
 	if top >= exactBelow[T]() {
-		return 0, overRange
+		return 0, visits, overRange
 	}
-	return reached, batchSolved
+	return seeded + reached, visits, batchSolved
 }
 
-// emitBatch writes lanes 0..k-1 of d out as k rows of n cells, returns d
-// to its resting state and reports the number of reached lanes and the
-// largest of them — the one pass over d after the sweeps, a block of
-// vertices at a time (emitBlock).
-func emitBatch[T lane, C cell](s *batchState[T], k, n int, rows []C) (reached int, top T) {
+// emitBatch writes lanes 0..k-1 of d at the vertices from from on out as
+// the cells of k rows of n cells — the rows hold the seeds below it
+// already — returns d to its resting state and reports the number of
+// reached lanes it wrote and the largest of them: the one pass over d
+// after the sweeps, a block of vertices at a time (emitBlock).
+func emitBatch[T lane, C cell](s *batchState[T], k, n, from int, rows []C) (reached int, top T) {
 	w := lanesOf[T]()
 	for v0 := 0; v0 < n; v0 += emitBlock {
 		blk := s.d[v0*w : min(v0+emitBlock, n)*w]
-		for j := 0; j < k; j++ {
-			r, t := emitLane(rows[j*n+v0:][:len(blk)/w], blk[j:])
-			reached, top = reached+r, max(top, t)
+		if lo := max(v0, from); lo*w < v0*w+len(blk) {
+			part := blk[(lo-v0)*w:]
+			for j := 0; j < k; j++ {
+				r, t := emitLane(rows[j*n+lo:][:len(part)/w], part[j:])
+				reached, top = reached+r, max(top, t)
+			}
 		}
 		copy(blk, s.blank)
 	}

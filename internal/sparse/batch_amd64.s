@@ -2,18 +2,21 @@
 
 #include "textflag.h"
 
-// func batchSweep32(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc) int
-// func batchSweep16(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc) int
+// func batchSweep32(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc, start int) int
+// func batchSweep16(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc, start int) int
 //
 // One Gauss–Seidel sweep of the batched kernel (batch.go): every vertex
-// whose dirty byte is set when the sweep reaches it, in index order, is
-// visited once — clear the byte, fold d[to]+w over the vertex's arcs into
-// its 64-byte line of lanes, and if any lane fell, store them and set the
-// dirty byte of every neighbour. A neighbour above the vertex is therefore
-// visited later in this sweep, one below it in the next. Returns the
-// number of visits. Rows of d must be 32-byte aligned (they are 64), dirty
-// bytes are 0 or 1 and len(dirty) is a multiple of 32: the flags are
-// scanned a word of eight at a time, after a vector test of each 32.
+// from start on whose dirty byte is set when the sweep reaches it, in
+// index order, is visited once — clear the byte, fold d[to]+w over the
+// vertex's arcs into its 64-byte line of lanes, and if any lane fell,
+// store them and set the dirty byte of every neighbour. A neighbour above
+// the vertex is therefore visited later in this sweep, one below it in the
+// next; one below start is marked and never visited (a seeded batch's
+// lanes there are final, and batch.go clears those bytes after the batch).
+// Returns the number of visits. Rows of d must be 32-byte aligned (they
+// are 64), dirty bytes are 0 or 1, start is a multiple of 8 and len(dirty)
+// a multiple of 32: the flags are scanned a word of eight at a time, after
+// a vector test of each 32 once the scan is 32-aligned.
 //
 // The two functions are one body, SWEEP, at two lane widths. A line is 16
 // uint32 lanes (batchSweep32) or 32 uint16 lanes (batchSweep16); either
@@ -137,30 +140,30 @@ nextword: \
 done: \
 	VZEROUPPER
 
-TEXT ·batchSweep32(SB), NOSPLIT, $0-88
+TEXT ·batchSweep32(SB), NOSPLIT, $0-96
 	MOVQ d+0(FP), DI
 	MOVQ dirty_base+8(FP), SI
 	MOVQ dirty_len+16(FP), R13
 	MOVQ rowPtr_base+32(FP), R9
 	MOVQ arcs_base+56(FP), R10
-	XORQ R11, R11
+	MOVQ start+80(FP), R11
 	XORQ R12, R12
 	VPCMPEQD Y15, Y15, Y15
 	VPSRLD $24, Y15, Y15
 	SWEEP(VPBROADCASTD, VPADDD, VPMINUD, VPCMPEQD)
-	MOVQ R12, ret+80(FP)
+	MOVQ R12, ret+88(FP)
 	RET
 
-TEXT ·batchSweep16(SB), NOSPLIT, $0-88
+TEXT ·batchSweep16(SB), NOSPLIT, $0-96
 	MOVQ d+0(FP), DI
 	MOVQ dirty_base+8(FP), SI
 	MOVQ dirty_len+16(FP), R13
 	MOVQ rowPtr_base+32(FP), R9
 	MOVQ arcs_base+56(FP), R10
-	XORQ R11, R11
+	MOVQ start+80(FP), R11
 	XORQ R12, R12
 	VPCMPEQW Y15, Y15, Y15
 	VPSRLW $8, Y15, Y15
 	SWEEP(VPBROADCASTW, VPADDUSW, VPMINUW, VPCMPEQW)
-	MOVQ R12, ret+80(FP)
+	MOVQ R12, ret+88(FP)
 	RET

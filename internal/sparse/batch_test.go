@@ -13,16 +13,16 @@ import (
 	"apspark/internal/obs"
 )
 
-// batchSweepGo is the assembly's oracle: the same sweep, one lane at a
-// time, at either lane type (the 16-bit add saturates).
-func batchSweepGo[T lane](d []T, dirty []byte, rowPtr []int32, arcs []arc) int {
+// batchSweepGo is the assembly's oracle: the same sweep from vertex start,
+// one lane at a time, at either lane type (the 16-bit add saturates).
+func batchSweepGo[T lane](d []T, dirty []byte, rowPtr []int32, arcs []arc, start int) int {
 	lanes := lanesOf[T]()
 	acc := make([]T, lanes)
 	visits := 0
 	// Eight flags at a time: a vertex marked by a neighbour above it in
 	// its own word of flags waits for the next sweep, like any vertex
 	// marked from above.
-	for w0 := 0; w0 < len(rowPtr)-1; w0 += 8 {
+	for w0 := start; w0 < len(rowPtr)-1; w0 += 8 {
 		for v := w0; v < min(w0+8, len(rowPtr)-1); v++ {
 			if dirty[v] == 0 {
 				continue
@@ -59,6 +59,17 @@ func rowsOnly(g *graph.Graph) *Engine {
 	e := New(g)
 	e.width.Store(rowWise)
 	return e
+}
+
+// radixRows is g's distance matrix from the radix rows alone: no batch,
+// no seed.
+func radixRows(t testing.TB, g *graph.Graph) *matrix.Block {
+	t.Helper()
+	m, _, err := rowsOnly(g).Solve(context.Background(), 64, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // startAt16 returns an engine over g that starts on the narrower batched
@@ -102,7 +113,10 @@ func relabel(edges []graph.Edge, perm []int) []graph.Edge {
 
 // TestBatchSweepMatchesGoOracle drives the assembly and the Go sweep side
 // by side from the same start, at both lane types, and requires the same
-// visits, distances and dirty bits after every sweep.
+// visits, distances and dirty bits after every sweep: from a batch's own
+// seed, and from a seeded panel's — the lanes of a random number of
+// vertices below the batch (a multiple of 8 or not) at their distances,
+// the sweeps starting at that number rounded down to 8.
 func TestBatchSweepMatchesGoOracle(t *testing.T) {
 	requireBatchKernel(t)
 	rng := rand.New(rand.NewSource(5))
@@ -115,30 +129,41 @@ func TestBatchSweepMatchesGoOracle(t *testing.T) {
 		// 102,000 end to end: the 16-bit lanes saturate on the way.
 		mustGraph(t, 401, chain(401, maxArcWeight)),
 	} {
-		sweepMatchesGoOracle[uint16](t, New(g))
-		sweepMatchesGoOracle[uint32](t, New(g))
+		e, want := New(g), radixRows(t, g)
+		sweepMatchesGoOracle[uint16](t, e, want, rng)
+		sweepMatchesGoOracle[uint32](t, e, want, rng)
 	}
 }
 
-func sweepMatchesGoOracle[T lane](t *testing.T, e *Engine) {
+func sweepMatchesGoOracle[T lane](t *testing.T, e *Engine, want *matrix.Block, rng *rand.Rand) {
 	a, b := newBatchState[T](e.n), newBatchState[T](e.n)
 	for base := 0; base < e.n; base += 97 {
 		k := min(lanesOf[T](), e.n-base)
-		a.seed(e, base, k)
-		b.seed(e, base, k)
-		for sweep := 0; ; sweep++ {
-			va := a.sweep(e)
-			vb := batchSweepGo(b.d, b.dirty, e.rowPtr, e.arcs)
-			if va != vb || !slices.Equal(a.d, b.d) || !slices.Equal(a.dirty, b.dirty) {
-				t.Fatalf("n=%d, %d lanes, base=%d sweep %d: assembly visited %d, oracle %d; state equal: d %v dirty %v",
-					e.n, lanesOf[T](), base, sweep, va, vb, slices.Equal(a.d, b.d), slices.Equal(a.dirty, b.dirty))
+		for _, above := range []int{0, rng.Intn(base + 1)} {
+			if rows := want.Data[base*e.n : (base+k)*e.n]; above == 0 {
+				a.seed(e, base, k)
+				b.seed(e, base, k)
+			} else if _, ok := seedAbove(a, e, base, k, above, rows); !ok {
+				a.reset() // a seed past the 16-bit lanes: the batch would narrow
+				continue
+			} else {
+				seedAbove(b, e, base, k, above, rows)
 			}
-			if va == 0 {
-				break
+			start := above &^ 7
+			for sweep := 0; ; sweep++ {
+				va := a.sweep(e, start)
+				vb := batchSweepGo(b.d, b.dirty, e.rowPtr, e.arcs, start)
+				if va != vb || !slices.Equal(a.d, b.d) || !slices.Equal(a.dirty, b.dirty) {
+					t.Fatalf("n=%d, %d lanes, base=%d, %d seeded, sweep %d: assembly visited %d, oracle %d; state equal: d %v dirty %v",
+						e.n, lanesOf[T](), base, above, sweep, va, vb, slices.Equal(a.d, b.d), slices.Equal(a.dirty, b.dirty))
+				}
+				if va == 0 {
+					break
+				}
 			}
+			a.reset()
+			b.reset()
 		}
-		a.reset()
-		b.reset()
 	}
 }
 
@@ -215,7 +240,7 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 					// The same panel on uint32 cells: the lanes, or the
 					// radix rows, converted exactly.
 					cells := make([]uint32, h*n)
-					if err := eng.SolveIntPanel(context.Background(), bi*b, cells, 2); err != nil {
+					if err := eng.SolveIntPanel(context.Background(), bi, b, cells, 2, nil); err != nil {
 						t.Fatal(err)
 					}
 					requireIntCells(t, cells, got[0])
@@ -246,6 +271,84 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 	}
 }
 
+// TestSeededPanelsMatchRadixRows: a panel seeded from the rows above it
+// equals the radix rows — streamed, reading back what it has emitted
+// (from the start, and resumed at panel 2 over rows it did not solve);
+// one SolveIntPanel per panel on a fresh engine, the way a generation
+// rebuild seeds a dirty panel; and in memory. The graphs cover batches
+// that stand, a seed past 16 bits (the 75,000 chain's last panel on a
+// fresh engine: thrown away before it sweeps, and solved on 32-bit
+// lanes), a budget overrun, no-path cells and a ragged last panel. Where
+// the batches stand, seeding cuts the sweeps' visits.
+func TestSeededPanelsMatchRadixRows(t *testing.T) {
+	requireBatchKernel(t)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		b     int
+		fewer bool // the batches stand: seeding must cut the visits
+	}{
+		{"ER", intER(t, 600, 6, 21), 64, true},
+		{"planted", mustPlanted(t, 512, 8), 128, true},
+		{"disconnected + isolated", mustGraph(t, 40, append(chain(17, 2, 3), graph.Edge{U: 20, V: 39, W: 255})), 8, false},
+		{"75,000 chain", mustGraph(t, 301, chain(301, 250)), 64, false},
+		{"shuffled path", mustGraph(t, 1024, relabel(chain(1024, 7), rng.Perm(1024))), 256, false},
+		{"n=131 b=32", intER(t, 131, 5, 22), 32, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, b := tc.g.N, tc.b
+			want := radixRows(t, tc.g)
+			stream := func(first int, written func([]uint32) Written) *Engine {
+				t.Helper()
+				e, got := New(tc.g), make([]uint32, n*n)
+				for i := range got[:first*b*n] {
+					got[i] = recast[uint32](want.Data[i])
+				}
+				opts := Options{Workers: 2, FirstPanel: first}
+				if written != nil {
+					opts.Written = written(got)
+				}
+				if _, err := e.SolveIntPanels(ctx, b, opts, func(bi int, rows []uint32) error {
+					copy(got[bi*b*n:], rows)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				requireIntCells(t, got, want)
+				return e
+			}
+			readBack := func(got []uint32) Written { return tilesOf(got, n, b) }
+			seeded, unseeded := stream(0, readBack), stream(0, nil)
+			if tc.fewer && seeded.sweepVisits.Load() >= unseeded.sweepVisits.Load() {
+				t.Errorf("sweep visits %d seeded, %d unseeded", seeded.sweepVisits.Load(), unseeded.sweepVisits.Load())
+			}
+			if last := (n - 1) / b; last >= 2 {
+				stream(2, readBack)
+			}
+
+			for bi := 0; bi*b < n; bi++ {
+				e, h := New(tc.g), min(b, n-bi*b)
+				cells := make([]uint32, h*n)
+				if err := e.SolveIntPanel(ctx, bi, b, cells, 2, tilesOf(want.Data, n, b)); err != nil {
+					t.Fatal(err)
+				}
+				requireIntCells(t, cells, &matrix.Block{R: h, C: n, Data: want.Data[bi*b*n:][:h*n]})
+				if tc.name == "75,000 chain" && bi == (n-1)/b && (e.rangeFallbacks.Load() != 1 || e.PanelKernel() != "batch16") {
+					t.Fatalf("last panel: %d range fallbacks, on %s; want 1, batch16", e.rangeFallbacks.Load(), e.PanelKernel())
+				}
+			}
+
+			got, _, err := New(tc.g).Solve(ctx, b, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, got, want)
+		})
+	}
+}
+
 func mustPlanted(t testing.TB, n, communities int) *graph.Graph {
 	t.Helper()
 	g, err := graph.PlantedPartitionConnected(n, communities, 0.06, 0.001, graph.IntegerWeights(100), 3)
@@ -264,7 +367,7 @@ func TestBatchNeedsTheDialView(t *testing.T) {
 			t.Fatalf("arcs %v, panel kernel %s; want none, row", e.arcs != nil, e.PanelKernel())
 		}
 		// Nor do its distances fit uint32 cells, on any build.
-		if e.IntDistances() || e.SolveIntPanel(context.Background(), 0, make([]uint32, 40), 1) == nil {
+		if e.IntDistances() || e.SolveIntPanel(context.Background(), 0, 1, make([]uint32, 40), 1, nil) == nil {
 			t.Fatal("uint32 panel solved on a graph whose distances need float64")
 		}
 		if _, err := e.SolveIntPanels(context.Background(), 8, Options{}, func(int, []uint32) error { return nil }); err == nil {

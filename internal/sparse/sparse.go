@@ -93,6 +93,29 @@
 // SolvePanel and Solve carry float64 on any graph. One generic body serves
 // both cell types: the panel loop, its workers, the batch emit and the
 // radix row's fill, which converts each settled distance exactly.
+//
+// Seeding. The graph is undirected, so d(s, v) = d(v, s): by the time the
+// panel of sources [base, base+h) runs on the batched kernel, its cells
+// at the vertices below base are known already, as the cells of the rows
+// above it at the panel's own columns — the reuse of distances already
+// computed that Urakov and Timeryaev build their sparse APSP on
+// (PAPERS.md). The panel first copies them into place (fillAbove), on its
+// workers, a tile at a time through a Written: Solve reads its own matrix
+// back; a streamed solve reads the tiles it has written already
+// (Options.Written; store.PanelWriter.ReadBack is the store's own
+// CRC-checked decode, to uint32), but takes the panel just above from the
+// other panel buffer while that is emitted; SolveIntPanel reads what its
+// caller's Written does. Each batch then starts the lanes of every vertex
+// below base at those distances, marks every vertex from base on dirty
+// and sweeps from base rounded down to a multiple of 8 (solveBatch); its
+// emit leaves the seeded cells as they are. A seeded lane is a true
+// distance, which no visit can lower, so the fixpoint argument is
+// unchanged; only the work shrinks, to the vertices from the panel on and
+// what their lanes still have to learn.
+// Nothing is read back for a panel that runs on rows, on real weights or
+// purego builds (which never batch), or in a streamed solve without
+// Written — an f32 store, whose tiles may be lossy.
+// apsp_sparse_sweep_visits_total counts the visits.
 package sparse
 
 import (
@@ -140,12 +163,16 @@ type Engine struct {
 	budgetFallbacks atomic.Int64
 	batch32Scratch  freeList // *batchState[uint16]
 	batch16Scratch  freeList // *batchState[uint32]
+	// tiles holds the decode scratch of a seeded panel's read-back tiles
+	// (fillAbove), one b x b tile per worker.
+	tiles freeList // *[]uint32
 
 	// Cumulative solve telemetry, exposed by RegisterMetrics. Workers
 	// accumulate locally and flush once per panel slice, so the hot
 	// per-source loop stays free of shared-counter traffic.
 	srcSolved     atomic.Int64 // source rows completed
 	settled       atomic.Int64 // vertices settled (heap pops) across all sources
+	sweepVisits   atomic.Int64 // vertices the batched kernel's sweeps visited
 	boundedSolves atomic.Int64 // bounded/multi-seed solves completed
 	busyNs        atomic.Int64 // summed worker wall time inside panels
 	wallNs        atomic.Int64 // summed panel wall time
@@ -202,6 +229,7 @@ func New(g *graph.Graph) *Engine {
 	e.scratch = freeList{keep: keep, new: func() any { return newState(e.n) }}
 	e.batch32Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint16](e.n) }}
 	e.batch16Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint32](e.n) }}
+	e.tiles = freeList{keep: keep, new: func() any { return new([]uint32) }}
 	e.width.Store(rowWise)
 	if e.intDistances = integerWeights(e.n, e.weights); e.intDistances && haveBatchKernel {
 		e.arcs = packArcs(e.colIdx, e.weights)
@@ -232,6 +260,10 @@ func (e *Engine) PanelKernel() string {
 //	apsp_sparse_sources_total          source rows solved
 //	apsp_sparse_settled_vertices_total vertices settled (sources/sec and
 //	                                   settle rate fall out of rate())
+//	apsp_sparse_sweep_visits_total     vertices the batched kernel's sweeps
+//	                                   visited, each a line of lanes folded
+//	                                   over its arcs: the kernel's work,
+//	                                   which seeding a panel cuts
 //	apsp_sparse_worker_busy_seconds    summed worker time inside panels
 //	apsp_sparse_solve_wall_seconds     summed panel wall time
 //	apsp_sparse_worker_utilization     busy / (wall * workers) of the run
@@ -252,6 +284,8 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		func() int64 { return e.srcSolved.Load() })
 	r.CounterFunc("apsp_sparse_settled_vertices_total", "Vertices settled across all Dijkstra sources.",
 		func() int64 { return e.settled.Load() })
+	r.CounterFunc("apsp_sparse_sweep_visits_total", "Vertices the batched panel kernel's sweeps visited.",
+		func() int64 { return e.sweepVisits.Load() })
 	r.CounterFunc("apsp_sparse_bounded_solves_total", "Bounded (frontier-stopped or multi-seed) solves completed.",
 		func() int64 { return e.boundedSolves.Load() })
 	r.GaugeFunc("apsp_sparse_worker_busy_seconds", "Summed worker wall time spent solving panels.",
@@ -312,6 +346,14 @@ func noPath[C cell]() C {
 		return C(matrix.NoPath32)
 	}
 	return C(matrix.Inf)
+}
+
+// recast is x as a cell of type C: the same distance, or no path.
+func recast[C, S cell](x S) C {
+	if x == noPath[S]() {
+		return noPath[C]()
+	}
+	return C(x)
 }
 
 // vstate is one vertex's epoch-stamped per-source state, packed into a
@@ -505,6 +547,34 @@ type Options struct {
 	// rejects a non-zero FirstPanel: a resumed in-memory solve would hold
 	// garbage in its skipped rows.
 	FirstPanel int
+	// Written reads back what a streamed solve (SolvePanels,
+	// SolveIntPanels) has written so far, so that each batched panel is
+	// seeded from the panels above it (the package comment). Without it a
+	// streamed solve seeds nothing; Solve seeds from its own matrix.
+	Written Written
+}
+
+// Written reads back what a solve in panels of b rows has written, a tile
+// at a time: it fills dst with the h x w cells of rows [bi·b, bi·b+h) at
+// columns [bj·b, bj·b+w), row-major, as they were emitted, matrix.NoPath32
+// for no path (h and w are b but for the ragged last panel). A seeded
+// panel calls it on its workers at once, only for tiles of panels whose
+// emit has returned or that a resumed solve skipped, and stops on the
+// first error. store.PanelWriter.ReadBack returns one.
+type Written func(bi, bj int, dst []uint32) error
+
+// tilesOf is the Written of a matrix of n x n cells in panels of b rows:
+// how Solve reads back its own rows.
+func tilesOf[C cell](cells []C, n, b int) Written {
+	return func(bi, bj int, dst []uint32) error {
+		h, w := min(b, n-bi*b), min(b, n-bj*b)
+		for r := 0; r < h; r++ {
+			for c, x := range cells[(bi*b+r)*n+bj*b:][:w] {
+				dst[r*w+c] = recast[uint32](x)
+			}
+		}
+		return nil
+	}
 }
 
 func (o Options) workers() int {
@@ -514,10 +584,10 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Solve computes the full n x n distance matrix in memory. A cancelled
-// ctx stops between panels with the number of completed source rows and
-// ctx.Err(); the partial matrix is discarded. nil ctx means
-// context.Background().
+// Solve computes the full n x n distance matrix in memory, each batched
+// panel seeded from the rows above it. A cancelled ctx stops between
+// panels with the number of completed source rows and ctx.Err(); the
+// partial matrix is discarded. nil ctx means context.Background().
 func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matrix.Block, int, error) {
 	if opts.FirstPanel != 0 {
 		return nil, 0, fmt.Errorf("sparse: FirstPanel=%d: only SolvePanels can resume (an in-memory solve has no durable prior rows)", opts.FirstPanel)
@@ -526,8 +596,9 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 		return matrix.NewZero(0, 0), 0, nil
 	}
 	out := matrix.NewZero(e.n, e.n)
-	done, err := solvePanels(ctx, e, panelRows, opts, func(bi, h int) []float64 {
-		return out.Data[bi*panelRows*e.n : (bi*panelRows+h)*e.n]
+	up := above[float64]{b: panelRows, read: tilesOf(out.Data, e.n, panelRows)}
+	done, err := solvePanels(ctx, e, panelRows, opts, func(bi, h int) ([]float64, above[float64]) {
+		return out.Data[bi*panelRows*e.n : (bi*panelRows+h)*e.n], up
 	}, nil)
 	if err != nil {
 		return nil, done, err
@@ -545,7 +616,8 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 // makes its panel durable keeps a checkpoint sequence in order — and none
 // outlives the call. The two blocks are the call's own and reused: emit
 // must finish consuming its panel before returning and must not retain it
-// (or any row slice of it).
+// (or any row slice of it), nor write to it: the next panel may be seeded
+// from it while it is emitted.
 //
 // The returned count covers exactly the rows whose emit returned nil. An
 // emit error abandons the panel being solved, starts no further emit and
@@ -577,11 +649,15 @@ func streamPanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Op
 		return 0, nil
 	}
 	var bufs [2][]C
-	return solvePanels(ctx, e, panelRows, opts, func(bi, h int) []C {
+	return solvePanels(ctx, e, panelRows, opts, func(bi, h int) ([]C, above[C]) {
 		if bufs[bi&1] == nil { // a one-panel solve never takes the second
 			bufs[bi&1] = make([]C, min(panelRows, e.n)*e.n)
 		}
-		return bufs[bi&1][:h*e.n]
+		up := above[C]{b: panelRows, read: opts.Written}
+		if bi > opts.FirstPanel { // the panel above is this call's, and still held
+			up.prev = bufs[(bi-1)&1]
+		}
+		return bufs[bi&1][:h*e.n], up
 	}, func(bi int, rows []C) error {
 		emitStart := time.Now()
 		err := emit(bi, rows)
@@ -592,13 +668,13 @@ func streamPanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Op
 
 // solvePanels is the panel loop under Solve, SolvePanels and
 // SolveIntPanels: for each panel it asks dst for the destination cells (a
-// window of the full matrix, or one of the two streaming panels), solves
-// the panel's sources into them in parallel and, when emit is non-nil,
-// hands the solved panel to emit on a goroutine that runs alongside the
-// next panel's solve. Rows count, and Progress fires on the calling
-// goroutine, once a panel's emit has returned nil (at once when there is
-// no emit).
-func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Options, dst func(bi, h int) []C, emit func(bi int, rows []C) error) (int, error) {
+// window of the full matrix, or one of the two streaming panels) and where
+// their seeds lie, solves the panel's sources into them in parallel and,
+// when emit is non-nil, hands the solved panel to emit on a goroutine that
+// runs alongside the next panel's solve. Rows count, and Progress fires on
+// the calling goroutine, once a panel's emit has returned nil (at once
+// when there is no emit).
+func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Options, dst func(bi, h int) ([]C, above[C]), emit func(bi int, rows []C) error) (int, error) {
 	if panelRows < 1 {
 		return 0, fmt.Errorf("sparse: panel height %d < 1", panelRows)
 	}
@@ -653,10 +729,10 @@ func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Opt
 		if h > panelRows {
 			h = panelRows
 		}
-		panel := dst(bi, h)
+		panel, up := dst(bi, h)
 		// solvePanel starts with a ctx check, so a cancelled solve falls
 		// straight through to settle.
-		solveErr := solvePanel(ctx, e, base, panel, h, workers)
+		solveErr := solvePanel(ctx, e, base, panel, h, workers, up)
 		if err := settle(); err != nil {
 			return done, err
 		}
@@ -691,29 +767,41 @@ func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Opt
 // stops every worker before its next unit (so between batches, not between
 // rows) and is returned; rows is then partly filled.
 func (e *Engine) SolvePanel(ctx context.Context, base int, rows *matrix.Block, workers int) error {
-	return solvePanel(ctx, e, base, rows.Data[:rows.R*e.n], rows.R, workers)
+	return solvePanel(ctx, e, base, rows.Data[:rows.R*e.n], rows.R, workers, above[float64]{})
 }
 
 // SolveIntPanel is SolvePanel into uint32 cells, for an engine with
-// IntDistances: rows holds the h·n cells of sources base..base+h-1,
-// row-major, matrix.NoPath32 for no path.
-func (e *Engine) SolveIntPanel(ctx context.Context, base int, rows []uint32, workers int) error {
+// IntDistances, on panel bi of a solve in panels of b rows: rows holds the
+// h·n cells of sources bi·b..bi·b+h-1 (h = b but for the ragged last
+// panel), row-major, matrix.NoPath32 for no path. A non-nil written reads
+// back the panels before it, which then seed it (the package comment);
+// nil seeds nothing.
+func (e *Engine) SolveIntPanel(ctx context.Context, bi, b int, rows []uint32, workers int, written Written) error {
 	if !e.intDistances {
 		return errFloatOnly
 	}
-	h := 0
-	if e.n > 0 {
-		h = len(rows) / e.n
+	if b < 1 || bi < 0 || bi*b >= e.n {
+		return fmt.Errorf("sparse: no panel %d of %d rows in %d", bi, b, e.n)
 	}
-	if len(rows) != h*e.n {
-		return fmt.Errorf("sparse: a panel of %d cells is not whole rows of %d", len(rows), e.n)
+	if h := min(b, e.n-bi*b); len(rows) != h*e.n {
+		return fmt.Errorf("sparse: panel %d holds %d rows of %d cells, not %d", bi, h, e.n, len(rows))
 	}
-	return solvePanel(ctx, e, base, rows, h, workers)
+	return solvePanel(ctx, e, bi*b, rows, len(rows)/e.n, workers, above[uint32]{b: b, read: written})
+}
+
+// above is where a panel's seeds lie (the package comment): the rows of
+// the panels of b rows before it, at the panel's columns. The zero value
+// seeds nothing.
+type above[C cell] struct {
+	b    int
+	prev []C     // the panel just above, still held beside its emit; nil: read it back
+	read Written // every panel above, or every other one when prev is set
 }
 
 // solvePanel is SolvePanel at either cell type: rows holds h rows of n
-// cells.
-func solvePanel[C cell](ctx context.Context, e *Engine, base int, rows []C, h, workers int) error {
+// cells. A panel that starts on a batched kernel and has seeds is filled
+// with them first (fillAbove), then solved.
+func solvePanel[C cell](ctx context.Context, e *Engine, base int, rows []C, h, workers int, up above[C]) error {
 	job := panelJob[C]{base: base, h: h, rows: rows, unit: rowWise}
 	if h >= batchMin {
 		job.unit = int(e.width.Load())
@@ -724,8 +812,22 @@ func solvePanel[C cell](ctx context.Context, e *Engine, base int, rows []C, h, w
 		e.wallNs.Add(time.Since(panelStart).Nanoseconds())
 		e.lastWorkers.Store(int64(workers))
 	}()
+	if job.unit != rowWise && base > 0 && up.read != nil {
+		job.up = up
+		if err := inParallel(ctx, e, &job, workers, true); err != nil {
+			return err
+		}
+		job.above = base
+	}
+	return inParallel(ctx, e, &job, workers, false)
+}
+
+// inParallel runs a phase of the panel — its fill (fillAbove) or its
+// units (solveUnits) — on workers goroutines, on this one alone when
+// workers is 1, and returns an error one of them met.
+func inParallel[C cell](ctx context.Context, e *Engine, job *panelJob[C], workers int, fill bool) error {
 	if workers == 1 {
-		return solveUnits(ctx, e, &job)
+		return job.phase(ctx, e, fill)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -733,26 +835,99 @@ func solvePanel[C cell](ctx context.Context, e *Engine, base int, rows []C, h, w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[w] = solveUnits(ctx, e, &job)
+			errs[w] = job.phase(ctx, e, fill)
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err // every worker's error is the same ctx.Err()
+			return err
 		}
 	}
 	return nil
 }
 
 // panelJob is one SolvePanel call as its workers see it: h rows of n
-// cells, drawn unit rows at a time through next.
+// cells, drawn unit rows at a time through next — after, when it is
+// seeded, the panels above it have been copied in, drawn one at a time
+// through filled (above > 0: the vertices below it are seeded).
 type panelJob[C cell] struct {
 	base, h int
 	rows    []C
 	unit    int
 	next    atomic.Int64
+	up      above[C]
+	filled  atomic.Int64
+	above   int
 }
+
+// phase is one worker's part of the panel's fill or of its units.
+func (job *panelJob[C]) phase(ctx context.Context, e *Engine, fill bool) error {
+	if fill {
+		return fillAbove(ctx, e, job)
+	}
+	return solveUnits(ctx, e, job)
+}
+
+// fillAbove is one worker of a seeded panel's fill: it draws the panels
+// above and writes each one's cells at the panel's columns into the
+// panel's cells at that panel's rows — d(s, v) = d(v, s) — decoding a
+// tile read back through up.read in the worker's tile scratch.
+func fillAbove[C cell](ctx context.Context, e *Engine, job *panelJob[C]) error {
+	start := time.Now()
+	var tile *[]uint32
+	defer func() {
+		if tile != nil {
+			e.tiles.put(tile)
+		}
+		e.busyNs.Add(time.Since(start).Nanoseconds())
+	}()
+	n, b, h, up := e.n, job.up.b, job.h, &job.up
+	for {
+		j := int(job.filled.Add(1)) - 1
+		if j*b >= job.base {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		into := job.rows[j*b:]
+		if up.prev != nil && (j+1)*b == job.base {
+			transpose(into, n, up.prev[job.base:], n, b, h)
+			continue
+		}
+		if tile == nil {
+			tile = e.tiles.get().(*[]uint32)
+		}
+		if len(*tile) < b*h {
+			*tile = make([]uint32, b*b)
+		}
+		cells := (*tile)[:b*h]
+		if err := up.read(j, job.base/b, cells); err != nil {
+			return err
+		}
+		transpose(into, n, cells, h, b, h)
+	}
+}
+
+// transpose writes the r x c cells of src, row i at src[i*stride:], into
+// dst transposed — cell (i, j) to dst[j*n+i] — as dst's cell type. It
+// goes a strip of transposeStrip rows of src at a time, so that each row
+// of dst takes a run of cells from lines of src that stay in L1.
+func transpose[C, S cell](dst []C, n int, src []S, stride, r, c int) {
+	for i0 := 0; i0 < r; i0 += transposeStrip {
+		strip := src[i0*stride:]
+		for j := 0; j < c; j++ {
+			for i, out := 0, dst[j*n+i0:j*n+min(i0+transposeStrip, r)]; i < len(out); i++ {
+				out[i] = recast[C](strip[i*stride+j])
+			}
+		}
+	}
+}
+
+// transposeStrip is 16 rows: a 64-byte line of uint32 cells per row of
+// dst.
+const transposeStrip = 16
 
 // solveUnits is one worker of a panel: it solves units until none is left
 // or ctx is cancelled.
@@ -766,7 +941,7 @@ func solveUnits[C cell](ctx context.Context, e *Engine, job *panelJob[C]) error 
 	var b16 *batchState[uint32]
 	// Telemetry accumulates worker-locally and flushes once per panel,
 	// keeping the per-source loop free of shared counters.
-	var sources, settled int64
+	var sources, settled, visits int64
 	defer func() {
 		if sc != nil {
 			e.scratch.put(sc)
@@ -780,6 +955,7 @@ func solveUnits[C cell](ctx context.Context, e *Engine, job *panelJob[C]) error 
 		e.busyNs.Add(time.Since(start).Nanoseconds())
 		e.srcSolved.Add(sources)
 		e.settled.Add(settled)
+		e.sweepVisits.Add(visits)
 	}()
 	h, n := job.h, e.n
 	for {
@@ -808,19 +984,20 @@ func solveUnits[C cell](ctx context.Context, e *Engine, job *panelJob[C]) error 
 				r++
 				continue
 			}
-			var reached int
+			var reached, swept int
 			var how batchEnd
 			if into := job.rows[r*n : (r+k)*n]; width == batch32 {
 				if b32 == nil {
 					b32 = e.batch32Scratch.get().(*batchState[uint16])
 				}
-				reached, how = solveBatch(b32, e, job.base+r, k, into)
+				reached, swept, how = solveBatch(b32, e, job.base+r, k, job.above, into)
 			} else {
 				if b16 == nil {
 					b16 = e.batch16Scratch.get().(*batchState[uint32])
 				}
-				reached, how = solveBatch(b16, e, job.base+r, k, into)
+				reached, swept, how = solveBatch(b16, e, job.base+r, k, job.above, into)
 			}
+			visits += int64(swept)
 			// A worker mid-batch may end the same way; each narrowing is
 			// counted by whoever makes it.
 			switch how {

@@ -44,6 +44,44 @@ func TestWarmIntPanelAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestWarmReadBackAllocatesNothing: reading an integer tile back — pooled
+// staging bytes, the decode straight into the caller's cells — allocates
+// nothing once the pool holds a buffer, ivarint or raw.
+func TestWarmReadBackAllocatesNothing(t *testing.T) {
+	const n, b = 256, 32
+	cells := make([]uint32, b*n)
+	for i := range cells {
+		cells[i] = uint32(i % 997)
+	}
+	cells[5] = matrix.NoPath32
+	for _, name := range []string{"ivarint", "raw"} {
+		c, err := CodecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewPanelWriterWithOptions(filepath.Join(t.TempDir(), "d.apsp"), n, b, PanelWriterOptions{Codec: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteIntPanel(cells); err != nil {
+			t.Fatal(err)
+		}
+		read, dst := w.ReadBack(), make([]uint32, b*b)
+		if err := read(0, 1, dst); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := read(0, 1, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		w.Abort()
+		if allocs != 0 || dst[b+5] != cells[n+b+5] {
+			t.Fatalf("%s: a warm read-back allocates %v objects (cell %d, want %d), want 0", name, allocs, dst[b+5], cells[n+b+5])
+		}
+	}
+}
+
 // TestColdIVarintRowZeroAllocs: with row caching off, RowInto of a row
 // whose tiles are verified assembles straight into the caller's buffer —
 // pooled staging bytes, no decoded tile, no garbage. Excluded under

@@ -61,6 +61,7 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+	"unsafe"
 
 	"apspark/internal/matrix"
 )
@@ -451,33 +452,57 @@ func appendIVarintToken(dst []byte, d int64) []byte {
 	return binary.AppendUvarint(dst, tok)
 }
 
-func (ivarintCodec) RowTable(data []byte, h, w int) (*RowTable, error) {
+// ivarintGroups checks the header and restart table of a whole h x w
+// ivarint payload and hands each restart group to each, in order: group
+// g of k rows a group, whose bytes data[from:to] hash to sum. It is the
+// one walker of the table — RowTable records it, decodeIVarintTile
+// decodes along it — and allocates nothing; an error from each stops the
+// walk and is returned.
+func ivarintGroups(data []byte, h, w int, each func(g, k, from, to int, sum uint32) error) error {
 	if err := checkCodecHeader(data, magicIVarint, h, w); err != nil {
-		return nil, err
+		return err
 	}
 	if len(data) <= codecHdrLen || data[codecHdrLen] == 0 {
-		return nil, fmt.Errorf("%w: ivarint tile without a restart interval", ErrCodecData)
+		return fmt.Errorf("%w: ivarint tile without a restart interval", ErrCodecData)
 	}
 	k := int(data[codecHdrLen])
 	groups := (h + k - 1) / k
-	t := &RowTable{k: k, base: codecHdrLen + 1 + 8*groups, ends: make([]uint32, groups), sums: make([]uint32, groups)}
-	if len(data) < t.base {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold a %d-group restart table", ErrCodecData, len(data), groups)
+	from := int64(codecHdrLen + 1 + 8*groups)
+	if int64(len(data)) < from {
+		return fmt.Errorf("%w: %d bytes cannot hold a %d-group restart table", ErrCodecData, len(data), groups)
 	}
-	from := int64(t.base)
-	for g := range t.ends {
+	for g := 0; g < groups; g++ {
 		ent := data[codecHdrLen+1+8*g:]
-		t.ends[g], t.sums[g] = binary.LittleEndian.Uint32(ent), binary.LittleEndian.Uint32(ent[4:])
+		to := int64(binary.LittleEndian.Uint32(ent))
 		// Every token is at least one byte, so a group shorter than its
 		// value count (or running backwards, or past the payload) is a
 		// forgery no decode needs to discover.
-		if to := int64(t.ends[g]); to-from < int64(min(k, h-g*k))*int64(w) || to > int64(len(data)) {
-			return nil, fmt.Errorf("%w: restart group %d spans [%d,%d) of %d bytes", ErrCodecData, g, from, to, len(data))
+		if to-from < int64(min(k, h-g*k))*int64(w) || to > int64(len(data)) {
+			return fmt.Errorf("%w: restart group %d spans [%d,%d) of %d bytes", ErrCodecData, g, from, to, len(data))
 		}
-		from = int64(t.ends[g])
+		if err := each(g, k, int(from), int(to), binary.LittleEndian.Uint32(ent[4:])); err != nil {
+			return err
+		}
+		from = to
 	}
 	if from != int64(len(data)) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after the last restart group", ErrCodecData, int64(len(data))-from)
+		return fmt.Errorf("%w: %d trailing bytes after the last restart group", ErrCodecData, int64(len(data))-from)
+	}
+	return nil
+}
+
+func (ivarintCodec) RowTable(data []byte, h, w int) (*RowTable, error) {
+	t := &RowTable{}
+	err := ivarintGroups(data, h, w, func(g, k, from, to int, sum uint32) error {
+		if g == 0 {
+			groups := (h + k - 1) / k
+			t.k, t.base, t.ends, t.sums = k, from, make([]uint32, groups), make([]uint32, groups)
+		}
+		t.ends[g], t.sums[g] = uint32(to), sum
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -493,23 +518,52 @@ func (ivarintCodec) DecodeRow(t *RowTable, span []byte, r int, dst []float64) er
 	return err
 }
 
-func (c ivarintCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
-	t, err := c.RowTable(data, h, w)
-	if err != nil {
+func (ivarintCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
+	blk := matrix.New(h, w)
+	if err := decodeIVarintTile(data, h, w, blk.Data); err != nil {
 		return nil, err
 	}
-	blk := matrix.New(h, w)
-	for r := 0; r < h; r += t.k {
-		from, to, sum := t.group(r)
-		used, err := decodeIVarintGroup(data[from:to], sum, 0, blk.Data[r*w:min(h, r+t.k)*w])
+	return blk, nil
+}
+
+// decodeIVarintTile decodes a whole h x w ivarint payload into dst, h·w
+// cells row-major, a restart group at a time. It allocates nothing.
+func decodeIVarintTile[C cell](data []byte, h, w int, dst []C) error {
+	return ivarintGroups(data, h, w, func(g, k, from, to int, sum uint32) error {
+		r := g * k
+		used, err := decodeIVarintGroup(data[from:to], sum, 0, dst[r*w:min(h, r+k)*w])
 		if err == nil && used != to-from {
 			err = fmt.Errorf("%w: %d trailing bytes after the ivarint values of rows %d..", ErrCodecData, to-from-used, r)
 		}
-		if err != nil {
-			return nil, err
+		return err
+	})
+}
+
+// decodeIntTile decodes the whole h x w payload data of an exact codec —
+// raw or ivarint — into dst as uint32 cells, +Inf as matrix.NoPath32: how
+// a sparse solve's integer panels read back (PanelWriter.ReadIntTile). A
+// value that is no uint32 distance, or a lossy codec, is ErrCodecData.
+func decodeIntTile(codec byte, data []byte, h, w int, dst []uint32) error {
+	switch codec {
+	case CodecIVarint:
+		return decodeIVarintTile(data, h, w, dst)
+	case CodecRaw:
+		if _, err := (rawCodec{}).RowTable(data, h, w); err != nil {
+			return err
 		}
+		for i := range dst {
+			switch v := math.Float64frombits(binary.LittleEndian.Uint64(data[matrix.HeaderLen+8*i:])); {
+			case math.IsInf(v, 1):
+				dst[i] = matrix.NoPath32
+			case v >= 0 && v < matrix.NoPath32 && v == math.Trunc(v):
+				dst[i] = uint32(v)
+			default:
+				return fmt.Errorf("%w: raw value %v is no uint32 distance", ErrCodecData, v)
+			}
+		}
+		return nil
 	}
-	return blk, nil
+	return fmt.Errorf("%w: codec %s does not decode to exact integers", ErrCodecData, codecName(codec))
 }
 
 // ivarintDelta[b] is the delta carried by the one-byte token b (0 for the
@@ -524,12 +578,26 @@ var ivarintDelta = func() (t [128]int8) {
 	return t
 }()
 
+// cell is what a tile decodes into: float64 for serving, uint32 for the
+// read-back of a sparse solve's integer panels (decodeIntTile).
+type cell interface{ float64 | uint32 }
+
 // decodeIVarintGroup checks one restart group against its checksum, walks
-// past its first skip values and decodes the next len(dst) into dst. It
-// returns how many bytes of the group it consumed.
-func decodeIVarintGroup(group []byte, sum uint32, skip int, dst []float64) (int, error) {
+// past its first skip values and decodes the next len(dst) into dst, +Inf
+// as the cell's no path (matrix.NoPath32 for uint32). It returns how many
+// bytes of the group it consumed. It is the one ivarint decoder: float
+// rows and tiles, and integer tiles read back.
+func decodeIVarintGroup[C cell](group []byte, sum uint32, skip int, dst []C) (int, error) {
 	if got := crc32.Checksum(group, castagnoli); got != sum {
 		return 0, fmt.Errorf("%w: restart group checksum %08x, table says %08x", ErrCodecData, got, sum)
+	}
+	// The values a cell holds exactly: integers of magnitude below 2^53 as
+	// float64, [0, NoPath32) as uint32.
+	lo, hi, none := -maxExactInt, maxExactInt, C(0)
+	if unsafe.Sizeof(none) == 4 {
+		lo, hi, none = -1, matrix.NoPath32, C(matrix.NoPath32)
+	} else {
+		none = C(math.Inf(1))
 	}
 	pos, prev := 0, int64(0)
 	for i := -skip; i < len(dst); i++ {
@@ -556,11 +624,11 @@ func decodeIVarintGroup(group []byte, sum uint32, skip int, dst []float64) (int,
 			continue
 		}
 		if tok == 0 {
-			dst[i] = math.Inf(1)
-		} else if prev <= -maxExactInt || prev >= maxExactInt {
-			return 0, fmt.Errorf("%w: ivarint value %d out of exact-integer range", ErrCodecData, prev)
+			dst[i] = none
+		} else if prev <= lo || prev >= hi {
+			return 0, fmt.Errorf("%w: ivarint value %d out of the cell's exact range", ErrCodecData, prev)
 		} else {
-			dst[i] = float64(prev)
+			dst[i] = C(prev)
 		}
 	}
 	return pos, nil

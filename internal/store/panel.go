@@ -344,6 +344,48 @@ func (w *PanelWriter) NextPanel() int { return w.nextPanel }
 // the writer was created (0 on a fresh run).
 func (w *PanelWriter) Resumed() int { return w.resumed }
 
+// ReadBack returns how a sparse solve seeds a panel from the tiles above
+// it (sparse.Written): readIntTile, or nil when the writer's codec is the
+// lossy f32, whose tiles do not decode back to the distances written.
+func (w *PanelWriter) ReadBack() func(bi, bj int, dst []uint32) error {
+	if w.codec != nil && w.codec.ID() == CodecF32 {
+		return nil
+	}
+	return w.readIntTile
+}
+
+// readIntTile fills dst with tile (bi, bj) of a panel already written —
+// by this writer or by the run it resumed — as h x w uint32 cells,
+// row-major, matrix.NoPath32 for no path. The bytes are read back from
+// the file and held to the CRC32C the tile's index entry records, so a
+// tile changed on disk after it was written — a flipped bit in a resumed
+// .partial — fails with ErrCorruptTile instead of seeding wrong
+// distances. It may run on several goroutines at once and beside the
+// call writing the next panel, but only for tiles of panels whose write
+// has returned.
+func (w *PanelWriter) readIntTile(bi, bj int, dst []uint32) error {
+	if bi < 0 || bi >= w.q || bj < 0 || bj >= w.q {
+		return fmt.Errorf("store: tile (%d,%d) outside %dx%d grid", bi, bj, w.q, w.q)
+	}
+	h, c := tileEdge(w.n, w.b, bi), tileEdge(w.n, w.b, bj)
+	if len(dst) != h*c {
+		return fmt.Errorf("store: tile (%d,%d) is %dx%d, not %d cells", bi, bj, h, c, len(dst))
+	}
+	ref := w.index[bi*w.q+bj]
+	bp := getIOBuf(int(ref.length))
+	defer ioBufPool.Put(bp)
+	if _, err := w.f.ReadAt(*bp, ref.off); err != nil {
+		return fmt.Errorf("store: reading back tile (%d,%d): %w", bi, bj, err)
+	}
+	if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
+		return fmt.Errorf("%w: tile (%d,%d) reads back with checksum %08x, index says %08x", ErrCorruptTile, bi, bj, got, ref.crc)
+	}
+	if err := decodeIntTile(ref.codec, *bp, h, c, dst); err != nil {
+		return fmt.Errorf("%w: tile (%d,%d): %w", ErrCorruptTile, bi, bj, err)
+	}
+	return nil
+}
+
 // WritePanel appends the next row panel: a dense h x n block holding
 // matrix rows [p*b, p*b+h) where p panels have been written so far and
 // h = b except for a ragged final panel. Each of its q tiles is copied

@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"apspark/internal/matrix"
@@ -146,6 +148,124 @@ func TestWriteIntPanelMatchesWritePanel(t *testing.T) {
 			if !bytes.Equal(a, b) {
 				t.Fatalf("n=%d b=%d %s: integer panels wrote %d bytes, float panels %d, not the same", tc.n, tc.b, name, len(a), len(b))
 			}
+		}
+	}
+}
+
+// TestReadBackReturnsTheIntegersWritten: an exact writer's read-back
+// returns every tile of the panels written so far as the integers written
+// — raw, ivarint, the 1x1 tile ivarint declines (written raw), ragged
+// edges, no-path cells and values past a one-byte token — and an f32
+// writer has no read-back. A tile whose bytes change on disk after it was
+// written fails with ErrCorruptTile.
+func TestReadBackReturnsTheIntegersWritten(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct{ n, b int }{{40, 16}, {33, 16}, {9, 1}} {
+		n := tc.n
+		cells := make([]uint32, n*n)
+		for i := range cells {
+			switch rng.Intn(10) {
+			case 0:
+				cells[i] = matrix.NoPath32
+			case 1:
+				cells[i] = rng.Uint32() % matrix.NoPath32
+			default:
+				cells[i] = uint32(rng.Intn(200))
+			}
+		}
+		for _, name := range []string{"raw", "ivarint", "f32"} {
+			c, err := CodecByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "d.apsp")
+			w, err := NewPanelWriterWithOptions(path, n, tc.b, PanelWriterOptions{Codec: c, Checkpoint: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := w.ReadBack()
+			if (read == nil) != (name == "f32") {
+				t.Fatalf("%s writer: has a read-back: %v", name, read != nil)
+			}
+			q := w.Panels()
+			for bi := 0; bi < q; bi++ {
+				base, h := PanelRows(n, tc.b, bi)
+				if err := w.WriteIntPanel(cells[base*n : (base+h)*n]); err != nil {
+					t.Fatal(err)
+				}
+				for pi := 0; read != nil && pi <= bi; pi++ {
+					r0, h := PanelRows(n, tc.b, pi)
+					for bj := 0; bj < q; bj++ {
+						c0, cw := PanelRows(n, tc.b, bj)
+						got := make([]uint32, h*cw)
+						if err := read(pi, bj, got); err != nil {
+							t.Fatalf("n=%d b=%d %s: tile (%d,%d) after panel %d: %v", n, tc.b, name, pi, bj, bi, err)
+						}
+						for r := 0; r < h; r++ {
+							if want := cells[(r0+r)*n+c0:][:cw]; !slices.Equal(got[r*cw:][:cw], want) {
+								t.Fatalf("n=%d b=%d %s: tile (%d,%d) row %d reads back %v, want %v", n, tc.b, name, pi, bj, r, got[r*cw:][:cw], want)
+							}
+						}
+					}
+				}
+			}
+			if name == "ivarint" && n == 33 && w.index[q*q-1].codec != CodecRaw {
+				t.Fatalf("the 1x1 tile went out as codec %d, want raw", w.index[q*q-1].codec)
+			}
+			if read != nil {
+				// Flip a byte of tile (0,1) in the partial file.
+				ref := w.index[1]
+				f, err := os.OpenFile(path+".partial", os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one := make([]byte, 1)
+				off := ref.off + ref.length/2
+				if _, err := f.ReadAt(one, off); err != nil {
+					t.Fatal(err)
+				}
+				one[0] ^= 0x40
+				if _, err := f.WriteAt(one, off); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				_, cw := PanelRows(n, tc.b, 1)
+				_, h := PanelRows(n, tc.b, 0)
+				if err := read(0, 1, make([]uint32, h*cw)); !errors.Is(err, ErrCorruptTile) {
+					t.Fatalf("n=%d b=%d %s: a flipped byte reads back as %v, want ErrCorruptTile", n, tc.b, name, err)
+				}
+			}
+			w.Abort()
+		}
+	}
+}
+
+// TestDecodeIntTileRefusesWhatIsNoUint32: an integer read-back refuses a
+// raw value that is no uint32 distance, an ivarint value past uint32 and
+// the lossy f32 codec, each as ErrCodecData.
+func TestDecodeIntTileRefusesWhatIsNoUint32(t *testing.T) {
+	tile := func(v float64) *matrix.Block {
+		blk := matrix.New(2, 2)
+		blk.Data = []float64{0, 3, 3, v}
+		return blk
+	}
+	for _, tc := range []struct {
+		name string
+		c    byte
+		v    float64
+	}{
+		{"raw fraction", CodecRaw, 1.5},
+		{"raw negative", CodecRaw, -1},
+		{"raw past uint32", CodecRaw, 1 << 32},
+		{"ivarint past uint32", CodecIVarint, 1 << 33},
+		{"f32", CodecF32, 7},
+	} {
+		data, ok := codecs[tc.c].EncodeTile(nil, tile(tc.v))
+		if !ok {
+			t.Fatalf("%s: codec declined the tile", tc.name)
+		}
+		if err := decodeIntTile(tc.c, data, 2, 2, make([]uint32, 4)); !errors.Is(err, ErrCodecData) {
+			t.Fatalf("%s: err = %v, want ErrCodecData", tc.name, err)
 		}
 	}
 }

@@ -14,6 +14,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"apspark/internal/sparse"
+	"apspark/internal/store"
 )
 
 // solveRef writes the uninterrupted reference store for g at block size b.
@@ -91,6 +94,82 @@ func TestSolveToStoreResumeAfterCancel(t *testing.T) {
 	for _, suffix := range []string{".partial", ".manifest"} {
 		if _, err := os.Stat(path + suffix); !os.IsNotExist(err) {
 			t.Fatalf("checkpoint artifact %s outlived the finished store", suffix)
+		}
+	}
+}
+
+// TestResumeRefusesACorruptTileAbove: a resumed solve seeds its first
+// panel from tiles of the .partial, held to the checksums the manifest
+// recorded. With a byte of tile (0,2) flipped after the run that wrote it
+// was cancelled, the resumed solve fails with ErrCorruptTile and leaves
+// no store at the target — raw and ivarint alike.
+func TestResumeRefusesACorruptTileAbove(t *testing.T) {
+	g := hostTestGraph(t, 200, 5, 43)
+	if sparse.New(g).PanelKernel() == "row" {
+		t.Skip("this build has no batched kernel, so no panel is seeded")
+	}
+	const b = 32 // 7 panels
+	s, err := New(WithSolver(SolverDijkstra))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range []string{"raw", "ivarint"} {
+		path := filepath.Join(t.TempDir(), "dist.apsp")
+		ctx, cancel := context.WithCancel(context.Background())
+		panels := 0
+		_, err := s.SolveToStore(ctx, g, path, WithBlockSize(b), WithCodec(codec), WithProgress(func(ev StageEvent) {
+			if ev.Name == "unit" {
+				if panels++; panels == 2 {
+					cancel()
+				}
+			}
+		}))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", codec, err)
+		}
+		raw, err := os.ReadFile(path + ".manifest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Panels, Q int
+			Lens      []int64
+		}
+		if err := json.Unmarshal(raw, &m); err != nil || m.Panels != 2 {
+			t.Fatalf("%s: manifest %+v (%v), want 2 durable panels", codec, m, err)
+		}
+		// The partial ends with the durable panels' tiles, row-major, so
+		// tile (0,2) starts where their bytes do plus tiles (0,0) and (0,1).
+		f, err := os.OpenFile(path+".partial", os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := st.Size()
+		for _, l := range m.Lens[:m.Panels*m.Q] {
+			off -= l
+		}
+		off += m.Lens[0] + m.Lens[1] + m.Lens[2]/2
+		one := make([]byte, 1)
+		if _, err := f.ReadAt(one, off); err != nil {
+			t.Fatal(err)
+		}
+		one[0] ^= 0x10
+		if _, err := f.WriteAt(one, off); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		_, err = s.SolveToStore(context.Background(), g, path, WithBlockSize(b), WithCodec(codec), WithResume(true))
+		if !errors.Is(err, store.ErrCorruptTile) {
+			t.Fatalf("%s: resumed over a flipped byte: err = %v, want ErrCorruptTile", codec, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s: a store was written over a corrupt tile (stat: %v)", codec, err)
 		}
 	}
 }

@@ -120,6 +120,9 @@ func (s *Session) runHost(ctx context.Context, g *Graph, j job, storePath string
 		// Integer distances stream as uint32 cells: half the bytes in
 		// flight, and ivarint encodes them as the integers they are.
 		if eng.IntDistances() {
+			// Each batched panel is seeded from the tiles above it, read
+			// back from the file being written (none from f32 tiles).
+			sopts.Written = pw.ReadBack()
 			done, err = eng.SolveIntPanels(ctx, b, sopts, func(_ int, rows []uint32) error {
 				return written(pw.WriteIntPanel(rows))
 			})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"apspark/internal/graph"
+	"apspark/internal/matrix"
 	"apspark/internal/sparse"
 )
 
@@ -259,14 +260,33 @@ func requireSameFile(t *testing.T, what, got, want string) {
 	}
 }
 
+// radixStore writes g's store from radix rows alone — one Dijkstra per
+// source, so no batch and no seed — through Result.WriteStoreWithCodec:
+// the file a seeded solve must write byte for byte.
+func radixStore(t *testing.T, g *Graph, path string, b int, codec string) {
+	t.Helper()
+	eng, m := sparse.New(g), matrix.NewZero(g.N, g.N)
+	for src := 0; src < g.N; src++ {
+		if err := eng.SolveRowInto(src, m.Row(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := (&Result{Dist: m}).WriteStoreWithCodec(path, b, codec); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIntegerPanelsMatchFloatPanels: on integer weights SolveToStore
-// streams uint32 panels into the store, and its file must be the one the
-// float path writes for the same distances — Solve, then
-// Result.WriteStoreWithCodec — byte for byte, for every codec: on ER and
-// planted graphs, no-path cells, the chain whose 75,000 outgrows 16-bit
-// lanes, a shuffled path whose first batch overruns its budget (the rest
-// are radix rows), n not a multiple of b and n < b. A streamed solve
-// cancelled after its first panel and resumed writes the same file.
+// streams uint32 panels into the store, each batched one seeded from the
+// tiles above it read back from the file, and Solve seeds its float
+// panels from its own rows; both files must be the one unseeded radix
+// rows write for the same distances, byte for byte, for every codec: on
+// ER and planted graphs, no-path cells, the chain whose 75,000 outgrows
+// 16-bit lanes, a shuffled path whose first batch overruns its budget
+// (the rest are radix rows), n not a multiple of b and n < b. A streamed
+// solve cancelled after its first panel, resumed and cancelled again
+// after its third, then resumed to the end — each resumed run seeding its
+// first panel from tiles an earlier run wrote — writes the same file.
 func TestIntegerPanelsMatchFloatPanels(t *testing.T) {
 	ctx := context.Background()
 	s, err := New(WithSolver(SolverDijkstra))
@@ -317,44 +337,41 @@ func TestIntegerPanelsMatchFloatPanels(t *testing.T) {
 		}
 		for _, codec := range []string{"raw", "ivarint", "f32"} {
 			dir := t.TempDir()
-			floatPath, intPath := filepath.Join(dir, "float.apsp"), filepath.Join(dir, "int.apsp")
+			refPath, floatPath, intPath := filepath.Join(dir, "ref.apsp"), filepath.Join(dir, "float.apsp"), filepath.Join(dir, "int.apsp")
+			radixStore(t, tc.g, refPath, tc.b, codec)
 			if err := mem.WriteStoreWithCodec(floatPath, tc.b, codec); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.SolveToStore(ctx, tc.g, intPath, WithBlockSize(tc.b), WithCodec(codec)); err != nil {
 				t.Fatal(err)
 			}
-			requireSameFile(t, tc.name+", "+codec, intPath, floatPath)
+			requireSameFile(t, tc.name+", "+codec+", streamed", intPath, refPath)
+			requireSameFile(t, tc.name+", "+codec+", in memory", floatPath, refPath)
 		}
 	}
 
 	g := hostTestGraph(t, 200, 5, 34)
 	const b = 32
-	mem, err := s.Solve(ctx, g, WithBlockSize(b))
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	floatPath, intPath := filepath.Join(dir, "float.apsp"), filepath.Join(dir, "int.apsp")
-	if err := mem.WriteStoreWithCodec(floatPath, b, "ivarint"); err != nil {
-		t.Fatal(err)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	_, err = s.SolveToStore(cctx, g, intPath, WithBlockSize(b), WithCodec("ivarint"), WithProgress(func(ev StageEvent) {
-		if ev.Name == "unit" {
-			cancel()
+	refPath, intPath := filepath.Join(dir, "ref.apsp"), filepath.Join(dir, "int.apsp")
+	radixStore(t, g, refPath, b, "ivarint")
+	for run, stop := range []struct{ after, skipped int }{{1, 0}, {2, b}, {0, 3 * b}} {
+		cctx, cancel := context.WithCancel(ctx)
+		panels := 0
+		res, err := s.SolveToStore(cctx, g, intPath, WithBlockSize(b), WithCodec("ivarint"), WithResume(run > 0), WithProgress(func(ev StageEvent) {
+			if ev.Name == "unit" {
+				if panels++; panels == stop.after {
+					cancel()
+				}
+			}
+		}))
+		cancel()
+		if stop.after > 0 && !errors.Is(err, context.Canceled) || stop.after == 0 && err != nil {
+			t.Fatalf("run %d: err = %v", run, err)
 		}
-	}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		if res == nil || res.UnitsSkipped != stop.skipped {
+			t.Fatalf("run %d skipped %d rows, want %d", run, res.UnitsSkipped, stop.skipped)
+		}
 	}
-	res, err := s.SolveToStore(ctx, g, intPath, WithBlockSize(b), WithCodec("ivarint"), WithResume(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UnitsSkipped != b {
-		t.Fatalf("resume skipped %d rows, want the first panel's %d", res.UnitsSkipped, b)
-	}
-	requireSameFile(t, "resumed", intPath, floatPath)
+	requireSameFile(t, "resumed twice", intPath, refPath)
 }
