@@ -38,7 +38,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"apspark/internal/fsx"
@@ -339,78 +338,43 @@ func classifyDirty(ctx context.Context, parent *store.Store, changes []changedEd
 }
 
 // buildStore writes the candidate store: dirty panels re-solved with the
-// sparse engine over the new graph, clean panels raw-copied (and
-// CRC-verified both ways) from the parent. The mid-build crash hook
-// fires after the first panel lands, the worst possible instant for a
+// sparse engine over the new graph, exactly as SolveToStore solves them —
+// the same cell type, each panel seeded from the panels the candidate
+// already holds, copied or re-solved, every one the new graph's distances
+// — and clean panels raw-copied (and CRC-verified both ways) from the
+// parent in their turn, through the solve's Supply. The mid-build crash
+// hook fires after the first panel lands, the worst possible instant for a
 // torn build.
 func (m *Manager) buildStore(ctx context.Context, path string, parent *store.Store, g *graph.Graph, dirtyPanel []bool) error {
-	n, b := parent.N(), parent.BlockSize()
 	// The child inherits the parent's preferred codec: re-solved dirty
 	// panels re-encode at the same density the clean raw-copied panels
 	// carry over, so compression survives the generation lifecycle.
-	w, err := store.NewPanelWriterWithOptions(path, n, b, store.PanelWriterOptions{Codec: parent.PreferredCodec()})
+	w, err := store.NewPanelWriterWithOptions(path, parent.N(), parent.BlockSize(), store.PanelWriterOptions{Codec: parent.PreferredCodec()})
 	if err != nil {
 		return err
 	}
 	defer w.Abort()
-	eng := sparse.New(g)
-	// Dirty panels are solved into one buffer of the build's: uint32 cells
-	// where the new graph's distances are integers, as SolveToStore streams
-	// them, each seeded from the panels the candidate already holds —
-	// copied clean or re-solved, every one the new graph's distances — and
-	// float64 otherwise.
-	written := w.ReadBack()
-	var ints []uint32
-	var floats []float64
-	solve := func(bi int) error {
-		base, h := store.PanelRows(n, b, bi)
-		workers := runtime.GOMAXPROCS(0)
-		if eng.IntDistances() {
-			if ints == nil {
-				ints = make([]uint32, b*n)
-			}
-			rows := ints[:h*n]
-			if err := eng.SolveIntPanel(ctx, bi, b, rows, workers, written); err != nil {
-				return err
-			}
-			return w.WriteIntPanel(rows)
-		}
-		if floats == nil {
-			floats = make([]float64, b*n)
-		}
-		panel := &matrix.Block{R: h, C: n, Data: floats[:h*n]}
-		if err := eng.SolvePanel(ctx, base, panel, workers); err != nil {
-			return err
-		}
-		return w.WritePanel(panel)
-	}
 	var raw []byte
-	for bi := range dirtyPanel {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	copyClean := func(bi int) (bool, error) {
 		if bi == 1 {
 			hook("mid-build")
 		}
-		if !dirtyPanel[bi] {
-			var metas []store.TileMeta
-			raw, metas, err = parent.ReadPanelRaw(bi, raw)
-			if err == nil {
-				err = w.WriteRawPanel(raw, metas)
-				if err != nil {
-					return err
-				}
-				continue
-			}
+		if dirtyPanel[bi] {
+			return false, nil
+		}
+		var metas []store.TileMeta
+		var err error
+		if raw, metas, err = parent.ReadPanelRaw(bi, raw); err != nil {
 			// A corrupt parent panel cannot be copied — but it can be
-			// recomputed: fall through to the solve path, which rebuilds
-			// it from the (new) graph. Clean rows solve to the same
-			// distances by construction.
+			// recomputed: the engine solves it from the (new) graph. Clean
+			// rows solve to the same distances by construction.
 			slog.Warn("generation: parent panel unreadable, recomputing", "panel", bi, "err", err)
+			return false, nil
 		}
-		if err := solve(bi); err != nil {
-			return err
-		}
+		return true, w.WriteRawPanel(raw, metas)
+	}
+	if _, err := sparse.New(g).SolveTo(ctx, w, sparse.Options{Supply: copyClean}); err != nil {
+		return err
 	}
 	return w.Close()
 }

@@ -18,6 +18,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Inf is the distance value representing "no path".
@@ -28,6 +29,27 @@ var Inf = math.Inf(1)
 // exact integer distance and reads as float64 of itself; NoPath32 reads
 // as Inf.
 const NoPath32 = math.MaxUint32
+
+// Cell is the type of a distance cell: float64 on any graph, Inf for no
+// path, or uint32 where every distance is an integer below NoPath32, which
+// is no path.
+type Cell interface{ float64 | uint32 }
+
+// NoPath is the cell value of no path: Inf, or NoPath32.
+func NoPath[C Cell]() C {
+	if unsafe.Sizeof(C(0)) == 4 {
+		return C(NoPath32)
+	}
+	return C(Inf)
+}
+
+// Recast is x as a cell of type C: the same distance, or no path.
+func Recast[C, S Cell](x S) C {
+	if x == NoPath[S]() {
+		return NoPath[C]()
+	}
+	return C(x)
+}
 
 // Block is a dense, row-major matrix block over the min-plus semiring.
 // A Block with nil Data is a phantom: it has a shape and a byte size but no

@@ -3,8 +3,6 @@ package sparse
 import (
 	"context"
 	"testing"
-
-	"apspark/internal/matrix"
 )
 
 // TestPerSourceZeroAllocs pins the engine's allocation discipline: after
@@ -34,14 +32,14 @@ func TestPerSourceZeroAllocs(t *testing.T) {
 // TestPerBatchZeroAllocs is the same pin for the batched kernel, on both
 // cell types and on a seeded panel: a warm worker's batch, and its fill
 // from the tiles above, allocate nothing, so a panel allocates what
-// SolvePanel itself does (its job record and worker bookkeeping) however
+// solvePanel itself does (its job record and worker bookkeeping) however
 // many batches it holds.
 func TestPerBatchZeroAllocs(t *testing.T) {
 	requireBatchKernel(t)
 	g := intER(t, 512, 8, 9)
 	e := New(g)
 	ctx := context.Background()
-	above := radixRows(t, g).Data
+	want := radixRows(t, g).Data
 	// Panels 1.. of h rows (panel 0 has nothing above it to seed from).
 	perPanel := func(h int, solve func(bi int) error) float64 {
 		bi := 0
@@ -53,17 +51,17 @@ func TestPerBatchZeroAllocs(t *testing.T) {
 		})
 	}
 	floats := func(h int) float64 {
-		panel := matrix.NewZero(h, g.N)
-		return perPanel(h, func(bi int) error { return e.SolvePanel(ctx, bi*h, panel, 1) })
+		panel := make([]float64, h*g.N)
+		return perPanel(h, func(bi int) error { return solvePanel(ctx, e, bi*h, panel, h, 1, above[float64]{}) })
 	}
-	ints := func(written func(h int) Written) func(h int) float64 {
+	ints := func(read func(h int) readBack) func(h int) float64 {
 		return func(h int) float64 {
-			panel, read := make([]uint32, h*g.N), written(h)
-			return perPanel(h, func(bi int) error { return e.SolveIntPanel(ctx, bi, h, panel, 1, read) })
+			panel, up := make([]uint32, h*g.N), above[uint32]{b: h, read: read(h)}
+			return perPanel(h, func(bi int) error { return solvePanel(ctx, e, bi*h, panel, h, 1, up) })
 		}
 	}
-	unseeded := func(int) Written { return nil }
-	seeded := func(h int) Written { return tilesOf(above, g.N, h) }
+	unseeded := func(int) readBack { return nil }
+	seeded := func(h int) readBack { return tilesOf(want, g.N, h) }
 	for name, allocs := range map[string]func(h int) float64{"float64": floats, "uint32": ints(unseeded), "seeded uint32": ints(seeded)} {
 		one, many := allocs(batch32), allocs(8*batch32)
 		t.Logf("%s cells: allocs per panel: %v with one batch, %v with eight", name, one, many)

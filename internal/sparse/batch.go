@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"unsafe"
+
+	"apspark/internal/matrix"
 )
 
 // arc is one adjacency entry of the batched kernel's input, head vertex
@@ -31,7 +33,7 @@ const _ = uint64(unreached - 1 - maxN*maxArcWeight)
 // integerWeights reports whether every weight is an integer in
 // [0, maxArcWeight] on a graph within the engine's limit: what an arc
 // holds, and what keeps every distance an exact integer below unreached,
-// and so below matrix.NoPath32 (IntDistances).
+// and so below matrix.NoPath32 (Engine.intDistances).
 func integerWeights(n int, weights []float64) bool {
 	if n > maxN {
 		return false
@@ -192,7 +194,7 @@ func (s *batchState[T]) seed(e *Engine, base, k int) {
 // vertex from above on is dirty. It returns how many seeds are reached,
 // or false, with d partly written, when a seed does not fit below
 // exactBelow[T]: the batch needs wider lanes.
-func seedAbove[T lane, C cell](s *batchState[T], e *Engine, base, k, above int, rows []C) (reached int, ok bool) {
+func seedAbove[T lane, C matrix.Cell](s *batchState[T], e *Engine, base, k, above int, rows []C) (reached int, ok bool) {
 	n, w := e.n, lanesOf[T]()
 	for v0 := 0; v0 < above; v0 += emitBlock {
 		blk := s.d[v0*w : min(v0+emitBlock, above)*w]
@@ -217,8 +219,8 @@ func seedAbove[T lane, C cell](s *batchState[T], e *Engine, base, k, above int, 
 // col from row, the cell's no-path value as an unreached lane, and returns
 // how many are reached, or false at a distance the lanes cannot hold
 // exactly.
-func seedLane[T lane, C cell](col []T, row []C) (reached int, ok bool) {
-	w, inf, none, top := lanesOf[T](), unreachedLane[T](), noPath[C](), C(exactBelow[T]())
+func seedLane[T lane, C matrix.Cell](col []T, row []C) (reached int, ok bool) {
+	w, inf, none, top := lanesOf[T](), unreachedLane[T](), matrix.NoPath[C](), C(exactBelow[T]())
 	for i, c := range row {
 		switch {
 		case c == none:
@@ -283,7 +285,7 @@ const (
 // touched when a seed is out of range, and otherwise after it was filled
 // with distances that may be wrong — where the seeds come back as they
 // went in — all of which the second solve overwrites.
-func solveBatch[T lane, C cell](s *batchState[T], e *Engine, base, k, above int, rows []C) (reached, visits int, end batchEnd) {
+func solveBatch[T lane, C matrix.Cell](s *batchState[T], e *Engine, base, k, above int, rows []C) (reached, visits int, end batchEnd) {
 	n := e.n
 	start, seeded := above&^7, 0
 	if above == 0 {
@@ -318,7 +320,7 @@ func solveBatch[T lane, C cell](s *batchState[T], e *Engine, base, k, above int,
 // already — returns d to its resting state and reports the number of
 // reached lanes it wrote and the largest of them: the one pass over d
 // after the sweeps, a block of vertices at a time (emitBlock).
-func emitBatch[T lane, C cell](s *batchState[T], k, n, from int, rows []C) (reached int, top T) {
+func emitBatch[T lane, C matrix.Cell](s *batchState[T], k, n, from int, rows []C) (reached int, top T) {
 	w := lanesOf[T]()
 	for v0 := 0; v0 < n; v0 += emitBlock {
 		blk := s.d[v0*w : min(v0+emitBlock, n)*w]
@@ -338,8 +340,8 @@ func emitBatch[T lane, C cell](s *batchState[T], k, n, from int, rows []C) (reac
 // of d, to row: a reached lane as its distance, exactly, an unreached one
 // as the cell's no-path value. It is its own function to keep the loop in
 // registers.
-func emitLane[T lane, C cell](row []C, col []T) (reached int, top T) {
-	w, inf, none := lanesOf[T](), unreachedLane[T](), noPath[C]()
+func emitLane[T lane, C matrix.Cell](row []C, col []T) (reached int, top T) {
+	w, inf, none := lanesOf[T](), unreachedLane[T](), matrix.NoPath[C]()
 	for i := range row {
 		if d := col[i*w]; d != inf {
 			row[i] = C(d)

@@ -72,6 +72,11 @@ func radixRows(t testing.TB, g *graph.Graph) *matrix.Block {
 	return m
 }
 
+// solveBlock solves the rows of sources base.. into panel, unseeded.
+func solveBlock(e *Engine, base int, panel *matrix.Block, workers int) error {
+	return solvePanel(context.Background(), e, base, panel.Data[:panel.R*e.n], panel.R, workers, above[float64]{})
+}
+
 // startAt16 returns an engine over g that starts on the narrower batched
 // kernel, as if an earlier batch had outgrown 16-bit lanes.
 func startAt16(g *graph.Graph) *Engine {
@@ -233,14 +238,14 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 				got := make([]*matrix.Block, len(engines))
 				for i, eng := range engines {
 					got[i] = matrix.NewZero(h, n)
-					if err := eng.SolvePanel(context.Background(), bi*b, got[i], 2); err != nil {
+					if err := solveBlock(eng, bi*b, got[i], 2); err != nil {
 						t.Fatal(err)
 					}
 					requireBitIdentical(t, got[i], got[0])
 					// The same panel on uint32 cells: the lanes, or the
 					// radix rows, converted exactly.
 					cells := make([]uint32, h*n)
-					if err := eng.SolveIntPanel(context.Background(), bi, b, cells, 2, nil); err != nil {
+					if err := solvePanel(context.Background(), eng, bi*b, cells, h, 2, above[uint32]{}); err != nil {
 						t.Fatal(err)
 					}
 					requireIntCells(t, cells, got[0])
@@ -272,14 +277,15 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 }
 
 // TestSeededPanelsMatchRadixRows: a panel seeded from the rows above it
-// equals the radix rows — streamed, reading back what it has emitted
+// equals the radix rows — streamed, reading back what it has written
 // (from the start, and resumed at panel 2 over rows it did not solve);
-// one SolveIntPanel per panel on a fresh engine, the way a generation
-// rebuild seeds a dirty panel; and in memory. The graphs cover batches
-// that stand, a seed past 16 bits (the 75,000 chain's last panel on a
-// fresh engine: thrown away before it sweeps, and solved on 32-bit
-// lanes), a budget overrun, no-path cells and a ragged last panel. Where
-// the batches stand, seeding cuts the sweeps' visits.
+// each panel alone on a fresh engine, seeded from tiles read back only,
+// the way a generation rebuild seeds a dirty panel after a copied one;
+// and in memory. The graphs cover batches that stand, a seed past 16 bits
+// (the 75,000 chain's last panel on a fresh engine: thrown away before it
+// sweeps, and solved on 32-bit lanes), a budget overrun, no-path cells and
+// a ragged last panel. Where the batches stand, seeding cuts the sweeps'
+// visits.
 func TestSeededPanelsMatchRadixRows(t *testing.T) {
 	requireBatchKernel(t)
 	ctx := context.Background()
@@ -300,38 +306,34 @@ func TestSeededPanelsMatchRadixRows(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n, b := tc.g.N, tc.b
 			want := radixRows(t, tc.g)
-			stream := func(first int, written func([]uint32) Written) *Engine {
+			// stream solves into a sink that holds the first panels already
+			// and, unless it is lossy, reads back what it holds.
+			stream := func(first int, lossy bool) *Engine {
 				t.Helper()
-				e, got := New(tc.g), make([]uint32, n*n)
-				for i := range got[:first*b*n] {
-					got[i] = recast[uint32](want.Data[i])
-				}
-				opts := Options{Workers: 2, FirstPanel: first}
-				if written != nil {
-					opts.Written = written(got)
-				}
-				if _, err := e.SolveIntPanels(ctx, b, opts, func(bi int, rows []uint32) error {
-					copy(got[bi*b*n:], rows)
-					return nil
-				}); err != nil {
+				e, s := New(tc.g), newMemSink(n, b)
+				s.next, s.lossy = first, lossy
+				copy(s.dist, want.Data[:first*b*n])
+				if _, err := e.SolveTo(ctx, s, Options{Workers: 2}); err != nil {
 					t.Fatal(err)
 				}
-				requireIntCells(t, got, want)
+				if s.ints != (n+b-1)/b-first {
+					t.Fatalf("%d of %d panels written as uint32 cells", s.ints, (n+b-1)/b-first)
+				}
+				requireBitIdentical(t, s.held(), want)
 				return e
 			}
-			readBack := func(got []uint32) Written { return tilesOf(got, n, b) }
-			seeded, unseeded := stream(0, readBack), stream(0, nil)
+			seeded, unseeded := stream(0, false), stream(0, true)
 			if tc.fewer && seeded.sweepVisits.Load() >= unseeded.sweepVisits.Load() {
 				t.Errorf("sweep visits %d seeded, %d unseeded", seeded.sweepVisits.Load(), unseeded.sweepVisits.Load())
 			}
 			if last := (n - 1) / b; last >= 2 {
-				stream(2, readBack)
+				stream(2, false)
 			}
 
 			for bi := 0; bi*b < n; bi++ {
 				e, h := New(tc.g), min(b, n-bi*b)
 				cells := make([]uint32, h*n)
-				if err := e.SolveIntPanel(ctx, bi, b, cells, 2, tilesOf(want.Data, n, b)); err != nil {
+				if err := solvePanel(ctx, e, bi*b, cells, h, 2, above[uint32]{b: b, read: tilesOf(want.Data, n, b)}); err != nil {
 					t.Fatal(err)
 				}
 				requireIntCells(t, cells, &matrix.Block{R: h, C: n, Data: want.Data[bi*b*n:][:h*n]})
@@ -367,16 +369,24 @@ func TestBatchNeedsTheDialView(t *testing.T) {
 			t.Fatalf("arcs %v, panel kernel %s; want none, row", e.arcs != nil, e.PanelKernel())
 		}
 		// Nor do its distances fit uint32 cells, on any build.
-		if e.IntDistances() || e.SolveIntPanel(context.Background(), 0, 1, make([]uint32, 40), 1, nil) == nil {
-			t.Fatal("uint32 panel solved on a graph whose distances need float64")
-		}
-		if _, err := e.SolveIntPanels(context.Background(), 8, Options{}, func(int, []uint32) error { return nil }); err == nil {
+		if e.intDistances || streamedInts(t, e) != 0 {
 			t.Fatal("uint32 panels streamed on a graph whose distances need float64")
 		}
 	}
-	if !New(mustGraph(t, 40, chain(40, 0, maxArcWeight))).IntDistances() {
-		t.Fatal("a graph of integer weights in [0, 255] has no uint32 panels")
+	if e := New(mustGraph(t, 40, chain(40, 0, maxArcWeight))); !e.intDistances || streamedInts(t, e) != 5 {
+		t.Fatal("a graph of integer weights in [0, 255] streams no uint32 panels")
 	}
+}
+
+// streamedInts solves e in panels of 8 rows and returns how many of them
+// it wrote as uint32 cells.
+func streamedInts(t *testing.T, e *Engine) int {
+	t.Helper()
+	s := newMemSink(e.n, 8)
+	if _, err := e.SolveTo(context.Background(), s, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return s.ints
 }
 
 // expositionHas fails unless every line of want is in e's /metrics text.
@@ -436,7 +446,7 @@ func TestBatchFallbackIsExactAndSticky(t *testing.T) {
 	for _, e := range []*Engine{New(g), startAt16(g)} {
 		started := e.PanelKernel()
 		panel := matrix.NewZero(64, n)
-		if err := e.SolvePanel(context.Background(), 128, panel, 2); err != nil {
+		if err := solveBlock(e, 128, panel, 2); err != nil {
 			t.Fatal(err)
 		}
 		if e.budgetFallbacks.Load() != 1 || e.rangeFallbacks.Load() != 0 || e.PanelKernel() != "row" {
@@ -446,7 +456,7 @@ func TestBatchFallbackIsExactAndSticky(t *testing.T) {
 		expositionHas(t, e, `apsp_sparse_batch_fallbacks_total{reason="budget"} 1`, `apsp_sparse_batch_fallbacks_total{reason="range"} 0`,
 			`apsp_sparse_panel_kernel_info{impl="row"} 1`, `apsp_sparse_panel_kernel_info{impl="batch16"} 0`, `apsp_sparse_panel_kernel_info{impl="batch32"} 0`)
 		requireRadixRows(t, g, 128, panel)
-		if err := e.SolvePanel(context.Background(), 0, panel, 2); err != nil {
+		if err := solveBlock(e, 0, panel, 2); err != nil {
 			t.Fatal(err)
 		}
 		if e.budgetFallbacks.Load() != 1 {
@@ -493,7 +503,7 @@ func TestBatchRangeBoundary(t *testing.T) {
 		e, rows := New(g), rowsOnly(g)
 		panel := matrix.NewZero(n, n)
 		for pass := 0; pass < 2; pass++ {
-			if err := e.SolvePanel(context.Background(), 0, panel, 2); err != nil {
+			if err := solveBlock(e, 0, panel, 2); err != nil {
 				t.Fatal(err)
 			}
 			if got := panel.At(3, n-1); got != float64(tc.total) {
@@ -509,7 +519,7 @@ func TestBatchRangeBoundary(t *testing.T) {
 			}
 			requireRadixRows(t, g, 0, panel)
 		}
-		if err := rows.SolvePanel(context.Background(), 0, panel, 2); err != nil {
+		if err := solveBlock(rows, 0, panel, 2); err != nil {
 			t.Fatal(err)
 		}
 		if e.srcSolved.Load() != 2*rows.srcSolved.Load() || e.settled.Load() != 2*rows.settled.Load() {

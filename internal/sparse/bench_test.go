@@ -96,7 +96,7 @@ func benchSolvePanel(b *testing.B, g *graph.Graph) {
 			}
 			for i := 0; i < b.N; i++ {
 				// A fresh engine per panel: one that narrowed stays narrow.
-				if err := kernel.new(g).SolvePanel(context.Background(), (i*256)%g.N, panel, 1); err != nil {
+				if err := solveBlock(kernel.new(g), (i*256)%g.N, panel, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

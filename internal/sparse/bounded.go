@@ -3,6 +3,8 @@ package sparse
 import (
 	"fmt"
 	"math"
+
+	"apspark/internal/matrix"
 )
 
 // Seed is one starting point of a bounded solve: vertex V opens with
@@ -181,11 +183,11 @@ func (sc *state) dijkstra(e *Engine, seeds []Seed, bd Bound) int {
 
 // fillRow writes the solve sc last ran into row from the epoch stamps:
 // settled vertices get their distance, everything else the cell's no-path
-// value. On a graph with IntDistances every settled distance is an
+// value. On a graph with intDistances every settled distance is an
 // integer below matrix.NoPath32, so a uint32 cell holds it exactly. A nil
 // row writes nothing.
-func fillRow[C cell](sc *state, row []C) {
-	vs, epoch, none := sc.vs, sc.epoch, noPath[C]()
+func fillRow[C matrix.Cell](sc *state, row []C) {
+	vs, epoch, none := sc.vs, sc.epoch, matrix.NoPath[C]()
 	for v := range row {
 		if vw := vs[v]; vw.stamp == epoch && vw.pos == settledPos {
 			row[v] = C(vw.dist)

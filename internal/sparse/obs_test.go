@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"apspark/internal/graph"
-	"apspark/internal/matrix"
 	"apspark/internal/obs"
 )
 
@@ -20,14 +19,12 @@ func TestEngineRegisterMetrics(t *testing.T) {
 	r := obs.NewRegistry()
 	e.RegisterMetrics(r)
 
-	emits := 0
-	done, err := e.SolvePanels(context.Background(), 16, Options{Workers: 2}, func(bi int, p *matrix.Block) error {
-		emits++
-		return nil
-	})
+	s := newMemSink(64, 16)
+	done, err := e.SolveTo(context.Background(), s, Options{Workers: 2})
 	if err != nil || done != 64 {
-		t.Fatalf("SolvePanels = %d, %v", done, err)
+		t.Fatalf("SolveTo = %d, %v", done, err)
 	}
+	emits := s.next
 	row := make([]float64, 64)
 	if err := e.SolveRowInto(5, row); err != nil {
 		t.Fatal(err)

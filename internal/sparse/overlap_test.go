@@ -6,17 +6,80 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"apspark/internal/graph"
 	"apspark/internal/matrix"
 	"apspark/internal/store"
 )
 
-// TestSolvePanelsEmitErrorStopsTheSolve: an emit error on panel k comes
-// back as is, counts only the panels emitted before it, lets no later
-// emit run and abandons the panels still to solve.
+// memSink is a Sink in memory: it keeps the distances of every panel
+// written in dist (n x n, matrix.Inf for no path) and reads tiles back
+// from there. write, when set, sees each panel first — its index and its
+// cell (r, v) as a distance — and an error from it refuses the panel.
+type memSink struct {
+	n, b, next int
+	dist       []float64
+	ints       int  // panels written as uint32 cells
+	lossy      bool // ReadBack returns nil, as an f32 store's does
+	write      func(bi int, at func(r, v int) float64) error
+}
+
+func newMemSink(n, b int) *memSink {
+	return &memSink{n: n, b: b, dist: make([]float64, n*n)}
+}
+
+func (s *memSink) BlockSize() int                      { return s.b }
+func (s *memSink) NextPanel() int                      { return s.next }
+func (s *memSink) WritePanel(rows *matrix.Block) error { return keepPanel(s, rows.Data) }
+
+func (s *memSink) WriteIntPanel(rows []uint32) error {
+	s.ints++
+	return keepPanel(s, rows)
+}
+
+func (s *memSink) ReadBack() func(bi, bj int, dst []uint32) error {
+	if s.lossy {
+		return nil
+	}
+	return tilesOf(s.dist, s.n, s.b)
+}
+
+// held is everything the sink holds.
+func (s *memSink) held() *matrix.Block { return &matrix.Block{R: s.n, C: s.n, Data: s.dist} }
+
+// keepPanel writes rows to s as its next panel.
+func keepPanel[C matrix.Cell](s *memSink, rows []C) error {
+	bi := s.next
+	if s.write != nil {
+		if err := s.write(bi, func(r, v int) float64 { return matrix.Recast[float64](rows[r*s.n+v]) }); err != nil {
+			return err
+		}
+	}
+	for i, x := range rows {
+		s.dist[bi*s.b*s.n+i] = matrix.Recast[float64](x)
+	}
+	s.next++
+	return nil
+}
+
+// realER is a connected sparse ER graph with uniform real weights: its
+// panels are float64 and never batch.
+func realER(t testing.TB, n int, deg float64, seed int64) *graph.Graph {
+	t.Helper()
+	g, err := graph.ErdosRenyiConnected(n, graph.AvgDegreeProb(n, deg), graph.UniformWeights(100), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSolvePanelsEmitErrorStopsTheSolve: a write error on panel k comes
+// back as is, counts only the panels written before it, lets no later
+// write run and abandons the panels still to solve.
 func TestSolvePanelsEmitErrorStopsTheSolve(t *testing.T) {
 	g := intER(t, 400, 6, 21)
 	e := New(g)
@@ -24,38 +87,40 @@ func TestSolvePanelsEmitErrorStopsTheSolve(t *testing.T) {
 	const b, failAt = 16, 2
 	var emits []int
 	var marks []int
-	done, err := e.SolvePanels(context.Background(), b, Options{
-		Workers:  2,
-		Progress: func(rowsDone, _ int) { marks = append(marks, rowsDone) },
-	}, func(bi int, _ *matrix.Block) error {
+	s := newMemSink(g.N, b)
+	s.write = func(bi int, _ func(r, v int) float64) error {
 		emits = append(emits, bi)
 		if bi == failAt {
 			return boom
 		}
 		return nil
+	}
+	done, err := e.SolveTo(context.Background(), s, Options{
+		Workers:  2,
+		Progress: func(rowsDone, _ int) { marks = append(marks, rowsDone) },
 	})
 	if err != boom {
-		t.Fatalf("err = %v, want the emit error itself", err)
+		t.Fatalf("err = %v, want the write error itself", err)
 	}
 	if done != failAt*b {
-		t.Fatalf("done = %d, want %d (panels emitted before the failure)", done, failAt*b)
+		t.Fatalf("done = %d, want %d (panels written before the failure)", done, failAt*b)
 	}
 	if len(emits) != failAt+1 || emits[failAt] != failAt {
-		t.Fatalf("emit calls = %v, want 0..%d and nothing after", emits, failAt)
+		t.Fatalf("write calls = %v, want 0..%d and nothing after", emits, failAt)
 	}
 	if len(marks) != failAt || marks[failAt-1] != failAt*b {
-		t.Fatalf("progress marks = %v, want one per emitted panel", marks)
+		t.Fatalf("progress marks = %v, want one per written panel", marks)
 	}
-	// Panel failAt+1 was being solved beside the failing emit and may have
+	// Panel failAt+1 was being solved beside the failing write and may have
 	// finished; nothing past it was started.
 	if solved := e.srcSolved.Load(); solved > (failAt+2)*b {
-		t.Fatalf("%d sources solved after an emit error at row %d", solved, failAt*b)
+		t.Fatalf("%d sources solved after a write error at row %d", solved, failAt*b)
 	}
 }
 
 // TestSolvePanelsCancelWaitsForTheEmitInFlight cancels while panel 1 is
-// inside emit and panel 2 is being solved: the call returns only after
-// that emit has, counts its rows, and starts no other.
+// being written and panel 2 is being solved: the call returns only after
+// that write has, counts its rows, and starts no other.
 func TestSolvePanelsCancelWaitsForTheEmitInFlight(t *testing.T) {
 	g := intER(t, 160, 5, 22)
 	e := New(g)
@@ -70,10 +135,8 @@ func TestSolvePanelsCancelWaitsForTheEmitInFlight(t *testing.T) {
 	var returned atomic.Bool
 	var emits atomic.Int32
 	marks := 0
-	done, err := e.SolvePanels(ctx, 16, Options{
-		Workers:  2,
-		Progress: func(int, int) { marks++ },
-	}, func(bi int, _ *matrix.Block) error {
+	s := newMemSink(g.N, 16)
+	s.write = func(bi int, _ func(r, v int) float64) error {
 		emits.Add(1)
 		if bi == 1 {
 			close(inEmit)
@@ -82,131 +145,217 @@ func TestSolvePanelsCancelWaitsForTheEmitInFlight(t *testing.T) {
 			returned.Store(true)
 		}
 		return nil
+	}
+	done, err := e.SolveTo(ctx, s, Options{
+		Workers:  2,
+		Progress: func(int, int) { marks++ },
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !returned.Load() {
-		t.Fatal("SolvePanels returned while an emit was still running")
+		t.Fatal("SolveTo returned while a write was still running")
 	}
 	if done != 32 || marks != 2 || emits.Load() != 2 {
-		t.Fatalf("done = %d, progress marks = %d, emits = %d; want 32, 2, 2", done, marks, emits.Load())
+		t.Fatalf("done = %d, progress marks = %d, writes = %d; want 32, 2, 2", done, marks, emits.Load())
 	}
 }
 
 // TestSolvePanelsOverlapKeepsPanelsIntact is the -race pin for the double
-// buffer: every emit reads its whole panel, slowly, while the workers
-// solve the next one, and checks it against an in-memory solve. Emits
-// must arrive in order, one at a time. The same holds on uint32 cells.
+// buffer: every write reads its whole panel, slowly, while the workers
+// solve the next one, and checks it against an in-memory solve. Writes
+// must arrive in order, one at a time. It runs on uint32 cells (integer
+// weights) and on float64 rows (real weights).
 func TestSolvePanelsOverlapKeepsPanelsIntact(t *testing.T) {
-	g := intER(t, 203, 6, 23)
-	want := solveFull(t, g, 203)
 	const b = 16
-	var inEmit atomic.Int32
-	next := 0
-	// emitted reads panel bi, h rows whose (r, v) distance is at(r, v).
-	emitted := func(bi, h int, at func(r, v int) float64) error {
-		if inEmit.Add(1) != 1 {
-			t.Error("two emits in flight")
-		}
-		defer inEmit.Add(-1)
-		if bi != next {
-			t.Errorf("emit of panel %d, want %d", bi, next)
-		}
-		next++
-		for r := 0; r < h; r++ {
-			if r%4 == 0 {
-				time.Sleep(time.Millisecond) // let the next panel's solve run beside this read
+	for _, g := range []*graph.Graph{intER(t, 203, 6, 23), realER(t, 203, 6, 23)} {
+		want := solveFull(t, g, 203)
+		var inEmit atomic.Int32
+		next := 0
+		s := newMemSink(g.N, b)
+		s.write = func(bi int, at func(r, v int) float64) error {
+			if inEmit.Add(1) != 1 {
+				t.Error("two writes in flight")
 			}
-			for v := 0; v < g.N; v++ {
-				if d := at(r, v); d != want.At(bi*b+r, v) {
-					t.Errorf("panel %d row %d col %d = %v, want %v", bi, r, v, d, want.At(bi*b+r, v))
-					return nil
+			defer inEmit.Add(-1)
+			if bi != next {
+				t.Errorf("write of panel %d, want %d", bi, next)
+			}
+			next++
+			for r := 0; r < min(b, g.N-bi*b); r++ {
+				if r%4 == 0 {
+					time.Sleep(time.Millisecond) // let the next panel's solve run beside this read
+				}
+				for v := 0; v < g.N; v++ {
+					if d := at(r, v); d != want.At(bi*b+r, v) {
+						t.Errorf("panel %d row %d col %d = %v, want %v", bi, r, v, d, want.At(bi*b+r, v))
+						return nil
+					}
 				}
 			}
+			return nil
 		}
-		return nil
+		done, err := New(g).SolveTo(context.Background(), s, Options{Workers: 3})
+		if err != nil || done != g.N {
+			t.Fatalf("SolveTo = %d, %v", done, err)
+		}
 	}
-	done, err := New(g).SolvePanels(context.Background(), b, Options{Workers: 3}, func(bi int, panel *matrix.Block) error {
-		return emitted(bi, panel.R, panel.At)
-	})
-	if err != nil || done != g.N {
-		t.Fatalf("SolvePanels = %d, %v", done, err)
+}
+
+// hookedWriter is a store writer whose panel writes first pass hook,
+// which may fail them.
+type hookedWriter struct {
+	*store.PanelWriter
+	hook func(bi int) error
+}
+
+func (w hookedWriter) WritePanel(rows *matrix.Block) error {
+	if err := w.hook(w.NextPanel()); err != nil {
+		return err
 	}
-	next = 0
-	done, err = New(g).SolveIntPanels(context.Background(), b, Options{Workers: 3}, func(bi int, rows []uint32) error {
-		return emitted(bi, len(rows)/g.N, func(r, v int) float64 {
-			if c := rows[r*g.N+v]; c != matrix.NoPath32 {
-				return float64(c)
-			}
-			return matrix.Inf
-		})
-	})
-	if err != nil || done != g.N {
-		t.Fatalf("SolveIntPanels = %d, %v", done, err)
+	return w.PanelWriter.WritePanel(rows)
+}
+
+func (w hookedWriter) WriteIntPanel(rows []uint32) error {
+	if err := w.hook(w.NextPanel()); err != nil {
+		return err
 	}
+	return w.PanelWriter.WriteIntPanel(rows)
 }
 
 // TestSolvePanelsCrashAndResumeByteIdentical streams a solve into a
 // checkpointing store writer, fails it at a panel boundary while the next
 // panel is being solved, and resumes from the checkpoint: the store must
-// equal an uninterrupted run's byte for byte.
+// equal an uninterrupted run's byte for byte, on uint32 cells and on
+// float64 rows.
 func TestSolvePanelsCrashAndResumeByteIdentical(t *testing.T) {
-	g := intER(t, 150, 6, 24)
 	const b, crashAt = 32, 2
-	dir := t.TempDir()
-	stream := func(path string, resume bool, hook func(bi int) error) (int, error) {
-		pw, err := store.NewPanelWriterWithOptions(path, g.N, b, store.PanelWriterOptions{
-			Checkpoint: true, Resume: resume, Codec: mustCodec(t, "ivarint"),
+	for _, g := range []*graph.Graph{intER(t, 150, 6, 24), realER(t, 150, 6, 24)} {
+		dir := t.TempDir()
+		stream := func(path string, resume bool, hook func(bi int) error) (int, error) {
+			pw, err := store.NewPanelWriterWithOptions(path, g.N, b, store.PanelWriterOptions{
+				Checkpoint: true, Resume: resume, Codec: mustCodec(t, "ivarint"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pw.Abort()
+			done, err := New(g).SolveTo(context.Background(), hookedWriter{pw, hook}, Options{})
+			if err != nil {
+				return done, err
+			}
+			return done, pw.Close()
+		}
+		ref := filepath.Join(dir, "ref.apsp")
+		if _, err := stream(ref, false, func(int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "dist.apsp")
+		crash := errors.New("crash")
+		if done, err := stream(path, false, func(bi int) error {
+			if bi == crashAt {
+				return crash
+			}
+			return nil
+		}); err != crash || done != crashAt*b {
+			t.Fatalf("crashed run = %d, %v; want %d rows and the crash", done, err, crashAt*b)
+		}
+		done, err := stream(path, true, func(bi int) error {
+			if bi < crashAt {
+				t.Errorf("resume re-wrote durable panel %d", bi)
+			}
+			return nil
 		})
+		if err != nil || done != g.N-crashAt*b {
+			t.Fatalf("resumed run = %d, %v; want the %d rows past the checkpoint", done, err, g.N-crashAt*b)
+		}
+		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer pw.Abort()
-		done, err := New(g).SolvePanels(context.Background(), b, Options{FirstPanel: pw.Resumed()}, func(bi int, panel *matrix.Block) error {
-			if err := hook(bi); err != nil {
-				return err
-			}
-			return pw.WritePanel(panel)
-		})
+		want, err := os.ReadFile(ref)
 		if err != nil {
-			return done, err
+			t.Fatal(err)
 		}
-		return done, pw.Close()
-	}
-	ref := filepath.Join(dir, "ref.apsp")
-	if _, err := stream(ref, false, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "dist.apsp")
-	crash := errors.New("crash")
-	if done, err := stream(path, false, func(bi int) error {
-		if bi == crashAt {
-			return crash
+		if !bytes.Equal(got, want) {
+			t.Fatal("resumed store differs from the uninterrupted one")
 		}
-		return nil
-	}); err != crash || done != crashAt*b {
-		t.Fatalf("crashed run = %d, %v; want %d rows and the crash", done, err, crashAt*b)
 	}
-	done, err := stream(path, true, func(bi int) error {
-		if bi < crashAt {
-			t.Errorf("resume re-emitted durable panel %d", bi)
-		}
-		return nil
-	})
-	if err != nil || done != g.N-crashAt*b {
-		t.Fatalf("resumed run = %d, %v; want the %d rows past the checkpoint", done, err, g.N-crashAt*b)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("resumed store differs from the uninterrupted one")
+}
+
+// TestSupplyInterleavesWithSolvedPanels: a solve whose Supply writes every
+// other panel itself, from the radix rows, and leaves the rest to the
+// engine writes the radix rows. Supply sees each panel once, in order,
+// once the write before it has returned; and a ctx cancelled inside
+// Supply ends the solve with ctx.Err(). On integer weights the panel
+// after a supplied one seeds from the tiles read back, not from the
+// engine's other buffer, which holds the panel before the supplied one.
+func TestSupplyInterleavesWithSolvedPanels(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		b    int
+	}{
+		{"ER", intER(t, 600, 6, 21), 64},
+		{"75,000 chain", mustGraph(t, 301, chain(301, 250)), 64},
+		{"real weights", realER(t, 200, 5, 25), 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, b := tc.g.N, tc.b
+			q := (n + b - 1) / b
+			want := radixRows(t, tc.g)
+			// solve runs the solve with Supply writing the odd panels; it
+			// cancels the solve inside Supply(cancelAt) (-1: never).
+			solve := func(cancelAt int) (*memSink, []int, int, error) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				s := newMemSink(n, b)
+				s.write = func(int, func(r, v int) float64) error {
+					time.Sleep(time.Millisecond) // a write still running when Supply is called shows
+					return nil
+				}
+				var seen []int
+				done, err := New(tc.g).SolveTo(ctx, s, Options{Workers: 2, Supply: func(bi int) (bool, error) {
+					seen = append(seen, bi)
+					if s.next != bi {
+						t.Errorf("Supply(%d) with %d panels written", bi, s.next)
+					}
+					if bi == cancelAt {
+						cancel()
+					}
+					if bi%2 == 0 {
+						return false, nil
+					}
+					return true, keepPanel(s, want.Data[bi*b*n:min(bi*b+b, n)*n])
+				}})
+				return s, seen, done, err
+			}
+			s, seen, done, err := solve(-1)
+			if err != nil || done != n {
+				t.Fatalf("SolveTo = %d, %v", done, err)
+			}
+			all := make([]int, q)
+			for bi := range all {
+				all[bi] = bi
+			}
+			if !slices.Equal(seen, all) {
+				t.Fatalf("Supply saw panels %v, want 0..%d", seen, q-1)
+			}
+			requireBitIdentical(t, s.held(), want)
+
+			for _, at := range []int{1, 2, q - 1} {
+				_, seen, done, err := solve(at)
+				// A supplied panel counts: its write returned.
+				rows := at * b
+				if at%2 == 1 {
+					rows = min(rows+b, n)
+				}
+				if !errors.Is(err, context.Canceled) || done != rows || len(seen) != at+1 {
+					t.Fatalf("cancelled in Supply(%d): %d rows, %v, Supply saw %v; want %d rows, context.Canceled, 0..%d",
+						at, done, err, seen, rows, at)
+				}
+			}
+		})
 	}
 }
 

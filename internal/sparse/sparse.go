@@ -9,8 +9,8 @@
 // the CPU and the distances alone — there is no option, flag or
 // environment variable:
 //
-//   - batch32, batch16 (batch.go, batch_amd64.s): SolvePanel, and so
-//     Solve, SolvePanels and every caller that re-solves panels, hands its
+//   - batch32, batch16 (batch.go, batch_amd64.s): every panel's solve —
+//     under Solve, and under SolveTo for every streamed caller — hands its
 //     workers runs of consecutive sources. A run keeps one 64-byte line of
 //     tentative distances per vertex, lane j for source j, and relaxes
 //     every source with the same two AVX2 registers: a visit to v folds
@@ -81,18 +81,23 @@
 // times W·n on 16 lanes and a shuffled 256x256 grid 9.5. batch.go has the
 // break-even figures the budget's 2 comes from.
 //
-// Completed source rows are emitted in block-height panels, two of them
-// in flight — one being written while the next is solved — so a caller
-// streaming panels to disk holds 2·b·n distance cells rather than n². The
-// cell type follows the graph alone, the same on every CPU and build:
-// where every weight is an integer in [0, 255] (IntDistances) every
-// distance is an exact integer below 2^32, and SolveIntPanels and
-// SolveIntPanel carry it as a uint32 (matrix.NoPath32 for no path) from
-// the lanes to the caller — half the bytes of a float64, and what an
-// integer store encoder reads with no float in between. SolvePanels,
-// SolvePanel and Solve carry float64 on any graph. One generic body serves
-// both cell types: the panel loop, its workers, the batch emit and the
-// radix row's fill, which converts each settled distance exactly.
+// Streaming. SolveTo is the one streamed solve: completed source rows go
+// to a Sink (a store.PanelWriter) in panels of its block size, two of them
+// in flight — one being written while the next is solved — so a solve
+// streamed to disk holds 2·b·n distance cells rather than n². The engine,
+// and nothing else, chooses the cell type, from the graph alone, the same
+// on every CPU and build: where every weight is an integer in [0, 255]
+// every distance is an exact integer below 2^32, and the panels are
+// uint32 cells (matrix.NoPath32 for no path) from the lanes to
+// Sink.WriteIntPanel — half the bytes of a float64, and what an integer
+// store encoder reads with no float in between; on any other graph they
+// are float64 rows to Sink.WritePanel. Solve is float64 on any graph. One
+// generic body serves both cell types (matrix.Cell): the panel loop, its
+// workers, the batch emit and the radix row's fill, which converts each
+// settled distance exactly. A solve starts at the sink's NextPanel, which
+// is how a checkpointed store resumes, and a caller that holds some
+// panels already — a generation rebuild's clean panels — writes them
+// itself through Options.Supply, in their turn.
 //
 // Seeding. The graph is undirected, so d(s, v) = d(v, s): by the time the
 // panel of sources [base, base+h) runs on the batched kernel, its cells
@@ -100,21 +105,20 @@
 // above it at the panel's own columns — the reuse of distances already
 // computed that Urakov and Timeryaev build their sparse APSP on
 // (PAPERS.md). The panel first copies them into place (fillAbove), on its
-// workers, a tile at a time through a Written: Solve reads its own matrix
-// back; a streamed solve reads the tiles it has written already
-// (Options.Written; store.PanelWriter.ReadBack is the store's own
-// CRC-checked decode, to uint32), but takes the panel just above from the
-// other panel buffer while that is emitted; SolveIntPanel reads what its
-// caller's Written does. Each batch then starts the lanes of every vertex
-// below base at those distances, marks every vertex from base on dirty
-// and sweeps from base rounded down to a multiple of 8 (solveBatch); its
-// emit leaves the seeded cells as they are. A seeded lane is a true
-// distance, which no visit can lower, so the fixpoint argument is
-// unchanged; only the work shrinks, to the vertices from the panel on and
-// what their lanes still have to learn.
+// workers, a tile at a time: Solve reads its own matrix back; SolveTo
+// takes the panel just above from its other buffer, where it solved that
+// panel itself, and reads every other tile back through Sink.ReadBack —
+// store.PanelWriter's own CRC-checked decode, to uint32, of panels it
+// wrote, resumed or was supplied. Each batch then starts the lanes of
+// every vertex below base at those distances, marks every vertex from
+// base on dirty and sweeps from base rounded down to a multiple of 8
+// (solveBatch); its emit leaves the seeded cells as they are. A seeded
+// lane is a true distance, which no visit can lower, so the fixpoint
+// argument is unchanged; only the work shrinks, to the vertices from the
+// panel on and what their lanes still have to learn.
 // Nothing is read back for a panel that runs on rows, on real weights or
-// purego builds (which never batch), or in a streamed solve without
-// Written — an f32 store, whose tiles may be lossy.
+// purego builds (which never batch), or into a sink whose ReadBack is nil
+// — an f32 store, whose tiles may be lossy.
 // apsp_sparse_sweep_visits_total counts the visits.
 package sparse
 
@@ -126,7 +130,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
@@ -145,14 +148,14 @@ type Engine struct {
 	scratch freeList // *state
 
 	// intDistances: every weight is an integer in [0, 255], so every
-	// distance is an exact uint32 (IntDistances).
+	// distance is an exact uint32 and SolveTo writes uint32 panels.
 	intDistances bool
 
 	// arcs is the batched kernel's input (batch.go), nil where the kernel
 	// cannot run: no AVX2, or a graph without intDistances.
 	arcs []arc
 
-	// width is how many sources SolvePanel solves at once (batch.go):
+	// width is how many sources a panel's solve takes at once (batch.go):
 	// batch32 from the start when the engine has arcs, batch16 after the
 	// first batch whose distances outgrow 16-bit lanes, rowWise after the
 	// first batch, at either width, that overruns its work budget — and
@@ -220,7 +223,7 @@ func (f *freeList) put(x any) {
 // New builds an engine over g's CSR arrays (shared, read-only; the graph
 // must not be mutated while the engine is in use — graphs in this
 // repository are immutable after construction). Whether panels can be
-// uint32 is decided here, once, from the weights (IntDistances), and
+// uint32 is decided here, once, from the weights (SolveTo), and
 // whether they can batch from the weights and the CPU (PanelKernel).
 func New(g *graph.Graph) *Engine {
 	e := &Engine{n: g.N, panelEmit: obs.NewHistogram()}
@@ -238,11 +241,10 @@ func New(g *graph.Graph) *Engine {
 	return e
 }
 
-// PanelKernel names what SolvePanel (and so Solve and SolvePanels) runs a
-// panel's sources on now: "batch32" or "batch16" — that many sources at a
-// time through the batched kernel, on 16- and 32-bit lanes, which needs
-// AVX2 and integer weights in [0, 255] — or "row", one source at a time
-// on the radix heap. An engine that can batch starts on batch32 and
+// PanelKernel names what a panel of Solve or SolveTo runs its sources on
+// now: "batch32" or "batch16" — that many sources at a time through the
+// batched kernel, on 16- and 32-bit lanes, which needs AVX2 and integer
+// weights in [0, 255] — or "row", one source at a time on the radix heap. An engine that can batch starts on batch32 and
 // narrows for good: to batch16 when a batch ends with a distance of
 // 65,280 or more, to row when a batch overruns its work budget.
 func (e *Engine) PanelKernel() string {
@@ -324,37 +326,6 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 
 // N returns the number of vertices.
 func (e *Engine) N() int { return e.n }
-
-// IntDistances reports whether the engine solves uint32 panels
-// (SolveIntPanels, SolveIntPanel): every weight of the graph is an integer
-// in [0, 255], so every distance is an exact integer below
-// matrix.NoPath32. It is decided from the graph alone, the same on every
-// CPU and build.
-func (e *Engine) IntDistances() bool { return e.intDistances }
-
-// errFloatOnly refuses uint32 panels on an engine without IntDistances.
-var errFloatOnly = fmt.Errorf("sparse: uint32 panels need every weight an integer in [0, %d]", maxArcWeight)
-
-// cell is the type of a solved panel's distance cells: float64 on any
-// graph, matrix.Inf for no path, or uint32 on a graph with IntDistances,
-// matrix.NoPath32 for no path.
-type cell interface{ float64 | uint32 }
-
-// noPath is the cell value of an unreachable vertex.
-func noPath[C cell]() C {
-	if unsafe.Sizeof(C(0)) == 4 {
-		return C(matrix.NoPath32)
-	}
-	return C(matrix.Inf)
-}
-
-// recast is x as a cell of type C: the same distance, or no path.
-func recast[C, S cell](x S) C {
-	if x == noPath[S]() {
-		return noPath[C]()
-	}
-	return C(x)
-}
 
 // vstate is one vertex's epoch-stamped per-source state, packed into a
 // single 16-byte slot so a relaxation touches exactly one cache line:
@@ -528,7 +499,7 @@ func (e *Engine) SolveRowInto(src int, row []float64) error {
 	return nil
 }
 
-// Options tunes a Solve/SolvePanels run.
+// Options tunes a Solve or SolveTo run.
 type Options struct {
 	// Workers bounds the host goroutines solving sources concurrently
 	// within a panel (<= 0: GOMAXPROCS). Rows are independent, so the
@@ -536,41 +507,57 @@ type Options struct {
 	Workers int
 	// Progress, when non-nil, is called after each completed panel with
 	// the number of source rows finished so far and the total. It runs on
-	// the calling goroutine. On a resumed run (FirstPanel > 0) rowsDone
-	// includes the skipped rows, so the stream reads as overall solve
+	// the calling goroutine. On a resumed SolveTo rowsDone includes the
+	// rows the sink held already, so the stream reads as overall solve
 	// progress.
 	Progress func(rowsDone, rowsTotal int)
-	// FirstPanel makes SolvePanels start at that panel index instead of
-	// 0, skipping the sources of earlier panels entirely — the resume
-	// hook for a solve whose first panels are already durable on disk.
-	// The returned count covers only the rows actually solved. Solve
-	// rejects a non-zero FirstPanel: a resumed in-memory solve would hold
-	// garbage in its skipped rows.
-	FirstPanel int
-	// Written reads back what a streamed solve (SolvePanels,
-	// SolveIntPanels) has written so far, so that each batched panel is
-	// seeded from the panels above it (the package comment). Without it a
-	// streamed solve seeds nothing; Solve seeds from its own matrix.
-	Written Written
+	// Supply, when non-nil, lets a SolveTo caller write panels itself: it
+	// is called for each panel in order, once every earlier panel's write
+	// has returned, and true means it has written panel bi to the sink —
+	// the engine goes on to the next — while false leaves the panel to the
+	// engine. A generation rebuild copies its clean panels this way. Solve
+	// refuses it.
+	Supply func(bi int) (bool, error)
 }
 
-// Written reads back what a solve in panels of b rows has written, a tile
+// Sink is where SolveTo writes a solve, a panel of source rows at a time,
+// in order: a *store.PanelWriter. It is an interface so that a test can
+// pass in a sink that fails or blocks.
+type Sink interface {
+	// BlockSize is the panel height: every panel has this many rows but a
+	// ragged last one.
+	BlockSize() int
+	// NextPanel is the panel to write first: the panels before it are
+	// written already (a resumed solve).
+	NextPanel() int
+	// WritePanel writes the next panel as float64 rows, matrix.Inf for no
+	// path.
+	WritePanel(rows *matrix.Block) error
+	// WriteIntPanel writes the next panel as its h·n uint32 cells,
+	// row-major, matrix.NoPath32 for no path.
+	WriteIntPanel(rows []uint32) error
+	// ReadBack returns what reads back the tiles written so far as uint32
+	// cells (readBack), or nil where they do not hold the exact distances.
+	ReadBack() func(bi, bj int, dst []uint32) error
+}
+
+// readBack reads back what a solve in panels of b rows has written, a tile
 // at a time: it fills dst with the h x w cells of rows [bi·b, bi·b+h) at
-// columns [bj·b, bj·b+w), row-major, as they were emitted, matrix.NoPath32
+// columns [bj·b, bj·b+w), row-major, as they were written, matrix.NoPath32
 // for no path (h and w are b but for the ragged last panel). A seeded
 // panel calls it on its workers at once, only for tiles of panels whose
-// emit has returned or that a resumed solve skipped, and stops on the
-// first error. store.PanelWriter.ReadBack returns one.
-type Written func(bi, bj int, dst []uint32) error
+// write has returned or that the sink held before the solve, and stops on
+// the first error.
+type readBack func(bi, bj int, dst []uint32) error
 
-// tilesOf is the Written of a matrix of n x n cells in panels of b rows:
+// tilesOf is the readBack of a matrix of n x n cells in panels of b rows:
 // how Solve reads back its own rows.
-func tilesOf[C cell](cells []C, n, b int) Written {
+func tilesOf[C matrix.Cell](cells []C, n, b int) readBack {
 	return func(bi, bj int, dst []uint32) error {
 		h, w := min(b, n-bi*b), min(b, n-bj*b)
 		for r := 0; r < h; r++ {
 			for c, x := range cells[(bi*b+r)*n+bj*b:][:w] {
-				dst[r*w+c] = recast[uint32](x)
+				dst[r*w+c] = matrix.Recast[uint32](x)
 			}
 		}
 		return nil
@@ -589,15 +576,15 @@ func (o Options) workers() int {
 // panels with the number of completed source rows and ctx.Err(); the
 // partial matrix is discarded. nil ctx means context.Background().
 func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matrix.Block, int, error) {
-	if opts.FirstPanel != 0 {
-		return nil, 0, fmt.Errorf("sparse: FirstPanel=%d: only SolvePanels can resume (an in-memory solve has no durable prior rows)", opts.FirstPanel)
+	if opts.Supply != nil {
+		return nil, 0, fmt.Errorf("sparse: only SolveTo takes Supply (an in-memory solve writes every panel itself)")
 	}
 	if e.n == 0 {
 		return matrix.NewZero(0, 0), 0, nil
 	}
 	out := matrix.NewZero(e.n, e.n)
 	up := above[float64]{b: panelRows, read: tilesOf(out.Data, e.n, panelRows)}
-	done, err := solvePanels(ctx, e, panelRows, opts, func(bi, h int) ([]float64, above[float64]) {
+	done, err := solvePanels(ctx, e, panelRows, 0, opts, func(bi, h int) ([]float64, above[float64]) {
 		return out.Data[bi*panelRows*e.n : (bi*panelRows+h)*e.n], up
 	}, nil)
 	if err != nil {
@@ -606,77 +593,87 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 	return out, done, nil
 }
 
-// SolvePanels streams the solve: source rows are computed in panels of
-// panelRows consecutive rows (the last panel may be ragged) and handed to
-// emit in order as each completes. The solve is double-buffered: emit
-// runs on its own goroutine while the workers solve the next panel into a
-// second block, so peak residency is 2·panelRows·n float64 cells
-// (SolveIntPanels halves the bytes). Emits never overlap each other —
-// panel k's emit has returned before panel k+1's starts, so an emit that
-// makes its panel durable keeps a checkpoint sequence in order — and none
-// outlives the call. The two blocks are the call's own and reused: emit
-// must finish consuming its panel before returning and must not retain it
-// (or any row slice of it), nor write to it: the next panel may be seeded
-// from it while it is emitted.
+// SolveTo streams the solve into w: source rows are computed in panels of
+// w.BlockSize() consecutive rows (the last panel may be ragged) from panel
+// w.NextPanel() on — the sources of the panels before it are skipped — and
+// written to w in order as each completes. The engine picks the cell type
+// from the graph: where every weight is an integer in [0, 255] each panel
+// goes to WriteIntPanel as uint32 cells, otherwise to WritePanel as
+// float64 rows. Each batched panel is seeded from the panels above it (the
+// package comment): the one just above from the engine's own buffer when
+// it solved that panel, the others through w.ReadBack(); a nil ReadBack
+// seeds nothing. With opts.Supply set, each panel is first offered to
+// Supply.
 //
-// The returned count covers exactly the rows whose emit returned nil. An
-// emit error abandons the panel being solved, starts no further emit and
-// is returned as is. A cancelled ctx abandons the panel being solved,
-// waits for the emit in flight (its rows count if it succeeds), starts no
-// further emit and returns ctx.Err().
-func (e *Engine) SolvePanels(ctx context.Context, panelRows int, opts Options, emit func(bi int, panel *matrix.Block) error) (int, error) {
-	return streamPanels(ctx, e, panelRows, opts, func(bi int, rows []float64) error {
-		return emit(bi, &matrix.Block{R: len(rows) / e.n, C: e.n, Data: rows})
+// The solve is double-buffered: a write runs on its own goroutine while
+// the workers solve the next panel into a second buffer, so peak residency
+// is 2·b·n cells. Writes never overlap each other — panel k's write has
+// returned before panel k+1's starts, so a sink that makes its panel
+// durable keeps a checkpoint sequence in order — and none outlives the
+// call. The two buffers are the call's own and reused: a write must finish
+// consuming its panel before returning and must not retain it (or any row
+// slice of it), nor write to it: the next panel may be seeded from it
+// while it is written.
+//
+// The returned count covers exactly the rows whose write returned nil,
+// supplied panels included. A write error abandons the panel being
+// solved, starts no further write and is returned as is, as is a Supply
+// error. A cancelled ctx abandons the panel being solved, waits for the
+// write in flight (its rows count if it succeeds), starts no further write
+// and returns ctx.Err(), as does a ctx cancelled inside Supply.
+func (e *Engine) SolveTo(ctx context.Context, w Sink, opts Options) (int, error) {
+	if e.intDistances {
+		return streamPanels(ctx, e, w, opts, w.WriteIntPanel)
+	}
+	return streamPanels(ctx, e, w, opts, func(rows []float64) error {
+		return w.WritePanel(&matrix.Block{R: len(rows) / e.n, C: e.n, Data: rows})
 	})
 }
 
-// SolveIntPanels is SolvePanels on uint32 cells, for an engine with
-// IntDistances: each panel reaches emit as its h·n cells, row-major,
-// matrix.NoPath32 for no path — the same distances in half the bytes, and
-// as the integers they are. The same rules hold.
-func (e *Engine) SolveIntPanels(ctx context.Context, panelRows int, opts Options, emit func(bi int, rows []uint32) error) (int, error) {
-	if !e.intDistances {
-		return 0, errFloatOnly
-	}
-	return streamPanels(ctx, e, panelRows, opts, emit)
-}
-
-// streamPanels is SolvePanels at either cell type. Its two panels are
-// plain allocations of the call: they die with it, where blocks from the
-// matrix arena would stay pooled after the solve.
-func streamPanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Options, emit func(bi int, rows []C) error) (int, error) {
+// streamPanels is SolveTo at cell type C, each panel written through
+// write. Its two panel buffers are plain allocations of the call: they die
+// with it, where blocks from the matrix arena would stay pooled after the
+// solve.
+func streamPanels[C matrix.Cell](ctx context.Context, e *Engine, w Sink, opts Options, write func(rows []C) error) (int, error) {
 	if e.n == 0 {
 		return 0, nil
 	}
+	b, read := w.BlockSize(), readBack(w.ReadBack())
+	// bufs[cur] holds panel last, the last one this call solved (-1: none
+	// yet), which the next panel seeds from if it is the one just above.
 	var bufs [2][]C
-	return solvePanels(ctx, e, panelRows, opts, func(bi, h int) ([]C, above[C]) {
-		if bufs[bi&1] == nil { // a one-panel solve never takes the second
-			bufs[bi&1] = make([]C, min(panelRows, e.n)*e.n)
+	cur, last := 0, -1
+	return solvePanels(ctx, e, b, w.NextPanel(), opts, func(bi, h int) ([]C, above[C]) {
+		up := above[C]{b: b, read: read}
+		if last == bi-1 {
+			up.prev = bufs[cur]
 		}
-		up := above[C]{b: panelRows, read: opts.Written}
-		if bi > opts.FirstPanel { // the panel above is this call's, and still held
-			up.prev = bufs[(bi-1)&1]
+		cur, last = 1-cur, bi
+		if bufs[cur] == nil { // a one-panel solve never takes the second
+			bufs[cur] = make([]C, min(b, e.n)*e.n)
 		}
-		return bufs[bi&1][:h*e.n], up
-	}, func(bi int, rows []C) error {
-		emitStart := time.Now()
-		err := emit(bi, rows)
-		e.panelEmit.RecordSince(emitStart)
+		return bufs[cur][:h*e.n], up
+	}, func(rows []C) error {
+		writeStart := time.Now()
+		err := write(rows)
+		e.panelEmit.RecordSince(writeStart)
 		return err
 	})
 }
 
-// solvePanels is the panel loop under Solve, SolvePanels and
-// SolveIntPanels: for each panel it asks dst for the destination cells (a
-// window of the full matrix, or one of the two streaming panels) and where
-// their seeds lie, solves the panel's sources into them in parallel and,
-// when emit is non-nil, hands the solved panel to emit on a goroutine that
-// runs alongside the next panel's solve. Rows count, and Progress fires on
-// the calling goroutine, once a panel's emit has returned nil (at once
-// when there is no emit).
-func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Options, dst func(bi, h int) ([]C, above[C]), emit func(bi int, rows []C) error) (int, error) {
-	if panelRows < 1 {
-		return 0, fmt.Errorf("sparse: panel height %d < 1", panelRows)
+// solvePanels is the panel loop under Solve and SolveTo. From panel first
+// on, it offers each panel to opts.Supply when that is set, once the
+// emit before it has returned; otherwise it asks dst for the panel's
+// destination cells (a window of the full matrix, or one of the two
+// streaming buffers) and where their seeds lie, solves the panel's
+// sources into them in parallel and, when emit is non-nil, hands the
+// solved panel to emit on a goroutine that runs alongside the next
+// panel's solve. Rows count, and Progress fires on the calling goroutine,
+// once a panel's emit has returned nil (at once when there is no emit) or
+// Supply has written it.
+func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, opts Options, dst func(bi, h int) ([]C, above[C]), emit func(rows []C) error) (int, error) {
+	if b < 1 {
+		return 0, fmt.Errorf("sparse: panel height %d < 1", b)
 	}
 	if e.n > maxN {
 		return 0, fmt.Errorf("sparse: n=%d exceeds the engine limit of %d vertices", e.n, maxN)
@@ -685,15 +682,11 @@ func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Opt
 		ctx = context.Background()
 	}
 	workers := opts.workers()
-	numPanels := (e.n + panelRows - 1) / panelRows
-	first := opts.FirstPanel
+	numPanels := (e.n + b - 1) / b
 	if first < 0 || first > numPanels {
 		return 0, fmt.Errorf("sparse: first panel %d outside [0,%d]", first, numPanels)
 	}
-	skipped := first * panelRows
-	if skipped > e.n {
-		skipped = e.n
-	}
+	skipped := min(first*b, e.n)
 	// An emit failure cancels the solve running beside it.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -724,10 +717,23 @@ func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Opt
 		return err
 	}
 	for bi := first; bi < numPanels; bi++ {
-		base := bi * panelRows
-		h := e.n - base
-		if h > panelRows {
-			h = panelRows
+		base := bi * b
+		h := min(b, e.n-base)
+		if opts.Supply != nil {
+			if err := settle(); err != nil {
+				return done, err
+			}
+			supplied, err := opts.Supply(bi)
+			if err != nil {
+				return done, err
+			}
+			if supplied {
+				advance(h)
+				if err := ctx.Err(); err != nil {
+					return done, err
+				}
+				continue
+			}
 		}
 		panel, up := dst(bi, h)
 		// solvePanel starts with a ctx check, so a cancelled solve falls
@@ -748,7 +754,7 @@ func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Opt
 		}
 		emitting = h
 		go func() {
-			err := emit(bi, panel)
+			err := emit(panel)
 			if err != nil {
 				cancel()
 			}
@@ -759,49 +765,25 @@ func solvePanels[C cell](ctx context.Context, e *Engine, panelRows int, opts Opt
 	return done, err
 }
 
-// SolvePanel fills rows (h x n) with the distance rows of sources
-// base..base+h-1. The panel is cut into units — runs of as many
-// consecutive sources as the engine solves at once when the call starts
-// (PanelKernel: 32, 16 or 1) — which the workers draw from a shared
-// counter, each holding its scratch for the whole panel. A cancelled ctx
-// stops every worker before its next unit (so between batches, not between
-// rows) and is returned; rows is then partly filled.
-func (e *Engine) SolvePanel(ctx context.Context, base int, rows *matrix.Block, workers int) error {
-	return solvePanel(ctx, e, base, rows.Data[:rows.R*e.n], rows.R, workers, above[float64]{})
-}
-
-// SolveIntPanel is SolvePanel into uint32 cells, for an engine with
-// IntDistances, on panel bi of a solve in panels of b rows: rows holds the
-// h·n cells of sources bi·b..bi·b+h-1 (h = b but for the ragged last
-// panel), row-major, matrix.NoPath32 for no path. A non-nil written reads
-// back the panels before it, which then seed it (the package comment);
-// nil seeds nothing.
-func (e *Engine) SolveIntPanel(ctx context.Context, bi, b int, rows []uint32, workers int, written Written) error {
-	if !e.intDistances {
-		return errFloatOnly
-	}
-	if b < 1 || bi < 0 || bi*b >= e.n {
-		return fmt.Errorf("sparse: no panel %d of %d rows in %d", bi, b, e.n)
-	}
-	if h := min(b, e.n-bi*b); len(rows) != h*e.n {
-		return fmt.Errorf("sparse: panel %d holds %d rows of %d cells, not %d", bi, h, e.n, len(rows))
-	}
-	return solvePanel(ctx, e, bi*b, rows, len(rows)/e.n, workers, above[uint32]{b: b, read: written})
-}
-
 // above is where a panel's seeds lie (the package comment): the rows of
 // the panels of b rows before it, at the panel's columns. The zero value
 // seeds nothing.
-type above[C cell] struct {
+type above[C matrix.Cell] struct {
 	b    int
-	prev []C     // the panel just above, still held beside its emit; nil: read it back
-	read Written // every panel above, or every other one when prev is set
+	prev []C      // the panel just above, still held beside its emit; nil: read it back
+	read readBack // every panel above, or every other one when prev is set
 }
 
-// solvePanel is SolvePanel at either cell type: rows holds h rows of n
-// cells. A panel that starts on a batched kernel and has seeds is filled
-// with them first (fillAbove), then solved.
-func solvePanel[C cell](ctx context.Context, e *Engine, base int, rows []C, h, workers int, up above[C]) error {
+// solvePanel fills rows (h rows of n cells) with the distance rows of
+// sources base..base+h-1. The panel is cut into units — runs of as many
+// consecutive sources as the engine solves at once when the call starts
+// (PanelKernel: 32, 16 or 1) — which the workers draw from a shared
+// counter, each holding its scratch for the whole panel. A panel that
+// starts on a batched kernel and has seeds is filled with them first
+// (fillAbove). A cancelled ctx stops every worker before its next unit (so
+// between batches, not between rows) and is returned; rows is then partly
+// filled.
+func solvePanel[C matrix.Cell](ctx context.Context, e *Engine, base int, rows []C, h, workers int, up above[C]) error {
 	job := panelJob[C]{base: base, h: h, rows: rows, unit: rowWise}
 	if h >= batchMin {
 		job.unit = int(e.width.Load())
@@ -825,7 +807,7 @@ func solvePanel[C cell](ctx context.Context, e *Engine, base int, rows []C, h, w
 // inParallel runs a phase of the panel — its fill (fillAbove) or its
 // units (solveUnits) — on workers goroutines, on this one alone when
 // workers is 1, and returns an error one of them met.
-func inParallel[C cell](ctx context.Context, e *Engine, job *panelJob[C], workers int, fill bool) error {
+func inParallel[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C], workers int, fill bool) error {
 	if workers == 1 {
 		return job.phase(ctx, e, fill)
 	}
@@ -847,11 +829,11 @@ func inParallel[C cell](ctx context.Context, e *Engine, job *panelJob[C], worker
 	return nil
 }
 
-// panelJob is one SolvePanel call as its workers see it: h rows of n
+// panelJob is one solvePanel call as its workers see it: h rows of n
 // cells, drawn unit rows at a time through next — after, when it is
 // seeded, the panels above it have been copied in, drawn one at a time
 // through filled (above > 0: the vertices below it are seeded).
-type panelJob[C cell] struct {
+type panelJob[C matrix.Cell] struct {
 	base, h int
 	rows    []C
 	unit    int
@@ -873,7 +855,7 @@ func (job *panelJob[C]) phase(ctx context.Context, e *Engine, fill bool) error {
 // above and writes each one's cells at the panel's columns into the
 // panel's cells at that panel's rows — d(s, v) = d(v, s) — decoding a
 // tile read back through up.read in the worker's tile scratch.
-func fillAbove[C cell](ctx context.Context, e *Engine, job *panelJob[C]) error {
+func fillAbove[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C]) error {
 	start := time.Now()
 	var tile *[]uint32
 	defer func() {
@@ -914,12 +896,12 @@ func fillAbove[C cell](ctx context.Context, e *Engine, job *panelJob[C]) error {
 // dst transposed — cell (i, j) to dst[j*n+i] — as dst's cell type. It
 // goes a strip of transposeStrip rows of src at a time, so that each row
 // of dst takes a run of cells from lines of src that stay in L1.
-func transpose[C, S cell](dst []C, n int, src []S, stride, r, c int) {
+func transpose[C, S matrix.Cell](dst []C, n int, src []S, stride, r, c int) {
 	for i0 := 0; i0 < r; i0 += transposeStrip {
 		strip := src[i0*stride:]
 		for j := 0; j < c; j++ {
 			for i, out := 0, dst[j*n+i0:j*n+min(i0+transposeStrip, r)]; i < len(out); i++ {
-				out[i] = recast[C](strip[i*stride+j])
+				out[i] = matrix.Recast[C](strip[i*stride+j])
 			}
 		}
 	}
@@ -931,7 +913,7 @@ const transposeStrip = 16
 
 // solveUnits is one worker of a panel: it solves units until none is left
 // or ctx is cancelled.
-func solveUnits[C cell](ctx context.Context, e *Engine, job *panelJob[C]) error {
+func solveUnits[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C]) error {
 	start := time.Now()
 	// Scratch is drawn on first use: a worker that only batches never holds
 	// row scratch, and one whose distances fit 16 bits never holds the

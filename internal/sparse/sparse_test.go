@@ -232,27 +232,15 @@ func TestSolvePanelsMatchesFullSolve(t *testing.T) {
 	g := intER(t, 131, 6, 4)
 	want := solveFull(t, g, 131)
 	for _, panelRows := range []int{1, 32, 50, 131, 500} {
-		e := New(g)
-		got := matrix.New(g.N, g.N)
-		rows := 0
-		done, err := e.SolvePanels(context.Background(), panelRows, Options{}, func(bi int, panel *matrix.Block) error {
-			if panel.C != g.N {
-				t.Fatalf("panel width %d, want %d", panel.C, g.N)
-			}
-			for r := 0; r < panel.R; r++ {
-				copy(got.Row(rows), panel.Row(r))
-				rows++
-			}
-			_ = bi
-			return nil
-		})
+		s := newMemSink(g.N, panelRows)
+		done, err := New(g).SolveTo(context.Background(), s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done != g.N || rows != g.N {
-			t.Fatalf("panelRows=%d: emitted %d rows (done=%d), want %d", panelRows, rows, done, g.N)
+		if panels := (g.N + panelRows - 1) / panelRows; done != g.N || s.next != panels || s.ints != panels {
+			t.Fatalf("panelRows=%d: wrote %d panels, %d of uint32 cells (done=%d), want %d and %d rows", panelRows, s.next, s.ints, done, panels, g.N)
 		}
-		requireBitIdentical(t, got, want)
+		requireBitIdentical(t, s.held(), want)
 	}
 }
 
@@ -291,7 +279,7 @@ func TestSolveRowIntoMatchesReferenceDijkstra(t *testing.T) {
 		t.Fatal("short row accepted")
 	}
 	for _, bad := range []int{0, -1} {
-		if _, err := e.SolvePanels(context.Background(), bad, Options{}, func(int, *matrix.Block) error { return nil }); err == nil {
+		if _, err := e.SolveTo(context.Background(), newMemSink(g.N, bad), Options{}); err == nil {
 			t.Fatalf("panel height %d accepted", bad)
 		}
 	}
@@ -302,13 +290,15 @@ func TestCancellationReturnsPartialRows(t *testing.T) {
 	e := New(g)
 	ctx, cancel := context.WithCancel(context.Background())
 	emitted := 0
-	done, err := e.SolvePanels(ctx, 16, Options{Workers: 1}, func(int, *matrix.Block) error {
+	s := newMemSink(g.N, 16)
+	s.write = func(int, func(r, v int) float64) error {
 		emitted++
 		if emitted == 2 {
 			cancel()
 		}
 		return nil
-	})
+	}
+	done, err := e.SolveTo(ctx, s, Options{Workers: 1})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -338,18 +328,17 @@ func TestProgressReportsEveryPanel(t *testing.T) {
 
 // TestSolvePanelsPoolSafety runs streaming solves under the arena's
 // checker: their two panels are the call's own allocations and the
-// per-worker scratch is the engine's, so neither cell type takes a block
-// from the arena or returns one to it (an arena block would stay pooled
-// after the solve, and could be returned twice).
+// per-worker scratch is the engine's, so neither cell type — real weights,
+// integer weights — takes a block from the arena or returns one to it (an
+// arena block would stay pooled after the solve, and could be returned
+// twice).
 func TestSolvePanelsPoolSafety(t *testing.T) {
 	matrix.SetPoolCheck(true)
 	defer matrix.SetPoolCheck(false)
-	e := New(intER(t, 150, 6, 10))
-	if _, err := e.SolvePanels(context.Background(), 32, Options{Workers: 2}, func(int, *matrix.Block) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.SolveIntPanels(context.Background(), 32, Options{Workers: 2}, func(int, []uint32) error { return nil }); err != nil {
-		t.Fatal(err)
+	for _, g := range []*graph.Graph{realER(t, 150, 6, 10), intER(t, 150, 6, 10)} {
+		if _, err := New(g).SolveTo(context.Background(), newMemSink(g.N, 32), Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st := matrix.PoolCheckStats(); st.Gets != 0 || st.Puts != 0 || st.DoublePuts != 0 {
 		t.Fatalf("arena traffic %+v, want none", st)

@@ -278,18 +278,10 @@ func appendRawInts(dst []byte, cells []uint32, stride, h, w int) []byte {
 	dst = slices.Grow(matrix.AppendDenseHeader(dst, h, w), 8*h*w)
 	for r := 0; r < h; r++ {
 		for _, v := range cells[r*stride:][:w] {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cellFloat(v)))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(matrix.Recast[float64](v)))
 		}
 	}
 	return dst
-}
-
-// cellFloat is the float64 distance of a uint32 cell.
-func cellFloat(v uint32) float64 {
-	if v == matrix.NoPath32 {
-		return matrix.Inf
-	}
-	return float64(v)
 }
 
 // Encoded-tile header layout, shared by ivarint and f32: one magic byte
@@ -528,7 +520,7 @@ func (ivarintCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
 
 // decodeIVarintTile decodes a whole h x w ivarint payload into dst, h·w
 // cells row-major, a restart group at a time. It allocates nothing.
-func decodeIVarintTile[C cell](data []byte, h, w int, dst []C) error {
+func decodeIVarintTile[C matrix.Cell](data []byte, h, w int, dst []C) error {
 	return ivarintGroups(data, h, w, func(g, k, from, to int, sum uint32) error {
 		r := g * k
 		used, err := decodeIVarintGroup(data[from:to], sum, 0, dst[r*w:min(h, r+k)*w])
@@ -541,7 +533,7 @@ func decodeIVarintTile[C cell](data []byte, h, w int, dst []C) error {
 
 // decodeIntTile decodes the whole h x w payload data of an exact codec —
 // raw or ivarint — into dst as uint32 cells, +Inf as matrix.NoPath32: how
-// a sparse solve's integer panels read back (PanelWriter.ReadIntTile). A
+// a sparse solve's integer panels read back (PanelWriter.ReadBack). A
 // value that is no uint32 distance, or a lossy codec, is ErrCodecData.
 func decodeIntTile(codec byte, data []byte, h, w int, dst []uint32) error {
 	switch codec {
@@ -578,26 +570,20 @@ var ivarintDelta = func() (t [128]int8) {
 	return t
 }()
 
-// cell is what a tile decodes into: float64 for serving, uint32 for the
-// read-back of a sparse solve's integer panels (decodeIntTile).
-type cell interface{ float64 | uint32 }
-
 // decodeIVarintGroup checks one restart group against its checksum, walks
 // past its first skip values and decodes the next len(dst) into dst, +Inf
 // as the cell's no path (matrix.NoPath32 for uint32). It returns how many
 // bytes of the group it consumed. It is the one ivarint decoder: float
 // rows and tiles, and integer tiles read back.
-func decodeIVarintGroup[C cell](group []byte, sum uint32, skip int, dst []C) (int, error) {
+func decodeIVarintGroup[C matrix.Cell](group []byte, sum uint32, skip int, dst []C) (int, error) {
 	if got := crc32.Checksum(group, castagnoli); got != sum {
 		return 0, fmt.Errorf("%w: restart group checksum %08x, table says %08x", ErrCodecData, got, sum)
 	}
 	// The values a cell holds exactly: integers of magnitude below 2^53 as
 	// float64, [0, NoPath32) as uint32.
-	lo, hi, none := -maxExactInt, maxExactInt, C(0)
+	lo, hi, none := -maxExactInt, maxExactInt, matrix.NoPath[C]()
 	if unsafe.Sizeof(none) == 4 {
-		lo, hi, none = -1, matrix.NoPath32, C(matrix.NoPath32)
-	} else {
-		none = C(math.Inf(1))
+		lo, hi = -1, matrix.NoPath32
 	}
 	pos, prev := 0, int64(0)
 	for i := -skip; i < len(dst); i++ {

@@ -338,7 +338,7 @@ func TestPanelWriterCodecByteIdenticalToWrite(t *testing.T) {
 	}
 	q := (n + bs - 1) / bs
 	for bi := 0; bi < q; bi++ {
-		base, h := PanelRows(n, bs, bi)
+		base, h := panelRows(n, bs, bi)
 		panel := matrix.New(h, n)
 		if err := m.ExtractInto(panel, base, 0); err != nil {
 			t.Fatal(err)
@@ -735,7 +735,7 @@ func requireIntsEncodeAsOracle(t *testing.T, cells []uint32, h, w int) {
 		for j := 0; j < w; j++ {
 			v := cells[(r*w+j)%len(cells)]
 			panel[r*stride+c0+j] = v
-			tile.Data[r*w+j] = cellFloat(v)
+			tile.Data[r*w+j] = matrix.Recast[float64](v)
 		}
 	}
 	c := codecs[CodecIVarint].(ivarintCodec)

@@ -1,11 +1,16 @@
 // Streaming writer: the store file built one row-panel at a time, so a
-// solver that produces rows incrementally (the sparse Dijkstra engine)
-// can persist an n x n matrix while holding only O(b·n) of it. A panel
-// arrives as float64 rows (WritePanel) or as uint32 cells (WriteIntPanel:
-// the sparse solve's integer panels, matrix.NoPath32 for no path). Both
-// run one panel loop and write the same bytes for the same distances;
-// from integers, ivarint and raw encode each tile straight from the
-// panel's rows, and only f32 goes through the writer's one float tile.
+// solver that produces rows incrementally can persist an n x n matrix
+// while holding only O(b·n) of it. A PanelWriter is the sparse engine's
+// sparse.Sink: SolveTo takes its panel height (BlockSize) and first panel
+// (NextPanel) from it, seeds each panel from the tiles above it read back
+// from the file (ReadBack), and chooses the cell type itself — uint32
+// cells (WriteIntPanel, matrix.NoPath32 for no path) where every distance
+// is an integer, float64 rows (WritePanel) otherwise. Both run one panel
+// loop and write the same bytes for the same distances; from integers,
+// ivarint and raw encode each tile straight from the panel's rows, and
+// only f32 goes through the writer's one float tile. A generation rebuild
+// copies its clean panels in between (WriteRawPanel, from SolveTo's
+// Options.Supply).
 //
 // In checkpoint mode the writer adds a crash-safe discipline: the panel
 // data lands in a stable partial file (path + ".partial") and, after each
@@ -106,7 +111,6 @@ type PanelWriter struct {
 
 	checkpoint   bool
 	manifestPath string
-	resumed      int // panels restored from a checkpoint (0 on a fresh run)
 }
 
 // NewPanelWriterWithOptions creates the file and writes the header and
@@ -241,7 +245,6 @@ func (w *PanelWriter) resume(path string) error {
 	w.f = fsx.Adopt(f, path)
 	w.nextPanel = m.Panels
 	w.nextOff = end
-	w.resumed = m.Panels
 	return nil
 }
 
@@ -335,17 +338,13 @@ func (w *PanelWriter) BlockSize() int { return w.b }
 // Panels returns how many panels a full matrix needs (q = ceil(n/b)).
 func (w *PanelWriter) Panels() int { return w.q }
 
-// NextPanel returns the index of the panel the writer expects next; after
-// a resume this is the number of durable panels restored from the
-// checkpoint, so callers can skip already-solved rows.
+// NextPanel returns the index of the panel the writer expects next; on a
+// writer just created this is the number of durable panels restored from
+// a checkpoint (0 on a fresh run), so a solve can skip their rows.
 func (w *PanelWriter) NextPanel() int { return w.nextPanel }
 
-// Resumed returns how many panels were restored from a checkpoint when
-// the writer was created (0 on a fresh run).
-func (w *PanelWriter) Resumed() int { return w.resumed }
-
 // ReadBack returns how a sparse solve seeds a panel from the tiles above
-// it (sparse.Written): readIntTile, or nil when the writer's codec is the
+// it (sparse.Sink): readIntTile, or nil when the writer's codec is the
 // lossy f32, whose tiles do not decode back to the distances written.
 func (w *PanelWriter) ReadBack() func(bi, bj int, dst []uint32) error {
 	if w.codec != nil && w.codec.ID() == CodecF32 {
@@ -442,7 +441,7 @@ func (w *PanelWriter) WriteIntPanel(rows []uint32) error {
 			tile := w.floatTile(h, c)
 			for r := 0; r < h; r++ {
 				for j, v := range cells[r*w.n:][:c] {
-					tile.Data[r*c+j] = cellFloat(v)
+					tile.Data[r*c+j] = matrix.Recast[float64](v)
 				}
 			}
 			return encodeTile(w.codec, tile, dst)

@@ -113,7 +113,7 @@ func TestWriteIntPanelMatchesWritePanel(t *testing.T) {
 			default:
 				cells[i] = uint32(rng.Intn(200))
 			}
-			m.Data[i] = cellFloat(cells[i])
+			m.Data[i] = matrix.Recast[float64](cells[i])
 		}
 		for _, name := range []string{"raw", "ivarint", "f32"} {
 			c, err := CodecByName(name)
@@ -129,7 +129,7 @@ func TestWriteIntPanelMatchesWritePanel(t *testing.T) {
 				t.Fatal(err)
 			}
 			for bi := 0; bi < w.Panels(); bi++ {
-				base, h := PanelRows(tc.n, w.BlockSize(), bi)
+				base, h := panelRows(tc.n, w.BlockSize(), bi)
 				if err := w.WriteIntPanel(cells[base*tc.n : (base+h)*tc.n]); err != nil {
 					t.Fatal(err)
 				}
@@ -189,14 +189,14 @@ func TestReadBackReturnsTheIntegersWritten(t *testing.T) {
 			}
 			q := w.Panels()
 			for bi := 0; bi < q; bi++ {
-				base, h := PanelRows(n, tc.b, bi)
+				base, h := panelRows(n, tc.b, bi)
 				if err := w.WriteIntPanel(cells[base*n : (base+h)*n]); err != nil {
 					t.Fatal(err)
 				}
 				for pi := 0; read != nil && pi <= bi; pi++ {
-					r0, h := PanelRows(n, tc.b, pi)
+					r0, h := panelRows(n, tc.b, pi)
 					for bj := 0; bj < q; bj++ {
-						c0, cw := PanelRows(n, tc.b, bj)
+						c0, cw := panelRows(n, tc.b, bj)
 						got := make([]uint32, h*cw)
 						if err := read(pi, bj, got); err != nil {
 							t.Fatalf("n=%d b=%d %s: tile (%d,%d) after panel %d: %v", n, tc.b, name, pi, bj, bi, err)
@@ -229,8 +229,8 @@ func TestReadBackReturnsTheIntegersWritten(t *testing.T) {
 					t.Fatal(err)
 				}
 				f.Close()
-				_, cw := PanelRows(n, tc.b, 1)
-				_, h := PanelRows(n, tc.b, 0)
+				_, cw := panelRows(n, tc.b, 1)
+				_, h := panelRows(n, tc.b, 0)
 				if err := read(0, 1, make([]uint32, h*cw)); !errors.Is(err, ErrCorruptTile) {
 					t.Fatalf("n=%d b=%d %s: a flipped byte reads back as %v, want ErrCorruptTile", n, tc.b, name, err)
 				}

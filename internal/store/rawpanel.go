@@ -120,9 +120,8 @@ func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
 	return w.panelWritten()
 }
 
-// PanelRows returns the first matrix row and the height of row panel bi
-// for an n x b geometry — the generation updater uses it to map dirty
-// rows onto the panels it must recompute.
-func PanelRows(n, b, bi int) (base, h int) {
+// panelRows returns the first matrix row and the height of row panel bi
+// for an n x b geometry.
+func panelRows(n, b, bi int) (base, h int) {
 	return bi * b, tileEdge(n, b, bi)
 }

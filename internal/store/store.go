@@ -134,7 +134,7 @@ func WriteWithCodec(path string, dist *matrix.Block, blockSize int, codec Codec)
 	}
 	defer w.Abort()
 	for bi := 0; bi < w.Panels(); bi++ {
-		base, h := PanelRows(n, w.BlockSize(), bi)
+		base, h := panelRows(n, w.BlockSize(), bi)
 		// A row panel of a row-major matrix is a contiguous run of it.
 		if err := w.WritePanel(&matrix.Block{R: h, C: n, Data: dist.Data[base*n : (base+h)*n]}); err != nil {
 			return err

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"apspark/internal/fsx"
+	"apspark/internal/graph"
 )
 
 // TestGenerationLifecycle drives the live-update library surface end to
@@ -98,11 +99,18 @@ func TestGenerationLifecycle(t *testing.T) {
 
 // TestGenerationRebuildMatchesFreshSolve: a generation built from a delta
 // batch — dirty panels re-solved, clean ones copied from the parent — is
-// byte-identical to a from-scratch SolveToStore of the new graph, raw and
-// ivarint. The graph is two components, so the batch leaves half its
-// panels clean, and its weights are integers, so the dirty panels are
-// solved and written as uint32 cells.
+// byte-identical to a from-scratch SolveToStore of the new graph, raw,
+// ivarint and f32. The graph is two components, so the batch leaves half
+// its panels clean. On integer weights the dirty panels are solved and
+// written as uint32 cells, on real weights as float64 rows. (An f32
+// store of real distances is not rebuilt at all: its rounding fails the
+// update's differential validation.)
 func TestGenerationRebuildMatchesFreshSolve(t *testing.T) {
+	rebuildMatchesFreshSolve(t, graph.IntegerWeights(100), "raw", "ivarint", "f32")
+	rebuildMatchesFreshSolve(t, graph.UniformWeights(100), "raw", "ivarint")
+}
+
+func rebuildMatchesFreshSolve(t *testing.T, weightFn graph.WeightFn, codecs ...string) {
 	ctx := context.Background()
 	s, err := New(WithSolver(SolverDijkstra))
 	if err != nil {
@@ -110,7 +118,11 @@ func TestGenerationRebuildMatchesFreshSolve(t *testing.T) {
 	}
 	const half, b = 48, 16
 	weights := map[[2]int]float64{}
-	for i, part := range []*Graph{hostTestGraph(t, half, 4, 61), hostTestGraph(t, half, 4, 62)} {
+	for i, seed := range []int64{61, 62} {
+		part, err := graph.ErdosRenyiConnected(half, graph.AvgDegreeProb(half, 4), weightFn, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, e := range part.Edges() {
 			weights[[2]int{e.U + i*half, e.V + i*half}] = e.W
 		}
@@ -132,7 +144,7 @@ func TestGenerationRebuildMatchesFreshSolve(t *testing.T) {
 		return g
 	}
 	g, next := graphWith(nil), graphWith(deltas)
-	for _, codec := range []string{"raw", "ivarint"} {
+	for _, codec := range codecs {
 		dir := t.TempDir()
 		seed, fresh := filepath.Join(dir, "seed.apsp"), filepath.Join(dir, "fresh.apsp")
 		if _, err := s.SolveToStore(ctx, g, seed, WithBlockSize(b), WithCodec(codec)); err != nil {

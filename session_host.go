@@ -94,9 +94,15 @@ func (s *Session) runHost(ctx context.Context, g *Graph, j job, storePath string
 			return nil, err
 		}
 		defer pw.Abort()
-		if skipped := pw.Resumed() * pw.BlockSize(); skipped > 0 {
-			res.UnitsSkipped = min(skipped, n)
-			sopts.FirstPanel = pw.Resumed()
+		res.UnitsSkipped = min(pw.NextPanel()*pw.BlockSize(), n)
+		// Each panel's solve+write interval is observed as a "panel" span,
+		// so a multi-hour streamed solve has a timeline finer than the root
+		// span.
+		lastPanel := time.Now()
+		sopts.Progress = func(rowsDone, rowsTotal int) {
+			obs.DefaultTracer().Observe("panel", "stream", time.Since(lastPanel))
+			lastPanel = time.Now()
+			p.unit(rowsDone, rowsTotal)
 		}
 	}
 
@@ -107,33 +113,8 @@ func (s *Session) runHost(ctx context.Context, g *Graph, j job, storePath string
 		if dist, done, err = eng.Solve(ctx, b, sopts); err == nil {
 			res.Dist = dist
 		}
-	} else {
-		// Each panel's solve+write interval is observed as a "panel" span,
-		// so a multi-hour streamed solve has a timeline finer than the root
-		// span.
-		lastPanel := time.Now()
-		written := func(err error) error {
-			obs.DefaultTracer().Observe("panel", "stream", time.Since(lastPanel))
-			lastPanel = time.Now()
-			return err
-		}
-		// Integer distances stream as uint32 cells: half the bytes in
-		// flight, and ivarint encodes them as the integers they are.
-		if eng.IntDistances() {
-			// Each batched panel is seeded from the tiles above it, read
-			// back from the file being written (none from f32 tiles).
-			sopts.Written = pw.ReadBack()
-			done, err = eng.SolveIntPanels(ctx, b, sopts, func(_ int, rows []uint32) error {
-				return written(pw.WriteIntPanel(rows))
-			})
-		} else {
-			done, err = eng.SolvePanels(ctx, b, sopts, func(_ int, panel *Matrix) error {
-				return written(pw.WritePanel(panel))
-			})
-		}
-		if err == nil {
-			err = pw.Close()
-		}
+	} else if done, err = eng.SolveTo(ctx, pw, sopts); err == nil {
+		err = pw.Close()
 	}
 	res.UnitsRun = done
 	p.done(done, n)
