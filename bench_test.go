@@ -406,7 +406,7 @@ func BenchmarkKernelFloydWarshall(b *testing.B) {
 	})
 }
 
-// --- ablations called out in DESIGN.md ---
+// --- ablations the paper argues from (§4.2) ---
 
 // BenchmarkAblationCartesianVsColumn contrasts the pure-Spark cartesian
 // product the paper abandoned with the column-block rewrite (§4.2): the
@@ -430,7 +430,7 @@ func BenchmarkAblationCartesianVsColumn(b *testing.B) {
 		colBytes := res.Metrics.ShuffleBytes + res.Metrics.SharedReadBytes
 
 		// Cartesian volume: every partition's task replicates the full
-		// RDD over the network (see rdd.Cartesian), so with B*p
+		// RDD over the network (the paper's §4.2), so with B*p
 		// partitions the traffic is RDD-bytes x B x p.
 		var rddBytes int64
 		for _, blk := range in.Blocks {

@@ -37,8 +37,16 @@ type TaggedBlock struct {
 	// T, when set, is the transpose of B, made once by the task that made
 	// the value so that no Phase-3 task has to: the paper's executors hold
 	// "A_IJ and its transpose" as one stored block (§4), so T travels with
-	// B for free — SizeOf counts B alone.
+	// B for free — SizeBytes counts B alone.
 	T *matrix.Block
+}
+
+// SizeBytes implements rdd.Sized: the bytes of B.
+func (tb *TaggedBlock) SizeBytes() int64 {
+	if tb == nil || tb.B == nil {
+		return 0
+	}
+	return tb.B.SizeBytes()
 }
 
 // withTranspose returns b's transpose in an arena block (a phantom's is a
@@ -59,10 +67,7 @@ func withTranspose(b *matrix.Block) (*matrix.Block, error) {
 // matrix consists of stored blocks with I == x or J == x (paper §4: the
 // executor owning A_IJ also owns its transpose).
 func InColumn(x int) func(p rdd.Pair) bool {
-	return func(p rdd.Pair) bool {
-		k := p.Key.(graph.BlockKey)
-		return k.I == x || k.J == x
-	}
+	return func(p rdd.Pair) bool { return p.Key.I == x || p.Key.J == x }
 }
 
 // NotInColumn is the complement of InColumn.
@@ -73,10 +78,7 @@ func NotInColumn(x int) func(p rdd.Pair) bool {
 
 // OnDiagonal is the Table-1 predicate for the x-th diagonal block.
 func OnDiagonal(x int) func(p rdd.Pair) bool {
-	return func(p rdd.Pair) bool {
-		k := p.Key.(graph.BlockKey)
-		return k.I == x && k.J == x
-	}
+	return func(p rdd.Pair) bool { return p.Key.I == x && p.Key.J == x }
 }
 
 // FloydWarshallBlock runs the sequential FW kernel on a diagonal block
@@ -106,9 +108,8 @@ func FloydWarshallBlock(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 // (Table 1: CopyDiag).
 func CopyDiag(q int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 	return func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
-		k := p.Key.(graph.BlockKey)
 		tb := p.Value.(*TaggedBlock)
-		i := k.I
+		i := p.Key.I
 		out := make([]rdd.Pair, 0, q-1)
 		for r := 0; r < q; r++ {
 			if r == i {
@@ -218,7 +219,7 @@ func UpdateOff(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, left, 
 // pass it is in the paper's code.
 func CopyCol(q, i int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 	return func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
-		k := p.Key.(graph.BlockKey)
+		k := p.Key
 		tb := p.Value.(*TaggedBlock)
 		twin, err := withTranspose(tb.B)
 		if err != nil {
@@ -244,19 +245,32 @@ func CopyCol(q, i int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error)
 	}
 }
 
-// ListAppend is Table 1's combiner pair: it accumulates the tagged blocks
-// arriving at one key into a list.
-func ListAppendCreate(tc *rdd.TaskContext, v any) (any, error) {
-	return []*TaggedBlock{v.(*TaggedBlock)}, nil
+// blockList is the value ListAppend accumulates at one key: the stored
+// block and the copies that met it there.
+type blockList []*TaggedBlock
+
+// SizeBytes implements rdd.Sized: the bytes of every listed block.
+func (l blockList) SizeBytes() int64 {
+	var t int64
+	for _, tb := range l {
+		t += tb.SizeBytes()
+	}
+	return t
+}
+
+// ListAppendCreate is Table 1's ListAppend as a combiner pair: it starts
+// the list of the tagged blocks arriving at one key.
+func ListAppendCreate(tc *rdd.TaskContext, v rdd.Sized) (rdd.Sized, error) {
+	return blockList{v.(*TaggedBlock)}, nil
 }
 
 // ListAppendMerge appends one more block to the list.
-func ListAppendMerge(tc *rdd.TaskContext, acc, v any) (any, error) {
-	return append(acc.([]*TaggedBlock), v.(*TaggedBlock)), nil
+func ListAppendMerge(tc *rdd.TaskContext, acc, v rdd.Sized) (rdd.Sized, error) {
+	return append(acc.(blockList), v.(*TaggedBlock)), nil
 }
 
 // splitList separates a combined list into the base block and its copies.
-func splitList(list []*TaggedBlock) (base *TaggedBlock, copies []*TaggedBlock, err error) {
+func splitList(list blockList) (base *TaggedBlock, copies []*TaggedBlock, err error) {
 	for _, tb := range list {
 		if tb.Tag == TagBase {
 			if base != nil {
@@ -277,8 +291,8 @@ func splitList(list []*TaggedBlock) (base *TaggedBlock, copies []*TaggedBlock, e
 // panel block and a diagonal copy.
 func UnpackPhase2(i int) func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 	return func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-		k := p.Key.(graph.BlockKey)
-		base, copies, err := splitList(p.Value.([]*TaggedBlock))
+		k := p.Key
+		base, copies, err := splitList(p.Value.(blockList))
 		if err != nil {
 			return rdd.Pair{}, fmt.Errorf("at %v: %w", k, err)
 		}
@@ -301,8 +315,8 @@ func UnpackPhase2(i int) func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error)
 // off-column base block plus the panel copies for its row and column.
 func UnpackPhase3() func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 	return func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-		k := p.Key.(graph.BlockKey)
-		base, copies, err := splitList(p.Value.([]*TaggedBlock))
+		k := p.Key
+		base, copies, err := splitList(p.Value.(blockList))
 		if err != nil {
 			return rdd.Pair{}, fmt.Errorf("at %v: %w", k, err)
 		}
@@ -339,7 +353,7 @@ func UnpackPhase3() func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 
 // MatMinValues is Table 1's MatMin as a ReduceByKey operand over tagged
 // blocks.
-func MatMinValues(tc *rdd.TaskContext, a, b any) (any, error) {
+func MatMinValues(tc *rdd.TaskContext, a, b rdd.Sized) (rdd.Sized, error) {
 	ta, tb := a.(*TaggedBlock), b.(*TaggedBlock)
 	tc.Charge(tc.Model().MatMin(ta.B.R, ta.B.C))
 	m, err := matrix.MatMin(ta.B, tb.B)
@@ -351,14 +365,13 @@ func MatMinValues(tc *rdd.TaskContext, a, b any) (any, error) {
 
 // ExtractColumn is Table 1's ExtractCol: from a stored block of
 // column-block K it extracts the slice of global column k owned by the
-// block's other index, returned as an (rows x 1) block keyed by the
-// owning block-row. Exploits symmetry for stored (K, J) blocks, whose row
-// kloc is column k of A restricted to block-row J.
+// block's other index, returned as an (rows x 1) block keyed (owning
+// block-row, K). Exploits symmetry for stored (K, J) blocks, whose row kloc
+// is column k of A restricted to block-row J.
 func ExtractColumn(K, kloc int) func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 	return func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-		key := p.Key.(graph.BlockKey)
-		tb := p.Value.(*TaggedBlock)
-		b := tb.B
+		key := p.Key
+		b := p.Value.(*TaggedBlock).B
 		var owner int
 		var vec *matrix.Block
 		switch {
@@ -383,6 +396,6 @@ func ExtractColumn(K, kloc int) func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair,
 		default:
 			return rdd.Pair{}, fmt.Errorf("core: ExtractColumn(%d) applied to block %v", K, key)
 		}
-		return rdd.Pair{Key: owner, Value: vec}, nil
+		return rdd.Pair{Key: graph.BlockKey{I: owner, J: K}, Value: vec}, nil
 	}
 }

@@ -14,7 +14,7 @@ func taskCtx(t *testing.T) *rdd.TaskContext {
 	ctx := testContext(t)
 	// Obtain a TaskContext by running a trivial one-task stage.
 	var tc *rdd.TaskContext
-	r := ctx.Parallelize("probe", []rdd.Pair{{Key: 0, Value: nil}}, rdd.Modulo{Parts: 1}).
+	r := ctx.Parallelize("probe", []rdd.Pair{{Key: key(0, 0)}}, rdd.Modulo{Parts: 1}).
 		Map("grab", func(c *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 			tc = c
 			return p, nil
@@ -75,7 +75,7 @@ func TestCopyDiagTargets(t *testing.T) {
 	}
 	want := map[graph.BlockKey]bool{key(0, 1): true, key(1, 2): true, key(1, 3): true}
 	for _, p := range out {
-		k := p.Key.(graph.BlockKey)
+		k := p.Key
 		if !want[k] {
 			t.Fatalf("unexpected copy target %v", k)
 		}
@@ -110,7 +110,7 @@ func TestCopyColTargetsAndOrientation(t *testing.T) {
 		if !c.B.Equal(src) || !c.T.Equal(src.Transpose()) {
 			t.Fatal("panel (K,i) should stay canonical, with its transpose alongside")
 		}
-		targets[p.Key.(graph.BlockKey)] = true
+		targets[p.Key] = true
 	}
 	for _, want := range []graph.BlockKey{key(0, 0), key(0, 2), key(0, 3)} {
 		if !targets[want] {
@@ -199,7 +199,7 @@ func TestListAppendCombiners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := acc.([]*TaggedBlock)
+	list := acc.(blockList)
 	if len(list) != 2 || list[0] != a || list[1] != b {
 		t.Fatalf("list = %v", list)
 	}
@@ -207,10 +207,10 @@ func TestListAppendCombiners(t *testing.T) {
 
 func TestSplitListErrors(t *testing.T) {
 	base := tb(matrix.New(1, 1))
-	if _, _, err := splitList([]*TaggedBlock{base, base}); err == nil {
+	if _, _, err := splitList(blockList{base, base}); err == nil {
 		t.Fatal("two base blocks accepted")
 	}
-	if _, _, err := splitList([]*TaggedBlock{{Tag: TagDiagCopy}}); err == nil {
+	if _, _, err := splitList(blockList{{Tag: TagDiagCopy}}); err == nil {
 		t.Fatal("missing base accepted")
 	}
 }
@@ -219,7 +219,7 @@ func TestUnpackPhase2Errors(t *testing.T) {
 	tc := taskCtx(t)
 	fn := UnpackPhase2(1)
 	// Only a base block: passthrough (q == 1 case).
-	out, err := fn(tc, rdd.Pair{Key: key(0, 1), Value: []*TaggedBlock{tb(matrix.New(1, 1))}})
+	out, err := fn(tc, rdd.Pair{Key: key(0, 1), Value: blockList{tb(matrix.New(1, 1))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestUnpackPhase2Errors(t *testing.T) {
 		t.Fatal("passthrough lost base")
 	}
 	// Wrong copy type.
-	_, err = fn(tc, rdd.Pair{Key: key(0, 1), Value: []*TaggedBlock{
+	_, err = fn(tc, rdd.Pair{Key: key(0, 1), Value: blockList{
 		tb(matrix.New(1, 1)), {Tag: TagPanelCopy, B: matrix.New(1, 1)},
 	}})
 	if err == nil {
@@ -240,7 +240,7 @@ func TestUnpackPhase3DiagonalUsesPanelTwice(t *testing.T) {
 	fn := UnpackPhase3()
 	base, _ := matrix.FromRows([][]float64{{10}})
 	panel, _ := matrix.FromRows([][]float64{{2}}) // A[K,i] = 2
-	out, err := fn(tc, rdd.Pair{Key: key(3, 3), Value: []*TaggedBlock{
+	out, err := fn(tc, rdd.Pair{Key: key(3, 3), Value: blockList{
 		tb(base), {Tag: TagPanelCopy, Row: 3, B: panel, T: panel.Transpose()},
 	}})
 	if err != nil {
@@ -256,20 +256,20 @@ func TestUnpackPhase3Errors(t *testing.T) {
 	tc := taskCtx(t)
 	fn := UnpackPhase3()
 	base := tb(matrix.New(1, 1))
-	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: []*TaggedBlock{base}}); err == nil {
+	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: blockList{base}}); err == nil {
 		t.Fatal("missing panels accepted")
 	}
-	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: []*TaggedBlock{
+	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: blockList{
 		base, {Tag: TagPanelCopy, Row: 7, B: matrix.New(1, 1)},
 	}}); err == nil {
 		t.Fatal("stray panel row accepted")
 	}
-	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: []*TaggedBlock{
+	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: blockList{
 		base, {Tag: TagDiagCopy, B: matrix.New(1, 1)},
 	}}); err == nil {
 		t.Fatal("diag copy accepted in phase 3")
 	}
-	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: []*TaggedBlock{
+	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: blockList{
 		base, {Tag: TagPanelCopy, Row: 0, B: matrix.New(1, 1)}, {Tag: TagPanelCopy, Row: 2, B: matrix.New(1, 1)},
 	}}); err == nil {
 		t.Fatal("panel copy without its second orientation accepted")
@@ -284,8 +284,8 @@ func TestExtractColumnOrientations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Key.(int) != 0 {
-		t.Fatalf("owner = %v, want 0", out.Key)
+	if out.Key != key(0, 2) {
+		t.Fatalf("key = %v, want (0, 2): owner 0, column-block 2", out.Key)
 	}
 	vec := out.Value.(*matrix.Block)
 	if vec.R != 2 || vec.C != 1 || vec.At(0, 0) != 2 || vec.At(1, 0) != 4 {
@@ -298,8 +298,8 @@ func TestExtractColumnOrientations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Key.(int) != 3 {
-		t.Fatalf("owner = %v, want 3", out.Key)
+	if out.Key != key(3, 2) {
+		t.Fatalf("key = %v, want (3, 2): owner 3, column-block 2", out.Key)
 	}
 	vec = out.Value.(*matrix.Block)
 	if vec.At(0, 0) != 1 || vec.At(1, 0) != 2 {

@@ -68,7 +68,7 @@ func (BlockedCollectBroadcast) step(rc *rdd.Context, in Input, part rdd.Partitio
 		rowcol := a.Filter("panels", func(p rdd.Pair) bool {
 			return InColumn(i)(p) && !OnDiagonal(i)(p)
 		}).Map("minPlusPanel", func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-			k := p.Key.(graph.BlockKey)
+			k := p.Key
 			base := p.Value.(*TaggedBlock)
 			dv, err := tc.SharedGet(cbDiagKey(i))
 			if err != nil {
@@ -89,7 +89,7 @@ func (BlockedCollectBroadcast) step(rc *rdd.Context, in Input, part rdd.Partitio
 			return nil, err
 		}
 		for _, p := range rowcolPairs {
-			k := p.Key.(graph.BlockKey)
+			k := p.Key
 			tb := p.Value.(*TaggedBlock)
 			row, staged := k.I, &stagedPanel{Col: tb.B, Row: tb.T}
 			if k.I == i { // stored (i, J) is the Row orientation of panel J
@@ -102,7 +102,7 @@ func (BlockedCollectBroadcast) step(rc *rdd.Context, in Input, part rdd.Partitio
 		// (line 9): A_KL = min(A_KL, A[K, i] (x) A[i, L]).
 		offcol := a.Filter("off", NotInColumn(i)).
 			Map("minPlusOff", func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-				k := p.Key.(graph.BlockKey)
+				k := p.Key
 				base := p.Value.(*TaggedBlock)
 				pkv, err := tc.SharedGet(cbPanelKey(i, k.I))
 				if err != nil {

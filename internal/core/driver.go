@@ -12,16 +12,13 @@ import (
 )
 
 // NewContext builds the fresh virtual cluster and RDD driver context of
-// one job, with the solver value sizer installed. A context is run once:
-// its clock and metrics are the job's.
+// one job. A context is run once: its clock and metrics are the job's.
 func NewContext(cfg cluster.Config, model costmodel.KernelModel) (*rdd.Context, error) {
 	clu, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rc := rdd.NewContext(clu, model)
-	rc.SizeOf = SizeOf
-	return rc, nil
+	return rdd.NewContext(clu, model), nil
 }
 
 // Run drives solver s over in on the driver rc: it loads the input,
@@ -141,18 +138,14 @@ func collectBlocks(a *rdd.RDD, dec graph.Decomposition) (map[graph.BlockKey]*mat
 	}
 	out := make(map[graph.BlockKey]*matrix.Block, len(pairs))
 	for _, p := range pairs {
-		k, ok := p.Key.(graph.BlockKey)
-		if !ok {
-			return nil, fmt.Errorf("core: unexpected key type %T", p.Key)
-		}
 		tb, ok := p.Value.(*TaggedBlock)
 		if !ok {
 			return nil, fmt.Errorf("core: unexpected value type %T", p.Value)
 		}
-		if _, dup := out[k]; dup {
-			return nil, fmt.Errorf("core: duplicate block %v in result", k)
+		if _, dup := out[p.Key]; dup {
+			return nil, fmt.Errorf("core: duplicate block %v in result", p.Key)
 		}
-		out[k] = tb.B
+		out[p.Key] = tb.B
 	}
 	if len(out) != dec.NumUpperBlocks() {
 		return nil, fmt.Errorf("core: result has %d blocks, want %d", len(out), dec.NumUpperBlocks())

@@ -40,9 +40,9 @@ func (FW2D) step(rc *rdd.Context, in Input, _ rdd.Partitioner) step {
 		if err != nil {
 			return nil, err
 		}
-		col := make(map[int]*matrix.Block, dec.Q)
+		col := make(columnSegments, dec.Q)
 		for _, p := range colPairs {
-			col[p.Key.(int)] = p.Value.(*matrix.Block)
+			col[p.Key.I] = p.Value.(*matrix.Block)
 		}
 		if len(col) != dec.Q {
 			return nil, fmt.Errorf("core: pivot %d collected %d column segments, want %d", k, len(col), dec.Q)
@@ -51,9 +51,9 @@ func (FW2D) step(rc *rdd.Context, in Input, _ rdd.Partitioner) step {
 		// Broadcast the column (line 8) and run the update (line 10).
 		bc := rc.Broadcast(col)
 		a = a.Map("fwUpdate", func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-			key := p.Key.(graph.BlockKey)
+			key := p.Key
 			base := p.Value.(*TaggedBlock)
-			segs := bc.Value().(map[int]*matrix.Block)
+			segs := bc.Value().(columnSegments)
 			colI, colJ := segs[key.I], segs[key.J]
 			tc.Charge(tc.Model().FWUpdate(base.B.R, base.B.C))
 			if base.B.Phantom() {
@@ -72,4 +72,17 @@ func (FW2D) step(rc *rdd.Context, in Input, _ rdd.Partitioner) step {
 		}).Persist()
 		return a, a.Checkpoint()
 	}
+}
+
+// columnSegments is global column k as fw2d broadcasts it: the segment of
+// each block-row, by block-row.
+type columnSegments map[int]*matrix.Block
+
+// SizeBytes implements rdd.Sized: the bytes of every segment.
+func (c columnSegments) SizeBytes() int64 {
+	var t int64
+	for _, seg := range c {
+		t += seg.SizeBytes()
+	}
+	return t
 }

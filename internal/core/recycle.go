@@ -49,7 +49,7 @@ func eachBlock(parts [][]rdd.Pair, fn func(*matrix.Block)) {
 			switch v := rec.Value.(type) {
 			case *TaggedBlock:
 				tagged(v)
-			case []*TaggedBlock:
+			case blockList:
 				for _, tb := range v {
 					tagged(tb)
 				}

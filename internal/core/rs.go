@@ -49,7 +49,7 @@ func (RepeatedSquaring) step(rc *rdd.Context, in Input, part rdd.Partitioner) st
 			return nil, err
 		}
 		for _, p := range colPairs {
-			k := p.Key.(graph.BlockKey)
+			k := p.Key
 			b := p.Value.(*TaggedBlock).B
 			row, canon := k.I, b
 			if k.I == j && k.J != j {
@@ -63,7 +63,7 @@ func (RepeatedSquaring) step(rc *rdd.Context, in Input, part rdd.Partitioner) st
 		// staged column blocks; symmetry makes block (I, K) feed both
 		// output rows I and K.
 		products := a.FlatMap("matProd", func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
-			k := p.Key.(graph.BlockKey)
+			k := p.Key
 			tb := p.Value.(*TaggedBlock)
 			var out []rdd.Pair
 			// Only output rows I <= j are produced here: rows below

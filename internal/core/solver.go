@@ -259,31 +259,6 @@ func NewPartitioner(kind PartitionerKind, clu *cluster.Cluster, partsPerCore, q 
 	}
 }
 
-// SizeOf extends the engine's default sizer with the core value types.
-func SizeOf(v any) int64 {
-	switch x := v.(type) {
-	case *TaggedBlock:
-		if x == nil || x.B == nil {
-			return 0
-		}
-		return x.B.SizeBytes()
-	case []*TaggedBlock:
-		var t int64
-		for _, e := range x {
-			t += SizeOf(e)
-		}
-		return t
-	case map[int]*matrix.Block:
-		var t int64
-		for _, e := range x {
-			t += e.SizeBytes()
-		}
-		return t
-	default:
-		return rdd.DefaultSize(v)
-	}
-}
-
 // log2Ceil returns ceil(log2(n)) with a floor of 1.
 func log2Ceil(n int) int {
 	if n <= 2 {

@@ -279,17 +279,17 @@ func TestInputHelpers(t *testing.T) {
 
 func TestSizeOfCoreTypes(t *testing.T) {
 	b := graphBlock(t)
-	if SizeOf(&TaggedBlock{B: b}) != b.SizeBytes() {
-		t.Fatal("TaggedBlock size wrong")
+	if (&TaggedBlock{B: b, T: b}).SizeBytes() != b.SizeBytes() {
+		t.Fatal("TaggedBlock size wrong: B alone counts")
 	}
-	if SizeOf([]*TaggedBlock{{B: b}, {B: b}}) != 2*b.SizeBytes() {
+	if (blockList{{B: b}, {B: b}}).SizeBytes() != 2*b.SizeBytes() {
 		t.Fatal("list size wrong")
 	}
-	if SizeOf((*TaggedBlock)(nil)) != 0 {
+	if (*TaggedBlock)(nil).SizeBytes() != 0 || (&TaggedBlock{}).SizeBytes() != 0 {
 		t.Fatal("nil TaggedBlock size wrong")
 	}
-	if SizeOf(42) != 64 {
-		t.Fatal("fallback size wrong")
+	if (columnSegments{0: b, 3: b}).SizeBytes() != 2*b.SizeBytes() {
+		t.Fatal("column segments size wrong")
 	}
 }
 

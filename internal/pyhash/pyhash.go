@@ -75,28 +75,6 @@ func Tuple2(a, b int64) int64 {
 	return v
 }
 
-// String returns CPython 2's deterministic string hash (the pre-
-// randomization algorithm Spark relied on with Python 2.7):
-//
-//	x = ord(s[0]) << 7
-//	for c in s: x = (1000003*x) ^ ord(c)
-//	x ^= len(s)
-func String(s string) int64 {
-	if len(s) == 0 {
-		return 0
-	}
-	x := uint64(s[0]) << 7
-	for i := 0; i < len(s); i++ {
-		x = (tupleMult * x) ^ uint64(s[i])
-	}
-	x ^= uint64(len(s))
-	v := int64(x)
-	if v == -1 {
-		v = -2
-	}
-	return v
-}
-
 // Mod reduces a hash to a partition index with Python's modulo semantics:
 // the result always has the sign of the (positive) divisor.
 func Mod(h int64, p int) int {

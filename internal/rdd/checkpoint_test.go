@@ -12,14 +12,14 @@ func TestCheckpointKeepsData(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	r := ctx.Parallelize("src", intPairs(20), Modulo{Parts: 4}).
 		Map("x2", func(tc *TaskContext, p Pair) (Pair, error) {
-			return Pair{Key: p.Key, Value: p.Value.(int) * 2}, nil
+			return Pair{Key: p.Key, Value: p.Value.(num) * 2}, nil
 		}).
 		Persist()
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	got := collectSortedInts(t, r)
-	if len(got) != 20 || got[3].Value.(int) != 60 {
+	if len(got) != 20 || got[3].Value != num(60) {
 		t.Fatalf("post-checkpoint data wrong: %v", got[:4])
 	}
 }
@@ -60,7 +60,7 @@ func TestCheckpointedChainIterates(t *testing.T) {
 	r := ctx.Parallelize("src", intPairs(16), Modulo{Parts: 4})
 	for i := 0; i < 10; i++ {
 		r = r.Map("inc", func(tc *TaskContext, p Pair) (Pair, error) {
-			return Pair{Key: p.Key, Value: p.Value.(int) + 1}, nil
+			return Pair{Key: p.Key, Value: p.Value.(num) + 1}, nil
 		}).PartitionBy(Modulo{Parts: 4}).Persist()
 		if err := r.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -71,11 +71,16 @@ func TestCheckpointedChainIterates(t *testing.T) {
 	}
 	got := collectSortedInts(t, r)
 	for i, p := range got {
-		if p.Value.(int) != i*10+10 {
+		if p.Value != num(i*10+10) {
 			t.Fatalf("record %d = %v after 10 iterations", i, p)
 		}
 	}
 }
+
+// payload is a record value that remembers which generation made it.
+type payload struct{ gen, key int }
+
+func (*payload) SizeBytes() int64 { return 64 }
 
 // TestCheckpointAndReleaseReportsSeveredLineage checks what the release
 // hook is told: kept is the checkpointed RDD's own partitions; severed
@@ -84,19 +89,18 @@ func TestCheckpointedChainIterates(t *testing.T) {
 // reachable for recomputation, twice.
 func TestCheckpointAndReleaseReportsSeveredLineage(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
-	type payload struct{ gen, key int }
 	var src []Pair
 	for i := 0; i < 8; i++ {
-		src = append(src, Pair{Key: i, Value: &payload{0, i}})
+		src = append(src, Pair{Key: key(i), Value: &payload{0, i}})
 	}
 	gen0 := ctx.Parallelize("src", src, Modulo{Parts: 2})
 	mid := gen0.Map("gen1", func(tc *TaskContext, p Pair) (Pair, error) {
-		return Pair{Key: p.Key, Value: &payload{1, p.Key.(int)}}, nil
+		return Pair{Key: p.Key, Value: &payload{1, p.Key.I}}, nil
 	}).Persist()
 	// Half the records pass through unchanged, half are replaced.
 	gen2 := mid.Map("gen2", func(tc *TaskContext, p Pair) (Pair, error) {
-		if k := p.Key.(int); k%2 == 0 {
-			return Pair{Key: k, Value: &payload{2, k}}, nil
+		if k := p.Key.I; k%2 == 0 {
+			return Pair{Key: p.Key, Value: &payload{2, k}}, nil
 		}
 		return p, nil
 	}).PartitionBy(Modulo{Parts: 4}).Persist()

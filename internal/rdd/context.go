@@ -1,6 +1,7 @@
 // Package rdd implements the Spark substrate the paper programs against: a
-// driver/executor engine with lazy, lineage-tracked RDDs of key-value
-// records, narrow transformations pipelined into stages, wide
+// driver/executor engine with lazy, lineage-tracked RDDs of ((I, J), value)
+// records — a block key and a value that reports its own size (Pair,
+// Sized) — narrow transformations pipelined into stages, wide
 // transformations realized through a hash shuffle with local-SSD staging,
 // collect/broadcast actions, custom partitioners, and lineage-based task
 // retry. Real record payloads and phantom (shape-only) payloads flow
@@ -18,47 +19,32 @@ import (
 
 	"apspark/internal/cluster"
 	"apspark/internal/costmodel"
-	"apspark/internal/matrix"
+	"apspark/internal/graph"
 	"apspark/internal/obs"
 	"apspark/internal/storage"
 )
 
-// Pair is one RDD record.
+// Pair is one RDD record: the paper's ((I, J), block) pair. Every record
+// the solvers make is keyed by a block of the q x q grid (a column segment
+// by its owning block-row and the pivot's column-block), which is what the
+// partitioners lay out.
 type Pair struct {
-	Key   any
-	Value any
+	Key   graph.BlockKey
+	Value Sized
 }
 
-// SizeFunc reports the serialized size of a record value for cost
-// accounting.
-type SizeFunc func(v any) int64
+// Sized is an RDD record value: it reports its serialized size, which is
+// what the shuffle, collect and broadcast charge for.
+type Sized interface {
+	SizeBytes() int64
+}
 
-// DefaultSize sizes the value types that appear in the APSP solvers:
-// matrix blocks (dense or phantom), float vectors, block lists, and a flat
-// fallback for scalars.
-func DefaultSize(v any) int64 {
-	switch x := v.(type) {
-	case *matrix.Block:
-		return x.SizeBytes()
-	case []float64:
-		return int64(len(x)) * 8
-	case []any:
-		var total int64
-		for _, e := range x {
-			total += DefaultSize(e)
-		}
-		return total
-	case []Pair:
-		var total int64
-		for _, p := range x {
-			total += DefaultSize(p.Value)
-		}
-		return total
-	case nil:
+// sizeOf is v's serialized size; a record without a value sizes 0.
+func sizeOf(v Sized) int64 {
+	if v == nil {
 		return 0
-	default:
-		return 64
 	}
+	return v.SizeBytes()
 }
 
 // ErrNotFaultTolerant is returned when a task fails during a run that has
@@ -161,7 +147,6 @@ type Context struct {
 	Cluster *cluster.Cluster
 	Model   costmodel.KernelModel
 	Store   *storage.Shared
-	SizeOf  SizeFunc
 
 	Injector *FailureInjector
 
@@ -185,7 +170,6 @@ func NewContext(clu *cluster.Cluster, model costmodel.KernelModel) *Context {
 		Cluster: clu,
 		Model:   model,
 		Store:   storage.NewShared(clu),
-		SizeOf:  DefaultSize,
 		workers: runtime.GOMAXPROCS(0),
 	}
 }
@@ -564,15 +548,15 @@ func (c *Context) runStage(name string, n int, task func(tc *TaskContext, i int)
 // Broadcast distributes a value from the driver to every node over the
 // NIC tree (Spark's sc.broadcast). The cost lands on the driver clock.
 type Broadcast struct {
-	value any
+	value Sized
 }
 
 // Value returns the broadcast payload.
-func (b *Broadcast) Value() any { return b.value }
+func (b *Broadcast) Value() Sized { return b.value }
 
 // Broadcast performs the broadcast and charges its virtual cost.
-func (c *Context) Broadcast(v any) *Broadcast {
-	bytes := c.SizeOf(v)
+func (c *Context) Broadcast(v Sized) *Broadcast {
+	bytes := sizeOf(v)
 	c.Cluster.AddBroadcast(bytes)
 	c.Cluster.Advance(c.Cluster.BroadcastCost(bytes))
 	return &Broadcast{value: v}

@@ -14,11 +14,11 @@ import (
 func TestRunStageHonorsBoundContext(t *testing.T) {
 	c := newTestContext(t, cluster.Tiny())
 	part := NewPortableHash(4)
-	r := c.Parallelize("src", []Pair{{Key: 1, Value: 1.0}, {Key: 2, Value: 2.0}}, part)
+	r := c.Parallelize("src", []Pair{{Key: key(1), Value: num(1)}, {Key: key(2), Value: num(2)}}, part)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c.BindContext(ctx)
-	if _, err := r.Count(); err != nil {
+	if _, err := count(r); err != nil {
 		t.Fatalf("live context blocked a stage: %v", err)
 	}
 	cancel()
@@ -43,8 +43,8 @@ func TestRunStageNilContextIsBackground(t *testing.T) {
 	c := newTestContext(t, cluster.Tiny())
 	c.BindContext(nil)
 	part := NewPortableHash(2)
-	r := c.Parallelize("src", []Pair{{Key: 1, Value: 1.0}}, part)
-	if _, err := r.Count(); err != nil {
+	r := c.Parallelize("src", []Pair{{Key: key(1), Value: num(1)}}, part)
+	if _, err := count(r); err != nil {
 		t.Fatal(err)
 	}
 	if c.Err() != nil {
@@ -61,7 +61,7 @@ func TestProgressEventsTelescope(t *testing.T) {
 	c.SetProgress(func(ev StageEvent) { events = append(events, ev) })
 
 	part := NewPortableHash(4)
-	pairs := []Pair{{Key: 1, Value: 1.0}, {Key: 2, Value: 2.0}, {Key: 3, Value: 3.0}}
+	pairs := []Pair{{Key: key(1), Value: num(1)}, {Key: key(2), Value: num(2)}, {Key: key(3), Value: num(3)}}
 	r := c.Parallelize("src", pairs, part).
 		Map("bump", func(tc *TaskContext, p Pair) (Pair, error) {
 			tc.Charge(0.5)

@@ -1,11 +1,12 @@
 package rdd
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"apspark/internal/cluster"
+	"apspark/internal/matrix"
 )
 
 // TestLineageRecomputationEqualsFirstRun drops a persisted RDD's cache and
@@ -15,11 +16,11 @@ func TestLineageRecomputationEqualsFirstRun(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	base := ctx.Parallelize("src", intPairs(50), Modulo{Parts: 5}).
 		Map("x3", func(tc *TaskContext, p Pair) (Pair, error) {
-			return Pair{Key: p.Key, Value: p.Value.(int) * 3}, nil
+			return Pair{Key: p.Key, Value: p.Value.(num) * 3}, nil
 		}).
 		PartitionBy(Modulo{Parts: 7}).
 		Map("plus1", func(tc *TaskContext, p Pair) (Pair, error) {
-			return Pair{Key: p.Key, Value: p.Value.(int) + 1}, nil
+			return Pair{Key: p.Key, Value: p.Value.(num) + 1}, nil
 		}).
 		Persist()
 	first, err := base.Collect()
@@ -33,7 +34,7 @@ func TestLineageRecomputationEqualsFirstRun(t *testing.T) {
 	}
 	norm := func(ps []Pair) []Pair {
 		out := append([]Pair(nil), ps...)
-		sort.Slice(out, func(i, j int) bool { return out[i].Key.(int) < out[j].Key.(int) })
+		slices.SortFunc(out, func(a, b Pair) int { return a.Key.I - b.Key.I })
 		return out
 	}
 	f, s := norm(first), norm(second)
@@ -55,15 +56,11 @@ func TestShuffleDeterministicReduction(t *testing.T) {
 		ctx := newTestContext(t, cluster.Paper())
 		var pairs []Pair
 		for i := 0; i < 100; i++ {
-			pairs = append(pairs, Pair{Key: i % 7, Value: i})
+			pairs = append(pairs, Pair{Key: key(i % 7), Value: num(i)})
 		}
 		r := ctx.Parallelize("src", pairs, Modulo{Parts: 8}).
-			ReduceByKey(Modulo{Parts: 3}, func(tc *TaskContext, a, b any) (any, error) {
-				x, y := a.(int), b.(int)
-				if y < x {
-					x = y
-				}
-				return x, nil
+			ReduceByKey(Modulo{Parts: 3}, func(tc *TaskContext, a, b Sized) (Sized, error) {
+				return min(a.(num), b.(num)), nil
 			})
 		got, err := r.Collect()
 		if err != nil {
@@ -71,7 +68,7 @@ func TestShuffleDeterministicReduction(t *testing.T) {
 		}
 		sum := 0
 		for _, p := range got {
-			sum += p.Value.(int)*1000 + p.Key.(int)
+			sum += int(p.Value.(num))*1000 + p.Key.I
 		}
 		results[sum] = true
 	}
@@ -88,14 +85,14 @@ func TestMapSideCombineReducesShuffleVolume(t *testing.T) {
 		ctx := newTestContext(t, cluster.Paper())
 		var pairs []Pair
 		for i := 0; i < 400; i++ {
-			pairs = append(pairs, Pair{Key: i % 4, Value: i}) // heavy key collision
+			pairs = append(pairs, Pair{Key: key(i % 4), Value: num(i)}) // heavy key collision
 		}
 		return ctx, ctx.Parallelize("src", pairs, Modulo{Parts: 2})
 	}
 	// Target partition count differs from the source's so the operation
 	// is a genuine shuffle, not the narrow co-partitioned fast path.
 	ctxA, rA := mk()
-	if _, err := rA.ReduceByKey(Modulo{Parts: 3}, func(tc *TaskContext, a, b any) (any, error) {
+	if _, err := rA.ReduceByKey(Modulo{Parts: 3}, func(tc *TaskContext, a, b Sized) (Sized, error) {
 		return a, nil
 	}).Collect(); err != nil {
 		t.Fatal(err)
@@ -117,7 +114,7 @@ func TestEmptyPartitionsFlow(t *testing.T) {
 	r := ctx.Parallelize("src", intPairs(3), Modulo{Parts: 16}).
 		Filter("none", func(p Pair) bool { return false }).
 		PartitionBy(Modulo{Parts: 4})
-	n, err := r.Count()
+	n, err := count(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +177,9 @@ func TestFailedAttemptStillBurnsTime(t *testing.T) {
 func TestUnionOfShuffledRDDs(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	a := ctx.Parallelize("a", intPairs(10), Modulo{Parts: 2}).PartitionBy(Modulo{Parts: 3})
-	b := ctx.Parallelize("b", []Pair{{Key: 100, Value: 1}, {Key: 101, Value: 2}}, Modulo{Parts: 2})
+	b := ctx.Parallelize("b", []Pair{{Key: key(100), Value: num(1)}, {Key: key(101), Value: num(2)}}, Modulo{Parts: 2})
 	u := ctx.Union(a, b).PartitionBy(Modulo{Parts: 4})
-	n, err := u.Count()
+	n, err := count(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +196,7 @@ func TestUnionOfShuffledRDDs(t *testing.T) {
 func TestCollectCostScalesWithBytes(t *testing.T) {
 	run := func(vecLen int) float64 {
 		ctx := newTestContext(t, cluster.Paper())
-		pairs := []Pair{{Key: 0, Value: make([]float64, vecLen)}}
+		pairs := []Pair{{Key: key(0), Value: matrix.NewPhantom(vecLen, 1)}}
 		r := ctx.Parallelize("src", pairs, Modulo{Parts: 1})
 		if _, err := r.Collect(); err != nil {
 			t.Fatal(err)
@@ -220,14 +217,12 @@ func TestNarrowCoPartitionedCombine(t *testing.T) {
 	part := Modulo{Parts: 4}
 	r := ctx.Parallelize("src", intPairs(40), Modulo{Parts: 2}).
 		PartitionBy(part)
-	if _, err := r.Count(); err != nil {
+	if _, err := count(r); err != nil {
 		t.Fatal(err)
 	}
 	before := ctx.Cluster.Metrics().ShuffleBytes
-	combined := r.CombineByKey(part,
-		func(tc *TaskContext, v any) (any, error) { return []any{v}, nil },
-		func(tc *TaskContext, acc, v any) (any, error) { return append(acc.([]any), v), nil })
-	n, err := combined.Count()
+	combined := r.CombineByKey(part, appendCreate, appendMerge)
+	n, err := count(combined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +244,7 @@ func TestPartitionerAwareUnion(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	part := Modulo{Parts: 4}
 	a := ctx.Parallelize("a", intPairs(10), part)
-	b := ctx.Parallelize("b", []Pair{{Key: 100, Value: 1}}, part)
+	b := ctx.Parallelize("b", []Pair{{Key: key(100), Value: num(1)}}, part)
 	u := ctx.Union(a, b)
 	if u.NumPartitions() != 4 {
 		t.Fatalf("aware union has %d partitions, want 4", u.NumPartitions())
@@ -257,12 +252,12 @@ func TestPartitionerAwareUnion(t *testing.T) {
 	if u.Partitioner() != Partitioner(part) {
 		t.Fatal("aware union lost the partitioner")
 	}
-	n, err := u.Count()
+	n, err := count(u)
 	if err != nil || n != 11 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
 	// Records must sit in the partitioner-designated partitions.
-	sizes, err := u.PartitionSizes()
+	sizes, err := partitionSizes(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +287,7 @@ func TestShuffleMapRetryIdempotent(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, p := range got {
-		k := p.Key.(int)
+		k := p.Key.I
 		if seen[k] {
 			t.Fatalf("duplicate key %d after retry", k)
 		}

@@ -1,20 +1,18 @@
 package rdd
 
 import (
-	"fmt"
-
 	"apspark/internal/graph"
 	"apspark/internal/pyhash"
 )
 
-// Partitioner assigns record keys to RDD partitions (paper §5.3). The two
+// Partitioner assigns block keys to RDD partitions (paper §5.3). The two
 // implementations that matter are PortableHash — Spark's default pySpark
 // partitioner, whose XOR-mixing tuple hash skews badly on upper-triangular
 // block keys — and MultiDiagonal, the paper's partitioner that balances
 // block counts while spreading each block row/column across partitions.
 type Partitioner interface {
 	NumPartitions() int
-	Partition(key any) int
+	Partition(key graph.BlockKey) int
 	Name() string
 }
 
@@ -33,22 +31,10 @@ func (p PortableHash) NumPartitions() int { return p.Parts }
 // Name implements Partitioner.
 func (p PortableHash) Name() string { return "PH" }
 
-// Partition implements Partitioner using the exact CPython hash values.
-func (p PortableHash) Partition(key any) int {
-	var h int64
-	switch k := key.(type) {
-	case graph.BlockKey:
-		h = pyhash.Tuple2(int64(k.I), int64(k.J))
-	case int:
-		h = pyhash.Int(int64(k))
-	case int64:
-		h = pyhash.Int(k)
-	case string:
-		h = pyhash.String(k)
-	default:
-		h = pyhash.String(fmt.Sprint(key))
-	}
-	return pyhash.Mod(h, p.Parts)
+// Partition implements Partitioner with the exact CPython hash of the
+// (I, J) tuple.
+func (p PortableHash) Partition(key graph.BlockKey) int {
+	return pyhash.Mod(pyhash.Tuple2(int64(key.I), int64(key.J)), p.Parts)
 }
 
 // MultiDiagonal is the paper's multi-diagonal partitioner ("MD", §5.3,
@@ -77,13 +63,8 @@ func (p MultiDiagonal) Name() string { return "MD" }
 // Partition implements Partitioner. Lower-triangular keys (produced for
 // transposed block copies) are mirrored onto their upper-triangular twin,
 // matching the paper's rule that the executor owning A_IJ also owns A_JI.
-func (p MultiDiagonal) Partition(key any) int {
-	k, ok := key.(graph.BlockKey)
-	if !ok {
-		// Fall back to PH semantics for non-block keys.
-		return PortableHash{Parts: p.Parts}.Partition(key)
-	}
-	i, j := k.I, k.J
+func (p MultiDiagonal) Partition(key graph.BlockKey) int {
+	i, j := key.I, key.J
 	if i > j {
 		i, j = j, i
 	}
@@ -100,7 +81,7 @@ func (p MultiDiagonal) diagStart(d int) int64 {
 	return dd*q - dd*(dd-1)/2
 }
 
-// Modulo is a trivial partitioner (key order modulo partitions) used in
+// Modulo is a trivial partitioner (I + J modulo partitions) used in
 // engine tests where hash behaviour is irrelevant.
 type Modulo struct {
 	Parts int
@@ -113,13 +94,6 @@ func (p Modulo) NumPartitions() int { return p.Parts }
 func (p Modulo) Name() string { return "MOD" }
 
 // Partition implements Partitioner.
-func (p Modulo) Partition(key any) int {
-	switch k := key.(type) {
-	case int:
-		return ((k % p.Parts) + p.Parts) % p.Parts
-	case graph.BlockKey:
-		return (((k.I + k.J) % p.Parts) + p.Parts) % p.Parts
-	default:
-		return 0
-	}
+func (p Modulo) Partition(key graph.BlockKey) int {
+	return (((key.I + key.J) % p.Parts) + p.Parts) % p.Parts
 }

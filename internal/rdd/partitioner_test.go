@@ -20,16 +20,6 @@ func TestPortableHashMatchesPyhash(t *testing.T) {
 	}
 }
 
-func TestPortableHashOtherKeyTypes(t *testing.T) {
-	p := NewPortableHash(8)
-	for _, k := range []any{5, int64(7), "s", 3.5} {
-		got := p.Partition(k)
-		if got < 0 || got >= 8 {
-			t.Fatalf("partition(%v) = %d out of range", k, got)
-		}
-	}
-}
-
 func TestMultiDiagonalRange(t *testing.T) {
 	p := NewMultiDiagonal(10, 16)
 	if p.Name() != "MD" || p.NumPartitions() != 10 {
@@ -141,23 +131,12 @@ func TestPortableHashSkewVersusMD(t *testing.T) {
 	}
 }
 
-func TestMultiDiagonalNonBlockKeyFallback(t *testing.T) {
-	p := NewMultiDiagonal(8, 16)
-	got := p.Partition("driver-key")
-	if got < 0 || got >= 8 {
-		t.Fatalf("fallback partition = %d", got)
-	}
-}
-
 func TestModuloPartitioner(t *testing.T) {
 	p := Modulo{Parts: 4}
-	if p.Partition(7) != 3 || p.Partition(-1) != 3 {
+	if p.Partition(key(7)) != 3 || p.Partition(key(-1)) != 3 {
 		t.Fatal("modulo semantics wrong")
 	}
 	if p.Partition(graph.BlockKey{I: 1, J: 2}) != 3 {
 		t.Fatal("block key modulo wrong")
-	}
-	if p.Partition(3.5) != 0 {
-		t.Fatal("fallback wrong")
 	}
 }

@@ -1,15 +1,19 @@
 package rdd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+
+	"apspark/internal/graph"
+	"apspark/internal/matrix"
 )
 
 // RDD is a lazily evaluated, partitioned dataset of Pairs with tracked
 // lineage. Narrow transformations (Map, FlatMap, Filter, Union) pipeline
 // into their consumer's stage, exactly like Spark; wide transformations
-// (PartitionBy, ReduceByKey, CombineByKey, Cartesian) cut stage boundaries
+// (PartitionBy, ReduceByKey, CombineByKey) cut stage boundaries
 // and move data through the shuffle.
 type RDD struct {
 	ctx   *Context
@@ -347,12 +351,6 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 		bytes []int64
 		maps  int
 	}
-	// mapBucket is what one map task wrote for one reduce partition.
-	type mapBucket struct {
-		part  int
-		pairs []Pair
-		bytes int64
-	}
 	var bs *bucketSet
 	mapParts := r.parts
 	out.materialize = func() error {
@@ -383,23 +381,9 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 			if err != nil {
 				return nil, err
 			}
-			// Only the buckets this task has records for, in ascending
-			// reduce-partition order (the order the map-side combine's float
-			// charges are made in): a task holds a handful of records, the
-			// shuffle thousands of reduce partitions.
-			local := make([]mapBucket, 0, len(in)) // non-nil: nil marks "no attempt committed"
-			index := make(map[int]int, len(in))
-			for _, rec := range in {
-				b := part.Partition(rec.Key)
-				j, seen := index[b]
-				if !seen {
-					j = len(local)
-					index[b] = j
-					local = append(local, mapBucket{part: b})
-				}
-				local[j].pairs = append(local[j].pairs, rec)
-			}
-			sort.Slice(local, func(i, j int) bool { return local[i].part < local[j].part })
+			// Only the buckets this task has records for: a task holds a
+			// handful of records, the shuffle thousands of reduce partitions.
+			local := bucketize(in, part)
 			var written int64
 			for j := range local {
 				lb := &local[j]
@@ -409,7 +393,7 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 					}
 				}
 				for _, rec := range lb.pairs {
-					lb.bytes += out.ctx.SizeOf(rec.Value)
+					lb.bytes += sizeOf(rec.Value)
 				}
 				written += lb.bytes
 			}
@@ -467,6 +451,45 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 	return out
 }
 
+// mapBucket is what one map task wrote for one reduce partition.
+type mapBucket struct {
+	part  int
+	pairs []Pair
+	bytes int64
+}
+
+// bucketize splits a map task's records into the reduce partitions part
+// sends them to: one bucket per partition that gets any, in ascending
+// partition order (the order the map-side combine's float charges are made
+// in), each holding its records in input order — a stable sort by
+// partition. The result is never nil: nil marks a map task with no
+// committed attempt.
+func bucketize(in []Pair, part Partitioner) []mapBucket {
+	type routed struct {
+		part int
+		rec  Pair
+	}
+	rs := make([]routed, len(in))
+	for i, rec := range in {
+		rs[i] = routed{part.Partition(rec.Key), rec}
+	}
+	slices.SortStableFunc(rs, func(a, b routed) int { return cmp.Compare(a.part, b.part) })
+	sorted := make([]Pair, len(rs))
+	for i := range rs {
+		sorted[i] = rs[i].rec
+	}
+	local := make([]mapBucket, 0, len(rs))
+	for lo := 0; lo < len(rs); {
+		hi := lo + 1
+		for hi < len(rs) && rs[hi].part == rs[lo].part {
+			hi++
+		}
+		local = append(local, mapBucket{part: rs[lo].part, pairs: sorted[lo:hi:hi]})
+		lo = hi
+	}
+	return local
+}
+
 // PartitionBy redistributes records by the given partitioner (wide).
 func (r *RDD) PartitionBy(part Partitioner) *RDD {
 	return r.shuffleOutput("partitionBy", part, nil, func(tc *TaskContext, bucket []Pair) ([]Pair, error) {
@@ -477,9 +500,9 @@ func (r *RDD) PartitionBy(part Partitioner) *RDD {
 // ReduceByKey merges all values sharing a key with f (wide). f must be
 // commutative and associative; like Spark, the fold runs both map-side
 // (combining before the shuffle write) and reduce-side.
-func (r *RDD) ReduceByKey(part Partitioner, f func(tc *TaskContext, a, b any) (any, error)) *RDD {
+func (r *RDD) ReduceByKey(part Partitioner, f func(tc *TaskContext, a, b Sized) (Sized, error)) *RDD {
 	fold := func(tc *TaskContext, bucket []Pair) ([]Pair, error) {
-		return foldByKey(tc, bucket, func(tc *TaskContext, acc any, v any, first bool) (any, error) {
+		return foldByKey(tc, bucket, func(tc *TaskContext, acc, v Sized, first bool) (Sized, error) {
 			if first {
 				return v, nil
 			}
@@ -493,9 +516,9 @@ func (r *RDD) ReduceByKey(part Partitioner, f func(tc *TaskContext, a, b any) (a
 // shape the paper's ListAppend building block plugs into (wide). No
 // map-side combine: the solvers' combiners build lists whose size equals
 // the inputs, so combining early would not reduce shuffle volume.
-func (r *RDD) CombineByKey(part Partitioner, create func(tc *TaskContext, v any) (any, error), merge func(tc *TaskContext, acc, v any) (any, error)) *RDD {
+func (r *RDD) CombineByKey(part Partitioner, create func(tc *TaskContext, v Sized) (Sized, error), merge func(tc *TaskContext, acc, v Sized) (Sized, error)) *RDD {
 	return r.shuffleOutput("combineByKey", part, nil, func(tc *TaskContext, bucket []Pair) ([]Pair, error) {
-		return foldByKey(tc, bucket, func(tc *TaskContext, acc any, v any, first bool) (any, error) {
+		return foldByKey(tc, bucket, func(tc *TaskContext, acc, v Sized, first bool) (Sized, error) {
 			if first {
 				return create(tc, v)
 			}
@@ -504,88 +527,25 @@ func (r *RDD) CombineByKey(part Partitioner, create func(tc *TaskContext, v any)
 	})
 }
 
-// foldByKey folds a shuffled bucket by key, preserving the first-seen key
-// order for determinism of iteration (values order follows arrival).
-func foldByKey(tc *TaskContext, bucket []Pair, step func(tc *TaskContext, acc any, v any, first bool) (any, error)) ([]Pair, error) {
-	accs := make(map[any]any, len(bucket))
-	var order []any
+// foldByKey folds a shuffled bucket by key: one record per key, in
+// first-seen key order, each key's values folded in arrival order.
+func foldByKey(tc *TaskContext, bucket []Pair, step func(tc *TaskContext, acc, v Sized, first bool) (Sized, error)) ([]Pair, error) {
+	at := make(map[graph.BlockKey]int, len(bucket))
+	res := make([]Pair, 0, len(bucket))
 	for _, rec := range bucket {
-		acc, seen := accs[rec.Key]
-		nv, err := step(tc, acc, rec.Value, !seen)
+		j, seen := at[rec.Key]
+		if !seen {
+			j = len(res)
+			at[rec.Key] = j
+			res = append(res, Pair{Key: rec.Key})
+		}
+		nv, err := step(tc, res[j].Value, rec.Value, !seen)
 		if err != nil {
 			return nil, err
 		}
-		if !seen {
-			order = append(order, rec.Key)
-		}
-		accs[rec.Key] = nv
-	}
-	res := make([]Pair, 0, len(order))
-	for _, k := range order {
-		res = append(res, Pair{Key: k, Value: accs[k]})
+		res[j].Value = nv
 	}
 	return res, nil
-}
-
-// Cartesian pairs every record of r with every record of o (wide on the o
-// side: each of r's partitions pulls a full copy of o over the network).
-// The paper found exactly this operation "easily stalling even on small
-// problems" (§4.2); it exists here for the ablation that motivates the
-// column-block rewrite of Repeated Squaring.
-func (r *RDD) Cartesian(o *RDD) *RDD {
-	out := &RDD{
-		ctx:     r.ctx,
-		id:      r.ctx.newID(),
-		name:    "cartesian",
-		parts:   r.parts,
-		parents: []*RDD{r, o},
-		barrier: true,
-	}
-	var oAll []Pair
-	var oBytes int64
-	out.materialize = func() error {
-		out.mu.Lock()
-		done := oAll != nil
-		out.mu.Unlock()
-		if done {
-			return nil
-		}
-		res, err := out.ctx.runStage("cartesian.rhs", o.parts, func(tc *TaskContext, p int) ([]Pair, error) {
-			return o.compute(tc, p)
-		})
-		if err != nil {
-			return err
-		}
-		var all []Pair
-		var bytes int64
-		for _, part := range res {
-			all = append(all, part...)
-			bytes += out.ctx.SizeOf(part)
-		}
-		out.mu.Lock()
-		oAll, oBytes = all, bytes
-		out.mu.Unlock()
-		return nil
-	}
-	out.compute = func(tc *TaskContext, p int) ([]Pair, error) {
-		left, err := r.compute(tc, p)
-		if err != nil {
-			return nil, err
-		}
-		// Every task replicates the full right side across the network —
-		// the all-to-all blowup the paper hit.
-		tc.ChargeNet(oBytes, o.parts)
-		tc.ChargeSer(oBytes)
-		out.ctx.Cluster.AddShuffleBytes(oBytes)
-		res := make([]Pair, 0, len(left)*len(oAll))
-		for _, l := range left {
-			for _, rr := range oAll {
-				res = append(res, Pair{Key: [2]any{l.Key, rr.Key}, Value: [2]any{l.Value, rr.Value}})
-			}
-		}
-		return res, nil
-	}
-	return out
 }
 
 // Materialize forces every barrier in the lineage (sources, shuffles,
@@ -670,46 +630,27 @@ func (r *RDD) Collect() ([]Pair, error) {
 	var bytes int64
 	for _, part := range res {
 		all = append(all, part...)
-		bytes += r.ctx.SizeOf(part)
+		for _, rec := range part {
+			bytes += collectedSize(rec.Value)
+		}
 	}
 	r.ctx.Cluster.AddCollect(bytes)
 	r.ctx.Cluster.Advance(r.ctx.Cluster.CollectCost(bytes, r.parts))
 	return all, nil
 }
 
-// Count materializes the RDD and returns the number of records.
-func (r *RDD) Count() (int, error) {
-	if err := r.ensureBarriers(); err != nil {
-		return 0, err
+// collectedSize is what Collect charges for one record's value: a bare
+// matrix block (2D Floyd-Warshall's column segments) its bytes, a missing
+// value nothing, and any other value a flat 64 bytes. The flat size
+// undercounts the tagged blocks the blocked solvers and Repeated Squaring
+// collect; internal/core/testdata/clock.golden pins it as it is.
+func collectedSize(v Sized) int64 {
+	switch v.(type) {
+	case nil:
+		return 0
+	case *matrix.Block:
+		return v.SizeBytes()
+	default:
+		return 64
 	}
-	res, err := r.ctx.runStage(r.name+".count", r.parts, func(tc *TaskContext, p int) ([]Pair, error) {
-		return r.compute(tc, p)
-	})
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, part := range res {
-		n += len(part)
-	}
-	return n, nil
-}
-
-// PartitionSizes materializes the RDD and returns the record count of each
-// partition — the census behind the paper's Figure 3 (bottom).
-func (r *RDD) PartitionSizes() ([]int, error) {
-	if err := r.ensureBarriers(); err != nil {
-		return nil, err
-	}
-	res, err := r.ctx.runStage(r.name+".sizes", r.parts, func(tc *TaskContext, p int) ([]Pair, error) {
-		return r.compute(tc, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(res))
-	for i, part := range res {
-		sizes[i] = len(part)
-	}
-	return sizes, nil
 }

@@ -2,12 +2,14 @@ package rdd
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"apspark/internal/cluster"
 	"apspark/internal/costmodel"
+	"apspark/internal/graph"
+	"apspark/internal/matrix"
 )
 
 func newTestContext(t *testing.T, cfg cluster.Config) *Context {
@@ -19,10 +21,30 @@ func newTestContext(t *testing.T, cfg cluster.Config) *Context {
 	return NewContext(clu, costmodel.PaperKernels())
 }
 
+// num is the engine tests' record value: an int sized as a flat 64 bytes.
+type num int
+
+func (num) SizeBytes() int64 { return 64 }
+
+// nums is the list the tests' combiners build.
+type nums []num
+
+func (l nums) SizeBytes() int64 { return int64(len(l)) * 64 }
+
+func appendCreate(tc *TaskContext, v Sized) (Sized, error) { return nums{v.(num)}, nil }
+
+func appendMerge(tc *TaskContext, acc, v Sized) (Sized, error) {
+	return append(acc.(nums), v.(num)), nil
+}
+
+// key is the block key of record i, (i, 0): Modulo sends it to partition
+// i mod parts.
+func key(i int) graph.BlockKey { return graph.BlockKey{I: i} }
+
 func intPairs(n int) []Pair {
 	out := make([]Pair, n)
 	for i := range out {
-		out[i] = Pair{Key: i, Value: i * 10}
+		out[i] = Pair{Key: key(i), Value: num(i * 10)}
 	}
 	return out
 }
@@ -33,8 +55,35 @@ func collectSortedInts(t *testing.T, r *RDD) []Pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(got, func(i, j int) bool { return got[i].Key.(int) < got[j].Key.(int) })
+	slices.SortFunc(got, func(a, b Pair) int { return a.Key.I - b.Key.I })
 	return got
+}
+
+// partitionSizes materializes r and returns each partition's record
+// count, charging the driver nothing for it.
+func partitionSizes(r *RDD) ([]int, error) {
+	if err := r.ensureBarriers(); err != nil {
+		return nil, err
+	}
+	res, err := r.ctx.runStage(r.name+".sizes", r.parts, r.compute)
+	if err != nil {
+		return nil, err
+	}
+	sizes := make([]int, len(res))
+	for i, part := range res {
+		sizes[i] = len(part)
+	}
+	return sizes, nil
+}
+
+// count is r's record count, through partitionSizes.
+func count(r *RDD) (int, error) {
+	sizes, err := partitionSizes(r)
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	return n, err
 }
 
 func TestParallelizeCollect(t *testing.T) {
@@ -45,21 +94,9 @@ func TestParallelizeCollect(t *testing.T) {
 		t.Fatalf("collected %d records", len(got))
 	}
 	for i, p := range got {
-		if p.Key.(int) != i || p.Value.(int) != i*10 {
+		if p.Key != key(i) || p.Value != num(i*10) {
 			t.Fatalf("record %d = %v", i, p)
 		}
-	}
-}
-
-func TestCount(t *testing.T) {
-	ctx := newTestContext(t, cluster.Paper())
-	r := ctx.Parallelize("src", intPairs(13), Modulo{Parts: 5})
-	n, err := r.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 13 {
-		t.Fatalf("Count = %d", n)
 	}
 }
 
@@ -67,11 +104,11 @@ func TestMap(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	r := ctx.Parallelize("src", intPairs(10), Modulo{Parts: 3}).
 		Map("double", func(tc *TaskContext, p Pair) (Pair, error) {
-			return Pair{Key: p.Key, Value: p.Value.(int) * 2}, nil
+			return Pair{Key: p.Key, Value: p.Value.(num) * 2}, nil
 		})
 	got := collectSortedInts(t, r)
 	for i, p := range got {
-		if p.Value.(int) != i*20 {
+		if p.Value != num(i*20) {
 			t.Fatalf("map value %d = %v", i, p.Value)
 		}
 	}
@@ -91,9 +128,9 @@ func TestFlatMapAndFilter(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	r := ctx.Parallelize("src", intPairs(6), Modulo{Parts: 2}).
 		FlatMap("dup", func(tc *TaskContext, p Pair) ([]Pair, error) {
-			return []Pair{p, {Key: p.Key.(int) + 100, Value: p.Value}}, nil
+			return []Pair{p, {Key: key(p.Key.I + 100), Value: p.Value}}, nil
 		}).
-		Filter("small", func(p Pair) bool { return p.Key.(int) < 100 })
+		Filter("small", func(p Pair) bool { return p.Key.I < 100 })
 	got := collectSortedInts(t, r)
 	if len(got) != 6 {
 		t.Fatalf("filter kept %d records", len(got))
@@ -103,12 +140,12 @@ func TestFlatMapAndFilter(t *testing.T) {
 func TestUnionPartitionCounts(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	a := ctx.Parallelize("a", intPairs(5), Modulo{Parts: 2})
-	b := ctx.Parallelize("b", []Pair{{Key: 100, Value: 1}}, Modulo{Parts: 3})
+	b := ctx.Parallelize("b", []Pair{{Key: key(100), Value: num(1)}}, Modulo{Parts: 3})
 	u := ctx.Union(a, b)
 	if u.NumPartitions() != 5 {
 		t.Fatalf("union partitions = %d, want 5 (Spark semantics)", u.NumPartitions())
 	}
-	n, err := u.Count()
+	n, err := count(u)
 	if err != nil || n != 6 {
 		t.Fatalf("union count = %d, %v", n, err)
 	}
@@ -118,7 +155,7 @@ func TestPartitionByLayout(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	r := ctx.Parallelize("src", intPairs(40), Modulo{Parts: 2}).
 		PartitionBy(Modulo{Parts: 8})
-	sizes, err := r.PartitionSizes()
+	sizes, err := partitionSizes(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,18 +176,18 @@ func TestReduceByKey(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	var pairs []Pair
 	for i := 0; i < 30; i++ {
-		pairs = append(pairs, Pair{Key: i % 3, Value: 1})
+		pairs = append(pairs, Pair{Key: key(i % 3), Value: num(1)})
 	}
 	r := ctx.Parallelize("src", pairs, Modulo{Parts: 4}).
-		ReduceByKey(Modulo{Parts: 2}, func(tc *TaskContext, a, b any) (any, error) {
-			return a.(int) + b.(int), nil
+		ReduceByKey(Modulo{Parts: 2}, func(tc *TaskContext, a, b Sized) (Sized, error) {
+			return a.(num) + b.(num), nil
 		})
 	got := collectSortedInts(t, r)
 	if len(got) != 3 {
 		t.Fatalf("reduceByKey produced %d keys", len(got))
 	}
 	for _, p := range got {
-		if p.Value.(int) != 10 {
+		if p.Value != num(10) {
 			t.Fatalf("key %v reduced to %v, want 10", p.Key, p.Value)
 		}
 	}
@@ -159,37 +196,19 @@ func TestReduceByKey(t *testing.T) {
 func TestCombineByKeyListAppend(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	pairs := []Pair{
-		{Key: 1, Value: "a"}, {Key: 1, Value: "b"}, {Key: 2, Value: "c"},
+		{Key: key(1), Value: num(1)}, {Key: key(1), Value: num(2)}, {Key: key(2), Value: num(3)},
 	}
 	r := ctx.Parallelize("src", pairs, Modulo{Parts: 3}).
-		CombineByKey(Modulo{Parts: 2},
-			func(tc *TaskContext, v any) (any, error) { return []any{v}, nil },
-			func(tc *TaskContext, acc, v any) (any, error) { return append(acc.([]any), v), nil })
+		CombineByKey(Modulo{Parts: 2}, appendCreate, appendMerge)
 	got := collectSortedInts(t, r)
 	if len(got) != 2 {
 		t.Fatalf("combineByKey produced %d keys", len(got))
 	}
-	if l := got[0].Value.([]any); len(l) != 2 {
+	if l := got[0].Value.(nums); len(l) != 2 {
 		t.Fatalf("key 1 list = %v", l)
 	}
-	if l := got[1].Value.([]any); len(l) != 1 || l[0].(string) != "c" {
+	if l := got[1].Value.(nums); len(l) != 1 || l[0] != 3 {
 		t.Fatalf("key 2 list = %v", l)
-	}
-}
-
-func TestCartesian(t *testing.T) {
-	ctx := newTestContext(t, cluster.Paper())
-	a := ctx.Parallelize("a", intPairs(3), Modulo{Parts: 2})
-	b := ctx.Parallelize("b", intPairs(4), Modulo{Parts: 2})
-	n, err := a.Cartesian(b).Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 12 {
-		t.Fatalf("cartesian count = %d, want 12", n)
-	}
-	if ctx.Cluster.Metrics().ShuffleBytes == 0 {
-		t.Fatal("cartesian charged no replication traffic")
 	}
 }
 
@@ -341,7 +360,7 @@ func TestLocalStorageExhaustionAborts(t *testing.T) {
 		// Alternate partition counts so each round is a real shuffle
 		// rather than the narrow co-partitioned fast path.
 		r = r.PartitionBy(Modulo{Parts: 4 + i%2})
-		_, err = r.Count()
+		_, err = count(r)
 	}
 	var se *cluster.ErrLocalStorage
 	if !errors.As(err, &se) {
@@ -352,7 +371,7 @@ func TestLocalStorageExhaustionAborts(t *testing.T) {
 func TestBroadcastChargesDriver(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	before := ctx.Cluster.Now()
-	b := ctx.Broadcast(make([]float64, 1<<16))
+	b := ctx.Broadcast(matrix.NewPhantom(1<<16, 1))
 	if b.Value() == nil {
 		t.Fatal("broadcast lost its value")
 	}
@@ -366,17 +385,17 @@ func TestBroadcastChargesDriver(t *testing.T) {
 
 func TestSharedGetThroughTaskContext(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
-	ctx.Store.Put("k", 42, 1000)
+	ctx.Store.Put("k", num(42), 1000)
 	r := ctx.Parallelize("src", intPairs(2), Modulo{Parts: 1}).
 		Map("read", func(tc *TaskContext, p Pair) (Pair, error) {
 			v, err := tc.SharedGet("k")
 			if err != nil {
 				return Pair{}, err
 			}
-			return Pair{Key: p.Key, Value: v}, nil
+			return Pair{Key: p.Key, Value: v.(num)}, nil
 		})
 	got := collectSortedInts(t, r)
-	if got[0].Value.(int) != 42 {
+	if got[0].Value != num(42) {
 		t.Fatalf("shared value = %v", got[0].Value)
 	}
 	if _, err := ctx.Parallelize("src2", intPairs(1), Modulo{Parts: 1}).
@@ -388,17 +407,18 @@ func TestSharedGetThroughTaskContext(t *testing.T) {
 	}
 }
 
+// TestDefaultSize checks how the engine sizes record values: the shuffle
+// and broadcast by SizeBytes, collect by a block's bytes or a flat 64, and
+// a record without a value as 0 everywhere.
 func TestDefaultSize(t *testing.T) {
-	if DefaultSize([]float64{1, 2, 3}) != 24 {
-		t.Fatal("vector size wrong")
+	blk := matrix.NewPhantom(3, 1)
+	if sizeOf(blk) != 24 || collectedSize(blk) != 24 {
+		t.Fatal("block size wrong")
 	}
-	if DefaultSize(nil) != 0 {
+	if sizeOf(nil) != 0 || collectedSize(nil) != 0 {
 		t.Fatal("nil size wrong")
 	}
-	if DefaultSize([]any{[]float64{1}, []float64{2, 3}}) != 24 {
+	if sizeOf(nums{1, 2}) != 128 || collectedSize(nums{1, 2}) != 64 {
 		t.Fatal("list size wrong")
-	}
-	if DefaultSize(42) != 64 {
-		t.Fatal("fallback size wrong")
 	}
 }

@@ -28,10 +28,6 @@ func TestTaskContextWorkerBudget(t *testing.T) {
 
 	budget := func(tasks int) []int {
 		got := make([]int, tasks)
-		pairs := make([]Pair, tasks)
-		for i := range pairs {
-			pairs[i] = Pair{Key: i, Value: i}
-		}
 		_, err := ctx.runStage("probe", tasks, func(tc *TaskContext, i int) ([]Pair, error) {
 			got[i] = tc.Workers()
 			return nil, nil
