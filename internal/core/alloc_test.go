@@ -56,10 +56,11 @@ func TestWarmSolveAllocatesTwoGenerations(t *testing.T) {
 // phantom path, where no block data exists and every allocation is the
 // virtual cluster's own: four block iterations of Blocked-IM, the
 // shuffle-heaviest solver, at n=4096, b=256 (q=16) on one host worker,
-// counted on a second run so that one-time initialization stays out. With
-// records keyed by graph.BlockKey, folded through a typed index and
-// bucketed by a stable sort the run makes 11,925 allocations on go1.24;
-// boxed keys, a map[any]any fold and per-task bucket maps made 15,881.
+// counted on a second run so that one-time initialization stays out.
+// Grouping each key's records in place of a ListAppend combiner, sharing
+// one value across a block's copies and passing phantoms through brought
+// the run from 11,925 allocations to 5,831 on go1.24; boxed keys, a
+// map[any]any fold and per-task bucket maps had made 15,881.
 func TestPhantomShuffleMallocs(t *testing.T) {
 	in, err := NewPhantomInput(4096, 256)
 	if err != nil {
@@ -78,7 +79,8 @@ func TestPhantomShuffleMallocs(t *testing.T) {
 	solve()
 	runtime.ReadMemStats(&after)
 	got := after.Mallocs - before.Mallocs
-	if limit := uint64(13000); got > limit {
+	t.Logf("phantom Blocked-IM run made %d allocations", got)
+	if limit := uint64(8000); got > limit {
 		t.Fatalf("phantom Blocked-IM run made %d allocations, want at most %d", got, limit)
 	}
 }

@@ -70,10 +70,14 @@ func InColumn(x int) func(p rdd.Pair) bool {
 	return func(p rdd.Pair) bool { return p.Key.I == x || p.Key.J == x }
 }
 
+// InPanel is InColumn(x) without the diagonal block (x, x): x's panel.
+func InPanel(x int) func(p rdd.Pair) bool {
+	return func(p rdd.Pair) bool { return (p.Key.I == x) != (p.Key.J == x) }
+}
+
 // NotInColumn is the complement of InColumn.
 func NotInColumn(x int) func(p rdd.Pair) bool {
-	in := InColumn(x)
-	return func(p rdd.Pair) bool { return !in(p) }
+	return func(p rdd.Pair) bool { return p.Key.I != x && p.Key.J != x }
 }
 
 // OnDiagonal is the Table-1 predicate for the x-th diagonal block.
@@ -86,12 +90,13 @@ func OnDiagonal(x int) func(p rdd.Pair) bool {
 // comes from the matrix arena (the input block stays untouched — it is
 // shared through the RDD lineage), and when the engine grants this task
 // more than one host worker the row-sharded parallel kernel is used;
-// either path produces exactly the serial kernel's values.
+// either path produces exactly the serial kernel's values. A phantom, never
+// written, passes through as its own result.
 func FloydWarshallBlock(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 	tb := p.Value.(*TaggedBlock)
 	tc.Charge(tc.Model().FloydWarshall(tb.B.R))
 	if tb.B.Phantom() {
-		return rdd.Pair{Key: p.Key, Value: &TaggedBlock{Tag: TagBase, B: tb.B.Clone()}}, nil
+		return rdd.Pair{Key: p.Key, Value: &TaggedBlock{Tag: TagBase, B: tb.B}}, nil
 	}
 	nb := matrix.Get(tb.B.R, tb.B.C)
 	if err := nb.CopyFrom(tb.B); err != nil {
@@ -105,11 +110,12 @@ func FloydWarshallBlock(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 
 // CopyDiag yields the q-1 copies of the processed diagonal block (i, i),
 // keyed so each copy meets one stored panel block of column-block i
-// (Table 1: CopyDiag).
+// (Table 1: CopyDiag). Only the keys differ: the copies share one
+// read-only value.
 func CopyDiag(q int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 	return func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
-		tb := p.Value.(*TaggedBlock)
 		i := p.Key.I
+		diag := &TaggedBlock{Tag: TagDiagCopy, Row: i, B: p.Value.(*TaggedBlock).B}
 		out := make([]rdd.Pair, 0, q-1)
 		for r := 0; r < q; r++ {
 			if r == i {
@@ -119,7 +125,7 @@ func CopyDiag(q int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 			if r > i {
 				key = graph.BlockKey{I: i, J: r}
 			}
-			out = append(out, rdd.Pair{Key: key, Value: &TaggedBlock{Tag: TagDiagCopy, Row: i, B: tb.B}})
+			out = append(out, rdd.Pair{Key: key, Value: diag})
 		}
 		return out, nil
 	}
@@ -163,12 +169,15 @@ func UpdatePanel(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, diag
 
 // foldProduct returns min(base, left (x) right) in an arena block, folded
 // by the given fused kernel. With a phantom operand the result is a
-// phantom, and the kernel still runs: its shape validation fires before its
-// phantom no-op, so phantom and dense runs reject identical shapes from one
-// source of truth.
+// phantom — base itself when it is one — and the kernel still runs: its
+// shape validation fires before its phantom no-op, so phantom and dense
+// runs reject identical shapes from one source of truth.
 func foldProduct(base, left, right *matrix.Block, workers int, fold func(a, b, dst *matrix.Block, workers int) error) (*matrix.Block, error) {
 	if base.Phantom() || left.Phantom() || right.Phantom() {
-		dst := matrix.NewPhantom(base.R, base.C)
+		dst := base
+		if !dst.Phantom() { // a dense base meeting a phantom operand
+			dst = matrix.NewPhantom(base.R, base.C)
+		}
 		if err := fold(left, right, dst, workers); err != nil {
 			return nil, err
 		}
@@ -216,7 +225,8 @@ func UpdateOff(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, left, 
 // therefore receive two copies (rows K and L) and diagonal targets one,
 // matching the (q-1)^2 total copy volume of the paper's upper-triangular
 // layout. Canonicalizing a stored (i, J) block is charged as the transpose
-// pass it is in the paper's code.
+// pass it is in the paper's code. Only the keys differ: the copies share
+// one read-only value.
 func CopyCol(q, i int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 	return func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error) {
 		k := p.Key
@@ -230,6 +240,7 @@ func CopyCol(q, i int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error)
 			tc.Charge(tc.Model().MatMin(tb.B.R, tb.B.C)) // transpose is an O(rc) pass
 			row, canon, other = k.J, twin, tb.B
 		}
+		panel := &TaggedBlock{Tag: TagPanelCopy, Row: row, B: canon, T: other}
 		out := make([]rdd.Pair, 0, q-1)
 		for l := 0; l < q; l++ {
 			if l == i {
@@ -239,71 +250,55 @@ func CopyCol(q, i int) func(tc *rdd.TaskContext, p rdd.Pair) ([]rdd.Pair, error)
 			if l < row {
 				key = graph.BlockKey{I: l, J: row}
 			}
-			out = append(out, rdd.Pair{Key: key, Value: &TaggedBlock{Tag: TagPanelCopy, Row: row, B: canon, T: other}})
+			out = append(out, rdd.Pair{Key: key, Value: panel})
 		}
 		return out, nil
 	}
 }
 
-// blockList is the value ListAppend accumulates at one key: the stored
-// block and the copies that met it there.
-type blockList []*TaggedBlock
-
-// SizeBytes implements rdd.Sized: the bytes of every listed block.
-func (l blockList) SizeBytes() int64 {
-	var t int64
-	for _, tb := range l {
-		t += tb.SizeBytes()
-	}
-	return t
-}
-
-// ListAppendCreate is Table 1's ListAppend as a combiner pair: it starts
-// the list of the tagged blocks arriving at one key.
-func ListAppendCreate(tc *rdd.TaskContext, v rdd.Sized) (rdd.Sized, error) {
-	return blockList{v.(*TaggedBlock)}, nil
-}
-
-// ListAppendMerge appends one more block to the list.
-func ListAppendMerge(tc *rdd.TaskContext, acc, v rdd.Sized) (rdd.Sized, error) {
-	return append(acc.(blockList), v.(*TaggedBlock)), nil
-}
-
-// splitList separates a combined list into the base block and its copies.
-func splitList(list blockList) (base *TaggedBlock, copies []*TaggedBlock, err error) {
-	for _, tb := range list {
-		if tb.Tag == TagBase {
-			if base != nil {
-				return nil, nil, fmt.Errorf("core: two base blocks at one key")
+// unpack is Table 1's ListUnpack over the records grouped at one key: in
+// one scan it returns the group's one base block and the number of copies
+// beside it, and hands every copy, in arrival order, to each.
+func unpack(group []rdd.Pair, each func(c *TaggedBlock) error) (base *TaggedBlock, copies int, err error) {
+	for _, rec := range group {
+		tb := rec.Value.(*TaggedBlock)
+		if tb.Tag != TagBase {
+			copies++
+			if err := each(tb); err != nil {
+				return nil, 0, err
 			}
-			base = tb
-		} else {
-			copies = append(copies, tb)
+			continue
 		}
+		if base != nil {
+			return nil, 0, fmt.Errorf("core: two base blocks at key %v", rec.Key)
+		}
+		base = tb
 	}
 	if base == nil {
-		return nil, nil, fmt.Errorf("core: no base block in combined list (len %d)", len(list))
+		return nil, 0, fmt.Errorf("core: no base block among the %d records at key %v", len(group), group[0].Key)
 	}
 	return base, copies, nil
 }
 
-// UnpackPhase2 is ListUnpack+MatMin for Phase 2: the list holds a stored
-// panel block and a diagonal copy.
-func UnpackPhase2(i int) func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-	return func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-		k := p.Key
-		base, copies, err := splitList(p.Value.(blockList))
+// UnpackPhase2 is ListUnpack+MatMin for Phase 2, the GroupByKey function
+// of the panel step: the group holds a stored panel block and a diagonal
+// copy.
+func UnpackPhase2(i int) func(tc *rdd.TaskContext, group []rdd.Pair) (rdd.Pair, error) {
+	return func(tc *rdd.TaskContext, group []rdd.Pair) (rdd.Pair, error) {
+		k := group[0].Key
+		var diag *TaggedBlock
+		base, copies, err := unpack(group, func(c *TaggedBlock) error { diag = c; return nil })
 		if err != nil {
-			return rdd.Pair{}, fmt.Errorf("at %v: %w", k, err)
+			return rdd.Pair{}, err
 		}
-		if len(copies) == 0 {
+		if copies == 0 {
 			// No diagonal copy reached this key (q == 1 edge case).
 			return rdd.Pair{Key: k, Value: base}, nil
 		}
-		if len(copies) != 1 || copies[0].Tag != TagDiagCopy {
-			return rdd.Pair{}, fmt.Errorf("core: phase-2 key %v got %d unexpected copies", k, len(copies))
+		if copies != 1 || diag.Tag != TagDiagCopy {
+			return rdd.Pair{}, fmt.Errorf("core: phase-2 key %v got %d unexpected copies", k, copies)
 		}
-		upd, err := UpdatePanel(tc, k, base.B, copies[0].B, i)
+		upd, err := UpdatePanel(tc, k, base.B, diag.B, i)
 		if err != nil {
 			return rdd.Pair{}, err
 		}
@@ -311,19 +306,16 @@ func UnpackPhase2(i int) func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error)
 	}
 }
 
-// UnpackPhase3 is ListUnpack+MatMin for Phase 3: the list holds an
-// off-column base block plus the panel copies for its row and column.
-func UnpackPhase3() func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-	return func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
-		k := p.Key
-		base, copies, err := splitList(p.Value.(blockList))
-		if err != nil {
-			return rdd.Pair{}, fmt.Errorf("at %v: %w", k, err)
-		}
+// UnpackPhase3 is ListUnpack+MatMin for Phase 3, the GroupByKey function
+// of the off-column step: the group holds an off-column base block plus
+// the panel copies for its row and column.
+func UnpackPhase3() func(tc *rdd.TaskContext, group []rdd.Pair) (rdd.Pair, error) {
+	return func(tc *rdd.TaskContext, group []rdd.Pair) (rdd.Pair, error) {
+		k := group[0].Key
 		var panelK, panelL *TaggedBlock
-		for _, c := range copies {
+		base, copies, err := unpack(group, func(c *TaggedBlock) error {
 			if c.Tag != TagPanelCopy {
-				return rdd.Pair{}, fmt.Errorf("core: phase-3 key %v got tag %d", k, c.Tag)
+				return fmt.Errorf("core: phase-3 key %v got tag %d", k, c.Tag)
 			}
 			switch c.Row {
 			case k.I:
@@ -331,14 +323,18 @@ func UnpackPhase3() func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 			case k.J:
 				panelL = c
 			default:
-				return rdd.Pair{}, fmt.Errorf("core: stray panel row %d at key %v", c.Row, k)
+				return fmt.Errorf("core: stray panel row %d at key %v", c.Row, k)
 			}
+			return nil
+		})
+		if err != nil {
+			return rdd.Pair{}, err
 		}
 		if k.I == k.J && panelK != nil && panelL == nil {
 			panelL = panelK // diagonal target uses its single panel twice
 		}
 		if panelK == nil || panelL == nil {
-			return rdd.Pair{}, fmt.Errorf("core: phase-3 key %v missing panels (%d copies)", k, len(copies))
+			return rdd.Pair{}, fmt.Errorf("core: phase-3 key %v missing panels (%d copies)", k, copies)
 		}
 		if panelL.T == nil {
 			return rdd.Pair{}, fmt.Errorf("core: phase-3 key %v got panel %d without its A[i,%d] orientation", k, panelL.Row, panelL.Row)

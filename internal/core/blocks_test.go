@@ -41,6 +41,9 @@ func TestPredicates(t *testing.T) {
 	if !OnDiagonal(2)(d) || OnDiagonal(1)(d) || OnDiagonal(2)(p) {
 		t.Fatal("OnDiagonal wrong")
 	}
+	if !InPanel(1)(p) || !InPanel(3)(p) || InPanel(2)(p) || InPanel(2)(d) || !InPanel(0)(rdd.Pair{Key: key(0, 2)}) {
+		t.Fatal("InPanel wrong")
+	}
 }
 
 func TestFloydWarshallBlockChargesAndSolves(t *testing.T) {
@@ -187,31 +190,29 @@ func TestUpdateOff(t *testing.T) {
 	}
 }
 
-func TestListAppendCombiners(t *testing.T) {
-	tc := taskCtx(t)
-	a := tb(matrix.New(1, 1))
-	b := &TaggedBlock{Tag: TagDiagCopy, B: matrix.New(1, 1)}
-	acc, err := ListAppendCreate(tc, a)
-	if err != nil {
-		t.Fatal(err)
+// group is the records GroupByKey hands an unpack function at key k.
+func group(k graph.BlockKey, vals ...*TaggedBlock) []rdd.Pair {
+	g := make([]rdd.Pair, len(vals))
+	for i, v := range vals {
+		g[i] = rdd.Pair{Key: k, Value: v}
 	}
-	acc, err = ListAppendMerge(tc, acc, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	list := acc.(blockList)
-	if len(list) != 2 || list[0] != a || list[1] != b {
-		t.Fatalf("list = %v", list)
-	}
+	return g
 }
 
-func TestSplitListErrors(t *testing.T) {
+// TestUnpackGroupErrors checks the base-block rule both unpack functions
+// share: a group holds exactly one base block.
+func TestUnpackGroupErrors(t *testing.T) {
+	tc := taskCtx(t)
 	base := tb(matrix.New(1, 1))
-	if _, _, err := splitList(blockList{base, base}); err == nil {
-		t.Fatal("two base blocks accepted")
-	}
-	if _, _, err := splitList(blockList{{Tag: TagDiagCopy}}); err == nil {
-		t.Fatal("missing base accepted")
+	for name, fn := range map[string]func(*rdd.TaskContext, []rdd.Pair) (rdd.Pair, error){
+		"phase 2": UnpackPhase2(1), "phase 3": UnpackPhase3(),
+	} {
+		if _, err := fn(tc, group(key(0, 2), base, base)); err == nil {
+			t.Fatalf("%s: two base blocks accepted", name)
+		}
+		if _, err := fn(tc, group(key(0, 2), &TaggedBlock{Tag: TagDiagCopy})); err == nil {
+			t.Fatalf("%s: missing base accepted", name)
+		}
 	}
 }
 
@@ -219,7 +220,7 @@ func TestUnpackPhase2Errors(t *testing.T) {
 	tc := taskCtx(t)
 	fn := UnpackPhase2(1)
 	// Only a base block: passthrough (q == 1 case).
-	out, err := fn(tc, rdd.Pair{Key: key(0, 1), Value: blockList{tb(matrix.New(1, 1))}})
+	out, err := fn(tc, group(key(0, 1), tb(matrix.New(1, 1))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +228,22 @@ func TestUnpackPhase2Errors(t *testing.T) {
 		t.Fatal("passthrough lost base")
 	}
 	// Wrong copy type.
-	_, err = fn(tc, rdd.Pair{Key: key(0, 1), Value: blockList{
-		tb(matrix.New(1, 1)), {Tag: TagPanelCopy, B: matrix.New(1, 1)},
-	}})
+	_, err = fn(tc, group(key(0, 1), tb(matrix.New(1, 1)), &TaggedBlock{Tag: TagPanelCopy, B: matrix.New(1, 1)}))
 	if err == nil {
 		t.Fatal("panel copy accepted in phase 2")
+	}
+	// A second diagonal copy, before or after the base block.
+	diag := &TaggedBlock{Tag: TagDiagCopy, B: matrix.New(1, 1)}
+	if _, err := fn(tc, group(key(0, 1), diag, tb(matrix.New(1, 1)), diag)); err == nil {
+		t.Fatal("two diagonal copies accepted in phase 2")
+	}
+	// The base block may arrive after its copy.
+	out, err = fn(tc, group(key(0, 1), diag, tb(matrix.New(1, 1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Key != key(0, 1) || out.Value.(*TaggedBlock).Tag != TagBase {
+		t.Fatalf("phase-2 update = %v %+v", out.Key, out.Value)
 	}
 }
 
@@ -240,9 +252,9 @@ func TestUnpackPhase3DiagonalUsesPanelTwice(t *testing.T) {
 	fn := UnpackPhase3()
 	base, _ := matrix.FromRows([][]float64{{10}})
 	panel, _ := matrix.FromRows([][]float64{{2}}) // A[K,i] = 2
-	out, err := fn(tc, rdd.Pair{Key: key(3, 3), Value: blockList{
-		tb(base), {Tag: TagPanelCopy, Row: 3, B: panel, T: panel.Transpose()},
-	}})
+	out, err := fn(tc, group(key(3, 3),
+		tb(base), &TaggedBlock{Tag: TagPanelCopy, Row: 3, B: panel, T: panel.Transpose()},
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,22 +268,27 @@ func TestUnpackPhase3Errors(t *testing.T) {
 	tc := taskCtx(t)
 	fn := UnpackPhase3()
 	base := tb(matrix.New(1, 1))
-	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: blockList{base}}); err == nil {
+	if _, err := fn(tc, group(key(0, 2), base)); err == nil {
 		t.Fatal("missing panels accepted")
 	}
-	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: blockList{
-		base, {Tag: TagPanelCopy, Row: 7, B: matrix.New(1, 1)},
-	}}); err == nil {
+	if _, err := fn(tc, group(key(0, 2),
+		base, &TaggedBlock{Tag: TagPanelCopy, Row: 0, B: matrix.New(1, 1), T: matrix.New(1, 1)},
+	)); err == nil {
+		t.Fatal("missing panel L accepted")
+	}
+	if _, err := fn(tc, group(key(0, 2),
+		base, &TaggedBlock{Tag: TagPanelCopy, Row: 7, B: matrix.New(1, 1)},
+	)); err == nil {
 		t.Fatal("stray panel row accepted")
 	}
-	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: blockList{
-		base, {Tag: TagDiagCopy, B: matrix.New(1, 1)},
-	}}); err == nil {
+	if _, err := fn(tc, group(key(0, 2),
+		base, &TaggedBlock{Tag: TagDiagCopy, B: matrix.New(1, 1)},
+	)); err == nil {
 		t.Fatal("diag copy accepted in phase 3")
 	}
-	if _, err := fn(tc, rdd.Pair{Key: key(0, 2), Value: blockList{
-		base, {Tag: TagPanelCopy, Row: 0, B: matrix.New(1, 1)}, {Tag: TagPanelCopy, Row: 2, B: matrix.New(1, 1)},
-	}}); err == nil {
+	if _, err := fn(tc, group(key(0, 2),
+		base, &TaggedBlock{Tag: TagPanelCopy, Row: 0, B: matrix.New(1, 1)}, &TaggedBlock{Tag: TagPanelCopy, Row: 2, B: matrix.New(1, 1)},
+	)); err == nil {
 		t.Fatal("panel copy without its second orientation accepted")
 	}
 }

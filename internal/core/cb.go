@@ -65,9 +65,7 @@ func (BlockedCollectBroadcast) step(rc *rdd.Context, in Input, part rdd.Partitio
 		// (line 5), then collect and stage the updated panels (lines 6-7).
 		// Each task also makes its panel's second orientation, so neither
 		// the driver nor any Phase-3 task transposes.
-		rowcol := a.Filter("panels", func(p rdd.Pair) bool {
-			return InColumn(i)(p) && !OnDiagonal(i)(p)
-		}).Map("minPlusPanel", func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
+		rowcol := a.Filter("panels", InPanel(i)).Map("minPlusPanel", func(tc *rdd.TaskContext, p rdd.Pair) (rdd.Pair, error) {
 			k := p.Key
 			base := p.Value.(*TaggedBlock)
 			dv, err := tc.SharedGet(cbDiagKey(i))

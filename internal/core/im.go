@@ -12,7 +12,10 @@ import (
 // broadcast simulated by data shuffling. The implementation stays entirely
 // inside fault-tolerant engine functionality, so it is "pure", but it is
 // data intensive: each of the q iterations shuffles O(q^2) block copies,
-// and the staged shuffle files accumulate on local SSDs.
+// and the staged shuffle files accumulate on local SSDs. The pairing here
+// is Spark's groupByKey, charged exactly as combineByKey with a ListAppend
+// combiner: the grouping itself charges nothing, and it follows a
+// partitionBy with the same partitioner, so it is narrow.
 type BlockedInMemory struct{}
 
 // Name implements Solver.
@@ -40,12 +43,9 @@ func (BlockedInMemory) step(rc *rdd.Context, in Input, part rdd.Partitioner) ste
 
 		// Phase 2: pair panels with the diagonal copies and update them
 		// (lines 6-10).
-		panels := a.Filter("panels", func(p rdd.Pair) bool {
-			return InColumn(i)(p) && !OnDiagonal(i)(p)
-		})
+		panels := a.Filter("panels", InPanel(i))
 		phase2 := rc.Union(panels, diagCopies).
-			CombineByKey(part, ListAppendCreate, ListAppendMerge).
-			Map("unpackPhase2", UnpackPhase2(i)).
+			GroupByKey(part, UnpackPhase2(i)).
 			Persist()
 		panelCopies := phase2.
 			FlatMap("copyCol", CopyCol(q, i)).
@@ -54,8 +54,7 @@ func (BlockedInMemory) step(rc *rdd.Context, in Input, part rdd.Partitioner) ste
 		// Phase 3: update the remaining blocks (lines 12-15).
 		off := a.Filter("off", NotInColumn(i))
 		phase3 := rc.Union(off, panelCopies).
-			CombineByKey(part, ListAppendCreate, ListAppendMerge).
-			Map("unpackPhase3", UnpackPhase3())
+			GroupByKey(part, UnpackPhase3())
 
 		// Reassemble A for the next iteration; the repartition both
 		// restores the intended layout and caps the union's partition

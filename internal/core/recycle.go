@@ -31,28 +31,19 @@ func recycler(in Input) func(severed, kept [][]rdd.Pair) {
 }
 
 // eachBlock calls fn for every block the records' values reference: both
-// orientations of tagged blocks, alone or in combined lists.
+// orientations of tagged blocks.
 func eachBlock(parts [][]rdd.Pair, fn func(*matrix.Block)) {
-	tagged := func(tb *TaggedBlock) {
-		if tb == nil {
-			return
-		}
-		if tb.B != nil {
-			fn(tb.B)
-		}
-		if tb.T != nil {
-			fn(tb.T)
-		}
-	}
 	for _, part := range parts {
 		for _, rec := range part {
-			switch v := rec.Value.(type) {
-			case *TaggedBlock:
-				tagged(v)
-			case blockList:
-				for _, tb := range v {
-					tagged(tb)
-				}
+			tb, ok := rec.Value.(*TaggedBlock)
+			if !ok || tb == nil {
+				continue
+			}
+			if tb.B != nil {
+				fn(tb.B)
+			}
+			if tb.T != nil {
+				fn(tb.T)
 			}
 		}
 	}

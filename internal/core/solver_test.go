@@ -282,9 +282,6 @@ func TestSizeOfCoreTypes(t *testing.T) {
 	if (&TaggedBlock{B: b, T: b}).SizeBytes() != b.SizeBytes() {
 		t.Fatal("TaggedBlock size wrong: B alone counts")
 	}
-	if (blockList{{B: b}, {B: b}}).SizeBytes() != 2*b.SizeBytes() {
-		t.Fatal("list size wrong")
-	}
 	if (*TaggedBlock)(nil).SizeBytes() != 0 || (&TaggedBlock{}).SizeBytes() != 0 {
 		t.Fatal("nil TaggedBlock size wrong")
 	}

@@ -8,7 +8,8 @@
 //     candidate fails before any query can touch it;
 //  3. sampled differential rows — a mix of dirty and clean rows is
 //     recomputed from scratch (Dijkstra over the new graph) and diffed
-//     against the candidate within float tolerance, which catches a
+//     against the candidate within float tolerance (in an f32 tile, the
+//     reference's float32 rounding also passes), which catches a
 //     wrong *classification* (a row that changed but was copied) as
 //     well as a wrong solve.
 //
@@ -91,7 +92,9 @@ func (m *Manager) validate(ctx context.Context, id string, g *graph.Graph, dirty
 			if math.IsInf(a, 1) && math.IsInf(b, 1) {
 				continue
 			}
-			if math.Abs(a-b) > dirtyTol(a) {
+			// An f32 tile holds the reference's float32 rounding.
+			if math.Abs(a-b) > dirtyTol(a) &&
+				(cand.TileCodec(r/cand.BlockSize(), j/cand.BlockSize()) != store.CodecF32 || b != float64(float32(a))) {
 				return fmt.Errorf("differential row %d diverges at column %d: candidate %v, reference %v", r, j, b, a)
 			}
 		}

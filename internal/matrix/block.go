@@ -54,7 +54,8 @@ func Recast[C, S Cell](x S) C {
 // Block is a dense, row-major matrix block over the min-plus semiring.
 // A Block with nil Data is a phantom: it has a shape and a byte size but no
 // elements. Phantom blocks flow through the same solver code paths as dense
-// ones; kernels detect them and return phantoms.
+// ones; kernels detect them and return phantoms. Phantoms are never
+// written, so solvers pass a phantom operand through instead of copying it.
 type Block struct {
 	R, C int
 	Data []float64 // len R*C when dense; nil when phantom

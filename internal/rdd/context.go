@@ -2,7 +2,8 @@
 // driver/executor engine with lazy, lineage-tracked RDDs of ((I, J), value)
 // records — a block key and a value that reports its own size (Pair,
 // Sized) — narrow transformations pipelined into stages, wide
-// transformations realized through a hash shuffle with local-SSD staging,
+// transformations (PartitionBy, ReduceByKey, GroupByKey) realized through
+// a hash shuffle with local-SSD staging,
 // collect/broadcast actions, custom partitioners, and lineage-based task
 // retry. Real record payloads and phantom (shape-only) payloads flow
 // through identical code paths; the virtual cluster converts every task,

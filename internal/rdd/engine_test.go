@@ -211,29 +211,38 @@ func TestCollectCostScalesWithBytes(t *testing.T) {
 // TestNarrowCoPartitionedCombine verifies the Spark behaviour the Blocked
 // In-Memory solver depends on: a wide transformation whose input already
 // has the target partitioner becomes narrow — no shuffle bytes, no local
-// staging.
+// staging — and GroupByKey still groups each partition in place.
 func TestNarrowCoPartitionedCombine(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	part := Modulo{Parts: 4}
-	r := ctx.Parallelize("src", intPairs(40), Modulo{Parts: 2}).
+	pairs := append(intPairs(40), intPairs(40)...)
+	r := ctx.Parallelize("src", pairs, Modulo{Parts: 2}).
 		PartitionBy(part)
 	if _, err := count(r); err != nil {
 		t.Fatal(err)
 	}
 	before := ctx.Cluster.Metrics().ShuffleBytes
-	combined := r.CombineByKey(part, appendCreate, appendMerge)
-	n, err := count(combined)
+	grouped := r.GroupByKey(part, listGroup)
+	got, err := grouped.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 40 {
-		t.Fatalf("combine lost records: %d", n)
+	if len(got) != 40 {
+		t.Fatalf("grouping made %d records, want 40", len(got))
+	}
+	for _, p := range got {
+		if v := num(p.Key.I * 10); !slices.Equal(p.Value.(nums), nums{v, v}) {
+			t.Fatalf("key %v grouped %v, want both copies of %v", p.Key, p.Value, v)
+		}
 	}
 	if got := ctx.Cluster.Metrics().ShuffleBytes; got != before {
-		t.Fatalf("co-partitioned combine shuffled %d bytes", got-before)
+		t.Fatalf("co-partitioned grouping shuffled %d bytes", got-before)
 	}
-	if combined.Partitioner() != Partitioner(part) {
-		t.Fatal("narrow combine lost the partitioner")
+	if grouped.Partitioner() != Partitioner(part) {
+		t.Fatal("narrow grouping lost the partitioner")
+	}
+	if grouped.Name() != "groupByKey.narrow" {
+		t.Fatalf("grouping is %q, want the narrow dependency", grouped.Name())
 	}
 }
 

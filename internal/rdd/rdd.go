@@ -1,7 +1,6 @@
 package rdd
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -13,7 +12,7 @@ import (
 // RDD is a lazily evaluated, partitioned dataset of Pairs with tracked
 // lineage. Narrow transformations (Map, FlatMap, Filter, Union) pipeline
 // into their consumer's stage, exactly like Spark; wide transformations
-// (PartitionBy, ReduceByKey, CombineByKey) cut stage boundaries
+// (PartitionBy, ReduceByKey, GroupByKey) cut stage boundaries
 // and move data through the shuffle.
 type RDD struct {
 	ctx   *Context
@@ -305,7 +304,7 @@ func (r *RDD) Unpersist() {
 }
 
 // shuffleOutput builds the wide-dependency machinery shared by
-// PartitionBy, ReduceByKey and CombineByKey: a map-side stage partitions
+// PartitionBy, ReduceByKey and GroupByKey: a map-side stage partitions
 // every parent record (charging serialization plus local-SSD staging on
 // the writer's node), and the returned RDD's compute merges the buckets
 // for its partition (charging network fetch plus deserialization).
@@ -316,7 +315,7 @@ func (r *RDD) Unpersist() {
 // by the target partitioner degenerates to a narrow, shuffle-free
 // dependency: the fold runs partition-local with no staging or network
 // traffic. The paper's Blocked In-Memory solver depends on this — its
-// combineByKey calls follow partitionBy with the same partitioner, so the
+// groupByKey calls follow partitionBy with the same partitioner, so the
 // block pairing happens in place.
 func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *TaskContext, bucket []Pair) ([]Pair, error), fold func(tc *TaskContext, bucket []Pair) ([]Pair, error)) *RDD {
 	if r.partitioner != nil && r.partitioner == part {
@@ -381,21 +380,27 @@ func (r *RDD) shuffleOutput(name string, part Partitioner, mapSide func(tc *Task
 			if err != nil {
 				return nil, err
 			}
-			// Only the buckets this task has records for: a task holds a
-			// handful of records, the shuffle thousands of reduce partitions.
-			local := bucketize(in, part)
+			// Only the buckets this task has records for, in ascending
+			// partition order (the order of the map-side combine's float
+			// charges). Never nil: nil marks a map task with no commit.
+			local := make([]mapBucket, 0, len(in))
 			var written int64
-			for j := range local {
-				lb := &local[j]
-				if mapSide != nil && len(lb.pairs) > 1 {
-					if lb.pairs, err = mapSide(tc, lb.pairs); err != nil {
-						return nil, err
+			err = eachRun(in, part.Partition, func(j int, run []Pair) (err error) {
+				if mapSide != nil && len(run) > 1 {
+					if run, err = mapSide(tc, run); err != nil {
+						return err
 					}
 				}
-				for _, rec := range lb.pairs {
+				lb := mapBucket{part: j, pairs: run}
+				for _, rec := range run {
 					lb.bytes += sizeOf(rec.Value)
 				}
 				written += lb.bytes
+				local = append(local, lb)
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 			// Staged and transferred shuffle bytes are lz4-compressed by
 			// Spark; serialization still touches the raw volume.
@@ -458,36 +463,35 @@ type mapBucket struct {
 	bytes int64
 }
 
-// bucketize splits a map task's records into the reduce partitions part
-// sends them to: one bucket per partition that gets any, in ascending
-// partition order (the order the map-side combine's float charges are made
-// in), each holding its records in input order — a stable sort by
-// partition. The result is never nil: nil marks a map task with no
-// committed attempt.
-func bucketize(in []Pair, part Partitioner) []mapBucket {
-	type routed struct {
-		part int
-		rec  Pair
-	}
-	rs := make([]routed, len(in))
+// eachRun calls fn, until it fails, with each run of in's records sharing
+// a label (label is called once per record, in order), labels ascending,
+// records in input order. Runs are read-only views of in, or of a copy
+// regrouped by sorting (label, index) pairs packed into one word (labels
+// and record counts stay below 2^32).
+func eachRun(in []Pair, label func(graph.BlockKey) int, fn func(label int, run []Pair) error) error {
+	order := make([]uint64, len(in))
 	for i, rec := range in {
-		rs[i] = routed{part.Partition(rec.Key), rec}
+		order[i] = uint64(label(rec.Key))<<32 | uint64(i)
 	}
-	slices.SortStableFunc(rs, func(a, b routed) int { return cmp.Compare(a.part, b.part) })
-	sorted := make([]Pair, len(rs))
-	for i := range rs {
-		sorted[i] = rs[i].rec
+	sorted := in
+	if !slices.IsSorted(order) {
+		slices.Sort(order)
+		sorted = make([]Pair, len(in))
+		for i, o := range order {
+			sorted[i] = in[uint32(o)]
+		}
 	}
-	local := make([]mapBucket, 0, len(rs))
-	for lo := 0; lo < len(rs); {
-		hi := lo + 1
-		for hi < len(rs) && rs[hi].part == rs[lo].part {
+	for lo := 0; lo < len(order); {
+		l, hi := order[lo]>>32, lo+1
+		for hi < len(order) && order[hi]>>32 == l {
 			hi++
 		}
-		local = append(local, mapBucket{part: rs[lo].part, pairs: sorted[lo:hi:hi]})
+		if err := fn(int(l), sorted[lo:hi:hi]); err != nil {
+			return err
+		}
 		lo = hi
 	}
-	return local
+	return nil
 }
 
 // PartitionBy redistributes records by the given partitioner (wide).
@@ -502,48 +506,51 @@ func (r *RDD) PartitionBy(part Partitioner) *RDD {
 // (combining before the shuffle write) and reduce-side.
 func (r *RDD) ReduceByKey(part Partitioner, f func(tc *TaskContext, a, b Sized) (Sized, error)) *RDD {
 	fold := func(tc *TaskContext, bucket []Pair) ([]Pair, error) {
-		return foldByKey(tc, bucket, func(tc *TaskContext, acc, v Sized, first bool) (Sized, error) {
-			if first {
-				return v, nil
+		return foldGroups(tc, bucket, func(tc *TaskContext, group []Pair) (p Pair, err error) {
+			p = group[0]
+			for _, rec := range group[1:] {
+				if p.Value, err = f(tc, p.Value, rec.Value); err != nil {
+					return Pair{}, err
+				}
 			}
-			return f(tc, acc, v)
+			return p, nil
 		})
 	}
 	return r.shuffleOutput("reduceByKey", part, fold, fold)
 }
 
-// CombineByKey aggregates values per key with an explicit combiner, the
-// shape the paper's ListAppend building block plugs into (wide). No
-// map-side combine: the solvers' combiners build lists whose size equals
-// the inputs, so combining early would not reduce shuffle volume.
-func (r *RDD) CombineByKey(part Partitioner, create func(tc *TaskContext, v Sized) (Sized, error), merge func(tc *TaskContext, acc, v Sized) (Sized, error)) *RDD {
-	return r.shuffleOutput("combineByKey", part, nil, func(tc *TaskContext, bucket []Pair) ([]Pair, error) {
-		return foldByKey(tc, bucket, func(tc *TaskContext, acc, v Sized, first bool) (Sized, error) {
-			if first {
-				return create(tc, v)
-			}
-			return merge(tc, acc, v)
-		})
+// GroupByKey is Spark's groupByKey().map(f) as one wide transformation,
+// the shape the paper's ListAppend/ListUnpack building blocks take: f gets
+// each key's records as one group (keys in first-seen order, records in
+// arrival order; f must not keep or modify it) and returns that key's one
+// output record. No map-side combine: a group is as large as its inputs,
+// so grouping early would not reduce shuffle volume.
+func (r *RDD) GroupByKey(part Partitioner, f func(tc *TaskContext, group []Pair) (Pair, error)) *RDD {
+	return r.shuffleOutput("groupByKey", part, nil, func(tc *TaskContext, bucket []Pair) ([]Pair, error) {
+		return foldGroups(tc, bucket, f)
 	})
 }
 
-// foldByKey folds a shuffled bucket by key: one record per key, in
-// first-seen key order, each key's values folded in arrival order.
-func foldByKey(tc *TaskContext, bucket []Pair, step func(tc *TaskContext, acc, v Sized, first bool) (Sized, error)) ([]Pair, error) {
+// foldGroups calls f on each key's records in a shuffled bucket, as one
+// eachRun run, keys in first-seen order, and returns f's records.
+func foldGroups(tc *TaskContext, bucket []Pair, f func(tc *TaskContext, group []Pair) (Pair, error)) ([]Pair, error) {
 	at := make(map[graph.BlockKey]int, len(bucket))
-	res := make([]Pair, 0, len(bucket))
-	for _, rec := range bucket {
-		j, seen := at[rec.Key]
+	firstSeen := func(k graph.BlockKey) int {
+		g, seen := at[k]
 		if !seen {
-			j = len(res)
-			at[rec.Key] = j
-			res = append(res, Pair{Key: rec.Key})
+			g = len(at)
+			at[k] = g
 		}
-		nv, err := step(tc, res[j].Value, rec.Value, !seen)
-		if err != nil {
-			return nil, err
-		}
-		res[j].Value = nv
+		return g
+	}
+	res := make([]Pair, 0, len(bucket))
+	err := eachRun(bucket, firstSeen, func(_ int, group []Pair) error {
+		p, err := f(tc, group)
+		res = append(res, p)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -26,15 +26,19 @@ type num int
 
 func (num) SizeBytes() int64 { return 64 }
 
-// nums is the list the tests' combiners build.
+// nums is the list the tests' groupings build.
 type nums []num
 
 func (l nums) SizeBytes() int64 { return int64(len(l)) * 64 }
 
-func appendCreate(tc *TaskContext, v Sized) (Sized, error) { return nums{v.(num)}, nil }
-
-func appendMerge(tc *TaskContext, acc, v Sized) (Sized, error) {
-	return append(acc.(nums), v.(num)), nil
+// listGroup is a GroupByKey function: the key's values as one list, in
+// the order the group holds them.
+func listGroup(tc *TaskContext, group []Pair) (Pair, error) {
+	l := make(nums, len(group))
+	for i, rec := range group {
+		l[i] = rec.Value.(num)
+	}
+	return Pair{Key: group[0].Key, Value: l}, nil
 }
 
 // key is the block key of record i, (i, 0): Modulo sends it to partition
@@ -193,22 +197,68 @@ func TestReduceByKey(t *testing.T) {
 	}
 }
 
-func TestCombineByKeyListAppend(t *testing.T) {
+// TestGroupByKey pins the grouping GroupByKey hands its function: each
+// key's records as one run, keys in first-seen order, records in arrival
+// order, however the keys interleave in the bucket.
+func TestGroupByKey(t *testing.T) {
 	ctx := newTestContext(t, cluster.Paper())
 	pairs := []Pair{
-		{Key: key(1), Value: num(1)}, {Key: key(1), Value: num(2)}, {Key: key(2), Value: num(3)},
+		{Key: key(4), Value: num(1)}, {Key: key(2), Value: num(2)}, {Key: key(4), Value: num(3)},
+		{Key: key(6), Value: num(4)}, {Key: key(2), Value: num(5)}, {Key: key(4), Value: num(6)},
+		{Key: key(1), Value: num(7)},
 	}
-	r := ctx.Parallelize("src", pairs, Modulo{Parts: 3}).
-		CombineByKey(Modulo{Parts: 2}, appendCreate, appendMerge)
-	got := collectSortedInts(t, r)
-	if len(got) != 2 {
-		t.Fatalf("combineByKey produced %d keys", len(got))
+	r := ctx.Parallelize("src", pairs, Modulo{Parts: 1}).
+		GroupByKey(Modulo{Parts: 2}, listGroup)
+	got, err := r.Collect()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if l := got[0].Value.(nums); len(l) != 2 {
-		t.Fatalf("key 1 list = %v", l)
+	// Partition 0 holds the even keys in first-seen order, partition 1 key 1.
+	want := []Pair{
+		{Key: key(4), Value: nums{1, 3, 6}}, {Key: key(2), Value: nums{2, 5}},
+		{Key: key(6), Value: nums{4}}, {Key: key(1), Value: nums{7}},
 	}
-	if l := got[1].Value.(nums); len(l) != 1 || l[0] != 3 {
-		t.Fatalf("key 2 list = %v", l)
+	if len(got) != len(want) {
+		t.Fatalf("groupByKey produced %d keys, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || !slices.Equal(got[i].Value.(nums), want[i].Value.(nums)) {
+			t.Fatalf("group %d = %v %v, want %v %v", i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+		}
+	}
+	// The source partition is read again by a second action, unreordered.
+	src := ctx.Parallelize("src", pairs, Modulo{Parts: 1})
+	if _, err := src.GroupByKey(src.Partitioner(), listGroup).Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := src.Collect(); err != nil || !slices.Equal(back, pairs) {
+		t.Fatalf("grouping reordered its input partition: %v, %v", back, err)
+	}
+}
+
+// TestGroupByKeyErrorStopsTask checks that an error from the group
+// function fails the task: no later key of the bucket is grouped, and the
+// action reports the error.
+func TestGroupByKeyErrorStopsTask(t *testing.T) {
+	ctx := newTestContext(t, cluster.Paper())
+	boom := errors.New("boom")
+	var seen []int
+	r := ctx.Parallelize("src", intPairs(3), Modulo{Parts: 1}).
+		GroupByKey(Modulo{Parts: 1}, func(tc *TaskContext, group []Pair) (Pair, error) {
+			seen = append(seen, group[0].Key.I)
+			if group[0].Key.I == 1 {
+				return Pair{}, boom
+			}
+			return group[0], nil
+		})
+	if _, err := r.Collect(); !errors.Is(err, boom) {
+		t.Fatalf("Collect error = %v, want %v", err, boom)
+	}
+	// Every attempt of the task (the engine retries it) stops at key 1.
+	for i := 0; i < len(seen); i += 2 {
+		if !slices.Equal(seen[i:min(i+2, len(seen))], []int{0, 1}) {
+			t.Fatalf("attempts grouped keys %v, want [0 1] per attempt", seen)
+		}
 	}
 }
 

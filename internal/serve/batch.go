@@ -6,9 +6,11 @@ import (
 )
 
 // Batch queries: many lookups per call, one boundary crossing. The HTTP
-// /batch endpoint maps straight onto these, but they are equally the Go
-// API for workloads like Isomap neighbourhood graphs or shortest-path
-// kernels that consume thousands of rows/KNNs per analysis step.
+// /batch endpoint maps its dist and knn sections straight onto these (its
+// rows it serves as the single-row endpoint does), but they are equally
+// the Go API for workloads like Isomap neighbourhood graphs or
+// shortest-path kernels that consume thousands of distances/KNNs per
+// analysis step.
 //
 // Batches are all-or-nothing for malformed input (an out-of-range vertex
 // fails the whole call, with the offending index in the error), because a
@@ -44,20 +46,6 @@ func (e *Engine) DistBatch(ctx context.Context, pairs []PairQuery) ([]float64, e
 			return nil, fmt.Errorf("dist[%d]: %w", i, err)
 		}
 		out[i] = d
-	}
-	return out, nil
-}
-
-// RowBatch answers len(from) single-source row queries in one call; each
-// returned row is caller-owned.
-func (e *Engine) RowBatch(ctx context.Context, from []int) ([][]float64, error) {
-	out := make([][]float64, len(from))
-	for i, f := range from {
-		row, err := e.Row(ctx, f)
-		if err != nil {
-			return nil, fmt.Errorf("row[%d]: %w", i, err)
-		}
-		out[i] = row
 	}
 	return out, nil
 }

@@ -73,19 +73,6 @@ func TestEngineBatchAPIs(t *testing.T) {
 		}
 	}
 
-	rows, err := e.RowBatch(ctx, []int{0, 5, 49})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, from := range []int{0, 5, 49} {
-		want, _ := e.Row(ctx, from)
-		for j := range want {
-			if math.Float64bits(rows[i][j]) != math.Float64bits(want[j]) {
-				t.Fatalf("RowBatch[%d][%d] mismatch", i, j)
-			}
-		}
-	}
-
 	kts, err := e.KNNBatch(ctx, []KNNQuery{{From: 0, K: 5}, {From: 7, K: 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -102,9 +89,6 @@ func TestEngineBatchAPIs(t *testing.T) {
 	// Malformed input fails the whole batch with the offending index.
 	if _, err := e.DistBatch(ctx, []PairQuery{{0, 1}, {0, 99}}); err == nil || !strings.Contains(err.Error(), "dist[1]") {
 		t.Fatalf("DistBatch out-of-range: err = %v", err)
-	}
-	if _, err := e.RowBatch(ctx, []int{-1}); err == nil {
-		t.Fatal("RowBatch accepted a negative vertex")
 	}
 }
 

@@ -102,12 +102,12 @@ func TestGenerationLifecycle(t *testing.T) {
 // byte-identical to a from-scratch SolveToStore of the new graph, raw,
 // ivarint and f32. The graph is two components, so the batch leaves half
 // its panels clean. On integer weights the dirty panels are solved and
-// written as uint32 cells, on real weights as float64 rows. (An f32
-// store of real distances is not rebuilt at all: its rounding fails the
-// update's differential validation.)
+// written as uint32 cells, on real weights as float64 rows; an f32 store
+// of real distances passes the update's differential validation, which
+// accepts its tiles' float32 rounding.
 func TestGenerationRebuildMatchesFreshSolve(t *testing.T) {
 	rebuildMatchesFreshSolve(t, graph.IntegerWeights(100), "raw", "ivarint", "f32")
-	rebuildMatchesFreshSolve(t, graph.UniformWeights(100), "raw", "ivarint")
+	rebuildMatchesFreshSolve(t, graph.UniformWeights(100), "raw", "ivarint", "f32")
 }
 
 func rebuildMatchesFreshSolve(t *testing.T, weightFn graph.WeightFn, codecs ...string) {
