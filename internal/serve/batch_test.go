@@ -277,27 +277,20 @@ func bigBatchBody(n int) string {
 }
 
 // TestJSONRowNonFinite: +Inf, -Inf and NaN all serialize as null — the
-// encoder must never emit a token JSON parsers reject, even for
+// writer must never emit a token JSON parsers reject, even for
 // distances a hand-edited edge list smuggled in.
 func TestJSONRowNonFinite(t *testing.T) {
-	buf, err := json.Marshal(jsonRow{1.5, math.Inf(1), math.Inf(-1), math.NaN(), 0})
-	if err != nil {
-		t.Fatal(err)
+	buf := appendRowAnswer(nil, 3, []float64{1.5, math.Inf(1), math.Inf(-1), math.NaN(), 0})
+	if string(buf) != `{"from":3,"n":5,"dist":[1.5,null,null,null,0]}` {
+		t.Fatalf("row answer = %s", buf)
 	}
-	if string(buf) != `[1.5,null,null,null,0]` {
-		t.Fatalf("jsonRow = %s", buf)
-	}
-	var back []any
+	var back map[string]any
 	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatalf("jsonRow output is not valid JSON: %v", err)
+		t.Fatalf("row answer is not valid JSON: %v", err)
 	}
 	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		buf, err := json.Marshal(jsonDist(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(buf) != "null" {
-			t.Fatalf("jsonDist(%v) = %s, want null", v, buf)
+		if buf := appendDist(nil, v); string(buf) != "null" {
+			t.Fatalf("appendDist(%v) = %s, want null", v, buf)
 		}
 	}
 }

@@ -119,10 +119,12 @@ func checkEndpoints(t *testing.T, url string, dist *matrix.Block, from int) {
 		}
 	}
 
-	var kr knnResponse
+	var kr struct {
+		Targets []Target `json:"targets"`
+	}
 	getJSON(t, fmt.Sprintf("%s/knn?from=%d&k=3", url, from), http.StatusOK, &kr)
 	for _, tgt := range kr.Targets {
-		if !approxEq(float64(tgt.Dist), dist.At(from, tgt.To)) {
+		if !approxEq(tgt.Dist, dist.At(from, tgt.To)) {
 			t.Fatalf("knn(%d) -> %d = %v, want %v", from, tgt.To, tgt.Dist, dist.At(from, tgt.To))
 		}
 	}
@@ -131,9 +133,12 @@ func checkEndpoints(t *testing.T, url string, dist *matrix.Block, from int) {
 	// construction.
 	if len(kr.Targets) > 0 {
 		pt := kr.Targets[0].To
-		var pr pathResponse
+		var pr struct {
+			Dist float64 `json:"dist"`
+			Hops []int   `json:"hops"`
+		}
 		getJSON(t, fmt.Sprintf("%s/path?from=%d&to=%d", url, from, pt), http.StatusOK, &pr)
-		if !approxEq(float64(pr.Dist), dist.At(from, pt)) {
+		if !approxEq(pr.Dist, dist.At(from, pt)) {
 			t.Fatalf("path(%d,%d) dist = %v, want %v", from, pt, pr.Dist, dist.At(from, pt))
 		}
 		if len(pr.Hops) < 2 || pr.Hops[0] != from || pr.Hops[len(pr.Hops)-1] != pt {

@@ -1,13 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 
@@ -29,48 +29,28 @@ import (
 // unreachable path is a null-dist entry so one disconnected pair cannot
 // fail a thousand-query request. Handlers only read shared state, so the
 // standard library's per-connection goroutines need no extra locking
-// beyond what Source already provides. Small responses are staged
-// through pooled buffers (no per-request buffer allocation); row-bearing
-// responses additionally pay one jsonRow marshal allocation each.
+// beyond what Source already provides. Every query answer is appended
+// straight into a pooled buffer by one append function per response
+// shape, byte for byte what encoding/json writes for the same value, so
+// an answer costs no reflection and no per-request buffer; encoding/json
+// stays where strings or untrusted input are involved (the /batch request,
+// /healthz, error bodies).
 
-// jsonDist encodes a distance, mapping +Inf ("no path") to null. NaN and
-// -Inf cannot occur for well-formed inputs (negative weights are rejected
-// at graph construction) but a hand-edited edge list can smuggle them in;
-// they have no JSON encoding either, so they also map to null rather than
-// corrupting the payload.
-type jsonDist float64
-
-func (d jsonDist) MarshalJSON() ([]byte, error) {
-	if !isFiniteDist(float64(d)) {
-		return []byte("null"), nil
+// appendDist appends one distance. A non-finite value is null: +Inf is
+// "no path", and NaN or -Inf, which only a hand-edited edge list can
+// smuggle in, have no JSON encoding either. An integral value below 2^53
+// (not -0) is exact as an int64 and prints the same through AppendInt;
+// any other goes through appendJSONFloat.
+func appendDist(b []byte, v float64) []byte {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return append(b, "null"...)
 	}
-	return json.Marshal(float64(d))
-}
-
-func isFiniteDist(v float64) bool {
-	return !math.IsInf(v, 0) && !math.IsNaN(v)
-}
-
-// jsonRow encodes a whole distance row in one MarshalJSON call (one
-// append-only pass, +Inf as null) instead of a reflective MarshalJSON per
-// element — the difference between microseconds and milliseconds on a
-// large /row or /batch response.
-type jsonRow []float64
-
-func (r jsonRow) MarshalJSON() ([]byte, error) {
-	out := make([]byte, 0, jsonRowEstBytes*len(r)+2)
-	out = append(out, '[')
-	for i, v := range r {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		if !isFiniteDist(v) {
-			out = append(out, "null"...)
-		} else {
-			out = appendJSONFloat(out, v)
+	if math.Abs(v) < 1<<53 {
+		if i := int64(v); float64(i) == v && (i != 0 || !math.Signbit(v)) {
+			return strconv.AppendInt(b, i, 10)
 		}
 	}
-	return append(out, ']'), nil
+	return appendJSONFloat(b, v)
 }
 
 // appendJSONFloat formats v the way encoding/json does (shortest
@@ -92,38 +72,93 @@ func appendJSONFloat(out []byte, v float64) []byte {
 	return out
 }
 
-type distResponse struct {
-	From int      `json:"from"`
-	To   int      `json:"to"`
-	Dist jsonDist `json:"dist"`
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+// appendPairHead appends the fields /dist and /path answers share,
+// leaving the object open: {"from":F,"to":T,"dist":D
+func appendPairHead(b []byte, from, to int, d float64) []byte {
+	b = append(b, `{"from":`...)
+	b = appendInt(b, from)
+	b = append(b, `,"to":`...)
+	b = appendInt(b, to)
+	b = append(b, `,"dist":`...)
+	return appendDist(b, d)
 }
 
-type rowResponse struct {
-	From int     `json:"from"`
-	N    int     `json:"n"`
-	Dist jsonRow `json:"dist,omitempty"`
-	// Error carries a typed per-item failure inside /batch ("corrupt_tile"
-	// when the store copy of the row is quarantined and no recompute path
-	// is wired); Dist is absent then. Standalone /row still fails whole.
-	Error string `json:"error,omitempty"`
+// appendDistAnswer appends {"from":F,"to":T,"dist":D}.
+func appendDistAnswer(b []byte, from, to int, d float64) []byte {
+	return append(appendPairHead(b, from, to, d), '}')
 }
 
-type knnTarget struct {
-	To   int      `json:"to"`
-	Dist jsonDist `json:"dist"`
+// appendRowAnswer appends {"from":F,"n":N,"dist":[...]}; an empty row
+// has no "dist" field.
+func appendRowAnswer(b []byte, from int, row []float64) []byte {
+	b = append(b, `{"from":`...)
+	b = appendInt(b, from)
+	b = append(b, `,"n":`...)
+	b = appendInt(b, len(row))
+	if len(row) > 0 {
+		b = append(b, `,"dist":[`...)
+		for i, v := range row {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendDist(b, v)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
-type knnResponse struct {
-	From    int         `json:"from"`
-	K       int         `json:"k"`
-	Targets []knnTarget `json:"targets"`
+// appendKNNAnswer appends {"from":F,"k":K,"targets":[{"to":T,"dist":D},...]};
+// no targets is [].
+func appendKNNAnswer(b []byte, from, k int, ts []Target) []byte {
+	b = append(b, `{"from":`...)
+	b = appendInt(b, from)
+	b = append(b, `,"k":`...)
+	b = appendInt(b, k)
+	b = append(b, `,"targets":[`...)
+	for i, t := range ts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"to":`...)
+		b = appendInt(b, t.To)
+		b = append(b, `,"dist":`...)
+		b = appendDist(b, t.Dist)
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
 }
 
-type pathResponse struct {
-	From int      `json:"from"`
-	To   int      `json:"to"`
-	Dist jsonDist `json:"dist"`
-	Hops []int    `json:"hops"`
+// appendPathAnswer appends {"from":F,"to":T,"dist":D,"hops":[...]}; nil
+// hops (an unreachable /batch path) are null.
+func appendPathAnswer(b []byte, from, to int, d float64, hops []int) []byte {
+	b = append(appendPairHead(b, from, to, d), `,"hops":`...)
+	if hops == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, h := range hops {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendInt(b, h)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendSection opens a /batch section, "name":[ , after the object's
+// opening brace or a previous section.
+func appendSection(b []byte, name string) []byte {
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
+	}
+	b = append(b, '"')
+	b = append(b, name...)
+	return append(b, `":[`...)
 }
 
 type errorResponse struct {
@@ -131,7 +166,12 @@ type errorResponse struct {
 }
 
 // BatchRequest is the /batch request body: any mix of query kinds, each
-// answered positionally in the response. Limits: MaxBatchItems queries
+// answered positionally in the response. The response carries one
+// section per non-empty request section, under the same name, whose
+// entry i answers query i with the single-query endpoint's shape. A path
+// entry between disconnected vertices has a null dist and null hops; a
+// row whose store copy is corrupt, with no recompute path wired, is
+// {"from":F,"n":0,"error":"corrupt_tile"}. Limits: MaxBatchItems queries
 // per request, maxBatchBody request bytes.
 type BatchRequest struct {
 	Dist []PairQuery `json:"dist,omitempty"`
@@ -140,24 +180,14 @@ type BatchRequest struct {
 	Path []PairQuery `json:"path,omitempty"`
 }
 
-// BatchResponse answers a BatchRequest: result i of each slice answers
-// query i of the same-named request slice. A path entry between
-// disconnected vertices has a null dist and no hops.
-type BatchResponse struct {
-	Dist []distResponse `json:"dist,omitempty"`
-	Row  []rowResponse  `json:"row,omitempty"`
-	KNN  []knnResponse  `json:"knn,omitempty"`
-	Path []pathResponse `json:"path,omitempty"`
-}
-
 // MaxBatchItems caps the total queries of one /batch request.
 const MaxBatchItems = 8192
 
 // MaxBatchValues caps the answer values (row distances, KNN targets,
 // worst-case path hops) a single /batch may produce: a few-KB request
 // must not be able to amplify into a response that balloons server
-// memory. 4M values bounds the materialized response plus its one
-// encoded copy to roughly 80 MB per in-flight request.
+// memory. 4M values, at most 25 bytes of text each, bound the one
+// encoded body to roughly 100 MB per in-flight request.
 const MaxBatchValues = 4 << 20
 
 // maxBatchBody caps the /batch request body (the response may be much
@@ -235,7 +265,7 @@ func Handler(e *Engine) http.Handler {
 		writeJSON(w, http.StatusOK, h)
 	})
 	mux.HandleFunc("GET /dist", func(w http.ResponseWriter, r *http.Request) {
-		from, to, ok := vertexPair(w, r, e.N())
+		from, to, ok := vertexPair(w, r.URL.Query(), e.N())
 		if !ok {
 			return
 		}
@@ -244,32 +274,37 @@ func Handler(e *Engine) http.Handler {
 			writeError(w, errStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, distResponse{From: from, To: to, Dist: jsonDist(d)})
+		rb := getRespBuf()
+		rb.b = appendDistAnswer(rb.b, from, to, d)
+		writeAnswer(w, rb)
 	})
 	mux.HandleFunc("GET /row", func(w http.ResponseWriter, r *http.Request) {
-		from, ok := vertexParam(w, r, "from", e.N())
+		from, ok := vertexParam(w, r.URL.Query(), "from", e.N())
 		if !ok {
 			return
 		}
 		// Serve from a shared row view when the source offers one: the
-		// encoder only reads, so a row-cache hit is copied zero times.
+		// writer only reads, so a row-cache hit is copied zero times.
 		row, release, err := e.acquireRow(r.Context(), from)
 		if err != nil {
 			writeError(w, errStatus(err), err)
 			return
 		}
-		writeJSONSized(w, http.StatusOK, rowResponse{From: from, N: len(row), Dist: row}, jsonRowEstBytes*len(row))
+		rb := getRespBuf()
+		rb.b = appendRowAnswer(rb.b, from, row)
 		if release != nil {
 			release()
 		}
+		writeAnswer(w, rb)
 	})
 	mux.HandleFunc("GET /knn", func(w http.ResponseWriter, r *http.Request) {
-		from, ok := vertexParam(w, r, "from", e.N())
+		q := r.URL.Query()
+		from, ok := vertexParam(w, q, "from", e.N())
 		if !ok {
 			return
 		}
 		k := DefaultK
-		if s := r.URL.Query().Get("k"); s != "" {
+		if s := q.Get("k"); s != "" {
 			v, err := strconv.Atoi(s)
 			if err != nil || v < 1 {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("k must be a positive integer, got %q", s))
@@ -282,10 +317,12 @@ func Handler(e *Engine) http.Handler {
 			writeError(w, errStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, knnResponse{From: from, K: k, Targets: knnTargets(targets)})
+		rb := getRespBuf()
+		rb.b = appendKNNAnswer(rb.b, from, k, targets)
+		writeAnswer(w, rb)
 	})
 	mux.HandleFunc("GET /path", func(w http.ResponseWriter, r *http.Request) {
-		from, to, ok := vertexPair(w, r, e.N())
+		from, to, ok := vertexPair(w, r.URL.Query(), e.N())
 		if !ok {
 			return
 		}
@@ -301,7 +338,9 @@ func Handler(e *Engine) http.Handler {
 			writeError(w, errStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, pathResponse{From: from, To: to, Dist: jsonDist(p.Dist), Hops: p.Hops})
+		rb := getRespBuf()
+		rb.b = appendPathAnswer(rb.b, from, to, p.Dist, p.Hops)
+		writeAnswer(w, rb)
 	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
 		e.handleBatch(w, r)
@@ -325,14 +364,6 @@ func errStatus(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func knnTargets(ts []Target) []knnTarget {
-	out := make([]knnTarget, len(ts))
-	for i, t := range ts {
-		out[i] = knnTarget{To: t.To, Dist: jsonDist(t.Dist)}
-	}
-	return out
 }
 
 func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -403,31 +434,44 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	var resp BatchResponse
+	rb := getRespBuf()
+	var err error
+	rb.b, err = e.appendBatch(r.Context(), rb.b, &req)
+	if err != nil {
+		putRespBuf(rb)
+		writeError(w, errStatus(err), err)
+		return
+	}
+	writeAnswer(w, rb)
+}
+
+// appendBatch answers a validated batch section by section, in the order
+// dist, row, knn, path; a section the request left empty is absent.
+func (e *Engine) appendBatch(ctx context.Context, b []byte, req *BatchRequest) ([]byte, error) {
+	b = append(b, '{')
 	if len(req.Dist) > 0 {
 		ds, err := e.DistBatch(ctx, req.Dist)
 		if err != nil {
-			writeError(w, errStatus(err), err)
-			return
+			return b, err
 		}
-		resp.Dist = make([]distResponse, len(ds))
+		b = appendSection(b, "dist")
 		for i, d := range ds {
-			resp.Dist[i] = distResponse{From: req.Dist[i].From, To: req.Dist[i].To, Dist: jsonDist(d)}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendDistAnswer(b, req.Dist[i].From, req.Dist[i].To, d)
 		}
+		b = append(b, ']')
 	}
 	if len(req.Row) > 0 {
-		// Row views, not copies: the encoder only reads, so cache-hit
-		// rows cross from cache to wire untouched. Pooled scratch rows
-		// (sources without RowView) are released after the encode.
-		var releases []func()
-		defer func() {
-			for _, rel := range releases {
-				rel()
-			}
-		}()
-		resp.Row = make([]rowResponse, len(req.Row))
+		b = appendSection(b, "row")
 		for i, from := range req.Row {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			// Row views, not copies: each row is written as soon as it is
+			// read and its pooled scratch (sources without RowView) goes
+			// back before the next one is taken.
 			row, release, err := e.acquireRow(ctx, from)
 			if err != nil {
 				// A quarantined tile with no recompute path fails only its
@@ -435,68 +479,63 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 				// the client sees exactly which rows are degraded instead of
 				// losing the whole batch to one bad stripe.
 				if errors.Is(err, store.ErrCorruptTile) {
-					resp.Row[i] = rowResponse{From: from, Error: "corrupt_tile"}
+					b = append(b, `{"from":`...)
+					b = appendInt(b, from)
+					b = append(b, `,"n":0,"error":"corrupt_tile"}`...)
 					continue
 				}
-				writeError(w, errStatus(err), fmt.Errorf("batch: row[%d]: %w", i, err))
-				return
+				return b, fmt.Errorf("batch: row[%d]: %w", i, err)
 			}
+			b = appendRowAnswer(b, from, row)
 			if release != nil {
-				releases = append(releases, release)
+				release()
 			}
-			resp.Row[i] = rowResponse{From: from, N: len(row), Dist: row}
 		}
+		b = append(b, ']')
 	}
 	if len(req.KNN) > 0 {
 		kts, err := e.KNNBatch(ctx, req.KNN)
 		if err != nil {
-			writeError(w, errStatus(err), err)
-			return
+			return b, err
 		}
-		resp.KNN = make([]knnResponse, len(kts))
+		b = appendSection(b, "knn")
 		for i, ts := range kts {
+			if i > 0 {
+				b = append(b, ',')
+			}
 			k := req.KNN[i].K
 			if k <= 0 {
 				k = DefaultK
 			}
-			resp.KNN[i] = knnResponse{From: req.KNN[i].From, K: k, Targets: knnTargets(ts)}
+			b = appendKNNAnswer(b, req.KNN[i].From, k, ts)
 		}
+		b = append(b, ']')
 	}
 	if len(req.Path) > 0 {
-		resp.Path = make([]pathResponse, len(req.Path))
+		b = appendSection(b, "path")
 		for i, pq := range req.Path {
+			if i > 0 {
+				b = append(b, ',')
+			}
 			p, err := e.Path(ctx, pq.From, pq.To)
 			switch {
 			case errors.Is(err, ErrNoPath):
-				resp.Path[i] = pathResponse{From: pq.From, To: pq.To, Dist: jsonDist(math.Inf(1))}
+				b = appendPathAnswer(b, pq.From, pq.To, math.Inf(1), nil)
 			case err != nil:
-				writeError(w, errStatus(err), fmt.Errorf("batch: path[%d]: %w", i, err))
-				return
+				return b, fmt.Errorf("batch: path[%d]: %w", i, err)
 			default:
-				resp.Path[i] = pathResponse{From: pq.From, To: pq.To, Dist: jsonDist(p.Dist), Hops: p.Hops}
+				b = appendPathAnswer(b, pq.From, pq.To, p.Dist, p.Hops)
 			}
 		}
+		b = append(b, ']')
 	}
-	// Exact-shape size estimate from the materialized response: every
-	// section is charged for what it actually holds, so a KNN- or
-	// path-heavy batch streams just like a row-heavy one.
-	est := 256 + 64*len(resp.Dist)
-	for i := range resp.Row {
-		est += jsonRowEstBytes * len(resp.Row[i].Dist)
-	}
-	for i := range resp.KNN {
-		est += 48 * len(resp.KNN[i].Targets)
-	}
-	for i := range resp.Path {
-		est += 64 + 16*len(resp.Path[i].Hops)
-	}
-	writeJSONSized(w, http.StatusOK, resp, est)
+	return append(b, '}'), nil
 }
 
 func badVertex(v, n int) bool { return v < 0 || v >= n }
 
-func vertexParam(w http.ResponseWriter, r *http.Request, name string, n int) (int, bool) {
-	s := r.URL.Query().Get(name)
+func vertexParam(w http.ResponseWriter, q url.Values, name string, n int) (int, bool) {
+	s := q.Get(name)
 	if s == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing query parameter %q", name))
 		return 0, false
@@ -513,66 +552,74 @@ func vertexParam(w http.ResponseWriter, r *http.Request, name string, n int) (in
 	return v, true
 }
 
-func vertexPair(w http.ResponseWriter, r *http.Request, n int) (int, int, bool) {
-	from, ok := vertexParam(w, r, "from", n)
+func vertexPair(w http.ResponseWriter, q url.Values, n int) (int, int, bool) {
+	from, ok := vertexParam(w, q, "from", n)
 	if !ok {
 		return 0, 0, false
 	}
-	to, ok := vertexParam(w, r, "to", n)
+	to, ok := vertexParam(w, q, "to", n)
 	if !ok {
 		return 0, 0, false
 	}
 	return from, to, true
 }
 
-// encPool recycles response staging buffers; buffers that grew beyond
-// maxPooledBuf are dropped so one huge row batch does not pin memory.
-var encPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// respBuf is a pooled response body: query answers append to b directly,
+// and writeJSON's encoder writes into it through Write.
+type respBuf struct{ b []byte }
+
+func (rb *respBuf) Write(p []byte) (int, error) {
+	rb.b = append(rb.b, p...)
+	return len(p), nil
+}
+
+// respPool recycles response bodies; one that grew beyond maxPooledBuf
+// is dropped so a single huge row batch does not pin memory.
+var respPool = sync.Pool{New: func() any { return new(respBuf) }}
 
 const maxPooledBuf = 1 << 20
 
-// jsonRowEstBytes is the per-distance-value estimate used to decide
-// whether a row-heavy response is worth buffering (shortest round-trip
-// float64 text tops out around 24 bytes plus a separator).
-const jsonRowEstBytes = 25
+func getRespBuf() *respBuf {
+	rb := respPool.Get().(*respBuf)
+	rb.b = rb.b[:0]
+	return rb
+}
 
-// writeJSONSized routes a response by its estimated encoded size: small
-// ones take the pooled-buffer path (Content-Length, zero steady-state
-// buffer allocation); large ones bypass the pool and encode-and-write
-// directly, so a multi-megabyte row batch neither pins a pooled buffer
-// nor pays a second staging copy (json.Encoder still holds one encoded
-// copy transiently — MaxBatchValues bounds how large that can get).
-func writeJSONSized(w http.ResponseWriter, code int, v any, estBytes int) {
-	if estBytes > maxPooledBuf {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		enc := json.NewEncoder(w)
-		enc.SetEscapeHTML(false)
-		_ = enc.Encode(v)
-		return
+func putRespBuf(rb *respBuf) {
+	if cap(rb.b) <= maxPooledBuf {
+		respPool.Put(rb)
 	}
-	writeJSON(w, code, v)
+}
+
+// send writes a built body with its Content-Length and recycles rb.
+func send(w http.ResponseWriter, code int, rb *respBuf) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(rb.b)))
+	w.WriteHeader(code)
+	_, _ = w.Write(rb.b)
+	putRespBuf(rb)
+}
+
+// writeAnswer sends a 200 query answer built in rb, ended by the newline
+// json.Encoder writes after every value.
+func writeAnswer(w http.ResponseWriter, rb *respBuf) {
+	rb.b = append(rb.b, '\n')
+	send(w, http.StatusOK, rb)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := encPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
+	rb := getRespBuf()
+	enc := json.NewEncoder(rb)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
-		encPool.Put(buf)
+		putRespBuf(rb)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		_, _ = w.Write([]byte(`{"error":"encoding failure"}`))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledBuf {
-		encPool.Put(buf)
-	}
+	send(w, code, rb)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -109,7 +109,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// /knn returns ordered targets.
-	var kr knnResponse
+	var kr struct {
+		Targets []Target `json:"targets"`
+	}
 	getJSON(t, srv.URL+"/knn?from=7&k=5", http.StatusOK, &kr)
 	if len(kr.Targets) != 5 {
 		t.Fatalf("knn: %d targets", len(kr.Targets))

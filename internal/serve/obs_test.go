@@ -148,12 +148,18 @@ func TestObsEndToEnd(t *testing.T) {
 
 	before := scrape(t, srv.URL)
 
-	var dr distResponse
+	var dr struct {
+		Dist *float64 `json:"dist"`
+	}
 	getJSON(t, srv.URL+"/dist?from=0&to=5", http.StatusOK, &dr)
 	getJSON(t, srv.URL+"/dist?from=3&to=9", http.StatusOK, &dr)
-	var rr rowResponse
+	var rr struct {
+		Dist []*float64 `json:"dist"`
+	}
 	getJSON(t, srv.URL+"/row?from=7", http.StatusOK, &rr)
-	var kr knnResponse
+	var kr struct {
+		Targets []Target `json:"targets"`
+	}
 	getJSON(t, srv.URL+"/knn?from=7&k=5", http.StatusOK, &kr)
 	resp, err := http.Get(srv.URL + "/path?from=0&to=1")
 	if err != nil {
