@@ -187,56 +187,77 @@ func (w *statusWriter) Flush() {
 // doesn't re-implement.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// httpObs holds the pre-created metric handles of the observation
-// middleware: per-endpoint latency summaries and byte counters are
-// resolved once at wrap time, so the per-request hot path does at most
-// one registry lookup (the {endpoint,code} counter).
+// httpObs holds the metric handles of the observation middleware, one
+// set per endpoint label: the latency summary and byte counter are
+// resolved at wrap time, each {endpoint, code} request counter on the
+// first request with that pair, so a request of a pair seen before takes
+// no registry lock.
 type httpObs struct {
-	reg      *obs.Registry
-	inFlight *obs.Gauge
-	latency  map[string]*obs.Histogram
-	respSize map[string]*obs.Counter
+	reg       *obs.Registry
+	inFlight  *obs.Gauge
+	endpoints map[string]*endpointObs
+}
+
+// endpointObs is the metric handles of one endpoint label.
+type endpointObs struct {
+	latency  *obs.Histogram
+	respSize *obs.Counter
+	// requests[code] is the apsp_http_requests_total series of the
+	// endpoint and status code, nil until a request has had that code.
+	requests [600]atomic.Pointer[obs.Counter]
 }
 
 func newHTTPObs(reg *obs.Registry) *httpObs {
 	o := &httpObs{
-		reg:      reg,
-		inFlight: reg.Gauge("apsp_http_in_flight", "Requests currently being served."),
-		latency:  make(map[string]*obs.Histogram),
-		respSize: make(map[string]*obs.Counter),
+		reg:       reg,
+		inFlight:  reg.Gauge("apsp_http_in_flight", "Requests currently being served."),
+		endpoints: make(map[string]*endpointObs),
 	}
 	for _, ep := range []string{"/dist", "/row", "/knn", "/path", "/batch", "/healthz", "other"} {
 		l := obs.Label{Key: "endpoint", Value: ep}
-		o.latency[ep] = reg.Histogram("apsp_http_request_seconds",
-			"Request latency by endpoint (p50/p99/p999).", l)
-		o.respSize[ep] = reg.Counter("apsp_http_response_bytes_total",
-			"Response body bytes written by endpoint.", l)
+		o.endpoints[ep] = &endpointObs{
+			latency: reg.Histogram("apsp_http_request_seconds",
+				"Request latency by endpoint (p50/p99/p999).", l),
+			respSize: reg.Counter("apsp_http_response_bytes_total",
+				"Response body bytes written by endpoint.", l),
+		}
 	}
+	// /metrics scrapes count their own requests but share the latency
+	// and byte series of "other".
+	other := o.endpoints["other"]
+	o.endpoints["/metrics"] = &endpointObs{latency: other.latency, respSize: other.respSize}
 	return o
 }
 
-// observe records one finished (or aborted) request.
+// observe records one finished (or aborted) request to the endpoint
+// labelled ep (an endpointLabel).
 func (o *httpObs) observe(ep string, status int, bytes int64, d time.Duration) {
 	if o == nil {
 		return
 	}
-	h, ok := o.latency[ep]
+	e, ok := o.endpoints[ep]
 	if !ok {
-		h, ok = o.latency["other"]
-		if !ok {
-			return
-		}
+		ep, e = "other", o.endpoints["other"]
 	}
-	h.Record(d.Nanoseconds())
-	if c, ok := o.respSize[ep]; ok {
-		c.Add(bytes)
-	} else if c, ok := o.respSize["other"]; ok {
-		c.Add(bytes)
+	e.latency.Record(d.Nanoseconds())
+	e.respSize.Add(bytes)
+	if uint(status) >= uint(len(e.requests)) {
+		o.requestCounter(ep, status).Inc()
+		return
 	}
-	o.reg.Counter("apsp_http_requests_total", "Requests by endpoint and status code.",
+	c := e.requests[status].Load()
+	if c == nil {
+		c = o.requestCounter(ep, status)
+		e.requests[status].Store(c)
+	}
+	c.Inc()
+}
+
+func (o *httpObs) requestCounter(ep string, status int) *obs.Counter {
+	return o.reg.Counter("apsp_http_requests_total", "Requests by endpoint and status code.",
 		obs.Label{Key: "endpoint", Value: ep},
 		obs.Label{Key: "code", Value: strconv.Itoa(status)},
-	).Inc()
+	)
 }
 
 // withObs is the outermost layer: it wraps the ResponseWriter to

@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -403,4 +404,94 @@ func TestObsMetricsExemptFromAdmission(t *testing.T) {
 	}
 	close(release)
 	<-done
+}
+
+// TestObserveMatchesRegistryLookups: requests observed through httpObs,
+// which keeps each {endpoint, code} counter after its first request, and
+// through one registry lookup per request for every series expose the
+// same /metrics text, byte for byte, after every request: a request
+// counter appears only once its pair has been seen. Codes past the kept
+// range (600 and up) still count.
+func TestObserveMatchesRegistryLookups(t *testing.T) {
+	got, want := obs.NewRegistry(), obs.NewRegistry()
+	o := newHTTPObs(got)
+	want.Gauge("apsp_http_in_flight", "Requests currently being served.")
+	for _, ep := range []string{"/dist", "/row", "/knn", "/path", "/batch", "/healthz", "other"} {
+		l := obs.Label{Key: "endpoint", Value: ep}
+		want.Histogram("apsp_http_request_seconds", "Request latency by endpoint (p50/p99/p999).", l)
+		want.Counter("apsp_http_response_bytes_total", "Response body bytes written by endpoint.", l)
+	}
+	requests := []struct {
+		ep     string
+		status int
+	}{
+		{"/dist", 200}, {"/dist", 200}, {"/row", 404}, {"/metrics", 200}, {"/dist", 400}, {"other", 404},
+		{"/batch", 200}, {"/knn", 999}, {"/knn", 999}, {"/path", 599}, {"/healthz", 200}, {"/metrics", 200},
+		{"/dist", 200}, {"/row", 500}, {"/knn", 504}, {"/dist", 429},
+	}
+	for i, r := range requests {
+		d, n := time.Duration(i+1)*time.Millisecond, int64(100*i)
+		o.observe(r.ep, r.status, n, d)
+		shared := r.ep
+		if shared == "/metrics" {
+			shared = "other"
+		}
+		l := obs.Label{Key: "endpoint", Value: shared}
+		want.Histogram("apsp_http_request_seconds", "Request latency by endpoint (p50/p99/p999).", l).Record(d.Nanoseconds())
+		want.Counter("apsp_http_response_bytes_total", "Response body bytes written by endpoint.", l).Add(n)
+		want.Counter("apsp_http_requests_total", "Requests by endpoint and status code.",
+			obs.Label{Key: "endpoint", Value: r.ep}, obs.Label{Key: "code", Value: strconv.Itoa(r.status)}).Inc()
+		var gotText, wantText bytes.Buffer
+		if err := got.WritePrometheus(&gotText); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.WritePrometheus(&wantText); err != nil {
+			t.Fatal(err)
+		}
+		if gotText.String() != wantText.String() {
+			t.Fatalf("after request %d (%s %d):\n%s\nwant:\n%s", i, r.ep, r.status, gotText.String(), wantText.String())
+		}
+	}
+}
+
+// TestObserveWarmZeroAllocs: observing a request whose {endpoint, code}
+// pair has been seen before allocates nothing.
+func TestObserveWarmZeroAllocs(t *testing.T) {
+	o := newHTTPObs(obs.NewRegistry())
+	o.observe("/dist", 200, 64, time.Millisecond)
+	if allocs := testing.AllocsPerRun(100, func() { o.observe("/dist", 200, 64, time.Millisecond) }); allocs != 0 {
+		t.Fatalf("a warm observe allocates %v times, want 0", allocs)
+	}
+}
+
+// TestObserveConcurrentFirstRequests: requests of the same new pairs
+// observed from many goroutines at once are each counted once, whichever
+// of them resolves the pair's counter.
+func TestObserveConcurrentFirstRequests(t *testing.T) {
+	reg := obs.NewRegistry()
+	o := newHTTPObs(reg)
+	const workers, each = 8, 300
+	codes := []int{200, 400, 404, 500, 999}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				o.observe("/dist", codes[i%len(codes)], 1, time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	samples := parseProm(t, text.String())
+	for _, code := range codes {
+		key := fmt.Sprintf(`apsp_http_requests_total{code="%d",endpoint="/dist"}`, code)
+		if got, want := samples[key], float64(workers*each/len(codes)); got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
+	}
 }

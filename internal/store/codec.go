@@ -560,8 +560,9 @@ func decodeIntTile(codec byte, data []byte, h, w int, dst []uint32) error {
 
 // ivarintDelta[b] is the delta carried by the one-byte token b (0 for the
 // +Inf escape, which does not move the predecessor). Most tokens are one
-// byte — a delta under 64 — so the skip that dominates a row read is a
-// table lookup and an add per value.
+// byte — a delta under 64 — so decoding is mostly a table lookup and an
+// add per value, and the skip that dominates a row read mostly takes
+// eight of them at once (ivarintWordDelta).
 var ivarintDelta = func() (t [128]int8) {
 	for b := 1; b < len(t); b++ {
 		u := b - 1
@@ -575,6 +576,13 @@ var ivarintDelta = func() (t [128]int8) {
 // as the cell's no path (matrix.NoPath32 for uint32). It returns how many
 // bytes of the group it consumed. It is the one ivarint decoder: float
 // rows and tiles, and integer tiles read back.
+//
+// Wherever a little-endian word of the group holds eight one-byte tokens
+// and no escape, it takes the eight at once: skipped, they are one SWAR
+// sum (skipIVarintWords); decoded, eight running sums stored once all of
+// them are in the cell's range (decodeIVarintWords). Every other token —
+// an escape, a longer token, a word whose values leave the range, the
+// last few of the group — is one scalar step, which reports every error.
 func decodeIVarintGroup[C matrix.Cell](group []byte, sum uint32, skip int, dst []C) (int, error) {
 	if got := crc32.Checksum(group, castagnoli); got != sum {
 		return 0, fmt.Errorf("%w: restart group checksum %08x, table says %08x", ErrCodecData, got, sum)
@@ -587,6 +595,19 @@ func decodeIVarintGroup[C matrix.Cell](group []byte, sum uint32, skip int, dst [
 	}
 	pos, prev := 0, int64(0)
 	for i := -skip; i < len(dst); i++ {
+		if (i <= -8 || i >= 0 && len(dst)-i >= 8) && oneByteWord(group[pos:]) {
+			var words int
+			if i < 0 {
+				var d int64
+				words, d = skipIVarintWords(group[pos:], -i/8)
+				prev += d
+			} else {
+				words, prev = decodeIVarintWords(group[pos:], prev, lo, hi, dst[i:])
+			}
+			if pos, i = pos+8*words, i+8*words; i >= len(dst) {
+				break
+			}
+		}
 		var tok uint64
 		if pos < len(group) && group[pos] < 0x80 {
 			tok = uint64(group[pos])
@@ -618,6 +639,73 @@ func decodeIVarintGroup[C matrix.Cell](group []byte, sum uint32, skip int, dst [
 		}
 	}
 	return pos, nil
+}
+
+const (
+	wordOnes  = 0x0101010101010101
+	wordHighs = 0x8080808080808080
+)
+
+// oneByteWord reports whether b starts with eight one-byte tokens, none
+// of them the escape: every byte in [1, 127].
+func oneByteWord(b []byte) bool {
+	if len(b) < 8 {
+		return false
+	}
+	x := binary.LittleEndian.Uint64(b)
+	return (x|(x-wordOnes))&wordHighs == 0
+}
+
+// skipIVarintWords walks past up to max leading words of b that are
+// oneByteWord and returns how many it passed and the sum of their deltas.
+func skipIVarintWords(b []byte, max int) (words int, delta int64) {
+	for ; words < max && oneByteWord(b); words++ {
+		delta += ivarintWordDelta(binary.LittleEndian.Uint64(b) - wordOnes)
+		b = b[8:]
+	}
+	return words, delta
+}
+
+// ivarintWordDelta is the sum of the deltas of a oneByteWord x, given u =
+// x − wordOnes: each byte of u is its token minus one, in [0, 126], and
+// carries u>>1 when even and −((u>>1)+1) when odd. Each byte is mapped to
+// its delta plus 64, in [0, 127], and the eight are summed through 16-bit
+// lanes and one multiply.
+func ivarintWordDelta(u uint64) int64 {
+	const low6, bit6, lanes = 0x3F3F3F3F3F3F3F3F, 0x4040404040404040, 0x00FF00FF00FF00FF
+	half := u >> 1 & low6                 // u>>1 of each byte, at most 63
+	neg := (u & wordOnes) * 0xFF          // 0xFF in each byte whose delta is negative
+	biased := half ^ neg&low6 | ^neg&bit6 // 64 + u>>1, or 63 − u>>1
+	pairs := biased&lanes + biased>>8&lanes
+	return int64(pairs*0x0001000100010001>>48) - 8*64
+}
+
+// decodeIVarintWords decodes the leading oneByteWords of b after the
+// predecessor prev into dst, eight values a word, while eight cells of
+// dst remain and the word's values all lie strictly between lo and hi. It
+// returns how many words it decoded and the predecessor after them; it
+// stores nothing of the word it stops at.
+func decodeIVarintWords[C matrix.Cell](b []byte, prev, lo, hi int64, dst []C) (words int, last int64) {
+	for ; len(dst) >= 8 && oneByteWord(b); words++ {
+		// Eight named sums, not a loop over an array: the compiler keeps
+		// these in registers, which decodes a tile twice as fast.
+		x := binary.LittleEndian.Uint64(b)
+		v0 := prev + int64(ivarintDelta[x&0x7F])
+		v1 := v0 + int64(ivarintDelta[x>>8&0x7F])
+		v2 := v1 + int64(ivarintDelta[x>>16&0x7F])
+		v3 := v2 + int64(ivarintDelta[x>>24&0x7F])
+		v4 := v3 + int64(ivarintDelta[x>>32&0x7F])
+		v5 := v4 + int64(ivarintDelta[x>>40&0x7F])
+		v6 := v5 + int64(ivarintDelta[x>>48&0x7F])
+		v7 := v6 + int64(ivarintDelta[x>>56&0x7F])
+		if min(v0, v1, v2, v3, v4, v5, v6, v7) <= lo || max(v0, v1, v2, v3, v4, v5, v6, v7) >= hi {
+			break
+		}
+		d := dst[:8]
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = C(v0), C(v1), C(v2), C(v3), C(v4), C(v5), C(v6), C(v7)
+		prev, b, dst = v7, b[8:], dst[8:]
+	}
+	return words, prev
 }
 
 // f32Codec: the values downcast to float32, 2x denser than raw and

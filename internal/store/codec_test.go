@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"apspark/internal/faultfs"
 	"apspark/internal/matrix"
@@ -834,6 +835,229 @@ func FuzzIVarintEncodeMatchesOracle(f *testing.F) {
 		for _, shape := range [][2]int{{2, 3}, {3, 2}, {1, 6}, {6, 1}, {1, 1}} {
 			requireIntsEncodeAsOracle(t, cells, shape[0], shape[1])
 		}
+	})
+}
+
+// decodeIVarintOracle is the ivarint group decoder as it stood before its
+// word step, kept verbatim: one token per iteration, one-byte tokens by
+// table, every other through binary.Uvarint. The shipped decoder must
+// return its values, byte count and error class.
+func decodeIVarintOracle[C matrix.Cell](group []byte, sum uint32, skip int, dst []C) (int, error) {
+	if got := crc32.Checksum(group, castagnoli); got != sum {
+		return 0, fmt.Errorf("%w: restart group checksum %08x, table says %08x", ErrCodecData, got, sum)
+	}
+	lo, hi, none := -maxExactInt, maxExactInt, matrix.NoPath[C]()
+	if unsafe.Sizeof(none) == 4 {
+		lo, hi = -1, matrix.NoPath32
+	}
+	pos, prev := 0, int64(0)
+	for i := -skip; i < len(dst); i++ {
+		var tok uint64
+		if pos < len(group) && group[pos] < 0x80 {
+			tok = uint64(group[pos])
+			pos++
+			if i < 0 {
+				prev += int64(ivarintDelta[tok])
+				continue
+			}
+		} else {
+			var n int
+			if tok, n = binary.Uvarint(group[pos:]); n <= 0 {
+				return 0, fmt.Errorf("%w: ivarint stream ends %d values early", ErrCodecData, len(dst)-i)
+			}
+			pos += n
+		}
+		if tok > 0 {
+			u := tok - 1
+			prev += int64(u>>1) ^ -int64(u&1)
+		}
+		if i < 0 {
+			continue
+		}
+		if tok == 0 {
+			dst[i] = none
+		} else if prev <= lo || prev >= hi {
+			return 0, fmt.Errorf("%w: ivarint value %d out of the cell's exact range", ErrCodecData, prev)
+		} else {
+			dst[i] = C(prev)
+		}
+	}
+	return pos, nil
+}
+
+// requireDecodesAsOracle fails unless decodeIVarintGroup and its oracle,
+// skipping skip values of group and decoding n as uint32 and as float64
+// cells, agree on the byte count, on nil vs ErrCodecData and, on success,
+// on every value's bits. A wrong sum is the group's checksum plus one.
+func requireDecodesAsOracle(t testing.TB, group []byte, skip, n int, badSum bool) {
+	t.Helper()
+	sum := crc32.Checksum(group, castagnoli)
+	if badSum {
+		sum++
+	}
+	requireCellsDecodeAsOracle[uint32](t, group, sum, skip, n)
+	requireCellsDecodeAsOracle[float64](t, group, sum, skip, n)
+}
+
+func requireCellsDecodeAsOracle[C matrix.Cell](t testing.TB, group []byte, sum uint32, skip, n int) {
+	t.Helper()
+	got, want := make([]C, n), make([]C, n)
+	gotUsed, gotErr := decodeIVarintGroup(group, sum, skip, got)
+	wantUsed, wantErr := decodeIVarintOracle(group, sum, skip, want)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && !errors.Is(gotErr, ErrCodecData)) || gotUsed != wantUsed {
+		t.Fatalf("%T cells, %d-byte group %x, skip %d, decode %d: used %d err %v, oracle used %d err %v",
+			got[:0], len(group), group, skip, n, gotUsed, gotErr, wantUsed, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	for i := range got {
+		if math.Float64bits(matrix.Recast[float64](got[i])) != math.Float64bits(matrix.Recast[float64](want[i])) {
+			t.Fatalf("%T cells, %d-byte group %x, skip %d, decode %d: value %d = %v, oracle %v",
+				got[:0], len(group), group, skip, n, i, got[i], want[i])
+		}
+	}
+}
+
+// ivarintTokens is the token stream of the deltas between successive
+// values of vals, matrix.Inf as the escape, as the encoder writes it.
+func ivarintTokens(vals ...float64) []byte {
+	var out []byte
+	prev := int64(0)
+	for _, v := range vals {
+		if math.IsInf(v, 1) {
+			out = append(out, 0)
+			continue
+		}
+		out = appendIVarintToken(out, int64(v)-prev)
+		prev = int64(v)
+	}
+	return out
+}
+
+// TestIVarintDecodeMatchesOracle holds the word step of the group decoder
+// to the scalar loop it sits in front of, for uint32 and float64 cells:
+// every skip from 0 to 17, around each multiple of 8 and the whole group;
+// an escape and a longer token at each position of a word, skipped and
+// decoded; values on each side of both cell types' range edges, reached
+// inside a word; groups cut mid-word; a bad checksum; random groups.
+func TestIVarintDecodeMatchesOracle(t *testing.T) {
+	// 64 values of one-byte tokens: deltas of both signs, nearly every
+	// token value, never below 0.
+	vals := []float64{63}
+	for i := 1; i < 64; i++ {
+		d := float64((i*37)%127 - 63)
+		if vals[i-1]+d < 0 {
+			d = -d
+		}
+		vals = append(vals, vals[i-1]+d)
+	}
+	group := ivarintTokens(vals...)
+	skips := []int{}
+	for s := 0; s <= 17; s++ {
+		skips = append(skips, s)
+	}
+	for k := 3; k*8 <= len(vals); k++ {
+		skips = append(skips, 8*k-1, 8*k, min(8*k+1, len(vals)))
+	}
+	for _, skip := range skips {
+		for _, n := range []int{0, 1, 7, 8, 9, 16, len(vals) - skip} {
+			requireDecodesAsOracle(t, group, skip, min(n, len(vals)-skip), false)
+		}
+		requireDecodesAsOracle(t, group, skip, len(vals)-skip+1, false) // one value short
+	}
+	requireDecodesAsOracle(t, group, len(vals), 0, false) // skip the whole group
+
+	// An escape, a two-byte and a ten-byte token at each of the eight
+	// positions of the second word, under a skip and under a decode.
+	for p := 0; p < 8; p++ {
+		for _, special := range [][]byte{{0}, appendIVarintToken(nil, 1000), appendIVarintToken(nil, -(1 << 60))} {
+			g := append(append(append([]byte(nil), group[:8+p]...), special...), group[8+p:]...)
+			for _, skip := range []int{0, 3, 8, 16, 24} {
+				for _, n := range []int{1, 8, 16, len(vals) + 1 - skip} {
+					requireDecodesAsOracle(t, g, skip, n, false)
+				}
+			}
+		}
+	}
+
+	// Range edges, each reached one delta at a time inside a word of
+	// one-byte tokens: uint32 0 and NoPath32−1 are in, −1 and NoPath32
+	// out; float64 ±(2^53−1) in, ±2^53 out.
+	for _, edge := range []float64{0, matrix.NoPath32 - 1, float64(maxExactInt - 1), -float64(maxExactInt - 1)} {
+		for _, dir := range []float64{-1, 1} {
+			for off := 0; off < 12; off++ {
+				// Start off+4 steps inside the edge and walk 16 steps out.
+				start := edge - dir*float64(off+4)
+				edgeVals := []float64{start}
+				for j := 1; j <= 16; j++ {
+					edgeVals = append(edgeVals, start+dir*float64(j))
+				}
+				g := ivarintTokens(edgeVals...)
+				for _, skip := range []int{0, 1, 9} {
+					requireDecodesAsOracle(t, g, skip, len(edgeVals)-skip, false)
+				}
+			}
+		}
+	}
+
+	// Cut mid-word, and the wrong checksum.
+	for cut := len(group) - 9; cut < len(group); cut++ {
+		for _, skip := range []int{0, 8, cut - 8} {
+			requireDecodesAsOracle(t, group[:cut], skip, len(vals)-skip, false)
+		}
+	}
+	requireDecodesAsOracle(t, group, 0, len(vals), true)
+	requireDecodesAsOracle(t, group, 16, 8, true)
+
+	// Random groups: runs of one-byte deltas broken by escapes, longer
+	// tokens and jumps out of range; random skips and lengths.
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		var g []byte
+		count := 1 + rng.Intn(200)
+		for range count {
+			switch r := rng.Intn(40); {
+			case r == 0:
+				g = append(g, 0)
+			case r == 1:
+				g = appendIVarintToken(g, rng.Int63n(1<<40)-1<<39)
+			case r == 2:
+				g = appendIVarintToken(g, int64(rng.Intn(2000))-1000)
+			default:
+				g = append(g, byte(1+rng.Intn(127)))
+			}
+		}
+		skip := rng.Intn(count + 1)
+		n := count - skip
+		switch rng.Intn(4) {
+		case 0:
+			n = rng.Intn(n + 1)
+		case 1:
+			n++
+		}
+		requireDecodesAsOracle(t, g, skip, n, false)
+	}
+}
+
+// FuzzIVarintDecodeMatchesOracle: any group bytes, skip and length decode
+// as the oracle does, for both cell types — including groups the encoder
+// never writes (overlong and overflowing varints, runaway sums).
+func FuzzIVarintDecodeMatchesOracle(f *testing.F) {
+	f.Add([]byte{3, 1, 1, 1}, uint16(0), uint16(4), false)
+	f.Add(ivarintTokens(40, 41, 39, 100, 99, matrix.Inf, 98, 97, 96, 95, 96, 97, 98, 99, 100, 101, 102), uint16(3), uint16(14), false)
+	f.Add(bytes.Repeat([]byte{0x7F}, 40), uint16(16), uint16(24), false)
+	f.Add(bytes.Repeat([]byte{0x02}, 40), uint16(0), uint16(40), false)
+	f.Add(append(appendIVarintToken(nil, matrix.NoPath32-6), bytes.Repeat([]byte{3}, 16)...), uint16(0), uint16(17), false)
+	f.Add(append(appendIVarintToken(nil, maxExactInt-3), bytes.Repeat([]byte{3}, 16)...), uint16(1), uint16(16), false)
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 0x81, 0x00, 1, 1, 1, 1, 1, 1, 1, 1}, uint16(0), uint16(16), false)
+	f.Add(bytes.Repeat([]byte{0xFF}, 12), uint16(0), uint16(1), false)
+	f.Add(bytes.Repeat([]byte{5}, 16), uint16(8), uint16(8), true)
+	f.Fuzz(func(t *testing.T, group []byte, skip, n uint16, badSum bool) {
+		if int(skip)+int(n) > 4*len(group)+16 {
+			t.Skip()
+		}
+		requireDecodesAsOracle(t, group, int(skip), int(n), badSum)
 	})
 }
 
