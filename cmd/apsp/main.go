@@ -287,10 +287,17 @@ func printSparseEngine() {
 		}
 		fmt.Printf("sparse panel kernel: %s\n", k)
 	}
+	var kept, discarded string
 	for _, line := range strings.Split(text, "\n") {
 		if visits, ok := strings.CutPrefix(line, "apsp_sparse_sweep_visits_total "); ok {
-			fmt.Printf("sparse sweep visits: %s\n", visits)
+			kept = visits
 		}
+		if visits, ok := strings.CutPrefix(line, "apsp_sparse_discarded_sweep_visits_total "); ok && visits != "0" {
+			discarded = " (" + visits + " more in batches thrown away)"
+		}
+	}
+	if kept != "" {
+		fmt.Printf("sparse sweep visits: %s%s\n", kept, discarded)
 	}
 }
 

@@ -70,3 +70,24 @@ func TestReadEdgeListZeroEdges(t *testing.T) {
 		t.Fatalf("n=%d m=%d", g.N, g.NumEdges())
 	}
 }
+
+// BenchmarkReadEdgeList reads the edge list of the sparse benchmark's
+// graph: G(4096, p) at average degree 16 plus a ring, integer weights
+// 1..100.
+func BenchmarkReadEdgeList(b *testing.B) {
+	g, err := ErdosRenyiConnected(4096, AvgDegreeProb(4096, 16), IntegerWeights(100), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.WriteEdgeList(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadEdgeList(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

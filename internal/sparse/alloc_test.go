@@ -52,12 +52,18 @@ func TestPerBatchZeroAllocs(t *testing.T) {
 	}
 	floats := func(h int) float64 {
 		panel := make([]float64, h*g.N)
-		return perPanel(h, func(bi int) error { return solvePanel(ctx, e, bi*h, panel, h, 1, above[float64]{}) })
+		return perPanel(h, func(bi int) error {
+			_, err := solvePanel(ctx, e, bi*h, panel, h, 1, above[float64]{})
+			return err
+		})
 	}
 	ints := func(read func(h int) readBack) func(h int) float64 {
 		return func(h int) float64 {
 			panel, up := make([]uint32, h*g.N), above[uint32]{b: h, read: read(h)}
-			return perPanel(h, func(bi int) error { return solvePanel(ctx, e, bi*h, panel, h, 1, up) })
+			return perPanel(h, func(bi int) error {
+				_, err := solvePanel(ctx, e, bi*h, panel, h, 1, up)
+				return err
+			})
 		}
 	}
 	unseeded := func(int) readBack { return nil }

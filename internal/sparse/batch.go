@@ -189,46 +189,55 @@ func (s *batchState[T]) seed(e *Engine, base, k int) {
 }
 
 // seedAbove starts a batch of a seeded panel (the package comment): the
-// lanes of every vertex below above take row j's cells there, which are
-// true distances, lane j of source base+j (base >= above) is 0, and every
-// vertex from above on is dirty. It returns how many seeds are reached,
-// or false, with d partly written, when a seed does not fit below
+// lanes of every vertex below job.above take the seeds of the panel's
+// sources r..r+k-1 there (seedRun), which are true distances, lane j of
+// source job.base+r+j is 0, and every vertex from above on is dirty. The
+// seeds of a vertex are one run, and in the tiles of a panel filled in
+// lane order of the batch's own width so are those of a whole tile's
+// vertices: one narrowing copy. It returns how many seeds are reached, or
+// false, with d partly written, when a seed does not fit below
 // exactBelow[T]: the batch needs wider lanes.
-func seedAbove[T lane, C matrix.Cell](s *batchState[T], e *Engine, base, k, above int, rows []C) (reached int, ok bool) {
+func seedAbove[T lane, C matrix.Cell](s *batchState[T], e *Engine, job *panelJob[C], r, k int) (reached int, ok bool) {
 	n, w := e.n, lanesOf[T]()
-	for v0 := 0; v0 < above; v0 += emitBlock {
-		blk := s.d[v0*w : min(v0+emitBlock, above)*w]
-		for j := 0; j < k; j++ {
-			r, ok := seedLane(blk[j:], rows[j*n+v0:][:len(blk)/w])
+	for v := 0; v < job.above; {
+		cells, step, count := job.seedRun(n, v, r)
+		count = min(count, job.above-v)
+		runs, run := count, k
+		if step == w && k == w {
+			runs, run = 1, count*w
+		}
+		for i := 0; i < runs; i++ {
+			got, ok := seedLanes(s.d[(v+i)*w:][:run], cells[i*step:][:run])
 			if !ok {
 				return 0, false
 			}
-			reached += r
+			reached += got
 		}
+		v += count
 	}
 	for j := 0; j < k; j++ {
-		s.d[(base+j)*w+j] = 0
+		s.d[(job.base+r+j)*w+j] = 0
 	}
-	for v := above; v < n; v++ {
+	for v := job.above; v < n; v++ {
 		s.dirty[v] = 1
 	}
 	return reached, true
 }
 
-// seedLane is emitLane backwards: it sets every lanesOf[T]-th element of
-// col from row, the cell's no-path value as an unreached lane, and returns
-// how many are reached, or false at a distance the lanes cannot hold
-// exactly.
-func seedLane[T lane, C matrix.Cell](col []T, row []C) (reached int, ok bool) {
-	w, inf, none, top := lanesOf[T](), unreachedLane[T](), matrix.NoPath[C](), C(exactBelow[T]())
-	for i, c := range row {
+// seedLanes copies the seeds src into the lanes d, cell for lane, a
+// no-path cell as an unreached lane, and returns how many are reached, or
+// false at a distance the lanes cannot hold exactly.
+func seedLanes[T lane, C matrix.Cell](d []T, src []C) (reached int, ok bool) {
+	inf, none, top := unreachedLane[T](), matrix.NoPath[C](), C(exactBelow[T]())
+	src = src[:len(d)]
+	for i, c := range src {
 		switch {
 		case c == none:
-			col[i*w] = inf
+			d[i] = inf
 		case c >= top:
 			return 0, false
 		default:
-			col[i*w] = T(c)
+			d[i] = T(c)
 			reached++
 		}
 	}
@@ -260,38 +269,37 @@ const (
 	overRange            // a lane came within a weight of the lane type's top: distances need wider lanes
 )
 
-// solveBatch computes the rows of sources base..base+k-1
-// (k <= lanesOf[T]) into the first k rows of rows (n cells each) and
-// returns the number of (source, vertex) pairs reached and of the visits
-// its sweeps made. Lane j of d[v] converges on dist(base+j, v) by
-// pull-style label correcting: a visit to v takes the lane-wise minimum of
-// d[v] and d[u]+w over v's arcs and, if any lane fell, marks v's
-// neighbours dirty; a sweep visits the dirty vertices in index order,
-// Gauss–Seidel style, and sweeps repeat until one visits nothing. The
-// fixpoint is the shortest distance whatever the order, and every value
-// is an exact integer below 2^32, so the rows equal the radix rows bit for
-// bit in either cell type (integer sums below 2^53 are exact in float64).
+// solveBatch computes the rows of the panel's sources r..r+k-1
+// (k <= lanesOf[T]) into their rows of job.p and returns the number of
+// (source, vertex) pairs reached and of the visits its sweeps made. Lane j
+// of d[v] converges on dist(base+r+j, v) by pull-style label correcting: a
+// visit to v takes the lane-wise minimum of d[v] and d[u]+w over v's arcs
+// and, if any lane fell, marks v's neighbours dirty; a sweep visits the
+// dirty vertices in index order, Gauss–Seidel style, and sweeps repeat
+// until one visits nothing. The fixpoint is the shortest distance whatever
+// the order, and every value is an exact integer below 2^32, so the rows
+// equal the radix rows bit for bit in either cell type (integer sums below
+// 2^53 are exact in float64).
 //
-// When above > 0 the rows already hold the sources' distances to the
-// vertices below above (a seeded panel, the package comment): those lanes
-// start at them (seedAbove), where no visit can lower them, so the sweeps
-// start at above rounded down to 8 and the fixpoint argument holds as it
-// is — the flags the sweeps set below their start are cleared after, and
-// the emit writes the cells from above on.
+// When job.above > 0 the sources' distances to the vertices below it are
+// known (a seeded panel, the package comment): those lanes start at them
+// (seedAbove), where no visit can lower them, so the sweeps start at above
+// rounded down to 8 and the fixpoint argument holds as it is — the flags
+// the sweeps set below their start are cleared after.
 //
 // Any other end leaves the scratch at rest and reached at 0, and the
-// caller solves the sources again some other way: overBudget before rows
-// was touched, overRange (uint16 lanes only, see exactBelow) before it was
-// touched when a seed is out of range, and otherwise after it was filled
-// with distances that may be wrong — where the seeds come back as they
-// went in — all of which the second solve overwrites.
-func solveBatch[T lane, C matrix.Cell](s *batchState[T], e *Engine, base, k, above int, rows []C) (reached, visits int, end batchEnd) {
-	n := e.n
-	start, seeded := above&^7, 0
-	if above == 0 {
-		s.seed(e, base, k)
-	} else if r, ok := seedAbove(s, e, base, k, above, rows); ok {
-		seeded = r
+// caller solves the sources again some other way: overBudget before the
+// rows were touched, overRange (uint16 lanes only, see exactBelow) before
+// they were touched when a seed is out of range, and otherwise after they
+// were filled with distances that may be wrong, all of which the second
+// solve overwrites.
+func solveBatch[T lane, C matrix.Cell](s *batchState[T], e *Engine, job *panelJob[C], r, k int) (reached, visits int, end batchEnd) {
+	n, p := e.n, &job.p
+	start, seeded := job.above&^7, 0
+	if job.above == 0 {
+		s.seed(e, job.base+r, k)
+	} else if got, ok := seedAbove(s, e, job, r, k); ok {
+		seeded = got
 	} else {
 		s.reset()
 		return 0, 0, overRange
@@ -308,28 +316,30 @@ func solveBatch[T lane, C matrix.Cell](s *batchState[T], e *Engine, base, k, abo
 		}
 	}
 	clear(s.dirty[:start])
-	reached, top := emitBatch(s, k, n, above, rows)
+	reached, top := emitBatch(s, k, n, p.from, p.rows[r*p.stride:], p.stride)
 	if top >= exactBelow[T]() {
 		return 0, visits, overRange
+	}
+	if p.from == 0 {
+		seeded = 0 // the emit counted them
 	}
 	return seeded + reached, visits, batchSolved
 }
 
 // emitBatch writes lanes 0..k-1 of d at the vertices from from on out as
-// the cells of k rows of n cells — the rows hold the seeds below it
-// already — returns d to its resting state and reports the number of
-// reached lanes it wrote and the largest of them: the one pass over d
-// after the sweeps, a block of vertices at a time (emitBlock).
-func emitBatch[T lane, C matrix.Cell](s *batchState[T], k, n, from int, rows []C) (reached int, top T) {
+// the cells of k rows, stride cells apart, returns d to its resting state
+// and reports the number of reached lanes it wrote and the largest of
+// them: the one pass over d after the sweeps, a block of vertices at a
+// time (emitBlock).
+func emitBatch[T lane, C matrix.Cell](s *batchState[T], k, n, from int, rows []C, stride int) (reached int, top T) {
 	w := lanesOf[T]()
-	for v0 := 0; v0 < n; v0 += emitBlock {
+	for d := s.d[:from*w]; len(d) > 0; d = d[copy(d, s.blank):] {
+	}
+	for v0 := from; v0 < n; v0 += emitBlock {
 		blk := s.d[v0*w : min(v0+emitBlock, n)*w]
-		if lo := max(v0, from); lo*w < v0*w+len(blk) {
-			part := blk[(lo-v0)*w:]
-			for j := 0; j < k; j++ {
-				r, t := emitLane(rows[j*n+lo:][:len(part)/w], part[j:])
-				reached, top = reached+r, max(top, t)
-			}
+		for j := 0; j < k; j++ {
+			r, t := emitLane(rows[j*stride+v0-from:][:len(blk)/w], blk[j:])
+			reached, top = reached+r, max(top, t)
 		}
 		copy(blk, s.blank)
 	}

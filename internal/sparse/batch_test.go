@@ -74,7 +74,8 @@ func radixRows(t testing.TB, g *graph.Graph) *matrix.Block {
 
 // solveBlock solves the rows of sources base.. into panel, unseeded.
 func solveBlock(e *Engine, base int, panel *matrix.Block, workers int) error {
-	return solvePanel(context.Background(), e, base, panel.Data[:panel.R*e.n], panel.R, workers, above[float64]{})
+	_, err := solvePanel(context.Background(), e, base, panel.Data[:panel.R*e.n], panel.R, workers, above[float64]{})
+	return err
 }
 
 // startAt16 returns an engine over g that starts on the narrower batched
@@ -144,23 +145,23 @@ func sweepMatchesGoOracle[T lane](t *testing.T, e *Engine, want *matrix.Block, r
 	a, b := newBatchState[T](e.n), newBatchState[T](e.n)
 	for base := 0; base < e.n; base += 97 {
 		k := min(lanesOf[T](), e.n-base)
-		for _, above := range []int{0, rng.Intn(base + 1)} {
-			if rows := want.Data[base*e.n : (base+k)*e.n]; above == 0 {
+		for _, seeded := range []int{0, rng.Intn(base + 1)} {
+			if job := (&panelJob[float64]{base: base, above: seeded, up: above[float64]{whole: want.Data}}); seeded == 0 {
 				a.seed(e, base, k)
 				b.seed(e, base, k)
-			} else if _, ok := seedAbove(a, e, base, k, above, rows); !ok {
+			} else if _, ok := seedAbove(a, e, job, 0, k); !ok {
 				a.reset() // a seed past the 16-bit lanes: the batch would narrow
 				continue
 			} else {
-				seedAbove(b, e, base, k, above, rows)
+				seedAbove(b, e, job, 0, k)
 			}
-			start := above &^ 7
+			start := seeded &^ 7
 			for sweep := 0; ; sweep++ {
 				va := a.sweep(e, start)
 				vb := batchSweepGo(b.d, b.dirty, e.rowPtr, e.arcs, start)
 				if va != vb || !slices.Equal(a.d, b.d) || !slices.Equal(a.dirty, b.dirty) {
 					t.Fatalf("n=%d, %d lanes, base=%d, %d seeded, sweep %d: assembly visited %d, oracle %d; state equal: d %v dirty %v",
-						e.n, lanesOf[T](), base, above, sweep, va, vb, slices.Equal(a.d, b.d), slices.Equal(a.dirty, b.dirty))
+						e.n, lanesOf[T](), base, seeded, sweep, va, vb, slices.Equal(a.d, b.d), slices.Equal(a.dirty, b.dirty))
 				}
 				if va == 0 {
 					break
@@ -245,7 +246,7 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 					// The same panel on uint32 cells: the lanes, or the
 					// radix rows, converted exactly.
 					cells := make([]uint32, h*n)
-					if err := solvePanel(context.Background(), eng, bi*b, cells, h, 2, above[uint32]{}); err != nil {
+					if _, err := solvePanel(context.Background(), eng, bi*b, cells, h, 2, above[uint32]{}); err != nil {
 						t.Fatal(err)
 					}
 					requireIntCells(t, cells, got[0])
@@ -332,11 +333,17 @@ func TestSeededPanelsMatchRadixRows(t *testing.T) {
 
 			for bi := 0; bi*b < n; bi++ {
 				e, h := New(tc.g), min(b, n-bi*b)
-				cells := make([]uint32, h*n)
-				if err := solvePanel(ctx, e, bi*b, cells, h, 2, above[uint32]{b: b, read: tilesOf(want.Data, n, b)}); err != nil {
+				p, err := solvePanel(ctx, e, bi*b, make([]uint32, h*n), h, 2, above[uint32]{b: b, read: tilesOf(want.Data, n, b)})
+				if err != nil {
 					t.Fatal(err)
 				}
-				requireIntCells(t, cells, &matrix.Block{R: h, C: n, Data: want.Data[bi*b*n:][:h*n]})
+				for r := 0; r < h; r++ {
+					for v := 0; v < n; v++ {
+						if got := cellOf(p.sink(), n, b, bi, r, v); got != want.At(bi*b+r, v) {
+							t.Fatalf("panel %d alone: cell (%d,%d) = %v, want %v", bi, r, v, got, want.At(bi*b+r, v))
+						}
+					}
+				}
 				if tc.name == "75,000 chain" && bi == (n-1)/b && (e.rangeFallbacks.Load() != 1 || e.PanelKernel() != "batch16") {
 					t.Fatalf("last panel: %d range fallbacks, on %s; want 1, batch16", e.rangeFallbacks.Load(), e.PanelKernel())
 				}

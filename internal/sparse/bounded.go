@@ -96,7 +96,7 @@ func (e *Engine) dijkstra(seeds []Seed, row []float64, bd Bound) (int, error) {
 	}
 	sc := e.scratch.get().(*state)
 	settled := sc.dijkstra(e, seeds, bd)
-	fillRow(sc, row)
+	fillRow(sc, row, 0)
 	e.scratch.put(sc)
 	e.settled.Add(int64(settled))
 	return settled, nil
@@ -181,13 +181,14 @@ func (sc *state) dijkstra(e *Engine, seeds []Seed, bd Bound) int {
 	return settled
 }
 
-// fillRow writes the solve sc last ran into row from the epoch stamps:
-// settled vertices get their distance, everything else the cell's no-path
-// value. On a graph with intDistances every settled distance is an
-// integer below matrix.NoPath32, so a uint32 cell holds it exactly. A nil
-// row writes nothing.
-func fillRow[C matrix.Cell](sc *state, row []C) {
-	vs, epoch, none := sc.vs, sc.epoch, matrix.NoPath[C]()
+// fillRow writes the solve sc last ran into row, the cells of vertices
+// from from on, from the epoch stamps: settled vertices get their
+// distance, everything else the cell's no-path value. On a graph with
+// intDistances every settled distance is an integer below
+// matrix.NoPath32, so a uint32 cell holds it exactly. A nil row writes
+// nothing.
+func fillRow[C matrix.Cell](sc *state, row []C, from int) {
+	vs, epoch, none := sc.vs[from:], sc.epoch, matrix.NoPath[C]()
 	for v := range row {
 		if vw := vs[v]; vw.stamp == epoch && vw.pos == settledPos {
 			row[v] = C(vw.dist)

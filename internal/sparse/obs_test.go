@@ -52,6 +52,8 @@ func TestEngineRegisterMetrics(t *testing.T) {
 		"apsp_sparse_sources_total 65",
 		"apsp_sparse_settled_vertices_total",
 		"apsp_sparse_sweep_visits_total 0", // real weights never batch
+		"apsp_sparse_discarded_sweep_visits_total 0",
+		"apsp_sparse_seed_seconds 0",
 		"apsp_sparse_worker_busy_seconds",
 		"apsp_sparse_solve_wall_seconds",
 		"apsp_sparse_worker_utilization",

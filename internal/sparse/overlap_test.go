@@ -32,16 +32,17 @@ func newMemSink(n, b int) *memSink {
 	return &memSink{n: n, b: b, dist: make([]float64, n*n)}
 }
 
-func (s *memSink) BlockSize() int                      { return s.b }
-func (s *memSink) NextPanel() int                      { return s.next }
-func (s *memSink) WritePanel(rows *matrix.Block) error { return keepPanel(s, rows.Data) }
+func (s *memSink) BlockSize() int { return s.b }
+func (s *memSink) NextPanel() int { return s.next }
 
-func (s *memSink) WriteIntPanel(rows []uint32) error {
-	s.ints++
-	return keepPanel(s, rows)
+func (s *memSink) WriteCells(p matrix.Panel) error {
+	if p.Ints != nil {
+		s.ints++
+	}
+	return keepPanel(s, func(r, v int) float64 { return cellOf(p, s.n, s.b, s.next, r, v) })
 }
 
-func (s *memSink) ReadBack() func(bi, bj int, dst []uint32) error {
+func (s *memSink) ReadBack() func(bi, bj, lanes int, dst []uint32) error {
 	if s.lossy {
 		return nil
 	}
@@ -51,19 +52,49 @@ func (s *memSink) ReadBack() func(bi, bj int, dst []uint32) error {
 // held is everything the sink holds.
 func (s *memSink) held() *matrix.Block { return &matrix.Block{R: s.n, C: s.n, Data: s.dist} }
 
-// keepPanel writes rows to s as its next panel.
-func keepPanel[C matrix.Cell](s *memSink, rows []C) error {
+// keepPanel writes the panel whose cell (r, v) at returns, reading it
+// where it lies, to s as its next panel.
+func keepPanel(s *memSink, at func(r, v int) float64) error {
 	bi := s.next
 	if s.write != nil {
-		if err := s.write(bi, func(r, v int) float64 { return matrix.Recast[float64](rows[r*s.n+v]) }); err != nil {
+		if err := s.write(bi, at); err != nil {
 			return err
 		}
 	}
-	for i, x := range rows {
-		s.dist[bi*s.b*s.n+i] = matrix.Recast[float64](x)
+	for r := 0; r < min(s.b, s.n-bi*s.b); r++ {
+		for v := range s.n {
+			s.dist[(bi*s.b+r)*s.n+v] = at(r, v)
+		}
 	}
 	s.next++
 	return nil
+}
+
+// cellOf is cell (r, v) of panel p — panel bi of an n x n matrix in
+// panels of b rows — as a float64, read where it lies: a cell below p.From
+// from p's lower tiles, the other way round.
+func cellOf(p matrix.Panel, n, b, bi, r, v int) float64 {
+	h := min(b, n-bi*b)
+	switch {
+	case v < p.From:
+		return matrix.Recast[float64](p.Lower[v/b*b*h+matrix.LaneIndex(v%b, r, b, h, p.Lanes)])
+	case p.Ints != nil:
+		return matrix.Recast[float64](p.Ints[r*(n-p.From)+v-p.From])
+	}
+	return p.Reals[r*(n-p.From)+v-p.From]
+}
+
+// tilesOf is the readBack of a matrix of n x n cells in panels of b rows.
+func tilesOf[C matrix.Cell](cells []C, n, b int) readBack {
+	return func(bi, bj, lanes int, dst []uint32) error {
+		h, w := min(b, n-bi*b), min(b, n-bj*b)
+		for r := 0; r < h; r++ {
+			for c, x := range cells[(bi*b+r)*n+bj*b:][:w] {
+				dst[matrix.LaneIndex(r, c, h, w, lanes)] = matrix.Recast[uint32](x)
+			}
+		}
+		return nil
+	}
 }
 
 // realER is a connected sparse ER graph with uniform real weights: its
@@ -209,18 +240,11 @@ type hookedWriter struct {
 	hook func(bi int) error
 }
 
-func (w hookedWriter) WritePanel(rows *matrix.Block) error {
+func (w hookedWriter) WriteCells(p matrix.Panel) error {
 	if err := w.hook(w.NextPanel()); err != nil {
 		return err
 	}
-	return w.PanelWriter.WritePanel(rows)
-}
-
-func (w hookedWriter) WriteIntPanel(rows []uint32) error {
-	if err := w.hook(w.NextPanel()); err != nil {
-		return err
-	}
-	return w.PanelWriter.WriteIntPanel(rows)
+	return w.PanelWriter.WriteCells(p)
 }
 
 // TestSolvePanelsCrashAndResumeByteIdentical streams a solve into a
@@ -326,7 +350,7 @@ func TestSupplyInterleavesWithSolvedPanels(t *testing.T) {
 					if bi%2 == 0 {
 						return false, nil
 					}
-					return true, keepPanel(s, want.Data[bi*b*n:min(bi*b+b, n)*n])
+					return true, keepPanel(s, func(r, v int) float64 { return want.At(bi*b+r, v) })
 				}})
 				return s, seen, done, err
 			}

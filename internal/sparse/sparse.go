@@ -83,15 +83,13 @@
 //
 // Streaming. SolveTo is the one streamed solve: completed source rows go
 // to a Sink (a store.PanelWriter) in panels of its block size, two of them
-// in flight — one being written while the next is solved — so a solve
-// streamed to disk holds 2·b·n distance cells rather than n². The engine,
+// in flight — one being written while the next is solved. The engine,
 // and nothing else, chooses the cell type, from the graph alone, the same
 // on every CPU and build: where every weight is an integer in [0, 255]
 // every distance is an exact integer below 2^32, and the panels are
-// uint32 cells (matrix.NoPath32 for no path) from the lanes to
-// Sink.WriteIntPanel — half the bytes of a float64, and what an integer
-// store encoder reads with no float in between; on any other graph they
-// are float64 rows to Sink.WritePanel. Solve is float64 on any graph. One
+// uint32 cells (matrix.NoPath32 for no path) from the lanes to the store
+// encoder with no float in between — half the bytes of a float64; on any
+// other graph they are float64 rows. Solve is float64 on any graph. One
 // generic body serves both cell types (matrix.Cell): the panel loop, its
 // workers, the batch emit and the radix row's fill, which converts each
 // settled distance exactly. A solve starts at the sink's NextPanel, which
@@ -101,25 +99,50 @@
 //
 // Seeding. The graph is undirected, so d(s, v) = d(v, s): by the time the
 // panel of sources [base, base+h) runs on the batched kernel, its cells
-// at the vertices below base are known already, as the cells of the rows
-// above it at the panel's own columns — the reuse of distances already
-// computed that Urakov and Timeryaev build their sparse APSP on
-// (PAPERS.md). The panel first copies them into place (fillAbove), on its
-// workers, a tile at a time: Solve reads its own matrix back; SolveTo
-// takes the panel just above from its other buffer, where it solved that
-// panel itself, and reads every other tile back through Sink.ReadBack —
+// at the vertices below base are known already, as the cells of the tiles
+// above it, (j, bi) for j < bi — the reuse of distances already computed
+// that Urakov and Timeryaev build their sparse APSP on (PAPERS.md). Solve
+// reads them where they lie, in its own matrix, and emits every cell of
+// its rows from the lanes. SolveTo first fills them into its panel's
+// buffer (fillAbove), on its workers, a tile at a time: the tile of the
+// panel just above it copied from its other buffer, where it solved that
+// panel itself, and every other tile decoded through Sink.ReadBack —
 // store.PanelWriter's own CRC-checked decode, to uint32, of panels it
-// wrote, resumed or was supplied. Each batch then starts the lanes of
-// every vertex below base at those distances, marks every vertex from
-// base on dirty and sweeps from base rounded down to a multiple of 8
-// (solveBatch); its emit leaves the seeded cells as they are. A seeded
-// lane is a true distance, which no visit can lower, so the fixpoint
-// argument is unchanged; only the work shrinks, to the vertices from the
-// panel on and what their lanes still have to learn.
-// Nothing is read back for a panel that runs on rows, on real weights or
-// purego builds (which never batch), or into a sink whose ReadBack is nil
-// — an f32 store, whose tiles may be lossy.
-// apsp_sparse_sweep_visits_total counts the visits.
+// wrote, resumed or was supplied — straight into place. A tile is filled
+// in lane order (matrix.LaneIndex) of the width the panel batches at: the
+// seeds of a batch's sources at one vertex are one run, those of all of a
+// tile's vertices one stretch, so a batch seeds its lanes with one
+// sequential narrowing copy a tile (seedAbove). It then marks every vertex
+// from base on dirty and sweeps from base rounded down to a multiple of 8
+// (solveBatch). A seeded lane is a true distance, which no visit can
+// lower, so the fixpoint argument is unchanged; only the work shrinks, to
+// the vertices from the panel on and what their lanes still have to
+// learn. Nothing is read back for a panel that runs on rows, on real
+// weights or purego builds (which never batch), or into a sink whose
+// ReadBack is nil — an f32 store, whose tiles may be lossy.
+// apsp_sparse_sweep_visits_total counts the visits of the batches that
+// stand, apsp_sparse_seed_seconds the fills' wall time.
+//
+// The Sink contract. A Sink names its panel height (BlockSize) and first
+// panel (NextPanel), takes every panel through one write, WriteCells, in
+// order, and reads back what it holds through one read-back, ReadBack.
+// The panel names its cell type once (matrix.Panel): Ints, uint32 cells,
+// or Reals, float64. A panel of SolveTo that was not seeded carries its
+// whole rows. A seeded one carries its rows from its own first column,
+// base, on, and the tiles above it as they were filled, Lower, in lane
+// order of Lanes-wide groups: its lower tile (bi, j) is tile (j, bi) read
+// by columns, which is how store.PanelWriter encodes it, so no cell of
+// the lower half is ever written into the panel as a row and nothing is
+// transposed. ReadBack decodes a tile, as uint32 cells in the lane order
+// asked for, or is nil. A float64 read-back — raw tiles are exact — waits
+// for the real-weight kernel, the first caller that could seed from one.
+// A write must not keep or change the panel: both buffers are reused.
+//
+// Residency. A streamed solve holds its two panel buffers, 2·b·n cells,
+// and no more: a seeded panel's rows take h·(n−base) cells of its buffer
+// and its filled tiles the h·base the rows no longer need. The workers'
+// lanes (n lines each) and the store writer's one encoded panel come on
+// top.
 package sparse
 
 import (
@@ -166,22 +189,21 @@ type Engine struct {
 	budgetFallbacks atomic.Int64
 	batch32Scratch  freeList // *batchState[uint16]
 	batch16Scratch  freeList // *batchState[uint32]
-	// tiles holds the decode scratch of a seeded panel's read-back tiles
-	// (fillAbove), one b x b tile per worker.
-	tiles freeList // *[]uint32
 
 	// Cumulative solve telemetry, exposed by RegisterMetrics. Workers
 	// accumulate locally and flush once per panel slice, so the hot
 	// per-source loop stays free of shared-counter traffic.
-	srcSolved     atomic.Int64 // source rows completed
-	settled       atomic.Int64 // vertices settled (heap pops) across all sources
-	sweepVisits   atomic.Int64 // vertices the batched kernel's sweeps visited
-	boundedSolves atomic.Int64 // bounded/multi-seed solves completed
-	busyNs        atomic.Int64 // summed worker wall time inside panels
-	wallNs        atomic.Int64 // summed panel wall time
-	lastWorkers   atomic.Int64 // worker count of the most recent panel
-	stallNs       atomic.Int64 // summed time the panel loop was blocked on an emit
-	panelEmit     *obs.Histogram
+	srcSolved       atomic.Int64 // source rows completed
+	settled         atomic.Int64 // vertices settled (heap pops) across all sources
+	sweepVisits     atomic.Int64 // vertices the sweeps of batches that stood visited
+	discardedVisits atomic.Int64 // vertices the sweeps of batches thrown away visited
+	boundedSolves   atomic.Int64 // bounded/multi-seed solves completed
+	busyNs          atomic.Int64 // summed worker wall time inside panels
+	wallNs          atomic.Int64 // summed panel wall time
+	lastWorkers     atomic.Int64 // worker count of the most recent panel
+	stallNs         atomic.Int64 // summed time the panel loop was blocked on an emit
+	seedNs          atomic.Int64 // summed wall time of seeded panels' fills
+	panelEmit       *obs.Histogram
 }
 
 // freeList is a pool of one kind of per-worker scratch that belongs to its
@@ -232,7 +254,6 @@ func New(g *graph.Graph) *Engine {
 	e.scratch = freeList{keep: keep, new: func() any { return newState(e.n) }}
 	e.batch32Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint16](e.n) }}
 	e.batch16Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint32](e.n) }}
-	e.tiles = freeList{keep: keep, new: func() any { return new([]uint32) }}
 	e.width.Store(rowWise)
 	if e.intDistances = integerWeights(e.n, e.weights); e.intDistances && haveBatchKernel {
 		e.arcs = packArcs(e.colIdx, e.weights)
@@ -262,10 +283,16 @@ func (e *Engine) PanelKernel() string {
 //	apsp_sparse_sources_total          source rows solved
 //	apsp_sparse_settled_vertices_total vertices settled (sources/sec and
 //	                                   settle rate fall out of rate())
-//	apsp_sparse_sweep_visits_total     vertices the batched kernel's sweeps
-//	                                   visited, each a line of lanes folded
-//	                                   over its arcs: the kernel's work,
-//	                                   which seeding a panel cuts
+//	apsp_sparse_sweep_visits_total     vertices the sweeps of the batched
+//	                                   kernel's batches that stood visited,
+//	                                   each a line of lanes folded over its
+//	                                   arcs: the kernel's work, which seeding
+//	                                   a panel cuts; the same on every run
+//	apsp_sparse_discarded_sweep_visits_total
+//	                                   the same for batches thrown away
+//	                                   (range or budget): how many of them
+//	                                   sweep before the engine narrows
+//	                                   depends on the workers' timing
 //	apsp_sparse_worker_busy_seconds    summed worker time inside panels
 //	apsp_sparse_solve_wall_seconds     summed panel wall time
 //	apsp_sparse_worker_utilization     busy / (wall * workers) of the run
@@ -273,6 +300,9 @@ func (e *Engine) PanelKernel() string {
 //	apsp_sparse_emit_stall_seconds     time the panel loop was blocked on an
 //	                                   emit with no solve running beside it
 //	                                   (the last panel's emit always is)
+//	apsp_sparse_seed_seconds           summed wall time of seeded panels'
+//	                                   fills: the tiles above each read back
+//	                                   into lane order before its batches
 //	apsp_sparse_panel_kernel_info{impl} 1 on the panel kernel in use now
 //	                                   (batch32|batch16|row)
 //	apsp_sparse_batch_fallbacks_total{reason}
@@ -286,8 +316,10 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		func() int64 { return e.srcSolved.Load() })
 	r.CounterFunc("apsp_sparse_settled_vertices_total", "Vertices settled across all Dijkstra sources.",
 		func() int64 { return e.settled.Load() })
-	r.CounterFunc("apsp_sparse_sweep_visits_total", "Vertices the batched panel kernel's sweeps visited.",
+	r.CounterFunc("apsp_sparse_sweep_visits_total", "Vertices the sweeps of the batched panel kernel's batches that stood visited.",
 		func() int64 { return e.sweepVisits.Load() })
+	r.CounterFunc("apsp_sparse_discarded_sweep_visits_total", "Vertices the sweeps of batches thrown away (range or budget) visited.",
+		func() int64 { return e.discardedVisits.Load() })
 	r.CounterFunc("apsp_sparse_bounded_solves_total", "Bounded (frontier-stopped or multi-seed) solves completed.",
 		func() int64 { return e.boundedSolves.Load() })
 	r.GaugeFunc("apsp_sparse_worker_busy_seconds", "Summed worker wall time spent solving panels.",
@@ -307,6 +339,8 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		e.panelEmit)
 	r.GaugeFunc("apsp_sparse_emit_stall_seconds", "Summed time the panel loop was blocked on an emit with no solve running beside it.",
 		func() float64 { return float64(e.stallNs.Load()) / 1e9 })
+	r.GaugeFunc("apsp_sparse_seed_seconds", "Summed wall time of seeded panels' fills from the tiles above them.",
+		func() float64 { return float64(e.seedNs.Load()) / 1e9 })
 	// Read at scrape time: a fallback moves the 1 down the list.
 	for _, impl := range []string{"batch32", "batch16", "row"} {
 		r.GaugeFunc("apsp_sparse_panel_kernel_info", "What a panel's sources run on (batch32, batch16: that many at a time on 16- and 32-bit lanes; row: one at a time); 1 on the one in use.",
@@ -522,7 +556,8 @@ type Options struct {
 
 // Sink is where SolveTo writes a solve, a panel of source rows at a time,
 // in order: a *store.PanelWriter. It is an interface so that a test can
-// pass in a sink that fails or blocks.
+// pass in a sink that fails or blocks. The package comment has the
+// contract.
 type Sink interface {
 	// BlockSize is the panel height: every panel has this many rows but a
 	// ragged last one.
@@ -530,39 +565,24 @@ type Sink interface {
 	// NextPanel is the panel to write first: the panels before it are
 	// written already (a resumed solve).
 	NextPanel() int
-	// WritePanel writes the next panel as float64 rows, matrix.Inf for no
-	// path.
-	WritePanel(rows *matrix.Block) error
-	// WriteIntPanel writes the next panel as its h·n uint32 cells,
-	// row-major, matrix.NoPath32 for no path.
-	WriteIntPanel(rows []uint32) error
+	// WriteCells writes the next panel in the cell type the engine chose,
+	// which the panel names (matrix.Panel): its whole rows, or those of a
+	// seeded panel from its own first column on, with the tiles above it
+	// as they were read back.
+	WriteCells(p matrix.Panel) error
 	// ReadBack returns what reads back the tiles written so far as uint32
 	// cells (readBack), or nil where they do not hold the exact distances.
-	ReadBack() func(bi, bj int, dst []uint32) error
+	ReadBack() func(bi, bj, lanes int, dst []uint32) error
 }
 
 // readBack reads back what a solve in panels of b rows has written, a tile
 // at a time: it fills dst with the h x w cells of rows [bi·b, bi·b+h) at
-// columns [bj·b, bj·b+w), row-major, as they were written, matrix.NoPath32
-// for no path (h and w are b but for the ragged last panel). A seeded
-// panel calls it on its workers at once, only for tiles of panels whose
-// write has returned or that the sink held before the solve, and stops on
-// the first error.
-type readBack func(bi, bj int, dst []uint32) error
-
-// tilesOf is the readBack of a matrix of n x n cells in panels of b rows:
-// how Solve reads back its own rows.
-func tilesOf[C matrix.Cell](cells []C, n, b int) readBack {
-	return func(bi, bj int, dst []uint32) error {
-		h, w := min(b, n-bi*b), min(b, n-bj*b)
-		for r := 0; r < h; r++ {
-			for c, x := range cells[(bi*b+r)*n+bj*b:][:w] {
-				dst[r*w+c] = matrix.Recast[uint32](x)
-			}
-		}
-		return nil
-	}
-}
+// columns [bj·b, bj·b+w) as they were written, matrix.NoPath32 for no
+// path (h and w are b but for the ragged last panel), in lane order of
+// lanes-wide groups (matrix.LaneIndex). A seeded panel calls it on its
+// workers at once, only for tiles of panels whose write has returned or
+// that the sink held before the solve, and stops on the first error.
+type readBack func(bi, bj, lanes int, dst []uint32) error
 
 func (o Options) workers() int {
 	if o.Workers > 0 {
@@ -583,7 +603,7 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 		return matrix.NewZero(0, 0), 0, nil
 	}
 	out := matrix.NewZero(e.n, e.n)
-	up := above[float64]{b: panelRows, read: tilesOf(out.Data, e.n, panelRows)}
+	up := above[float64]{b: panelRows, whole: out.Data}
 	done, err := solvePanels(ctx, e, panelRows, 0, opts, func(bi, h int) ([]float64, above[float64]) {
 		return out.Data[bi*panelRows*e.n : (bi*panelRows+h)*e.n], up
 	}, nil)
@@ -597,13 +617,12 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 // w.BlockSize() consecutive rows (the last panel may be ragged) from panel
 // w.NextPanel() on — the sources of the panels before it are skipped — and
 // written to w in order as each completes. The engine picks the cell type
-// from the graph: where every weight is an integer in [0, 255] each panel
-// goes to WriteIntPanel as uint32 cells, otherwise to WritePanel as
-// float64 rows. Each batched panel is seeded from the panels above it (the
-// package comment): the one just above from the engine's own buffer when
-// it solved that panel, the others through w.ReadBack(); a nil ReadBack
-// seeds nothing. With opts.Supply set, each panel is first offered to
-// Supply.
+// from the graph: uint32 cells where every weight is an integer in
+// [0, 255], float64 otherwise. Each batched panel is seeded from the
+// panels above it (the package comment): the one just above from the
+// engine's own buffer when it solved that panel, the others through
+// w.ReadBack(); a nil ReadBack seeds nothing. With opts.Supply set, each
+// panel is first offered to Supply.
 //
 // The solve is double-buffered: a write runs on its own goroutine while
 // the workers solve the next panel into a second buffer, so peak residency
@@ -611,7 +630,7 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 // returned before panel k+1's starts, so a sink that makes its panel
 // durable keeps a checkpoint sequence in order — and none outlives the
 // call. The two buffers are the call's own and reused: a write must finish
-// consuming its panel before returning and must not retain it (or any row
+// consuming its panel before returning and must not retain it (or any
 // slice of it), nor write to it: the next panel may be seeded from it
 // while it is written.
 //
@@ -623,39 +642,31 @@ func (e *Engine) Solve(ctx context.Context, panelRows int, opts Options) (*matri
 // and returns ctx.Err(), as does a ctx cancelled inside Supply.
 func (e *Engine) SolveTo(ctx context.Context, w Sink, opts Options) (int, error) {
 	if e.intDistances {
-		return streamPanels(ctx, e, w, opts, w.WriteIntPanel)
+		return streamPanels[uint32](ctx, e, w, opts, w.ReadBack())
 	}
-	return streamPanels(ctx, e, w, opts, func(rows []float64) error {
-		return w.WritePanel(&matrix.Block{R: len(rows) / e.n, C: e.n, Data: rows})
-	})
+	// A real-weight panel never batches, so nothing is read back for it.
+	return streamPanels[float64](ctx, e, w, opts, nil)
 }
 
-// streamPanels is SolveTo at cell type C, each panel written through
-// write. Its two panel buffers are plain allocations of the call: they die
-// with it, where blocks from the matrix arena would stay pooled after the
-// solve.
-func streamPanels[C matrix.Cell](ctx context.Context, e *Engine, w Sink, opts Options, write func(rows []C) error) (int, error) {
+// streamPanels is SolveTo at cell type C, seeded through read. Its two
+// panel buffers are plain allocations of the call: they die with it,
+// where blocks from the matrix arena would stay pooled after the solve.
+func streamPanels[C matrix.Cell](ctx context.Context, e *Engine, w Sink, opts Options, read readBack) (int, error) {
 	if e.n == 0 {
 		return 0, nil
 	}
-	b, read := w.BlockSize(), readBack(w.ReadBack())
-	// bufs[cur] holds panel last, the last one this call solved (-1: none
-	// yet), which the next panel seeds from if it is the one just above.
+	b := w.BlockSize()
 	var bufs [2][]C
-	cur, last := 0, -1
+	cur := 0
 	return solvePanels(ctx, e, b, w.NextPanel(), opts, func(bi, h int) ([]C, above[C]) {
-		up := above[C]{b: b, read: read}
-		if last == bi-1 {
-			up.prev = bufs[cur]
-		}
-		cur, last = 1-cur, bi
+		cur = 1 - cur
 		if bufs[cur] == nil { // a one-panel solve never takes the second
 			bufs[cur] = make([]C, min(b, e.n)*e.n)
 		}
-		return bufs[cur][:h*e.n], up
-	}, func(rows []C) error {
+		return bufs[cur][:h*e.n], above[C]{b: b, read: read}
+	}, func(p panel[C]) error {
 		writeStart := time.Now()
-		err := write(rows)
+		err := w.WriteCells(p.sink())
 		e.panelEmit.RecordSince(writeStart)
 		return err
 	})
@@ -664,14 +675,14 @@ func streamPanels[C matrix.Cell](ctx context.Context, e *Engine, w Sink, opts Op
 // solvePanels is the panel loop under Solve and SolveTo. From panel first
 // on, it offers each panel to opts.Supply when that is set, once the
 // emit before it has returned; otherwise it asks dst for the panel's
-// destination cells (a window of the full matrix, or one of the two
-// streaming buffers) and where their seeds lie, solves the panel's
-// sources into them in parallel and, when emit is non-nil, hands the
-// solved panel to emit on a goroutine that runs alongside the next
-// panel's solve. Rows count, and Progress fires on the calling goroutine,
-// once a panel's emit has returned nil (at once when there is no emit) or
-// Supply has written it.
-func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, opts Options, dst func(bi, h int) ([]C, above[C]), emit func(rows []C) error) (int, error) {
+// buffer (a window of the full matrix, or one of the two streaming
+// buffers) and where its seeds lie, solves the panel's sources into it in
+// parallel and, when emit is non-nil, hands the solved panel to emit on a
+// goroutine that runs alongside the next panel's solve. The next panel
+// seeds from a panel it solved itself where it lies. Rows count, and
+// Progress fires on the calling goroutine, once a panel's emit has
+// returned nil (at once when there is no emit) or Supply has written it.
+func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, opts Options, dst func(bi, h int) ([]C, above[C]), emit func(p panel[C]) error) (int, error) {
 	if b < 1 {
 		return 0, fmt.Errorf("sparse: panel height %d < 1", b)
 	}
@@ -716,6 +727,9 @@ func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, op
 		}
 		return err
 	}
+	// last is the panel this call solved most recently, lastBi its index.
+	var last panel[C]
+	lastBi := -1
 	for bi := first; bi < numPanels; bi++ {
 		base := bi * b
 		h := min(b, e.n-base)
@@ -735,10 +749,14 @@ func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, op
 				continue
 			}
 		}
-		panel, up := dst(bi, h)
+		buf, up := dst(bi, h)
+		if lastBi == bi-1 {
+			up.prev = last
+		}
 		// solvePanel starts with a ctx check, so a cancelled solve falls
 		// straight through to settle.
-		solveErr := solvePanel(ctx, e, base, panel, h, workers, up)
+		p, solveErr := solvePanel(ctx, e, base, buf, h, workers, up)
+		last, lastBi = p, bi
 		if err := settle(); err != nil {
 			return done, err
 		}
@@ -754,7 +772,7 @@ func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, op
 		}
 		emitting = h
 		go func() {
-			err := emit(panel)
+			err := emit(p)
 			if err != nil {
 				cancel()
 			}
@@ -765,26 +783,57 @@ func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, op
 	return done, err
 }
 
-// above is where a panel's seeds lie (the package comment): the rows of
-// the panels of b rows before it, at the panel's columns. The zero value
+// above is where a panel's seeds lie (the package comment): the cells of
+// the panels of b rows before it at the panel's columns. The zero value
 // seeds nothing.
 type above[C matrix.Cell] struct {
-	b    int
-	prev []C      // the panel just above, still held beside its emit; nil: read it back
-	read readBack // every panel above, or every other one when prev is set
+	b int
+	// whole is Solve's n x n matrix, of which the panel is a window: the
+	// seeds are its rows above the panel, read where they lie.
+	whole []C
+	// Otherwise the seeds are filled into the panel's own buffer: the
+	// panel just above from prev, where this solve still holds it
+	// (prev.rows nil: it does not), every other one through read.
+	prev panel[C]
+	read readBack
 }
 
-// solvePanel fills rows (h rows of n cells) with the distance rows of
-// sources base..base+h-1. The panel is cut into units — runs of as many
-// consecutive sources as the engine solves at once when the call starts
-// (PanelKernel: 32, 16 or 1) — which the workers draw from a shared
-// counter, each holding its scratch for the whole panel. A panel that
-// starts on a batched kernel and has seeds is filled with them first
-// (fillAbove). A cancelled ctx stops every worker before its next unit (so
-// between batches, not between rows) and is returned; rows is then partly
-// filled.
-func solvePanel[C matrix.Cell](ctx context.Context, e *Engine, base int, rows []C, h, workers int, up above[C]) error {
-	job := panelJob[C]{base: base, h: h, rows: rows, unit: rowWise}
+// panel is a solved panel as it lies in its buffer (the Sink contract):
+// its h rows at the columns from from on, stride cells apart — from is 0
+// but on a seeded panel of SolveTo — and, below from, the tiles above it,
+// tile j at lower[j·b·h:], in lane order of lanes-wide groups.
+type panel[C matrix.Cell] struct {
+	rows         []C
+	stride, from int
+	lower        []C
+	lanes        int
+}
+
+// sink is the panel as a Sink takes it: where the engine names its cell
+// type to the sink.
+func (p panel[C]) sink() matrix.Panel {
+	if rows, ok := any(p.rows).([]uint32); ok {
+		lower, _ := any(p.lower).([]uint32)
+		return matrix.Panel{Ints: rows, From: p.from, Lower: lower, Lanes: p.lanes}
+	}
+	return matrix.Panel{Reals: any(p.rows).([]float64)}
+}
+
+// solvePanel fills buf (h rows of n cells) with the distance rows of
+// sources base..base+h-1 and returns how they lie in it. The panel is cut
+// into units — runs of as many consecutive sources as the engine solves at
+// once when the call starts (PanelKernel: 32, 16 or 1) — which the workers
+// draw from a shared counter, each holding its scratch for the whole
+// panel. A panel that starts on a batched kernel and has seeds is seeded
+// (the package comment): from Solve's matrix where they lie; otherwise its
+// rows hold only the columns from base on, and the tiles above it are
+// first filled, in lane order of the unit's width, into the rest of buf
+// (fillAbove). A cancelled ctx stops every worker before its next unit
+// (so between batches, not between rows) and is returned; buf is then
+// partly filled.
+func solvePanel[C matrix.Cell](ctx context.Context, e *Engine, base int, buf []C, h, workers int, up above[C]) (panel[C], error) {
+	n := e.n
+	job := panelJob[C]{base: base, h: h, unit: rowWise, up: up, p: panel[C]{rows: buf[:h*n], stride: n}}
 	if h >= batchMin {
 		job.unit = int(e.width.Load())
 	}
@@ -794,14 +843,22 @@ func solvePanel[C matrix.Cell](ctx context.Context, e *Engine, base int, rows []
 		e.wallNs.Add(time.Since(panelStart).Nanoseconds())
 		e.lastWorkers.Store(int64(workers))
 	}()
-	if job.unit != rowWise && base > 0 && up.read != nil {
-		job.up = up
-		if err := inParallel(ctx, e, &job, workers, true); err != nil {
-			return err
+	if job.unit != rowWise && base > 0 {
+		switch {
+		case up.whole != nil:
+			job.above = base
+		case up.read != nil:
+			job.p = panel[C]{rows: buf[:h*(n-base)], stride: n - base, from: base, lower: buf[h*(n-base) : h*n], lanes: job.unit}
+			fillStart := time.Now()
+			err := inParallel(ctx, e, &job, workers, true)
+			e.seedNs.Add(time.Since(fillStart).Nanoseconds())
+			if err != nil {
+				return job.p, err
+			}
+			job.above = base
 		}
-		job.above = base
 	}
-	return inParallel(ctx, e, &job, workers, false)
+	return job.p, inParallel(ctx, e, &job, workers, false)
 }
 
 // inParallel runs a phase of the panel — its fill (fillAbove) or its
@@ -829,13 +886,14 @@ func inParallel[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C],
 	return nil
 }
 
-// panelJob is one solvePanel call as its workers see it: h rows of n
-// cells, drawn unit rows at a time through next — after, when it is
-// seeded, the panels above it have been copied in, drawn one at a time
-// through filled (above > 0: the vertices below it are seeded).
+// panelJob is one solvePanel call as its workers see it: h rows, drawn
+// unit rows at a time through next into p — after, when it is filled from
+// up, the tiles above it have been, one at a time through filled.
+// above > 0: the vertices below it are seeded (seedRun), from up.whole or
+// from p's tiles.
 type panelJob[C matrix.Cell] struct {
 	base, h int
-	rows    []C
+	p       panel[C]
 	unit    int
 	next    atomic.Int64
 	up      above[C]
@@ -851,65 +909,54 @@ func (job *panelJob[C]) phase(ctx context.Context, e *Engine, fill bool) error {
 	return solveUnits(ctx, e, job)
 }
 
+// seedRun returns where the seeds of the panel's sources r.. lie from
+// vertex v on: vertex v+i's at cells[i*step:], for the count vertices from
+// v that lie that way — every one below above in Solve's matrix, the rest
+// of v's tile in the panel's tiles.
+func (job *panelJob[C]) seedRun(n, v, r int) (cells []C, step, count int) {
+	if job.up.whole != nil {
+		return job.up.whole[v*n+job.base+r:], n, job.above - v
+	}
+	b, h, lanes := job.up.b, job.h, job.p.lanes
+	g := r / lanes * lanes
+	return job.p.lower[v/b*b*h+matrix.LaneIndex(v%b, r, b, h, lanes):], min(lanes, h-g), b - v%b
+}
+
 // fillAbove is one worker of a seeded panel's fill: it draws the panels
-// above and writes each one's cells at the panel's columns into the
-// panel's cells at that panel's rows — d(s, v) = d(v, s) — decoding a
-// tile read back through up.read in the worker's tile scratch.
+// above and puts each one's tile at the panel's columns — (j, bi), whose
+// row v holds d(v, s) = d(s, v) for the panel's sources s — into the
+// panel's tiles in lane order: copied from the panel just above where the
+// solve still holds it, decoded straight into place through read
+// otherwise.
 func fillAbove[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C]) error {
 	start := time.Now()
-	var tile *[]uint32
-	defer func() {
-		if tile != nil {
-			e.tiles.put(tile)
-		}
-		e.busyNs.Add(time.Since(start).Nanoseconds())
-	}()
-	n, b, h, up := e.n, job.up.b, job.h, &job.up
+	defer func() { e.busyNs.Add(time.Since(start).Nanoseconds()) }()
+	b, h, lanes, bi := job.up.b, job.h, job.p.lanes, job.base/job.up.b
 	for {
 		j := int(job.filled.Add(1)) - 1
-		if j*b >= job.base {
+		if j >= bi {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		into := job.rows[j*b:]
-		if up.prev != nil && (j+1)*b == job.base {
-			transpose(into, n, up.prev[job.base:], n, b, h)
+		tile := job.p.lower[j*b*h:][:b*h]
+		if prev := job.up.prev; prev.rows != nil && j == bi-1 {
+			for c := 0; c < b; c++ {
+				row := prev.rows[c*prev.stride+job.base-prev.from:][:h]
+				for g := 0; g < h; g += lanes {
+					copy(tile[matrix.LaneIndex(c, g, b, h, lanes):][:min(lanes, h-g)], row[g:])
+				}
+			}
 			continue
 		}
-		if tile == nil {
-			tile = e.tiles.get().(*[]uint32)
-		}
-		if len(*tile) < b*h {
-			*tile = make([]uint32, b*b)
-		}
-		cells := (*tile)[:b*h]
-		if err := up.read(j, job.base/b, cells); err != nil {
+		// Only uint32 panels read back (SolveTo).
+		cells, _ := any(tile).([]uint32)
+		if err := job.up.read(j, bi, lanes, cells); err != nil {
 			return err
 		}
-		transpose(into, n, cells, h, b, h)
 	}
 }
-
-// transpose writes the r x c cells of src, row i at src[i*stride:], into
-// dst transposed — cell (i, j) to dst[j*n+i] — as dst's cell type. It
-// goes a strip of transposeStrip rows of src at a time, so that each row
-// of dst takes a run of cells from lines of src that stay in L1.
-func transpose[C, S matrix.Cell](dst []C, n int, src []S, stride, r, c int) {
-	for i0 := 0; i0 < r; i0 += transposeStrip {
-		strip := src[i0*stride:]
-		for j := 0; j < c; j++ {
-			for i, out := 0, dst[j*n+i0:j*n+min(i0+transposeStrip, r)]; i < len(out); i++ {
-				out[i] = matrix.Recast[C](strip[i*stride+j])
-			}
-		}
-	}
-}
-
-// transposeStrip is 16 rows: a 64-byte line of uint32 cells per row of
-// dst.
-const transposeStrip = 16
 
 // solveUnits is one worker of a panel: it solves units until none is left
 // or ctx is cancelled.
@@ -923,7 +970,7 @@ func solveUnits[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C])
 	var b16 *batchState[uint32]
 	// Telemetry accumulates worker-locally and flushes once per panel,
 	// keeping the per-source loop free of shared counters.
-	var sources, settled, visits int64
+	var sources, settled, visits, discarded int64
 	defer func() {
 		if sc != nil {
 			e.scratch.put(sc)
@@ -938,8 +985,9 @@ func solveUnits[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C])
 		e.srcSolved.Add(sources)
 		e.settled.Add(settled)
 		e.sweepVisits.Add(visits)
+		e.discardedVisits.Add(discarded)
 	}()
-	h, n := job.h, e.n
+	h, n, p := job.h, e.n, &job.p
 	for {
 		r0 := (int(job.next.Add(1)) - 1) * job.unit
 		if r0 >= h {
@@ -961,37 +1009,39 @@ func solveUnits[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C])
 				}
 				seed := [1]Seed{{V: int32(job.base + r)}}
 				settled += int64(sc.dijkstra(e, seed[:], Bound{}))
-				fillRow(sc, job.rows[r*n:(r+1)*n])
+				fillRow(sc, p.rows[r*p.stride:][:n-p.from], p.from)
 				sources++
 				r++
 				continue
 			}
 			var reached, swept int
 			var how batchEnd
-			if into := job.rows[r*n : (r+k)*n]; width == batch32 {
+			if width == batch32 {
 				if b32 == nil {
 					b32 = e.batch32Scratch.get().(*batchState[uint16])
 				}
-				reached, swept, how = solveBatch(b32, e, job.base+r, k, job.above, into)
+				reached, swept, how = solveBatch(b32, e, job, r, k)
 			} else {
 				if b16 == nil {
 					b16 = e.batch16Scratch.get().(*batchState[uint32])
 				}
-				reached, swept, how = solveBatch(b16, e, job.base+r, k, job.above, into)
+				reached, swept, how = solveBatch(b16, e, job, r, k)
 			}
-			visits += int64(swept)
 			// A worker mid-batch may end the same way; each narrowing is
 			// counted by whoever makes it.
 			switch how {
 			case batchSolved:
+				visits += int64(swept)
 				sources += int64(k)
 				settled += int64(reached)
 				r += k
 			case overRange:
+				discarded += int64(swept)
 				if e.width.CompareAndSwap(batch32, batch16) {
 					e.rangeFallbacks.Add(1)
 				}
 			case overBudget:
+				discarded += int64(swept)
 				if e.width.Swap(rowWise) != rowWise {
 					e.budgetFallbacks.Add(1)
 				}

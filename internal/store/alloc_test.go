@@ -11,8 +11,9 @@ import (
 )
 
 // TestWarmIntPanelAllocatesNothing: once a first panel has grown the
-// writer's buffer, WriteIntPanel with ivarint or raw encodes every tile
-// straight from the integers — no float tile, no garbage.
+// writer's buffer, WriteCells of an integer panel with ivarint or raw encodes every
+// tile straight from the integers — its rows, and the lower tiles of a
+// seeded panel — with no float tile and no garbage.
 func TestWarmIntPanelAllocatesNothing(t *testing.T) {
 	const n, b = 256, 32
 	cells := make([]uint32, b*n)
@@ -29,17 +30,20 @@ func TestWarmIntPanelAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteIntPanel(cells); err != nil {
+		if err := w.WriteCells(matrix.Panel{Ints: cells}); err != nil {
 			t.Fatal(err)
 		}
+		lower := make([]uint32, n*b)               // panels 1..6 take base·b of them
 		allocs := testing.AllocsPerRun(5, func() { // 6 more of the 8 panels
-			if err := w.WriteIntPanel(cells); err != nil {
+			base := w.NextPanel() * b
+			p := matrix.Panel{Ints: cells[:b*(n-base)], From: base, Lower: lower[:base*b], Lanes: 32}
+			if err := w.WriteCells(p); err != nil {
 				t.Fatal(err)
 			}
 		})
 		w.Abort()
 		if allocs != 0 || w.tile != nil {
-			t.Fatalf("%s: a warm WriteIntPanel allocates %v objects (float tile made: %v), want 0", name, allocs, w.tile != nil)
+			t.Fatalf("%s: a warm integer WriteCells allocates %v objects (float tile made: %v), want 0", name, allocs, w.tile != nil)
 		}
 	}
 }
@@ -63,21 +67,24 @@ func TestWarmReadBackAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteIntPanel(cells); err != nil {
+		if err := w.WriteCells(matrix.Panel{Ints: cells}); err != nil {
 			t.Fatal(err)
 		}
 		read, dst := w.ReadBack(), make([]uint32, b*b)
-		if err := read(0, 1, dst); err != nil {
+		if err := read(0, 1, b, dst); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := read(0, 1, dst); err != nil {
+			if err := read(0, 1, b, dst); err != nil {
+				t.Fatal(err)
+			}
+			if err := read(0, 1, 16, dst); err != nil {
 				t.Fatal(err)
 			}
 		})
 		w.Abort()
-		if allocs != 0 || dst[b+5] != cells[n+b+5] {
-			t.Fatalf("%s: a warm read-back allocates %v objects (cell %d, want %d), want 0", name, allocs, dst[b+5], cells[n+b+5])
+		if got := dst[matrix.LaneIndex(1, 5, b, b, 16)]; allocs != 0 || got != cells[n+b+5] {
+			t.Fatalf("%s: a warm read-back allocates %v objects (cell %d, want %d), want 0", name, allocs, got, cells[n+b+5])
 		}
 	}
 }

@@ -17,7 +17,7 @@
 //     value are stored raw instead. On integer-weight graphs, distance
 //     rows are small monotone-ish integers whose deltas fit 1-2 varint
 //     bytes: 4-8x denser than raw. A panel of uint32 distance cells
-//     (PanelWriter.WriteIntPanel) encodes to the same bytes straight from
+//     (PanelWriter.WriteCells) encodes to the same bytes straight from
 //     its integers, through the same restart-group layout and token
 //     writer.
 //   - f32 (id 2): lossy float32 downcast, opt-in only. The encoder
@@ -271,14 +271,20 @@ func (rawCodec) DecodeRow(_ *RowTable, span []byte, _ int, dst []float64) error 
 	return nil
 }
 
+// tileRows is an h x w tile of uint32 cells where a panel holds it
+// (matrix.Panel): row r is the w cells cells[0], cells[step],
+// cells[2·step], … of what it returns for r — a run of the panel's row,
+// step 1, or a column of a tile in lane order, step its group's width.
+type tileRows func(r int) (cells []uint32, step int)
+
 // appendRawInts appends the raw payload — the matrix.Marshal bytes — of
-// the h x w tile of uint32 cells whose row r is cells[r*stride:][:w],
-// matrix.NoPath32 as +Inf.
-func appendRawInts(dst []byte, cells []uint32, stride, h, w int) []byte {
+// the h x w tile of uint32 cells row returns, matrix.NoPath32 as +Inf.
+func appendRawInts(dst []byte, h, w int, row tileRows) []byte {
 	dst = slices.Grow(matrix.AppendDenseHeader(dst, h, w), 8*h*w)
 	for r := 0; r < h; r++ {
-		for _, v := range cells[r*stride:][:w] {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(matrix.Recast[float64](v)))
+		cells, step := row(r)
+		for p := 0; p < (w-1)*step+1; p += step {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(matrix.Recast[float64](cells[p])))
 		}
 	}
 	return dst
@@ -350,13 +356,16 @@ func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) 
 	})
 }
 
-// appendInts is EncodeTile of the h x w tile of uint32 cells whose row r
-// is cells[r*stride:][:w], matrix.NoPath32 for +Inf: the bytes EncodeTile
-// writes for the same values as float64, read where they lie in a panel.
-// Every cell is in the codec's domain, so only size declines a tile.
-func (c ivarintCodec) appendInts(dst []byte, cells []uint32, stride, h, w int) ([]byte, bool) {
+// appendInts is EncodeTile of the h x w tile of uint32 cells row
+// returns, matrix.NoPath32 for +Inf: the bytes EncodeTile writes for the
+// same values as float64, read where they lie in a panel. Every cell is in
+// the codec's domain, so only size declines a tile.
+func (c ivarintCodec) appendInts(dst []byte, h, w int, row tileRows) ([]byte, bool) {
 	return c.appendTile(dst, h, w, func(dst []byte, r int, prev int64) ([]byte, int64, bool) {
-		for _, v := range cells[r*stride:][:w] {
+		cells, step := row(r)
+		cells = cells[:(w-1)*step+1]
+		for p := 0; p < len(cells); p += step {
+			v := cells[p]
 			if v == matrix.NoPath32 {
 				dst = append(dst, 0)
 				continue
@@ -512,45 +521,60 @@ func (ivarintCodec) DecodeRow(t *RowTable, span []byte, r int, dst []float64) er
 
 func (ivarintCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
 	blk := matrix.New(h, w)
-	if err := decodeIVarintTile(data, h, w, blk.Data); err != nil {
+	if err := decodeIVarintTile(data, h, w, w, blk.Data); err != nil {
 		return nil, err
 	}
 	return blk, nil
 }
 
 // decodeIVarintTile decodes a whole h x w ivarint payload into dst, h·w
-// cells row-major, a restart group at a time. It allocates nothing.
-func decodeIVarintTile[C matrix.Cell](data []byte, h, w int, dst []C) error {
+// cells in lane order of lanes-wide groups (matrix.LaneIndex; lanes >= w
+// is row-major), a restart group at a time. It allocates nothing.
+func decodeIVarintTile[C matrix.Cell](data []byte, h, w, lanes int, dst []C) error {
 	return ivarintGroups(data, h, w, func(g, k, from, to int, sum uint32) error {
-		r := g * k
-		used, err := decodeIVarintGroup(data[from:to], sum, 0, dst[r*w:min(h, r+k)*w])
+		group := data[from:to]
+		err := checkIVarintGroup(group, sum)
+		// Each row's runs, one lane group after the other, carry the
+		// group's predecessor on.
+		used, prev := 0, int64(0)
+		for r := g * k; r < min(h, (g+1)*k) && err == nil; r++ {
+			for c0 := 0; c0 < w && err == nil; c0 += lanes {
+				used, prev, err = decodeIVarintRun(group, used, prev, 0, dst[matrix.LaneIndex(r, c0, h, w, lanes):][:min(lanes, w-c0)])
+			}
+		}
 		if err == nil && used != to-from {
-			err = fmt.Errorf("%w: %d trailing bytes after the ivarint values of rows %d..", ErrCodecData, to-from-used, r)
+			err = fmt.Errorf("%w: %d trailing bytes after the ivarint values of rows %d..", ErrCodecData, to-from-used, g*k)
 		}
 		return err
 	})
 }
 
 // decodeIntTile decodes the whole h x w payload data of an exact codec —
-// raw or ivarint — into dst as uint32 cells, +Inf as matrix.NoPath32: how
-// a sparse solve's integer panels read back (PanelWriter.ReadBack). A
-// value that is no uint32 distance, or a lossy codec, is ErrCodecData.
-func decodeIntTile(codec byte, data []byte, h, w int, dst []uint32) error {
+// raw or ivarint — into dst as uint32 cells, +Inf as matrix.NoPath32, in
+// lane order of lanes-wide groups: how a sparse solve's integer panels read
+// back (PanelWriter.ReadBack). A value that is no uint32 distance, or a
+// lossy codec, is ErrCodecData.
+func decodeIntTile(codec byte, data []byte, h, w, lanes int, dst []uint32) error {
 	switch codec {
 	case CodecIVarint:
-		return decodeIVarintTile(data, h, w, dst)
+		return decodeIVarintTile(data, h, w, lanes, dst)
 	case CodecRaw:
 		if _, err := (rawCodec{}).RowTable(data, h, w); err != nil {
 			return err
 		}
-		for i := range dst {
-			switch v := math.Float64frombits(binary.LittleEndian.Uint64(data[matrix.HeaderLen+8*i:])); {
-			case math.IsInf(v, 1):
-				dst[i] = matrix.NoPath32
-			case v >= 0 && v < matrix.NoPath32 && v == math.Trunc(v):
-				dst[i] = uint32(v)
-			default:
-				return fmt.Errorf("%w: raw value %v is no uint32 distance", ErrCodecData, v)
+		for r := 0; r < h; r++ {
+			for c0 := 0; c0 < w; c0 += lanes {
+				out := dst[matrix.LaneIndex(r, c0, h, w, lanes):][:min(lanes, w-c0)]
+				for i := range out {
+					switch v := math.Float64frombits(binary.LittleEndian.Uint64(data[matrix.HeaderLen+8*(r*w+c0+i):])); {
+					case math.IsInf(v, 1):
+						out[i] = matrix.NoPath32
+					case v >= 0 && v < matrix.NoPath32 && v == math.Trunc(v):
+						out[i] = uint32(v)
+					default:
+						return fmt.Errorf("%w: raw value %v is no uint32 distance", ErrCodecData, v)
+					}
+				}
 			}
 		}
 		return nil
@@ -574,26 +598,42 @@ var ivarintDelta = func() (t [128]int8) {
 // decodeIVarintGroup checks one restart group against its checksum, walks
 // past its first skip values and decodes the next len(dst) into dst, +Inf
 // as the cell's no path (matrix.NoPath32 for uint32). It returns how many
-// bytes of the group it consumed. It is the one ivarint decoder: float
-// rows and tiles, and integer tiles read back.
+// bytes of the group it consumed: a row read. decodeIVarintRun, which it
+// calls, is the one ivarint decoder, for rows and tiles alike.
+func decodeIVarintGroup[C matrix.Cell](group []byte, sum uint32, skip int, dst []C) (int, error) {
+	if err := checkIVarintGroup(group, sum); err != nil {
+		return 0, err
+	}
+	pos, _, err := decodeIVarintRun(group, 0, 0, skip, dst)
+	return pos, err
+}
+
+// checkIVarintGroup holds a restart group to its checksum.
+func checkIVarintGroup(group []byte, sum uint32) error {
+	if got := crc32.Checksum(group, castagnoli); got != sum {
+		return fmt.Errorf("%w: restart group checksum %08x, table says %08x", ErrCodecData, got, sum)
+	}
+	return nil
+}
+
+// decodeIVarintRun goes on through a checked restart group from byte pos,
+// after the predecessor prev: it walks past skip values and decodes the
+// next len(dst) into dst, and returns where it stopped and the
+// predecessor there.
 //
 // Wherever a little-endian word of the group holds eight one-byte tokens
 // and no escape, it takes the eight at once: skipped, they are one SWAR
 // sum (skipIVarintWords); decoded, eight running sums stored once all of
 // them are in the cell's range (decodeIVarintWords). Every other token —
 // an escape, a longer token, a word whose values leave the range, the
-// last few of the group — is one scalar step, which reports every error.
-func decodeIVarintGroup[C matrix.Cell](group []byte, sum uint32, skip int, dst []C) (int, error) {
-	if got := crc32.Checksum(group, castagnoli); got != sum {
-		return 0, fmt.Errorf("%w: restart group checksum %08x, table says %08x", ErrCodecData, got, sum)
-	}
+// last few of the run — is one scalar step, which reports every error.
+func decodeIVarintRun[C matrix.Cell](group []byte, pos int, prev int64, skip int, dst []C) (int, int64, error) {
 	// The values a cell holds exactly: integers of magnitude below 2^53 as
 	// float64, [0, NoPath32) as uint32.
 	lo, hi, none := -maxExactInt, maxExactInt, matrix.NoPath[C]()
 	if unsafe.Sizeof(none) == 4 {
 		lo, hi = -1, matrix.NoPath32
 	}
-	pos, prev := 0, int64(0)
 	for i := -skip; i < len(dst); i++ {
 		if (i <= -8 || i >= 0 && len(dst)-i >= 8) && oneByteWord(group[pos:]) {
 			var words int
@@ -619,7 +659,7 @@ func decodeIVarintGroup[C matrix.Cell](group []byte, sum uint32, skip int, dst [
 		} else {
 			var n int
 			if tok, n = binary.Uvarint(group[pos:]); n <= 0 {
-				return 0, fmt.Errorf("%w: ivarint stream ends %d values early", ErrCodecData, len(dst)-i)
+				return 0, 0, fmt.Errorf("%w: ivarint stream ends %d values early", ErrCodecData, len(dst)-i)
 			}
 			pos += n
 		}
@@ -633,12 +673,12 @@ func decodeIVarintGroup[C matrix.Cell](group []byte, sum uint32, skip int, dst [
 		if tok == 0 {
 			dst[i] = none
 		} else if prev <= lo || prev >= hi {
-			return 0, fmt.Errorf("%w: ivarint value %d out of the cell's exact range", ErrCodecData, prev)
+			return 0, 0, fmt.Errorf("%w: ivarint value %d out of the cell's exact range", ErrCodecData, prev)
 		} else {
 			dst[i] = C(prev)
 		}
 	}
-	return pos, nil
+	return pos, prev, nil
 }
 
 const (

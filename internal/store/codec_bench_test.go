@@ -72,7 +72,7 @@ func BenchmarkIVarintDecodeTile(b *testing.B) {
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := decodeIVarintTile(enc, 256, 256, dst); err != nil {
+		if err := decodeIVarintTile(enc, 256, 256, 256, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -741,7 +741,7 @@ func requireIntsEncodeAsOracle(t *testing.T, cells []uint32, h, w int) {
 	}
 	c := codecs[CodecIVarint].(ivarintCodec)
 	prefix := []byte("prefix")
-	got, gotOK := c.appendInts(bytes.Clone(prefix), panel[c0:], stride, h, w)
+	got, gotOK := c.appendInts(bytes.Clone(prefix), h, w, func(r int) ([]uint32, int) { return panel[r*stride+c0:], 1 })
 	want, wantOK := encodeIVarintOracle(c, bytes.Clone(prefix), tile)
 	if gotOK != wantOK || (gotOK && !bytes.Equal(got, want)) {
 		t.Fatalf("%dx%d integer tile: encoder accepted=%v with %d bytes, oracle accepted=%v with %d bytes; bytes equal: %v",

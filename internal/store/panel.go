@@ -3,14 +3,18 @@
 // while holding only O(b·n) of it. A PanelWriter is the sparse engine's
 // sparse.Sink: SolveTo takes its panel height (BlockSize) and first panel
 // (NextPanel) from it, seeds each panel from the tiles above it read back
-// from the file (ReadBack), and chooses the cell type itself — uint32
-// cells (WriteIntPanel, matrix.NoPath32 for no path) where every distance
-// is an integer, float64 rows (WritePanel) otherwise. Both run one panel
-// loop and write the same bytes for the same distances; from integers,
-// ivarint and raw encode each tile straight from the panel's rows, and
-// only f32 goes through the writer's one float tile. A generation rebuild
-// copies its clean panels in between (WriteRawPanel, from SolveTo's
-// Options.Supply).
+// from the file (ReadBack), and hands it every panel through one write
+// (WriteCells) in the cell type it chose itself — uint32 cells
+// (matrix.NoPath32 for no path) where every distance is an integer,
+// float64 otherwise — which names it once (matrix.Panel). Both cell types
+// run one panel loop and write the same bytes for the same distances.
+// From integers, ivarint and raw encode each tile straight from where it
+// lies: a tile right of the panel's diagonal from the panel's rows, and a
+// tile left of it — on a seeded panel, which carries the tiles above it
+// as it read them back, in lane order — from that tile's columns, so
+// nothing is transposed on the way. Only f32 goes through the writer's one
+// float tile. A generation rebuild copies its clean panels in between
+// (WriteRawPanel, from SolveTo's Options.Supply).
 //
 // In checkpoint mode the writer adds a crash-safe discipline: the panel
 // data lands in a stable partial file (path + ".partial") and, after each
@@ -346,7 +350,7 @@ func (w *PanelWriter) NextPanel() int { return w.nextPanel }
 // ReadBack returns how a sparse solve seeds a panel from the tiles above
 // it (sparse.Sink): readIntTile, or nil when the writer's codec is the
 // lossy f32, whose tiles do not decode back to the distances written.
-func (w *PanelWriter) ReadBack() func(bi, bj int, dst []uint32) error {
+func (w *PanelWriter) ReadBack() func(bi, bj, lanes int, dst []uint32) error {
 	if w.codec != nil && w.codec.ID() == CodecF32 {
 		return nil
 	}
@@ -354,21 +358,21 @@ func (w *PanelWriter) ReadBack() func(bi, bj int, dst []uint32) error {
 }
 
 // readIntTile fills dst with tile (bi, bj) of a panel already written —
-// by this writer or by the run it resumed — as h x w uint32 cells,
-// row-major, matrix.NoPath32 for no path. The bytes are read back from
-// the file and held to the CRC32C the tile's index entry records, so a
-// tile changed on disk after it was written — a flipped bit in a resumed
-// .partial — fails with ErrCorruptTile instead of seeding wrong
-// distances. It may run on several goroutines at once and beside the
-// call writing the next panel, but only for tiles of panels whose write
-// has returned.
-func (w *PanelWriter) readIntTile(bi, bj int, dst []uint32) error {
+// by this writer or by the run it resumed — as h x w uint32 cells in lane
+// order of lanes-wide groups (matrix.LaneIndex), matrix.NoPath32 for no
+// path. The bytes are read back from the file and held to the CRC32C the
+// tile's index entry records, so a tile changed on disk after it was
+// written — a flipped bit in a resumed .partial — fails with
+// ErrCorruptTile instead of seeding wrong distances. It may run on several
+// goroutines at once and beside the call writing the next panel, but only
+// for tiles of panels whose write has returned.
+func (w *PanelWriter) readIntTile(bi, bj, lanes int, dst []uint32) error {
 	if bi < 0 || bi >= w.q || bj < 0 || bj >= w.q {
 		return fmt.Errorf("store: tile (%d,%d) outside %dx%d grid", bi, bj, w.q, w.q)
 	}
 	h, c := tileEdge(w.n, w.b, bi), tileEdge(w.n, w.b, bj)
-	if len(dst) != h*c {
-		return fmt.Errorf("store: tile (%d,%d) is %dx%d, not %d cells", bi, bj, h, c, len(dst))
+	if len(dst) != h*c || lanes < 1 {
+		return fmt.Errorf("store: tile (%d,%d) is %dx%d, not %d cells in lanes of %d", bi, bj, h, c, len(dst), lanes)
 	}
 	ref := w.index[bi*w.q+bj]
 	bp := getIOBuf(int(ref.length))
@@ -379,20 +383,16 @@ func (w *PanelWriter) readIntTile(bi, bj int, dst []uint32) error {
 	if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
 		return fmt.Errorf("%w: tile (%d,%d) reads back with checksum %08x, index says %08x", ErrCorruptTile, bi, bj, got, ref.crc)
 	}
-	if err := decodeIntTile(ref.codec, *bp, h, c, dst); err != nil {
+	if err := decodeIntTile(ref.codec, *bp, h, c, lanes, dst); err != nil {
 		return fmt.Errorf("%w: tile (%d,%d): %w", ErrCorruptTile, bi, bj, err)
 	}
 	return nil
 }
 
-// WritePanel appends the next row panel: a dense h x n block holding
-// matrix rows [p*b, p*b+h) where p panels have been written so far and
-// h = b except for a ragged final panel. Each of its q tiles is copied
-// into the writer's one float tile and encoded from there; the encoded
-// tiles are gathered in one buffer and written with a single Write, so
-// the writer's own footprint is a tile plus one encoded panel. The panel
-// is only read, never retained. In checkpoint mode the panel is made
-// durable (data fsync + manifest update) before WritePanel returns.
+// WritePanel appends the next row panel: a dense h x n block of float64
+// rows, matrix.Inf for no path, holding matrix rows [bi·b, bi·b+h) where
+// bi panels have been written so far and h = b except for a ragged final
+// panel. It is WriteCells of those rows.
 func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 	if err := w.expectPanel(); err != nil {
 		return err
@@ -400,53 +400,75 @@ func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 	if rows == nil || rows.Phantom() {
 		return fmt.Errorf("store: need a dense row panel")
 	}
-	h := tileEdge(w.n, w.b, w.nextPanel)
-	if rows.R != h || rows.C != w.n {
+	if h := tileEdge(w.n, w.b, w.nextPanel); rows.R != h || rows.C != w.n {
 		return fmt.Errorf("store: panel %d is %dx%d, want %dx%d", w.nextPanel, rows.R, rows.C, h, w.n)
 	}
-	return w.writePanel(func(dst []byte, c0, c int) ([]byte, byte) {
-		tile := w.floatTile(h, c)
-		for r := 0; r < h; r++ {
-			copy(tile.Data[r*c:(r+1)*c], rows.Data[r*w.n+c0:])
-		}
-		return encodeTile(w.codec, tile, dst)
-	})
+	return w.WriteCells(matrix.Panel{Reals: rows.Data[:rows.R*rows.C]})
 }
 
-// WriteIntPanel is WritePanel for the sparse solve's integer panels: rows
-// holds the h x n panel as uint32 cells, row-major, matrix.NoPath32 for
-// no path and every other cell an integer distance. It writes the bytes
-// WritePanel writes for the same distances as float64 (NoPath32 as +Inf),
-// with no float in between where the codec allows: ivarint encodes each
-// tile from the panel's rows where they lie, and raw — also what a tile
-// ivarint declines is stored as — writes their float64 bits directly. f32
-// encodes a float copy of the tile, in the writer's one float tile.
-func (w *PanelWriter) WriteIntPanel(rows []uint32) error {
+// WriteCells appends the next row panel, p (matrix.Panel), holding matrix
+// rows [bi·b, bi·b+h) where bi panels have been written so far and h = b
+// except for a ragged final panel: the sparse engine's one panel write
+// (sparse.Sink). Each of its q tiles is encoded where it lies: a tile at
+// the columns from p.From on from the panel's rows, and a lower tile
+// (bi, j) of a panel that carries them from tile (j, bi) in p.Lower,
+// column by column — nothing is transposed first. Integer cells go
+// straight into ivarint and raw (also what a tile ivarint declines is
+// stored as) with no float in between; f32, and float64 cells, go through
+// the writer's one float tile. The encoded tiles are gathered in one
+// buffer and written with a single Write, so the writer's own footprint
+// is a tile plus one encoded panel. The panel is only read, never
+// retained. In checkpoint mode the panel is made durable (data fsync +
+// manifest update) before WriteCells returns. Integer and float64 cells
+// of the same distances (NoPath32 as +Inf) write the same bytes.
+func (w *PanelWriter) WriteCells(p matrix.Panel) error {
 	if err := w.expectPanel(); err != nil {
 		return err
 	}
-	h := tileEdge(w.n, w.b, w.nextPanel)
-	if len(rows) != h*w.n {
-		return fmt.Errorf("store: panel %d has %d cells, want %dx%d", w.nextPanel, len(rows), h, w.n)
+	base, h := w.nextPanel*w.b, tileEdge(w.n, w.b, w.nextPanel)
+	switch {
+	case (p.Ints == nil) == (p.Reals == nil):
+		return fmt.Errorf("store: panel %d needs exactly one of integer and float cells", w.nextPanel)
+	case p.From != 0 && (p.From != base || p.Ints == nil || len(p.Lower) != base*h || p.Lanes < 1):
+		return fmt.Errorf("store: panel %d from column %d (%d lower cells in lanes of %d), want from 0 or %d with %d integer lower cells",
+			w.nextPanel, p.From, len(p.Lower), p.Lanes, base, base*h)
+	case len(p.Ints)+len(p.Reals) != h*(w.n-p.From):
+		return fmt.Errorf("store: panel %d has %d cells from column %d, want %dx%d", w.nextPanel, len(p.Ints)+len(p.Reals), p.From, h, w.n-p.From)
 	}
+	stride := w.n - p.From
 	return w.writePanel(func(dst []byte, c0, c int) ([]byte, byte) {
-		cells := rows[c0:]
+		if p.Reals != nil {
+			tile := w.floatTile(h, c)
+			for r := 0; r < h; r++ {
+				copy(tile.Data[r*c:(r+1)*c], p.Reals[r*stride+c0:])
+			}
+			return encodeTile(w.codec, tile, dst)
+		}
+		row := func(r int) ([]uint32, int) { return p.Ints[r*stride+c0-p.From:], 1 }
+		if c0 < p.From {
+			// Row r of tile (bi, j) is column r of tile (j, bi), b x h.
+			tile := p.Lower[c0*h:]
+			row = func(r int) ([]uint32, int) {
+				return tile[matrix.LaneIndex(0, r, w.b, h, p.Lanes):], min(p.Lanes, h-r/p.Lanes*p.Lanes)
+			}
+		}
 		switch codec := w.codec.(type) {
 		case ivarintCodec:
-			if out, ok := codec.appendInts(dst, cells, w.n, h, c); ok {
+			if out, ok := codec.appendInts(dst, h, c, row); ok {
 				return out, CodecIVarint
 			}
 		case nil, rawCodec:
 		default:
 			tile := w.floatTile(h, c)
 			for r := 0; r < h; r++ {
-				for j, v := range cells[r*w.n:][:c] {
-					tile.Data[r*c+j] = matrix.Recast[float64](v)
+				cells, step := row(r)
+				for j := range tile.Data[r*c : (r+1)*c] {
+					tile.Data[r*c+j] = matrix.Recast[float64](cells[j*step])
 				}
 			}
 			return encodeTile(w.codec, tile, dst)
 		}
-		return appendRawInts(dst, cells, w.n, h, c), CodecRaw
+		return appendRawInts(dst, h, c, row), CodecRaw
 	})
 }
 
@@ -460,10 +482,10 @@ func (w *PanelWriter) floatTile(h, c int) *matrix.Block {
 	return w.tile
 }
 
-// writePanel is the one panel loop under WritePanel and WriteIntPanel:
-// encode appends tile bj of the panel — its c columns from column c0 — to
-// dst and names the codec that applies. The tiles are gathered in one
-// buffer, indexed and written with one Write.
+// writePanel is the one panel loop under WriteCells: encode appends tile
+// bj of the panel — its c columns from column c0 — to dst and names the
+// codec that applies. The tiles are gathered in one buffer, indexed and
+// written with one Write.
 func (w *PanelWriter) writePanel(encode func(dst []byte, c0, c int) ([]byte, byte)) error {
 	bi := w.nextPanel
 	w.buf = w.buf[:0]

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"apspark/internal/matrix"
@@ -97,67 +96,100 @@ func TestPanelWriterByteIdenticalToWrite(t *testing.T) {
 // TestWriteIntPanelMatchesWritePanel: an integer panel is written as the
 // bytes of the same distances as float64 — every codec, ragged and
 // clamped geometry, no-path cells, deltas past a one-byte token, and the
-// 1x1 tiles ivarint declines.
+// 1x1 tiles ivarint declines — whether it holds whole rows or, seeded,
+// its rows from its diagonal on and the tiles above it in lane order of
+// any width (a full batch, a narrower one, one lane, a ragged last group).
 func TestWriteIntPanelMatchesWritePanel(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(8))
-	for _, tc := range []struct{ n, b int }{{100, 32}, {64, 16}, {7, 100}, {9, 1}, {1, 1}, {40, 16}} {
+	for _, tc := range []struct{ n, b int }{{100, 32}, {64, 16}, {7, 100}, {9, 1}, {1, 1}, {40, 16}, {75, 20}} {
+		// Symmetric, as every distance matrix the engine streams is: a lower
+		// tile is the one above it read the other way round.
 		cells := make([]uint32, tc.n*tc.n)
 		m := matrix.New(tc.n, tc.n)
-		for i := range cells {
-			switch rng.Intn(10) {
-			case 0:
-				cells[i] = matrix.NoPath32
-			case 1:
-				cells[i] = rng.Uint32() % matrix.NoPath32
-			default:
-				cells[i] = uint32(rng.Intn(200))
-			}
-			m.Data[i] = matrix.Recast[float64](cells[i])
-		}
-		for _, name := range []string{"raw", "ivarint", "f32"} {
-			c, err := CodecByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, got := filepath.Join(dir, "float.apsp"), filepath.Join(dir, "int.apsp")
-			if err := WriteWithCodec(want, m, tc.b, c); err != nil {
-				t.Fatal(err)
-			}
-			w, err := NewPanelWriterWithOptions(got, tc.n, tc.b, PanelWriterOptions{Codec: c})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for bi := 0; bi < w.Panels(); bi++ {
-				base, h := panelRows(tc.n, w.BlockSize(), bi)
-				if err := w.WriteIntPanel(cells[base*tc.n : (base+h)*tc.n]); err != nil {
-					t.Fatal(err)
+		for i := 0; i < tc.n; i++ {
+			for j := i; j < tc.n; j++ {
+				var v uint32
+				switch rng.Intn(10) {
+				case 0:
+					v = matrix.NoPath32
+				case 1:
+					v = rng.Uint32() % matrix.NoPath32
+				default:
+					v = uint32(rng.Intn(200))
 				}
+				cells[i*tc.n+j], cells[j*tc.n+i] = v, v
+				m.Data[i*tc.n+j], m.Data[j*tc.n+i] = matrix.Recast[float64](v), matrix.Recast[float64](v)
 			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			a, err := os.ReadFile(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := os.ReadFile(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Fatalf("n=%d b=%d %s: integer panels wrote %d bytes, float panels %d, not the same", tc.n, tc.b, name, len(a), len(b))
+		}
+		for _, lanes := range []int{0, 1, 7, 16, 32} {
+			for _, name := range []string{"raw", "ivarint", "f32"} {
+				requireIntPanelsWriteFloatBytes(t, dir, m, cells, tc.b, lanes, name)
 			}
 		}
 	}
 }
 
+// requireIntPanelsWriteFloatBytes writes cells through integer panels —
+// seeded ones from panel 1 on when lanes > 0 — and requires the bytes
+// WriteWithCodec writes for m.
+func requireIntPanelsWriteFloatBytes(t *testing.T, dir string, m *matrix.Block, cells []uint32, b, lanes int, name string) {
+	t.Helper()
+	n := m.R
+	c, err := CodecByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := filepath.Join(dir, "float.apsp"), filepath.Join(dir, "int.apsp")
+	if err := WriteWithCodec(want, m, b, c); err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewPanelWriterWithOptions(got, n, b, PanelWriterOptions{Codec: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	b = w.BlockSize()
+	for bi := 0; bi < w.Panels(); bi++ {
+		base, h := panelRows(n, b, bi)
+		p := matrix.Panel{Ints: cells[base*n : (base+h)*n]}
+		if lanes > 0 && bi > 0 {
+			p = matrix.Panel{Ints: make([]uint32, 0, h*(n-base)), From: base, Lower: make([]uint32, base*h), Lanes: lanes}
+			for r := 0; r < h; r++ {
+				p.Ints = append(p.Ints, cells[(base+r)*n+base:][:n-base]...)
+			}
+			for v := 0; v < base; v++ {
+				for r := 0; r < h; r++ {
+					p.Lower[v/b*b*h+matrix.LaneIndex(v%b, r, b, h, lanes)] = cells[v*n+base+r]
+				}
+			}
+		}
+		if err := w.WriteCells(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, fb) {
+		t.Fatalf("n=%d b=%d lanes=%d %s: integer panels wrote %d bytes, float panels %d, not the same", n, b, lanes, name, len(a), len(fb))
+	}
+}
+
 // TestReadBackReturnsTheIntegersWritten: an exact writer's read-back
-// returns every tile of the panels written so far as the integers written
-// — raw, ivarint, the 1x1 tile ivarint declines (written raw), ragged
-// edges, no-path cells and values past a one-byte token — and an f32
-// writer has no read-back. A tile whose bytes change on disk after it was
-// written fails with ErrCorruptTile.
+// returns every tile of the panels written so far as the integers written,
+// in lane order of any width — raw, ivarint, the 1x1 tile ivarint declines
+// (written raw), ragged edges, no-path cells and values past a one-byte
+// token — and an f32 writer has no read-back. A tile whose bytes change on
+// disk after it was written fails with ErrCorruptTile, in any lane order.
 func TestReadBackReturnsTheIntegersWritten(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct{ n, b int }{{40, 16}, {33, 16}, {9, 1}} {
@@ -190,20 +222,24 @@ func TestReadBackReturnsTheIntegersWritten(t *testing.T) {
 			q := w.Panels()
 			for bi := 0; bi < q; bi++ {
 				base, h := panelRows(n, tc.b, bi)
-				if err := w.WriteIntPanel(cells[base*n : (base+h)*n]); err != nil {
+				if err := w.WriteCells(matrix.Panel{Ints: cells[base*n : (base+h)*n]}); err != nil {
 					t.Fatal(err)
 				}
 				for pi := 0; read != nil && pi <= bi; pi++ {
 					r0, h := panelRows(n, tc.b, pi)
 					for bj := 0; bj < q; bj++ {
 						c0, cw := panelRows(n, tc.b, bj)
-						got := make([]uint32, h*cw)
-						if err := read(pi, bj, got); err != nil {
-							t.Fatalf("n=%d b=%d %s: tile (%d,%d) after panel %d: %v", n, tc.b, name, pi, bj, bi, err)
-						}
-						for r := 0; r < h; r++ {
-							if want := cells[(r0+r)*n+c0:][:cw]; !slices.Equal(got[r*cw:][:cw], want) {
-								t.Fatalf("n=%d b=%d %s: tile (%d,%d) row %d reads back %v, want %v", n, tc.b, name, pi, bj, r, got[r*cw:][:cw], want)
+						for _, lanes := range []int{cw, 1, 3, 16, 32} {
+							got := make([]uint32, h*cw)
+							if err := read(pi, bj, lanes, got); err != nil {
+								t.Fatalf("n=%d b=%d %s: tile (%d,%d) in lanes of %d after panel %d: %v", n, tc.b, name, pi, bj, lanes, bi, err)
+							}
+							for r := 0; r < h; r++ {
+								for c := 0; c < cw; c++ {
+									if g, want := got[matrix.LaneIndex(r, c, h, cw, lanes)], cells[(r0+r)*n+c0+c]; g != want {
+										t.Fatalf("n=%d b=%d %s: tile (%d,%d) in lanes of %d: cell (%d,%d) reads back %d, want %d", n, tc.b, name, pi, bj, lanes, r, c, g, want)
+									}
+								}
 							}
 						}
 					}
@@ -231,8 +267,10 @@ func TestReadBackReturnsTheIntegersWritten(t *testing.T) {
 				f.Close()
 				_, cw := panelRows(n, tc.b, 1)
 				_, h := panelRows(n, tc.b, 0)
-				if err := read(0, 1, make([]uint32, h*cw)); !errors.Is(err, ErrCorruptTile) {
-					t.Fatalf("n=%d b=%d %s: a flipped byte reads back as %v, want ErrCorruptTile", n, tc.b, name, err)
+				for _, lanes := range []int{cw, 16} {
+					if err := read(0, 1, lanes, make([]uint32, h*cw)); !errors.Is(err, ErrCorruptTile) {
+						t.Fatalf("n=%d b=%d %s: a flipped byte reads back in lanes of %d as %v, want ErrCorruptTile", n, tc.b, name, lanes, err)
+					}
 				}
 			}
 			w.Abort()
@@ -264,7 +302,7 @@ func TestDecodeIntTileRefusesWhatIsNoUint32(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: codec declined the tile", tc.name)
 		}
-		if err := decodeIntTile(tc.c, data, 2, 2, make([]uint32, 4)); !errors.Is(err, ErrCodecData) {
+		if err := decodeIntTile(tc.c, data, 2, 2, 2, make([]uint32, 4)); !errors.Is(err, ErrCodecData) {
 			t.Fatalf("%s: err = %v, want ErrCodecData", tc.name, err)
 		}
 	}
@@ -310,11 +348,35 @@ func TestPanelWriterRejectsBadPanels(t *testing.T) {
 	if err := pw.WritePanel(matrix.NewPhantom(20, 50)); err == nil {
 		t.Fatal("phantom panel accepted")
 	}
-	if err := pw.WriteIntPanel(make([]uint32, 21*50)); err == nil {
-		t.Fatal("integer panel of the wrong size accepted")
+	for _, bad := range []struct {
+		what string
+		p    matrix.Panel
+	}{
+		{"panel of the wrong size", matrix.Panel{Reals: make([]float64, 20*49)}},
+		{"panel without cells", matrix.Panel{}},
+		{"panel of both cell types", matrix.Panel{Ints: make([]uint32, 20*50), Reals: make([]float64, 20*50)}},
+		{"integer panel of the wrong size", matrix.Panel{Ints: make([]uint32, 21*50)}},
+		{"panel 0 with lower tiles", matrix.Panel{Ints: make([]uint32, 20*30), From: 20, Lower: make([]uint32, 20*20), Lanes: 16}},
+	} {
+		if err := pw.WriteCells(bad.p); err == nil {
+			t.Fatalf("%s accepted", bad.what)
+		}
 	}
 	if err := pw.WritePanel(matrix.New(20, 50)); err != nil {
 		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		what string
+		p    matrix.Panel
+	}{
+		{"float panel with lower tiles", matrix.Panel{Reals: make([]float64, 20*30), From: 20, Lower: make([]uint32, 20*20), Lanes: 16}},
+		{"lower tiles short", matrix.Panel{Ints: make([]uint32, 20*30), From: 20, Lower: make([]uint32, 20*19), Lanes: 16}},
+		{"lower tiles without lanes", matrix.Panel{Ints: make([]uint32, 20*30), From: 20, Lower: make([]uint32, 20*20)}},
+		{"lower tiles from the wrong column", matrix.Panel{Ints: make([]uint32, 20*40), From: 10, Lower: make([]uint32, 20*10), Lanes: 16}},
+	} {
+		if err := pw.WriteCells(bad.p); err == nil {
+			t.Fatalf("%s accepted", bad.what)
+		}
 	}
 }
 

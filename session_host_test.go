@@ -279,15 +279,18 @@ func radixStore(t *testing.T, g *Graph, path string, b int, codec string) {
 
 // TestIntegerPanelsMatchFloatPanels: on integer weights SolveToStore
 // streams uint32 panels into the store, each batched one seeded from the
-// tiles above it read back from the file, and Solve seeds its float
-// panels from its own rows; both files must be the one unseeded radix
-// rows write for the same distances, byte for byte, for every codec: on
-// ER and planted graphs, no-path cells, the chain whose 75,000 outgrows
-// 16-bit lanes, a shuffled path whose first batch overruns its budget
-// (the rest are radix rows), n not a multiple of b and n < b. A streamed
-// solve cancelled after its first panel, resumed and cancelled again
-// after its third, then resumed to the end — each resumed run seeding its
-// first panel from tiles an earlier run wrote — writes the same file.
+// tiles above it read back from the file and written with those tiles as
+// its lower half, and Solve seeds its float panels from its own rows; both
+// files must be the one unseeded radix rows write for the same distances,
+// byte for byte, for every codec: on ER and planted graphs, no-path cells,
+// the chain whose 75,000 outgrows 16-bit lanes, a shuffled path whose
+// first batch overruns its budget (the rest are radix rows), n not a
+// multiple of b and n < b. So must, on each of them, a streamed solve
+// cancelled after its first panel, resumed and cancelled again after its
+// third, then resumed to the end — each resumed run seeding its first
+// panel from tiles an earlier run wrote — and a generation rebuild of the
+// graph with one weight changed, which copies its clean panels through
+// Supply and seeds its dirty ones from them.
 func TestIntegerPanelsMatchFloatPanels(t *testing.T) {
 	ctx := context.Background()
 	s, err := New(WithSolver(SolverDijkstra))
@@ -350,31 +353,53 @@ func TestIntegerPanelsMatchFloatPanels(t *testing.T) {
 			}
 			requireSameFile(t, tc.name+", "+codec+", streamed", intPath, refPath)
 			requireSameFile(t, tc.name+", "+codec+", in memory", floatPath, refPath)
-		}
-	}
 
-	g := hostTestGraph(t, 200, 5, 34)
-	const b = 32
-	dir := t.TempDir()
-	refPath, intPath := filepath.Join(dir, "ref.apsp"), filepath.Join(dir, "int.apsp")
-	radixStore(t, g, refPath, b, "ivarint")
-	for run, stop := range []struct{ after, skipped int }{{1, 0}, {2, b}, {0, 3 * b}} {
-		cctx, cancel := context.WithCancel(ctx)
-		panels := 0
-		res, err := s.SolveToStore(cctx, g, intPath, WithBlockSize(b), WithCodec("ivarint"), WithResume(run > 0), WithProgress(func(ev StageEvent) {
-			if ev.Name == "unit" {
-				if panels++; panels == stop.after {
-					cancel()
+			resumedPath := filepath.Join(dir, "resumed.apsp")
+			q := (tc.g.N + tc.b - 1) / tc.b
+			for run, stop := range []struct{ after, skipped int }{{1, 0}, {2, tc.b}, {0, 3 * tc.b}} {
+				if run > 0 && stop.skipped >= tc.g.N {
+					break // the solve has ended already
+				}
+				cctx, cancel := context.WithCancel(ctx)
+				panels := 0
+				res, err := s.SolveToStore(cctx, tc.g, resumedPath, WithBlockSize(tc.b), WithCodec(codec), WithResume(run > 0), WithProgress(func(ev StageEvent) {
+					if ev.Name == "unit" {
+						if panels++; panels == stop.after {
+							cancel()
+						}
+					}
+				}))
+				cancel()
+				// A cancel after the last panel's write comes too late to stop it.
+				last := stop.after == 0 || stop.skipped/tc.b+stop.after >= q
+				if !last && !errors.Is(err, context.Canceled) || last && err != nil {
+					t.Fatalf("%s, %s: run %d: err = %v", tc.name, codec, run, err)
+				}
+				if res == nil || res.UnitsSkipped != stop.skipped {
+					t.Fatalf("%s, %s: run %d skipped %d rows, want %d", tc.name, codec, run, res.UnitsSkipped, stop.skipped)
+				}
+				if last {
+					break
 				}
 			}
-		}))
-		cancel()
-		if stop.after > 0 && !errors.Is(err, context.Canceled) || stop.after == 0 && err != nil {
-			t.Fatalf("run %d: err = %v", run, err)
-		}
-		if res == nil || res.UnitsSkipped != stop.skipped {
-			t.Fatalf("run %d skipped %d rows, want %d", run, res.UnitsSkipped, stop.skipped)
+			requireSameFile(t, tc.name+", "+codec+", resumed twice", resumedPath, refPath)
+
+			gens, nextRef := filepath.Join(dir, "gens"), filepath.Join(dir, "next.apsp")
+			if _, err := InitGenerations(gens, refPath, tc.g); err != nil {
+				t.Fatal(err)
+			}
+			edges := tc.g.Edges()
+			d := EdgeDelta{U: edges[len(edges)/2].U, V: edges[len(edges)/2].V, W: edges[len(edges)/2].W - 1}
+			if d.W < 1 {
+				d.W += 2
+			}
+			edges[len(edges)/2].W = d.W
+			radixStore(t, mustGraph(tc.g.N, edges), nextRef, tc.b, codec)
+			up, err := s.ApplyDeltas(ctx, gens, []EdgeDelta{d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameFile(t, tc.name+", "+codec+", rebuilt", filepath.Join(gens, up.Generation, "dist.apsp"), nextRef)
 		}
 	}
-	requireSameFile(t, "resumed twice", intPath, refPath)
 }
