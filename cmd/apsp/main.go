@@ -226,7 +226,7 @@ func main() {
 			*storeOut, fmtBytes(st.Size()), res.BlockSize, *storeOut)
 	case host:
 		// A cancelled streamed solve leaves no store at the target path,
-		// only the durable checkpoint (.partial + .manifest).
+		// only the durable checkpoint (.partial).
 		fmt.Fprintf(os.Stderr, "apsp: checkpoint kept; rerun with -resume to continue from the last durable panel\n")
 	default:
 		// Truncated or cancelled runs carry no distances; the missing

@@ -1,10 +1,11 @@
 // Package fsx holds the filesystem durability primitives the rest of the
 // repo builds its crash-safety on. Every file the repo publishes (store
-// files, checkpoint manifests, hierarchy files, generation CURRENT
-// pointers, meta and graph files, graphgen -o) is written through one
-// Pending: it appears at its path only on Commit, complete, fsync'd, with
-// mode 0644 before umask, and with the rename made durable by an fsync of
-// the directory. On POSIX metadata journals a rename is only durable once
+// files, hierarchy files, generation CURRENT pointers, meta and graph
+// files, graphgen -o) is written through one Pending: it appears at its
+// path only on Commit, complete, fsync'd, with mode 0644 before umask,
+// and with the rename made durable by an fsync of the directory. A
+// Pending replaces only a regular file (or nothing): a directory, device
+// or FIFO at the path is refused (CheckTarget), never renamed over. On POSIX metadata journals a rename is only durable once
 // the *directory* holding the entry is synced — fsyncing the file alone
 // leaves a window where a crash forgets the rename and a "committed" file
 // silently vanishes. Directories (generation promotion) are published
@@ -41,6 +42,17 @@ func RenameDurable(oldpath, newpath string) error {
 	return nil
 }
 
+// CheckTarget refuses a path that exists and is not a regular file once
+// symlinks are followed — a directory, a device such as /dev/null, a
+// FIFO — so that publishing to it never renames a file over it. A path
+// that does not exist, or a symlink to a regular file, passes.
+func CheckTarget(path string) error {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		return fmt.Errorf("fsx: %s exists and is not a regular file (%v); refusing to replace it", path, fi.Mode().Type())
+	}
+	return nil
+}
+
 // Pending is a file that appears at its path only on Commit. Write it
 // through the embedded *os.File, then Commit or Abort it; Close belongs to
 // those two. A reader, or a crash at any instant, sees the old file at the
@@ -53,8 +65,12 @@ type Pending struct {
 }
 
 // Create starts a Pending for path: a new file beside it, named
-// .<base>.<random>.tmp and created exclusively with mode 0644.
+// .<base>.<random>.tmp and created exclusively with mode 0644. A target
+// CheckTarget refuses is refused here, before any file is made.
 func Create(path string) (*Pending, error) {
+	if err := CheckTarget(path); err != nil {
+		return nil, err
+	}
 	dir, base := filepath.Split(path)
 	name := filepath.Join(dir, fmt.Sprintf(".%s.%016x.tmp", base, rand.Uint64()))
 	f, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
@@ -71,7 +87,8 @@ func Adopt(f *os.File, path string) *Pending {
 	return &Pending{File: f, path: path, keep: true}
 }
 
-// Commit publishes the file at its path: fsync, close, rename, fsync the
+// Commit publishes the file at its path: check the target (CheckTarget;
+// it may have changed since Create), fsync, close, rename, fsync the
 // directory. When a step fails the file is closed and removed, and the
 // path keeps whatever it held.
 func (p *Pending) Commit() error {
@@ -80,7 +97,10 @@ func (p *Pending) Commit() error {
 	}
 	p.done = true
 	name := p.Name()
-	err := p.Sync()
+	err := CheckTarget(p.path)
+	if err == nil {
+		err = p.Sync()
+	}
 	if cerr := p.Close(); err == nil {
 		err = cerr
 	}

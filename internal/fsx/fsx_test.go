@@ -106,8 +106,8 @@ func TestPendingAbort(t *testing.T) {
 	}
 }
 
-// TestPendingFailedCommitCleansUp: a rename onto a non-empty directory
-// fails; the target keeps what it held and the temp file is gone.
+// TestPendingFailedCommitCleansUp: a non-empty directory at the target
+// is refused; it keeps what it held and no temp file is left.
 func TestPendingFailedCommitCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "target")

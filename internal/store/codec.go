@@ -188,15 +188,6 @@ func CodecByName(name string) (Codec, error) {
 	return nil, fmt.Errorf("store: unknown codec %q (want raw, ivarint or f32)", name)
 }
 
-// codecName maps a codec byte to its name (for metrics labels and error
-// messages; unknown bytes never get this far — Open rejects them).
-func codecName(id byte) string {
-	if checkCodec(id) != nil {
-		return fmt.Sprintf("codec-%d", id)
-	}
-	return codecs[id].Name()
-}
-
 // tileRows is an h x w tile of cells where a block or a panel holds it:
 // row r is the w cells cells[0], cells[step], cells[2·step], … of what it
 // returns for r — a run of a row, step 1, or a column of a tile in lane

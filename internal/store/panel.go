@@ -16,25 +16,29 @@
 // rebuild copies its clean panels in between (WriteRawPanel, from
 // SolveTo's Options.Supply).
 //
-// In checkpoint mode the writer adds a crash-safe discipline: the panel
-// data lands in a stable partial file (path + ".partial") and, after each
-// panel's bytes are fsync'd, a sidecar manifest (path + ".manifest") is
-// atomically rewritten recording how many panels are durable. A process
-// killed mid-solve can then resume: the partial file is truncated back to
-// the last durable panel boundary and writing continues from there, so
-// only the unfinished panels are ever re-solved. Encoded tile lengths
-// depend on the data (format v3 compresses per tile), so the manifest
-// records each durable tile's length and codec alongside its CRC; the
-// resumed writer rebuilds its index from them by contiguity. The codecs
-// are deterministic, so a resumed store is byte-identical to one written
-// in a single uninterrupted run with the same codec.
+// In checkpoint mode the writer adds a crash-safe discipline: the store
+// is written in place at a stable partial file (path + ".partial"), and
+// after each panel's tile bytes are fsync'd the panel's q index entries
+// are written into the partial's own index region and fsync'd in turn, so
+// the partial file is itself a store with a durable prefix of panels and
+// there is no second record of what was written. A process killed
+// mid-solve can then resume: the partial's header must be the solve's,
+// its index is read through Open's per-entry check (readEntry), and the
+// longest run of whole panels whose entries pass is durable — the last
+// of them held to its tiles' CRCs, since its index write is the only one
+// a crash can tear. The file is truncated there and writing continues, so
+// only the unfinished panels are ever re-solved. The codecs are
+// deterministic, so a resumed store is byte-identical to one written in a
+// single uninterrupted run with the same codec.
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"slices"
 
@@ -42,49 +46,22 @@ import (
 	"apspark/internal/matrix"
 )
 
-// manifestMagic identifies a PanelWriter checkpoint manifest.
-const manifestMagic = "APSPCKPT"
-
-// manifestVersion is the manifest schema version (2 added per-tile
-// lengths and codecs for the variable-length v3 store layout; version-1
-// manifests predate them and cannot be resumed by this build).
-const manifestVersion = 2
-
-// manifest is the JSON sidecar a checkpointing PanelWriter rewrites after
-// every durable panel. Panels counts row panels whose tile bytes are
-// fsync'd in the partial file; CRCs, Lens and Codecs carry the per-tile
-// CRC32C, encoded length and codec byte accumulated so far (q*q entries
-// each, row-major; entries past the completed panels are zero and
-// ignored on resume — tile offsets are rebuilt from the lengths by
-// contiguity). Codec names the writer's preferred codec so a resume with
-// a different one is refused instead of silently mixing densities.
-type manifest struct {
-	Magic   string   `json:"magic"`
-	Version int      `json:"version"`
-	N       int      `json:"n"`
-	B       int      `json:"b"`
-	Q       int      `json:"q"`
-	Panels  int      `json:"panels"`
-	CRCs    []uint32 `json:"crcs"`
-	Lens    []int64  `json:"lens"`
-	Codecs  []byte   `json:"codecs"`
-	Codec   string   `json:"codec"`
-}
-
 // PanelWriterOptions configures the crash-safety discipline of a
 // PanelWriter. The zero value writes an anonymous temp file.
 type PanelWriterOptions struct {
-	// Checkpoint writes panels to a stable partial file (path+".partial")
-	// and maintains a durable sidecar manifest (path+".manifest") after
-	// each panel, at the cost of one fsync per panel. Abort then keeps the
-	// partial file and manifest so a later run can resume.
+	// Checkpoint writes the store in place at a stable partial file
+	// (path+".partial") and makes each panel durable — its tiles, then its
+	// index entries, fsync'd — before the write returns, at the cost of
+	// two fsyncs per panel. Abort then keeps the partial file so a later
+	// run can resume.
 	Checkpoint bool
-	// Resume (implies Checkpoint) picks up an existing checkpoint: the
-	// partial file is truncated to the last durable panel boundary and the
-	// writer continues from there. When no usable checkpoint exists the
-	// writer simply starts from panel 0. The checkpoint's geometry and
-	// codec must match (n, blockSize, Codec) or the writer refuses to
-	// resume.
+	// Resume (implies Checkpoint) picks up an existing partial file: it is
+	// truncated to its last durable panel and the writer continues from
+	// there. When it holds no durable panel, or does not exist, the writer
+	// starts from panel 0. A partial of another geometry (n, blockSize),
+	// or with a durable tile whose codec is neither raw nor Codec, is
+	// refused and kept: a checkpoint of raw tiles only resumes under any
+	// codec, since raw tiles are exact.
 	Resume bool
 	// Codec is the preferred tile codec (nil means raw). Each tile is
 	// offered to it and falls back to raw bytes when declined or not
@@ -112,8 +89,7 @@ type PanelWriter struct {
 	closed    bool
 	failed    bool
 
-	checkpoint   bool
-	manifestPath string
+	checkpoint bool
 }
 
 // NewPanelWriterWithOptions creates the file and writes the header and
@@ -138,8 +114,7 @@ func NewPanelWriterWithOptions(path string, n, blockSize int, opts PanelWriterOp
 	var err error
 	if w.checkpoint = opts.Checkpoint || opts.Resume; !w.checkpoint {
 		w.f, err = fsx.Create(path)
-	} else {
-		w.manifestPath = path + ".manifest"
+	} else if err = fsx.CheckTarget(path); err == nil {
 		if opts.Resume {
 			if err := w.resume(path); err != nil {
 				return nil, err
@@ -147,14 +122,12 @@ func NewPanelWriterWithOptions(path string, n, blockSize int, opts PanelWriterOp
 			if w.f != nil {
 				return w, nil
 			}
-			// No usable checkpoint: fall through to a fresh start.
+			// No durable panel: fall through to a fresh start.
 		}
 		var f *os.File
 		if f, err = os.OpenFile(path+".partial", os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644); err == nil {
 			w.f = fsx.Adopt(f, path)
 		}
-		// A stale manifest from an older run must not outlive its data.
-		os.Remove(w.manifestPath)
 	}
 	if err != nil {
 		return nil, err
@@ -166,151 +139,112 @@ func NewPanelWriterWithOptions(path string, n, blockSize int, opts PanelWriterOp
 	return w, nil
 }
 
-// resume restores the writer's state from an existing checkpoint of the
-// store at path. On success w.f is open and positioned at the last
-// durable panel boundary; when no checkpoint exists w.f stays nil (fresh
-// start). A checkpoint that exists but disagrees with the requested
-// geometry or codec, or records a codec byte this build does not read,
-// is an error: silently discarding hours of solve work would be worse.
+// resume restores the writer's state from the partial file a
+// checkpointing run left beside path. On success w.f is open and
+// positioned at the end of the last durable panel; when there is no
+// partial file, or it holds no durable panel, w.f stays nil (fresh
+// start). A partial that is not this solve's is an error and stays on
+// disk: silently discarding hours of solve work would be worse.
 func (w *PanelWriter) resume(path string) error {
-	raw, err := os.ReadFile(w.manifestPath)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: reading checkpoint manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("store: checkpoint manifest %s is corrupt: %w", w.manifestPath, err)
-	}
-	if m.Magic != manifestMagic || m.Version != manifestVersion {
-		return fmt.Errorf("store: %s is not a version-%d checkpoint manifest", w.manifestPath, manifestVersion)
-	}
-	if m.N != w.n || m.B != w.b || m.Q != w.q {
-		return fmt.Errorf("store: checkpoint is for n=%d b=%d (q=%d), this solve is n=%d b=%d (q=%d)",
-			m.N, m.B, m.Q, w.n, w.b, w.q)
-	}
-	if m.Panels < 0 || m.Panels > w.q || len(m.CRCs) != w.q*w.q ||
-		len(m.Lens) != w.q*w.q || len(m.Codecs) != w.q*w.q {
-		return fmt.Errorf("store: checkpoint manifest %s is inconsistent (panels=%d, crcs=%d, lens=%d, codecs=%d)",
-			w.manifestPath, m.Panels, len(m.CRCs), len(m.Lens), len(m.Codecs))
-	}
-	if want := w.codecName(); m.Codec != want {
-		return fmt.Errorf("store: checkpoint was written with codec %q, this solve wants %q — remove the checkpoint to restart",
-			m.Codec, want)
-	}
-	// Rebuild the index entries of the durable panels: offsets follow by
-	// contiguity from the recorded lengths, exactly the invariant Open
-	// enforces on the finished file.
-	off := w.nextOff
-	for i := 0; i < m.Panels*w.q; i++ {
-		bi, bj := i/w.q, i%w.q
-		raw := matrix.DenseMarshaledSize(tileEdge(w.n, w.b, bi), tileEdge(w.n, w.b, bj))
-		length, codec := m.Lens[i], m.Codecs[i]
-		if err := checkCodec(codec); err != nil {
-			return fmt.Errorf("store: checkpoint manifest %s tile %d: %w", w.manifestPath, i, err)
-		}
-		if !plausibleTile(codec, length, raw) {
-			return fmt.Errorf("store: checkpoint manifest %s tile %d is implausible (len=%d codec=%d)",
-				w.manifestPath, i, length, codec)
-		}
-		w.index[i] = tileRef{off: off, length: length, crc: m.CRCs[i], codec: codec}
-		off += length
-	}
 	f, err := os.OpenFile(path+".partial", os.O_RDWR, 0)
 	if os.IsNotExist(err) {
-		// Manifest without data: treat as no checkpoint.
-		os.Remove(w.manifestPath)
-		w.index = make([]tileRef, w.q*w.q)
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("store: opening partial store: %w", err)
 	}
-	end := w.panelEnd(m.Panels)
-	st, err := f.Stat()
-	if err == nil && st.Size() < end {
-		err = fmt.Errorf("store: partial store is %d bytes, manifest's %d panels need %d", st.Size(), m.Panels, end)
-	}
 	// Drop any torn tail past the last durable panel, then continue
 	// appending from exactly that boundary.
-	if err == nil {
-		err = f.Truncate(end)
+	var end int64
+	panels, err := w.durablePanels(f)
+	if err == nil && panels > 0 {
+		end = w.index[panels*w.q-1].off + w.index[panels*w.q-1].length
+		if err = f.Truncate(end); err == nil {
+			_, err = f.Seek(end, io.SeekStart)
+		}
 	}
-	if err == nil {
-		_, err = f.Seek(end, 0)
-	}
-	if err != nil {
+	if err != nil || panels == 0 {
 		f.Close()
 		return err
 	}
 	w.f = fsx.Adopt(f, path)
-	w.nextPanel = m.Panels
+	w.nextPanel = panels
 	w.nextOff = end
 	return nil
 }
 
-// codecName returns the writer's preferred codec name ("raw" when none
-// is configured) for the checkpoint manifest.
-func (w *PanelWriter) codecName() string {
-	if w.codec == nil {
-		return codecs[CodecRaw].Name()
+// durablePanels reads the partial file f as the store it is becoming,
+// restores the index entries of its durable panels into w.index and
+// returns how many there are (see the file comment). An all-zero header,
+// written but never synced, holds none. Every earlier panel's index was
+// fsync'd before the next panel's tiles were written, so only the last
+// one's can be torn, and only its tiles are held to their CRCs. An entry
+// naming a codec this build does not read (ErrVersion), or one neither
+// raw nor the writer's, is an error: with no codec name on record, that
+// keeps a lossy f32 checkpoint from being finished exact, or vice versa.
+func (w *PanelWriter) durablePanels(f *os.File) (int, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
 	}
-	return w.codec.Name()
+	buf := make([]byte, fileHdrLen+w.q*w.q*idxEntryLen)
+	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		return 0, err
+	}
+	if [fileHdrLen]byte(buf) == ([fileHdrLen]byte{}) {
+		return 0, nil
+	} else if n, b, _, err := readHeader(buf); err != nil || n != w.n || b != w.b {
+		if err == nil {
+			err = fmt.Errorf("it is for n=%d b=%d, this solve is n=%d b=%d", n, b, w.n, w.b)
+		}
+		return 0, fmt.Errorf("store: checkpoint %s: %w — remove it to restart", f.Name(), err)
+	}
+	i, next := 0, int64(len(buf))
+	for ; i < w.q*w.q; i++ {
+		ref, _, err := readEntry(buf[fileHdrLen+i*idxEntryLen:], i, w.n, w.b, w.q, next, st.Size())
+		if errors.Is(err, ErrVersion) {
+			return 0, fmt.Errorf("store: checkpoint %s: %w", f.Name(), err)
+		}
+		if err != nil {
+			break
+		}
+		if ref.codec != CodecRaw && (w.codec == nil || ref.codec != w.codec.ID()) {
+			return 0, fmt.Errorf("store: checkpoint %s holds %s tiles, this solve writes %s — remove it to restart",
+				f.Name(), codecs[ref.codec].Name(), cmp.Or(w.codec, codecs[CodecRaw]).Name())
+		}
+		w.index[i], next = ref, ref.off+ref.length
+	}
+	panels := i / w.q // whole panels whose entries pass
+	for _, ref := range w.index[max(panels-1, 0)*w.q : panels*w.q] {
+		bp := getIOBuf(int(ref.length))
+		_, err := f.ReadAt(*bp, ref.off)
+		torn := crc32.Checksum(*bp, castagnoli) != ref.crc
+		ioBufPool.Put(bp)
+		if err != nil || torn {
+			return panels - 1, err
+		}
+	}
+	return panels, nil
 }
 
-// panelEnd returns the file offset one past the last tile of panel p-1 —
-// the boundary writing resumes from after p durable panels.
-func (w *PanelWriter) panelEnd(p int) int64 {
-	if p == 0 {
-		return int64(fileHdrLen + w.q*w.q*idxEntryLen)
-	}
-	last := w.index[p*w.q-1]
-	return last.off + last.length
-}
-
-// checkpointPanel makes the panels written so far durable: the data file
-// is fsync'd, then the manifest is atomically and durably replaced. Only
-// after both steps is the new panel considered resumable — a crash
-// between them resumes from the previous manifest, re-solving one panel.
-func (w *PanelWriter) checkpointPanel() error {
+// checkpointPanel makes panel bi durable in place: its tile bytes are
+// fsync'd, then its index entries are written into the partial's own
+// index region and fsync'd in turn. A crash between the two syncs leaves
+// entries that resume either rejects or holds to the tiles' CRCs, so at
+// most this one panel is solved again.
+func (w *PanelWriter) checkpointPanel(bi int) error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	m := manifest{
-		Magic:   manifestMagic,
-		Version: manifestVersion,
-		N:       w.n, B: w.b, Q: w.q,
-		Panels: w.nextPanel,
-		CRCs:   make([]uint32, w.q*w.q),
-		Lens:   make([]int64, w.q*w.q),
-		Codecs: make([]byte, w.q*w.q),
-		Codec:  w.codecName(),
-	}
-	for i := range w.index {
-		m.CRCs[i] = w.index[i].crc
-		m.Lens[i] = w.index[i].length
-		m.Codecs[i] = w.index[i].codec
-	}
-	raw, err := json.Marshal(&m)
-	if err != nil {
+	if _, err := w.f.WriteAt(indexBytes(w.index[bi*w.q:(bi+1)*w.q]), int64(fileHdrLen+bi*w.q*idxEntryLen)); err != nil {
 		return err
 	}
-	mf, err := fsx.Create(w.manifestPath)
-	if err != nil {
-		return err
-	}
-	defer mf.Abort()
-	if _, err := mf.Write(raw); err != nil {
-		return err
-	}
-	return mf.Commit()
+	return w.f.Sync()
 }
 
-// headerBytes encodes the file header plus tile index. Index entries carry whatever checksums are present in index;
-// writers that stream tiles first and learn checksums later patch the
-// index region afterwards with indexBytes.
+// headerBytes encodes the file header plus tile index. Writers that
+// stream tiles first and learn their entries later patch the index region
+// afterwards with indexBytes.
 func headerBytes(n, blockSize, q int, index []tileRef) []byte {
 	hdr := make([]byte, 0, fileHdrLen+len(index)*idxEntryLen)
 	hdr = append(hdr, magic...)
@@ -416,8 +350,8 @@ func (w *PanelWriter) WritePanel(rows *matrix.Block) error {
 // converted or transposed first. The encoded tiles are gathered in one
 // buffer and written with a single Write, so the writer's own footprint
 // is one encoded panel. The panel is only read, never retained. In
-// checkpoint mode the panel is made durable (data fsync + manifest
-// update) before WriteCells returns. Integer and float64 cells of the
+// checkpoint mode the panel is made durable (tiles, then index entries,
+// fsync'd) before WriteCells returns. Integer and float64 cells of the
 // same distances (NoPath32 as +Inf) write the same bytes.
 func (w *PanelWriter) WriteCells(p matrix.Panel) error {
 	if err := w.expectPanel(); err != nil {
@@ -472,21 +406,8 @@ func (w *PanelWriter) writePanel(encode func(dst []byte, c0, c int) ([]byte, byt
 			w.buf = slices.Grow(w.buf, (w.q-1)*len(w.buf)*9/8)
 		}
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
-		return w.fail(err)
-	}
-	return w.panelWritten()
-}
-
-// fail poisons the writer after a panel that did not land whole: the
-// index already points past it and the file may hold part of it, so
-// retrying would append duplicates. Only Abort (or a failing Close)
-// remains in this process. In checkpoint mode the manifest still records
-// the last fully durable panel, so a fresh process can resume past the
-// failure.
-func (w *PanelWriter) fail(err error) error {
-	w.failed = true
-	return err
+	_, err := w.f.Write(w.buf)
+	return w.panelWritten(err)
 }
 
 // expectPanel refuses a panel the writer cannot take any more.
@@ -502,17 +423,23 @@ func (w *PanelWriter) expectPanel() error {
 	return nil
 }
 
-// panelWritten counts the panel just appended and, in checkpoint mode,
-// makes it durable before the write call returns.
-func (w *PanelWriter) panelWritten() error {
-	w.nextPanel++
-	if w.checkpoint {
-		if err := w.checkpointPanel(); err != nil {
-			w.failed = true
-			return err
+// panelWritten settles the panel just appended, whose Write returned
+// err. A panel that did not land whole poisons the writer: the index
+// already points past it and the file may hold part of it, so retrying
+// would append duplicates, and only Abort (or a failing Close) remains in
+// this process; in checkpoint mode the partial's index still holds the
+// last durable panel, so a fresh process can resume past the failure. A
+// panel that did is counted and, in checkpoint mode, made durable before
+// the write call returns.
+func (w *PanelWriter) panelWritten(err error) error {
+	if err == nil {
+		w.nextPanel++
+		if w.checkpoint {
+			err = w.checkpointPanel(w.nextPanel - 1)
 		}
 	}
-	return nil
+	w.failed = err != nil
+	return err
 }
 
 // plausibleTile reports whether an encoded tile length can belong to the
@@ -530,9 +457,8 @@ func plausibleTile(codec byte, length, rawSize int64) bool {
 
 // Close finalizes the store: it fails unless every panel has been
 // written, then patches the per-tile checksums into the index and commits
-// the temp (or partial) file to path. Once the partial file is committed,
-// or removed by a failed commit, the checkpoint manifest goes too. After
-// Close (success or not) the writer is spent; Abort is a no-op.
+// the temp (or partial) file to path. After Close (success or not) the
+// writer is spent; Abort is a no-op.
 func (w *PanelWriter) Close() error {
 	if w.closed {
 		return fmt.Errorf("store: writer already closed")
@@ -550,17 +476,13 @@ func (w *PanelWriter) Close() error {
 		w.f.Abort()
 		return err
 	}
-	err := w.f.Commit()
-	if w.checkpoint {
-		os.Remove(w.manifestPath)
-	}
-	return err
+	return w.f.Commit()
 }
 
 // Abort abandons the writer. Without checkpointing it removes the temp
-// file; in checkpoint mode the partial file and manifest are deliberately
-// kept, so a cancelled or crashed solve stays resumable (use
-// RemoveCheckpoint to discard one explicitly). Safe to call any number of
+// file; in checkpoint mode the partial file is deliberately kept, so a
+// cancelled or crashed solve stays resumable (remove path+".partial" to
+// discard it). Safe to call any number of
 // times and after Close (where it does nothing), so it can sit in a defer
 // alongside the success path.
 func (w *PanelWriter) Abort() {
@@ -568,21 +490,4 @@ func (w *PanelWriter) Abort() {
 		w.closed = true
 		w.f.Abort()
 	}
-}
-
-// RemoveCheckpoint deletes any partial file and manifest a checkpointing
-// solve left next to path. Call it to discard an unwanted resume point.
-func RemoveCheckpoint(path string) {
-	os.Remove(path + ".partial")
-	os.Remove(path + ".manifest")
-}
-
-// HasCheckpoint reports whether a resumable checkpoint (manifest +
-// partial file) exists next to path.
-func HasCheckpoint(path string) bool {
-	if _, err := os.Stat(path + ".manifest"); err != nil {
-		return false
-	}
-	_, err := os.Stat(path + ".partial")
-	return err == nil
 }

@@ -112,12 +112,9 @@ func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
 		w.index[bi*w.q+bj] = tileRef{off: w.nextOff + off, length: m.Length, crc: m.CRC, codec: m.Codec}
 		off += m.Length
 	}
-	if _, err := w.f.Write(raw); err != nil {
-		w.failed = true
-		return err
-	}
+	_, err := w.f.Write(raw)
 	w.nextOff += want
-	return w.panelWritten()
+	return w.panelWritten(err)
 }
 
 // panelRows returns the first matrix row and the height of row panel bi

@@ -278,20 +278,9 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("%w: header: %w", ErrMalformed, err)
 	}
-	if string(hdr[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrNotAStore, hdr[:8])
-	}
-	if ver := binary.LittleEndian.Uint32(hdr[8:12]); ver != version {
-		return nil, fmt.Errorf("%w: version %d, this build reads only version %d", ErrVersion, ver, version)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[12:16]))
-	b := int(binary.LittleEndian.Uint32(hdr[16:20]))
-	q := int(binary.LittleEndian.Uint32(hdr[20:24]))
-	if n < 1 || b < 1 || b > n {
-		return nil, fmt.Errorf("%w: implausible shape n=%d b=%d", ErrMalformed, n, b)
-	}
-	if want := (n + b - 1) / b; q != want {
-		return nil, fmt.Errorf("%w: header says %d tiles/side, n=%d b=%d implies %d", ErrMalformed, q, n, b, want)
+	n, b, q, err := readHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
 	// Overflow-safe index-size check: q is up to 2^32-1 straight from the
 	// header, so q*q*idxEntryLen can wrap 64-bit int and slip past a naive
@@ -308,38 +297,15 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 	index := make([]tileRef, q*q)
 	var codecTiles [numCodecs]int64
 	var encodedBytes, rawBytes int64
-	nextOff := fileHdrLen + int64(q)*int64(q)*idxEntryLen
+	next := fileHdrLen + int64(q)*int64(q)*idxEntryLen
 	for i := range index {
-		ent := idxBuf[int64(i)*idxEntryLen:]
-		off := int64(binary.LittleEndian.Uint64(ent))
-		length := int64(binary.LittleEndian.Uint64(ent[8:]))
-		if off < fileHdrLen || length < matrix.HeaderLen || off > size-length {
-			return nil, fmt.Errorf("%w: tile %d index entry (off=%d len=%d) outside file of %d bytes",
-				ErrMalformed, i, off, length, size)
+		ref, raw, err := readEntry(idxBuf[int64(i)*idxEntryLen:], i, n, b, q, next, size)
+		if err != nil {
+			return nil, err
 		}
-		codec := ent[20]
-		if err := checkCodec(codec); err != nil {
-			return nil, fmt.Errorf("%w (tile %d)", err, i)
-		}
-		// Tile shapes are fully determined by (n, b), so every raw index
-		// length is checkable up front, and a compressed tile must be
-		// strictly smaller (the writers' fallback rule).
-		bi, bj := i/q, i%q
-		raw := matrix.DenseMarshaledSize(tileEdge(n, b, bi), tileEdge(n, b, bj))
-		if !plausibleTile(codec, length, raw) {
-			return nil, fmt.Errorf("%w: tile %d claims codec %s in %d bytes, its raw size is %d",
-				ErrMalformed, i, codecName(codec), length, raw)
-		}
-		// Payloads are contiguous in index order — variable lengths make
-		// this the only layout the raw-panel span copy can trust, so it is
-		// a format invariant, not a writer convention.
-		if off != nextOff {
-			return nil, fmt.Errorf("%w: tile %d at offset %d, contiguous layout implies %d", ErrMalformed, i, off, nextOff)
-		}
-		nextOff = off + length
-		index[i] = tileRef{off: off, length: length, crc: binary.LittleEndian.Uint32(ent[16:]), codec: codec}
-		codecTiles[codec]++
-		encodedBytes += length
+		index[i], next = ref, ref.off+ref.length
+		codecTiles[ref.codec]++
+		encodedBytes += ref.length
 		rawBytes += raw
 	}
 	backoff := opts.RetryBackoff
@@ -364,6 +330,66 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// readHeader parses a store's fileHdrLen-byte header into its
+// geometry: the magic (else ErrNotAStore), the one version this build
+// reads (else ErrVersion), and n, b and q consistent with each other
+// (else ErrMalformed).
+func readHeader(hdr []byte) (n, b, q int, err error) {
+	if string(hdr[:8]) != magic {
+		return 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrNotAStore, hdr[:8])
+	}
+	if ver := binary.LittleEndian.Uint32(hdr[8:12]); ver != version {
+		return 0, 0, 0, fmt.Errorf("%w: version %d, this build reads only version %d", ErrVersion, ver, version)
+	}
+	n = int(binary.LittleEndian.Uint32(hdr[12:16]))
+	b = int(binary.LittleEndian.Uint32(hdr[16:20]))
+	q = int(binary.LittleEndian.Uint32(hdr[20:24]))
+	if n < 1 || b < 1 || b > n {
+		return 0, 0, 0, fmt.Errorf("%w: implausible shape n=%d b=%d", ErrMalformed, n, b)
+	}
+	if want := (n + b - 1) / b; q != want {
+		return 0, 0, 0, fmt.Errorf("%w: header says %d tiles/side, n=%d b=%d implies %d", ErrMalformed, q, n, b, want)
+	}
+	return n, b, q, nil
+}
+
+// readEntry decodes index entry i of a store of geometry (n, b, q) from
+// ent and holds it to the format: inside a file of size bytes, a codec
+// this build reads (else ErrVersion), a length plausible for that codec
+// and the tile's shape, and the offset next at which the tile before it
+// ends. It returns the entry and the tile's raw size. Open reads every
+// entry through it, and so does a checkpoint's resume.
+func readEntry(ent []byte, i, n, b, q int, next, size int64) (tileRef, int64, error) {
+	ref := tileRef{
+		off:    int64(binary.LittleEndian.Uint64(ent)),
+		length: int64(binary.LittleEndian.Uint64(ent[8:])),
+		crc:    binary.LittleEndian.Uint32(ent[16:]),
+		codec:  ent[20],
+	}
+	if ref.off < fileHdrLen || ref.length < matrix.HeaderLen || ref.off > size-ref.length {
+		return ref, 0, fmt.Errorf("%w: tile %d index entry (off=%d len=%d) outside file of %d bytes",
+			ErrMalformed, i, ref.off, ref.length, size)
+	}
+	if err := checkCodec(ref.codec); err != nil {
+		return ref, 0, fmt.Errorf("%w (tile %d)", err, i)
+	}
+	// Tile shapes are fully determined by (n, b), so every raw index
+	// length is checkable up front, and a compressed tile must be
+	// strictly smaller (the writers' fallback rule).
+	raw := matrix.DenseMarshaledSize(tileEdge(n, b, i/q), tileEdge(n, b, i%q))
+	if !plausibleTile(ref.codec, ref.length, raw) {
+		return ref, 0, fmt.Errorf("%w: tile %d claims codec %s in %d bytes, its raw size is %d",
+			ErrMalformed, i, codecs[ref.codec].Name(), ref.length, raw)
+	}
+	// Payloads are contiguous in index order — variable lengths make
+	// this the only layout the raw-panel span copy can trust, so it is
+	// a format invariant, not a writer convention.
+	if ref.off != next {
+		return ref, 0, fmt.Errorf("%w: tile %d at offset %d, contiguous layout implies %d", ErrMalformed, i, ref.off, next)
+	}
+	return ref, raw, nil
 }
 
 // Close releases the file handle (when the store owns one) and drops both
@@ -417,7 +443,7 @@ func (s *Store) CodecTiles() map[string]int64 {
 	out := make(map[string]int64, numCodecs)
 	for id, cnt := range s.codecTiles {
 		if cnt > 0 {
-			out[codecName(byte(id))] = cnt
+			out[codecs[id].Name()] = cnt
 		}
 	}
 	return out

@@ -190,8 +190,8 @@ func WithTrace(on bool) SharedOption {
 
 // WithResume makes SolveToStore with a host-native solver pick up the
 // checkpoint a killed or cancelled streamed solve left behind (the
-// .partial and .manifest files next to the store path): the solve
-// restarts from the last durable panel, re-solving only the unfinished
+// partial store, path+".partial", whose own tile index records every
+// durable panel): the solve restarts from the last durable panel, re-solving only the unfinished
 // source rows, and the finished store is byte-identical to an
 // uninterrupted run. When no checkpoint exists the solve simply starts
 // from scratch. Checkpointing itself is always on for streamed host

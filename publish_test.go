@@ -48,8 +48,7 @@ func newPublishFixture(t *testing.T) publishFixture {
 
 // TestPublishedFilesAre0644: under umask 022 every published file is
 // 0644, readable by whoever serves it: a store written whole, a streamed
-// store (fresh and resumed) and its checkpoint manifest, a hierarchy
-// file, and each file of an imported and of an updated generation.
+// store (fresh and resumed), a hierarchy file, and each file of an imported and of an updated generation.
 func TestPublishedFilesAre0644(t *testing.T) {
 	defer syscall.Umask(syscall.Umask(0o022))
 	f := newPublishFixture(t)
@@ -80,7 +79,6 @@ func TestPublishedFilesAre0644(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(pw.WritePanel(panel))
-	mode := modeOf(t, resumed+".manifest")
 	pw.Abort()
 	res, err := f.s.SolveToStore(f.ctx, f.g, resumed, WithBlockSize(16), WithResume(true))
 	if err == nil && res.UnitsSkipped == 0 {
@@ -102,9 +100,6 @@ func TestPublishedFilesAre0644(t *testing.T) {
 	check(err)
 	published = append(published, genFiles(up.Generation)...)
 
-	if mode != 0o644 {
-		t.Errorf("%s.manifest: mode %v, want 0644", resumed, mode)
-	}
 	for _, p := range published {
 		if m := modeOf(t, p); m != 0o644 {
 			t.Errorf("%s: mode %v, want 0644", p, m)
@@ -121,9 +116,10 @@ func modeOf(t *testing.T, path string) os.FileMode {
 	return fi.Mode().Perm()
 }
 
-// TestFailedPublishLeavesNoTrace: with a non-empty directory at the
-// target the final rename fails. Every publisher must then return an
-// error, leave the target as it was, and leave no temp file beside it.
+// TestFailedPublishLeavesNoTrace: a non-empty directory at the target is
+// refused (or, for the checkpoint, cannot be opened). Every publisher
+// must then return an error, leave the target as it was, and leave no
+// temp file beside it.
 func TestFailedPublishLeavesNoTrace(t *testing.T) {
 	f := newPublishFixture(t)
 	for _, tc := range []struct {
@@ -142,12 +138,11 @@ func TestFailedPublishLeavesNoTrace(t *testing.T) {
 			p := filepath.Join(dir, "d.apsp")
 			return p, func() error { _, err := f.s.SolveToStore(f.ctx, f.g, p, WithBlockSize(16)); return err }
 		}},
-		// The first panel's manifest cannot be committed. The partial
-		// file it would have described stays, like that of any solve
-		// stopped before its end.
-		{name: "checkpoint manifest", kept: "d.apsp.partial", setup: func(t *testing.T, dir string) (string, func() error) {
+		// The checkpoint a streamed solve writes in place cannot be
+		// opened, so nothing is solved or written.
+		{name: "checkpoint partial", setup: func(t *testing.T, dir string) (string, func() error) {
 			p := filepath.Join(dir, "d.apsp")
-			return p + ".manifest", func() error { _, err := f.s.SolveToStore(f.ctx, f.g, p, WithBlockSize(16)); return err }
+			return p + ".partial", func() error { _, err := f.s.SolveToStore(f.ctx, f.g, p, WithBlockSize(16)); return err }
 		}},
 		{name: "Oracle.Save", setup: func(t *testing.T, dir string) (string, func() error) {
 			p := filepath.Join(dir, "g.hier")

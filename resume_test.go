@@ -3,7 +3,7 @@ package apspark
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -65,8 +65,8 @@ func TestSolveToStoreResumeAfterCancel(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("cancelled solve left a store at the target path")
 	}
-	if _, err := os.Stat(path + ".manifest"); err != nil {
-		t.Fatalf("cancelled solve left no checkpoint manifest: %v", err)
+	if _, err := os.Stat(path + ".partial"); err != nil {
+		t.Fatalf("cancelled solve left no checkpoint: %v", err)
 	}
 
 	res2, err := s.SolveToStore(context.Background(), g, path, WithBlockSize(b), WithResume(true))
@@ -91,16 +91,14 @@ func TestSolveToStoreResumeAfterCancel(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed store differs from uninterrupted solve")
 	}
-	for _, suffix := range []string{".partial", ".manifest"} {
-		if _, err := os.Stat(path + suffix); !os.IsNotExist(err) {
-			t.Fatalf("checkpoint artifact %s outlived the finished store", suffix)
-		}
+	if _, err := os.Stat(path + ".partial"); !os.IsNotExist(err) {
+		t.Fatal("the checkpoint outlived the finished store")
 	}
 }
 
 // TestResumeRefusesACorruptTileAbove: a resumed solve seeds its first
-// panel from tiles of the .partial, held to the checksums the manifest
-// recorded. With a byte of tile (0,2) flipped after the run that wrote it
+// panel from tiles of the .partial, held to the checksums its index
+// records. With a byte of tile (0,2) flipped after the run that wrote it
 // was cancelled, the resumed solve fails with ErrCorruptTile and leaves
 // no store at the target — raw and ivarint alike.
 func TestResumeRefusesACorruptTileAbove(t *testing.T) {
@@ -128,32 +126,16 @@ func TestResumeRefusesACorruptTileAbove(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", codec, err)
 		}
-		raw, err := os.ReadFile(path + ".manifest")
-		if err != nil {
-			t.Fatal(err)
+		index := partialIndex(path)
+		if got := indexedPanels(index, (g.N+b-1)/b); got != 2 {
+			t.Fatalf("%s: the partial's index holds %d panels, want 2 durable ones", codec, got)
 		}
-		var m struct {
-			Panels, Q int
-			Lens      []int64
-		}
-		if err := json.Unmarshal(raw, &m); err != nil || m.Panels != 2 {
-			t.Fatalf("%s: manifest %+v (%v), want 2 durable panels", codec, m, err)
-		}
-		// The partial ends with the durable panels' tiles, row-major, so
-		// tile (0,2) starts where their bytes do plus tiles (0,0) and (0,1).
+		// Tile (0,2)'s entry: its offset, then its length.
+		off := int64(binary.LittleEndian.Uint64(index[2*24:]) + binary.LittleEndian.Uint64(index[2*24+8:])/2)
 		f, err := os.OpenFile(path+".partial", os.O_RDWR, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := f.Stat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		off := st.Size()
-		for _, l := range m.Lens[:m.Panels*m.Q] {
-			off -= l
-		}
-		off += m.Lens[0] + m.Lens[1] + m.Lens[2]/2
 		one := make([]byte, 1)
 		if _, err := f.ReadAt(one, off); err != nil {
 			t.Fatal(err)
@@ -172,6 +154,33 @@ func TestResumeRefusesACorruptTileAbove(t *testing.T) {
 			t.Fatalf("%s: a store was written over a corrupt tile (stat: %v)", codec, err)
 		}
 	}
+}
+
+// partialIndex returns the tile index of the checkpoint beside the store
+// path: the q*q 24-byte entries {uint64 offset, uint64 length, uint32
+// crc32c, byte codec, 3 zero bytes} after the 24-byte header, per the
+// layout in internal/store's package comment. Entries of panels not yet
+// durable are zero (or torn). It is nil while there is no header to read.
+func partialIndex(path string) []byte {
+	buf, err := os.ReadFile(path + ".partial")
+	if err != nil || len(buf) < 24 {
+		return nil
+	}
+	q := int(binary.LittleEndian.Uint32(buf[20:24]))
+	return buf[24:min(len(buf), 24+24*q*q)]
+}
+
+// indexedPanels counts the leading whole panels of q tiles whose entries
+// in index have been written (a non-zero offset each). A panel whose
+// index write is under way when the file is read may count: the write
+// completes even if its process is then killed.
+func indexedPanels(index []byte, q int) int {
+	for i := 0; i < q*q; i++ {
+		if 24*i+8 > len(index) || binary.LittleEndian.Uint64(index[24*i:]) == 0 {
+			return i / q
+		}
+	}
+	return q
 }
 
 // TestWithResumeRejectedOutsideStreamedSolves: resume needs a streamed
@@ -258,19 +267,14 @@ func TestKillNineAndResume(t *testing.T) {
 	defer cmd.Process.Kill()
 
 	// Wait until the child has at least 2 durable panels, then kill -9.
-	manifestPath := path + ".manifest"
 	deadline := time.Now().Add(30 * time.Second)
 	var durable int
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("child never checkpointed 2 panels")
 		}
-		if raw, err := os.ReadFile(manifestPath); err == nil {
-			var m struct{ Panels int }
-			if json.Unmarshal(raw, &m) == nil && m.Panels >= 2 {
-				durable = m.Panels
-				break
-			}
+		if durable = indexedPanels(partialIndex(path), (g.N+b-1)/b); durable >= 2 {
+			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -20,8 +20,8 @@ import (
 // exceeds RAM. Virtual-cluster solvers fall back to a full in-memory
 // solve followed by a store write. The store appears at path only when
 // the whole solve succeeds; a cancelled or killed streamed solve leaves
-// no store at path, but does leave its checkpoint (path+".partial" and
-// path+".manifest", durable after every panel), so a later call with
+// no store at path, but does leave its checkpoint (path+".partial", a
+// store whose index grows durably panel by panel), so a later call with
 // WithResume restarts from the last completed panel and re-solves only
 // the unfinished source rows — the finished store is byte-identical to
 // an uninterrupted run either way (Result.UnitsSkipped counts the rows
@@ -71,11 +71,12 @@ func (s *Session) runHost(ctx context.Context, g *Graph, j job, storePath string
 	p := &progress{fn: j.progress}
 	sopts := sparse.Options{Progress: p.unit}
 
-	// Streamed solves always checkpoint: each panel is fsync'd and recorded
-	// in a sidecar manifest before the next is solved, so a crash (or the
-	// deferred Abort on cancellation) leaves a resumable partial store
-	// rather than nothing. WithResume picks such a checkpoint up,
-	// re-solving only the panels past the last durable one.
+	// Streamed solves always checkpoint: each panel's tiles and then its
+	// entries in the partial's own index are fsync'd before the next is
+	// solved, so a crash (or the deferred Abort on cancellation) leaves a
+	// resumable partial store rather than nothing. WithResume picks such
+	// a checkpoint up, re-solving only the panels past the last durable
+	// one.
 	var pw *store.PanelWriter
 	if storePath != "" {
 		if n == 0 {
