@@ -70,6 +70,10 @@
 // -cache-mb budgets the decoded-tile cache beneath it, which only fills
 // with -row-cache-mb 0. Cold rows are assembled with direct row-span
 // reads (q small preads), so even a miss never decodes full tiles.
+// Once the sources are loaded the server sets the runtime's soft memory
+// limit to the bytes its caches can hold plus twice its footprint at
+// that moment (at least 32 MiB), so the GC does not double the caches as
+// it doubles the rest of the heap; GOMEMLIMIT, when set, wins.
 //
 // The server is hardened for unattended operation: the listener is up
 // (and /healthz answers "loading") before the store is opened, handler
@@ -143,7 +147,7 @@ func main() {
 		keepLast  = flag.Int("keep-last", 3, "generations kept on disk after promotion; older ones are GC'd (the serving generation always survives)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheMB   = flag.Int64("cache-mb", 64, "decoded-tile cache budget in MiB; only used with -row-cache-mb 0 (0 disables tile caching)")
-		rowMB     = flag.Int64("row-cache-mb", 16, "assembled-row cache budget in MiB (0 disables row caching)")
+		rowMB     = flag.Int64("row-cache-mb", 16, "assembled-row cache budget in MiB (0 disables row caching); the GC is sized to hold it once, not twice (GOMEMLIMIT overrides)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 
@@ -164,6 +168,15 @@ func main() {
 	if err := obs.SetupLogging(*logFormat, *logLevel, os.Stderr); err != nil {
 		fatal(err)
 	}
+	budget := func(name string, v int64) int64 {
+		b, err := mibFlag(name, v)
+		if err != nil {
+			slog.Error(err.Error())
+			os.Exit(2)
+		}
+		return b
+	}
+	tileBytes, rowBytes, hierBytes := budget("cache-mb", *cacheMB), budget("row-cache-mb", *rowMB), budget("hier-cache-mb", *hierMB)
 	if *storePath == "" && *hierPath == "" && *gensDir == "" {
 		fatal(fmt.Errorf("missing -store, -hier or -gens (write a store with: apsp -n ... -store dist.apsp)"))
 	}
@@ -188,8 +201,8 @@ func main() {
 	}
 
 	storeOpts := store.Options{
-		TileCacheBytes: *cacheMB << 20,
-		RowCacheBytes:  *rowMB << 20,
+		TileCacheBytes: tileBytes,
+		RowCacheBytes:  rowBytes,
 		ReadRetries:    *readRetries,
 		RetryBackoff:   *retryWait,
 	}
@@ -346,7 +359,7 @@ func main() {
 			st = s
 		}
 		if *hierPath != "" {
-			o, err := hierarchy.Load(*hierPath, g, *hierMB<<20)
+			o, err := hierarchy.Load(*hierPath, g, hierBytes)
 			if err != nil {
 				fatal(err)
 			}
@@ -392,6 +405,21 @@ func main() {
 		reloads = obs.Default.Counter("apsp_serve_reloads_total",
 			"CURRENT reloads picked up (SIGHUP or admin-triggered) that re-resolved the serving generation.")
 	}
+
+	// Size the GC to the caches before the first request: a cache never
+	// outgrows its budget, so only the rest of the process needs the
+	// headroom GOGC gives it.
+	stores := 0
+	switch {
+	case mgr != nil:
+		stores = 2
+	case st != nil:
+		stores = 1
+	}
+	cacheBytes, memBase, memLimit := limitMemory(cacheSetup{
+		n: swapper.Current().Engine().N(), stores: stores,
+		rowBytes: rowBytes, tileBytes: tileBytes, hier: oracle != nil, hierBytes: hierBytes,
+	})
 	gate.Ready(swapper.Handler())
 
 	// The admin listener, like pprof, binds synchronously so a bad -admin
@@ -447,6 +475,7 @@ func main() {
 		"source", eng.SourceKind(), "n", eng.N(),
 		"path_enabled", eng.HasGraph(), "max_inflight", *maxInFlight, "req_timeout", *reqTimeout,
 		"metrics", *metricsOn, "shard", *shard, "addr", *addr,
+		"cache_budget_mib", mib(cacheBytes), "memory_base_mib", mib(memBase), "memory_limit_mib", mib(memLimit),
 	}
 	if mgr != nil {
 		ready = append(ready, "generation", mgr.Current(), "admin", *adminAddr, "keep_last", *keepLast)
@@ -454,7 +483,7 @@ func main() {
 	if st != nil {
 		ready = append(ready,
 			"block", st.BlockSize(), "tiles_per_side", st.TilesPerSide(),
-			"file_mib", fmt.Sprintf("%.1f", float64(st.FileBytes())/(1<<20)),
+			"file_mib", mib(st.FileBytes()),
 			"tile_cache_mib", *cacheMB, "row_cache_mib", *rowMB)
 	}
 	if oracle != nil {
@@ -494,6 +523,9 @@ func main() {
 		slog.Info("bye")
 	}
 }
+
+// mib formats a byte count in MiB for the logs.
+func mib(bytes int64) string { return fmt.Sprintf("%.1f", float64(bytes)/(1<<20)) }
 
 func fatal(err error) {
 	slog.Error(err.Error())

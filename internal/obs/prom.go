@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"time"
@@ -125,8 +126,20 @@ func (m *memStatsReader) read() runtime.MemStats {
 	return m.stat
 }
 
+// readRuntimeMetric reads one uint64 runtime/metrics value (0 if the
+// runtime does not know it); unlike ReadMemStats it stops no goroutine.
+func readRuntimeMetric(name string) float64 {
+	s := [1]metrics.Sample{{Name: name}}
+	metrics.Read(s[:])
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return float64(s[0].Value.Uint64())
+}
+
 // RegisterProcessMetrics adds process-level gauges and counters
-// (uptime, goroutines, heap, GC) to r. Safe to call more than once.
+// (uptime, goroutines, heap, GC pacing) to r. Safe to call more than
+// once.
 func RegisterProcessMetrics(r *Registry) {
 	r.GaugeFunc("process_uptime_seconds", "Seconds since the process started.",
 		func() float64 { return time.Since(processStart).Seconds() })
@@ -138,4 +151,8 @@ func RegisterProcessMetrics(r *Registry) {
 		func() int64 { return int64(memReader.read().TotalAlloc) })
 	r.CounterFunc("go_gc_cycles_total", "Completed GC cycles.",
 		func() int64 { return int64(memReader.read().NumGC) })
+	r.GaugeFunc("go_gc_heap_goal_bytes", "Heap size at which the next GC cycle ends.",
+		func() float64 { return readRuntimeMetric("/gc/heap/goal:bytes") })
+	r.GaugeFunc("go_memory_limit_bytes", "The runtime's soft memory limit (math.MaxInt64 when none).",
+		func() float64 { return readRuntimeMetric("/gc/gomemlimit:bytes") })
 }

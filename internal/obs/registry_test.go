@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"log/slog"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -128,10 +129,27 @@ func TestRegisterProcessMetrics(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"process_uptime_seconds", "go_goroutines", "go_mem_heap_alloc_bytes"} {
+	for _, want := range []string{"process_uptime_seconds", "go_goroutines", "go_mem_heap_alloc_bytes",
+		"go_gc_cycles_total", "go_mem_alloc_bytes_total", "go_gc_heap_goal_bytes", "go_memory_limit_bytes"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("process metrics missing %s", want)
 		}
+	}
+}
+
+func TestProcessMetricsReadGCPacing(t *testing.T) {
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
+	r := NewRegistry()
+	RegisterProcessMetrics(r)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\ngo_memory_limit_bytes 1073741824\n") {
+		t.Errorf("go_memory_limit_bytes does not read the 1 GiB limit:\n%s", buf.String())
+	}
+	if strings.Contains(buf.String(), "\ngo_gc_heap_goal_bytes 0\n") {
+		t.Errorf("go_gc_heap_goal_bytes reads 0:\n%s", buf.String())
 	}
 }
 
