@@ -70,10 +70,12 @@
 // -cache-mb budgets the decoded-tile cache beneath it, which only fills
 // with -row-cache-mb 0. Cold rows are assembled with direct row-span
 // reads (q small preads), so even a miss never decodes full tiles.
-// Once the sources are loaded the server sets the runtime's soft memory
-// limit to the bytes its caches can hold plus twice its footprint at
-// that moment (at least 32 MiB), so the GC does not double the caches as
-// it doubles the rest of the heap; GOMEMLIMIT, when set, wins.
+// Serving a -store alone (no -gens, no -hier) with a -max-inflight
+// bound, the server keeps the runtime's soft memory limit at the bytes
+// its cache can hold, plus a row of 8·n bytes per admitted request, plus
+// twice what it holds besides the cache (at least 32 MiB), measured at
+// the end of every GC cycle. So the GC does not double the cache as it
+// doubles the rest of the heap; GOMEMLIMIT, when set, wins.
 //
 // The server is hardened for unattended operation: the listener is up
 // (and /healthz answers "loading") before the store is opened, handler
@@ -147,7 +149,7 @@ func main() {
 		keepLast  = flag.Int("keep-last", 3, "generations kept on disk after promotion; older ones are GC'd (the serving generation always survives)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheMB   = flag.Int64("cache-mb", 64, "decoded-tile cache budget in MiB; only used with -row-cache-mb 0 (0 disables tile caching)")
-		rowMB     = flag.Int64("row-cache-mb", 16, "assembled-row cache budget in MiB (0 disables row caching); the GC is sized to hold it once, not twice (GOMEMLIMIT overrides)")
+		rowMB     = flag.Int64("row-cache-mb", 16, "assembled-row cache budget in MiB (0 disables row caching); serving -store alone, the GC is sized to hold it once, not twice (GOMEMLIMIT overrides)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 
@@ -406,20 +408,16 @@ func main() {
 			"CURRENT reloads picked up (SIGHUP or admin-triggered) that re-resolved the serving generation.")
 	}
 
-	// Size the GC to the caches before the first request: a cache never
+	// Size the GC to the cache before the first request: a cache never
 	// outgrows its budget, so only the rest of the process needs the
-	// headroom GOGC gives it.
-	stores := 0
-	switch {
-	case mgr != nil:
-		stores = 2
-	case st != nil:
-		stores = 1
+	// headroom GOGC gives it. Only a -store server alone with bounded
+	// admission gets the limit; -gens and -hier keep GOGC's pacing.
+	var cacheBudget, memBase int64
+	if st != nil && oracle == nil && *maxInFlight > 0 {
+		cacheBudget = cacheBytes(servingCache(st.Snapshot()), st.N())
+		_, memBase, _ = limitMemory(cacheBudget, int64(*maxInFlight)*8*int64(st.N()),
+			func() int64 { return servingCache(st.Snapshot()).BytesInUse })
 	}
-	cacheBytes, memBase, memLimit := limitMemory(cacheSetup{
-		n: swapper.Current().Engine().N(), stores: stores,
-		rowBytes: rowBytes, tileBytes: tileBytes, hier: oracle != nil, hierBytes: hierBytes,
-	})
 	gate.Ready(swapper.Handler())
 
 	// The admin listener, like pprof, binds synchronously so a bad -admin
@@ -475,7 +473,10 @@ func main() {
 		"source", eng.SourceKind(), "n", eng.N(),
 		"path_enabled", eng.HasGraph(), "max_inflight", *maxInFlight, "req_timeout", *reqTimeout,
 		"metrics", *metricsOn, "shard", *shard, "addr", *addr,
-		"cache_budget_mib", mib(cacheBytes), "memory_base_mib", mib(memBase), "memory_limit_mib", mib(memLimit),
+		"memory_limit_mib", memLimitMiB(),
+	}
+	if memBase > 0 {
+		ready = append(ready, "cache_budget_mib", mib(cacheBudget), "memory_base_mib", mib(memBase))
 	}
 	if mgr != nil {
 		ready = append(ready, "generation", mgr.Current(), "admin", *adminAddr, "keep_last", *keepLast)
