@@ -10,14 +10,18 @@ import (
 	"apspark/internal/graph"
 )
 
-// TestWarmSolveAllocatesTwoGenerations pins what recycling buys: a warm cb
-// solve at n=1024, b=128 allocates the assembled n x n result it hands to
-// the caller plus at most three generations' worth of block bytes (two
-// live generations, the second orientations of one iteration's panels, the
-// engine's bookkeeping). Without recycling every one of the q = 8
-// iterations allocates a generation and its transposes: eleven and more.
-// Excluded under -race, where sync.Pool intentionally drops items.
-func TestWarmSolveAllocatesTwoGenerations(t *testing.T) {
+// TestWarmSolveAllocatesOneGeneration pins what recycling and the in-place
+// Phase 3 buy: a warm cb solve at n=1024, b=128 allocates the assembled
+// n x n result it hands to the caller plus at most one generation's worth
+// of block bytes (what the arena no longer holds of the panels, their
+// second orientations and the assembly scratch, and the engine's
+// bookkeeping). The input is built outside the measured region: the run
+// owns it, and its off-column blocks are the solve's only generation.
+// Folding Phase 3 into an arena copy of each block cost 1.35 generations
+// here; without recycling every one of the q = 8 iterations allocates a
+// generation and its transposes: eleven and more. Excluded under -race,
+// where sync.Pool intentionally drops items.
+func TestWarmSolveAllocatesOneGeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves n=1024 twice")
 	}
@@ -26,28 +30,28 @@ func TestWarmSolveAllocatesTwoGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewGraphInput(g, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solve := func() {
+	solve := func(in Input) {
 		if _, err := Run(context.Background(), testContext(t), BlockedCollectBroadcast{}, in, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	solve() // warm the arena
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	solve()
-	runtime.ReadMemStats(&after)
-
-	var generation uint64
-	for _, blk := range in.Blocks {
+	warm := freshInput(t, g, b)
+	var generation uint64 // read now: the solve recycles these blocks
+	for _, blk := range warm.Blocks {
 		generation += uint64(blk.SizeBytes())
 	}
+	solve(warm) // warm the arena
+	in := freshInput(t, g, b)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	solve(in)
+	runtime.ReadMemStats(&after)
+
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(n*n*8) + 3*generation; got > limit {
-		t.Fatalf("warm solve allocated %.1f MiB = result + %.1f generations, want at most result + 3",
+	t.Logf("warm solve allocated %.1f MiB = result + %.2f generations",
+		float64(got)/(1<<20), (float64(got)-n*n*8)/float64(generation))
+	if limit := uint64(n*n*8) + generation; got > limit {
+		t.Fatalf("warm solve allocated %.1f MiB = result + %.2f generations, want at most result + 1",
 			float64(got)/(1<<20), (float64(got)-n*n*8)/float64(generation))
 	}
 }

@@ -144,7 +144,8 @@ func storedCanonically(k graph.BlockKey, i int) bool { return k.J == i && k.I !=
 // the diagonal block is symmetric, so (P (x) D)^T = D (x) P^T: panel =
 // min(panel, diag (x) panel) forms the same sums as transposing, updating
 // canonically and transposing back, and min is exact. The product folds
-// into an arena copy of base through the fused kernel.
+// into an arena copy of base through the fused kernel: base is one of the
+// product's operands, so it cannot be the destination.
 //
 // The virtual clock is charged for the paper's pipeline — which does
 // canonicalize through two transposes — whichever way the host computes.
@@ -164,32 +165,31 @@ func UpdatePanel(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, diag
 	if !canonical {
 		left, right = diag, base
 	}
-	return foldProduct(base, left, right, tc.Workers(), matrix.MinPlusIntoPar)
-}
-
-// foldProduct returns min(base, left (x) right) in an arena block, folded
-// by the given fused kernel. With a phantom operand the result is a
-// phantom — base itself when it is one — and the kernel still runs: its
-// shape validation fires before its phantom no-op, so phantom and dense
-// runs reject identical shapes from one source of truth.
-func foldProduct(base, left, right *matrix.Block, workers int, fold func(a, b, dst *matrix.Block, workers int) error) (*matrix.Block, error) {
-	if base.Phantom() || left.Phantom() || right.Phantom() {
-		dst := base
-		if !dst.Phantom() { // a dense base meeting a phantom operand
-			dst = matrix.NewPhantom(base.R, base.C)
-		}
-		if err := fold(left, right, dst, workers); err != nil {
-			return nil, err
-		}
-		return dst, nil
+	if base.Phantom() || diag.Phantom() {
+		return foldInto(base, left, right, matrix.MinPlusIntoPar, tc.Workers())
 	}
 	dst := matrix.Get(base.R, base.C)
 	if err := dst.CopyFrom(base); err != nil {
 		matrix.Put(dst)
 		return nil, err
 	}
-	if err := fold(left, right, dst, workers); err != nil {
+	if err := matrix.MinPlusIntoPar(left, right, dst, tc.Workers()); err != nil {
 		matrix.Put(dst)
+		return nil, err
+	}
+	return dst, nil
+}
+
+// foldInto folds min(dst, left (x) right) into dst with the given fused
+// kernel and returns dst. With a phantom operand the result is a phantom —
+// dst itself when it is one — and the kernel still runs: its shape
+// validation fires before its phantom no-op, so phantom and dense runs
+// reject identical shapes from one source of truth.
+func foldInto(dst, left, right *matrix.Block, fold func(a, b, dst *matrix.Block, workers int) error, workers int) (*matrix.Block, error) {
+	if !dst.Phantom() && (left.Phantom() || right.Phantom()) {
+		dst = matrix.NewPhantom(dst.R, dst.C) // a dense base meeting a phantom operand
+	}
+	if err := fold(left, right, dst, workers); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -200,12 +200,16 @@ func foldProduct(base, left, right *matrix.Block, workers int, fold func(a, b, d
 // orientation, A[K, i], and right is panel L in the other one, A[i, L]
 // (Table 1: ListUnpack's two-operand branch followed by MatMin). Both
 // arrive ready-made — the task that updated a panel made its second
-// orientation — and the product folds into an arena copy of base. A
-// diagonal target (K, K) multiplies one panel by its own transpose into a
-// symmetric block, so only the tiles on or above its diagonal are computed
-// and the rest mirrored (matrix.MinPlusSymIntoPar: the same values). The
-// virtual clock is charged the paper's executor's full product and the
-// transpose pass it makes, either way.
+// orientation — and the product folds into base itself, which is returned:
+// the off-column block is the only generation of its key. Folding in place
+// is exact and safe to repeat, so a replayed task gives the same bits:
+// min(min(A, P), P) = min(A, P) elementwise, every sum in P is formed
+// alike each time, and the panels are separate blocks that no Phase-3 task
+// writes. A diagonal target (K, K) multiplies one panel by its own
+// transpose into a symmetric block, so only the tiles on or above its
+// diagonal are computed and the rest mirrored (matrix.MinPlusSymIntoPar:
+// the same values). The virtual clock is charged the paper's executor's
+// full product and the transpose pass it makes, either way.
 func UpdateOff(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, left, right *matrix.Block) (*matrix.Block, error) {
 	tc.Charge(tc.Model().MatMin(right.C, right.R)) // transpose pass
 	tc.Charge(tc.Model().MinPlusMul(left.R, left.C, right.C))
@@ -214,7 +218,7 @@ func UpdateOff(tc *rdd.TaskContext, k graph.BlockKey, base *matrix.Block, left, 
 	if k.I == k.J {
 		fold = matrix.MinPlusSymIntoPar
 	}
-	return foldProduct(base, left, right, tc.Workers(), fold)
+	return foldInto(base, left, right, fold, tc.Workers())
 }
 
 // CopyCol distributes the updated panel blocks of column-block i to every

@@ -190,6 +190,55 @@ func TestUpdateOff(t *testing.T) {
 	}
 }
 
+// TestUpdateOffIsIdempotent holds what lets Phase 3 fold into the block it
+// updates: the block is the destination, the panels are left alone, and
+// folding the same panels in a second time, as a replayed task does,
+// gives the bits of folding once. The targets are an off-diagonal block, a
+// diagonal one (the mirrored kernel), a ragged last block and a block that
+// is mostly +Inf.
+func TestUpdateOffIsIdempotent(t *testing.T) {
+	tc := taskCtx(t)
+	rng := rand.New(rand.NewSource(41))
+	const b = 96
+	panelK := randomBlock(rng, b, b, 0.3)  // A[K,i]
+	ragged := randomBlock(rng, 37, b, 0.3) // A[L,i], L the last block-row
+	sparse := randomBlock(rng, b, b, 0.97)
+	for _, c := range []struct {
+		name         string
+		k            graph.BlockKey
+		base, pk, pl *matrix.Block
+	}{
+		{"off-diagonal", key(1, 5), randomBlock(rng, b, b, 0.3), panelK, randomBlock(rng, b, b, 0.3)},
+		{"diagonal", key(5, 5), randomSymmetric(rng, b, 0.3), panelK, panelK},
+		{"ragged", key(1, 7), randomBlock(rng, b, ragged.R, 0.3), panelK, ragged},
+		{"+Inf-heavy", key(2, 4), randomBlock(rng, b, b, 0.97), sparse, randomBlock(rng, b, b, 0.97)},
+	} {
+		right := c.pl.Transpose() // A[i,L]
+		pk, pr := c.pk.Clone(), right.Clone()
+		once := c.base.Clone()
+		got, err := UpdateOff(tc, c.k, once, c.pk, right)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != once {
+			t.Fatalf("%s: UpdateOff returned a new block, want its base updated in place", c.name)
+		}
+		if once.Equal(c.base) {
+			t.Fatalf("%s: the panels improved nothing; the case tests no fold", c.name)
+		}
+		twice := once.Clone()
+		if _, err := UpdateOff(tc, c.k, twice, c.pk, right); err != nil {
+			t.Fatal(err)
+		}
+		if !twice.Equal(once) {
+			t.Fatalf("%s: folding the panels in twice differs from folding them once", c.name)
+		}
+		if !c.pk.Equal(pk) || !right.Equal(pr) {
+			t.Fatalf("%s: UpdateOff wrote a panel", c.name)
+		}
+	}
+}
+
 // group is the records GroupByKey hands an unpack function at key k.
 func group(k graph.BlockKey, vals ...*TaggedBlock) []rdd.Pair {
 	g := make([]rdd.Pair, len(vals))
@@ -558,7 +607,7 @@ func TestUpdatePathsMatchTransposingOracle(t *testing.T) {
 			{key(1, 5), randomBlock(rng, panelK.R, panelL.R, shape.inf), panelK, panelL},
 			{key(5, 5), randomSymmetric(rng, panelK.R, shape.inf), panelK, panelK}, // mirrored
 		} {
-			got, err := UpdateOff(tc, c.k, c.base, c.pk, c.pl.Transpose())
+			got, err := UpdateOff(tc, c.k, c.base.Clone(), c.pk, c.pl.Transpose())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,9 +42,21 @@ type stagedPanel struct {
 
 // step implements Solver: one block iteration i.
 func (BlockedCollectBroadcast) step(rc *rdd.Context, in Input, part rdd.Partitioner) step {
+	q := in.Dec.Q
 	recycle := recycler(in)
 	return func(i int, a *rdd.RDD) (*rdd.RDD, error) {
 		rc.Store.NewEpoch()
+		if i > 0 {
+			// Nothing reads iteration i-1's staged blocks again: drop them
+			// before this iteration's checkpoint returns their second
+			// orientations to the arena.
+			rc.Store.Delete(cbDiagKey(i - 1))
+			for r := 0; r < q; r++ {
+				if r != i-1 {
+					rc.Store.Delete(cbPanelKey(i-1, r))
+				}
+			}
+		}
 
 		// Phase 1: solve the diagonal block, collect it on the driver and
 		// stage it in shared storage (Algorithm 4 lines 2-3).

@@ -21,7 +21,9 @@ func NewContext(cfg cluster.Config, model costmodel.KernelModel) (*rdd.Context, 
 	return rdd.NewContext(clu, model), nil
 }
 
-// Run drives solver s over in on the driver rc: it loads the input,
+// Run drives solver s over in on the driver rc: it takes ownership of
+// in.Blocks (the blocked solvers update them in place and release them to
+// the matrix arena, so build a fresh Input for every Run), loads them,
 // applies s's step once per iteration unit, and collects the result. ctx
 // (nil means context.Background()) is bound to rc and checked at every
 // unit boundary. A run that stops early — cancelled, out of local storage,
@@ -45,6 +47,9 @@ func Run(ctx context.Context, rc *rdd.Context, s Solver, in Input, opts Options)
 	if !s.Pure() {
 		rc.MarkImpure()
 	}
+	// The run owns in.Blocks: once the first unit has run, the arena may
+	// have handed them on, so whether the input is phantom is read now.
+	phantom := in.Phantom()
 	a := parallelizeInput(rc, in, part)
 	next := s.step(rc, in, part)
 
@@ -99,7 +104,7 @@ func Run(ctx context.Context, rc *rdd.Context, s Solver, in Input, opts Options)
 	res := partial(run) // after the collect: it ran one more stage
 	res.ProjectedSeconds = res.VirtualSeconds
 	res.Blocks = blocks
-	if !in.Phantom() {
+	if !phantom {
 		if res.Dist, err = graph.Assemble(blocks, in.Dec); err != nil {
 			return partial(run), err
 		}

@@ -21,14 +21,15 @@ func TestDriverContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewGraphInput(g, 8) // q = 4: 4 block iterations, 20 columns, 32 pivots
+	const b = 8 // q = 4: 4 block iterations, 20 columns, 32 pivots
+	dec, err := graph.NewDecomposition(g.N, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fwRef(t, g)
 
 	for _, s := range Solvers() {
-		units := s.Units(in.Dec)
+		units := s.Units(dec)
 		// run solves in, cancelling once cancelAt units are done (-1:
 		// never), and returns the result, the progress stream and the error.
 		run := func(cancelAt, maxUnits int) (*Result, []rdd.StageEvent, error) {
@@ -45,7 +46,7 @@ func TestDriverContract(t *testing.T) {
 					cancel()
 				}
 			})
-			res, err := Run(ctx, rc, s, in, Options{MaxUnits: maxUnits})
+			res, err := Run(ctx, rc, s, freshInput(t, g, b), Options{MaxUnits: maxUnits})
 			return res, events, err
 		}
 

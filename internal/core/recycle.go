@@ -8,8 +8,9 @@ import (
 // recycler returns the release hook a blocked solver hands to
 // rdd.CheckpointAndRelease on every iteration of one solve over in. It
 // applies the ownership rule of the package comment: of the blocks the
-// severed lineage retained, those that neither the new generation holds nor
-// the caller owns (the input blocks) go back to the matrix arena, each once.
+// severed lineage retained, those the new generation does not hold go back
+// to the matrix arena, each once. Run owns the input, so the first
+// checkpoint releases its diagonal and panel blocks like any generation's.
 // A phantom run has no elements to recycle and gets no hook.
 func recycler(in Input) func(severed, kept [][]rdd.Pair) {
 	if in.Phantom() {
@@ -17,9 +18,6 @@ func recycler(in Input) func(severed, kept [][]rdd.Pair) {
 	}
 	return func(severed, kept [][]rdd.Pair) {
 		hold := make(map[*matrix.Block]struct{}, 2*len(in.Blocks))
-		for _, b := range in.Blocks {
-			hold[b] = struct{}{}
-		}
 		eachBlock(kept, func(b *matrix.Block) { hold[b] = struct{}{} })
 		eachBlock(severed, func(b *matrix.Block) {
 			if _, held := hold[b]; !held {

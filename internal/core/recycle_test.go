@@ -12,14 +12,6 @@ import (
 
 var recyclingSolvers = []Solver{BlockedCollectBroadcast{}, BlockedInMemory{}}
 
-func cloneBlocks(m map[graph.BlockKey]*matrix.Block) map[graph.BlockKey]*matrix.Block {
-	out := make(map[graph.BlockKey]*matrix.Block, len(m))
-	for k, b := range m {
-		out[k] = b.Clone()
-	}
-	return out
-}
-
 func requireSameBlocks(t *testing.T, what string, got, want map[graph.BlockKey]*matrix.Block) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -37,9 +29,9 @@ func requireSameBlocks(t *testing.T, what string, got, want map[graph.BlockKey]*
 // released block is filled with NaN: a reader holding a block past its
 // release, or a release of something still live, turns the result into NaN
 // and fails the comparison with the un-recycled oracle solve. The shapes
-// are the corners of the release rule: one block (nothing to release), two
-// (every phase degenerate), ragged last row/column blocks, unreachable
-// vertices (+Inf-heavy blocks), a multi-worker engine.
+// are the corners of the release rule: one block (only the input's is
+// released), two (every phase degenerate), ragged last row/column blocks,
+// unreachable vertices (+Inf-heavy blocks), a multi-worker engine.
 func TestRecycledGenerationsAreSafe(t *testing.T) {
 	disconnected, err := graph.FromEdges(12, []graph.Edge{
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 5, V: 6, W: 1}, {U: 8, V: 9, W: 3},
@@ -67,33 +59,29 @@ func TestRecycledGenerationsAreSafe(t *testing.T) {
 		{"q=6", er(96, 4), 16},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			in, err := NewGraphInput(c.g, c.b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pristine := cloneBlocks(in.Blocks)
-			want := oracleBlockedSolve(t, tc, Input{Dec: in.Dec, Blocks: cloneBlocks(in.Blocks)})
+			want := oracleBlockedSolve(t, tc, freshInput(t, c.g, c.b))
 
 			matrix.SetPoolCheck(true)
 			defer matrix.SetPoolCheck(false)
-			// Two solvers back to back on one Input: the input blocks are
-			// the caller's and must come through both untouched.
+			// Two solvers back to back, each on its own Input: a run owns
+			// its input, updates its off-column blocks in place and
+			// releases the rest, so what one run returned to the arena
+			// must not reach the next run's result.
 			for _, s := range recyclingSolvers {
 				rc := testContext(t)
 				rc.SetHostWorkers(4)
-				res, err := Run(context.Background(), rc, s, in, Options{})
+				res, err := Run(context.Background(), rc, s, freshInput(t, c.g, c.b), Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
 				}
 				requireSameBlocks(t, s.Name(), res.Blocks, want)
-				requireSameBlocks(t, s.Name()+" input", in.Blocks, pristine)
 				if !res.Dist.AllClose(fwRef(t, c.g), 1e-9) {
 					t.Fatalf("%s: distances diverge from sequential FW", s.Name())
 				}
 			}
 			if st := matrix.PoolCheckStats(); st.DoublePuts != 0 {
 				t.Fatalf("%d blocks were released twice", st.DoublePuts)
-			} else if in.Dec.Q > 2 && st.Puts == 0 {
+			} else if st.Puts == 0 {
 				t.Fatal("nothing was released: the solvers are not recycling")
 			}
 		})
@@ -102,18 +90,17 @@ func TestRecycledGenerationsAreSafe(t *testing.T) {
 
 // TestRecyclingSurvivesCancellation aborts a solve between iterations,
 // where a generation has been released and the next is half built, and
-// then solves the same input again: no block may have been released twice,
-// and nothing the aborted run left in the arena may leak into the rerun.
+// then solves the same graph again from a new Input (the aborted run owned
+// the first and left it half updated): no block may have been released
+// twice, and nothing the aborted run left in the arena may leak into the
+// rerun.
 func TestRecyclingSurvivesCancellation(t *testing.T) {
 	g, err := graph.ErdosRenyi(96, 0.25, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewGraphInput(g, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleBlockedSolve(t, taskCtx(t), Input{Dec: in.Dec, Blocks: cloneBlocks(in.Blocks)})
+	const b = 16
+	want := oracleBlockedSolve(t, taskCtx(t), freshInput(t, g, b))
 
 	matrix.SetPoolCheck(true)
 	defer matrix.SetPoolCheck(false)
@@ -125,7 +112,7 @@ func TestRecyclingSurvivesCancellation(t *testing.T) {
 				cancel()
 			}
 		})
-		res, err := Run(ctx, rc, s, in, Options{})
+		res, err := Run(ctx, rc, s, freshInput(t, g, b), Options{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", s.Name(), err)
 		}
@@ -133,7 +120,7 @@ func TestRecyclingSurvivesCancellation(t *testing.T) {
 			t.Fatalf("%s: partial result %+v", s.Name(), res)
 		}
 		cancel()
-		res, err = Run(context.Background(), testContext(t), s, in, Options{})
+		res, err = Run(context.Background(), testContext(t), s, freshInput(t, g, b), Options{})
 		if err != nil {
 			t.Fatalf("%s rerun: %v", s.Name(), err)
 		}
@@ -152,17 +139,36 @@ func TestBlockedSolversMatchParentBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewGraphInput(g, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleBlockedSolve(t, taskCtx(t), Input{Dec: in.Dec, Blocks: cloneBlocks(in.Blocks)})
+	const b = 64
+	want := oracleBlockedSolve(t, taskCtx(t), freshInput(t, g, b))
 	for _, s := range recyclingSolvers {
-		res, err := Run(context.Background(), testContext(t), s, in, Options{})
+		res, err := Run(context.Background(), testContext(t), s, freshInput(t, g, b), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		requireSameBlocks(t, s.Name(), res.Blocks, want)
+	}
+}
+
+// TestBlockedCBKeepsOneIterationStaged: every iteration of Blocked-CB
+// drops the previous iteration's staged blocks, which nothing reads again
+// and which the recycler returns to the arena, so a full run leaves only
+// the last iteration's one diagonal and q-1 panel keys in shared storage.
+func TestBlockedCBKeepsOneIterationStaged(t *testing.T) {
+	g, err := graph.ErdosRenyi(96, 0.25, 10, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{96, 16, 14} { // q = 1, 6, 7 (ragged)
+		in := freshInput(t, g, b)
+		q := in.Dec.Q
+		rc := testContext(t)
+		if _, err := Run(context.Background(), rc, BlockedCollectBroadcast{}, in, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rc.Store.Len(); got != q {
+			t.Fatalf("q=%d: %d keys staged after the run, want %d", q, got, q)
+		}
 	}
 }
 
@@ -176,16 +182,12 @@ func TestDenseAndPhantomRunsChargeAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := NewGraphInput(g, b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	phantom, err := NewPhantomInput(n, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range recyclingSolvers {
-		d, err := Run(context.Background(), testContext(t), s, dense, Options{})
+		d, err := Run(context.Background(), testContext(t), s, freshInput(t, g, b), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,55 +23,75 @@
 //
 // # Who owns a block
 //
-// Every dense block a building block produces comes from the matrix arena
-// (matrix.Get) and becomes the value of an RDD record; from then on it
-// belongs to the solve, not to the task that made it. The blocked solvers
-// (Blocked-CB, Blocked-IM) give such blocks back. Each iteration replaces
-// the whole distance matrix: its RDD is a new generation of blocks, and the
-// per-iteration Checkpoint that severs the lineage is the one point where
-// the previous generation, the iteration's intermediate copies and the
-// second orientations staged for it stop being reachable through the engine
-// or read by any task. There — in the release hook of
-// rdd.CheckpointAndRelease, see recycler — every block the severed lineage
-// retained goes back to the arena (matrix.Put), once, with two exceptions:
+// Run owns the Input: its blocks are the first generation of the distance
+// matrix, and the blocked solvers update and release them like any other,
+// so every Run needs an Input of its own. Every dense block a building
+// block produces comes from the matrix arena (matrix.Get) and becomes the
+// value of an RDD record; from then on it belongs to the solve, not to the
+// task that made it.
 //
-//   - blocks the new generation still holds (a value that passed through an
-//     iteration unchanged, and the second orientation riding on a panel
-//     value, which is released one iteration later with its panel);
-//   - the Input's blocks, which are the caller's: a solver reads them,
-//     never writes or releases them, so one Input can be solved again.
+// Phase 3 of the blocked solvers (Blocked-CB, Blocked-IM) writes in place:
+// UpdateOff folds A_Ki (x) A_iL into the off-column block A_KL itself, so
+// an off-column block passes from one generation to the next as the same
+// block, from the input's to the result's. That is exact and safe to
+// replay: min(min(A, P), P) = min(A, P) elementwise, every sum in P is
+// formed alike each time, and the two panels are separate blocks that no
+// Phase-3 task writes, so a task Blocked-IM replays from its lineage after
+// a failure — one that already folded its product in — gives the same
+// bits. Phase 1 and Phase 2 still write fresh arena blocks, because the
+// block they update is an operand of its own product.
+//
+// The blocked solvers give superseded blocks back. The per-iteration
+// Checkpoint that severs the lineage is the one point where the previous
+// generation's diagonal and panel blocks, the iteration's intermediate
+// copies and the second orientations staged for it stop being reachable
+// through the engine or read by any task (Blocked-CB deletes the previous
+// iteration's staged keys before it). There — in the release hook of
+// rdd.CheckpointAndRelease, see recycler — every block the severed lineage
+// retained goes back to the arena (matrix.Put), once, unless the new
+// generation still holds it: an off-column block updated in place, and
+// the second orientation riding on a panel value, which is released one
+// iteration later with its panel. The first checkpoint so returns the
+// input's diagonal and panel blocks.
 //
 // Nothing is released after the last Checkpoint, so the final generation —
 // what Result.Blocks holds — is never recycled, nor is anything a cancelled
 // or failed run leaves behind; those are collected like any other memory.
-// The result of the rule is that a warm solve allocates about two
-// generations of blocks, however many iterations it runs. Repeated
-// Squaring and 2D Floyd-Warshall release nothing. Tests run the rule under
-// matrix.SetPoolCheck, where a released block is poisoned with NaN.
+// The result of the rule is that a warm solve allocates the assembled
+// result and about a third of a generation of blocks besides its input
+// (0.33 at n = 1,024, b = 128, q = 8; 1.35 when Phase 3 folded into arena
+// copies), and that it holds one generation of blocks, whose off-column
+// blocks are the input's.
+// Repeated Squaring and 2D Floyd-Warshall release nothing. Tests run the
+// rule under matrix.SetPoolCheck, where a released block is poisoned with
+// NaN.
 //
 // # Where a dense solve's time goes
 //
 // The solve_dense_cb benchmark shape (paper-density ER graph, n=2048,
-// b=256, q=8, Blocked-CB on 64 virtual cores, warm session) on a 2-vCPU
-// AVX2 host, mean stage wall per solve over ten warm solves:
+// b=256, q=8, Blocked-CB on 64 virtual cores, warm session) on a shared
+// 2-vCPU AVX2 host, mean stage wall per solve over ten warm solves, from
+// the quietest of several runs per column:
 //
 //	per solve, ms                                      1 host worker  2 host workers
-//	whole solve, best of ten                                     412             240
-//	partitionBy.map (phase 3: 28 products/iteration)             297             173
-//	minPlusPanel.persist (phase 2: 7 panels/iteration)            87              55
-//	floydWarshall.persist (phase 1: one diagonal block)           21              21
-//	outside every stage (input, assembly, staging)                23              18
+//	whole solve, best of ten                                     388             296
+//	partitionBy.map (phase 3: 28 products/iteration)             277             199
+//	minPlusPanel.persist (phase 2: 7 panels/iteration)            82              65
+//	floydWarshall.persist (phase 1: one diagonal block)           21              26
+//	outside every stage (input, assembly, staging)                32              30
 //
-// A second worker buys 1.7 times, not 2: phase 1 is one task, so its 21 ms
-// are serial; phase 2's seven panels split 4/3; about 20 ms of driver work
-// (input blocks, collecting and staging, assembling the result) is serial
-// or memory-bound; and the two vCPUs are hyperthreads sharing one core's
+// A second worker bought 1.3 times on this host and 1.7 on a quieter one
+// of the same shape, never 2: phase 1 is one task, so its time is serial;
+// phase 2's seven panels split 4/3; about 30 ms of driver work (input
+// blocks, collecting and staging, assembling the result) is serial or
+// memory-bound; and the two vCPUs are hyperthreads sharing one core's
 // floating-point units, which caps the kernel-bound phase 3 at 1.7 times.
-// The CPU profile is 76 % row kernel (at its issue limit, see
-// internal/matrix), 10 % memmove (the base copy every product starts from,
-// tile packing, result assembly), 3 % allInf, 2 % transposes and 1.5 %
-// memclr. None of it touches the virtual clock: kernel charges are
-// calibrated model values, and host parallelism is wall-clock speed only.
+// The CPU profile is 77 % row kernel (at its issue limit, see
+// internal/matrix), 5 % memmove (tile packing, result assembly; phase 3
+// copies no base block), 5 % the diagonal Floyd-Warshall kernel, 4 %
+// transposes, 3 % memclr and 3 % allInf. None of it touches the virtual
+// clock: kernel charges are calibrated model values, and host parallelism
+// is wall-clock speed only.
 package core
 
 import (
@@ -119,7 +139,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Input is a 2D block-decomposed adjacency matrix ready for a solver.
+// Input is a 2D block-decomposed adjacency matrix ready for a solver. Run
+// takes ownership of Blocks: the blocked solvers update the off-column
+// blocks in place and release the rest to the matrix arena, so an Input
+// is solved once, and a caller that needs its blocks afterwards clones
+// them first.
 type Input struct {
 	Dec    graph.Decomposition
 	Blocks map[graph.BlockKey]*matrix.Block // upper triangle, I <= J

@@ -69,6 +69,18 @@ func (s *Shared) Put(key string, value any, bytes int64) {
 	s.clu.Advance(s.clu.SharedWriteCost(bytes))
 }
 
+// Delete drops key and every node's cached read of it, so the store stops
+// referencing its value. Like an unlinked staging file, it costs no virtual
+// time.
+func (s *Shared) Delete(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.data, key)
+	for _, seen := range s.nodeSeen {
+		delete(seen, key)
+	}
+}
+
 // Get fetches a value for an executor on the given node, returning the
 // value and the virtual seconds the read costs (zero when the node's page
 // cache already holds the key this epoch). The caller charges the returned

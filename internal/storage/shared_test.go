@@ -189,6 +189,38 @@ func TestNewEpochKeepsData(t *testing.T) {
 	}
 }
 
+// TestDeleteDropsKeyAndChargesNothing: a deleted key is gone from the
+// store and from every node's page cache, the clock and the byte counters
+// do not move, and a key put again under the name is read and paid for
+// afresh.
+func TestDeleteDropsKeyAndChargesNothing(t *testing.T) {
+	s, clu := newTestStore(t)
+	s.Put("k", 1, 1<<20)
+	s.Put("other", 2, 1<<20)
+	if _, _, err := s.Get("k", 0); err != nil {
+		t.Fatal(err)
+	}
+	now, m := clu.Now(), clu.Metrics()
+	s.Delete("k")
+	s.Delete("absent")
+	if clu.Now() != now || clu.Metrics() != m {
+		t.Fatal("Delete charged the cluster")
+	}
+	if s.Len() != 1 || s.Bytes("k") != 0 {
+		t.Fatalf("after Delete: Len = %d, Bytes = %d", s.Len(), s.Bytes("k"))
+	}
+	if _, _, err := s.Get("k", 0); err == nil {
+		t.Fatal("deleted key still readable")
+	}
+	if _, err := s.Peek("k"); err == nil {
+		t.Fatal("deleted key still visible to Peek")
+	}
+	s.Put("k", 3, 1<<20)
+	if v, cost, _ := s.Get("k", 0); v.(int) != 3 || cost <= 0 {
+		t.Fatalf("re-put key read %v at cost %v, want 3 at a paid read", v, cost)
+	}
+}
+
 // TestConcurrentGets hammers the store from many goroutines (tasks of one
 // stage reading shared columns); under -race this guards the page-cache
 // bookkeeping.
