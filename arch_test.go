@@ -77,6 +77,11 @@ var archChecks = []struct {
 	{"one encoder per codec (float64 and uint32 cells through one body each, no float scratch tile)", []archRule{
 		{files: func(p string) bool { return archUnder(p, "internal/store") }, re: `floatTile|appendRawInts|appendFloatTokens|decodeIntTile|func encodeTile`},
 	}},
+	// Every producer of distances is tested against seq.Reference, an
+	// edge relaxation that shares no code with any engine.
+	{"one distance reference (no fwRef helper, no seq.Dijkstra; tests call seq.Reference)", []archRule{
+		{files: func(p string) bool { return true }, re: `func fwRef\(|seq\.Dijkstra`},
+	}},
 	// A checkpoint is the partial store itself: its own tile index, written
 	// after each durable panel, is the one record of what was written.
 	{"one checkpoint record (the partial store's tile index; internal/store imports no encoding/json and names no .manifest)", []archRule{

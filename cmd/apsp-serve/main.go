@@ -52,8 +52,8 @@
 //	           -addr :8080 -admin localhost:8081
 //
 //	curl -d '{"deltas":[{"u":0,"v":9,"w":2.5}]}' localhost:8081/update
-//	curl -X POST localhost:8081/admin/rollback
-//	curl localhost:8081/admin/generations
+//	curl -X POST localhost:8081/rollback
+//	curl localhost:8081/generations
 //
 // -admin exposes the update surface on its own listener (never the query
 // port): POST /update ingests an edge-delta batch, recomputes only the
@@ -145,7 +145,7 @@ func main() {
 		hierPath  = flag.String("hier", "", "partition+shortcut hierarchy written by apsp -solver hier -hier; serves compute-on-demand (alone) or as the store's corrupt-tile fallback (with -store)")
 		hierMB    = flag.Int64("hier-cache-mb", 64, "hierarchy local-row cache budget in MiB")
 		gensDir   = flag.String("gens", "", "generation directory for live-updatable serving; promotions/rollbacks swap in with zero downtime")
-		adminAddr = flag.String("admin", "", "admin listener for live updates (POST /update, POST /admin/rollback, GET /admin/generations); requires -gens")
+		adminAddr = flag.String("admin", "", "admin listener for live updates (POST /update, POST /rollback, GET /generations); requires -gens")
 		keepLast  = flag.Int("keep-last", 3, "generations kept on disk after promotion; older ones are GC'd (the serving generation always survives)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheMB   = flag.Int64("cache-mb", 64, "decoded-tile cache budget in MiB; only used with -row-cache-mb 0 (0 disables tile caching)")

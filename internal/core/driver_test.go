@@ -10,6 +10,7 @@ import (
 	"apspark/internal/costmodel"
 	"apspark/internal/graph"
 	"apspark/internal/rdd"
+	"apspark/internal/seq"
 )
 
 // TestDriverContract holds Run to its contract once, for all four solvers:
@@ -26,7 +27,7 @@ func TestDriverContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fwRef(t, g)
+	want := seq.Reference(g)
 
 	for _, s := range Solvers() {
 		units := s.Units(dec)

@@ -8,6 +8,7 @@ import (
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
 	"apspark/internal/rdd"
+	"apspark/internal/seq"
 )
 
 var recyclingSolvers = []Solver{BlockedCollectBroadcast{}, BlockedInMemory{}}
@@ -75,7 +76,7 @@ func TestRecycledGenerationsAreSafe(t *testing.T) {
 					t.Fatalf("%s: %v", s.Name(), err)
 				}
 				requireSameBlocks(t, s.Name(), res.Blocks, want)
-				if !res.Dist.AllClose(fwRef(t, c.g), 1e-9) {
+				if !res.Dist.AllClose(seq.Reference(c.g), 1e-9) {
 					t.Fatalf("%s: distances diverge from sequential FW", s.Name())
 				}
 			}
@@ -168,6 +169,25 @@ func TestBlockedCBKeepsOneIterationStaged(t *testing.T) {
 		}
 		if got := rc.Store.Len(); got != q {
 			t.Fatalf("q=%d: %d keys staged after the run, want %d", q, got, q)
+		}
+	}
+}
+
+// TestRepeatedSquaringLeavesNothingStaged: every column's staged blocks
+// are dropped once its products are materialized, so a complete Repeated
+// Squaring run leaves shared storage empty.
+func TestRepeatedSquaringLeavesNothingStaged(t *testing.T) {
+	g, err := graph.ErdosRenyi(96, 0.25, 10, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{96, 16, 14} { // q = 1, 6, 7 (ragged)
+		rc := testContext(t)
+		if _, err := Run(context.Background(), rc, RepeatedSquaring{}, freshInput(t, g, b), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rc.Store.Len(); got != 0 {
+			t.Fatalf("b=%d: %d keys staged after the run, want 0", b, got)
 		}
 	}
 }

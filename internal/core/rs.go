@@ -48,14 +48,16 @@ func (RepeatedSquaring) step(rc *rdd.Context, in Input, part rdd.Partitioner) st
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range colPairs {
+		staged := make([]string, len(colPairs))
+		for i, p := range colPairs {
 			k := p.Key
 			b := p.Value.(*TaggedBlock).B
 			row, canon := k.I, b
 			if k.I == j && k.J != j {
 				row, canon = k.J, b.Transpose()
 			}
-			rc.Store.Put(rsColKey(it, j, row), canon, canon.SizeBytes())
+			staged[i] = rsColKey(it, j, row)
+			rc.Store.Put(staged[i], canon, canon.SizeBytes())
 		}
 
 		// T[j] = A.map(MatProd).reduceByKey(MatMin) (line 5): every
@@ -130,6 +132,11 @@ func (RepeatedSquaring) step(rc *rdd.Context, in Input, part rdd.Partitioner) st
 			Persist()
 		if err := tj.Materialize(); err != nil {
 			return nil, err
+		}
+		// The products are materialized and each staged key names its
+		// own squaring, so nothing reads column j's blocks again.
+		for _, key := range staged {
+			rc.Store.Delete(key)
 		}
 		cols = append(cols, tj)
 		if j < q-1 {

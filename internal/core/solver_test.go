@@ -13,16 +13,6 @@ import (
 	"apspark/internal/seq"
 )
 
-// fwRef is the Floyd-Warshall ground truth for a test graph.
-func fwRef(t testing.TB, g *graph.Graph) *matrix.Block {
-	t.Helper()
-	m, err := seq.FloydWarshall(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // freshInput decomposes g at block size b. Run owns the Input it is given
 // and may update or release its blocks, so every Run gets its own.
 func freshInput(t testing.TB, g *graph.Graph, b int) Input {
@@ -62,7 +52,7 @@ func solveReal(t *testing.T, s Solver, n, b int, seed int64, opts Options) *Resu
 	if err != nil {
 		t.Fatalf("%s failed: %v", s.Name(), err)
 	}
-	want := fwRef(t, g)
+	want := seq.Reference(g)
 	if res.Dist == nil {
 		t.Fatalf("%s returned no distance matrix", s.Name())
 	}
@@ -114,7 +104,7 @@ func TestSolverDisconnectedGraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if !res.Dist.AllClose(fwRef(t, g), 1e-9) {
+		if !res.Dist.AllClose(seq.Reference(g), 1e-9) {
 			t.Fatalf("%s wrong on disconnected graph", s.Name())
 		}
 	}

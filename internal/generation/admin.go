@@ -3,8 +3,8 @@
 //
 //	POST /update              {"deltas":[{"u":0,"v":5,"w":2.5},
 //	                                     {"u":1,"v":9,"remove":true}]}
-//	POST /admin/rollback      (also /rollback)
-//	GET  /admin/generations   (also /generations)
+//	POST /rollback
+//	GET  /generations
 //
 // /update answers with the UpdateResult of the promoted generation, 422
 // with the quarantine error when validation rejects the candidate (the
@@ -61,9 +61,7 @@ func (a *AdminServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /update", a.handleUpdate)
 	mux.HandleFunc("POST /rollback", a.handleRollback)
-	mux.HandleFunc("POST /admin/rollback", a.handleRollback)
 	mux.HandleFunc("GET /generations", a.handleGenerations)
-	mux.HandleFunc("GET /admin/generations", a.handleGenerations)
 	return mux
 }
 

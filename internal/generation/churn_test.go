@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"apspark/internal/matrix"
+	"apspark/internal/seq"
 	"apspark/internal/serve"
 )
 
@@ -163,8 +164,8 @@ func TestChurnZeroDowntimeSwap(t *testing.T) {
 	g := twoComponentGraph(t, n)
 	dir := seedDir(t, g, b)
 	deltas := []Delta{{U: 0, V: 9, W: 0.25}, {U: 3, V: 4, W: 6}}
-	refOld := fwRef(t, g)
-	refNew := fwRef(t, applyToGraph(t, g, deltas))
+	refOld := seq.Reference(g)
+	refNew := seq.Reference(applyToGraph(t, g, deltas))
 
 	cs := newChurnStack(t, dir)
 
@@ -265,7 +266,7 @@ func TestChurnZeroDowntimeSwap(t *testing.T) {
 	}
 
 	// Rollback through the admin listener restores the old answers live.
-	postAdmin(t, cs.admin.URL+"/admin/rollback", struct{}{}, http.StatusOK)
+	postAdmin(t, cs.admin.URL+"/rollback", struct{}{}, http.StatusOK)
 	if gen := servedGeneration(t, cs.query.URL); gen != "gen-0001" {
 		t.Fatalf("healthz generation after rollback = %q, want gen-0001", gen)
 	}
@@ -288,7 +289,7 @@ func TestChurnCorruptCandidateRejectedLive(t *testing.T) {
 	g := twoComponentGraph(t, n)
 	dir := seedDir(t, g, b)
 	cs := newChurnStack(t, dir)
-	refOld := fwRef(t, g)
+	refOld := seq.Reference(g)
 
 	// Corrupt the candidate between build and validation: the gate must
 	// quarantine it, the admin call must fail typed, and serving must

@@ -11,6 +11,7 @@ import (
 
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
+	"apspark/internal/seq"
 	"apspark/internal/store"
 )
 
@@ -30,7 +31,7 @@ func seedDirWithCodec(t testing.TB, g *graph.Graph, b int, codec string) string 
 	}
 	tmp := t.TempDir()
 	sp := filepath.Join(tmp, "seed.apsp")
-	if err := store.WriteWithCodec(sp, fwRef(t, g), b, c); err != nil {
+	if err := store.WriteWithCodec(sp, seq.Reference(g), b, c); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(tmp, "gens")
@@ -66,7 +67,7 @@ func TestDeltaRebuildInheritsCodec(t *testing.T) {
 	if res.Generation != "gen-0002" {
 		t.Fatalf("promoted %q, want gen-0002", res.Generation)
 	}
-	checkStoreMatches(t, m, fwRef(t, applyToGraph(t, g, deltas)))
+	checkStoreMatches(t, m, seq.Reference(applyToGraph(t, g, deltas)))
 
 	st, _, id, err := m.OpenCurrent()
 	if err != nil {
@@ -89,7 +90,7 @@ func TestDeltaRebuildInheritsCodec(t *testing.T) {
 	if _, err := m.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	checkStoreMatches(t, m, fwRef(t, g))
+	checkStoreMatches(t, m, seq.Reference(g))
 }
 
 // TestChurnIVarintStore runs the zero-downtime churn stack against a
@@ -101,8 +102,8 @@ func TestChurnIVarintStore(t *testing.T) {
 	g := twoComponentGraph(t, n)
 	dir := seedDirWithCodec(t, g, b, "ivarint")
 	deltas := []Delta{{U: 0, V: 9, W: 2}}
-	refOld := fwRef(t, g)
-	refNew := fwRef(t, applyToGraph(t, g, deltas))
+	refOld := seq.Reference(g)
+	refNew := seq.Reference(applyToGraph(t, g, deltas))
 
 	cs := newChurnStack(t, dir)
 
@@ -152,7 +153,7 @@ func TestChurnIVarintStore(t *testing.T) {
 	}
 	assertRow(0, refNew, "new")
 
-	postAdmin(t, cs.admin.URL+"/admin/rollback", struct{}{}, http.StatusOK)
+	postAdmin(t, cs.admin.URL+"/rollback", struct{}{}, http.StatusOK)
 	if gen := servedGeneration(t, cs.query.URL); gen != "gen-0001" {
 		t.Fatalf("serving %q after rollback, want gen-0001", gen)
 	}
@@ -202,5 +203,5 @@ func TestValidationCatchesCorruptCompressedCandidate(t *testing.T) {
 	if m.Current() != "gen-0001" {
 		t.Fatalf("CURRENT moved to %q on a rejected candidate", m.Current())
 	}
-	checkStoreMatches(t, m, fwRef(t, g))
+	checkStoreMatches(t, m, seq.Reference(g))
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"apspark/internal/seq"
 )
 
 // The kill -9 crash matrix: a real subprocess running ApplyDeltas is
@@ -68,8 +70,8 @@ func TestKillNineCrashMatrix(t *testing.T) {
 		t.Run(stage, func(t *testing.T) {
 			g := twoComponentGraph(t, crashMatrixN)
 			dir := seedDir(t, g, crashMatrixB)
-			refOld := fwRef(t, g)
-			refNew := fwRef(t, applyToGraph(t, g, crashMatrixDeltas()))
+			refOld := seq.Reference(g)
+			refNew := seq.Reference(applyToGraph(t, g, crashMatrixDeltas()))
 
 			cmd := exec.Command(os.Args[0], "-test.run", "TestHelperCrashUpdate", "-test.v")
 			cmd.Env = append(os.Environ(),

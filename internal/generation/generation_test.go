@@ -37,23 +37,13 @@ func twoComponentGraph(t testing.TB, n int) *graph.Graph {
 	return g
 }
 
-// fwRef solves g sequentially as the ground truth.
-func fwRef(t testing.TB, g *graph.Graph) *matrix.Block {
-	t.Helper()
-	m, err := seq.FloydWarshall(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // seedDir solves g, writes its store, and imports it as gen-0001 of a
 // fresh directory.
 func seedDir(t testing.TB, g *graph.Graph, b int) string {
 	t.Helper()
 	tmp := t.TempDir()
 	sp := filepath.Join(tmp, "seed.apsp")
-	if err := store.WriteWithCodec(sp, fwRef(t, g), b, nil); err != nil {
+	if err := store.WriteWithCodec(sp, seq.Reference(g), b, nil); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(tmp, "gens")
@@ -141,7 +131,7 @@ func TestImportOpenServe(t *testing.T) {
 	if n, b := m.Geometry(); n != 32 || b != 8 {
 		t.Fatalf("geometry = (%d,%d), want (32,8)", n, b)
 	}
-	checkStoreMatches(t, m, fwRef(t, g))
+	checkStoreMatches(t, m, seq.Reference(g))
 	infos := m.Generations()
 	if len(infos) != 1 || !infos[0].Current || infos[0].Seq != 1 {
 		t.Fatalf("generations = %+v", infos)
@@ -195,7 +185,7 @@ func TestApplyDeltasMixedBatchMatchesResolve(t *testing.T) {
 		t.Fatalf("dirty panels = %d of %d: no panel was raw-copied", res.DirtyPanels, res.TotalPanels)
 	}
 	newG := applyToGraph(t, g, deltas)
-	checkStoreMatches(t, m, fwRef(t, newG))
+	checkStoreMatches(t, m, seq.Reference(newG))
 
 	// A reopened manager sees the same state (durability of CURRENT).
 	m2, err := Open(dir, Options{})
@@ -205,7 +195,7 @@ func TestApplyDeltasMixedBatchMatchesResolve(t *testing.T) {
 	if m2.Current() != "gen-0002" {
 		t.Fatalf("reopened current = %q", m2.Current())
 	}
-	checkStoreMatches(t, m2, fwRef(t, newG))
+	checkStoreMatches(t, m2, seq.Reference(newG))
 }
 
 // TestApplyDeltasBridgesComponents: an edge add that connects the two
@@ -231,7 +221,7 @@ func TestApplyDeltasBridgesComponents(t *testing.T) {
 	if res.DirtyRows != n {
 		t.Fatalf("dirty rows = %d, want %d (reachability changed for every source)", res.DirtyRows, n)
 	}
-	checkStoreMatches(t, m, fwRef(t, applyToGraph(t, g, deltas)))
+	checkStoreMatches(t, m, seq.Reference(applyToGraph(t, g, deltas)))
 
 	// Cutting the bridge again restores the two-component distances; the
 	// worsening side is the tightness test's job and must flag every row
@@ -240,7 +230,7 @@ func TestApplyDeltasBridgesComponents(t *testing.T) {
 	if _, err := m.ApplyDeltas(context.Background(), cut); err != nil {
 		t.Fatalf("bridge removal rejected: %v", err)
 	}
-	checkStoreMatches(t, m, fwRef(t, g))
+	checkStoreMatches(t, m, seq.Reference(g))
 }
 
 // TestApplyDeltasConnectsIsolatedVertex: the smallest bridge — a vertex
@@ -269,7 +259,7 @@ func TestApplyDeltasConnectsIsolatedVertex(t *testing.T) {
 	if res.DirtyRows != n {
 		t.Fatalf("dirty rows = %d, want %d", res.DirtyRows, n)
 	}
-	checkStoreMatches(t, m, fwRef(t, applyToGraph(t, g, deltas)))
+	checkStoreMatches(t, m, seq.Reference(applyToGraph(t, g, deltas)))
 }
 
 // TestMutationsBounceWhileDirectoryLocked: while another holder (another
@@ -366,7 +356,7 @@ func TestApplyDeltasCancelledMidBuild(t *testing.T) {
 	if m.Current() != "gen-0001" {
 		t.Fatalf("current = %q, want untouched gen-0001", m.Current())
 	}
-	checkStoreMatches(t, m, fwRef(t, g))
+	checkStoreMatches(t, m, seq.Reference(g))
 
 	crashHook = nil
 	res, err := m.ApplyDeltas(context.Background(), deltas)
@@ -376,7 +366,7 @@ func TestApplyDeltasCancelledMidBuild(t *testing.T) {
 	if res.Generation != "gen-0002" {
 		t.Fatalf("generation after a cancelled build = %q, want gen-0002", res.Generation)
 	}
-	checkStoreMatches(t, m, fwRef(t, applyToGraph(t, g, deltas)))
+	checkStoreMatches(t, m, seq.Reference(applyToGraph(t, g, deltas)))
 }
 
 // TestValidationQuarantine corrupts the candidate store between build and
@@ -423,7 +413,7 @@ func TestValidationQuarantine(t *testing.T) {
 		t.Fatal("rejected candidate still visible as a live generation")
 	}
 	// The old generation still serves correct data.
-	checkStoreMatches(t, m, fwRef(t, g))
+	checkStoreMatches(t, m, seq.Reference(g))
 
 	// And the lifecycle is not wedged: the same delta applies cleanly once
 	// the corruption stops. The new generation continues the sequence past
@@ -445,12 +435,12 @@ func TestRollbackAndRollForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOld := fwRef(t, g)
+	refOld := seq.Reference(g)
 	deltas := []Delta{{U: 5, V: 6, W: 0.5}}
 	if _, err := m.ApplyDeltas(context.Background(), deltas); err != nil {
 		t.Fatal(err)
 	}
-	refNew := fwRef(t, applyToGraph(t, g, deltas))
+	refNew := seq.Reference(applyToGraph(t, g, deltas))
 	checkStoreMatches(t, m, refNew)
 
 	id, err := m.Rollback()

@@ -23,18 +23,13 @@ type Edge struct {
 }
 
 // Graph is a weighted undirected graph in CSR (compressed sparse row) form.
-// Both directions of every edge are stored so Adj(u) lists all neighbours.
+// Both directions of every edge are stored, so a vertex's adjacency (CSR,
+// VisitAdj) lists all its neighbours.
 type Graph struct {
 	N       int
 	rowPtr  []int32
 	colIdx  []int32
 	weights []float64
-}
-
-// Neighbor is one CSR adjacency entry.
-type Neighbor struct {
-	To int
-	W  float64
 }
 
 // FromEdges builds a Graph on n vertices from an undirected edge list.
@@ -144,16 +139,6 @@ func FromCSR(n int, rowPtr, colIdx []int32, weights []float64) (*Graph, error) {
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int { return len(g.colIdx) / 2 }
 
-// Adj returns vertex u's adjacency list (freshly allocated).
-func (g *Graph) Adj(u int) []Neighbor {
-	lo, hi := g.rowPtr[u], g.rowPtr[u+1]
-	out := make([]Neighbor, 0, hi-lo)
-	for p := lo; p < hi; p++ {
-		out = append(out, Neighbor{To: int(g.colIdx[p]), W: g.weights[p]})
-	}
-	return out
-}
-
 // VisitAdj calls fn for every neighbour of u without allocating.
 func (g *Graph) VisitAdj(u int, fn func(v int, w float64)) {
 	for p := g.rowPtr[u]; p < g.rowPtr[u+1]; p++ {
@@ -170,9 +155,6 @@ func (g *Graph) VisitAdj(u int, fn func(v int, w float64)) {
 func (g *Graph) CSR() (rowPtr, colIdx []int32, weights []float64) {
 	return g.rowPtr, g.colIdx, g.weights
 }
-
-// Degree returns vertex u's degree.
-func (g *Graph) Degree(u int) int { return int(g.rowPtr[u+1] - g.rowPtr[u]) }
 
 // Edges returns the undirected edge list (U < V), sorted.
 func (g *Graph) Edges() []Edge {

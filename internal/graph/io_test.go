@@ -39,8 +39,8 @@ func TestReadEdgeListCommentsAndBlanks(t *testing.T) {
 	if g.N != 3 || g.NumEdges() != 2 {
 		t.Fatalf("n=%d m=%d", g.N, g.NumEdges())
 	}
-	if g.Adj(1)[1].W != 2.5 {
-		t.Fatalf("weight = %v", g.Adj(1)[1].W)
+	if w := adjOf(g, 1)[1].W; w != 2.5 {
+		t.Fatalf("weight = %v", w)
 	}
 }
 

@@ -5,20 +5,9 @@ import (
 	"testing"
 
 	"apspark/internal/graph"
-	"apspark/internal/matrix"
 	"apspark/internal/mpi"
 	"apspark/internal/seq"
 )
-
-// fwRef is the Floyd-Warshall ground truth for a test graph.
-func fwRef(t testing.TB, g *graph.Graph) *matrix.Block {
-	t.Helper()
-	m, err := seq.FloydWarshall(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 func TestFW2DRealMatchesSequential(t *testing.T) {
 	for _, cfg := range []struct {
@@ -35,7 +24,7 @@ func TestFW2DRealMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Dist.AllClose(fwRef(t, g), 1e-9) {
+		if !res.Dist.AllClose(seq.Reference(g), 1e-9) {
 			t.Fatalf("n=%d p=%d: FW-2D diverges from sequential FW", cfg.n, cfg.p)
 		}
 		if res.Seconds <= 0 {
@@ -85,7 +74,7 @@ func TestDCDenseMatchesSequential(t *testing.T) {
 		if err := DCDense(a); err != nil {
 			t.Fatal(err)
 		}
-		if !a.AllClose(fwRef(t, g), 1e-9) {
+		if !a.AllClose(seq.Reference(g), 1e-9) {
 			t.Fatalf("n=%d: DC recursion diverges from sequential FW", cfg.n)
 		}
 	}
@@ -110,7 +99,7 @@ func TestDCRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Dist.AllClose(fwRef(t, g), 1e-9) {
+	if !res.Dist.AllClose(seq.Reference(g), 1e-9) {
 		t.Fatal("DC distributed run's numeric result wrong")
 	}
 	if res.Seconds <= 0 {

@@ -1,14 +1,14 @@
-// Package seq implements the sequential APSP reference solvers the paper
-// leans on: classic Floyd-Warshall (the ground truth for every distributed
-// solver and the T1 baseline of the weak-scaling study) and the
-// Venkataraman blocked Floyd-Warshall that the Blocked In-Memory /
-// Collect-Broadcast solvers distribute. Dijkstra, a single-source binary
-// heap search, is the reference one sparse test holds the sparse engine's
-// rows to.
+// Package seq holds the sequential APSP solvers: classic Floyd-Warshall
+// (the T1 baseline of the paper's weak-scaling study, and what `-verify`
+// checks a solve against), the Venkataraman blocked Floyd-Warshall that
+// the Blocked In-Memory and Collect-Broadcast solvers distribute, and
+// Reference, the distance matrix every producer of distances is tested
+// against. Reference shares no code with any engine: the Floyd-Warshall
+// pair runs the matrix package's min-plus kernels, and so do the cluster
+// solvers.
 package seq
 
 import (
-	"container/heap"
 	"fmt"
 
 	"apspark/internal/graph"
@@ -56,46 +56,34 @@ func BlockedFloydWarshallDense(a *matrix.Block, b int) error {
 	return matrix.FloydWarshallBlockedSize(a, b, 1)
 }
 
-// Dijkstra returns single-source shortest path lengths from src using a
-// binary heap. Weights must be non-negative (guaranteed by graph
-// construction).
-func Dijkstra(g *graph.Graph, src int) []float64 {
-	dist := make([]float64, g.N)
-	for i := range dist {
-		dist[i] = matrix.Inf
-	}
-	dist[src] = 0
-	pq := &distHeap{{v: src, d: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.d > dist[it.v] {
-			continue // stale entry
+// Reference returns g's distance matrix by edge relaxation alone: from
+// each source, every edge of g.Edges() is relaxed in both directions,
+// pass after pass, until a pass lowers no label (Bellman-Ford). It uses
+// no matrix kernel, heap or adjacency walk, so an engine that any of
+// those break cannot break it the same way. Each label is the smallest
+// left-to-right sum, rounded at every hop, over the walks from its
+// source: the value Dijkstra settles, bit for bit, on any non-negative
+// weights. Cost is O(n·m) per pass; it is meant for test-sized graphs.
+func Reference(g *graph.Graph) *matrix.Block {
+	n, edges := g.N, g.Edges()
+	d := &matrix.Block{R: n, C: n, Data: make([]float64, n*n)}
+	for src := 0; src < n; src++ {
+		row := d.Data[src*n : (src+1)*n]
+		for v := range row {
+			row[v] = matrix.Inf
 		}
-		g.VisitAdj(it.v, func(w int, wt float64) {
-			if nd := it.d + wt; nd < dist[w] {
-				dist[w] = nd
-				heap.Push(pq, distItem{v: w, d: nd})
+		row[src] = 0
+		for fell := true; fell; {
+			fell = false
+			for _, e := range edges {
+				if l := row[e.U] + e.W; l < row[e.V] {
+					row[e.V], fell = l, true
+				}
+				if l := row[e.V] + e.W; l < row[e.U] {
+					row[e.U], fell = l, true
+				}
 			}
-		})
+		}
 	}
-	return dist
-}
-
-type distItem struct {
-	v int
-	d float64
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return d
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"apspark/internal/matrix"
+	"apspark/internal/seq"
 	"apspark/internal/store"
 )
 
@@ -333,7 +334,7 @@ func TestHandlerPathAnswersMatchEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie := newEngine(t, ig, fwRef(t, ig))
+	ie := newEngine(t, ig, seq.Reference(ig))
 	paths := BatchRequest{Path: []PairQuery{{0, 3}, {0, 2}, {3, 3}}}
 	checkBody(t, "/batch with an unreachable path", postedBatch(t, Handler(ie), paths), refBatch(t, ie, paths))
 }

@@ -12,18 +12,8 @@ import (
 	"testing"
 
 	"apspark/internal/graph"
-	"apspark/internal/matrix"
 	"apspark/internal/seq"
 )
-
-func fwRef(t testing.TB, g *graph.Graph) *matrix.Block {
-	t.Helper()
-	m, err := seq.FloydWarshall(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 func graphFromEdges(t *testing.T, n int, edges [][3]float64) (*graph.Graph, error) {
 	t.Helper()
@@ -97,7 +87,7 @@ func TestEngineBatchAPIs(t *testing.T) {
 // source of truth.
 func TestHTTPBatch(t *testing.T) {
 	srv, g, _ := newStoreServer(t, 40, 6)
-	dist := fwRef(t, g)
+	dist := seq.Reference(g)
 
 	req := BatchRequest{
 		Dist: []PairQuery{{From: 0, To: 5}, {From: 3, To: 3}, {From: 7, To: 39}},
@@ -192,7 +182,7 @@ func TestHTTPBatchUnreachablePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, g, fwRef(t, g))
+	e := newEngine(t, g, seq.Reference(g))
 	srv := newTestServer(t, e)
 	body := `{"path":[{"from":0,"to":3},{"from":0,"to":2}]}`
 	resp := postBatch(t, srv.URL, body, http.StatusOK)

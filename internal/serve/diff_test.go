@@ -9,6 +9,7 @@ import (
 
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
+	"apspark/internal/seq"
 )
 
 // Differential tests: the heap-based KNN selection and the CSR path walk
@@ -37,6 +38,8 @@ func refKNN(row []float64, from, k int) []Target {
 	}
 	return targets
 }
+
+func pathTol(d float64) float64 { return pathRel * (1 + math.Abs(d)) }
 
 // refPath is the pre-CSR implementation: walk backwards from the
 // destination over g.VisitAdj with a map visited-set.
@@ -105,7 +108,7 @@ func knnCases(t *testing.T) []struct {
 		dist *matrix.Block
 	}
 	add := func(name string, g *graph.Graph) {
-		dist := fwRef(t, g)
+		dist := seq.Reference(g)
 		cases = append(cases, struct {
 			name string
 			e    *Engine
@@ -215,7 +218,7 @@ func TestPathCSRMatchesReference(t *testing.T) {
 	graphs = append(graphs, ug)
 
 	for gi, g := range graphs {
-		dist := fwRef(t, g)
+		dist := seq.Reference(g)
 		e := newEngine(t, g, dist)
 		checked := 0
 		for from := 0; from < g.N; from += 2 {

@@ -169,6 +169,11 @@ type Engine struct {
 	sp         *sparse.Engine
 	recomputed atomic.Int64
 
+	// hopRel is the relative tolerance of Path's hop identity: pathRel,
+	// plus twice the f32 codec's bound when the source holds f32 tiles,
+	// whose distances may each be off by that much.
+	hopRel float64
+
 	// gen labels the store generation this engine serves ("" for static
 	// sources); surfaced in /healthz so operators and the churn harness
 	// can tell which generation answered.
@@ -207,8 +212,11 @@ func NewWithOptions(src Source, g *graph.Graph, opts EngineOptions) (*Engine, er
 	if opts.Fallback != nil && opts.Fallback.N() != src.N() {
 		return nil, fmt.Errorf("serve: fallback source has %d vertices, primary has %d", opts.Fallback.N(), src.N())
 	}
-	e := &Engine{src: src, g: g, fb: opts.Fallback, gen: opts.Generation}
+	e := &Engine{src: src, g: g, fb: opts.Fallback, gen: opts.Generation, hopRel: pathRel}
 	e.rv, _ = src.(RowViewer)
+	if st, ok := src.(*store.Store); ok && st.CodecTiles()["f32"] > 0 {
+		e.hopRel += 2 * store.F32DefaultMaxRelErr
+	}
 	if g != nil {
 		e.adjPtr, e.adjTo, e.adjW = g.CSR()
 		e.sp = sparse.New(g)
@@ -465,11 +473,11 @@ func (e *Engine) KNNInto(ctx context.Context, from, k int, dst []Target) ([]Targ
 	return h, nil
 }
 
-// pathTol is the relative tolerance for the hop identity
+// pathRel is the relative tolerance for the hop identity
 // d[i][k] + w(k,j) == d[i][j]: distances come out of long chains of
 // float64 min-plus folds, so exact equality is one rounding error away
 // from a false "no hop found".
-func pathTol(d float64) float64 { return 1e-9 * (1 + math.Abs(d)) }
+const pathRel = 1e-9
 
 // pathVisit is the pooled visited-set of one path walk: an epoch-stamped
 // array, so clearing between walks is one counter increment.
@@ -530,9 +538,12 @@ func (e *Engine) PathInto(ctx context.Context, from, to int, hops []int) (Path, 
 	// k satisfies row[k] + w(k, cur) == row[cur]. Requiring row[k] <
 	// row[cur] guarantees progress on positive-weight edges; zero-weight
 	// edges are admitted as a fallback with a visited guard so cycles of
-	// free edges cannot loop forever. Adjacency lists are id-sorted, so
-	// the first strict-progress neighbour is already the smallest id and
-	// the scan short-circuits.
+	// free edges cannot loop forever, and a walk that a plateau of free
+	// edges leads to a vertex with no unvisited predecessor backs up a
+	// hop and tries the next one (a depth-first search, so each vertex
+	// joins the walk at most once). Adjacency lists are id-sorted, so the
+	// first strict-progress neighbour is already the smallest id and the
+	// scan short-circuits.
 	vs := e.getVisit()
 	defer e.pathScratch.Put(vs)
 	vs.seen[to] = vs.epoch
@@ -540,21 +551,21 @@ func (e *Engine) PathInto(ctx context.Context, from, to int, hops []int) (Path, 
 	cur := to
 	for cur != from && len(hops) <= e.g.N {
 		best, bestZero := -1, -1
-		tol := pathTol(row[cur])
+		tol := e.hopRel * (1 + math.Abs(row[cur]))
 		for p := e.adjPtr[cur]; p < e.adjPtr[cur+1]; p++ {
 			k := int(e.adjTo[p])
 			if math.IsInf(row[k], 1) {
 				continue
 			}
 			sum := row[k] + e.adjW[p]
-			if sum > row[cur]+tol || sum < row[cur]-tol {
+			if sum > row[cur]+tol || sum < row[cur]-tol || vs.seen[k] == vs.epoch {
 				continue
 			}
 			if row[k] < row[cur] {
 				best = k
 				break
 			}
-			if bestZero == -1 && vs.seen[k] != vs.epoch {
+			if bestZero == -1 {
 				bestZero = k
 			}
 		}
@@ -563,7 +574,11 @@ func (e *Engine) PathInto(ctx context.Context, from, to int, hops []int) (Path, 
 			next = bestZero
 		}
 		if next == -1 {
-			return Path{}, fmt.Errorf("serve: path %d->%d: no predecessor of %d satisfies the hop identity (graph does not match the distance matrix?)", from, to, cur)
+			if hops = hops[:len(hops)-1]; len(hops) == 0 {
+				return Path{}, fmt.Errorf("serve: path %d->%d: no predecessor of %d satisfies the hop identity (graph does not match the distance matrix?)", from, to, cur)
+			}
+			cur = hops[len(hops)-1]
+			continue
 		}
 		hops = append(hops, next)
 		vs.seen[next] = vs.epoch

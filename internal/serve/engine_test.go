@@ -7,6 +7,7 @@ import (
 
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
+	"apspark/internal/seq"
 )
 
 // solvedGraph returns a deterministic Erdős–Rényi graph and its exact
@@ -17,7 +18,7 @@ func solvedGraph(t *testing.T, n int, seed int64) (*graph.Graph, *matrix.Block) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, fwRef(t, g)
+	return g, seq.Reference(g)
 }
 
 func newEngine(t *testing.T, g *graph.Graph, dist *matrix.Block) *Engine {
@@ -199,7 +200,7 @@ func TestPathHandBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, g, fwRef(t, g))
+	e := newEngine(t, g, seq.Reference(g))
 	p, err := e.Path(context.Background(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +228,7 @@ func TestPathZeroWeightEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := fwRef(t, g)
+	dist := seq.Reference(g)
 	e := newEngine(t, g, dist)
 	p, err := e.Path(context.Background(), 0, 4)
 	if err != nil {

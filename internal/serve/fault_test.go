@@ -16,6 +16,7 @@ import (
 	"apspark/internal/faultfs"
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
+	"apspark/internal/seq"
 	"apspark/internal/store"
 )
 
@@ -40,7 +41,7 @@ func newFaultyEngine(t *testing.T, n int, seed int64, withGraph bool, opts store
 // faultyEngineOver is newFaultyEngine for a given graph and tile codec.
 func faultyEngineOver(t *testing.T, g *graph.Graph, codec string, withGraph bool, opts store.Options) (*Engine, *matrix.Block, *store.Store, *faultfs.Reader) {
 	t.Helper()
-	dist := fwRef(t, g)
+	dist := seq.Reference(g)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
 	c, err := store.CodecByName(codec)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"apspark/internal/graph"
+	"apspark/internal/seq"
 	"apspark/internal/store"
 )
 
@@ -24,7 +25,7 @@ func newStoreServer(t *testing.T, n int, seed int64) (*httptest.Server, *graph.G
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := fwRef(t, g)
+	dist := seq.Reference(g)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
 	bs := 8
 	if err := store.WriteWithCodec(path, dist, bs, nil); err != nil {
@@ -64,7 +65,7 @@ func getJSON(t *testing.T, url string, wantCode int, into any) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	srv, g, _ := newStoreServer(t, 40, 6)
-	dist := fwRef(t, g)
+	dist := seq.Reference(g)
 
 	var h Health
 	getJSON(t, srv.URL+"/healthz", http.StatusOK, &h)
@@ -169,7 +170,7 @@ func TestHTTPPathWithoutGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewMatrixSource(fwRef(t, g))
+	src, err := NewMatrixSource(seq.Reference(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestHTTPPathWithoutGraph(t *testing.T) {
 // cache, budget never exceeded).
 func TestHTTPConcurrent(t *testing.T) {
 	srv, g, st := newStoreServer(t, 40, 6)
-	dist := fwRef(t, g)
+	dist := seq.Reference(g)
 	client := srv.Client()
 
 	const workers = 8

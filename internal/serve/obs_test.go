@@ -18,6 +18,7 @@ import (
 
 	"apspark/internal/graph"
 	"apspark/internal/obs"
+	"apspark/internal/seq"
 	"apspark/internal/store"
 )
 
@@ -86,7 +87,7 @@ func newObsServer(t *testing.T, opts HardenOptions) (*httptest.Server, *obs.Regi
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := fwRef(t, g)
+	dist := seq.Reference(g)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
 	if err := store.WriteWithCodec(path, dist, 8, nil); err != nil {
 		t.Fatal(err)

@@ -9,16 +9,6 @@ import (
 	"apspark/internal/seq"
 )
 
-// fwRef is the Floyd-Warshall ground truth for a test graph.
-func fwRef(t testing.TB, g *graph.Graph) *matrix.Block {
-	t.Helper()
-	m, err := seq.FloydWarshall(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // intER builds a connected sparse ER graph with integer weights 1..100.
 // Integer weights make every path sum exact in float64, so Dijkstra and
 // Floyd-Warshall must agree bit for bit, not just within tolerance.
@@ -141,7 +131,7 @@ func TestRowsAndPanelsMatchFloydWarshall(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			fw := fwRef(t, g)
+			fw := seq.Reference(g)
 			requireBitIdentical(t, rows, fw)
 			requireBitIdentical(t, solveFull(t, g, 64), fw)
 		})
@@ -150,7 +140,7 @@ func TestRowsAndPanelsMatchFloydWarshall(t *testing.T) {
 
 func TestDijkstraMatchesFloydWarshallSparseER(t *testing.T) {
 	g := intER(t, 193, 8, 1)
-	requireBitIdentical(t, solveFull(t, g, 32), fwRef(t, g))
+	requireBitIdentical(t, solveFull(t, g, 32), seq.Reference(g))
 }
 
 func TestDijkstraMatchesFloydWarshallDenseER(t *testing.T) {
@@ -158,7 +148,7 @@ func TestDijkstraMatchesFloydWarshallDenseER(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBitIdentical(t, solveFull(t, g, 17), fwRef(t, g))
+	requireBitIdentical(t, solveFull(t, g, 17), seq.Reference(g))
 }
 
 func TestDijkstraUnitWeights(t *testing.T) {
@@ -166,7 +156,7 @@ func TestDijkstraUnitWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBitIdentical(t, solveFull(t, g, 64), fwRef(t, g))
+	requireBitIdentical(t, solveFull(t, g, 64), seq.Reference(g))
 }
 
 func TestDijkstraZeroWeightEdges(t *testing.T) {
@@ -181,7 +171,7 @@ func TestDijkstraZeroWeightEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBitIdentical(t, solveFull(t, g, 2), fwRef(t, g))
+	requireBitIdentical(t, solveFull(t, g, 2), seq.Reference(g))
 }
 
 func TestDijkstraDisconnected(t *testing.T) {
@@ -195,7 +185,7 @@ func TestDijkstraDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := solveFull(t, g, 4)
-	requireBitIdentical(t, got, fwRef(t, g))
+	requireBitIdentical(t, got, seq.Reference(g))
 	if got.At(0, 3) != matrix.Inf || got.At(5, 0) != matrix.Inf {
 		t.Fatalf("cross-component distances not Inf: %v %v", got.At(0, 3), got.At(5, 0))
 	}
@@ -212,19 +202,6 @@ func TestDijkstraSingleNode(t *testing.T) {
 	got := solveFull(t, g, 1)
 	if got.R != 1 || got.C != 1 || got.At(0, 0) != 0 {
 		t.Fatalf("single-node solve = %+v, want 1x1 [0]", got)
-	}
-}
-
-func TestDijkstraUniformWeightsWithinTolerance(t *testing.T) {
-	// Uniform real weights: path sums associate differently in FW than in
-	// Dijkstra, so equality is only up to rounding (the reason exact tests
-	// above use integer weights).
-	g, err := graph.ErdosRenyiPaper(128, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !solveFull(t, g, 32).AllClose(fwRef(t, g), 1e-9) {
-		t.Fatal("dij diverges from Floyd-Warshall beyond 1e-9")
 	}
 }
 
@@ -261,11 +238,12 @@ func TestSolveRowIntoMatchesReferenceDijkstra(t *testing.T) {
 	g := intER(t, 200, 5, 6)
 	e := New(g)
 	row := make([]float64, g.N)
+	ref := seq.Reference(g)
 	for _, src := range []int{0, 1, 99, 199} {
 		if err := e.SolveRowInto(src, row); err != nil {
 			t.Fatal(err)
 		}
-		want := seq.Dijkstra(g, src)
+		want := ref.Row(src)
 		for v := range row {
 			if row[v] != want[v] {
 				t.Fatalf("src %d: dist[%d] = %v, want %v", src, v, row[v], want[v])
@@ -351,7 +329,7 @@ func TestEpochWrapClearsStaleState(t *testing.T) {
 	sc := e.scratch.get().(*state)
 	sc.epoch = ^uint32(0) - 1 // two sources from wrapping
 	e.scratch.put(sc)
-	want := fwRef(t, g)
+	want := seq.Reference(g)
 	row := make([]float64, g.N)
 	for src := 0; src < 4; src++ { // crosses the wrap boundary
 		if err := e.SolveRowInto(src, row); err != nil {
