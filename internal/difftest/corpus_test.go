@@ -1,22 +1,24 @@
 // Package difftest holds every producer of distances to one reference,
 // seq.Reference, on one corpus of graphs, through every consumer that
 // reads distances back: a table of producers (the cluster solvers, the
-// sequential Floyd-Warshall pair, the sparse engine through every entry
-// point, stores of every codec, a generation after delta batches, the
-// hierarchy oracle) crossed with a table of consumers (the store's reads
-// with its row cache on and off, the serving engine, the HTTP handler).
-// A new engine, codec or endpoint is one row of a table. Metamorphic
-// checks (symmetry, zero diagonal, triangle inequality, monotonicity
-// under a weight decrease, invariance under relabelling) run on every
-// producer too. The package is tests only.
+// two MPI baselines, the sequential Floyd-Warshall pair, the sparse
+// engine through every entry point, stores of every codec, a generation
+// after delta batches, the hierarchy oracle) crossed with a table of
+// consumers (the store's reads with its row cache on and off, the
+// serving engine, the HTTP handler). A new engine, codec or endpoint is
+// one row of a table. Metamorphic checks (symmetry, zero diagonal,
+// triangle inequality, monotonicity under a weight decrease, invariance
+// under relabelling) run on every producer too. The package is tests
+// only.
 //
 // On integer weights every path sum is exact, so every producer must
 // equal the reference bit for bit. On real weights the sparse engine
 // settles the same left-to-right sums the reference does, and is held
 // to it bit for bit too; producers that add up paths in another order
-// (the Floyd-Warshall family, the oracle) are held to a bound derived
-// from the reference path: a sum of h rounded hops of length d is within
-// (h-1)·2^-53·d of the exact sum, so two such sums are within twice that.
+// (the Floyd-Warshall family, the MPI baselines, the oracle) are held to
+// a bound derived from the reference path: a sum of h rounded hops of
+// length d is within (h-1)·2^-53·d of the exact sum, so two such sums
+// are within twice that.
 package difftest
 
 import (
@@ -85,6 +87,15 @@ var corpus = sync.OnceValue(func() []*entry {
 		{name: "duplicate edges", g: edges(20, append(chain(20, 9), append(chain(20, 2, 30), graph.Edge{U: 1, V: 0, W: 1})...)), b: 8},
 		{name: "n=1", g: edges(1, nil), b: 1},
 		{name: "zero-weight edges", g: edges(200, append(chain(200, 0, 0, 3), star(200, 0, 9)...)), b: 48},
+		{name: "no edges", g: edges(5, nil), b: 2},
+		// Zero-weight arcs settle vertices at the distance being popped.
+		{name: "zero-weight star", g: edges(300, star(300, 0)), b: 64},
+		{name: "all weights zero", g: edges(70, append(chain(70, 0), star(70, 0)...)), b: 16},
+		{name: "chain 1/255/0/100", g: edges(257, chain(257, 1, 255, 0, 100)), b: 64},
+		// Relaxations at equal distance must not loop or mis-rank.
+		{name: "zero-weight chain with shortcuts", g: edges(6, []graph.Edge{
+			{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 0}, {U: 2, V: 3, W: 5}, {U: 3, V: 4, W: 0},
+			{U: 0, V: 4, W: 5}, {U: 1, V: 3, W: 2}, {U: 4, V: 5, W: 1}, {U: 5, V: 0, W: 0}}), b: 2},
 		{name: "unit weights", g: must(graph.ErdosRenyiWeighted(100, 0.06, graph.UnitWeights(), 3)), b: 64},
 		// The two ends of each chain are its largest distance: 65,279
 		// stands on 16-bit lanes, 65,280 is a batch thrown away.
@@ -96,6 +107,8 @@ var corpus = sync.OnceValue(func() []*entry {
 		// a batch outgrows 16-bit lanes, then overruns its budget.
 		{name: "shuffled path", g: edges(512, relabel(chain(512, 255), rng.Perm(512))), b: 128},
 		{name: "ER real", g: must(graph.ErdosRenyiPaper(100, 11)), b: 32},
+		{name: "ER real, q = 1", g: must(graph.ErdosRenyi(16, 0.25, 10, 3)), b: 16},
+		{name: "ER real, ragged b", g: must(graph.ErdosRenyi(30, 0.25, 10, 2)), b: 7},
 		{name: "kNN real, draw order", g: knn(200, 10, false, nil), b: 64},
 		{name: "kNN real, strip order", g: knn(200, 10, true, nil), b: 64},
 		{name: "kNN integer, draw order", g: knn(200, 10, false, knnInt), b: 64},

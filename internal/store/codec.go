@@ -781,7 +781,7 @@ func appendF32[C matrix.Cell](dst []byte, bound float64, h, w int, row tileRows[
 		}
 	}
 	dst = putCodecHeader(dst, magicF32, h, w)
-	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(maxRel)))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f32Bound(maxRel)))
 	for r := 0; r < h; r++ {
 		cells, step := row(r)
 		cells = cells[:(w-1)*step+1]
@@ -790,6 +790,17 @@ func appendF32[C matrix.Cell](dst []byte, bound float64, h, w int, row tileRows[
 		}
 	}
 	return dst, true
+}
+
+// f32Bound is the relative error an f32 tile records when its worst
+// value's is maxRel: the least float32 not below maxRel, so that the
+// record bounds every value's error.
+func f32Bound(maxRel float64) float32 {
+	r := float32(maxRel)
+	if float64(r) < maxRel {
+		r = math.Nextafter32(r, float32(math.Inf(1)))
+	}
+	return r
 }
 
 func (f32Codec) RowTable(data []byte, h, w int) (*RowTable, error) {

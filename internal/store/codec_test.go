@@ -170,6 +170,33 @@ func TestF32ErrorBound(t *testing.T) {
 	}
 }
 
+// TestF32RecordedErrorBoundsEveryValue: every value an f32 tile decodes
+// to lies within the relative error the tile records.
+func TestF32RecordedErrorBoundsEveryValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := codecs[CodecF32]
+	for k := range 64 {
+		tile := matrix.New(8, 8)
+		for i := range tile.Data {
+			tile.Data[i] = rng.Float64() * 1000
+		}
+		enc, ok := c.EncodeTile(nil, tile)
+		if !ok {
+			t.Fatal("f32 declined a tile")
+		}
+		bound := TileMaxRelErr(CodecF32, enc)
+		got, err := c.DecodeTile(enc, 8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range tile.Data {
+			if rel := math.Abs(got.Data[i]-v) / math.Max(math.Abs(v), 1); rel > bound {
+				t.Fatalf("tile %d, value %d: relative error %v above the recorded %v", k, i, rel, bound)
+			}
+		}
+	}
+}
+
 // TestDecodeTileTypedErrors: corrupt payloads come back as ErrCodecData,
 // never a panic, for every codec, and so do codec bytes this build does
 // not read.
@@ -705,7 +732,7 @@ func encodeF32Oracle(c f32Codec, dst []byte, tile *matrix.Block) ([]byte, bool) 
 		}
 	}
 	dst = putCodecHeader(dst, magicF32, tile.R, tile.C)
-	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(maxRel)))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f32Bound(maxRel)))
 	for _, v := range tile.Data {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 	}

