@@ -77,6 +77,19 @@ var archChecks = []struct {
 	{"one encoder per codec (float64 and uint32 cells through one body each, no float scratch tile)", []archRule{
 		{files: func(p string) bool { return archUnder(p, "internal/store") }, re: `floatTile|appendRawInts|appendFloatTokens|decodeIntTile|func encodeTile`},
 	}},
+	// A codec is the byte its tiles' index entries record: each per-codec
+	// decision is one switch on store.Codec in codec.go.
+	{"one codec switch (no Codec interface, no codec table, no per-codec type)", []archRule{
+		{files: func(p string) bool { return archUnder(p, "internal/store") }, re: `type Codec interface|codecs\[|type (raw|ivarint|f32)Codec\b`},
+	}},
+	// The four CRC32C lines of internal/store: the writer's per-tile sum,
+	// the ivarint encoder's and decoder's restart-group sums, and
+	// checkTile, the one check of a whole tile's bytes (read back by the
+	// store, the panel writer and checkpoint resume, or copied by the
+	// raw-panel path).
+	{"one checked tile read (whole tiles are held to their CRC32C only in checkTile)", []archRule{
+		{files: archCodeIn("internal/store"), re: `crc32\.Checksum\(`, max: 4},
+	}},
 	// Every producer of distances is tested against seq.Reference, an
 	// edge relaxation that shares no code with any engine.
 	{"one distance reference (no fwRef helper, no seq.Dijkstra; tests call seq.Reference)", []archRule{

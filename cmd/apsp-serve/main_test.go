@@ -48,7 +48,7 @@ func TestStoreCacheBytes(t *testing.T) {
 func TestStoreCacheBytesReadsTheOpenedStore(t *testing.T) {
 	const n = 64
 	path := filepath.Join(t.TempDir(), "dist.apsp")
-	if err := store.WriteWithCodec(path, matrix.New(n, n), 16, nil); err != nil {
+	if err := store.WriteWithCodec(path, matrix.New(n, n), 16, store.CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

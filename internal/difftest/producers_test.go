@@ -252,15 +252,19 @@ var reached = struct {
 	graphs  map[*graph.Graph]bool
 }{kernels: map[string]int{}, graphs: map[*graph.Graph]bool{}}
 
-// enginePanels solves g in panels of b rows on an engine of its own, and
-// records where the engine's panel kernel went: "batch32" if it stayed
-// there, "batch16" after a range fallback, "row" after a budget one, read
-// from PanelKernel and the engine's fallback counters.
+// enginePanels solves g in panels of b rows on an engine of its own,
+// holds it to reporting every row solved, and records where the engine's
+// panel kernel went: "batch32" if it stayed there, "batch16" after a
+// range fallback, "row" after a budget one, read from PanelKernel and the
+// engine's fallback counters.
 func enginePanels(g *graph.Graph, b int) (*matrix.Block, error) {
 	e := sparse.New(g)
-	m, _, err := e.Solve(ctx, b, sparse.Options{Workers: 2})
+	m, done, err := e.Solve(ctx, b, sparse.Options{Workers: 2})
 	if err != nil {
 		return nil, err
+	}
+	if done != g.N {
+		return nil, fmt.Errorf("Solve reports %d of %d rows solved", done, g.N)
 	}
 	reg := obs.NewRegistry()
 	e.RegisterMetrics(reg)

@@ -77,14 +77,15 @@ func TestDeltaRebuildInheritsCodec(t *testing.T) {
 	if id != "gen-0002" {
 		t.Fatalf("current = %q", id)
 	}
-	if st.CodecName() != "ivarint" {
-		t.Fatalf("child store codec = %q, want inherited ivarint", st.CodecName())
+	snap := st.Snapshot()
+	if snap.Codec != "ivarint" {
+		t.Fatalf("child store codec = %q, want inherited ivarint", snap.Codec)
 	}
-	if got := st.CodecTiles()["ivarint"]; got == 0 {
+	if snap.CodecTiles["ivarint"] == 0 {
 		t.Fatal("child store holds no ivarint tiles after rebuild")
 	}
-	if ratio := st.CodecRatio(); ratio < 2 {
-		t.Fatalf("child codec ratio %.2f, want >= 2 on an integer store", ratio)
+	if snap.CodecRatio < 2 {
+		t.Fatalf("child codec ratio %.2f, want >= 2 on an integer store", snap.CodecRatio)
 	}
 	// Rollback restores the (also compressed) parent, still exact.
 	if _, err := m.Rollback(); err != nil {

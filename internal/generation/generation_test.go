@@ -43,7 +43,7 @@ func seedDir(t testing.TB, g *graph.Graph, b int) string {
 	t.Helper()
 	tmp := t.TempDir()
 	sp := filepath.Join(tmp, "seed.apsp")
-	if err := store.WriteWithCodec(sp, seq.Reference(g), b, nil); err != nil {
+	if err := store.WriteWithCodec(sp, seq.Reference(g), b, store.CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(tmp, "gens")

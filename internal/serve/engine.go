@@ -214,7 +214,7 @@ func NewWithOptions(src Source, g *graph.Graph, opts EngineOptions) (*Engine, er
 	}
 	e := &Engine{src: src, g: g, fb: opts.Fallback, gen: opts.Generation, hopRel: pathRel}
 	e.rv, _ = src.(RowViewer)
-	if st, ok := src.(*store.Store); ok && st.CodecTiles()["f32"] > 0 {
+	if st, ok := src.(*store.Store); ok && st.Snapshot().CodecTiles["f32"] > 0 {
 		e.hopRel += 2 * store.F32DefaultMaxRelErr
 	}
 	if g != nil {

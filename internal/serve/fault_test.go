@@ -323,16 +323,16 @@ func TestServeRestartGroupRotRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, dist, st, fr := faultyEngineOver(t, g, "ivarint", true, store.Options{})
-	if st.CodecTiles()["ivarint"] == 0 {
-		t.Fatalf("integer-weight store has no ivarint tiles: %v", st.CodecTiles())
+	if st.Snapshot().CodecTiles["ivarint"] == 0 {
+		t.Fatalf("integer-weight store has no ivarint tiles: %v", st.Snapshot().CodecTiles)
 	}
 	srv := httptest.NewServer(Handler(e))
 	defer srv.Close()
 
 	checkEndpoints(t, srv.URL, dist, 0)
 	checkEndpoints(t, srv.URL, dist, 5)
-	if e.Recomputed() != 0 || st.Quarantined() != 0 {
-		t.Fatalf("clean traffic recomputed %d rows, quarantined %d tiles", e.Recomputed(), st.Quarantined())
+	if e.Recomputed() != 0 || st.Snapshot().Quarantined != 0 {
+		t.Fatalf("clean traffic recomputed %d rows, quarantined %d tiles", e.Recomputed(), st.Snapshot().Quarantined)
 	}
 
 	lo, length, err := st.TileSpan(0, 0)

@@ -28,7 +28,7 @@ func newStoreServer(t *testing.T, n int, seed int64) (*httptest.Server, *graph.G
 	dist := seq.Reference(g)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
 	bs := 8
-	if err := store.WriteWithCodec(path, dist, bs, nil); err != nil {
+	if err := store.WriteWithCodec(path, dist, bs, store.CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	st, err := store.OpenWithOptions(path, store.Options{TileCacheBytes: 4 * 8 * int64(bs) * int64(bs)}) // 4 tiles

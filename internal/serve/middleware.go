@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime/debug"
 	"runtime/pprof"
@@ -37,9 +36,6 @@ type HardenOptions struct {
 	// then answers 504. <= 0 means no deadline beyond the server's own
 	// read/write timeouts.
 	Timeout time.Duration
-	// RetryAfter is the client back-off hint sent with 429 responses
-	// (rounded up to whole seconds, minimum 1). <= 0 picks 1s.
-	RetryAfter time.Duration
 	// Metrics, when set, records per-endpoint request counters
 	// (apsp_http_requests_total{endpoint,code}), latency summaries
 	// (apsp_http_request_seconds{endpoint}), response bytes, an in-flight
@@ -104,15 +100,13 @@ func withRecovery(next http.Handler) http.Handler {
 	})
 }
 
+// retryAfter is the Retry-After hint, in seconds, sent with a 429.
+const retryAfter = "1"
+
 // withAdmission bounds concurrent requests with a semaphore, shedding
 // the excess as 429 + Retry-After.
 func withAdmission(next http.Handler, opts HardenOptions) http.Handler {
 	sem := make(chan struct{}, opts.MaxInFlight)
-	retryAfter := opts.RetryAfter
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
-	hint := strconv.Itoa(int(math.Ceil(retryAfter.Seconds())))
 	var rejected *obs.Counter
 	if opts.Metrics != nil {
 		rejected = opts.Metrics.Counter("apsp_http_admission_rejected_total",
@@ -133,9 +127,9 @@ func withAdmission(next http.Handler, opts HardenOptions) http.Handler {
 			if rejected != nil {
 				rejected.Inc()
 			}
-			w.Header().Set("Retry-After", hint)
+			w.Header().Set("Retry-After", retryAfter)
 			writeError(w, http.StatusTooManyRequests,
-				fmt.Errorf("serve: %d requests already in flight, try again in %ss", opts.MaxInFlight, hint))
+				fmt.Errorf("serve: %d requests already in flight, try again in %ss", opts.MaxInFlight, retryAfter))
 		}
 	})
 }

@@ -59,7 +59,7 @@ func TestHardenAdmissionSheds429(t *testing.T) {
 	mux.HandleFunc("/ok", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
-	srv := httptest.NewServer(Harden(mux, HardenOptions{MaxInFlight: 1, RetryAfter: 3 * time.Second}))
+	srv := httptest.NewServer(Harden(mux, HardenOptions{MaxInFlight: 1}))
 	defer srv.Close()
 
 	done := make(chan error, 1)
@@ -80,8 +80,8 @@ func TestHardenAdmissionSheds429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want 3", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want 1", ra)
 	}
 
 	var h Health

@@ -89,7 +89,7 @@ func newObsServer(t *testing.T, opts HardenOptions) (*httptest.Server, *obs.Regi
 	}
 	dist := seq.Reference(g)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
-	if err := store.WriteWithCodec(path, dist, 8, nil); err != nil {
+	if err := store.WriteWithCodec(path, dist, 8, store.CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	st, err := store.OpenWithOptions(path, store.Options{TileCacheBytes: 4 * 8 * 64})

@@ -138,73 +138,6 @@ func TestRowsAndPanelsMatchFloydWarshall(t *testing.T) {
 	}
 }
 
-func TestDijkstraMatchesFloydWarshallSparseER(t *testing.T) {
-	g := intER(t, 193, 8, 1)
-	requireBitIdentical(t, solveFull(t, g, 32), seq.Reference(g))
-}
-
-func TestDijkstraMatchesFloydWarshallDenseER(t *testing.T) {
-	g, err := graph.ErdosRenyiWeighted(96, 0.5, graph.IntegerWeights(50), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, solveFull(t, g, 17), seq.Reference(g))
-}
-
-func TestDijkstraUnitWeights(t *testing.T) {
-	g, err := graph.ErdosRenyiWeighted(150, 0.05, graph.UnitWeights(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, solveFull(t, g, 64), seq.Reference(g))
-}
-
-func TestDijkstraZeroWeightEdges(t *testing.T) {
-	// A chain with zero-weight links plus shortcut edges: relaxations at
-	// equal distance must not loop or mis-rank.
-	edges := []graph.Edge{
-		{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 0}, {U: 2, V: 3, W: 5},
-		{U: 3, V: 4, W: 0}, {U: 0, V: 4, W: 5}, {U: 1, V: 3, W: 2},
-		{U: 4, V: 5, W: 1}, {U: 5, V: 0, W: 0},
-	}
-	g, err := graph.FromEdges(6, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, solveFull(t, g, 2), seq.Reference(g))
-}
-
-func TestDijkstraDisconnected(t *testing.T) {
-	// Two components: cross-component distances must be exactly +Inf.
-	edges := []graph.Edge{
-		{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3},
-		{U: 3, V: 4, W: 1},
-	}
-	g, err := graph.FromEdges(6, edges) // vertex 5 fully isolated
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := solveFull(t, g, 4)
-	requireBitIdentical(t, got, seq.Reference(g))
-	if got.At(0, 3) != matrix.Inf || got.At(5, 0) != matrix.Inf {
-		t.Fatalf("cross-component distances not Inf: %v %v", got.At(0, 3), got.At(5, 0))
-	}
-	if got.At(5, 5) != 0 {
-		t.Fatalf("isolated vertex self-distance = %v, want 0", got.At(5, 5))
-	}
-}
-
-func TestDijkstraSingleNode(t *testing.T) {
-	g, err := graph.FromEdges(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := solveFull(t, g, 1)
-	if got.R != 1 || got.C != 1 || got.At(0, 0) != 0 {
-		t.Fatalf("single-node solve = %+v, want 1x1 [0]", got)
-	}
-}
-
 func TestSolvePanelsMatchesFullSolve(t *testing.T) {
 	g := intER(t, 131, 6, 4)
 	want := solveFull(t, g, 131)

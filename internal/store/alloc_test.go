@@ -107,12 +107,12 @@ func TestColdIVarintRowZeroAllocs(t *testing.T) {
 	n, bs := 128, 32
 	m := intMatrix(n, 41)
 	path := filepath.Join(t.TempDir(), "c.apsp")
-	if err := WriteWithCodec(path, m, bs, codecs[CodecIVarint]); err != nil {
+	if err := WriteWithCodec(path, m, bs, CodecIVarint); err != nil {
 		t.Fatal(err)
 	}
 	s := openWithRows(t, path, 0, 0)
-	if s.CodecTiles()["ivarint"] != 16 {
-		t.Fatalf("codec census %v, want 16 ivarint tiles", s.CodecTiles())
+	if s.Snapshot().CodecTiles["ivarint"] != 16 {
+		t.Fatalf("codec census %v, want 16 ivarint tiles", s.Snapshot().CodecTiles)
 	}
 	ctx := context.Background()
 	buf := make([]float64, 0, n)

@@ -57,7 +57,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		m := randomDist(tc.n, int64(tc.n+tc.b))
 		dir := t.TempDir()
 		ref := filepath.Join(dir, "ref.apsp")
-		if err := WriteWithCodec(ref, m, tc.b, nil); err != nil {
+		if err := WriteWithCodec(ref, m, tc.b, CodecRaw); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, "dist.apsp")
@@ -127,7 +127,7 @@ func TestResumeTruncatesTornTail(t *testing.T) {
 	m := randomDist(n, 7)
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.apsp")
-	if err := WriteWithCodec(ref, m, b, nil); err != nil {
+	if err := WriteWithCodec(ref, m, b, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "dist.apsp")
@@ -225,7 +225,7 @@ func TestResumeRejectsGeometryMismatch(t *testing.T) {
 // tiles only resumes under any codec: raw tiles are exact.
 func TestResumeRefusesAForeignPartial(t *testing.T) {
 	n, b := 96, 32
-	ivarint, f32 := codecs[CodecIVarint], codecs[CodecF32]
+	ivarint, f32 := CodecIVarint, CodecF32
 	for _, tc := range []struct {
 		name          string
 		wrote, resume Codec
@@ -295,7 +295,7 @@ func TestResumeRefusesAForeignPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.CodecTiles(); got["raw"] != 3 || got["ivarint"] != 6 {
+	if got := s.Snapshot().CodecTiles; got["raw"] != 3 || got["ivarint"] != 6 {
 		t.Errorf("resumed store's tiles %v, want panel 0 raw and the rest ivarint", got)
 	}
 	for v := 0; v < n; v++ {
@@ -339,7 +339,7 @@ func TestResumeOverATornIndex(t *testing.T) {
 			return buf[:len(buf)-1]
 		}},
 	} {
-		for _, codec := range []Codec{codecs[CodecRaw], codecs[CodecIVarint]} {
+		for _, codec := range []Codec{CodecRaw, CodecIVarint} {
 			m := intMatrix(n, 13)
 			m.Data[n+2] = 1.5 // a raw tile among the ivarint ones
 			dir := t.TempDir()

@@ -3,11 +3,14 @@
 // Every serving bottleneck the benches measure is byte-bound — cold row
 // latency is tile IO, effective page-cache capacity is file bytes — so
 // each tile chooses how its payload is encoded. Its 24-byte index entry
-// carries a codec byte, and all tile IO funnels through the Codec
-// interface:
+// carries a codec byte, and a Codec is that byte: every per-codec decision
+// is one switch on it in this file (its name, whether this build reads it,
+// encode with the raw fallback, whole-tile decode, row table, row span and
+// row decode):
 //
-//   - raw (id 0): the tile's matrix.Marshal bytes. Always available,
-//     always correct, the fallback every other codec declines into.
+//   - raw (id 0, the zero Codec): the tile's matrix.Marshal bytes. Always
+//     available, always correct, the fallback every other codec declines
+//     into.
 //   - ivarint (id 3): zigzag-delta + uvarint over the integer view of the
 //     values, with +Inf as an escape token. Exact — a tile is only
 //     encoded this way when every value is a non-negative-zero integer
@@ -19,7 +22,7 @@
 //     integers whose deltas fit 1-2 varint bytes: 4-8x denser than raw.
 //   - f32 (id 2): lossy float32 downcast, opt-in only. The encoder
 //     measures the worst relative error of the round trip and declines
-//     the tile (falling back to raw) when it exceeds the codec's bound;
+//     the tile (falling back to raw) when it exceeds F32DefaultMaxRelErr;
 //     the observed maximum is recorded in the tile header so a reader
 //     can report it. Never the default: it trades exactness for 2x.
 //
@@ -35,7 +38,7 @@
 // decided per type at compile time. appendCells, the one encode under a
 // store's tiles, decides the raw fallback.
 //
-// Every codec is row-addressable: RowTable/RowSpan/DecodeRow locate and
+// Every codec is row-addressable: rowTable/rowSpan/decodeRow locate and
 // decode one row from a few KB of the payload, so a cold row never
 // decodes whole tiles. Raw and f32 rows sit at fixed offsets. An ivarint
 // tile (id 3) cuts its rows into restart groups of k rows — the delta
@@ -71,28 +74,32 @@ import (
 	"apspark/internal/matrix"
 )
 
-// Codec identifiers as stored in the v3 index entry's codec byte.
+// Codec is a tile codec: the byte a v3 index entry records for its
+// payload. The zero value is raw.
+type Codec byte
+
+// The codecs this build writes and reads.
 const (
 	// CodecRaw stores the tile's matrix.Marshal bytes unchanged.
-	CodecRaw byte = 0
+	CodecRaw Codec = 0
 	// CodecF32 stores an error-bounded float32 downcast.
-	CodecF32 byte = 2
+	CodecF32 Codec = 2
 	// CodecIVarint stores zigzag-delta + uvarint over integer values in
 	// row-addressable restart groups. It has its own byte so a build that
 	// predates the layout refuses the store at Open (ErrVersion) instead
 	// of quarantining its tiles one by one.
-	CodecIVarint byte = 3
+	CodecIVarint Codec = 3
 
 	// numCodecs bounds the codec bytes; byte 1 is retired (see above).
 	numCodecs = 4
 )
 
-// F32DefaultMaxRelErr is the default per-value relative-error bound of
-// the f32 codec: any tile whose float32 round trip would exceed it is
-// stored raw instead. float32 rounding is at worst 2^-24 =~ 6e-8
-// relative, so the default leaves an order-of-magnitude margin while
-// still rejecting values outside float32 range (which round-trip to
-// +Inf, an infinite relative error).
+// F32DefaultMaxRelErr is the per-value relative-error bound of the f32
+// codec: any tile whose float32 round trip would exceed it is stored raw
+// instead. float32 rounding is at worst 2^-24 =~ 6e-8 relative, so the
+// bound leaves an order-of-magnitude margin while still rejecting values
+// outside float32 range (which round-trip to +Inf, an infinite relative
+// error).
 const F32DefaultMaxRelErr = 1e-6
 
 // ErrCodecData means an encoded tile's bytes are not a valid stream for
@@ -101,54 +108,21 @@ const F32DefaultMaxRelErr = 1e-6
 // quarantine the tile.
 var ErrCodecData = errors.New("store: malformed encoded tile")
 
-// Codec encodes and decodes one tile payload. Implementations must be
-// stateless and safe for concurrent use; the store holds one instance
-// per codec id for the life of the process.
-type Codec interface {
-	// ID is the codec byte written into v3 index entries.
-	ID() byte
-	// Name is the stable CLI/metrics name ("raw", "ivarint", "f32").
-	Name() string
-	// EncodeTile appends the encoded payload of the dense tile to dst
-	// and reports whether the codec accepted the tile. Declining (false)
-	// is not an error: it means this tile's values are outside the
-	// codec's domain (or would not get smaller) and the caller must fall
-	// back to raw. A declined encode may leave partial bytes in dst; the
-	// caller re-slices.
-	EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool)
-	// DecodeTile decodes a payload produced by EncodeTile into a fresh
-	// heap-owned h x w block. Corrupt or truncated input returns an
-	// error wrapping ErrCodecData, never panics, and never allocates
-	// more than the h*w output the caller's geometry implies.
-	DecodeTile(data []byte, h, w int) (*matrix.Block, error)
-	// RowTable validates the header of a whole h x w payload and returns
-	// the table RowSpan and DecodeRow need to serve single rows without
-	// the rest of it. The table does not alias data.
-	RowTable(data []byte, h, w int) (*RowTable, error)
-	// RowSpan returns the payload byte range [off, off+n) holding row r
-	// of a tile w values wide.
-	RowSpan(t *RowTable, w, r int) (off, n int)
-	// DecodeRow decodes row r from span — exactly the bytes RowSpan
-	// named — into dst (len w) without allocating. Bytes that cannot be
-	// that row return an error wrapping ErrCodecData, never panic.
-	DecodeRow(t *RowTable, span []byte, r int, dst []float64) error
-}
-
-// RowTable is what must be remembered of a tile's header to address its
+// rowTable is what must be remembered of a tile's header to address its
 // rows: rows come in groups of k, group g ends at payload offset
 // ends[g] (and starts where group g-1 ended, the first at base) and its
 // bytes hash to sums[g]. Fixed-width codecs need none of it and share
 // fixedRows.
-type RowTable struct {
+type rowTable struct {
 	k, base    int
 	ends, sums []uint32
 }
 
-var fixedRows = &RowTable{}
+var fixedRows = &rowTable{}
 
 // group returns the byte range and checksum of the restart group holding
 // row r.
-func (t *RowTable) group(r int) (from, to int, sum uint32) {
+func (t *rowTable) group(r int) (from, to int, sum uint32) {
 	g := r / t.k
 	from = t.base
 	if g > 0 {
@@ -157,35 +131,42 @@ func (t *RowTable) group(r int) (from, to int, sum uint32) {
 	return from, int(t.ends[g]), t.sums[g]
 }
 
-// codecs is the fixed codec table indexed by codec byte; a nil entry is a
-// byte this build does not read.
-var codecs = [numCodecs]Codec{
-	CodecRaw:     rawCodec{},
-	CodecF32:     f32Codec{MaxRelErr: F32DefaultMaxRelErr},
-	CodecIVarint: ivarintCodec{k: ivarintRestartRows},
+// Name is the codec's stable CLI and metrics name ("raw", "ivarint",
+// "f32"); a byte this build does not read is named by its number.
+func (c Codec) Name() string {
+	switch c {
+	case CodecRaw:
+		return "raw"
+	case CodecF32:
+		return "f32"
+	case CodecIVarint:
+		return "ivarint"
+	}
+	return fmt.Sprintf("codec %d", byte(c))
 }
 
 // checkCodec refuses, with ErrVersion, a codec byte this build does not
 // read: a future codec, or the retired byte 1.
-func checkCodec(id byte) error {
-	if int(id) >= numCodecs || codecs[id] == nil {
-		return fmt.Errorf("%w: codec byte %d, this build reads 0 (raw), 2 (f32) and 3 (ivarint)", ErrVersion, id)
+func checkCodec(c Codec) error {
+	switch c {
+	case CodecRaw, CodecF32, CodecIVarint:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("%w: codec byte %d, this build reads 0 (raw), 2 (f32) and 3 (ivarint)", ErrVersion, byte(c))
 }
 
 // CodecByName resolves a CLI-facing codec name. The empty string means
 // raw, so flag defaults compose without special-casing.
 func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "", "raw":
-		return codecs[CodecRaw], nil
-	case "ivarint":
-		return codecs[CodecIVarint], nil
-	case "f32":
-		return codecs[CodecF32], nil
+	if name == "" {
+		return CodecRaw, nil
 	}
-	return nil, fmt.Errorf("store: unknown codec %q (want raw, ivarint or f32)", name)
+	for c := range Codec(numCodecs) {
+		if checkCodec(c) == nil && c.Name() == name {
+			return c, nil
+		}
+	}
+	return CodecRaw, fmt.Errorf("store: unknown codec %q (want raw, ivarint or f32)", name)
 }
 
 // tileRows is an h x w tile of cells where a block or a panel holds it:
@@ -199,29 +180,40 @@ func blockRows(tile *matrix.Block) tileRows[float64] {
 	return func(r int) ([]float64, int) { return tile.Data[r*tile.C:], 1 }
 }
 
-// appendCells appends the h x w tile row returns encoded through c (nil
-// is raw) and returns the codec byte of what it appended: c's form when c
-// accepts the tile and it comes out strictly smaller than raw, raw
-// otherwise, so a store is never larger than its all-raw equivalent.
-func appendCells[C matrix.Cell](dst []byte, c Codec, h, w int, row tileRows[C]) ([]byte, byte) {
+// appendCells appends the h x w tile row returns encoded through c and
+// returns the codec of what it appended: c's form when c accepts the tile
+// and it comes out strictly smaller than raw, raw otherwise, so a store is
+// never larger than its all-raw equivalent.
+func appendCells[C matrix.Cell](dst []byte, c Codec, h, w int, row tileRows[C]) ([]byte, Codec) {
 	out, ok := dst, false
-	switch c := c.(type) {
-	case ivarintCodec:
-		out, ok = appendIVarint(dst, c.k, h, w, row)
-	case f32Codec:
-		out, ok = appendF32(dst, c.MaxRelErr, h, w, row)
+	switch c {
+	case CodecIVarint:
+		out, ok = appendIVarint(dst, ivarintRestartRows, h, w, row)
+	case CodecF32:
+		out, ok = appendF32(dst, h, w, row)
 	}
 	if ok && int64(len(out)-len(dst)) < matrix.DenseMarshaledSize(h, w) {
-		return out, c.ID()
+		return out, c
 	}
 	return appendRaw(dst, h, w, row), CodecRaw
 }
 
-// decodeTile decodes a whole tile payload of the codec id into a fresh
-// heap-owned h x w block: every codec's DecodeTile.
-func decodeTile(id byte, data []byte, h, w int) (*matrix.Block, error) {
+// EncodeTile appends the encoded payload of the dense tile to dst, as a
+// store writer encodes it, and reports whether it took c's form. A tile c
+// declines (its values are outside the codec's domain, or it would not
+// get smaller) is appended raw, and the result is false.
+func (c Codec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
+	out, got := appendCells(dst, c, tile.R, tile.C, blockRows(tile))
+	return out, got == c
+}
+
+// DecodeTile decodes a payload of codec c into a fresh heap-owned h x w
+// block. Corrupt or truncated input returns an error wrapping
+// ErrCodecData, never panics, and never allocates more than the h*w
+// output the caller's geometry implies.
+func (c Codec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
 	blk := matrix.NewZero(h, w)
-	if err := decodeCells(id, data, h, w, w, blk.Data); err != nil {
+	if err := decodeCells(c, data, h, w, w, blk.Data); err != nil {
 		return nil, err
 	}
 	return blk, nil
@@ -229,26 +221,106 @@ func decodeTile(id byte, data []byte, h, w int) (*matrix.Block, error) {
 
 // decodeCells decodes the whole h x w payload data of the codec into dst,
 // in lane order of lanes-wide groups (matrix.LaneIndex; lanes >= w is
-// row-major): float64 tiles (decodeTile) and the uint32 tiles a sparse
+// row-major): float64 tiles (DecodeTile) and the uint32 tiles a sparse
 // solve seeds from (PanelWriter.ReadBack). A value the cell type does not
 // hold exactly, and a codec byte this build does not read, are
 // ErrCodecData. It allocates nothing.
-func decodeCells[C matrix.Cell](codec byte, data []byte, h, w, lanes int, dst []C) error {
-	switch codec {
+func decodeCells[C matrix.Cell](c Codec, data []byte, h, w, lanes int, dst []C) error {
+	switch c {
 	case CodecIVarint:
 		return decodeIVarintTile(data, h, w, lanes, dst)
 	case CodecRaw:
-		if _, err := codecs[codec].RowTable(data, h, w); err != nil {
+		if _, err := c.rowTable(data, h, w); err != nil {
 			return err
 		}
 		return decodeFixed(data[matrix.HeaderLen:], 8, h, w, lanes, dst, decodeRawRun[C])
 	case CodecF32:
-		if _, err := codecs[codec].RowTable(data, h, w); err != nil {
+		if _, err := c.rowTable(data, h, w); err != nil {
 			return err
 		}
 		return decodeFixed(data[f32HdrLen:], 4, h, w, lanes, dst, decodeF32Run[C])
 	}
-	return fmt.Errorf("%w: unknown codec %d", ErrCodecData, codec)
+	return fmt.Errorf("%w: unknown codec %d", ErrCodecData, byte(c))
+}
+
+// rowTable validates the header of a whole h x w payload of codec c and
+// returns the table rowSpan and decodeRow need to serve single rows
+// without the rest of it. The table does not alias data.
+func (c Codec) rowTable(data []byte, h, w int) (*rowTable, error) {
+	switch c {
+	case CodecRaw:
+		if err := matrix.ValidateDenseHeader(data, h, w); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCodecData, err)
+		}
+		if int64(len(data)) != matrix.DenseMarshaledSize(h, w) {
+			return nil, fmt.Errorf("%w: raw tile %dx%d is %d bytes", ErrCodecData, h, w, len(data))
+		}
+		return fixedRows, nil
+	case CodecF32:
+		if err := checkCodecHeader(data, magicF32, h, w); err != nil {
+			return nil, err
+		}
+		// Overflow-safe exact-length check, same discipline as
+		// matrix.Unmarshal: divide the payload instead of multiplying the
+		// shape so a forged header cannot alias a short buffer.
+		payload := uint64(len(data) - f32HdrLen)
+		if len(data) < f32HdrLen || payload%4 != 0 || payload/4 != uint64(h)*uint64(w) {
+			return nil, fmt.Errorf("%w: f32 tile %dx%d needs %d payload bytes, got %d",
+				ErrCodecData, h, w, 4*uint64(h)*uint64(w), len(data)-f32HdrLen)
+		}
+		return fixedRows, nil
+	case CodecIVarint:
+		t := &rowTable{}
+		err := ivarintGroups(data, h, w, func(g, k, from, to int, sum uint32) error {
+			if g == 0 {
+				groups := (h + k - 1) / k
+				t.k, t.base, t.ends, t.sums = k, from, make([]uint32, groups), make([]uint32, groups)
+			}
+			t.ends[g], t.sums[g] = uint32(to), sum
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	}
+	return nil, fmt.Errorf("%w: unknown codec %d", ErrCodecData, byte(c))
+}
+
+// rowSpan returns the payload byte range [off, off+n) holding row r of a
+// tile of codec c w values wide, whose table is t.
+func (c Codec) rowSpan(t *rowTable, w, r int) (off, n int) {
+	switch c {
+	case CodecF32:
+		return f32HdrLen + r*w*4, w * 4
+	case CodecIVarint:
+		from, to, _ := t.group(r)
+		return from, to - from
+	}
+	return matrix.HeaderLen + r*w*8, w * 8
+}
+
+// decodeRow decodes row r of a tile of codec c from span — exactly the
+// bytes rowSpan named — into dst (len w) without allocating. Bytes that
+// cannot be that row return an error wrapping ErrCodecData, never panic.
+func (c Codec) decodeRow(t *rowTable, span []byte, r int, dst []float64) error {
+	switch c {
+	case CodecRaw:
+		if err := checkRowSpan(span, dst, 8); err != nil {
+			return err
+		}
+		return decodeRawRun(dst, span)
+	case CodecF32:
+		if err := checkRowSpan(span, dst, 4); err != nil {
+			return err
+		}
+		return decodeF32Run(dst, span)
+	case CodecIVarint:
+		_, _, sum := t.group(r)
+		_, err := decodeIVarintGroup(span, sum, (r%t.k)*len(dst), dst)
+		return err
+	}
+	return fmt.Errorf("%w: unknown codec %d", ErrCodecData, byte(c))
 }
 
 // checkRowSpan guards the fixed-width row decoders against a span that is
@@ -258,41 +330,6 @@ func checkRowSpan(span []byte, dst []float64, width int) error {
 		return fmt.Errorf("%w: row span of %d bytes for %d values of %d bytes", ErrCodecData, len(span), len(dst), width)
 	}
 	return nil
-}
-
-// rawCodec is the identity codec: payload == matrix.Marshal bytes.
-type rawCodec struct{}
-
-func (rawCodec) ID() byte     { return CodecRaw }
-func (rawCodec) Name() string { return "raw" }
-
-func (rawCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
-	return appendRaw(dst, tile.R, tile.C, blockRows(tile)), true
-}
-
-func (c rawCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
-	return decodeTile(c.ID(), data, h, w)
-}
-
-func (rawCodec) RowTable(data []byte, h, w int) (*RowTable, error) {
-	if err := matrix.ValidateDenseHeader(data, h, w); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCodecData, err)
-	}
-	if int64(len(data)) != matrix.DenseMarshaledSize(h, w) {
-		return nil, fmt.Errorf("%w: raw tile %dx%d is %d bytes", ErrCodecData, h, w, len(data))
-	}
-	return fixedRows, nil
-}
-
-func (rawCodec) RowSpan(_ *RowTable, w, r int) (off, n int) {
-	return matrix.HeaderLen + r*w*8, w * 8
-}
-
-func (rawCodec) DecodeRow(_ *RowTable, span []byte, _ int, dst []float64) error {
-	if err := checkRowSpan(span, dst, 8); err != nil {
-		return err
-	}
-	return decodeRawRun(dst, span)
 }
 
 // appendRaw is the raw encoder: the matrix.Marshal bytes of the h x w
@@ -389,29 +426,14 @@ func checkCodecHeader(data []byte, magic byte, h, w int) error {
 // conversions on both sides of the codec are lossless by construction.
 const maxExactInt = int64(1) << 53
 
-// ivarintCodec: zigzag-delta + uvarint over the integer view of the
-// values, row-major. Token 0 escapes +Inf (the "no path" value, which
-// has no integer view and does not advance the delta predecessor);
-// token t > 0 encodes the signed delta unzigzag(t-1) from the previous
-// finite value of the same restart group. Distances within a row are
-// similar magnitudes, so the deltas are small and most tokens fit one or
-// two bytes. k is the rows per restart group written.
-type ivarintCodec struct{ k int }
-
-func (ivarintCodec) ID() byte { return CodecIVarint }
-
-func (ivarintCodec) Name() string { return "ivarint" }
-
-func (c ivarintCodec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
-	return appendIVarint(dst, c.k, tile.R, tile.C, blockRows(tile))
-}
-
-func (c ivarintCodec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
-	return decodeTile(c.ID(), data, h, w)
-}
-
-// appendIVarint is the ivarint encoder: it lays out the h x w tile row
-// returns in restart groups of k rows (the file comment), and declines it
+// appendIVarint is the ivarint encoder: zigzag-delta + uvarint over the
+// integer view of the values, row-major. Token 0 escapes +Inf (the "no
+// path" value, which has no integer view and does not advance the delta
+// predecessor); token t > 0 encodes the signed delta unzigzag(t-1) from
+// the previous finite value of the same restart group. Distances within a
+// row are similar magnitudes, so the deltas are small and most tokens fit
+// one or two bytes. It lays out the h x w tile row returns in restart
+// groups of k rows (the file comment), and declines it
 // at the first value outside the codec's domain — every uint32 is in it,
 // a float64 when it is a positive integer below 2^53 or ivarintExact —
 // or once it is not getting smaller than raw, checked row by row.
@@ -480,7 +502,7 @@ func appendIVarintToken(dst []byte, d int64) []byte {
 // ivarintGroups checks the header and restart table of a whole h x w
 // ivarint payload and hands each restart group to each, in order: group
 // g of k rows a group, whose bytes data[from:to] hash to sum. It is the
-// one walker of the table — RowTable records it, decodeIVarintTile
+// one walker of the table — rowTable records it, decodeIVarintTile
 // decodes along it — and allocates nothing; an error from each stops the
 // walk and is returned.
 func ivarintGroups(data []byte, h, w int, each func(g, k, from, to int, sum uint32) error) error {
@@ -514,33 +536,6 @@ func ivarintGroups(data []byte, h, w int, each func(g, k, from, to int, sum uint
 		return fmt.Errorf("%w: %d trailing bytes after the last restart group", ErrCodecData, int64(len(data))-from)
 	}
 	return nil
-}
-
-func (ivarintCodec) RowTable(data []byte, h, w int) (*RowTable, error) {
-	t := &RowTable{}
-	err := ivarintGroups(data, h, w, func(g, k, from, to int, sum uint32) error {
-		if g == 0 {
-			groups := (h + k - 1) / k
-			t.k, t.base, t.ends, t.sums = k, from, make([]uint32, groups), make([]uint32, groups)
-		}
-		t.ends[g], t.sums[g] = uint32(to), sum
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (ivarintCodec) RowSpan(t *RowTable, _, r int) (off, n int) {
-	from, to, _ := t.group(r)
-	return from, to - from
-}
-
-func (ivarintCodec) DecodeRow(t *RowTable, span []byte, r int, dst []float64) error {
-	_, _, sum := t.group(r)
-	_, err := decodeIVarintGroup(span, sum, (r%t.k)*len(dst), dst)
-	return err
 }
 
 // decodeIVarintTile decodes a whole h x w ivarint payload into dst, h·w
@@ -731,34 +726,12 @@ func decodeIVarintWords[C matrix.Cell](b []byte, prev, lo, hi int64, dst []C) (w
 	return words, prev
 }
 
-// f32Codec: the values downcast to float32, 2x denser than raw and
-// lossy. The encoder measures the worst relative error of the round
-// trip and declines the tile when it exceeds MaxRelErr, so every
-// f32-coded tile in a store is within the bound; the observed maximum
-// is recorded in the tile header.
-type f32Codec struct {
-	// MaxRelErr bounds |f64(f32(v)) - v| / max(|v|, 1) per value.
-	MaxRelErr float64
-}
-
-func (f32Codec) ID() byte     { return CodecF32 }
-func (f32Codec) Name() string { return "f32" }
-
-func (c f32Codec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
-	return appendF32(dst, c.MaxRelErr, tile.R, tile.C, blockRows(tile))
-}
-
-func (c f32Codec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
-	return decodeTile(c.ID(), data, h, w)
-}
-
-// appendF32 is the f32 encoder: the h x w tile row returns as float32
-// values behind the worst relative error of their round trip, declined
-// when that exceeds bound (F32DefaultMaxRelErr when bound <= 0).
-func appendF32[C matrix.Cell](dst []byte, bound float64, h, w int, row tileRows[C]) ([]byte, bool) {
-	if bound <= 0 {
-		bound = F32DefaultMaxRelErr
-	}
+// appendF32 is the f32 encoder: the values downcast to float32, 2x
+// denser than raw and lossy, behind the worst relative error of their
+// round trip, |f64(f32(v)) - v| / max(|v|, 1). It declines the tile when
+// that exceeds F32DefaultMaxRelErr, so every f32-coded tile in a store is
+// within the bound.
+func appendF32[C matrix.Cell](dst []byte, h, w int, row tileRows[C]) ([]byte, bool) {
 	// Error pass first: a declined tile must cost no appends. +Inf
 	// round-trips exactly; NaN and values past float32 range do not.
 	maxRel, none := 0.0, matrix.NoPath[C]()
@@ -772,7 +745,7 @@ func appendF32[C matrix.Cell](dst []byte, bound float64, h, w int, row tileRows[
 			v := float64(cells[p])
 			back := float64(float32(v))
 			rel := math.Abs(back-v) / math.Max(math.Abs(v), 1)
-			if math.IsNaN(rel) || rel > bound {
+			if math.IsNaN(rel) || rel > F32DefaultMaxRelErr {
 				return dst, false
 			}
 			if rel > maxRel {
@@ -803,32 +776,6 @@ func f32Bound(maxRel float64) float32 {
 	return r
 }
 
-func (f32Codec) RowTable(data []byte, h, w int) (*RowTable, error) {
-	if err := checkCodecHeader(data, magicF32, h, w); err != nil {
-		return nil, err
-	}
-	// Overflow-safe exact-length check, same discipline as
-	// matrix.Unmarshal: divide the payload instead of multiplying the
-	// shape so a forged header cannot alias a short buffer.
-	payload := uint64(len(data) - f32HdrLen)
-	if len(data) < f32HdrLen || payload%4 != 0 || payload/4 != uint64(h)*uint64(w) {
-		return nil, fmt.Errorf("%w: f32 tile %dx%d needs %d payload bytes, got %d",
-			ErrCodecData, h, w, 4*uint64(h)*uint64(w), len(data)-f32HdrLen)
-	}
-	return fixedRows, nil
-}
-
-func (f32Codec) RowSpan(_ *RowTable, w, r int) (off, n int) {
-	return f32HdrLen + r*w*4, w * 4
-}
-
-func (f32Codec) DecodeRow(_ *RowTable, span []byte, _ int, dst []float64) error {
-	if err := checkRowSpan(span, dst, 4); err != nil {
-		return err
-	}
-	return decodeF32Run(dst, span)
-}
-
 // decodeF32Run is the f32 decoder: it decodes len(out) values from the
 // float32 bits at the start of in. Lossy, they are refused as uint32.
 func decodeF32Run[C matrix.Cell](out []C, in []byte) error {
@@ -843,7 +790,7 @@ func decodeF32Run[C matrix.Cell](out []C, in []byte) error {
 
 // TileMaxRelErr reads the recorded maximum relative error out of an
 // f32 tile payload (0 for every exact codec).
-func TileMaxRelErr(codec byte, data []byte) float64 {
+func TileMaxRelErr(codec Codec, data []byte) float64 {
 	if codec != CodecF32 || len(data) < f32HdrLen {
 		return 0
 	}

@@ -26,7 +26,7 @@ var erTile = sync.OnceValues(func() ([]byte, error) {
 		}
 		copy(tile.Data[r*b:(r+1)*b], row[b:2*b])
 	}
-	enc, _ := codecs[CodecIVarint].EncodeTile(nil, tile)
+	enc, _ := CodecIVarint.EncodeTile(nil, tile)
 	return enc, nil
 })
 
@@ -47,8 +47,8 @@ func benchERTile(b *testing.B) []byte {
 // averages 7.5 rows.
 func BenchmarkIVarintDecodeRow(b *testing.B) {
 	enc := benchERTile(b)
-	c := codecs[CodecIVarint]
-	t, err := c.RowTable(enc, 256, 256)
+	c := CodecIVarint
+	t, err := c.rowTable(enc, 256, 256)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,8 +57,8 @@ func BenchmarkIVarintDecodeRow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := i % 256
-		off, n := c.RowSpan(t, 256, r)
-		if err := c.DecodeRow(t, enc[off:off+n], r, dst); err != nil {
+		off, n := c.rowSpan(t, 256, r)
+		if err := c.decodeRow(t, enc[off:off+n], r, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

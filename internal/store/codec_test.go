@@ -39,11 +39,11 @@ func intMatrix(n int, seed int64) *matrix.Block {
 }
 
 func TestCodecByName(t *testing.T) {
-	for name, wantID := range map[string]byte{
+	for name, wantID := range map[string]Codec{
 		"": CodecRaw, "raw": CodecRaw, "ivarint": CodecIVarint, "f32": CodecF32,
 	} {
 		c, err := CodecByName(name)
-		if err != nil || c.ID() != wantID {
+		if err != nil || c != wantID {
 			t.Fatalf("CodecByName(%q) = %v, %v; want codec %d", name, c, err, wantID)
 		}
 	}
@@ -57,7 +57,7 @@ func TestCodecByName(t *testing.T) {
 // ragged shapes.
 func TestIVarintRoundTripBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := codecs[CodecIVarint]
+	c := CodecIVarint
 	for _, shape := range [][2]int{{1, 4}, {3, 5}, {8, 8}, {7, 13}, {33, 9}} {
 		for trial := 0; trial < 20; trial++ {
 			tile := matrix.New(shape[0], shape[1])
@@ -100,10 +100,10 @@ func TestIVarintDeclinesNonIntegers(t *testing.T) {
 	} {
 		tile := matrix.NewZero(4, 4) // all zeros, then poison one value
 		tile.Data[9] = v
-		if _, ok := codecs[CodecIVarint].EncodeTile(nil, tile); ok {
+		if _, ok := CodecIVarint.EncodeTile(nil, tile); ok {
 			t.Errorf("%s: ivarint accepted %v", name, v)
 		}
-		enc, cid := appendCells(nil, codecs[CodecIVarint], 4, 4, blockRows(tile))
+		enc, cid := appendCells(nil, CodecIVarint, 4, 4, blockRows(tile))
 		if cid != CodecRaw {
 			t.Errorf("%s: appendCells fell back to codec %d, want raw", name, cid)
 		}
@@ -125,7 +125,7 @@ func TestIVarintNotSmallerFallsBackRaw(t *testing.T) {
 			tile.Data[i] = float64(maxExactInt - 1)
 		}
 	}
-	_, cid := appendCells(nil, codecs[CodecIVarint], 8, 8, blockRows(tile))
+	_, cid := appendCells(nil, CodecIVarint, 8, 8, blockRows(tile))
 	if cid != CodecRaw {
 		t.Fatalf("incompressible tile stored with codec %d, want raw", cid)
 	}
@@ -134,7 +134,7 @@ func TestIVarintNotSmallerFallsBackRaw(t *testing.T) {
 // TestF32ErrorBound: values within the bound round-trip with the
 // recorded max relative error; values float32 cannot hold decline.
 func TestF32ErrorBound(t *testing.T) {
-	c := codecs[CodecF32]
+	c := CodecF32
 	tile := matrix.New(2, 2)
 	tile.Data = []float64{0, 1, 2.5, matrix.Inf}
 	enc, ok := c.EncodeTile(nil, tile)
@@ -174,7 +174,7 @@ func TestF32ErrorBound(t *testing.T) {
 // to lies within the relative error the tile records.
 func TestF32RecordedErrorBoundsEveryValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	c := codecs[CodecF32]
+	c := CodecF32
 	for k := range 64 {
 		tile := matrix.New(8, 8)
 		for i := range tile.Data {
@@ -205,8 +205,8 @@ func TestDecodeTileTypedErrors(t *testing.T) {
 	for i := range tile.Data {
 		tile.Data[i] = float64(i * 3)
 	}
-	for _, id := range []byte{CodecRaw, CodecF32, CodecIVarint} {
-		enc, ok := codecs[id].EncodeTile(nil, tile)
+	for _, id := range []Codec{CodecRaw, CodecF32, CodecIVarint} {
+		enc, ok := id.EncodeTile(nil, tile)
 		if !ok {
 			t.Fatalf("codec %d declined a small integer tile", id)
 		}
@@ -221,14 +221,14 @@ func TestDecodeTileTypedErrors(t *testing.T) {
 			if name == "wrong-shape" {
 				h, w = 2, 8
 			}
-			if _, err := decodeTile(id, data, h, w); !errors.Is(err, ErrCodecData) {
+			if _, err := id.DecodeTile(data, h, w); !errors.Is(err, ErrCodecData) {
 				t.Errorf("codec %d %s: err = %v, want ErrCodecData", id, name, err)
 			}
 		}
 	}
-	enc, _ := codecs[CodecIVarint].EncodeTile(nil, tile)
-	for _, id := range []byte{1, 99} { // the retired ivarint byte, a future one
-		if _, err := decodeTile(id, enc, 4, 4); !errors.Is(err, ErrCodecData) {
+	enc, _ := CodecIVarint.EncodeTile(nil, tile)
+	for _, id := range []Codec{1, 99} { // the retired ivarint byte, a future one
+		if _, err := id.DecodeTile(enc, 4, 4); !errors.Is(err, ErrCodecData) {
 			t.Errorf("codec byte %d: err = %v, want ErrCodecData", id, err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestIVarintDecodeRejectsOutOfRange(t *testing.T) {
 	big := float64(maxExactInt - 1)
 	tile := matrix.New(1, 4)
 	tile.Data = []float64{big, big, big, big} // deltas: +2^53-1, 0, 0, 0
-	enc, ok := codecs[CodecIVarint].EncodeTile(nil, tile)
+	enc, ok := CodecIVarint.EncodeTile(nil, tile)
 	if !ok {
 		t.Fatal("declined in-range values")
 	}
@@ -253,7 +253,7 @@ func TestIVarintDecodeRejectsOutOfRange(t *testing.T) {
 	forged = append(append(append(forged, tok...), tok...), 1, 1)
 	binary.LittleEndian.PutUint32(forged[codecHdrLen+1:], uint32(len(forged)))
 	binary.LittleEndian.PutUint32(forged[codecHdrLen+5:], crc32.Checksum(forged[hdr:], castagnoli))
-	if _, err := codecs[CodecIVarint].DecodeTile(forged, 1, 4); !errors.Is(err, ErrCodecData) {
+	if _, err := CodecIVarint.DecodeTile(forged, 1, 4); !errors.Is(err, ErrCodecData) {
 		t.Fatalf("out-of-range forged stream: err = %v, want ErrCodecData", err)
 	}
 }
@@ -300,14 +300,15 @@ func TestWriteWithCodecDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if name == "ivarint" {
-				if s.CodecRatio() < 2 {
-					t.Errorf("ivarint codec ratio %.2f, want >= 2 on an integer store", s.CodecRatio())
+				snap := s.Snapshot()
+				if snap.CodecRatio < 2 {
+					t.Errorf("ivarint codec ratio %.2f, want >= 2 on an integer store", snap.CodecRatio)
 				}
-				if s.CodecTiles()["ivarint"] == 0 {
+				if snap.CodecTiles["ivarint"] == 0 {
 					t.Error("ivarint store has no ivarint tiles")
 				}
-				if s.PreferredCodec().ID() != CodecIVarint {
-					t.Errorf("preferred codec %s, want ivarint", s.CodecName())
+				if s.PreferredCodec() != CodecIVarint || snap.Codec != "ivarint" {
+					t.Errorf("preferred codec %s (%s), want ivarint", s.PreferredCodec().Name(), snap.Codec)
 				}
 			}
 			ctx := context.Background()
@@ -508,8 +509,8 @@ func TestCompressedTileBitFlipQuarantines(t *testing.T) {
 			sawCorrupt = true
 		}
 	}
-	if !sawCorrupt || s.Quarantined() != 1 {
-		t.Fatalf("sawCorrupt=%v quarantined=%d, want corruption detected and 1 tile quarantined", sawCorrupt, s.Quarantined())
+	if !sawCorrupt || s.Snapshot().Quarantined != 1 {
+		t.Fatalf("sawCorrupt=%v quarantined=%d, want corruption detected and 1 tile quarantined", sawCorrupt, s.Snapshot().Quarantined)
 	}
 }
 
@@ -538,8 +539,8 @@ func TestCompressedTileFaultInjection(t *testing.T) {
 	if _, err := s.Dist(ctx, 0, 0); !errors.Is(err, ErrCorruptTile) {
 		t.Fatalf("flipped compressed payload served: err = %v, want ErrCorruptTile", err)
 	}
-	if s.Quarantined() != 1 {
-		t.Fatalf("quarantined = %d, want 1", s.Quarantined())
+	if s.Snapshot().Quarantined != 1 {
+		t.Fatalf("quarantined = %d, want 1", s.Snapshot().Quarantined)
 	}
 	readsBefore := fr.Reads()
 	if _, err := s.Dist(ctx, 0, 0); !errors.Is(err, ErrCorruptTile) {
@@ -607,9 +608,9 @@ func FuzzDecodeTile(f *testing.F) {
 	}
 	tile.Data[5] = matrix.Inf
 	for id := byte(0); id < numCodecs; id++ {
-		c := codecs[id]
-		if c == nil {
-			c = codecs[CodecIVarint] // valid bytes under a refused codec byte
+		c := Codec(id)
+		if checkCodec(c) != nil {
+			c = CodecIVarint // valid bytes under a refused codec byte
 		}
 		if enc, ok := c.EncodeTile(nil, tile); ok {
 			f.Add(id, enc, 4, 4)
@@ -622,14 +623,14 @@ func FuzzDecodeTile(f *testing.F) {
 		if h < 1 || w < 1 || h > 64 || w > 64 {
 			t.Skip()
 		}
-		blk, err := decodeTile(id, data, h, w)
+		blk, err := Codec(id).DecodeTile(data, h, w)
 		if err != nil {
 			if !errors.Is(err, ErrCodecData) {
 				t.Fatalf("decode error not typed: %v", err)
 			}
 			return
 		}
-		if checkCodec(id) != nil {
+		if checkCodec(Codec(id)) != nil {
 			t.Fatalf("codec byte %d decoded", id)
 		}
 		if blk.Phantom() || blk.R != h || blk.C != w || len(blk.Data) != h*w {
@@ -648,12 +649,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		for i, bits := range []uint64{a, b, c, d, e, g} {
 			tile.Data[i] = math.Float64frombits(bits)
 		}
-		for _, id := range []byte{CodecRaw, CodecIVarint} {
-			enc, ok := codecs[id].EncodeTile(nil, tile)
+		for _, id := range []Codec{CodecRaw, CodecIVarint} {
+			enc, ok := id.EncodeTile(nil, tile)
 			if !ok {
 				continue
 			}
-			got, err := codecs[id].DecodeTile(enc, 2, 3)
+			got, err := id.DecodeTile(enc, 2, 3)
 			if err != nil {
 				t.Fatalf("codec %d rejected its own encoding: %v", id, err)
 			}
@@ -672,21 +673,21 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // encodeIVarintOracle is the ivarint encoder as it stood before its fast
 // path, kept verbatim: one set of checks for every value, the size test
 // after each. The shipped encoder must produce its bytes.
-func encodeIVarintOracle(c ivarintCodec, dst []byte, tile *matrix.Block) ([]byte, bool) {
+func encodeIVarintOracle(k int, dst []byte, tile *matrix.Block) ([]byte, bool) {
 	h, w := tile.R, tile.C
 	rawSize := matrix.DenseMarshaledSize(h, w)
-	if c.k == 0 || rawSize > math.MaxUint32 {
+	if k == 0 || rawSize > math.MaxUint32 {
 		return dst, false // group offsets are uint32
 	}
 	start := len(dst)
-	groups := (h + c.k - 1) / c.k
-	dst = append(putCodecHeader(dst, magicIVarint, h, w), byte(c.k))
+	groups := (h + k - 1) / k
+	dst = append(putCodecHeader(dst, magicIVarint, h, w), byte(k))
 	table := len(dst)
 	dst = append(dst, make([]byte, 8*groups)...)
 	for g := 0; g < groups; g++ {
 		from := len(dst)
 		prev := int64(0)
-		for _, v := range tile.Data[g*c.k*w : min(h, (g+1)*c.k)*w] {
+		for _, v := range tile.Data[g*k*w : min(h, (g+1)*k)*w] {
 			if math.IsInf(v, 1) {
 				dst = append(dst, 0)
 			} else {
@@ -712,11 +713,7 @@ func encodeIVarintOracle(c ivarintCodec, dst []byte, tile *matrix.Block) ([]byte
 // encodeF32Oracle is the f32 encoder as it stood before one encoder
 // served both cell types, kept verbatim: a float64 tile, all of its
 // values in one error pass, then all of them downcast.
-func encodeF32Oracle(c f32Codec, dst []byte, tile *matrix.Block) ([]byte, bool) {
-	bound := c.MaxRelErr
-	if bound <= 0 {
-		bound = F32DefaultMaxRelErr
-	}
+func encodeF32Oracle(dst []byte, tile *matrix.Block) ([]byte, bool) {
 	maxRel := 0.0
 	for _, v := range tile.Data {
 		if math.IsInf(v, 1) {
@@ -724,7 +721,7 @@ func encodeF32Oracle(c f32Codec, dst []byte, tile *matrix.Block) ([]byte, bool) 
 		}
 		back := float64(float32(v))
 		rel := math.Abs(back-v) / math.Max(math.Abs(v), 1)
-		if math.IsNaN(rel) || rel > bound {
+		if math.IsNaN(rel) || rel > F32DefaultMaxRelErr {
 			return dst, false
 		}
 		if rel > maxRel {
@@ -757,13 +754,13 @@ func oracleStore(t *testing.T, m *matrix.Block, b int, c Codec) []byte {
 				t.Fatal(err)
 			}
 			enc, ok := []byte(nil), false
-			switch c := c.(type) {
-			case ivarintCodec:
-				enc, ok = encodeIVarintOracle(c, nil, tile)
-			case f32Codec:
-				enc, ok = encodeF32Oracle(c, nil, tile)
+			switch c {
+			case CodecIVarint:
+				enc, ok = encodeIVarintOracle(ivarintRestartRows, nil, tile)
+			case CodecF32:
+				enc, ok = encodeF32Oracle(nil, tile)
 			}
-			cid := c.ID()
+			cid := c
 			if !ok || int64(len(enc)) >= matrix.DenseMarshaledSize(tile.R, tile.C) {
 				enc, cid = tile.AppendMarshal(nil), CodecRaw
 			}
@@ -779,10 +776,9 @@ func oracleStore(t *testing.T, m *matrix.Block, b int, c Codec) []byte {
 // a prefix, as PanelWriter appends tiles to one buffer.
 func requireEncodesAsOracle(t *testing.T, tile *matrix.Block) {
 	t.Helper()
-	c := codecs[CodecIVarint].(ivarintCodec)
 	prefix := []byte("prefix")
-	got, gotOK := c.EncodeTile(bytes.Clone(prefix), tile)
-	want, wantOK := encodeIVarintOracle(c, bytes.Clone(prefix), tile)
+	got, gotOK := CodecIVarint.EncodeTile(bytes.Clone(prefix), tile)
+	want, wantOK := encodeIVarintOracle(ivarintRestartRows, bytes.Clone(prefix), tile)
 	if gotOK != wantOK || (gotOK && !bytes.Equal(got, want)) {
 		t.Fatalf("%dx%d tile: encoder accepted=%v with %d bytes, oracle accepted=%v with %d bytes; bytes equal: %v",
 			tile.R, tile.C, gotOK, len(got), wantOK, len(want), bytes.Equal(got, want))
@@ -808,10 +804,9 @@ func requireIntsEncodeAsOracle(t *testing.T, cells []uint32, h, w int) {
 			tile.Data[r*w+j] = matrix.Recast[float64](v)
 		}
 	}
-	c := codecs[CodecIVarint].(ivarintCodec)
 	prefix := []byte("prefix")
-	got, gotOK := appendIVarint(bytes.Clone(prefix), c.k, h, w, func(r int) ([]uint32, int) { return panel[r*stride+c0:], 1 })
-	want, wantOK := encodeIVarintOracle(c, bytes.Clone(prefix), tile)
+	got, gotOK := appendIVarint(bytes.Clone(prefix), ivarintRestartRows, h, w, func(r int) ([]uint32, int) { return panel[r*stride+c0:], 1 })
+	want, wantOK := encodeIVarintOracle(ivarintRestartRows, bytes.Clone(prefix), tile)
 	if gotOK != wantOK || (gotOK && !bytes.Equal(got, want)) {
 		t.Fatalf("%dx%d integer tile: encoder accepted=%v with %d bytes, oracle accepted=%v with %d bytes; bytes equal: %v",
 			h, w, gotOK, len(got), wantOK, len(want), bytes.Equal(got, want))
@@ -1172,12 +1167,17 @@ func TestDecodeRowMatchesDecodeTile(t *testing.T) {
 				tile.Data[i] = float64(rng.Intn(300))
 			}
 		}
-		var cases []payload
-		for _, c := range []Codec{rawCodec{}, f32Codec{MaxRelErr: 1}, ivarintCodec{k: 1}, ivarintCodec{k: 3}, ivarintCodec{k: 16}, ivarintCodec{k: 255}} {
-			if enc, ok := c.EncodeTile(nil, tile); ok {
-				cases = append(cases, payload{fmt.Sprintf("%s%+v", c.Name(), c), c, enc})
+		rows := blockRows(tile)
+		f32, ok := appendF32(nil, h, w, rows)
+		if !ok {
+			t.Fatalf("%dx%d: f32 declined", h, w)
+		}
+		cases := []payload{{"raw", CodecRaw, appendRaw(nil, h, w, rows)}, {"f32", CodecF32, f32}}
+		for _, k := range []int{1, 3, 16, 255} {
+			if enc, ok := appendIVarint(nil, k, h, w, rows); ok {
+				cases = append(cases, payload{fmt.Sprintf("ivarint/k=%d", k), CodecIVarint, enc})
 			} else if h*w > 1 {
-				t.Fatalf("%dx%d: %s %v declined", h, w, c.Name(), c)
+				t.Fatalf("%dx%d: ivarint k=%d declined", h, w, k)
 			}
 		}
 		if h*w == 1 { // the encoder declines: not smaller than raw
@@ -1185,32 +1185,32 @@ func TestDecodeRowMatchesDecodeTile(t *testing.T) {
 			if v := tile.Data[0]; !math.IsInf(v, 1) {
 				tok = binary.AppendUvarint(nil, uint64((int64(v)<<1)^(int64(v)>>63))+1)
 			}
-			cases = append(cases, payload{"ivarint/forged-1x1", ivarintCodec{k: 16}, forgeIVarint(16, 1, 1, tok)})
+			cases = append(cases, payload{"ivarint/forged-1x1", CodecIVarint, forgeIVarint(16, 1, 1, tok)})
 		}
 		for _, pc := range cases {
 			want, err := pc.c.DecodeTile(pc.data, h, w)
 			if err != nil {
 				t.Fatalf("%dx%d %s: DecodeTile: %v", h, w, pc.name, err)
 			}
-			if pc.c.ID() != CodecF32 {
+			if pc.c != CodecF32 {
 				for i := range tile.Data {
 					if math.Float64bits(want.Data[i]) != math.Float64bits(tile.Data[i]) {
 						t.Fatalf("%dx%d %s: DecodeTile value %d = %v, want %v", h, w, pc.name, i, want.Data[i], tile.Data[i])
 					}
 				}
 			}
-			table, err := pc.c.RowTable(pc.data, h, w)
+			table, err := pc.c.rowTable(pc.data, h, w)
 			if err != nil {
-				t.Fatalf("%dx%d %s: RowTable: %v", h, w, pc.name, err)
+				t.Fatalf("%dx%d %s: rowTable: %v", h, w, pc.name, err)
 			}
 			dst := make([]float64, w)
 			for r := 0; r < h; r++ {
-				off, n := pc.c.RowSpan(table, w, r)
+				off, n := pc.c.rowSpan(table, w, r)
 				if off < 0 || n < 0 || off+n > len(pc.data) {
 					t.Fatalf("%dx%d %s row %d: span [%d,+%d) outside %d bytes", h, w, pc.name, r, off, n, len(pc.data))
 				}
 				span := append([]byte(nil), pc.data[off:off+n]...) // nothing but the span is reachable
-				if err := pc.c.DecodeRow(table, span, r, dst); err != nil {
+				if err := pc.c.decodeRow(table, span, r, dst); err != nil {
 					t.Fatalf("%dx%d %s row %d: %v", h, w, pc.name, r, err)
 				}
 				for j, v := range dst {
@@ -1231,7 +1231,7 @@ func TestDecodeRowMatchesDecodeTile(t *testing.T) {
 func TestRowTableRejectsForgedTables(t *testing.T) {
 	g := []byte{3, 1, 1, 1} // 4 one-byte tokens: 1, 1, 1, 1
 	good := forgeIVarint(2, 4, 2, g, g)
-	c := ivarintCodec{k: 2}
+	c := CodecIVarint
 	if _, err := c.DecodeTile(good, 4, 2); err != nil {
 		t.Fatalf("well-formed forged tile rejected: %v", err)
 	}
@@ -1255,31 +1255,31 @@ func TestRowTableRejectsForgedTables(t *testing.T) {
 		"trailing":        func(b []byte) []byte { return append(b, 1) },
 		"truncated-table": func(b []byte) []byte { return b[:table+12] },
 	} {
-		if _, err := c.RowTable(mutate(append([]byte(nil), good...)), 4, 2); !errors.Is(err, ErrCodecData) {
-			t.Errorf("%s: RowTable err = %v, want ErrCodecData", name, err)
+		if _, err := c.rowTable(mutate(append([]byte(nil), good...)), 4, 2); !errors.Is(err, ErrCodecData) {
+			t.Errorf("%s: rowTable err = %v, want ErrCodecData", name, err)
 		}
 	}
 	// Mid-token: a two-byte token straddles the claimed group boundary.
 	// Lengths stay plausible, so only the checksum can tell.
 	straddle := forgeIVarint(2, 4, 2, []byte{3, 1, 1, 0x81}, []byte{0x01, 1, 1, 1, 1})
-	table2, err := c.RowTable(straddle, 4, 2)
+	table2, err := c.rowTable(straddle, 4, 2)
 	if err != nil {
 		t.Fatalf("plausible lengths refused: %v", err)
 	}
 	dst := make([]float64, 2)
-	off, n := c.RowSpan(table2, 2, 1)
-	if err := c.DecodeRow(table2, straddle[off:off+n], 1, dst); !errors.Is(err, ErrCodecData) {
+	off, n := c.rowSpan(table2, 2, 1)
+	if err := c.decodeRow(table2, straddle[off:off+n], 1, dst); !errors.Is(err, ErrCodecData) {
 		t.Fatalf("row ending mid-token: err = %v, want ErrCodecData", err)
 	}
-	off, n = c.RowSpan(table2, 2, 3)
-	if err := c.DecodeRow(table2, straddle[off+1:off+n], 3, dst); !errors.Is(err, ErrCodecData) {
+	off, n = c.rowSpan(table2, 2, 3)
+	if err := c.decodeRow(table2, straddle[off+1:off+n], 3, dst); !errors.Is(err, ErrCodecData) {
 		t.Fatalf("group entered mid-token: err = %v, want ErrCodecData (checksum)", err)
 	}
 }
 
 // FuzzDecodeRow: arbitrary payload bytes through every codec's row
-// methods. RowTable must return a typed error or a table whose every
-// span lies inside the payload; DecodeRow on exactly that span must
+// methods. rowTable must return a typed error or a table whose every
+// span lies inside the payload; decodeRow on exactly that span must
 // return a typed error or the row DecodeTile gives — never panic, never
 // reach outside the span, never allocate. Codec bytes this build does
 // not read (the retired byte 1 among the seeds) must be refused.
@@ -1290,9 +1290,9 @@ func FuzzDecodeRow(f *testing.F) {
 	}
 	tile.Data[6] = matrix.Inf
 	for id := byte(0); id < numCodecs; id++ {
-		c := codecs[id]
-		if c == nil {
-			c = codecs[CodecIVarint] // valid bytes under a refused codec byte
+		c := Codec(id)
+		if checkCodec(c) != nil {
+			c = CodecIVarint // valid bytes under a refused codec byte
 		}
 		if enc, ok := c.EncodeTile(nil, tile); ok {
 			f.Add(id, enc, 5, 4)
@@ -1300,44 +1300,44 @@ func FuzzDecodeRow(f *testing.F) {
 		}
 	}
 	g := []byte{3, 1, 1, 1}
-	f.Add(CodecIVarint, forgeIVarint(2, 4, 2, g, g), 4, 2)
-	f.Add(CodecIVarint, forgeIVarint(2, 4, 2, []byte{3, 1, 1, 0x81}, []byte{0x01, 1, 1, 1, 1}), 4, 2)
+	f.Add(byte(CodecIVarint), forgeIVarint(2, 4, 2, g, g), 4, 2)
+	f.Add(byte(CodecIVarint), forgeIVarint(2, 4, 2, []byte{3, 1, 1, 0x81}, []byte{0x01, 1, 1, 1, 1}), 4, 2)
 	swapped := forgeIVarint(2, 4, 2, g, g)
 	copy(swapped[codecHdrLen+1:], swapped[codecHdrLen+9:codecHdrLen+17]) // out of order
-	f.Add(CodecIVarint, swapped, 4, 2)
+	f.Add(byte(CodecIVarint), swapped, 4, 2)
 	f.Fuzz(func(t *testing.T, id byte, data []byte, h, w int) {
 		if h < 1 || w < 1 || h > 64 || w > 64 || id >= numCodecs {
 			t.Skip()
 		}
-		c := codecs[id]
-		if c == nil {
-			if _, err := decodeTile(id, data, h, w); !errors.Is(err, ErrCodecData) {
+		c := Codec(id)
+		if checkCodec(c) != nil {
+			if _, err := c.DecodeTile(data, h, w); !errors.Is(err, ErrCodecData) {
 				t.Fatalf("codec byte %d: err = %v, want ErrCodecData", id, err)
 			}
 			return
 		}
-		table, err := c.RowTable(data, h, w)
+		table, err := c.rowTable(data, h, w)
 		if err != nil {
 			if !errors.Is(err, ErrCodecData) {
-				t.Fatalf("RowTable error not typed: %v", err)
+				t.Fatalf("rowTable error not typed: %v", err)
 			}
 			return
 		}
 		whole, wholeErr := c.DecodeTile(data, h, w)
 		dst := make([]float64, w)
 		for r := 0; r < h; r++ {
-			off, n := c.RowSpan(table, w, r)
+			off, n := c.rowSpan(table, w, r)
 			if off < 0 || n < 0 || off+n > len(data) {
 				t.Fatalf("row %d span [%d,+%d) outside %d bytes", r, off, n, len(data))
 			}
 			span := append([]byte(nil), data[off:off+n]...)
 			var err error
-			if allocs := testing.AllocsPerRun(1, func() { err = c.DecodeRow(table, span, r, dst) }); err == nil && allocs != 0 {
+			if allocs := testing.AllocsPerRun(1, func() { err = c.decodeRow(table, span, r, dst) }); err == nil && allocs != 0 {
 				t.Fatalf("row %d decode allocates %v times", r, allocs)
 			}
 			if err != nil {
 				if !errors.Is(err, ErrCodecData) {
-					t.Fatalf("DecodeRow error not typed: %v", err)
+					t.Fatalf("decodeRow error not typed: %v", err)
 				}
 				continue
 			}

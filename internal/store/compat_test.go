@@ -128,7 +128,7 @@ func TestV2StoreRefused(t *testing.T) {
 func ivarintStore(t *testing.T, n, b int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ivarint.apsp")
-	if err := WriteWithCodec(path, intMatrix(n, 23), b, codecs[CodecIVarint]); err != nil {
+	if err := WriteWithCodec(path, intMatrix(n, 23), b, CodecIVarint); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -159,7 +159,7 @@ func TestCodecByteOneRefusedAtResume(t *testing.T) {
 	n, b := 48, 16
 	m := intMatrix(n, 51)
 	path := filepath.Join(t.TempDir(), "dist.apsp")
-	ivarint := PanelWriterOptions{Checkpoint: true, Codec: codecs[CodecIVarint]}
+	ivarint := PanelWriterOptions{Checkpoint: true, Codec: CodecIVarint}
 	pw, err := NewPanelWriterWithOptions(path, n, b, ivarint)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestCodecByteOneRefusedAtResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := fileHdrLen + idxEntryLen + 20
-	if buf[codec] != CodecIVarint {
+	if Codec(buf[codec]) != CodecIVarint {
 		t.Fatalf("checkpointed tile (0,1) has codec %d, want ivarint", buf[codec])
 	}
 	buf[codec] = 1 // what the build before restart groups recorded
@@ -286,7 +286,7 @@ func TestOpenErrorsAreTyped(t *testing.T) {
 // accepted store must survive a probe query without panicking either.
 func FuzzOpen(f *testing.F) {
 	seed := filepath.Join(f.TempDir(), "seed.apsp")
-	if err := WriteWithCodec(seed, testMatrix(9, 2), 4, nil); err != nil {
+	if err := WriteWithCodec(seed, testMatrix(9, 2), 4, CodecRaw); err != nil {
 		f.Fatal(err)
 	}
 	good, err := os.ReadFile(seed)

@@ -290,7 +290,7 @@ func TestConcurrentFirstTouchCompressedTile(t *testing.T) {
 	n, bs := 64, 32
 	m := intMatrix(n, 43)
 	path := filepath.Join(t.TempDir(), "c.apsp")
-	if err := WriteWithCodec(path, m, bs, codecs[CodecIVarint]); err != nil {
+	if err := WriteWithCodec(path, m, bs, CodecIVarint); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenWithOptions(path, Options{})
@@ -330,7 +330,7 @@ func TestConcurrentFirstTouchCompressedTile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.rows[0].Load() == nil || s.rows[1].Load() == nil || s.Quarantined() != 0 {
-		t.Fatalf("after the stampede: memo (0,0)=%v (0,1)=%v, %d quarantined", s.rows[0].Load(), s.rows[1].Load(), s.Quarantined())
+	if s.rows[0].Load() == nil || s.rows[1].Load() == nil || s.Snapshot().Quarantined != 0 {
+		t.Fatalf("after the stampede: memo (0,0)=%v (0,1)=%v, %d quarantined", s.rows[0].Load(), s.rows[1].Load(), s.Snapshot().Quarantined)
 	}
 }

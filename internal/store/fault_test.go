@@ -73,11 +73,11 @@ func TestTransientFaultsWithinRetryBudget(t *testing.T) {
 			}
 		}
 	}
-	if s.RetriedReads() == 0 {
+	if s.Snapshot().RetriedReads == 0 {
 		t.Fatal("no retries recorded despite injected faults")
 	}
-	if s.Quarantined() != 0 {
-		t.Fatalf("%d tiles quarantined by transient faults", s.Quarantined())
+	if s.Snapshot().Quarantined != 0 {
+		t.Fatalf("%d tiles quarantined by transient faults", s.Snapshot().Quarantined)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestPersistentFaultsExhaustBudget(t *testing.T) {
 	if _, err := s.Tile(context.Background(), 0, 0); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("err = %v, want the injected error surfaced", err)
 	}
-	if s.Quarantined() != 0 {
+	if s.Snapshot().Quarantined != 0 {
 		t.Fatal("transient-class fault quarantined a tile")
 	}
 	// The disk heals: the same tile now serves fine (no sticky failure).
@@ -160,8 +160,8 @@ func TestBitFlipQuarantines(t *testing.T) {
 			if !errors.Is(err, ErrCorruptTile) {
 				t.Fatalf("flipped bit served: err = %v, want ErrCorruptTile", err)
 			}
-			if s.Quarantined() != 1 {
-				t.Fatalf("quarantined = %d, want 1", s.Quarantined())
+			if s.Snapshot().Quarantined != 1 {
+				t.Fatalf("quarantined = %d, want 1", s.Snapshot().Quarantined)
 			}
 			readsBefore := fr.Reads()
 			if _, err := s.Dist(ctx, 0, 0); !errors.Is(err, ErrCorruptTile) {
@@ -226,14 +226,14 @@ func TestRestartLayoutBitFlips(t *testing.T) {
 	n, bs := 80, 40 // 2x2 tiles of 3 restart groups each (16+16+8 rows)
 	m := intMatrix(n, 29)
 	path := filepath.Join(t.TempDir(), "c.apsp")
-	if err := WriteWithCodec(path, m, bs, codecs[CodecIVarint]); err != nil {
+	if err := WriteWithCodec(path, m, bs, CodecIVarint); err != nil {
 		t.Fatal(err)
 	}
 	const tableOff = codecHdrLen + 1 // tile (0,0)'s restart table
 	groupsEnd := func(s *Store) (table, g0, g1 int64) {
 		ref := s.index[0]
 		buf := make([]byte, tableOff+16)
-		if err := s.readAt(buf, ref.off); err != nil {
+		if _, err := s.readAt(buf, ref.off); err != nil {
 			t.Fatal(err)
 		}
 		return ref.off + tableOff, ref.off + int64(binary.LittleEndian.Uint32(buf[tableOff:])), ref.off + int64(binary.LittleEndian.Uint32(buf[tableOff+8:]))
@@ -252,8 +252,8 @@ func TestRestartLayoutBitFlips(t *testing.T) {
 			if failed := checkRowsRightOrTyped(t, s, m); failed != bs {
 				t.Fatalf("%s: %d rows failed, want the %d rows through tile (0,0)", name, failed, bs)
 			}
-			if s.Quarantined() != 1 {
-				t.Fatalf("%s: quarantined = %d, want 1", name, s.Quarantined())
+			if s.Snapshot().Quarantined != 1 {
+				t.Fatalf("%s: quarantined = %d, want 1", name, s.Snapshot().Quarantined)
 			}
 		}
 	})
@@ -267,8 +267,8 @@ func TestRestartLayoutBitFlips(t *testing.T) {
 		// The table now rots on disk: span reads never revisit it, so every
 		// row still serves, from the copy verified at first touch.
 		fr.Inject(faultfs.Fault{Kind: faultfs.KindBitFlip, FlipBit: 3, OffLo: table, OffHi: table + 8})
-		if failed := checkRowsRightOrTyped(t, s, m); failed != 0 || s.Quarantined() != 0 {
-			t.Fatalf("rotted table of a memoised tile: %d rows failed, %d quarantined", failed, s.Quarantined())
+		if failed := checkRowsRightOrTyped(t, s, m); failed != 0 || s.Snapshot().Quarantined != 0 {
+			t.Fatalf("rotted table of a memoised tile: %d rows failed, %d quarantined", failed, s.Snapshot().Quarantined)
 		}
 		// Restart group 1 (rows 16..31) rots: its next read fails the
 		// group checksum — the values are never decoded — and quarantines
@@ -278,8 +278,8 @@ func TestRestartLayoutBitFlips(t *testing.T) {
 		if failed := checkRowsRightOrTyped(t, s, m); failed != bs-16 {
 			t.Fatalf("rotted group of a memoised tile: %d rows failed, want %d (row 16 on)", failed, bs-16)
 		}
-		if s.Quarantined() != 1 {
-			t.Fatalf("quarantined = %d, want 1", s.Quarantined())
+		if s.Snapshot().Quarantined != 1 {
+			t.Fatalf("quarantined = %d, want 1", s.Snapshot().Quarantined)
 		}
 		if _, err := s.Row(context.Background(), 0); !errors.Is(err, ErrCorruptTile) {
 			t.Fatalf("quarantined tile served again: %v", err)

@@ -13,9 +13,8 @@ import (
 // Snapshot is a one-call view of every store health counter, each
 // underlying atomic loaded exactly once — the serving layer builds
 // /healthz from this so the JSON never mixes loads taken at different
-// times (the old torn-view bug read Quarantined, RetriedReads and the
-// cache stats through separate accessors). The values are the same ones
-// RegisterMetrics exposes on /metrics.
+// times. The values are the same ones RegisterMetrics exposes on
+// /metrics.
 type Snapshot struct {
 	Tiles cache.Stats
 	Rows  cache.Stats
@@ -35,15 +34,21 @@ type Snapshot struct {
 
 // Snapshot gathers all store counters in one pass.
 func (s *Store) Snapshot() Snapshot {
+	tiles := make(map[string]int64, numCodecs)
+	for c, count := range s.codecTiles {
+		if count > 0 {
+			tiles[Codec(c).Name()] = count
+		}
+	}
 	return Snapshot{
 		Tiles:        s.tileCache.Stats(),
 		Rows:         s.rowCache.Stats(),
 		SpanReads:    s.spanReads.Load(),
 		Quarantined:  s.quarCount.Load(),
 		RetriedReads: s.retriedReads.Load(),
-		Codec:        s.CodecName(),
-		CodecRatio:   s.CodecRatio(),
-		CodecTiles:   s.CodecTiles(),
+		Codec:        s.PreferredCodec().Name(),
+		CodecRatio:   s.codecRatio,
+		CodecTiles:   tiles,
 	}
 }
 
@@ -103,15 +108,15 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("apsp_store_retried_reads_total", "Disk-read retries consumed by the transient-fault budget.",
 		func() int64 { return s.retriedReads.Load() })
 	r.GaugeFunc("apsp_store_codec_ratio", "On-disk density win: raw tile bytes / encoded tile bytes (1.0 = uncompressed).",
-		func() float64 { return s.CodecRatio() })
-	for id, c := range codecs {
-		if c == nil {
+		func() float64 { return s.codecRatio })
+	for c := range Codec(numCodecs) {
+		if checkCodec(c) != nil {
 			continue
 		}
 		label := obs.Label{Key: "codec", Value: c.Name()}
 		r.GaugeFunc("apsp_store_codec_tiles", "Tiles per codec in the open store.",
-			func() float64 { return float64(s.codecTiles[id]) }, label)
+			func() float64 { return float64(s.codecTiles[c]) }, label)
 		r.RegisterHistogram("apsp_store_decode_seconds", "Cold tile and row-segment decode latency by codec.",
-			s.decodeHist[id], label)
+			s.decodeHist[c], label)
 	}
 }

@@ -20,7 +20,7 @@ func TestStoreRegisterMetrics(t *testing.T) {
 			m.Set(i, j, float64(i*n+j))
 		}
 	}
-	if err := WriteWithCodec(path, m, b, nil); err != nil {
+	if err := WriteWithCodec(path, m, b, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20, RowCacheBytes: 1 << 20})
@@ -102,7 +102,7 @@ func TestStoreSnapshotCoherent(t *testing.T) {
 	path := dir + "/m.apsp"
 	n, b := 16, 8
 	m := matrix.New(n, n)
-	if err := WriteWithCodec(path, m, b, nil); err != nil {
+	if err := WriteWithCodec(path, m, b, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenWithOptions(path, Options{TileCacheBytes: 1 << 20})
@@ -130,7 +130,7 @@ func TestStoreSnapshotCoherent(t *testing.T) {
 // one series each, counting tiles and timing decodes.
 func TestMetricsOneSeriesPerCodec(t *testing.T) {
 	path := t.TempDir() + "/ivarint.apsp"
-	if err := WriteWithCodec(path, intMatrix(64, 7), 16, codecs[CodecIVarint]); err != nil {
+	if err := WriteWithCodec(path, intMatrix(64, 7), 16, CodecIVarint); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenWithOptions(path, Options{})

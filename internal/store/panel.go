@@ -33,7 +33,6 @@
 package store
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,8 +62,8 @@ type PanelWriterOptions struct {
 	// refused and kept: a checkpoint of raw tiles only resumes under any
 	// codec, since raw tiles are exact.
 	Resume bool
-	// Codec is the preferred tile codec (nil means raw). Each tile is
-	// offered to it and falls back to raw bytes when declined or not
+	// Codec is the preferred tile codec; the zero value is raw. Each tile
+	// is offered to it and falls back to raw bytes when declined or not
 	// smaller, exactly like WriteWithCodec.
 	Codec Codec
 }
@@ -208,21 +207,22 @@ func (w *PanelWriter) durablePanels(f *os.File) (int, error) {
 		if err != nil {
 			break
 		}
-		if ref.codec != CodecRaw && (w.codec == nil || ref.codec != w.codec.ID()) {
+		if ref.codec != CodecRaw && ref.codec != w.codec {
 			return 0, fmt.Errorf("store: checkpoint %s holds %s tiles, this solve writes %s — remove it to restart",
-				f.Name(), codecs[ref.codec].Name(), cmp.Or(w.codec, codecs[CodecRaw]).Name())
+				f.Name(), ref.codec.Name(), w.codec.Name())
 		}
 		w.index[i], next = ref, ref.off+ref.length
 	}
 	panels := i / w.q // whole panels whose entries pass
 	for _, ref := range w.index[max(panels-1, 0)*w.q : panels*w.q] {
-		bp := getIOBuf(int(ref.length))
-		_, err := f.ReadAt(*bp, ref.off)
-		torn := crc32.Checksum(*bp, castagnoli) != ref.crc
-		ioBufPool.Put(bp)
-		if err != nil || torn {
+		bp, err := readChecked(f.ReadAt, ref)
+		if err != nil {
+			if errors.Is(err, errChecksum) {
+				err = nil // torn: the panel is not durable
+			}
 			return panels - 1, err
 		}
+		ioBufPool.Put(bp)
 	}
 	return panels, nil
 }
@@ -263,7 +263,7 @@ func indexBytes(index []tileRef) []byte {
 		out = binary.LittleEndian.AppendUint64(out, uint64(ref.off))
 		out = binary.LittleEndian.AppendUint64(out, uint64(ref.length))
 		out = binary.LittleEndian.AppendUint32(out, ref.crc)
-		out = append(out, ref.codec, 0, 0, 0)
+		out = append(out, byte(ref.codec), 0, 0, 0)
 	}
 	return out
 }
@@ -284,7 +284,7 @@ func (w *PanelWriter) NextPanel() int { return w.nextPanel }
 // it (sparse.Sink): readIntTile, or nil when the writer's codec is the
 // lossy f32, whose tiles do not decode back to the distances written.
 func (w *PanelWriter) ReadBack() func(bi, bj, lanes int, dst []uint32) error {
-	if w.codec != nil && w.codec.ID() == CodecF32 {
+	if w.codec == CodecF32 {
 		return nil
 	}
 	return w.readIntTile
@@ -308,14 +308,14 @@ func (w *PanelWriter) readIntTile(bi, bj, lanes int, dst []uint32) error {
 		return fmt.Errorf("store: tile (%d,%d) is %dx%d, not %d cells in lanes of %d", bi, bj, h, c, len(dst), lanes)
 	}
 	ref := w.index[bi*w.q+bj]
-	bp := getIOBuf(int(ref.length))
-	defer ioBufPool.Put(bp)
-	if _, err := w.f.ReadAt(*bp, ref.off); err != nil {
+	bp, err := readChecked(w.f.ReadAt, ref)
+	switch {
+	case errors.Is(err, errChecksum):
+		return fmt.Errorf("%w: tile (%d,%d) reads back with %w", ErrCorruptTile, bi, bj, err)
+	case err != nil:
 		return fmt.Errorf("store: reading back tile (%d,%d): %w", bi, bj, err)
 	}
-	if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
-		return fmt.Errorf("%w: tile (%d,%d) reads back with checksum %08x, index says %08x", ErrCorruptTile, bi, bj, got, ref.crc)
-	}
+	defer ioBufPool.Put(bp)
 	if err := decodeCells(ref.codec, *bp, h, c, lanes, dst); err != nil {
 		return fmt.Errorf("%w: tile (%d,%d): %w", ErrCorruptTile, bi, bj, err)
 	}
@@ -368,7 +368,7 @@ func (w *PanelWriter) WriteCells(p matrix.Panel) error {
 		return fmt.Errorf("store: panel %d has %d cells from column %d, want %dx%d", w.nextPanel, len(p.Ints)+len(p.Reals), p.From, h, w.n-p.From)
 	}
 	stride := w.n - p.From
-	return w.writePanel(func(dst []byte, c0, c int) ([]byte, byte) {
+	return w.writePanel(func(dst []byte, c0, c int) ([]byte, Codec) {
 		switch {
 		case p.Reals != nil:
 			return appendCells(dst, w.codec, h, c, func(r int) ([]float64, int) { return p.Reals[r*stride+c0:], 1 })
@@ -387,12 +387,12 @@ func (w *PanelWriter) WriteCells(p matrix.Panel) error {
 // bj of the panel — its c columns from column c0 — to dst and names the
 // codec that applies. The tiles are gathered in one buffer, indexed and
 // written with one Write.
-func (w *PanelWriter) writePanel(encode func(dst []byte, c0, c int) ([]byte, byte)) error {
+func (w *PanelWriter) writePanel(encode func(dst []byte, c0, c int) ([]byte, Codec)) error {
 	bi := w.nextPanel
 	w.buf = w.buf[:0]
 	for bj := 0; bj < w.q; bj++ {
 		from := len(w.buf)
-		var cid byte
+		var cid Codec
 		w.buf, cid = encode(w.buf, bj*w.b, tileEdge(w.n, w.b, bj))
 		w.index[bi*w.q+bj] = tileRef{
 			off: w.nextOff, length: int64(len(w.buf) - from),
@@ -445,7 +445,7 @@ func (w *PanelWriter) panelWritten(err error) error {
 // plausibleTile reports whether an encoded tile length can belong to the
 // (known) codec byte claimed for it: raw tiles at exactly their geometric
 // size, compressed tiles strictly smaller (the writers' fallback rule).
-func plausibleTile(codec byte, length, rawSize int64) bool {
+func plausibleTile(codec Codec, length, rawSize int64) bool {
 	if length < matrix.HeaderLen {
 		return false
 	}

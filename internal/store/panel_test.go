@@ -75,7 +75,7 @@ func TestPanelWriterByteIdenticalToWrite(t *testing.T) {
 		m := randomDist(tc.n, int64(tc.n*100+tc.b))
 		ref := filepath.Join(dir, "ref.apsp")
 		stream := filepath.Join(dir, "stream.apsp")
-		if err := WriteWithCodec(ref, m, tc.b, nil); err != nil {
+		if err := WriteWithCodec(ref, m, tc.b, CodecRaw); err != nil {
 			t.Fatal(err)
 		}
 		writePanels(t, stream, m, tc.b)
@@ -298,7 +298,7 @@ func TestDecodeCellsRefusesWhatIsNoUint32(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		c    byte
+		c    Codec
 		v    float64
 	}{
 		{"raw fraction", CodecRaw, 1.5},
@@ -307,7 +307,7 @@ func TestDecodeCellsRefusesWhatIsNoUint32(t *testing.T) {
 		{"ivarint past uint32", CodecIVarint, 1 << 33},
 		{"f32", CodecF32, 7},
 	} {
-		data, ok := codecs[tc.c].EncodeTile(nil, tile(tc.v))
+		data, ok := tc.c.EncodeTile(nil, tile(tc.v))
 		if !ok {
 			t.Fatalf("%s: codec declined the tile", tc.name)
 		}
@@ -336,9 +336,9 @@ func TestDecodeCellsMatchesDecodeTile(t *testing.T) {
 				tile.Data[i] = float64(rng.Intn(200))
 			}
 		}
-		for _, id := range []byte{CodecRaw, CodecIVarint, CodecF32} {
-			data, cid := appendCells(nil, codecs[id], h, w, blockRows(tile))
-			want, err := codecs[cid].DecodeTile(data, h, w)
+		for _, id := range []Codec{CodecRaw, CodecIVarint, CodecF32} {
+			data, cid := appendCells(nil, id, h, w, blockRows(tile))
+			want, err := cid.DecodeTile(data, h, w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,7 +14,6 @@ package store
 
 import (
 	"fmt"
-	"hash/crc32"
 
 	"apspark/internal/matrix"
 )
@@ -26,13 +25,13 @@ import (
 type TileMeta struct {
 	Length int64
 	CRC    uint32
-	Codec  byte
+	Codec  Codec
 }
 
 // ReadPanelRaw reads row panel bi (all q tiles of tile-row bi) as one
 // contiguous encoded byte span, reusing buf's backing array when it is
 // large enough, and returns the per-tile metadata (length, CRC32C,
-// codec) alongside. Every tile is verified against its index checksum
+// codec) alongside. Every tile is held to its index checksum (checkTile)
 // before the bytes are handed out; a mismatch quarantines the tile and
 // returns ErrCorruptTile, so corruption in the parent store surfaces
 // here instead of being propagated into a copy.
@@ -51,7 +50,7 @@ func (s *Store) ReadPanelRaw(bi int, buf []byte) ([]byte, []TileMeta, error) {
 	} else {
 		buf = make([]byte, span)
 	}
-	if err := s.readAt(buf, first.off); err != nil {
+	if _, err := s.readAt(buf, first.off); err != nil {
 		return nil, nil, fmt.Errorf("store: panel %d read: %w", bi, err)
 	}
 	metas := make([]TileMeta, s.q)
@@ -62,11 +61,10 @@ func (s *Store) ReadPanelRaw(bi int, buf []byte) ([]byte, []TileMeta, error) {
 		if lo < 0 || lo+ref.length > span {
 			return nil, nil, fmt.Errorf("%w: panel %d tile %d outside its panel span", ErrMalformed, bi, bj)
 		}
-		got := crc32.Checksum(buf[lo:lo+ref.length], castagnoli)
-		if got != ref.crc {
-			return nil, nil, s.quarantine(id, bi, bj, fmt.Errorf("crc %08x, index says %08x", got, ref.crc))
+		if err := checkTile(buf[lo:lo+ref.length], ref); err != nil {
+			return nil, nil, s.quarantine(id, bi, bj, err)
 		}
-		metas[bj] = TileMeta{Length: ref.length, CRC: got, Codec: ref.codec}
+		metas[bj] = TileMeta{Length: ref.length, CRC: ref.crc, Codec: ref.codec}
 	}
 	return buf, metas, nil
 }
@@ -106,10 +104,11 @@ func (w *PanelWriter) WriteRawPanel(raw []byte, metas []TileMeta) error {
 	}
 	var off int64
 	for bj, m := range metas {
-		if got := crc32.Checksum(raw[off:off+m.Length], castagnoli); got != m.CRC {
-			return fmt.Errorf("store: panel %d tile %d bytes hash to %08x, caller says %08x (torn copy?)", bi, bj, got, m.CRC)
+		ref := tileRef{off: w.nextOff + off, length: m.Length, crc: m.CRC, codec: m.Codec}
+		if err := checkTile(raw[off:off+m.Length], ref); err != nil {
+			return fmt.Errorf("store: panel %d tile %d: %w (torn copy?)", bi, bj, err)
 		}
-		w.index[bi*w.q+bj] = tileRef{off: w.nextOff + off, length: m.Length, crc: m.CRC, codec: m.Codec}
+		w.index[bi*w.q+bj] = ref
 		off += m.Length
 	}
 	_, err := w.f.Write(raw)

@@ -292,7 +292,7 @@ func TestRowSpanReadsEveryCodec(t *testing.T) {
 		var biggest int64
 		for bj := 0; bj < 2; bj++ {
 			for r := 0; r < bs; r++ {
-				off, sz := codecs[s.TileCodec(0, bj)].RowSpan(s.rows[bj].Load(), bs, r)
+				off, sz := s.TileCodec(0, bj).rowSpan(s.rows[bj].Load(), bs, r)
 				if _, length, _ := s.TileSpan(0, bj); off < 0 || int64(off+sz) > length {
 					t.Fatalf("%s: tile (0,%d) row %d span [%d,+%d) outside the tile", name, bj, r, off, sz)
 				}
@@ -322,7 +322,7 @@ func TestRowSpanReadsEveryCodec(t *testing.T) {
 		if st := s.Snapshot().Tiles; st.Misses != 1 {
 			t.Fatalf("%s: row assembly decoded tiles: %+v", name, st)
 		}
-		if got := s.decodeHist[c.ID()].Snapshot().Count(); got != uint64(1+2+2*bs) {
+		if got := s.decodeHist[c].Snapshot().Count(); got != uint64(1+2+2*bs) {
 			t.Fatalf("%s: decode histogram holds %d samples, want 1 tile + %d row segments", name, got, 2+2*bs)
 		}
 	}

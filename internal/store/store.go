@@ -109,16 +109,17 @@ var (
 	ErrMalformed = errors.New("store: malformed store file")
 	// ErrCorruptTile means a tile's bytes failed their CRC32C checksum
 	// (or decoded to the wrong shape). The tile is quarantined: the store
-	// will not serve data from it again, and Quarantined() counts it so a
-	// serving layer can report degraded health or recompute the rows.
+	// will not serve data from it again, and Snapshot().Quarantined counts
+	// it so a serving layer can report degraded health or recompute the
+	// rows.
 	ErrCorruptTile = errors.New("store: corrupt tile")
 )
 
 // WriteWithCodec cuts the dense n x n distance matrix into
 // blockSize-edged tiles and publishes the store file at path (it appears
-// only once complete). Each tile is offered to codec (nil means raw) and
-// falls back to raw bytes whenever the codec declines it or fails to
-// shrink it, so the store is valid — and no larger than its raw
+// only once complete). Each tile is offered to codec (the zero Codec is
+// raw) and falls back to raw bytes whenever the codec declines it or
+// fails to shrink it, so the store is valid — and no larger than its raw
 // equivalent — for any input. The matrix is only read, never retained.
 func WriteWithCodec(path string, dist *matrix.Block, blockSize int, codec Codec) error {
 	if dist == nil || dist.Phantom() {
@@ -158,7 +159,7 @@ type tileRef struct {
 	// crc is the CRC32C of the tile's encoded bytes.
 	crc uint32
 	// codec identifies the payload encoding.
-	codec byte
+	codec Codec
 }
 
 // Options configures a store read handle. The zero value disables both
@@ -201,7 +202,7 @@ type Store struct {
 	// rows memoises per-tile verification: non-nil once a whole-tile read
 	// of the tile has passed its CRC32C and header checks, and then the
 	// table its codec needs to address single rows (see readVerified).
-	rows      []atomic.Pointer[RowTable]
+	rows      []atomic.Pointer[rowTable]
 	spanReads atomic.Int64
 
 	// quar flags tiles whose bytes failed their checksum (or decoded to
@@ -214,12 +215,11 @@ type Store struct {
 	retryBackoff time.Duration
 	retriedReads atomic.Int64
 
-	// Codec census, fixed at open: how many tiles use each codec, the
-	// bytes their encoded payloads occupy, and the bytes the same tiles
-	// would occupy raw — the density win the serving tier is getting.
-	codecTiles   [numCodecs]int64
-	encodedBytes int64
-	rawBytes     int64
+	// Codec census, fixed at open: how many tiles use each codec, and the
+	// bytes the tiles would occupy raw over the bytes they occupy encoded
+	// — the density win the serving tier is getting.
+	codecTiles [numCodecs]int64
+	codecRatio float64
 
 	// decodeHist times tile and row-segment decodes per codec name (cold
 	// reads only; cache hits never decode).
@@ -241,6 +241,37 @@ func getIOBuf(n int) *[]byte {
 	}
 	*p = (*p)[:n]
 	return p
+}
+
+// errChecksum is the detail of a tile whose bytes do not hash to the
+// CRC32C its index entry records.
+var errChecksum = errors.New("checksum mismatch")
+
+// checkTile holds b, the bytes ref names, to ref's CRC32C: the one check
+// of a whole tile's bytes, read back or copied.
+func checkTile(b []byte, ref tileRef) error {
+	if got := crc32.Checksum(b, castagnoli); got != ref.crc {
+		return fmt.Errorf("%w: %08x, index says %08x", errChecksum, got, ref.crc)
+	}
+	return nil
+}
+
+// readChecked is the one read of a whole tile's bytes: it reads the bytes
+// ref names through read into a pooled buffer, which the caller returns to
+// ioBufPool, and holds them to checkTile. On failure it keeps no buffer
+// and returns the read's error, or checkTile's (errChecksum), for the
+// caller to answer in its own way.
+func readChecked(read func(p []byte, off int64) (int, error), ref tileRef) (*[]byte, error) {
+	bp := getIOBuf(int(ref.length))
+	_, err := read(*bp, ref.off)
+	if err == nil {
+		err = checkTile(*bp, ref)
+	}
+	if err != nil {
+		ioBufPool.Put(bp)
+		return nil, err
+	}
+	return bp, nil
 }
 
 // OpenWithOptions opens a store file for querying with explicit cache
@@ -316,17 +347,16 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 		r: f, n: n, b: b, q: q, index: index, fileBytes: size,
 		tileCache:    cache.New[int](opts.TileCacheBytes, 8*int64(b)*int64(b), (*matrix.Block).SizeBytes),
 		rowCache:     cache.New[int](opts.RowCacheBytes, 8*int64(n), func(row []float64) int64 { return 8 * int64(len(row)) }),
-		rows:         make([]atomic.Pointer[RowTable], q*q),
+		rows:         make([]atomic.Pointer[rowTable], q*q),
 		quar:         make([]atomic.Bool, q*q),
 		readRetries:  max(opts.ReadRetries, 0),
 		retryBackoff: backoff,
 		codecTiles:   codecTiles,
-		encodedBytes: encodedBytes,
-		rawBytes:     rawBytes,
+		codecRatio:   float64(rawBytes) / float64(encodedBytes),
 	}
-	for id, c := range codecs {
-		if c != nil {
-			s.decodeHist[id] = obs.NewHistogram()
+	for c := range Codec(numCodecs) {
+		if checkCodec(c) == nil {
+			s.decodeHist[c] = obs.NewHistogram()
 		}
 	}
 	return s, nil
@@ -366,7 +396,7 @@ func readEntry(ent []byte, i, n, b, q int, next, size int64) (tileRef, int64, er
 		off:    int64(binary.LittleEndian.Uint64(ent)),
 		length: int64(binary.LittleEndian.Uint64(ent[8:])),
 		crc:    binary.LittleEndian.Uint32(ent[16:]),
-		codec:  ent[20],
+		codec:  Codec(ent[20]),
 	}
 	if ref.off < fileHdrLen || ref.length < matrix.HeaderLen || ref.off > size-ref.length {
 		return ref, 0, fmt.Errorf("%w: tile %d index entry (off=%d len=%d) outside file of %d bytes",
@@ -381,7 +411,7 @@ func readEntry(ent []byte, i, n, b, q int, next, size int64) (tileRef, int64, er
 	raw := matrix.DenseMarshaledSize(tileEdge(n, b, i/q), tileEdge(n, b, i%q))
 	if !plausibleTile(ref.codec, ref.length, raw) {
 		return ref, 0, fmt.Errorf("%w: tile %d claims codec %s in %d bytes, its raw size is %d",
-			ErrMalformed, i, codecs[ref.codec].Name(), ref.length, raw)
+			ErrMalformed, i, ref.codec.Name(), ref.length, raw)
 	}
 	// Payloads are contiguous in index order — variable lengths make
 	// this the only layout the raw-panel span copy can trust, so it is
@@ -418,8 +448,8 @@ func (s *Store) TilesPerSide() int { return s.q }
 // FileBytes returns the on-disk size of the store.
 func (s *Store) FileBytes() int64 { return s.fileBytes }
 
-// TileCodec returns the codec byte of tile (bi, bj).
-func (s *Store) TileCodec(bi, bj int) byte {
+// TileCodec returns the codec of tile (bi, bj).
+func (s *Store) TileCodec(bi, bj int) Codec {
 	if bi < 0 || bi >= s.q || bj < 0 || bj >= s.q {
 		return CodecRaw
 	}
@@ -437,68 +467,29 @@ func (s *Store) TileSpan(bi, bj int) (off, length int64, err error) {
 	return ref.off, ref.length, nil
 }
 
-// CodecTiles returns how many tiles use each codec, keyed by codec name
-// (zero-count codecs are omitted).
-func (s *Store) CodecTiles() map[string]int64 {
-	out := make(map[string]int64, numCodecs)
-	for id, cnt := range s.codecTiles {
-		if cnt > 0 {
-			out[codecs[id].Name()] = cnt
-		}
-	}
-	return out
-}
-
-// CodecRatio returns the store's density win: the bytes its tiles would
-// occupy raw divided by the bytes they actually occupy encoded (1.0 for
-// an all-raw store, 4.0 when compression packs four raw bytes into one).
-func (s *Store) CodecRatio() float64 {
-	if s.encodedBytes <= 0 {
-		return 1
-	}
-	return float64(s.rawBytes) / float64(s.encodedBytes)
-}
-
 // PreferredCodec returns the codec most compressed tiles in the store
 // use (raw when nothing is compressed) — the codec a rebuild of this
 // store should inherit so derived generations keep the density.
 func (s *Store) PreferredCodec() Codec {
 	best, bestCount := CodecRaw, int64(0)
-	for id := 1; id < numCodecs; id++ {
-		if s.codecTiles[id] > bestCount {
-			best, bestCount = byte(id), s.codecTiles[id]
+	for c := Codec(1); c < numCodecs; c++ {
+		if s.codecTiles[c] > bestCount {
+			best, bestCount = c, s.codecTiles[c]
 		}
 	}
-	return codecs[best]
+	return best
 }
 
-// CodecName returns the name of the store's preferred codec (see
-// PreferredCodec) for health reporting.
-func (s *Store) CodecName() string { return s.PreferredCodec().Name() }
-
-// Quarantined returns the number of tiles quarantined for failing their
-// checksum (or decoding to the wrong shape). A nonzero count means some
-// distances cannot be served from this store; serving layers should
-// report degraded health and recompute or refuse those rows.
-func (s *Store) Quarantined() int { return int(s.quarCount.Load()) }
-
-// RetriedReads returns how many disk-read retries the transient-fault
-// budget (Options.ReadRetries) has consumed so far.
-func (s *Store) RetriedReads() int64 { return s.retriedReads.Load() }
-
-// readAt reads len(p) bytes at off, retrying transient failures within
-// the configured budget with exponential backoff. The retry counter is
-// global, not per call: it is a health signal ("this disk is flaky"), so
-// it must survive individual successes.
-func (s *Store) readAt(p []byte, off int64) error {
+// readAt is io.ReaderAt's ReadAt on the store's file, retrying transient
+// failures within the configured budget with exponential backoff. The
+// retry counter is global, not per call: it is a health signal ("this
+// disk is flaky"), so it must survive individual successes.
+func (s *Store) readAt(p []byte, off int64) (int, error) {
 	backoff := s.retryBackoff
 	for attempt := 0; ; attempt++ {
-		_, err := s.r.ReadAt(p, off)
-		if err == nil {
-			return nil
-		}
-		if attempt >= s.readRetries {
-			return err
+		n, err := s.r.ReadAt(p, off)
+		if err == nil || attempt >= s.readRetries {
+			return n, err
 		}
 		s.retriedReads.Add(1)
 		time.Sleep(backoff)
@@ -534,20 +525,16 @@ func (s *Store) Tile(ctx context.Context, bi, bj int) (*matrix.Block, error) {
 // bytes and the codec header, and memoises the tile's row table, after
 // which readRow serves the tile from small reads. A failure quarantines
 // the tile.
-func (s *Store) readVerified(id, bi, bj int) (*[]byte, *RowTable, error) {
+func (s *Store) readVerified(id, bi, bj int) (*[]byte, *rowTable, error) {
 	ref := s.index[id]
-	bp := getIOBuf(int(ref.length))
-	err := s.readAt(*bp, ref.off)
-	if err != nil {
-		ioBufPool.Put(bp)
+	bp, err := readChecked(s.readAt, ref)
+	switch {
+	case errors.Is(err, errChecksum):
+		return nil, nil, s.quarantine(id, bi, bj, err)
+	case err != nil:
 		return nil, nil, fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
 	}
-	var t *RowTable
-	if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
-		err = fmt.Errorf("checksum %08x, index says %08x", got, ref.crc)
-	} else {
-		t, err = codecs[ref.codec].RowTable(*bp, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj))
-	}
+	t, err := ref.codec.rowTable(*bp, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj))
 	if err != nil {
 		ioBufPool.Put(bp)
 		return nil, nil, s.quarantine(id, bi, bj, err)
@@ -574,7 +561,7 @@ func (s *Store) readTile(bi, bj, id int) (*matrix.Block, error) {
 	defer ioBufPool.Put(bp)
 	codec := s.index[id].codec
 	start := time.Now()
-	blk, err := decodeTile(codec, *bp, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj))
+	blk, err := codec.DecodeTile(*bp, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj))
 	if err != nil {
 		return nil, s.quarantine(id, bi, bj, err)
 	}
@@ -597,14 +584,14 @@ func (s *Store) readRow(bi, bj, r int, seg []float64) error {
 		s.readHook(bi, bj)
 	}
 	ref := s.index[id]
-	codec := codecs[ref.codec]
+	codec := ref.codec
 	t := s.rows[id].Load()
 	var bp *[]byte
 	var span []byte
 	if t != nil {
-		off, n := codec.RowSpan(t, len(seg), r)
+		off, n := codec.rowSpan(t, len(seg), r)
 		bp = getIOBuf(n)
-		if err := s.readAt(*bp, ref.off+int64(off)); err != nil {
+		if _, err := s.readAt(*bp, ref.off+int64(off)); err != nil {
 			ioBufPool.Put(bp)
 			return fmt.Errorf("store: tile (%d,%d) row %d: %w", bi, bj, r, err)
 		}
@@ -614,15 +601,15 @@ func (s *Store) readRow(bi, bj, r int, seg []float64) error {
 		if bp, t, err = s.readVerified(id, bi, bj); err != nil {
 			return err
 		}
-		off, n := codec.RowSpan(t, len(seg), r)
+		off, n := codec.rowSpan(t, len(seg), r)
 		span = (*bp)[off : off+n]
 	}
 	defer ioBufPool.Put(bp)
 	start := time.Now()
-	if err := codec.DecodeRow(t, span, r, seg); err != nil {
+	if err := codec.decodeRow(t, span, r, seg); err != nil {
 		return s.quarantine(id, bi, bj, err)
 	}
-	s.decodeHist[ref.codec].RecordSince(start)
+	s.decodeHist[codec].RecordSince(start)
 	s.spanReads.Add(1)
 	return nil
 }

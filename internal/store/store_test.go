@@ -37,7 +37,7 @@ func testMatrix(n int, seed int64) *matrix.Block {
 func writeTestStore(t *testing.T, m *matrix.Block, blockSize int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "dist.apsp")
-	if err := WriteWithCodec(path, m, blockSize, nil); err != nil {
+	if err := WriteWithCodec(path, m, blockSize, CodecRaw); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -55,7 +55,7 @@ func TestWriteRejectsBadInput(t *testing.T) {
 		"zero bs":    {matrix.NewZero(4, 4), 0},
 		"empty":      {matrix.NewZero(0, 0), 1},
 	} {
-		if err := WriteWithCodec(filepath.Join(dir, "x.apsp"), tc.m, tc.bs, nil); err == nil {
+		if err := WriteWithCodec(filepath.Join(dir, "x.apsp"), tc.m, tc.bs, CodecRaw); err == nil {
 			t.Errorf("%s: Write accepted bad input", name)
 		}
 	}
