@@ -56,6 +56,11 @@ func packArcs(colIdx []int32, weights []float64) []arc {
 	return arcs
 }
 
+// recast is s as a slice of E, a type of the same size as S.
+func recast[E, S any](s []S) []E {
+	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
 // lane is the type of one tentative distance of the batched panel kernel.
 // A vertex owns one 64-byte cache line of them, lane j for the batch's
 // source j, so the lane type is the batch width: 32 sources on uint16
@@ -226,10 +231,24 @@ func seedAbove[T lane, C matrix.Cell](s *batchState[T], e *Engine, job *panelJob
 
 // seedLanes copies the seeds src into the lanes d, cell for lane, a
 // no-path cell as an unreached lane, and returns how many are reached, or
-// false at a distance the lanes cannot hold exactly.
+// false at a distance the lanes cannot hold exactly. uint32 seeds go 16 at
+// a time through the vector step where the batched kernel runs
+// (seedLanes32, seedLanes16); the loop below takes the rest.
 func seedLanes[T lane, C matrix.Cell](d []T, src []C) (reached int, ok bool) {
 	inf, none, top := unreachedLane[T](), matrix.NoPath[C](), C(exactBelow[T]())
 	src = src[:len(d)]
+	if unsafe.Sizeof(none) == 4 && haveBatchKernel && len(src) >= 16 {
+		vec := len(src) &^ 15
+		if lanesOf[T]() == batch16 {
+			reached, ok = seedLanes32(recast[uint32](d[:vec]), recast[uint32](src[:vec]))
+		} else {
+			reached, ok = seedLanes16(recast[uint16](d[:vec]), recast[uint32](src[:vec]))
+		}
+		if !ok {
+			return 0, false
+		}
+		d, src = d[vec:], src[vec:]
+	}
 	for i, c := range src {
 		switch {
 		case c == none:
@@ -289,10 +308,12 @@ const (
 //
 // Any other end leaves the scratch at rest and reached at 0, and the
 // caller solves the sources again some other way: overBudget before the
-// rows were touched, overRange (uint16 lanes only, see exactBelow) before
-// they were touched when a seed is out of range, and otherwise after they
-// were filled with distances that may be wrong, all of which the second
-// solve overwrites.
+// rows were touched, overRange before they were touched when a seed is
+// out of range, and otherwise after they were filled with distances that
+// may be wrong, all of which the second solve overwrites. On uint16 lanes
+// overRange is the distances outgrowing them (exactBelow); on uint32 lanes
+// no distance of a graph the engine takes gets there, so it can only be a
+// seed that is no distance of the graph, and the caller fails the panel.
 func solveBatch[T lane, C matrix.Cell](s *batchState[T], e *Engine, job *panelJob[C], r, k int) (reached, visits int, end batchEnd) {
 	n, p := e.n, &job.p
 	start, seeded := job.above&^7, 0
@@ -348,11 +369,27 @@ func emitBatch[T lane, C matrix.Cell](s *batchState[T], k, n, from int, rows []C
 
 // emitLane writes every lanesOf[T]-th element of col, one lane of a block
 // of d, to row: a reached lane as its distance, exactly, an unreached one
-// as the cell's no-path value. It is its own function to keep the loop in
-// registers.
+// as the cell's no-path value. uint32 cells go eight at a time through
+// the vector step where the batched kernel runs (emitLanes), which
+// gathers a lane of either width from eight vertex lines at once; the
+// loop below, its own function to keep it in registers, takes the rest.
 func emitLane[T lane, C matrix.Cell](row []C, col []T) (reached int, top T) {
 	w, inf, none := lanesOf[T](), unreachedLane[T](), matrix.NoPath[C]()
-	for i := range row {
+	start := 0
+	if unsafe.Sizeof(none) == 4 && haveBatchKernel && len(row) >= 8 {
+		start = len(row) &^ 7
+		line, shift, mask := unsafe.Pointer(unsafe.SliceData(col)), uint64(0), uint32(math.MaxUint32)
+		if w == batch32 {
+			// A uint16 lane is half of the 4-byte-aligned pair that holds it
+			// (d is 64-byte aligned): the high half when the lane is odd.
+			off := uintptr(line) & 2
+			line, shift, mask = unsafe.Add(line, -int(off)), uint64(8*off), math.MaxUint16
+		}
+		var t uint32
+		reached, t = emitLanes(recast[uint32](row[:start]), line, shift, mask, uint32(inf))
+		top = T(t)
+	}
+	for i := start; i < len(row); i++ {
 		if d := col[i*w]; d != inf {
 			row[i] = C(d)
 			top = max(top, d)

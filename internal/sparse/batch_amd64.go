@@ -21,3 +21,16 @@ func batchSweep32(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc, st
 
 //go:noescape
 func batchSweep16(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc, start int) int
+
+// The lane copies on either side of the sweeps for uint32 cells, eight or
+// sixteen at a time (batch_amd64.s): seedLanes' into uint32 and uint16
+// lanes, and emitLane's out of either.
+//
+//go:noescape
+func seedLanes32(d []uint32, src []uint32) (reached int, ok bool)
+
+//go:noescape
+func seedLanes16(d []uint16, src []uint32) (reached int, ok bool)
+
+//go:noescape
+func emitLanes(row []uint32, line unsafe.Pointer, shift uint64, mask, inf uint32) (reached int, top uint32)

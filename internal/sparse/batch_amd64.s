@@ -167,3 +167,181 @@ TEXT ·batchSweep16(SB), NOSPLIT, $0-96
 	SWEEP(VPBROADCASTW, VPADDUSW, VPMINUW, VPCMPEQW)
 	MOVQ R12, ret+88(FP)
 	RET
+
+// func seedLanes32(d []uint32, src []uint32) (reached int, ok bool)
+// func seedLanes16(d []uint16, src []uint32) (reached int, ok bool)
+//
+// seedLanes' vector step (batch.go): 16 seeds a step, len(src)/16 steps,
+// into d, which holds as many lanes. A seed is taken when it is below the
+// lanes' exactBelow (VPMINUD with exactBelow-1 leaves it as it is) or is
+// matrix.NoPath32, which becomes the unreached lane (VPBLENDVB); the
+// first step with a seed of neither kind stores nothing and returns false.
+// The two functions are one body, SEED, and differ in the lane constants
+// and the store: 16 uint32 lanes as they are, or packed to uint16 lanes
+// (VPACKUSDW, which saturates but meets nothing above 0xFFFF here, then
+// VPERMQ to undo its lane interleave).
+//
+// DI = d, SI = src, CX = seeds, then steps left, AX = reached; Y13 = all ones
+// (NoPath32), Y14 = the unreached lane, Y15 = exactBelow-1.
+#define SEED \
+	VMOVDQU (SI), Y0; \
+	VMOVDQU 32(SI), Y1; \
+	VPCMPEQD Y13, Y0, Y2; \
+	VPCMPEQD Y13, Y1, Y3; \
+	VPMINUD Y15, Y0, Y4; \
+	VPCMPEQD Y4, Y0, Y4; \
+	VPMINUD Y15, Y1, Y5; \
+	VPCMPEQD Y5, Y1, Y5; \
+	VPOR Y2, Y4, Y4; \
+	VPOR Y3, Y5, Y5; \
+	VPAND Y4, Y5, Y4; \
+	VMOVMSKPS Y4, R8; \
+	CMPL R8, $0xFF; \
+	JNE  refused; \
+	VPBLENDVB Y2, Y14, Y0, Y0; \
+	VPBLENDVB Y3, Y14, Y1, Y1; \
+	VMOVMSKPS Y2, R8; \
+	VMOVMSKPS Y3, R9; \
+	SHLL $8, R9; \
+	ORL  R9, R8; \
+	POPCNTL R8, R8; \
+	ADDQ $16, AX; \
+	SUBQ R8, AX; \
+	ADDQ $64, SI
+
+#define SEED_SETUP(INF, TOP) \
+	SHRQ $4, CX; \
+	XORQ AX, AX; \
+	VPCMPEQD Y13, Y13, Y13; \
+	MOVL INF, R8; \
+	VMOVD R8, X14; \
+	VPBROADCASTD X14, Y14; \
+	MOVL TOP, R8; \
+	VMOVD R8, X15; \
+	VPBROADCASTD X15, Y15
+
+TEXT ·seedLanes32(SB), NOSPLIT, $0-57
+	MOVQ d_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	SEED_SETUP($0xFFFFFF00, $0xFFFFFEFF)
+	TESTQ CX, CX
+	JZ   seeded
+seed32:
+	SEED
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y1, 32(DI)
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  seed32
+seeded:
+	VZEROUPPER
+	MOVQ AX, reached+48(FP)
+	MOVB $1, ok+56(FP)
+	RET
+refused:
+	VZEROUPPER
+	MOVQ $0, reached+48(FP)
+	MOVB $0, ok+56(FP)
+	RET
+
+TEXT ·seedLanes16(SB), NOSPLIT, $0-57
+	MOVQ d_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	SEED_SETUP($0xFFFF, $0xFEFF)
+	TESTQ CX, CX
+	JZ   seeded
+seed16:
+	SEED
+	VPACKUSDW Y1, Y0, Y0
+	VPERMQ $0xD8, Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  seed16
+seeded:
+	VZEROUPPER
+	MOVQ AX, reached+48(FP)
+	MOVB $1, ok+56(FP)
+	RET
+refused:
+	VZEROUPPER
+	MOVQ $0, reached+48(FP)
+	MOVB $0, ok+56(FP)
+	RET
+
+DATA emitLines<>+0x00(SB)/8, $0x0000004000000000
+DATA emitLines<>+0x08(SB)/8, $0x000000C000000080
+DATA emitLines<>+0x10(SB)/8, $0x0000014000000100
+DATA emitLines<>+0x18(SB)/8, $0x000001C000000180
+GLOBL emitLines<>(SB), RODATA|NOPTR, $32
+
+// func emitLanes(row []uint32, line unsafe.Pointer, shift uint64, mask, inf uint32) (reached int, top uint32)
+//
+// emitLane's vector step (batch.go) for uint32 cells, at either lane
+// width: row[i] for i < len(row)/8*8 is lane j of vertex line i, which
+// starts 64*i bytes past line. The four bytes at each line's offset are
+// gathered eight lines at a time (VPGATHERDD), shifted right by shift and
+// masked to the lane: a uint32 lane is the dword itself (shift 0, mask all
+// ones), a uint16 lane half of the aligned dword that holds it (the caller
+// steps line back to it and shifts the high half down), so no read leaves
+// the line. A lane equal to inf becomes matrix.NoPath32 (all ones, an OR
+// with the compare); the others are the distances, their maximum is top
+// (VPMAXUD over them, the unreached ones zeroed) and their number reached
+// (VMOVMSKPS and POPCNT count the unreached).
+//
+// DI = row, SI = the next eight lines, CX = steps left, AX = unreached;
+// X8 = shift, Y9 = mask, Y10 = inf, Y11 = the lines' offsets, Y12 = all
+// ones, Y7 = the running maximum.
+TEXT ·emitLanes(SB), NOSPLIT, $0-60
+	MOVQ row_base+0(FP), DI
+	MOVQ row_len+8(FP), CX
+	MOVQ line+24(FP), SI
+	MOVQ shift+32(FP), R8
+	MOVL mask+40(FP), R9
+	MOVL inf+44(FP), R10
+	SHRQ $3, CX
+	MOVQ CX, R11
+	SHLQ $3, R11
+	XORQ AX, AX
+	VMOVQ R8, X8
+	VMOVD R9, X9
+	VPBROADCASTD X9, Y9
+	VMOVD R10, X10
+	VPBROADCASTD X10, Y10
+	VMOVDQU emitLines<>(SB), Y11
+	VPCMPEQD Y12, Y12, Y12
+	VPXOR Y7, Y7, Y7
+	TESTQ CX, CX
+	JZ   emitted
+emit:
+	VMOVDQA Y12, Y1
+	VPGATHERDD Y1, (SI)(Y11*1), Y0
+	VPSRLD X8, Y0, Y0
+	VPAND Y9, Y0, Y0
+	VPCMPEQD Y10, Y0, Y2
+	VPANDN Y0, Y2, Y3
+	VPMAXUD Y3, Y7, Y7
+	VPOR Y2, Y0, Y0
+	VMOVDQU Y0, (DI)
+	VMOVMSKPS Y2, R8
+	POPCNTL R8, R8
+	ADDQ R8, AX
+	ADDQ $512, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  emit
+emitted:
+	VEXTRACTI128 $1, Y7, X6
+	VPMAXUD X6, X7, X7
+	VPSHUFD $0x4E, X7, X6
+	VPMAXUD X6, X7, X7
+	VPSHUFD $0xB1, X7, X6
+	VPMAXUD X6, X7, X7
+	VMOVD X7, R9
+	VZEROUPPER
+	SUBQ AX, R11
+	MOVQ R11, reached+48(FP)
+	MOVL R9, top+56(FP)
+	RET

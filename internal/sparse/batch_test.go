@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
@@ -536,6 +537,49 @@ func TestBatchRangeBoundary(t *testing.T) {
 		expositionHas(t, e, `apsp_sparse_panel_kernel_info{impl="`+tc.ends+`"} 1`)
 		requireAtRest[uint16](t, &e.batch32Scratch)
 		requireAtRest[uint32](t, &e.batch16Scratch)
+	}
+}
+
+// TestOutOfRangeSeedFailsThePanel: a batch that ends out of range on
+// 32-bit lanes has no wider lanes to go to. A sink that reads back a seed
+// at exactBelow[uint32] — no distance of any graph the engine takes — on a
+// resumed solve sends the first batch from batch32 to batch16, where its
+// seeds are refused again: the solve must fail with an error, at once,
+// and not solve the batch again for ever. One below the bound seeds as it
+// is, and the batch stands.
+func TestOutOfRangeSeedFailsThePanel(t *testing.T) {
+	requireBatchKernel(t)
+	g := intER(t, 96, 6, 4)
+	for _, tc := range []struct {
+		seed    uint32
+		refused bool
+	}{
+		{exactBelow[uint32]() - 1, false},
+		{exactBelow[uint32](), true},
+		{matrix.NoPath32 - 1, true},
+	} {
+		e, s := New(g), newMemSink(g.N, 32)
+		for i := range s.dist {
+			s.dist[i] = float64(tc.seed)
+		}
+		s.next = 1
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.SolveTo(context.Background(), s, Options{Workers: 2})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if (err != nil) != tc.refused {
+				t.Fatalf("seed %#x: SolveTo error %v, want an error: %v", tc.seed, err, tc.refused)
+			}
+			if tc.refused && e.PanelKernel() != "batch16" {
+				t.Fatalf("seed %#x: panel kernel %s after the refusal, want batch16", tc.seed, e.PanelKernel())
+			}
+			t.Logf("seed %#x: %v", tc.seed, err)
+		case <-time.After(20 * time.Second):
+			t.Fatalf("seed %#x: SolveTo has not returned after 20 s", tc.seed)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -51,6 +52,95 @@ func seedLaneOracle[T lane, C matrix.Cell](col []T, row []C) (reached int, ok bo
 		}
 	}
 	return reached, true
+}
+
+// emitLaneOracle is emitLane as it stood before its vector step: every
+// lanesOf[T]-th element of col to row, an unreached lane as no path.
+func emitLaneOracle[T lane, C matrix.Cell](row []C, col []T) (reached int, top T) {
+	w, inf, none := lanesOf[T](), unreachedLane[T](), matrix.NoPath[C]()
+	for i := range row {
+		if d := col[i*w]; d != inf {
+			row[i] = C(d)
+			top = max(top, d)
+			reached++
+		} else {
+			row[i] = none
+		}
+	}
+	return reached, top
+}
+
+// TestLaneCopiesMatchOracle holds seedLanes and emitLane, vector step and
+// scalar tail, to the loops they replaced, on both lane widths, with one
+// cell of every kind the vector steps tell apart at each position of runs
+// 1 to 40 long (ragged tails included): no path, the unreached lane, seeds
+// at exactBelow−1 and exactBelow, cells at and past 2^31, and the values
+// next to the lane widths' tops. emitLane reads every lane of lines that
+// end, and then begin, at a page the process may not read, so a gather
+// that strays past lane 31 of the last vertex, or before lane 0 of the
+// first, faults.
+func TestLaneCopiesMatchOracle(t *testing.T) {
+	laneCopiesMatchOracle[uint16](t)
+	laneCopiesMatchOracle[uint32](t)
+}
+
+func laneCopiesMatchOracle[T lane](t *testing.T) {
+	w, below := lanesOf[T](), uint32(exactBelow[T]())
+	kinds := []uint32{0, 1, 63, 64, 127, 128, 0xFEFF, 0xFF00, 0xFFFE, 0xFFFF, below - 1, below,
+		1<<31 - 1, 1 << 31, 0xFFFFFF00, matrix.NoPath32 - 1, matrix.NoPath32}
+	const most = 40
+	for n := 1; n <= most; n++ {
+		for pos := 0; pos < n; pos++ {
+			for _, v := range kinds {
+				src := make([]uint32, n)
+				for i := range src {
+					src[i] = uint32(i * 37 % 61)
+					if i%5 == 3 {
+						src[i] = matrix.NoPath32
+					}
+				}
+				src[pos] = v
+				d, o := make([]T, n), make([]T, n*w)
+				got, gotOK := seedLanes(d, src)
+				exp, expOK := seedLaneOracle(o, src)
+				same := gotOK == expOK && got == exp
+				for i := 0; same && gotOK && i < n; i++ {
+					same = d[i] == o[i*w]
+				}
+				if !same {
+					t.Fatalf("%d lanes: %d seeds with %#x at %d: seeded %d (ok %v), oracle %d (ok %v); lanes %v, oracle's %v",
+						w, n, v, pos, got, gotOK, exp, expOK, d, o)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(int64(w)))
+	for _, atEnd := range []bool{true, false} {
+		d := guardedLines[T](t, most, atEnd)
+		for i := range d {
+			d[i] = T(kinds[rng.Intn(len(kinds))])
+			if rng.Intn(3) == 0 {
+				d[i] = unreachedLane[T]()
+			}
+		}
+		for j := 0; j < w; j++ {
+			for n := 1; n <= most; n++ {
+				// The last n lines, so that the run ends at the guard.
+				col := d[(most-n)*w+j:]
+				if !atEnd {
+					col = d[j:]
+				}
+				row, want := make([]uint32, n+1), make([]uint32, n+1)
+				row[n], want[n] = 0xDEAD, 0xDEAD
+				got, gotTop := emitLane(row[:n], col)
+				exp, expTop := emitLaneOracle(want[:n], col)
+				if got != exp || gotTop != expTop || !slices.Equal(row, want) {
+					t.Fatalf("%d lanes: lane %d of %d lines (guard at end %v): reached %d top %d row %v, oracle %d %d %v",
+						w, j, n, atEnd, got, gotTop, row, exp, expTop, want)
+				}
+			}
+		}
+	}
 }
 
 // TestLaneOrderSeedsMatchOracle: every batch of a seeded panel starts with

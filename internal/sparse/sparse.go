@@ -92,10 +92,16 @@
 // other graph they are float64 rows. Solve is float64 on any graph. One
 // generic body serves both cell types (matrix.Cell): the panel loop, its
 // workers, the batch emit and the radix row's fill, which converts each
-// settled distance exactly. A solve starts at the sink's NextPanel, which
-// is how a checkpointed store resumes, and a caller that holds some
-// panels already — a generation rebuild's clean panels — writes them
-// itself through Options.Supply, in their turn.
+// settled distance exactly. The batch emit (emitLane) turns a lane of d
+// into a row of uint32 cells eight at a time where the batched kernel
+// runs: it gathers the lane from eight vertex lines, of either width,
+// maps unreached to matrix.NoPath32 and keeps the largest distance and
+// the count of reached ones in registers (batch_amd64.s); float64 rows,
+// and the last few cells of each row, go through its scalar loop. A
+// solve starts at the sink's NextPanel, which is how a checkpointed store
+// resumes, and a caller that holds some panels already — a generation
+// rebuild's clean panels — writes them itself through Options.Supply, in
+// their turn.
 //
 // Seeding. The graph is undirected, so d(s, v) = d(v, s): by the time the
 // panel of sources [base, base+h) runs on the batched kernel, its cells
@@ -112,7 +118,10 @@
 // in lane order (matrix.LaneIndex) of the width the panel batches at: the
 // seeds of a batch's sources at one vertex are one run, those of all of a
 // tile's vertices one stretch, so a batch seeds its lanes with one
-// sequential narrowing copy a tile (seedAbove). A row-major fill would
+// sequential narrowing copy a tile (seedAbove, through seedLanes: 16
+// uint32 seeds a step in AVX2 registers — range-checked, no path mapped to
+// unreached, packed to uint16 lanes on batch32 — wherever the batched
+// kernel runs, the scalar loop for the rest). A row-major fill would
 // make the read-back decode cheaper but turn that copy into a strided
 // gather, which costs more than the decode saves: measured end to end,
 // it made the streamed solve slower. It then marks every vertex
@@ -1040,6 +1049,12 @@ func solveUnits[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C])
 				r += k
 			case overRange:
 				discarded += int64(swept)
+				if width == batch16 {
+					// No lanes are wider, so solving it again would end the
+					// same way: no distance of the graph gets there.
+					return fmt.Errorf("sparse: the batch of sources %d..%d ended at %d or more on 32-bit lanes, which no distance of this graph reaches: a seed read back is not one",
+						job.base+r, job.base+r+k-1, exactBelow[uint32]())
+				}
 				if e.width.CompareAndSwap(batch32, batch16) {
 					e.rangeFallbacks.Add(1)
 				}

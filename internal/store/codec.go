@@ -38,6 +38,20 @@
 // decided per type at compile time. appendCells, the one encode under a
 // store's tiles, decides the raw fallback.
 //
+// ivarint's encoder and decoder each put a word step in front of their
+// scalar loop, which stays the one body for everything the step leaves to
+// it and for every platform without it. A word is eight cells whose tokens
+// are all one byte. Where internal/matrix runs AVX2 (matrix.HasAVX2, the
+// one CPU check; build tags amd64 && !purego), the encoder tokenizes a
+// word of uint32 cells — a row, or a lane-ordered tile's column gathered
+// at its lane stride — or of contiguous integral float64 cells in a few
+// vector instructions, and the decoder expands a word of tokens into
+// eight uint32 cells the same way (codec_amd64.s); the decoder's word step
+// for float64 cells, for skipped tokens and on other platforms is Go
+// arithmetic on the eight bytes of a uint64. Either way a step writes what
+// the scalar loop would, and the fuzzers hold it to oracles kept from
+// before it.
+//
 // Every codec is row-addressable: rowTable/rowSpan/decodeRow locate and
 // decode one row from a few KB of the payload, so a cold row never
 // decodes whole tiles. Raw and f32 rows sit at fixed offsets. An ivarint
@@ -433,7 +447,9 @@ const maxExactInt = int64(1) << 53
 // the previous finite value of the same restart group. Distances within a
 // row are similar magnitudes, so the deltas are small and most tokens fit
 // one or two bytes. It lays out the h x w tile row returns in restart
-// groups of k rows (the file comment), and declines it
+// groups of k rows (the file comment), a word of eight one-byte tokens at
+// a time where it can (appendIVarintWords; the word the step stops at, and
+// the last few cells of a row, go through the loop here), and declines it
 // at the first value outside the codec's domain — every uint32 is in it,
 // a float64 when it is a positive integer below 2^53 or ivarintExact —
 // or once it is not getting smaller than raw, checked row by row.
@@ -454,8 +470,25 @@ func appendIVarint[C matrix.Cell](dst []byte, k, h, w int, row tileRows[C]) ([]b
 		for r := g * k; r < min(h, (g+1)*k); r++ {
 			cells, step := row(r)
 			cells = cells[:(w-1)*step+1]
+			// The word step runs from cell next on: at once where this build
+			// has it, and again after each word it leaves to this loop.
+			next := uint(len(cells))
+			if haveWordSteps {
+				next = 0
+			}
 			// An unsigned index folds the bounds check into the loop test.
 			for p := uint(0); p < uint(len(cells)); p += uint(step) {
+				if p >= next {
+					var words int
+					if dst, words = appendIVarintWords(dst, cells[p:], step, prev); words > 0 {
+						p += uint(8 * words * step)
+						prev = int64(cells[p-uint(step)])
+						if p >= uint(len(cells)) {
+							break
+						}
+					}
+					next = p + uint(8*step)
+				}
 				v := cells[p]
 				iv := int64(v)
 				switch {
@@ -478,6 +511,32 @@ func appendIVarint[C matrix.Cell](dst []byte, k, h, w int, row tileRows[C]) ([]b
 		binary.LittleEndian.PutUint32(dst[table+8*g+4:], crc32.Checksum(dst[from:], castagnoli))
 	}
 	return dst, true
+}
+
+// appendIVarintWords is the encoder's word step (codec_amd64.s): it
+// appends the tokens of the leading words of eight cells — cells[0],
+// cells[step], … — while each cell is a non-negative integer below 2^31
+// and each token one byte, and returns how many words it took. float64
+// cells take it only where they are contiguous. It runs from a
+// predecessor in [0, 2^31), which keeps every delta exact in 32 bits.
+func appendIVarintWords[C matrix.Cell](dst []byte, cells []C, step int, prev int64) ([]byte, int) {
+	words := ((len(cells)-1)/step + 1) / 8
+	if words == 0 || uint64(prev) >= wordStepTop || (unsafe.Sizeof(cells[0]) == 8 && step != 1) {
+		return dst, 0
+	}
+	dst = slices.Grow(dst, 8*words)
+	out := dst[len(dst) : len(dst)+8*words]
+	if unsafe.Sizeof(cells[0]) == 4 {
+		words = encodeWords32(out, recast[uint32](cells), step, uint32(prev))
+	} else {
+		words = encodeWords64(out, recast[float64](cells), uint32(prev))
+	}
+	return dst[:len(dst)+8*words], words
+}
+
+// recast is s as a slice of E, a type of the same size as C.
+func recast[E, C any](s []C) []E {
+	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 // ivarintExact reports whether v, whose integer view is iv, is an integer
@@ -546,11 +605,18 @@ func decodeIVarintTile[C matrix.Cell](data []byte, h, w, lanes int, dst []C) err
 		group := data[from:to]
 		err := checkIVarintGroup(group, sum)
 		// Each row's runs, one lane group after the other, carry the
-		// group's predecessor on.
+		// group's predecessor on: as far as it goes, through the vector
+		// word step across the row's lane groups (decodeIVarintLanes), then
+		// a run at a time from the cell where it stopped.
 		used, prev := 0, int64(0)
 		for r := g * k; r < min(h, (g+1)*k) && err == nil; r++ {
-			for c0 := 0; c0 < w && err == nil; c0 += lanes {
-				used, prev, err = decodeIVarintRun(group, used, prev, 0, dst[matrix.LaneIndex(r, c0, h, w, lanes):][:min(lanes, w-c0)])
+			c := 0
+			if unsafe.Sizeof(*new(C)) == 4 && haveWordSteps {
+				c, used, prev = decodeIVarintLanes(group, used, prev, r, h, w, lanes, recast[uint32](dst))
+			}
+			for c0 := c / lanes * lanes; c0 < w && err == nil; c0 += lanes {
+				from := max(c, c0)
+				used, prev, err = decodeIVarintRun(group, used, prev, 0, dst[matrix.LaneIndex(r, from, h, w, lanes):][:min(lanes, w-c0)-(from-c0)])
 			}
 		}
 		if err == nil && used != to-from {
@@ -558,6 +624,29 @@ func decodeIVarintTile[C matrix.Cell](data []byte, h, w, lanes int, dst []C) err
 		}
 		return err
 	})
+}
+
+// decodeIVarintLanes is the vector word step (decodeWords32) over row r
+// of an h x w tile decoded into uint32 cells in lane order of lanes-wide
+// groups: from byte pos of its restart group, after the predecessor prev,
+// it decodes the row's leading words across every whole lane group — a
+// row's cells in a group are one run, the next group's lanes·(h−1) cells
+// on — and returns the first cell it left to the scalar loop, where the
+// group stands and the predecessor there.
+func decodeIVarintLanes(group []byte, pos int, prev int64, r, h, w, lanes int, dst []uint32) (c, next int, last int64) {
+	run, gap, cells := lanes, lanes*(h-1), w/lanes*lanes
+	if lanes >= w {
+		run, gap, cells = 8, 0, w // the row is one run
+	}
+	if uint64(prev) >= wordStepTop || run%8 != 0 || cells < 8 {
+		return 0, pos, prev
+	}
+	words := decodeWords32(dst[matrix.LaneIndex(r, 0, h, w, lanes):], group[pos:], uint32(prev), cells/8, run, gap)
+	if words == 0 {
+		return 0, pos, prev
+	}
+	c = 8 * words
+	return c, pos + c, int64(dst[matrix.LaneIndex(r, c-1, h, w, lanes)])
 }
 
 // ivarintDelta[b] is the delta carried by the one-byte token b (0 for the
@@ -602,7 +691,8 @@ func checkIVarintGroup(group []byte, sum uint32) error {
 // Wherever a little-endian word of the group holds eight one-byte tokens
 // and no escape, it takes the eight at once: skipped, they are one SWAR
 // sum (skipIVarintWords); decoded, eight running sums stored once all of
-// them are in the cell's range (decodeIVarintWords). Every other token —
+// them are in the cell's range (decodeIVarintWords, in vector registers
+// for uint32 cells where the build has the word steps). Every other token —
 // an escape, a longer token, a word whose values leave the range, the
 // last few of the run — is one scalar step, which reports every error.
 func decodeIVarintRun[C matrix.Cell](group []byte, pos int, prev int64, skip int, dst []C) (int, int64, error) {
@@ -662,6 +752,13 @@ func decodeIVarintRun[C matrix.Cell](group []byte, pos int, prev int64, skip int
 const (
 	wordOnes  = 0x0101010101010101
 	wordHighs = 0x8080808080808080
+
+	// wordStepTop bounds the predecessors the vector word steps start from
+	// and the values they take. Below it every encoder delta is exact in 32
+	// bits, and eight one-byte deltas, which move a value by at most 512,
+	// take a decoded value out of [0, wordStepTop) exactly when its 32-bit
+	// sign bit is set.
+	wordStepTop = 1 << 31
 )
 
 // oneByteWord reports whether b starts with eight one-byte tokens, none
@@ -704,6 +801,14 @@ func ivarintWordDelta(u uint64) int64 {
 // returns how many words it decoded and the predecessor after them; it
 // stores nothing of the word it stops at.
 func decodeIVarintWords[C matrix.Cell](b []byte, prev, lo, hi int64, dst []C) (words int, last int64) {
+	// uint32 cells first go through the vector word step where this build
+	// has it (codec_amd64.s), from a predecessor it keeps exact in 32 bits;
+	// the loop below goes on from the word it stops at.
+	if unsafe.Sizeof(*new(C)) == 4 && haveWordSteps && uint64(prev) < wordStepTop {
+		if words = decodeWords32(recast[uint32](dst), b, uint32(prev), len(dst)/8, 8, 0); words > 0 {
+			prev, b, dst = int64(dst[8*words-1]), b[8*words:], dst[8*words:]
+		}
+	}
 	for ; len(dst) >= 8 && oneByteWord(b); words++ {
 		// Eight named sums, not a loop over an array: the compiler keeps
 		// these in registers, which decodes a tile twice as fast.

@@ -786,30 +786,34 @@ func requireEncodesAsOracle(t *testing.T, tile *matrix.Block) {
 }
 
 // requireIntsEncodeAsOracle fails unless the integer encoder, reading an
-// h x w tile of cells (cycled) out of a panel three columns wider,
-// accepts or declines it as the oracle does the same values as float64
-// (NoPath32 as +Inf), to the same bytes behind a prefix.
-func requireIntsEncodeAsOracle(t *testing.T, cells []uint32, h, w int) {
+// h x w tile of cells (cycled) out of a panel — each row's cells step
+// apart, as the columns of a tile in lane order lie, with junk around
+// and between them — accepts or declines it as the oracle does the same
+// values as float64 (NoPath32 as +Inf), to the same bytes behind a
+// prefix.
+func requireIntsEncodeAsOracle(t *testing.T, cells []uint32, h, w, step int) {
 	t.Helper()
-	stride, c0 := w+3, 2
+	stride, c0 := (w-1)*step+4, 2
 	panel := make([]uint32, h*stride)
 	for i := range panel {
-		panel[i] = 0xDEAD // junk the tile must not pick up
+		// Junk the tile must not pick up, one off the cells around it, so
+		// that a misplaced read makes tokens as small as the right ones.
+		panel[i] = cells[i%len(cells)] ^ 1
 	}
 	tile := matrix.New(h, w)
 	for r := 0; r < h; r++ {
 		for j := 0; j < w; j++ {
 			v := cells[(r*w+j)%len(cells)]
-			panel[r*stride+c0+j] = v
+			panel[r*stride+c0+j*step] = v
 			tile.Data[r*w+j] = matrix.Recast[float64](v)
 		}
 	}
 	prefix := []byte("prefix")
-	got, gotOK := appendIVarint(bytes.Clone(prefix), ivarintRestartRows, h, w, func(r int) ([]uint32, int) { return panel[r*stride+c0:], 1 })
+	got, gotOK := appendIVarint(bytes.Clone(prefix), ivarintRestartRows, h, w, func(r int) ([]uint32, int) { return panel[r*stride+c0:], step })
 	want, wantOK := encodeIVarintOracle(ivarintRestartRows, bytes.Clone(prefix), tile)
 	if gotOK != wantOK || (gotOK && !bytes.Equal(got, want)) {
-		t.Fatalf("%dx%d integer tile: encoder accepted=%v with %d bytes, oracle accepted=%v with %d bytes; bytes equal: %v",
-			h, w, gotOK, len(got), wantOK, len(want), bytes.Equal(got, want))
+		t.Fatalf("%dx%d integer tile, step %d: encoder accepted=%v with %d bytes, oracle accepted=%v with %d bytes; bytes equal: %v",
+			h, w, step, gotOK, len(got), wantOK, len(want), bytes.Equal(got, want))
 	}
 }
 
@@ -860,7 +864,7 @@ func TestIVarintEncodeMatchesOracle(t *testing.T) {
 				cells[i] = uint32(rng.Intn(300))
 			}
 		}
-		requireIntsEncodeAsOracle(t, cells, shape[0], shape[1])
+		requireIntsEncodeAsOracle(t, cells, shape[0], shape[1], 1)
 	}
 	incompressible := matrix.NewZero(8, 8)
 	for i := 0; i < len(incompressible.Data); i += 2 {
@@ -897,9 +901,169 @@ func FuzzIVarintEncodeMatchesOracle(f *testing.F) {
 			cells[i] = uint32(v)
 		}
 		for _, shape := range [][2]int{{2, 3}, {3, 2}, {1, 6}, {6, 1}, {1, 1}} {
-			requireIntsEncodeAsOracle(t, cells, shape[0], shape[1])
+			requireIntsEncodeAsOracle(t, cells, shape[0], shape[1], 1)
+		}
+		// Rows long enough for the word step: the twelve 32-bit halves of
+		// the input, cycled, each run of them a step further from the last
+		// (so that words repeat neither their cells nor their deltas), at
+		// every width to 40 and at the steps the panels read.
+		var halves []uint32
+		for _, v := range vals {
+			halves = append(halves, uint32(v), uint32(v>>32))
+		}
+		wide := make([]uint32, 3*40)
+		for i := range wide {
+			wide[i] = halves[i%len(halves)] + uint32(i/len(halves))*(halves[i%len(halves)]&3)
+		}
+		for _, step := range []int{1, 7, 16, 32} {
+			for w := 1; w <= 40; w++ {
+				requireIntsEncodeAsOracle(t, wide, 3, w, step)
+			}
 		}
 	})
+}
+
+// TestIVarintWordStepsMatchOracle holds the encoder's and the decoder's
+// word steps to the oracles, one cell that a word step must leave to the
+// scalar loop at each position of a run: uint32 rows at the steps the
+// panels read (1, and the lane widths 16 and 32, and 7) and every width to
+// 40, float64 rows, and uint32 tiles decoded into lane order, one to five
+// lane groups a row. The cells are deltas of ±63 and ±64 (the last
+// one-byte tokens and the first two-byte ones), no path, cells on each
+// side of 2^31, the largest uint32 distance and NoPath32 itself (which
+// uint32 cells refuse), and for float64 the values ivarint declines or
+// leaves to the scalar loop.
+func TestIVarintWordStepsMatchOracle(t *testing.T) {
+	for _, base := range []uint32{20, 70, 1<<31 - 600, 1 << 31} {
+		run := make([]uint32, 40)
+		for i := range run {
+			run[i] = base + uint32(i*37%61)
+		}
+		for _, special := range []func(prev uint32) uint32{
+			func(p uint32) uint32 { return p + 63 },
+			func(p uint32) uint32 { return p - 63 },
+			func(p uint32) uint32 { return p + 64 },
+			func(p uint32) uint32 { return p - 64 },
+			func(uint32) uint32 { return matrix.NoPath32 },
+			func(uint32) uint32 { return 1<<31 - 1 },
+			func(uint32) uint32 { return 1 << 31 },
+			func(uint32) uint32 { return 0 },
+		} {
+			for pos := 0; pos < len(run); pos++ {
+				cells := append([]uint32(nil), run...)
+				prev := uint32(0)
+				if pos > 0 {
+					prev = cells[pos-1]
+				}
+				cells[pos] = special(prev)
+				for _, step := range []int{1, 7, 16, 32} {
+					for _, w := range []int{pos + 1, 8, 16, 17, 33, 40} {
+						if w >= pos+1 && w <= 40 {
+							requireIntsEncodeAsOracle(t, cells, 1, w, step)
+						}
+					}
+				}
+			}
+		}
+		// Decoded: four rows of 80 with the cell at the same place in each,
+		// read as tiles whose rows hold one to five lane groups.
+		if base >= 1<<31 {
+			continue
+		}
+		for _, special := range []func(prev float64) float64{
+			func(p float64) float64 { return p + 63 },
+			func(p float64) float64 { return p - 64 },
+			func(float64) float64 { return matrix.Inf },
+			func(float64) float64 { return 1<<31 - 1 },
+			func(float64) float64 { return 1 << 31 },
+			func(float64) float64 { return matrix.NoPath32 - 1 },
+			func(float64) float64 { return matrix.NoPath32 },
+		} {
+			for pos := 0; pos < 80; pos++ {
+				vals := make([]float64, 4*80)
+				for i := range vals {
+					vals[i] = float64(base) + float64(i*37%61)
+				}
+				for r := 0; r < 4; r++ {
+					vals[r*80+pos] = special(vals[max(r*80+pos-1, 0)])
+				}
+				group := ivarintTokens(vals...)
+				for _, w := range []int{8, 20, 40, 64, 80} {
+					for _, lanes := range []int{16, 32} {
+						requireLaneTileDecodesAsOracle(t, group, w, lanes)
+					}
+				}
+			}
+		}
+	}
+	for _, base := range []float64{30, 1<<31 - 40} {
+		for _, special := range []func(prev float64) float64{
+			func(p float64) float64 { return p + 0.5 },
+			func(p float64) float64 { return p - 0.25 },
+			func(p float64) float64 { return p + 64 },
+			func(float64) float64 { return -1 },
+			func(float64) float64 { return math.Copysign(0, -1) },
+			func(float64) float64 { return 1<<31 - 1 },
+			func(float64) float64 { return 1 << 31 },
+			func(float64) float64 { return 1<<31 + 1 },
+			func(float64) float64 { return math.NaN() },
+			func(float64) float64 { return math.Inf(1) },
+			func(float64) float64 { return math.Inf(-1) },
+		} {
+			for pos := 0; pos < 24; pos++ {
+				tile := matrix.New(2, 24)
+				for i := range tile.Data {
+					tile.Data[i] = base + float64(i*37%61)
+				}
+				for _, at := range []int{pos, 24 + pos} {
+					tile.Data[at] = special(tile.Data[max(at-1, 0)])
+				}
+				requireEncodesAsOracle(t, tile)
+			}
+		}
+	}
+}
+
+// requireLaneTileDecodesAsOracle fails unless the one restart group of
+// tokens, read as a tile of rows w cells wide, decodes into uint32 cells
+// in lane order of lanes-wide groups as the oracle decodes it row-major:
+// both refuse it, or every cell lies where matrix.LaneIndex puts it.
+func requireLaneTileDecodesAsOracle(t testing.TB, group []byte, w, lanes int) {
+	t.Helper()
+	// The tile is as many whole rows as the group's tokens make; a group
+	// that does not cut into whole tokens is the group decoder's case.
+	var ends []int
+	for pos := 0; pos < len(group); {
+		_, k := binary.Uvarint(group[pos:])
+		if k <= 0 {
+			return
+		}
+		pos += k
+		ends = append(ends, pos)
+	}
+	h := len(ends) / w
+	if h == 0 || h > 255 {
+		return
+	}
+	group = group[:ends[h*w-1]]
+	want := make([]uint32, h*w)
+	used, err := decodeIVarintOracle(group, crc32.Checksum(group, castagnoli), 0, want)
+	wantOK := err == nil && used == len(group)
+	got := make([]uint32, h*w)
+	gotErr := decodeIVarintTile(forgeIVarint(h, h, w, group), h, w, lanes, got)
+	if (gotErr == nil) != wantOK {
+		t.Fatalf("%d-byte group %x as %dx%d in lanes of %d: err %v, oracle accepts it: %v", len(group), group, h, w, lanes, gotErr, wantOK)
+	}
+	if gotErr != nil {
+		return
+	}
+	for r := 0; r < h; r++ {
+		for c := 0; c < w; c++ {
+			if g, x := got[matrix.LaneIndex(r, c, h, w, lanes)], want[r*w+c]; g != x {
+				t.Fatalf("%d-byte group %x as %dx%d in lanes of %d: cell (%d,%d) = %d, oracle %d", len(group), group, h, w, lanes, r, c, g, x)
+			}
+		}
+	}
 }
 
 // decodeIVarintOracle is the ivarint group decoder as it stood before its
@@ -1106,7 +1270,9 @@ func TestIVarintDecodeMatchesOracle(t *testing.T) {
 
 // FuzzIVarintDecodeMatchesOracle: any group bytes, skip and length decode
 // as the oracle does, for both cell types — including groups the encoder
-// never writes (overlong and overflowing varints, runaway sums).
+// never writes (overlong and overflowing varints, runaway sums) — and so
+// do its whole rows of 1 + skip mod 100 cells as a uint32 tile in lane
+// order of 16 and of 32, as a seeded panel reads its tiles back.
 func FuzzIVarintDecodeMatchesOracle(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 1}, uint16(0), uint16(4), false)
 	f.Add(ivarintTokens(40, 41, 39, 100, 99, matrix.Inf, 98, 97, 96, 95, 96, 97, 98, 99, 100, 101, 102), uint16(3), uint16(14), false)
@@ -1122,6 +1288,9 @@ func FuzzIVarintDecodeMatchesOracle(f *testing.F) {
 			t.Skip()
 		}
 		requireDecodesAsOracle(t, group, int(skip), int(n), badSum)
+		for _, lanes := range []int{16, 32} {
+			requireLaneTileDecodesAsOracle(t, group, int(skip)%100+1, lanes)
+		}
 	})
 }
 
