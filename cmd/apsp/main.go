@@ -148,6 +148,7 @@ func main() {
 
 	var res *apspark.Result
 	var start time.Time
+	arcs := 0 // the graph's, both ways round each edge
 	if *phantom {
 		res, err = sess.Project(ctx, *n, jobOpts...)
 	} else {
@@ -157,6 +158,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("graph: n=%d edges=%d\n", g.N, g.NumEdges())
+		arcs = 2 * g.NumEdges()
 		if hier {
 			runHier(ctx, sess, g, *hierOut, *verify, *dumpMetrics, jobOpts)
 			return
@@ -197,7 +199,7 @@ func main() {
 			fmt.Printf("resumed:           %d rows restored from checkpoint, %d re-solved\n", res.UnitsSkipped, res.UnitsRun)
 		}
 		fmt.Printf("host wall time:    %s\n", wall.Round(time.Millisecond))
-		printSparseEngine()
+		printSparseEngine(arcs)
 	} else {
 		fmt.Printf("solver:            %s (partitioner %s, b=%d, B=%d, p=%d)\n", res.Solver, *partition, res.BlockSize, *bpc, *cores)
 		fmt.Printf("iteration units:   %d of %d\n", res.UnitsRun, res.UnitsTotal)
@@ -263,8 +265,10 @@ func main() {
 // engine itself tells it: the solve registers its engine with the process
 // registry, and these are the apsp_sparse_panel_kernel_info and
 // apsp_sparse_batch_fallbacks_total series a served process exposes on
-// /metrics.
-func printSparseEngine() {
+// /metrics — and, beside its sweep visits, how many of the graph's arcs
+// that kernel relaxes by the end (apsp_sparse_kernel_arcs): fewer than
+// arcs once a first panel has pruned the arcs its lanes prove loose.
+func printSparseEngine(arcs int) {
 	var buf bytes.Buffer
 	if err := obs.Default.WritePrometheus(&buf); err != nil {
 		fatal(err)
@@ -287,8 +291,11 @@ func printSparseEngine() {
 		}
 		fmt.Printf("sparse panel kernel: %s\n", k)
 	}
-	var kept, discarded string
+	var kept, discarded, kernelArcs string
 	for _, line := range strings.Split(text, "\n") {
+		if n, ok := strings.CutPrefix(line, "apsp_sparse_kernel_arcs "); ok {
+			kernelArcs = n
+		}
 		if visits, ok := strings.CutPrefix(line, "apsp_sparse_sweep_visits_total "); ok {
 			kept = visits
 		}
@@ -298,6 +305,9 @@ func printSparseEngine() {
 	}
 	if kept != "" {
 		fmt.Printf("sparse sweep visits: %s%s\n", kept, discarded)
+	}
+	if kernelArcs != "" {
+		fmt.Printf("sparse kernel arcs: %s of %d\n", kernelArcs, arcs)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestPerBatchZeroAllocs(t *testing.T) {
 	floats := func(h int) float64 {
 		panel := make([]float64, h*g.N)
 		return perPanel(h, func(bi int) error {
-			_, err := solvePanel(ctx, e, bi*h, panel, h, 1, above[float64]{})
+			_, _, err := solvePanel(ctx, e, bi*h, panel, h, 1, above[float64]{})
 			return err
 		})
 	}
@@ -61,7 +61,7 @@ func TestPerBatchZeroAllocs(t *testing.T) {
 		return func(h int) float64 {
 			panel, up := make([]uint32, h*g.N), above[uint32]{b: h, read: read(h)}
 			return perPanel(h, func(bi int) error {
-				_, err := solvePanel(ctx, e, bi*h, panel, h, 1, up)
+				_, _, err := solvePanel(ctx, e, bi*h, panel, h, 1, up)
 				return err
 			})
 		}

@@ -46,14 +46,27 @@ func integerWeights(n int, weights []float64) bool {
 	return true
 }
 
-// packArcs repacks the adjacency as arcs, indexed by the graph's rowPtr.
-// Every weight must pass integerWeights.
-func packArcs(colIdx []int32, weights []float64) []arc {
-	arcs := make([]arc, len(weights))
+// packArcs repacks the adjacency as arcs, indexed by the graph's rowPtr,
+// and reports whether one of them can be loose (Engine.prune): longer than
+// a path of two or more others, which is at least twice the smallest
+// weight. Every weight must pass integerWeights.
+func packArcs(colIdx []int32, weights []float64) (arcs []arc, mayBeLoose bool) {
+	arcs = make([]arc, len(weights))
+	lo, hi := uint32(maxArcWeight), uint32(0)
 	for p, w := range weights {
-		arcs[p] = arc(uint32(colIdx[p])<<arcWeightBits | uint32(w))
+		iw := uint32(w)
+		lo, hi = min(lo, iw), max(hi, iw)
+		arcs[p] = arc(uint32(colIdx[p])<<arcWeightBits | iw)
 	}
-	return arcs
+	return arcs, hi > 2*lo
+}
+
+// csr is an adjacency the batched kernel sweeps: the arcs of vertex v are
+// arcs[rowPtr[v]:rowPtr[v+1]]. An engine starts with its graph's, and a
+// solve prunes it once (Engine.prune).
+type csr struct {
+	rowPtr []int32
+	arcs   []arc
 }
 
 // recast is s as a slice of E, a type of the same size as S.
@@ -139,6 +152,13 @@ const batchMin = 8
 // shape needs less of W·n than on 16: ER 0.3, grids up to 256x256
 // 0.4–0.55, the shuffled 64x64 grid 1.4 (it now stays batched), a shuffled
 // path whose distances fit the lanes 1.95 in 2,000 sweeps as before.
+//
+// All of these are visits of the whole graph's kernel, and the budget is
+// left as it is for a pruned one (Engine.prune): pruning leaves the
+// visits about where they were (on ER, 1,967,078 to 1,876,091 a solve)
+// and takes out a third of the arcs each folds, so a pruned batch does
+// less work per visit than the budget was derived for, and it errs
+// further on the side of giving up early.
 const (
 	batchBudget = 2
 	sweepCharge = 128
@@ -181,13 +201,13 @@ func newBatchState[T lane](n int) *batchState[T] {
 }
 
 // seed starts a batch: lane j of source base+j is 0 and that source's
-// neighbours are the first dirty vertices.
-func (s *batchState[T]) seed(e *Engine, base, k int) {
+// neighbours in g are the first dirty vertices.
+func (s *batchState[T]) seed(g *csr, base, k int) {
 	w := lanesOf[T]()
 	for j := 0; j < k; j++ {
 		src := base + j
 		s.d[src*w+j] = 0
-		for _, a := range e.arcs[e.rowPtr[src]:e.rowPtr[src+1]] {
+		for _, a := range g.arcs[g.rowPtr[src]:g.rowPtr[src+1]] {
 			s.dirty[a>>arcWeightBits] = 1
 		}
 	}
@@ -270,13 +290,34 @@ func (s *batchState[T]) reset() {
 	clear(s.dirty)
 }
 
-// sweep visits the dirty vertices from start on once, in index order
-// (batch_amd64.s), and returns how many there were.
-func (s *batchState[T]) sweep(e *Engine, start int) int {
+// sweep visits the dirty vertices from start on once, in index order, over
+// the arcs of g (batch_amd64.s), and returns how many there were.
+func (s *batchState[T]) sweep(g *csr, start int) int {
 	if lanesOf[T]() == batch32 {
-		return batchSweep16(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.arcs, start)
+		return batchSweep16(unsafe.Pointer(&s.d[0]), s.dirty, g.rowPtr, g.arcs, start)
 	}
-	return batchSweep32(unsafe.Pointer(&s.d[0]), s.dirty, e.rowPtr, e.arcs, start)
+	return batchSweep32(unsafe.Pointer(&s.d[0]), s.dirty, g.rowPtr, g.arcs, start)
+}
+
+// markLoose sets the bit of e.loose of every arc (u, v, w) of the
+// engine's graph, v > u, for which some lane j of d has d_j[u] + d_j[v] <
+// w, each lane clamped to maxArcWeight first (batch_amd64.s). Lanes the
+// kernel built itself are each the length of a real walk from the lane's
+// source, or unreached, or on uint16 lanes saturated: so a lane j that
+// passes is a walk u…s_j…v shorter than the arc, and the arc lies on no
+// shortest path. Clamping keeps an unreached or saturated lane from
+// wrapping the add into a small sum; a clamped lane is at least every
+// weight, so it never passes. Strictly less keeps a tie, and so every
+// zero-weight arc. Removing every such arc at once keeps every distance:
+// every arc of a shortest path has w = d(u, v), which no walk undercuts.
+// Only the arcs with v > u are tried, the test being symmetric; prune
+// carries each mark to the arc's twin (v, u).
+func (s *batchState[T]) markLoose(e *Engine) {
+	if lanesOf[T]() == batch32 {
+		markLoose16(unsafe.Pointer(&s.d[0]), e.rowPtr, e.upper, e.arcs, e.loose)
+	} else {
+		markLoose32(unsafe.Pointer(&s.d[0]), e.rowPtr, e.upper, e.arcs, e.loose)
+	}
 }
 
 // batchEnd is how a batch ended.
@@ -306,6 +347,17 @@ const (
 // rounded down to 8 and the fixpoint argument holds as it is — the flags
 // the sweeps set below their start are cleared after.
 //
+// The batch sweeps the engine's kernel CSR as it stands when the batch
+// starts: the graph's, or the graph without the arcs an earlier panel
+// proved loose (Engine.prune), whose fixpoint is the same. When job.mark
+// is set — an unseeded panel, whose every lane the kernel built itself,
+// of an engine that has not pruned yet — the fixpoint's lanes then mark
+// the arcs they prove loose (markLoose), before the emit resets them. A
+// batch thrown away for range marks too: its reached lanes are walks no
+// shorter than the distances, so whatever it marks, its sources solved
+// again on wider lanes mark as well, and the marks do not depend on which
+// batches a worker's timing threw away.
+//
 // Any other end leaves the scratch at rest and reached at 0, and the
 // caller solves the sources again some other way: overBudget before the
 // rows were touched, overRange before they were touched when a seed is
@@ -315,10 +367,10 @@ const (
 // no distance of a graph the engine takes gets there, so it can only be a
 // seed that is no distance of the graph, and the caller fails the panel.
 func solveBatch[T lane, C matrix.Cell](s *batchState[T], e *Engine, job *panelJob[C], r, k int) (reached, visits int, end batchEnd) {
-	n, p := e.n, &job.p
+	n, p, g := e.n, &job.p, e.kernel.Load()
 	start, seeded := job.above&^7, 0
 	if job.above == 0 {
-		s.seed(e, job.base+r, k)
+		s.seed(g, job.base+r, k)
 	} else if got, ok := seedAbove(s, e, job, r, k); ok {
 		seeded = got
 	} else {
@@ -326,7 +378,7 @@ func solveBatch[T lane, C matrix.Cell](s *batchState[T], e *Engine, job *panelJo
 		return 0, 0, overRange
 	}
 	for left := batchBudget * lanesOf[T]() * n; ; {
-		v := s.sweep(e, start)
+		v := s.sweep(g, start)
 		if v == 0 {
 			break
 		}
@@ -335,6 +387,9 @@ func solveBatch[T lane, C matrix.Cell](s *batchState[T], e *Engine, job *panelJo
 			s.reset()
 			return 0, visits, overBudget
 		}
+	}
+	if job.mark {
+		s.markLoose(e)
 	}
 	clear(s.dirty[:start])
 	reached, top := emitBatch(s, k, n, p.from, p.rows[r*p.stride:], p.stride)

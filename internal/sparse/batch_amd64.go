@@ -22,6 +22,17 @@ func batchSweep32(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc, st
 //go:noescape
 func batchSweep16(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc, start int) int
 
+// The mark pass over a fixpoint's lanes, uint32 and uint16 (batch_amd64.s):
+// it sets the bit in loose of every arc (u, v), v > u — from upper[u] on
+// in u's list — some clamped lane pair of which sums below the arc's
+// weight (markLoose).
+//
+//go:noescape
+func markLoose32(d unsafe.Pointer, rowPtr, upper []int32, arcs []arc, loose []uint64)
+
+//go:noescape
+func markLoose16(d unsafe.Pointer, rowPtr, upper []int32, arcs []arc, loose []uint64)
+
 // The lane copies on either side of the sweeps for uint32 cells, eight or
 // sixteen at a time (batch_amd64.s): seedLanes' into uint32 and uint16
 // lanes, and emitLane's out of either.

@@ -168,6 +168,119 @@ TEXT ·batchSweep16(SB), NOSPLIT, $0-96
 	MOVQ R12, ret+88(FP)
 	RET
 
+// func markLoose32(d unsafe.Pointer, rowPtr, upper []int32, arcs []arc, loose []uint64)
+// func markLoose16(d unsafe.Pointer, rowPtr, upper []int32, arcs []arc, loose []uint64)
+//
+// The mark pass over a batch's lanes at its fixpoint (markLoose, batch.go):
+// for every vertex u and every arc p = (u, v, w) with v > u — arcs
+// upper[u] to rowPtr[u+1]-1, u's list being sorted by neighbour, walked
+// down — it sets bit p of loose when some lane j has min(d_j[u], 255) +
+// min(d_j[v], 255) < w. The clamp is Y15, the same 0xFF per lane that
+// masks an arc's weight: it keeps every sum below 511, so the add never
+// wraps, the compare can be the signed VPCMPGT, and an unreached lane (or
+// a saturated uint16 one) is 255, which no weight exceeds. The sums of
+// the two registers are folded lane for lane by their minimum, and w >
+// sum in any lane is a loose arc; a zero weight never is.
+//
+// No branch depends on the outcome: NEG of the compare's byte mask sets
+// the carry when the arc is loose and ADC shifts it into R11, so walking
+// down from arc p, bit i of R11 is arc p+i. R11 goes to loose at the
+// bottom of each 64-arc word and at the end of the vertex (shifted to
+// the first arc it holds), as a LOCK OR of the bits the word does not
+// hold yet — workers mark at once — and not at all when there are none.
+// The two functions are one body, MARK, at two lane widths, as SWEEP is.
+//
+// DI = d, R9 = rowPtr, BX = upper, R10 = arcs, SI = loose, R13 = n, R14 =
+// u, AX = u's first arc above it, CX = the arc cursor, R11 = the marks
+// gathered; Y0:Y1 = d[u] clamped, Y4 = w in every lane, Y5:Y6 = the sums.
+#define MARK(BROADCAST, ADD, MIN, CMPGT) \
+	XORQ R14, R14; \
+vertex: \
+	CMPQ R14, R13; \
+	JGE  marked; \
+	MOVLQSX (BX)(R14*4), AX; \
+	MOVLQSX 4(R9)(R14*4), CX; \
+	MOVQ R14, DX; \
+	SHLQ $6, DX; \
+	MIN (DI)(DX*1), Y15, Y0; \
+	MIN 32(DI)(DX*1), Y15, Y1; \
+	XORL R11, R11; \
+arc: \
+	DECQ CX; \
+	CMPQ CX, AX; \
+	JLT  lastword; \
+	MOVL (R10)(CX*4), R8; \
+	SHRL $8, R8; \
+	BROADCAST (R10)(CX*4), Y4; \
+	SHLQ $6, R8; \
+	VPAND Y15, Y4, Y4; \
+	MIN (DI)(R8*1), Y15, Y5; \
+	MIN 32(DI)(R8*1), Y15, Y6; \
+	ADD Y0, Y5, Y5; \
+	ADD Y1, Y6, Y6; \
+	MIN Y5, Y6, Y5; \
+	CMPGT Y5, Y4, Y6; \
+	VPMOVMSKB Y6, R12; \
+	NEGL R12; \
+	ADCQ R11, R11; \
+	TESTQ $63, CX; \
+	JNZ  arc; \
+	MOVQ CX, R8; \
+	SHRQ $6, R8; \
+	TESTQ R11, R11; \
+	JZ   arc; \
+	MOVQ (SI)(R8*8), R12; \
+	NOTQ R12; \
+	ANDQ R12, R11; \
+	JZ   arc; \
+	LOCK; \
+	ORQ  R11, (SI)(R8*8); \
+	XORL R11, R11; \
+	JMP  arc; \
+lastword: \
+	INCQ R14; \
+	TESTQ R11, R11; \
+	JZ   vertex; \
+	INCQ CX; \
+	SHLQ CX, R11; \
+	MOVQ CX, R8; \
+	SHRQ $6, R8; \
+	MOVQ (SI)(R8*8), R12; \
+	NOTQ R12; \
+	ANDQ R12, R11; \
+	JZ   vertex; \
+	LOCK; \
+	ORQ  R11, (SI)(R8*8); \
+	JMP  vertex; \
+marked: \
+	VZEROUPPER
+
+TEXT ·markLoose32(SB), NOSPLIT, $0-104
+	MOVQ d+0(FP), DI
+	MOVQ rowPtr_base+8(FP), R9
+	MOVQ rowPtr_len+16(FP), R13
+	DECQ R13
+	MOVQ upper_base+32(FP), BX
+	MOVQ arcs_base+56(FP), R10
+	MOVQ loose_base+80(FP), SI
+	VPCMPEQD Y15, Y15, Y15
+	VPSRLD $24, Y15, Y15
+	MARK(VPBROADCASTD, VPADDD, VPMINUD, VPCMPGTD)
+	RET
+
+TEXT ·markLoose16(SB), NOSPLIT, $0-104
+	MOVQ d+0(FP), DI
+	MOVQ rowPtr_base+8(FP), R9
+	MOVQ rowPtr_len+16(FP), R13
+	DECQ R13
+	MOVQ upper_base+32(FP), BX
+	MOVQ arcs_base+56(FP), R10
+	MOVQ loose_base+80(FP), SI
+	VPCMPEQW Y15, Y15, Y15
+	VPSRLW $8, Y15, Y15
+	MARK(VPBROADCASTW, VPADDW, VPMINUW, VPCMPGTW)
+	RET
+
 // func seedLanes32(d []uint32, src []uint32) (reached int, ok bool)
 // func seedLanes16(d []uint16, src []uint32) (reached int, ok bool)
 //

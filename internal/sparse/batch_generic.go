@@ -14,6 +14,14 @@ func batchSweep16(d unsafe.Pointer, dirty []byte, rowPtr []int32, arcs []arc, st
 	panic("sparse: the batched kernel is not part of this build")
 }
 
+func markLoose32(d unsafe.Pointer, rowPtr, upper []int32, arcs []arc, loose []uint64) {
+	panic("sparse: the batched kernel is not part of this build")
+}
+
+func markLoose16(d unsafe.Pointer, rowPtr, upper []int32, arcs []arc, loose []uint64) {
+	panic("sparse: the batched kernel is not part of this build")
+}
+
 func seedLanes32(d []uint32, src []uint32) (reached int, ok bool) {
 	panic("sparse: the batched kernel is not part of this build")
 }

@@ -75,7 +75,7 @@ func radixRows(t testing.TB, g *graph.Graph) *matrix.Block {
 
 // solveBlock solves the rows of sources base.. into panel, unseeded.
 func solveBlock(e *Engine, base int, panel *matrix.Block, workers int) error {
-	_, err := solvePanel(context.Background(), e, base, panel.Data[:panel.R*e.n], panel.R, workers, above[float64]{})
+	_, _, err := solvePanel(context.Background(), e, base, panel.Data[:panel.R*e.n], panel.R, workers, above[float64]{})
 	return err
 }
 
@@ -143,13 +143,13 @@ func TestBatchSweepMatchesGoOracle(t *testing.T) {
 }
 
 func sweepMatchesGoOracle[T lane](t *testing.T, e *Engine, want *matrix.Block, rng *rand.Rand) {
-	a, b := newBatchState[T](e.n), newBatchState[T](e.n)
+	a, b, g := newBatchState[T](e.n), newBatchState[T](e.n), e.kernel.Load()
 	for base := 0; base < e.n; base += 97 {
 		k := min(lanesOf[T](), e.n-base)
 		for _, seeded := range []int{0, rng.Intn(base + 1)} {
 			if job := (&panelJob[float64]{base: base, above: seeded, up: above[float64]{whole: want.Data}}); seeded == 0 {
-				a.seed(e, base, k)
-				b.seed(e, base, k)
+				a.seed(g, base, k)
+				b.seed(g, base, k)
 			} else if _, ok := seedAbove(a, e, job, 0, k); !ok {
 				a.reset() // a seed past the 16-bit lanes: the batch would narrow
 				continue
@@ -158,7 +158,7 @@ func sweepMatchesGoOracle[T lane](t *testing.T, e *Engine, want *matrix.Block, r
 			}
 			start := seeded &^ 7
 			for sweep := 0; ; sweep++ {
-				va := a.sweep(e, start)
+				va := a.sweep(g, start)
 				vb := batchSweepGo(b.d, b.dirty, e.rowPtr, e.arcs, start)
 				if va != vb || !slices.Equal(a.d, b.d) || !slices.Equal(a.dirty, b.dirty) {
 					t.Fatalf("n=%d, %d lanes, base=%d, %d seeded, sweep %d: assembly visited %d, oracle %d; state equal: d %v dirty %v",
@@ -247,7 +247,7 @@ func TestBatchedPanelsMatchRowsAndRadix(t *testing.T) {
 					// The same panel on uint32 cells: the lanes, or the
 					// radix rows, converted exactly.
 					cells := make([]uint32, h*n)
-					if _, err := solvePanel(context.Background(), eng, bi*b, cells, h, 2, above[uint32]{}); err != nil {
+					if _, _, err := solvePanel(context.Background(), eng, bi*b, cells, h, 2, above[uint32]{}); err != nil {
 						t.Fatal(err)
 					}
 					requireIntCells(t, cells, got[0])
@@ -334,7 +334,7 @@ func TestSeededPanelsMatchRadixRows(t *testing.T) {
 
 			for bi := 0; bi*b < n; bi++ {
 				e, h := New(tc.g), min(b, n-bi*b)
-				p, err := solvePanel(ctx, e, bi*b, make([]uint32, h*n), h, 2, above[uint32]{b: b, read: tilesOf(want.Data, n, b)})
+				p, _, err := solvePanel(ctx, e, bi*b, make([]uint32, h*n), h, 2, above[uint32]{b: b, read: tilesOf(want.Data, n, b)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -49,10 +49,12 @@
 // allocations.
 //
 // Rows/s on one core of the 2-vCPU development host (AVX2, 2.1 GHz),
-// n = 4096, weights 1..100, one 256-row panel by a fresh engine, medians
-// of 5 runs of 10 (go test -bench SolvePanel -cpu 1 ./internal/sparse
-// regenerates them), and what the budget is counted in: the vertices a
-// batch's sweeps visit over the W·n that W Dijkstra rows settle.
+// n = 4096, weights 1..100, one 256-row panel by a fresh engine — the
+// first panel of a solve, so on the whole graph: pruning (below) starts
+// after it — medians of 5 runs of 10 (go test -bench SolvePanel -cpu 1
+// ./internal/sparse regenerates them), and what the budget is counted
+// in: the vertices a batch's sweeps visit over the W·n that W Dijkstra
+// rows settle.
 //
 //	                        batch32  batch16    row   visits/(W·n), W = 32, 16
 //	ER degree 16              17160    10350   2080   0.30  0.58
@@ -60,6 +62,11 @@
 //	64x64 grid                31330    26330   3130   0.44  0.51
 //	path, labels in order     34290*   36380   4700   0.37  0.59
 //	path, labels shuffled      3080†    3450†  3570   1.36  1.98, in 2,000 sweeps
+//
+// A whole streamed solve of the ER graph (graphgen -n 4096 -avg-degree
+// 16 -connect -weights int -maxw 100, b = 256): its first panel leaves
+// the kernel 45,534 of 74,526 arcs, and the solve's sweeps visit
+// 1,876,091 vertices where they visited 1,967,078 on the whole graph.
 //
 // (*) the panel's first batch ends past 16-bit lanes, is thrown away and
 // the panel goes on as batch16. (†) one batch abandoned over budget, then
@@ -135,6 +142,29 @@
 // apsp_sparse_sweep_visits_total counts the visits of the batches that
 // stand, apsp_sparse_seed_seconds the fills' wall time.
 //
+// Pruning. An arc (u, v, w) that a path undercuts, d(u, v) < w, lies on
+// no shortest path, and taking out every such arc at once leaves every
+// distance as it is: each arc of a shortest path has w = d(u, v). This is
+// the essential subgraph of Karger, Koller and Phillips, and the first
+// panel of a fresh solve holds the distances that prove most of those
+// arcs loose — the reuse of computed distances again, applied to the
+// graph rather than to the seeds. After the sweeps of each batch of an
+// unseeded panel, one AVX2 pass over its lanes (markLoose) marks every
+// arc with v > u for which some lane j has d_j[u] + d_j[v] < w, a walk
+// u…s_j…v shorter than the arc, in a bitmap the engine owns. Once that
+// panel is solved the engine rebuilds the kernel's CSR without the
+// marked arcs and their twins (prune), beside the panel's write, and
+// every later batch of any solve sweeps the smaller one; its fixpoint is
+// the same, so rows, panels and stores are the same bits. Only lanes the
+// kernel built from the sources alone mark: a seeded panel's seeds are
+// cells the sink read back, which the engine cannot vouch for, so a
+// solve resumed past its first panel prunes nothing unless its sink reads
+// nothing back. An engine prunes once; a graph whose weights leave no arc
+// room to be undercut — none above twice the smallest, unit weights say —
+// marks nothing. The paper's kNN graphs have real weights and never
+// batch, so pruning does not reach them. apsp_sparse_kernel_arcs is the
+// arcs the kernel relaxes now.
+//
 // The Sink contract. A Sink names its panel height (BlockSize) and first
 // panel (NextPanel), takes every panel through one write, WriteCells, in
 // order, and reads back what it holds through one read-back, ReadBack.
@@ -187,8 +217,17 @@ type Engine struct {
 	intDistances bool
 
 	// arcs is the batched kernel's input (batch.go), nil where the kernel
-	// cannot run: no AVX2, or a graph without intDistances.
-	arcs []arc
+	// cannot run: no AVX2, or a graph without intDistances. loose has a
+	// bit per arc, set once a lane has proved the arc loose (markLoose),
+	// and upper[u] is u's first arc to a vertex above u, where markLoose
+	// starts — both nil where no arc can be loose (packArcs); kernel is
+	// the CSR the kernel sweeps, the graph's until the first solve to
+	// finish an unseeded panel prunes it (prune, pruned).
+	arcs   []arc
+	loose  []uint64
+	upper  []int32
+	kernel atomic.Pointer[csr]
+	pruned atomic.Bool
 
 	// width is how many sources a panel's solve takes at once (batch.go):
 	// batch32 from the start when the engine has arcs, batch16 after the
@@ -268,7 +307,20 @@ func New(g *graph.Graph) *Engine {
 	e.batch16Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint32](e.n) }}
 	e.width.Store(rowWise)
 	if e.intDistances = integerWeights(e.n, e.weights); e.intDistances && haveBatchKernel {
-		e.arcs = packArcs(e.colIdx, e.weights)
+		var mayBeLoose bool
+		e.arcs, mayBeLoose = packArcs(e.colIdx, e.weights)
+		e.kernel.Store(&csr{rowPtr: e.rowPtr, arcs: e.arcs})
+		if mayBeLoose {
+			e.loose = make([]uint64, (len(e.arcs)+63)/64)
+			e.upper = make([]int32, e.n)
+			for u := range e.n {
+				p := e.rowPtr[u]
+				for p < e.rowPtr[u+1] && int(e.colIdx[p]) <= u {
+					p++
+				}
+				e.upper[u] = p
+			}
+		}
 		e.width.Store(batch32)
 	}
 	return e
@@ -317,6 +369,11 @@ func (e *Engine) PanelKernel() string {
 //	                                   into lane order before its batches
 //	apsp_sparse_panel_kernel_info{impl} 1 on the panel kernel in use now
 //	                                   (batch32|batch16|row)
+//	apsp_sparse_kernel_arcs            arcs that kernel relaxes: on batch32
+//	                                   and batch16 its CSR, without the
+//	                                   arcs a first panel proved loose once
+//	                                   a solve has pruned it; on rows every
+//	                                   arc of the graph
 //	apsp_sparse_batch_fallbacks_total{reason}
 //	                                   times the engine narrowed (0 or 1
 //	                                   each): reason="range", a batch's
@@ -353,6 +410,8 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(e.stallNs.Load()) / 1e9 })
 	r.GaugeFunc("apsp_sparse_seed_seconds", "Summed wall time of seeded panels' fills from the tiles above them.",
 		func() float64 { return float64(e.seedNs.Load()) / 1e9 })
+	r.GaugeFunc("apsp_sparse_kernel_arcs", "Arcs the panel kernel in use relaxes: the batched kernel's, without the arcs proved loose once pruned; every arc on rows.",
+		func() float64 { return float64(e.kernelArcs()) })
 	// Read at scrape time: a fallback moves the 1 down the list.
 	for _, impl := range []string{"batch32", "batch16", "row"} {
 		r.GaugeFunc("apsp_sparse_panel_kernel_info", "What a panel's sources run on (batch32, batch16: that many at a time on 16- and 32-bit lanes; row: one at a time); 1 on the one in use.",
@@ -372,6 +431,73 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 
 // N returns the number of vertices.
 func (e *Engine) N() int { return e.n }
+
+// kernelArcs is how many arcs the panel kernel in use relaxes
+// (apsp_sparse_kernel_arcs).
+func (e *Engine) kernelArcs() int {
+	if g := e.kernel.Load(); g != nil && e.width.Load() != rowWise {
+		return len(g.arcs)
+	}
+	return len(e.colIdx)
+}
+
+// prune rebuilds the batched kernel's CSR without the arcs e.loose marks,
+// once per engine: after the first unseeded panel a solve finishes, whose
+// batches marked every arc their lanes prove loose (markLoose), and
+// before its next panel starts. The marks cover arcs (u, v) with v > u; a
+// mark goes to the twin (v, u) too, which sits in v's list, sorted by
+// neighbour, at the place of u among v's lower neighbours: walking u in
+// order, a cursor per v finds it. A vertex's arcs then start as many
+// places earlier as there are marks before them, and the arcs kept are
+// gathered a word of marks at a time. A solve running beside this one may
+// still be marking: prune takes the marks as they stand, each of which is
+// sound, and any later ones go unused. The new CSR is published for the
+// next batch of any solve to load (solveBatch); a batch under way keeps
+// the one it loaded, whose fixpoint is the same.
+func (e *Engine) prune() {
+	if !e.pruned.CompareAndSwap(false, true) {
+		return
+	}
+	loose := make([]uint64, len(e.loose))
+	for i := range loose {
+		loose[i] = atomic.LoadUint64(&e.loose[i])
+	}
+	n, from := e.n, e.rowPtr
+	rowPtr := make([]int32, n+1)
+	copy(rowPtr, from) // first the cursors: where v's next lower neighbour is
+	for u := range n {
+		for p := e.upper[u]; p < from[u+1]; p++ {
+			v := e.arcs[p] >> arcWeightBits
+			q := rowPtr[v]
+			rowPtr[v]++
+			loose[q>>6] |= loose[p>>6] >> (p & 63) & 1 << (q & 63)
+		}
+	}
+	dropped, w := 0, 0 // the marks in the words below w
+	for u := range n + 1 {
+		p := int(from[u])
+		for ; w < p>>6; w++ {
+			dropped += bits.OnesCount64(loose[w])
+		}
+		below := dropped
+		if p&63 != 0 {
+			below += bits.OnesCount64(loose[w] & (1<<(p&63) - 1))
+		}
+		rowPtr[u] = int32(p - below)
+	}
+	arcs, k := make([]arc, rowPtr[n]), 0
+	for i, marks := range loose {
+		keep := ^marks
+		if rest := len(e.arcs) - 64*i; rest < 64 {
+			keep &= 1<<rest - 1
+		}
+		for ; keep != 0; keep &= keep - 1 {
+			arcs[k] = e.arcs[64*i+bits.TrailingZeros64(keep)]
+			k++
+		}
+	}
+	e.kernel.Store(&csr{rowPtr: rowPtr, arcs: arcs})
+}
 
 // vstate is one vertex's epoch-stamped per-source state, packed into a
 // single 16-byte slot so a relaxation touches exactly one cache line:
@@ -694,6 +820,8 @@ func streamPanels[C matrix.Cell](ctx context.Context, e *Engine, w Sink, opts Op
 // seeds from a panel it solved itself where it lies. Rows count, and
 // Progress fires on the calling goroutine, once a panel's emit has
 // returned nil (at once when there is no emit) or Supply has written it.
+// Once a panel has marked the arcs its lanes prove loose, the kernel's CSR
+// is pruned (Engine.prune) beside its emit, before the next panel starts.
 func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, opts Options, dst func(bi, h int) ([]C, above[C]), emit func(p panel[C]) error) (int, error) {
 	if b < 1 {
 		return 0, fmt.Errorf("sparse: panel height %d < 1", b)
@@ -767,7 +895,7 @@ func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, op
 		}
 		// solvePanel starts with a ctx check, so a cancelled solve falls
 		// straight through to settle.
-		p, solveErr := solvePanel(ctx, e, base, buf, h, workers, up)
+		p, marked, solveErr := solvePanel(ctx, e, base, buf, h, workers, up)
 		last, lastBi = p, bi
 		if err := settle(); err != nil {
 			return done, err
@@ -777,19 +905,22 @@ func solvePanels[C matrix.Cell](ctx context.Context, e *Engine, b, first int, op
 		}
 		if emit == nil {
 			advance(h)
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return done, err
-		}
-		emitting = h
-		go func() {
-			err := emit(p)
-			if err != nil {
-				cancel()
+		} else {
+			if err := ctx.Err(); err != nil {
+				return done, err
 			}
-			emitted <- err
-		}()
+			emitting = h
+			go func() {
+				err := emit(p)
+				if err != nil {
+					cancel()
+				}
+				emitted <- err
+			}()
+		}
+		if marked {
+			e.prune()
+		}
 	}
 	err := settle()
 	return done, err
@@ -840,10 +971,12 @@ func (p panel[C]) sink() matrix.Panel {
 // (the package comment): from Solve's matrix where they lie; otherwise its
 // rows hold only the columns from base on, and the tiles above it are
 // first filled, in lane order of the unit's width, into the rest of buf
-// (fillAbove). A cancelled ctx stops every worker before its next unit
-// (so between batches, not between rows) and is returned; buf is then
-// partly filled.
-func solvePanel[C matrix.Cell](ctx context.Context, e *Engine, base int, buf []C, h, workers int, up above[C]) (panel[C], error) {
+// (fillAbove). A panel that batches unseeded, on an engine that has not
+// pruned yet, marks the arcs its lanes prove loose (solveBatch) and
+// reports that it did, for the caller to prune. A cancelled ctx stops
+// every worker before its next unit (so between batches, not between
+// rows) and is returned; buf is then partly filled.
+func solvePanel[C matrix.Cell](ctx context.Context, e *Engine, base int, buf []C, h, workers int, up above[C]) (panel[C], bool, error) {
 	n := e.n
 	job := panelJob[C]{base: base, h: h, unit: rowWise, up: up, p: panel[C]{rows: buf[:h*n], stride: n}}
 	if h >= batchMin {
@@ -865,12 +998,17 @@ func solvePanel[C matrix.Cell](ctx context.Context, e *Engine, base int, buf []C
 			err := inParallel(ctx, e, &job, workers, true)
 			e.seedNs.Add(time.Since(fillStart).Nanoseconds())
 			if err != nil {
-				return job.p, err
+				return job.p, false, err
 			}
 			job.above = base
 		}
 	}
-	return job.p, inParallel(ctx, e, &job, workers, false)
+	// Only lanes the kernel built from the sources alone prove an arc
+	// loose: a seed is a cell the sink read back, which the engine cannot
+	// vouch for.
+	job.mark = job.unit != rowWise && job.above == 0 && e.loose != nil && !e.pruned.Load()
+	err := inParallel(ctx, e, &job, workers, false)
+	return job.p, job.mark && err == nil, err
 }
 
 // inParallel runs a phase of the panel — its fill (fillAbove) or its
@@ -902,7 +1040,7 @@ func inParallel[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C],
 // unit rows at a time through next into p — after, when it is filled from
 // up, the tiles above it have been, one at a time through filled.
 // above > 0: the vertices below it are seeded (seedRun), from up.whole or
-// from p's tiles.
+// from p's tiles. mark: its batches mark the arcs they prove loose.
 type panelJob[C matrix.Cell] struct {
 	base, h int
 	p       panel[C]
@@ -911,6 +1049,7 @@ type panelJob[C matrix.Cell] struct {
 	up      above[C]
 	filled  atomic.Int64
 	above   int
+	mark    bool
 }
 
 // phase is one worker's part of the panel's fill or of its units.

@@ -69,7 +69,12 @@
 // Row r costs one pread of its group, a CRC, a skip of (r mod k)*w tokens
 // and a decode of w. The group CRC is what lets a variable-length stream
 // be read in pieces: a flipped bit in a delta chain would corrupt every
-// later value of the group, not one. Byte 1 named an earlier ivarint
+// later value of the group, not one. A whole tile is read against the
+// tile's own CRC32C (checkTile) and its groups are not hashed again; the
+// writer hashes each group as it closes it and the tile once it is whole:
+// deriving the tile's sum from the group sums (CRC combination, which
+// hash/crc32 lacks) costs per group about what hashing a group of 16 rows
+// again at the CPU's CRC32C speed does. Byte 1 named an earlier ivarint
 // layout (one delta chain over the whole tile, no table); nothing has
 // written it since restart groups, and this build refuses it with
 // ErrVersion wherever a codec byte comes in: Open, checkpoint resume and
@@ -226,8 +231,14 @@ func (c Codec) EncodeTile(dst []byte, tile *matrix.Block) ([]byte, bool) {
 // ErrCodecData, never panics, and never allocates more than the h*w
 // output the caller's geometry implies.
 func (c Codec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
+	return c.decodeTile(data, h, w, false)
+}
+
+// decodeTile is DecodeTile of data that checked says has just passed
+// checkTile, or not (decodeCells).
+func (c Codec) decodeTile(data []byte, h, w int, checked bool) (*matrix.Block, error) {
 	blk := matrix.NewZero(h, w)
-	if err := decodeCells(c, data, h, w, w, blk.Data); err != nil {
+	if err := decodeCells(c, data, h, w, w, blk.Data, checked); err != nil {
 		return nil, err
 	}
 	return blk, nil
@@ -238,11 +249,14 @@ func (c Codec) DecodeTile(data []byte, h, w int) (*matrix.Block, error) {
 // row-major): float64 tiles (DecodeTile) and the uint32 tiles a sparse
 // solve seeds from (PanelWriter.ReadBack). A value the cell type does not
 // hold exactly, and a codec byte this build does not read, are
-// ErrCodecData. It allocates nothing.
-func decodeCells[C matrix.Cell](c Codec, data []byte, h, w, lanes int, dst []C) error {
+// ErrCodecData. checked says data has just passed checkTile, as every
+// store read and read-back of a whole tile has (readChecked): its bytes
+// are the ones written, whose restart groups hash to their sums, so
+// ivarint does not hash them a second time. It allocates nothing.
+func decodeCells[C matrix.Cell](c Codec, data []byte, h, w, lanes int, dst []C, checked bool) error {
 	switch c {
 	case CodecIVarint:
-		return decodeIVarintTile(data, h, w, lanes, dst)
+		return decodeIVarintTile(data, h, w, lanes, dst, checked)
 	case CodecRaw:
 		if _, err := c.rowTable(data, h, w); err != nil {
 			return err
@@ -599,11 +613,16 @@ func ivarintGroups(data []byte, h, w int, each func(g, k, from, to int, sum uint
 
 // decodeIVarintTile decodes a whole h x w ivarint payload into dst, h·w
 // cells in lane order of lanes-wide groups (matrix.LaneIndex; lanes >= w
-// is row-major), a restart group at a time. It allocates nothing.
-func decodeIVarintTile[C matrix.Cell](data []byte, h, w, lanes int, dst []C) error {
+// is row-major), a restart group at a time, each held to its checksum
+// unless checked says the whole payload has just passed checkTile. It
+// allocates nothing.
+func decodeIVarintTile[C matrix.Cell](data []byte, h, w, lanes int, dst []C, checked bool) error {
 	return ivarintGroups(data, h, w, func(g, k, from, to int, sum uint32) error {
 		group := data[from:to]
-		err := checkIVarintGroup(group, sum)
+		var err error
+		if !checked {
+			err = checkIVarintGroup(group, sum)
+		}
 		// Each row's runs, one lane group after the other, carry the
 		// group's predecessor on: as far as it goes, through the vector
 		// word step across the row's lane groups (decodeIVarintLanes), then

@@ -97,10 +97,10 @@ func BenchmarkIVarintDecodeTile(b *testing.B) {
 		})
 	}
 	floats := make([]float64, 256*256)
-	run("float64", func() error { return decodeIVarintTile(enc, 256, 256, 256, floats) })
+	run("float64", func() error { return decodeIVarintTile(enc, 256, 256, 256, floats, false) })
 	ints := make([]uint32, 256*256)
 	for _, lanes := range []int{16, 32} {
-		run(fmt.Sprintf("uint32_lanes%d", lanes), func() error { return decodeIVarintTile(enc, 256, 256, lanes, ints) })
+		run(fmt.Sprintf("uint32_lanes%d", lanes), func() error { return decodeIVarintTile(enc, 256, 256, lanes, ints, false) })
 	}
 }
 
@@ -163,8 +163,11 @@ func BenchmarkIVarintEncodeTile(b *testing.B) {
 // RegisterMetrics exposes: seed-ms/op, the seeded panels' fills from the
 // tiles read back (apsp_sparse_seed_seconds); emit-ms/op, the panel
 // writes — encode, write, fsync — that run beside the next panel's solve
-// (the sum of apsp_sparse_panel_emit_seconds); and stall-ms/op, the time
-// the solve waited on them (apsp_sparse_emit_stall_seconds).
+// (the sum of apsp_sparse_panel_emit_seconds); stall-ms/op, the time
+// the solve waited on them (apsp_sparse_emit_stall_seconds); visits/op,
+// the batched kernel's work (apsp_sparse_sweep_visits_total); and arcs,
+// how many arcs it relaxes once its first panel has pruned the loose ones
+// (apsp_sparse_kernel_arcs).
 func BenchmarkSolveToStore(b *testing.B) {
 	const n = 4096
 	g, err := graph.ErdosRenyiConnected(n, graph.AvgDegreeProb(n, 16), graph.IntegerWeights(100), 1)
@@ -207,4 +210,6 @@ func BenchmarkSolveToStore(b *testing.B) {
 	} {
 		b.ReportMetric(gauges[name]*1e3/float64(b.N), unit)
 	}
+	b.ReportMetric(gauges["apsp_sparse_sweep_visits_total"]/float64(b.N), "visits/op")
+	b.ReportMetric(gauges["apsp_sparse_kernel_arcs"]/float64(b.N), "arcs")
 }

@@ -1050,7 +1050,7 @@ func requireLaneTileDecodesAsOracle(t testing.TB, group []byte, w, lanes int) {
 	used, err := decodeIVarintOracle(group, crc32.Checksum(group, castagnoli), 0, want)
 	wantOK := err == nil && used == len(group)
 	got := make([]uint32, h*w)
-	gotErr := decodeIVarintTile(forgeIVarint(h, h, w, group), h, w, lanes, got)
+	gotErr := decodeIVarintTile(forgeIVarint(h, h, w, group), h, w, lanes, got, false)
 	if (gotErr == nil) != wantOK {
 		t.Fatalf("%d-byte group %x as %dx%d in lanes of %d: err %v, oracle accepts it: %v", len(group), group, h, w, lanes, gotErr, wantOK)
 	}

@@ -289,3 +289,41 @@ func TestRestartLayoutBitFlips(t *testing.T) {
 		}
 	})
 }
+
+// TestWholeTileReadsCatchAFlipInEveryGroup: a whole-tile read decodes an
+// ivarint tile without hashing its restart groups again, on the strength
+// of the whole-tile CRC32C it has just passed — so a bit the disk flips in
+// any group, or in the restart table, must still fail that read with
+// ErrCorruptTile and quarantine the tile, and never decode.
+func TestWholeTileReadsCatchAFlipInEveryGroup(t *testing.T) {
+	n, bs := 80, 40 // 2x2 tiles of 3 restart groups each (16+16+8 rows)
+	m := intMatrix(n, 31)
+	path := filepath.Join(t.TempDir(), "c.apsp")
+	if err := WriteWithCodec(path, m, bs, CodecIVarint); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := openFaulty(t, path, Options{})
+	ref := s.index[0]
+	buf := make([]byte, ref.length)
+	if _, err := s.readAt(buf, ref.off); err != nil {
+		t.Fatal(err)
+	}
+	const tableOff = codecHdrLen + 1
+	at := []int64{tableOff + 2} // the restart table, then a byte inside each group
+	from := int64(tableOff + 8*3)
+	for g := 0; g < 3; g++ {
+		to := int64(binary.LittleEndian.Uint32(buf[tableOff+8*g:]))
+		at = append(at, (from+to)/2)
+		from = to
+	}
+	for _, off := range at {
+		s, fr := openFaulty(t, path, Options{})
+		fr.Inject(faultfs.Fault{Kind: faultfs.KindBitFlip, FlipBit: 8*off + 5, OffLo: ref.off, OffHi: ref.off + ref.length})
+		if _, err := s.Tile(context.Background(), 0, 0); !errors.Is(err, ErrCorruptTile) {
+			t.Fatalf("a bit flipped at byte %d of the tile: Tile = %v, want ErrCorruptTile", off, err)
+		}
+		if s.Snapshot().Quarantined != 1 {
+			t.Fatalf("a bit flipped at byte %d of the tile: quarantined = %d, want 1", off, s.Snapshot().Quarantined)
+		}
+	}
+}

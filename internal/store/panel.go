@@ -316,7 +316,7 @@ func (w *PanelWriter) readIntTile(bi, bj, lanes int, dst []uint32) error {
 		return fmt.Errorf("store: reading back tile (%d,%d): %w", bi, bj, err)
 	}
 	defer ioBufPool.Put(bp)
-	if err := decodeCells(ref.codec, *bp, h, c, lanes, dst); err != nil {
+	if err := decodeCells(ref.codec, *bp, h, c, lanes, dst, true); err != nil {
 		return fmt.Errorf("%w: tile (%d,%d): %w", ErrCorruptTile, bi, bj, err)
 	}
 	return nil

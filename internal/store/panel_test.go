@@ -311,7 +311,7 @@ func TestDecodeCellsRefusesWhatIsNoUint32(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: codec declined the tile", tc.name)
 		}
-		if err := decodeCells(tc.c, data, 2, 2, 2, make([]uint32, 4)); !errors.Is(err, ErrCodecData) {
+		if err := decodeCells(tc.c, data, 2, 2, 2, make([]uint32, 4), false); !errors.Is(err, ErrCodecData) {
 			t.Fatalf("%s: err = %v, want ErrCodecData", tc.name, err)
 		}
 	}
@@ -344,10 +344,10 @@ func TestDecodeCellsMatchesDecodeTile(t *testing.T) {
 			}
 			for _, lanes := range []int{w, 1, 4, 16, 32} {
 				reals, ints := make([]float64, h*w), make([]uint32, h*w)
-				if err := decodeCells(cid, data, h, w, lanes, reals); err != nil {
+				if err := decodeCells(cid, data, h, w, lanes, reals, false); err != nil {
 					t.Fatalf("%dx%d codec %d as float64 in lanes of %d: %v", h, w, cid, lanes, err)
 				}
-				err := decodeCells(cid, data, h, w, lanes, ints)
+				err := decodeCells(cid, data, h, w, lanes, ints, false)
 				if (err != nil) != (cid == CodecF32) {
 					t.Fatalf("%dx%d codec %d as uint32 in lanes of %d: err = %v", h, w, cid, lanes, err)
 				}

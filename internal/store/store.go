@@ -561,7 +561,7 @@ func (s *Store) readTile(bi, bj, id int) (*matrix.Block, error) {
 	defer ioBufPool.Put(bp)
 	codec := s.index[id].codec
 	start := time.Now()
-	blk, err := codec.DecodeTile(*bp, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj))
+	blk, err := codec.decodeTile(*bp, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj), true)
 	if err != nil {
 		return nil, s.quarantine(id, bi, bj, err)
 	}
