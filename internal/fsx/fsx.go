@@ -9,7 +9,9 @@
 // the *directory* holding the entry is synced — fsyncing the file alone
 // leaves a window where a crash forgets the rename and a "committed" file
 // silently vanishes. Directories (generation promotion) are published
-// with RenameDurable, the same rename-then-sync step.
+// with RenameDurable, the same rename-then-sync step. A Commit returns
+// once the rename and its directory are durable; the file it replaced is
+// released by a close in the background.
 package fsx
 
 import (
@@ -17,6 +19,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"syscall"
 )
 
 // FsyncDir fsyncs the directory at dir, making previously performed
@@ -34,12 +38,42 @@ func FsyncDir(dir string) {
 // RenameDurable renames oldpath to newpath and fsyncs newpath's parent
 // directory, so the rename survives a crash that outruns the metadata
 // journal.
+//
+// A regular file at newpath is held open across the rename and closed on
+// a goroutine of its own, which nothing waits for: the last close of a
+// replaced file frees its page cache and blocks, which for a large store
+// takes longer than the rename itself, and the caller need not wait for
+// it. A crash before that close leaves an orphan inode, which the
+// filesystem reclaims.
 func RenameDurable(oldpath, newpath string) error {
-	if err := os.Rename(oldpath, newpath); err != nil {
-		return err
+	replaced := openReplaced(newpath)
+	err := os.Rename(oldpath, newpath)
+	if err == nil {
+		FsyncDir(filepath.Dir(newpath))
 	}
-	FsyncDir(filepath.Dir(newpath))
-	return nil
+	if replaced != nil {
+		go replaced.Close()
+	}
+	return err
+}
+
+// openReplaced opens the regular file at path for RenameDurable to hold,
+// or returns nil: for anything else at path (a directory is never held),
+// and on Windows, where a file held open cannot be renamed over.
+// O_NONBLOCK keeps a FIFO that replaced the file since the Lstat from
+// blocking the open.
+func openReplaced(path string) *os.File {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	if fi, err := os.Lstat(path); err != nil || !fi.Mode().IsRegular() {
+		return nil
+	}
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil
+	}
+	return f
 }
 
 // CheckTarget refuses a path that exists and is not a regular file once

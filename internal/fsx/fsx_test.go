@@ -1,10 +1,13 @@
 package fsx
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
 )
 
 // names lists dir's entries.
@@ -129,5 +132,65 @@ func TestRenameDurableMissingSource(t *testing.T) {
 	dir := t.TempDir()
 	if err := RenameDurable(filepath.Join(dir, "nope"), filepath.Join(dir, "dst")); err == nil {
 		t.Fatal("rename of a missing file succeeded")
+	}
+}
+
+// openFDs counts this process's open descriptors, or skips the test where
+// /proc/self/fd does not list them.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open descriptors: %v", err)
+	}
+	return len(ents)
+}
+
+// waitFDs fails unless the open descriptor count falls back to at most
+// base within a deadline: RenameDurable closes what it held on a
+// goroutine of its own.
+func waitFDs(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for openFDs(t) > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d descriptors open 10 s on, %d before", openFDs(t), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCommitReleasesReplacedFiles: committing over an existing file
+// publishes the new bytes, and every replaced file RenameDurable held is
+// closed, also when the rename fails. The collector is off, so that a
+// leaked *os.File is not closed by its finalizer instead.
+func TestCommitReleasesReplacedFiles(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store")
+	if err := publish(path, []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	base := openFDs(t)
+	for i := 1; i <= 100; i++ {
+		want := fmt.Sprintf("v%d", i)
+		if err := publish(path, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("commit %d: path holds %q (%v), want %q", i, got, err, want)
+		}
+	}
+	waitFDs(t, base)
+	if got := names(t, dir); !slices.Equal(got, []string{"store"}) {
+		t.Fatalf("directory holds %v after 100 commits, want store alone", got)
+	}
+
+	if err := RenameDurable(filepath.Join(dir, "missing"), path); err == nil {
+		t.Fatal("rename of a missing file succeeded")
+	}
+	waitFDs(t, base)
+	if got, _ := os.ReadFile(path); string(got) != "v100" {
+		t.Fatalf("failed rename left %q at the path, want v100", got)
 	}
 }

@@ -34,8 +34,12 @@ type Graph struct {
 
 // FromEdges builds a Graph on n vertices from an undirected edge list.
 // Duplicate edges keep the minimum weight; self-loops are dropped (a vertex
-// reaches itself at distance 0 by definition).
+// reaches itself at distance 0 by definition). A vertex id is an int32,
+// so n is at most math.MaxInt32; weights are non-negative, and not NaN.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d vertices, want 0 to %d", n, math.MaxInt32)
+	}
 	// Each edge once, as its smaller endpoint <<32 | its larger: sorted by
 	// that key and then by weight, the first of every run of equal keys is
 	// the edge to keep.
@@ -50,6 +54,9 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		}
 		if e.W < 0 {
 			return nil, fmt.Errorf("graph: negative weight %v on edge (%d,%d)", e.W, e.U, e.V)
+		}
+		if math.IsNaN(e.W) {
+			return nil, fmt.Errorf("graph: weight %v on edge (%d,%d), want >= 0", e.W, e.U, e.V)
 		}
 		if e.U == e.V {
 			continue

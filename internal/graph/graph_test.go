@@ -60,6 +60,17 @@ func TestFromEdgesValidation(t *testing.T) {
 	if _, err := FromEdges(2, []Edge{{0, 1, -1}}); err == nil {
 		t.Fatal("negative weight accepted")
 	}
+	// NaN fails every comparison, so a "w < 0" check lets it through.
+	_, csrErr := FromCSR(2, []int32{0, 1, 2}, []int32{1, 0}, []float64{math.NaN(), math.NaN()})
+	if _, err := FromEdges(2, []Edge{{0, 1, math.NaN()}}); err == nil || err.Error() != csrErr.Error() {
+		t.Fatalf("NaN weight: err = %v, want FromCSR's %v", err, csrErr)
+	}
+	// Vertex ids are packed into int32s: a larger n would wrap, not fail.
+	for _, n := range []int{-1, math.MaxInt32 + 1, 1 << 62} {
+		if _, err := FromEdges(n, nil); err == nil {
+			t.Fatalf("n = %d accepted", n)
+		}
+	}
 }
 
 func TestEdgesRoundTrip(t *testing.T) {

@@ -30,35 +30,31 @@ const unreached = math.MaxUint32 - maxArcWeight
 
 const _ = uint64(unreached - 1 - maxN*maxArcWeight)
 
-// integerWeights reports whether every weight is an integer in
-// [0, maxArcWeight] on a graph within the engine's limit: what an arc
-// holds, and what keeps every distance an exact integer below unreached,
-// and so below matrix.NoPath32 (Engine.intDistances).
-func integerWeights(n int, weights []float64) bool {
-	if n > maxN {
-		return false
-	}
-	for _, w := range weights {
-		if !(w >= 0 && w <= maxArcWeight) || w != math.Trunc(w) {
-			return false
-		}
-	}
-	return true
-}
-
 // packArcs repacks the adjacency as arcs, indexed by the graph's rowPtr,
-// and reports whether one of them can be loose (Engine.prune): longer than
-// a path of two or more others, which is at least twice the smallest
-// weight. Every weight must pass integerWeights.
-func packArcs(colIdx []int32, weights []float64) (arcs []arc, mayBeLoose bool) {
+// if every weight is an integer in [0, maxArcWeight] on a graph within the
+// engine's limit: what an arc holds, and what keeps every distance an
+// exact integer below unreached, and so below matrix.NoPath32. ok reports
+// whether they all are (Engine.intDistances), and mayBeLoose whether one
+// arc can be loose (Engine.prune): longer than a path of two or more
+// others, which is at least twice the smallest weight.
+func packArcs(n int, colIdx []int32, weights []float64) (arcs []arc, ok, mayBeLoose bool) {
+	if n > maxN {
+		return nil, false, false
+	}
 	arcs = make([]arc, len(weights))
 	lo, hi := uint32(maxArcWeight), uint32(0)
 	for p, w := range weights {
+		// uint32(w) is implementation-defined for w negative, NaN or too
+		// large; whatever it gives, converting back returns w only when w
+		// is an integer it holds (or -0).
 		iw := uint32(w)
+		if iw > maxArcWeight || float64(iw) != w {
+			return nil, false, false
+		}
 		lo, hi = min(lo, iw), max(hi, iw)
 		arcs[p] = arc(uint32(colIdx[p])<<arcWeightBits | iw)
 	}
-	return arcs, hi > 2*lo
+	return arcs, true, hi > 2*lo
 }
 
 // csr is an adjacency the batched kernel sweeps: the arcs of vertex v are

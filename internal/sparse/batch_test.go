@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -383,6 +384,30 @@ func TestBatchNeedsTheDialView(t *testing.T) {
 	}
 	if e := New(mustGraph(t, 40, chain(40, 0, maxArcWeight))); !e.intDistances || streamedInts(t, e) != 5 {
 		t.Fatal("a graph of integer weights in [0, 255] streams no uint32 panels")
+	}
+}
+
+// TestPackArcsDecidesLikeTrunc holds the weight check packArcs makes as
+// it packs to the definition it replaced: an integer in [0, 255] is a
+// w with 0 <= w <= 255 and w == math.Trunc(w).
+func TestPackArcsDecidesLikeTrunc(t *testing.T) {
+	for _, w := range []float64{
+		0, math.Copysign(0, -1), 1, 2, 254, maxArcWeight, maxArcWeight + 1, 0.5, 1.5, 254.5, 255.5,
+		math.SmallestNonzeroFloat64, math.Nextafter(1, 2), math.Nextafter(255, 0), -1, -0.5, -255,
+		1 << 31, 1 << 32, 1<<32 + 1, 1<<32 + 7, 1 << 63, 1 << 64, 1e300, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		want := w >= 0 && w <= maxArcWeight && w == math.Trunc(w)
+		arcs, ok, _ := packArcs(2, []int32{1, 0}, []float64{3, w})
+		if ok != want {
+			t.Errorf("weight %v: packArcs says %v, want %v", w, ok, want)
+		}
+		if ok && arcs[1] != arc(uint32(w)) {
+			t.Errorf("weight %v packed as %#x", w, arcs[1])
+		}
+	}
+	if _, ok, _ := packArcs(maxN+1, nil, nil); ok {
+		t.Error("a graph past maxN packed")
 	}
 }
 

@@ -306,9 +306,9 @@ func New(g *graph.Graph) *Engine {
 	e.batch32Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint16](e.n) }}
 	e.batch16Scratch = freeList{keep: keep, new: func() any { return newBatchState[uint32](e.n) }}
 	e.width.Store(rowWise)
-	if e.intDistances = integerWeights(e.n, e.weights); e.intDistances && haveBatchKernel {
-		var mayBeLoose bool
-		e.arcs, mayBeLoose = packArcs(e.colIdx, e.weights)
+	arcs, ok, mayBeLoose := packArcs(e.n, e.colIdx, e.weights)
+	if e.intDistances = ok; ok && haveBatchKernel {
+		e.arcs = arcs
 		e.kernel.Store(&csr{rowPtr: e.rowPtr, arcs: e.arcs})
 		if mayBeLoose {
 			e.loose = make([]uint64, (len(e.arcs)+63)/64)
