@@ -37,7 +37,7 @@ var archChecks = []struct {
 	{"one driver (context binding, purity and unit reports only in core/driver.go)", []archRule{
 		{files: func(p string) bool { return archCode(p, "internal/core") && p != "internal/core/driver.go" }, re: `BindContext\(|MarkImpure\(|ReportUnit\(`},
 	}},
-	{"one job contract (host/hierarchy progress events and verification only in job.go, besides SequentialAPSP)", []archRule{
+	{"one job contract (host progress events and verification only in job.go, besides SequentialAPSP)", []archRule{
 		{files: func(p string) bool { return archCode(p, ".") && p != "job.go" && p != "apspark.go" }, re: `StageEvent\{|seq\.FloydWarshall\(`},
 	}},
 	// Every file the repository publishes goes through fsx.Pending (create

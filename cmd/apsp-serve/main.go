@@ -1,12 +1,14 @@
 // Command apsp-serve answers shortest-path queries over HTTP from a
 // persisted tiled distance store — the serving end of the pipeline: solve
 // once, write the store, then query forever without re-solving (or even
-// holding the matrix in memory; both caches are byte-budgeted).
+// holding the matrix in memory; both caches are byte-budgeted) — or,
+// with no store at all, from the graph alone.
 //
 // Usage:
 //
 //	apsp -n 2048 -b 256 -solver cb -store dist.apsp   # solve + persist
 //	apsp-serve -store dist.apsp -graph graph.txt -addr :8080
+//	apsp-serve -graph graph.txt -addr :8080           # no store
 //
 //	curl 'localhost:8080/dist?from=0&to=100'
 //	curl 'localhost:8080/row?from=0'
@@ -24,18 +26,13 @@
 // the affected rows are re-solved from the graph on demand, so a
 // bit-flipped file degrades to compute-speed answers instead of errors.
 //
-// -hier serves from a partition+shortcut hierarchy (apsp -solver hier
-// -hier g.hier) instead of — or beside — a tiled store: queries are
-// computed on demand through the hierarchy's overlay, so graphs whose
-// n x n matrix was never solved are servable. It always needs -graph
-// (the hierarchy stores only the partition and overlay; local rows are
-// re-solved over the graph). With both -store and -hier, the store
-// answers and the hierarchy is the corrupt-tile fallback — fresher than
-// a flat re-solve. /healthz reports which source kind is live (store,
-// oracle or store+fallback).
-//
-//	apsp -solver hier -input g.txt -hier g.hier
-//	apsp-serve -hier g.hier -graph g.txt -addr :8080
+// -graph with no -store and no -gens serves a graph whose n x n matrix
+// was never solved: each row asked for is solved on demand by the
+// sparse engine (the one that also re-solves corrupt store tiles) and
+// kept in the -row-cache-mb row cache, and a /dist whose row is not
+// cached solves only until its target settles. The answers are the ones
+// a store solved from the same graph holds. /healthz reports which
+// source kind is live: store or rows.
 //
 // -gens serves a live-updatable generation directory (see
 // internal/generation) instead of one frozen store file: the directory
@@ -70,9 +67,9 @@
 // -cache-mb budgets the decoded-tile cache beneath it, which only fills
 // with -row-cache-mb 0. Cold rows are assembled with direct row-span
 // reads (q small preads), so even a miss never decodes full tiles.
-// Serving a -store alone (no -gens, no -hier) with a -max-inflight
-// bound, the server keeps the runtime's soft memory limit at the bytes
-// its cache can hold, plus a row of 8·n bytes per admitted request, plus
+// Serving a -store alone (no -gens) with a -max-inflight bound, the
+// server keeps the runtime's soft memory limit at the bytes its cache
+// can hold, plus a row of 8·n bytes per admitted request, plus
 // twice what it holds besides the cache (at least 32 MiB), measured at
 // the end of every GC cycle. So the GC does not double the cache as it
 // doubles the rest of the heap; GOMEMLIMIT, when set, wins.
@@ -131,7 +128,6 @@ import (
 
 	"apspark/internal/generation"
 	"apspark/internal/graph"
-	"apspark/internal/hierarchy"
 	"apspark/internal/matrix"
 	"apspark/internal/obs"
 	"apspark/internal/serve"
@@ -141,15 +137,13 @@ import (
 func main() {
 	var (
 		storePath = flag.String("store", "", "tiled distance store written by apsp -store (with -gens: the seed store imported into an empty generation directory)")
-		graphPath = flag.String("graph", "", "edge-list file of the solved graph; enables /path and corrupt-tile recompute (required with -hier and for -gens seeding)")
-		hierPath  = flag.String("hier", "", "partition+shortcut hierarchy written by apsp -solver hier -hier; serves compute-on-demand (alone) or as the store's corrupt-tile fallback (with -store)")
-		hierMB    = flag.Int64("hier-cache-mb", 64, "hierarchy local-row cache budget in MiB")
+		graphPath = flag.String("graph", "", "edge-list file of the solved graph; enables /path and corrupt-tile recompute (alone: serves rows solved on demand, no store; required for -gens seeding)")
 		gensDir   = flag.String("gens", "", "generation directory for live-updatable serving; promotions/rollbacks swap in with zero downtime")
 		adminAddr = flag.String("admin", "", "admin listener for live updates (POST /update, POST /rollback, GET /generations); requires -gens")
 		keepLast  = flag.Int("keep-last", 3, "generations kept on disk after promotion; older ones are GC'd (the serving generation always survives)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheMB   = flag.Int64("cache-mb", 64, "decoded-tile cache budget in MiB; only used with -row-cache-mb 0 (0 disables tile caching)")
-		rowMB     = flag.Int64("row-cache-mb", 16, "assembled-row cache budget in MiB (0 disables row caching); serving -store alone, the GC is sized to hold it once, not twice (GOMEMLIMIT overrides)")
+		rowMB     = flag.Int64("row-cache-mb", 16, "row cache budget in MiB, of assembled store rows or, with -graph alone, of solved rows (0 disables row caching); serving -store alone, the GC is sized to hold it once, not twice (GOMEMLIMIT overrides)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 
@@ -178,15 +172,9 @@ func main() {
 		}
 		return b
 	}
-	tileBytes, rowBytes, hierBytes := budget("cache-mb", *cacheMB), budget("row-cache-mb", *rowMB), budget("hier-cache-mb", *hierMB)
-	if *storePath == "" && *hierPath == "" && *gensDir == "" {
-		fatal(fmt.Errorf("missing -store, -hier or -gens (write a store with: apsp -n ... -store dist.apsp)"))
-	}
-	if *hierPath != "" && *graphPath == "" {
-		fatal(fmt.Errorf("-hier needs -graph: the hierarchy stores only the partition and overlay; local rows are re-solved over the graph"))
-	}
-	if *gensDir != "" && *hierPath != "" {
-		fatal(fmt.Errorf("-gens and -hier cannot be combined: generation serving manages its own stores"))
+	tileBytes, rowBytes := budget("cache-mb", *cacheMB), budget("row-cache-mb", *rowMB)
+	if *storePath == "" && *graphPath == "" && *gensDir == "" {
+		fatal(fmt.Errorf("missing -store, -graph or -gens (write a store with: apsp -n ... -store dist.apsp)"))
 	}
 	if *adminAddr != "" && *gensDir == "" {
 		fatal(fmt.Errorf("-admin needs -gens: live updates operate on a generation directory"))
@@ -198,7 +186,7 @@ func main() {
 		case *storePath != "":
 			*shard = filepath.Base(*storePath)
 		default:
-			*shard = filepath.Base(*hierPath)
+			*shard = filepath.Base(*graphPath)
 		}
 	}
 
@@ -266,7 +254,7 @@ func main() {
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	slog.Info("listening, loading sources", "addr", *addr, "store", *storePath, "hier", *hierPath, "gens", *gensDir)
+	slog.Info("listening, loading sources", "addr", *addr, "store", *storePath, "graph", *graphPath, "gens", *gensDir)
 
 	var g *graph.Graph
 	if *graphPath != "" {
@@ -281,8 +269,8 @@ func main() {
 		}
 	}
 
-	// Build the first serving epoch. Every mode — frozen store, hierarchy
-	// oracle, generation directory — serves through the swapper, so the
+	// Build the first serving epoch. Every mode — frozen store, rows from
+	// the graph, generation directory — serves through the swapper, so the
 	// query path is identical; only -gens ever swaps.
 	var (
 		swapper *serve.Swapper
@@ -324,7 +312,6 @@ func main() {
 	}
 
 	var st *store.Store // static -store mode handle (for the ready log)
-	var oracle *hierarchy.Oracle
 	if *gensDir != "" {
 		mopts := generation.Options{Store: storeOpts, KeepLast: *keepLast}
 		m, err := generation.Open(*gensDir, mopts)
@@ -353,44 +340,29 @@ func main() {
 			mgr.RegisterMetrics(obs.Default)
 		}
 	} else {
+		// The store answers when there is one; with the graph alone, rows
+		// are solved on demand.
+		var src serve.Source
 		if *storePath != "" {
 			s, err := store.OpenWithOptions(*storePath, storeOpts)
 			if err != nil {
 				fatal(err)
 			}
-			st = s
-		}
-		if *hierPath != "" {
-			o, err := hierarchy.Load(*hierPath, g, hierBytes)
+			st, src = s, s
+		} else {
+			rs, err := serve.NewRowsSource(g, rowBytes)
 			if err != nil {
 				fatal(err)
 			}
-			oracle = o
+			src = rs
 		}
-
-		// Source selection: the store answers when present (tile reads beat
-		// on-demand solves), with the oracle as its corrupt-tile fallback;
-		// alone, the oracle is the source itself.
-		var src serve.Source
-		var eopts serve.EngineOptions
-		switch {
-		case st != nil && oracle != nil:
-			src, eopts.Fallback = st, oracle
-		case st != nil:
-			src = st
-		default:
-			src = oracle
-		}
-		eng, err := serve.NewWithOptions(src, g, eopts)
+		eng, err := serve.New(src, g)
 		if err != nil {
 			fatal(err)
 		}
 		if *metricsOn {
 			if st != nil {
 				st.RegisterMetrics(obs.Default)
-			}
-			if oracle != nil {
-				oracle.RegisterMetrics(obs.Default)
 			}
 			eng.RegisterMetrics(obs.Default)
 		}
@@ -411,9 +383,9 @@ func main() {
 	// Size the GC to the cache before the first request: a cache never
 	// outgrows its budget, so only the rest of the process needs the
 	// headroom GOGC gives it. Only a -store server alone with bounded
-	// admission gets the limit; -gens and -hier keep GOGC's pacing.
+	// admission gets the limit; -gens and -graph alone keep GOGC's pacing.
 	var cacheBudget, memBase int64
-	if st != nil && oracle == nil && *maxInFlight > 0 {
+	if st != nil && *maxInFlight > 0 {
 		cacheBudget = cacheBytes(servingCache(st.Snapshot()), st.N())
 		_, memBase, _ = limitMemory(cacheBudget, int64(*maxInFlight)*8*int64(st.N()),
 			func() int64 { return servingCache(st.Snapshot()).BytesInUse })
@@ -486,12 +458,8 @@ func main() {
 			"block", st.BlockSize(), "tiles_per_side", st.TilesPerSide(),
 			"file_mib", mib(st.FileBytes()),
 			"tile_cache_mib", *cacheMB, "row_cache_mib", *rowMB)
-	}
-	if oracle != nil {
-		hs := oracle.Stats()
-		ready = append(ready,
-			"hier_parts", hs.Parts, "hier_boundary", hs.BoundaryVerts,
-			"hier_overlay_edges", hs.OverlayEdges, "hier_cache_mib", *hierMB)
+	} else if mgr == nil {
+		ready = append(ready, "row_cache_mib", *rowMB)
 	}
 	slog.Info("ready", ready...)
 

@@ -12,9 +12,6 @@
 //	apsp -n 8192 -phantom -progress               # watch units stream by
 //	apsp -solver dij -input sparse.txt -store d.apsp  # host-native sparse solve,
 //	                                                  # rows streamed to the store
-//	apsp -solver hier -input g.txt -hier g.hier   # build the partition+shortcut
-//	                                              # hierarchy; serve it with
-//	                                              # apsp-serve -hier g.hier -graph g.txt
 //	apsp -solver help                             # list host-native vs cluster solvers
 package main
 
@@ -60,10 +57,6 @@ func main() {
 		codec     = flag.String("codec", "", "-store tile codec: raw (default), ivarint (exact delta+varint, integer weights) or f32 (lossy float32, error-bounded)")
 		resume    = flag.Bool("resume", false, "resume a killed/cancelled -store solve from its checkpoint (host-native solvers only)")
 
-		hierOut  = flag.String("hier", "", "-solver hier: persist the built hierarchy to this file (serve it with apsp-serve -hier)")
-		partSize = flag.Int("part-size", 0, "-solver hier: target partition size (0 = auto: max(64, 2*sqrt(n)))")
-		partSeed = flag.Int64("part-seed", 0, "-solver hier: partitioner ordering seed (answers are exact under every seed)")
-
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		logLevel    = flag.String("log-level", "warn", "log level: debug, info, warn or error (debug shows solve/stage/panel spans)")
 		dumpMetrics = flag.Bool("dump-metrics", false, "print the process metric registry (Prometheus text format) to stderr after the run")
@@ -78,21 +71,12 @@ func main() {
 		printSolverHelp()
 		return
 	}
-	hier := *solver == "hier"
 	host := apspark.SolverKind(*solver) == apspark.SolverDijkstra
 
 	// Every job option the user set is passed to the job, which refuses
 	// the ones it does not take; only the flags that exist just in this
 	// command are checked here.
-	var jobOpts []apspark.SolveOption
-	if !hier {
-		jobOpts = append(jobOpts, apspark.WithSolver(apspark.SolverKind(*solver)))
-	}
-	cliOnly := func(name string, ok bool, why string) {
-		if !ok {
-			fatal(fmt.Errorf("-solver %s does not take -%s: %s", *solver, name, why))
-		}
-	}
+	jobOpts := []apspark.SolveOption{apspark.WithSolver(apspark.SolverKind(*solver))}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "b":
@@ -111,23 +95,17 @@ func main() {
 			jobOpts = append(jobOpts, apspark.WithResume(*resume))
 		case "codec":
 			jobOpts = append(jobOpts, apspark.WithCodec(*codec))
-		case "part-size":
-			jobOpts = append(jobOpts, apspark.WithPartSize(*partSize))
-		case "part-seed":
-			jobOpts = append(jobOpts, apspark.WithPartSeed(*partSeed))
-		case "hier":
-			cliOnly(f.Name, hier, "only -solver hier builds a hierarchy")
-		case "store":
-			cliOnly(f.Name, !hier, "a hierarchy is not a tiled store; persist it with -hier")
 		case "phantom", "p", "calibrate":
-			cliOnly(f.Name, !hier && !host, "only "+strings.Join(core.RegisteredSolvers(), "|")+" run on the virtual cluster")
+			if host {
+				fatal(fmt.Errorf("-solver %s does not take -%s: only %s run on the virtual cluster", *solver, f.Name, strings.Join(core.RegisteredSolvers(), "|")))
+			}
 		}
 	})
 	if *storeOut != "" && *phantom {
 		fatal(fmt.Errorf("-store needs a real solve; phantom runs carry no distances"))
 	}
 	if *progress {
-		jobOpts = append(jobOpts, apspark.WithProgress(progressPrinter(hier, host)))
+		jobOpts = append(jobOpts, apspark.WithProgress(progressPrinter(host)))
 	}
 
 	// Ctrl-C / SIGTERM cancel the solve at the next stage boundary; the
@@ -159,10 +137,6 @@ func main() {
 		}
 		fmt.Printf("graph: n=%d edges=%d\n", g.N, g.NumEdges())
 		arcs = 2 * g.NumEdges()
-		if hier {
-			runHier(ctx, sess, g, *hierOut, *verify, *dumpMetrics, jobOpts)
-			return
-		}
 		if !host {
 			fmt.Printf("matrix kernel: %s\n", matrix.KernelImpl())
 		}
@@ -325,51 +299,8 @@ func loadGraph(input string, n int, seed int64) (*apspark.Graph, error) {
 	return graph.ReadEdgeList(f)
 }
 
-// runHier is the -solver hier mode: partition the graph, solve
-// boundary-to-boundary shortcuts, and report (optionally persist) the
-// resulting compute-on-demand hierarchy instead of a distance matrix.
-func runHier(ctx context.Context, sess *apspark.Session, g *apspark.Graph, out string, verify, dumpMetrics bool, jobOpts []apspark.SolveOption) {
-	start := time.Now()
-	o, err := sess.BuildHierarchy(ctx, g, jobOpts...)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			// A cancelled build keeps no partial state; there is nothing to
-			// report beyond the fact.
-			fmt.Fprintln(os.Stderr, "apsp: hierarchy build cancelled; nothing persisted")
-			os.Exit(130)
-		}
-		fatal(err)
-	}
-	wall := time.Since(start)
-	st := o.Stats()
-	fmt.Printf("solver:            partition+shortcut hierarchy (host-native)\n")
-	fmt.Printf("partitions:        %d (target size %d, max %d)\n", st.Parts, st.TargetSize, st.MaxPartSize)
-	fmt.Printf("boundary vertices: %d of %d\n", st.BoundaryVerts, g.N)
-	fmt.Printf("cut edges:         %d of %d\n", st.CutEdges, g.NumEdges())
-	fmt.Printf("overlay edges:     %d (%d shortcut + %d cut)\n", st.OverlayEdges, st.ShortcutEdges, st.OverlayEdges-st.ShortcutEdges)
-	fmt.Printf("build wall time:   %s\n", wall.Round(time.Millisecond))
-	if verify {
-		fmt.Println("verification:      OK (matches sequential Floyd-Warshall)")
-	}
-	if out != "" {
-		if err := o.Save(out); err != nil {
-			fatal(err)
-		}
-		fi, err := os.Stat(out)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("hierarchy:         %s (%s; serve with apsp-serve -hier %s -graph <edge list>)\n",
-			out, fmtBytes(fi.Size()), out)
-	}
-	if dumpMetrics {
-		writeMetrics()
-	}
-}
-
 // writeMetrics dumps the process metric registry to stderr. The span
-// histograms (and, for host solves and hierarchy builds, the engine's
-// telemetry) land in it during the run, so a one-shot run gets the same
+// histograms (and, for host solves, the engine's telemetry) land in it during the run, so a one-shot run gets the same
 // numbers a served process would expose on /metrics.
 func writeMetrics() {
 	obs.RegisterProcessMetrics(obs.Default)
@@ -382,16 +313,9 @@ func writeMetrics() {
 // progressPrinter renders the -progress stream: virtual time and shuffle
 // traffic per iteration unit for cluster solvers, solved rows for dij
 // (each unit is one row panel; the final done event repeats the last
-// panel's count, so it is skipped) and solved partitions for hier.
-func progressPrinter(hier, host bool) func(apspark.StageEvent) {
-	switch {
-	case hier:
-		return func(ev apspark.StageEvent) {
-			if ev.Name == "unit" {
-				fmt.Fprintf(os.Stderr, "apsp: partitions %5d/%d solved\n", ev.UnitsDone, ev.UnitsTotal)
-			}
-		}
-	case host:
+// panel's count, so it is skipped).
+func progressPrinter(host bool) func(apspark.StageEvent) {
+	if host {
 		return func(ev apspark.StageEvent) {
 			if ev.Name == "unit" {
 				fmt.Fprintf(os.Stderr, "apsp: rows %6d/%d solved\n", ev.UnitsDone, ev.UnitsTotal)
@@ -421,7 +345,7 @@ func fmtBytes(b int64) string {
 
 // solverFlagNames lists every accepted -solver value, host-native first.
 func solverFlagNames() string {
-	return strings.Join(append([]string{string(apspark.SolverDijkstra), "hier"}, core.RegisteredSolvers()...), " | ")
+	return strings.Join(append([]string{string(apspark.SolverDijkstra)}, core.RegisteredSolvers()...), " | ")
 }
 
 // printSolverHelp renders the -solver help listing, separating solvers
@@ -431,8 +355,6 @@ func printSolverHelp() {
 	fmt.Println("host-native solvers (run on this machine, real solves only; no -phantom/-p/-partitioner/-B):")
 	fmt.Printf("  %-5s %s\n", apspark.SolverDijkstra,
 		"Dijkstra from every source over the CSR graph; O(n·(m + n log n)), the sparse-graph fast path")
-	fmt.Printf("  %-5s %s\n", "hier",
-		"partition+shortcut hierarchy: no matrix is solved; queries are answered on demand (persist with -hier, serve with apsp-serve -hier)")
 	fmt.Println("virtual-cluster solvers (paper §4; real solves and -phantom projections):")
 	for _, name := range core.RegisteredSolvers() {
 		s, err := core.SolverByName(name)

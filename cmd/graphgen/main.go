@@ -35,9 +35,8 @@
 // edges sampled at -intra-p and inter-community edges at -inter-p.
 // Leaving the probabilities negative derives them from -avg-degree
 // (default 16): ~90% of each vertex's expected edges stay inside its
-// community. Planted graphs are the natural stress test for
-// apsp -solver hier — community boundaries are exactly the small
-// separators the hierarchy partitioner wants to find:
+// community. Planted graphs have genuine cluster structure, unlike
+// uniform G(n, p):
 //
 //	graphgen -model planted -n 65536 -communities 64 -connect -o g.txt
 package main

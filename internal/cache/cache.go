@@ -2,8 +2,8 @@
 // lock-striped so lookups of different keys rarely share a mutex, whose
 // misses are filled singleflight-style — one goroutine does the work,
 // concurrent callers of the same key wait for its result. The store's
-// decoded-tile and assembled-row caches and the oracle's local-row cache
-// are three instantiations.
+// decoded-tile and assembled-row caches and the serving rows source's
+// solved-row cache are three instantiations.
 //
 // Values are shared read-only between every caller that gets them and are
 // owned by the cache: eviction just drops the reference.

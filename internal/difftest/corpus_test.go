@@ -3,7 +3,7 @@
 // reads distances back: a table of producers (the cluster solvers, the
 // two MPI baselines, the sequential Floyd-Warshall pair, the sparse
 // engine through every entry point, stores of every codec, a generation
-// after delta batches, the hierarchy oracle) crossed with a table of
+// after delta batches, rows solved on demand) crossed with a table of
 // consumers (the store's reads with its row cache on and off, the
 // serving engine, the HTTP handler). A new engine, codec or endpoint is
 // one row of a table. Metamorphic checks (symmetry, zero diagonal,
@@ -15,10 +15,10 @@
 // equal the reference bit for bit. On real weights the sparse engine
 // settles the same left-to-right sums the reference does, and is held
 // to it bit for bit too; producers that add up paths in another order
-// (the Floyd-Warshall family, the MPI baselines, the oracle) are held to
-// a bound derived from the reference path: a sum of h rounded hops of
-// length d is within (h-1)·2^-53·d of the exact sum, so two such sums
-// are within twice that.
+// (the Floyd-Warshall family, the MPI baselines) are held to a bound
+// derived from the reference path: a sum of h rounded hops of length d
+// is within (h-1)·2^-53·d of the exact sum, so two such sums are within
+// twice that.
 package difftest
 
 import (

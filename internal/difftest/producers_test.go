@@ -69,7 +69,7 @@ var producers = []producer{
 	{"cb WriteStoreWithCodec ivarint", true, 320, writeStore("ivarint")},
 	{"cb WriteStoreWithCodec f32", true, 320, writeStore("f32")},
 	{"generation after 2 delta batches", false, 0, generationAfterDeltas},
-	{"hierarchy oracle", true, 320, oracle},
+	{"rows source", false, 0, rowsSource},
 }
 
 // session is a virtual cluster of 32 cores: big enough for every solver,
@@ -236,12 +236,14 @@ func generationAfterDeltas(t *testing.T, g *graph.Graph, b int) output {
 	return stored(t, filepath.Join(gens, up.Generation, "dist.apsp"))
 }
 
-func oracle(t *testing.T, g *graph.Graph, _ int) output {
-	o, err := session(t).BuildHierarchy(ctx, g, apspark.WithPartSize(max(g.N/6, 8)), apspark.WithPartSeed(7))
+// rowsSource serves g with no store: rows solved on demand, 4 of them
+// cached, so a Dist reads a cached row or solves to its target.
+func rowsSource(t *testing.T, g *graph.Graph, _ int) output {
+	src, err := serve.NewRowsSource(g, 4*8*int64(g.N))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return output{src: o}
+	return output{src: src}
 }
 
 // reached records the panel kernels the engines of enginePanels ended on

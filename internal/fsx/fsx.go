@@ -1,7 +1,7 @@
 // Package fsx holds the filesystem durability primitives the rest of the
 // repo builds its crash-safety on. Every file the repo publishes (store
-// files, hierarchy files, generation CURRENT pointers, meta and graph
-// files, graphgen -o) is written through one Pending: it appears at its
+// files, generation CURRENT pointers, meta and graph files, graphgen -o)
+// is written through one Pending: it appears at its
 // path only on Commit, complete, fsync'd, with mode 0644 before umask,
 // and with the rename made durable by an fsync of the directory. A
 // Pending replaces only a regular file (or nothing): a directory, device

@@ -64,7 +64,10 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		es = append(es, half{uint64(min(e.U, e.V))<<32 | uint64(max(e.U, e.V)), e.W})
 	}
 	slices.SortFunc(es, func(a, b half) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.w, b.w))
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
 	})
 	es = slices.CompactFunc(es, func(a, b half) bool { return a.key == b.key })
 
@@ -90,57 +93,6 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		fill[v]++
 	}
 	return g, nil
-}
-
-// FromCSR builds a Graph directly from prebuilt CSR arrays, taking
-// ownership of the slices (callers must not mutate them afterwards).
-// The arrays must describe an undirected graph the way FromEdges would
-// lay it out: both directions of every edge present, every adjacency
-// list sorted by strictly increasing neighbour id (which also rules out
-// self-loops and duplicates), and non-negative weights. Validation is
-// O(n + m). This is the entry point for callers that assemble large
-// edge sets positionally — the hierarchy overlay builder — without
-// paying FromEdges' sort.
-func FromCSR(n int, rowPtr, colIdx []int32, weights []float64) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: FromCSR with n=%d < 0", n)
-	}
-	if len(rowPtr) != n+1 {
-		return nil, fmt.Errorf("graph: rowPtr has length %d, want %d", len(rowPtr), n+1)
-	}
-	if rowPtr[0] != 0 {
-		return nil, fmt.Errorf("graph: rowPtr[0] = %d, want 0", rowPtr[0])
-	}
-	if len(colIdx) != len(weights) {
-		return nil, fmt.Errorf("graph: colIdx length %d != weights length %d", len(colIdx), len(weights))
-	}
-	if int(rowPtr[n]) != len(colIdx) {
-		return nil, fmt.Errorf("graph: rowPtr[n] = %d, want %d entries", rowPtr[n], len(colIdx))
-	}
-	for u := 0; u < n; u++ {
-		lo, hi := rowPtr[u], rowPtr[u+1]
-		if lo > hi {
-			return nil, fmt.Errorf("graph: rowPtr decreases at vertex %d", u)
-		}
-		prev := int32(-1)
-		for p := lo; p < hi; p++ {
-			v := colIdx[p]
-			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("graph: neighbour %d of vertex %d out of range [0,%d)", v, u, n)
-			}
-			if int(v) == u {
-				return nil, fmt.Errorf("graph: self-loop on vertex %d", u)
-			}
-			if v <= prev {
-				return nil, fmt.Errorf("graph: adjacency of vertex %d not strictly increasing at %d", u, v)
-			}
-			prev = v
-			if w := weights[p]; w < 0 || math.IsNaN(w) {
-				return nil, fmt.Errorf("graph: weight %v on edge (%d,%d), want >= 0", w, u, v)
-			}
-		}
-	}
-	return &Graph{N: n, rowPtr: rowPtr, colIdx: colIdx, weights: weights}, nil
 }
 
 // NumEdges returns the number of undirected edges.

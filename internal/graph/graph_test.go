@@ -61,9 +61,9 @@ func TestFromEdgesValidation(t *testing.T) {
 		t.Fatal("negative weight accepted")
 	}
 	// NaN fails every comparison, so a "w < 0" check lets it through.
-	_, csrErr := FromCSR(2, []int32{0, 1, 2}, []int32{1, 0}, []float64{math.NaN(), math.NaN()})
-	if _, err := FromEdges(2, []Edge{{0, 1, math.NaN()}}); err == nil || err.Error() != csrErr.Error() {
-		t.Fatalf("NaN weight: err = %v, want FromCSR's %v", err, csrErr)
+	want := "graph: weight NaN on edge (0,1), want >= 0"
+	if _, err := FromEdges(2, []Edge{{0, 1, math.NaN()}}); err == nil || err.Error() != want {
+		t.Fatalf("NaN weight: err = %v, want %q", err, want)
 	}
 	// Vertex ids are packed into int32s: a larger n would wrap, not fail.
 	for _, n := range []int{-1, math.MaxInt32 + 1, 1 << 62} {

@@ -11,9 +11,8 @@ import (
 // n mod k communities get the extra vertex), with each intra-community
 // pair present independently with probability pIntra and each
 // inter-community pair with probability pInter. With pIntra ≫ pInter
-// the graph has genuine cluster structure — the family the hierarchy
-// partitioner is meant to exploit, as opposed to uniform ER graphs,
-// which have no good separators at all. Sampling walks every block with
+// the graph has genuine cluster structure, as opposed to uniform ER
+// graphs, which have no good separators at all. Sampling walks every block with
 // geometric skips (cost proportional to edges, like ErdosRenyi) and is
 // deterministic in (n, k, pIntra, pInter, seed).
 func PlantedPartition(n, k int, pIntra, pInter float64, wf WeightFn, seed int64) (*Graph, error) {

@@ -104,72 +104,3 @@ func TestPlantedPartitionValidation(t *testing.T) {
 		t.Fatalf("k=n all-singleton should have no intra pairs: edges=%d err=%v", g.NumEdges(), err)
 	}
 }
-
-func TestFromCSRRoundTrip(t *testing.T) {
-	want, err := ErdosRenyiWeighted(120, 0.08, IntegerWeights(9), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, ci, ws := want.CSR()
-	got, err := FromCSR(want.N, rp, ci, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ew, eg := want.Edges(), got.Edges()
-	if len(ew) != len(eg) {
-		t.Fatalf("edge counts differ: %d vs %d", len(eg), len(ew))
-	}
-	for i := range ew {
-		if ew[i] != eg[i] {
-			t.Fatalf("edge %d differs: %+v vs %+v", i, eg[i], ew[i])
-		}
-	}
-}
-
-func TestFromCSRValidation(t *testing.T) {
-	ok := func() (int, []int32, []int32, []float64) {
-		// 0–1 and 1–2, weights 1 and 2.
-		return 3, []int32{0, 1, 3, 4}, []int32{1, 0, 2, 1}, []float64{1, 1, 2, 2}
-	}
-	if _, err := FromCSR(ok()); err != nil {
-		t.Fatalf("valid CSR rejected: %v", err)
-	}
-	cases := []struct {
-		name string
-		mut  func(rp, ci []int32, ws []float64) (int, []int32, []int32, []float64)
-	}{
-		{"short rowPtr", func(rp, ci []int32, ws []float64) (int, []int32, []int32, []float64) {
-			return 3, rp[:3], ci, ws
-		}},
-		{"rowPtr[0] nonzero", func(rp, ci []int32, ws []float64) (int, []int32, []int32, []float64) {
-			rp[0] = 1
-			return 3, rp, ci, ws
-		}},
-		{"rowPtr total mismatch", func(rp, ci []int32, ws []float64) (int, []int32, []int32, []float64) {
-			rp[3] = 3
-			return 3, rp, ci, ws
-		}},
-		{"out-of-range neighbour", func(rp, ci []int32, ws []float64) (int, []int32, []int32, []float64) {
-			ci[0] = 5
-			return 3, rp, ci, ws
-		}},
-		{"self-loop", func(rp, ci []int32, ws []float64) (int, []int32, []int32, []float64) {
-			ci[0] = 0
-			return 3, rp, ci, ws
-		}},
-		{"unsorted adjacency", func(rp, ci []int32, ws []float64) (int, []int32, []int32, []float64) {
-			ci[1], ci[2] = 2, 0
-			return 3, rp, ci, ws
-		}},
-		{"negative weight", func(rp, ci []int32, ws []float64) (int, []int32, []int32, []float64) {
-			ws[0] = -1
-			return 3, rp, ci, ws
-		}},
-	}
-	for _, tc := range cases {
-		_, rp, ci, ws := ok()
-		if _, err := FromCSR(tc.mut(rp, ci, ws)); err == nil {
-			t.Fatalf("%s accepted", tc.name)
-		}
-	}
-}

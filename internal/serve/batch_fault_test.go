@@ -21,7 +21,7 @@ type fbatch struct {
 	} `json:"row"`
 }
 
-// A corrupt tile with no recompute path (no graph, no fallback) must not
+// A corrupt tile with no recompute path (no graph) must not
 // fail the whole /batch: the damaged row answers with a typed per-item
 // error and every other item is served normally.
 func TestBatchCorruptTilePerItemError(t *testing.T) {

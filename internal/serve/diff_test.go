@@ -267,57 +267,93 @@ func TestPathCSRMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEngineZeroAllocSteadyState: with an in-memory source (RowView is an
-// alias) and reused buffers, KNNInto and PathInto allocate nothing.
+// TestEngineZeroAllocSteadyState: with reused buffers, the queries of a
+// warm engine allocate nothing — over an in-memory matrix (RowView is an
+// alias), over a rows source whose cache holds every row, and, for Dist
+// and RowInto, over a rows source that caches nothing and solves every
+// query afresh.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
 	g, dist := solvedGraph(t, 64, 17)
-	e := newEngine(t, g, dist)
 	ctx := context.Background()
-
-	knnBuf := make([]Target, 0, 16)
-	var i int
-	allocs := testing.AllocsPerRun(200, func() {
-		i++
-		var err error
-		knnBuf, err = e.KNNInto(ctx, i%64, 10, knnBuf)
+	rows := func(cacheBytes int64) *Engine {
+		src, err := NewRowsSource(g, cacheBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("KNNInto allocates %v per op, want 0", allocs)
-	}
-
-	hops := make([]int, 0, 64)
-	// Warm the path scratch pool once so the first-use allocation is out
-	// of the measured window.
-	if p, err := e.PathInto(ctx, 0, 1, hops); err == nil && p.Hops != nil {
-		hops = p.Hops[:0]
-	}
-	allocs = testing.AllocsPerRun(200, func() {
-		i++
-		p, err := e.PathInto(ctx, i%64, (i*7)%64, hops)
-		if err != nil && err != ErrNoPath {
-			t.Fatal(err)
-		}
-		if p.Hops != nil {
-			hops = p.Hops[:0]
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("PathInto allocates %v per op, want 0", allocs)
-	}
-
-	rowBuf := make([]float64, 0, 64)
-	allocs = testing.AllocsPerRun(200, func() {
-		i++
-		var err error
-		rowBuf, err = e.RowInto(ctx, i%64, rowBuf)
+		e, err := New(src, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("RowInto allocates %v per op, want 0", allocs)
+		return e
+	}
+	cached := rows(1 << 20)
+	for i := range g.N {
+		if _, err := cached.Row(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		// views: KNN and Path read shared rows, with nothing to allocate.
+		views bool
+	}{
+		{"matrix", newEngine(t, g, dist), true},
+		{"rows, every row cached", cached, true},
+		{"rows, no cache", rows(0), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.e
+			var i int
+			pin := func(what string, op func()) {
+				t.Helper()
+				if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+					t.Fatalf("%s allocates %v per op, want 0", what, allocs)
+				}
+			}
+			pin("Dist", func() {
+				i++
+				if _, err := e.Dist(ctx, i%64, (i*7)%64); err != nil {
+					t.Fatal(err)
+				}
+			})
+			rowBuf := make([]float64, 0, 64)
+			pin("RowInto", func() {
+				i++
+				var err error
+				rowBuf, err = e.RowInto(ctx, i%64, rowBuf)
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !tc.views {
+				return
+			}
+			knnBuf := make([]Target, 0, 16)
+			pin("KNNInto", func() {
+				i++
+				var err error
+				knnBuf, err = e.KNNInto(ctx, i%64, 10, knnBuf)
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			hops := make([]int, 0, 64)
+			// Warm the path scratch pool once so the first-use allocation is
+			// out of the measured window.
+			if p, err := e.PathInto(ctx, 0, 1, hops); err == nil && p.Hops != nil {
+				hops = p.Hops[:0]
+			}
+			pin("PathInto", func() {
+				i++
+				p, err := e.PathInto(ctx, i%64, (i*7)%64, hops)
+				if err != nil && err != ErrNoPath {
+					t.Fatal(err)
+				}
+				if p.Hops != nil {
+					hops = p.Hops[:0]
+				}
+			})
+		})
 	}
 }

@@ -48,16 +48,15 @@ type Source interface {
 	// returned slice is caller-owned.
 	RowInto(ctx context.Context, i int, dst []float64) ([]float64, error)
 	// SourceKind labels the source for serving-mode reporting: "store",
-	// "oracle", "matrix".
+	// "rows", "matrix".
 	SourceKind() string
 }
 
 // RowViewer is the one optional Source upgrade, for sources that hold
-// rows in memory (the hierarchy oracle computes them and cannot):
-// RowView returns vertex i's distance row as a shared, read-only slice
-// (no copy on a cache hit). The engine uses it for every row-consuming
-// query — KNN, Path, and row serving — so sources that implement it are
-// served zero-copy.
+// rows in memory: RowView returns vertex i's distance row as a shared,
+// read-only slice (no copy on a cache hit). The engine uses it for every
+// row-consuming query — KNN, Path, and row serving — so sources that
+// implement it are served zero-copy.
 type RowViewer interface {
 	RowView(ctx context.Context, i int) ([]float64, error)
 }
@@ -159,13 +158,11 @@ type Engine struct {
 	rowScratch  sync.Pool // *[]float64, for sources without RowView
 	pathScratch sync.Pool // *pathVisit
 
-	// fb is an optional second source (typically a hierarchy oracle)
-	// that answers row queries the primary source fails with a
-	// corrupt-store read. sp re-derives any single distance row from the
-	// graph (Dijkstra over the CSR arrays) for the same situation — the
-	// fallback of last resort when no fb is wired. nil both ways,
-	// corruption surfaces as the store's typed error.
-	fb         Source
+	// sp re-derives any single distance row from the graph (Dijkstra
+	// over the CSR arrays) when the source fails a read with a
+	// corrupt-store error; nil without a graph, and corruption then
+	// surfaces as the store's typed error. A rows source's own engine is
+	// this one.
 	sp         *sparse.Engine
 	recomputed atomic.Int64
 
@@ -182,13 +179,6 @@ type Engine struct {
 
 // EngineOptions tunes New beyond the positional essentials.
 type EngineOptions struct {
-	// Fallback, when non-nil, answers row queries that the primary
-	// source fails with a corrupt-tile read — a hierarchy oracle kept
-	// warm beside a precomputed store. It must serve the same vertex
-	// count as the primary source. Recomputed() counts these answers
-	// too, so the degraded-serving signal stays coherent no matter which
-	// fallback produced the row.
-	Fallback Source
 	// Generation labels the store generation served, for /healthz and
 	// swap logging. Leave empty for static (non-generational) sources.
 	Generation string
@@ -200,8 +190,7 @@ func New(src Source, g *graph.Graph) (*Engine, error) {
 	return NewWithOptions(src, g, EngineOptions{})
 }
 
-// NewWithOptions is New with a second, fallback source (see
-// EngineOptions).
+// NewWithOptions is New with EngineOptions.
 func NewWithOptions(src Source, g *graph.Graph, opts EngineOptions) (*Engine, error) {
 	if src == nil {
 		return nil, fmt.Errorf("serve: nil source")
@@ -209,32 +198,25 @@ func NewWithOptions(src Source, g *graph.Graph, opts EngineOptions) (*Engine, er
 	if g != nil && g.N != src.N() {
 		return nil, fmt.Errorf("serve: graph has %d vertices, distance source has %d", g.N, src.N())
 	}
-	if opts.Fallback != nil && opts.Fallback.N() != src.N() {
-		return nil, fmt.Errorf("serve: fallback source has %d vertices, primary has %d", opts.Fallback.N(), src.N())
-	}
-	e := &Engine{src: src, g: g, fb: opts.Fallback, gen: opts.Generation, hopRel: pathRel}
+	e := &Engine{src: src, g: g, gen: opts.Generation, hopRel: pathRel}
 	e.rv, _ = src.(RowViewer)
 	if st, ok := src.(*store.Store); ok && st.Snapshot().CodecTiles["f32"] > 0 {
 		e.hopRel += 2 * store.F32DefaultMaxRelErr
 	}
 	if g != nil {
 		e.adjPtr, e.adjTo, e.adjW = g.CSR()
-		e.sp = sparse.New(g)
+		if rs, ok := src.(*rowsSource); ok {
+			e.sp = rs.sp
+		} else {
+			e.sp = sparse.New(g)
+		}
 	}
 	return e, nil
 }
 
-// SourceKind labels the live serving mode: the primary source's kind
-// ("store", "oracle", "matrix"), with "+fallback" appended when a
-// second source is wired behind it — the operator-facing distinction
-// between store-only, compute-on-demand and store-plus-oracle serving.
-func (e *Engine) SourceKind() string {
-	k := e.src.SourceKind()
-	if e.fb != nil {
-		k += "+fallback"
-	}
-	return k
-}
+// SourceKind labels the live serving mode, the source's kind: "store",
+// "rows" (solved on demand from the graph, no store) or "matrix".
+func (e *Engine) SourceKind() string { return e.src.SourceKind() }
 
 // N returns the number of vertices served.
 func (e *Engine) N() int { return e.src.N() }
@@ -246,14 +228,14 @@ func (e *Engine) Generation() string { return e.gen }
 // HasGraph reports whether Path queries are available.
 func (e *Engine) HasGraph() bool { return e.g != nil }
 
-// Recomputed counts the row queries answered by re-solving from the
+// Recomputed counts the queries answered by re-solving from the
 // graph after a corrupt store read — a nonzero value means the store has
 // quarantined tiles and the engine is serving degraded (correct answers,
 // Dijkstra-speed instead of read-speed, for the affected row stripes).
 func (e *Engine) Recomputed() int64 { return e.recomputed.Load() }
 
-// RegisterMetrics exposes the engine's counters on r — the recompute
-// fallback counter here, plus the sparse recompute engine's solver
+// RegisterMetrics exposes the engine's counters on r — the source kind
+// and the recompute counter here, plus the sparse recompute engine's solver
 // counters when a graph is attached. The store's own metrics are
 // registered by the caller (it owns the store handle).
 func (e *Engine) RegisterMetrics(r *obs.Registry) {
@@ -261,7 +243,7 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		"Which source kind is live (constant 1; the kind label carries the mode).",
 		obs.Label{Key: "kind", Value: e.SourceKind()}).Set(1)
 	r.CounterFunc("apsp_serve_recomputed_rows_total",
-		"Row queries answered by the fallback source or a graph re-solve after a corrupt store read.",
+		"Queries answered by a graph re-solve after a corrupt store read.",
 		func() int64 { return e.recomputed.Load() })
 	if e.sp != nil {
 		e.sp.RegisterMetrics(r)
@@ -269,26 +251,15 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 }
 
 // canRecompute reports whether err is a corrupt-tile store read the
-// engine can answer from the fallback source or the graph instead.
+// engine can answer from the graph instead.
 func (e *Engine) canRecompute(err error) bool {
-	return (e.fb != nil || e.sp != nil) && errors.Is(err, store.ErrCorruptTile)
+	return e.sp != nil && errors.Is(err, store.ErrCorruptTile)
 }
 
-// recomputeRowInto re-derives from's full distance row, reusing dst's
-// backing array when large enough: from the fallback source when one is
-// wired (a hierarchy oracle answers in overlay time), else by a full
-// Dijkstra over the graph. Either way the row counts as recomputed.
-func (e *Engine) recomputeRowInto(ctx context.Context, from int, dst []float64) ([]float64, error) {
-	if e.fb != nil {
-		row, err := e.fb.RowInto(ctx, from, dst)
-		if err == nil {
-			e.recomputed.Add(1)
-			return row, nil
-		}
-		if e.sp == nil {
-			return nil, err
-		}
-	}
+// recomputeRowInto re-derives from's full distance row by a full
+// Dijkstra over the graph, reusing dst's backing array when large enough,
+// and counts the row as recomputed.
+func (e *Engine) recomputeRowInto(from int, dst []float64) ([]float64, error) {
 	n := e.src.N()
 	if cap(dst) >= n {
 		dst = dst[:n]
@@ -310,18 +281,11 @@ func (e *Engine) Dist(ctx context.Context, from, to int) (float64, error) {
 	}
 	// A corrupt read past the source's own validation means from and to
 	// are in range; answer from the graph.
-	bp, _ := e.rowScratch.Get().(*[]float64)
-	if bp == nil {
-		bp = new([]float64)
-	}
-	row, rerr := e.recomputeRowInto(ctx, from, *bp)
+	d, rerr := e.sp.SolveDist(from, to)
 	if rerr != nil {
-		e.rowScratch.Put(bp)
 		return 0, err
 	}
-	*bp = row
-	d = row[to]
-	e.rowScratch.Put(bp)
+	e.recomputed.Add(1)
 	return d, nil
 }
 
@@ -335,7 +299,7 @@ func (e *Engine) Row(ctx context.Context, from int) ([]float64, error) {
 func (e *Engine) RowInto(ctx context.Context, from int, dst []float64) ([]float64, error) {
 	out, err := e.src.RowInto(ctx, from, dst)
 	if err != nil && e.canRecompute(err) {
-		return e.recomputeRowInto(ctx, from, dst)
+		return e.recomputeRowInto(from, dst)
 	}
 	return out, err
 }
@@ -352,7 +316,7 @@ func (e *Engine) acquireRow(ctx context.Context, from int) (row []float64, relea
 	if bp == nil {
 		bp = new([]float64)
 	}
-	nrow, nerr := e.recomputeRowInto(ctx, from, *bp)
+	nrow, nerr := e.recomputeRowInto(from, *bp)
 	if nerr != nil {
 		e.rowScratch.Put(bp)
 		return nil, nil, err

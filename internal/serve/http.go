@@ -203,9 +203,8 @@ type Health struct {
 	Status    string `json:"status"`
 	N         int    `json:"n"`
 	PathReady bool   `json:"path_ready"`
-	// Source labels the live serving mode: "store", "oracle", "matrix",
-	// with "+fallback" appended when a second source is wired behind the
-	// primary (see Engine.SourceKind).
+	// Source labels the live serving mode: "store", "rows" or "matrix"
+	// (see Engine.SourceKind).
 	Source string `json:"source"`
 	// Generation labels the store generation being served, when the
 	// server runs in generation-directory mode (see internal/generation).

@@ -27,6 +27,15 @@ func TestPerSourceZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("per-source Dijkstra allocates %v objects/op after warmup, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(100, func() {
+		src = (src + 1) % g.N
+		if _, err := e.SolveDist(src, g.N-1-src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("target-stopped Dijkstra allocates %v objects/op after warmup, want 0", allocs)
+	}
 }
 
 // TestPerBatchZeroAllocs is the same pin for the batched kernel, on both

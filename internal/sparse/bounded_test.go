@@ -1,50 +1,11 @@
 package sparse
 
 import (
-	"math"
 	"testing"
 
 	"apspark/internal/graph"
 	"apspark/internal/matrix"
 )
-
-// bruteBounded is the O(n²) reference for the bounded solve's semantics:
-// multi-seed Dijkstra where edges relax only out of expand-admitted
-// vertices. Settled-but-frontier vertices keep their distances, exactly
-// like the engine reports them.
-func bruteBounded(g *graph.Graph, seeds []Seed, expand func(v int32) bool) []float64 {
-	n := g.N
-	dist := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = matrix.Inf
-	}
-	for _, s := range seeds {
-		if !math.IsInf(s.Dist, 1) && s.Dist < dist[s.V] {
-			dist[s.V] = s.Dist
-		}
-	}
-	for {
-		v := -1
-		for u := 0; u < n; u++ {
-			if !done[u] && dist[u] < matrix.Inf && (v < 0 || dist[u] < dist[v]) {
-				v = u
-			}
-		}
-		if v < 0 {
-			return dist
-		}
-		done[v] = true
-		if expand != nil && !expand(int32(v)) {
-			continue
-		}
-		g.VisitAdj(v, func(w int, wt float64) {
-			if nd := dist[v] + wt; nd < dist[w] {
-				dist[w] = nd
-			}
-		})
-	}
-}
 
 func requireRowsEqual(t *testing.T, got, want []float64) {
 	t.Helper()
@@ -58,90 +19,26 @@ func requireRowsEqual(t *testing.T, got, want []float64) {
 	}
 }
 
+// A target-stopped solve reads the cell the full row holds, at every
+// target, near or far.
 func TestBoundedZeroValueMatchesUnbounded(t *testing.T) {
 	g := intER(t, 211, 6, 11)
 	e := New(g)
 	full := make([]float64, g.N)
-	bounded := make([]float64, g.N)
 	for src := 0; src < g.N; src += 17 {
 		if err := e.SolveRowInto(src, full); err != nil {
 			t.Fatal(err)
 		}
-		settled, err := e.SolveRowBoundedInto(src, bounded, Bound{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireRowsEqual(t, bounded, full)
-		if settled != g.N {
-			t.Fatalf("settled %d vertices on a connected graph, want %d", settled, g.N)
-		}
-	}
-}
-
-func TestBoundedExpandMatchesReference(t *testing.T) {
-	g := intER(t, 160, 7, 5)
-	e := New(g)
-	// Admit an arbitrary vertex subset; the source itself must be
-	// admitted for the solve to leave it at all.
-	for _, src := range []int{0, 41, 97} {
-		expand := func(v int32) bool { return int(v) == src || v%3 != 0 }
-		got := make([]float64, g.N)
-		if _, err := e.SolveRowBoundedInto(src, got, Bound{Expand: expand}); err != nil {
-			t.Fatal(err)
-		}
-		want := bruteBounded(g, []Seed{{V: int32(src)}}, expand)
-		requireRowsEqual(t, got, want)
-	}
-}
-
-func TestBoundedUnexpandedSourceStaysPut(t *testing.T) {
-	g := intER(t, 50, 5, 3)
-	e := New(g)
-	row := make([]float64, g.N)
-	settled, err := e.SolveRowBoundedInto(7, row, Bound{Expand: func(int32) bool { return false }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if settled != 1 {
-		t.Fatalf("settled %d vertices with nothing expandable, want 1", settled)
-	}
-	for i, d := range row {
-		if i == 7 && d != 0 {
-			t.Fatalf("dist[src] = %v, want 0", d)
-		}
-		if i != 7 && d != matrix.Inf {
-			t.Fatalf("dist[%d] = %v, want +Inf", i, d)
-		}
-	}
-}
-
-func TestBoundedMultiSeedMatchesPerSeedMin(t *testing.T) {
-	g := intER(t, 140, 6, 9)
-	e := New(g)
-	seeds := []Seed{{V: 3, Dist: 0}, {V: 77, Dist: 12}, {V: 130, Dist: 2.5}, {V: 9, Dist: matrix.Inf}}
-	got := make([]float64, g.N)
-	if _, err := e.SolveBoundedInto(seeds, got, Bound{}); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, g.N)
-	row := make([]float64, g.N)
-	for i := range want {
-		want[i] = matrix.Inf
-	}
-	for _, s := range seeds {
-		if math.IsInf(s.Dist, 1) {
-			continue
-		}
-		if err := e.SolveRowInto(int(s.V), row); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if d := s.Dist + row[i]; d < want[i] {
-				want[i] = d
+		for dst := range g.N {
+			d, err := e.SolveDist(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d != full[dst] {
+				t.Fatalf("SolveDist(%d,%d) = %v, row says %v", src, dst, d, full[dst])
 			}
 		}
 	}
-	requireRowsEqual(t, got, want)
 }
 
 func TestBoundedTargetsEarlyExit(t *testing.T) {
@@ -151,111 +48,49 @@ func TestBoundedTargetsEarlyExit(t *testing.T) {
 	if err := e.SolveRowInto(0, full); err != nil {
 		t.Fatal(err)
 	}
-	targets := []int32{5, 250, 123, 5} // duplicate on purpose
-	got := map[int32]float64{}
-	settled, err := e.SolveRowBoundedInto(0, nil, Bound{
-		Targets: targets,
-		OnSettle: func(v int32, d float64) {
-			got[v] = d
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if settled == g.N {
-		t.Fatalf("target early-exit still settled all %d vertices", g.N)
-	}
-	for _, tg := range targets {
-		d, ok := got[tg]
-		if !ok {
-			t.Fatalf("target %d never settled", tg)
+	for _, tg := range []int{5, 250, 123, 0} {
+		before := e.settled.Load()
+		d, err := e.SolveDist(0, tg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if settled := e.settled.Load() - before; settled == int64(g.N) {
+			t.Fatalf("target %d: early exit still settled all %d vertices", tg, g.N)
 		}
 		if d != full[tg] {
 			t.Fatalf("target %d settled at %v, want %v", tg, d, full[tg])
 		}
 	}
+	if d, _ := e.SolveDist(7, 7); d != 0 {
+		t.Fatalf("d(7,7) = %v, want 0", d)
+	}
 }
 
 func TestBoundedUnreachableTargetExhaustsHeap(t *testing.T) {
 	// Two 3-vertex path components: a target on the far island can never
-	// settle, so the solve must end by exhaustion, reporting only the
-	// source's component.
+	// settle, so the solve must end by exhaustion, settling only the
+	// source's component, and report no path.
 	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}}
 	g, err := graph.FromEdges(6, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New(g)
-	settled, err := e.SolveRowBoundedInto(0, nil, Bound{Targets: []int32{5}})
+	d, err := e.SolveDist(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if settled != 3 {
+	if d != matrix.Inf {
+		t.Fatalf("d(0,5) = %v across components, want +Inf", d)
+	}
+	if settled := e.settled.Load(); settled != 3 {
 		t.Fatalf("settled %d vertices, want the source component's 3", settled)
 	}
 }
 
-func TestBoundedMaxDist(t *testing.T) {
-	g := intER(t, 250, 6, 33)
-	e := New(g)
-	full := make([]float64, g.N)
-	if err := e.SolveRowInto(10, full); err != nil {
-		t.Fatal(err)
-	}
-	// Pick a cap around the median finite distance so both sides of the
-	// cut are well populated.
-	maxDist := 0.0
-	for _, d := range full {
-		if !math.IsInf(d, 1) {
-			maxDist += d
-		}
-	}
-	maxDist /= float64(g.N) * 2
-	got := make([]float64, g.N)
-	if _, err := e.SolveRowBoundedInto(10, got, Bound{MaxDist: maxDist}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		switch {
-		case full[i] <= maxDist && got[i] != full[i]:
-			t.Fatalf("dist[%d] = %v inside the cap, want %v", i, got[i], full[i])
-		case full[i] > maxDist && !math.IsInf(got[i], 1):
-			t.Fatalf("dist[%d] = %v beyond the cap %v, want +Inf", i, got[i], maxDist)
-		}
-	}
-}
-
-func TestBoundedNilRowOnSettleMatchesRow(t *testing.T) {
-	g := intER(t, 120, 5, 13)
-	e := New(g)
-	row := make([]float64, g.N)
-	if _, err := e.SolveRowBoundedInto(4, row, Bound{}); err != nil {
-		t.Fatal(err)
-	}
-	viaCallback := make([]float64, g.N)
-	for i := range viaCallback {
-		viaCallback[i] = matrix.Inf
-	}
-	last := math.Inf(-1)
-	settled, err := e.SolveRowBoundedInto(4, nil, Bound{OnSettle: func(v int32, d float64) {
-		if d < last {
-			t.Fatalf("OnSettle out of order: %v after %v", d, last)
-		}
-		last = d
-		viaCallback[v] = d
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRowsEqual(t, viaCallback, row)
-	if settled != g.N {
-		t.Fatalf("settled %d, want %d", settled, g.N)
-	}
-}
-
 func TestBoundedInterleavesWithUnbounded(t *testing.T) {
-	// Bounded solves that break early leave heap entries behind; the next
-	// solve on the same scratch must be unaffected.
+	// Target-stopped solves leave heap entries behind; the next solve on
+	// the same scratch must be unaffected.
 	g := intER(t, 180, 6, 17)
 	e := New(g)
 	want := make([]float64, g.N)
@@ -263,7 +98,7 @@ func TestBoundedInterleavesWithUnbounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.SolveRowBoundedInto(2, nil, Bound{Targets: []int32{3}}); err != nil {
+		if _, err := e.SolveDist(2, 3); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]float64, g.N)
@@ -277,33 +112,15 @@ func TestBoundedInterleavesWithUnbounded(t *testing.T) {
 func TestBoundedValidation(t *testing.T) {
 	g := intER(t, 30, 4, 1)
 	e := New(g)
-	if _, err := e.SolveBoundedInto([]Seed{{V: -1}}, nil, Bound{}); err == nil {
-		t.Fatal("negative seed vertex accepted")
+	for _, pair := range [][2]int{{-1, 0}, {30, 0}, {0, -1}, {0, 30}} {
+		if _, err := e.SolveDist(pair[0], pair[1]); err == nil {
+			t.Fatalf("SolveDist(%d,%d) accepted", pair[0], pair[1])
+		}
 	}
-	if _, err := e.SolveBoundedInto([]Seed{{V: 30}}, nil, Bound{}); err == nil {
-		t.Fatal("out-of-range seed vertex accepted")
-	}
-	if _, err := e.SolveBoundedInto([]Seed{{V: 0, Dist: -1}}, nil, Bound{}); err == nil {
-		t.Fatal("negative seed distance accepted")
-	}
-	if _, err := e.SolveBoundedInto([]Seed{{V: 0, Dist: math.NaN()}}, nil, Bound{}); err == nil {
-		t.Fatal("NaN seed distance accepted")
-	}
-	if _, err := e.SolveBoundedInto(nil, make([]float64, 3), Bound{}); err == nil {
+	if err := e.SolveRowInto(0, make([]float64, 3)); err == nil {
 		t.Fatal("short row accepted")
 	}
-	if _, err := e.SolveBoundedInto(nil, nil, Bound{Targets: []int32{99}}); err == nil {
-		t.Fatal("out-of-range target accepted")
-	}
-	if _, err := e.SolveRowBoundedInto(99, nil, Bound{}); err == nil {
+	if err := e.SolveRowInto(99, make([]float64, g.N)); err == nil {
 		t.Fatal("out-of-range source accepted")
-	}
-	// No seeds at all (or only +Inf seeds) is a legal empty solve.
-	settled, err := e.SolveBoundedInto([]Seed{{V: 1, Dist: matrix.Inf}}, nil, Bound{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if settled != 0 {
-		t.Fatalf("settled %d from only-Inf seeds, want 0", settled)
 	}
 }

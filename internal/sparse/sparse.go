@@ -37,7 +37,7 @@
 //     moves, every pop settles a vertex and no comparison sifting happens
 //     at all (see the state type). It is the one single-source loop:
 //     SolveRowInto, every panel row the batched kernel does not take, and
-//     every bounded and multi-seed solve run through it. Per-source state
+//     SolveDist, which stops at its target, run through it. Per-source state
 //     is epoch-stamped, so starting the next source bumps a counter
 //     instead of clearing O(n).
 //
@@ -248,7 +248,7 @@ type Engine struct {
 	settled         atomic.Int64 // vertices settled (heap pops) across all sources
 	sweepVisits     atomic.Int64 // vertices the sweeps of batches that stood visited
 	discardedVisits atomic.Int64 // vertices the sweeps of batches thrown away visited
-	boundedSolves   atomic.Int64 // bounded/multi-seed solves completed
+	boundedSolves   atomic.Int64 // target-stopped solves (SolveDist) completed
 	busyNs          atomic.Int64 // summed worker wall time inside panels
 	wallNs          atomic.Int64 // summed panel wall time
 	lastWorkers     atomic.Int64 // worker count of the most recent panel
@@ -389,7 +389,7 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		func() int64 { return e.sweepVisits.Load() })
 	r.CounterFunc("apsp_sparse_discarded_sweep_visits_total", "Vertices the sweeps of batches thrown away (range or budget) visited.",
 		func() int64 { return e.discardedVisits.Load() })
-	r.CounterFunc("apsp_sparse_bounded_solves_total", "Bounded (frontier-stopped or multi-seed) solves completed.",
+	r.CounterFunc("apsp_sparse_bounded_solves_total", "Target-stopped single-pair solves (SolveDist) completed.",
 		func() int64 { return e.boundedSolves.Load() })
 	r.GaugeFunc("apsp_sparse_worker_busy_seconds", "Summed worker wall time spent solving panels.",
 		func() float64 { return float64(e.busyNs.Load()) / 1e9 })
@@ -545,10 +545,6 @@ type state struct {
 	lastMin uint64
 	count   int
 	buckets [numBuckets][]ent
-	// Target marks for bounded solves, epoch-stamped like vs and
-	// allocated only when a solve first passes Bound.Targets.
-	tmark  []uint32
-	tepoch uint32
 }
 
 func newState(n int) *state {
@@ -663,8 +659,7 @@ func (e *Engine) SolveRowInto(src int, row []float64) error {
 	if len(row) != e.n {
 		return fmt.Errorf("sparse: row has length %d, want %d", len(row), e.n)
 	}
-	seed := [1]Seed{{V: int32(src)}}
-	if _, err := e.dijkstra(seed[:], row, Bound{}); err != nil {
+	if _, err := e.solveOne(int32(src), -1, row); err != nil {
 		return err
 	}
 	e.srcSolved.Add(1)
@@ -1158,8 +1153,7 @@ func solveUnits[C matrix.Cell](ctx context.Context, e *Engine, job *panelJob[C])
 				if sc == nil {
 					sc = e.scratch.get().(*state)
 				}
-				seed := [1]Seed{{V: int32(job.base + r)}}
-				settled += int64(sc.dijkstra(e, seed[:], Bound{}))
+				settled += int64(sc.dijkstra(e, int32(job.base+r), -1))
 				fillRow(sc, p.rows[r*p.stride:][:n-p.from], p.from)
 				sources++
 				r++

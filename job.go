@@ -23,8 +23,6 @@ type jobSettings struct {
 	trace        bool
 	resume       bool
 	codec        string // "" = raw
-	partSize     int    // 0 = auto
-	partSeed     int64
 	progress     func(StageEvent)
 }
 
@@ -32,10 +30,9 @@ type jobSettings struct {
 type entry string
 
 const (
-	solveEntry     entry = "Solve"
-	projectEntry   entry = "Project"
-	storeEntry     entry = "SolveToStore"
-	hierarchyEntry entry = "BuildHierarchy"
+	solveEntry   entry = "Solve"
+	projectEntry entry = "Project"
+	storeEntry   entry = "SolveToStore"
 )
 
 // job is one job's settings once the job contract has accepted them.
@@ -53,32 +50,28 @@ var (
 
 // jobContract is, for each option a job may be given, whether the
 // settings carry it and which jobs take it (host: the solver is
-// SolverDijkstra). WithSolver and WithProgress are taken by every job.
+// SolverDijkstra). WithSolver, WithBlockSize and WithProgress are taken
+// by every job.
 var jobContract = []struct {
 	option string
 	set    func(*jobSettings) bool
 	takes  func(e entry, host bool) bool
 	where  string
 }{
-	{"WithBlockSize", func(j *jobSettings) bool { return j.blockSize != 0 },
-		func(e entry, _ bool) bool { return e != hierarchyEntry }, "Solve, Project and SolveToStore"},
 	{"WithPartitioner", func(j *jobSettings) bool { return j.partitioner != "" }, onCluster, clusterJobs},
 	{"WithPartsPerCore", func(j *jobSettings) bool { return j.partsPerCore != 0 }, onCluster, clusterJobs},
 	{"WithMaxUnits", func(j *jobSettings) bool { return j.maxUnits != 0 }, onCluster, clusterJobs},
 	{"WithTrace", func(j *jobSettings) bool { return j.trace }, onCluster, clusterJobs},
 	{"WithVerify", func(j *jobSettings) bool { return j.verify },
 		func(e entry, host bool) bool { return e != storeEntry || !host },
-		"Solve, Project, BuildHierarchy and SolveToStore with " + clusterSolvers},
+		"Solve, Project and SolveToStore with " + clusterSolvers},
 	{"WithResume", func(j *jobSettings) bool { return j.resume },
 		func(e entry, host bool) bool { return e == storeEntry && host }, "SolveToStore with dij"},
 	{"WithCodec", func(j *jobSettings) bool { return j.codec != "" },
 		func(e entry, _ bool) bool { return e == storeEntry }, "SolveToStore"},
-	{"WithPartSize", func(j *jobSettings) bool { return j.partSize != 0 }, inHierarchy, "BuildHierarchy"},
-	{"WithPartSeed", func(j *jobSettings) bool { return j.partSeed != 0 }, inHierarchy, "BuildHierarchy"},
 }
 
-func onCluster(e entry, host bool) bool { return e != hierarchyEntry && !host }
-func inHierarchy(e entry, _ bool) bool  { return e == hierarchyEntry }
+func onCluster(_ entry, host bool) bool { return !host }
 
 // accept is the job contract: it merges the session defaults with opts
 // for a job that came in through e on graph g (nil for Project), and
@@ -111,27 +104,18 @@ func (s *Session) accept(e entry, g *Graph, opts []SolveOption) (job, error) {
 	return j, nil
 }
 
-// String names the job in errors: "BuildHierarchy", or the entry point
-// and solver ("Solve with dij").
-func (j job) String() string {
-	if j.entry == hierarchyEntry {
-		return string(j.entry)
-	}
-	return fmt.Sprintf("%s with %s", j.entry, j.solver)
-}
+// String names the job in errors: the entry point and solver ("Solve
+// with dij").
+func (j job) String() string { return fmt.Sprintf("%s with %s", j.entry, j.solver) }
 
 // span opens the job's root span; rdd stages and streamed panels nest
 // under it.
 func (j job) span() obs.Span {
-	if j.entry == hierarchyEntry {
-		return obs.DefaultTracer().Start("hierarchy", "build")
-	}
 	return obs.DefaultTracer().Start("solve", string(j.solver))
 }
 
-// progress streams the events of a host solve or a hierarchy build, one
-// "unit" per finished panel or partition and a final "done", numbered the
-// way rdd numbers a cluster job's.
+// progress streams the events of a host solve, one "unit" per finished
+// panel and a final "done", numbered the way rdd numbers a cluster job's.
 type progress struct {
 	fn  func(StageEvent)
 	seq int
@@ -154,27 +138,15 @@ func (p *progress) emit(ev StageEvent) {
 	p.fn(ev)
 }
 
-// verifyRows cross-checks the distances of what, read a row at a time,
-// against sequential Floyd-Warshall.
-func verifyRows(g *Graph, what string, row func(u int) ([]float64, error)) error {
+// verify cross-checks the distances of what, the matrix m, against
+// sequential Floyd-Warshall.
+func verify(g *Graph, what string, m *Matrix) error {
 	want, err := seq.FloydWarshall(g)
 	if err != nil {
 		return fmt.Errorf("apspark: verify reference: %w", err)
 	}
-	for u := 0; u < g.N; u++ {
-		got, err := row(u)
-		if err != nil {
-			return fmt.Errorf("apspark: verify row %d: %w", u, err)
-		}
-		ref := Matrix{R: 1, C: g.N, Data: want.Row(u)}
-		if !(&Matrix{R: 1, C: len(got), Data: got}).AllClose(&ref, 1e-9) {
-			return fmt.Errorf("apspark: %s diverges from sequential Floyd-Warshall", what)
-		}
+	if !m.AllClose(want, 1e-9) {
+		return fmt.Errorf("apspark: %s diverges from sequential Floyd-Warshall", what)
 	}
 	return nil
-}
-
-// rowsOf reads m a row at a time, for verifyRows.
-func rowsOf(m *Matrix) func(int) ([]float64, error) {
-	return func(u int) ([]float64, error) { return m.Row(u), nil }
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // TestJobOptionMatrix pins which jobs take which option: each of the
-// eleven job options, set to a non-default value, on every entry point
-// with a virtual-cluster solver (cb) and the host solver (dij), plus
-// BuildHierarchy. A cell is "ok" (the job ran), "reject" (refused with no
+// nine job options, set to a non-default value, on every entry point
+// with a virtual-cluster solver (cb) and the host solver (dij). A cell is "ok" (the job ran), "reject" (refused with no
 // Result) or "partial" (it ran, then failed with a partial Result). A
 // refusal the option causes names the option.
 func TestJobOptionMatrix(t *testing.T) {
@@ -20,8 +19,8 @@ func TestJobOptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Each column runs one job and reports whether it returned a Result
-	// (or Oracle), and its error.
+	// Each column runs one job and reports whether it returned a Result,
+	// and its error.
 	type column struct {
 		name string
 		run  func(opts ...SolveOption) (bool, error)
@@ -44,31 +43,23 @@ func TestJobOptionMatrix(t *testing.T) {
 				return res != nil, err
 			}})
 	}
-	columns = append(columns, column{"BuildHierarchy", func(opts ...SolveOption) (bool, error) {
-		o, err := s.BuildHierarchy(ctx, g, opts...)
-		return o != nil, err
-	}})
-
-	// Columns, in order: Solve, Project and SolveToStore with cb, the
-	// same three with dij, then BuildHierarchy. The first row sets no
-	// option.
+	// Columns, in order: Solve, Project and SolveToStore with cb, then
+	// the same three with dij. The first row sets no option.
 	rows := []struct {
 		option string
 		opt    SolveOption
 		want   string
 	}{
-		{"", nil, "ok ok ok ok reject ok ok"},
-		{"WithBlockSize", WithBlockSize(8), "ok ok ok ok reject ok reject"},
-		{"WithPartitioner", WithPartitioner(PartitionerPH), "ok ok ok reject reject reject reject"},
-		{"WithPartsPerCore", WithPartsPerCore(3), "ok ok ok reject reject reject reject"},
-		{"WithMaxUnits", WithMaxUnits(1), "ok ok partial reject reject reject reject"},
-		{"WithVerify", WithVerify(true), "ok ok ok ok reject reject ok"},
-		{"WithTrace", WithTrace(true), "ok ok ok reject reject reject reject"},
-		{"WithResume", WithResume(true), "reject reject reject reject reject ok reject"},
-		{"WithCodec", WithCodec("ivarint"), "reject reject ok reject reject ok reject"},
-		{"WithPartSize", WithPartSize(8), "reject reject reject reject reject reject ok"},
-		{"WithPartSeed", WithPartSeed(4), "reject reject reject reject reject reject ok"},
-		{"WithProgress", WithProgress(func(StageEvent) {}), "ok ok ok ok reject ok ok"},
+		{"", nil, "ok ok ok ok reject ok"},
+		{"WithBlockSize", WithBlockSize(8), "ok ok ok ok reject ok"},
+		{"WithPartitioner", WithPartitioner(PartitionerPH), "ok ok ok reject reject reject"},
+		{"WithPartsPerCore", WithPartsPerCore(3), "ok ok ok reject reject reject"},
+		{"WithMaxUnits", WithMaxUnits(1), "ok ok partial reject reject reject"},
+		{"WithVerify", WithVerify(true), "ok ok ok ok reject reject"},
+		{"WithTrace", WithTrace(true), "ok ok ok reject reject reject"},
+		{"WithResume", WithResume(true), "reject reject reject reject reject ok"},
+		{"WithCodec", WithCodec("ivarint"), "reject reject ok reject reject ok"},
+		{"WithProgress", WithProgress(func(StageEvent) {}), "ok ok ok ok reject ok"},
 	}
 	base := strings.Fields(rows[0].want)
 	for _, row := range rows {

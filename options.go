@@ -42,10 +42,10 @@ type Option interface {
 	applySession(*Session) error
 }
 
-// SolveOption tunes a single job (Solve, Project, SolveToStore or
-// BuildHierarchy), overriding the session's defaults for that job only.
-// A job given an option it does not take refuses to run; the README's
-// option table says which job takes which.
+// SolveOption tunes a single job (Solve, Project or SolveToStore),
+// overriding the session's defaults for that job only. A job given an
+// option it does not take refuses to run; the README's option table says
+// which job takes which.
 type SolveOption interface {
 	applyJob(*jobSettings) error
 }
@@ -221,31 +221,6 @@ func WithCodec(name string) SharedOption {
 			name = ""
 		}
 		j.codec = name
-		return nil
-	})
-}
-
-// WithPartSize sets the target partition size of a hierarchy build
-// (Session.BuildHierarchy); 0 restores the automatic default
-// (max(64, 2·sqrt(n))).
-func WithPartSize(sz int) SharedOption {
-	return settingsOption(func(j *jobSettings) error {
-		if sz < 0 {
-			return fmt.Errorf("apspark: WithPartSize(%d) must be >= 0", sz)
-		}
-		j.partSize = sz
-		return nil
-	})
-}
-
-// WithPartSeed seeds the hierarchy partitioner's vertex ordering
-// (Session.BuildHierarchy): the same seed over the same graph always
-// yields the same partition, overlay and oracle answers. Distances are
-// exact under every seed; only partition shape (and thus build/query
-// cost) varies.
-func WithPartSeed(seed int64) SharedOption {
-	return settingsOption(func(j *jobSettings) error {
-		j.partSeed = seed
 		return nil
 	})
 }

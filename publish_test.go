@@ -24,7 +24,6 @@ type publishFixture struct {
 	g   *Graph
 	s   *Session
 	res *Result
-	o   *Oracle
 }
 
 func newPublishFixture(t *testing.T) publishFixture {
@@ -39,16 +38,13 @@ func newPublishFixture(t *testing.T) publishFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := s.BuildHierarchy(ctx, g, WithPartSize(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return publishFixture{ctx: ctx, g: g, s: s, res: res, o: o}
+	return publishFixture{ctx: ctx, g: g, s: s, res: res}
 }
 
 // TestPublishedFilesAre0644: under umask 022 every published file is
 // 0644, readable by whoever serves it: a store written whole, a streamed
-// store (fresh and resumed), a hierarchy file, and each file of an imported and of an updated generation.
+// store (fresh and resumed), and each file of an imported and of an
+// updated generation.
 func TestPublishedFilesAre0644(t *testing.T) {
 	defer syscall.Umask(syscall.Umask(0o022))
 	f := newPublishFixture(t)
@@ -85,9 +81,6 @@ func TestPublishedFilesAre0644(t *testing.T) {
 		t.Fatal("the resumed solve restored no panel")
 	}
 	check(err, resumed)
-
-	hier := filepath.Join(dir, "g.hier")
-	check(f.o.Save(hier), hier)
 
 	gens := filepath.Join(dir, "gens")
 	first, err := InitGenerations(gens, written, f.g)
@@ -143,10 +136,6 @@ func TestFailedPublishLeavesNoTrace(t *testing.T) {
 		{name: "checkpoint partial", setup: func(t *testing.T, dir string) (string, func() error) {
 			p := filepath.Join(dir, "d.apsp")
 			return p + ".partial", func() error { _, err := f.s.SolveToStore(f.ctx, f.g, p, WithBlockSize(16)); return err }
-		}},
-		{name: "Oracle.Save", setup: func(t *testing.T, dir string) (string, func() error) {
-			p := filepath.Join(dir, "g.hier")
-			return p, func() error { return f.o.Save(p) }
 		}},
 		// A CURRENT that cannot be read sends Open to the newest
 		// generation, and Open re-points CURRENT at it.

@@ -133,7 +133,7 @@ func (s *Session) run(ctx context.Context, g *Graph, n int, j job) (*Result, err
 		return out, err
 	}
 	if j.verify && out.Dist != nil {
-		if err := verifyRows(g, solver.Name()+" result", rowsOf(out.Dist)); err != nil {
+		if err := verify(g, solver.Name()+" result", out.Dist); err != nil {
 			return nil, err
 		}
 	}

@@ -124,7 +124,7 @@ func (s *Session) runHost(ctx context.Context, g *Graph, j job, storePath string
 	}
 	// Verify after the final progress event, as the cluster path does.
 	if j.verify && res.Dist != nil {
-		if err := verifyRows(g, res.Solver+" result", rowsOf(res.Dist)); err != nil {
+		if err := verify(g, res.Solver+" result", res.Dist); err != nil {
 			return nil, err
 		}
 	}
